@@ -1,11 +1,19 @@
-//! Microbenchmark: one epoch of each collection strategy.
+//! Microbenchmark: one epoch of each collection strategy, plus the three
+//! hot spots pgbench found on its big cells — a shared collection epoch, a
+//! dedicated TAG epoch and a feature extraction at 800–2 500 sensors.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pg_bench::standard_world;
-use pg_sensornet::aggregate::AggFn;
+use pg_core::PervasiveGrid;
+use pg_net::topology::NodeId;
+use pg_partition::exec::ExecContext;
+use pg_partition::features::QueryFeatures;
+use pg_sensornet::aggregate::{AggFn, ValueFilter};
 use pg_sensornet::epoch::Strategy;
+use pg_sensornet::region::Region;
+use pg_sensornet::shared::{shared_tree_collection, SharedQuery};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,5 +71,89 @@ fn bench_partial_merge(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_epoch, bench_partial_merge);
+/// pgbench's cells: `floors` floors of `side × side` sensors with the
+/// overlapping west/east/core regions its workloads query.
+fn cell(floors: usize, side: usize) -> PervasiveGrid {
+    let extent = (side as f64 - 1.0) * 5.0;
+    PervasiveGrid::building(floors, side, 3)
+        .region("west", Region::room(0.0, 0.0, extent * 0.6, extent))
+        .region("east", Region::room(extent * 0.4, 0.0, extent, extent))
+        .region(
+            "core",
+            Region::room(extent * 0.25, extent * 0.25, extent * 0.75, extent * 0.75),
+        )
+        .build()
+}
+
+/// `count` aggregates cycling over the whole cell and its three regions.
+fn overlapping_queries(pg: &PervasiveGrid, count: usize) -> Vec<SharedQuery> {
+    let topo = pg.net.topology();
+    let mut selections: Vec<Vec<NodeId>> = vec![topo.nodes().skip(1).collect()];
+    selections.extend(pg.regions.values().map(|r| r.members(topo)));
+    (0..count)
+        .map(|i| SharedQuery {
+            members: selections[i % selections.len()].clone(),
+            filter: ValueFilter::all(),
+            agg: [AggFn::Avg, AggFn::Max, AggFn::Min][i % 3],
+        })
+        .collect()
+}
+
+fn bench_large_cells(c: &mut Criterion) {
+    let metro = cell(2, 20);
+    let scale = cell(4, 25);
+
+    let mut g = c.benchmark_group("shared_collection_epoch");
+    for (pg, queries) in [(&metro, 2usize), (&scale, 14)] {
+        let id = format!("{}x{queries}", pg.net.len());
+        let queries = overlapping_queries(pg, queries);
+        g.bench_function(id, |b| {
+            b.iter_batched(
+                || pg.net.clone(),
+                |mut net| {
+                    let mut rng = StdRng::seed_from_u64(9);
+                    shared_tree_collection(&mut net, &queries, &pg.field, pg.now, &mut rng)
+                },
+                criterion::BatchSize::LargeInput,
+            );
+        });
+    }
+    g.finish();
+
+    let mut g = c.benchmark_group("collection_epoch");
+    let members: Vec<NodeId> = scale.net.topology().nodes().skip(1).collect();
+    g.bench_function(BenchmarkId::new("tree", scale.net.len()), |b| {
+        b.iter_batched(
+            || scale.net.clone(),
+            |mut net| {
+                let mut rng = StdRng::seed_from_u64(9);
+                Strategy::Tree.run_epoch(
+                    &mut net,
+                    &members,
+                    &scale.field,
+                    scale.now,
+                    AggFn::Avg,
+                    &mut rng,
+                )
+            },
+            criterion::BatchSize::LargeInput,
+        );
+    });
+    g.finish();
+
+    let mut scale = scale;
+    let query = pg_query::parse("SELECT AVG(temp) FROM sensors WHERE region(west)").unwrap();
+    let ctx = ExecContext {
+        net: &mut scale.net,
+        grid: &scale.grid,
+        field: &scale.field,
+        regions: &scale.regions,
+        now: scale.now,
+    };
+    c.bench_function("features_extract_2500", |b| {
+        b.iter(|| QueryFeatures::extract(&ctx, &query));
+    });
+}
+
+criterion_group!(benches, bench_epoch, bench_partial_merge, bench_large_cells);
 criterion_main!(benches);

@@ -50,6 +50,10 @@ struct Shareable {
     idx: usize,
     query: Query,
     members: Vec<NodeId>,
+    /// Learner features of the full selection — resolved once, from the
+    /// un-thinned member list, so brownout never shifts the learner's
+    /// inputs.
+    features: QueryFeatures,
     /// The scheduler asked for brownout fidelity: `members` is already
     /// the coarser stratum (every other member), and the response will be
     /// annotated via `DegradationReport::brownout`.
@@ -82,6 +86,10 @@ impl PervasiveGrid {
             let Ok(members) = members_of(&ctx, &query) else {
                 continue;
             };
+            // Features depend only on the query and the immutable topology,
+            // so taking them here equals taking them right before the
+            // collection, as the single-query pipeline does.
+            let features = QueryFeatures::of_members(&self.net, &query, &members);
             // Brownout: answer from a coarser stratum — roughly every
             // other member — while the overload lasts. The cut is keyed on
             // node id parity, not list position, so overlapping queries
@@ -103,6 +111,7 @@ impl PervasiveGrid {
                 idx,
                 query,
                 members,
+                features,
                 brownout: bq.brownout,
             });
         }
@@ -120,21 +129,6 @@ impl PervasiveGrid {
         batch: &[BatchQuery<'_>],
         slots: &mut [Option<EngineOutcome<QueryResponse, PgError>>],
     ) {
-        // Features are extracted against the pre-collection network, like
-        // the single-query pipeline, so the learner sees comparable inputs.
-        let features: Vec<Option<QueryFeatures>> = chunk
-            .iter()
-            .map(|s| {
-                let ctx = ExecContext {
-                    net: &mut self.net,
-                    grid: &self.grid,
-                    field: &self.field,
-                    regions: &self.regions,
-                    now: self.now,
-                };
-                QueryFeatures::extract(&ctx, &s.query)
-            })
-            .collect();
         let shared_queries: Vec<SharedQuery> = chunk
             .iter()
             .map(|s| SharedQuery {
@@ -167,9 +161,8 @@ impl PervasiveGrid {
         let control_energy_share = report.control_energy_j / chunk.len() as f64;
         let mut chunk_scalar_cost = 0.0;
 
-        for ((s, feats), (pq, sq)) in chunk
+        for (s, (pq, sq)) in chunk
             .iter()
-            .zip(features)
             .zip(report.per_query.iter().zip(&shared_queries))
         {
             let cost = CostVector {
@@ -190,21 +183,19 @@ impl PervasiveGrid {
             // Adaptive feedback: the learner sees each query's attributed
             // share as an InNetworkTree actual, plus the degradation it
             // came with (delivery loss, deadline fate, retries).
-            if let Some(f) = feats {
-                self.decision.observe(
-                    &self.net,
-                    &self.grid,
-                    f,
-                    SolutionModel::InNetworkTree,
-                    Reward {
-                        cost,
-                        loss_frac: (1.0 - pq.delivery_ratio()).clamp(0.0, 1.0),
-                        deadline_missed: deadline_s.is_some_and(|d| latency_s > d),
-                        retries: pq.retries,
-                        dead_letters: 0,
-                    },
-                );
-            }
+            self.decision.observe(
+                &self.net,
+                &self.grid,
+                s.features,
+                SolutionModel::InNetworkTree,
+                Reward {
+                    cost,
+                    loss_frac: (1.0 - pq.delivery_ratio()).clamp(0.0, 1.0),
+                    deadline_missed: deadline_s.is_some_and(|d| latency_s > d),
+                    retries: pq.retries,
+                    dead_letters: 0,
+                },
+            );
             chunk_scalar_cost += self.decision.config().weights().scalar(&cost);
             let truth = {
                 let ctx = ExecContext {

@@ -268,6 +268,11 @@ pub fn repair_after_deaths<F: Fn(NodeId) -> bool>(
         .iter()
         .filter(|(v, _)| tree.depth[v.idx()].is_none())
         .count();
+    // Depths only move when an attached node died; re-anchoring alone
+    // leaves the bottom-up order as it was.
+    if stats.dead > 0 {
+        tree.refresh_order();
+    }
     stats
 }
 

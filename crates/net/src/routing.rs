@@ -190,9 +190,7 @@ impl Protocol {
                 // Parents forward down the tree; each edge is retried until
                 // delivered or a bounded number of attempts fails.
                 const MAX_ATTEMPTS: u32 = 8;
-                let mut order: Vec<NodeId> = tree.bottom_up_order();
-                order.reverse(); // top-down
-                for u in order {
+                for &u in tree.bottom_up_order().iter().rev() {
                     if !reached[u.idx()] {
                         continue; // subtree cut off by a failed edge
                     }

@@ -325,12 +325,7 @@ impl Topology {
                 children[p.idx()].push(NodeId(i as u32));
             }
         }
-        RoutingTree {
-            root,
-            parent,
-            children,
-            depth,
-        }
+        RoutingTree::assemble(root, parent, children, depth)
     }
 
     /// Build the *canonical* shortest-path tree rooted at `root`: every
@@ -389,16 +384,15 @@ impl Topology {
                 children[p.idx()].push(v);
             }
         }
-        RoutingTree {
-            root,
-            parent,
-            children,
-            depth,
-        }
+        RoutingTree::assemble(root, parent, children, depth)
     }
 }
 
 /// A rooted spanning tree over a [`Topology`] (aggregation/collection tree).
+///
+/// Built by [`Topology::spanning_tree`] / [`Topology::canonical_tree`] and
+/// reshaped only by [`repair_after_deaths`](crate::repair::repair_after_deaths),
+/// which keep the carried bottom-up order in step with `depth`.
 #[derive(Debug, Clone)]
 pub struct RoutingTree {
     /// The sink/base-station node.
@@ -409,42 +403,96 @@ pub struct RoutingTree {
     pub children: Vec<Vec<NodeId>>,
     /// Hop depth of each node (`None` = unreachable).
     pub depth: Vec<Option<u32>>,
+    /// Attached nodes, depth descending then id ascending.
+    order: Vec<NodeId>,
 }
 
 impl RoutingTree {
+    fn assemble(
+        root: NodeId,
+        parent: Vec<Option<NodeId>>,
+        children: Vec<Vec<NodeId>>,
+        depth: Vec<Option<u32>>,
+    ) -> Self {
+        let mut tree = RoutingTree {
+            root,
+            parent,
+            children,
+            depth,
+            order: Vec::new(),
+        };
+        tree.refresh_order();
+        tree
+    }
+
+    /// Recompute the carried bottom-up order from `depth`: a counting sort,
+    /// O(nodes + height). Called when the tree is built and after a repair
+    /// detached a dead node.
+    pub(crate) fn refresh_order(&mut self) {
+        // starts[d] = how many attached nodes are deeper than d, i.e. where
+        // depth d's run begins in a deepest-first listing.
+        let mut starts: Vec<usize> = Vec::new();
+        for d in self.depth.iter().flatten() {
+            let d = *d as usize;
+            if starts.len() <= d {
+                starts.resize(d + 1, 0);
+            }
+            starts[d] += 1;
+        }
+        let mut attached = 0;
+        for slot in starts.iter_mut().rev() {
+            let at_this_depth = *slot;
+            *slot = attached;
+            attached += at_this_depth;
+        }
+        self.order.clear();
+        self.order.resize(attached, self.root);
+        // Ascending id within each depth, as a stable sort on depth gives.
+        for (i, d) in self.depth.iter().enumerate() {
+            if let Some(d) = d {
+                let at = &mut starts[*d as usize];
+                self.order[*at] = NodeId(i as u32);
+                *at += 1;
+            }
+        }
+    }
+
     /// Number of nodes actually attached to the tree (root included).
     pub fn covered(&self) -> usize {
-        self.depth.iter().filter(|d| d.is_some()).count()
+        self.order.len()
     }
 
-    /// Maximum depth over attached nodes.
+    /// Maximum depth over attached nodes: the depth of the first node in
+    /// the deepest-first order.
     pub fn height(&self) -> u32 {
-        self.depth.iter().flatten().copied().max().unwrap_or(0)
+        self.order
+            .first()
+            .and_then(|n| self.depth[n.idx()])
+            .unwrap_or(0)
     }
 
-    /// Nodes in leaves-first (deepest-first) order — the order in which
-    /// epoch-based in-network aggregation proceeds up the tree.
-    // The filter above keeps only nodes whose depth is Some.
-    #[allow(clippy::expect_used)]
-    pub fn bottom_up_order(&self) -> Vec<NodeId> {
-        let mut ids: Vec<NodeId> = (0..self.parent.len() as u32)
-            .map(NodeId)
-            .filter(|n| self.depth[n.idx()].is_some())
-            .collect();
-        ids.sort_by_key(|n| std::cmp::Reverse(self.depth[n.idx()].expect("filtered")));
-        ids
+    /// Attached nodes in leaves-first order (depth descending, id ascending
+    /// within a depth) — the order in which epoch-based in-network
+    /// aggregation proceeds up the tree.
+    pub fn bottom_up_order(&self) -> &[NodeId] {
+        &self.order
     }
 
-    /// Path from `node` up to the root (inclusive). `None` if unattached.
-    pub fn path_to_root(&self, node: NodeId) -> Option<Vec<NodeId>> {
-        self.depth[node.idx()]?;
-        let mut path = vec![node];
-        let mut cur = node;
-        while let Some(p) = self.parent[cur.idx()] {
-            path.push(p);
-            cur = p;
+    /// Mark `node` and its ancestors in `marked`, stopping at the first one
+    /// already marked: a marked node's ancestors are marked, so marking
+    /// many nodes costs O(nodes) in total rather than one root walk each.
+    /// Unattached nodes are left alone.
+    pub fn mark_path_to_root(&self, node: NodeId, marked: &mut [bool]) {
+        if self.depth[node.idx()].is_none() {
+            return;
         }
-        Some(path)
+        let mut cur = Some(node);
+        while let Some(u) = cur {
+            if std::mem::replace(&mut marked[u.idx()], true) {
+                break;
+            }
+            cur = self.parent[u.idx()];
+        }
     }
 }
 
@@ -533,13 +581,29 @@ mod tests {
     }
 
     #[test]
-    fn path_to_root_follows_parents() {
-        let t = line(4);
+    fn marking_follows_parents_and_stops_at_marked_ancestors() {
+        let t = line(6);
         let tree = t.spanning_tree(NodeId(0));
-        assert_eq!(
-            tree.path_to_root(NodeId(3)).unwrap(),
-            vec![NodeId(3), NodeId(2), NodeId(1), NodeId(0)]
-        );
+        let mut marked = vec![false; 6];
+        tree.mark_path_to_root(NodeId(3), &mut marked);
+        assert_eq!(marked, [true, true, true, true, false, false]);
+        // Walking up from 5 stops at 3; clearing 1 by hand shows it did.
+        marked[1] = false;
+        tree.mark_path_to_root(NodeId(5), &mut marked);
+        assert_eq!(marked, [true, false, true, true, true, true]);
+    }
+
+    #[test]
+    fn marking_skips_unattached_nodes() {
+        let pts = vec![
+            Point::flat(0.0, 0.0),
+            Point::flat(10.0, 0.0),
+            Point::flat(100.0, 0.0),
+        ];
+        let tree = Topology::from_positions(pts, 15.0).spanning_tree(NodeId(0));
+        let mut marked = vec![false; 3];
+        tree.mark_path_to_root(NodeId(2), &mut marked);
+        assert_eq!(marked, [false, false, false]);
     }
 
     #[test]

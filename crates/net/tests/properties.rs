@@ -7,11 +7,20 @@ use pg_net::energy::{Battery, RadioModel};
 use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::routing::{flood, gossip};
-use pg_net::topology::{NodeId, Topology};
+use pg_net::topology::{NodeId, RoutingTree, Topology};
 use pg_sim::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// `node` and every ancestor up to the root, by following parents.
+fn root_path(tree: &RoutingTree, node: NodeId) -> Vec<NodeId> {
+    let mut path = vec![node];
+    while let Some(p) = tree.parent[path[path.len() - 1].idx()] {
+        path.push(p);
+    }
+    path
+}
 
 fn arb_points(max: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
     prop::collection::vec((0.0f64..200.0, 0.0f64..200.0), 1..max)
@@ -66,11 +75,38 @@ proptest! {
                 if let Some(p) = tree.parent[n.idx()] {
                     prop_assert_eq!(tree.depth[p.idx()], Some(d - 1));
                 }
-                let path = tree.path_to_root(n).expect("attached");
+                let path = root_path(&tree, n);
                 prop_assert_eq!(path.len() as u32, d + 1);
                 prop_assert_eq!(*path.last().unwrap(), NodeId(0));
             }
         }
+    }
+
+    /// Early-stop marking of any member list (duplicates and unreachable
+    /// nodes included) marks exactly the union of the members' root paths.
+    #[test]
+    fn early_stop_marking_is_the_union_of_root_paths(
+        pts in arb_points(60),
+        range in 8.0f64..40.0,
+        picks in prop::collection::vec(0usize..60, 0..80),
+    ) {
+        let topo = Topology::from_positions(
+            pts.iter().map(|&(x, y)| Point::flat(x, y)).collect(),
+            range,
+        );
+        let tree = topo.spanning_tree(NodeId(0));
+        let mut got = vec![false; topo.len()];
+        let mut want = vec![false; topo.len()];
+        for pick in picks {
+            let m = NodeId((pick % topo.len()) as u32);
+            tree.mark_path_to_root(m, &mut got);
+            if tree.depth[m.idx()].is_some() {
+                for p in root_path(&tree, m) {
+                    want[p.idx()] = true;
+                }
+            }
+        }
+        prop_assert_eq!(got, want);
     }
 
     /// TX energy is monotone in both bits and distance, and RX is linear.

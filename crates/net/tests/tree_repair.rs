@@ -36,6 +36,21 @@ fn assert_trees_equal(got: &pg_net::topology::RoutingTree, want: &pg_net::topolo
     assert_eq!(got.depth, want.depth, "depth mismatch");
     assert_eq!(got.parent, want.parent, "parent mismatch");
     assert_eq!(got.children, want.children, "children mismatch");
+    // The order a repaired tree carries is the stable deepest-first sort
+    // of its attached nodes, recomputed from scratch here.
+    let mut order: Vec<NodeId> = (0..got.depth.len() as u32)
+        .map(NodeId)
+        .filter(|n| got.depth[n.idx()].is_some())
+        .collect();
+    order.sort_by_key(|n| std::cmp::Reverse(got.depth[n.idx()]));
+    assert_eq!(
+        got.bottom_up_order(),
+        &order[..],
+        "bottom-up order mismatch"
+    );
+    assert_eq!(got.covered(), order.len(), "covered mismatch");
+    let deepest = got.depth.iter().flatten().copied().max().unwrap_or(0);
+    assert_eq!(got.height(), deepest, "height mismatch");
 }
 
 proptest! {
@@ -142,9 +157,7 @@ fn thousand_node_churn_converges() {
         }
         let stats = repair_after_deaths(&topo, &mut tree, &victims, |v| alive[v.idx()]);
         let want = topo.canonical_tree_filtered(root, |v| alive[v.idx()]);
-        assert_eq!(tree.depth, want.depth, "round {round}");
-        assert_eq!(tree.parent, want.parent, "round {round}");
-        assert_eq!(tree.children, want.children, "round {round}");
+        assert_trees_equal(&tree, &want);
         // Incremental repair must touch far fewer nodes than a rebuild.
         assert!(stats.touched() < n / 2, "round {round}: {stats:?}");
     }

@@ -8,8 +8,10 @@
 
 use crate::exec::{members_of, ExecContext};
 use crate::model::SolutionModel;
+use pg_net::topology::NodeId;
 use pg_query::ast::Query;
 use pg_query::classify::{classify, inner_kind, QueryKind};
+use pg_sensornet::network::SensorNetwork;
 
 /// Dimensionality of the numeric feature vector.
 pub const FEATURE_DIM: usize = 8;
@@ -35,17 +37,24 @@ impl QueryFeatures {
     /// Extract features for `query` against the context's network.
     pub fn extract(ctx: &ExecContext<'_>, query: &Query) -> Option<QueryFeatures> {
         let members = members_of(ctx, query).ok()?;
-        let hops = ctx.net.topology().hops_from(ctx.net.base());
+        Some(QueryFeatures::of_members(ctx.net, query, &members))
+    }
+
+    /// Features for `query` whose member set the caller already resolved
+    /// (the full selection, before any brownout thinning). Hop distances
+    /// come from the network's base-rooted hop table.
+    pub fn of_members(net: &SensorNetwork, query: &Query, members: &[NodeId]) -> QueryFeatures {
+        let hops = net.hops_from_base();
         let mut total = 0u64;
         let mut counted = 0u64;
-        for &m in &members {
+        for &m in members {
             if let Some(h) = hops[m.idx()] {
                 total += h as u64;
                 counted += 1;
             }
         }
         let kind = classify(query);
-        Some(QueryFeatures {
+        QueryFeatures {
             kind: if kind == QueryKind::Continuous {
                 inner_kind(query)
             } else {
@@ -58,9 +67,9 @@ impl QueryFeatures {
             } else {
                 total as f64 / counted as f64
             },
-            network_size: ctx.net.len(),
+            network_size: net.len(),
             epoch_s: query.epoch.map_or(0.0, |e| e.as_secs_f64()),
-        })
+        }
     }
 
     /// The numeric vector used for k-NN distance (scaled to comparable

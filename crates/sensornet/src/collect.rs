@@ -278,7 +278,7 @@ pub fn tree_aggregation_filtered<R: Rng>(
 ) -> CollectionReport {
     let ledger = Ledger::open(net);
     let base = net.base();
-    let tree = net.topology().spanning_tree(base);
+    let tree = net.base_tree();
     let n = net.len();
     let slot = net.link().tx_time(PARTIAL_WIRE_BYTES);
 
@@ -292,13 +292,8 @@ pub fn tree_aggregation_filtered<R: Rng>(
         }
         participating += 1;
         is_member[m.idx()] = true;
-        if let Some(path) = tree.path_to_root(m) {
-            for p in path {
-                involved[p.idx()] = true;
-            }
-        }
+        tree.mark_path_to_root(m, &mut involved);
     }
-    involved[base.idx()] = true;
 
     let mut partials: Vec<Partial> = vec![Partial::empty(); n];
     let mut cpu_ops = 0u64;
@@ -320,7 +315,7 @@ pub fn tree_aggregation_filtered<R: Rng>(
 
     // Bottom-up: each involved non-root node merges children (already done
     // by the time it fires, thanks to the ordering) and sends to its parent.
-    for u in tree.bottom_up_order() {
+    for &u in tree.bottom_up_order() {
         if !involved[u.idx()] || u == base {
             continue;
         }
@@ -476,8 +471,7 @@ mod tests {
         );
         assert!(g.energy_j < d.energy_j, "tree should save energy");
         // The sink receives one partial per tree child instead of n readings.
-        let base_children =
-            net_b.topology().spanning_tree(net_b.base()).children[net_b.base().idx()].len() as u64;
+        let base_children = net_b.base_tree().children[net_b.base().idx()].len() as u64;
         assert_eq!(g.bytes_to_base, base_children * PARTIAL_WIRE_BYTES);
         assert!(g.bytes_to_base < d.bytes_to_base);
     }

@@ -4,10 +4,11 @@ use crate::arena::NodeArena;
 use crate::field::TemperatureField;
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
-use pg_net::topology::{NodeId, Topology};
+use pg_net::topology::{NodeId, RoutingTree, Topology};
 use pg_sim::fault::FaultPlan;
 use pg_sim::SimTime;
 use rand::Rng;
+use std::sync::Arc;
 
 /// A deployed network of battery-powered sensors with one base station.
 ///
@@ -18,6 +19,11 @@ use rand::Rng;
 pub struct SensorNetwork {
     topo: Topology,
     base: NodeId,
+    /// The BFS spanning tree rooted at the base: a pure function of the
+    /// immutable topology, so it is built once here. Its `depth` is the
+    /// hop table from the base. Shared so collection can read the tree
+    /// while it drains batteries through `&mut self`.
+    base_tree: Arc<RoutingTree>,
     radio: RadioModel,
     link: LinkModel,
     batteries: NodeArena,
@@ -37,9 +43,11 @@ impl SensorNetwork {
         battery_j: f64,
     ) -> Self {
         let batteries = NodeArena::new(topo.len(), battery_j);
+        let base_tree = Arc::new(topo.spanning_tree(base));
         SensorNetwork {
             topo,
             base,
+            base_tree,
             radio,
             link,
             batteries,
@@ -68,6 +76,20 @@ impl SensorNetwork {
     /// The base-station node.
     pub fn base(&self) -> NodeId {
         self.base
+    }
+
+    /// The BFS spanning tree rooted at the base station — the tree TAG
+    /// imposes on the network, identical every epoch because the topology
+    /// never changes (deaths degrade delivery, not shape). The handle is
+    /// shared, not copied.
+    pub fn base_tree(&self) -> Arc<RoutingTree> {
+        Arc::clone(&self.base_tree)
+    }
+
+    /// Hop count from the base station to every node (`None` =
+    /// unreachable): the base tree's depths.
+    pub fn hops_from_base(&self) -> &[Option<u32>] {
+        &self.base_tree.depth
     }
 
     /// The radio energy model shared by all sensors.
@@ -175,6 +197,18 @@ mod tests {
             LinkModel::sensor_radio(),
             2.0,
         )
+    }
+
+    #[test]
+    fn base_rooted_tables_match_a_fresh_bfs() {
+        let n = net();
+        let fresh = n.topology().spanning_tree(n.base());
+        let cached = n.base_tree();
+        assert_eq!(cached.parent, fresh.parent);
+        assert_eq!(cached.depth, fresh.depth);
+        assert_eq!(cached.children, fresh.children);
+        assert_eq!(cached.bottom_up_order(), fresh.bottom_up_order());
+        assert_eq!(n.hops_from_base(), &n.topology().hops_from(n.base())[..]);
     }
 
     #[test]

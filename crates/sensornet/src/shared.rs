@@ -31,7 +31,6 @@ use pg_net::repair::repair_after_deaths;
 use pg_net::topology::{NodeId, RoutingTree};
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
-use std::collections::BTreeMap;
 
 /// Hard cap on queries per shared epoch: the stratum key is a `u64` bitmask.
 pub const MAX_SHARED_QUERIES: usize = 64;
@@ -161,11 +160,41 @@ pub fn shared_tree_collection<R: Rng>(
     t: SimTime,
     rng: &mut R,
 ) -> SharedReport {
-    let tree = net.topology().spanning_tree(net.base());
+    let tree = net.base_tree();
     collect_over_tree(net, &tree, queries, field, t, rng)
 }
 
+/// Every query index set in `mask`, ascending.
+fn queries_in(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let qi = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            qi
+        })
+    })
+}
+
+/// The partial for `mask` in a mask-sorted stratum list, inserted empty if
+/// absent. Lists stay short (one entry per distinct membership bitmask in
+/// a subtree) and iterate in ascending mask order — the merge order every
+/// baseline pins.
+fn stratum_mut(strata: &mut Vec<(u64, Partial)>, mask: u64) -> &mut Partial {
+    let at = match strata.binary_search_by_key(&mask, |&(m, _)| m) {
+        Ok(at) => at,
+        Err(at) => {
+            strata.insert(at, (mask, Partial::empty()));
+            at
+        }
+    };
+    &mut strata[at].1
+}
+
 /// The shared collection epoch proper, over a caller-provided tree.
+///
+/// Host cost is O(nodes + Σ members + packet entries): involvement marking
+/// stops at the first already-marked ancestor, the bottom-up order is the
+/// one the tree carries, and attribution walks set mask bits.
 fn collect_over_tree<R: Rng>(
     net: &mut SensorNetwork,
     tree: &RoutingTree,
@@ -194,14 +223,9 @@ fn collect_over_tree<R: Rng>(
                 continue;
             }
             member_mask[m.idx()] |= 1u64 << qi;
-            if let Some(path) = tree.path_to_root(m) {
-                for p in path {
-                    involved[p.idx()] = true;
-                }
-            }
+            tree.mark_path_to_root(m, &mut involved);
         }
     }
-    involved[base.idx()] = true;
 
     let mut per_query: Vec<SharedPerQuery> = queries
         .iter()
@@ -217,10 +241,10 @@ fn collect_over_tree<R: Rng>(
         })
         .collect();
 
-    // Per-node strata: one mergeable partial per effective bitmask. BTreeMap
-    // keeps merge order deterministic.
-    let mut strata: Vec<BTreeMap<u64, Partial>> = vec![BTreeMap::new(); n];
-    let mut seen_masks: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
+    // Per-node strata: one mergeable partial per effective bitmask, sorted
+    // by mask. Only involved nodes ever hold any.
+    let mut strata: Vec<Vec<(u64, Partial)>> = vec![Vec::new(); n];
+    let mut seen_masks: Vec<u64> = Vec::new();
     let mut cpu_ops = 0u64;
 
     // Sampling phase: every node any query selects samples exactly once.
@@ -235,24 +259,21 @@ fn collect_over_tree<R: Rng>(
         // One physical sample serves every selecting query: split its cost.
         let share = 50.0 / mm.count_ones() as f64;
         let mut effective = 0u64;
-        for qi in 0..nq {
-            if mm & (1 << qi) != 0 {
-                per_query[qi].ops += share;
-                if queries[qi].filter.matches(reading) {
-                    effective |= 1 << qi;
-                }
+        for qi in queries_in(mm) {
+            per_query[qi].ops += share;
+            if queries[qi].filter.matches(reading) {
+                effective |= 1 << qi;
             }
         }
         if effective != 0 {
-            strata[id.idx()]
-                .entry(effective)
-                .or_insert_with(Partial::empty)
-                .add(reading);
-            seen_masks.insert(effective);
+            stratum_mut(&mut strata[id.idx()], effective).add(reading);
+            seen_masks.push(effective);
         }
     }
+    seen_masks.sort_unstable();
+    seen_masks.dedup();
 
-    // Bottom-up phase: each involved non-root node forwards its strata map
+    // Bottom-up phase: each involved non-root node forwards its strata
     // (own reading plus already-merged children) to its parent in one
     // packet. Per-level slot lengths follow the biggest packet attempted at
     // that level — the TAG epoch discipline with variable frames.
@@ -260,57 +281,52 @@ fn collect_over_tree<R: Rng>(
     let mut bytes_to_base = 0u64;
     let mut retries = 0u64;
     let mut packets = 0u64;
-    let mut level_slot: BTreeMap<u32, u64> = BTreeMap::new();
+    let mut level_slot: Vec<u64> = Vec::new();
 
-    for u in tree.bottom_up_order() {
+    for &u in tree.bottom_up_order() {
         if !involved[u.idx()] || u == base {
             continue;
         }
         if !net.is_operational(u, t) {
-            strata[u.idx()].clear(); // subtree contribution dies here
-            continue;
+            continue; // subtree contribution dies here
         }
         if strata[u.idx()].is_empty() {
             continue; // nothing to report upward
         }
-        let Some(parent) = tree.parent[u.idx()] else {
+        let (Some(parent), Some(depth)) = (tree.parent[u.idx()], tree.depth[u.idx()]) else {
             continue; // root-adjacent anomaly: nothing to forward to
         };
-        let entries: Vec<(u64, Partial)> = strata[u.idx()].iter().map(|(&m, &p)| (m, p)).collect();
+        // A node fires once, so its strata can move into the packet.
+        let entries = std::mem::take(&mut strata[u.idx()]);
         let bytes = packet_bytes(entries.len());
         let (ok, attempts) = try_hop(net, u, parent, bytes, t, rng);
+        let extra_attempts = u64::from(attempts.saturating_sub(1));
         packets += 1;
         total_bytes += bytes * attempts as u64;
-        retries += u64::from(attempts.saturating_sub(1));
-        if let Some(depth) = tree.depth[u.idx()] {
-            let slot = level_slot.entry(depth).or_insert(0);
-            *slot = (*slot).max(bytes);
+        retries += extra_attempts;
+        let depth = depth as usize;
+        if level_slot.len() <= depth {
+            level_slot.resize(depth + 1, 0);
         }
+        level_slot[depth] = level_slot[depth].max(bytes);
         // Attribute this packet's airtime to the queries it carried: each
         // entry's bytes split evenly across the queries in its mask.
         for &(mask, _) in &entries {
             let share = ((STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES) * attempts as u64) as f64
                 / mask.count_ones() as f64;
-            for (qi, pq) in per_query.iter_mut().enumerate().take(nq) {
-                if mask & (1 << qi) != 0 {
-                    pq.bytes += share;
-                    pq.retries += u64::from(attempts.saturating_sub(1));
-                }
+            for qi in queries_in(mask) {
+                per_query[qi].bytes += share;
+                per_query[qi].retries += extra_attempts;
             }
         }
         if ok {
             let parent_strata = &mut strata[parent.idx()];
             for (mask, p) in entries {
-                parent_strata
-                    .entry(mask)
-                    .or_insert_with(Partial::empty)
-                    .merge(&p);
+                stratum_mut(parent_strata, mask).merge(&p);
                 cpu_ops += MERGE_OPS;
                 let share = MERGE_OPS as f64 / mask.count_ones() as f64;
-                for (qi, pq) in per_query.iter_mut().enumerate().take(nq) {
-                    if mask & (1 << qi) != 0 {
-                        pq.ops += share;
-                    }
+                for qi in queries_in(mask) {
+                    per_query[qi].ops += share;
                 }
             }
             if parent == base {
@@ -319,13 +335,14 @@ fn collect_over_tree<R: Rng>(
         }
     }
 
-    // Finalize: query q's answer merges every stratum whose mask covers q.
-    for (qi, (pq, q)) in per_query.iter_mut().zip(queries).enumerate() {
-        for (&mask, p) in &strata[base.idx()] {
-            if mask & (1 << qi) != 0 {
-                pq.partial.merge(p);
-            }
+    // Finalize: query q's answer merges every stratum whose mask covers q,
+    // in ascending mask order.
+    for &(mask, ref p) in &strata[base.idx()] {
+        for qi in queries_in(mask) {
+            per_query[qi].partial.merge(p);
         }
+    }
+    for (pq, q) in per_query.iter_mut().zip(queries) {
         pq.delivered = pq.partial.count as usize;
         pq.value = pq.partial.finalize(q.agg);
     }
@@ -347,7 +364,8 @@ fn collect_over_tree<R: Rng>(
     // Epoch latency: one slot per tree level that fired, sized to the
     // biggest frame attempted at that level.
     let latency = level_slot
-        .values()
+        .iter()
+        .filter(|&&b| b > 0)
         .map(|&b| net.link().tx_time(b))
         .sum::<Duration>();
 
@@ -428,9 +446,13 @@ impl TreeMaintenance {
 #[derive(Debug)]
 pub struct SharedTreeSession {
     maintenance: TreeMaintenance,
-    tree: Option<RoutingTree>,
-    /// Sensors operational when the cached tree was built; any of them
-    /// dying invalidates a persistent tree.
+    /// Persistent mode: the network's base tree has been flooded (its
+    /// beacons paid) and is still in use.
+    flooded: bool,
+    /// Incremental mode: the canonical tree this session repairs in place.
+    canonical: Option<RoutingTree>,
+    /// Sensors that paid for the tree in use; any of them dying invalidates
+    /// a persistent tree or triggers an incremental repair.
     alive_at_build: Vec<NodeId>,
     /// Times the tree has been (re)built.
     pub rebuilds: u64,
@@ -445,7 +467,8 @@ impl SharedTreeSession {
     pub fn new(maintenance: TreeMaintenance) -> Self {
         SharedTreeSession {
             maintenance,
-            tree: None,
+            flooded: false,
+            canonical: None,
             alive_at_build: Vec::new(),
             rebuilds: 0,
             repairs: 0,
@@ -464,35 +487,32 @@ impl SharedTreeSession {
     pub fn set_maintenance(&mut self, mode: TreeMaintenance) {
         if self.maintenance != mode {
             self.maintenance = mode;
-            self.tree = None;
+            self.flooded = false;
+            self.canonical = None;
         }
     }
 
-    /// Build the spanning tree and charge every operational sensor one
-    /// construction beacon (full-range broadcast; the mains-powered base
-    /// is exempt). Returns the tree plus `(bytes, joules)` charged.
-    fn build_tree(&mut self, net: &mut SensorNetwork, t: SimTime) -> (RoutingTree, u64, f64) {
+    /// Charge each of `payers` one construction beacon (full-range
+    /// broadcast) and record them as the set whose deaths matter. Returns
+    /// `(bytes, joules)` charged.
+    fn flood_beacons(&mut self, net: &mut SensorNetwork, payers: Vec<NodeId>) -> (u64, f64) {
+        let (bytes, energy_j) = charge_beacons(net, &payers);
+        self.alive_at_build = payers;
+        self.rebuilds += 1;
+        self.control_bytes_total += bytes;
+        (bytes, energy_j)
+    }
+
+    /// Flood the network's base tree: every operational sensor pays one
+    /// construction beacon (the mains-powered base is exempt).
+    fn flood_base_tree(&mut self, net: &mut SensorNetwork, t: SimTime) -> (u64, f64) {
         let base = net.base();
-        let tree = net.topology().spanning_tree(base);
-        let range = net.topology().range();
-        let beacon_j = net.radio().tx_energy(TREE_BEACON_BYTES * 8, range);
-        let nodes: Vec<NodeId> = net
+        let payers = net
             .topology()
             .nodes()
             .filter(|&id| id != base && net.is_operational(id, t))
             .collect();
-        let mut bytes = 0u64;
-        let mut energy_j = 0.0;
-        for &id in &nodes {
-            if net.drain(id, beacon_j) {
-                bytes += TREE_BEACON_BYTES;
-                energy_j += beacon_j;
-            }
-        }
-        self.alive_at_build = nodes;
-        self.rebuilds += 1;
-        self.control_bytes_total += bytes;
-        (tree, bytes, energy_j)
+        self.flood_beacons(net, payers)
     }
 
     /// A persistent tree is stale once any sensor that carried it died.
@@ -507,30 +527,85 @@ impl SharedTreeSession {
     /// sessions repair this tree on later deaths instead of rebuilding;
     /// `alive_at_build` tracks the battery-alive set (transient fault
     /// windows never reshape an incremental tree).
-    fn build_canonical_tree(&mut self, net: &mut SensorNetwork) -> (RoutingTree, u64, f64) {
+    fn build_canonical_tree(&mut self, net: &mut SensorNetwork) -> TreeControl {
         let base = net.base();
         let tree = net
             .topology()
             .canonical_tree_filtered(base, |id| id == base || net.is_alive(id));
-        let range = net.topology().range();
-        let beacon_j = net.radio().tx_energy(TREE_BEACON_BYTES * 8, range);
-        let nodes: Vec<NodeId> = net
+        let payers = net
             .topology()
             .nodes()
             .filter(|&id| id != base && net.is_alive(id))
             .collect();
-        let mut bytes = 0u64;
-        let mut energy_j = 0.0;
-        for &id in &nodes {
-            if net.drain(id, beacon_j) {
-                bytes += TREE_BEACON_BYTES;
-                energy_j += beacon_j;
-            }
+        let (bytes, energy_j) = self.flood_beacons(net, payers);
+        let waves = tree.height() + 1;
+        self.canonical = Some(tree);
+        TreeControl {
+            bytes,
+            energy_j,
+            waves,
+            rebuilt: true,
+            repaired: false,
         }
-        self.alive_at_build = nodes;
-        self.rebuilds += 1;
+    }
+
+    /// Build the canonical tree on first use; afterwards, permanent battery
+    /// deaths since the last epoch trigger a localized repair, never a
+    /// flood.
+    fn update_canonical_tree(&mut self, net: &mut SensorNetwork) -> TreeControl {
+        let Some(tree) = self.canonical.as_mut() else {
+            return self.build_canonical_tree(net);
+        };
+        let base = net.base();
+        let dead: Vec<NodeId> = self
+            .alive_at_build
+            .iter()
+            .copied()
+            .filter(|&id| !net.is_alive(id))
+            .collect();
+        if dead.is_empty() {
+            return TreeControl::default();
+        }
+        let stats = repair_after_deaths(net.topology(), tree, &dead, |id| {
+            id == base || net.is_alive(id)
+        });
+        let (bytes, energy_j) = charge_beacons(net, &stats.changed);
+        self.alive_at_build.retain(|&id| net.is_alive(id));
+        self.repairs += 1;
         self.control_bytes_total += bytes;
-        (tree, bytes, energy_j)
+        TreeControl {
+            bytes,
+            energy_j,
+            waves: stats.waves,
+            rebuilt: false,
+            repaired: true,
+        }
+    }
+
+    /// The control plane of one epoch: bring the session's tree up to date
+    /// under its lifetime policy, charging whatever beacons that takes.
+    fn maintain(&mut self, net: &mut SensorNetwork, t: SimTime) -> TreeControl {
+        match self.maintenance {
+            TreeMaintenance::Free => TreeControl::default(),
+            TreeMaintenance::PerEpoch | TreeMaintenance::Persistent => {
+                // Both ride the network's base tree; they differ in when
+                // its construction flood is paid.
+                let persistent = self.maintenance == TreeMaintenance::Persistent;
+                if persistent && self.flooded && !self.tree_is_stale(net, t) {
+                    return TreeControl::default();
+                }
+                self.flooded = persistent;
+                let (bytes, energy_j) = self.flood_base_tree(net, t);
+                TreeControl {
+                    bytes,
+                    energy_j,
+                    waves: net.base_tree().height() + 1,
+                    rebuilt: true,
+                    repaired: false,
+                }
+            }
+            TreeMaintenance::Incremental => self.update_canonical_tree(net),
+        }
     }
 
     /// Run one shared collection epoch under the session's tree-lifetime
@@ -546,99 +621,56 @@ impl SharedTreeSession {
         t: SimTime,
         rng: &mut R,
     ) -> SharedReport {
-        match self.maintenance {
-            TreeMaintenance::Free => shared_tree_collection(net, queries, field, t, rng),
-            TreeMaintenance::PerEpoch => {
-                let (tree, control_bytes, control_energy_j) = self.build_tree(net, t);
-                let mut report = collect_over_tree(net, &tree, queries, field, t, rng);
-                report.control_bytes = control_bytes;
-                report.control_energy_j = control_energy_j;
-                report.tree_rebuilt = true;
-                report.control_waves = tree.height() + 1;
-                report
-            }
-            TreeMaintenance::Persistent => {
-                let mut control_bytes = 0;
-                let mut control_energy_j = 0.0;
-                let mut rebuilt = false;
-                if self.tree.is_none() || self.tree_is_stale(net, t) {
-                    let (tree, bytes, energy_j) = self.build_tree(net, t);
-                    self.tree = Some(tree);
-                    control_bytes = bytes;
-                    control_energy_j = energy_j;
-                    rebuilt = true;
-                }
-                let tree = self.tree.clone().unwrap_or_else(|| {
-                    // Unreachable: the branch above always installs a tree.
-                    net.topology().spanning_tree(net.base())
-                });
-                let mut report = collect_over_tree(net, &tree, queries, field, t, rng);
-                report.control_bytes = control_bytes;
-                report.control_energy_j = control_energy_j;
-                report.tree_rebuilt = rebuilt;
-                if rebuilt {
-                    report.control_waves = tree.height() + 1;
-                }
-                report
-            }
-            TreeMaintenance::Incremental => {
-                let base = net.base();
-                let mut control_bytes = 0u64;
-                let mut control_energy_j = 0.0;
-                let mut control_waves = 0u32;
-                let mut rebuilt = false;
-                let mut repaired = false;
-                let mut tree = match self.tree.take() {
-                    None => {
-                        let (tree, bytes, energy_j) = self.build_canonical_tree(net);
-                        control_bytes = bytes;
-                        control_energy_j = energy_j;
-                        control_waves = tree.height() + 1;
-                        rebuilt = true;
-                        tree
-                    }
-                    Some(tree) => tree,
-                };
-                if !rebuilt {
-                    // Permanent battery deaths since the last epoch trigger
-                    // a localized repair, never a flood.
-                    let dead: Vec<NodeId> = self
-                        .alive_at_build
-                        .iter()
-                        .copied()
-                        .filter(|&id| !net.is_alive(id))
-                        .collect();
-                    if !dead.is_empty() {
-                        let stats = repair_after_deaths(net.topology(), &mut tree, &dead, |id| {
-                            id == base || net.is_alive(id)
-                        });
-                        let range = net.topology().range();
-                        let beacon_j = net.radio().tx_energy(TREE_BEACON_BYTES * 8, range);
-                        for &id in &stats.changed {
-                            if net.drain(id, beacon_j) {
-                                control_bytes += TREE_BEACON_BYTES;
-                                control_energy_j += beacon_j;
-                            }
-                        }
-                        self.alive_at_build.retain(|&id| net.is_alive(id));
-                        self.repairs += 1;
-                        self.control_bytes_total += control_bytes;
-                        control_waves = stats.waves;
-                        repaired = true;
-                    }
-                }
-                let mut report = collect_over_tree(net, &tree, queries, field, t, rng);
-                self.tree = Some(tree);
-                report.control_bytes = control_bytes;
-                report.control_energy_j = control_energy_j;
-                report.tree_rebuilt = rebuilt;
-                report.tree_repaired = repaired;
-                report.control_waves = control_waves;
-                report
-            }
-        }
+        let control = self.maintain(net, t);
+        // Only Incremental sessions own a tree; every other mode rides the
+        // network's base tree.
+        let mut report = match &self.canonical {
+            Some(tree) => collect_over_tree(net, tree, queries, field, t, rng),
+            None => shared_tree_collection(net, queries, field, t, rng),
+        };
+        report.control_bytes = control.bytes;
+        report.control_energy_j = control.energy_j;
+        report.tree_rebuilt = control.rebuilt;
+        report.tree_repaired = control.repaired;
+        report.control_waves = control.waves;
+        report
     }
 }
+
+/// What the control plane did to the collection tree before an epoch.
+#[derive(Debug, Default)]
+struct TreeControl {
+    /// Beacon bytes put on the air.
+    bytes: u64,
+    /// Beacon energy drained, joules.
+    energy_j: f64,
+    /// Hop-waves of control traffic.
+    waves: u32,
+    /// The tree was (re)built by a full flood.
+    rebuilt: bool,
+    /// The tree was incrementally repaired.
+    repaired: bool,
+}
+
+/// Drain one full-range [`TREE_BEACON_BYTES`] broadcast from each of
+/// `payers`; a sensor the beacon kills does not get it out. Returns
+/// `(bytes, joules)` actually put on the air.
+fn charge_beacons(net: &mut SensorNetwork, payers: &[NodeId]) -> (u64, f64) {
+    let range = net.topology().range();
+    let beacon_j = net.radio().tx_energy(TREE_BEACON_BYTES * 8, range);
+    let mut bytes = 0u64;
+    let mut energy_j = 0.0;
+    for &id in payers {
+        if net.drain(id, beacon_j) {
+            bytes += TREE_BEACON_BYTES;
+            energy_j += beacon_j;
+        }
+    }
+    (bytes, energy_j)
+}
+
+#[cfg(test)]
+mod oracle;
 
 #[cfg(test)]
 mod tests {
@@ -1031,7 +1063,7 @@ mod tests {
             let want = net
                 .topology()
                 .canonical_tree_filtered(base, |id| id == base || net.is_alive(id));
-            let got = session.tree.as_ref().unwrap();
+            let got = session.canonical.as_ref().unwrap();
             assert_eq!(got.parent, want.parent, "round {round}");
             assert_eq!(got.depth, want.depth, "round {round}");
         }
