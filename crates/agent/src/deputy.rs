@@ -161,7 +161,7 @@ impl Deputy for TranscodingDeputy {
         if let Payload::Text(s) = &env.payload {
             if s.len() as u64 > self.threshold_bytes {
                 let compact = ((s.len() as f64) * self.ratio).ceil() as usize;
-                env.payload = Payload::Binary(bytes::Bytes::from(vec![0u8; compact]));
+                env.payload = Payload::Binary(vec![0u8; compact].into());
                 env.content_type = format!("{}+compact", env.content_type);
                 self.transcoded += 1;
             }

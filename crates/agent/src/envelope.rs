@@ -7,9 +7,9 @@
 //! Within each Envelope object, the type of content message and the
 //! ontology identifier of the content message are also stored." (§2)
 
-use bytes::Bytes;
 use pg_sim::SimTime;
 use std::fmt;
+use std::sync::Arc;
 
 /// Globally unique agent identity.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -32,8 +32,9 @@ impl fmt::Display for AgentId {
 pub enum Payload {
     /// UTF-8 text (ACL performatives, query strings, DAML-ish descriptions).
     Text(String),
-    /// Raw bytes (serialized readings, partial aggregates, model blobs).
-    Binary(Bytes),
+    /// Raw bytes (serialized readings, partial aggregates, model blobs);
+    /// shared, so cloning an envelope does not copy the body.
+    Binary(Arc<[u8]>),
     /// A bare numeric result.
     Number(f64),
 }
@@ -116,7 +117,12 @@ impl Envelope {
     /// Shorthand for a binary envelope on the default ontology — the
     /// shape cross-cell handoffs use to carry partial results and
     /// forwarded answers, where only the byte count matters to the wire.
-    pub fn binary(from: AgentId, to: AgentId, content_type: &str, body: impl Into<Bytes>) -> Self {
+    pub fn binary(
+        from: AgentId,
+        to: AgentId,
+        content_type: &str,
+        body: impl Into<Arc<[u8]>>,
+    ) -> Self {
         Envelope::new(
             from,
             to,
@@ -152,10 +158,7 @@ mod tests {
     #[test]
     fn payload_sizes() {
         assert_eq!(Payload::Text("hello".into()).wire_bytes(), 5);
-        assert_eq!(
-            Payload::Binary(Bytes::from_static(&[0; 40])).wire_bytes(),
-            40
-        );
+        assert_eq!(Payload::Binary([0; 40].into()).wire_bytes(), 40);
         assert_eq!(Payload::Number(1.5).wire_bytes(), 8);
     }
 

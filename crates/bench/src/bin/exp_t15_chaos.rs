@@ -159,16 +159,9 @@ fn main() -> ExitCode {
     ];
     for level in 0..4 {
         for policy in policies {
-            let per_seed: Vec<CellStats> = {
-                use rayon::prelude::*;
-                (0..reps)
-                    .into_par_iter()
-                    .map(|seed| run_cell(level, policy, seed))
-                    .collect()
-            };
-            // Seed-order fold: bit-identical to a serial sweep (the same
-            // contract as `replicate_par`).
-            let st = per_seed.iter().fold(CellStats::default(), CellStats::fold);
+            let st = (0..reps)
+                .map(|seed| run_cell(level, policy, seed))
+                .fold(CellStats::default(), |acc, c| acc.fold(&c));
             let n = st.total as f64;
             let success = st.answered as f64 / n;
             let cell = format!("{}.{}", level_name(level), policy_key(&policy));

@@ -28,7 +28,6 @@ use pg_sensornet::region::Region;
 use pg_sim::fault::FaultPlan;
 use pg_sim::metrics::Samples;
 use pg_sim::{Duration, SimTime};
-use rayon::prelude::*;
 use std::process::ExitCode;
 
 /// The rotating query mix: aggregates over overlapping scopes (shareable)
@@ -129,14 +128,9 @@ fn main() -> ExitCode {
     let policies = [SchedPolicy::Fifo, SchedPolicy::Edf, SchedPolicy::EnergyFair];
     for load in [1usize, 4, 16, 64] {
         for policy in policies {
-            let per_seed: Vec<Cell> = (0..reps)
-                .into_par_iter()
-                .map(|seed| run_cell(load, policy, seed))
-                .collect();
-            // Seed-order fold: bit-identical to a serial sweep.
             let mut st = Cell::default();
             let mut resp = Samples::new();
-            for c in per_seed {
+            for c in (0..reps).map(|seed| run_cell(load, policy, seed)) {
                 for &r in &c.resp_s {
                     resp.record(r);
                 }
@@ -213,7 +207,6 @@ fn main() -> ExitCode {
         })
         .collect();
     let pairs: Vec<(f64, f64, f64, f64, u64)> = (0..b_reps)
-        .into_par_iter()
         .map(|seed| {
             let mut serial = build(seed);
             let (mut s_bytes, mut s_energy) = (0.0, 0.0);
@@ -298,7 +291,6 @@ fn main() -> ExitCode {
     );
     let c_reps: u64 = exp.scale(8, 2);
     let chaos: Vec<(u64, u64, u64, u64)> = (0..c_reps)
-        .into_par_iter()
         .map(|seed| {
             let plan = FaultPlan::builder(seed ^ 0x716C)
                 .message_loss(0.3)

@@ -26,7 +26,6 @@ use pg_runtime::{MultiQueryRuntime, PoissonArrivals, QueryOpts, RuntimeConfig, S
 use pg_sensornet::region::Region;
 use pg_sim::metrics::Samples;
 use pg_sim::{Duration, SimTime};
-use rayon::prelude::*;
 use std::process::ExitCode;
 
 fn grid(seed: u64) -> PervasiveGrid {
@@ -181,9 +180,8 @@ fn main() -> ExitCode {
     let rates = [("low", 0.04f64), ("high", 0.2f64)];
     for (rate_name, rate_hz) in rates {
         // All four modes per seed so the tentpole assertion can compare
-        // within one seed; rayon folds back in seed order.
+        // within one seed.
         let per_seed: Vec<[Cell; 4]> = (0..reps)
-            .into_par_iter()
             .map(|seed| {
                 let cells = Mode::ALL.map(|m| run_cell(m, rate_hz, horizon, seed));
                 let (fifo, edf_pre) = (&cells[0], &cells[3]);
@@ -284,7 +282,6 @@ fn main() -> ExitCode {
     .map(|t| (t.to_string(), QueryOpts::default()))
     .collect();
     let tree_stats: Vec<[(f64, f64, u64, u64); 3]> = (0..reps)
-        .into_par_iter()
         .map(|seed| {
             let out = tree_modes.map(|tm| {
                 let pg = PervasiveGrid::building(1, 6, seed)

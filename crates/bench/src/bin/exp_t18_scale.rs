@@ -33,7 +33,6 @@ use pg_sensornet::{
 use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -232,9 +231,8 @@ fn main() -> ExitCode {
         for (rate_label, rate) in churn_rates {
             let per_epoch = ((size.nodes() as f64 * rate).round() as usize).max(1);
             // Both arms per seed so the tentpole assertion compares within
-            // one seed; rayon folds back in seed order.
+            // one seed.
             let per_seed: Vec<[ArmCost; 2]> = (0..reps)
-                .into_par_iter()
                 .map(|seed| {
                     let schedule = kill_schedule(size.nodes(), epochs, per_epoch, seed);
                     let full = run_arm(size, TreeMaintenance::Persistent, &schedule, seed);

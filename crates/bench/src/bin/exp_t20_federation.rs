@@ -38,7 +38,6 @@ use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
-use rayon::prelude::*;
 use std::process::ExitCode;
 
 /// Per-cell service capacity: 2 slots per 30 s epoch.
@@ -227,7 +226,6 @@ fn main() -> ExitCode {
                     cold_lat: Vec<f64>,
                 }
                 let points: Vec<Point> = (0..reps)
-                    .into_par_iter()
                     .map(|rep| {
                         let seed = rep * 100 + cells as u64;
                         let fed = run_one(cells, churn, mobility, seed, true, true);

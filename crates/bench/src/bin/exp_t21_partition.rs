@@ -39,7 +39,6 @@ use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
-use rayon::prelude::*;
 use std::process::ExitCode;
 
 /// Per-cell service capacity: 2 slots per 30 s epoch.
@@ -287,7 +286,6 @@ fn main() -> ExitCode {
         }
         let start = horizon_s / 4;
         let points: Vec<Point> = (0..reps)
-            .into_par_iter()
             .map(|rep| {
                 let seed = rep * 100 + dur;
                 let on = run_partition(horizon_s, start, dur, seed, true);
@@ -426,7 +424,6 @@ fn main() -> ExitCode {
         crashes: u64,
     }
     let crash_points: Vec<CrashPoint> = (0..reps)
-        .into_par_iter()
         .map(|rep| {
             let seed = rep * 100 + 21;
             let with = run_crash(horizon_s, seed, true);

@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_bench::standard_world;
-use pg_bench::{fmt, header, replicate_par, Experiment};
+use pg_bench::{fmt, header, replicate, Experiment};
 use pg_sensornet::aggregate::AggFn;
 use pg_sensornet::cluster::default_head_count;
 use pg_sensornet::epoch::Strategy;
@@ -66,18 +66,16 @@ fn main() -> ExitCode {
                 r.total_bytes as f64
             }
         };
-        // Multi-seed replications fan out across the rayon pool; the fold
-        // back into each Summary is in seed order (see `replicate_par`).
-        let direct = replicate_par(reps, run(Strategy::Direct));
-        let cluster = replicate_par(
+        let direct = replicate(reps, run(Strategy::Direct));
+        let cluster = replicate(
             reps,
             run(Strategy::Cluster {
                 heads: default_head_count(n - 1),
             }),
         );
-        let tree = replicate_par(reps, run(Strategy::Tree));
-        let db = replicate_par(reps, bytes(Strategy::Direct));
-        let tb = replicate_par(reps, bytes(Strategy::Tree));
+        let tree = replicate(reps, run(Strategy::Tree));
+        let db = replicate(reps, bytes(Strategy::Direct));
+        let tb = replicate(reps, bytes(Strategy::Tree));
         exp.record_summary(format!("n{n}.direct_j"), &direct);
         exp.record_summary(format!("n{n}.cluster_j"), &cluster);
         exp.record_summary(format!("n{n}.tree_j"), &tree);

@@ -1,5 +1,5 @@
-//! **T9** — the Complex-query substrate: PDE solver comparison, rayon
-//! thread scaling, and the accuracy-vs-data-reduction trade §4 describes
+//! **T9** — the Complex-query substrate: PDE solver comparison and the
+//! accuracy-vs-data-reduction trade §4 describes
 //! ("instead of sending each sensor reading to the grid, one might only
 //! send the average reading from a region").
 //!
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
     // residuals, which are deterministic.
     println!("T9a: solver comparison on the reconstruction problem (tol 1e-6)");
     header(
-        "wall clock on this machine, all cores",
+        "wall clock on this machine, one thread",
         &[
             ("grid", 8),
             ("solver", 8),
@@ -73,46 +73,12 @@ fn main() -> ExitCode {
         println!();
     }
 
-    // --- T9b: rayon thread scaling (wall clock only; not in the report). ---
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "T9b: CG thread scaling (48^3, tol 1e-6) — this machine exposes {cores} core(s); \
-         speedup beyond that is impossible and oversubscription costs overhead"
-    );
-    header(
-        "rayon pool size sweep",
-        &[("threads", 8), ("time ms", 9), ("speedup", 8)],
-    );
-    let scaling_n: usize = exp.scale(48, 24);
-    let threads_sweep: &[usize] = exp.scale(&[1, 2, 4, 8], &[1, 2]);
-    let p = make_problem(scaling_n);
-    let mut base_ms = 0.0;
-    for &threads in threads_sweep {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .expect("pool");
-        let t0 = Instant::now();
-        pool.install(|| {
-            let _ = p.solve(Solver::ConjugateGradient, 1e-6, 20_000);
-        });
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
-        if threads == 1 {
-            base_ms = ms;
-        }
-        println!(
-            "{threads:>8}  {:>9}  {:>8}",
-            fmt(ms),
-            format!("{:.2}x", base_ms / ms)
-        );
-    }
-
-    // --- T9c: accuracy vs region-averaging reduction. ---
+    // --- T9b: accuracy vs region-averaging reduction. ---
     let reps: u64 = exp.scale(5, 2);
     let arena: usize = exp.scale(200, 100);
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("arena_n", arena.to_string());
-    println!("\nT9c: accuracy vs data reduction for the grid-offloaded Complex query");
+    println!("T9b: accuracy vs data reduction for the grid-offloaded Complex query");
     header(
         &format!(
             "{arena}-sensor arena, mean of {reps} seeds (backhaul B = bytes shipped to the grid)"
@@ -182,9 +148,7 @@ fn main() -> ExitCode {
     }
     println!(
         "\nshape to check: CG converges in far fewer iterations than Jacobi \
-         (RBGS in between); thread scaling tracks the physical core count \
-         printed above (flat on a 1-core box, ~linear to core count on real \
-         hardware); coarser reduction cells cut bytes while relative RMSE \
+         (RBGS in between); coarser reduction cells cut bytes while relative RMSE \
          climbs — the paper's accuracy knob."
     );
     exp.finish()

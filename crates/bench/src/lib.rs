@@ -99,22 +99,6 @@ pub fn replicate(reps: u64, mut f: impl FnMut(u64) -> f64) -> Summary {
     s
 }
 
-/// [`replicate`] with the per-seed runs fanned out across the rayon pool.
-///
-/// Determinism contract: each seed's result is computed independently and
-/// the per-seed values are folded into the [`Summary`] **in seed order**
-/// after the parallel map completes, so the result is bit-identical to
-/// [`replicate`] no matter how the seeds were scheduled across threads.
-pub fn replicate_par(reps: u64, f: impl Fn(u64) -> f64 + Sync + Send) -> Summary {
-    use rayon::prelude::*;
-    let per_seed: Vec<f64> = (0..reps).into_par_iter().map(f).collect();
-    let mut s = Summary::new();
-    for x in per_seed {
-        s.record(x);
-    }
-    s
-}
-
 /// Print a table header: a title line, a rule, and column labels.
 pub fn header(title: &str, cols: &[(&str, usize)]) {
     println!("\n{title}");
@@ -159,29 +143,6 @@ mod tests {
         let s = replicate(10, |seed| seed as f64);
         assert_eq!(s.count(), 10);
         assert!((s.mean() - 4.5).abs() < 1e-12);
-    }
-
-    /// The tentpole determinism guarantee: a parallel multi-seed sweep
-    /// emits a report byte-identical to the serial sweep's. Uses a
-    /// float-heavy per-seed computation whose reduction order would show
-    /// in the bytes if `replicate_par` merged out of seed order.
-    #[test]
-    fn parallel_and_serial_sweeps_emit_identical_reports() {
-        use rand::prelude::*;
-        let run = |seed: u64| {
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD1CE);
-            (0..257).map(|_| rng.gen::<f64>().sin() * 1e3).sum::<f64>()
-        };
-        let build = |summary: &Summary| {
-            let mut r = pg_sim::report::Report::new("determinism_probe");
-            r.set_meta("mode", "test");
-            r.record_summary("per_seed_sum", summary);
-            r.set_scalar("mean", summary.mean());
-            r.to_json().expect("finite")
-        };
-        let serial = build(&replicate(16, run));
-        let parallel = build(&replicate_par(16, run));
-        assert_eq!(serial, parallel);
     }
 
     #[test]

@@ -1,9 +1,6 @@
 //! Determinism properties of the chaos harness: the reliable-messaging
-//! retry counts are a pure function of the seed, so a rayon-parallel
-//! multi-seed sweep must emit a report byte-identical to the serial
-//! sweep's — the same contract `replicate_par` already guarantees for
-//! float summaries, here exercised through the full agent stack under
-//! 30 % message loss.
+//! retry count is a pure function of the seed — and does vary with it —
+//! exercised through the full agent stack under 30 % message loss.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -11,7 +8,7 @@ use pg_agent::deputy::DirectDeputy;
 use pg_agent::envelope::Payload;
 use pg_agent::profile::{AgentAttribute, AgentProfile};
 use pg_agent::{Agent, AgentSystem, Envelope, ReliableConfig};
-use pg_bench::{replicate, replicate_par};
+use pg_bench::replicate;
 use pg_net::link::LinkModel;
 use pg_sim::fault::FaultPlan;
 use pg_sim::SimTime;
@@ -78,22 +75,11 @@ fn retries_for_seed(seed: u64) -> f64 {
 }
 
 #[test]
-fn retry_totals_are_identical_parallel_and_serial() {
-    let serial = replicate(8, retries_for_seed);
-    let parallel = replicate_par(8, retries_for_seed);
-    let render = |s: &pg_sim::metrics::Summary| {
-        let mut r = pg_sim::report::Report::new("chaos_retry_probe");
-        r.set_meta("mode", "test");
-        r.record_summary("retries", s);
-        r.to_json().expect("finite")
-    };
-    assert_eq!(render(&serial), render(&parallel));
-    // And the per-seed function really is seed-sensitive, not constant.
-    assert!(serial.max() > serial.min(), "retries should vary with seed");
-}
-
-#[test]
 fn identical_seeds_identical_retry_totals() {
     assert_eq!(retries_for_seed(3), retries_for_seed(3));
     assert_eq!(retries_for_seed(9), retries_for_seed(9));
+    // And the per-seed function really is seed-sensitive, not constant
+    // (every run above and below also asserts it left no dead letter).
+    let sweep = replicate(8, retries_for_seed);
+    assert!(sweep.max() > sweep.min(), "retries should vary with seed");
 }

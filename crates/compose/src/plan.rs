@@ -106,12 +106,6 @@ impl Plan {
             .collect()
     }
 
-    /// A topological order (steps are stored in one already; returned for
-    /// clarity at call sites).
-    pub fn topo_order(&self) -> Vec<usize> {
-        (0..self.steps.len()).collect()
-    }
-
     /// Length of the longest dependency chain (the plan's critical path).
     pub fn critical_path_len(&self) -> usize {
         let mut depth = vec![0usize; self.steps.len()];

@@ -1,9 +1,8 @@
 //! Flat-indexed 3-D scalar fields.
 //!
 //! Storage is a single `Vec<f64>` indexed `x + nx*(y + ny*z)` — contiguous
-//! x-lines, z the slowest axis — so rayon can split the field into z-slabs
-//! with `par_chunks_mut` and every slab is a contiguous memory block (the
-//! layout the perf guides recommend over nested `Vec<Vec<_>>`).
+//! x-lines, z the slowest axis — so every z-slab and every x-line is a
+//! contiguous memory block the solvers can take as a plain slice.
 
 /// A dense `nx × ny × nz` scalar field.
 #[derive(Debug, Clone, PartialEq)]

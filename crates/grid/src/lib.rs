@@ -11,9 +11,9 @@
 //!
 //! * [`field3`] — flat-indexed 3-D scalar fields.
 //! * [`pde`] — the temperature-reconstruction problem (Laplace with sensor
-//!   readings as interior Dirichlet constraints) and three matrix-free
-//!   solvers: Jacobi, red-black Gauss–Seidel, and conjugate gradient, all
-//!   rayon-parallel over z-slabs per the hpc-parallel guides.
+//!   readings as interior Dirichlet constraints) and four matrix-free
+//!   solvers: Jacobi, red-black Gauss–Seidel, SOR, and conjugate gradient,
+//!   each one single-threaded, bit-reproducible loop.
 //! * [`reduction`] — the paper's accuracy/data trade-off: "instead of
 //!   sending each sensor reading to the grid, one might only send the
 //!   average reading from a region (the size of the region depending on the

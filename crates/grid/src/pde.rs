@@ -8,30 +8,29 @@
 //! and static data about building material and boundary conditions" (§4).
 //! The discrete solution is the harmonic interpolant of the constraints.
 //!
-//! Three matrix-free solvers are provided, all parallelized with rayon:
+//! Four matrix-free solvers are provided, each a single-threaded loop over
+//! plain slices:
 //!
-//! * [`Solver::Jacobi`] — two-buffer sweeps, embarrassingly parallel over
-//!   z-slabs (`par_chunks_mut`).
+//! * [`Solver::Jacobi`] — two-buffer sweeps over z-slabs.
 //! * [`Solver::RedBlackGaussSeidel`] — in-place colored sweeps; same-color
-//!   cells are never stencil neighbours, so the two half-sweeps are data-
-//!   race-free by construction (see the `SAFETY` note).
+//!   cells are never stencil neighbours, so a half-sweep reads only the
+//!   other colour.
+//! * [`Solver::Sor`] — the same colored sweep with over-relaxation.
 //! * [`Solver::ConjugateGradient`] — CG on the free-cell system (the masked
-//!   7-point Laplacian is symmetric positive definite); rayon dot products
-//!   and axpys.
+//!   7-point Laplacian is symmetric positive definite).
 //!
 //! Every solver reports iterations, final residual, and an operation count
-//! that `pg-partition` feeds into its grid-compute-time estimates.
+//! that `pg-partition` feeds into its grid-compute-time estimates. That
+//! count is where the grid's parallelism lives: [`crate::sched`] prices it
+//! over simulated nodes, while on the host each solve runs on the calling
+//! thread in one fixed order of floating-point operations, so results are
+//! bit-for-bit reproducible (`tests/pde_golden.rs` pins them).
 //!
-//! All sweeps visit **interior cells only** (the boundary shell is fixed, so
-//! free cells are strictly interior) and hand z-slabs to rayon in bands of at
-//! least [`Problem::MIN_CELLS_PER_TASK`] cells; grids at or below
-//! [`Problem::SEQ_CUTOFF_CELLS`] skip the thread pool entirely. Both paths
-//! perform the identical per-cell arithmetic in the identical order, so
-//! results are bit-for-bit independent of the path taken.
+//! All sweeps visit **interior cells only**: the boundary shell is fixed, so
+//! free cells are strictly interior.
 
 use crate::field3::Field3;
 use pg_net::geom::Point;
-use rayon::prelude::*;
 
 /// Which numerical method solves the system.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -200,47 +199,12 @@ impl Problem {
         }
     }
 
-    /// Grids at or below this many total cells solve single-threaded: the
-    /// fork/join overhead outweighs any parallelism at 16³ and under.
-    pub const SEQ_CUTOFF_CELLS: usize = 16 * 16 * 16;
-
-    /// Minimum cells one rayon task should own. Slabs are handed out in
-    /// z-bands of at least this many cells so thin planes don't over-split.
-    pub const MIN_CELLS_PER_TASK: usize = 4 * 1024;
-
-    fn run_sequential(&self) -> bool {
-        self.field.len() <= Self::SEQ_CUTOFF_CELLS
-    }
-
-    /// Number of z-slabs per rayon split (the `with_min_len` hint).
-    fn slab_band(&self) -> usize {
-        let (nx, ny, _) = self.field.shape();
-        Self::MIN_CELLS_PER_TASK.div_ceil(nx * ny).max(1)
-    }
-
-    /// Run `body(z, slab)` over every interior z-slab of `buf` — boundary
-    /// slabs hold no free cells, so they are never visited. Small grids run
-    /// inline; larger ones fan out over banded z-slabs. Either way each slab
-    /// is processed by the same closure, so cell values are path-independent.
-    fn for_interior_slabs<F>(&self, buf: &mut [f64], body: F)
-    where
-        F: Fn(usize, &mut [f64]) + Send + Sync,
-    {
+    /// Run `body(z, slab)` over every interior z-slab of `buf`, in z order —
+    /// boundary slabs hold no free cells, so they are never visited.
+    fn for_interior_slabs(&self, buf: &mut [f64], body: impl Fn(usize, &mut [f64])) {
         let (nx, ny, nz) = self.field.shape();
-        let plane = nx * ny;
-        if self.run_sequential() {
-            for (z, slab) in buf.chunks_mut(plane).enumerate().skip(1).take(nz - 2) {
-                body(z, slab);
-            }
-        } else {
-            buf.par_chunks_mut(plane)
-                .with_min_len(self.slab_band())
-                .enumerate()
-                .for_each(|(z, slab)| {
-                    if z != 0 && z + 1 != nz {
-                        body(z, slab);
-                    }
-                });
+        for (z, slab) in buf.chunks_mut(nx * ny).enumerate().skip(1).take(nz - 2) {
+            body(z, slab);
         }
     }
 
@@ -269,15 +233,7 @@ impl Problem {
             }
             worst
         };
-        if self.run_sequential() {
-            (1..nz - 1).map(slab_worst).fold(0.0, f64::max)
-        } else {
-            (1..nz - 1)
-                .into_par_iter()
-                .with_min_len(self.slab_band())
-                .map(slab_worst)
-                .reduce(|| 0.0, f64::max)
-        }
+        (1..nz - 1).map(slab_worst).fold(0.0, f64::max)
     }
 
     /// One Jacobi sweep: read `src`, write updated free cells into `dst`.
@@ -314,8 +270,6 @@ impl Problem {
         let mut next = self.field.clone();
         let mut iters = 0;
         while iters < max_iters {
-            // Slab z reads planes z-1 and z+1 from the immutable source
-            // buffer, so slabs are independent.
             self.jacobi_sweep(cur.raw(), next.raw_mut());
             std::mem::swap(&mut cur, &mut next);
             iters += 1;
@@ -357,62 +311,20 @@ impl Problem {
             }
         };
         let (nx, ny, nz) = self.field.shape();
-        let plane = nx * ny;
         let mut x = self.field.clone();
-        let fixed = &self.fixed;
         let mut iters = 0;
 
-        // SAFETY rationale for the raw-pointer sweep below: within one
-        // colored half-sweep every updated cell has colour c = (x+y+z)%2,
-        // and all six stencil neighbours have colour 1-c. Writes therefore
-        // only touch colour-c cells while reads only touch colour-(1-c)
-        // cells: the write set and read set are disjoint, and distinct
-        // threads write distinct cells (each (y,z) line is visited once).
-        struct SyncPtr(*mut f64);
-        unsafe impl Send for SyncPtr {}
-        unsafe impl Sync for SyncPtr {}
-
-        let sequential = self.run_sequential();
         while iters < max_iters {
             for color in 0..2usize {
-                let ptr = SyncPtr(x.raw_mut().as_mut_ptr());
-                let sweep_z = |z: usize| {
-                    let p = &ptr;
+                for z in 1..nz - 1 {
                     for y in 1..ny - 1 {
-                        let start = 1 + ((y + z + color) % 2);
-                        let mut xx = start;
-                        while xx < nx - 1 {
-                            let i = xx + nx * (y + ny * z);
-                            if !fixed[i] {
-                                // SAFETY: disjoint same-color writes; reads
-                                // are all opposite-color (see note above) —
-                                // and the sequential path is single-threaded
-                                // anyway.
-                                unsafe {
-                                    let d = p.0;
-                                    let s = *d.add(i - 1)
-                                        + *d.add(i + 1)
-                                        + *d.add(i - nx)
-                                        + *d.add(i + nx)
-                                        + *d.add(i - plane)
-                                        + *d.add(i + plane);
-                                    let old = *d.add(i);
-                                    *d.add(i) = old + omega * (s / 6.0 - old);
-                                }
-                            }
-                            xx += 2;
-                        }
+                        self.colored_line(
+                            x.raw_mut(),
+                            nx * (y + ny * z),
+                            (y + z + color) % 2,
+                            omega,
+                        );
                     }
-                };
-                if sequential {
-                    for z in 1..nz - 1 {
-                        sweep_z(z);
-                    }
-                } else {
-                    (1..nz - 1)
-                        .into_par_iter()
-                        .with_min_len(self.slab_band())
-                        .for_each(sweep_z);
                 }
             }
             iters += 1;
@@ -443,11 +355,40 @@ impl Problem {
         )
     }
 
+    /// Relax every other free cell of the x-line starting at flat index
+    /// `line`, from `x = 1 + parity`. The line and its four neighbour lines
+    /// are split out of `d` once, so the inner loop indexes within
+    /// length-`nx` slices; the six addends keep the order x−1, x+1, y−1,
+    /// y+1, z−1, z+1.
+    fn colored_line(&self, d: &mut [f64], line: usize, parity: usize, omega: f64) {
+        let (nx, ny, _) = self.field.shape();
+        let plane = nx * ny;
+        let fixed = &self.fixed[line..line + nx];
+        let (below, rest) = d.split_at_mut(line);
+        let (row, above) = rest.split_at_mut(nx);
+        let z_lo = &below[line - plane..][..nx];
+        let y_lo = &below[line - nx..][..nx];
+        let y_hi = &above[..nx];
+        let z_hi = &above[plane - nx..][..nx];
+        let mut xx = 1 + parity;
+        while xx < nx - 1 {
+            if !fixed[xx] {
+                let s = row[xx - 1] + row[xx + 1] + y_lo[xx] + y_hi[xx] + z_lo[xx] + z_hi[xx];
+                let old = row[xx];
+                row[xx] = old + omega * (s / 6.0 - old);
+            }
+            xx += 2;
+        }
+    }
+
     /// Apply the free-cell operator `A u = 6u_i - Σ_{free nbr} u_j` into
     /// `out`. Only free cells are written: `out` must already be zero at
     /// fixed cells (the CG work buffers are allocated zeroed and fixed
     /// entries are never touched afterwards), which saves re-clearing the
     /// whole boundary shell on every application.
+    // Out of line on purpose: inlined into the CG loop (its only caller) the
+    // stencil compiles to slower code, +15-25 % per solve as measured.
+    #[inline(never)]
     fn apply_a(&self, u: &[f64], out: &mut [f64]) {
         let (nx, ny, _) = self.field.shape();
         let plane = nx * ny;
@@ -507,9 +448,7 @@ impl Problem {
             }
         });
 
-        let dot = |a: &[f64], c: &[f64]| -> f64 {
-            a.par_iter().zip(c.par_iter()).map(|(x, y)| x * y).sum()
-        };
+        let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
 
         // x starts at zero on free cells.
         let mut x = vec![0.0f64; n];
@@ -529,36 +468,27 @@ impl Problem {
                 break; // numerical breakdown; bail with what we have
             }
             let alpha = rs_old / pap;
-            x.par_iter_mut()
-                .with_min_len(Self::MIN_CELLS_PER_TASK)
-                .zip(p.par_iter())
-                .for_each(|(xi, pi)| *xi += alpha * pi);
-            r.par_iter_mut()
-                .with_min_len(Self::MIN_CELLS_PER_TASK)
-                .zip(ax.par_iter())
-                .for_each(|(ri, ai)| *ri -= alpha * ai);
+            for (xi, pi) in x.iter_mut().zip(&p) {
+                *xi += alpha * pi;
+            }
+            for (ri, ai) in r.iter_mut().zip(&ax) {
+                *ri -= alpha * ai;
+            }
             let rs_new = dot(&r, &r);
             let beta = rs_new / rs_old;
-            p.par_iter_mut()
-                .with_min_len(Self::MIN_CELLS_PER_TASK)
-                .zip(r.par_iter())
-                .for_each(|(pi, ri)| *pi = *ri + beta * *pi);
+            for (pi, ri) in p.iter_mut().zip(&r) {
+                *pi = *ri + beta * *pi;
+            }
             rs_old = rs_new;
             iters += 1;
         }
 
         // Assemble: fixed cells keep their pinned values.
         let mut out = self.field.clone();
-        {
-            let o = out.raw_mut();
-            o.par_iter_mut()
-                .with_min_len(Self::MIN_CELLS_PER_TASK)
-                .enumerate()
-                .for_each(|(i, v)| {
-                    if !fixed[i] {
-                        *v = x[i];
-                    }
-                });
+        for (i, v) in out.raw_mut().iter_mut().enumerate() {
+            if !fixed[i] {
+                *v = x[i];
+            }
         }
         let res = self.residual(&out);
         (
@@ -737,14 +667,13 @@ mod tests {
         assert_eq!(p.position_of(2, 0, 0), Point::new(4.0, 0.0, 0.0));
     }
 
-    /// The interior-only banded sweep must write bit-identical values to a
-    /// naive full-grid scan — on both sides of the sequential cutoff.
+    /// The interior-only slab sweep must write bit-identical values to a
+    /// naive full-grid scan.
     #[test]
     fn jacobi_sweep_matches_full_scan_reference() {
         for n in [10usize, 20] {
             let mut p = Problem::new(n, n, n, Point::flat(0.0, 0.0), 1.0, 20.0);
             p.add_constraint(&Point::new(3.0, 4.0, 5.0), 250.0);
-            assert_eq!(n <= 16, p.run_sequential(), "cutoff straddle at n={n}");
             let (f, stats) = p.solve(Solver::Jacobi, 0.0, 1); // exactly one sweep
             assert_eq!(stats.iterations, 1);
 

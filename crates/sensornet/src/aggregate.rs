@@ -87,11 +87,6 @@ impl ValueFilter {
         self
     }
 
-    /// Does the filter have any clauses?
-    pub fn is_trivial(&self) -> bool {
-        self.clauses.is_empty()
-    }
-
     /// Does `x` satisfy every clause?
     pub fn matches(&self, x: f64) -> bool {
         self.clauses.iter().all(|&(op, b)| match op {

@@ -21,11 +21,6 @@ impl RngStreams {
         RngStreams { master }
     }
 
-    /// The master seed this factory was built from.
-    pub fn master_seed(&self) -> u64 {
-        self.master
-    }
-
     /// Fork a stream for the component named `label`.
     ///
     /// The same `(master, label)` pair always yields an identically seeded

@@ -4,9 +4,10 @@
 //! The kernel stays single-threaded by design: a DES over a shared mutable
 //! world gains nothing from parallel event dispatch (events are causally
 //! ordered), and single-threaded dispatch is what keeps runs deterministic.
-//! Parallelism in this workspace lives where it pays: inside the grid-side
-//! numerical kernels (`pg-grid`, rayon) and across independent experiment
-//! replications (`pg-bench`).
+//! The rest of the workspace follows suit: the grid-side numerical kernels
+//! (`pg-grid`) and the experiment sweeps (`pg-bench`) run on the calling
+//! thread too, and the grid's parallelism is a simulated quantity
+//! (`pg_grid::sched`).
 
 use crate::time::{Duration, SimTime};
 use crate::Scheduler;

@@ -10,7 +10,7 @@
 //!   routing, mobility, churn).
 //! * [`sensornet`] — sensor layer (field, aggregation, clustering,
 //!   collection strategies, lifetime).
-//! * [`grid`] — wired grid (job scheduler, rayon-parallel 3-D PDE solvers,
+//! * [`grid`] — wired grid (job scheduler, 3-D PDE solvers,
 //!   region-averaging reduction).
 //! * [`agent`] — Ronin-style multi-agent middleware (agents, deputies,
 //!   envelopes).
