@@ -37,13 +37,25 @@ fn bench_choose(c: &mut Criterion) {
         };
         QueryFeatures::extract(&ctx, &query).unwrap()
     };
-    let mut g = c.benchmark_group("decision_maker");
-    for &history in &[0usize, 100, 1_000] {
-        let mut dm = DecisionMaker::with_config(
+    let actual = |i: usize| CostVector {
+        energy_j: 0.001 * (i as f64 + 1.0),
+        time_s: 0.1,
+        bytes: 100.0,
+        ops: 100.0,
+    };
+    // Pure exploitation: no rng draw decides what a sample measures.
+    let exploit_only = || {
+        DecisionMaker::with_config(
             Policy::Adaptive,
             5,
             DecisionConfig::builder().epsilon(0.0).build(),
-        );
+        )
+    };
+    let mut g = c.benchmark_group("decision_maker");
+    // Worst case for the case memory: almost every case its own feature
+    // point (90 member counts × 4 families, ~3 cases per point).
+    for &history in &[0usize, 100, 1_000] {
+        let mut dm = exploit_only();
         for i in 0..history {
             let mut f = features;
             f.members = 10 + (i % 90);
@@ -52,12 +64,7 @@ fn bench_choose(c: &mut Criterion) {
                 &w.grid,
                 f,
                 SolutionModel::candidates(f.members)[i % 4],
-                CostVector {
-                    energy_j: 0.001 * (i as f64 + 1.0),
-                    time_s: 0.1,
-                    bytes: 100.0,
-                    ops: 100.0,
-                },
+                actual(i),
             );
         }
         g.bench_with_input(
@@ -68,6 +75,39 @@ fn bench_choose(c: &mut Criterion) {
             },
         );
     }
+    // The measured metro shape: a long history over a handful of feature
+    // points (10 000 answers, 10 points, every family at every point).
+    let repeated = 10_000usize;
+    let point = |i: usize| {
+        let mut f = features;
+        f.members = 10 + 7 * (i % 10);
+        f
+    };
+    let mut dm = exploit_only();
+    for i in 0..repeated {
+        let f = point(i);
+        let model = SolutionModel::candidates(f.members)[(i / 10) % 5];
+        dm.record(&w.net, &w.grid, f, model, actual(i));
+    }
+    g.bench_with_input(
+        BenchmarkId::new("choose_repeated", repeated),
+        &repeated,
+        |b, _| {
+            b.iter(|| dm.choose(&w.net, &w.grid, &query, &point(3)).unwrap());
+        },
+    );
+    g.bench_with_input(
+        BenchmarkId::new("observe_repeated", repeated),
+        &repeated,
+        |b, _| {
+            let mut i = 0usize;
+            b.iter(|| {
+                let tree = SolutionModel::InNetworkTree;
+                dm.record(&w.net, &w.grid, point(i), tree, actual(i));
+                i += 1;
+            });
+        },
+    );
     g.finish();
 }
 

@@ -25,7 +25,7 @@
 use crate::estimate::estimate;
 use crate::exec::{execute_once, ExecContext};
 use crate::features::QueryFeatures;
-use crate::knn::KnnRegressor;
+use crate::knn::MAX_K;
 use crate::learn::{
     bandit_candidates, BanditConfig, CandidateArm, KnnLearner, LearnContext, Learner,
     LinUcbLearner, NetHealth, Reward, RewardWeights, TreeModeBandit,
@@ -173,9 +173,9 @@ impl DecisionConfigBuilder {
         self
     }
 
-    /// k-NN neighbourhood size.
+    /// k-NN neighbourhood size, clamped to `1..=`[`MAX_K`].
     pub fn knn_k(mut self, k: usize) -> Self {
-        self.cfg.knn_k = k.max(1);
+        self.cfg.knn_k = k.clamp(1, MAX_K);
         self
     }
 
@@ -314,11 +314,6 @@ impl DecisionMaker {
     /// Number of outcomes the learner has absorbed.
     pub fn history_len(&self) -> usize {
         self.learner.observations()
-    }
-
-    /// The k-NN case memory, when the active learner keeps one.
-    pub fn knn(&self) -> Option<&KnnRegressor> {
-        self.learner.knn()
     }
 
     /// Live health telemetry (EWMAs of observed degradation + scheduler
@@ -477,13 +472,13 @@ impl DecisionMaker {
         model: SolutionModel,
         reward: Reward,
     ) {
-        let predicted = self.predict(net, grid, &features, &model);
+        let analytic = estimate(net, grid, &features, &model);
+        let predicted = self.learner.predict_cost(&features, &model, analytic);
         self.calibration.push((
             self.cfg.weights.scalar(&predicted),
             self.cfg.weights.scalar(&reward.cost),
         ));
         let ctx = self.learn_context(&features, None);
-        let analytic = estimate(net, grid, &features, &model);
         // Recover the arm key within the policy's candidate space so the
         // bandit updates the right per-arm model. A model outside the
         // space (e.g. a forced fallback placement) maps onto its family

@@ -90,14 +90,19 @@ impl QueryFeatures {
 
     /// Euclidean distance between two feature vectors.
     pub fn distance(&self, other: &QueryFeatures) -> f64 {
-        let a = self.vector();
-        let b = other.vector();
-        a.iter()
-            .zip(&b)
-            .map(|(x, y)| (x - y) * (x - y))
-            .sum::<f64>()
-            .sqrt()
+        vector_distance(&self.vector(), &other.vector())
     }
+}
+
+/// Euclidean distance between two [`QueryFeatures::vector`]s. The case
+/// memory caches vectors and calls this directly; the summation order is
+/// part of its bit-exact contract.
+pub(crate) fn vector_distance(a: &[f64; FEATURE_DIM], b: &[f64; FEATURE_DIM]) -> f64 {
+    a.iter()
+        .zip(b)
+        .map(|(x, y)| (x - y) * (x - y))
+        .sum::<f64>()
+        .sqrt()
 }
 
 /// A (features, model) pairing — the k-NN conditioning key uses the model

@@ -206,11 +206,6 @@ pub trait Learner: std::fmt::Debug {
 
     /// Number of outcomes absorbed so far.
     fn observations(&self) -> usize;
-
-    /// The underlying case memory, when the learner keeps one.
-    fn knn(&self) -> Option<&KnnRegressor> {
-        None
-    }
 }
 
 /// The k-NN case-memory learner: the original `Policy::Adaptive` logic
@@ -229,10 +224,8 @@ pub struct KnnLearner {
 impl KnnLearner {
     /// A learner over an empty case memory.
     pub fn new(k: usize, epsilon: f64, blend: bool, safe_explore: bool, seed: u64) -> Self {
-        let mut knn = KnnRegressor::new();
-        knn.k = k;
         KnnLearner {
-            knn,
+            knn: KnnRegressor::with_k(k),
             epsilon,
             blend,
             safe_explore,
@@ -300,10 +293,6 @@ impl Learner for KnnLearner {
 
     fn observations(&self) -> usize {
         self.knn.len()
-    }
-
-    fn knn(&self) -> Option<&KnnRegressor> {
-        Some(&self.knn)
     }
 }
 

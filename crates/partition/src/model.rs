@@ -61,8 +61,8 @@ impl SolutionModel {
         }
     }
 
-    /// Coarse family index (used as part of the k-NN key so histories of
-    /// different placements never mix).
+    /// Coarse family index, `0..FAMILIES` (used as part of the k-NN key so
+    /// histories of different placements never mix).
     pub fn family(&self) -> usize {
         match self {
             SolutionModel::InNetworkTree => 0,
@@ -73,6 +73,10 @@ impl SolutionModel {
         }
     }
 }
+
+/// Number of model families: one more than the largest
+/// [`SolutionModel::family`].
+pub(crate) const FAMILIES: usize = 5;
 
 /// The four quantities §4 says must be estimated per (query, model):
 /// "the amount of computation … the amount of data transfer … estimates of
