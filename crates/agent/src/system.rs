@@ -14,12 +14,11 @@
 //! backoff plus deterministic jitter (derived by hashing, not by a shared
 //! RNG, so identical seeds replay identically). Receivers acknowledge and
 //! deduplicate by sequence number; a message that exhausts its retries is
-//! counted as a dead letter. Combined with an installed
-//! [`FaultPlan`][pg_sim::fault::FaultPlan] (see
-//! [`AgentSystem::set_fault_plan`]) this is the paper's §3 requirement made
-//! concrete: the agent platform "degrades gracefully" — lossy transport
-//! costs latency and energy, not answers, until loss exceeds the retry
-//! budget.
+//! counted as a dead letter. Combined with an installed [`FaultPlan`]
+//! (see [`AgentSystem::set_fault_plan`]) this is the paper's §3 requirement
+//! made concrete: the agent platform "degrades gracefully" — lossy
+//! transport costs latency and energy, not answers, until loss exceeds the
+//! retry budget.
 
 use crate::deputy::{DeliveryOutcome, Deputy};
 use crate::envelope::{AgentId, Envelope};

@@ -6,7 +6,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pg_runtime::{JournalRecord, QueryId, QueryJournal};
+use pg_runtime::{JournalRecord, QueryId, QueryJournal, QueuedQuery};
 use pg_sim::SimTime;
 
 /// A journal with `n` admissions in a realistic mix: most queries closed
@@ -14,14 +14,14 @@ use pg_sim::SimTime;
 fn journal_with(n: u64) -> QueryJournal {
     let mut j = QueryJournal::new();
     for i in 0..n {
-        j.append(JournalRecord::Admitted {
+        j.append(JournalRecord::Admitted(QueuedQuery {
             id: QueryId(i),
             text: "SELECT AVG(temp) FROM sensors".into(),
             submitted_at: SimTime::from_secs(i),
             deadline_abs: (i % 3 == 0).then(|| SimTime::from_secs(i + 600)),
             estimate_j: 1.5,
             priority: (i % 3) as u8,
-        });
+        }));
         // Close 7 of every 8: completions dominate, with shed and
         // migration records interleaved the way a live cell writes them.
         if i % 8 != 5 {

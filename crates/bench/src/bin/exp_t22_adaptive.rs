@@ -123,7 +123,7 @@ struct RunOut {
     /// 1.0 when no deadline is in force).
     goodput: [f64; 2],
     /// Mean per-decision regret (chosen objective − clairvoyant objective)
-    /// over 4 stream windows: [0,1] = phase 1, [2,3] = phase 2.
+    /// over 4 stream windows: \[0,1\] = phase 1, \[2,3\] = phase 2.
     regret_w: [f64; 4],
 }
 

@@ -3,7 +3,7 @@
 //! "For task categories that are well understood a-priori, this can be done
 //! by hard coding specific decompositions. However, in the more general
 //! case, this requires the use of a planner." (§3, citing HTN planning
-//! [11]). A [`MethodLibrary`] maps compound task names to decomposition
+//! \[11\]). A [`MethodLibrary`] maps compound task names to decomposition
 //! methods; [`MethodLibrary::decompose`] expands a task into a flat
 //! [`Plan`] DAG of primitive roles, trying alternative methods in order
 //! when a decomposition fails (e.g. on recursion-depth exhaustion).

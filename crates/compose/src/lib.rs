@@ -16,7 +16,7 @@
 //!   **centralized broker** (binds every step up-front, coordinates from
 //!   one point, suffers stale bindings under churn) and the **distributed
 //!   reactive** manager (binds late, re-discovers on failure — the
-//!   architecture of the authors' PWC'02 prototype [5]).
+//!   architecture of the authors' PWC'02 prototype \[5\]).
 //! * [`proactive`] — proactive vs. reactive composition: "We might want to
 //!   pro-actively compute some generic information about services required
 //!   to execute a query which is requested with a high frequency."

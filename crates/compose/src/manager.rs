@@ -11,7 +11,7 @@
 //!   submission time (its candidate lists go stale under churn, and every
 //!   rebind pays a round trip to the central broker);
 //!   [`ManagerKind::DistributedReactive`] discovers late, at each step's
-//!   start, against the live registry (the authors' PWC'02 prototype [5]).
+//!   start, against the live registry (the authors' PWC'02 prototype \[5\]).
 //! * "The composition platform should degrade gracefully as more and more
 //!   services become unavailable" — optional steps that cannot be filled
 //!   reduce utility instead of failing the composition.

@@ -38,17 +38,16 @@ use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
 use pg_sensornet::shared::{SharedQuery, MAX_SHARED_QUERIES, STRATUM_KEY_WIRE_BYTES};
 use pg_sim::{Duration, SimTime};
 
-/// The concrete multi-query runtime: a scheduler that owns a grid.
-///
-/// For borrow-based composition (schedule over a grid you keep), use
-/// `MultiQueryRuntime<&mut PervasiveGrid>` instead — the scheduler is
-/// generic over both.
+/// The concrete multi-query runtime: a scheduler that owns a grid (reach
+/// it through `engine()` / `engine_mut()`; a single query needs no
+/// scheduler at all — [`PervasiveGrid::submit`] hands this engine a
+/// one-entry batch directly).
 pub type GridRuntime = MultiQueryRuntime<PervasiveGrid>;
 
 /// One batch entry that qualified for the shared aggregation tree.
-struct Shareable {
+struct Shareable<'q> {
     idx: usize,
-    query: Query,
+    query: &'q Query,
     members: Vec<NodeId>,
     /// Learner features of the full selection — resolved once, from the
     /// un-thinned member list, so brownout never shifts the learner's
@@ -61,19 +60,24 @@ struct Shareable {
 }
 
 impl PervasiveGrid {
-    /// Batch entries that can ride one shared collection epoch. Empty
-    /// unless at least two qualify — a lone aggregate gains nothing from
-    /// the stratum machinery and stays on the single-query path.
-    fn shareable_entries(&mut self, batch: &[BatchQuery<'_>]) -> Vec<Shareable> {
+    /// Batch entries that can ride one shared collection epoch (`parsed`
+    /// is the batch, parsed, in batch order). Empty unless at least two
+    /// qualify — a lone aggregate gains nothing from the stratum machinery
+    /// and stays on the single-query path.
+    fn shareable_entries<'q>(
+        &mut self,
+        batch: &[BatchQuery<'_>],
+        parsed: &'q [Result<Query, PgError>],
+    ) -> Vec<Shareable<'q>> {
         if batch.len() < 2 || self.faults.is_base_down(self.now) {
             return Vec::new();
         }
         let mut out = Vec::new();
-        for (idx, bq) in batch.iter().enumerate() {
-            let Ok(query) = pg_query::parse(bq.text) else {
+        for (idx, (bq, query)) in batch.iter().zip(parsed).enumerate() {
+            let Ok(query) = query else {
                 continue;
             };
-            if classify(&query) != QueryKind::Aggregate || !query.cost.is_empty() {
+            if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
                 continue;
             }
             let ctx = ExecContext {
@@ -83,13 +87,13 @@ impl PervasiveGrid {
                 regions: &self.regions,
                 now: self.now,
             };
-            let Ok(members) = members_of(&ctx, &query) else {
+            let Ok(members) = members_of(&ctx, query) else {
                 continue;
             };
             // Features depend only on the query and the immutable topology,
             // so taking them here equals taking them right before the
             // collection, as the single-query pipeline does.
-            let features = QueryFeatures::of_members(&self.net, &query, &members);
+            let features = QueryFeatures::of_members(&self.net, query, &members);
             // Brownout: answer from a coarser stratum — roughly every
             // other member — while the overload lasts. The cut is keyed on
             // node id parity, not list position, so overlapping queries
@@ -125,7 +129,7 @@ impl PervasiveGrid {
     /// the corresponding `slots`.
     fn execute_shared_chunk(
         &mut self,
-        chunk: &[Shareable],
+        chunk: &[Shareable<'_>],
         batch: &[BatchQuery<'_>],
         slots: &mut [Option<EngineOutcome<QueryResponse, PgError>>],
     ) {
@@ -133,7 +137,7 @@ impl PervasiveGrid {
             .iter()
             .map(|s| SharedQuery {
                 members: s.members.clone(),
-                filter: value_filter(&s.query),
+                filter: value_filter(s.query),
                 agg: s.query.first_agg().unwrap_or(AggFn::Avg),
             })
             .collect();
@@ -306,21 +310,29 @@ impl QueryEngine for PervasiveGrid {
         batch: &[BatchQuery<'_>],
     ) -> Vec<EngineOutcome<QueryResponse, PgError>> {
         let mut slots: Vec<Option<EngineOutcome<QueryResponse, PgError>>> = vec![None; batch.len()];
+        // Parse each entry once; both paths below read the parsed form.
+        let parsed: Vec<Result<Query, PgError>> = batch
+            .iter()
+            .map(|bq| pg_query::parse(bq.text).map_err(PgError::from))
+            .collect();
 
         // Overlapping aggregates ride shared collection epochs, at most 64
         // queries (the stratum-mask width) per epoch.
-        let shareable = self.shareable_entries(batch);
+        let shareable = self.shareable_entries(batch, &parsed);
         for chunk in shareable.chunks(MAX_SHARED_QUERIES) {
             self.execute_shared_chunk(chunk, batch, &mut slots);
         }
 
         // Everything else — simple reads, COST-bounded queries, parse
         // errors — goes through the ordinary pipeline, in batch order.
-        for (i, bq) in batch.iter().enumerate() {
+        for (i, (bq, query)) in batch.iter().zip(&parsed).enumerate() {
             if slots[i].is_some() {
                 continue;
             }
-            let res = self.submit_inner(bq.text, bq.deadline.map(|d| d.as_secs_f64()));
+            let res = match query {
+                Ok(q) => self.submit_inner(q, bq.deadline.map(|d| d.as_secs_f64())),
+                Err(e) => Err(e.clone()),
+            };
             slots[i] = Some(res.map(|mut r| {
                 // Single-path entries can't ride a coarser stratum, but a
                 // browned-out round is still annotated so the client (and

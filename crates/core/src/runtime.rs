@@ -11,6 +11,7 @@ use pg_partition::exec::{execute_once, ExecContext};
 use pg_partition::features::QueryFeatures;
 use pg_partition::learn::Reward;
 use pg_partition::model::{CostVector, SolutionModel};
+use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
@@ -334,25 +335,21 @@ impl PervasiveGrid {
 
     /// Submit query text: the full Figure-1 pipeline.
     ///
-    /// Delegates through the multi-query scheduler under the degenerate
-    /// single-query plan (`RuntimeConfig::single_query()`): one slot, no
-    /// admission gates, no clock movement — so the single-query and
-    /// concurrent paths are one code path, and this stays bit-identical to
-    /// executing the query directly.
+    /// What a scheduler round does for a queue of one, without the
+    /// scheduler: note the pressure of one waiting query, then hand the
+    /// batch engine a one-entry batch — so the single-query and concurrent
+    /// paths are one code path. No admission gates, no clock movement.
     pub fn submit(&mut self, text: &str) -> Result<QueryResponse, PgError> {
-        use pg_runtime::{MultiQueryRuntime, QueryOpts, RuntimeConfig};
-        let result = {
-            let mut rt = MultiQueryRuntime::new(RuntimeConfig::single_query(), &mut *self);
-            let admission = rt.submit(text, QueryOpts::default());
-            debug_assert!(admission.is_accepted(), "single-query plan never rejects");
-            rt.run_epoch();
-            let (_, mut outcomes) = rt.into_parts();
-            match outcomes.pop() {
-                Some(o) => o.response,
-                None => Err(PgError::Config(
-                    "multi-query runtime returned no outcome".into(),
-                )),
-            }
+        use pg_runtime::{BatchQuery, QueryEngine};
+        self.note_pressure(1, 0.0);
+        let only = BatchQuery {
+            text,
+            deadline: None,
+            brownout: false,
+        };
+        let result = match self.execute_batch(&[only]).pop() {
+            Some(outcome) => outcome.map(|(response, _)| response),
+            None => Err(PgError::Config("batch engine returned no outcome".into())),
         };
         self.log.push(QueryRecord {
             text: text.to_string(),
@@ -368,12 +365,11 @@ impl PervasiveGrid {
     /// pre-scheduler pipeline).
     pub(crate) fn submit_inner(
         &mut self,
-        text: &str,
+        query: &Query,
         sched_deadline_s: Option<f64>,
     ) -> Result<QueryResponse, PgError> {
-        // 1. Query Processor: parse and classify.
-        let query = pg_query::parse(text)?;
-        let kind = classify(&query);
+        // 1. Query Processor: the batch engine parsed; classify.
+        let kind = classify(query);
 
         // Fast path: Simple one-shot reads through the sensor proxy (the
         // Fjords mediator) when one is enabled — concurrent queries share
@@ -473,7 +469,7 @@ impl PervasiveGrid {
                 fallback_model = true;
                 let user_plan = if planned.cost != query.cost {
                     self.decision
-                        .choose(&self.net, &self.grid, &query, &features)
+                        .choose(&self.net, &self.grid, query, &features)
                         .ok()
                 } else {
                     None
@@ -495,7 +491,7 @@ impl PervasiveGrid {
                 regions: &self.regions,
                 now: exec_at,
             };
-            execute_once(&mut ctx, &query, model, &mut self.exec_rng)?
+            execute_once(&mut ctx, query, model, &mut self.exec_rng)?
         };
 
         // 5. Adaptive feedback: incorporate actuals into the learner. The

@@ -11,8 +11,10 @@
 //!    class is *Exact* (1.0); a specialization is *Subsumed* (decaying with
 //!    semantic distance); a generalization is *PlugIn* (weaker still);
 //!    anything else fails.
-//! 2. **Hard constraints** — every [`Constraint`] must hold or the service
-//!    is excluded (this is where ≤/≥/range/location go beyond Jini).
+//! 2. **Hard constraints** — every
+//!    [`Constraint`](crate::description::Constraint) must hold or the
+//!    service is excluded (this is where ≤/≥/range/location go beyond
+//!    Jini).
 //! 3. **Preference score** — soft criteria are min-max normalized across
 //!    the surviving candidates and averaged; the final score is
 //!    `class_score × (0.5 + 0.5 × pref_score)`, so semantics dominate but

@@ -16,8 +16,8 @@
 //! Digests piggyback a [`LoadDigest`] per cell — queue depth, overload
 //! state, shed rate, base-station health — which is what peer load
 //! absorption steers by, and [`gossip_round`] also merges the replicated
-//! [`HandoffStore`](crate::handoff::HandoffStore)s D-GRID-style so every
-//! cell converges on the same pending/in-progress/completed handoff view.
+//! [`HandoffStore`]s D-GRID-style so every cell converges on the same
+//! pending/in-progress/completed handoff view.
 
 use crate::handoff::HandoffStore;
 use pg_runtime::OverloadState;
@@ -230,18 +230,20 @@ impl Membership {
         self.resurrections.get(&cell).copied().unwrap_or(0)
     }
 
-    /// Snapshot of everything this cell would gossip: all non-dead entries
-    /// (dead peers are withheld so eviction stays a local staleness
-    /// judgment rather than a rumor).
-    pub fn digest(&self) -> Vec<(CellId, MemberEntry)> {
-        self.table
-            .iter()
-            .filter(|(_, i)| i.state != MemberState::Dead)
-            .map(|(&c, i)| (c, i.entry))
-            .collect()
+    /// Merge everything `other` would gossip, straight from its table:
+    /// all its non-dead entries (dead peers are withheld so eviction stays
+    /// a local staleness judgment rather than a rumor). Two of these run
+    /// per gossip contact, every round, for every cell.
+    pub fn merge_from(&mut self, other: &Membership, now: SimTime) {
+        for (&cell, info) in &other.table {
+            if info.state == MemberState::Dead {
+                continue;
+            }
+            self.absorb(other.me, cell, info.entry, now);
+        }
     }
 
-    /// Merge a digest received from `from`: entry-wise `(incarnation,
+    /// Merge one entry about `cell` heard from `from`: `(incarnation,
     /// heartbeat)` max. A strictly newer entry refreshes `last_heard` and
     /// rehabilitates a Suspect; the owner's own row is authoritative and
     /// never overwritten by rumor.
@@ -251,30 +253,9 @@ impl Membership {
     /// that is exactly the stale-rumor path that used to flap an evicted
     /// peer live/dead around a partition (a lagging cell's "newer"
     /// heartbeat can still be ancient). Resurrection needs first-hand
-    /// evidence — the digest came from the evicted peer itself — or a
+    /// evidence — the entry came from the evicted peer itself — or a
     /// strictly higher incarnation, the owner's own declaration of a new
     /// life after a crash.
-    pub fn merge(&mut self, from: CellId, digest: &[(CellId, MemberEntry)], now: SimTime) {
-        for &(cell, entry) in digest {
-            self.absorb(from, cell, entry, now);
-        }
-    }
-
-    /// Merge directly from a peer's table — semantically identical to
-    /// `self.merge(other.me, &other.digest(), now)` but without
-    /// materializing the digest snapshot. Two of these run per gossip
-    /// contact, every round, for every cell: the snapshot allocation sat
-    /// on the control plane's hottest path.
-    pub fn merge_from(&mut self, other: &Membership, now: SimTime) {
-        for (&cell, info) in &other.table {
-            if info.state == MemberState::Dead {
-                continue; // digest() withholds dead peers; so do we
-            }
-            self.absorb(other.me, cell, info.entry, now);
-        }
-    }
-
-    /// One digest entry's worth of [`merge`](Membership::merge).
     fn absorb(&mut self, from: CellId, cell: CellId, entry: MemberEntry, now: SimTime) {
         if cell == self.me {
             return;
@@ -441,7 +422,7 @@ pub fn gossip_round(
 /// bipartition silences both ways while an asymmetric one-way cut lets a
 /// cell keep hearing a peer it can no longer reach — the peer passes
 /// through suspicion to eviction without flapping (see
-/// [`Membership::merge`]). Each cell additionally probes one evicted peer
+/// [`Membership::merge_from`]). Each cell additionally probes one evicted peer
 /// per round (round-robin over its dead pool, no RNG draw, so fault-free
 /// runs are untouched): a healed partition is re-discovered first-hand
 /// instead of staying split forever once both sides evicted each other.
@@ -625,7 +606,7 @@ mod tests {
             load: LoadDigest::default(),
         };
         // A rumor from cell 1 with a newer heartbeat: adopted, not revived.
-        q.merge(CellId(1), &[(CellId(2), rumor(50, 0))], now);
+        q.absorb(CellId(1), CellId(2), rumor(50, 0), now);
         let info = |q: &Membership| {
             q.members()
                 .find(|(c, _)| *c == CellId(2))
@@ -635,22 +616,18 @@ mod tests {
         assert_eq!(info(&q), (MemberState::Dead, 50));
         assert_eq!(q.resurrections_of(CellId(2)), 0);
         // Repeated rumors never flap it back either.
-        q.merge(CellId(1), &[(CellId(2), rumor(60, 0))], now);
+        q.absorb(CellId(1), CellId(2), rumor(60, 0), now);
         assert_eq!(info(&q).0, MemberState::Dead);
         assert_eq!(q.resurrections_of(CellId(2)), 0);
         // First-hand contact revives, even without a newer entry…
-        q.merge(CellId(2), &[(CellId(2), rumor(60, 0))], now);
+        q.absorb(CellId(2), CellId(2), rumor(60, 0), now);
         assert_eq!(info(&q).0, MemberState::Alive);
         assert_eq!(q.resurrections_of(CellId(2)), 1);
         // …and a higher incarnation (crash-recovery refutation) revives
         // via rumor.
         q.classify(SimTime::from_secs(2000), &cfg);
         assert_eq!(info(&q).0, MemberState::Dead);
-        q.merge(
-            CellId(1),
-            &[(CellId(2), rumor(61, 1))],
-            SimTime::from_secs(2000),
-        );
+        q.absorb(CellId(1), CellId(2), rumor(61, 1), SimTime::from_secs(2000));
         assert_eq!(info(&q).0, MemberState::Alive);
         assert_eq!(q.resurrections_of(CellId(2)), 2);
     }

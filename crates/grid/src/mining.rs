@@ -6,7 +6,7 @@
 //! system needs to figure out that this task has several components —
 //! generating decision trees, computing their Fourier spectra, choosing the
 //! dominant components, and combining them to create a single tree." (§3,
-//! after Kargupta & Park [17].)
+//! after Kargupta & Park \[17\].)
 //!
 //! This is that pipeline in miniature, faithful to its structure:
 //!

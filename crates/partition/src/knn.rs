@@ -3,7 +3,7 @@
 //! §4 commits to "standard machine learning techniques … on the data to
 //! select the right approach for a given query", with the estimate-vs-
 //! actual feedback loop making the system adaptive. Case-based regression
-//! (the Pythia approach [14]) fits exactly: each executed query deposits a
+//! (the Pythia approach \[14\]) fits exactly: each executed query deposits a
 //! `(features, model, actual cost)` case; predicting the cost of a model
 //! for a new query averages the k nearest cases of the same model family,
 //! weighted by inverse distance.

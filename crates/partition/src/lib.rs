@@ -17,7 +17,7 @@
 //! computation, data transfer, energy, and response time, and made
 //! *adaptive* "by comparing the estimates … with the actual values …
 //! during the execution of the query" using "standard machine learning
-//! techniques" (a k-NN cost regressor here, after Pythia [14]).
+//! techniques" (a k-NN cost regressor here, after Pythia \[14\]).
 //!
 //! The three components the paper names map to: Query Processor =
 //! `pg-query`, Decision Maker = [`decide`], Simulator = [`exec`] over

@@ -17,7 +17,7 @@
 //! EPOCH clause specifies the interval between two consecutive results for
 //! continuous queries."
 //!
-//! [`parse`] turns query text into an [`ast::Query`]; [`classify`] sorts
+//! [`parse`] turns query text into an [`ast::Query`]; [`classify()`] sorts
 //! queries into the paper's four classes (Simple / Aggregate / Complex /
 //! Continuous).
 

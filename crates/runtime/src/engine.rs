@@ -88,32 +88,3 @@ pub trait QueryEngine {
         batch: &[BatchQuery<'_>],
     ) -> Vec<EngineOutcome<Self::Response, Self::Error>>;
 }
-
-/// Forwarding impl so a scheduler can borrow an engine (`&mut PervasiveGrid`)
-/// instead of owning it — what the single-query `submit` delegation uses.
-impl<E: QueryEngine + ?Sized> QueryEngine for &mut E {
-    type Response = E::Response;
-    type Error = E::Error;
-
-    fn now(&self) -> SimTime {
-        (**self).now()
-    }
-    fn advance(&mut self, dt: Duration) {
-        (**self).advance(dt);
-    }
-    fn available_energy_j(&self) -> f64 {
-        (**self).available_energy_j()
-    }
-    fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
-        (**self).estimate_energy_j(text)
-    }
-    fn note_pressure(&mut self, queue_depth: usize, overload_level: f64) {
-        (**self).note_pressure(queue_depth, overload_level);
-    }
-    fn execute_batch(
-        &mut self,
-        batch: &[BatchQuery<'_>],
-    ) -> Vec<EngineOutcome<Self::Response, Self::Error>> {
-        (**self).execute_batch(batch)
-    }
-}

@@ -19,41 +19,25 @@
 //! is bit-identical to one without (pinned by property test).
 
 use crate::admission::QueryId;
+use crate::scheduler::QueuedQuery;
 use pg_sim::SimTime;
 use std::collections::BTreeMap;
 
 /// One durable admission-state transition.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
-    /// A fresh local submission entered the queue.
-    Admitted {
-        /// Id assigned at admission.
+    /// A fresh local submission entered the queue, as this record.
+    Admitted(QueuedQuery),
+    /// A query migrated in from another runtime entered the queue, as this
+    /// record: the id and energy estimate are the ones assigned here, the
+    /// submission instant and deadline are the original ones.
+    MigratedIn(QueuedQuery),
+    /// The caller tightened a still-queued query's deadline.
+    Tightened {
+        /// The tightened query.
         id: QueryId,
-        /// Raw query text.
-        text: String,
-        /// When it entered the queue.
-        submitted_at: SimTime,
-        /// Absolute deadline, if requested.
-        deadline_abs: Option<SimTime>,
-        /// Energy estimate reserved at admission, joules.
-        estimate_j: f64,
-        /// Scheduling priority.
-        priority: u8,
-    },
-    /// A query migrated in from another runtime entered the queue.
-    MigratedIn {
-        /// Id assigned at re-admission here.
-        id: QueryId,
-        /// Raw query text.
-        text: String,
-        /// Original submission instant (accounting survives the move).
-        submitted_at: SimTime,
-        /// Absolute deadline, if requested at original submission.
-        deadline_abs: Option<SimTime>,
-        /// Energy estimate reserved at re-admission, joules.
-        estimate_j: f64,
-        /// Scheduling priority.
-        priority: u8,
+        /// Its new, earlier absolute deadline.
+        deadline_abs: SimTime,
     },
     /// The query was serviced to completion.
     Completed {
@@ -81,32 +65,15 @@ impl JournalRecord {
     /// The query this record is about.
     pub fn id(&self) -> QueryId {
         match self {
-            JournalRecord::Admitted { id, .. }
-            | JournalRecord::MigratedIn { id, .. }
+            JournalRecord::Admitted(QueuedQuery { id, .. })
+            | JournalRecord::MigratedIn(QueuedQuery { id, .. })
+            | JournalRecord::Tightened { id, .. }
             | JournalRecord::Completed { id }
             | JournalRecord::Cancelled { id }
             | JournalRecord::Shed { id }
             | JournalRecord::MigratedOut { id } => *id,
         }
     }
-}
-
-/// A query the journal proves was admitted but never closed — what a
-/// restart re-inserts into the queue.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OpenQuery {
-    /// The original id (preserved across the crash).
-    pub id: QueryId,
-    /// Raw query text.
-    pub text: String,
-    /// Original submission instant.
-    pub submitted_at: SimTime,
-    /// Absolute deadline, if any.
-    pub deadline_abs: Option<SimTime>,
-    /// Energy estimate to re-reserve, joules.
-    pub estimate_j: f64,
-    /// Scheduling priority.
-    pub priority: u8,
 }
 
 /// The append-only write-ahead journal.
@@ -142,41 +109,22 @@ impl QueryJournal {
     }
 
     /// Replay: the queries admitted (or migrated in) but never completed,
-    /// cancelled, shed, or migrated out — in id order, so the recovery
-    /// insertion order is deterministic whatever the crash interleaving
-    /// was. This is the journal-replay hot path pinned by the `journal`
-    /// microbench.
-    pub fn open_queries(&self) -> Vec<OpenQuery> {
-        let mut open: BTreeMap<QueryId, OpenQuery> = BTreeMap::new();
+    /// cancelled, shed, or migrated out — each as the record it entered
+    /// the queue as, with its deadline as last tightened — in id order, so
+    /// the recovery insertion order is deterministic whatever the crash
+    /// interleaving was. This is the journal-replay hot path pinned by the
+    /// `journal` microbench.
+    pub fn open_queries(&self) -> Vec<QueuedQuery> {
+        let mut open: BTreeMap<QueryId, QueuedQuery> = BTreeMap::new();
         for rec in &self.records {
             match rec {
-                JournalRecord::Admitted {
-                    id,
-                    text,
-                    submitted_at,
-                    deadline_abs,
-                    estimate_j,
-                    priority,
+                JournalRecord::Admitted(q) | JournalRecord::MigratedIn(q) => {
+                    open.insert(q.id, q.clone());
                 }
-                | JournalRecord::MigratedIn {
-                    id,
-                    text,
-                    submitted_at,
-                    deadline_abs,
-                    estimate_j,
-                    priority,
-                } => {
-                    open.insert(
-                        *id,
-                        OpenQuery {
-                            id: *id,
-                            text: text.clone(),
-                            submitted_at: *submitted_at,
-                            deadline_abs: *deadline_abs,
-                            estimate_j: *estimate_j,
-                            priority: *priority,
-                        },
-                    );
+                JournalRecord::Tightened { id, deadline_abs } => {
+                    if let Some(q) = open.get_mut(id) {
+                        q.deadline_abs = Some(*deadline_abs);
+                    }
                 }
                 JournalRecord::Completed { id }
                 | JournalRecord::Cancelled { id }
@@ -195,14 +143,14 @@ mod tests {
     use super::*;
 
     fn admit(id: u64) -> JournalRecord {
-        JournalRecord::Admitted {
+        JournalRecord::Admitted(QueuedQuery {
             id: QueryId(id),
             text: format!("q{id}"),
             submitted_at: SimTime::from_secs(id),
             deadline_abs: Some(SimTime::from_secs(id + 120)),
             estimate_j: 0.5,
             priority: 0,
-        }
+        })
     }
 
     #[test]
@@ -222,14 +170,14 @@ mod tests {
         assert_eq!(open[0].submitted_at, SimTime::from_secs(4));
         // A migrated-in record reopens under its new id; closing it again
         // empties the set.
-        j.append(JournalRecord::MigratedIn {
+        j.append(JournalRecord::MigratedIn(QueuedQuery {
             id: QueryId(9),
             text: "q9".into(),
             submitted_at: SimTime::from_secs(1),
             deadline_abs: None,
             estimate_j: 0.0,
             priority: 2,
-        });
+        }));
         j.append(JournalRecord::Completed { id: QueryId(4) });
         j.append(JournalRecord::Completed { id: QueryId(5) });
         let open = j.open_queries();

@@ -35,9 +35,15 @@
 //!   while unaffected ones complete normally.
 //!
 //! The scheduler is deliberately engine-generic (no `pg-core` dependency):
-//! `pg-core` implements [`QueryEngine`] for `PervasiveGrid` and delegates
-//! its single-query `submit` through a [`RuntimeConfig::single_query`]
-//! plan, so there is exactly one execution path.
+//! `pg-core` implements [`QueryEngine`] for `PervasiveGrid`, and its
+//! single-query `submit` is that same `execute_batch` handed a one-entry
+//! batch, so there is exactly one execution path.
+//!
+//! Inside, the books are kept by three single things: one record (a
+//! [`QueuedQuery`] is the queue element, the journal payload and what
+//! replay returns), one door (fresh and migrated admission run the same
+//! gate / mint / journal / enqueue steps) and one fate (every id that left
+//! the queue has exactly one entry in a fate table `poll` looks up).
 //!
 //! # Example
 //!
@@ -114,11 +120,11 @@ pub use arrivals::{
 };
 pub use engine::{Attribution, BatchQuery, EngineOutcome, QueryEngine};
 pub use handle::{QueryHandle, QueryStatus};
-pub use journal::{JournalRecord, OpenQuery, QueryJournal};
+pub use journal::{JournalRecord, QueryJournal};
 pub use overload::{OverloadConfig, OverloadPolicy, OverloadState};
 pub use scheduler::{
-    MigratedQuery, MultiQueryRuntime, QueryOutcome, RuntimeConfig, RuntimeConfigBuilder,
-    SchedPolicy, ShedRecord,
+    MigratedQuery, MultiQueryRuntime, QueryOutcome, QueuedQuery, RuntimeConfig,
+    RuntimeConfigBuilder, SchedPolicy, ShedRecord,
 };
 
 #[cfg(test)]
@@ -214,7 +220,6 @@ mod tests {
         assert_eq!(b.slots_per_epoch, d.slots_per_epoch);
         assert_eq!(b.policy, d.policy);
         assert_eq!(b.energy_budget_j, d.energy_budget_j);
-        assert_eq!(b.advance_clock, d.advance_clock);
         assert_eq!(b.preemption, d.preemption);
     }
 
@@ -937,29 +942,5 @@ mod tests {
         assert_eq!(r.stats["response_s"].n, 4);
         assert!(r.stats["response_s"].p95.is_some());
         assert_eq!(r.scalars["energy_spent_j"], 4.0);
-    }
-
-    #[test]
-    fn single_query_plan_is_inert() {
-        // The plan `submit` delegates through: no clock movement, no gate.
-        let mut rt = MultiQueryRuntime::new(RuntimeConfig::single_query(), Mock::new(0.001));
-        let a = rt.submit("cost:999", QueryOpts::default());
-        assert!(matches!(a, Admission::Admitted { .. }));
-        rt.run_epoch();
-        assert_eq!(rt.engine().now, SimTime::ZERO);
-        assert_eq!(rt.outcomes().len(), 1);
-        assert_eq!(rt.engine().batches, [1]);
-    }
-
-    #[test]
-    fn borrowed_engines_schedule_too() {
-        let mut mock = Mock::new(100.0);
-        {
-            let mut rt = MultiQueryRuntime::new(cfg(), &mut mock);
-            rt.submit("a", QueryOpts::default());
-            rt.run_epoch();
-        }
-        assert_eq!(mock.executed, ["a"]);
-        assert_eq!(mock.now, SimTime::from_secs(30));
     }
 }

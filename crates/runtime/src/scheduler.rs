@@ -7,13 +7,24 @@
 //! a collection tree), records per-query outcomes with queue-wait
 //! accounting, and steps the engine clock.
 //!
+//! Three single things hold the books together:
+//!
+//! * **one record** — a [`QueuedQuery`] is the waiting-queue element, the
+//!   payload of the two journal records that say "entered the queue", and
+//!   what journal replay hands back, so recovery is a push;
+//! * **one door** — a fresh `submit` and a migrated re-admission are short
+//!   sequences of the same steps (queue gate → budget gate → mint id →
+//!   journal → enqueue and rank), each written once;
+//! * **one fate** — a query that leaves the queue gets exactly one entry
+//!   in an `id → fate` table (completed, cancelled, shed, lost, migrated),
+//!   so `poll` is a lookup and `next_id == waiting + fates` always holds.
+//!
 //! Two driving modes share one service path:
 //!
 //! * **batch (v1)** — the caller submits everything up front and calls
 //!   [`MultiQueryRuntime::run_until_idle`]; the clock advances one epoch per
 //!   busy round and stands still while idle.
-//! * **streaming (v2)** — the caller hands an
-//!   [`ArrivalProcess`](crate::arrivals::ArrivalProcess) to
+//! * **streaming (v2)** — the caller hands an [`ArrivalProcess`] to
 //!   [`MultiQueryRuntime::step`], which walks a `dt`-wide window of
 //!   simulated time, interleaving arrivals (admitted through the ordinary
 //!   `submit` path), service rounds, and clock advancement. With every
@@ -30,7 +41,7 @@ use pg_sim::metrics::Samples;
 use pg_sim::report::Report;
 use pg_sim::{Duration, SimTime};
 use std::cmp::Ordering;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// How the scheduler orders the queue when filling an epoch's slots.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -88,9 +99,6 @@ pub struct RuntimeConfig {
     /// energy gate entirely (battery exhaustion then degrades delivery
     /// in-network instead of rejecting at the door).
     pub energy_budget_j: Option<f64>,
-    /// Advance the engine clock after each epoch. The single-query
-    /// delegation plan disables this: `submit` must not move time.
-    pub advance_clock: bool,
     /// Deadline preemption: when a waiting query's slack goes negative —
     /// the coming round is its last chance to meet its deadline — it jumps
     /// the policy order (critical queries first, earliest deadline first
@@ -100,16 +108,6 @@ pub struct RuntimeConfig {
     /// policy is [`OverloadPolicy::None`], which leaves every existing
     /// workload bit-identical.
     pub overload: OverloadConfig,
-    /// Record the verdict of every [`submit`] into an admission log the
-    /// caller can drain with [`take_admission_log`] — how a layer driving
-    /// the runtime through [`step`] (which submits internally) learns the
-    /// handles of streamed arrivals, e.g. to migrate them later. Off by
-    /// default: nothing is recorded and nothing changes.
-    ///
-    /// [`submit`]: MultiQueryRuntime::submit
-    /// [`take_admission_log`]: MultiQueryRuntime::take_admission_log
-    /// [`step`]: MultiQueryRuntime::step
-    pub record_admissions: bool,
 }
 
 impl Default for RuntimeConfig {
@@ -120,10 +118,8 @@ impl Default for RuntimeConfig {
             slots_per_epoch: 8,
             policy: SchedPolicy::Fifo,
             energy_budget_j: None,
-            advance_clock: true,
             preemption: false,
             overload: OverloadConfig::default(),
-            record_admissions: false,
         }
     }
 }
@@ -133,20 +129,6 @@ impl RuntimeConfig {
     pub fn builder() -> RuntimeConfigBuilder {
         RuntimeConfigBuilder {
             cfg: RuntimeConfig::default(),
-        }
-    }
-
-    /// The degenerate plan `PervasiveGrid::submit` delegates through: one
-    /// slot, no energy gate, no clock movement — structurally identical to
-    /// executing the query directly.
-    pub fn single_query() -> Self {
-        RuntimeConfig {
-            capacity: 1,
-            slots_per_epoch: 1,
-            policy: SchedPolicy::Fifo,
-            energy_budget_j: None,
-            advance_clock: false,
-            ..RuntimeConfig::default()
         }
     }
 }
@@ -188,12 +170,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Whether the engine clock advances after each busy epoch.
-    pub fn advance_clock(mut self, advance: bool) -> Self {
-        self.cfg.advance_clock = advance;
-        self
-    }
-
     /// Enable or disable deadline preemption of deferred work.
     pub fn preemption(mut self, preemption: bool) -> Self {
         self.cfg.preemption = preemption;
@@ -206,28 +182,47 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Record every submission verdict for the caller to drain (see
-    /// [`RuntimeConfig::record_admissions`]).
-    pub fn record_admissions(mut self, record: bool) -> Self {
-        self.cfg.record_admissions = record;
-        self
-    }
-
     /// Finish: the assembled configuration.
     pub fn build(self) -> RuntimeConfig {
         self.cfg
     }
 }
 
-/// A query waiting in the admission queue.
-#[derive(Debug, Clone)]
-struct Pending {
-    id: QueryId,
-    text: String,
-    submitted_at: SimTime,
-    deadline_abs: Option<SimTime>,
-    estimate_j: f64,
-    priority: u8,
+/// A query waiting in the admission queue — the one record of it: the
+/// queue element, the payload of [`JournalRecord::Admitted`] and
+/// [`JournalRecord::MigratedIn`], and what
+/// [`QueryJournal::open_queries`] replays.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QueuedQuery {
+    /// The id minted at admission (preserved across a crash).
+    pub id: QueryId,
+    /// Raw query text.
+    pub text: String,
+    /// When it first entered a queue, anywhere (accounting survives a
+    /// migration or an outage).
+    pub submitted_at: SimTime,
+    /// Absolute deadline, if one was requested.
+    pub deadline_abs: Option<SimTime>,
+    /// Energy estimate reserved at admission, joules.
+    pub estimate_j: f64,
+    /// Scheduling priority.
+    pub priority: u8,
+}
+
+/// Where a query that left the queue ended up. Every minted id is either
+/// waiting or has exactly one of these.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fate {
+    /// Serviced: the index of its outcome.
+    Completed(usize),
+    /// Withdrawn by its caller.
+    Cancelled,
+    /// Dropped by overload shedding (it has a [`ShedRecord`]).
+    Shed,
+    /// Destroyed by a crash and not (yet) recovered.
+    Lost,
+    /// Extracted for re-admission in another runtime.
+    Migrated,
 }
 
 /// Total order the scheduler drains the queue in: priority strata first
@@ -235,7 +230,7 @@ struct Pending {
 /// untouched), the policy key within a stratum, and the id tiebreak last so
 /// every policy is a strict order — outcomes are independent of submission
 /// interleaving (the determinism property tests pin this down).
-fn policy_cmp(policy: SchedPolicy, a: &Pending, b: &Pending) -> Ordering {
+fn policy_cmp(policy: SchedPolicy, a: &QueuedQuery, b: &QueuedQuery) -> Ordering {
     let tie = a.id.cmp(&b.id);
     b.priority.cmp(&a.priority).then(match policy {
         SchedPolicy::Fifo => tie,
@@ -248,6 +243,22 @@ fn policy_cmp(policy: SchedPolicy, a: &Pending, b: &Pending) -> Ordering {
     })
 }
 
+/// A waiting query is *critical* at a round starting `round_start`: the
+/// round after this one starts past its deadline, so this round is its last
+/// chance to respond in time.
+fn is_critical(q: &QueuedQuery, round_start: SimTime, epoch: Duration) -> bool {
+    q.deadline_abs.is_some_and(|d| d < round_start + epoch)
+}
+
+/// Time left until `deadline` at `now`: zero once it has passed.
+fn time_left(deadline: SimTime, now: SimTime) -> Duration {
+    if deadline >= now {
+        deadline.since(now)
+    } else {
+        Duration::ZERO
+    }
+}
+
 /// The effective order a round drains the queue in: pure policy order, or
 /// critical-deadline queries first (earliest deadline, then id) when
 /// preemption is enabled — shared by `service_round` and the shedding
@@ -257,14 +268,14 @@ fn round_cmp(
     preemption: bool,
     round_start: SimTime,
     epoch: Duration,
-    a: &Pending,
-    b: &Pending,
+    a: &QueuedQuery,
+    b: &QueuedQuery,
 ) -> Ordering {
     if !preemption {
         return policy_cmp(policy, a, b);
     }
-    let crit_a = a.deadline_abs.is_some_and(|d| d < round_start + epoch);
-    let crit_b = b.deadline_abs.is_some_and(|d| d < round_start + epoch);
+    let crit_a = is_critical(a, round_start, epoch);
+    let crit_b = is_critical(b, round_start, epoch);
     crit_b
         .cmp(&crit_a)
         .then_with(|| {
@@ -368,15 +379,15 @@ pub struct ShedRecord {
 pub struct MultiQueryRuntime<E: QueryEngine> {
     engine: E,
     cfg: RuntimeConfig,
-    waiting: Vec<Pending>,
+    waiting: Vec<QueuedQuery>,
+    /// What became of every query that left the queue.
+    fates: HashMap<QueryId, Fate>,
     outcomes: Vec<QueryOutcome<E::Response, E::Error>>,
     next_id: u64,
     completions: u64,
     /// Where the next service round lands on the epoch grid; `None` until
     /// the first round anchors the grid at the engine clock.
     next_round_at: Option<SimTime>,
-    /// Ids cancelled by their callers before service.
-    cancelled_ids: HashSet<QueryId>,
     /// Energy reserved by admitted-but-unfinished queries, joules.
     committed_j: f64,
     /// Energy attributed to completed queries, joules.
@@ -415,17 +426,15 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     pub recovered: u64,
     /// Overload hysteresis state, stepped on every queue-depth change.
     overload_state: OverloadState,
-    /// Ids destroyed by a crash and still unrecovered.
-    lost_ids: HashSet<QueryId>,
-    /// Ids extracted for migration to another runtime.
-    migrated_ids: HashSet<QueryId>,
     /// Write-ahead journal of admission-state transitions, when enabled.
     journal: Option<QueryJournal>,
     /// Audit log of shed queries, in shed order.
     shed_records: Vec<ShedRecord>,
-    /// Submission verdicts since the last drain (only fed when
-    /// `cfg.record_admissions` is set): `Some(handle)` for accepted,
-    /// `None` for rejected — one entry per `submit`, in call order.
+    /// Feed `admission_log` (see [`MultiQueryRuntime::record_admissions`]).
+    log_admissions: bool,
+    /// Submission verdicts since the last drain: `Some(handle)` for
+    /// accepted, `None` for rejected — one entry per `submit`, in call
+    /// order.
     admission_log: Vec<Option<QueryHandle>>,
 }
 
@@ -436,11 +445,11 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             engine,
             cfg,
             waiting: Vec::new(),
+            fates: HashMap::new(),
             outcomes: Vec::new(),
             next_id: 0,
             completions: 0,
             next_round_at: None,
-            cancelled_ids: HashSet::new(),
             committed_j: 0.0,
             spent_j: 0.0,
             admitted: 0,
@@ -456,10 +465,9 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             lost: 0,
             recovered: 0,
             overload_state: OverloadState::Normal,
-            lost_ids: HashSet::new(),
-            migrated_ids: HashSet::new(),
             journal: None,
             shed_records: Vec::new(),
+            log_admissions: false,
             admission_log: Vec::new(),
         }
     }
@@ -495,8 +503,14 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     }
 
     /// Re-evaluate the hysteresis state machine against the current queue
-    /// depth; call after every mutation of `waiting`.
+    /// depth; call once the queue and the fate table have settled after a
+    /// mutation of `waiting` — which is also where the books must balance.
     fn update_overload_state(&mut self) {
+        debug_assert_eq!(
+            self.next_id as usize,
+            self.waiting.len() + self.fates.len(),
+            "a minted id is neither waiting nor settled, or is both"
+        );
         self.overload_state = self
             .overload_state
             .update(&self.cfg.overload, self.waiting.len());
@@ -538,22 +552,29 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     }
 
     /// Submission verdicts recorded since the last call (empty unless
-    /// [`RuntimeConfig::record_admissions`] is set): one entry per
-    /// [`submit`], in call order — `Some(handle)` when accepted, `None`
-    /// when rejected at the door. [`admit_migrated`] is not logged; its
-    /// caller already holds the verdict.
+    /// [`record_admissions`] turned the log on): one entry per [`submit`],
+    /// in call order — `Some(handle)` when accepted, `None` when rejected
+    /// at the door. [`admit_migrated`] is not logged; its caller already
+    /// holds the verdict.
     ///
+    /// [`record_admissions`]: MultiQueryRuntime::record_admissions
     /// [`submit`]: MultiQueryRuntime::submit
     /// [`admit_migrated`]: MultiQueryRuntime::admit_migrated
     pub fn take_admission_log(&mut self) -> Vec<Option<QueryHandle>> {
         std::mem::take(&mut self.admission_log)
     }
 
-    /// Toggle admission logging after construction (see
-    /// [`RuntimeConfigBuilder::record_admissions`]) — for layers that take
-    /// ownership of an already-built runtime and need handle correlation.
+    /// Record the verdict of every [`submit`] into an admission log the
+    /// caller drains with [`take_admission_log`] — how a layer driving the
+    /// runtime through [`step`] (which submits internally) learns the
+    /// handles of streamed arrivals, e.g. to migrate them later. Off until
+    /// asked for: nothing is recorded and nothing changes.
+    ///
+    /// [`submit`]: MultiQueryRuntime::submit
+    /// [`take_admission_log`]: MultiQueryRuntime::take_admission_log
+    /// [`step`]: MultiQueryRuntime::step
     pub fn record_admissions(&mut self, on: bool) {
-        self.cfg.record_admissions = on;
+        self.log_admissions = on;
     }
 
     /// Turn on the write-ahead query journal. From here on every
@@ -575,6 +596,49 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         self.journal.as_ref()
     }
 
+    /// The one way out of the books: `q` has left the queue for good (or,
+    /// for [`Fate::Lost`], until recovery revives it). Releases its energy
+    /// reservation, counts it, journals the closing record and files the
+    /// fate `poll` will report.
+    fn settle(&mut self, q: &QueuedQuery, fate: Fate) {
+        self.committed_j -= q.estimate_j;
+        let id = q.id;
+        let closing = match fate {
+            Fate::Completed(_) => Some(JournalRecord::Completed { id }),
+            Fate::Cancelled => {
+                self.cancelled += 1;
+                Some(JournalRecord::Cancelled { id })
+            }
+            Fate::Shed => {
+                self.shed += 1;
+                Some(JournalRecord::Shed { id })
+            }
+            Fate::Migrated => {
+                self.migrated_out += 1;
+                Some(JournalRecord::MigratedOut { id })
+            }
+            // A crash writes nothing: the journal still proving the query
+            // open is exactly what recovery reads.
+            Fate::Lost => {
+                self.lost += 1;
+                None
+            }
+        };
+        if let (Some(j), Some(record)) = (self.journal.as_mut(), closing) {
+            j.append(record);
+        }
+        self.fates.insert(id, fate);
+    }
+
+    /// Take a still-queued query out of the queue and settle it.
+    fn withdraw(&mut self, handle: QueryHandle, fate: Fate) -> Option<QueuedQuery> {
+        let pos = self.waiting.iter().position(|q| q.id == handle.id())?;
+        let q = self.waiting.remove(pos);
+        self.settle(&q, fate);
+        self.update_overload_state();
+        Some(q)
+    }
+
     /// The process crashes: every waiting query is destroyed — counted
     /// `lost`, polls report [`QueryStatus::Lost`] — committed energy is
     /// released, and the epoch grid loses its anchor (a restart re-anchors
@@ -590,26 +654,24 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     ///
     /// [`recover_from_journal`]: MultiQueryRuntime::recover_from_journal
     pub fn crash(&mut self) -> usize {
-        let n = self.waiting.len();
-        for p in self.waiting.drain(..) {
-            self.committed_j -= p.estimate_j;
-            self.lost += 1;
-            self.lost_ids.insert(p.id);
+        let destroyed = std::mem::take(&mut self.waiting);
+        for q in &destroyed {
+            self.settle(q, Fate::Lost);
         }
         self.next_round_at = None;
         self.update_overload_state();
-        n
+        destroyed.len()
     }
 
     /// Restart from the journal: every query the journal proves open and
-    /// the crash destroyed is re-inserted into the queue under its
-    /// **original id** — handles held across the crash stay valid — with
-    /// its original submission instant and absolute deadline, so queue
-    /// wait keeps accruing and the deadline the user watches never
-    /// resets. Each is moved from `lost` to `recovered` accounting
-    /// (exactly-once: a query is never simultaneously lost and queued).
-    /// Returns how many queries were recovered. A no-op without a journal
-    /// or after a clean shutdown.
+    /// the crash destroyed is pushed back into the queue as the very
+    /// record it was admitted as — **original id** (handles held across
+    /// the crash stay valid), original submission instant and the absolute
+    /// deadline as last tightened, so queue wait keeps accruing and the
+    /// deadline the user watches never resets. Each is moved from `lost`
+    /// to `recovered` accounting (exactly-once: a query is never
+    /// simultaneously lost and queued). Returns how many queries were
+    /// recovered. A no-op without a journal or after a clean shutdown.
     pub fn recover_from_journal(&mut self) -> usize {
         let open = match &self.journal {
             Some(j) => j.open_queries(),
@@ -619,20 +681,14 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         for q in open {
             // Only revive what the crash actually destroyed: anything
             // else is still live, already closed, or was never lost.
-            if !self.lost_ids.remove(&q.id) {
+            if self.fates.get(&q.id) != Some(&Fate::Lost) {
                 continue;
             }
+            self.fates.remove(&q.id);
             self.lost -= 1;
             self.recovered += 1;
             self.committed_j += q.estimate_j;
-            self.waiting.push(Pending {
-                id: q.id,
-                text: q.text,
-                submitted_at: q.submitted_at,
-                deadline_abs: q.deadline_abs,
-                estimate_j: q.estimate_j,
-                priority: q.priority,
-            });
+            self.waiting.push(q);
             n += 1;
         }
         self.update_overload_state();
@@ -641,116 +697,91 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
 
     /// Submit query text for execution in a future epoch.
     pub fn submit(&mut self, text: &str, opts: QueryOpts) -> Admission {
-        let verdict = self.submit_gated(text, opts);
-        if self.cfg.record_admissions {
+        let verdict = self
+            .admit_fresh(text, opts)
+            .unwrap_or_else(|reason| self.reject(reason, opts));
+        if self.log_admissions {
             self.admission_log.push(verdict.handle());
         }
         verdict
     }
 
-    /// The admission pipeline behind [`submit`](MultiQueryRuntime::submit).
-    fn submit_gated(&mut self, text: &str, opts: QueryOpts) -> Admission {
-        // Overload backpressure comes before the hard queue bound: in shed
-        // mode the door closes at the watermark, with a drain-estimate
-        // retry hint, instead of slamming shut at capacity.
+    /// Turned away at the door: nothing was queued.
+    fn reject(&mut self, reason: RejectReason, opts: QueryOpts) -> Admission {
+        self.rejected += 1;
+        Admission::Rejected { reason, opts }
+    }
+
+    /// Door, step 1 — the queue gate. Overload backpressure comes before
+    /// the hard queue bound: in shed mode the door closes at the
+    /// watermark, with a drain-estimate retry hint, instead of slamming
+    /// shut at capacity.
+    fn queue_gate(&self) -> Result<(), RejectReason> {
         if self.cfg.overload.policy != OverloadPolicy::None
             && self.overload_state == OverloadState::Shed
         {
-            self.rejected += 1;
-            return Admission::Rejected {
-                reason: RejectReason::Overloaded {
-                    retry_after: self.retry_after_estimate(),
-                    queue_depth: self.waiting.len(),
-                },
-                opts,
-            };
+            return Err(RejectReason::Overloaded {
+                retry_after: self.retry_after_estimate(),
+                queue_depth: self.waiting.len(),
+            });
         }
         if self.waiting.len() >= self.cfg.capacity {
-            self.rejected += 1;
-            return Admission::Rejected {
-                reason: RejectReason::QueueFull {
-                    capacity: self.cfg.capacity,
-                },
-                opts,
-            };
+            return Err(RejectReason::QueueFull {
+                capacity: self.cfg.capacity,
+            });
         }
-        // A deadline shorter than one epoch can never be met: the earliest
-        // completion is one epoch away. Only enforced when the clock
-        // actually moves per epoch.
-        if self.cfg.advance_clock {
-            if let Some(d) = opts.deadline {
-                if d < self.cfg.epoch {
-                    self.rejected += 1;
-                    return Admission::Rejected {
-                        reason: RejectReason::DeadlineUnmeetable {
-                            deadline_s: d.as_secs_f64(),
-                            epoch_s: self.cfg.epoch.as_secs_f64(),
-                        },
-                        opts,
-                    };
-                }
-            }
-        }
-        // Per-query cap, then the workload gate: committed estimates must
-        // fit the caller's cap, the budget, and the batteries' headroom.
-        let mut estimate_j = 0.0;
-        if opts.energy_cap_j.is_some() || self.cfg.energy_budget_j.is_some() {
-            estimate_j = self.engine.estimate_energy_j(text).unwrap_or(0.0);
-        }
-        if let Some(cap_j) = opts.energy_cap_j {
-            if estimate_j > cap_j {
-                self.rejected += 1;
-                return Admission::Rejected {
-                    reason: RejectReason::EnergyCap { estimate_j, cap_j },
-                    opts,
-                };
-            }
-        }
-        if let Some(budget) = self.cfg.energy_budget_j {
-            let headroom = (budget - self.spent_j).min(self.engine.available_energy_j());
-            let available = headroom - self.committed_j;
-            if estimate_j > available {
-                self.rejected += 1;
-                return Admission::Rejected {
-                    reason: RejectReason::EnergyBudget {
-                        estimate_j,
-                        available_j: available.max(0.0),
-                    },
-                    opts,
-                };
-            }
-            self.committed_j += estimate_j;
-        }
+        Ok(())
+    }
 
+    /// The engine's energy estimate for `text`, asked for only when a gate
+    /// is going to read it.
+    fn estimate_j(&mut self, text: &str, opts: &QueryOpts) -> f64 {
+        if opts.energy_cap_j.is_some() || self.cfg.energy_budget_j.is_some() {
+            self.engine.estimate_energy_j(text).unwrap_or(0.0)
+        } else {
+            0.0
+        }
+    }
+
+    /// Door, step 2 — the workload budget gate: committed estimates must
+    /// fit the budget and the batteries' headroom. Passing reserves the
+    /// estimate.
+    fn budget_gate(&mut self, estimate_j: f64) -> Result<(), RejectReason> {
+        let Some(budget) = self.cfg.energy_budget_j else {
+            return Ok(());
+        };
+        let headroom = (budget - self.spent_j).min(self.engine.available_energy_j());
+        let available = headroom - self.committed_j;
+        if estimate_j > available {
+            return Err(RejectReason::EnergyBudget {
+                estimate_j,
+                available_j: available.max(0.0),
+            });
+        }
+        self.committed_j += estimate_j;
+        Ok(())
+    }
+
+    /// Door, step 3 — mint the next id; the query is accepted.
+    fn mint_id(&mut self) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
         self.admitted += 1;
-        let now = self.engine.now();
-        let deadline_abs = opts.deadline.map(|d| now + d);
-        if let Some(j) = self.journal.as_mut() {
-            j.append(JournalRecord::Admitted {
-                id,
-                text: text.to_string(),
-                submitted_at: now,
-                deadline_abs,
-                estimate_j,
-                priority: opts.priority,
-            });
-        }
-        self.waiting.push(Pending {
-            id,
-            text: text.to_string(),
-            submitted_at: now,
-            deadline_abs,
-            estimate_j,
-            priority: opts.priority,
-        });
-        self.update_overload_state();
+        id
+    }
 
-        // Admitted when it lands within the next epoch's slots under the
-        // current policy ordering; deferred behind the backlog otherwise.
-        let handle = QueryHandle::new(id);
-        let rank = self.policy_rank(id);
+    /// Door, steps 4 and 5 — journal the entry (`entered` is the record
+    /// variant that says how it came in), then queue it and rank it:
+    /// admitted when it lands within the next epoch's slots under the
+    /// current policy ordering, deferred behind the backlog otherwise.
+    fn enqueue(&mut self, q: QueuedQuery, entered: fn(QueuedQuery) -> JournalRecord) -> Admission {
+        if let Some(j) = self.journal.as_mut() {
+            j.append(entered(q.clone()));
+        }
+        let handle = QueryHandle::new(q.id);
+        let rank = self.rank_of(&q);
+        self.waiting.push(q);
+        self.update_overload_state();
         if rank < self.cfg.slots_per_epoch {
             Admission::Admitted { handle }
         } else {
@@ -762,32 +793,55 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         }
     }
 
+    /// A fresh submission through the door. Beyond the shared steps it
+    /// answers to the caller's own constraints: the deadline and the
+    /// per-query energy cap.
+    fn admit_fresh(&mut self, text: &str, opts: QueryOpts) -> Result<Admission, RejectReason> {
+        self.queue_gate()?;
+        // A deadline shorter than one epoch can never be met: the earliest
+        // completion is one epoch away.
+        if let Some(d) = opts.deadline.filter(|&d| d < self.cfg.epoch) {
+            return Err(RejectReason::DeadlineUnmeetable {
+                deadline_s: d.as_secs_f64(),
+                epoch_s: self.cfg.epoch.as_secs_f64(),
+            });
+        }
+        let estimate_j = self.estimate_j(text, &opts);
+        if let Some(cap_j) = opts.energy_cap_j.filter(|&cap_j| estimate_j > cap_j) {
+            return Err(RejectReason::EnergyCap { estimate_j, cap_j });
+        }
+        self.budget_gate(estimate_j)?;
+        let now = self.engine.now();
+        let q = QueuedQuery {
+            id: self.mint_id(),
+            text: text.to_string(),
+            submitted_at: now,
+            deadline_abs: opts.deadline.map(|d| now + d),
+            estimate_j,
+            priority: opts.priority,
+        };
+        Ok(self.enqueue(q, JournalRecord::Admitted))
+    }
+
     /// What the runtime knows about a handle: queued (with its live rank),
-    /// completed (borrowing the outcome), cancelled, or unknown.
+    /// settled (completed — borrowing the outcome — cancelled, shed, lost
+    /// or migrated), or unknown.
     pub fn poll(&self, handle: QueryHandle) -> QueryStatus<'_, E::Response, E::Error> {
         let id = handle.id();
-        if let Some(outcome) = self.outcomes.iter().find(|o| o.id == id) {
-            return QueryStatus::Completed(outcome);
+        match self.fates.get(&id) {
+            Some(&Fate::Completed(index)) => QueryStatus::Completed(&self.outcomes[index]),
+            Some(Fate::Cancelled) => QueryStatus::Cancelled,
+            Some(Fate::Shed) => QueryStatus::Shed,
+            Some(Fate::Lost) => QueryStatus::Lost,
+            Some(Fate::Migrated) => QueryStatus::Migrated,
+            None => match self.waiting.iter().find(|q| q.id == id) {
+                Some(q) => QueryStatus::Queued {
+                    rank: self.rank_of(q),
+                    depth: self.waiting.len(),
+                },
+                None => QueryStatus::Unknown,
+            },
         }
-        if self.waiting.iter().any(|p| p.id == id) {
-            return QueryStatus::Queued {
-                rank: self.policy_rank(id),
-                depth: self.waiting.len(),
-            };
-        }
-        if self.cancelled_ids.contains(&id) {
-            return QueryStatus::Cancelled;
-        }
-        if self.shed_records.iter().any(|s| s.id == id) {
-            return QueryStatus::Shed;
-        }
-        if self.lost_ids.contains(&id) {
-            return QueryStatus::Lost;
-        }
-        if self.migrated_ids.contains(&id) {
-            return QueryStatus::Migrated;
-        }
-        QueryStatus::Unknown
     }
 
     /// Withdraw a still-queued query: it leaves the queue, its committed
@@ -796,19 +850,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// longer cancellable (already serviced, already cancelled, or never
     /// admitted here).
     pub fn cancel(&mut self, handle: QueryHandle) -> bool {
-        let id = handle.id();
-        let Some(pos) = self.waiting.iter().position(|p| p.id == id) else {
-            return false;
-        };
-        let p = self.waiting.remove(pos);
-        self.committed_j -= p.estimate_j;
-        self.cancelled_ids.insert(id);
-        self.cancelled += 1;
-        if let Some(j) = self.journal.as_mut() {
-            j.append(JournalRecord::Cancelled { id });
-        }
-        self.update_overload_state();
-        true
+        self.withdraw(handle, Fate::Cancelled).is_some()
     }
 
     /// Lift a still-queued query out of this runtime for re-admission
@@ -822,28 +864,19 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// [`cancel`]: MultiQueryRuntime::cancel
     /// [`admit_migrated`]: MultiQueryRuntime::admit_migrated
     pub fn extract(&mut self, handle: QueryHandle) -> Option<MigratedQuery> {
-        let id = handle.id();
-        let pos = self.waiting.iter().position(|p| p.id == id)?;
-        let p = self.waiting.remove(pos);
-        self.committed_j -= p.estimate_j;
-        self.migrated_out += 1;
-        self.migrated_ids.insert(id);
-        if let Some(j) = self.journal.as_mut() {
-            j.append(JournalRecord::MigratedOut { id });
-        }
-        self.update_overload_state();
+        let q = self.withdraw(handle, Fate::Migrated)?;
         Some(MigratedQuery {
-            text: p.text,
-            submitted_at: p.submitted_at,
-            deadline_abs: p.deadline_abs,
-            priority: p.priority,
+            text: q.text,
+            submitted_at: q.submitted_at,
+            deadline_abs: q.deadline_abs,
+            priority: q.priority,
         })
     }
 
     /// Re-admit a query lifted out of another runtime with [`extract`].
     ///
     /// The migrated query passes the same door as a fresh [`submit`] —
-    /// shed-state backpressure, the queue bound, and the energy gates all
+    /// shed-state backpressure, the queue bound, and the budget gate all
     /// apply, so an overloaded destination honors its own watermarks
     /// instead of absorbing unconditionally. What differs is accounting:
     /// the original submission instant and absolute deadline are preserved
@@ -854,92 +887,35 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// [`submit`]: MultiQueryRuntime::submit
     pub fn admit_migrated(&mut self, m: MigratedQuery) -> Admission {
         // Reconstruct caller-side options for rejection reporting: the
-        // deadline is re-expressed relative to now (clamped at zero when
-        // already past — the destination may still answer it late).
+        // deadline is re-expressed relative to now (zero when already past
+        // — the destination may still answer it late).
         let now = self.engine.now();
         let mut opts = QueryOpts::default().priority(m.priority);
-        if let Some(d) = m.deadline_abs {
-            opts.deadline = Some(if d >= now {
-                d.since(now)
-            } else {
-                Duration::ZERO
-            });
-        }
-        if self.cfg.overload.policy != OverloadPolicy::None
-            && self.overload_state == OverloadState::Shed
-        {
-            self.rejected += 1;
-            return Admission::Rejected {
-                reason: RejectReason::Overloaded {
-                    retry_after: self.retry_after_estimate(),
-                    queue_depth: self.waiting.len(),
-                },
-                opts,
-            };
-        }
-        if self.waiting.len() >= self.cfg.capacity {
-            self.rejected += 1;
-            return Admission::Rejected {
-                reason: RejectReason::QueueFull {
-                    capacity: self.cfg.capacity,
-                },
-                opts,
-            };
-        }
-        let mut estimate_j = 0.0;
-        if self.cfg.energy_budget_j.is_some() {
-            estimate_j = self.engine.estimate_energy_j(&m.text).unwrap_or(0.0);
-        }
-        if let Some(budget) = self.cfg.energy_budget_j {
-            let headroom = (budget - self.spent_j).min(self.engine.available_energy_j());
-            let available = headroom - self.committed_j;
-            if estimate_j > available {
-                self.rejected += 1;
-                return Admission::Rejected {
-                    reason: RejectReason::EnergyBudget {
-                        estimate_j,
-                        available_j: available.max(0.0),
-                    },
-                    opts,
-                };
-            }
-            self.committed_j += estimate_j;
-        }
+        opts.deadline = m.deadline_abs.map(|d| time_left(d, now));
+        self.admit_moved(m, &opts)
+            .unwrap_or_else(|reason| self.reject(reason, opts))
+    }
 
-        let id = QueryId(self.next_id);
-        self.next_id += 1;
-        self.admitted += 1;
+    /// A migrated query through the door: the shared steps and nothing
+    /// else (its deadline was vetted where it was first submitted).
+    fn admit_moved(
+        &mut self,
+        m: MigratedQuery,
+        opts: &QueryOpts,
+    ) -> Result<Admission, RejectReason> {
+        self.queue_gate()?;
+        let estimate_j = self.estimate_j(&m.text, opts);
+        self.budget_gate(estimate_j)?;
         self.migrated_in += 1;
-        if let Some(j) = self.journal.as_mut() {
-            j.append(JournalRecord::MigratedIn {
-                id,
-                text: m.text.clone(),
-                submitted_at: m.submitted_at,
-                deadline_abs: m.deadline_abs,
-                estimate_j,
-                priority: m.priority,
-            });
-        }
-        self.waiting.push(Pending {
-            id,
+        let q = QueuedQuery {
+            id: self.mint_id(),
             text: m.text,
             submitted_at: m.submitted_at,
             deadline_abs: m.deadline_abs,
             estimate_j,
             priority: m.priority,
-        });
-        self.update_overload_state();
-        let handle = QueryHandle::new(id);
-        let rank = self.policy_rank(id);
-        if rank < self.cfg.slots_per_epoch {
-            Admission::Admitted { handle }
-        } else {
-            self.deferred += 1;
-            Admission::Deferred {
-                handle,
-                queue_depth: self.waiting.len(),
-            }
-        }
+        };
+        Ok(self.enqueue(q, JournalRecord::MigratedIn))
     }
 
     /// Tighten a queued query's deadline to `deadline` from now. Only ever
@@ -947,38 +923,33 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// not queued or the new absolute deadline would be later than the
     /// current one. A tightened deadline immediately feeds EDF ordering
     /// and, with preemption enabled, can make the query critical for the
-    /// coming round.
+    /// coming round; it is journaled, so it survives a crash.
     pub fn tighten_deadline(&mut self, handle: QueryHandle, deadline: Duration) -> bool {
         let id = handle.id();
-        let new_abs = self.engine.now() + deadline;
-        let Some(p) = self.waiting.iter_mut().find(|p| p.id == id) else {
+        let deadline_abs = self.engine.now() + deadline;
+        let Some(q) = self.waiting.iter_mut().find(|q| q.id == id) else {
             return false;
         };
-        match p.deadline_abs {
-            Some(current) if new_abs >= current => false,
-            _ => {
-                p.deadline_abs = Some(new_abs);
-                true
-            }
+        if q.deadline_abs
+            .is_some_and(|current| deadline_abs >= current)
+        {
+            return false;
         }
+        q.deadline_abs = Some(deadline_abs);
+        if let Some(j) = self.journal.as_mut() {
+            j.append(JournalRecord::Tightened { id, deadline_abs });
+        }
+        true
     }
 
-    /// Position of `id` in the policy-ordered queue.
-    fn policy_rank(&self, id: QueryId) -> usize {
-        let policy = self.cfg.policy;
-        let mut order: Vec<&Pending> = self.waiting.iter().collect();
-        order.sort_by(|a, b| policy_cmp(policy, a, b));
-        order.iter().position(|p| p.id == id).unwrap_or(usize::MAX)
-    }
-
-    /// A waiting query is *critical* at a round starting `round_start`:
-    /// the round after this one starts past its deadline, so this round is
-    /// its last chance to respond in time.
-    fn is_critical(&self, p: &Pending, round_start: SimTime) -> bool {
-        match p.deadline_abs {
-            Some(d) => d < round_start + self.cfg.epoch,
-            None => false,
-        }
+    /// Position of `q` in the policy-ordered queue: the number of queued
+    /// entries ordered before it (the id tiebreak makes `policy_cmp` a
+    /// strict total order, so this is what sorting the queue would say).
+    fn rank_of(&self, q: &QueuedQuery) -> usize {
+        self.waiting
+            .iter()
+            .filter(|other| policy_cmp(self.cfg.policy, other, q) == Ordering::Less)
+            .count()
     }
 
     /// Ids of queued queries that can no longer meet their deadline from
@@ -994,7 +965,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// microbench.
     pub fn shed_victims(&self) -> Vec<QueryId> {
         let round_start = self.engine.now();
-        let mut order: Vec<&Pending> = self.waiting.iter().collect();
+        let mut order: Vec<&QueuedQuery> = self.waiting.iter().collect();
         order.sort_by(|a, b| {
             round_cmp(
                 self.cfg.policy,
@@ -1037,11 +1008,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         while i < self.waiting.len() {
             if victims.contains(&self.waiting[i].id) {
                 let p = self.waiting.remove(i);
-                self.committed_j -= p.estimate_j;
-                self.shed += 1;
-                if let Some(j) = self.journal.as_mut() {
-                    j.append(JournalRecord::Shed { id: p.id });
-                }
+                self.settle(&p, Fate::Shed);
                 self.shed_records.push(ShedRecord {
                     id: p.id,
                     text: p.text,
@@ -1083,44 +1050,30 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         let brownout = self.cfg.overload.policy == OverloadPolicy::BrownoutShed
             && self.overload_state != OverloadState::Normal;
         if self.cfg.preemption {
-            // Count queue jumps before re-sorting: a critical query that
-            // sat beyond the slot cutoff under pure policy order is about
-            // to preempt deferred work.
             let k = self.cfg.slots_per_epoch.min(self.waiting.len());
-            let mut by_policy: Vec<QueryId> = {
-                let mut order: Vec<&Pending> = self.waiting.iter().collect();
-                order.sort_by(|a, b| policy_cmp(policy, a, b));
-                order.iter().map(|p| p.id).collect()
-            };
-            by_policy.truncate(k);
             let epoch = self.cfg.epoch;
             self.waiting
                 .sort_by(|a, b| round_cmp(policy, true, epoch_start, epoch, a, b));
+            // Count queue jumps: a critical query that sat beyond the slot
+            // cutoff under pure policy order is preempting deferred work.
             let jumps = self
                 .waiting
                 .iter()
                 .take(k)
-                .filter(|p| self.is_critical(p, epoch_start) && !by_policy.contains(&p.id))
+                .filter(|p| is_critical(p, epoch_start, epoch) && self.rank_of(p) >= k)
                 .count() as u64;
             self.preemptions += jumps;
         } else {
             self.waiting.sort_by(|a, b| policy_cmp(policy, a, b));
         }
         let k = self.cfg.slots_per_epoch.min(self.waiting.len());
-        let batch: Vec<Pending> = self.waiting.drain(..k).collect();
-        self.update_overload_state();
+        let batch: Vec<QueuedQuery> = self.waiting.drain(..k).collect();
 
         let requests: Vec<BatchQuery<'_>> = batch
             .iter()
             .map(|p| BatchQuery {
                 text: &p.text,
-                deadline: p.deadline_abs.map(|d| {
-                    if d >= epoch_start {
-                        d.since(epoch_start)
-                    } else {
-                        Duration::ZERO
-                    }
-                }),
+                deadline: p.deadline_abs.map(|d| time_left(d, epoch_start)),
                 brownout,
             })
             .collect();
@@ -1132,7 +1085,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
 
         let mut completed = 0usize;
         for (p, res) in batch.into_iter().zip(results) {
-            self.committed_j -= p.estimate_j;
             let (response, attribution) = match res {
                 Ok((r, attr)) => {
                     self.spent_j += attr.energy_j;
@@ -1144,9 +1096,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             if brownout {
                 self.browned_out += 1;
             }
-            if let Some(j) = self.journal.as_mut() {
-                j.append(JournalRecord::Completed { id: p.id });
-            }
+            self.settle(&p, Fate::Completed(self.outcomes.len()));
             self.outcomes.push(QueryOutcome {
                 id: p.id,
                 text: p.text,
@@ -1162,6 +1112,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             self.completions += 1;
             completed += 1;
         }
+        self.update_overload_state();
         self.next_round_at = Some(epoch_start + self.cfg.epoch);
         completed
     }
@@ -1175,9 +1126,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             return 0;
         }
         let completed = self.service_round();
-        if self.cfg.advance_clock {
-            self.engine.advance(self.cfg.epoch);
-        }
+        self.engine.advance(self.cfg.epoch);
         completed
     }
 
@@ -1215,12 +1164,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     ///
     /// Returns the number of queries completed during the window.
     ///
-    /// Unlike [`run_epoch`], `step` drives the engine clock itself
-    /// (ignoring `advance_clock` is the point: streamed arrivals need real
-    /// timestamps).
-    ///
     /// [`submit`]: MultiQueryRuntime::submit
-    /// [`run_epoch`]: MultiQueryRuntime::run_epoch
     pub fn step<A>(&mut self, dt: Duration, arrivals: &mut A) -> usize
     where
         A: ArrivalProcess + ?Sized,

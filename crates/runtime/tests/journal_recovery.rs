@@ -10,15 +10,21 @@
 //!    `tighten_deadline` on a query that has been extracted for migration
 //!    refuse at the origin (it is `Migrated`, not controllable there) and
 //!    work at the destination under the destination's handle.
-//! 4. **Journal transparency** (property): a fault-free streamed run with
-//!    journaling enabled is bit-identical to the same run without.
+//! 4. **Journal transparency** (property): a fault-free run — streamed
+//!    arrivals interleaved with drawn submits, cancels, migrations both
+//!    ways and deadline tightenings — is bit-identical with journaling
+//!    enabled and without; with crashes and recoveries drawn too, every
+//!    minted id is still either waiting or settled exactly once, after
+//!    every step.
+//! 5. **Tightening is durable**: a deadline tightened before a crash is
+//!    the deadline the query comes back with.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_runtime::{
     Admission, Attribution, BatchQuery, EngineOutcome, JournalRecord, MultiQueryRuntime,
-    OverloadConfig, OverloadPolicy, PoissonArrivals, QueryEngine, QueryOpts, QueryStatus,
-    RuntimeConfig, SchedPolicy,
+    OverloadConfig, OverloadPolicy, PoissonArrivals, QueryEngine, QueryHandle, QueryOpts,
+    QueryStatus, RuntimeConfig, SchedPolicy,
 };
 use pg_sim::{Duration, SimTime};
 use proptest::prelude::*;
@@ -68,7 +74,7 @@ fn runtime(slots: usize) -> MultiQueryRuntime<Echo> {
     MultiQueryRuntime::new(cfg, Echo { now: SimTime::ZERO })
 }
 
-fn submit_n(rt: &mut MultiQueryRuntime<Echo>, n: usize) -> Vec<pg_runtime::QueryHandle> {
+fn submit_n(rt: &mut MultiQueryRuntime<Echo>, n: usize) -> Vec<QueryHandle> {
     (0..n)
         .map(|i| {
             rt.submit(
@@ -237,6 +243,42 @@ fn tighten_deadline_mid_migration_feeds_destination_edf() {
     }
 }
 
+#[test]
+fn tightened_deadline_survives_a_crash() {
+    let mut rt = runtime(1);
+    rt.enable_journal();
+    // Three queries, 600 s each; the last is then tightened to 60 s.
+    let handles = submit_n(&mut rt, 3);
+    assert!(rt.tighten_deadline(handles[2], Duration::from_secs(60)));
+    rt.crash();
+    assert_eq!(rt.recover_from_journal(), 3);
+    // It comes back leading the EDF order, not behind the 600 s pair.
+    match rt.poll(handles[2]) {
+        QueryStatus::Queued { rank, .. } => assert_eq!(rank, 0, "the tightening was forgotten"),
+        s => panic!("expected queued, got {s:?}"),
+    }
+    rt.run_until_idle(8);
+    let first = &rt.outcomes()[0];
+    assert_eq!(first.id, handles[2].id());
+    assert_eq!(first.deadline, Some(SimTime::from_secs(60)));
+    assert_eq!(rt.outcomes()[1].deadline, Some(SimTime::from_secs(600)));
+    // One record says so, between the admissions and the completions.
+    let tightenings: Vec<&JournalRecord> = rt
+        .journal()
+        .expect("journal on")
+        .records()
+        .iter()
+        .filter(|r| matches!(r, JournalRecord::Tightened { .. }))
+        .collect();
+    assert_eq!(
+        tightenings,
+        [&JournalRecord::Tightened {
+            id: handles[2].id(),
+            deadline_abs: SimTime::from_secs(60),
+        }]
+    );
+}
+
 /// Fingerprint everything observable about a finished runtime.
 #[allow(clippy::type_complexity)]
 fn fingerprint(
@@ -275,57 +317,162 @@ fn fingerprint(
     (outcomes, counters, rt.energy_spent_j().to_bits())
 }
 
+/// The books after any step: every handle ever issued polls as exactly
+/// one of queued / completed / cancelled / shed / lost / migrated, each
+/// kind as often as its counter says, and the kinds add up to `admitted`.
+fn assert_books_balance(rt: &MultiQueryRuntime<Echo>, handles: &[QueryHandle]) {
+    assert_eq!(
+        handles.len() as u64,
+        rt.admitted,
+        "a minted id has no handle"
+    );
+    let mut kinds = [0u64; 6];
+    for &h in handles {
+        let kind = match rt.poll(h) {
+            QueryStatus::Queued { .. } => 0,
+            QueryStatus::Completed(o) => {
+                assert_eq!(o.id, h.id());
+                1
+            }
+            QueryStatus::Cancelled => 2,
+            QueryStatus::Shed => 3,
+            QueryStatus::Migrated => 4,
+            QueryStatus::Lost => 5,
+            QueryStatus::Unknown => panic!("{h} was minted here but polls as unknown"),
+        };
+        kinds[kind] += 1;
+    }
+    let counters = [
+        rt.queue_depth() as u64,
+        rt.outcomes().len() as u64,
+        rt.cancelled,
+        rt.shed,
+        rt.migrated_out,
+        rt.lost,
+    ];
+    assert_eq!(kinds, counters);
+    assert_eq!(rt.admitted, counters.iter().sum::<u64>());
+    if let Some(j) = rt.journal() {
+        // The journal proves open exactly what waits or awaits recovery.
+        assert_eq!(j.open_queries().len() as u64, counters[0] + rt.lost);
+    }
+}
+
+/// Drive a runtime through `ops` — `(kind, argument)` pairs — over a
+/// Poisson stream, then let the stream run out; the books are checked
+/// after every step. Kinds: 0 submit, 1 cancel, 2 migrate out, 3 migrate
+/// in, 4 tighten, 5 step, 6 crash, 7 recover; the last two fall back to a
+/// step unless `faults` is set. `neighbour` only ever holds migrants.
+fn drive(
+    journal: bool,
+    faults: bool,
+    seed: u64,
+    rate_hz: f64,
+    ops: &[(u8, u16)],
+) -> MultiQueryRuntime<Echo> {
+    let cfg = RuntimeConfig::builder()
+        .capacity(16)
+        .epoch(Duration::from_secs(30))
+        .slots_per_epoch(1)
+        .policy(SchedPolicy::Edf)
+        .overload(OverloadConfig::watermarks(
+            OverloadPolicy::Shed,
+            0,
+            0,
+            8,
+            12,
+        ))
+        .build();
+    let mut rt = MultiQueryRuntime::new(cfg, Echo { now: SimTime::ZERO });
+    let mut neighbour = runtime(1);
+    rt.record_admissions(true);
+    if journal {
+        rt.enable_journal();
+    }
+    let mut arrivals = PoissonArrivals::new(
+        seed,
+        rate_hz,
+        SimTime::from_secs(3_600),
+        vec![
+            (
+                "SELECT AVG(temp) FROM sensors".to_string(),
+                QueryOpts::with_deadline(Duration::from_secs(120)),
+            ),
+            (
+                "SELECT MAX(temp) FROM sensors".to_string(),
+                QueryOpts::with_deadline(Duration::from_secs(90)).priority(1),
+            ),
+        ],
+    );
+    let mut handles: Vec<QueryHandle> = Vec::new();
+    for &(kind, arg) in ops {
+        let target = (!handles.is_empty()).then(|| handles[usize::from(arg) % handles.len()]);
+        let deadline = Duration::from_secs(60 + u64::from(arg % 500));
+        match (kind, target) {
+            (0, _) => {
+                rt.submit(
+                    "SELECT MIN(temp) FROM sensors",
+                    QueryOpts::with_deadline(deadline),
+                );
+            }
+            (1, Some(h)) => {
+                rt.cancel(h);
+            }
+            (2, Some(h)) => {
+                if let Some(m) = rt.extract(h) {
+                    neighbour.admit_migrated(m);
+                }
+            }
+            (3, _) => {
+                neighbour.engine_mut().now = rt.engine().now;
+                let there = submit_n(&mut neighbour, 1)[0];
+                let m = neighbour.extract(there).expect("just queued");
+                handles.extend(rt.admit_migrated(m).handle());
+            }
+            (4, Some(h)) => {
+                rt.tighten_deadline(h, deadline);
+            }
+            (6, _) if faults => {
+                rt.crash();
+            }
+            (7, _) if faults => {
+                rt.recover_from_journal();
+            }
+            _ => {
+                rt.step(Duration::from_secs(30), &mut arrivals);
+            }
+        }
+        handles.extend(rt.take_admission_log().into_iter().flatten());
+        assert_books_balance(&rt, &handles);
+    }
+    rt.recover_from_journal();
+    rt.run_stream(&mut arrivals, 10_000);
+    handles.extend(rt.take_admission_log().into_iter().flatten());
+    assert_books_balance(&rt, &handles);
+    rt
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Acceptance: with no faults injected, a streamed run with the
-    /// journal enabled is bit-identical to the same run with it disabled
-    /// — journaling observes, never perturbs.
+    /// Acceptance: with no faults injected, a run with the journal enabled
+    /// is bit-identical to the same run with it disabled — journaling
+    /// observes, never perturbs. With crashes and recoveries drawn in, the
+    /// journaled run must still balance its books after every step (which
+    /// `drive` asserts).
     #[test]
     fn journaling_is_bit_transparent_without_faults(
         seed in any::<u64>(),
         rate_scaled in 5u32..60,
+        ops in prop::collection::vec((0u8..8, any::<u16>()), 0..48),
+        faults in any::<bool>(),
     ) {
         let rate_hz = f64::from(rate_scaled) / 100.0;
-        let horizon = SimTime::from_secs(3_600);
-        let mk_arrivals = || {
-            PoissonArrivals::new(
-                seed,
-                rate_hz,
-                horizon,
-                vec![
-                    (
-                        "SELECT AVG(temp) FROM sensors".to_string(),
-                        QueryOpts::with_deadline(Duration::from_secs(120)),
-                    ),
-                    (
-                        "SELECT MAX(temp) FROM sensors".to_string(),
-                        QueryOpts::with_deadline(Duration::from_secs(90)).priority(1),
-                    ),
-                ],
-            )
-        };
-        let mk_rt = |journal: bool| {
-            let cfg = RuntimeConfig::builder()
-                .capacity(16)
-                .epoch(Duration::from_secs(30))
-                .slots_per_epoch(1)
-                .policy(SchedPolicy::Edf)
-                .overload(OverloadConfig::watermarks(
-                    OverloadPolicy::Shed, 0, 0, 8, 12,
-                ))
-                .build();
-            let mut rt = MultiQueryRuntime::new(cfg, Echo { now: SimTime::ZERO });
-            if journal {
-                rt.enable_journal();
-            }
-            let mut arrivals = mk_arrivals();
-            rt.run_stream(&mut arrivals, 10_000);
-            rt
-        };
-        let with = mk_rt(true);
-        let without = mk_rt(false);
-        prop_assert_eq!(fingerprint(&with), fingerprint(&without));
+        let with = drive(true, faults, seed, rate_hz, &ops);
+        if !faults {
+            let without = drive(false, false, seed, rate_hz, &ops);
+            prop_assert_eq!(fingerprint(&with), fingerprint(&without));
+        }
         // The journal really was on and balanced.
         let j = with.journal().expect("journal on");
         prop_assert!(j.len() as u64 >= with.admitted);

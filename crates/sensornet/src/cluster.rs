@@ -62,8 +62,6 @@ pub fn cluster_collection<R: Rng>(
 /// [`cluster_collection`] with predicate push-down: members whose readings
 /// fail `filter` stay silent in the intra-cluster phase.
 #[allow(clippy::too_many_arguments)]
-// Node positions are finite coordinates, so distances are never NaN.
-#[allow(clippy::expect_used)]
 pub fn cluster_collection_filtered<R: Rng>(
     net: &mut SensorNetwork,
     members: &[NodeId],
@@ -109,12 +107,17 @@ pub fn cluster_collection_filtered<R: Rng>(
             continue;
         }
         // Nearest head by Euclidean distance (deterministic tie by order).
-        let Some((hi, head)) = heads.iter().copied().enumerate().min_by(|(_, a), (_, b)| {
-            net.topology()
-                .distance(m, *a)
-                .partial_cmp(&net.topology().distance(m, *b))
-                .expect("distances are never NaN")
-        }) else {
+        // A plain loop, one distance per head: as a `min_by` comparator the
+        // search cost 3× whenever the closure was not inlined, which
+        // flipped with unrelated edits in the crate instantiating this.
+        let mut nearest: Option<(usize, NodeId, f64)> = None;
+        for (hi, &head) in heads.iter().enumerate() {
+            let d = net.topology().distance(m, head);
+            if nearest.is_none_or(|(_, _, best)| d < best) {
+                nearest = Some((hi, head, d));
+            }
+        }
+        let Some((hi, head, _)) = nearest else {
             continue;
         };
         let (ok, attempts) = try_long_hop(net, m, head, READING_WIRE_BYTES, t, rng);

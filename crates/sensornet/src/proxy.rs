@@ -1,6 +1,6 @@
 //! Sensor proxies: mediators between queries and physical sensors.
 //!
-//! Fjords [20], which the paper builds on for streaming queries, "propose[s]
+//! Fjords \[20\], which the paper builds on for streaming queries, "propose\[s\]
 //! sensor proxies which act as mediators between query processing
 //! environment and the physical sensors" — so that many concurrent queries
 //! share one physical sample stream instead of each waking the radio.

@@ -1,9 +1,9 @@
 //! Push-based stream operators over sensor data.
 //!
 //! §4's Continuous/Windowed query class needs "non-blocking and windowed
-//! operators over streaming data" (the Fjords architecture [20] the paper
+//! operators over streaming data" (the Fjords architecture \[20\] the paper
 //! builds on). This module provides push-based operators composed into
-//! chains, plus the **rate-based** cost model of Viglas & Naughton [28]:
+//! chains, plus the **rate-based** cost model of Viglas & Naughton \[28\]:
 //! "fundamental statistics used are estimates of the *rates* of the streams
 //! in the query evaluation tree rather than the sizes of intermediate
 //! results."
