@@ -17,7 +17,11 @@
 //! state, shed rate, base-station health — which is what peer load
 //! absorption steers by, and [`gossip_round`] also merges the replicated
 //! [`HandoffStore`]s D-GRID-style so every cell converges on the same
-//! pending/in-progress/completed handoff view.
+//! pending/in-progress/completed handoff view. Both exchanges are by
+//! reference: a contact borrows the two cells' tables and the two cells'
+//! ledgers out of their slices and merges one into the other in place
+//! ([`Membership::merge_from`], [`HandoffStore::merge_from`]) — nothing is
+//! copied to be sent.
 
 use crate::handoff::HandoffStore;
 use pg_runtime::OverloadState;
@@ -386,9 +390,11 @@ pub struct RoundCtx<'a> {
 /// targets from its candidate pool. A contact with an up target is a
 /// push-pull exchange: both membership digests merge both ways, and the
 /// paired [`HandoffStore`]s merge both ways too (the D-GRID replication
-/// ride-along). A contact with a down target is simply lost — that is how
-/// crashes are discovered, by silence. Afterwards every up cell
-/// re-classifies its table.
+/// ride-along). `handoffs` is indexed like `members`; a cell it does not
+/// reach — the slice may be empty or short — exchanges membership only. A
+/// contact with a down target is simply lost — that is how crashes are
+/// discovered, by silence. Afterwards every up cell re-classifies its
+/// table.
 ///
 /// Peer selection derives from `(seed, round_idx, cell)` alone, so rounds
 /// replay bit-identically regardless of caller structure.
@@ -468,14 +474,10 @@ pub fn gossip_round_ctx(
             // means no reply.
             let push_ok = link_up(i, t);
             let pull_ok = push_ok && link_up(t, i);
-            // Candidates never include self, so i != t and the slice
-            // splits cleanly into the two tables of the contact.
-            let (mi, mt) = if i < t {
-                let (l, r) = members.split_at_mut(t);
-                (&mut l[i], &mut r[0])
-            } else {
-                let (l, r) = members.split_at_mut(i);
-                (&mut r[0], &mut l[t])
+            // Candidates never include self, so i != t and each slice
+            // yields the two sides of the contact as disjoint borrows.
+            let Ok([mi, mt]) = members.get_disjoint_mut([i, t]) else {
+                continue;
             };
             if push_ok {
                 mt.merge_from(mi, now);
@@ -483,14 +485,13 @@ pub fn gossip_round_ctx(
             if pull_ok {
                 mi.merge_from(mt, now);
             }
-            if !handoffs.is_empty() {
+            // A cell without a ledger has nothing to exchange.
+            if let Ok([hi, ht]) = handoffs.get_disjoint_mut([i, t]) {
                 if push_ok {
-                    let hi = handoffs[i].snapshot();
-                    handoffs[t].merge(&hi);
+                    ht.merge_from(hi);
                 }
                 if pull_ok {
-                    let ht = handoffs[t].snapshot();
-                    handoffs[i].merge(&ht);
+                    hi.merge_from(ht);
                 }
             }
         }
@@ -505,6 +506,7 @@ pub fn gossip_round_ctx(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord};
 
     fn bootstrap(n: usize) -> (Vec<Membership>, Vec<HandoffStore>, Vec<bool>) {
         // Cell 0 is the introducer: everyone else starts knowing only it.
@@ -764,6 +766,94 @@ mod tests {
                 );
             }
         }
+    }
+
+    fn pending(id: HandoffId, from: usize, to: usize) -> HandoffRecord {
+        HandoffRecord {
+            id,
+            user: 1,
+            from: CellId(from as u32),
+            to: CellId(to as u32),
+            kind: HandoffKind::Migrate,
+            phase: HandoffPhase::Pending,
+            opened_at: SimTime::ZERO,
+            completed_at: None,
+            latency_s: None,
+            warm: false,
+        }
+    }
+
+    /// The two legs of the ledger exchange are gated separately: with only
+    /// the a -> b direction cut, b's push still delivers b's records to a,
+    /// while a's records wait for the window to close (a's push is eaten,
+    /// and b, hearing no request from a, never replies to one).
+    #[test]
+    fn one_way_cut_carries_ledgers_in_the_open_direction_only() {
+        let (a, b) = (0usize, 1usize);
+        let cut_end = SimTime::from_secs(30 * 6);
+        let plan = FaultPlan::builder(3)
+            .one_way_link_cut(a as u64, b as u64, SimTime::ZERO, cut_end)
+            .build()
+            .expect("valid plan");
+        let (mut members, mut handoffs, up) = bootstrap(2);
+        let (from_a, from_b) = (
+            HandoffId::mint(CellId(a as u32), 0),
+            HandoffId::mint(CellId(b as u32), 0),
+        );
+        handoffs[a].open(pending(from_a, a, b));
+        handoffs[b].open(pending(from_b, b, a));
+        let cfg = GossipConfig::default();
+        for round in 0..10u64 {
+            let now = SimTime::from_secs(30 * (round + 1));
+            for m in members.iter_mut() {
+                m.beat(now, LoadDigest::default());
+            }
+            gossip_round_ctx(
+                &mut members,
+                &mut handoffs,
+                &up,
+                &RoundCtx {
+                    now,
+                    cfg: &cfg,
+                    seed: 7,
+                    round_idx: round,
+                    faults: Some(&plan),
+                },
+            );
+            assert!(
+                handoffs[a].get(from_b).is_some(),
+                "b -> a is open, yet b's record had not reached a at {now:?}"
+            );
+            assert_eq!(
+                handoffs[b].get(from_a).is_some(),
+                now >= cut_end,
+                "a -> b is cut until {cut_end:?}; at {now:?}"
+            );
+        }
+        assert_eq!(handoffs[a].ledger_hash(), handoffs[b].ledger_hash());
+    }
+
+    /// Regression: a non-empty `handoffs` shorter than `members` used to
+    /// index out of bounds at the first contact with an unledgered cell.
+    /// Such cells gossip membership only; the ledgered ones still exchange.
+    #[test]
+    fn cells_without_a_ledger_exchange_membership_only() {
+        let (mut members, mut handoffs, up) = bootstrap(4);
+        handoffs.truncate(2);
+        let id = HandoffId::mint(CellId(1), 0);
+        handoffs[1].open(pending(id, 1, 0));
+        let cfg = GossipConfig::default();
+        for round in 0..12u64 {
+            let now = SimTime::from_secs(30 * (round + 1));
+            for m in members.iter_mut() {
+                m.beat(now, LoadDigest::default());
+            }
+            gossip_round(&mut members, &mut handoffs, &up, now, &cfg, 7, round);
+        }
+        for m in &members {
+            assert_eq!(m.live_set().len(), 4, "{} sees a partial view", m.me);
+        }
+        assert!(handoffs[0].get(id).is_some());
     }
 
     #[test]
