@@ -9,9 +9,9 @@
 //!
 //! * **federated** — absorption on, next-cell predictor pre-warming plan
 //!   caches at predicted destinations (warm handoffs);
-//! * **cold** — absorption on but purely reactive planning (predictor
-//!   off, zero cache TTL): every migration pays the full plan + discovery
-//!   path at the destination;
+//! * **cold** — absorption on but purely reactive planning (`proactive`
+//!   off: no predictor, zero cache TTL): every migration pays the full
+//!   plan + discovery path at the destination;
 //! * **isolated** — absorption off (cells ignore each other), only run
 //!   under churn as the baseline the tentpole assertion compares against.
 //!
@@ -141,12 +141,7 @@ fn run_one(
     let fcfg = FederationConfig {
         seed,
         redirect,
-        predictor: warm,
-        cache_ttl: if warm {
-            Duration::from_secs(600)
-        } else {
-            Duration::ZERO
-        },
+        proactive: warm,
         ..FederationConfig::default()
     };
     let mut fed = Federation::new(fcfg, runtimes, traces);

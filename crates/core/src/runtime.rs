@@ -148,7 +148,6 @@ pub struct GridBuilder {
     battery_j: f64,
     link: LinkModel,
     radio: RadioModel,
-    field: TemperatureField,
     policy: Policy,
     seed: u64,
     regions: BTreeMap<String, Region>,
@@ -167,7 +166,6 @@ impl GridBuilder {
             battery_j: 50.0,
             link: LinkModel::sensor_radio(),
             radio: RadioModel::mote(),
-            field: TemperatureField::calm(21.0),
             policy: Policy::Adaptive,
             seed: 42,
             regions: BTreeMap::new(),
@@ -196,19 +194,13 @@ impl GridBuilder {
         self
     }
 
-    /// Set the physical field.
-    pub fn field(mut self, field: TemperatureField) -> Self {
-        self.field = field;
-        self
-    }
-
     /// Set the decision policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
         self
     }
 
-    /// Configure the decision maker (weights, exploration, reward blend,
+    /// Configure the decision maker (exploration, calibration window,
     /// bandit hyper-parameters) via [`DecisionConfig::builder`]. When not
     /// set, the policy runs under the defaults — bit-identical to the
     /// pre-builder behaviour.
@@ -272,7 +264,7 @@ impl GridBuilder {
             exec_rng: streams.fork("exec"),
             net,
             grid,
-            field: self.field,
+            field: TemperatureField::calm(21.0),
             regions: self.regions,
             decision: DecisionMaker::with_config(
                 self.policy,

@@ -19,14 +19,20 @@ use pg_runtime::{MultiQueryRuntime, QueryId};
 use pg_sim::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
-/// A result-forwarding obligation: the query completed (or will complete)
-/// at this cell after its user roamed away, and the answer must travel.
+/// What the driver remembers about one admitted query until its outcome
+/// is harvested. Kept for a traced user's query (the user may roam away
+/// while it waits) and for any query that arrived across cells.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct PendingForward {
-    /// The roaming user the answer belongs to.
+pub(crate) struct QueryTag {
+    /// Who offered it.
     pub user: u64,
-    /// The replicated handoff record tracking the forward.
-    pub handoff: HandoffId,
+    /// Cross-cell provenance to stamp on the outcome: the query was
+    /// absorbed from another cell, or migrated in.
+    pub provenance: Option<Provenance>,
+    /// The user roamed away while the query was near the head of the
+    /// queue: it finishes here, and the answer travels under this
+    /// replicated handoff record.
+    pub forward: Option<HandoffId>,
 }
 
 /// The per-window arrival feed for one cell.
@@ -43,7 +49,6 @@ pub(crate) struct PendingForward {
 pub struct WindowArrivals {
     due: VecDeque<(Arrival, u64, Option<Provenance>)>,
     delivered: Vec<(u64, Option<Provenance>)>,
-    last_user: Option<u64>,
     bounced: Vec<(Arrival, u64)>,
 }
 
@@ -84,14 +89,14 @@ impl ArrivalProcess for WindowArrivals {
     fn next_arrival(&mut self) -> Option<Arrival> {
         let (a, user, tag) = self.due.pop_front()?;
         self.delivered.push((user, tag));
-        self.last_user = Some(user);
         Some(a)
     }
 
     fn on_overload(&mut self, arrival: Arrival, _retry_after: Duration, _now: SimTime) {
         // The runtime hands back the most recently consumed arrival, so
-        // `last_user` is exactly its offerer.
-        self.bounced.push((arrival, self.last_user.unwrap_or(0)));
+        // the last one delivered names its offerer.
+        let user = self.delivered.last().map_or(0, |d| d.0);
+        self.bounced.push((arrival, user));
     }
 }
 
@@ -111,10 +116,8 @@ pub struct Cell {
     pub(crate) window: WindowArrivals,
     /// Outcomes already harvested (index into `rt.outcomes()`).
     pub(crate) outcomes_seen: usize,
-    /// Cross-cell provenance to stamp on outcomes once they complete.
-    pub(crate) annotations: BTreeMap<QueryId, Provenance>,
-    /// Queries whose results must be forwarded to a departed user.
-    pub(crate) forwards: BTreeMap<QueryId, PendingForward>,
+    /// One tag per admitted query the driver still has business with.
+    pub(crate) tags: BTreeMap<QueryId, QueryTag>,
     /// Shed count at the last load digest (for the shed-rate window).
     last_shed: usize,
     /// When the last load digest was taken.
@@ -139,8 +142,7 @@ impl Cell {
             agent,
             window: WindowArrivals::default(),
             outcomes_seen: 0,
-            annotations: BTreeMap::new(),
-            forwards: BTreeMap::new(),
+            tags: BTreeMap::new(),
             last_shed: 0,
             last_digest_at: SimTime::ZERO,
         }

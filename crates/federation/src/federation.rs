@@ -25,8 +25,19 @@
 //! stamping cross-cell [`Provenance`], triggering result forwards, and
 //! re-routing bounced admissions; (6) pumps the bus to quiescence and
 //! applies deliveries.
+//!
+//! The driver's books are three tables, each holding only what is still
+//! in flight: a `Roamer` per traced user (trace, position along it,
+//! current cell, admitted queries that may still complete — a user
+//! without a trace never moves, so nothing is kept for them); an
+//! `InTransit` per handoff envelope on the bus, keyed by [`HandoffId`],
+//! from `ship` until it is delivered or found dead-lettered; and a
+//! `QueryTag` per admitted query in its [`Cell`] (offerer, provenance to
+//! stamp, forward owed). Every handoff record is opened in `open_handoff`
+//! and ends in exactly one [`FederationStats`] counter: a migration is
+//! completed, rejected or lost; a forward is completed, lost or abandoned.
 
-use crate::cell::{Cell, PendingForward};
+use crate::cell::{Cell, QueryTag};
 use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Membership, RoundCtx};
 use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use crate::roaming::{NextCellPredictor, Trace};
@@ -41,39 +52,32 @@ use pg_runtime::{MultiQueryRuntime, OverloadState, QueryHandle, QueryOpts, Query
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::mix;
 use pg_sim::{Duration, SimTime};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 
-/// Federation-layer tuning.
+/// Wire size of a migrating query's partial results, or of an answer.
+const PAYLOAD_BYTES: usize = 2048;
+/// Plan-cache lifetime in a [`proactive`](FederationConfig::proactive) cell.
+const PLAN_TTL: Duration = Duration::from_secs(600);
+
+/// Federation-layer tuning. Not options: the lockstep window is the
+/// cells' own scheduling epoch, gossip runs under [`GossipConfig::default`]
+/// and re-planning is priced by [`ComposeCosts::default`].
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// Master seed (gossip peer selection, bus retry jitter).
     pub seed: u64,
-    /// Lockstep window the driver advances all cells by — normally the
-    /// cells' scheduling epoch, so a one-cell federation reproduces
-    /// standalone `run_stream` exactly.
-    pub window: Duration,
-    /// Gossip layer tuning (fanout, period, suspicion/eviction).
-    pub gossip: GossipConfig,
-    /// Planning-pipeline cost model for destination re-planning.
-    pub compose: ComposeCosts,
-    /// Plan-cache TTL per cell. `Duration::ZERO` = purely reactive: every
-    /// migration pays the full plan + discovery path (the *cold* mode).
-    pub cache_ttl: Duration,
-    /// Train the next-cell predictor and pre-warm predicted destinations.
-    pub predictor: bool,
+    /// The §3 proactive loop: train the next-cell predictor, pre-warm each
+    /// predicted destination's plan cache, keep plans ten minutes. Off =
+    /// purely reactive: no predictor, and every migration pays the full
+    /// plan + discovery path (the *cold* mode).
+    pub proactive: bool,
     /// Peer load absorption: redirect admissions away from dead or
     /// shedding cells into neighbors (each honoring its own watermarks).
     /// Off = isolated cells, the baseline the experiment compares against.
     pub redirect: bool,
-    /// Payload size modeling a migrating query's partial results (and a
-    /// forwarded answer) on the wire.
-    pub payload_bytes: usize,
     /// Reliable-bus tuning (ack timeout, retries, backoff, and the
     /// optional per-peer circuit breaker over dead-letter outcomes).
     pub reliable: ReliableConfig,
-    /// Fault plan for the inter-cell bus (message loss exercises
-    /// ack/retry/dead-letter on handoff envelopes).
-    pub bus_faults: FaultPlan,
     /// Cell-level fault plan: partition windows and one-way cuts sever
     /// inter-cell links (gossip and bus alike, cells addressed by
     /// `CellId.0 as u64`); `cell_crash` windows crash-stop whole cell
@@ -92,15 +96,9 @@ impl Default for FederationConfig {
     fn default() -> Self {
         FederationConfig {
             seed: 42,
-            window: Duration::from_secs(30),
-            gossip: GossipConfig::default(),
-            compose: ComposeCosts::default(),
-            cache_ttl: Duration::from_secs(600),
-            predictor: true,
+            proactive: true,
             redirect: true,
-            payload_bytes: 2048,
             reliable: ReliableConfig::default(),
-            bus_faults: FaultPlan::none(),
             cell_faults: FaultPlan::none(),
             journal: false,
         }
@@ -124,6 +122,10 @@ pub struct FederationStats {
     pub forwards_completed: u64,
     /// Forwarded results dead-lettered on the bus.
     pub forwards_lost: u64,
+    /// Forwards that will never carry an answer: the query was shed or
+    /// lost in a crash nothing recovers, migrated away on a later move, or
+    /// was given a newer forward. The ledger record stays `Pending`.
+    pub forwards_abandoned: u64,
     /// Fresh arrivals redirected away from a dead or shedding home cell.
     pub absorbed: u64,
     /// Arrivals dropped because the home cell was down and no live
@@ -182,17 +184,41 @@ impl Agent for CellEndpoint {
     }
 }
 
-/// A migrating query in transit on the bus.
-struct MigrateInFlight {
-    query: MigratedQuery,
-    user: u64,
-    from: usize,
-    to: usize,
+/// One traced user.
+struct Roamer {
+    trace: Trace,
+    /// The next move of `trace.moves` not yet processed.
+    cursor: usize,
+    /// The cell under the user's feet as of the last processed move.
+    cell: CellId,
+    /// Admitted queries that may still complete, as `(cell index,
+    /// handle)` in admission order.
+    open: Vec<(usize, QueryHandle)>,
 }
 
-/// A forwarded result in transit on the bus.
-struct ForwardInFlight {
+/// A handoff envelope on the bus: sent by cell `from`, whose ledger holds
+/// the record it carries, and addressed to cell `to`.
+struct InTransit {
     from: usize,
+    to: usize,
+    cargo: Cargo,
+}
+
+/// What a handoff envelope carries.
+enum Cargo {
+    /// A query extracted at the origin, migrating with its user.
+    Query { query: MigratedQuery, user: u64 },
+    /// The answer of a query that finished where its user left it.
+    Answer,
+}
+
+/// The stamp for an answer that crossed cells.
+fn cross_cell(origin: usize, served: usize, handoff: CrossCellHandoff) -> Provenance {
+    Provenance {
+        origin_cell: Some(origin as u32),
+        served_cell: Some(served as u32),
+        handoff: Some(handoff),
+    }
 }
 
 /// N federated base-station cells plus the state that stitches them
@@ -204,14 +230,10 @@ pub struct Federation {
     members: Vec<Membership>,
     handoffs: Vec<HandoffStore>,
     bus: AgentSystem,
-    traces: BTreeMap<u64, Trace>,
-    move_cursor: BTreeMap<u64, usize>,
-    current_cell: BTreeMap<u64, CellId>,
-    offered: Vec<(u64, Arrival)>,
-    offered_idx: usize,
-    inflight: BTreeMap<u64, Vec<(usize, QueryHandle)>>,
-    migrating: BTreeMap<HandoffId, MigrateInFlight>,
-    forwarding: BTreeMap<HandoffId, ForwardInFlight>,
+    /// Sorted by user.
+    roamers: Vec<Roamer>,
+    offered: VecDeque<(u64, Arrival)>,
+    in_transit: BTreeMap<HandoffId, InTransit>,
     predictor: NextCellPredictor,
     tasks: Vec<String>,
     /// Which cells are currently crash-stopped (cell fault plan).
@@ -229,7 +251,7 @@ impl Federation {
     /// is `CellId(i)`) and the mobility traces of its roaming users.
     /// Users without a trace are stationary at cell `user % cells`. Cell 0
     /// is every cell's introducer; the rest of the view is learned by
-    /// anti-entropy. When `cfg.predictor` is set the next-cell predictor
+    /// anti-entropy. When `cfg.proactive` is set the next-cell predictor
     /// is trained on the given traces (the users' historical commutes)
     /// and each user's first predicted hop is pre-warmed immediately.
     pub fn new(
@@ -240,7 +262,11 @@ impl Federation {
         assert!(!runtimes.is_empty(), "a federation needs at least one cell");
         let mut bus = AgentSystem::new();
         bus.enable_reliability(cfg.reliable, mix(cfg.seed, 0xfed));
-        bus.set_fault_plan(cfg.bus_faults.clone());
+        let plan_ttl = if cfg.proactive {
+            PLAN_TTL
+        } else {
+            Duration::ZERO
+        };
         let mut cells = Vec::with_capacity(runtimes.len());
         for (i, mut rt) in runtimes.into_iter().enumerate() {
             rt.record_admissions(true);
@@ -255,7 +281,7 @@ impl Federation {
                 Box::new(endpoint),
                 Box::new(DirectDeputy::new(LinkModel::wired_backhaul())),
             );
-            cells.push(Cell::new(CellId(i as u32), rt, agent, cfg.cache_ttl));
+            cells.push(Cell::new(CellId(i as u32), rt, agent, plan_ttl));
         }
         let n = cells.len();
         if cfg.cell_faults.has_cell_faults() {
@@ -289,33 +315,32 @@ impl Federation {
             .tasks()
             .map(str::to_string)
             .collect();
-        let mut tmap = BTreeMap::new();
-        let mut current_cell = BTreeMap::new();
-        let mut move_cursor = BTreeMap::new();
-        for t in traces {
-            current_cell.insert(t.user, t.start);
-            move_cursor.insert(t.user, 0);
-            tmap.insert(t.user, t);
-        }
+        // One trace per user, in user order; of two for the same user the
+        // later one stands.
+        let by_user: BTreeMap<u64, Trace> = traces.into_iter().map(|t| (t.user, t)).collect();
+        let traces: Vec<Trace> = by_user.into_values().collect();
         let mut predictor = NextCellPredictor::new();
-        if cfg.predictor {
-            let history: Vec<Trace> = tmap.values().cloned().collect();
-            predictor.train(&history);
+        if cfg.proactive {
+            predictor.train(&traces);
         }
+        let roamers = traces
+            .into_iter()
+            .map(|trace| Roamer {
+                cursor: 0,
+                cell: trace.start,
+                open: Vec::new(),
+                trace,
+            })
+            .collect();
         let mut fed = Federation {
             cfg,
             cells,
             members,
             handoffs,
             bus,
-            traces: tmap,
-            move_cursor,
-            current_cell,
-            offered: Vec::new(),
-            offered_idx: 0,
-            inflight: BTreeMap::new(),
-            migrating: BTreeMap::new(),
-            forwarding: BTreeMap::new(),
+            roamers,
+            offered: VecDeque::new(),
+            in_transit: BTreeMap::new(),
             predictor,
             tasks,
             crashed: vec![false; n],
@@ -325,11 +350,10 @@ impl Federation {
             next_seq: 0,
             stats: FederationStats::default(),
         };
-        if fed.cfg.predictor {
-            let starts: Vec<(u64, CellId)> =
-                fed.current_cell.iter().map(|(&u, &c)| (u, c)).collect();
-            for (user, at_cell) in starts {
-                fed.prewarm_next(user, at_cell, SimTime::ZERO);
+        if fed.cfg.proactive {
+            for r in 0..fed.roamers.len() {
+                let roamer = &fed.roamers[r];
+                fed.prewarm_next(roamer.trace.user, roamer.cell, SimTime::ZERO);
             }
         }
         fed
@@ -339,51 +363,53 @@ impl Federation {
     /// number of times before [`run`](Federation::run); arrivals are
     /// sorted by time (stable on ties) when the run starts.
     pub fn offer(&mut self, at: SimTime, user: u64, text: impl Into<String>, opts: QueryOpts) {
-        self.offered.push((
-            user,
-            Arrival {
-                at,
-                text: text.into(),
-                opts,
-            },
-        ));
+        let text = text.into();
+        self.offered.push_back((user, Arrival { at, text, opts }));
     }
 
     /// Drive the federation to `horizon`, then keep stepping until every
     /// queue, window, and in-flight handoff has drained.
     pub fn run(&mut self, horizon: SimTime) {
-        let dt = self.cfg.window;
-        assert!(dt > Duration::ZERO, "window must be positive");
-        self.offered[self.offered_idx..].sort_by_key(|(_, a)| a.at);
+        self.offered.make_contiguous().sort_by_key(|(_, a)| a.at);
         let mut windows = 0u64;
-        let cell_faults_on = self.cfg.cell_faults.has_cell_faults();
-        loop {
-            let start = self.now;
-            let end = start + dt;
-            let draining = start >= horizon;
-            if cell_faults_on {
-                // Keep the bus clock in lockstep with the federation so
-                // time-windowed link cuts bite (and heal) at the right
-                // instants for in-flight retries.
-                self.bus.advance_to(start);
-                self.apply_cell_faults(start);
-            }
-            self.route_moves(end);
-            self.route_arrivals(end);
-            self.run_gossip(start);
-            for c in self.cells.iter_mut() {
-                c.rt.step(dt, &mut c.window);
-                debug_assert_eq!(c.window.pending(), 0, "a window step left arrivals queued");
-            }
-            self.harvest(end, draining);
-            self.pump_bus(end);
-            self.now = end;
-            if self.now >= horizon && self.is_drained() {
-                break;
-            }
+        while !self.step_window(horizon) {
             windows += 1;
             assert!(windows < 4_000_000, "federation failed to drain");
         }
+        self.release_dead();
+    }
+
+    /// Advance every cell by one lockstep window — the cells' scheduling
+    /// epoch. True once the horizon is behind and everything has drained.
+    fn step_window(&mut self, horizon: SimTime) -> bool {
+        let dt = self.cells[0].rt.config().epoch;
+        debug_assert!(
+            self.cells.iter().all(|c| c.rt.config().epoch == dt),
+            "cells of one federation share one scheduling epoch"
+        );
+        assert!(dt > Duration::ZERO, "window must be positive");
+        let start = self.now;
+        let end = start + dt;
+        if self.cfg.cell_faults.has_cell_faults() {
+            // Keep the bus clock in lockstep with the federation so
+            // time-windowed link cuts bite (and heal) at the right
+            // instants for in-flight retries.
+            self.bus.advance_to(start);
+            self.apply_cell_faults(start);
+        }
+        self.route_moves(end);
+        self.route_arrivals(end);
+        self.run_gossip(start);
+        for c in self.cells.iter_mut() {
+            c.rt.step(dt, &mut c.window);
+            debug_assert_eq!(c.window.pending(), 0, "a window step left arrivals queued");
+        }
+        for i in 0..self.cells.len() {
+            self.harvest(i, end, start >= horizon);
+        }
+        self.pump_bus(end);
+        self.now = end;
+        self.now >= horizon && self.is_drained()
     }
 
     /// The federation clock (end of the last completed window).
@@ -464,6 +490,13 @@ impl Federation {
         self.tasks[user as usize % self.tasks.len()].clone()
     }
 
+    /// Index of `user`'s record in `roamers`, if they have a trace.
+    fn roamer_of(&self, user: u64) -> Option<usize> {
+        self.roamers
+            .binary_search_by_key(&user, |r| r.trace.user)
+            .ok()
+    }
+
     /// Pre-warm the plan cache at the cell the predictor expects `user`
     /// (currently in `at_cell`) to enter next.
     fn prewarm_next(&mut self, user: u64, at_cell: CellId, now: SimTime) {
@@ -480,20 +513,13 @@ impl Federation {
         }
     }
 
-    /// Mint a fresh handoff id opened by `cell`.
-    fn mint(&mut self, cell: CellId) -> HandoffId {
-        let id = HandoffId::mint(cell, self.next_seq);
-        self.next_seq += 1;
-        id
-    }
-
     /// Where should load that cannot stay at `home` go at `at`? The
     /// decision-maker is `home` itself when its base is up (shedding), or
     /// else the first live cell ring-wise — and it chooses from its *own
     /// gossip view*: the live, absorbing peer with the shallowest last
     /// digested queue (smallest id on ties). A candidate whose base is
     /// actually down fails the redirect handshake and is skipped.
-    fn absorption_target(&self, home: usize, at: SimTime) -> Option<CellId> {
+    fn absorption_target(&self, home: usize, at: SimTime) -> Option<usize> {
         let n = self.cells.len();
         let decider = if !self.cell_down(home, at) {
             home
@@ -518,50 +544,110 @@ impl Federation {
             })
             .map(|(c, info)| (info.entry.load.queue_depth, c))
             .min()
-            .map(|(_, c)| c)
+            .map(|(_, c)| c.0 as usize)
+    }
+
+    /// Redirect `arrival` away from `home` into the peer that can absorb
+    /// it, stamped as absorbed. Hands the arrival back when no peer can.
+    fn absorb(&mut self, arrival: Arrival, user: u64, home: usize) -> Result<(), Arrival> {
+        let Some(t) = self.absorption_target(home, arrival.at) else {
+            return Err(arrival);
+        };
+        let tag = cross_cell(home, t, CrossCellHandoff::Absorbed);
+        self.cells[t].window.push(arrival, user, Some(tag));
+        Ok(())
+    }
+
+    /// Open the replicated record of a handoff out of cell `from`, in
+    /// that cell's ledger.
+    fn open_handoff(
+        &mut self,
+        kind: HandoffKind,
+        user: u64,
+        from: usize,
+        to: usize,
+        at: SimTime,
+    ) -> HandoffId {
+        let origin = CellId(from as u32);
+        let id = HandoffId::mint(origin, self.next_seq);
+        self.next_seq += 1;
+        self.handoffs[from].open(HandoffRecord {
+            id,
+            user,
+            from: origin,
+            to: CellId(to as u32),
+            kind,
+            phase: HandoffPhase::Pending,
+            opened_at: at,
+            completed_at: None,
+            latency_s: None,
+            warm: false,
+        });
+        match kind {
+            HandoffKind::Migrate => self.stats.migrations_opened += 1,
+            HandoffKind::ForwardHome => self.stats.forwards_opened += 1,
+        }
+        id
+    }
+
+    /// Put handoff `id`'s envelope on the bus from cell `from` to cell
+    /// `to`, and remember what it carries until it lands or dead-letters.
+    fn ship(&mut self, id: HandoffId, from: usize, to: usize, cargo: Cargo) {
+        self.bus.send(Envelope::binary(
+            self.cells[from].agent,
+            self.cells[to].agent,
+            &format!("handoff/{}", id.0),
+            vec![0u8; PAYLOAD_BYTES],
+        ));
+        self.in_transit.insert(id, InTransit { from, to, cargo });
+    }
+
+    /// A query was just admitted at cell `i`: a traced user's joins their
+    /// open list, and the cell keeps a tag when the outcome will need one.
+    fn track(&mut self, i: usize, handle: QueryHandle, user: u64, provenance: Option<Provenance>) {
+        let roamer = self.roamer_of(user);
+        if let Some(r) = roamer {
+            self.roamers[r].open.push((i, handle));
+        }
+        if roamer.is_some() || provenance.is_some() {
+            let tag = QueryTag {
+                user,
+                provenance,
+                forward: None,
+            };
+            self.cells[i].tags.insert(handle.id(), tag);
+        }
     }
 
     /// Process mobility moves due before `end`: predictor bookkeeping,
     /// predictive pre-warming, and per-in-flight-query migrate /
     /// forward-home decisions.
     fn route_moves(&mut self, end: SimTime) {
-        let users: Vec<u64> = self.traces.keys().copied().collect();
-        for user in users {
-            while let Some(mv) = self
-                .traces
-                .get(&user)
-                .and_then(|t| {
-                    t.moves
-                        .get(self.move_cursor.get(&user).copied().unwrap_or(0))
-                })
-                .copied()
-            {
+        for r in 0..self.roamers.len() {
+            while let Some(&mv) = self.roamers[r].trace.moves.get(self.roamers[r].cursor) {
                 if mv.at >= end {
                     break;
                 }
-                if let Some(c) = self.move_cursor.get_mut(&user) {
-                    *c += 1;
-                }
-                let from = self.current_cell.get(&user).copied().unwrap_or(CellId(0));
-                self.current_cell.insert(user, mv.to);
-                if self.cfg.predictor {
+                let roamer = &mut self.roamers[r];
+                roamer.cursor += 1;
+                let from = std::mem::replace(&mut roamer.cell, mv.to);
+                if self.cfg.proactive {
+                    let user = roamer.trace.user;
                     self.predictor.observe(user, from, mv.to);
                     self.prewarm_next(user, mv.to, mv.at);
                 }
-                self.migrate_user(user, mv.to, mv.at);
+                self.migrate_user(r, mv.to.0 as usize, mv.at);
             }
         }
     }
 
-    /// The user just entered `to`: decide the fate of each of their
-    /// in-flight queries.
-    fn migrate_user(&mut self, user: u64, to: CellId, at: SimTime) {
-        let Some(tracked) = self.inflight.remove(&user) else {
-            return;
-        };
+    /// Roamer `r` just entered `to`: decide the fate of each of their
+    /// open queries.
+    fn migrate_user(&mut self, r: usize, to: usize, at: SimTime) {
+        let user = self.roamers[r].trace.user;
         let mut keep = Vec::new();
-        for (idx, handle) in tracked {
-            if idx == to.0 as usize {
+        for (idx, handle) in std::mem::take(&mut self.roamers[r].open) {
+            if idx == to {
                 keep.push((idx, handle));
                 continue;
             }
@@ -571,139 +657,85 @@ impl Federation {
                 // head: it will be serviced imminently — let it finish
                 // here and forward the answer.
                 QueryStatus::Queued { rank, .. } => rank >= slots,
-                // Completed while the user was still here (answer already
-                // delivered locally), or shed/cancelled: nothing to move.
-                _ => {
-                    continue;
-                }
+                // Shed, cancelled or crash-lost: nothing to move.
+                _ => continue,
             };
             // A user walking into a dead cell gets an absorbing neighbor
             // as the migration target instead (when redirect is on).
-            let dest = if !self.cell_down(to.0 as usize, at) {
-                Some(to.0 as usize)
+            let dest = if !self.cell_down(to, at) {
+                Some(to)
             } else if self.cfg.redirect {
-                self.absorption_target(to.0 as usize, at)
-                    .map(|c| c.0 as usize)
+                self.absorption_target(to, at)
             } else {
                 None
             };
             match dest {
                 Some(d) if migrate && d != idx => {
-                    if let Some(q) = self.cells[idx].rt.extract(handle) {
-                        let id = self.mint(CellId(idx as u32));
-                        self.handoffs[idx].open(HandoffRecord {
-                            id,
-                            user,
-                            from: CellId(idx as u32),
-                            to: CellId(d as u32),
-                            kind: HandoffKind::Migrate,
-                            phase: HandoffPhase::Pending,
-                            opened_at: at,
-                            completed_at: None,
-                            latency_s: None,
-                            warm: false,
-                        });
-                        self.stats.migrations_opened += 1;
-                        self.bus.send(Envelope::binary(
-                            self.cells[idx].agent,
-                            self.cells[d].agent,
-                            &format!("handoff/migrate/{}", id.0),
-                            vec![0u8; self.cfg.payload_bytes],
-                        ));
-                        self.migrating.insert(
-                            id,
-                            MigrateInFlight {
-                                query: q,
-                                user,
-                                from: idx,
-                                to: d,
-                            },
-                        );
+                    if let Some(query) = self.cells[idx].rt.extract(handle) {
+                        // The query's business at this cell is over; a
+                        // forward it was promised on an earlier move
+                        // will carry nothing.
+                        if let Some(tag) = self.cells[idx].tags.remove(&handle.id()) {
+                            self.stats.forwards_abandoned += u64::from(tag.forward.is_some());
+                        }
+                        let id = self.open_handoff(HandoffKind::Migrate, user, idx, d, at);
+                        self.ship(id, idx, d, Cargo::Query { query, user });
                     }
                 }
                 _ => {
                     // Finishing here (near the head, nowhere to migrate,
                     // or destination dead): forward the answer when it
-                    // lands.
-                    let id = self.mint(CellId(idx as u32));
-                    self.handoffs[idx].open(HandoffRecord {
-                        id,
-                        user,
-                        from: CellId(idx as u32),
-                        to,
-                        kind: HandoffKind::ForwardHome,
-                        phase: HandoffPhase::Pending,
-                        opened_at: at,
-                        completed_at: None,
-                        latency_s: None,
-                        warm: false,
-                    });
-                    self.stats.forwards_opened += 1;
-                    self.cells[idx]
-                        .forwards
-                        .insert(handle.id(), PendingForward { user, handoff: id });
+                    // lands. A forward from an earlier move is superseded.
+                    let id = self.open_handoff(HandoffKind::ForwardHome, user, idx, to, at);
+                    if let Some(tag) = self.cells[idx].tags.get_mut(&handle.id()) {
+                        let superseded = tag.forward.replace(id);
+                        self.stats.forwards_abandoned += u64::from(superseded.is_some());
+                    }
                     keep.push((idx, handle));
                 }
             }
         }
-        if !keep.is_empty() {
-            self.inflight.insert(user, keep);
-        }
+        self.roamers[r].open = keep;
     }
 
     /// Route arrivals due before `end` to the cell under the user's feet,
     /// absorbing away from dead or shedding homes when redirect is on.
     fn route_arrivals(&mut self, end: SimTime) {
-        while self.offered_idx < self.offered.len() {
-            if self.offered[self.offered_idx].1.at >= end {
-                break;
-            }
-            let (user, arrival) = self.offered[self.offered_idx].clone();
-            self.offered_idx += 1;
+        while let Some((user, arrival)) = self.offered.pop_front_if(|(_, a)| a.at < end) {
             self.route_one(arrival, user);
         }
     }
 
-    fn route_one(&mut self, arrival: Arrival, user: u64) {
-        let n = self.cells.len();
-        let home = self
-            .traces
-            .get(&user)
-            .map(|t| t.cell_at(arrival.at))
-            .unwrap_or(CellId((user % n as u64) as u32));
-        let h = home.0 as usize;
+    fn route_one(&mut self, mut arrival: Arrival, user: u64) {
         let at = arrival.at;
-        let home_down = self.cell_down(h, at);
-        let home_shedding = self.cells[h].rt.overload_state() == OverloadState::Shed;
+        let home = match self.roamer_of(user) {
+            Some(r) => self.roamers[r].trace.cell_at(at).0 as usize,
+            None => (user % self.cells.len() as u64) as usize,
+        };
+        let home_down = self.cell_down(home, at);
+        let home_shedding = self.cells[home].rt.overload_state() == OverloadState::Shed;
         if (home_down || home_shedding) && self.cfg.redirect {
-            if let Some(t) = self.absorption_target(h, at) {
-                self.stats.absorbed += 1;
-                let tag = Provenance {
-                    origin_cell: Some(home.0),
-                    served_cell: Some(t.0),
-                    handoff: Some(CrossCellHandoff::Absorbed),
-                };
-                self.cells[t.0 as usize]
-                    .window
-                    .push(arrival, user, Some(tag));
-                return;
+            match self.absorb(arrival, user, home) {
+                Ok(()) => {
+                    self.stats.absorbed += 1;
+                    return;
+                }
+                // Nobody can take it. A shedding home is still offered
+                // it, and its watermark decides.
+                Err(back) => arrival = back,
             }
-            if home_down {
-                self.stats.home_down_dropped += 1;
-                return;
-            }
-            // Shedding home, no absorber anywhere: offer it at home and
-            // let the watermark decide.
-        } else if home_down {
-            // Isolated cells: a dead base station serves nobody.
+        }
+        if home_down {
+            // A dead base station serves nobody.
             self.stats.home_down_dropped += 1;
             return;
         }
-        self.cells[h].window.push(arrival, user, None);
+        self.cells[home].window.push(arrival, user, None);
     }
 
     /// Run every gossip round due at or before `start`.
     fn run_gossip(&mut self, start: SimTime) {
+        let gossip = GossipConfig::default();
         while self.next_gossip <= start {
             let now = self.next_gossip;
             let up: Vec<bool> = (0..self.cells.len())
@@ -721,107 +753,77 @@ impl Federation {
                 &up,
                 &RoundCtx {
                     now,
-                    cfg: &self.cfg.gossip,
+                    cfg: &gossip,
                     seed: self.cfg.seed,
                     round_idx: self.round_idx,
                     faults: Some(&self.cfg.cell_faults),
                 },
             );
             self.round_idx += 1;
-            self.next_gossip += self.cfg.gossip.round;
+            self.next_gossip += gossip.round;
         }
     }
 
-    /// Post-step bookkeeping for every cell: correlate streamed
-    /// admissions with their users, re-route bounced admissions, stamp
-    /// provenance on fresh outcomes, and trigger result forwards.
-    fn harvest(&mut self, end: SimTime, draining: bool) {
-        for i in 0..self.cells.len() {
-            let delivered = self.cells[i].window.take_delivered();
-            let log = self.cells[i].rt.take_admission_log();
-            debug_assert_eq!(
-                delivered.len(),
-                log.len(),
-                "admission log out of sync with routed arrivals"
-            );
-            for ((user, tag), handle) in delivered.into_iter().zip(log) {
-                if let Some(h) = handle {
-                    if let Some(tag) = tag {
-                        self.cells[i].annotations.insert(h.id(), tag);
-                    }
-                    self.inflight.entry(user).or_default().push((i, h));
-                }
+    /// Post-step bookkeeping for cell `i`: correlate streamed admissions
+    /// with their users, re-route bounced admissions, stamp provenance on
+    /// fresh outcomes, and trigger result forwards.
+    fn harvest(&mut self, i: usize, end: SimTime, draining: bool) {
+        let delivered = self.cells[i].window.take_delivered();
+        let log = self.cells[i].rt.take_admission_log();
+        debug_assert_eq!(
+            delivered.len(),
+            log.len(),
+            "admission log out of sync with routed arrivals"
+        );
+        for ((user, provenance), handle) in delivered.into_iter().zip(log) {
+            if let Some(h) = handle {
+                self.track(i, h, user, provenance);
             }
+        }
 
-            let bounced = self.cells[i].window.take_bounced();
-            for (mut arrival, user) in bounced {
-                if self.cfg.redirect && !draining {
-                    if let Some(t) = self.absorption_target(i, end) {
-                        arrival.at = end;
-                        self.stats.bounced_redirected += 1;
-                        let tag = Provenance {
-                            origin_cell: Some(i as u32),
-                            served_cell: Some(t.0),
-                            handoff: Some(CrossCellHandoff::Absorbed),
-                        };
-                        self.cells[t.0 as usize]
-                            .window
-                            .push(arrival, user, Some(tag));
-                        continue;
-                    }
-                }
+        for (mut arrival, user) in self.cells[i].window.take_bounced() {
+            arrival.at = end;
+            if self.cfg.redirect && !draining && self.absorb(arrival, user, i).is_ok() {
+                self.stats.bounced_redirected += 1;
+            } else {
                 self.stats.bounced_dropped += 1;
             }
-
-            let total = self.cells[i].rt.outcomes().len();
-            for k in self.cells[i].outcomes_seen..total {
-                let id = self.cells[i].rt.outcomes()[k].id;
-                if let Some(p) = self.cells[i].annotations.remove(&id) {
-                    if let Ok(resp) = self.cells[i].rt.outcomes_mut()[k].response.as_mut() {
-                        resp.provenance = p;
-                    }
-                }
-                let Some(fwd) = self.cells[i].forwards.remove(&id) else {
-                    continue;
-                };
-                if let Ok(resp) = self.cells[i].rt.outcomes_mut()[k].response.as_mut() {
-                    resp.provenance = Provenance {
-                        origin_cell: Some(i as u32),
-                        served_cell: Some(i as u32),
-                        handoff: Some(CrossCellHandoff::ForwardedHome),
-                    };
-                }
-                self.handoffs[i].advance(fwd.handoff, HandoffPhase::InProgress, end, None, false);
-                let cur = self
-                    .current_cell
-                    .get(&fwd.user)
-                    .copied()
-                    .unwrap_or(CellId(i as u32));
-                if cur.0 as usize == i {
-                    // The user came back before the answer landed:
-                    // delivery is local.
-                    self.handoffs[i].advance(
-                        fwd.handoff,
-                        HandoffPhase::Completed,
-                        end,
-                        Some(0.0),
-                        false,
-                    );
-                    self.stats.forwards_completed += 1;
-                    self.stats.forward_latencies_s.push(0.0);
-                } else {
-                    self.bus.send(Envelope::binary(
-                        self.cells[i].agent,
-                        self.cells[cur.0 as usize].agent,
-                        &format!("handoff/forward/{}", fwd.handoff.0),
-                        vec![0u8; self.cfg.payload_bytes],
-                    ));
-                    self.forwarding
-                        .insert(fwd.handoff, ForwardInFlight { from: i });
-                }
-            }
-            self.cells[i].outcomes_seen = total;
         }
+
+        let total = self.cells[i].rt.outcomes().len();
+        for k in self.cells[i].outcomes_seen..total {
+            let id = self.cells[i].rt.outcomes()[k].id;
+            let Some(tag) = self.cells[i].tags.remove(&id) else {
+                continue;
+            };
+            // Answered: no longer the roamer's to carry around.
+            let mut user_at = i;
+            if let Some(r) = self.roamer_of(tag.user) {
+                let roamer = &mut self.roamers[r];
+                roamer.open.retain(|&(c, h)| (c, h.id()) != (i, id));
+                user_at = roamer.cell.0 as usize;
+            }
+            let forwarded = tag
+                .forward
+                .map(|_| cross_cell(i, i, CrossCellHandoff::ForwardedHome));
+            let response = self.cells[i].rt.outcomes_mut()[k].response.as_mut();
+            if let (Some(stamp), Ok(resp)) = (forwarded.or(tag.provenance), response) {
+                resp.provenance = stamp;
+            }
+            let Some(handoff) = tag.forward else {
+                continue;
+            };
+            self.handoffs[i].advance(handoff, HandoffPhase::InProgress, end, None, false);
+            if user_at == i {
+                // The user is back here before the answer: delivery is local.
+                self.handoffs[i].advance(handoff, HandoffPhase::Completed, end, Some(0.0), false);
+                self.stats.forwards_completed += 1;
+                self.stats.forward_latencies_s.push(0.0);
+            } else {
+                self.ship(handoff, i, user_at, Cargo::Answer);
+            }
+        }
+        self.cells[i].outcomes_seen = total;
     }
 
     /// Run the bus to quiescence and apply every delivery. Envelopes still
@@ -839,51 +841,48 @@ impl Federation {
                 })
                 .unwrap_or_default();
             for (arrived, env) in inbox {
-                // The bus clock idles between windows, so only the
-                // *duration* in transit is meaningful.
-                let transport_s = arrived.since(env.sent_at).as_secs_f64();
-                if let Some(id) = env
+                let id = env
                     .content_type
-                    .strip_prefix("handoff/migrate/")
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    self.apply_migration(HandoffId(id), i, transport_s, end);
-                } else if let Some(id) = env
-                    .content_type
-                    .strip_prefix("handoff/forward/")
-                    .and_then(|s| s.parse::<u64>().ok())
-                {
-                    self.apply_forward(HandoffId(id), i, transport_s, end);
+                    .strip_prefix("handoff/")
+                    .and_then(|s| s.parse::<u64>().ok());
+                if let Some(id) = id {
+                    // The bus clock idles between windows, so only the
+                    // *duration* in transit is meaningful.
+                    let transport_s = arrived.since(env.sent_at).as_secs_f64();
+                    self.deliver(HandoffId(id), i, transport_s, end);
                 }
             }
         }
-        let lost = self.migrating.len() as u64;
-        if lost > 0 {
-            self.stats.migrations_lost += lost;
-            self.migrating.clear();
-        }
-        let lost = self.forwarding.len() as u64;
-        if lost > 0 {
-            self.stats.forwards_lost += lost;
-            self.forwarding.clear();
+        for lost in std::mem::take(&mut self.in_transit).into_values() {
+            match lost.cargo {
+                Cargo::Query { .. } => self.stats.migrations_lost += 1,
+                Cargo::Answer => self.stats.forwards_lost += 1,
+            }
         }
     }
 
-    /// A migrating query arrived at cell `dest`: re-plan (through the
-    /// destination's cache — warm if the predictor got there first) and
-    /// re-admit under the destination's own watermarks.
-    fn apply_migration(&mut self, id: HandoffId, dest: usize, transport_s: f64, end: SimTime) {
-        let Some(m) = self.migrating.remove(&id) else {
+    /// Handoff `id`'s envelope arrived at cell `dest`. An answer is home.
+    /// A migrating query is re-planned (through the destination's cache —
+    /// warm if the predictor got there first) and re-admitted under the
+    /// destination's own watermarks.
+    fn deliver(&mut self, id: HandoffId, dest: usize, transport_s: f64, end: SimTime) {
+        let Some(InTransit { from, to, cargo }) = self.in_transit.remove(&id) else {
             return;
         };
-        debug_assert_eq!(m.to, dest, "migration delivered to the wrong cell");
+        debug_assert_eq!(to, dest, "handoff delivered to the wrong cell");
         // The envelope itself carries the record to the destination; the
         // rest of the federation learns by gossip.
-        if let Some(rec) = self.handoffs[m.from].get(id).cloned() {
+        if let Some(rec) = self.handoffs[from].get(id).cloned() {
             self.handoffs[dest].merge(&[rec]);
         }
-        let task = self.task_of(m.user);
-        let costs = self.cfg.compose;
+        let Cargo::Query { query, user } = cargo else {
+            self.handoffs[dest].advance(id, HandoffPhase::Completed, end, Some(transport_s), false);
+            self.stats.forwards_completed += 1;
+            self.stats.forward_latencies_s.push(transport_s);
+            return;
+        };
+        let task = self.task_of(user);
+        let costs = ComposeCosts::default();
         let (warm, setup_s) = match self.cells[dest].cache.request(&task, end, &costs) {
             Ok((_, CacheResult::Hit, d)) => (true, d.as_secs_f64()),
             Ok((_, CacheResult::Miss, d)) => (false, d.as_secs_f64()),
@@ -894,19 +893,12 @@ impl Federation {
         };
         self.handoffs[dest].advance(id, HandoffPhase::InProgress, end, None, warm);
         let latency = transport_s + setup_s;
-        let verdict = self.cells[dest].rt.admit_migrated(m.query);
+        let verdict = self.cells[dest].rt.admit_migrated(query);
         self.handoffs[dest].advance(id, HandoffPhase::Completed, end, Some(latency), warm);
         match verdict.handle() {
             Some(h) => {
-                self.cells[dest].annotations.insert(
-                    h.id(),
-                    Provenance {
-                        origin_cell: Some(m.from as u32),
-                        served_cell: Some(dest as u32),
-                        handoff: Some(CrossCellHandoff::Migrated),
-                    },
-                );
-                self.inflight.entry(m.user).or_default().push((dest, h));
+                let stamp = cross_cell(from, dest, CrossCellHandoff::Migrated);
+                self.track(dest, h, user, Some(stamp));
                 self.stats.migrations_completed += 1;
                 if warm {
                     self.stats.warm_handoff_latencies_s.push(latency);
@@ -921,29 +913,35 @@ impl Federation {
         }
     }
 
-    /// A forwarded result arrived at the user's new cell.
-    fn apply_forward(&mut self, id: HandoffId, dest: usize, transport_s: f64, end: SimTime) {
-        let Some(f) = self.forwarding.remove(&id) else {
-            return;
-        };
-        if let Some(rec) = self.handoffs[f.from].get(id).cloned() {
-            self.handoffs[dest].merge(&[rec]);
-        }
-        self.handoffs[dest].advance(id, HandoffPhase::Completed, end, Some(transport_s), false);
-        self.stats.forwards_completed += 1;
-        self.stats.forward_latencies_s.push(transport_s);
-    }
-
     /// Everything offered has been admitted (or accounted) and every
     /// queue, window, and in-transit handoff is empty.
     fn is_drained(&self) -> bool {
-        self.offered_idx >= self.offered.len()
-            && self.migrating.is_empty()
-            && self.forwarding.is_empty()
+        self.offered.is_empty()
+            && self.in_transit.is_empty()
             && self
                 .cells
                 .iter()
                 .all(|c| c.rt.queue_depth() == 0 && c.window.pending() == 0)
+    }
+
+    /// The run has drained: with every queue empty, a query still on the
+    /// books can no longer complete — except in a crash-stopped cell with
+    /// a journal, whose lost queries come back at the restart edge.
+    /// Everywhere else, let go of the handles and tags, counting each
+    /// forward that will now carry nothing.
+    fn release_dead(&mut self) {
+        let (journal, crashed) = (self.cfg.journal, &self.crashed);
+        for roamer in &mut self.roamers {
+            roamer.open.retain(|&(c, _)| journal && crashed[c]);
+        }
+        for (i, cell) in self.cells.iter_mut().enumerate() {
+            if journal && crashed[i] {
+                continue;
+            }
+            let dead = std::mem::take(&mut cell.tags);
+            let owed = dead.values().filter(|t| t.forward.is_some()).count();
+            self.stats.forwards_abandoned += owed as u64;
+        }
     }
 }
 
@@ -1176,6 +1174,227 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_handoff_ends_in_exactly_one_counter() {
+        // Six cells offered their full capacity under the shed policy,
+        // through a bipartition and then a crash-stopped cell: queries
+        // are shed after their user left them a forward, and those
+        // forwards have to be accounted for too.
+        let t = 3_600;
+        let mut abandoned = 0;
+        for seed in 1..=5u64 {
+            let cfg = FederationConfig {
+                seed,
+                cell_faults: FaultPlan::builder(seed ^ 0x7A21)
+                    .cell_partition(
+                        &[0, 1, 2],
+                        SimTime::from_secs(t / 4),
+                        SimTime::from_secs(t / 2),
+                    )
+                    .cell_crash(1, SimTime::from_secs(t / 2), SimTime::from_secs(2 * t / 3))
+                    .build()
+                    .unwrap(),
+                journal: true,
+                ..FederationConfig::default()
+            };
+            let mut fed = small_federation(seed, 6, cfg);
+            offer_poisson(&mut fed, seed, 6.0 * 2.0 / 30.0, t);
+            fed.run(SimTime::from_secs(t));
+            let s = &fed.stats;
+            assert_eq!(
+                s.forwards_opened,
+                s.forwards_completed + s.forwards_lost + s.forwards_abandoned,
+                "seed {seed}: forwards unaccounted for"
+            );
+            assert_eq!(
+                s.migrations_opened,
+                s.migrations_completed + s.migrations_rejected + s.migrations_lost,
+                "seed {seed}: migrations unaccounted for"
+            );
+            // Drained, every cell up again: nothing is left on the books.
+            assert!(fed.cells().iter().all(|c| c.tags.is_empty()));
+            assert!(fed.roamers.iter().all(|r| r.open.is_empty()));
+            assert!(fed.in_transit.is_empty());
+            abandoned += s.forwards_abandoned;
+        }
+        assert!(abandoned > 0, "no forward was ever abandoned — vacuous");
+    }
+
+    /// Three cells and one traced user, user 0, who starts in cell 0,
+    /// offers one patient query at t=10 and follows `moves` (`(at_s,
+    /// to)`). Stationary user 9 (9 % 3 = cell 0) offers an opener at t=5
+    /// — anchoring cell 0's rounds at t=5, 35, 65, … — and then one
+    /// impatient query at each of `rivals_s`, which EDF serves first.
+    fn left_behind(cfg: FederationConfig, moves: &[(u64, u32)], rivals_s: &[u64]) -> Federation {
+        let moves = (moves.iter())
+            .map(|&(at_s, to)| crate::roaming::Move {
+                at: SimTime::from_secs(at_s),
+                to: CellId(to),
+            })
+            .collect();
+        let trace = Trace {
+            user: 0,
+            start: CellId(0),
+            moves,
+        };
+        let runtimes = (1..=3).map(cell_runtime).collect();
+        let mut fed = Federation::new(cfg, runtimes, vec![trace]);
+        let rivals = rivals_s.iter().map(|&at_s| (at_s, 9, 60));
+        for (at_s, user, deadline_s) in [(5, 9, 600), (10, 0, 2_400)].into_iter().chain(rivals) {
+            fed.offer(
+                SimTime::from_secs(at_s),
+                user,
+                "SELECT AVG(temp) FROM sensors",
+                QueryOpts::with_deadline(Duration::from_secs(deadline_s)),
+            );
+        }
+        fed
+    }
+
+    fn forwarded_home(fed: &Federation) -> usize {
+        (fed.cells.iter().flat_map(|c| c.rt.outcomes()))
+            .filter_map(|o| o.response.as_ref().ok())
+            .filter(|r| r.provenance.handoff == Some(CrossCellHandoff::ForwardedHome))
+            .count()
+    }
+
+    #[test]
+    fn a_second_move_supersedes_the_forward_or_migrates_the_query_after_all() {
+        // The user leaves at t=31 with the query at the head of cell 0's
+        // queue: it stays, owed a forward. Rivals at t=32 and 33 take the
+        // round at t=35, so the query is still queued when the user moves
+        // again at t=61.
+        //
+        // Rivals at t=62 and 63 arrive after that move: the query is
+        // still at the head, gets a second forward, and the first one
+        // will never carry anything.
+        let mut fed = left_behind(
+            FederationConfig::default(),
+            &[(31, 1), (61, 2)],
+            &[32, 33, 62, 63],
+        );
+        fed.run(SimTime::from_secs(300));
+        let s = &fed.stats;
+        assert_eq!(
+            (
+                s.forwards_opened,
+                s.forwards_completed,
+                s.forwards_abandoned
+            ),
+            (2, 1, 1),
+            "{s:?}"
+        );
+        assert_eq!(forwarded_home(&fed), 1);
+
+        // Rivals at t=40 and 41 are already queued ahead of it at that
+        // move: now deep in the queue, the query migrates, and the
+        // forward it was owed is void.
+        let mut fed = left_behind(
+            FederationConfig::default(),
+            &[(31, 1), (61, 2)],
+            &[32, 33, 40, 41],
+        );
+        fed.run(SimTime::from_secs(300));
+        let s = &fed.stats;
+        assert_eq!(
+            (
+                s.forwards_opened,
+                s.forwards_completed,
+                s.forwards_abandoned
+            ),
+            (1, 0, 1),
+            "{s:?}"
+        );
+        assert_eq!((s.migrations_opened, s.migrations_completed), (1, 1));
+        assert_eq!(forwarded_home(&fed), 0);
+        assert!(fed.cells.iter().all(|c| c.tags.is_empty()));
+    }
+
+    #[test]
+    fn a_drain_keeps_the_books_of_a_crashed_cell_that_has_a_journal() {
+        // As above up to the round at t=35, but cell 0 crash-stops at
+        // t=60 with the left-behind query still queued. The run to t=120
+        // drains while the cell is down; the journal brings the query
+        // back at t=300 and the forward it was owed must still fire.
+        let cfg = FederationConfig {
+            cell_faults: FaultPlan::builder(1)
+                .cell_crash(0, SimTime::from_secs(60), SimTime::from_secs(300))
+                .build()
+                .unwrap(),
+            journal: true,
+            ..FederationConfig::default()
+        };
+        let mut fed = left_behind(cfg.clone(), &[(31, 1)], &[32, 33]);
+        fed.run(SimTime::from_secs(120));
+        assert_eq!(
+            fed.stats.crash_lost, 1,
+            "the query was not queued at the crash"
+        );
+        assert_eq!(fed.stats.forwards_opened, 1);
+        assert_eq!(
+            fed.cells[0].tags.len(),
+            1,
+            "the drain dropped a revivable query's tag"
+        );
+        fed.run(SimTime::from_secs(600));
+        let s = &fed.stats;
+        assert_eq!(s.journal_recovered, 1);
+        assert_eq!(
+            (s.forwards_completed, s.forwards_abandoned),
+            (1, 0),
+            "{s:?}"
+        );
+        assert_eq!(forwarded_home(&fed), 1);
+        assert!(fed.cells[0].tags.is_empty());
+
+        // The same when the user only leaves at t=305, after the restart:
+        // their handle on the lost query has to outlive the drain too, or
+        // the revived query is left behind with no forward at all.
+        let mut fed = left_behind(cfg, &[(305, 1)], &[32, 33]);
+        fed.run(SimTime::from_secs(120));
+        assert_eq!((fed.stats.crash_lost, fed.stats.forwards_opened), (1, 0));
+        assert_eq!(
+            fed.roamers[0].open.len(),
+            1,
+            "the drain dropped a revivable handle"
+        );
+        fed.run(SimTime::from_secs(600));
+        let s = &fed.stats;
+        assert_eq!((s.forwards_opened, s.forwards_completed), (1, 1), "{s:?}");
+        assert_eq!(forwarded_home(&fed), 1);
+    }
+
+    #[test]
+    fn a_roamer_holds_only_the_queries_still_in_flight() {
+        // A traced user who never moves: nothing ever prunes their list
+        // but the harvest of each answer.
+        let runtimes = vec![cell_runtime(3), cell_runtime(4)];
+        let traces = vec![Trace {
+            user: 0,
+            start: CellId(0),
+            moves: vec![],
+        }];
+        let mut fed = Federation::new(FederationConfig::default(), runtimes, traces);
+        for k in 0..300 {
+            fed.offer(
+                SimTime::from_secs(20 * k),
+                0,
+                "SELECT AVG(temp) FROM sensors",
+                QueryOpts::with_deadline(Duration::from_secs(120)),
+            );
+        }
+        let mut peak = 0;
+        while !fed.step_window(SimTime::from_secs(6_000)) {
+            let open = fed.roamers[0].open.len();
+            assert_eq!(open, fed.cells[0].rt.queue_depth(), "at {}", fed.now());
+            assert_eq!(open, fed.cells[0].tags.len(), "at {}", fed.now());
+            peak = peak.max(open);
+        }
+        assert!(peak > 0, "nothing was ever in flight — vacuous");
+        assert!(peak <= fed.cells[0].rt.config().capacity);
+        assert_eq!(fed.goodput().0, 300);
     }
 
     #[test]

@@ -103,7 +103,6 @@ proptest! {
             .map(|u| Trace { user: u, start: CellId(0), moves: vec![] })
             .collect();
         let fcfg = FederationConfig {
-            window: Duration::from_secs(EPOCH_S),
             redirect: false,
             ..FederationConfig::default()
         };

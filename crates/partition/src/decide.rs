@@ -25,10 +25,9 @@
 use crate::estimate::estimate;
 use crate::exec::{execute_once, ExecContext};
 use crate::features::QueryFeatures;
-use crate::knn::MAX_K;
 use crate::learn::{
     bandit_candidates, BanditConfig, CandidateArm, KnnLearner, LearnContext, Learner,
-    LinUcbLearner, NetHealth, Reward, RewardWeights, TreeModeBandit,
+    LinUcbLearner, NetHealth, Reward, TreeModeBandit,
 };
 use crate::model::{within_bounds, CostVector, CostWeights, SolutionModel};
 use pg_grid::sched::GridCluster;
@@ -56,6 +55,9 @@ pub enum Policy {
     Bandit,
 }
 
+/// Neighbourhood size of the adaptive policy's k-NN case memory.
+const KNN_K: usize = 5;
+
 /// Why no model could be chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoFeasibleModel;
@@ -68,9 +70,7 @@ pub struct DecisionConfig {
     epsilon: f64,
     blend: bool,
     safe_explore: bool,
-    knn_k: usize,
     calibration_cap: usize,
-    reward: RewardWeights,
     bandit: BanditConfig,
 }
 
@@ -81,9 +81,7 @@ impl Default for DecisionConfig {
             epsilon: 0.1,
             blend: true,
             safe_explore: true,
-            knn_k: 5,
             calibration_cap: 1024,
-            reward: RewardWeights::default(),
             bandit: BanditConfig::default(),
         }
     }
@@ -117,22 +115,12 @@ impl DecisionConfig {
         self.safe_explore
     }
 
-    /// k-NN neighbourhood size.
-    pub fn knn_k(&self) -> usize {
-        self.knn_k
-    }
-
     /// Capacity of the calibration ring.
     pub fn calibration_cap(&self) -> usize {
         self.calibration_cap
     }
 
-    /// Composite-reward blend for the bandit.
-    pub fn reward(&self) -> RewardWeights {
-        self.reward
-    }
-
-    /// Bandit hyper-parameters.
+    /// Bandit hyper-parameters, the composite-reward blend among them.
     pub fn bandit(&self) -> BanditConfig {
         self.bandit
     }
@@ -146,12 +134,6 @@ pub struct DecisionConfigBuilder {
 }
 
 impl DecisionConfigBuilder {
-    /// Scalarization weights for comparing cost vectors.
-    pub fn weights(mut self, weights: CostWeights) -> Self {
-        self.cfg.weights = weights;
-        self
-    }
-
     /// ε-greedy exploration rate for the adaptive (k-NN) policy.
     pub fn epsilon(mut self, epsilon: f64) -> Self {
         self.cfg.epsilon = epsilon;
@@ -173,12 +155,6 @@ impl DecisionConfigBuilder {
         self
     }
 
-    /// k-NN neighbourhood size, clamped to `1..=`[`MAX_K`].
-    pub fn knn_k(mut self, k: usize) -> Self {
-        self.cfg.knn_k = k.clamp(1, MAX_K);
-        self
-    }
-
     /// Capacity of the `(predicted, actual)` calibration ring — long
     /// streaming runs keep a bounded window instead of growing per query.
     pub fn calibration_cap(mut self, cap: usize) -> Self {
@@ -186,13 +162,8 @@ impl DecisionConfigBuilder {
         self
     }
 
-    /// Composite-reward blend for the bandit policy.
-    pub fn reward(mut self, reward: RewardWeights) -> Self {
-        self.cfg.reward = reward;
-        self
-    }
-
-    /// Bandit hyper-parameters (α optimism, γ discount).
+    /// Bandit hyper-parameters (α optimism, γ discount, and the
+    /// composite-reward blend the bandit learns from).
     pub fn bandit(mut self, bandit: BanditConfig) -> Self {
         self.cfg.bandit = bandit;
         self
@@ -278,7 +249,7 @@ impl DecisionMaker {
         let learner: Box<dyn Learner> = match policy {
             Policy::Bandit => Box::new(LinUcbLearner::new(cfg.bandit, cfg.weights, seed)),
             _ => Box::new(KnnLearner::new(
-                cfg.knn_k,
+                KNN_K,
                 cfg.epsilon,
                 cfg.blend,
                 cfg.safe_explore,
@@ -601,6 +572,7 @@ pub fn oracle_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::learn::RewardWeights;
     use pg_net::energy::RadioModel;
     use pg_net::geom::Point;
     use pg_net::link::LinkModel;
@@ -859,6 +831,53 @@ mod tests {
             dm.record(&net, &grid, f, m, cost_of(&m));
         }
         assert!(tree_picks >= 8, "bandit must exploit: {tree_picks}/10");
+    }
+
+    #[test]
+    fn the_reward_blend_in_the_bandit_config_reaches_the_learner() {
+        let (mut net, grid, field, regions) = world();
+        let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
+        let f = features(&mut net, &grid, &field, &regions, &q);
+        // The tree is much the cheapest arm and always late; every other
+        // arm is dearer and on time. How often is the tree picked over
+        // the last 20 of 80 decisions, given what a deadline miss weighs?
+        let late_picks = |deadline: f64| {
+            let reward = RewardWeights {
+                deadline,
+                ..RewardWeights::default()
+            };
+            let cfg = DecisionConfig::builder()
+                .bandit(BanditConfig {
+                    reward,
+                    ..BanditConfig::default()
+                })
+                .build();
+            let mut dm = DecisionMaker::with_config(Policy::Bandit, 6, cfg);
+            let mut picks = 0;
+            for i in 0..80 {
+                let m = dm.choose(&net, &grid, &q, &f).unwrap();
+                let tree = m.family() == 0;
+                let cost = CostVector {
+                    energy_j: if tree { 0.005 } else { 0.3 },
+                    time_s: 0.1,
+                    bytes: 100.0,
+                    ops: 100.0,
+                };
+                let outcome = Reward {
+                    deadline_missed: tree,
+                    ..Reward::from_cost(cost)
+                };
+                dm.observe(&net, &grid, f, m, outcome);
+                picks += usize::from(i >= 60 && tree);
+            }
+            picks
+        };
+        let (ignored, default) = (late_picks(0.0), late_picks(1.0));
+        assert!(ignored >= 16, "misses weigh nothing, yet {ignored}/20 tree");
+        assert!(
+            default <= 4,
+            "misses weigh as much as cost, yet {default}/20 tree"
+        );
     }
 
     #[test]

@@ -3,10 +3,13 @@
 # a Markdown table (CI appends it to the job summary) of physical `.rs` lines
 # under each crates/*, each vendor/*, src, tests and examples, in two
 # columns with a total each. "evidence" is what only checks or times the
-# code — a crate's tests/ and benches/ directories and the root tests/ —
-# and "source" is everything else, so a PR that shrinks the code while
-# adding goldens shows as exactly that. (`#[cfg(test)]` modules inside a
-# source file count as source: telling them apart needs a parser.)
+# code — a crate's tests/ and benches/ directories, the root tests/, and
+# inside a crate's src/ every `oracle.rs` plus the tail of any file from
+# its first column-0 `#[cfg(test)]` that opens an inline `mod … {` (a
+# `#[cfg(test)] mod oracle;` has no brace and does not count; no file in
+# the tree has shipped code after that line) — and "source" is everything
+# else, so a PR that shrinks the code while adding tests, in their own
+# files or in the file they test, shows as exactly that.
 # Build outputs are not counted.
 #
 # Usage: scripts/loc.sh
@@ -23,6 +26,26 @@ count() {
     find "${dirs[@]}" -name target -prune -o -type f -name '*.rs' -print0 | xargs -0 -r cat | wc -l
 }
 
+# Lines of in-file evidence under the given directory, by the rule above.
+inline_evidence() {
+    [[ -d "$1" ]] || { echo 0; return; }
+    find "$1" -type f -name '*.rs' -print0 | xargs -0 -r awk '
+        function close_file() {
+            if (whole) total += len
+            else if (start) total += len - start + 1
+            start = 0; pending = 0
+        }
+        FNR == 1 { close_file(); whole = FILENAME ~ /(^|\/)oracle\.rs$/ }
+        { len = FNR }
+        start || whole { next }
+        /^#\[cfg\(test\)\]/ { pending = FNR; next }
+        pending && /^#\[/ { next }
+        pending && /^(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+ \{/ { start = pending }
+        { pending = 0 }
+        END { close_file(); print total + 0 }
+    ' | awk '{ sum += $1 } END { print sum + 0 }'
+}
+
 echo "| path | source | evidence |"
 echo "|---|---:|---:|"
 source_total=0
@@ -33,7 +56,9 @@ for dir in crates/* vendor/* src tests examples; do
         evidence=$(count "$dir")
         source=0
     else
-        evidence=$(count "$dir/tests" "$dir/benches")
+        src="$dir/src"
+        [[ "$dir" == src ]] && src=src
+        evidence=$(($(count "$dir/tests" "$dir/benches") + $(inline_evidence "$src")))
         source=$(($(count "$dir") - evidence))
     fi
     source_total=$((source_total + source))
