@@ -8,79 +8,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, standard_world, Experiment};
-use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
-use pg_partition::features::QueryFeatures;
-use pg_partition::model::CostWeights;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pg_bench::{run_mixed_stream, Cell, Experiment};
+use pg_partition::decide::{DecisionConfig, Policy};
 use std::process::ExitCode;
 
 const N: usize = 100;
-
-fn stream(seed: u64, len: usize) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| match rng.gen_range(0..10) {
-            0..=3 => "SELECT AVG(temp) FROM sensors".to_string(),
-            4..=5 => format!(
-                "SELECT temp FROM sensors WHERE sensor_id = {}",
-                rng.gen_range(1..N as u32)
-            ),
-            6..=7 => "SELECT MAX(temp) FROM sensors WHERE region(room210)".to_string(),
-            _ => "SELECT temperature_distribution() FROM sensors WHERE region(room210)".to_string(),
-        })
-        .collect()
-}
-
-fn run(blend: bool, safe: bool, epsilon: f64, seed: u64, len: usize) -> f64 {
-    let weights = CostWeights::default();
-    let mut w = standard_world(N, seed);
-    let mut dm = DecisionMaker::with_config(
-        Policy::Adaptive,
-        seed,
-        DecisionConfig::builder()
-            .blend(blend)
-            .safe_explore(safe)
-            .epsilon(epsilon)
-            .build(),
-    );
-    let mut total = 0.0;
-    for (i, text) in stream(seed, len).iter().enumerate() {
-        let query = pg_query::parse(text).expect("valid query");
-        let features = {
-            let ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
-            match QueryFeatures::extract(&ctx, &query) {
-                Some(f) => f,
-                None => continue,
-            }
-        };
-        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
-            continue;
-        };
-        let mut ctx = ExecContext {
-            net: &mut w.net,
-            grid: &w.grid,
-            field: &w.field,
-            regions: &w.regions,
-            now: w.now,
-        };
-        let mut rng = StdRng::seed_from_u64(i as u64);
-        let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) else {
-            continue;
-        };
-        total += weights.scalar(&out.cost);
-        dm.record(&w.net, &w.grid, features, model, out.cost);
-    }
-    total
-}
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_a1_ablation");
@@ -89,40 +21,51 @@ fn main() -> ExitCode {
     exp.set_meta("stream_len", stream_len.to_string());
     exp.set_meta("seeds", seeds.to_string());
     println!("A1: decision-maker ablation on a {stream_len}-query stream ({N} sensors)");
-    header(
-        &format!("mean total scalar cost over {seeds} seeds"),
-        &[("variant", 38), ("total cost", 11), ("vs full", 9)],
-    );
+    exp.table(&format!("mean total scalar cost over {seeds} seeds"));
     let mean = |blend, safe, eps| {
+        let config = DecisionConfig::builder()
+            .blend(blend)
+            .safe_explore(safe)
+            .epsilon(eps)
+            .build();
         (0..seeds)
-            .map(|s| run(blend, safe, eps, 11 + s, stream_len))
+            .map(|s| run_mixed_stream(Policy::Adaptive, config, N, 11 + s, stream_len, 0).0)
             .sum::<f64>()
             / seeds as f64
     };
     let full = mean(true, true, 0.1);
     let rows = [
         ("full", "full (blend + safe eps-greedy)", full),
-        ("no_blend", "no estimator blending (pure k-NN)", {
-            mean(false, true, 0.1)
-        }),
-        ("no_safe", "no safe exploration (uniform eps)", {
-            mean(true, false, 0.1)
-        }),
+        (
+            "no_blend",
+            "no estimator blending (pure k-NN)",
+            mean(false, true, 0.1),
+        ),
+        (
+            "no_safe",
+            "no safe exploration (uniform eps)",
+            mean(true, false, 0.1),
+        ),
         ("neither", "neither", mean(false, false, 0.1)),
-        ("eps0", "no exploration at all (eps = 0)", {
-            mean(true, true, 0.0)
-        }),
-        ("eps0.5", "heavy exploration (eps = 0.5)", {
-            mean(true, true, 0.5)
-        }),
+        (
+            "eps0",
+            "no exploration at all (eps = 0)",
+            mean(true, true, 0.0),
+        ),
+        (
+            "eps0.5",
+            "heavy exploration (eps = 0.5)",
+            mean(true, true, 0.5),
+        ),
     ];
     for (key, name, cost) in rows {
-        exp.set_scalar(format!("{key}.total_cost"), cost);
-        exp.set_scalar(format!("{key}.vs_full"), (cost - full) / full);
-        println!(
-            "{name:>38}  {:>11}  {:>9}",
-            fmt(cost),
-            format!("{:+.0}%", 100.0 * (cost - full) / full)
+        exp.row(
+            key,
+            &[
+                Cell::text("variant", 38, name),
+                Cell::eng("total cost", 11, cost).key("total_cost"),
+                Cell::percent("vs full", 9, 0, (cost - full) / full).key("vs_full"),
+            ],
         );
     }
     println!(

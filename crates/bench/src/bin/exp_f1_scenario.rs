@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{header, key_part, Experiment};
+use pg_bench::{key_part, Cell, Experiment, Value};
 use pg_core::FireScenario;
 use std::process::ExitCode;
 
@@ -47,35 +47,19 @@ fn main() -> ExitCode {
         report.composition.latency.as_secs_f64(),
     );
     exp.set_counter("composition.rebinds", report.composition.rebinds as u64);
-    header(
-        "query phase (the four §4 archetypes)",
-        &[
-            ("query kind", 11),
-            ("model chosen", 22),
-            ("value", 9),
-            ("energy J", 10),
-            ("time s", 9),
-            ("delivery", 8),
-        ],
-    );
+    exp.table("query phase (the four §4 archetypes)");
     for (_, resp) in &report.queries {
         let r = resp.as_ref().expect("scenario queries answered");
-        let cell = key_part(r.kind.name());
-        exp.set_meta(format!("{cell}.model"), r.model.name());
-        exp.set_scalar(format!("{cell}.energy_j"), r.cost.energy_j);
-        exp.set_scalar(format!("{cell}.time_s"), r.cost.time_s);
-        exp.set_scalar(format!("{cell}.delivered_frac"), r.delivered_frac);
-        if let Some(v) = r.value {
-            exp.set_scalar(format!("{cell}.value"), v);
-        }
-        println!(
-            "{:>11}  {:>22}  {:>9}  {:>10}  {:>9}  {:>8}",
-            r.kind.name(),
-            r.model.name(),
-            r.value.map_or("-".into(), |v| format!("{v:.1}")),
-            pg_bench::fmt(r.cost.energy_j),
-            pg_bench::fmt(r.cost.time_s),
-            format!("{:.2}", r.delivered_frac),
+        exp.row(
+            &key_part(r.kind.name()),
+            &[
+                Cell::text("query kind", 11, r.kind.name()),
+                Cell::text("model chosen", 22, r.model.name()).key("model"),
+                Cell::fixed("value", 9, 1, r.value.map_or("-".into(), Value::from)).key("value"),
+                Cell::eng("energy J", 10, r.cost.energy_j).key("energy_j"),
+                Cell::eng("time s", 9, r.cost.time_s).key("time_s"),
+                Cell::fixed("delivery", 8, 2, r.delivered_frac).key("delivered_frac"),
+            ],
         );
     }
     println!(

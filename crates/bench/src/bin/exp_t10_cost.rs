@@ -9,9 +9,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{header, key_part, standard_world, Experiment};
+use pg_bench::{key_part, standard_world, Cell, Experiment};
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::exec::execute_once;
 use pg_partition::features::QueryFeatures;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -34,30 +34,14 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
         );
         let text = format!("SELECT AVG(temp) FROM sensors{clause}");
         let query = pg_query::parse(&text).expect("valid query");
-        let features = {
-            let ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
-            QueryFeatures::extract(&ctx, &query).expect("members")
-        };
+        let features = QueryFeatures::extract(&w.ctx(), &query).expect("members");
         // Warm the learner with three unbounded runs so its predictions are
         // grounded in actuals before the bounded decision.
         let warm = pg_query::parse("SELECT AVG(temp) FROM sensors").unwrap();
         for i in 0..3u64 {
             if let Ok(m) = dm.choose(&w.net, &w.grid, &warm, &features) {
-                let mut ctx = ExecContext {
-                    net: &mut w.net,
-                    grid: &w.grid,
-                    field: &w.field,
-                    regions: &w.regions,
-                    now: w.now,
-                };
                 let mut rng = StdRng::seed_from_u64(seed * 100 + i);
-                if let Ok(out) = execute_once(&mut ctx, &warm, m, &mut rng) {
+                if let Ok(out) = execute_once(&mut w.ctx(), &warm, m, &mut rng) {
                     dm.record(&w.net, &w.grid, features, m, out.cost);
                 }
             }
@@ -65,15 +49,8 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
         if let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) {
             accepted += 1;
             models.push(model.name());
-            let mut ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
             let mut rng = StdRng::seed_from_u64(seed);
-            if let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) {
+            if let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) {
                 energy += out.cost.energy_j;
                 time += out.cost.time_s;
             }
@@ -101,16 +78,7 @@ fn main() -> ExitCode {
     let reps: u64 = exp.scale(10, 3);
     exp.set_meta("reps", reps.to_string());
     println!("T10: COST-bounded aggregate query on a {N}-sensor network ({reps} seeds)");
-    header(
-        "acceptance and steering per bound",
-        &[
-            ("COST clause", 32),
-            ("accepted", 9),
-            ("modal model", 22),
-            ("energy J", 10),
-            ("time s", 9),
-        ],
-    );
+    exp.table("acceptance and steering per bound");
     for clause in [
         "",
         " COST energy 1.0",
@@ -133,14 +101,15 @@ fn main() -> ExitCode {
         } else {
             key_part(clause)
         };
-        exp.set_scalar(format!("{cell}.acceptance"), acc);
-        exp.set_scalar(format!("{cell}.energy_j"), e);
-        exp.set_scalar(format!("{cell}.time_s"), t);
-        exp.set_meta(format!("{cell}.modal_model"), modal.clone());
-        println!(
-            "{label:>32}  {acc:>9.2}  {modal:>22}  {:>10}  {:>9}",
-            pg_bench::fmt(e),
-            pg_bench::fmt(t),
+        exp.row(
+            &cell,
+            &[
+                Cell::text("COST clause", 32, label),
+                Cell::fixed("accepted", 9, 2, acc).key("acceptance"),
+                Cell::text("modal model", 22, modal).key("modal_model"),
+                Cell::eng("energy J", 10, e).key("energy_j"),
+                Cell::eng("time s", 9, t).key("time_s"),
+            ],
         );
     }
     println!(

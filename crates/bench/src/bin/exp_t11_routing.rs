@@ -9,7 +9,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, key_part, standard_world_with_loss, Experiment};
+use pg_bench::{key_part, standard_world_with_loss, sweep, Cell, Experiment};
 use pg_net::routing::Protocol;
 use pg_sensornet::aggregate::READING_WIRE_BYTES;
 use rand::rngs::StdRng;
@@ -27,17 +27,10 @@ fn main() -> ExitCode {
         READING_WIRE_BYTES
     );
     for &loss in losses {
-        header(
-            &format!("link loss {:.0}%  (mean of {reps} seeds)", loss * 100.0),
-            &[
-                ("n", 5),
-                ("protocol", 14),
-                ("coverage", 9),
-                ("tx", 8),
-                ("rx", 8),
-                ("energy J", 10),
-            ],
-        );
+        exp.table(&format!(
+            "link loss {:.0}%  (mean of {reps} seeds)",
+            loss * 100.0
+        ));
         for &n in sizes {
             for proto in [
                 Protocol::Flooding,
@@ -45,36 +38,28 @@ fn main() -> ExitCode {
                 Protocol::Gossip { p: 0.4 },
                 Protocol::Tree,
             ] {
-                let mut cov = pg_sim::metrics::Summary::new();
-                let mut tx = pg_sim::metrics::Summary::new();
-                let mut rx = pg_sim::metrics::Summary::new();
-                let mut en = pg_sim::metrics::Summary::new();
-                for seed in 0..reps {
+                let [cov, tx, rx, en] = sweep(reps, |seed| {
                     let w = standard_world_with_loss(n, seed, loss);
                     let mut rng = StdRng::seed_from_u64(seed ^ 0x77);
                     let d =
                         proto.disseminate(w.net.topology(), w.net.base(), w.net.link(), &mut rng);
-                    cov.record(d.coverage());
-                    tx.record(d.transmissions as f64);
-                    rx.record(d.receptions as f64);
-                    en.record(d.energy(
-                        READING_WIRE_BYTES,
-                        w.net.radio(),
-                        w.net.topology().range(),
-                    ));
-                }
-                let cell = format!("loss{loss}.n{n}.{}", key_part(&proto.name()));
-                exp.record_summary(format!("{cell}.coverage"), &cov);
-                exp.record_summary(format!("{cell}.tx"), &tx);
-                exp.record_summary(format!("{cell}.rx"), &rx);
-                exp.record_summary(format!("{cell}.energy_j"), &en);
-                println!(
-                    "{n:>5}  {:>14}  {:>9}  {:>8}  {:>8}  {:>10}",
-                    proto.name(),
-                    format!("{:.3}", cov.mean()),
-                    fmt(tx.mean()),
-                    fmt(rx.mean()),
-                    fmt(en.mean()),
+                    [
+                        d.coverage(),
+                        d.transmissions as f64,
+                        d.receptions as f64,
+                        d.energy(READING_WIRE_BYTES, w.net.radio(), w.net.topology().range()),
+                    ]
+                });
+                exp.row(
+                    &format!("loss{loss}.n{n}.{}", key_part(&proto.name())),
+                    &[
+                        Cell::int("n", 5, n),
+                        Cell::text("protocol", 14, proto.name()),
+                        Cell::fixed("coverage", 9, 3, cov).key("coverage"),
+                        Cell::eng("tx", 8, tx).key("tx"),
+                        Cell::eng("rx", 8, rx).key("rx"),
+                        Cell::eng("energy J", 10, en).key("energy_j"),
+                    ],
                 );
             }
             println!();

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{header, key_part, standard_world, Experiment};
+use pg_bench::{key_part, standard_world, sweep, Cell, Experiment};
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
 use pg_sensornet::aggregate::AggFn;
@@ -33,28 +33,14 @@ fn main() -> ExitCode {
         "T12: continuous AVG query, {N} sensors, {BATTERY_J} J batteries; \
          lifetime = epochs until first sensor death / until blackout"
     );
-    header(
-        &format!("mean of {reps} seeds"),
-        &[
-            ("epoch s", 8),
-            ("strategy", 14),
-            ("1st death", 10),
-            ("blackout", 10),
-            ("lifetime s", 11),
-            ("delivery", 9),
-        ],
-    );
+    exp.table(&format!("mean of {reps} seeds"));
     for &epoch_s in epochs {
         for strategy in [
             Strategy::Direct,
             Strategy::Cluster { heads: 5 },
             Strategy::Tree,
         ] {
-            let mut death = pg_sim::metrics::Summary::new();
-            let mut blackout = pg_sim::metrics::Summary::new();
-            let mut life_s = pg_sim::metrics::Summary::new();
-            let mut deliv = pg_sim::metrics::Summary::new();
-            for seed in 0..reps {
+            let [death, blackout, life_s, deliv] = sweep(reps, |seed| {
                 let w = standard_world(N, seed);
                 // Re-deploy with the small experiment battery.
                 let mut net = SensorNetwork::new(
@@ -81,23 +67,23 @@ fn main() -> ExitCode {
                     MAX_EPOCHS,
                     &mut rng,
                 );
-                death.record(r.first_death_epoch.unwrap_or(r.epochs_run) as f64);
-                blackout.record(r.blackout_epoch.unwrap_or(r.epochs_run) as f64);
-                life_s.record(r.epochs_run as f64 * epoch_s as f64);
-                deliv.record(r.mean_delivery);
-            }
-            let cell = format!("epoch{epoch_s}.{}", key_part(&strategy.name()));
-            exp.record_summary(format!("{cell}.first_death_epoch"), &death);
-            exp.record_summary(format!("{cell}.blackout_epoch"), &blackout);
-            exp.record_summary(format!("{cell}.lifetime_s"), &life_s);
-            exp.record_summary(format!("{cell}.delivery"), &deliv);
-            println!(
-                "{epoch_s:>8}  {:>14}  {:>10}  {:>10}  {:>11}  {:>9}",
-                strategy.name(),
-                pg_bench::fmt(death.mean()),
-                pg_bench::fmt(blackout.mean()),
-                pg_bench::fmt(life_s.mean()),
-                format!("{:.2}", deliv.mean()),
+                [
+                    r.first_death_epoch.unwrap_or(r.epochs_run) as f64,
+                    r.blackout_epoch.unwrap_or(r.epochs_run) as f64,
+                    r.epochs_run as f64 * epoch_s as f64,
+                    r.mean_delivery,
+                ]
+            });
+            exp.row(
+                &format!("epoch{epoch_s}.{}", key_part(&strategy.name())),
+                &[
+                    Cell::int("epoch s", 8, epoch_s),
+                    Cell::text("strategy", 14, strategy.name()),
+                    Cell::eng("1st death", 10, death).key("first_death_epoch"),
+                    Cell::eng("blackout", 10, blackout).key("blackout_epoch"),
+                    Cell::eng("lifetime s", 11, life_s).key("lifetime_s"),
+                    Cell::fixed("delivery", 9, 2, deliv).key("delivery"),
+                ],
             );
         }
         println!();

@@ -14,15 +14,13 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{header, Experiment};
-use pg_compose::htn::MethodLibrary;
-use pg_compose::manager::{execute, ManagerKind, ServiceWorld};
+use pg_bench::{compose_runs, Cell, Composed, Experiment};
+use pg_compose::manager::{ManagerKind, ServiceWorld};
 use pg_discovery::description::ServiceDescription;
 use pg_discovery::ontology::Ontology;
 use pg_net::churn::ChurnSchedule;
 use pg_net::geom::Point;
 use pg_net::mobility::{proximity_schedule, MobilityConfig};
-use pg_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -65,32 +63,10 @@ fn world(
     w
 }
 
-fn measure(w: &ServiceWorld, onto: &Ontology, runs: u64) -> (f64, f64, f64) {
-    let plan = MethodLibrary::pervasive_grid()
-        .decompose("temperature-distribution")
-        .unwrap();
-    let mut ok = 0u64;
-    let mut utility = 0.0;
-    let mut rebinds = 0u64;
-    for i in 0..runs {
-        let r = execute(
-            w,
-            onto,
-            &plan,
-            ManagerKind::DistributedReactive,
-            SimTime::from_secs(i * (HORIZON_S as u64 / runs)),
-        );
-        if r.success {
-            ok += 1;
-        }
-        utility += r.utility;
-        rebinds += r.rebinds as u64;
-    }
-    (
-        ok as f64 / runs as f64,
-        utility / runs as f64,
-        rebinds as f64 / runs as f64,
-    )
+/// `runs` executions spread evenly over the mobility horizon.
+fn measure(w: &ServiceWorld, onto: &Ontology, runs: u64) -> Composed {
+    let kind = ManagerKind::DistributedReactive;
+    compose_runs(w, onto, kind, runs, HORIZON_S as u64 / runs)
 }
 
 fn main() -> ExitCode {
@@ -105,45 +81,37 @@ fn main() -> ExitCode {
         "T13: composition over mobile proximity services \
          (100x100 m arena, client at the centre, {runs} runs/cell)"
     );
-    header(
-        "speed x radio range, 3 mobile replicas per role",
-        &[
-            ("speed m/s", 9),
-            ("range m", 8),
-            ("success", 8),
-            ("utility", 8),
-            ("rebinds", 8),
-        ],
-    );
+    exp.table("speed x radio range, 3 mobile replicas per role");
     for &speed in speeds {
         for &range in ranges {
             let w = world(&onto, speed, range, 3, 77);
-            let (s, u, r) = measure(&w, &onto, runs);
-            let cell = format!("speed{speed}.range{range}");
-            exp.set_scalar(format!("{cell}.success"), s);
-            exp.set_scalar(format!("{cell}.utility"), u);
-            exp.set_scalar(format!("{cell}.rebinds"), r);
-            println!("{speed:>9}  {range:>8}  {s:>8.2}  {u:>8.2}  {r:>8.2}");
+            let c = measure(&w, &onto, runs);
+            exp.row(
+                &format!("speed{speed}.range{range}"),
+                &[
+                    Cell::text("speed m/s", 9, speed.to_string()),
+                    Cell::text("range m", 8, range.to_string()),
+                    Cell::fixed("success", 8, 2, c.success).key("success"),
+                    Cell::fixed("utility", 8, 2, c.utility).key("utility"),
+                    Cell::fixed("rebinds", 8, 2, c.rebinds).key("rebinds"),
+                ],
+            );
         }
         println!();
     }
-    header(
-        "replication sweep at the hardest cell (5 m/s, 20 m range)",
-        &[
-            ("replicas", 8),
-            ("success", 8),
-            ("utility", 8),
-            ("rebinds", 8),
-        ],
-    );
+    exp.table("replication sweep at the hardest cell (5 m/s, 20 m range)");
     for &reps in replica_sweep {
         let w = world(&onto, 5.0, 20.0, reps, 78);
-        let (s, u, r) = measure(&w, &onto, runs);
-        let cell = format!("replicas{reps}");
-        exp.set_scalar(format!("{cell}.success"), s);
-        exp.set_scalar(format!("{cell}.utility"), u);
-        exp.set_scalar(format!("{cell}.rebinds"), r);
-        println!("{reps:>8}  {s:>8.2}  {u:>8.2}  {r:>8.2}");
+        let c = measure(&w, &onto, runs);
+        exp.row(
+            &format!("replicas{reps}"),
+            &[
+                Cell::int("replicas", 8, reps),
+                Cell::fixed("success", 8, 2, c.success).key("success"),
+                Cell::fixed("utility", 8, 2, c.utility).key("utility"),
+                Cell::fixed("rebinds", 8, 2, c.rebinds).key("rebinds"),
+            ],
+        );
     }
     println!(
         "\nshape to check: radio range dominates (success 0.25 -> 1.00 across \

@@ -10,7 +10,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, key_part, Experiment};
+use pg_bench::{key_part, Cell, Experiment};
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
 use pg_net::packetsim::{MacParams, PacketSim};
@@ -24,16 +24,34 @@ fn line(n: usize) -> Topology {
     Topology::from_positions(pts, 15.0)
 }
 
+/// `senders` nodes on a 10 m circle around sink 0, all in mutual range
+/// (everyone hears everyone, no hidden terminals), each with four
+/// 100-byte packets for the sink queued within the first microseconds.
+fn star(senders: usize, mac: MacParams, seed: u64) -> PacketSim {
+    let mut pts = vec![Point::flat(0.0, 0.0)];
+    for i in 0..senders {
+        let a = i as f64 * std::f64::consts::TAU / senders as f64;
+        pts.push(Point::flat(10.0 * a.cos(), 10.0 * a.sin()));
+    }
+    let topo = Topology::from_positions(pts, 25.0);
+    let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, seed);
+    let mut id = 0;
+    for s in 1..=senders as u32 {
+        for k in 0..4u64 {
+            sim.inject(id, 100, vec![NodeId(s), NodeId(0)], SimTime::from_micros(k));
+            id += 1;
+        }
+    }
+    sim
+}
+
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t14_mac");
     let mac = MacParams::default();
 
     // --- T14a: light-load agreement with the analytic model. ---
     println!("T14a: packet level vs analytic at light load (single flow, idle channel)");
-    header(
-        "one 100-byte packet over h hops",
-        &[("hops", 5), ("analytic ms", 12), ("packet-level ms", 16)],
-    );
+    exp.table("one 100-byte packet over h hops");
     for hops in [1usize, 3, 6] {
         let topo = line(hops + 1);
         let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, 1);
@@ -42,81 +60,40 @@ fn main() -> ExitCode {
         let r = sim.run();
         let analytic_ms = mac.frame_time(100).as_secs_f64() * hops as f64 * 1e3;
         let measured_ms = r.delivered[0].at.as_secs_f64() * 1e3;
-        exp.set_scalar(format!("light.h{hops}.analytic_ms"), analytic_ms);
-        exp.set_scalar(format!("light.h{hops}.packet_ms"), measured_ms);
-        println!(
-            "{hops:>5}  {:>12}  {:>16}",
-            fmt(analytic_ms),
-            fmt(measured_ms)
+        exp.row(
+            &format!("light.h{hops}"),
+            &[
+                Cell::int("hops", 5, hops),
+                Cell::eng("analytic ms", 12, analytic_ms).key("analytic_ms"),
+                Cell::eng("packet-level ms", 16, measured_ms).key("packet_ms"),
+            ],
         );
     }
 
     // --- T14b: contention around one sink. ---
     println!("\nT14b: star of s senders, 4 packets each, to one sink");
-    header(
-        "channel efficiency = total airtime / completion time",
-        &[
-            ("senders", 8),
-            ("delivered", 10),
-            ("collisions", 11),
-            ("deferrals", 10),
-            ("complete ms", 12),
-            ("efficiency", 11),
-        ],
-    );
+    exp.table("channel efficiency = total airtime / completion time");
     let sender_sweep: &[usize] = exp.scale(&[2, 4, 8, 16], &[2, 8]);
     for &senders in sender_sweep {
-        let mut pts = vec![Point::flat(0.0, 0.0)];
-        for i in 0..senders {
-            let a = i as f64 * std::f64::consts::TAU / senders as f64;
-            pts.push(Point::flat(10.0 * a.cos(), 10.0 * a.sin()));
-        }
-        // Mutual range: everyone hears everyone (no hidden terminals).
-        let topo = Topology::from_positions(pts, 25.0);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, 2);
-        let mut id = 0;
-        for s in 1..=senders as u32 {
-            for k in 0..4u64 {
-                sim.inject(id, 100, vec![NodeId(s), NodeId(0)], SimTime::from_micros(k));
-                id += 1;
-            }
-        }
-        let r = sim.run();
+        let r = star(senders, mac, 2).run();
         let airtime = mac.frame_time(100).as_secs_f64() * (senders * 4) as f64;
-        let cell = format!("star.s{senders}");
-        exp.set_counter(format!("{cell}.delivered"), r.delivered.len() as u64);
-        exp.set_counter(
-            format!("{cell}.collisions"),
-            r.metrics.counter("mac.collisions"),
-        );
-        exp.set_counter(
-            format!("{cell}.deferrals"),
-            r.metrics.counter("mac.deferrals"),
-        );
-        exp.set_scalar(
-            format!("{cell}.complete_ms"),
-            r.finished_at.as_secs_f64() * 1e3,
-        );
-        exp.set_scalar(
-            format!("{cell}.efficiency"),
-            airtime / r.finished_at.as_secs_f64(),
-        );
-        println!(
-            "{senders:>8}  {:>10}  {:>11}  {:>10}  {:>12}  {:>11}",
-            r.delivered.len(),
-            r.metrics.counter("mac.collisions"),
-            r.metrics.counter("mac.deferrals"),
-            fmt(r.finished_at.as_secs_f64() * 1e3),
-            format!("{:.2}", airtime / r.finished_at.as_secs_f64()),
+        exp.row(
+            &format!("star.s{senders}"),
+            &[
+                Cell::int("senders", 8, senders),
+                Cell::int("delivered", 10, r.delivered.len()).key("delivered"),
+                Cell::int("collisions", 11, r.metrics.counter("mac.collisions")).key("collisions"),
+                Cell::int("deferrals", 10, r.metrics.counter("mac.deferrals")).key("deferrals"),
+                Cell::eng("complete ms", 12, r.finished_at.as_secs_f64() * 1e3).key("complete_ms"),
+                Cell::fixed("efficiency", 11, 2, airtime / r.finished_at.as_secs_f64())
+                    .key("efficiency"),
+            ],
         );
     }
 
     // --- T14c: hidden terminals. ---
     println!("\nT14c: hidden terminals (A - sink - B line: A and B cannot hear each other)");
-    header(
-        "4 packets each from both ends, simultaneously",
-        &[("scenario", 18), ("collisions", 11), ("complete ms", 12)],
-    );
+    exp.table("4 packets each from both ends, simultaneously");
     // Exposed: triangle, everyone in range (carrier sense works).
     let tri = Topology::from_positions(
         vec![
@@ -138,40 +115,18 @@ fn main() -> ExitCode {
             sim.inject(100 + k, 150, vec![b, sink], SimTime::from_micros(k));
         }
         let r = sim.run();
-        let cell = format!("hidden.{}", key_part(name));
-        exp.set_counter(
-            format!("{cell}.collisions"),
-            r.metrics.counter("mac.collisions"),
-        );
-        exp.set_scalar(
-            format!("{cell}.complete_ms"),
-            r.finished_at.as_secs_f64() * 1e3,
-        );
-        println!(
-            "{name:>18}  {:>11}  {:>12}",
-            r.metrics.counter("mac.collisions"),
-            fmt(r.finished_at.as_secs_f64() * 1e3),
+        exp.row(
+            &format!("hidden.{}", key_part(name)),
+            &[
+                Cell::text("scenario", 18, name),
+                Cell::int("collisions", 11, r.metrics.counter("mac.collisions")).key("collisions"),
+                Cell::eng("complete ms", 12, r.finished_at.as_secs_f64() * 1e3).key("complete_ms"),
+            ],
         );
     }
     // --- T14d: the unified FaultPlan inside the CSMA MAC. ---
     println!("\nT14d: fault injection at the packet level (star of 8 senders, 4 packets each)");
-    header(
-        "the same FaultPlan that drives the runtime reaches individual frames",
-        &[
-            ("plan", 10),
-            ("delivered", 10),
-            ("fault killed", 13),
-            ("complete ms", 12),
-        ],
-    );
-    let star = |senders: usize| {
-        let mut pts = vec![Point::flat(0.0, 0.0)];
-        for i in 0..senders {
-            let a = i as f64 * std::f64::consts::TAU / senders as f64;
-            pts.push(Point::flat(10.0 * a.cos(), 10.0 * a.sin()));
-        }
-        Topology::from_positions(pts, 25.0)
-    };
+    exp.table("the same FaultPlan that drives the runtime reaches individual frames");
     let mut faulted_kills = 0u64;
     for (name, plan) in [
         ("none", FaultPlan::none()),
@@ -191,32 +146,22 @@ fn main() -> ExitCode {
                 .expect("valid blackout plan"),
         ),
     ] {
-        let mut sim = PacketSim::new(star(8), RadioModel::mote(), mac, 4);
+        let mut sim = star(8, mac, 4);
         let faulted = name != "none";
         sim.set_fault_plan(plan);
-        let mut id = 0;
-        for s in 1..=8u32 {
-            for k in 0..4u64 {
-                sim.inject(id, 100, vec![NodeId(s), NodeId(0)], SimTime::from_micros(k));
-                id += 1;
-            }
-        }
         let r = sim.run();
         let killed = r.metrics.counter("mac.fault_killed");
         if faulted {
             faulted_kills += killed;
         }
-        let cell = format!("faulted.{name}");
-        exp.set_counter(format!("{cell}.delivered"), r.delivered.len() as u64);
-        exp.set_counter(format!("{cell}.fault_killed"), killed);
-        exp.set_scalar(
-            format!("{cell}.complete_ms"),
-            r.finished_at.as_secs_f64() * 1e3,
-        );
-        println!(
-            "{name:>10}  {:>10}  {killed:>13}  {:>12}",
-            r.delivered.len(),
-            fmt(r.finished_at.as_secs_f64() * 1e3),
+        exp.row(
+            &format!("faulted.{name}"),
+            &[
+                Cell::text("plan", 10, name),
+                Cell::int("delivered", 10, r.delivered.len()).key("delivered"),
+                Cell::int("fault killed", 13, killed).key("fault_killed"),
+                Cell::eng("complete ms", 12, r.finished_at.as_secs_f64() * 1e3).key("complete_ms"),
+            ],
         );
     }
     // Acceptance: the plan must actually kill frames inside the MAC — the

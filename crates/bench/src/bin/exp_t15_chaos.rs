@@ -20,7 +20,7 @@
 use pg_agent::deputy::DirectDeputy;
 use pg_agent::profile::AgentAttribute;
 use pg_agent::{Agent, AgentProfile, AgentSystem, Envelope, Payload, ReliableConfig};
-use pg_bench::{fmt, header, key_part, Experiment};
+use pg_bench::{key_part, Cell, Experiment};
 use pg_core::PervasiveGrid;
 use pg_net::link::LinkModel;
 use pg_partition::decide::Policy;
@@ -138,20 +138,7 @@ fn main() -> ExitCode {
 
     // --- T15a: fault intensity × policy through the full runtime. ---
     println!("T15a: end-to-end degradation, {reps} seeds x 4 queries per cell (25 sensors)");
-    header(
-        "success = answered queries / submitted; errors must stay 0",
-        &[
-            ("chaos", 8),
-            ("policy", 22),
-            ("success", 8),
-            ("errors", 7),
-            ("deliv", 7),
-            ("time s", 9),
-            ("retries", 8),
-            ("wait s", 7),
-            ("energy J", 9),
-        ],
-    );
+    exp.table("success = answered queries / submitted; errors must stay 0");
     let policies = [
         Policy::Adaptive,
         Policy::Static(SolutionModel::BaseStation),
@@ -163,32 +150,25 @@ fn main() -> ExitCode {
                 .map(|seed| run_cell(level, policy, seed))
                 .fold(CellStats::default(), |acc, c| acc.fold(&c));
             let n = st.total as f64;
-            let success = st.answered as f64 / n;
             let cell = format!("{}.{}", level_name(level), policy_key(&policy));
-            exp.set_scalar(format!("{cell}.success"), success);
-            exp.set_counter(format!("{cell}.errors"), st.errors);
-            exp.set_scalar(format!("{cell}.delivered"), st.delivered / n);
-            exp.set_scalar(format!("{cell}.time_s"), st.time_s / n);
-            exp.set_scalar(format!("{cell}.retries"), st.retries as f64 / reps as f64);
-            exp.set_scalar(
-                format!("{cell}.outage_wait_s"),
-                st.outage_wait_s / reps as f64,
-            );
             exp.set_scalar(
                 format!("{cell}.fallbacks"),
                 st.fallbacks as f64 / reps as f64,
             );
-            exp.set_scalar(format!("{cell}.energy_j"), st.energy_j / reps as f64);
-            println!(
-                "{:>8}  {:>22}  {success:>8.2}  {:>7}  {:>7.2}  {:>9.2}  {:>8.1}  {:>7.1}  {:>9}",
-                level_name(level),
-                policy_key(&policy),
-                st.errors,
-                st.delivered / n,
-                st.time_s / n,
-                st.retries as f64 / reps as f64,
-                st.outage_wait_s / reps as f64,
-                fmt(st.energy_j / reps as f64),
+            exp.row(
+                &cell,
+                &[
+                    Cell::text("chaos", 8, level_name(level)),
+                    Cell::text("policy", 22, policy_key(&policy)),
+                    Cell::fixed("success", 8, 2, st.answered as f64 / n).key("success"),
+                    Cell::int("errors", 7, st.errors).key("errors"),
+                    Cell::fixed("deliv", 7, 2, st.delivered / n).key("delivered"),
+                    Cell::fixed("time s", 9, 2, st.time_s / n).key("time_s"),
+                    Cell::fixed("retries", 8, 1, st.retries as f64 / reps as f64).key("retries"),
+                    Cell::fixed("wait s", 7, 1, st.outage_wait_s / reps as f64)
+                        .key("outage_wait_s"),
+                    Cell::eng("energy J", 9, st.energy_j / reps as f64).key("energy_j"),
+                ],
             );
         }
         println!();
@@ -202,17 +182,7 @@ fn main() -> ExitCode {
     // --- T15b: reliable agent messaging under rising loss. ---
     let pings: u32 = exp.scale3(40, 15, 120);
     println!("\nT15b: ack/retry agent messaging, {pings} request/reply pairs per cell");
-    header(
-        "reliable delivery vs wire loss (5 retries, exp. backoff)",
-        &[
-            ("loss", 6),
-            ("got", 6),
-            ("acked", 7),
-            ("retries", 8),
-            ("dead", 6),
-            ("dup", 6),
-        ],
-    );
+    exp.table("reliable delivery vs wire loss (5 retries, exp. backoff)");
     for loss in [0.0f64, 0.1, 0.3, 0.5, 1.0] {
         let mut sys = AgentSystem::new();
         sys.enable_reliability(ReliableConfig::default(), 7);
@@ -235,22 +205,23 @@ fn main() -> ExitCode {
             .and_then(|a| a.downcast_ref::<Pinger>())
             .map_or(0, |p| p.pongs);
         let m = sys.metrics();
-        let (acked, retries, dead, dup) = (
-            m.counter("reliable.acked"),
-            m.counter("reliable.retries"),
-            m.counter("reliable.dead_letter"),
-            m.counter("reliable.duplicate"),
-        );
+        // The table shows the reply count; the report gates its share.
         let cell = format!("loss{loss}");
         exp.set_scalar(
             format!("{cell}.got_frac"),
             f64::from(got) / f64::from(pings),
         );
-        exp.set_counter(format!("{cell}.acked"), acked);
-        exp.set_counter(format!("{cell}.retries"), retries);
-        exp.set_counter(format!("{cell}.dead_letter"), dead);
-        exp.set_counter(format!("{cell}.duplicate"), dup);
-        println!("{loss:>6.1}  {got:>6}  {acked:>7}  {retries:>8}  {dead:>6}  {dup:>6}");
+        exp.row(
+            &cell,
+            &[
+                Cell::fixed("loss", 6, 1, loss),
+                Cell::int("got", 6, got),
+                Cell::int("acked", 7, m.counter("reliable.acked")).key("acked"),
+                Cell::int("retries", 8, m.counter("reliable.retries")).key("retries"),
+                Cell::int("dead", 6, m.counter("reliable.dead_letter")).key("dead_letter"),
+                Cell::int("dup", 6, m.counter("reliable.duplicate")).key("duplicate"),
+            ],
+        );
     }
     println!(
         "shape to check: replies stay complete through 50 % loss (retries \

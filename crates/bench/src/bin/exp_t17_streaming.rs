@@ -20,58 +20,20 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, Experiment};
-use pg_core::{PervasiveGrid, TreeMaintenance};
+use pg_bench::{floor, Cell, Experiment, RunStats};
+use pg_core::TreeMaintenance;
 use pg_runtime::{MultiQueryRuntime, PoissonArrivals, QueryOpts, RuntimeConfig, SchedPolicy};
-use pg_sensornet::region::Region;
-use pg_sim::metrics::Samples;
 use pg_sim::{Duration, SimTime};
 use std::process::ExitCode;
 
-fn grid(seed: u64) -> PervasiveGrid {
-    PervasiveGrid::building(1, 6, seed)
-        .region("west", Region::room(0.0, 0.0, 14.0, 30.0))
-        .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
-        .build()
-}
-
-/// The four scheduling modes under study: the policy axis × preemption.
-#[derive(Clone, Copy, PartialEq)]
-enum Mode {
-    Fifo,
-    FifoPre,
-    Edf,
-    EdfPre,
-}
-
-impl Mode {
-    const ALL: [Mode; 4] = [Mode::Fifo, Mode::FifoPre, Mode::Edf, Mode::EdfPre];
-
-    fn name(self) -> &'static str {
-        match self {
-            Mode::Fifo => "fifo",
-            Mode::FifoPre => "fifo_pre",
-            Mode::Edf => "edf",
-            Mode::EdfPre => "edf_pre",
-        }
-    }
-
-    fn cfg(self) -> RuntimeConfig {
-        let (policy, preemption) = match self {
-            Mode::Fifo => (SchedPolicy::Fifo, false),
-            Mode::FifoPre => (SchedPolicy::Fifo, true),
-            Mode::Edf => (SchedPolicy::Edf, false),
-            Mode::EdfPre => (SchedPolicy::Edf, true),
-        };
-        RuntimeConfig::builder()
-            .capacity(32)
-            .epoch(Duration::from_secs(30))
-            .slots_per_epoch(4)
-            .policy(policy)
-            .preemption(preemption)
-            .build()
-    }
-}
+/// The four scheduling modes under study, the policy axis × deadline
+/// preemption: (report name, policy, preemption).
+const MODES: [(&str, SchedPolicy, bool); 4] = [
+    ("fifo", SchedPolicy::Fifo, false),
+    ("fifo_pre", SchedPolicy::Fifo, true),
+    ("edf", SchedPolicy::Edf, false),
+    ("edf_pre", SchedPolicy::Edf, true),
+];
 
 /// The streamed query mix: deadline-carrying aggregates competing with a
 /// high-priority monitoring feed and background ad-hoc reads — the shape
@@ -100,51 +62,24 @@ fn mix() -> Vec<(String, QueryOpts)> {
 }
 
 /// One seeded open-loop run, drained to idle after the stream dries up.
-struct Cell {
-    resp_s: Vec<f64>,
-    energy_j: f64,
-    bytes: f64,
-    arrived: u64,
-    rejected: u64,
-    completed: u64,
-    preemptions: u64,
-    dl_total: u64,
-    dl_hit: u64,
-}
-
-impl Cell {
-    fn hit_rate(&self) -> f64 {
-        self.dl_hit as f64 / self.dl_total.max(1) as f64
-    }
-}
-
-fn run_cell(mode: Mode, rate_hz: f64, horizon: SimTime, seed: u64) -> Cell {
-    let mut rt = MultiQueryRuntime::new(mode.cfg(), grid(seed));
+fn run_cell(
+    (_, policy, preemption): (&str, SchedPolicy, bool),
+    rate_hz: f64,
+    horizon: SimTime,
+    seed: u64,
+) -> RunStats {
+    let cfg = RuntimeConfig::builder()
+        .capacity(32)
+        .epoch(Duration::from_secs(30))
+        .slots_per_epoch(4)
+        .policy(policy)
+        .preemption(preemption)
+        .build();
+    let mut rt = MultiQueryRuntime::new(cfg, floor(seed).build());
     let mut arrivals = PoissonArrivals::new(seed, rate_hz, horizon, mix());
     rt.run_stream(&mut arrivals, 100_000);
     assert_eq!(rt.arrived, arrivals.emitted(), "stream fully delivered");
-
-    let mut cell = Cell {
-        resp_s: Vec::new(),
-        energy_j: rt.energy_spent_j(),
-        bytes: 0.0,
-        arrived: rt.arrived,
-        rejected: rt.rejected,
-        completed: 0,
-        preemptions: rt.preemptions,
-        dl_total: 0,
-        dl_hit: 0,
-    };
-    for o in rt.outcomes() {
-        cell.completed += 1;
-        cell.resp_s.push(o.response_time_s());
-        cell.bytes += o.attribution.bytes;
-        if o.deadline.is_some() {
-            cell.dl_total += 1;
-            cell.dl_hit += u64::from(!o.deadline_exceeded());
-        }
-    }
-    cell
+    RunStats::of(&rt)
 }
 
 fn main() -> ExitCode {
@@ -161,84 +96,57 @@ fn main() -> ExitCode {
          {:.0} s horizon)",
         horizon.as_secs_f64()
     );
-    header(
-        "hit = deadline-carrying queries answered in time; service capacity is 0.133 q/s",
-        &[
-            ("lambda", 6),
-            ("mode", 8),
-            ("p50 s", 8),
-            ("p99 s", 8),
-            ("hit", 5),
-            ("energy J", 9),
-            ("bytes", 10),
-            ("reject", 7),
-            ("preempt", 8),
-        ],
-    );
+    exp.table("hit = deadline-carrying queries answered in time; service capacity is 0.133 q/s");
     // Below capacity (queue stays shallow) and sustained overload (the
     // queue backlogs; only the service order decides who makes it).
     let rates = [("low", 0.04f64), ("high", 0.2f64)];
     for (rate_name, rate_hz) in rates {
         // All four modes per seed so the tentpole assertion can compare
         // within one seed.
-        let per_seed: Vec<[Cell; 4]> = (0..reps)
-            .map(|seed| {
-                let cells = Mode::ALL.map(|m| run_cell(m, rate_hz, horizon, seed));
-                let (fifo, edf_pre) = (&cells[0], &cells[3]);
-                // Same arrivals, same admission stream: the modes differ
-                // only in who gets serviced when the queue backs up.
-                assert_eq!(fifo.arrived, edf_pre.arrived);
-                assert_eq!(fifo.rejected, edf_pre.rejected);
-                if rate_name == "high" {
-                    // The tentpole acceptance assertion, per seed: under
-                    // overload, EDF with preemption must strictly beat
-                    // FIFO on deadline adherence.
-                    assert!(
-                        edf_pre.hit_rate() > fifo.hit_rate(),
-                        "seed {seed}: edf_pre hit {:.3} must beat fifo {:.3}",
-                        edf_pre.hit_rate(),
-                        fifo.hit_rate()
-                    );
-                }
-                cells
-            })
-            .collect();
-        for (m, mode) in Mode::ALL.into_iter().enumerate() {
-            let mut resp = Samples::new();
-            let (mut energy, mut bytes) = (0.0f64, 0.0f64);
-            let (mut arrived, mut rejected, mut preempt) = (0u64, 0u64, 0u64);
-            let (mut dl_total, mut dl_hit) = (0u64, 0u64);
-            for cells in &per_seed {
-                let c = &cells[m];
-                for &r in &c.resp_s {
-                    resp.record(r);
-                }
-                energy += c.energy_j;
-                bytes += c.bytes;
-                arrived += c.arrived;
-                rejected += c.rejected;
-                preempt += c.preemptions;
-                dl_total += c.dl_total;
-                dl_hit += c.dl_hit;
+        let mut totals: [RunStats; 4] = Default::default();
+        for seed in 0..reps {
+            let cells = MODES.map(|m| run_cell(m, rate_hz, horizon, seed));
+            let (fifo, edf_pre) = (&cells[0], &cells[3]);
+            // Same arrivals, same admission stream: the modes differ
+            // only in who gets serviced when the queue backs up.
+            assert_eq!(fifo.arrived, edf_pre.arrived);
+            assert_eq!(fifo.rejected, edf_pre.rejected);
+            if rate_name == "high" {
+                // The tentpole acceptance assertion, per seed: under
+                // overload, EDF with preemption must strictly beat
+                // FIFO on deadline adherence.
+                assert!(
+                    edf_pre.hit_rate() > fifo.hit_rate(),
+                    "seed {seed}: edf_pre hit {:.3} must beat fifo {:.3}",
+                    edf_pre.hit_rate(),
+                    fifo.hit_rate()
+                );
             }
+            for (total, c) in totals.iter_mut().zip(&cells) {
+                total.absorb(c);
+            }
+        }
+        for ((mode, ..), mut st) in MODES.into_iter().zip(totals) {
             let n = reps as f64;
-            let hit = dl_hit as f64 / dl_total.max(1) as f64;
-            let reject_rate = rejected as f64 / arrived.max(1) as f64;
-            let cell = format!("{rate_name}.{}", mode.name());
-            let p50 = resp.quantile(0.5).unwrap_or(0.0);
-            let p99 = resp.quantile(0.99).unwrap_or(0.0);
+            let cell = format!("{rate_name}.{}", mode);
+            let reject_rate = st.rejected as f64 / st.arrived.max(1) as f64;
+            let p50 = st.resp.quantile(0.5).unwrap_or(0.0);
+            let p99 = st.resp.quantile(0.99).unwrap_or(0.0);
             exp.report_mut()
-                .record_samples(format!("{cell}.response_s"), &mut resp);
-            exp.set_scalar(format!("{cell}.hit_rate"), hit);
-            exp.set_scalar(format!("{cell}.energy_j"), energy / n);
-            exp.set_scalar(format!("{cell}.bytes"), bytes / n);
-            exp.set_scalar(format!("{cell}.reject_rate"), reject_rate);
-            exp.set_counter(format!("{cell}.preemptions"), preempt);
-            println!(
-                "{rate_hz:>6}  {:>8}  {p50:>8.1}  {p99:>8.1}  {hit:>5.2}  {:>9}  {:>10}  {reject_rate:>7.2}  {preempt:>8}",
-                mode.name(),
-                fmt(energy / n),
-                fmt(bytes / n),
+                .record_samples(format!("{cell}.response_s"), &mut st.resp);
+            exp.row(
+                &cell,
+                &[
+                    Cell::text("lambda", 6, rate_hz.to_string()),
+                    Cell::text("mode", 8, mode),
+                    Cell::fixed("p50 s", 8, 1, p50),
+                    Cell::fixed("p99 s", 8, 1, p99),
+                    Cell::fixed("hit", 5, 2, st.hit_rate()).key("hit_rate"),
+                    Cell::eng("energy J", 9, st.energy_j / n).key("energy_j"),
+                    Cell::eng("bytes", 10, st.bytes / n).key("bytes"),
+                    Cell::fixed("reject", 7, 2, reject_rate).key("reject_rate"),
+                    Cell::int("preempt", 8, st.preemptions).key("preemptions"),
+                ],
             );
         }
         println!();
@@ -255,16 +163,7 @@ fn main() -> ExitCode {
 
     // --- T17b: persistent shared trees vs per-epoch rebuilds. ---
     println!("\nT17b: streamed shareable aggregates x tree maintenance ({reps} seeds)");
-    header(
-        "wire bytes = data plane + tree-construction beacons, attributed per query",
-        &[
-            ("mode", 10),
-            ("wire bytes", 10),
-            ("energy J", 9),
-            ("rebuilds", 8),
-            ("answered", 8),
-        ],
-    );
+    exp.table("wire bytes = data plane + tree-construction beacons, attributed per query");
     let tree_modes = [
         TreeMaintenance::Free,
         TreeMaintenance::PerEpoch,
@@ -281,66 +180,67 @@ fn main() -> ExitCode {
     .into_iter()
     .map(|t| (t.to_string(), QueryOpts::default()))
     .collect();
-    let tree_stats: Vec<[(f64, f64, u64, u64); 3]> = (0..reps)
-        .map(|seed| {
-            let out = tree_modes.map(|tm| {
-                let pg = PervasiveGrid::building(1, 6, seed)
-                    .region("west", Region::room(0.0, 0.0, 14.0, 30.0))
-                    .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
-                    .tree_maintenance(tm)
-                    .build();
-                let cfg = RuntimeConfig::builder()
-                    .capacity(32)
-                    .epoch(Duration::from_secs(30))
-                    .slots_per_epoch(4)
-                    .build();
-                let mut rt = MultiQueryRuntime::new(cfg, pg);
-                let mut arrivals = PoissonArrivals::new(seed, 0.2, horizon, tree_mix.clone());
-                rt.run_stream(&mut arrivals, 100_000);
-                let bytes: f64 = rt.outcomes().iter().map(|o| o.attribution.bytes).sum();
-                let energy: f64 = rt.outcomes().iter().map(|o| o.attribution.energy_j).sum();
-                (
-                    bytes,
-                    energy,
-                    rt.engine().tree_session.rebuilds,
-                    rt.outcomes().len() as u64,
-                )
-            });
-            // The second acceptance assertion, per seed: keeping the tree
-            // alive across epochs must move fewer wire bytes than
-            // rebuilding it for every shared chunk.
-            assert!(
-                out[2].0 < out[1].0,
-                "seed {seed}: persistent {} wire bytes must beat per_epoch {}",
-                out[2].0,
-                out[1].0
-            );
-            assert!(out[2].2 < out[1].2, "persistent must rebuild less often");
-            out
-        })
-        .collect();
-    for (m, tm) in tree_modes.into_iter().enumerate() {
-        let (mut bytes, mut energy, mut rebuilds, mut answered) = (0.0, 0.0, 0u64, 0u64);
-        for s in &tree_stats {
-            bytes += s[m].0;
-            energy += s[m].1;
-            rebuilds += s[m].2;
-            answered += s[m].3;
+    #[derive(Default, Clone, Copy)]
+    struct TreeStats {
+        bytes: f64,
+        energy_j: f64,
+        rebuilds: u64,
+        answered: u64,
+    }
+    let mut totals = [TreeStats::default(); 3];
+    for seed in 0..reps {
+        let out = tree_modes.map(|tm| {
+            let pg = floor(seed).tree_maintenance(tm).build();
+            let cfg = RuntimeConfig::builder()
+                .capacity(32)
+                .epoch(Duration::from_secs(30))
+                .slots_per_epoch(4)
+                .build();
+            let mut rt = MultiQueryRuntime::new(cfg, pg);
+            let mut arrivals = PoissonArrivals::new(seed, 0.2, horizon, tree_mix.clone());
+            rt.run_stream(&mut arrivals, 100_000);
+            TreeStats {
+                bytes: rt.outcomes().iter().map(|o| o.attribution.bytes).sum(),
+                energy_j: rt.outcomes().iter().map(|o| o.attribution.energy_j).sum(),
+                rebuilds: rt.engine().tree_session.rebuilds,
+                answered: rt.outcomes().len() as u64,
+            }
+        });
+        let (per_epoch, persistent) = (out[1], out[2]);
+        // The second acceptance assertion, per seed: keeping the tree
+        // alive across epochs must move fewer wire bytes than
+        // rebuilding it for every shared chunk.
+        assert!(
+            persistent.bytes < per_epoch.bytes,
+            "seed {seed}: persistent {} wire bytes must beat per_epoch {}",
+            persistent.bytes,
+            per_epoch.bytes
+        );
+        assert!(
+            persistent.rebuilds < per_epoch.rebuilds,
+            "persistent must rebuild less often"
+        );
+        for (total, s) in totals.iter_mut().zip(out) {
+            total.bytes += s.bytes;
+            total.energy_j += s.energy_j;
+            total.rebuilds += s.rebuilds;
+            total.answered += s.answered;
         }
+    }
+    for (tm, st) in tree_modes.into_iter().zip(totals) {
         let n = reps as f64;
-        exp.set_scalar(format!("tree.{}.wire_bytes", tm.name()), bytes / n);
-        exp.set_scalar(format!("tree.{}.energy_j", tm.name()), energy / n);
-        exp.set_counter(format!("tree.{}.rebuilds", tm.name()), rebuilds);
-        println!(
-            "{:>10}  {:>10}  {:>9}  {rebuilds:>8}  {answered:>8}",
-            tm.name(),
-            fmt(bytes / n),
-            fmt(energy / n),
+        exp.row(
+            &format!("tree.{}", tm.name()),
+            &[
+                Cell::text("mode", 10, tm.name()),
+                Cell::eng("wire bytes", 10, st.bytes / n).key("wire_bytes"),
+                Cell::eng("energy J", 9, st.energy_j / n).key("energy_j"),
+                Cell::int("rebuilds", 8, st.rebuilds).key("rebuilds"),
+                Cell::int("answered", 8, st.answered),
+            ],
         );
     }
-    let per_epoch: f64 = tree_stats.iter().map(|s| s[1].0).sum();
-    let persistent: f64 = tree_stats.iter().map(|s| s[2].0).sum();
-    exp.set_scalar("tree.byte_ratio", persistent / per_epoch);
+    exp.set_scalar("tree.byte_ratio", totals[2].bytes / totals[1].bytes);
     println!(
         "shape to check: free pays no control cost (the v1 accounting); \
          per_epoch re-floods tree beacons for every shared chunk; \

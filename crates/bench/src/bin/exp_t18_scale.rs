@@ -20,7 +20,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, Experiment};
+use pg_bench::{key_part, Cell, Experiment};
 use pg_discovery::corpus::mixed_corpus;
 use pg_discovery::{Ontology, Preference, Registry, ServiceRequest};
 use pg_net::energy::RadioModel;
@@ -108,6 +108,7 @@ fn kill_schedule(n: usize, epochs: usize, per_epoch: usize, seed: u64) -> Vec<Ve
 /// Accumulated control-plane cost of one maintenance arm over a churn run,
 /// counted **after** the initial build (the two arms pay the same first
 /// flood; the sweep compares what churn costs from then on).
+#[derive(Default)]
 struct ArmCost {
     repair_bytes: u64,
     repair_waves: u64,
@@ -132,12 +133,7 @@ fn run_arm(size: Size, mode: TreeMaintenance, schedule: &[Vec<NodeId>], seed: u6
     let first = session.collect(&mut net, &queries, &field, t0, &mut rng);
     assert!(first.tree_rebuilt, "first epoch must build the tree");
 
-    let mut cost = ArmCost {
-        repair_bytes: 0,
-        repair_waves: 0,
-        rebuilds: 0,
-        repairs: 0,
-    };
+    let mut cost = ArmCost::default();
     for (e, victims) in schedule.iter().enumerate() {
         for &v in victims {
             net.drain(v, f64::INFINITY);
@@ -155,11 +151,7 @@ fn run_arm(size: Size, mode: TreeMaintenance, schedule: &[Vec<NodeId>], seed: u6
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t18_scale");
-    let sizes: Vec<Size> = if exp.smoke() {
-        vec![K1, K10]
-    } else {
-        vec![K1, K10, K50]
-    };
+    let sizes: &[Size] = exp.scale(&[K1, K10, K50], &[K1, K10]);
     let reps: u64 = exp.scale(5, 2);
     let epochs = 8usize;
     exp.set_meta("reps", reps.to_string());
@@ -170,19 +162,8 @@ fn main() -> ExitCode {
         "T18a: CSR node arena build (building topology, 10 m pitch, 11 m range), \
          cell-binned O(n+m) adjacency"
     );
-    header(
-        "build wall-time on stdout only; reports carry shape counters",
-        &[
-            ("size", 5),
-            ("nodes", 7),
-            ("edges", 8),
-            ("maxdeg", 6),
-            ("height", 6),
-            ("covered", 7),
-            ("build ms", 8),
-        ],
-    );
-    for &size in &sizes {
+    exp.table("build wall-time on stdout only; reports carry shape counters");
+    for &size in sizes {
         let start = Instant::now();
         let topo = size.topology();
         let build_ms = start.elapsed().as_secs_f64() * 1e3;
@@ -193,19 +174,17 @@ fn main() -> ExitCode {
             .unwrap_or(0);
         let net = network(size);
         assert_eq!(net.alive_sensors(), size.nodes() - 1);
-        let key = format!("arena.{}", size.label);
-        exp.set_counter(format!("{key}.nodes"), topo.len() as u64);
-        exp.set_counter(format!("{key}.edges"), topo.edge_count() as u64);
-        exp.set_counter(format!("{key}.max_degree"), max_deg as u64);
-        exp.set_counter(format!("{key}.tree_height"), u64::from(tree.height()));
-        exp.set_counter(format!("{key}.tree_covered"), tree.covered() as u64);
-        println!(
-            "{:>5}  {:>7}  {:>8}  {max_deg:>6}  {:>6}  {:>7}  {build_ms:>8.1}",
-            size.label,
-            topo.len(),
-            topo.edge_count(),
-            tree.height(),
-            tree.covered(),
+        exp.row(
+            &format!("arena.{}", size.label),
+            &[
+                Cell::text("size", 5, size.label),
+                Cell::int("nodes", 7, topo.len()).key("nodes"),
+                Cell::int("edges", 8, topo.edge_count()).key("edges"),
+                Cell::int("maxdeg", 6, max_deg).key("max_degree"),
+                Cell::int("height", 6, tree.height()).key("tree_height"),
+                Cell::int("covered", 7, tree.covered()).key("tree_covered"),
+                Cell::fixed("build ms", 8, 1, build_ms),
+            ],
         );
     }
 
@@ -215,92 +194,70 @@ fn main() -> ExitCode {
         "\nT18b: churn sweep x tree maintenance, {reps} seeds per cell, {epochs} \
          churn epochs; costs counted after the initial build"
     );
-    header(
-        "bytes = repair beacons on the wire; waves = control-plane latency rounds",
-        &[
-            ("size", 5),
-            ("churn", 6),
-            ("mode", 12),
-            ("bytes", 10),
-            ("waves", 7),
-            ("rebuilds", 8),
-            ("repairs", 8),
-        ],
-    );
-    for &size in &sizes {
+    exp.table("bytes = repair beacons on the wire; waves = control-plane latency rounds");
+    for &size in sizes {
         for (rate_label, rate) in churn_rates {
             let per_epoch = ((size.nodes() as f64 * rate).round() as usize).max(1);
             // Both arms per seed so the tentpole assertion compares within
             // one seed.
-            let per_seed: Vec<[ArmCost; 2]> = (0..reps)
-                .map(|seed| {
-                    let schedule = kill_schedule(size.nodes(), epochs, per_epoch, seed);
-                    let full = run_arm(size, TreeMaintenance::Persistent, &schedule, seed);
-                    let incr = run_arm(size, TreeMaintenance::Incremental, &schedule, seed);
-                    // The tentpole acceptance assertions, per seed and per
-                    // churn level: localized repair must strictly beat the
-                    // full rebuild on wire bytes AND on repair latency.
-                    assert!(
-                        incr.repair_bytes < full.repair_bytes,
-                        "{} churn {rate_label} seed {seed}: incremental {} repair bytes \
-                         must beat full rebuild {}",
-                        size.label,
-                        incr.repair_bytes,
-                        full.repair_bytes
-                    );
-                    assert!(
-                        incr.repair_waves < full.repair_waves,
-                        "{} churn {rate_label} seed {seed}: incremental {} repair waves \
-                         must beat full rebuild {}",
-                        size.label,
-                        incr.repair_waves,
-                        full.repair_waves
-                    );
-                    assert_eq!(incr.rebuilds, 0, "incremental must never re-flood");
-                    assert_eq!(incr.repairs, epochs as u64, "every churn epoch repairs");
-                    [full, incr]
-                })
-                .collect();
-            for (m, mode) in [TreeMaintenance::Persistent, TreeMaintenance::Incremental]
-                .into_iter()
-                .enumerate()
-            {
-                let (mut bytes, mut waves, mut rebuilds, mut repairs) = (0u64, 0u64, 0u64, 0u64);
-                for arms in &per_seed {
-                    bytes += arms[m].repair_bytes;
-                    waves += arms[m].repair_waves;
-                    rebuilds += arms[m].rebuilds;
-                    repairs += arms[m].repairs;
+            let modes = [TreeMaintenance::Persistent, TreeMaintenance::Incremental];
+            let mut totals: [ArmCost; 2] = Default::default();
+            for seed in 0..reps {
+                let schedule = kill_schedule(size.nodes(), epochs, per_epoch, seed);
+                let arms = modes.map(|mode| run_arm(size, mode, &schedule, seed));
+                let [full, incr] = &arms;
+                // The tentpole acceptance assertions, per seed and per
+                // churn level: localized repair must strictly beat the
+                // full rebuild on wire bytes AND on repair latency.
+                assert!(
+                    incr.repair_bytes < full.repair_bytes,
+                    "{} churn {rate_label} seed {seed}: incremental {} repair bytes \
+                     must beat full rebuild {}",
+                    size.label,
+                    incr.repair_bytes,
+                    full.repair_bytes
+                );
+                assert!(
+                    incr.repair_waves < full.repair_waves,
+                    "{} churn {rate_label} seed {seed}: incremental {} repair waves \
+                     must beat full rebuild {}",
+                    size.label,
+                    incr.repair_waves,
+                    full.repair_waves
+                );
+                assert_eq!(incr.rebuilds, 0, "incremental must never re-flood");
+                assert_eq!(incr.repairs, epochs as u64, "every churn epoch repairs");
+                for (total, arm) in totals.iter_mut().zip(&arms) {
+                    total.repair_bytes += arm.repair_bytes;
+                    total.repair_waves += arm.repair_waves;
+                    total.rebuilds += arm.rebuilds;
+                    total.repairs += arm.repairs;
                 }
-                let n = reps as f64;
-                let key = format!(
-                    "churn.{}.{}.{}",
-                    size.label,
-                    rate_label.trim_end_matches('%').replace('.', "_"),
-                    mode.name()
-                );
-                exp.set_scalar(format!("{key}.repair_bytes"), bytes as f64 / n);
-                exp.set_scalar(format!("{key}.repair_waves"), waves as f64 / n);
-                exp.set_counter(format!("{key}.rebuilds"), rebuilds);
-                exp.set_counter(format!("{key}.repairs"), repairs);
-                println!(
-                    "{:>5}  {rate_label:>6}  {:>12}  {:>10}  {:>7.1}  {rebuilds:>8}  {repairs:>8}",
-                    size.label,
-                    mode.name(),
-                    fmt(bytes as f64 / n),
-                    waves as f64 / n,
-                );
             }
-            let full_bytes: u64 = per_seed.iter().map(|a| a[0].repair_bytes).sum();
-            let incr_bytes: u64 = per_seed.iter().map(|a| a[1].repair_bytes).sum();
+            let n = reps as f64;
             let key = format!(
                 "churn.{}.{}",
                 size.label,
                 rate_label.trim_end_matches('%').replace('.', "_")
             );
+            for (mode, arm) in modes.into_iter().zip(&totals) {
+                exp.row(
+                    &format!("{key}.{}", mode.name()),
+                    &[
+                        Cell::text("size", 5, size.label),
+                        Cell::text("churn", 6, rate_label),
+                        Cell::text("mode", 12, mode.name()),
+                        Cell::eng("bytes", 10, arm.repair_bytes as f64 / n).key("repair_bytes"),
+                        Cell::fixed("waves", 7, 1, arm.repair_waves as f64 / n).key("repair_waves"),
+                        Cell::int("rebuilds", 8, arm.rebuilds).key("rebuilds"),
+                        Cell::int("repairs", 8, arm.repairs).key("repairs"),
+                    ],
+                );
+            }
+            let [full, incr] = &totals;
             exp.set_scalar(
                 format!("{key}.byte_ratio"),
-                incr_bytes as f64 / full_bytes.max(1) as f64,
+                incr.repair_bytes as f64 / full.repair_bytes.max(1) as f64,
             );
         }
     }
@@ -332,17 +289,7 @@ fn main() -> ExitCode {
         }
     }
     println!("\nT18c: class-indexed matcher vs linear scan, {n_services} services");
-    header(
-        "identical hits asserted bit-for-bit; candidates = services consulted",
-        &[
-            ("request class", 20),
-            ("cand", 7),
-            ("of", 7),
-            ("hits", 6),
-            ("idx ms", 7),
-            ("lin ms", 7),
-        ],
-    );
+    exp.table("identical hits asserted bit-for-bit; candidates = services consulted");
     let request_classes = [
         "PrinterService",
         "TemperatureSensor",
@@ -372,17 +319,21 @@ fn main() -> ExitCode {
         }
         let cand = reg.candidates(&onto, class).len();
         assert!(cand <= reg.len());
-        let key = format!("matcher.{}", pg_bench::key_part(class_name));
-        exp.set_counter(format!("{key}.candidates"), cand as u64);
-        exp.set_counter(format!("{key}.hits"), hits_idx.len() as u64);
+        let key = format!("matcher.{}", key_part(class_name));
         exp.set_scalar(
             format!("{key}.candidate_fraction"),
             cand as f64 / reg.len() as f64,
         );
-        println!(
-            "{class_name:>20}  {cand:>7}  {:>7}  {:>6}  {idx_ms:>7.2}  {lin_ms:>7.2}",
-            reg.len(),
-            hits_idx.len(),
+        exp.row(
+            &key,
+            &[
+                Cell::text("request class", 20, class_name),
+                Cell::int("cand", 7, cand).key("candidates"),
+                Cell::int("of", 7, reg.len()),
+                Cell::int("hits", 6, hits_idx.len()).key("hits"),
+                Cell::fixed("idx ms", 7, 2, idx_ms),
+                Cell::fixed("lin ms", 7, 2, lin_ms),
+            ],
         );
     }
     exp.set_counter("matcher.registry_size", reg.len() as u64);

@@ -7,8 +7,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, key_part, standard_world, Experiment};
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_bench::{key_part, standard_world, sweep, Cell, Experiment};
+use pg_partition::exec::execute_once;
 use pg_partition::model::SolutionModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,59 +36,29 @@ fn main() -> ExitCode {
         "T1: cost matrix, {n}-sensor network, mean of {reps} seeds \
          (per-epoch costs for continuous)"
     );
-    header(
-        "query type x solution model",
-        &[
-            ("query", 10),
-            ("model", 22),
-            ("energy J", 10),
-            ("time s", 10),
-            ("bytes", 10),
-            ("ops", 10),
-            ("delivery", 8),
-        ],
-    );
+    exp.table("query type x solution model");
     for (qname, qtext) in queries {
         let query = pg_query::parse(qtext).expect("valid query");
         for model in SolutionModel::candidates(n - 1) {
-            let mut e = pg_sim::metrics::Summary::new();
-            let mut t = pg_sim::metrics::Summary::new();
-            let mut b = pg_sim::metrics::Summary::new();
-            let mut o = pg_sim::metrics::Summary::new();
-            let mut d = pg_sim::metrics::Summary::new();
-            for seed in 0..reps {
+            let [e, t, b, o, d] = sweep(reps, |seed| {
                 let mut w = standard_world(n, seed);
-                let mut ctx = ExecContext {
-                    net: &mut w.net,
-                    grid: &w.grid,
-                    field: &w.field,
-                    regions: &w.regions,
-                    now: w.now,
-                };
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-                let out = execute_once(&mut ctx, &query, model, &mut rng)
+                let out = execute_once(&mut w.ctx(), &query, model, &mut rng)
                     .expect("standard world answers all archetypes");
-                e.record(out.cost.energy_j);
-                t.record(out.cost.time_s);
-                b.record(out.cost.bytes);
-                o.record(out.cost.ops);
-                d.record(out.delivered_frac);
-            }
-            let cell = format!("{qname}.{}", key_part(&model.name()));
-            exp.record_summary(format!("{cell}.energy_j"), &e);
-            exp.record_summary(format!("{cell}.time_s"), &t);
-            exp.record_summary(format!("{cell}.bytes"), &b);
-            exp.record_summary(format!("{cell}.ops"), &o);
-            exp.record_summary(format!("{cell}.delivered_frac"), &d);
-            println!(
-                "{:>10}  {:>22}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}",
-                qname,
-                model.name(),
-                fmt(e.mean()),
-                fmt(t.mean()),
-                fmt(b.mean()),
-                fmt(o.mean()),
-                format!("{:.2}", d.mean()),
+                let c = out.cost;
+                [c.energy_j, c.time_s, c.bytes, c.ops, out.delivered_frac]
+            });
+            exp.row(
+                &format!("{qname}.{}", key_part(&model.name())),
+                &[
+                    Cell::text("query", 10, qname),
+                    Cell::text("model", 22, model.name()),
+                    Cell::eng("energy J", 10, e).key("energy_j"),
+                    Cell::eng("time s", 10, t).key("time_s"),
+                    Cell::eng("bytes", 10, b).key("bytes"),
+                    Cell::eng("ops", 10, o).key("ops"),
+                    Cell::fixed("delivery", 8, 2, d).key("delivered_frac"),
+                ],
             );
         }
         println!();

@@ -29,12 +29,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_agent::{BreakerConfig, ReliableConfig};
-use pg_bench::{header, Experiment};
-use pg_core::PervasiveGrid;
+use pg_bench::{cell_runtime, Cell, Experiment};
 use pg_federation::{commute_traces, CellId, Federation, FederationConfig, RoamingConfig, Trace};
-use pg_runtime::{
-    MultiQueryRuntime, OverloadConfig, OverloadPolicy, QueryOpts, RuntimeConfig, SchedPolicy,
-};
+use pg_runtime::QueryOpts;
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
@@ -47,24 +44,6 @@ const CAPACITY_HZ: f64 = 2.0 / 30.0;
 const PART_CELLS: usize = 6;
 /// Cells in the crash scenario.
 const CRASH_CELLS: usize = 3;
-
-fn cell_runtime(seed: u64) -> MultiQueryRuntime<PervasiveGrid> {
-    let pg = PervasiveGrid::building(1, 4, seed).build();
-    let cfg = RuntimeConfig::builder()
-        .capacity(32)
-        .epoch(Duration::from_secs(30))
-        .slots_per_epoch(2)
-        .policy(SchedPolicy::Edf)
-        .overload(OverloadConfig::watermarks(
-            OverloadPolicy::Shed,
-            0,
-            0,
-            16,
-            24,
-        ))
-        .build();
-    MultiQueryRuntime::new(cfg, pg)
-}
 
 /// Wire attempts that never earned an ack: every retransmission plus the
 /// final dead-letter give-up. This is what the breaker exists to cap.
@@ -87,7 +66,7 @@ fn run_partition(horizon_s: u64, start_s: u64, dur_s: u64, seed: u64, breaker: b
         .build()
         .unwrap();
     let runtimes = (0..cells)
-        .map(|i| cell_runtime(seed * 1_000 + i as u64))
+        .map(|i| cell_runtime(seed * 1_000 + i as u64, None))
         .collect();
     let users = 4 * cells;
     let traces = commute_traces(
@@ -154,7 +133,7 @@ fn run_crash(horizon_s: u64, seed: u64, journal: bool) -> Federation {
         .build()
         .unwrap();
     let runtimes = (0..cells)
-        .map(|i| cell_runtime(seed * 1_000 + i as u64))
+        .map(|i| cell_runtime(seed * 1_000 + i as u64, None))
         .collect();
     let mut traces = commute_traces(
         seed,
@@ -254,27 +233,20 @@ fn main() -> ExitCode {
     );
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("horizon_s", horizon_s.to_string());
+    let per_h = |met: u64| met as f64 * 3_600.0 / (horizon_s as f64 * reps as f64);
 
     println!(
         "T21a: bipartition {{0,1,2}}|{{3,4,5}} x cut duration x circuit \
          breaker, {reps} seeds per point ({horizon_s} s horizon, cut starts \
          at T/4, ~60% aggregate load, fast commute-ring mobility)"
     );
-    header(
+    exp.table(
         "wasted = unacked wire attempts (retries + dead letters); views must reconverge per seed",
-        &[
-            ("cut s", 6),
-            ("good brk", 8),
-            ("good off", 8),
-            ("waste brk", 9),
-            ("waste off", 9),
-            ("shortcut", 8),
-            ("opened", 6),
-            ("resurr", 6),
-        ],
     );
 
     for &dur in &durations {
+        /// Totals over the seeds of one cut duration.
+        #[derive(Default)]
         struct Point {
             met_on: u64,
             met_off: u64,
@@ -285,115 +257,106 @@ fn main() -> ExitCode {
             resurrections: u64,
         }
         let start = horizon_s / 4;
-        let points: Vec<Point> = (0..reps)
-            .map(|rep| {
-                let seed = rep * 100 + dur;
-                let on = run_partition(horizon_s, start, dur, seed, true);
-                let off = run_partition(horizon_s, start, dur, seed, false);
+        let mut sum = Point::default();
+        for rep in 0..reps {
+            let seed = rep * 100 + dur;
+            let on = run_partition(horizon_s, start, dur, seed, true);
+            let off = run_partition(horizon_s, start, dur, seed, false);
 
-                for fed in [&on, &off] {
-                    // Every view reconverges to all-alive after the heal,
-                    // and nobody flapped: a cross-cut peer is resurrected
-                    // at most once, a same-side peer was never evicted.
-                    for m in fed.members() {
-                        let live = m.live_set();
-                        assert_eq!(
-                            live.len(),
-                            PART_CELLS,
-                            "seed {seed} cut {dur}: cell {} did not reconverge: {live:?}",
-                            m.me
-                        );
-                        let half = PART_CELLS as u32 / 2;
-                        for j in 0..PART_CELLS as u32 {
-                            let r = m.resurrections_of(CellId(j));
-                            let same_side = (m.me.0 < half) == (j < half);
-                            let cap = if same_side { 0 } else { 1 };
-                            assert!(
-                                r <= cap,
-                                "seed {seed} cut {dur}: cell {} resurrected {:?} {r} times \
-                                 (flapping; same_side={same_side})",
-                                m.me,
-                                CellId(j)
-                            );
-                        }
-                    }
-                    // Handoff accounting stays closed across the cut.
-                    let s = &fed.stats;
+            for fed in [&on, &off] {
+                // Every view reconverges to all-alive after the heal,
+                // and nobody flapped: a cross-cut peer is resurrected
+                // at most once, a same-side peer was never evicted.
+                for m in fed.members() {
+                    let live = m.live_set();
                     assert_eq!(
-                        s.migrations_completed + s.migrations_rejected + s.migrations_lost,
-                        s.migrations_opened,
-                        "seed {seed} cut {dur}: migrations unaccounted for"
+                        live.len(),
+                        PART_CELLS,
+                        "seed {seed} cut {dur}: cell {} did not reconverge: {live:?}",
+                        m.me
                     );
+                    let half = PART_CELLS as u32 / 2;
+                    for j in 0..PART_CELLS as u32 {
+                        let r = m.resurrections_of(CellId(j));
+                        let same_side = (m.me.0 < half) == (j < half);
+                        let cap = if same_side { 0 } else { 1 };
+                        assert!(
+                            r <= cap,
+                            "seed {seed} cut {dur}: cell {} resurrected {:?} {r} times \
+                             (flapping; same_side={same_side})",
+                            m.me,
+                            CellId(j)
+                        );
+                    }
                 }
-                let resurrections = fed_resurrections(&on);
-
-                // The breaker caps wasted delivery attempts: whenever it
-                // short-circuited at all, the unacked wire attempts must
-                // come in strictly below the breaker-less run.
-                let wasted_on = wasted_attempts(&on);
-                let wasted_off = wasted_attempts(&off);
-                let short_circuits = on.bus_metrics().counter("breaker.short_circuit");
-                let opened = on.bus_metrics().counter("breaker.opened");
+                // Handoff accounting stays closed across the cut.
+                let s = &fed.stats;
                 assert_eq!(
-                    off.bus_metrics().counter("breaker.short_circuit"),
-                    0,
-                    "seed {seed} cut {dur}: breaker-off run short-circuited"
+                    s.migrations_completed + s.migrations_rejected + s.migrations_lost,
+                    s.migrations_opened,
+                    "seed {seed} cut {dur}: migrations unaccounted for"
                 );
-                // Per seed the breaker may only tie (a boundary pair that
-                // carries exactly one message trips without saving
-                // anything); strictly-below is asserted on the sweep-point
-                // aggregate where suppressed sends dominate.
-                assert!(
-                    wasted_on <= wasted_off,
-                    "seed {seed} cut {dur}: breaker wasted {wasted_on} attempts, \
-                     above breaker-less {wasted_off}"
-                );
+            }
+            sum.resurrections += fed_resurrections(&on);
 
-                let (_, met_on) = on.goodput();
-                let (_, met_off) = off.goodput();
-                Point {
-                    met_on,
-                    met_off,
-                    wasted_on,
-                    wasted_off,
-                    short_circuits,
-                    opened,
-                    resurrections,
-                }
-            })
-            .collect();
+            // The breaker caps wasted delivery attempts: whenever it
+            // short-circuited at all, the unacked wire attempts must
+            // come in strictly below the breaker-less run.
+            let wasted_on = wasted_attempts(&on);
+            let wasted_off = wasted_attempts(&off);
+            sum.short_circuits += on.bus_metrics().counter("breaker.short_circuit");
+            sum.opened += on.bus_metrics().counter("breaker.opened");
+            assert_eq!(
+                off.bus_metrics().counter("breaker.short_circuit"),
+                0,
+                "seed {seed} cut {dur}: breaker-off run short-circuited"
+            );
+            // Per seed the breaker may only tie (a boundary pair that
+            // carries exactly one message trips without saving
+            // anything); strictly-below is asserted on the sweep-point
+            // aggregate where suppressed sends dominate.
+            assert!(
+                wasted_on <= wasted_off,
+                "seed {seed} cut {dur}: breaker wasted {wasted_on} attempts, \
+                 above breaker-less {wasted_off}"
+            );
 
-        let sum = |f: fn(&Point) -> u64| points.iter().map(f).sum::<u64>();
-        let (met_on, met_off) = (sum(|p| p.met_on), sum(|p| p.met_off));
-        let (wasted_on, wasted_off) = (sum(|p| p.wasted_on), sum(|p| p.wasted_off));
-        let short_circuits = sum(|p| p.short_circuits);
-        let opened = sum(|p| p.opened);
-        let resurrections = sum(|p| p.resurrections);
+            sum.met_on += on.goodput().1;
+            sum.met_off += off.goodput().1;
+            sum.wasted_on += wasted_on;
+            sum.wasted_off += wasted_off;
+        }
         // Across the sweep point the breaker must actually have engaged
         // and saved wire attempts — a cut this long with roaming users
         // always pushes handoffs into the dead window.
         assert!(
-            short_circuits > 0,
+            sum.short_circuits > 0,
             "cut {dur}: the breaker never short-circuited over {reps} seeds"
         );
         assert!(
-            wasted_on < wasted_off,
-            "cut {dur}: breaker did not reduce wasted attempts ({wasted_on} vs {wasted_off})"
+            sum.wasted_on < sum.wasted_off,
+            "cut {dur}: breaker did not reduce wasted attempts ({} vs {})",
+            sum.wasted_on,
+            sum.wasted_off
         );
 
-        let n = reps as f64;
+        // The table shows met-deadline counts; the report gates them as
+        // per-hour rates.
         let key = format!("part{dur}");
-        let per_h = |met: u64| met as f64 * 3_600.0 / (horizon_s as f64 * n);
-        exp.set_scalar(format!("{key}.breaker.goodput_per_h"), per_h(met_on));
-        exp.set_scalar(format!("{key}.none.goodput_per_h"), per_h(met_off));
-        exp.set_counter(format!("{key}.breaker.wasted_attempts"), wasted_on);
-        exp.set_counter(format!("{key}.none.wasted_attempts"), wasted_off);
-        exp.set_counter(format!("{key}.breaker.short_circuits"), short_circuits);
-        exp.set_counter(format!("{key}.breaker.opened"), opened);
-        exp.set_counter(format!("{key}.resurrections"), resurrections);
-        println!(
-            "{dur:>6}  {met_on:>8}  {met_off:>8}  {wasted_on:>9}  {wasted_off:>9}  \
-             {short_circuits:>8}  {opened:>6}  {resurrections:>6}"
+        exp.set_scalar(format!("{key}.breaker.goodput_per_h"), per_h(sum.met_on));
+        exp.set_scalar(format!("{key}.none.goodput_per_h"), per_h(sum.met_off));
+        exp.row(
+            &key,
+            &[
+                Cell::int("cut s", 6, dur),
+                Cell::int("good brk", 8, sum.met_on),
+                Cell::int("good off", 8, sum.met_off),
+                Cell::int("waste brk", 9, sum.wasted_on).key("breaker.wasted_attempts"),
+                Cell::int("waste off", 9, sum.wasted_off).key("none.wasted_attempts"),
+                Cell::int("shortcut", 8, sum.short_circuits).key("breaker.short_circuits"),
+                Cell::int("opened", 6, sum.opened).key("breaker.opened"),
+                Cell::int("resurr", 6, sum.resurrections).key("resurrections"),
+            ],
         );
     }
 
@@ -404,81 +367,71 @@ fn main() -> ExitCode {
          dying queue is deep; deadlines at 2T/3 so recovered queries still \
          count)"
     );
-    header(
+    // One printed row per seed; the report gates the totals over the seeds.
+    exp.table(
         "recovered must equal crash-lost with the journal; goodput must strictly beat no-journal",
-        &[
-            ("seed", 5),
-            ("good jrnl", 9),
-            ("good none", 9),
-            ("lost", 5),
-            ("recov", 6),
-            ("crashes", 7),
-        ],
     );
 
-    struct CrashPoint {
+    #[derive(Default)]
+    struct CrashTotals {
         total_j: u64,
         total_n: u64,
         lost_n: u64,
         recovered: u64,
         crashes: u64,
     }
-    let crash_points: Vec<CrashPoint> = (0..reps)
-        .map(|rep| {
-            let seed = rep * 100 + 21;
-            let with = run_crash(horizon_s, seed, true);
-            let without = run_crash(horizon_s, seed, false);
-            assert!(
-                with.stats.crashes >= 1,
-                "seed {seed}: the crash window never applied"
-            );
-            assert!(
-                without.stats.crash_lost > 0,
-                "seed {seed}: the crash destroyed nothing — the scenario is vacuous"
-            );
-            // Exactly-once: the journal re-admits precisely what the crash
-            // destroyed, never more, and the recovery-free run recovers 0.
-            assert_eq!(
-                with.stats.journal_recovered, with.stats.crash_lost,
-                "seed {seed}: journal recovery incomplete"
-            );
-            assert_eq!(without.stats.journal_recovered, 0);
-            let (total_j, _) = with.goodput();
-            let (total_n, _) = without.goodput();
-            assert!(
-                total_j > total_n,
-                "seed {seed}: journal-recovered goodput {total_j} not strictly \
-                 above recovery-free restart {total_n}"
-            );
-            assert_conservation(&with, &format!("seed {seed} journal"));
-            assert_conservation(&without, &format!("seed {seed} no-journal"));
-            println!(
-                "{seed:>5}  {total_j:>9}  {total_n:>9}  {:>5}  {:>6}  {:>7}",
-                without.stats.crash_lost, with.stats.journal_recovered, with.stats.crashes
-            );
-            CrashPoint {
-                total_j,
-                total_n,
-                lost_n: without.stats.crash_lost,
-                recovered: with.stats.journal_recovered,
-                crashes: with.stats.crashes,
-            }
-        })
-        .collect();
+    let mut sum = CrashTotals::default();
+    for rep in 0..reps {
+        let seed = rep * 100 + 21;
+        let with = run_crash(horizon_s, seed, true);
+        let without = run_crash(horizon_s, seed, false);
+        assert!(
+            with.stats.crashes >= 1,
+            "seed {seed}: the crash window never applied"
+        );
+        assert!(
+            without.stats.crash_lost > 0,
+            "seed {seed}: the crash destroyed nothing — the scenario is vacuous"
+        );
+        // Exactly-once: the journal re-admits precisely what the crash
+        // destroyed, never more, and the recovery-free run recovers 0.
+        assert_eq!(
+            with.stats.journal_recovered, with.stats.crash_lost,
+            "seed {seed}: journal recovery incomplete"
+        );
+        assert_eq!(without.stats.journal_recovered, 0);
+        let (total_j, _) = with.goodput();
+        let (total_n, _) = without.goodput();
+        assert!(
+            total_j > total_n,
+            "seed {seed}: journal-recovered goodput {total_j} not strictly \
+             above recovery-free restart {total_n}"
+        );
+        assert_conservation(&with, &format!("seed {seed} journal"));
+        assert_conservation(&without, &format!("seed {seed} no-journal"));
+        exp.row(
+            "",
+            &[
+                Cell::int("seed", 5, seed),
+                Cell::int("good jrnl", 9, total_j),
+                Cell::int("good none", 9, total_n),
+                Cell::int("lost", 5, without.stats.crash_lost),
+                Cell::int("recov", 6, with.stats.journal_recovered),
+                Cell::int("crashes", 7, with.stats.crashes),
+            ],
+        );
+        sum.total_j += total_j;
+        sum.total_n += total_n;
+        sum.lost_n += without.stats.crash_lost;
+        sum.recovered += with.stats.journal_recovered;
+        sum.crashes += with.stats.crashes;
+    }
 
-    let n = reps as f64;
-    let sum = |f: fn(&CrashPoint) -> u64| crash_points.iter().map(f).sum::<u64>();
-    exp.set_scalar(
-        "crash.journal.goodput_per_h",
-        sum(|p| p.total_j) as f64 * 3_600.0 / (horizon_s as f64 * n),
-    );
-    exp.set_scalar(
-        "crash.none.goodput_per_h",
-        sum(|p| p.total_n) as f64 * 3_600.0 / (horizon_s as f64 * n),
-    );
-    exp.set_counter("crash.journal.recovered", sum(|p| p.recovered));
-    exp.set_counter("crash.none.lost", sum(|p| p.lost_n));
-    exp.set_counter("crash.crashes", sum(|p| p.crashes));
+    exp.set_scalar("crash.journal.goodput_per_h", per_h(sum.total_j));
+    exp.set_scalar("crash.none.goodput_per_h", per_h(sum.total_n));
+    exp.set_counter("crash.journal.recovered", sum.recovered);
+    exp.set_counter("crash.none.lost", sum.lost_n);
+    exp.set_counter("crash.crashes", sum.crashes);
 
     println!(
         "\nshape to check: every membership view reconverges after the heal \

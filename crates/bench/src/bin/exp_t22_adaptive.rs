@@ -31,8 +31,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, standard_world_with_loss, Experiment, World};
-use pg_partition::decide::{oracle_choice, DecisionMaker, Policy};
+use pg_bench::{fmt, standard_world_with_loss, stream, Cell, Experiment, World};
+use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
 use pg_partition::exec::{execute_once, ExecContext};
 use pg_partition::features::QueryFeatures;
 use pg_partition::learn::Reward;
@@ -40,7 +40,7 @@ use pg_partition::model::{CostWeights, SolutionModel};
 use pg_sim::fault::FaultPlan;
 use pg_sim::SimTime;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use std::process::ExitCode;
 
 const N: usize = 100;
@@ -65,28 +65,28 @@ impl Scenario {
             Scenario::Load => "load",
         }
     }
-}
 
-fn stream(scenario: Scenario, seed: u64, len: usize) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| match scenario {
+    /// The scenario's query mix, in [`stream`]'s `(upto, text)` form.
+    fn mix(self) -> &'static [(u32, &'static str)] {
+        match self {
             // Complex-heavy: the fault shift flips the Complex optimum
             // (hybrid -> base station) by ~6 orders of magnitude.
-            Scenario::Faults => match rng.gen_range(0..10) {
-                0..=3 => "SELECT temperature_distribution() FROM sensors WHERE region(room210)"
-                    .to_string(),
-                4..=7 => "SELECT AVG(temp) FROM sensors".to_string(),
-                _ => "SELECT MAX(temp) FROM sensors WHERE region(room210)".to_string(),
-            },
+            Scenario::Faults => &[
+                (
+                    3,
+                    "SELECT temperature_distribution() FROM sensors WHERE region(room210)",
+                ),
+                (7, "SELECT AVG(temp) FROM sensors"),
+                (9, "SELECT MAX(temp) FROM sensors WHERE region(room210)"),
+            ],
             // Aggregate-heavy: under the wait ramp only the fast tree
             // placement keeps fitting the deadline.
-            Scenario::Load => match rng.gen_range(0..10) {
-                0..=7 => "SELECT AVG(temp) FROM sensors".to_string(),
-                _ => "SELECT MAX(temp) FROM sensors WHERE region(room210)".to_string(),
-            },
-        })
-        .collect()
+            Scenario::Load => &[
+                (7, "SELECT AVG(temp) FROM sensors"),
+                (9, "SELECT MAX(temp) FROM sensors WHERE region(room210)"),
+            ],
+        }
+    }
 }
 
 /// The plan installed at the faults shift: all three grid workers down for
@@ -116,6 +116,7 @@ fn load_wait_s(i: usize, shift: usize, len: usize) -> (f64, f64) {
     (LOAD_MAX_WAIT_S * (2.0 * frac).min(1.0), frac)
 }
 
+#[derive(Default)]
 struct RunOut {
     /// Total scalar execution cost per phase.
     phase_cost: [f64; 2],
@@ -168,13 +169,16 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
     let weights = CostWeights::default();
     let shift = len / 2;
     let mut w = standard_world_with_loss(N, seed, 0.02);
-    let mut dm = DecisionMaker::new(policy, seed);
+    let mut dm = DecisionMaker::with_config(policy, seed, DecisionConfig::default());
     let mut phase_cost = [0.0f64; 2];
     let mut met = [0u32; 2];
     let mut count = [0u32; 2];
     let mut regret_sum = [0.0f64; 4];
     let mut regret_n = [0u32; 4];
-    for (i, text) in stream(scenario, seed, len).iter().enumerate() {
+    for (i, text) in stream(seed, len, N as u32, scenario.mix())
+        .iter()
+        .enumerate()
+    {
         if scenario == Scenario::Faults && i == shift {
             let plan = shift_plan(seed);
             w.net.set_fault_plan(plan.clone());
@@ -188,18 +192,8 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
             dm.note_pressure((64.0 * load_frac) as usize, load_frac);
         }
         let query = pg_query::parse(text).expect("valid query");
-        let features = {
-            let ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
-            match QueryFeatures::extract(&ctx, &query) {
-                Some(f) => f,
-                None => continue,
-            }
+        let Some(features) = QueryFeatures::extract(&w.ctx(), &query) else {
+            continue;
         };
         let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
             continue;
@@ -219,15 +213,8 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
         } else {
             None
         };
-        let mut ctx = ExecContext {
-            net: &mut w.net,
-            grid: &w.grid,
-            field: &w.field,
-            regions: &w.regions,
-            now: w.now,
-        };
         let mut rng = StdRng::seed_from_u64(i as u64);
-        let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) else {
+        let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) else {
             continue;
         };
         let scalar = weights.scalar(&out.cost);
@@ -290,15 +277,8 @@ fn main() -> ExitCode {
     for scenario in [Scenario::Faults, Scenario::Load] {
         let sk = scenario.key();
         println!("\n== scenario: {sk}");
-        header(
-            "phase-2 outcome per policy (mean over seeds)",
-            &[("policy", 26), ("p2 cost", 11), ("p2 goodput", 11)],
-        );
-        let mut mean_bandit = RunOut {
-            phase_cost: [0.0; 2],
-            goodput: [0.0; 2],
-            regret_w: [0.0; 4],
-        };
+        exp.table("phase-2 outcome per policy (mean over seeds)");
+        let mut mean_bandit = RunOut::default();
         let mut mean_knn = [0.0f64; 2]; // (phase2 cost, phase2 goodput)
         let mut mean_static = [0.0f64; 2];
         for s in 0..seeds {
@@ -381,16 +361,29 @@ fn main() -> ExitCode {
             mean_static[0] += best_at_start.phase_cost[1] / k;
             mean_static[1] += best_at_start.goodput[1] / k;
         }
-        for (name, cost, goodput) in [
+        for (name, key, cost, goodput) in [
             (
                 "bandit (LinUCB)",
+                "bandit",
                 mean_bandit.phase_cost[1],
                 mean_bandit.goodput[1],
             ),
-            ("adaptive (k-NN)", mean_knn[0], mean_knn[1]),
-            ("static best-at-start", mean_static[0], mean_static[1]),
+            ("adaptive (k-NN)", "knn", mean_knn[0], mean_knn[1]),
+            (
+                "static best-at-start",
+                "static_best",
+                mean_static[0],
+                mean_static[1],
+            ),
         ] {
-            println!("{name:>26}  {:>11}  {goodput:>11.3}", fmt(cost));
+            exp.row(
+                &format!("{sk}.{key}"),
+                &[
+                    Cell::text("policy", 26, name),
+                    Cell::eng("p2 cost", 11, cost).key("phase2_cost"),
+                    Cell::fixed("p2 goodput", 11, 3, goodput).key("goodput2"),
+                ],
+            );
         }
         println!(
             "windowed regret (bandit, mean/decision): p1 {} -> {}, p2 {} -> {}",
@@ -399,15 +392,6 @@ fn main() -> ExitCode {
             fmt(mean_bandit.regret_w[2]),
             fmt(mean_bandit.regret_w[3]),
         );
-        exp.set_scalar(
-            format!("{sk}.bandit.phase2_cost"),
-            mean_bandit.phase_cost[1],
-        );
-        exp.set_scalar(format!("{sk}.knn.phase2_cost"), mean_knn[0]);
-        exp.set_scalar(format!("{sk}.static_best.phase2_cost"), mean_static[0]);
-        exp.set_scalar(format!("{sk}.bandit.goodput2"), mean_bandit.goodput[1]);
-        exp.set_scalar(format!("{sk}.knn.goodput2"), mean_knn[1]);
-        exp.set_scalar(format!("{sk}.static_best.goodput2"), mean_static[1]);
         for (wi, r) in mean_bandit.regret_w.iter().enumerate() {
             exp.set_scalar(format!("{sk}.bandit.regret_w{wi}"), *r);
         }

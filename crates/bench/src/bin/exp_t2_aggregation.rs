@@ -8,8 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::standard_world;
-use pg_bench::{fmt, header, replicate, Experiment};
+use pg_bench::{standard_world, sweep, Cell, Experiment};
 use pg_sensornet::aggregate::AggFn;
 use pg_sensornet::cluster::default_head_count;
 use pg_sensornet::epoch::Strategy;
@@ -23,21 +22,11 @@ fn main() -> ExitCode {
     let sizes: &[usize] = exp.scale(&[25, 50, 100, 200, 400], &[25, 50, 100]);
     exp.set_meta("reps", reps.to_string());
     println!("T2: aggregate-query energy vs network size (AVG over all sensors, one epoch)");
-    header(
-        &format!("mean of {reps} seeds"),
-        &[
-            ("n", 5),
-            ("direct J", 11),
-            ("cluster J", 11),
-            ("tree J", 11),
-            ("tree/direct", 11),
-            ("direct B", 11),
-            ("tree B", 11),
-        ],
-    );
+    exp.table(&format!("mean of {reps} seeds"));
     for &n in sizes {
+        // One epoch per (strategy, seed): `[energy J, bytes on air]`.
         let run = |strategy: Strategy| {
-            move |seed: u64| {
+            sweep(reps, |seed| {
                 let mut w = standard_world(n, seed);
                 let members: Vec<_> = w
                     .net
@@ -48,51 +37,26 @@ fn main() -> ExitCode {
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xAA);
                 let r =
                     strategy.run_epoch(&mut w.net, &members, &w.field, w.now, AggFn::Avg, &mut rng);
-                r.energy_j
-            }
+                [r.energy_j, r.total_bytes as f64]
+            })
         };
-        let bytes = |strategy: Strategy| {
-            move |seed: u64| {
-                let mut w = standard_world(n, seed);
-                let members: Vec<_> = w
-                    .net
-                    .topology()
-                    .nodes()
-                    .filter(|&x| x != w.net.base())
-                    .collect();
-                let mut rng = StdRng::seed_from_u64(seed ^ 0xAA);
-                let r =
-                    strategy.run_epoch(&mut w.net, &members, &w.field, w.now, AggFn::Avg, &mut rng);
-                r.total_bytes as f64
-            }
-        };
-        let direct = replicate(reps, run(Strategy::Direct));
-        let cluster = replicate(
-            reps,
-            run(Strategy::Cluster {
-                heads: default_head_count(n - 1),
-            }),
-        );
-        let tree = replicate(reps, run(Strategy::Tree));
-        let db = replicate(reps, bytes(Strategy::Direct));
-        let tb = replicate(reps, bytes(Strategy::Tree));
-        exp.record_summary(format!("n{n}.direct_j"), &direct);
-        exp.record_summary(format!("n{n}.cluster_j"), &cluster);
-        exp.record_summary(format!("n{n}.tree_j"), &tree);
-        exp.record_summary(format!("n{n}.direct_bytes"), &db);
-        exp.record_summary(format!("n{n}.tree_bytes"), &tb);
-        exp.set_scalar(
-            format!("n{n}.tree_over_direct"),
-            tree.mean() / direct.mean(),
-        );
-        println!(
-            "{n:>5}  {:>11}  {:>11}  {:>11}  {:>11}  {:>11}  {:>11}",
-            fmt(direct.mean()),
-            fmt(cluster.mean()),
-            fmt(tree.mean()),
-            format!("{:.2}", tree.mean() / direct.mean()),
-            fmt(db.mean()),
-            fmt(tb.mean()),
+        let [direct, db] = run(Strategy::Direct);
+        let [cluster, _] = run(Strategy::Cluster {
+            heads: default_head_count(n - 1),
+        });
+        let [tree, tb] = run(Strategy::Tree);
+        exp.row(
+            &format!("n{n}"),
+            &[
+                Cell::int("n", 5, n),
+                Cell::eng("direct J", 11, direct).key("direct_j"),
+                Cell::eng("cluster J", 11, cluster).key("cluster_j"),
+                Cell::eng("tree J", 11, tree).key("tree_j"),
+                Cell::fixed("tree/direct", 11, 2, tree.mean() / direct.mean())
+                    .key("tree_over_direct"),
+                Cell::eng("direct B", 11, db).key("direct_bytes"),
+                Cell::eng("tree B", 11, tb).key("tree_bytes"),
+            ],
         );
     }
     println!(

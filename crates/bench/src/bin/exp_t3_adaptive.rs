@@ -7,114 +7,12 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, key_part, standard_world, Experiment};
-use pg_partition::decide::{oracle_choice, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
-use pg_partition::features::QueryFeatures;
-use pg_partition::model::{CostWeights, SolutionModel};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use pg_bench::{key_part, run_mixed_stream, Cell, Experiment};
+use pg_partition::decide::{DecisionConfig, Policy};
+use pg_partition::model::SolutionModel;
 use std::process::ExitCode;
 
 const N: usize = 100;
-
-fn stream(seed: u64, len: usize) -> Vec<String> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..len)
-        .map(|_| match rng.gen_range(0..10) {
-            // Continuous queries are deliberately absent: their idle-energy
-            // cost is identical under every placement and would wash out
-            // the comparison (T12 studies them separately).
-            0..=3 => "SELECT AVG(temp) FROM sensors".to_string(),
-            4..=5 => format!(
-                "SELECT temp FROM sensors WHERE sensor_id = {}",
-                rng.gen_range(1..N as u32)
-            ),
-            6..=7 => "SELECT MAX(temp) FROM sensors WHERE region(room210)".to_string(),
-            _ => "SELECT temperature_distribution() FROM sensors WHERE region(room210)".to_string(),
-        })
-        .collect()
-}
-
-/// Run the stream under one policy; returns (total scalar cost, oracle
-/// family agreement over the last `judge_window` decisions, mean regret
-/// ratio — scalar(chosen)/scalar(oracle) — over the same window).
-fn run(
-    policy: Policy,
-    report_agreement: bool,
-    stream_len: usize,
-    judge_window: usize,
-) -> (f64, f64, f64) {
-    let weights = CostWeights::default();
-    let mut w = standard_world(N, 7);
-    let mut dm = DecisionMaker::new(policy, 7);
-    let mut total = 0.0;
-    let mut agree = 0u32;
-    let mut judged = 0u32;
-    let mut regret_sum = 0.0;
-    let mut oracle_cost_pending: Option<f64> = None;
-    for (i, text) in stream(7, stream_len).iter().enumerate() {
-        let query = pg_query::parse(text).expect("valid query");
-        let features = {
-            let ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
-            // A randomly drawn sensor id can land on the base station —
-            // such queries are invalid and skipped under every policy.
-            match QueryFeatures::extract(&ctx, &query) {
-                Some(f) => f,
-                None => continue,
-            }
-        };
-        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
-            continue;
-        };
-        // Judge the decision against the clairvoyant oracle (on a clone) for
-        // the tail of the stream.
-        if report_agreement && i >= stream_len - judge_window {
-            if let Some((best, best_cost)) = oracle_choice(
-                &w.net, &w.grid, &w.field, &w.regions, w.now, &query, &weights, i as u64,
-            ) {
-                judged += 1;
-                if best.family() == model.family() {
-                    agree += 1;
-                }
-                oracle_cost_pending = Some(weights.scalar(&best_cost));
-            }
-        }
-        let mut ctx = ExecContext {
-            net: &mut w.net,
-            grid: &w.grid,
-            field: &w.field,
-            regions: &w.regions,
-            now: w.now,
-        };
-        let mut rng = StdRng::seed_from_u64(i as u64);
-        let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) else {
-            continue;
-        };
-        total += weights.scalar(&out.cost);
-        if let Some(oracle) = oracle_cost_pending.take() {
-            regret_sum += weights.scalar(&out.cost) / oracle.max(1e-12);
-        }
-        dm.record(&w.net, &w.grid, features, model, out.cost);
-    }
-    let agreement = if judged == 0 {
-        f64::NAN
-    } else {
-        agree as f64 / judged as f64
-    };
-    let regret = if judged == 0 {
-        f64::NAN
-    } else {
-        regret_sum / judged as f64
-    };
-    (total, agreement, regret)
-}
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t3_adaptive");
@@ -123,66 +21,53 @@ fn main() -> ExitCode {
     exp.set_meta("stream_len", stream_len.to_string());
     exp.set_meta("judge_window", judge_window.to_string());
     println!("T3: {stream_len}-query mixed stream on a {N}-sensor network");
-    header(
-        "policy comparison (scalar cost = energy/0.1J + 0.5 x time/10s)",
-        &[("policy", 26), ("total cost", 12), ("vs adaptive", 12)],
-    );
-    let (adaptive, agreement, regret) = run(Policy::Adaptive, true, stream_len, judge_window);
-    let rows: Vec<(String, f64)> = vec![
-        ("adaptive (k-NN + eps)".into(), adaptive),
+    exp.table("policy comparison (scalar cost = energy/0.1J + 0.5 x time/10s)");
+    // Every policy sees the same world, stream and learner seed; only the
+    // adaptive run pays for the oracle's verdict on its last decisions.
+    let run = |policy, judge_window| {
+        run_mixed_stream(
+            policy,
+            DecisionConfig::default(),
+            N,
+            7,
+            stream_len,
+            judge_window,
+        )
+    };
+    let (adaptive, agreement, regret) = run(Policy::Adaptive, judge_window);
+    let others = [
+        ("random", Policy::Random),
         (
-            "random".into(),
-            run(Policy::Random, false, stream_len, judge_window).0,
+            "static: in-network tree",
+            Policy::Static(SolutionModel::InNetworkTree),
         ),
         (
-            "static: in-network tree".into(),
-            run(
-                Policy::Static(SolutionModel::InNetworkTree),
-                false,
-                stream_len,
-                judge_window,
-            )
-            .0,
+            "static: cluster",
+            Policy::Static(SolutionModel::InNetworkCluster { heads: 5 }),
         ),
         (
-            "static: cluster".into(),
-            run(
-                Policy::Static(SolutionModel::InNetworkCluster { heads: 5 }),
-                false,
-                stream_len,
-                judge_window,
-            )
-            .0,
+            "static: base station",
+            Policy::Static(SolutionModel::BaseStation),
         ),
         (
-            "static: base station".into(),
-            run(
-                Policy::Static(SolutionModel::BaseStation),
-                false,
-                stream_len,
-                judge_window,
-            )
-            .0,
+            "static: grid offload",
+            Policy::Static(SolutionModel::GridOffload {
+                reduction_cell_m: 0.0,
+            }),
         ),
-        (
-            "static: grid offload".into(),
-            run(
-                Policy::Static(SolutionModel::GridOffload {
-                    reduction_cell_m: 0.0,
-                }),
-                false,
-                stream_len,
-                judge_window,
-            )
-            .0,
-        ),
-    ];
-    for (name, cost) in &rows {
-        exp.set_scalar(format!("{}.total_cost", key_part(name)), *cost);
-        println!(
-            "{name:>26}  {:>12}  {:>12}",
-            fmt(*cost),
-            format!("{:+.1}%", 100.0 * (cost - adaptive) / adaptive)
+    ]
+    .map(|(name, policy)| (name, run(policy, 0).0));
+    for (name, cost) in [("adaptive (k-NN + eps)", adaptive)]
+        .into_iter()
+        .chain(others)
+    {
+        exp.row(
+            &key_part(name),
+            &[
+                Cell::text("policy", 26, name),
+                Cell::eng("total cost", 12, cost).key("total_cost"),
+                Cell::percent("vs adaptive", 12, 1, (cost - adaptive) / adaptive),
+            ],
         );
     }
     // NaN when no decision could be judged (never in practice; a NaN would

@@ -8,7 +8,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, Experiment};
+use pg_bench::{sweep, Cell, Experiment};
 use pg_discovery::baselines::jini_match;
 use pg_discovery::broker::BrokerFederation;
 use pg_discovery::corpus::{mixed_corpus, precision_recall, printer_corpus};
@@ -30,18 +30,8 @@ fn main() -> ExitCode {
 
     // --- Part 1: expressiveness on the paper's own printer queries. ---
     println!("T4a: precision/recall on 'color printing under a cost cap' ({printer_n} printers)");
-    header(
-        &format!("mean of {corpora} corpora"),
-        &[
-            ("system", 24),
-            ("precision", 10),
-            ("recall", 10),
-            ("ranked", 7),
-        ],
-    );
-    let mut sem_p = pg_sim::metrics::Summary::new();
-    let mut jini_p = pg_sim::metrics::Summary::new();
-    for seed in 0..corpora {
+    exp.table(&format!("mean of {corpora} corpora"));
+    let [sem_p, jini_p] = sweep(corpora, |seed| {
         let mut rng = StdRng::seed_from_u64(seed);
         let corpus = printer_corpus(&onto, printer_n, &mut rng);
         let printer = onto.class("PrinterService").unwrap();
@@ -52,40 +42,45 @@ fn main() -> ExitCode {
             .into_iter()
             .map(|m| m.index)
             .collect();
-        sem_p.record(precision_recall(&hits, &corpus.relevant).0);
         let jini = jini_match(&corpus.services, "printIt");
-        jini_p.record(precision_recall(&jini, &corpus.relevant).0);
+        [
+            precision_recall(&hits, &corpus.relevant).0,
+            precision_recall(&jini, &corpus.relevant).0,
+        ]
+    });
+    let precision = |v: pg_bench::Value| Cell::fixed("precision", 10, 2, v);
+    for (system, precision, recall, ranked) in [
+        (
+            "semantic (this work)",
+            precision(sem_p.into()).key("semantic_precision"),
+            "1.00",
+            "yes",
+        ),
+        (
+            "Jini interface match",
+            precision(jini_p.into()).key("jini_precision"),
+            "1.00",
+            "no",
+        ),
+        ("Bluetooth SDP (UUID)", precision("n/a".into()), "n/a", "no"),
+    ] {
+        exp.row(
+            "printer",
+            &[
+                Cell::text("system", 24, system),
+                precision,
+                Cell::text("recall", 10, recall),
+                Cell::text("ranked", 7, ranked),
+            ],
+        );
     }
-    exp.record_summary("printer.semantic_precision", &sem_p);
-    exp.record_summary("printer.jini_precision", &jini_p);
-    println!(
-        "{:>24}  {:>10}  {:>10}  {:>7}",
-        "semantic (this work)",
-        format!("{:.2}", sem_p.mean()),
-        "1.00",
-        "yes"
-    );
-    println!(
-        "{:>24}  {:>10}  {:>10}  {:>7}",
-        "Jini interface match",
-        format!("{:.2}", jini_p.mean()),
-        "1.00",
-        "no"
-    );
-    println!(
-        "{:>24}  {:>10}  {:>10}  {:>7}",
-        "Bluetooth SDP (UUID)", "n/a", "n/a", "no"
-    );
     println!("(SDP cannot express the query at all: UUID equality only)");
 
     // --- Part 2: match latency vs registry size. ---
     // Wall-clock latency stays on stdout only; the report records the
     // (deterministic) hit counts per registry size.
     println!("\nT4b: semantic match latency vs registry size (wall clock, this machine)");
-    header(
-        "single query, ranked result",
-        &[("services", 9), ("latency us", 11), ("hits", 7)],
-    );
+    exp.table("single query, ranked result");
     let solver = onto.class("SolverService").unwrap();
     let registry_sizes: &[usize] = exp.scale(&[100, 1_000, 10_000, 50_000], &[100, 1_000]);
     for &n in registry_sizes {
@@ -102,24 +97,20 @@ fn main() -> ExitCode {
             hits = matcher::rank(&onto, &req, &corpus).len();
         }
         let us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-        exp.set_counter(format!("latency_sweep.n{n}.hits"), hits as u64);
-        println!("{n:>9}  {:>11}  {hits:>7}", fmt(us));
+        exp.row(
+            &format!("latency_sweep.n{n}"),
+            &[
+                Cell::int("services", 9, n),
+                Cell::eng("latency us", 11, us),
+                Cell::int("hits", 7, hits).key("hits"),
+            ],
+        );
     }
 
     // --- Part 3: federation vs central registry. ---
     let fed_n: usize = exp.scale(240, 120);
     println!("\nT4c: federated brokers vs one central registry ({fed_n} services)");
-    header(
-        "query entering at broker 0",
-        &[
-            ("deployment", 16),
-            ("hops", 5),
-            ("brokers", 8),
-            ("msgs", 6),
-            ("latency ms", 11),
-            ("hits", 5),
-        ],
-    );
+    exp.table("query entering at broker 0");
     let mut rng = StdRng::seed_from_u64(5);
     let corpus = mixed_corpus(&onto, fed_n, &mut rng);
     let req = ServiceRequest::for_class(solver);
@@ -129,11 +120,23 @@ fn main() -> ExitCode {
         central.register(d.clone());
     }
     let hits = central.query(&onto, &req).len();
-    exp.set_counter("federation.central.hits", hits as u64);
-    println!(
-        "{:>16}  {:>5}  {:>8}  {:>6}  {:>11}  {hits:>5}",
-        "central", "-", 1, 0, "0",
-    );
+    let mut row = |prefix: &str, deployment: &str, overlay: [pg_bench::Value; 4], hits: usize| {
+        let [hops, brokers, msgs, latency_ms] = overlay;
+        exp.row(
+            prefix,
+            &[
+                Cell::text("deployment", 16, deployment),
+                Cell::int("hops", 5, hops),
+                Cell::int("brokers", 8, brokers).key("brokers_visited"),
+                Cell::int("msgs", 6, msgs).key("messages"),
+                Cell::eng("latency ms", 11, latency_ms).key("latency_ms"),
+                Cell::int("hits", 5, hits).key("hits"),
+            ],
+        );
+    };
+    // One registry, no overlay: only its hit count is a measurement.
+    let no_overlay = ["-", "1", "0", "0"].map(Into::into);
+    row("federation.central", "central", no_overlay, hits);
     // Federated ring of 8.
     let mut fed = BrokerFederation::new(8);
     for i in 0..8 {
@@ -144,24 +147,14 @@ fn main() -> ExitCode {
     }
     for hops in [1u32, 2, 4] {
         let (hits, stats) = fed.query(&onto, 0, &req, hops);
-        exp.set_counter(
-            format!("federation.hops{hops}.brokers_visited"),
-            stats.brokers_visited as u64,
-        );
-        exp.set_counter(format!("federation.hops{hops}.messages"), stats.messages);
-        exp.set_scalar(
-            format!("federation.hops{hops}.latency_ms"),
-            stats.latency.as_secs_f64() * 1e3,
-        );
-        exp.set_counter(format!("federation.hops{hops}.hits"), hits.len() as u64);
-        println!(
-            "{:>16}  {hops:>5}  {:>8}  {:>6}  {:>11}  {:>5}",
-            "federated (ring)",
-            stats.brokers_visited,
-            stats.messages,
-            fmt(stats.latency.as_secs_f64() * 1e3),
-            hits.len()
-        );
+        let overlay = [
+            hops.into(),
+            stats.brokers_visited.into(),
+            stats.messages.into(),
+            (stats.latency.as_secs_f64() * 1e3).into(),
+        ];
+        let prefix = format!("federation.hops{hops}");
+        row(&prefix, "federated (ring)", overlay, hits.len());
     }
     println!(
         "\nshape to check: semantic precision 1.0 vs Jini ~(base rate); match \

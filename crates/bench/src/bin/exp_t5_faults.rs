@@ -8,10 +8,8 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{header, key_part, Experiment};
-use pg_compose::htn::MethodLibrary;
-use pg_compose::manager::{execute, ManagerKind, ServiceWorld};
-use pg_discovery::description::ServiceDescription;
+use pg_bench::{compose_runs, key_part, service_world, Cell, Experiment};
+use pg_compose::manager::{ManagerKind, ServiceWorld};
 use pg_discovery::ontology::Ontology;
 use pg_net::churn::{ChurnProcess, ChurnSchedule};
 use pg_sim::rng::RngStreams;
@@ -19,64 +17,18 @@ use pg_sim::SimTime;
 use std::process::ExitCode;
 
 fn world(onto: &Ontology, replicas: usize, availability: f64, seed: u64) -> ServiceWorld {
-    let streams = RngStreams::new(seed);
-    let mut rng = streams.fork("churn");
-    let horizon = SimTime::from_secs(200_000);
-    let mut w = ServiceWorld::new();
-    for class in [
-        "TemperatureSensor",
-        "MapService",
-        "WeatherService",
-        "PdeSolverService",
-        "DisplayService",
-    ] {
-        for i in 0..replicas {
-            let sched = if availability >= 1.0 {
-                ChurnSchedule::always_up()
-            } else {
-                // mean_up/(mean_up+mean_down) = availability, cycle 120 s.
-                let up = 120.0 * availability;
-                ChurnProcess::new(up.max(1.0), (120.0 - up).max(1.0))
-                    .unwrap()
-                    .schedule(horizon, &mut rng)
-            };
-            w.add_service(
-                ServiceDescription::new(format!("{class}-{i}"), onto.class(class).unwrap()),
-                sched,
-            );
+    let mut rng = RngStreams::new(seed).fork("churn");
+    service_world(onto, replicas, || {
+        if availability >= 1.0 {
+            ChurnSchedule::always_up()
+        } else {
+            // mean_up/(mean_up+mean_down) = availability, cycle 120 s.
+            let up = 120.0 * availability;
+            ChurnProcess::new(up.max(1.0), (120.0 - up).max(1.0))
+                .unwrap()
+                .schedule(SimTime::from_secs(200_000), &mut rng)
         }
-    }
-    w
-}
-
-fn measure(
-    w: &ServiceWorld,
-    onto: &Ontology,
-    kind: ManagerKind,
-    runs: u64,
-) -> (f64, f64, f64, f64) {
-    let plan = MethodLibrary::pervasive_grid()
-        .decompose("temperature-distribution")
-        .unwrap();
-    let mut ok = 0u64;
-    let mut utility = 0.0;
-    let mut rebinds = 0u64;
-    let mut latency = 0.0;
-    for i in 0..runs {
-        let r = execute(w, onto, &plan, kind, SimTime::from_secs(i * 900));
-        if r.success {
-            ok += 1;
-        }
-        utility += r.utility;
-        rebinds += r.rebinds as u64;
-        latency += r.latency.as_secs_f64();
-    }
-    (
-        ok as f64 / runs as f64,
-        utility / runs as f64,
-        rebinds as f64 / runs as f64,
-        latency / runs as f64,
-    )
+    })
 }
 
 fn main() -> ExitCode {
@@ -85,29 +37,22 @@ fn main() -> ExitCode {
     exp.set_meta("runs", runs.to_string());
     let onto = Ontology::pervasive_grid();
     println!("T5: composition under churn ({runs} runs per cell, 5-step plan)");
-    header(
-        "success rate / mean utility / rebinds per run",
-        &[
-            ("availability", 12),
-            ("replicas", 8),
-            ("manager", 22),
-            ("success", 8),
-            ("utility", 8),
-            ("rebinds", 8),
-        ],
-    );
+    exp.table("success rate / mean utility / rebinds per run");
     for &avail in &[1.0, 0.9, 0.75, 0.5] {
         for &replicas in &[1usize, 3] {
             for kind in [ManagerKind::Centralized, ManagerKind::DistributedReactive] {
                 let w = world(&onto, replicas, avail, 17);
-                let (s, u, r, _) = measure(&w, &onto, kind, runs);
-                let cell = format!("a{avail}.r{replicas}.{}", key_part(kind.name()));
-                exp.set_scalar(format!("{cell}.success"), s);
-                exp.set_scalar(format!("{cell}.utility"), u);
-                exp.set_scalar(format!("{cell}.rebinds"), r);
-                println!(
-                    "{avail:>12.2}  {replicas:>8}  {:>22}  {s:>8.2}  {u:>8.2}  {r:>8.2}",
-                    kind.name()
+                let c = compose_runs(&w, &onto, kind, runs, 900);
+                exp.row(
+                    &format!("a{avail}.r{replicas}.{}", key_part(kind.name())),
+                    &[
+                        Cell::fixed("availability", 12, 2, avail),
+                        Cell::int("replicas", 8, replicas),
+                        Cell::text("manager", 22, kind.name()),
+                        Cell::fixed("success", 8, 2, c.success).key("success"),
+                        Cell::fixed("utility", 8, 2, c.utility).key("utility"),
+                        Cell::fixed("rebinds", 8, 2, c.rebinds).key("rebinds"),
+                    ],
                 );
             }
         }
@@ -122,15 +67,7 @@ fn main() -> ExitCode {
     // --- T5b: the single point of failure. ---
     println!("\nT5b: center outage sensitivity (service availability fixed at 0.9, 3 replicas)");
     println!("(the centralized manager waits out center outages: the cost is latency)");
-    header(
-        "center availability sweep",
-        &[
-            ("center avail", 12),
-            ("manager", 22),
-            ("success", 8),
-            ("latency s", 10),
-        ],
-    );
+    exp.table("center availability sweep");
     for &center in &[1.0, 0.8, 0.5, 0.2] {
         for kind in [ManagerKind::Centralized, ManagerKind::DistributedReactive] {
             let mut w = world(&onto, 3, 0.9, 31);
@@ -141,14 +78,15 @@ fn main() -> ExitCode {
                     .unwrap()
                     .schedule(SimTime::from_secs(200_000), &mut streams.fork("center"));
             }
-            let (s, _, _, lat) = measure(&w, &onto, kind, runs);
-            let cell = format!("center{center}.{}", key_part(kind.name()));
-            exp.set_scalar(format!("{cell}.success"), s);
-            exp.set_scalar(format!("{cell}.latency_s"), lat);
-            println!(
-                "{center:>12.2}  {:>22}  {s:>8.2}  {:>10}",
-                kind.name(),
-                pg_bench::fmt(lat)
+            let c = compose_runs(&w, &onto, kind, runs, 900);
+            exp.row(
+                &format!("center{center}.{}", key_part(kind.name())),
+                &[
+                    Cell::fixed("center avail", 12, 2, center),
+                    Cell::text("manager", 22, kind.name()),
+                    Cell::fixed("success", 8, 2, c.success).key("success"),
+                    Cell::eng("latency s", 10, c.latency_s).key("latency_s"),
+                ],
             );
         }
     }

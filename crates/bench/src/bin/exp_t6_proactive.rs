@@ -7,7 +7,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, Experiment};
+use pg_bench::{Cell, Experiment};
 use pg_compose::htn::MethodLibrary;
 use pg_compose::proactive::{mean_setup_latency, CacheResult, ComposeCosts, PlanCache};
 use pg_sim::{Duration, SimTime};
@@ -22,16 +22,7 @@ fn main() -> ExitCode {
 
     // --- Measured: drive a PlanCache with request streams. ---
     println!("T6: proactive (plan cache, 60 s TTL) vs reactive composition setup latency");
-    header(
-        &format!("{reqs} requests per row"),
-        &[
-            ("period s", 9),
-            ("hit rate", 9),
-            ("proactive ms", 13),
-            ("reactive ms", 12),
-            ("winner", 10),
-        ],
-    );
+    exp.table(&format!("{reqs} requests per row"));
     let periods: &[f64] = exp.scale(
         &[1.0, 5.0, 20.0, 60.0, 120.0, 600.0, 3_600.0],
         &[1.0, 60.0, 600.0],
@@ -59,39 +50,36 @@ fn main() -> ExitCode {
         }
         let pro_ms = total.as_secs_f64() * 1e3 / reqs as f64;
         let re_ms = (costs.plan_time + costs.discovery_sweep).as_secs_f64() * 1e3;
-        let cell = format!("period{period_s}");
-        exp.set_scalar(format!("{cell}.hit_rate"), hits as f64 / reqs as f64);
-        exp.set_scalar(format!("{cell}.proactive_ms"), pro_ms);
-        exp.set_scalar(format!("{cell}.reactive_ms"), re_ms);
-        println!(
-            "{period_s:>9}  {:>9}  {:>13}  {:>12}  {:>10}",
-            format!("{:.2}", hits as f64 / reqs as f64),
-            fmt(pro_ms),
-            fmt(re_ms),
-            if pro_ms < re_ms {
-                "proactive"
-            } else {
-                "reactive"
-            },
+        let winner = if pro_ms < re_ms {
+            "proactive"
+        } else {
+            "reactive"
+        };
+        exp.row(
+            &format!("period{period_s}"),
+            &[
+                Cell::text("period s", 9, period_s.to_string()),
+                Cell::fixed("hit rate", 9, 2, hits as f64 / reqs as f64).key("hit_rate"),
+                Cell::eng("proactive ms", 13, pro_ms).key("proactive_ms"),
+                Cell::eng("reactive ms", 12, re_ms).key("reactive_ms"),
+                Cell::text("winner", 10, winner),
+            ],
         );
     }
 
     // --- Analytic crossover. ---
     println!("\nT6b: analytic crossover (same cost model)");
-    header(
-        "mean setup latency per request",
-        &[("period s", 9), ("proactive ms", 13), ("reactive ms", 12)],
-    );
+    exp.table("mean setup latency per request");
     for period_s in [1.0f64, 10.0, 60.0, 300.0, 1_800.0] {
         let p = mean_setup_latency(&costs, Duration::from_secs_f64(period_s), ttl, true);
         let r = mean_setup_latency(&costs, Duration::from_secs_f64(period_s), ttl, false);
-        let cell = format!("analytic.period{period_s}");
-        exp.set_scalar(format!("{cell}.proactive_ms"), p.as_secs_f64() * 1e3);
-        exp.set_scalar(format!("{cell}.reactive_ms"), r.as_secs_f64() * 1e3);
-        println!(
-            "{period_s:>9}  {:>13}  {:>12}",
-            fmt(p.as_secs_f64() * 1e3),
-            fmt(r.as_secs_f64() * 1e3)
+        exp.row(
+            &format!("analytic.period{period_s}"),
+            &[
+                Cell::text("period s", 9, period_s.to_string()),
+                Cell::eng("proactive ms", 13, p.as_secs_f64() * 1e3).key("proactive_ms"),
+                Cell::eng("reactive ms", 12, r.as_secs_f64() * 1e3).key("reactive_ms"),
+            ],
         );
     }
     println!(

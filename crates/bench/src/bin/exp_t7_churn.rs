@@ -8,11 +8,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, Experiment};
+use pg_bench::{compose_runs, service_world, Cell, Experiment};
 use pg_compose::htn::MethodLibrary;
-use pg_compose::manager::{execute, ManagerKind, ServiceWorld};
+use pg_compose::manager::ManagerKind;
 use pg_discovery::corpus::mixed_corpus;
-use pg_discovery::description::{ServiceDescription, ServiceRequest};
+use pg_discovery::description::ServiceRequest;
 use pg_discovery::ontology::Ontology;
 use pg_net::churn::ChurnProcess;
 use pg_sim::rng::RngStreams;
@@ -33,62 +33,23 @@ fn main() -> ExitCode {
 
     // --- T7a: availability vs churn cycle time (availability fixed 0.75). ---
     println!("T7a: composite availability vs churn speed (availability 0.75, 3 replicas/role)");
-    header(
-        "distributed reactive manager",
-        &[
-            ("cycle s", 8),
-            ("success", 8),
-            ("utility", 8),
-            ("rebinds", 8),
-        ],
-    );
+    exp.table("distributed reactive manager");
     for cycle in [600.0f64, 120.0, 30.0, 8.0] {
-        let streams = RngStreams::new(3);
-        let mut rng = streams.fork("churn");
-        let mut w = ServiceWorld::new();
-        let horizon = SimTime::from_secs(200_000);
-        for class in [
-            "TemperatureSensor",
-            "MapService",
-            "WeatherService",
-            "PdeSolverService",
-            "DisplayService",
-        ] {
-            for i in 0..3 {
-                w.add_service(
-                    ServiceDescription::new(format!("{class}-{i}"), onto.class(class).unwrap()),
-                    ChurnProcess::new(cycle * 0.75, cycle * 0.25)
-                        .unwrap()
-                        .schedule(horizon, &mut rng),
-                );
-            }
-        }
-        let mut ok = 0u64;
-        let mut util = 0.0;
-        let mut rebinds = 0u64;
-        for i in 0..runs {
-            let r = execute(
-                &w,
-                &onto,
-                &plan,
-                ManagerKind::DistributedReactive,
-                SimTime::from_secs(i * 1_000),
-            );
-            if r.success {
-                ok += 1;
-            }
-            util += r.utility;
-            rebinds += r.rebinds as u64;
-        }
-        let cell = format!("cycle{cycle}");
-        exp.set_scalar(format!("{cell}.success"), ok as f64 / runs as f64);
-        exp.set_scalar(format!("{cell}.utility"), util / runs as f64);
-        exp.set_scalar(format!("{cell}.rebinds"), rebinds as f64 / runs as f64);
-        println!(
-            "{cycle:>8}  {:>8.2}  {:>8.2}  {:>8.2}",
-            ok as f64 / runs as f64,
-            util / runs as f64,
-            rebinds as f64 / runs as f64
+        let mut rng = RngStreams::new(3).fork("churn");
+        let w = service_world(&onto, 3, || {
+            ChurnProcess::new(cycle * 0.75, cycle * 0.25)
+                .unwrap()
+                .schedule(SimTime::from_secs(200_000), &mut rng)
+        });
+        let c = compose_runs(&w, &onto, ManagerKind::DistributedReactive, runs, 1_000);
+        exp.row(
+            &format!("cycle{cycle}"),
+            &[
+                Cell::text("cycle s", 8, cycle.to_string()),
+                Cell::fixed("success", 8, 2, c.success).key("success"),
+                Cell::fixed("utility", 8, 2, c.utility).key("utility"),
+                Cell::fixed("rebinds", 8, 2, c.rebinds).key("rebinds"),
+            ],
         );
     }
     println!(
@@ -100,10 +61,7 @@ fn main() -> ExitCode {
     // Wall clock stays on stdout; the report records the (deterministic)
     // per-composition hit totals.
     println!("\nT7b: composition-time discovery cost vs registry size");
-    header(
-        "one 5-role composition, wall clock",
-        &[("services", 9), ("discovery us", 13)],
-    );
+    exp.table("one 5-role composition, wall clock");
     let registry_sizes: &[usize] = exp.scale(&[100, 1_000, 10_000], &[100, 1_000]);
     for &n in registry_sizes {
         let mut rng = StdRng::seed_from_u64(11);
@@ -131,7 +89,13 @@ fn main() -> ExitCode {
             }
         }
         let us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
-        println!("{n:>9}  {:>13}", fmt(us));
+        exp.row(
+            "",
+            &[
+                Cell::int("services", 9, n),
+                Cell::eng("discovery us", 13, us),
+            ],
+        );
     }
     println!(
         "\nshape to check: availability degrades with churn *speed* at fixed \

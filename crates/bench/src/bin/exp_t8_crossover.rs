@@ -15,15 +15,59 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, standard_world, Experiment};
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_bench::{standard_world, Cell, Experiment};
+use pg_partition::exec::execute_once;
 use pg_partition::model::SolutionModel;
 use pg_sensornet::region::Region;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
 
-const MODEL_KEYS: [&str; 3] = ["in_net", "base", "grid"];
+const LABELS: [&str; 3] = ["in-net", "base", "grid"];
+
+/// Mean response time per solution model, and the grid model's mean ops,
+/// for `text` run over the region covering `frac` of each arena side.
+fn measure(n: usize, reps: u64, frac: f64, text: &str) -> ([f64; 3], f64) {
+    let query = pg_query::parse(text).expect("valid query");
+    let mut times = [0.0f64; 3];
+    let mut ops = 0.0;
+    for seed in 0..reps {
+        for (i, model) in [
+            SolutionModel::InNetworkTree,
+            SolutionModel::BaseStation,
+            SolutionModel::GridOffload {
+                reduction_cell_m: 0.0,
+            },
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut w = standard_world(n, seed);
+            let side = ((n as f64) * 100.0).sqrt();
+            w.regions.insert(
+                "sweep".to_string(),
+                Region::room(0.0, 0.0, side * frac, side * frac),
+            );
+            let mut rng = StdRng::seed_from_u64(seed);
+            if let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) {
+                times[i] += out.cost.time_s / reps as f64;
+                if i == 2 {
+                    ops += out.cost.ops / reps as f64;
+                }
+            }
+        }
+    }
+    (times, ops)
+}
+
+fn winner(times: &[f64; 3]) -> &'static str {
+    LABELS[times
+        .iter()
+        .enumerate()
+        .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
+        .unwrap()
+        .0]
+}
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t8_crossover");
@@ -33,147 +77,49 @@ fn main() -> ExitCode {
     exp.set_meta("reps", reps.to_string());
     println!("T8: response time per solution model as computation intensity grows");
     println!("({n} sensors; Complex query over growing regions of the arena)");
-    header(
-        &format!("response time seconds (mean of {reps} seeds)"),
-        &[
-            ("region %", 9),
-            ("ops", 10),
-            ("in-net s", 10),
-            ("base s", 10),
-            ("grid s", 10),
-            ("winner", 8),
-        ],
-    );
+    exp.table(&format!("response time seconds (mean of {reps} seeds)"));
     let fracs: &[f64] = exp.scale(&[0.1, 0.25, 0.5, 0.75, 1.0], &[0.25, 1.0]);
     for &frac in fracs {
-        let mut times = [0.0f64; 3];
-        let mut ops = 0.0;
-        for seed in 0..reps {
-            for (i, model) in [
-                SolutionModel::InNetworkTree,
-                SolutionModel::BaseStation,
-                SolutionModel::GridOffload {
-                    reduction_cell_m: 0.0,
-                },
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let mut w = standard_world(n, seed);
-                let side = ((n as f64) * 100.0).sqrt();
-                w.regions.insert(
-                    "sweep".to_string(),
-                    Region::room(0.0, 0.0, side * frac, side * frac),
-                );
-                let query = pg_query::parse(
-                    "SELECT temperature_distribution() FROM sensors WHERE region(sweep)",
-                )
-                .expect("valid query");
-                let mut ctx = ExecContext {
-                    net: &mut w.net,
-                    grid: &w.grid,
-                    field: &w.field,
-                    regions: &w.regions,
-                    now: w.now,
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                if let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) {
-                    times[i] += out.cost.time_s / reps as f64;
-                    if i == 2 {
-                        ops += out.cost.ops / reps as f64;
-                    }
-                }
-            }
-        }
+        let (times, ops) = measure(
+            n,
+            reps,
+            frac,
+            "SELECT temperature_distribution() FROM sensors WHERE region(sweep)",
+        );
         let pct = (frac * 100.0).round() as u32;
-        exp.set_scalar(format!("complex.region{pct}.ops"), ops);
-        for (i, key) in MODEL_KEYS.iter().enumerate() {
-            exp.set_scalar(format!("complex.region{pct}.{key}_time_s"), times[i]);
-        }
-        let labels = ["in-net", "base", "grid"];
-        let winner = labels[times
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0];
-        exp.set_meta(format!("complex.region{pct}.winner"), winner);
-        println!(
-            "{:>9}  {:>10}  {:>10}  {:>10}  {:>10}  {:>8}",
-            format!("{pct}%"),
-            fmt(ops),
-            fmt(times[0]),
-            fmt(times[1]),
-            fmt(times[2]),
-            winner,
+        exp.row(
+            &format!("complex.region{pct}"),
+            &[
+                Cell::text("region %", 9, format!("{pct}%")),
+                Cell::eng("ops", 10, ops).key("ops"),
+                Cell::eng("in-net s", 10, times[0]).key("in_net_time_s"),
+                Cell::eng("base s", 10, times[1]).key("base_time_s"),
+                Cell::eng("grid s", 10, times[2]).key("grid_time_s"),
+                Cell::text("winner", 8, winner(&times)).key("winner"),
+            ],
         );
     }
 
     // The low end of the spectrum: a cheap aggregate over the same regions.
     println!("\nT8b: the cheap end (Aggregate query, same regions)");
-    header(
-        &format!("response time seconds (mean of {reps} seeds)"),
-        &[
-            ("region %", 9),
-            ("in-net s", 10),
-            ("base s", 10),
-            ("grid s", 10),
-            ("winner", 8),
-        ],
-    );
+    exp.table(&format!("response time seconds (mean of {reps} seeds)"));
     for frac in [0.25f64, 1.0] {
-        let mut times = [0.0f64; 3];
-        for seed in 0..reps {
-            for (i, model) in [
-                SolutionModel::InNetworkTree,
-                SolutionModel::BaseStation,
-                SolutionModel::GridOffload {
-                    reduction_cell_m: 0.0,
-                },
-            ]
-            .into_iter()
-            .enumerate()
-            {
-                let mut w = standard_world(n, seed);
-                let side = ((n as f64) * 100.0).sqrt();
-                w.regions.insert(
-                    "sweep".to_string(),
-                    Region::room(0.0, 0.0, side * frac, side * frac),
-                );
-                let query =
-                    pg_query::parse("SELECT AVG(temp) FROM sensors WHERE region(sweep)").unwrap();
-                let mut ctx = ExecContext {
-                    net: &mut w.net,
-                    grid: &w.grid,
-                    field: &w.field,
-                    regions: &w.regions,
-                    now: w.now,
-                };
-                let mut rng = StdRng::seed_from_u64(seed);
-                if let Ok(out) = execute_once(&mut ctx, &query, model, &mut rng) {
-                    times[i] += out.cost.time_s / reps as f64;
-                }
-            }
-        }
+        let (times, _) = measure(
+            n,
+            reps,
+            frac,
+            "SELECT AVG(temp) FROM sensors WHERE region(sweep)",
+        );
         let pct = (frac * 100.0).round() as u32;
-        for (i, key) in MODEL_KEYS.iter().enumerate() {
-            exp.set_scalar(format!("aggregate.region{pct}.{key}_time_s"), times[i]);
-        }
-        let labels = ["in-net", "base", "grid"];
-        let winner = labels[times
-            .iter()
-            .enumerate()
-            .min_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-            .unwrap()
-            .0];
-        exp.set_meta(format!("aggregate.region{pct}.winner"), winner);
-        println!(
-            "{:>9}  {:>10}  {:>10}  {:>10}  {:>8}",
-            format!("{pct}%"),
-            fmt(times[0]),
-            fmt(times[1]),
-            fmt(times[2]),
-            winner,
+        exp.row(
+            &format!("aggregate.region{pct}"),
+            &[
+                Cell::text("region %", 9, format!("{pct}%")),
+                Cell::eng("in-net s", 10, times[0]).key("in_net_time_s"),
+                Cell::eng("base s", 10, times[1]).key("base_time_s"),
+                Cell::eng("grid s", 10, times[2]).key("grid_time_s"),
+                Cell::text("winner", 8, winner(&times)).key("winner"),
+            ],
         );
     }
     println!(

@@ -9,11 +9,11 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, header, standard_world, Experiment};
+use pg_bench::{key_part, standard_world, Cell, Experiment, Value};
 use pg_grid::pde::{Problem, Solver};
 use pg_grid::reduction;
 use pg_net::geom::Point;
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::exec::execute_once;
 use pg_partition::model::SolutionModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,16 +36,7 @@ fn main() -> ExitCode {
     // Wall clock stays on stdout; the report records iteration counts and
     // residuals, which are deterministic.
     println!("T9a: solver comparison on the reconstruction problem (tol 1e-6)");
-    header(
-        "wall clock on this machine, one thread",
-        &[
-            ("grid", 8),
-            ("solver", 8),
-            ("iters", 7),
-            ("time ms", 9),
-            ("residual", 10),
-        ],
-    );
+    exp.table("wall clock on this machine, one thread");
     let grids: &[usize] = exp.scale(&[24, 32, 48], &[16, 24]);
     for &n in grids {
         let p = make_problem(n);
@@ -58,16 +49,15 @@ fn main() -> ExitCode {
             let t0 = Instant::now();
             let (_, stats) = p.solve(solver, 1e-6, 20_000);
             let ms = t0.elapsed().as_secs_f64() * 1e3;
-            let cell = format!("solver.n{n}.{}", pg_bench::key_part(solver.name()));
-            exp.set_counter(format!("{cell}.iterations"), stats.iterations as u64);
-            exp.set_scalar(format!("{cell}.residual"), stats.residual);
-            println!(
-                "{:>8}  {:>8}  {:>7}  {:>9}  {:>10}",
-                format!("{n}^3"),
-                solver.name(),
-                stats.iterations,
-                fmt(ms),
-                fmt(stats.residual),
+            exp.row(
+                &format!("solver.n{n}.{}", key_part(solver.name())),
+                &[
+                    Cell::text("grid", 8, format!("{n}^3")),
+                    Cell::text("solver", 8, solver.name()),
+                    Cell::int("iters", 7, stats.iterations).key("iterations"),
+                    Cell::eng("time ms", 9, ms),
+                    Cell::eng("residual", 10, stats.residual).key("residual"),
+                ],
             );
         }
         println!();
@@ -79,17 +69,9 @@ fn main() -> ExitCode {
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("arena_n", arena.to_string());
     println!("T9b: accuracy vs data reduction for the grid-offloaded Complex query");
-    header(
-        &format!(
-            "{arena}-sensor arena, mean of {reps} seeds (backhaul B = bytes shipped to the grid)"
-        ),
-        &[
-            ("cell m", 7),
-            ("readings", 9),
-            ("backhaul B", 11),
-            ("rel RMSE", 9),
-        ],
-    );
+    exp.table(&format!(
+        "{arena}-sensor arena, mean of {reps} seeds (backhaul B = bytes shipped to the grid)"
+    ));
     let cells: &[f64] = exp.scale(&[0.0, 10.0, 20.0, 40.0, 80.0], &[0.0, 40.0]);
     for &cell in cells {
         let mut bytes = 0.0;
@@ -99,16 +81,9 @@ fn main() -> ExitCode {
             let mut w = standard_world(arena, seed);
             let query = pg_query::parse("SELECT temperature_distribution() FROM sensors")
                 .expect("valid query");
-            let mut ctx = ExecContext {
-                net: &mut w.net,
-                grid: &w.grid,
-                field: &w.field,
-                regions: &w.regions,
-                now: w.now,
-            };
             let mut rng = StdRng::seed_from_u64(seed);
             let out = execute_once(
-                &mut ctx,
+                &mut w.ctx(),
                 &query,
                 SolutionModel::GridOffload {
                     reduction_cell_m: cell,
@@ -133,17 +108,21 @@ fn main() -> ExitCode {
             count_readings += reduced as f64 / reps as f64;
             bytes += reduction::wire_bytes(reduced) as f64 / reps as f64;
         }
-        let key = format!("reduction.cell{cell}");
-        exp.set_scalar(format!("{key}.readings"), count_readings);
-        exp.set_scalar(format!("{key}.backhaul_bytes"), bytes);
-        if err.is_finite() {
-            exp.set_scalar(format!("{key}.rel_rmse"), err);
-        }
-        println!(
-            "{cell:>7}  {:>9}  {:>11}  {:>9}",
-            fmt(count_readings),
-            fmt(bytes),
-            format!("{err:.4}"),
+        // A NaN error is printed but not recorded: the report emitter
+        // rejects non-finite values.
+        let rel_rmse: Value = if err.is_finite() {
+            err.into()
+        } else {
+            err.to_string().into()
+        };
+        exp.row(
+            &format!("reduction.cell{cell}"),
+            &[
+                Cell::text("cell m", 7, cell.to_string()),
+                Cell::eng("readings", 9, count_readings).key("readings"),
+                Cell::eng("backhaul B", 11, bytes).key("backhaul_bytes"),
+                Cell::fixed("rel RMSE", 9, 4, rel_rmse).key("rel_rmse"),
+            ],
         );
     }
     println!(

@@ -1,13 +1,23 @@
 //! Per-binary experiment plumbing: CLI flags, smoke scaling, and JSON
 //! report emission.
 //!
-//! Every `exp_*` binary wraps its run in an [`Experiment`]: the table output
-//! on stdout stays exactly as before (EXPERIMENTS.md is regenerated from
-//! it), and in addition every number that lands in a table row is recorded
-//! into a [`Report`] written to `results/<exp>.json`. The committed
-//! baselines under `baselines/` are diffed against those files by the
-//! `regress` binary, which is what turns the experiment suite into a CI
-//! regression gate.
+//! Every `exp_*` binary wraps its run in an [`Experiment`]: the tables on
+//! stdout are what EXPERIMENTS.md is pasted from, and every number that
+//! lands in a table row is also recorded into a [`Report`] written to
+//! `results/<exp>.json`. The committed baselines under `baselines/` are
+//! diffed against those files by the `regress` binary, which is what turns
+//! the experiment suite into a CI regression gate.
+//!
+//! A table cell is written once: [`Experiment::table`] prints the title,
+//! and each [`Experiment::row`] takes the row's [`Cell`]s — label, width,
+//! rendering, value and report key together — prints the aligned line and
+//! records every keyed cell under `<prefix>.<key>`. What still goes through
+//! a direct `set_*` call is only what no printed cell holds: a value the
+//! report gates but no table shows (T16's `errors` and `epochs`, the
+//! per-hour rates behind T20's and T21's met-deadline counts), a number
+//! printed in prose instead of a table (F1's plan, T3's oracle check), and
+//! `record_samples`, where two printed quantile columns share one stats
+//! key.
 //!
 //! Flags understood by every binary:
 //!
@@ -31,7 +41,7 @@
 //! quantities, which is what lets the regression gate run with near-zero
 //! tolerances.
 
-use pg_sim::metrics::Summary;
+use crate::table::{Cell, Table};
 use pg_sim::report::Report;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -39,6 +49,7 @@ use std::process::ExitCode;
 /// One experiment run: mode flags plus the report being accumulated.
 pub struct Experiment {
     report: Report,
+    table: Table,
     smoke: bool,
     chaos: bool,
     out_dir: PathBuf,
@@ -88,20 +99,11 @@ impl Experiment {
         );
         Experiment {
             report,
+            table: Table::default(),
             smoke,
             chaos,
             out_dir: out_dir.unwrap_or_else(|| PathBuf::from("results")),
         }
-    }
-
-    /// True when running the reduced CI sweep.
-    pub fn smoke(&self) -> bool {
-        self.smoke
-    }
-
-    /// True when running the extended nightly chaos soak.
-    pub fn chaos(&self) -> bool {
-        self.chaos
     }
 
     /// Pick the full-run or smoke-run value of a sweep parameter. Chaos
@@ -127,6 +129,22 @@ impl Experiment {
         }
     }
 
+    /// Start a table: a blank line and the title. The rule and the column
+    /// labels follow with the first [`row`](Experiment::row).
+    pub fn table(&mut self, title: &str) {
+        println!("\n{title}");
+        self.table = Table::default();
+    }
+
+    /// Print one aligned row of the current table and record each keyed
+    /// cell under `<prefix>.<key>` (see [`Cell`]).
+    ///
+    /// # Panics
+    /// Panics when the row's columns are not those of the table's first row.
+    pub fn row(&mut self, prefix: &str, cells: &[Cell]) {
+        print!("{}", self.table.row(&mut self.report, prefix, cells));
+    }
+
     /// Record free-form metadata (sweep parameters, modal choices, …).
     pub fn set_meta(&mut self, key: impl Into<String>, value: impl Into<String>) {
         self.report.set_meta(key, value);
@@ -140,11 +158,6 @@ impl Experiment {
     /// Record a single measured value.
     pub fn set_scalar(&mut self, key: impl Into<String>, value: f64) {
         self.report.set_scalar(key, value);
-    }
-
-    /// Record a cross-replication summary.
-    pub fn record_summary(&mut self, key: impl Into<String>, summary: &Summary) {
-        self.report.record_summary(key, summary);
     }
 
     /// Direct access to the underlying report.

@@ -1,9 +1,10 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
 //! Every `exp_*` binary in `src/bin/` regenerates one table or figure of
-//! EXPERIMENTS.md. This library holds the world builders and the table
-//! formatting they share, so each binary is just its sweep — plus the
-//! [`experiment`] report plumbing (every binary also writes a
+//! EXPERIMENTS.md. This library holds the worlds, query streams and cell
+//! runtimes they share, the seed [`sweep`] and the [`table`] every number
+//! is printed and recorded through, so each binary is just its sweep —
+//! plus the [`experiment`] report plumbing (every binary also writes a
 //! machine-readable `results/<exp>.json`) and the [`regress`] comparator
 //! that diffs those reports against committed baselines in CI.
 
@@ -11,19 +12,35 @@
 
 pub mod experiment;
 pub mod regress;
+pub mod table;
 
 pub use experiment::{key_part, Experiment};
+pub use table::{fmt, Cell, Value};
 
+use pg_compose::htn::MethodLibrary;
+use pg_compose::manager::{execute, ManagerKind, ServiceWorld};
+use pg_core::{GridBuilder, PervasiveGrid};
+use pg_discovery::description::ServiceDescription;
+use pg_discovery::ontology::Ontology;
 use pg_grid::sched::GridCluster;
+use pg_net::churn::ChurnSchedule;
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::topology::Topology;
+use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
+use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::features::QueryFeatures;
+use pg_partition::model::CostWeights;
+use pg_runtime::{MultiQueryRuntime, OverloadConfig, OverloadPolicy, RuntimeConfig, SchedPolicy};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
-use pg_sim::metrics::Summary;
+use pg_sim::fault::FaultPlan;
+use pg_sim::metrics::{Samples, Summary};
 use pg_sim::{Duration, SimTime};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// A standard experiment world: an `n`-sensor random-geometric deployment
@@ -41,6 +58,20 @@ pub struct World {
     pub now: SimTime,
 }
 
+impl World {
+    /// The execution context over this world's own network, grid, field,
+    /// regions and clock.
+    pub fn ctx(&mut self) -> ExecContext<'_> {
+        ExecContext {
+            net: &mut self.net,
+            grid: &self.grid,
+            field: &self.field,
+            regions: &self.regions,
+            now: self.now,
+        }
+    }
+}
+
 /// Build the standard world: `n` sensors in a `side × side` metre arena
 /// (side scales with sqrt(n) to keep density constant), 2 % link loss.
 pub fn standard_world(n: usize, seed: u64) -> World {
@@ -53,8 +84,7 @@ pub fn standard_world(n: usize, seed: u64) -> World {
 /// Panics when `loss` is outside `[0, 1)`.
 #[allow(clippy::unwrap_used)]
 pub fn standard_world_with_loss(n: usize, seed: u64, loss: f64) -> World {
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let mut rng = StdRng::seed_from_u64(seed);
     // Constant density: ~1 sensor per 100 m², radio range 18 m.
     let side = ((n as f64) * 100.0).sqrt();
     let topo = loop {
@@ -90,39 +120,308 @@ pub fn standard_world_with_loss(n: usize, seed: u64, loss: f64) -> World {
     }
 }
 
-/// Mean over `reps` replications of `f(seed)`.
-pub fn replicate(reps: u64, mut f: impl FnMut(u64) -> f64) -> Summary {
-    let mut s = Summary::new();
+/// The 36-sensor single floor of the runtime experiments (T16, T17, T19)
+/// with its two overlapping rooms, left unbuilt so a caller can add a
+/// policy, a fault plan or a tree-maintenance mode.
+pub fn floor(seed: u64) -> GridBuilder {
+    PervasiveGrid::building(1, 6, seed)
+        .region("west", Region::room(0.0, 0.0, 14.0, 30.0))
+        .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
+}
+
+/// One federation cell (T20, T21): a 16-sensor floor under an EDF
+/// runtime of 2 slots per 30 s epoch that sheds above its watermarks.
+pub fn cell_runtime(seed: u64, faults: Option<FaultPlan>) -> MultiQueryRuntime<PervasiveGrid> {
+    let mut b = PervasiveGrid::building(1, 4, seed);
+    if let Some(plan) = faults {
+        b = b.faults(plan);
+    }
+    let cfg = RuntimeConfig::builder()
+        .capacity(32)
+        .epoch(Duration::from_secs(30))
+        .slots_per_epoch(2)
+        .policy(SchedPolicy::Edf)
+        .overload(OverloadConfig::watermarks(
+            OverloadPolicy::Shed,
+            0,
+            0,
+            16,
+            24,
+        ))
+        .build();
+    MultiQueryRuntime::new(cfg, b.build())
+}
+
+/// A service world (T5, T7) with `replicas` instances of each of the five
+/// roles of the temperature-distribution plan, every instance on its own
+/// churn schedule drawn from `schedule`.
+#[allow(clippy::unwrap_used)]
+pub fn service_world(
+    onto: &Ontology,
+    replicas: usize,
+    mut schedule: impl FnMut() -> ChurnSchedule,
+) -> ServiceWorld {
+    let mut w = ServiceWorld::new();
+    for class in [
+        "TemperatureSensor",
+        "MapService",
+        "WeatherService",
+        "PdeSolverService",
+        "DisplayService",
+    ] {
+        for i in 0..replicas {
+            w.add_service(
+                ServiceDescription::new(format!("{class}-{i}"), onto.class(class).unwrap()),
+                schedule(),
+            );
+        }
+    }
+    w
+}
+
+/// Per-run means over repeated executions of one composition plan.
+pub struct Composed {
+    /// Share of runs in which every required step completed.
+    pub success: f64,
+    /// Mean utility.
+    pub utility: f64,
+    /// Mean rebind attempts.
+    pub rebinds: f64,
+    /// Mean end-to-end latency, seconds.
+    pub latency_s: f64,
+}
+
+/// Execute the temperature-distribution plan `runs` times over `w` (T5,
+/// T7, T13), one run every `every_s` simulated seconds.
+#[allow(clippy::unwrap_used)]
+pub fn compose_runs(
+    w: &ServiceWorld,
+    onto: &Ontology,
+    kind: ManagerKind,
+    runs: u64,
+    every_s: u64,
+) -> Composed {
+    let plan = MethodLibrary::pervasive_grid()
+        .decompose("temperature-distribution")
+        .unwrap();
+    let (mut ok, mut utility, mut rebinds, mut latency) = (0u64, 0.0, 0u64, 0.0);
+    for i in 0..runs {
+        let r = execute(w, onto, &plan, kind, SimTime::from_secs(i * every_s));
+        ok += u64::from(r.success);
+        utility += r.utility;
+        rebinds += u64::from(r.rebinds);
+        latency += r.latency.as_secs_f64();
+    }
+    let n = runs as f64;
+    Composed {
+        success: ok as f64 / n,
+        utility: utility / n,
+        rebinds: rebinds as f64 / n,
+        latency_s: latency / n,
+    }
+}
+
+/// What one streaming-runtime run did (T16, T17, T19), and the per-cell
+/// accumulator such runs fold into in seed order.
+#[derive(Default)]
+pub struct RunStats {
+    /// Response time of every completed query, seconds.
+    pub resp: Samples,
+    /// Energy the runtime spent, joules.
+    pub energy_j: f64,
+    /// Bytes on air attributed to the completed queries.
+    pub bytes: f64,
+    /// Queries that arrived.
+    pub arrived: u64,
+    /// Queries admitted to the queue.
+    pub admitted: u64,
+    /// Queries turned away at admission.
+    pub rejected: u64,
+    /// Queries shed from the queue.
+    pub shed: u64,
+    /// Queries answered from browned-out (coarser) strata.
+    pub browned: u64,
+    /// Deadline preemptions.
+    pub preemptions: u64,
+    /// Queries that completed.
+    pub completed: u64,
+    /// Completions that came back as an error.
+    pub errors: u64,
+    /// Completions that rode a shared collection epoch.
+    pub shared: u64,
+    /// Completions that carried a deadline.
+    pub dl_total: u64,
+    /// Completions that met their deadline.
+    pub dl_met: u64,
+    /// Client-side retries, for the caller to fill in from a workload that
+    /// models them (T19); zero otherwise.
+    pub retries: u64,
+    /// Clients that gave up retrying (as `retries`).
+    pub gave_up: u64,
+}
+
+impl RunStats {
+    /// Read the books of a finished run.
+    pub fn of(rt: &MultiQueryRuntime<PervasiveGrid>) -> RunStats {
+        let mut st = RunStats {
+            energy_j: rt.energy_spent_j(),
+            arrived: rt.arrived,
+            admitted: rt.admitted,
+            rejected: rt.rejected,
+            shed: rt.shed,
+            browned: rt.browned_out,
+            preemptions: rt.preemptions,
+            ..RunStats::default()
+        };
+        for o in rt.outcomes() {
+            st.completed += 1;
+            st.errors += u64::from(o.response.is_err());
+            st.resp.record(o.response_time_s());
+            st.bytes += o.attribution.bytes;
+            st.shared += u64::from(o.attribution.shared);
+            st.dl_total += u64::from(o.deadline.is_some());
+            st.dl_met += u64::from(o.deadline.is_some() && !o.deadline_exceeded());
+        }
+        st
+    }
+
+    /// Add another run's books to these.
+    pub fn absorb(&mut self, o: &RunStats) {
+        for &r in o.resp.raw() {
+            self.resp.record(r);
+        }
+        self.energy_j += o.energy_j;
+        self.bytes += o.bytes;
+        self.arrived += o.arrived;
+        self.admitted += o.admitted;
+        self.rejected += o.rejected;
+        self.shed += o.shed;
+        self.browned += o.browned;
+        self.preemptions += o.preemptions;
+        self.completed += o.completed;
+        self.errors += o.errors;
+        self.shared += o.shared;
+        self.dl_total += o.dl_total;
+        self.dl_met += o.dl_met;
+        self.retries += o.retries;
+        self.gave_up += o.gave_up;
+    }
+
+    /// Share of the deadline-carrying completions that met their deadline.
+    pub fn hit_rate(&self) -> f64 {
+        self.dl_met as f64 / self.dl_total.max(1) as f64
+    }
+}
+
+/// A seeded query stream (T3, A1, T22): one draw in `0..10` per query
+/// picks the first `mix` entry `(upto, text)` with `draw <= upto`, so the
+/// last entry must carry 9. A `{sensor}` in the chosen text becomes a
+/// second draw from `1..sensors`, a read of one random non-base sensor.
+///
+/// # Panics
+/// Panics when a draw is above every `upto` in `mix`.
+#[allow(clippy::expect_used)]
+pub fn stream(seed: u64, len: usize, sensors: u32, mix: &[(u32, &str)]) -> Vec<String> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..len)
+        .map(|_| {
+            let draw = rng.gen_range(0..10u32);
+            let (_, text) = mix
+                .iter()
+                .find(|(upto, _)| draw <= *upto)
+                .expect("the mix covers every draw in 0..10");
+            if text.contains("{sensor}") {
+                text.replace("{sensor}", &rng.gen_range(1..sensors).to_string())
+            } else {
+                text.to_string()
+            }
+        })
+        .collect()
+}
+
+/// The mixed one-shot stream of T3 and A1. Continuous queries are
+/// deliberately absent: their idle-energy cost is identical under every
+/// placement and would wash out the comparison (T12 studies them
+/// separately).
+pub const MIXED_QUERIES: [(u32, &str); 4] = [
+    (3, "SELECT AVG(temp) FROM sensors"),
+    (5, "SELECT temp FROM sensors WHERE sensor_id = {sensor}"),
+    (7, "SELECT MAX(temp) FROM sensors WHERE region(room210)"),
+    (
+        9,
+        "SELECT temperature_distribution() FROM sensors WHERE region(room210)",
+    ),
+];
+
+/// Run [`MIXED_QUERIES`] through one decision maker on an `n`-sensor
+/// standard world (T3, A1), everything seeded by `seed`. Returns the total
+/// scalar cost, and over the last `judge_window` decisions the share that
+/// agrees in family with the clairvoyant oracle and the mean regret ratio
+/// scalar(chosen) / scalar(oracle) — both NaN when the window is 0.
+#[allow(clippy::expect_used)]
+pub fn run_mixed_stream(
+    policy: Policy,
+    config: DecisionConfig,
+    n: usize,
+    seed: u64,
+    len: usize,
+    judge_window: usize,
+) -> (f64, f64, f64) {
+    let weights = CostWeights::default();
+    let mut w = standard_world(n, seed);
+    let mut dm = DecisionMaker::with_config(policy, seed, config);
+    let mut total = 0.0;
+    let (mut agree, mut judged, mut regret_sum) = (0u32, 0u32, 0.0);
+    let mut oracle_cost_pending: Option<f64> = None;
+    for (i, text) in stream(seed, len, n as u32, &MIXED_QUERIES)
+        .iter()
+        .enumerate()
+    {
+        let query = pg_query::parse(text).expect("valid query");
+        // A randomly drawn sensor id can land on the base station —
+        // such queries are invalid and skipped under every policy.
+        let Some(features) = QueryFeatures::extract(&w.ctx(), &query) else {
+            continue;
+        };
+        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
+            continue;
+        };
+        // Judge the decision against the clairvoyant oracle (on a clone) for
+        // the tail of the stream.
+        if i >= len - judge_window {
+            if let Some((best, best_cost)) = oracle_choice(
+                &w.net, &w.grid, &w.field, &w.regions, w.now, &query, &weights, i as u64,
+            ) {
+                judged += 1;
+                agree += u32::from(best.family() == model.family());
+                oracle_cost_pending = Some(weights.scalar(&best_cost));
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(i as u64);
+        let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) else {
+            continue;
+        };
+        total += weights.scalar(&out.cost);
+        if let Some(oracle) = oracle_cost_pending.take() {
+            regret_sum += weights.scalar(&out.cost) / oracle.max(1e-12);
+        }
+        dm.record(&w.net, &w.grid, features, model, out.cost);
+    }
+    // 0/0 is NaN: nothing judged, nothing to report.
+    let judged = f64::from(judged);
+    (total, f64::from(agree) / judged, regret_sum / judged)
+}
+
+/// Run `f(seed)` for the seeds `0..reps` in ascending order and fold each
+/// of the `N` values it returns into its own [`Summary`].
+pub fn sweep<const N: usize>(reps: u64, mut f: impl FnMut(u64) -> [f64; N]) -> [Summary; N] {
+    let mut out = [Summary::new(); N];
     for seed in 0..reps {
-        s.record(f(seed));
+        for (summary, x) in out.iter_mut().zip(f(seed)) {
+            summary.record(x);
+        }
     }
-    s
-}
-
-/// Print a table header: a title line, a rule, and column labels.
-pub fn header(title: &str, cols: &[(&str, usize)]) {
-    println!("\n{title}");
-    let width: usize = cols.iter().map(|(_, w)| w + 2).sum();
-    println!("{}", "-".repeat(width));
-    let mut line = String::new();
-    for (name, w) in cols {
-        line.push_str(&format!("{name:>w$}  ", w = w));
-    }
-    println!("{line}");
-    println!("{}", "-".repeat(width));
-}
-
-/// Format a float cell compactly (engineering-ish).
-pub fn fmt(x: f64) -> String {
-    if x == 0.0 {
-        "0".to_string()
-    } else if x.abs() >= 1000.0 || x.abs() < 0.001 {
-        format!("{x:.2e}")
-    } else if x.abs() >= 10.0 {
-        format!("{x:.1}")
-    } else {
-        format!("{x:.4}")
-    }
+    out
 }
 
 #[cfg(test)]
@@ -139,18 +438,41 @@ mod tests {
     }
 
     #[test]
-    fn replicate_accumulates() {
-        let s = replicate(10, |seed| seed as f64);
-        assert_eq!(s.count(), 10);
-        assert!((s.mean() - 4.5).abs() < 1e-12);
+    fn sweep_runs_each_seed_once_in_order_and_matches_the_hand_loop() {
+        // Values whose Welford state depends on the order they arrive in.
+        let value = |seed: u64| [1.0 / (seed as f64 + 3.0), (seed as f64).exp()];
+        let mut seen = Vec::new();
+        let got = sweep(7, |seed| {
+            seen.push(seed);
+            value(seed)
+        });
+        assert_eq!(seen, (0..7).collect::<Vec<_>>());
+        for (i, summary) in got.iter().enumerate() {
+            let mut by_hand = Summary::new();
+            for seed in 0..7 {
+                by_hand.record(value(seed)[i]);
+            }
+            assert_eq!(summary.count(), 7);
+            for (a, b) in [
+                (summary.mean(), by_hand.mean()),
+                (summary.variance(), by_hand.variance()),
+                (summary.sum(), by_hand.sum()),
+            ] {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+        }
     }
 
     #[test]
-    fn fmt_covers_ranges() {
-        assert_eq!(fmt(0.0), "0");
-        assert_eq!(fmt(12345.0), "1.23e4");
-        assert_eq!(fmt(42.0), "42.0");
-        assert_eq!(fmt(1.5), "1.5000");
-        assert_eq!(fmt(0.0001), "1.00e-4");
+    fn stream_is_seeded_and_draws_a_sensor_only_where_asked() {
+        let mix = [(4, "avg"), (9, "read {sensor}")];
+        let a = stream(3, 200, 50, &mix);
+        assert_eq!(a, stream(3, 200, 50, &mix));
+        assert_ne!(a, stream(4, 200, 50, &mix));
+        assert!(a.iter().any(|t| t == "avg"));
+        for t in a.iter().filter(|t| *t != "avg") {
+            let id: u32 = t.strip_prefix("read ").unwrap().parse().unwrap();
+            assert!((1..50).contains(&id));
+        }
     }
 }

@@ -8,7 +8,7 @@ use pg_agent::deputy::DirectDeputy;
 use pg_agent::envelope::Payload;
 use pg_agent::profile::{AgentAttribute, AgentProfile};
 use pg_agent::{Agent, AgentSystem, Envelope, ReliableConfig};
-use pg_bench::replicate;
+use pg_bench::sweep;
 use pg_net::link::LinkModel;
 use pg_sim::fault::FaultPlan;
 use pg_sim::SimTime;
@@ -80,6 +80,9 @@ fn identical_seeds_identical_retry_totals() {
     assert_eq!(retries_for_seed(9), retries_for_seed(9));
     // And the per-seed function really is seed-sensitive, not constant
     // (every run above and below also asserts it left no dead letter).
-    let sweep = replicate(8, retries_for_seed);
-    assert!(sweep.max() > sweep.min(), "retries should vary with seed");
+    let [retries] = sweep(8, |seed| [retries_for_seed(seed)]);
+    assert!(
+        retries.max() > retries.min(),
+        "retries should vary with seed"
+    );
 }

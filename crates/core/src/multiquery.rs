@@ -151,8 +151,9 @@ impl PervasiveGrid {
         let tree_mode = self.tree_session.maintenance();
         // The chunk rides the grid's tree session: in the default Free mode
         // this is exactly `shared_tree_collection` (v1 semantics); under
-        // PerEpoch/Persistent maintenance the session also charges tree
-        // construction beacons, attributed evenly across the chunk below.
+        // PerEpoch/Persistent/Incremental maintenance the session also
+        // charges the tree's construction and repair beacons, attributed
+        // evenly across the chunk below.
         let report = self.tree_session.collect(
             &mut self.net,
             &shared_queries,

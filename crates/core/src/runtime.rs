@@ -154,7 +154,7 @@ pub struct GridBuilder {
     faults: FaultPlan,
     deadline: Option<Duration>,
     tree_maintenance: TreeMaintenance,
-    decision: Option<DecisionConfig>,
+    decision: DecisionConfig,
 }
 
 impl GridBuilder {
@@ -172,7 +172,7 @@ impl GridBuilder {
             faults: FaultPlan::none(),
             deadline: None,
             tree_maintenance: TreeMaintenance::Free,
-            decision: None,
+            decision: DecisionConfig::default(),
         }
     }
 
@@ -202,10 +202,9 @@ impl GridBuilder {
 
     /// Configure the decision maker (exploration, calibration window,
     /// bandit hyper-parameters) via [`DecisionConfig::builder`]. When not
-    /// set, the policy runs under the defaults — bit-identical to the
-    /// pre-builder behaviour.
+    /// set, the policy runs under [`DecisionConfig::default`].
     pub fn decision_config(mut self, cfg: DecisionConfig) -> Self {
-        self.decision = Some(cfg);
+        self.decision = cfg;
         self
     }
 
@@ -240,8 +239,9 @@ impl GridBuilder {
     /// Set how shared aggregation trees live across scheduling epochs:
     /// [`TreeMaintenance::Free`] (default, v1 — trees materialize at no
     /// modelled cost), `PerEpoch` (construction beacons charged every
-    /// epoch), or `Persistent` (build once, reuse until a node death
-    /// invalidates the tree).
+    /// epoch), `Persistent` (build once, rebuild whenever a node death
+    /// invalidates the tree), or `Incremental` (build once, repair only
+    /// around the dead node).
     pub fn tree_maintenance(mut self, mode: TreeMaintenance) -> Self {
         self.tree_maintenance = mode;
         self
@@ -266,11 +266,7 @@ impl GridBuilder {
             grid,
             field: TemperatureField::calm(21.0),
             regions: self.regions,
-            decision: DecisionMaker::with_config(
-                self.policy,
-                self.seed,
-                self.decision.unwrap_or_default(),
-            ),
+            decision: DecisionMaker::with_config(self.policy, self.seed, self.decision),
             now: SimTime::ZERO,
             log: Vec::new(),
             proxy: None,

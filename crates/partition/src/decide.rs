@@ -17,10 +17,8 @@
 //! Static policies and a clairvoyant [`oracle_choice`] bound both from
 //! below and above.
 //!
-//! Construction goes through [`DecisionConfig::builder`] (mirroring
-//! `RuntimeConfig::builder()`); [`DecisionMaker::new`] is the thin
-//! defaults shim, pinned bit-identical to `with_config(…, default)` by a
-//! proptest below.
+//! Construction goes through [`DecisionMaker::with_config`] and
+//! [`DecisionConfig::builder`] (mirroring `RuntimeConfig::builder()`).
 
 use crate::estimate::estimate;
 use crate::exec::{execute_once, ExecContext};
@@ -236,15 +234,7 @@ pub struct DecisionMaker {
 }
 
 impl DecisionMaker {
-    /// A decision maker with the given policy, RNG seed, and the default
-    /// configuration — the thin back-compat shim over
-    /// [`DecisionMaker::with_config`], bit-identical to the pre-builder
-    /// defaults (pinned by proptest).
-    pub fn new(policy: Policy, seed: u64) -> Self {
-        Self::with_config(policy, seed, DecisionConfig::default())
-    }
-
-    /// A decision maker with an explicit configuration.
+    /// A decision maker with the given policy, RNG seed and configuration.
     pub fn with_config(policy: Policy, seed: u64, cfg: DecisionConfig) -> Self {
         let learner: Box<dyn Learner> = match policy {
             Policy::Bandit => Box::new(LinUcbLearner::new(cfg.bandit, cfg.weights, seed)),
@@ -605,6 +595,20 @@ mod tests {
         )
     }
 
+    /// A decision maker under the default configuration.
+    fn maker(policy: Policy, seed: u64) -> DecisionMaker {
+        DecisionMaker::with_config(policy, seed, DecisionConfig::default())
+    }
+
+    #[test]
+    fn the_builder_builds_the_default_config() {
+        // Field for field: `f64`'s `Debug` form round-trips exactly.
+        assert_eq!(
+            format!("{:?}", DecisionConfig::builder().build()),
+            format!("{:?}", DecisionConfig::default())
+        );
+    }
+
     fn features(
         net: &mut SensorNetwork,
         grid: &GridCluster,
@@ -627,7 +631,7 @@ mod tests {
         let (mut net, grid, field, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::new(Policy::Static(SolutionModel::BaseStation), 1);
+        let mut dm = maker(Policy::Static(SolutionModel::BaseStation), 1);
         assert_eq!(
             dm.choose(&net, &grid, &q, &f),
             Ok(SolutionModel::BaseStation)
@@ -669,9 +673,9 @@ mod tests {
         // 1 nanojoule energy budget: nothing can run.
         let q = parse("SELECT AVG(temp) FROM sensors COST energy 0.000000001").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::new(Policy::Adaptive, 3);
+        let mut dm = maker(Policy::Adaptive, 3);
         assert_eq!(dm.choose(&net, &grid, &q, &f), Err(NoFeasibleModel));
-        let mut bandit = DecisionMaker::new(Policy::Bandit, 3);
+        let mut bandit = maker(Policy::Bandit, 3);
         assert_eq!(bandit.choose(&net, &grid, &q, &f), Err(NoFeasibleModel));
     }
 
@@ -680,7 +684,7 @@ mod tests {
         let (mut net, grid, field, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::new(Policy::Adaptive, 4);
+        let mut dm = maker(Policy::Adaptive, 4);
         let actual = CostVector {
             energy_j: 0.02,
             time_s: 1.0,
@@ -770,7 +774,7 @@ mod tests {
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
         let run = |seed| {
-            let mut dm = DecisionMaker::new(Policy::Random, seed);
+            let mut dm = maker(Policy::Random, seed);
             (0..10)
                 .map(|_| dm.choose(&net, &grid, &q, &f).unwrap().name())
                 .collect::<Vec<_>>()
@@ -784,7 +788,7 @@ mod tests {
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
         let run = |seed| {
-            let mut dm = DecisionMaker::new(Policy::Bandit, seed);
+            let mut dm = maker(Policy::Bandit, seed);
             let mut names = Vec::new();
             for i in 0..30 {
                 let m = dm.choose(&net, &grid, &q, &f).unwrap();
@@ -807,7 +811,7 @@ mod tests {
         let (mut net, grid, field, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::new(Policy::Bandit, 6);
+        let mut dm = maker(Policy::Bandit, 6);
         // Tree is cheap, everything else dear.
         let cost_of = |m: &SolutionModel| {
             let s = if m.family() == 0 { 0.05 } else { 3.0 };
@@ -886,7 +890,7 @@ mod tests {
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let mut n = net;
         let f = features(&mut n, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::new(Policy::Bandit, 9);
+        let mut dm = maker(Policy::Bandit, 9);
         dm.note_pressure(32, 1.0);
         assert_eq!(dm.health().queue_depth, 32);
         assert_eq!(dm.health().overload_level, 1.0);
@@ -911,9 +915,9 @@ mod tests {
 
     #[test]
     fn tree_mode_selection_is_bandit_only() {
-        let mut knn = DecisionMaker::new(Policy::Adaptive, 1);
+        let mut knn = maker(Policy::Adaptive, 1);
         assert_eq!(knn.select_tree_mode(8), None);
-        let mut bandit = DecisionMaker::new(Policy::Bandit, 1);
+        let mut bandit = maker(Policy::Bandit, 1);
         let mode = bandit.select_tree_mode(8).unwrap();
         bandit.observe_tree_mode(mode, 8, 0.5);
     }
@@ -922,81 +926,10 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
-    use pg_query::classify::QueryKind;
     use proptest::prelude::*;
-
-    fn synthetic_features(members: usize, kind_idx: usize) -> QueryFeatures {
-        QueryFeatures {
-            kind: [QueryKind::Simple, QueryKind::Aggregate, QueryKind::Complex][kind_idx % 3],
-            continuous: false,
-            members,
-            mean_hops: 1.0 + (members % 7) as f64 / 2.0,
-            network_size: 100,
-            epoch_s: 0.0,
-        }
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
-
-        /// `DecisionMaker::new(policy, seed)` is a thin shim: its choice
-        /// sequence is bit-identical to `with_config` under the default
-        /// configuration, for every policy, across interleaved choose/
-        /// record streams.
-        #[test]
-        fn new_is_bit_identical_to_default_config(
-            seed in 0u64..1_000,
-            picks in proptest::collection::vec((5usize..60, 0usize..3, 0u8..4), 1..40),
-            policy_idx in 0usize..4,
-        ) {
-            let policy = [
-                Policy::Adaptive,
-                Policy::Random,
-                Policy::Static(SolutionModel::BaseStation),
-                Policy::Bandit,
-            ][policy_idx];
-            let (mut net, grid, field, regions) = super::tests::world();
-            let q = pg_query::parse("SELECT AVG(temp) FROM sensors").unwrap();
-            let base = {
-                let ctx = ExecContext {
-                    net: &mut net,
-                    grid: &grid,
-                    field: &field,
-                    regions: &regions,
-                    now: SimTime::from_secs(600),
-                };
-                QueryFeatures::extract(&ctx, &q).unwrap()
-            };
-            let run = |mk: &dyn Fn() -> DecisionMaker| {
-                let mut dm = mk();
-                let mut out = Vec::new();
-                for (members, kind_idx, cost_mult) in &picks {
-                    let mut f = synthetic_features(*members, *kind_idx);
-                    f.mean_hops = base.mean_hops;
-                    let choice = dm.choose(&net, &grid, &q, &f).ok();
-                    out.push(choice.map(|m| m.name()));
-                    if let Some(m) = choice {
-                        let actual = CostVector {
-                            energy_j: 0.001 * f64::from(*cost_mult + 1),
-                            time_s: 0.1,
-                            bytes: 100.0,
-                            ops: 100.0,
-                        };
-                        dm.record(&net, &grid, f, m, actual);
-                    }
-                }
-                (out, dm.calibration_error(8))
-            };
-            let shim = run(&|| DecisionMaker::new(policy, seed));
-            let explicit = run(&|| {
-                DecisionMaker::with_config(policy, seed, DecisionConfig::default())
-            });
-            let built = run(&|| {
-                DecisionMaker::with_config(policy, seed, DecisionConfig::builder().build())
-            });
-            prop_assert_eq!(&shim, &explicit);
-            prop_assert_eq!(&shim, &built);
-        }
 
         /// With exploration disabled (α = 0) under stationary per-arm
         /// rewards, the bandit converges to the static-best arm and stays

@@ -86,8 +86,10 @@ done
 echo "all experiment outputs written to $out/"
 
 if [[ $rebaseline -eq 1 ]]; then
-    for f in "$out"/exp_*.json; do
-        cp "$f" "baselines/BENCH_$(basename "$f")"
-        echo "rebaselined baselines/BENCH_$(basename "$f")"
+    # Only what this run produced: $out may hold a stale report from a
+    # renamed or deleted experiment (results/*.json is git-ignored).
+    for exp in $exps; do
+        cp "$out/$exp.json" "baselines/BENCH_$exp.json"
+        echo "rebaselined baselines/BENCH_$exp.json"
     done
 fi

@@ -1,9 +1,9 @@
 //! Tier-1 guard on the default policy's decisions: a bit-exact digest of
-//! what `DecisionMaker::new(Policy::Adaptive, seed)` chooses, and how well
-//! calibrated it says it is, over a metro-shaped stream — a handful of
-//! query templates over a handful of regions, one `choose` per arrival and
-//! one `observe` per answer, with extra `InNetworkTree` observes for the
-//! queries that rode a shared tree.
+//! what `Policy::Adaptive` chooses under `DecisionConfig::default()`, and
+//! how well calibrated it says it is, over a metro-shaped stream — a
+//! handful of query templates over a handful of regions, one `choose` per
+//! arrival and one `observe` per answer, with extra `InNetworkTree`
+//! observes for the queries that rode a shared tree.
 //!
 //! The constants were captured on the commit *before* the k-NN case memory
 //! was indexed by distinct feature point; any change to a neighbour set, a
@@ -13,7 +13,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pervasive_grid::core::PervasiveGrid;
-use pervasive_grid::partition::decide::{DecisionMaker, Policy};
+use pervasive_grid::partition::decide::{DecisionConfig, DecisionMaker, Policy};
 use pervasive_grid::partition::estimate::estimate;
 use pervasive_grid::partition::exec::ExecContext;
 use pervasive_grid::partition::features::QueryFeatures;
@@ -63,7 +63,7 @@ fn digest(seed: u64) -> u64 {
         })
         .collect();
 
-    let mut dm = DecisionMaker::new(Policy::Adaptive, seed);
+    let mut dm = DecisionMaker::with_config(Policy::Adaptive, seed, DecisionConfig::default());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD3C1);
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for _ in 0..STEPS {
