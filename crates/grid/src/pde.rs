@@ -17,7 +17,13 @@
 //!   other colour.
 //! * [`Solver::Sor`] — the same colored sweep with over-relaxation.
 //! * [`Solver::ConjugateGradient`] — CG on the free-cell system (the masked
-//!   7-point Laplacian is symmetric positive definite).
+//!   7-point Laplacian is symmetric positive definite), three passes over
+//!   the interior x-lines per iteration: **A** `A·p` and `p·A·p`, **B** the
+//!   steps of `x` and `r` and `r·r`, **C** the next `p`. The CG vectors are
+//!   `+0.0` on every fixed cell and stay so, which is why the stencil
+//!   subtracts all six neighbours untested (`s − 0.0` is `s` bit for bit)
+//!   and the shell is left out of both sums (it only ever added `+0.0`).
+//!   Those two sums are strict left-to-right chains: the kernel's host floor.
 //!
 //! Every solver reports iterations, final residual, and an operation count
 //! that `pg-partition` feeds into its grid-compute-time estimates. That
@@ -41,7 +47,8 @@ pub enum Solver {
     /// Jacobi per sweep).
     RedBlackGaussSeidel,
     /// Conjugate gradient on the masked SPD system (fastest for tight
-    /// tolerances).
+    /// tolerances): a stencil pass with no neighbour test — the vectors are
+    /// zero on fixed cells — and two ordered dot products per iteration.
     ConjugateGradient,
     /// Red/black successive over-relaxation: RBGS with relaxation factor
     /// `ω` — near-optimal ω turns O(n²) sweeps into O(n).
@@ -87,6 +94,12 @@ pub struct Problem {
     constraints: usize,
 }
 
+/// Flat index of the `x = 0` cell of every interior x-line, in storage
+/// order; the free cells are the unpinned cells `1..nx−1` of these lines.
+fn interior_lines(nx: usize, ny: usize, nz: usize) -> impl Iterator<Item = usize> + Clone {
+    (1..nz - 1).flat_map(move |z| (1..ny - 1).map(move |y| nx * (y + ny * z)))
+}
+
 impl Problem {
     /// A `nx × ny × nz` box whose outer shell is held at `boundary_value`
     /// (the building walls at ambient). `origin` is the physical position of
@@ -106,10 +119,9 @@ impl Problem {
         assert!(nx >= 3 && ny >= 3 && nz >= 3, "no interior cells");
         assert!(spacing > 0.0, "spacing must be positive");
         let field = Field3::new(nx, ny, nz, boundary_value);
-        let mut fixed = vec![false; field.len()];
-        for (i, f) in fixed.iter_mut().enumerate() {
-            let (x, y, z) = field.coords(i);
-            *f = field.on_boundary(x, y, z);
+        let mut fixed = vec![true; field.len()];
+        for line in interior_lines(nx, ny, nz) {
+            fixed[line + 1..line + nx - 1].fill(false);
         }
         Problem {
             field,
@@ -130,9 +142,11 @@ impl Problem {
         self.constraints
     }
 
-    /// Number of free (unknown) cells.
+    /// Number of free (unknown) cells: the interior less the cells a
+    /// counted constraint has pinned.
     pub fn free_cells(&self) -> usize {
-        self.fixed.iter().filter(|&&f| !f).count()
+        let (nx, ny, nz) = self.field.shape();
+        (nx - 2) * (ny - 2) * (nz - 2) - self.constraints
     }
 
     /// Map a physical point to the nearest grid cell (clamped to the box).
@@ -381,103 +395,89 @@ impl Problem {
         }
     }
 
-    /// Apply the free-cell operator `A u = 6u_i - Σ_{free nbr} u_j` into
-    /// `out`. Only free cells are written: `out` must already be zero at
-    /// fixed cells (the CG work buffers are allocated zeroed and fixed
-    /// entries are never touched afterwards), which saves re-clearing the
-    /// whole boundary shell on every application.
-    // Out of line on purpose: inlined into the CG loop (its only caller) the
-    // stencil compiles to slower code, +15-25 % per solve as measured.
-    #[inline(never)]
-    fn apply_a(&self, u: &[f64], out: &mut [f64]) {
-        let (nx, ny, _) = self.field.shape();
-        let plane = nx * ny;
-        let fixed = &self.fixed;
-        self.for_interior_slabs(out, |z, slab| {
-            let base = z * plane;
-            for y in 1..ny - 1 {
-                let row = nx * y;
-                for xx in 1..nx - 1 {
-                    let off = row + xx;
-                    let i = base + off;
-                    if fixed[i] {
-                        continue;
-                    }
-                    // Free cells are strictly interior (boundary shell is
-                    // fixed), so all six neighbours exist.
-                    let mut s = 6.0 * u[i];
-                    for j in [i - 1, i + 1, i - nx, i + nx, i - plane, i + plane] {
-                        if !fixed[j] {
-                            s -= u[j];
-                        }
-                    }
-                    slab[off] = s;
-                }
-            }
-        });
-    }
-
+    /// CG on the free-cell system `6u_i − Σ_{free nbr} u_j = b_i`.
     fn solve_cg(&self, tol: f64, max_iters: u32) -> (Field3, SolveStats) {
         let n = self.field.len();
-        let (nx, ny, _) = self.field.shape();
+        let (nx, ny, nz) = self.field.shape();
         let plane = nx * ny;
         let fixed = &self.fixed;
         let vals = self.field.raw();
+        let lines = interior_lines(nx, ny, nz);
+        let interior = |line: usize| line + 1..line + nx - 1;
 
-        // b_i = Σ_{fixed nbr} value_j for free cells; fixed entries stay at
-        // the zero the buffer was allocated with.
+        // b_i = Σ_{fixed nbr} value_j on free cells; `pinned` lists the others.
         let mut b = vec![0.0f64; n];
-        self.for_interior_slabs(&mut b, |z, slab| {
-            let base = z * plane;
-            for y in 1..ny - 1 {
-                let row = nx * y;
-                for xx in 1..nx - 1 {
-                    let off = row + xx;
-                    let i = base + off;
-                    if fixed[i] {
-                        continue;
-                    }
-                    let mut s = 0.0;
-                    for j in [i - 1, i + 1, i - nx, i + nx, i - plane, i + plane] {
-                        if fixed[j] {
-                            s += vals[j];
-                        }
-                    }
-                    slab[off] = s;
-                }
+        let mut pinned = Vec::new();
+        for i in lines.clone().flat_map(interior) {
+            if fixed[i] {
+                pinned.push(i);
+                continue;
             }
-        });
+            b[i] = [i - 1, i + 1, i - nx, i + nx, i - plane, i + plane]
+                .into_iter()
+                .filter(|&j| fixed[j])
+                .fold(0.0, |s, j| s + vals[j]);
+        }
 
-        let dot = |a: &[f64], c: &[f64]| -> f64 { a.iter().zip(c).map(|(x, y)| x * y).sum() };
-
-        // x starts at zero on free cells.
+        // x = 0, r = b − A·0, p = r.
         let mut x = vec![0.0f64; n];
-        let mut r = b.clone(); // r = b - A·0
+        let mut r = b;
         let mut p = r.clone();
         let mut ax = vec![0.0f64; n];
-        let mut rs_old = dot(&r, &r);
+        let mut rs_old = 0.0;
+        for ri in lines.clone().flat_map(|line| &r[interior(line)]) {
+            rs_old += ri * ri;
+        }
         let mut iters = 0;
         // CG works on the 2-norm; tol is a max-norm target, so iterate on a
         // scaled 2-norm bound and confirm with the true residual at the end.
         let two_norm_tol = tol * (self.free_cells() as f64).sqrt().max(1.0) * 1e-2;
 
         while iters < max_iters && rs_old.sqrt() > two_norm_tol {
-            self.apply_a(&p, &mut ax);
-            let pap = dot(&p, &ax);
+            // Pass A: ax = A·p, zero on the sensor cells, and pap = p·ax.
+            let mut pap = 0.0;
+            let mut pins = pinned.iter().peekable();
+            for line in lines.clone() {
+                let z_lo = &p[line - plane..][..nx];
+                let y_lo = &p[line - nx..][..nx];
+                let c = &p[line..][..nx];
+                let y_hi = &p[line + nx..][..nx];
+                let z_hi = &p[line + plane..][..nx];
+                let out = &mut ax[line..][..nx];
+                for k in 1..nx - 1 {
+                    out[k] =
+                        6.0 * c[k] - c[k - 1] - c[k + 1] - y_lo[k] - y_hi[k] - z_lo[k] - z_hi[k];
+                }
+                while let Some(&i) = pins.next_if(|&&i| i < line + nx) {
+                    out[i - line] = 0.0;
+                }
+                for k in 1..nx - 1 {
+                    pap += c[k] * out[k];
+                }
+            }
             if pap <= 0.0 {
                 break; // numerical breakdown; bail with what we have
             }
+            // Pass B: step x and r along p, and rs_new = r·r.
             let alpha = rs_old / pap;
-            for (xi, pi) in x.iter_mut().zip(&p) {
-                *xi += alpha * pi;
+            let mut rs_new = 0.0;
+            for span in lines.clone().map(interior) {
+                for (xi, pi) in x[span.clone()].iter_mut().zip(&p[span.clone()]) {
+                    *xi += alpha * pi;
+                }
+                for (ri, ai) in r[span.clone()].iter_mut().zip(&ax[span.clone()]) {
+                    *ri -= alpha * ai;
+                }
+                for ri in &r[span] {
+                    rs_new += ri * ri;
+                }
             }
-            for (ri, ai) in r.iter_mut().zip(&ax) {
-                *ri -= alpha * ai;
-            }
-            let rs_new = dot(&r, &r);
+            // Pass C: the next search direction.
             let beta = rs_new / rs_old;
-            for (pi, ri) in p.iter_mut().zip(&r) {
-                *pi = *ri + beta * *pi;
+            for span in lines.clone().map(interior) {
+                for (pi, ri) in p[span.clone()].iter_mut().zip(&r[span]) {
+                    *pi = *ri + beta * *pi;
+                }
             }
             rs_old = rs_new;
             iters += 1;

@@ -113,3 +113,128 @@ fn solver_outputs_are_pinned_to_the_bit() {
         );
     }
 }
+
+/// A fire-like plume the fire-box rows sample their readings from.
+fn plume(p: &Point) -> f64 {
+    let d2 = p.distance_sq(&Point::new(27.5, 27.5, 0.0));
+    21.0 + 446.9 * (-d2 / (2.0 * 32.0 * 32.0)).exp()
+}
+
+/// A box whose shell sits at the mean reading, as `exec_complex` builds it.
+fn mean_shell(dims: (usize, usize, usize), readings: &[(Point, f64)]) -> Problem {
+    let mean = readings.iter().map(|r| r.1).sum::<f64>() / readings.len() as f64;
+    let mut p = Problem::new(dims.0, dims.1, dims.2, Point::flat(0.0, 0.0), 1.0, mean);
+    for (pos, v) in readings {
+        p.add_constraint(pos, *v);
+    }
+    p
+}
+
+/// Shapes the cubes above do not reach: `(name, problem, tol, max_iters)`.
+fn cg_cases() -> Vec<(&'static str, Problem, f64, u32)> {
+    let fire = (21, 21, 5);
+    // Room #210's 49 sensors: 5 m pitch on the z = 0 and z = 4 planes (the
+    // base station's corner is missing), so every reading overrides a shell
+    // cell and none is interior.
+    let raw: Vec<(Point, f64)> = (1..50)
+        .map(|i| {
+            let p = Point::new(
+                5.0 * (i % 5) as f64,
+                5.0 * (i / 5 % 5) as f64,
+                4.0 * (i / 25) as f64,
+            );
+            (p, plume(&p))
+        })
+        .collect();
+    // What `Hybrid { heads: 4 }` solves: four cluster summaries at interior
+    // centroids.
+    let summaries: Vec<(Point, f64)> = [
+        (4.2, 5.1, 1.7),
+        (14.6, 4.4, 2.2),
+        (5.3, 15.2, 2.4),
+        (15.8, 14.9, 1.3),
+    ]
+    .iter()
+    .map(|&(x, y, z)| {
+        let p = Point::new(x, y, z);
+        (p, plume(&p))
+    })
+    .collect();
+
+    let mut line = Problem::new(7, 5, 3, Point::flat(0.0, 0.0), 1.0, 18.0);
+    line.add_constraint(&Point::new(0.0, 2.0, 1.0), 75.0);
+    line.add_constraint(&Point::new(4.0, 2.0, 1.0), 40.0);
+
+    let mut pinned = Problem::new(5, 4, 4, Point::flat(0.0, 0.0), 1.0, 20.0);
+    for (i, (y, z)) in [(1, 1), (2, 1), (1, 2), (2, 2)].into_iter().enumerate() {
+        for x in 1..4 {
+            pinned.add_constraint(
+                &Point::new(x as f64, y as f64, z as f64),
+                30.0 + (3 * i + x) as f64,
+            );
+        }
+    }
+    assert_eq!(pinned.free_cells(), 0);
+
+    let uniform = Problem::new(9, 8, 7, Point::flat(0.0, 0.0), 1.0, 21.0);
+
+    let mut near_shell = Problem::new(10, 9, 6, Point::flat(0.0, 0.0), 1.0, 20.0);
+    near_shell.add_constraint(&Point::new(1.0, 1.0, 1.0), 180.0);
+    near_shell.add_constraint(&Point::new(8.0, 4.0, 4.0), 65.0);
+
+    let mut signed = Problem::new(8, 8, 8, Point::flat(0.0, 0.0), 1.0, 5.0);
+    signed.add_constraint(&Point::new(2.0, 3.0, 4.0), -40.0);
+    signed.add_constraint(&Point::new(5.0, 4.0, 3.0), -0.0);
+    signed.add_constraint(&Point::new(5.0, 5.0, 3.0), 12.5);
+
+    vec![
+        (
+            "fire box, 49 raw readings",
+            mean_shell(fire, &raw),
+            1e-4,
+            4_000,
+        ),
+        (
+            "fire box, 4 summaries",
+            mean_shell(fire, &summaries),
+            1e-4,
+            4_000,
+        ),
+        ("single interior line", line, 1e-6, 4_000),
+        ("every interior cell pinned", pinned, 1e-6, 4_000),
+        ("uniform shell, no constraint", uniform, 1e-6, 4_000),
+        ("sensor beside the shell", near_shell, 1e-6, 4_000),
+        ("negative and -0.0 readings", signed, 1e-6, 4_000),
+        ("max_iters 0", mean_shell(fire, &summaries), 1e-4, 0),
+        ("max_iters 1", mean_shell(fire, &summaries), 1e-4, 1),
+    ]
+}
+
+/// `(iterations, residual bits, field digest, stats.ops)` per `cg_cases`
+/// row, captured at d42d7c0 (before the CG kernel walked interior lines),
+/// identical in debug and release.
+const GOLDEN_CG: [(u32, u64, u64, u64); 9] = [
+    (35, 0x3ed0_1103_4000_0000, 0x4c79_c604_f3f1_1862, 833_910),
+    (38, 0x3ecd_fddf_8000_0000, 0x8b06_7e92_f195_a7be, 902_044),
+    (9, 0x3d20_0000_0000_0000, 0x7a8f_e183_2026_2fa7, 2772),
+    (0, 0x0000_0000_0000_0000, 0x9863_0f30_3e60_ac5f, 0),
+    (23, 0x3e50_5dd1_0000_0000, 0xdae6_fdd2_ce82_66cd, 106_260),
+    (35, 0x3e52_40c0_0000_0000, 0xbdf7_833a_2a06_33af, 170_940),
+    (29, 0x3e60_b5b5_4000_0000, 0xfa82_7487_d3b8_8bdf, 135_894),
+    (0, 0x4090_2dda_98e2_ab04, 0xf90e_0d16_f18e_f76f, 0),
+    (1, 0x4087_3a7c_60de_8e20, 0x17c7_0f49_b95b_68c9, 23_738),
+];
+
+#[test]
+fn cg_is_pinned_on_the_fire_box_and_the_edge_shapes() {
+    for ((name, p, tol, max_iters), want) in cg_cases().iter().zip(GOLDEN_CG) {
+        let (field, stats) = p.solve(Solver::ConjugateGradient, *tol, *max_iters);
+        let got = (
+            stats.iterations,
+            stats.residual.to_bits(),
+            digest(field.raw()),
+            stats.ops,
+        );
+        assert_eq!(got, want, "{name}: got {got:#x?}");
+    }
+}

@@ -353,26 +353,29 @@ fn exec_complex<R: Rng>(
         // constraints land in the interior, not on the fixed shell.
         origin.z -= spacing;
     }
-    let ambient = ctx.field.ambient;
-    let build_problem = |constraints: &[Reading]| {
-        let boundary = if constraints.is_empty() {
-            ambient
-        } else {
-            constraints.iter().map(|r| r.1).sum::<f64>() / constraints.len() as f64
-        };
-        let mut p = Problem::new(nx, ny, nz, origin, spacing, boundary);
-        for (pos, v) in constraints {
-            p.add_constraint(pos, *v);
+    // `GridOffload` may region-average the readings before they cross the
+    // backhaul. Whatever the placement, its system is solved once, here; the
+    // `match` below only prices where that solve ran.
+    let readings = match model {
+        SolutionModel::GridOffload { reduction_cell_m } => {
+            reduction::reduce_readings(&readings, reduction_cell_m)
         }
-        p
+        _ => readings,
     };
+    let boundary = if readings.is_empty() {
+        ctx.field.ambient
+    } else {
+        readings.iter().map(|r| r.1).sum::<f64>() / readings.len() as f64
+    };
+    let mut p = Problem::new(nx, ny, nz, origin, spacing, boundary);
+    for (pos, v) in &readings {
+        p.add_constraint(pos, *v);
+    }
+    let (field3, stats) = p.solve(Solver::ConjugateGradient, 1e-4, 4_000);
 
-    let (field3, stats, shipped_bytes) = match model {
-        SolutionModel::Hybrid { .. } => {
-            // The summaries are already reduced; ship them and solve on
-            // the grid.
-            let p = build_problem(&readings);
-            let (f, stats) = p.solve(Solver::ConjugateGradient, 1e-4, 4_000);
+    let shipped_bytes = match model {
+        SolutionModel::Hybrid { .. } | SolutionModel::GridOffload { .. } => {
+            // Ship the (already reduced) readings and solve on the grid.
             let ship = reduction::wire_bytes(readings.len());
             let job = Job {
                 name: "pde-solve".into(),
@@ -384,38 +387,17 @@ fn exec_complex<R: Rng>(
                 .grid
                 .single_job_time_at(&job, ctx.now)
                 .map_or(0.0, |d| d.as_secs_f64());
-            (f, stats, ship)
-        }
-        SolutionModel::GridOffload { reduction_cell_m } => {
-            let reduced = reduction::reduce_readings(&readings, reduction_cell_m);
-            let p = build_problem(&reduced);
-            let (f, stats) = p.solve(Solver::ConjugateGradient, 1e-4, 4_000);
-            let ship = reduction::wire_bytes(reduced.len());
-            let job = Job {
-                name: "pde-solve".into(),
-                ops: stats.ops,
-                input_bytes: ship,
-                output_bytes: RESULT_BYTES,
-            };
-            cost.time_s += ctx
-                .grid
-                .single_job_time_at(&job, ctx.now)
-                .map_or(0.0, |d| d.as_secs_f64());
-            (f, stats, ship)
+            ship
         }
         SolutionModel::BaseStation => {
-            let p = build_problem(&readings);
-            let (f, stats) = p.solve(Solver::ConjugateGradient, 1e-4, 4_000);
             cost.time_s += stats.ops as f64 / BASE_FLOPS;
-            (f, stats, 0)
+            0
         }
         SolutionModel::InNetworkTree | SolutionModel::InNetworkCluster { .. } => {
             // Distributed in-network solve: one Jacobi sweep per radio
             // round, every member exchanging one value with each
             // neighbour per sweep — §4's "simply not feasible" placement,
             // priced honestly rather than forbidden.
-            let p = build_problem(&readings);
-            let (f, stats) = p.solve(Solver::ConjugateGradient, 1e-4, 4_000);
             // Approximate Jacobi sweep count for the same residual: CG
             // iterations squared is the classic gap; cap for sanity.
             let sweeps = ((stats.iterations as u64).pow(2)).clamp(100, 20_000);
@@ -437,7 +419,7 @@ fn exec_complex<R: Rng>(
             cost.time_s += sweeps as f64 * slot.as_secs_f64()
                 + stats.ops as f64 / (SENSOR_FLOPS * members.len() as f64);
             cost.bytes += (sweeps * per_sweep_bytes) as f64;
-            (f, stats, 0)
+            0
         }
     };
     cost.ops += stats.ops as f64;
@@ -450,12 +432,11 @@ fn exec_complex<R: Rng>(
     let mut truth_max = f64::NEG_INFINITY;
     let mut sq_sum = 0.0;
     let mut count = 0usize;
-    let probe = Problem::new(nx, ny, nz, origin, spacing, ctx.field.ambient);
+    let truth_at = ctx.field.at(ctx.now);
     for z in 1..nz - 1 {
         for y in 1..ny - 1 {
             for x in 1..nx - 1 {
-                let pos = probe.position_of(x, y, z);
-                let truth = ctx.field.temperature(&pos, ctx.now);
+                let truth = truth_at.temperature(&p.position_of(x, y, z));
                 truth_min = truth_min.min(truth);
                 truth_max = truth_max.max(truth);
                 let got = field3.get(x, y, z);
