@@ -493,16 +493,11 @@ fn exec_continuous<R: Rng>(
         delivered += out.delivered_frac;
         acc = out.accuracy_err;
         retries += out.retries;
-        // Idle listening between results.
-        let idle = ctx.net.radio().idle_energy(epoch.as_secs_f64());
-        let base = ctx.net.base();
-        let nodes: Vec<NodeId> = ctx.net.topology().nodes().collect();
-        for n in nodes {
-            if n != base && ctx.net.is_alive(n) {
-                ctx.net.drain(n, idle);
-            }
-        }
-        total.energy_j += idle * (ctx.net.len() - 1) as f64;
+        // Idle listening between results. The bill charges every sensor,
+        // dead ones included, though only the living drain: pinned bits.
+        let secs = epoch.as_secs_f64();
+        ctx.net.idle_listen(secs);
+        total.energy_j += ctx.net.radio().idle_energy(secs) * (ctx.net.len() - 1) as f64;
     }
     ctx.now = start;
     Ok(Outcome {

@@ -14,9 +14,10 @@
 //! description.
 
 use crate::aggregate::{AggFn, Partial, ValueFilter, PARTIAL_WIRE_BYTES, READING_WIRE_BYTES};
-use crate::collect::{CollectionReport, MAX_ATTEMPTS, MERGE_OPS};
+use crate::collect::{CollectionReport, Meter, MERGE_OPS};
 use crate::field::TemperatureField;
 use crate::network::SensorNetwork;
+use pg_net::geom::Point;
 use pg_net::topology::NodeId;
 use pg_sim::SimTime;
 use rand::Rng;
@@ -28,8 +29,6 @@ pub fn default_head_count(members: usize) -> usize {
 
 /// Elect `k` cluster heads among the live members: highest residual energy
 /// first, node id as the deterministic tie-break.
-// Battery energies come from a finite drain model, never NaN.
-#[allow(clippy::expect_used)]
 pub fn elect_heads(net: &SensorNetwork, members: &[NodeId], k: usize) -> Vec<NodeId> {
     let mut live: Vec<NodeId> = members
         .iter()
@@ -38,8 +37,7 @@ pub fn elect_heads(net: &SensorNetwork, members: &[NodeId], k: usize) -> Vec<Nod
         .collect();
     live.sort_by(|&a, &b| {
         net.remaining_energy(b)
-            .partial_cmp(&net.remaining_energy(a))
-            .expect("battery energy is never NaN")
+            .total_cmp(&net.remaining_energy(a))
             .then(a.cmp(&b))
     });
     live.truncate(k.max(1));
@@ -72,113 +70,8 @@ pub fn cluster_collection_filtered<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> CollectionReport {
-    let base = net.base();
-    let start_total = net.total_consumed();
-    let start_remaining: Vec<f64> = net
-        .topology()
-        .nodes()
-        .map(|n| net.remaining_energy(n))
-        .collect();
-
-    let heads = elect_heads(net, members, k);
-    let mut cpu_ops = 0u64;
-    let mut total_bytes = 0u64;
-    let mut bytes_to_base = 0u64;
-    let mut retries = 0u64;
-    let mut head_partials: Vec<Partial> = vec![Partial::empty(); heads.len()];
-    let mut cluster_sizes = vec![0u64; heads.len()];
-    let mut participating = 0usize;
-
-    // Intra-cluster phase: members sample and send to their nearest head.
-    for &m in members {
-        if m == base || !net.is_operational(m, t) {
-            continue;
-        }
-        participating += 1;
-        let reading = net.sample(m, field, t, rng);
-        cpu_ops += 50;
-        if !filter.matches(reading) {
-            continue; // predicate evaluated at the source
-        }
-        if let Some(hi) = heads.iter().position(|&h| h == m) {
-            // Heads keep their own reading locally.
-            head_partials[hi].add(reading);
-            cluster_sizes[hi] += 1;
-            continue;
-        }
-        // Nearest head by Euclidean distance (deterministic tie by order).
-        // A plain loop, one distance per head: as a `min_by` comparator the
-        // search cost 3× whenever the closure was not inlined, which
-        // flipped with unrelated edits in the crate instantiating this.
-        let mut nearest: Option<(usize, NodeId, f64)> = None;
-        for (hi, &head) in heads.iter().enumerate() {
-            let d = net.topology().distance(m, head);
-            if nearest.is_none_or(|(_, _, best)| d < best) {
-                nearest = Some((hi, head, d));
-            }
-        }
-        let Some((hi, head, _)) = nearest else {
-            continue;
-        };
-        let (ok, attempts) = try_long_hop(net, m, head, READING_WIRE_BYTES, t, rng);
-        total_bytes += READING_WIRE_BYTES * attempts as u64;
-        retries += u64::from(attempts.saturating_sub(1));
-        if ok {
-            head_partials[hi].add(reading);
-            cpu_ops += MERGE_OPS;
-            cluster_sizes[hi] += 1;
-        }
-    }
-
-    // Inter-cluster phase: each head with data sends one partial to base.
-    let mut merged = Partial::empty();
-    for (hi, &h) in heads.iter().enumerate() {
-        if head_partials[hi].count == 0 || !net.is_operational(h, t) {
-            continue;
-        }
-        let (ok, attempts) = try_long_hop(net, h, base, PARTIAL_WIRE_BYTES, t, rng);
-        total_bytes += PARTIAL_WIRE_BYTES * attempts as u64;
-        retries += u64::from(attempts.saturating_sub(1));
-        if ok {
-            merged.merge(&head_partials[hi]);
-            cpu_ops += MERGE_OPS;
-            bytes_to_base += PARTIAL_WIRE_BYTES;
-        }
-    }
-
-    // TDMA timing: largest cluster serializes member slots, then heads
-    // serialize their uplink slots.
-    let member_slot = net.link().expected_tx_time(READING_WIRE_BYTES);
-    let head_slot = net.link().expected_tx_time(PARTIAL_WIRE_BYTES);
-    let biggest = cluster_sizes.iter().copied().max().unwrap_or(0);
-    let latency = member_slot.mul(biggest) + head_slot.mul(heads.len() as u64);
-
-    let mut energy_j = net.total_consumed() - start_total;
-    if energy_j < 0.0 {
-        energy_j = 0.0;
-    }
-    let mut max_node = 0.0f64;
-    for n in net.topology().nodes() {
-        if n == base {
-            continue;
-        }
-        let spent = (start_remaining[n.idx()] - net.remaining_energy(n)).max(0.0);
-        max_node = max_node.max(spent);
-    }
-
-    CollectionReport {
-        value: merged.finalize(agg),
-        partial: merged,
-        energy_j,
-        max_node_energy_j: max_node,
-        bytes_to_base,
-        total_bytes,
-        latency,
-        cpu_ops,
-        participating,
-        delivered: merged.count as usize,
-        retries,
-    }
+    let uplink = PARTIAL_WIRE_BYTES;
+    cluster_epoch(net, members, field, t, agg, k, filter, uplink, rng).0
 }
 
 /// Cluster-based collection that additionally returns one spatial summary
@@ -189,9 +82,6 @@ pub fn cluster_collection_filtered<R: Rng>(
 /// clusters perform the data reduction ("send the average reading from a
 /// region"), and the summaries — not raw readings — travel onward to the
 /// grid for the heavy computation.
-// Distances are never NaN (finite coordinates) and a summary is only
-// emitted for clusters whose partial has count > 0.
-#[allow(clippy::expect_used)]
 pub fn cluster_summaries<R: Rng>(
     net: &mut SensorNetwork,
     members: &[NodeId],
@@ -199,163 +89,109 @@ pub fn cluster_summaries<R: Rng>(
     t: SimTime,
     k: usize,
     rng: &mut R,
-) -> (CollectionReport, Vec<(pg_net::geom::Point, f64)>) {
+) -> (CollectionReport, Vec<(Point, f64)>) {
+    // Summary record on the wire: centroid (3×8) + mean (8) = 32 bytes.
+    const SUMMARY_WIRE_BYTES: u64 = 32;
+    let (all, uplink) = (ValueFilter::all(), SUMMARY_WIRE_BYTES);
+    cluster_epoch(net, members, field, t, AggFn::Avg, k, &all, uplink, rng)
+}
+
+/// The two-tier epoch: members send their reading to the nearest head in
+/// one (possibly long) hop, then every head with data sends `uplink_bytes`
+/// to the base. Returns the report and one `(centroid, mean)` per cluster
+/// that reached the base.
+#[allow(clippy::too_many_arguments)]
+fn cluster_epoch<R: Rng>(
+    net: &mut SensorNetwork,
+    members: &[NodeId],
+    field: &TemperatureField,
+    t: SimTime,
+    agg: AggFn,
+    k: usize,
+    filter: &ValueFilter,
+    uplink_bytes: u64,
+    rng: &mut R,
+) -> (CollectionReport, Vec<(Point, f64)>) {
     let base = net.base();
-    let start_total = net.total_consumed();
-    let start_remaining: Vec<f64> = net
-        .topology()
-        .nodes()
-        .map(|n| net.remaining_energy(n))
-        .collect();
+    let consumed_before = net.total_consumed();
+    let mut meter = Meter::open(net);
 
     let heads = elect_heads(net, members, k);
-    let mut cpu_ops = 0u64;
-    let mut total_bytes = 0u64;
-    let mut bytes_to_base = 0u64;
-    let mut retries = 0u64;
-    // Per cluster: partial over values + centroid accumulator (x, y, z, n).
+    // Per cluster: the partial over delivered readings and the sum of their
+    // positions (the partial's count is the cluster's size).
     let mut partials: Vec<Partial> = vec![Partial::empty(); heads.len()];
-    let mut centroids: Vec<(f64, f64, f64, u64)> = vec![(0.0, 0.0, 0.0, 0); heads.len()];
-    let mut cluster_sizes = vec![0u64; heads.len()];
+    let mut position_sums = vec![(0.0, 0.0, 0.0); heads.len()];
     let mut participating = 0usize;
 
+    // Intra-cluster phase: members sample and send to their nearest head.
     for &m in members {
         if m == base || !net.is_operational(m, t) {
             continue;
         }
         participating += 1;
-        let reading = net.sample(m, field, t, rng);
-        cpu_ops += 50;
-        let hi = if let Some(hi) = heads.iter().position(|&h| h == m) {
-            Some(hi) // heads keep their own reading locally
-        } else {
-            let target = heads.iter().copied().enumerate().min_by(|(_, a), (_, b)| {
-                net.topology()
-                    .distance(m, *a)
-                    .partial_cmp(&net.topology().distance(m, *b))
-                    .expect("distances are never NaN")
-            });
-            match target {
-                Some((hi, head)) => {
-                    let (ok, attempts) = try_long_hop(net, m, head, READING_WIRE_BYTES, t, rng);
-                    total_bytes += READING_WIRE_BYTES * attempts as u64;
-                    retries += u64::from(attempts.saturating_sub(1));
-                    if ok {
-                        cpu_ops += MERGE_OPS;
-                        Some(hi)
-                    } else {
-                        None
+        let reading = meter.sample(net, m, field, t, rng);
+        if !filter.matches(reading) {
+            continue; // predicate evaluated at the source
+        }
+        let hi = match heads.iter().position(|&h| h == m) {
+            Some(hi) => hi, // heads keep their own reading locally
+            None => {
+                // Nearest head by Euclidean distance, the first of equals
+                // (`m` is alive, so there is one). A plain loop: as a
+                // `min_by` comparator the search cost 3× whenever the
+                // closure was not inlined, which flipped with unrelated
+                // edits in the crate instantiating this.
+                let (mut hi, mut best) = (0, f64::INFINITY);
+                for (i, &head) in heads.iter().enumerate() {
+                    let d = net.topology().distance(m, head);
+                    if d < best {
+                        (hi, best) = (i, d);
                     }
                 }
-                None => None,
+                if !meter.hop(net, m, heads[hi], READING_WIRE_BYTES, t, rng).0 {
+                    continue;
+                }
+                meter.cpu_ops += MERGE_OPS;
+                hi
             }
         };
-        if let Some(hi) = hi {
-            partials[hi].add(reading);
-            let p = net.topology().position(m);
-            centroids[hi].0 += p.x;
-            centroids[hi].1 += p.y;
-            centroids[hi].2 += p.z;
-            centroids[hi].3 += 1;
-            cluster_sizes[hi] += 1;
-        }
+        partials[hi].add(reading);
+        let p = net.topology().position(m);
+        position_sums[hi].0 += p.x;
+        position_sums[hi].1 += p.y;
+        position_sums[hi].2 += p.z;
     }
 
-    // Summary record on the wire: centroid (3×8) + mean (8) = 32 bytes.
-    const SUMMARY_WIRE_BYTES: u64 = 32;
+    // Inter-cluster phase: each head with data sends one record to base.
     let mut merged = Partial::empty();
     let mut summaries = Vec::new();
     for (hi, &h) in heads.iter().enumerate() {
-        if partials[hi].count == 0 || !net.is_operational(h, t) {
-            continue;
-        }
-        let (ok, attempts) = try_long_hop(net, h, base, SUMMARY_WIRE_BYTES, t, rng);
-        total_bytes += SUMMARY_WIRE_BYTES * attempts as u64;
-        retries += u64::from(attempts.saturating_sub(1));
-        if ok {
+        let sends = partials[hi].count > 0 && net.is_operational(h, t);
+        if sends && meter.hop(net, h, base, uplink_bytes, t, rng).0 {
             merged.merge(&partials[hi]);
-            cpu_ops += MERGE_OPS;
-            bytes_to_base += SUMMARY_WIRE_BYTES;
-            let (sx, sy, sz, n) = centroids[hi];
-            let n = n as f64;
-            summaries.push((
-                pg_net::geom::Point::new(sx / n, sy / n, sz / n),
-                partials[hi]
-                    .finalize(AggFn::Avg)
-                    .expect("non-empty cluster"),
-            ));
+            meter.cpu_ops += MERGE_OPS;
+            if let Some(mean) = partials[hi].finalize(AggFn::Avg) {
+                let (sx, sy, sz) = position_sums[hi];
+                let n = partials[hi].count as f64;
+                summaries.push((Point::new(sx / n, sy / n, sz / n), mean));
+            }
         }
     }
 
+    // TDMA timing: largest cluster serializes member slots, then heads
+    // serialize their uplink slots.
     let member_slot = net.link().expected_tx_time(READING_WIRE_BYTES);
-    let head_slot = net.link().expected_tx_time(SUMMARY_WIRE_BYTES);
-    let biggest = cluster_sizes.iter().copied().max().unwrap_or(0);
+    let head_slot = net.link().expected_tx_time(uplink_bytes);
+    let biggest = partials.iter().map(|p| p.count).max().unwrap_or(0);
     let latency = member_slot.mul(biggest) + head_slot.mul(heads.len() as u64);
 
-    let energy_j = (net.total_consumed() - start_total).max(0.0);
-    let mut max_node = 0.0f64;
-    for n in net.topology().nodes() {
-        if n == base {
-            continue;
-        }
-        let spent = (start_remaining[n.idx()] - net.remaining_energy(n)).max(0.0);
-        max_node = max_node.max(spent);
-    }
-
-    (
-        CollectionReport {
-            value: merged.finalize(AggFn::Avg),
-            partial: merged,
-            energy_j,
-            max_node_energy_j: max_node,
-            bytes_to_base,
-            total_bytes,
-            latency,
-            cpu_ops,
-            participating,
-            delivered: merged.count as usize,
-            retries,
-        },
-        summaries,
-    )
-}
-
-/// A single-hop transmission that may exceed the normal radio range (the
-/// long-range amplifier pays the d²/d⁴ price); bounded retries.
-///
-/// Fault semantics mirror [`collect`](crate::collect)'s multi-hop variant:
-/// the sender always pays the transmit energy, then injected loss, link
-/// blackouts, and a non-operational receiver each kill the attempt.
-fn try_long_hop<R: Rng>(
-    net: &mut SensorNetwork,
-    from: NodeId,
-    to: NodeId,
-    bytes: u64,
-    t: SimTime,
-    rng: &mut R,
-) -> (bool, u32) {
-    let bits = bytes * 8;
-    let d = net.topology().distance(from, to);
-    for attempt in 1..=MAX_ATTEMPTS {
-        let tx = net.radio().tx_energy(bits, d);
-        if !net.drain(from, tx) {
-            return (false, attempt);
-        }
-        let fault_dropped = {
-            // Plan-level loss draws first (and only when configured), so
-            // empty plans leave existing random streams untouched.
-            let dropped = net.fault_plan().message_dropped(rng);
-            dropped || net.fault_plan().is_link_blacked_out(t) || !net.is_operational(to, t)
-        };
-        if !fault_dropped && net.link().delivered(rng) {
-            let rx = net.radio().rx_energy(bits);
-            if !net.drain(to, rx) && to != net.base() {
-                return (false, attempt);
-            }
-            return (true, attempt);
-        }
-    }
-    (false, MAX_ATTEMPTS)
+    let mut report = meter.close(net, merged, agg, latency, participating);
+    // Cluster epochs have always reported the network-wide difference of
+    // sums, not the meter's sum of per-node differences: the two round
+    // differently, and T1/T2/T8/T12 and `tests/fire_golden.rs` pin these
+    // bits. Only the hottest-node figure is the meter's.
+    report.energy_j = (net.total_consumed() - consumed_before).max(0.0);
+    (report, summaries)
 }
 
 #[cfg(test)]
@@ -472,23 +308,5 @@ mod tests {
         }
         // The uplink ships 32-byte summaries, not 40-byte partials.
         assert_eq!(report.bytes_to_base, 4 * 32);
-    }
-
-    #[test]
-    fn energy_matches_battery_accounting() {
-        let mut n = net();
-        let ms = members(&n);
-        let before = n.total_consumed();
-        let mut rng = StdRng::seed_from_u64(3);
-        let r = cluster_collection(
-            &mut n,
-            &ms,
-            &TemperatureField::calm(20.0),
-            SimTime::ZERO,
-            AggFn::Sum,
-            2,
-            &mut rng,
-        );
-        assert!((r.energy_j - (n.total_consumed() - before)).abs() < 1e-12);
     }
 }

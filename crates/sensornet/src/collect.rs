@@ -19,7 +19,7 @@
 
 use crate::aggregate::{AggFn, Partial, ValueFilter, PARTIAL_WIRE_BYTES, READING_WIRE_BYTES};
 use crate::field::TemperatureField;
-use crate::network::SensorNetwork;
+use crate::network::{SensorNetwork, SAMPLE_OPS};
 use pg_net::topology::NodeId;
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
@@ -49,7 +49,12 @@ pub struct CollectionReport {
     pub latency: Duration,
     /// CPU operations spent in the network (sampling + merging).
     pub cpu_ops: u64,
-    /// Sensors asked to contribute.
+    /// Sensors asked to contribute, the denominator of
+    /// [`delivery_ratio`](Self::delivery_ratio). Direct and tree epochs (and
+    /// each query of a shared epoch) count every non-base member, dead or
+    /// crashed ones included; cluster epochs count only members operational
+    /// at the epoch's instant, so once sensors die they report a higher
+    /// ratio than a tree epoch that delivered the same readings.
     pub participating: usize,
     /// Readings actually represented in the result.
     pub delivered: usize,
@@ -67,34 +72,106 @@ impl CollectionReport {
     }
 }
 
-/// Per-epoch energy ledger that also tracks the hottest node.
-pub(crate) struct Ledger {
+/// The bill of one collection epoch, and the one place a sample, a radio hop
+/// and an epoch's energy are priced: every strategy (direct, tree, cluster,
+/// summaries, the shared epoch) opens a meter, samples and hops through it,
+/// and reads its totals back.
+#[derive(Default)]
+pub(crate) struct Meter {
+    /// Every battery as the epoch found it.
     start_remaining: Vec<f64>,
+    /// Bytes put on the air, every attempt counted.
+    pub(crate) total_bytes: u64,
+    /// Bytes of the hops the base station received.
+    pub(crate) bytes_to_base: u64,
+    /// Attempts beyond each hop's first.
+    pub(crate) retries: u64,
+    /// Sampling plus whatever merges the strategy adds.
+    pub(crate) cpu_ops: u64,
 }
 
-impl Ledger {
+impl Meter {
     pub(crate) fn open(net: &SensorNetwork) -> Self {
-        Ledger {
+        Meter {
             start_remaining: net
                 .topology()
                 .nodes()
                 .map(|n| net.remaining_energy(n))
                 .collect(),
+            ..Meter::default()
         }
     }
 
-    pub(crate) fn close(self, net: &SensorNetwork) -> (f64, f64) {
+    /// `node` reads the field once.
+    pub(crate) fn sample<R: Rng>(
+        &mut self,
+        net: &mut SensorNetwork,
+        node: NodeId,
+        field: &TemperatureField,
+        t: SimTime,
+        rng: &mut R,
+    ) -> f64 {
+        self.cpu_ops += SAMPLE_OPS;
+        net.sample(node, field, t, rng)
+    }
+
+    /// One [`try_hop`], billed: every attempt's bytes are on the air, and
+    /// only a hop the base received counts as bytes into the base. Returns
+    /// `(delivered, attempts)`.
+    pub(crate) fn hop<R: Rng>(
+        &mut self,
+        net: &mut SensorNetwork,
+        from: NodeId,
+        to: NodeId,
+        bytes: u64,
+        t: SimTime,
+        rng: &mut R,
+    ) -> (bool, u32) {
+        let (delivered, attempts) = try_hop(net, from, to, bytes, t, rng);
+        self.total_bytes += bytes * u64::from(attempts);
+        self.retries += u64::from(attempts.saturating_sub(1));
+        if delivered && to == net.base() {
+            self.bytes_to_base += bytes;
+        }
+        (delivered, attempts)
+    }
+
+    /// `(total, hottest node)` joules spent since the meter opened: the sum
+    /// and the maximum of the per-sensor battery differences, in id order.
+    pub(crate) fn energy(&self, net: &SensorNetwork) -> (f64, f64) {
         let mut total = 0.0;
         let mut max = 0.0f64;
-        for n in net.topology().nodes() {
-            if n == net.base() {
-                continue;
-            }
+        for n in net.topology().nodes().filter(|&n| n != net.base()) {
             let spent = (self.start_remaining[n.idx()] - net.remaining_energy(n)).max(0.0);
             total += spent;
             max = max.max(spent);
         }
         (total, max)
+    }
+
+    /// The epoch's report: `merged` is what reached the base.
+    pub(crate) fn close(
+        self,
+        net: &SensorNetwork,
+        merged: Partial,
+        agg: AggFn,
+        latency: Duration,
+        participating: usize,
+    ) -> CollectionReport {
+        let (energy_j, max_node_energy_j) = self.energy(net);
+        CollectionReport {
+            value: merged.finalize(agg),
+            partial: merged,
+            energy_j,
+            max_node_energy_j,
+            bytes_to_base: self.bytes_to_base,
+            total_bytes: self.total_bytes,
+            latency,
+            cpu_ops: self.cpu_ops,
+            participating,
+            delivered: merged.count as usize,
+            retries: self.retries,
+        }
     }
 }
 
@@ -121,12 +198,11 @@ pub(crate) fn try_hop<R: Rng>(
         if !net.drain(from, tx) {
             return (false, attempt); // sender died mid-send
         }
-        let fault_dropped = {
-            // Stochastic plan loss draws first (and only when configured),
-            // so empty plans leave existing random streams untouched.
-            let dropped = net.fault_plan().message_dropped(rng);
-            dropped || net.fault_plan().is_link_blacked_out(t) || !net.is_operational(to, t)
-        };
+        // Stochastic plan loss draws first (and only when configured), so
+        // empty plans leave existing random streams untouched.
+        let fault_dropped = net.fault_plan().message_dropped(rng)
+            || net.fault_plan().is_link_blacked_out(t)
+            || !net.is_operational(to, t);
         if !fault_dropped && net.link().delivered(rng) {
             let rx = net.radio().rx_energy(bits);
             if !net.drain(to, rx) && to != net.base() {
@@ -177,16 +253,11 @@ pub fn direct_collection_filtered<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> (CollectionReport, Vec<(NodeId, f64)>) {
-    let ledger = Ledger::open(net);
+    let mut meter = Meter::open(net);
     let base = net.base();
     let slot = net.link().tx_time(READING_WIRE_BYTES);
 
     let mut merged = Partial::empty();
-    let mut delivered = 0usize;
-    let mut total_bytes = 0u64;
-    let mut bytes_to_base = 0u64;
-    let mut cpu_ops = 0u64;
-    let mut retries = 0u64;
     let mut max_path = Duration::ZERO;
     let mut raw: Vec<(NodeId, f64)> = Vec::new();
 
@@ -194,60 +265,36 @@ pub fn direct_collection_filtered<R: Rng>(
         if !net.is_operational(m, t) || m == base {
             continue;
         }
-        let reading = net.sample(m, field, t, rng);
-        cpu_ops += 50;
+        let reading = meter.sample(net, m, field, t, rng);
         if !filter.matches(reading) {
             continue; // predicate evaluated at the source: nothing transmits
         }
         let Some(path) = net.topology().shortest_path(m, base) else {
             continue;
         };
-        let mut ok = true;
         let mut path_time = Duration::ZERO;
-        for w in path.windows(2) {
+        let arrived = path.windows(2).all(|w| {
             // A dead (or crashed) forwarder silently breaks the route.
             if !net.is_operational(w[0], t) {
-                ok = false;
-                break;
+                return false;
             }
-            let (hop_ok, attempts) = try_hop(net, w[0], w[1], READING_WIRE_BYTES, t, rng);
-            total_bytes += READING_WIRE_BYTES * attempts as u64;
-            retries += u64::from(attempts.saturating_sub(1));
+            let (ok, attempts) = meter.hop(net, w[0], w[1], READING_WIRE_BYTES, t, rng);
             path_time += slot.mul(attempts as u64);
-            if !hop_ok {
-                ok = false;
-                break;
-            }
-        }
-        if ok {
+            ok
+        });
+        if arrived {
             merged.add(reading);
             raw.push((m, reading));
-            cpu_ops += MERGE_OPS; // base-side fold
-            delivered += 1;
-            bytes_to_base += READING_WIRE_BYTES;
-            if path_time > max_path {
-                max_path = path_time;
-            }
+            meter.cpu_ops += MERGE_OPS; // base-side fold
+            max_path = max_path.max(path_time);
         }
     }
 
     // Sink serialization backlog: all delivered readings cross the final
     // hop in sequence.
-    let backlog = slot.mul(delivered.saturating_sub(1) as u64);
-    let (energy_j, max_node_energy_j) = ledger.close(net);
-    let report = CollectionReport {
-        value: merged.finalize(agg),
-        partial: merged,
-        energy_j,
-        max_node_energy_j,
-        bytes_to_base,
-        total_bytes,
-        latency: max_path + backlog,
-        cpu_ops,
-        participating: members.iter().filter(|&&m| m != base).count(),
-        delivered,
-        retries,
-    };
+    let backlog = slot.mul(merged.count.saturating_sub(1));
+    let participating = members.iter().filter(|&&m| m != base).count();
+    let report = meter.close(net, merged, agg, max_path + backlog, participating);
     (report, raw)
 }
 
@@ -276,11 +323,10 @@ pub fn tree_aggregation_filtered<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> CollectionReport {
-    let ledger = Ledger::open(net);
+    let mut meter = Meter::open(net);
     let base = net.base();
     let tree = net.base_tree();
     let n = net.len();
-    let slot = net.link().tx_time(PARTIAL_WIRE_BYTES);
 
     // Mark every node on some member->root path as involved.
     let mut involved = vec![false; n];
@@ -296,17 +342,12 @@ pub fn tree_aggregation_filtered<R: Rng>(
     }
 
     let mut partials: Vec<Partial> = vec![Partial::empty(); n];
-    let mut cpu_ops = 0u64;
-    let mut total_bytes = 0u64;
-    let mut bytes_to_base = 0u64;
-    let mut retries = 0u64;
     let mut max_level = 0u32;
 
     // Members sample into their own partial.
     for id in net.topology().nodes() {
         if is_member[id.idx()] && net.is_operational(id, t) {
-            let reading = net.sample(id, field, t, rng);
-            cpu_ops += 50;
+            let reading = meter.sample(net, id, field, t, rng);
             if filter.matches(reading) {
                 partials[id.idx()].add(reading);
             }
@@ -316,48 +357,25 @@ pub fn tree_aggregation_filtered<R: Rng>(
     // Bottom-up: each involved non-root node merges children (already done
     // by the time it fires, thanks to the ordering) and sends to its parent.
     for &u in tree.bottom_up_order() {
-        if !involved[u.idx()] || u == base {
-            continue;
-        }
-        if !net.is_operational(u, t) {
-            partials[u.idx()] = Partial::empty(); // subtree contribution dies here
+        let state = partials[u.idx()];
+        // Nothing to report upward, or a dead node: its subtree's
+        // contribution dies here.
+        if !involved[u.idx()] || u == base || state.count == 0 || !net.is_operational(u, t) {
             continue;
         }
         let Some(parent) = tree.parent[u.idx()] else {
             continue; // root-adjacent anomaly: nothing to forward to
         };
-        let state = partials[u.idx()];
-        if state.count == 0 {
-            continue; // nothing to report upward
-        }
-        let (ok, attempts) = try_hop(net, u, parent, PARTIAL_WIRE_BYTES, t, rng);
-        total_bytes += PARTIAL_WIRE_BYTES * attempts as u64;
-        retries += u64::from(attempts.saturating_sub(1));
+        let (ok, _) = meter.hop(net, u, parent, PARTIAL_WIRE_BYTES, t, rng);
         if ok {
             partials[parent.idx()].merge(&state);
-            cpu_ops += MERGE_OPS;
-            if parent == base {
-                bytes_to_base += PARTIAL_WIRE_BYTES;
-            }
+            meter.cpu_ops += MERGE_OPS;
             max_level = max_level.max(tree.depth[u.idx()].unwrap_or(0));
         }
     }
 
-    let merged = partials[base.idx()];
-    let (energy_j, max_node_energy_j) = ledger.close(net);
-    CollectionReport {
-        value: merged.finalize(agg),
-        partial: merged,
-        energy_j,
-        max_node_energy_j,
-        bytes_to_base,
-        total_bytes,
-        latency: slot.mul(max_level as u64),
-        cpu_ops,
-        participating,
-        delivered: merged.count as usize,
-        retries,
-    }
+    let latency = net.link().tx_time(PARTIAL_WIRE_BYTES).mul(max_level as u64);
+    meter.close(net, partials[base.idx()], agg, latency, participating)
 }
 
 #[cfg(test)]
@@ -538,23 +556,36 @@ mod tests {
         assert_eq!(r.value, Some(7.0)); // 8 members - 1 dead
     }
 
+    /// Every strategy bills through the one meter: on a lossy link the
+    /// reported energy is the battery delta, and retries show up in the
+    /// air bytes, not in what the base received.
     #[test]
     fn energy_totals_match_battery_drain() {
-        let mut net = lossless_net(4);
-        let members = all_members(&net);
-        let before = net.total_consumed();
-        let mut rng = StdRng::seed_from_u64(7);
-        let r = direct_collection(
-            &mut net,
-            &members,
-            &field(),
-            SimTime::ZERO,
-            AggFn::Sum,
-            &mut rng,
-        );
-        let after = net.total_consumed();
-        assert!((r.energy_j - (after - before)).abs() < 1e-12);
-        assert!(r.max_node_energy_j <= r.energy_j);
-        assert!(r.max_node_energy_j > 0.0);
+        use crate::cluster::{cluster_collection, cluster_summaries};
+        for name in ["direct", "tree", "cluster", "summaries"] {
+            let mut net = SensorNetwork::new(
+                Topology::grid(5, 5, 10.0, 11.0),
+                NodeId(0),
+                RadioModel::mote(),
+                LinkModel::new(250e3, Duration::from_millis(5), 0.3).unwrap(),
+                50.0,
+            );
+            let (ms, f, t) = (all_members(&net), field(), SimTime::ZERO);
+            let n = &mut net;
+            let rng = &mut StdRng::seed_from_u64(7);
+            let before = n.total_consumed();
+            let r = match name {
+                "direct" => direct_collection(n, &ms, &f, t, AggFn::Sum, rng),
+                "tree" => tree_aggregation(n, &ms, &f, t, AggFn::Sum, rng),
+                "cluster" => cluster_collection(n, &ms, &f, t, AggFn::Sum, 2, rng),
+                _ => cluster_summaries(n, &ms, &f, t, 2, rng).0,
+            };
+            let drained = n.total_consumed() - before;
+            assert!((r.energy_j - drained).abs() < 1e-12, "{name}");
+            assert!(r.max_node_energy_j > 0.0, "{name}");
+            assert!(r.max_node_energy_j <= r.energy_j, "{name}");
+            assert!(r.retries > 0, "{name}");
+            assert!(r.bytes_to_base < r.total_bytes, "{name}");
+        }
     }
 }

@@ -98,7 +98,6 @@ pub fn run_continuous<R: Rng>(
     let mut total_energy = 0.0;
     let mut delivery_sum = 0.0;
     let mut latency_sum = Duration::ZERO;
-    let member_count = members.iter().filter(|&&m| m != net.base()).count();
 
     for e in 0..max_epochs {
         let r = strategy.run_epoch(net, members, field, t, agg, rng);
@@ -115,14 +114,8 @@ pub fn run_continuous<R: Rng>(
             break;
         }
         // Idle-listening cost for the remainder of the epoch.
-        let idle = net.radio().idle_energy(epoch.as_secs_f64());
-        for n in net.topology().nodes() {
-            if n != net.base() && net.is_alive(n) {
-                net.drain(n, idle);
-            }
-        }
+        net.idle_listen(epoch.as_secs_f64());
         t += epoch;
-        let _ = member_count;
     }
 
     let n = values.len().max(1);

@@ -19,6 +19,10 @@
 //! mergeable partial state, [`epoch`] the continuous-query execution loop
 //! with battery drain and network-lifetime accounting, and [`region`] the
 //! spatial predicates used by `WHERE` clauses ("room #210").
+//!
+//! All five epoch bodies (direct, tree, cluster, summaries, [`shared`]) bill
+//! through the crate-private meter in [`collect`]: the one place a sample,
+//! a radio hop and an epoch's energy are priced.
 
 //! # Example
 //!

@@ -10,6 +10,9 @@ use pg_sim::SimTime;
 use rand::Rng;
 use std::sync::Arc;
 
+/// CPU operations one sample costs: ADC read + calibration math.
+pub(crate) const SAMPLE_OPS: u64 = 50;
+
 /// A deployed network of battery-powered sensors with one base station.
 ///
 /// The base station is a distinguished topology node assumed mains-powered
@@ -158,8 +161,19 @@ impl SensorNetwork {
         self.batteries.drain(node.idx(), joules)
     }
 
-    /// Sample the field at `node`'s position (costs one CPU op worth of
-    /// energy plus the ADC read, folded into `sample_ops`).
+    /// Idle-listen for `secs` seconds: every alive sensor, in id order,
+    /// drains the radio's idle energy (the mains-powered base is exempt).
+    pub fn idle_listen(&mut self, secs: f64) {
+        let idle = self.radio.idle_energy(secs);
+        for n in self.topo.nodes() {
+            if n != self.base && self.is_alive(n) {
+                self.drain(n, idle);
+            }
+        }
+    }
+
+    /// Sample the field at `node`'s position; the node pays the CPU energy
+    /// of the ADC read and calibration math (50 ops).
     pub fn sample<R: Rng>(
         &mut self,
         node: NodeId,
@@ -167,7 +181,6 @@ impl SensorNetwork {
         t: SimTime,
         rng: &mut R,
     ) -> f64 {
-        const SAMPLE_OPS: u64 = 50; // ADC read + calibration math
         let e = self.radio.cpu_energy(SAMPLE_OPS);
         self.drain(node, e);
         let pos = self.topo.position(node);

@@ -24,9 +24,9 @@
 //! accounting stays exact.
 
 use crate::aggregate::{AggFn, Partial, ValueFilter, PARTIAL_WIRE_BYTES};
-use crate::collect::{try_hop, Ledger, MERGE_OPS};
+use crate::collect::{Meter, MERGE_OPS};
 use crate::field::TemperatureField;
-use crate::network::SensorNetwork;
+use crate::network::{SensorNetwork, SAMPLE_OPS};
 use pg_net::repair::repair_after_deaths;
 use pg_net::topology::{NodeId, RoutingTree};
 use pg_sim::{Duration, SimTime};
@@ -208,7 +208,7 @@ fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let ledger = Ledger::open(net);
+    let mut meter = Meter::open(net);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
@@ -245,7 +245,6 @@ fn collect_over_tree<R: Rng>(
     // by mask. Only involved nodes ever hold any.
     let mut strata: Vec<Vec<(u64, Partial)>> = vec![Vec::new(); n];
     let mut seen_masks: Vec<u64> = Vec::new();
-    let mut cpu_ops = 0u64;
 
     // Sampling phase: every node any query selects samples exactly once.
     // The effective mask keeps only queries whose filter the reading passes.
@@ -254,10 +253,9 @@ fn collect_over_tree<R: Rng>(
         if mm == 0 || !net.is_operational(id, t) {
             continue;
         }
-        let reading = net.sample(id, field, t, rng);
-        cpu_ops += 50;
+        let reading = meter.sample(net, id, field, t, rng);
         // One physical sample serves every selecting query: split its cost.
-        let share = 50.0 / mm.count_ones() as f64;
+        let share = SAMPLE_OPS as f64 / mm.count_ones() as f64;
         let mut effective = 0u64;
         for qi in queries_in(mm) {
             per_query[qi].ops += share;
@@ -277,9 +275,6 @@ fn collect_over_tree<R: Rng>(
     // (own reading plus already-merged children) to its parent in one
     // packet. Per-level slot lengths follow the biggest packet attempted at
     // that level — the TAG epoch discipline with variable frames.
-    let mut total_bytes = 0u64;
-    let mut bytes_to_base = 0u64;
-    let mut retries = 0u64;
     let mut packets = 0u64;
     let mut level_slot: Vec<u64> = Vec::new();
 
@@ -299,11 +294,9 @@ fn collect_over_tree<R: Rng>(
         // A node fires once, so its strata can move into the packet.
         let entries = std::mem::take(&mut strata[u.idx()]);
         let bytes = packet_bytes(entries.len());
-        let (ok, attempts) = try_hop(net, u, parent, bytes, t, rng);
+        let (ok, attempts) = meter.hop(net, u, parent, bytes, t, rng);
         let extra_attempts = u64::from(attempts.saturating_sub(1));
         packets += 1;
-        total_bytes += bytes * attempts as u64;
-        retries += extra_attempts;
         let depth = depth as usize;
         if level_slot.len() <= depth {
             level_slot.resize(depth + 1, 0);
@@ -323,14 +316,11 @@ fn collect_over_tree<R: Rng>(
             let parent_strata = &mut strata[parent.idx()];
             for (mask, p) in entries {
                 stratum_mut(parent_strata, mask).merge(&p);
-                cpu_ops += MERGE_OPS;
+                meter.cpu_ops += MERGE_OPS;
                 let share = MERGE_OPS as f64 / mask.count_ones() as f64;
                 for qi in queries_in(mask) {
                     per_query[qi].ops += share;
                 }
-            }
-            if parent == base {
-                bytes_to_base += bytes;
             }
         }
     }
@@ -349,7 +339,7 @@ fn collect_over_tree<R: Rng>(
 
     // Energy attribution: the epoch's total, split in proportion to
     // attributed bytes (equal split when nothing flew).
-    let (energy_j, max_node_energy_j) = ledger.close(net);
+    let (energy_j, max_node_energy_j) = meter.energy(net);
     let attributed: f64 = per_query.iter().map(|p| p.bytes).sum();
     for pq in &mut per_query {
         pq.energy_j = if attributed > 0.0 {
@@ -373,11 +363,11 @@ fn collect_over_tree<R: Rng>(
         per_query,
         energy_j,
         max_node_energy_j,
-        total_bytes,
-        bytes_to_base,
+        total_bytes: meter.total_bytes,
+        bytes_to_base: meter.bytes_to_base,
         latency,
-        cpu_ops,
-        retries,
+        cpu_ops: meter.cpu_ops,
+        retries: meter.retries,
         strata: seen_masks.len(),
         packets,
         control_bytes: 0,

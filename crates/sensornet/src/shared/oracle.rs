@@ -8,6 +8,7 @@
 //! for bit.
 
 use super::*;
+use crate::collect::try_hop;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Path from `node` up to the root (inclusive). `None` if unattached.
@@ -47,7 +48,7 @@ pub(super) fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let ledger = Ledger::open(net);
+    let meter = Meter::open(net);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
@@ -200,7 +201,7 @@ pub(super) fn collect_over_tree<R: Rng>(
 
     // Energy attribution: the epoch's total, split in proportion to
     // attributed bytes (equal split when nothing flew).
-    let (energy_j, max_node_energy_j) = ledger.close(net);
+    let (energy_j, max_node_energy_j) = meter.energy(net);
     let attributed: f64 = per_query.iter().map(|p| p.bytes).sum();
     for pq in &mut per_query {
         pq.energy_j = if attributed > 0.0 {

@@ -8,15 +8,29 @@
 //! went linear-time (base-rooted route tables cached per network); any
 //! change to a simulated byte, joule, rng draw or float merge order in
 //! that path moves a digest.
+//!
+//! `strategy_digests` pins the four single-query epoch bodies directly —
+//! direct, TAG tree, cluster (k = 1 and 5) and cluster summaries (k = 4) —
+//! on one lossy, faulted network that keeps draining. Its constants were
+//! captured at 60e5904, the commit *before* the five collection strategies
+//! were rewritten over one billing meter, in debug and `--release` (the
+//! same bits in both).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pervasive_grid::core::PervasiveGrid;
-use pervasive_grid::net::topology::NodeId;
+use pervasive_grid::net::energy::RadioModel;
+use pervasive_grid::net::geom::Point;
+use pervasive_grid::net::link::LinkModel;
+use pervasive_grid::net::topology::{NodeId, Topology};
 use pervasive_grid::runtime::{BatchQuery, QueryEngine};
-use pervasive_grid::sensornet::aggregate::{AggFn, ValueFilter};
-use pervasive_grid::sensornet::collect::tree_aggregation_filtered;
+use pervasive_grid::sensornet::aggregate::{AggFn, ValueFilter, ValueOp};
+use pervasive_grid::sensornet::cluster::{
+    cluster_collection_filtered, cluster_summaries, elect_heads,
+};
+use pervasive_grid::sensornet::collect::{direct_collection_filtered, tree_aggregation_filtered};
 use pervasive_grid::sensornet::region::Region;
+use pervasive_grid::sensornet::{CollectionReport, SensorNetwork, TemperatureField};
 use pervasive_grid::sim::fault::FaultPlan;
 use pervasive_grid::sim::{Duration, SimTime};
 use pervasive_grid::TreeMaintenance;
@@ -147,4 +161,140 @@ fn mixed_batch_digests_are_pinned_over_three_seeds() {
             "seed {seed} under {mode:?}: (values, bytes, energy) = {got:#x?}"
         );
     }
+}
+
+fn fnv_report(h: &mut u64, r: &CollectionReport) {
+    fnv(h, r.value.map_or(u64::MAX, f64::to_bits));
+    fnv(h, r.partial.count);
+    for x in [
+        r.partial.sum,
+        r.partial.sum_sq,
+        r.partial.min,
+        r.partial.max,
+    ] {
+        fnv(h, x.to_bits());
+    }
+    fnv(h, r.energy_j.to_bits());
+    fnv(h, r.max_node_energy_j.to_bits());
+    fnv(h, r.bytes_to_base);
+    fnv(h, r.total_bytes);
+    fnv(h, r.latency.as_nanos());
+    fnv(h, r.cpu_ops);
+    fnv(h, r.participating as u64);
+    fnv(h, r.delivered as u64);
+    fnv(h, r.retries);
+}
+
+/// Sensors that keep a 0.1 J lead over everyone else, so they are the
+/// elected heads for as long as they live.
+const HEADS: [u32; 5] = [24, 26, 33, 40, 45];
+/// A base-adjacent forwarder and a head, crashed over epochs 1 and 2.
+const CRASHED: [u32; 2] = [1, 33];
+
+/// One digest per strategy (direct, tree, cluster k=1, cluster k=5,
+/// summaries k=4) over five epochs of one 7×7 network: link loss 0.2, plan
+/// loss 0.05, the `CRASHED` window, a forwarder and a leaf that run dry on
+/// their own, a head killed before epoch 3, and a `temp > 21` push-down.
+fn strategy_digests_for(seed: u64) -> [u64; 5] {
+    let mut plan = FaultPlan::builder(seed).message_loss(0.05);
+    for node in CRASHED {
+        plan = plan.node_crash(node.into(), SimTime::from_secs(30), SimTime::from_secs(90));
+    }
+    let mut net = SensorNetwork::new(
+        Topology::grid(7, 7, 10.0, 11.0),
+        NodeId(0),
+        RadioModel::mote(),
+        LinkModel::new(250e3, Duration::from_millis(5), 0.2).unwrap(),
+        1.0,
+    );
+    net.set_fault_plan(plan.build().unwrap());
+    let members: Vec<NodeId> = (1..net.len() as u32).map(NodeId).collect();
+    for &m in &members {
+        match m.0 {
+            // Forwarder 14 and leaf 48 die mid-run, in the middle of a hop.
+            14 => net.drain(m, 1.0 - 150e-6),
+            48 => net.drain(m, 1.0 - 40e-6),
+            id if HEADS.contains(&id) => true,
+            _ => net.drain(m, 0.1),
+        };
+    }
+    let field = TemperatureField::building_fire(Point::flat(40.0, 30.0), SimTime::ZERO, 300.0);
+    let filter = ValueFilter::all().and(ValueOp::Gt, 21.0);
+    let mut rngs: Vec<StdRng> = (0..5u64)
+        .map(|i| StdRng::seed_from_u64(seed ^ (0x5D << i)))
+        .collect();
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut h = [FNV_OFFSET; 5];
+    for epoch in 0..5u64 {
+        let t = SimTime::from_secs(30 * epoch);
+        if epoch == 3 {
+            net.drain(NodeId(45), f64::INFINITY);
+        }
+        if epoch == 1 {
+            let heads = elect_heads(&net, &members, 5);
+            assert!(heads.contains(&NodeId(33)), "a crashed head is elected");
+        }
+        let (agg, rng) = (AggFn::Avg, &mut rngs);
+        let (r, raw) =
+            direct_collection_filtered(&mut net, &members, &field, t, agg, &filter, &mut rng[0]);
+        fnv_report(&mut h[0], &r);
+        for (id, reading) in raw {
+            fnv(&mut h[0], u64::from(id.0));
+            fnv(&mut h[0], reading.to_bits());
+        }
+        let r = tree_aggregation_filtered(&mut net, &members, &field, t, agg, &filter, &mut rng[1]);
+        fnv_report(&mut h[1], &r);
+        for (i, k) in [(2, 1), (3, 5)] {
+            let r = cluster_collection_filtered(
+                &mut net,
+                &members,
+                &field,
+                t,
+                AggFn::StdDev,
+                k,
+                &filter,
+                &mut rng[i],
+            );
+            fnv_report(&mut h[i], &r);
+        }
+        let (r, points) = cluster_summaries(&mut net, &members, &field, t, 4, &mut rng[4]);
+        fnv_report(&mut h[4], &r);
+        for (p, mean) in points {
+            for x in [p.x, p.y, p.z, mean] {
+                fnv(&mut h[4], x.to_bits());
+            }
+        }
+    }
+    assert!(!net.is_alive(NodeId(14)) && !net.is_alive(NodeId(48)));
+    h
+}
+
+#[test]
+fn strategy_digests() {
+    // (direct, tree, cluster k=1, cluster k=5, summaries k=4) per seed.
+    let pinned: [[u64; 5]; 3] = [
+        [
+            0xf728_3771_88f7_a0d6,
+            0xf788_ea56_a7a2_d248,
+            0x1141_0a9d_cb20_cf31,
+            0x1c9e_8476_29c3_8296,
+            0x7d4e_33b5_e18d_88c2,
+        ],
+        [
+            0x2cf3_f403_626b_fc48,
+            0xc205_b1f6_3ee2_89ab,
+            0x97a3_69da_7b0c_1a11,
+            0xa165_6a11_1a4b_11fd,
+            0xa26d_17ac_eb53_1531,
+        ],
+        [
+            0xd103_1dfb_5e91_a382,
+            0x7ba1_401c_7c28_6a6f,
+            0x40fb_97b4_4061_3ccf,
+            0x7220_6a9b_1286_7f80,
+            0x4d17_407f_8612_a2f6,
+        ],
+    ];
+    let got = [1, 2, 3].map(strategy_digests_for);
+    assert_eq!(got, pinned, "got {got:#x?}");
 }
