@@ -37,6 +37,8 @@ use pg_runtime::{Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, Quer
 use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
 use pg_sensornet::shared::{SharedQuery, MAX_SHARED_QUERIES, STRATUM_KEY_WIRE_BYTES};
 use pg_sim::{Duration, SimTime};
+use std::collections::HashMap;
+use std::rc::Rc;
 
 /// The concrete multi-query runtime: a scheduler that owns a grid (reach
 /// it through `engine()` / `engine_mut()`; a single query needs no
@@ -44,22 +46,60 @@ use pg_sim::{Duration, SimTime};
 /// one-entry batch directly).
 pub type GridRuntime = MultiQueryRuntime<PervasiveGrid>;
 
+/// What one batch works out once per distinct `(text, brownout)`: pure
+/// functions of the text, the named regions and the immutable topology, so
+/// every entry of the batch that repeats the pair shares one copy.
+struct Resolved {
+    /// The sensors the shared epoch asks — under brownout, already the
+    /// coarser stratum (every other member).
+    members: Vec<NodeId>,
+    /// Learner features of the full selection — from the un-thinned member
+    /// list, so brownout never shifts the learner's inputs.
+    features: QueryFeatures,
+}
+
 /// One batch entry that qualified for the shared aggregation tree.
 struct Shareable<'q> {
     idx: usize,
     query: &'q Query,
-    members: Vec<NodeId>,
-    /// Learner features of the full selection — resolved once, from the
-    /// un-thinned member list, so brownout never shifts the learner's
-    /// inputs.
-    features: QueryFeatures,
-    /// The scheduler asked for brownout fidelity: `members` is already
-    /// the coarser stratum (every other member), and the response will be
+    resolved: Rc<Resolved>,
+    /// The scheduler asked for brownout fidelity; the response will be
     /// annotated via `DegradationReport::brownout`.
     brownout: bool,
 }
 
 impl PervasiveGrid {
+    /// Members and features of `query` if it can ride the shared tree:
+    /// a one-shot aggregate with no COST bounds (bounds need the decision
+    /// maker's per-model accounting) that selects at least one sensor.
+    fn resolve_shareable(&mut self, query: &Query, brownout: bool) -> Option<Rc<Resolved>> {
+        if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
+            return None;
+        }
+        let ctx = ExecContext {
+            net: &mut self.net,
+            grid: &self.grid,
+            field: &self.field,
+            regions: &self.regions,
+            now: self.now,
+        };
+        let mut members = members_of(&ctx, query).ok()?;
+        // Features depend only on the query and the immutable topology,
+        // so taking them here equals taking them right before the
+        // collection, as the single-query pipeline does.
+        let features = QueryFeatures::of_members(&self.net, query, &members);
+        // Brownout: answer from a coarser stratum — roughly every
+        // other member — while the overload lasts. The cut is keyed on
+        // node id parity, not list position, so overlapping queries
+        // keep overlapping members and their stratum entries still
+        // merge on shared packets. A non-empty member set always keeps
+        // at least one node: degraded, never empty.
+        if brownout && members.iter().any(|n| n.0 % 2 == 0) {
+            members.retain(|n| n.0 % 2 == 0);
+        }
+        Some(Rc::new(Resolved { members, features }))
+    }
+
     /// Batch entries that can ride one shared collection epoch (`parsed`
     /// is the batch, parsed, in batch order). Empty unless at least two
     /// qualify — a lone aggregate gains nothing from the stratum machinery
@@ -73,51 +113,24 @@ impl PervasiveGrid {
             return Vec::new();
         }
         let mut out = Vec::new();
+        // A metro batch repeats a handful of texts hundreds of times: each
+        // distinct `(text, brownout)` is resolved once, accepted or not.
+        let mut memo: HashMap<(&str, bool), Option<Rc<Resolved>>> = HashMap::new();
         for (idx, (bq, query)) in batch.iter().zip(parsed).enumerate() {
             let Ok(query) = query else {
                 continue;
             };
-            if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
-                continue;
+            let resolved = memo
+                .entry((bq.text, bq.brownout))
+                .or_insert_with(|| self.resolve_shareable(query, bq.brownout));
+            if let Some(resolved) = resolved {
+                out.push(Shareable {
+                    idx,
+                    query,
+                    resolved: Rc::clone(resolved),
+                    brownout: bq.brownout,
+                });
             }
-            let ctx = ExecContext {
-                net: &mut self.net,
-                grid: &self.grid,
-                field: &self.field,
-                regions: &self.regions,
-                now: self.now,
-            };
-            let Ok(members) = members_of(&ctx, query) else {
-                continue;
-            };
-            // Features depend only on the query and the immutable topology,
-            // so taking them here equals taking them right before the
-            // collection, as the single-query pipeline does.
-            let features = QueryFeatures::of_members(&self.net, query, &members);
-            // Brownout: answer from a coarser stratum — roughly every
-            // other member — while the overload lasts. The cut is keyed on
-            // node id parity, not list position, so overlapping queries
-            // keep overlapping members and their stratum entries still
-            // merge on shared packets. A non-empty member set always keeps
-            // at least one node: degraded, never empty.
-            let members = if bq.brownout {
-                let coarse: Vec<NodeId> =
-                    members.iter().copied().filter(|n| n.0 % 2 == 0).collect();
-                if coarse.is_empty() {
-                    members
-                } else {
-                    coarse
-                }
-            } else {
-                members
-            };
-            out.push(Shareable {
-                idx,
-                query,
-                members,
-                features,
-                brownout: bq.brownout,
-            });
         }
         if out.len() < 2 {
             out.clear();
@@ -136,7 +149,7 @@ impl PervasiveGrid {
         let shared_queries: Vec<SharedQuery> = chunk
             .iter()
             .map(|s| SharedQuery {
-                members: s.members.clone(),
+                members: s.resolved.members.clone(),
                 filter: value_filter(s.query),
                 agg: s.query.first_agg().unwrap_or(AggFn::Avg),
             })
@@ -165,6 +178,9 @@ impl PervasiveGrid {
         let control_bytes_share = report.control_bytes as f64 / chunk.len() as f64;
         let control_energy_share = report.control_energy_j / chunk.len() as f64;
         let mut chunk_scalar_cost = 0.0;
+        // Ground truth is a pure function of the resolved query, the field
+        // and `now`, none of which moves inside a chunk: one per resolution.
+        let mut truths: Vec<(&Rc<Resolved>, Option<f64>)> = Vec::new();
 
         for (s, (pq, sq)) in chunk
             .iter()
@@ -191,7 +207,7 @@ impl PervasiveGrid {
             self.decision.observe(
                 &self.net,
                 &self.grid,
-                s.features,
+                s.resolved.features,
                 SolutionModel::InNetworkTree,
                 Reward {
                     cost,
@@ -202,15 +218,21 @@ impl PervasiveGrid {
                 },
             );
             chunk_scalar_cost += self.decision.config().weights().scalar(&cost);
-            let truth = {
-                let ctx = ExecContext {
-                    net: &mut self.net,
-                    grid: &self.grid,
-                    field: &self.field,
-                    regions: &self.regions,
-                    now: self.now,
-                };
-                truth_aggregate(&ctx, &s.members, sq.agg, &sq.filter)
+            let known = truths.iter().find(|(r, _)| Rc::ptr_eq(r, &s.resolved));
+            let truth = match known {
+                Some(&(_, truth)) => truth,
+                None => {
+                    let ctx = ExecContext {
+                        net: &mut self.net,
+                        grid: &self.grid,
+                        field: &self.field,
+                        regions: &self.regions,
+                        now: self.now,
+                    };
+                    let truth = truth_aggregate(&ctx, &s.resolved.members, sq.agg, &sq.filter);
+                    truths.push((&s.resolved, truth));
+                    truth
+                }
             };
             let accuracy_err = match (pq.value, truth) {
                 (Some(v), Some(t)) => Some(rel_err(v, t)),

@@ -61,21 +61,32 @@ impl RadioModel {
         (self.eps_fs / self.eps_mp).sqrt()
     }
 
-    /// Energy to transmit `bits` over `distance` metres, joules.
+    /// Amplifier energy per bit over `distance` metres, J/bit: the
+    /// distance-dependent factor of [`tx_energy`](Self::tx_energy), which a
+    /// caller pricing many frames over one fixed edge keeps instead of
+    /// re-deriving (a square root and a divide for `d₀` each time).
     ///
     /// # Panics
     /// Panics on negative distance.
-    pub fn tx_energy(&self, bits: u64, distance: f64) -> f64 {
+    pub fn amp_per_bit(&self, distance: f64) -> f64 {
         assert!(distance >= 0.0, "negative distance");
-        let k = bits as f64;
-        let d0 = self.crossover_distance();
-        let amp = if distance < d0 {
+        if distance < self.crossover_distance() {
             self.eps_fs * distance * distance
         } else {
             let d2 = distance * distance;
             self.eps_mp * d2 * d2
-        };
-        self.e_elec * k + amp * k
+        }
+    }
+
+    /// Energy to transmit `bits` over `distance` metres, joules:
+    /// `E_elec·k + amp_per_bit(d)·k`, in that order — whoever prices a kept
+    /// [`amp_per_bit`](Self::amp_per_bit) must add the same two products.
+    ///
+    /// # Panics
+    /// Panics on negative distance.
+    pub fn tx_energy(&self, bits: u64, distance: f64) -> f64 {
+        let k = bits as f64;
+        self.e_elec * k + self.amp_per_bit(distance) * k
     }
 
     /// Energy to receive `bits`, joules.

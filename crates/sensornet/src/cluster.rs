@@ -114,7 +114,7 @@ fn cluster_epoch<R: Rng>(
 ) -> (CollectionReport, Vec<(Point, f64)>) {
     let base = net.base();
     let consumed_before = net.total_consumed();
-    let mut meter = Meter::open(net);
+    let mut meter = Meter::open(net, t);
 
     let heads = elect_heads(net, members, k);
     // Per cluster: the partial over delivered readings and the sum of their
@@ -125,7 +125,7 @@ fn cluster_epoch<R: Rng>(
 
     // Intra-cluster phase: members sample and send to their nearest head.
     for &m in members {
-        if m == base || !net.is_operational(m, t) {
+        if m == base || !meter.is_up(net, m) {
             continue;
         }
         participating += 1;
@@ -148,7 +148,7 @@ fn cluster_epoch<R: Rng>(
                         (hi, best) = (i, d);
                     }
                 }
-                if !meter.hop(net, m, heads[hi], READING_WIRE_BYTES, t, rng).0 {
+                if !meter.hop(net, m, heads[hi], READING_WIRE_BYTES, rng).0 {
                     continue;
                 }
                 meter.cpu_ops += MERGE_OPS;
@@ -166,8 +166,8 @@ fn cluster_epoch<R: Rng>(
     let mut merged = Partial::empty();
     let mut summaries = Vec::new();
     for (hi, &h) in heads.iter().enumerate() {
-        let sends = partials[hi].count > 0 && net.is_operational(h, t);
-        if sends && meter.hop(net, h, base, uplink_bytes, t, rng).0 {
+        let sends = partials[hi].count > 0 && meter.is_up(net, h);
+        if sends && meter.hop(net, h, base, uplink_bytes, rng).0 {
             merged.merge(&partials[hi]);
             meter.cpu_ops += MERGE_OPS;
             if let Some(mean) = partials[hi].finalize(AggFn::Avg) {

@@ -76,10 +76,22 @@ impl CollectionReport {
 /// and an epoch's energy are priced: every strategy (direct, tree, cluster,
 /// summaries, the shared epoch) opens a meter, samples and hops through it,
 /// and reads its totals back.
+///
+/// An epoch happens at one instant, so the meter asks the fault plan what
+/// holds at that instant once, when it opens, and every sample and hop reads
+/// the answer. Batteries are not in that answer: a drain can kill a node in
+/// the middle of an epoch, so [`is_up`](Self::is_up) and
+/// [`hop`](Self::hop) read them live.
 #[derive(Default)]
 pub(crate) struct Meter {
     /// Every battery as the epoch found it.
     start_remaining: Vec<f64>,
+    /// The shared channel is jammed for the whole epoch.
+    link_blacked_out: bool,
+    /// The base station is inside an outage window.
+    base_down: bool,
+    /// Sensors inside a crash window, ascending.
+    crashed: Vec<u64>,
     /// Bytes put on the air, every attempt counted.
     pub(crate) total_bytes: u64,
     /// Bytes of the hops the base station received.
@@ -91,15 +103,38 @@ pub(crate) struct Meter {
 }
 
 impl Meter {
-    pub(crate) fn open(net: &SensorNetwork) -> Self {
+    /// Open the bill of an epoch at instant `t`.
+    pub(crate) fn open(net: &SensorNetwork, t: SimTime) -> Self {
+        let plan = net.fault_plan();
         Meter {
             start_remaining: net
                 .topology()
                 .nodes()
                 .map(|n| net.remaining_energy(n))
                 .collect(),
+            link_blacked_out: plan.is_link_blacked_out(t),
+            base_down: plan.is_base_down(t),
+            crashed: plan
+                .crashing_nodes()
+                .filter(|&id| plan.is_node_down(id, t))
+                .collect(),
             ..Meter::default()
         }
+    }
+
+    /// Is `node` inside an injected outage for this epoch? (The base obeys
+    /// base-outage windows, a sensor its crash windows.)
+    fn in_outage(&self, net: &SensorNetwork, node: NodeId) -> bool {
+        if node == net.base() {
+            return self.base_down;
+        }
+        self.crashed.binary_search(&(node.idx() as u64)).is_ok()
+    }
+
+    /// [`SensorNetwork::is_operational`] at the epoch's instant: powered
+    /// right now, and not inside an outage.
+    pub(crate) fn is_up(&self, net: &SensorNetwork, node: NodeId) -> bool {
+        net.is_alive(node) && !self.in_outage(net, node)
     }
 
     /// `node` reads the field once.
@@ -115,19 +150,63 @@ impl Meter {
         net.sample(node, field, t, rng)
     }
 
-    /// One [`try_hop`], billed: every attempt's bytes are on the air, and
-    /// only a hop the base received counts as bytes into the base. Returns
-    /// `(delivered, attempts)`.
+    /// One hop over an edge nobody keeps a price for — member to head, head
+    /// to base, a leg of a direct route: price its distance now, then
+    /// [`hop_priced`](Self::hop_priced).
     pub(crate) fn hop<R: Rng>(
         &mut self,
         net: &mut SensorNetwork,
         from: NodeId,
         to: NodeId,
         bytes: u64,
-        t: SimTime,
         rng: &mut R,
     ) -> (bool, u32) {
-        let (delivered, attempts) = try_hop(net, from, to, bytes, t, rng);
+        let amp = net.radio().amp_per_bit(net.topology().distance(from, to));
+        self.hop_priced(net, from, to, amp, bytes, rng)
+    }
+
+    /// Attempt to deliver one `bytes`-sized message over the `from -> to`
+    /// hop, whose amplifier costs `amp_per_bit` J/bit, draining energy for
+    /// every attempt (sender) and for the successful reception (receiver),
+    /// at most [`MAX_ATTEMPTS`] times. Every attempt's bytes are on the air,
+    /// and only a hop the base received counts as bytes into the base.
+    /// Returns `(delivered, attempts)`.
+    ///
+    /// Injected faults (the network's [`FaultPlan`][pg_sim::fault::FaultPlan])
+    /// kill attempts *after* the sender has spent the transmit energy: a link
+    /// blackout jams the channel, a crashed receiver cannot acknowledge, and
+    /// plan-level message loss compounds the link's own loss process.
+    pub(crate) fn hop_priced<R: Rng>(
+        &mut self,
+        net: &mut SensorNetwork,
+        from: NodeId,
+        to: NodeId,
+        amp_per_bit: f64,
+        bytes: u64,
+        rng: &mut R,
+    ) -> (bool, u32) {
+        let bits = bytes * 8;
+        // `RadioModel::tx_energy`, term for term: the electronics term
+        // `E_elec·k` is the receive energy.
+        let rx = net.radio().rx_energy(bits);
+        let tx = rx + amp_per_bit * bits as f64;
+        let jammed = self.link_blacked_out || self.in_outage(net, to);
+        let (delivered, attempts) = 'hop: {
+            for attempt in 1..=MAX_ATTEMPTS {
+                if !net.drain(from, tx) {
+                    break 'hop (false, attempt); // sender died mid-send
+                }
+                // Stochastic plan loss draws first (and only when configured),
+                // so empty plans leave existing random streams untouched.
+                let fault_dropped =
+                    net.fault_plan().message_dropped(rng) || jammed || !net.is_alive(to);
+                if !fault_dropped && net.link().delivered(rng) {
+                    // A receiver that dies on reception takes the frame along.
+                    break 'hop (net.drain(to, rx) || to == net.base(), attempt);
+                }
+            }
+            (false, MAX_ATTEMPTS)
+        };
         self.total_bytes += bytes * u64::from(attempts);
         self.retries += u64::from(attempts.saturating_sub(1));
         if delivered && to == net.base() {
@@ -175,45 +254,6 @@ impl Meter {
     }
 }
 
-/// Attempt to deliver one `bytes`-sized message over the `from -> to` hop,
-/// draining energy for every attempt (sender) and for the successful
-/// reception (receiver). Returns `(delivered, attempts)`.
-///
-/// Injected faults (the network's [`FaultPlan`][pg_sim::fault::FaultPlan])
-/// kill attempts *after* the sender has spent the transmit energy: a link
-/// blackout at `t` jams the channel, a crashed receiver cannot acknowledge,
-/// and plan-level message loss compounds the link's own loss process.
-pub(crate) fn try_hop<R: Rng>(
-    net: &mut SensorNetwork,
-    from: NodeId,
-    to: NodeId,
-    bytes: u64,
-    t: SimTime,
-    rng: &mut R,
-) -> (bool, u32) {
-    let bits = bytes * 8;
-    let d = net.topology().distance(from, to);
-    for attempt in 1..=MAX_ATTEMPTS {
-        let tx = net.radio().tx_energy(bits, d);
-        if !net.drain(from, tx) {
-            return (false, attempt); // sender died mid-send
-        }
-        // Stochastic plan loss draws first (and only when configured), so
-        // empty plans leave existing random streams untouched.
-        let fault_dropped = net.fault_plan().message_dropped(rng)
-            || net.fault_plan().is_link_blacked_out(t)
-            || !net.is_operational(to, t);
-        if !fault_dropped && net.link().delivered(rng) {
-            let rx = net.radio().rx_energy(bits);
-            if !net.drain(to, rx) && to != net.base() {
-                return (false, attempt); // receiver died on reception
-            }
-            return (true, attempt);
-        }
-    }
-    (false, MAX_ATTEMPTS)
-}
-
 /// **Direct collection**: every member samples and unicasts its raw reading
 /// to the base station along the shortest path. No in-network computation.
 pub fn direct_collection<R: Rng>(
@@ -253,7 +293,7 @@ pub fn direct_collection_filtered<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> (CollectionReport, Vec<(NodeId, f64)>) {
-    let mut meter = Meter::open(net);
+    let mut meter = Meter::open(net, t);
     let base = net.base();
     let slot = net.link().tx_time(READING_WIRE_BYTES);
 
@@ -262,23 +302,23 @@ pub fn direct_collection_filtered<R: Rng>(
     let mut raw: Vec<(NodeId, f64)> = Vec::new();
 
     for &m in members {
-        if !net.is_operational(m, t) || m == base {
+        if m == base || !meter.is_up(net, m) {
             continue;
         }
         let reading = meter.sample(net, m, field, t, rng);
         if !filter.matches(reading) {
             continue; // predicate evaluated at the source: nothing transmits
         }
-        let Some(path) = net.topology().shortest_path(m, base) else {
+        let Some(path) = net.route_to_base(m) else {
             continue;
         };
         let mut path_time = Duration::ZERO;
         let arrived = path.windows(2).all(|w| {
             // A dead (or crashed) forwarder silently breaks the route.
-            if !net.is_operational(w[0], t) {
+            if !meter.is_up(net, w[0]) {
                 return false;
             }
-            let (ok, attempts) = meter.hop(net, w[0], w[1], READING_WIRE_BYTES, t, rng);
+            let (ok, attempts) = meter.hop(net, w[0], w[1], READING_WIRE_BYTES, rng);
             path_time += slot.mul(attempts as u64);
             ok
         });
@@ -323,7 +363,7 @@ pub fn tree_aggregation_filtered<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> CollectionReport {
-    let mut meter = Meter::open(net);
+    let mut meter = Meter::open(net, t);
     let base = net.base();
     let tree = net.base_tree();
     let n = net.len();
@@ -346,7 +386,7 @@ pub fn tree_aggregation_filtered<R: Rng>(
 
     // Members sample into their own partial.
     for id in net.topology().nodes() {
-        if is_member[id.idx()] && net.is_operational(id, t) {
+        if is_member[id.idx()] && meter.is_up(net, id) {
             let reading = meter.sample(net, id, field, t, rng);
             if filter.matches(reading) {
                 partials[id.idx()].add(reading);
@@ -360,13 +400,13 @@ pub fn tree_aggregation_filtered<R: Rng>(
         let state = partials[u.idx()];
         // Nothing to report upward, or a dead node: its subtree's
         // contribution dies here.
-        if !involved[u.idx()] || u == base || state.count == 0 || !net.is_operational(u, t) {
+        if !involved[u.idx()] || u == base || state.count == 0 || !meter.is_up(net, u) {
             continue;
         }
         let Some(parent) = tree.parent[u.idx()] else {
             continue; // root-adjacent anomaly: nothing to forward to
         };
-        let (ok, _) = meter.hop(net, u, parent, PARTIAL_WIRE_BYTES, t, rng);
+        let (ok, _) = meter.hop(net, u, parent, PARTIAL_WIRE_BYTES, rng);
         if ok {
             partials[parent.idx()].merge(&state);
             meter.cpu_ops += MERGE_OPS;
@@ -554,6 +594,47 @@ mod tests {
             &mut rng,
         );
         assert_eq!(r.value, Some(7.0)); // 8 members - 1 dead
+    }
+
+    /// What the meter asked the fault plan when it opened is what
+    /// `is_operational` answers at that instant — on both sides of both
+    /// ends of every kind of window (they are half-open), for a sensor
+    /// with a flat battery too.
+    #[test]
+    fn the_meters_view_is_the_fault_plans_answer_at_its_instant() {
+        use pg_sim::fault::FaultPlan;
+        let windows = [(30u64, 90u64), (40, 80), (50, 70)];
+        let [crash, blackout, outage] =
+            windows.map(|(s, e)| (SimTime::from_secs(s), SimTime::from_secs(e)));
+        let plan = FaultPlan::builder(1)
+            .node_crash(4, crash.0, crash.1)
+            .node_crash(7, outage.0, outage.1)
+            .link_blackout(blackout.0, blackout.1)
+            .base_outage(outage.0, outage.1)
+            .build()
+            .unwrap();
+        let mut net = lossless_net(3);
+        net.set_fault_plan(plan.clone());
+        net.drain(NodeId(2), 1e9);
+        for edge in windows.iter().flat_map(|&(s, e)| [s, e]) {
+            for ns in [edge * 1_000_000_000 - 1, edge * 1_000_000_000] {
+                let t = SimTime::from_nanos(ns);
+                let meter = Meter::open(&net, t);
+                for id in net.topology().nodes() {
+                    assert_eq!(
+                        meter.is_up(&net, id),
+                        net.is_operational(id, t),
+                        "{id} at {t}"
+                    );
+                }
+                assert_eq!(meter.link_blacked_out, plan.is_link_blacked_out(t), "{t}");
+            }
+        }
+        // The windows were really crossed.
+        let mid = Meter::open(&net, SimTime::from_secs(60));
+        assert!(mid.link_blacked_out && !mid.is_up(&net, NodeId(0)));
+        assert!(!mid.is_up(&net, NodeId(4)) && !mid.is_up(&net, NodeId(7)));
+        assert!(!mid.is_up(&net, NodeId(2)) && mid.is_up(&net, NodeId(5)));
     }
 
     /// Every strategy bills through the one meter: on a lossy link the

@@ -1,5 +1,6 @@
 //! The deployed sensor network: topology + per-node batteries + base station.
 
+use crate::aggregate::Partial;
 use crate::arena::NodeArena;
 use crate::field::TemperatureField;
 use pg_net::energy::RadioModel;
@@ -12,6 +13,50 @@ use std::sync::Arc;
 
 /// CPU operations one sample costs: ADC read + calibration math.
 pub(crate) const SAMPLE_OPS: u64 = 50;
+
+/// What a network keeps between collection epochs so that a steady-state
+/// epoch allocates nothing per node: working memory whose capacity is
+/// reused, and two tables that fill on first use — the amplifier price of
+/// each tree edge and each sensor's route to the base. None of it is state:
+/// a clone starts empty and computes the same bits.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// Query-membership bitmask per node (shared epoch).
+    pub(crate) member_mask: Vec<u64>,
+    /// On some member→root path this epoch (shared epoch).
+    pub(crate) involved: Vec<bool>,
+    /// Per-node stratum lists, sorted by mask (shared epoch). A node that
+    /// fires hands its emptied list back to its slot.
+    pub(crate) strata: Vec<Vec<(u64, Partial)>>,
+    /// Per child, `(parent, radio.amp_per_bit(distance(child, parent)))`
+    /// for the tree edge it last sent over. Self-validating: an entry whose
+    /// parent is not the one in hand (a repaired edge, another tree) is
+    /// recomputed, so nothing has to tell this table that a tree changed.
+    pub(crate) edge_price: Vec<(Option<NodeId>, f64)>,
+    /// Per node, its shortest path to the base once somebody asked.
+    routes: Vec<Option<Option<Arc<[NodeId]>>>>,
+}
+
+impl Scratch {
+    /// Size the shared epoch's per-node tables for `n` nodes and blank
+    /// them, keeping every capacity.
+    pub(crate) fn start_epoch(&mut self, n: usize) {
+        self.member_mask.clear();
+        self.member_mask.resize(n, 0);
+        self.involved.clear();
+        self.involved.resize(n, false);
+        // A node that died holding merged strata never fired.
+        self.strata.iter_mut().for_each(Vec::clear);
+        self.strata.resize_with(n, Vec::new);
+        self.edge_price.resize(n, (None, 0.0));
+    }
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
 
 /// A deployed network of battery-powered sensors with one base station.
 ///
@@ -31,6 +76,7 @@ pub struct SensorNetwork {
     link: LinkModel,
     batteries: NodeArena,
     faults: FaultPlan,
+    pub(crate) scratch: Scratch,
     /// Gaussian sensing noise applied to every sample, °C.
     pub noise_sd: f64,
 }
@@ -55,6 +101,7 @@ impl SensorNetwork {
             link,
             batteries,
             faults: FaultPlan::none(),
+            scratch: Scratch::default(),
             noise_sd: 0.5,
         }
     }
@@ -93,6 +140,19 @@ impl SensorNetwork {
     /// unreachable): the base tree's depths.
     pub fn hops_from_base(&self) -> &[Option<u32>] {
         &self.base_tree.depth
+    }
+
+    /// The shortest path from `node` to the base station (both included),
+    /// `None` when the base is unreachable. Looked up once per node: the
+    /// topology never changes, so the first answer is kept.
+    pub fn route_to_base(&mut self, node: NodeId) -> Option<Arc<[NodeId]>> {
+        let routes = &mut self.scratch.routes;
+        if routes.is_empty() {
+            routes.resize(self.topo.len(), None);
+        }
+        routes[node.idx()]
+            .get_or_insert_with(|| self.topo.shortest_path(node, self.base).map(Arc::from))
+            .clone()
     }
 
     /// The radio energy model shared by all sensors.
@@ -222,6 +282,18 @@ mod tests {
         assert_eq!(cached.children, fresh.children);
         assert_eq!(cached.bottom_up_order(), fresh.bottom_up_order());
         assert_eq!(n.hops_from_base(), &n.topology().hops_from(n.base())[..]);
+    }
+
+    #[test]
+    fn routes_to_base_are_the_topologys_and_a_clone_starts_without_them() {
+        let mut n = net();
+        for id in n.topology().nodes() {
+            let fresh = n.topology().shortest_path(id, n.base());
+            assert_eq!(n.route_to_base(id).as_deref(), fresh.as_deref());
+            assert_eq!(n.route_to_base(id).as_deref(), fresh.as_deref(), "kept");
+        }
+        assert_eq!(n.scratch.routes.len(), n.len());
+        assert!(n.clone().scratch.routes.is_empty());
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use crate::aggregate::{AggFn, Partial, ValueFilter, PARTIAL_WIRE_BYTES};
 use crate::collect::{Meter, MERGE_OPS};
 use crate::field::TemperatureField;
-use crate::network::{SensorNetwork, SAMPLE_OPS};
+use crate::network::{Scratch, SensorNetwork, SAMPLE_OPS};
 use pg_net::repair::repair_after_deaths;
 use pg_net::topology::{NodeId, RoutingTree};
 use pg_sim::{Duration, SimTime};
@@ -190,11 +190,35 @@ fn stratum_mut(strata: &mut Vec<(u64, Partial)>, mask: u64) -> &mut Partial {
     &mut strata[at].1
 }
 
+/// The amplifier price of the tree edge `child -> parent`, J/bit, out of the
+/// kept table. An entry priced for another parent (a repaired edge, a
+/// session that switched trees) is worked out again — the only
+/// invalidation the table needs, since neither end of an edge ever moves.
+fn kept_edge_price(
+    prices: &mut [(Option<NodeId>, f64)],
+    net: &SensorNetwork,
+    child: NodeId,
+    parent: NodeId,
+) -> f64 {
+    let kept = &mut prices[child.idx()];
+    if kept.0 != Some(parent) {
+        let d = net.topology().distance(child, parent);
+        *kept = (Some(parent), net.radio().amp_per_bit(d));
+    }
+    kept.1
+}
+
 /// The shared collection epoch proper, over a caller-provided tree.
 ///
 /// Host cost is O(nodes + Σ members + packet entries): involvement marking
 /// stops at the first already-marked ancestor, the bottom-up order is the
-/// one the tree carries, and attribution walks set mask bits.
+/// one the tree carries, and attribution walks set mask bits. What is paid
+/// per reading is the sample and its noise draw; per hop, the drains and
+/// the loss draws. The rest is kept from the last epoch in the network's
+/// `Scratch` (taken here, put back at the end): the per-node tables and
+/// stratum lists keep their capacity, a tree edge's amplifier price is
+/// worked out the first time a child sends to that parent, and the fault
+/// plan is asked once, by [`Meter::open`].
 fn collect_over_tree<R: Rng>(
     net: &mut SensorNetwork,
     tree: &RoutingTree,
@@ -208,22 +232,29 @@ fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let mut meter = Meter::open(net);
+    let mut meter = Meter::open(net, t);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
+    let mut scratch = std::mem::take(&mut net.scratch);
+    scratch.start_epoch(n);
+    let Scratch {
+        member_mask,
+        involved,
+        strata,
+        edge_price,
+        ..
+    } = &mut scratch;
 
     // Membership bitmask per node, and tree involvement: a node is on the
     // tree iff it lies on some member->root path of some query.
-    let mut member_mask = vec![0u64; n];
-    let mut involved = vec![false; n];
     for (qi, q) in queries.iter().enumerate() {
         for &m in &q.members {
             if m == base {
                 continue;
             }
             member_mask[m.idx()] |= 1u64 << qi;
-            tree.mark_path_to_root(m, &mut involved);
+            tree.mark_path_to_root(m, involved);
         }
     }
 
@@ -241,16 +272,15 @@ fn collect_over_tree<R: Rng>(
         })
         .collect();
 
-    // Per-node strata: one mergeable partial per effective bitmask, sorted
+    // Per-node `strata`: one mergeable partial per effective bitmask, sorted
     // by mask. Only involved nodes ever hold any.
-    let mut strata: Vec<Vec<(u64, Partial)>> = vec![Vec::new(); n];
     let mut seen_masks: Vec<u64> = Vec::new();
 
     // Sampling phase: every node any query selects samples exactly once.
     // The effective mask keeps only queries whose filter the reading passes.
     for id in net.topology().nodes() {
         let mm = member_mask[id.idx()];
-        if mm == 0 || !net.is_operational(id, t) {
+        if mm == 0 || !meter.is_up(net, id) {
             continue;
         }
         let reading = meter.sample(net, id, field, t, rng);
@@ -282,7 +312,7 @@ fn collect_over_tree<R: Rng>(
         if !involved[u.idx()] || u == base {
             continue;
         }
-        if !net.is_operational(u, t) {
+        if !meter.is_up(net, u) {
             continue; // subtree contribution dies here
         }
         if strata[u.idx()].is_empty() {
@@ -292,9 +322,10 @@ fn collect_over_tree<R: Rng>(
             continue; // root-adjacent anomaly: nothing to forward to
         };
         // A node fires once, so its strata can move into the packet.
-        let entries = std::mem::take(&mut strata[u.idx()]);
+        let mut entries = std::mem::take(&mut strata[u.idx()]);
         let bytes = packet_bytes(entries.len());
-        let (ok, attempts) = meter.hop(net, u, parent, bytes, t, rng);
+        let amp = kept_edge_price(edge_price, net, u, parent);
+        let (ok, attempts) = meter.hop_priced(net, u, parent, amp, bytes, rng);
         let extra_attempts = u64::from(attempts.saturating_sub(1));
         packets += 1;
         let depth = depth as usize;
@@ -314,8 +345,8 @@ fn collect_over_tree<R: Rng>(
         }
         if ok {
             let parent_strata = &mut strata[parent.idx()];
-            for (mask, p) in entries {
-                stratum_mut(parent_strata, mask).merge(&p);
+            for &(mask, ref p) in &entries {
+                stratum_mut(parent_strata, mask).merge(p);
                 meter.cpu_ops += MERGE_OPS;
                 let share = MERGE_OPS as f64 / mask.count_ones() as f64;
                 for qi in queries_in(mask) {
@@ -323,6 +354,9 @@ fn collect_over_tree<R: Rng>(
                 }
             }
         }
+        // The emptied list goes back to its slot for the next epoch.
+        entries.clear();
+        strata[u.idx()] = entries;
     }
 
     // Finalize: query q's answer merges every stratum whose mask covers q,
@@ -336,6 +370,7 @@ fn collect_over_tree<R: Rng>(
         pq.delivered = pq.partial.count as usize;
         pq.value = pq.partial.finalize(q.agg);
     }
+    net.scratch = scratch;
 
     // Energy attribution: the epoch's total, split in proportion to
     // attributed bytes (equal split when nothing flew).

@@ -6,10 +6,48 @@
 //! strata at every node, and a `0..nq` scan per packet entry. It is slow
 //! and obviously right; the tests below hold the production path to it bit
 //! for bit.
+//!
+//! It shares no hop with what it checks: [`try_hop`] is the hop as it stood
+//! before the meter kept anything — the distance, the transmit energy and
+//! the fault plan's answer worked out again on every attempt.
 
 use super::*;
-use crate::collect::try_hop;
+use crate::collect::MAX_ATTEMPTS;
 use std::collections::{BTreeMap, BTreeSet};
+
+/// Attempt to deliver one `bytes`-sized message over the `from -> to` hop,
+/// draining energy for every attempt (sender) and for the successful
+/// reception (receiver). Returns `(delivered, attempts)`.
+fn try_hop<R: Rng>(
+    net: &mut SensorNetwork,
+    from: NodeId,
+    to: NodeId,
+    bytes: u64,
+    t: SimTime,
+    rng: &mut R,
+) -> (bool, u32) {
+    let bits = bytes * 8;
+    let d = net.topology().distance(from, to);
+    for attempt in 1..=MAX_ATTEMPTS {
+        let tx = net.radio().tx_energy(bits, d);
+        if !net.drain(from, tx) {
+            return (false, attempt); // sender died mid-send
+        }
+        // Stochastic plan loss draws first (and only when configured), so
+        // empty plans leave existing random streams untouched.
+        let fault_dropped = net.fault_plan().message_dropped(rng)
+            || net.fault_plan().is_link_blacked_out(t)
+            || !net.is_operational(to, t);
+        if !fault_dropped && net.link().delivered(rng) {
+            let rx = net.radio().rx_energy(bits);
+            if !net.drain(to, rx) && to != net.base() {
+                return (false, attempt); // receiver died on reception
+            }
+            return (true, attempt);
+        }
+    }
+    (false, MAX_ATTEMPTS)
+}
 
 /// Path from `node` up to the root (inclusive). `None` if unattached.
 fn path_to_root(tree: &RoutingTree, node: NodeId) -> Option<Vec<NodeId>> {
@@ -48,7 +86,7 @@ pub(super) fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let meter = Meter::open(net);
+    let meter = Meter::open(net, t);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
@@ -380,6 +418,24 @@ mod tests {
         assert_eq!(a.control_waves, b.control_waves, "{what}: control_waves");
     }
 
+    /// Every battery and the next rng draw agree.
+    fn assert_worlds_equal(
+        net_a: &SensorNetwork,
+        net_b: &SensorNetwork,
+        rng_a: &mut StdRng,
+        rng_b: &mut StdRng,
+        what: &str,
+    ) {
+        for id in net_a.topology().nodes() {
+            assert_eq!(
+                net_a.remaining_energy(id).to_bits(),
+                net_b.remaining_energy(id).to_bits(),
+                "{what}: battery of {id}"
+            );
+        }
+        assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "{what}: rng stream");
+    }
+
     /// The production session against the same session logic collecting
     /// through the oracle: every report field, every battery and the rng
     /// stream must agree after every epoch.
@@ -421,19 +477,160 @@ mod tests {
                     want.control_waves = control.waves;
 
                     assert_reports_equal(&got, &want, &what);
-                    for id in net_a.topology().nodes() {
-                        assert_eq!(
-                            net_a.remaining_energy(id).to_bits(),
-                            net_b.remaining_energy(id).to_bits(),
-                            "{what}: battery of {id}"
-                        );
-                    }
-                    assert_eq!(rng_a.gen::<u64>(), rng_b.gen::<u64>(), "{what}: rng stream");
+                    assert_worlds_equal(&net_a, &net_b, &mut rng_a, &mut rng_b, &what);
                 }
                 assert_eq!(session_a.rebuilds, session_b.rebuilds);
                 assert_eq!(session_a.repairs, session_b.repairs);
                 assert_eq!(session_a.control_bytes_total, session_b.control_bytes_total);
             }
+        }
+    }
+
+    /// One epoch on `warm` and on its clone (empty scratch, cloned rng), each
+    /// under its own session of a pair kept in lockstep — the two only ever
+    /// see equal worlds. Equal reports, batteries and rng position, or panic.
+    fn warm_and_cold_epoch(
+        sessions: &mut [SharedTreeSession; 2],
+        warm: &mut SensorNetwork,
+        qs: &[SharedQuery],
+        field: &TemperatureField,
+        t: SimTime,
+        rng: &mut StdRng,
+        what: &str,
+    ) {
+        let mut cold = warm.clone();
+        let mut rng_c = rng.clone();
+        assert!(cold.scratch.strata.is_empty(), "{what}");
+        let [session_w, session_c] = sessions;
+        let got = session_w.collect(warm, qs, field, t, rng);
+        let want = session_c.collect(&mut cold, qs, field, t, &mut rng_c);
+        assert_reports_equal(&got, &want, what);
+        assert_worlds_equal(warm, &cold, rng, &mut rng_c, what);
+    }
+
+    /// What a network keeps between epochs is not state: after every epoch
+    /// of the oracle's world, the next epoch on the warm network and on its
+    /// clone (empty scratch, cloned rng) give the same report, batteries and
+    /// rng position.
+    #[test]
+    fn a_warm_network_equals_its_cold_clone() {
+        for seed in 0..48u64 {
+            for mode in MODES {
+                let (mut warm, field) = world(seed);
+                let mut sessions = [mode, mode].map(SharedTreeSession::new);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xC011);
+                let mut script = StdRng::seed_from_u64(seed ^ 0x5C21);
+                let n = warm.len() as u32;
+                for epoch in 0..4u64 {
+                    let what = format!("seed {seed} {mode:?} epoch {epoch}");
+                    let t = SimTime::from_secs(30 * epoch);
+                    for _ in 0..script.gen_range(0..3) {
+                        warm.drain(NodeId(script.gen_range(1..n)), f64::INFINITY);
+                    }
+                    let qs = queries(&warm, &mut script);
+                    assert_eq!(warm.scratch.strata.is_empty(), epoch == 0, "{what}");
+                    warm_and_cold_epoch(&mut sessions, &mut warm, &qs, &field, t, &mut rng, &what);
+                }
+            }
+        }
+    }
+
+    /// A lossless, fault-free random field where every sensor reports.
+    fn quiet_world(seed: u64) -> (SensorNetwork, Vec<SharedQuery>, TemperatureField) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let topo = Topology::random_geometric(60, 85.0, 85.0, 20.0, &mut rng);
+        let link = LinkModel::new(250e3, Duration::from_millis(5), 0.0).unwrap();
+        let net = SensorNetwork::new(topo, NodeId(0), RadioModel::mote(), link, 50.0);
+        let query = SharedQuery {
+            members: net.topology().nodes().collect(),
+            filter: ValueFilter::all(),
+            agg: AggFn::Avg,
+        };
+        (net, vec![query], TemperatureField::calm(25.0))
+    }
+
+    /// Every live sensor attached to `tree` sent to its parent this epoch:
+    /// the price kept for it is that edge's, whatever edge it held before.
+    fn assert_kept_prices_are_the_trees(net: &SensorNetwork, tree: &RoutingTree, what: &str) {
+        let mut checked = 0;
+        for child in net.topology().nodes().filter(|&id| net.is_alive(id)) {
+            let Some(parent) = tree.parent[child.idx()] else {
+                continue;
+            };
+            let d = net.topology().distance(child, parent);
+            let want = (Some(parent), net.radio().amp_per_bit(d));
+            assert_eq!(net.scratch.edge_price[child.idx()], want, "{what}: {child}");
+            checked += 1;
+        }
+        assert!(checked > 30, "{what}: only {checked} edges checked");
+    }
+
+    #[test]
+    fn a_repaired_edge_is_repriced() {
+        let (mut net, qs, field) = quiet_world(7);
+        let mut sessions = [TreeMaintenance::Incremental; 2].map(SharedTreeSession::new);
+        let mut rng = StdRng::seed_from_u64(7);
+        let t = SimTime::ZERO;
+        warm_and_cold_epoch(&mut sessions, &mut net, &qs, &field, t, &mut rng, "built");
+        let before = sessions[0].canonical.clone().unwrap();
+        assert_kept_prices_are_the_trees(&net, &before, "built");
+
+        // Kill the busiest forwarder below the base's own children.
+        let victim = net
+            .topology()
+            .nodes()
+            .filter(|&id| before.depth[id.idx()].is_some_and(|d| d >= 1))
+            .max_by_key(|&id| before.children[id.idx()].len())
+            .unwrap();
+        net.drain(victim, f64::INFINITY);
+        let t = SimTime::from_secs(30);
+        warm_and_cold_epoch(
+            &mut sessions,
+            &mut net,
+            &qs,
+            &field,
+            t,
+            &mut rng,
+            "repaired",
+        );
+        let after = sessions[0].canonical.as_ref().unwrap();
+        assert_eq!(sessions[0].repairs, 1);
+        let reparented = before.children[victim.idx()]
+            .iter()
+            .filter(|c| after.parent[c.idx()].is_some_and(|p| p != victim))
+            .count();
+        assert!(reparented > 0, "no orphan of {victim} found a new parent");
+        assert_kept_prices_are_the_trees(&net, after, "repaired");
+    }
+
+    #[test]
+    fn a_switch_between_the_base_tree_and_the_canonical_tree_is_repriced() {
+        let (mut net, qs, field) = quiet_world(7);
+        let mut sessions = [TreeMaintenance::Free; 2].map(SharedTreeSession::new);
+        let mut rng = StdRng::seed_from_u64(7);
+        let base_tree = net.base_tree();
+        for (epoch, mode) in [
+            TreeMaintenance::Free,
+            TreeMaintenance::Incremental,
+            TreeMaintenance::Free,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let what = format!("epoch {epoch} {mode:?}");
+            let t = SimTime::from_secs(30 * epoch as u64);
+            sessions.iter_mut().for_each(|s| s.set_maintenance(mode));
+            warm_and_cold_epoch(&mut sessions, &mut net, &qs, &field, t, &mut rng, &what);
+            let canonical = sessions[0].canonical.as_ref();
+            assert_eq!(
+                canonical.is_some(),
+                mode == TreeMaintenance::Incremental,
+                "{what}"
+            );
+            if let Some(canonical) = canonical {
+                assert_ne!(canonical.parent, base_tree.parent, "the trees must differ");
+            }
+            assert_kept_prices_are_the_trees(&net, canonical.unwrap_or(&base_tree), &what);
         }
     }
 }

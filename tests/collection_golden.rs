@@ -15,6 +15,11 @@
 //! captured at 60e5904, the commit *before* the five collection strategies
 //! were rewritten over one billing meter, in debug and `--release` (the
 //! same bits in both).
+//!
+//! `duplicate_batch_digest` pins a batch that repeats its texts — the case
+//! `execute_batch` resolves once per distinct `(text, brownout)`. Its
+//! constants were captured at 0db6e09, when every entry still resolved its
+//! own members, features and ground truth (debug = `--release`).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -54,6 +59,8 @@ const BATCH: [(&str, bool); 8] = [
     ("SELECT SUM(temp) FROM sensors WHERE region(east)", false),
 ];
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 fn fnv(h: &mut u64, x: u64) {
     for b in x.to_le_bytes() {
         *h ^= u64::from(b);
@@ -86,7 +93,6 @@ fn digests(seed: u64, mode: TreeMaintenance) -> (u64, u64, u64) {
     let tag_members: Vec<NodeId> = (1..pg.net.len() as u32).step_by(3).map(NodeId).collect();
     let tag_filter = ValueFilter::all();
     let mut tag_rng = StdRng::seed_from_u64(seed ^ 0x7A6);
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     let (mut values, mut bytes, mut energy) = (FNV_OFFSET, FNV_OFFSET, FNV_OFFSET);
     for epoch in 0..5u32 {
         if epoch == 2 {
@@ -223,7 +229,6 @@ fn strategy_digests_for(seed: u64) -> [u64; 5] {
     let mut rngs: Vec<StdRng> = (0..5u64)
         .map(|i| StdRng::seed_from_u64(seed ^ (0x5D << i)))
         .collect();
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     let mut h = [FNV_OFFSET; 5];
     for epoch in 0..5u64 {
         let t = SimTime::from_secs(30 * epoch);
@@ -297,4 +302,84 @@ fn strategy_digests() {
     ];
     let got = [1, 2, 3].map(strategy_digests_for);
     assert_eq!(got, pinned, "got {got:#x?}");
+}
+
+const DUP_A: &str = "SELECT AVG(temp) FROM sensors WHERE region(west)";
+const DUP_B: &str = "SELECT MAX(temp) FROM sensors WHERE {region(core) AND temp > 21}";
+const DUP_C: &str = "SELECT AVG(temp) FROM sensors WHERE region(west) COST time 60";
+/// Duplicates, both fidelities of one text, a parse error and a text that
+/// does not qualify for the shared tree, in one batch.
+const DUP_BATCH: [(&str, bool); 8] = [
+    (DUP_A, false),
+    (DUP_B, false),
+    (DUP_A, false),
+    (DUP_A, true),
+    (DUP_B, true),
+    ("nonsense", false),
+    (DUP_C, false),
+    (DUP_A, false),
+];
+
+/// One digest over three rounds of `DUP_BATCH` on one cell that burns
+/// (truth moves between rounds), loses packets (link 0.2, plan 0.05), has a
+/// forwarder crashed over round 1 and batteries small enough that sensors
+/// run dry mid-run: every outcome's value, cost vector, `accuracy_err`,
+/// `delivered_frac` and retries, then the learner's calibration book.
+fn duplicate_batch_digest_for(seed: u64, mode: TreeMaintenance) -> u64 {
+    let plan = FaultPlan::builder(seed)
+        .message_loss(0.05)
+        .node_crash(41, SimTime::from_secs(30), SimTime::from_secs(60))
+        .build()
+        .unwrap();
+    let mut pg = PervasiveGrid::building(2, 20, seed)
+        .tree_maintenance(mode)
+        .faults(plan)
+        .battery(6e-4)
+        .link(LinkModel::new(250e3, Duration::from_millis(5), 0.2).unwrap())
+        .region("west", Region::room(0.0, 0.0, 57.0, 95.0))
+        .region("core", Region::room(24.0, 24.0, 71.0, 71.0))
+        .build();
+    pg.ignite(Point::flat(40.0, 45.0), 300.0);
+    let batch: Vec<BatchQuery<'_>> = DUP_BATCH
+        .iter()
+        .map(|&(text, brownout)| BatchQuery {
+            text,
+            deadline: Some(Duration::from_secs(300)),
+            brownout,
+        })
+        .collect();
+    let sensors = pg.alive_sensors();
+    let mut h = FNV_OFFSET;
+    for _round in 0..3 {
+        for outcome in pg.execute_batch(&batch) {
+            let Ok((r, _)) = outcome else {
+                fnv(&mut h, 0xE44);
+                continue;
+            };
+            fnv(&mut h, r.value.map_or(u64::MAX, f64::to_bits));
+            for x in [r.cost.energy_j, r.cost.time_s, r.cost.bytes, r.cost.ops] {
+                fnv(&mut h, x.to_bits());
+            }
+            fnv(&mut h, r.accuracy_err.map_or(u64::MAX, f64::to_bits));
+            fnv(&mut h, r.delivered_frac.to_bits());
+            fnv(&mut h, r.degradation.retries);
+        }
+        fnv(&mut h, pg.decision.calibration_len() as u64);
+        fnv(&mut h, pg.decision.calibration_error(usize::MAX).to_bits());
+        QueryEngine::advance(&mut pg, Duration::from_secs(30));
+    }
+    assert!(pg.alive_sensors() < sensors, "the cell must be draining");
+    h
+}
+
+#[test]
+fn duplicate_batch_digest() {
+    let pinned = [
+        (1, TreeMaintenance::Free, 0x2a35_7fd1_7b3f_28d4_u64),
+        (2, TreeMaintenance::Incremental, 0x9f6d_86af_12f1_b1ef),
+    ];
+    for (seed, mode, want) in pinned {
+        let got = duplicate_batch_digest_for(seed, mode);
+        assert_eq!(got, want, "seed {seed} under {mode:?}: {got:#x}");
+    }
 }
