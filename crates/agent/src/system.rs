@@ -29,6 +29,14 @@ use pg_sim::rng::mix;
 use pg_sim::{Duration, Model, Scheduler, SimTime, Simulation};
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Multiplier applied to the ack timeout per retry (exponential backoff).
+const BACKOFF: f64 = 2.0;
+/// Uniform jitter fraction added to each backoff delay (up to +10 %),
+/// de-synchronizing retry bursts deterministically.
+const JITTER_FRAC: f64 = 0.1;
+/// Receiver-side processing delay before the ack is considered sent.
+const ACK_DELAY: Duration = Duration::from_millis(10);
+
 /// Tuning for per-envelope ack/retry semantics.
 #[derive(Debug, Clone, Copy)]
 pub struct ReliableConfig {
@@ -36,13 +44,6 @@ pub struct ReliableConfig {
     pub ack_timeout: Duration,
     /// Retransmissions after the initial send before dead-lettering.
     pub max_retries: u32,
-    /// Multiplier applied to the timeout per retry (exponential backoff).
-    pub backoff: f64,
-    /// Uniform jitter fraction added to each backoff delay (`0.1` = up to
-    /// +10 %), de-synchronizing retry bursts deterministically.
-    pub jitter_frac: f64,
-    /// Receiver-side processing delay before the ack is considered sent.
-    pub ack_delay: Duration,
     /// Per-peer circuit breaker over dead-letter outcomes. `None` (the
     /// default) keeps the classic behavior: every send to a dead peer
     /// burns its full retry budget.
@@ -54,9 +55,6 @@ impl Default for ReliableConfig {
         ReliableConfig {
             ack_timeout: Duration::from_secs(5),
             max_retries: 5,
-            backoff: 2.0,
-            jitter_frac: 0.1,
-            ack_delay: Duration::from_millis(10),
             breaker: None,
         }
     }
@@ -213,11 +211,11 @@ impl Reliable {
     /// Backoff delay before retry number `attempt` (0 = first ack wait),
     /// with deterministic multiplicative jitter from the hash stream.
     fn retry_delay(&mut self, attempt: u32) -> Duration {
-        let base = self.cfg.ack_timeout.as_secs_f64() * self.cfg.backoff.powi(attempt as i32);
+        let base = self.cfg.ack_timeout.as_secs_f64() * BACKOFF.powi(attempt as i32);
         // 53 explicitly-placed mantissa bits -> uniform in [0, 1).
         let u = (mix(self.jitter_seed, self.jitter_counter) >> 11) as f64 / (1u64 << 53) as f64;
         self.jitter_counter = self.jitter_counter.wrapping_add(1);
-        Duration::from_secs_f64(base * (1.0 + self.cfg.jitter_frac * u))
+        Duration::from_secs_f64(base * (1.0 + JITTER_FRAC * u))
     }
 }
 
@@ -465,8 +463,7 @@ impl World {
             if let Some(r) = self.reliable.as_mut() {
                 // Ack every copy (the first ack may race a retransmission),
                 // but run the handler exactly once per sequence number.
-                let ack_delay = r.cfg.ack_delay;
-                sched.schedule_at(at + ack_delay, Ev::AckArrives(env.seq));
+                sched.schedule_at(at + ACK_DELAY, Ev::AckArrives(env.seq));
                 if !r.delivered.insert(env.seq) {
                     self.metrics.count("reliable.duplicate", 1);
                     return;
@@ -561,13 +558,6 @@ impl AgentSystem {
         self.sim.run_until(t);
     }
 
-    /// `(dropped, corrupted, delayed)` tallies from the installed fault
-    /// injector.
-    pub fn fault_counts(&self) -> (u64, u64, u64) {
-        let i = &self.sim.model.injector;
-        (i.dropped, i.corrupted, i.delayed)
-    }
-
     /// Register an agent behind a deputy; returns its fresh id.
     pub fn register(&mut self, agent: Box<dyn Agent>, deputy: Box<dyn Deputy>) -> AgentId {
         let id = AgentId(self.next_id);
@@ -598,11 +588,6 @@ impl AgentSystem {
     /// Run until the event queue drains (all conversations finished).
     pub fn run_to_quiescence(&mut self) {
         self.sim.run();
-    }
-
-    /// Run for at most `span` of simulated time.
-    pub fn run_for(&mut self, span: Duration) {
-        self.sim.run_for(span);
     }
 
     /// Current simulated time.
@@ -878,7 +863,6 @@ mod tests {
                 failure_threshold: 2,
                 open_for: Duration::from_secs(30),
             }),
-            ..ReliableConfig::default()
         };
         sys.enable_reliability(cfg, 13);
         let pinger = sys.register(Box::new(Pinger::new()), direct());

@@ -8,9 +8,7 @@ use pg_bench::standard_world;
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
 use pg_partition::exec::ExecContext;
 use pg_partition::features::QueryFeatures;
-use pg_partition::learn::{
-    BanditConfig, CandidateArm, LearnContext, Learner, LinUcbLearner, Reward,
-};
+use pg_partition::learn::{CandidateArm, LearnContext, Learner, LinUcbLearner, Reward};
 use pg_partition::model::{CostVector, CostWeights, SolutionModel};
 
 fn bench_parse_classify(c: &mut Criterion) {
@@ -149,7 +147,7 @@ fn bench_bandit(c: &mut Criterion) {
     for &n in &[8usize, 64] {
         let arms: Vec<CandidateArm> = (0..n).map(arm).collect();
         // Warm every arm so select pays the full per-arm UCB cost.
-        let mut learner = LinUcbLearner::new(BanditConfig::default(), CostWeights::default(), 5);
+        let mut learner = LinUcbLearner::new(CostWeights::default(), 5);
         for a in &arms {
             learner.observe(&ctx, a, &Reward::from_cost(a.analytic));
         }

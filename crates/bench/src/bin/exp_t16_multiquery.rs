@@ -72,10 +72,26 @@ fn main() -> ExitCode {
     exp.table("per-query response time includes queue wait; reject = admission queue full");
     let policies = [SchedPolicy::Fifo, SchedPolicy::Edf, SchedPolicy::EnergyFair];
     for load in [1usize, 4, 16, 64] {
+        // What FIFO spent at this load, seed by seed.
+        let mut fifo_energy_j = Vec::new();
         for policy in policies {
             let (mut st, mut epochs) = (RunStats::default(), 0);
             for seed in 0..reps {
                 let (run_epochs, run) = run_cell(load, policy, seed);
+                match policy {
+                    SchedPolicy::Fifo => fifo_energy_j.push(run.energy_j),
+                    // With a backlog to order, cheapest-first is not
+                    // arrival order, and it spends less.
+                    SchedPolicy::EnergyFair if load >= 16 => {
+                        let fifo = fifo_energy_j[seed as usize];
+                        assert!(
+                            run.energy_j < fifo,
+                            "load {load} seed {seed}: efair spent {} J, fifo {fifo} J",
+                            run.energy_j
+                        );
+                    }
+                    _ => {}
+                }
                 epochs += run_epochs;
                 st.absorb(&run);
             }

@@ -91,11 +91,6 @@ impl ServiceWorld {
         id
     }
 
-    /// Is `id` up at `t`?
-    pub fn is_up(&self, id: ServiceId, t: SimTime) -> bool {
-        self.churn.get(&id).is_none_or(|s| s.is_up(t))
-    }
-
     /// Does `id` stay up throughout `[t, t + span]`?
     pub fn up_throughout(&self, id: ServiceId, t: SimTime, span: Duration) -> bool {
         self.churn.get(&id).is_none_or(|s| s.up_throughout(t, span))

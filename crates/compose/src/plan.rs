@@ -37,12 +37,6 @@ impl Role {
             optional: true,
         }
     }
-
-    /// Builder: add a constraint.
-    pub fn with_constraint(mut self, c: Constraint) -> Self {
-        self.constraints.push(c);
-        self
-    }
 }
 
 /// One step of a plan: a role plus the indices of steps it depends on.

@@ -94,13 +94,6 @@ impl PlanCache {
         Ok(())
     }
 
-    /// Is a fresh (unexpired) entry for `task` present at time `now`?
-    pub fn is_warm(&self, task: &str, now: SimTime) -> bool {
-        self.entries
-            .get(task)
-            .is_some_and(|(_, stamp)| now.since(*stamp) <= self.ttl)
-    }
-
     /// Serve a composition request at time `now`: returns the plan, how it
     /// was served, and the setup latency incurred before execution can
     /// begin (planning + discovery on a miss; revalidation on a hit).
@@ -124,16 +117,6 @@ impl PlanCache {
             CacheResult::Miss,
             costs.plan_time + costs.discovery_sweep,
         ))
-    }
-
-    /// Cached task count.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Is the cache empty?
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
     }
 }
 
@@ -201,7 +184,6 @@ mod tests {
         let mut c = cache(60);
         let costs = ComposeCosts::default();
         c.warm("temperature-distribution", SimTime::ZERO).unwrap();
-        assert!(c.is_warm("temperature-distribution", SimTime::from_secs(5)));
         let (_, r, l) = c
             .request("temperature-distribution", SimTime::from_secs(5), &costs)
             .unwrap();
@@ -209,7 +191,6 @@ mod tests {
         assert_eq!(l, costs.revalidate_time);
         assert_eq!((c.hits, c.misses, c.prewarms), (1, 0, 1));
         // Past the TTL the warmth has faded: full reactive path again.
-        assert!(!c.is_warm("temperature-distribution", SimTime::from_secs(120)));
         let (_, r2, _) = c
             .request("temperature-distribution", SimTime::from_secs(120), &costs)
             .unwrap();
@@ -220,7 +201,6 @@ mod tests {
     fn warming_unknown_task_errors_and_stays_cold() {
         let mut c = cache(60);
         assert!(c.warm("bogus", SimTime::ZERO).is_err());
-        assert!(c.is_empty());
         assert_eq!(c.prewarms, 0);
     }
 
@@ -230,7 +210,7 @@ mod tests {
         assert!(c
             .request("bogus", SimTime::ZERO, &ComposeCosts::default())
             .is_err());
-        assert!(c.is_empty());
+        assert_eq!((c.hits, c.prewarms), (0, 0));
     }
 
     #[test]

@@ -14,8 +14,8 @@ pub enum PgError {
     /// No solution model satisfies the query's COST bounds — the runtime
     /// rejects rather than blowing the budget (experiment T10).
     CostBoundsUnsatisfiable,
-    /// A component was (re)configured with invalid parameters — a bad
-    /// fault plan, link model, region, or filter.
+    /// The runtime broke one of its own invariants (a batch slot the
+    /// engine never filled); the message says which.
     Config(String),
 }
 
@@ -43,18 +43,6 @@ impl From<ParseError> for PgError {
 impl From<ExecError> for PgError {
     fn from(e: ExecError) -> Self {
         PgError::Exec(e)
-    }
-}
-
-impl From<pg_net::InvalidConfig> for PgError {
-    fn from(e: pg_net::InvalidConfig) -> Self {
-        PgError::Config(e.0)
-    }
-}
-
-impl From<pg_sim::fault::FaultConfigError> for PgError {
-    fn from(e: pg_sim::fault::FaultConfigError) -> Self {
-        PgError::Config(e.0)
     }
 }
 

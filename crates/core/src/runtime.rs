@@ -144,42 +144,30 @@ pub struct QueryRecord {
 #[derive(Debug)]
 pub struct GridBuilder {
     topology: Topology,
-    base: NodeId,
     battery_j: f64,
     link: LinkModel,
-    radio: RadioModel,
     policy: Policy,
     seed: u64,
     regions: BTreeMap<String, Region>,
     faults: FaultPlan,
     deadline: Option<Duration>,
     tree_maintenance: TreeMaintenance,
-    decision: DecisionConfig,
 }
 
 impl GridBuilder {
-    /// Start from a topology; the base station defaults to node 0.
+    /// Start from a topology; the base station is node 0.
     pub fn new(topology: Topology) -> Self {
         GridBuilder {
             topology,
-            base: NodeId(0),
             battery_j: 50.0,
             link: LinkModel::sensor_radio(),
-            radio: RadioModel::mote(),
             policy: Policy::Adaptive,
             seed: 42,
             regions: BTreeMap::new(),
             faults: FaultPlan::none(),
             deadline: None,
             tree_maintenance: TreeMaintenance::Free,
-            decision: DecisionConfig::default(),
         }
-    }
-
-    /// Set the base-station node.
-    pub fn base(mut self, base: NodeId) -> Self {
-        self.base = base;
-        self
     }
 
     /// Set per-sensor battery capacity, joules.
@@ -197,14 +185,6 @@ impl GridBuilder {
     /// Set the decision policy.
     pub fn policy(mut self, policy: Policy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Configure the decision maker (exploration, calibration window,
-    /// bandit hyper-parameters) via [`DecisionConfig::builder`]. When not
-    /// set, the policy runs under [`DecisionConfig::default`].
-    pub fn decision_config(mut self, cfg: DecisionConfig) -> Self {
-        self.decision = cfg;
         self
     }
 
@@ -252,8 +232,8 @@ impl GridBuilder {
         let streams = RngStreams::new(self.seed);
         let mut net = SensorNetwork::new(
             self.topology,
-            self.base,
-            self.radio,
+            NodeId(0),
+            RadioModel::mote(),
             self.link,
             self.battery_j,
         );
@@ -266,7 +246,7 @@ impl GridBuilder {
             grid,
             field: TemperatureField::calm(21.0),
             regions: self.regions,
-            decision: DecisionMaker::with_config(self.policy, self.seed, self.decision),
+            decision: DecisionMaker::with_config(self.policy, self.seed, DecisionConfig::default()),
             now: SimTime::ZERO,
             log: Vec::new(),
             proxy: None,

@@ -72,16 +72,6 @@ impl BrokerFederation {
         }
     }
 
-    /// Number of brokers.
-    pub fn len(&self) -> usize {
-        self.registries.len()
-    }
-
-    /// Is the federation empty?
-    pub fn is_empty(&self) -> bool {
-        self.registries.is_empty()
-    }
-
     /// Borrow broker `i`'s registry.
     pub fn registry(&self, i: usize) -> &Registry {
         &self.registries[i]

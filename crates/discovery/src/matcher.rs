@@ -160,15 +160,6 @@ pub fn rank(
     out
 }
 
-/// Convenience: the single best match, if any.
-pub fn best(
-    onto: &Ontology,
-    request: &ServiceRequest,
-    services: &[ServiceDescription],
-) -> Option<Match> {
-    rank(onto, request, services).into_iter().next()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,12 +229,12 @@ mod tests {
         // Shortest queue.
         let req = ServiceRequest::for_class(printer)
             .with_preference(Preference::Minimize("queue_length".into()));
-        assert_eq!(best(&o, &req, &svcs).unwrap().index, 3); // queue 0
+        assert_eq!(rank(&o, &req, &svcs)[0].index, 3); // queue 0
 
         // Geographically closest to the lobby door.
         let req = ServiceRequest::for_class(printer)
             .with_preference(Preference::Nearest(Point::flat(0.0, 0.0)));
-        let top = best(&o, &req, &svcs).unwrap();
+        let top = &rank(&o, &req, &svcs)[0];
         assert_eq!(top.index, 1, "lobby-color at (5,5) is closest");
 
         // Color within a cost cap: only lobby-color (0.25 <= 0.30).

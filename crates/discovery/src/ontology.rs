@@ -14,7 +14,6 @@ pub struct ClassId(pub u32);
 
 #[derive(Debug, Clone)]
 struct ClassInfo {
-    name: String,
     parents: Vec<ClassId>,
     /// Reverse edges, maintained by `add_class`: classes listing this one
     /// as a parent. Lets the matcher walk *down* the DAG (descendants)
@@ -53,7 +52,6 @@ impl Ontology {
         }
         let id = ClassId(self.classes.len() as u32);
         self.classes.push(ClassInfo {
-            name: name.to_string(),
             parents: parents.to_vec(),
             children: Vec::new(),
         });
@@ -67,11 +65,6 @@ impl Ontology {
     /// Look a class up by name.
     pub fn class(&self, name: &str) -> Option<ClassId> {
         self.by_name.get(name).copied()
-    }
-
-    /// Name of a class.
-    pub fn name(&self, id: ClassId) -> &str {
-        &self.classes[id.0 as usize].name
     }
 
     /// Number of classes.
@@ -245,8 +238,6 @@ mod tests {
         let o = Ontology::pervasive_grid();
         assert!(o.class("PdeSolverService").is_some());
         assert!(o.class("NoSuchService").is_none());
-        let id = o.class("MapService").unwrap();
-        assert_eq!(o.name(id), "MapService");
     }
 
     #[test]

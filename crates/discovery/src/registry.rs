@@ -139,14 +139,6 @@ impl Registry {
         self.services.get(&id)
     }
 
-    /// Mutably borrow a registered description (services update their own
-    /// advertisements, e.g. queue length). The advertised *class* must not
-    /// be changed through this handle — the registry indexes by class;
-    /// re-register to change class.
-    pub fn get_mut(&mut self, id: ServiceId) -> Option<&mut ServiceDescription> {
-        self.services.get_mut(&id)
-    }
-
     /// Iterate `(id, description)` in id order.
     pub fn iter(&self) -> impl Iterator<Item = (ServiceId, &ServiceDescription)> {
         self.services.iter().map(|(&id, d)| (id, d))
@@ -377,23 +369,5 @@ mod tests {
         assert_eq!(reg.candidates(&onto, temp), vec![b]);
         reg.expire_leases(SimTime::from_secs(10));
         assert!(reg.candidates(&onto, temp).is_empty());
-    }
-
-    #[test]
-    fn advertisement_updates_visible_to_queries() {
-        let onto = Ontology::pervasive_grid();
-        let printer = onto.class("PrinterService").unwrap();
-        let mut reg = Registry::new();
-        let id = reg.register(
-            ServiceDescription::new("p", printer).with_prop("queue_length", Value::Num(9.0)),
-        );
-        reg.get_mut(id)
-            .unwrap()
-            .properties
-            .insert("queue_length".into(), Value::Num(0.0));
-        let req = ServiceRequest::for_class(printer).with_constraint(
-            crate::description::Constraint::Le("queue_length".into(), 1.0),
-        );
-        assert_eq!(reg.query(&onto, &req).len(), 1);
     }
 }

@@ -222,11 +222,6 @@ impl Membership {
         }
     }
 
-    /// The owner's current incarnation number.
-    pub fn incarnation(&self) -> u64 {
-        self.table.get(&self.me).map_or(0, |i| i.entry.incarnation)
-    }
-
     /// How many times this table has resurrected `cell` (Dead -> Alive).
     /// A stable protocol resurrects an evicted peer at most once per
     /// genuine recovery; flapping shows up as a higher count.

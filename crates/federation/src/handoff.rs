@@ -321,11 +321,6 @@ impl HandoffStore {
         }
         c
     }
-
-    /// Iterate all records, in id order.
-    pub fn records(&self) -> impl Iterator<Item = &HandoffRecord> {
-        self.records.iter()
-    }
 }
 
 #[cfg(test)]

@@ -88,21 +88,6 @@ impl Field3 {
         &mut self.data
     }
 
-    /// Root-mean-square difference against another field of the same shape.
-    ///
-    /// # Panics
-    /// Panics on shape mismatch.
-    pub fn rmse(&self, other: &Field3) -> f64 {
-        assert_eq!(self.shape(), other.shape(), "shape mismatch");
-        let ss: f64 = self
-            .data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b) * (a - b))
-            .sum();
-        (ss / self.data.len() as f64).sqrt()
-    }
-
     /// Maximum absolute difference against another field of the same shape.
     ///
     /// # Panics
@@ -148,19 +133,18 @@ mod tests {
     }
 
     #[test]
-    fn rmse_and_max_diff() {
+    fn max_diff() {
         let a = Field3::new(2, 2, 2, 1.0);
         let mut b = Field3::new(2, 2, 2, 1.0);
         b.set(0, 0, 0, 3.0);
-        assert!((a.rmse(&b) - (4.0f64 / 8.0).sqrt()).abs() < 1e-12);
         assert_eq!(a.max_abs_diff(&b), 2.0);
-        assert_eq!(a.rmse(&a), 0.0);
+        assert_eq!(a.max_abs_diff(&a), 0.0);
     }
 
     #[test]
     #[should_panic(expected = "shape mismatch")]
-    fn rmse_rejects_shape_mismatch() {
-        Field3::new(2, 2, 2, 0.0).rmse(&Field3::new(2, 2, 3, 0.0));
+    fn max_diff_rejects_shape_mismatch() {
+        Field3::new(2, 2, 2, 0.0).max_abs_diff(&Field3::new(2, 2, 3, 0.0));
     }
 
     #[test]

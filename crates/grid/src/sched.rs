@@ -91,11 +91,6 @@ impl GridCluster {
         self.faults = plan;
     }
 
-    /// The installed fault plan (the empty plan when none was set).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.faults
-    }
-
     /// A small campus grid: one fast cluster node, two workstations.
     pub fn campus() -> Self {
         GridCluster::new(
@@ -121,14 +116,6 @@ impl GridCluster {
     /// Aggregate FLOP rate of the cluster.
     pub fn total_flops(&self) -> f64 {
         self.nodes.iter().map(|n| n.flops).sum()
-    }
-
-    /// End-to-end time for a single job on the best node: upload, compute,
-    /// download. Ignores worker outages (submission time unknown); see
-    /// [`single_job_time_at`][Self::single_job_time_at].
-    pub fn single_job_time(&self, job: &Job) -> Duration {
-        self.single_job_time_at(job, SimTime::ZERO)
-            .unwrap_or(Duration::ZERO)
     }
 
     /// End-to-end time for a single job submitted at absolute instant `at`:
@@ -235,7 +222,7 @@ mod tests {
     fn single_job_includes_transfer_both_ways() {
         let c = GridCluster::campus();
         let j = job("j", 50_000_000_000); // 1 s on the 50 GF head
-        let t = c.single_job_time(&j);
+        let t = c.single_job_time_at(&j, SimTime::ZERO).unwrap();
         let expect =
             c.backhaul().tx_time(1_000) + Duration::from_secs(1) + c.backhaul().tx_time(100);
         assert_eq!(t, expect);
@@ -291,7 +278,7 @@ mod tests {
     fn dead_workers_queue_jobs_until_recovery() {
         let mut c = GridCluster::campus();
         let j = job("j", 50_000_000_000); // 1 s on the 50 GF head
-        let clean = c.single_job_time(&j);
+        let clean = c.single_job_time_at(&j, SimTime::ZERO).unwrap();
         // Kill every node for the first 100 s: the job waits, then runs.
         let mut b = FaultPlan::builder(1);
         for i in 0..c.nodes().len() {

@@ -37,14 +37,6 @@ impl ChurnProcess {
         })
     }
 
-    /// A stable fixed-grid service: ~3 h up, 1 min down.
-    pub fn stable() -> Self {
-        ChurnProcess {
-            mean_up_s: 10_800.0,
-            mean_down_s: 60.0,
-        }
-    }
-
     /// Long-run fraction of time the service is up.
     pub fn availability(&self) -> f64 {
         self.mean_up_s / (self.mean_up_s + self.mean_down_s)

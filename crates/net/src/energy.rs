@@ -44,18 +44,6 @@ impl RadioModel {
         }
     }
 
-    /// A handheld/PDA radio: same shape, beefier electronics, cheaper CPU
-    /// energy per op (faster silicon doing more per joule).
-    pub fn handheld() -> Self {
-        RadioModel {
-            e_elec: 80e-9,
-            eps_fs: 12e-12,
-            eps_mp: 0.0015e-12,
-            e_cpu_per_op: 1e-9,
-            idle_power: 50e-3,
-        }
-    }
-
     /// Amplifier crossover distance `d₀ = sqrt(ε_fs / ε_mp)`, metres.
     pub fn crossover_distance(&self) -> f64 {
         (self.eps_fs / self.eps_mp).sqrt()
@@ -141,11 +129,6 @@ impl Battery {
         (self.capacity_j - self.used_j).max(0.0)
     }
 
-    /// Remaining fraction in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        self.remaining() / self.capacity_j
-    }
-
     /// True once the battery has been fully drained.
     pub fn is_dead(&self) -> bool {
         self.used_j >= self.capacity_j
@@ -216,7 +199,6 @@ mod tests {
         let mut b = Battery::new(1.0);
         assert!(b.drain(0.4));
         assert!((b.remaining() - 0.6).abs() < 1e-12);
-        assert!((b.fraction() - 0.6).abs() < 1e-12);
         assert!(!b.drain(0.7)); // crosses empty
         assert!(b.is_dead());
         assert_eq!(b.remaining(), 0.0);

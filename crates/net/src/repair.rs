@@ -57,18 +57,6 @@ impl RepairStats {
     pub fn touched(&self) -> usize {
         self.reanchored + self.recomputed + self.unreachable
     }
-
-    /// Accumulate another repair round into this one (waves add: rounds
-    /// happen at different epochs).
-    pub fn absorb(&mut self, other: &RepairStats) {
-        self.dead += other.dead;
-        self.orphans += other.orphans;
-        self.reanchored += other.reanchored;
-        self.recomputed += other.recomputed;
-        self.unreachable += other.unreachable;
-        self.waves += other.waves;
-        self.changed.extend_from_slice(&other.changed);
-    }
 }
 
 /// Remove `v` from `p`'s (ascending-sorted) child list, if present.

@@ -10,7 +10,6 @@
 use crate::energy::RadioModel;
 use crate::link::LinkModel;
 use crate::topology::{NodeId, Topology};
-use pg_sim::Duration;
 use rand::Rng;
 
 /// Which dissemination/collection technique a network uses.
@@ -118,53 +117,6 @@ fn disseminate<R: Rng>(
     }
 }
 
-/// Cost of sending `bytes` point-to-point along `path` (consecutive nodes
-/// must be topology neighbours): per-hop radio energy at the actual hop
-/// distance plus link-model expected timing.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PathCost {
-    /// Total radio energy across all hops, joules.
-    pub energy_j: f64,
-    /// Expected end-to-end time including retransmissions.
-    pub time: Duration,
-    /// Hop count.
-    pub hops: u32,
-}
-
-/// Account energy and expected time for a unicast along `path`.
-///
-/// # Panics
-/// Panics when `path` is empty or a consecutive pair is out of radio range —
-/// both indicate a routing bug upstream.
-pub fn path_cost(
-    topo: &Topology,
-    path: &[NodeId],
-    bytes: u64,
-    radio: &RadioModel,
-    link: &LinkModel,
-) -> PathCost {
-    assert!(!path.is_empty(), "empty path");
-    let bits = bytes * 8;
-    let mut energy = 0.0;
-    let mut time = Duration::ZERO;
-    for w in path.windows(2) {
-        let d = topo.distance(w[0], w[1]);
-        assert!(
-            d <= topo.range() * (1.0 + 1e-9),
-            "path hop {}->{} exceeds radio range ({d:.1} m)",
-            w[0],
-            w[1]
-        );
-        energy += radio.tx_energy(bits, d) + radio.rx_energy(bits);
-        time += link.expected_tx_time(bytes);
-    }
-    PathCost {
-        energy_j: energy,
-        time,
-        hops: (path.len() - 1) as u32,
-    }
-}
-
 impl Protocol {
     /// Disseminate one packet from `src` under this protocol and return the
     /// outcome. For [`Protocol::Tree`] the packet is unicast hop-by-hop to
@@ -227,7 +179,7 @@ impl Protocol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geom::Point;
+    use pg_sim::Duration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -299,35 +251,6 @@ mod tests {
             assert!(d.transmissions <= 25);
             assert!(d.coverage() <= 1.0 && d.coverage() > 0.0);
         }
-    }
-
-    #[test]
-    fn path_cost_accumulates_per_hop() {
-        let pts = (0..4).map(|i| Point::flat(i as f64 * 10.0, 0.0)).collect();
-        let t = Topology::from_positions(pts, 15.0);
-        let radio = RadioModel::mote();
-        let link = lossless();
-        let path = t.shortest_path(NodeId(0), NodeId(3)).unwrap();
-        let c = path_cost(&t, &path, 100, &radio, &link);
-        assert_eq!(c.hops, 3);
-        let per_hop = radio.tx_energy(800, 10.0) + radio.rx_energy(800);
-        assert!((c.energy_j - 3.0 * per_hop).abs() < 1e-15);
-        assert_eq!(c.time, link.tx_time(100).mul(3));
-    }
-
-    #[test]
-    #[should_panic(expected = "exceeds radio range")]
-    fn path_cost_rejects_out_of_range_hop() {
-        let pts = vec![Point::flat(0.0, 0.0), Point::flat(100.0, 0.0)];
-        let t = Topology::from_positions(pts, 15.0);
-        // NB: not actually neighbours — path is bogus by construction.
-        path_cost(
-            &t,
-            &[NodeId(0), NodeId(1)],
-            10,
-            &RadioModel::mote(),
-            &lossless(),
-        );
     }
 
     #[test]

@@ -56,6 +56,10 @@ pub enum Policy {
 /// Neighbourhood size of the adaptive policy's k-NN case memory.
 const KNN_K: usize = 5;
 
+/// Capacity of the `(predicted, actual)` calibration ring: long streaming
+/// runs keep a bounded window instead of growing per query.
+const CALIBRATION_CAP: usize = 1024;
+
 /// Why no model could be chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoFeasibleModel;
@@ -68,8 +72,6 @@ pub struct DecisionConfig {
     epsilon: f64,
     blend: bool,
     safe_explore: bool,
-    calibration_cap: usize,
-    bandit: BanditConfig,
 }
 
 impl Default for DecisionConfig {
@@ -79,8 +81,6 @@ impl Default for DecisionConfig {
             epsilon: 0.1,
             blend: true,
             safe_explore: true,
-            calibration_cap: 1024,
-            bandit: BanditConfig::default(),
         }
     }
 }
@@ -96,31 +96,6 @@ impl DecisionConfig {
     /// Scalarization weights in force.
     pub fn weights(&self) -> CostWeights {
         self.weights
-    }
-
-    /// ε-greedy exploration rate of the adaptive (k-NN) policy.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Distance-blend k-NN predictions with the analytic estimate?
-    pub fn blend(&self) -> bool {
-        self.blend
-    }
-
-    /// Restrict ε-exploration to candidates within 5× of the best?
-    pub fn safe_explore(&self) -> bool {
-        self.safe_explore
-    }
-
-    /// Capacity of the calibration ring.
-    pub fn calibration_cap(&self) -> usize {
-        self.calibration_cap
-    }
-
-    /// Bandit hyper-parameters, the composite-reward blend among them.
-    pub fn bandit(&self) -> BanditConfig {
-        self.bandit
     }
 }
 
@@ -150,20 +125,6 @@ impl DecisionConfigBuilder {
     /// (ablation A1 switches this off: uniform ε-greedy).
     pub fn safe_explore(mut self, safe: bool) -> Self {
         self.cfg.safe_explore = safe;
-        self
-    }
-
-    /// Capacity of the `(predicted, actual)` calibration ring — long
-    /// streaming runs keep a bounded window instead of growing per query.
-    pub fn calibration_cap(mut self, cap: usize) -> Self {
-        self.cfg.calibration_cap = cap.max(1);
-        self
-    }
-
-    /// Bandit hyper-parameters (α optimism, γ discount, and the
-    /// composite-reward blend the bandit learns from).
-    pub fn bandit(mut self, bandit: BanditConfig) -> Self {
-        self.cfg.bandit = bandit;
         self
     }
 
@@ -217,10 +178,10 @@ impl CalibrationRing {
 
 /// The adaptive decision maker: policy + learner + health telemetry.
 ///
-/// All former loose public fields (`knn`, `weights`, `epsilon`, `blend`,
-/// `safe_explore`, `calibration`) are now configured through
-/// [`DecisionConfig::builder`] and read through accessors; the learning
-/// state lives behind the [`Learner`] trait.
+/// The scalarization weights and the k-NN policy's ablation switches
+/// (`epsilon`, `blend`, `safe_explore`) are configured through
+/// [`DecisionConfig::builder`]; the learning state lives behind the
+/// [`Learner`] trait.
 #[derive(Debug)]
 pub struct DecisionMaker {
     cfg: DecisionConfig,
@@ -237,7 +198,7 @@ impl DecisionMaker {
     /// A decision maker with the given policy, RNG seed and configuration.
     pub fn with_config(policy: Policy, seed: u64, cfg: DecisionConfig) -> Self {
         let learner: Box<dyn Learner> = match policy {
-            Policy::Bandit => Box::new(LinUcbLearner::new(cfg.bandit, cfg.weights, seed)),
+            Policy::Bandit => Box::new(LinUcbLearner::new(cfg.weights, seed)),
             _ => Box::new(KnnLearner::new(
                 KNN_K,
                 cfg.epsilon,
@@ -250,9 +211,10 @@ impl DecisionMaker {
             cfg,
             policy,
             learner,
-            tree_bandit: matches!(policy, Policy::Bandit).then(|| TreeModeBandit::new(&cfg.bandit)),
+            tree_bandit: matches!(policy, Policy::Bandit)
+                .then(|| TreeModeBandit::new(&BanditConfig::default())),
             rng: StdRng::seed_from_u64(seed),
-            calibration: CalibrationRing::new(cfg.calibration_cap),
+            calibration: CalibrationRing::new(CALIBRATION_CAP),
             health: NetHealth::default(),
         }
     }
@@ -267,20 +229,9 @@ impl DecisionMaker {
         &self.cfg
     }
 
-    /// The learner behind the policy.
-    pub fn learner(&self) -> &dyn Learner {
-        self.learner.as_ref()
-    }
-
     /// Number of outcomes the learner has absorbed.
     pub fn history_len(&self) -> usize {
         self.learner.observations()
-    }
-
-    /// Live health telemetry (EWMAs of observed degradation + scheduler
-    /// pressure).
-    pub fn health(&self) -> NetHealth {
-        self.health
     }
 
     /// Publish the scheduler's queue pressure: waiting-queue depth and
@@ -288,19 +239,6 @@ impl DecisionMaker {
     /// bandit; a no-op for every other policy's choices.
     pub fn note_pressure(&mut self, queue_depth: usize, overload_level: f64) {
         self.health.set_pressure(queue_depth, overload_level);
-    }
-
-    /// Attribute agent-bus dead letters observed since the last query to
-    /// the health tracker (they feed the composite reward's EWMA context).
-    pub fn note_dead_letters(&mut self, count: u64) {
-        let r = Reward {
-            cost: CostVector::default(),
-            loss_frac: 0.0,
-            deadline_missed: false,
-            retries: 0,
-            dead_letters: count,
-        };
-        self.health.absorb(&r);
     }
 
     /// Predicted cost of one candidate, by the active learner: for k-NN, a
@@ -478,8 +416,8 @@ impl DecisionMaker {
             / tail.len() as f64
     }
 
-    /// Number of calibration pairs currently held (bounded by
-    /// [`DecisionConfig::calibration_cap`]).
+    /// Number of calibration pairs currently held (at most 1 024: long
+    /// streaming runs keep a bounded window).
     pub fn calibration_len(&self) -> usize {
         self.calibration.len()
     }
@@ -562,7 +500,6 @@ pub fn oracle_choice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learn::RewardWeights;
     use pg_net::energy::RadioModel;
     use pg_net::geom::Point;
     use pg_net::link::LinkModel;
@@ -708,27 +645,14 @@ mod tests {
 
     #[test]
     fn calibration_ring_is_bounded() {
-        let (mut net, grid, field, regions) = world();
-        let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = DecisionMaker::with_config(
-            Policy::Adaptive,
-            4,
-            DecisionConfig::builder().calibration_cap(8).build(),
-        );
-        let actual = CostVector {
-            energy_j: 0.02,
-            time_s: 1.0,
-            bytes: 5_000.0,
-            ops: 3_000.0,
-        };
-        for _ in 0..50 {
-            dm.record(&net, &grid, f, SolutionModel::BaseStation, actual);
+        let mut ring = CalibrationRing::new(8);
+        for i in 0..50 {
+            ring.push((f64::from(i), 0.0));
         }
-        assert_eq!(dm.calibration_len(), 8);
-        assert_eq!(dm.history_len(), 50, "the case memory itself still grows");
-        // The error over the retained window still reflects recent history.
-        assert!(dm.calibration_error(8) < 1e-6);
+        assert_eq!(ring.len(), 8);
+        // Most recent first, the oldest of the window last.
+        let kept: Vec<f64> = ring.iter_recent().map(|&(p, _)| p).collect();
+        assert_eq!(kept, [49.0, 48.0, 47.0, 46.0, 45.0, 44.0, 43.0, 42.0]);
     }
 
     #[test]
@@ -838,53 +762,6 @@ mod tests {
     }
 
     #[test]
-    fn the_reward_blend_in_the_bandit_config_reaches_the_learner() {
-        let (mut net, grid, field, regions) = world();
-        let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
-        // The tree is much the cheapest arm and always late; every other
-        // arm is dearer and on time. How often is the tree picked over
-        // the last 20 of 80 decisions, given what a deadline miss weighs?
-        let late_picks = |deadline: f64| {
-            let reward = RewardWeights {
-                deadline,
-                ..RewardWeights::default()
-            };
-            let cfg = DecisionConfig::builder()
-                .bandit(BanditConfig {
-                    reward,
-                    ..BanditConfig::default()
-                })
-                .build();
-            let mut dm = DecisionMaker::with_config(Policy::Bandit, 6, cfg);
-            let mut picks = 0;
-            for i in 0..80 {
-                let m = dm.choose(&net, &grid, &q, &f).unwrap();
-                let tree = m.family() == 0;
-                let cost = CostVector {
-                    energy_j: if tree { 0.005 } else { 0.3 },
-                    time_s: 0.1,
-                    bytes: 100.0,
-                    ops: 100.0,
-                };
-                let outcome = Reward {
-                    deadline_missed: tree,
-                    ..Reward::from_cost(cost)
-                };
-                dm.observe(&net, &grid, f, m, outcome);
-                picks += usize::from(i >= 60 && tree);
-            }
-            picks
-        };
-        let (ignored, default) = (late_picks(0.0), late_picks(1.0));
-        assert!(ignored >= 16, "misses weigh nothing, yet {ignored}/20 tree");
-        assert!(
-            default <= 4,
-            "misses weigh as much as cost, yet {default}/20 tree"
-        );
-    }
-
-    #[test]
     fn health_tracks_degradation_and_pressure() {
         let (net, grid, field, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
@@ -892,8 +769,8 @@ mod tests {
         let f = features(&mut n, &grid, &field, &regions, &q);
         let mut dm = maker(Policy::Bandit, 9);
         dm.note_pressure(32, 1.0);
-        assert_eq!(dm.health().queue_depth, 32);
-        assert_eq!(dm.health().overload_level, 1.0);
+        assert_eq!(dm.health.queue_depth, 32);
+        assert_eq!(dm.health.overload_level, 1.0);
         dm.observe(
             &n,
             &grid,
@@ -907,10 +784,9 @@ mod tests {
                 dead_letters: 1,
             },
         );
-        assert!(dm.health().loss_ewma > 0.0);
-        assert!(dm.health().miss_ewma > 0.0);
-        dm.note_dead_letters(2);
-        assert!(dm.health().dead_letter_ewma > 0.0);
+        assert!(dm.health.loss_ewma > 0.0);
+        assert!(dm.health.miss_ewma > 0.0);
+        assert!(dm.health.dead_letter_ewma > 0.0);
     }
 
     #[test]
@@ -951,13 +827,11 @@ mod prop_tests {
                 };
                 QueryFeatures::extract(&ctx, &q).unwrap()
             };
-            let mut dm = DecisionMaker::with_config(
-                Policy::Bandit,
-                seed,
-                DecisionConfig::builder()
-                    .bandit(BanditConfig { alpha: 0.0, gamma: 1.0, ..BanditConfig::default() })
-                    .build(),
-            );
+            let mut dm = DecisionMaker::with_config(Policy::Bandit, seed, DecisionConfig::default());
+            dm.learner = Box::new(LinUcbLearner::with_config(
+                BanditConfig { alpha: 0.0, gamma: 1.0 },
+                CostWeights::default(),
+            ));
             let cost_of = |m: &SolutionModel| {
                 let s = if m.family() == best_family { 0.05 } else { 4.0 };
                 CostVector { energy_j: s * 0.1, time_s: 0.1, bytes: 0.0, ops: 0.0 }

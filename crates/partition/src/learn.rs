@@ -73,8 +73,8 @@ impl NetHealth {
 /// The full outcome signal of one executed query, as seen by the learner.
 ///
 /// [`KnnLearner`] consumes only `cost` (exactly the pre-existing k-NN
-/// feedback path); [`LinUcbLearner`] collapses everything into a composite
-/// scalar via [`RewardWeights`].
+/// feedback path); [`LinUcbLearner`] collapses everything into one
+/// composite scalar.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reward {
     /// Measured execution cost (excludes queue wait and outage wait).
@@ -103,50 +103,37 @@ impl Reward {
     }
 }
 
-/// How the composite bandit reward blends cost with degradation.
+/// Weight of the squashed scalar cost in the composite bandit reward.
 ///
-/// The scalar cost is squashed to `(0, 1)` by `s / (s + cost_scale)` so a
+/// The scalar cost is squashed to `[0, 1)` by [`squash`] so a
 /// single catastrophic pull cannot blow up the ridge estimate; degradation
 /// terms are already bounded. The composite reward is the *negative*
 /// weighted sum — higher is better, and everything lives in a bounded
 /// range, which keeps the linear model well-conditioned.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RewardWeights {
-    /// Weight on the squashed scalar cost.
-    pub cost: f64,
-    /// Weight on the loss fraction.
-    pub loss: f64,
-    /// Weight on a deadline miss.
-    pub deadline: f64,
-    /// Weight on dead letters (saturating at 4 per query).
-    pub dead_letter: f64,
-    /// Scalar-cost squash midpoint: a cost of `cost_scale` maps to 0.5.
-    pub cost_scale: f64,
+const REWARD_COST: f64 = 1.0;
+/// Weight of the loss fraction.
+const REWARD_LOSS: f64 = 0.5;
+/// Weight of a deadline miss.
+const REWARD_DEADLINE: f64 = 1.0;
+/// Weight of dead letters (saturating at 4 per query).
+const REWARD_DEAD_LETTER: f64 = 0.25;
+/// Scalar-cost squash midpoint: a cost of `COST_SCALE` maps to 0.5.
+const COST_SCALE: f64 = 5.0;
+
+/// A scalar cost (negative ones count as zero) squashed to `[0, 1)`.
+fn squash(scalar_cost: f64) -> f64 {
+    let s = scalar_cost.max(0.0);
+    s / (s + COST_SCALE)
 }
 
-impl Default for RewardWeights {
-    fn default() -> Self {
-        RewardWeights {
-            cost: 1.0,
-            loss: 0.5,
-            deadline: 1.0,
-            dead_letter: 0.25,
-            cost_scale: 5.0,
-        }
-    }
-}
-
-impl RewardWeights {
-    /// Collapse an outcome into the composite scalar reward (≤ 0; higher
-    /// is better). `scalar_cost` is the cost vector under the decision
-    /// maker's scalarization weights.
-    pub fn composite(&self, scalar_cost: f64, r: &Reward) -> f64 {
-        let s = scalar_cost.max(0.0);
-        -(self.cost * (s / (s + self.cost_scale.max(1e-9)))
-            + self.loss * r.loss_frac.clamp(0.0, 1.0)
-            + self.deadline * f64::from(r.deadline_missed)
-            + self.dead_letter * (r.dead_letters.min(4) as f64 / 4.0))
-    }
+/// Collapse an outcome into the composite scalar reward (≤ 0; higher is
+/// better). `scalar_cost` is the cost vector under the decision maker's
+/// scalarization weights.
+fn composite_reward(scalar_cost: f64, r: &Reward) -> f64 {
+    -(REWARD_COST * squash(scalar_cost)
+        + REWARD_LOSS * r.loss_frac.clamp(0.0, 1.0)
+        + REWARD_DEADLINE * f64::from(r.deadline_missed)
+        + REWARD_DEAD_LETTER * (r.dead_letters.min(4) as f64 / 4.0))
 }
 
 /// The context of one selection: what the learner may condition on.
@@ -296,17 +283,16 @@ impl Learner for KnnLearner {
     }
 }
 
-/// LinUCB hyper-parameters.
+/// LinUCB hyper-parameters: one value each in the system, varied only by
+/// this module's tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BanditConfig {
+pub(crate) struct BanditConfig {
     /// UCB exploration width (0 disables optimism beyond the one free
     /// pull every unseen arm gets).
     pub alpha: f64,
     /// Per-observation evidence discount (`< 1` tracks nonstationary
     /// environments; `1` is the stationary textbook update).
     pub gamma: f64,
-    /// Composite-reward blend.
-    pub reward: RewardWeights,
 }
 
 impl Default for BanditConfig {
@@ -314,7 +300,6 @@ impl Default for BanditConfig {
         BanditConfig {
             alpha: 0.8,
             gamma: 0.98,
-            reward: RewardWeights::default(),
         }
     }
 }
@@ -410,7 +395,12 @@ pub struct LinUcbLearner {
 impl LinUcbLearner {
     /// A fresh bandit. `_seed` is accepted for interface symmetry with the
     /// other learners; selection is deterministic and draws no randomness.
-    pub fn new(cfg: BanditConfig, weights: CostWeights, _seed: u64) -> Self {
+    pub fn new(weights: CostWeights, _seed: u64) -> Self {
+        Self::with_config(BanditConfig::default(), weights)
+    }
+
+    /// A fresh bandit under other hyper-parameters than the system's.
+    pub(crate) fn with_config(cfg: BanditConfig, weights: CostWeights) -> Self {
         LinUcbLearner {
             cfg,
             weights,
@@ -420,16 +410,11 @@ impl LinUcbLearner {
     }
 
     /// The context vector for one (context, arm) pair.
-    fn context_vector(
-        ctx: &LearnContext,
-        arm: &CandidateArm,
-        cost_scale: f64,
-    ) -> [f64; BANDIT_DIM] {
+    fn context_vector(ctx: &LearnContext, arm: &CandidateArm) -> [f64; BANDIT_DIM] {
         let one_hot = |k| if ctx.features.kind == k { 1.0 } else { 0.0 };
-        let s = arm.score.max(0.0);
         [
             1.0,
-            s / (s + cost_scale.max(1e-9)),
+            squash(arm.score),
             one_hot(QueryKind::Simple),
             one_hot(QueryKind::Aggregate),
             one_hot(QueryKind::Complex),
@@ -455,7 +440,7 @@ impl Learner for LinUcbLearner {
         let alpha = decayed_alpha(self.cfg.alpha, self.observations);
         let mut best: Option<(usize, f64)> = None;
         for (i, arm) in arms.iter().enumerate() {
-            let x = Self::context_vector(ctx, arm, self.cfg.reward.cost_scale);
+            let x = Self::context_vector(ctx, arm);
             let p = match self.arms.get(&arm.key) {
                 Some(state) => state.ucb(&x, alpha),
                 // Unseen arm: θ = 0, A = I.
@@ -472,9 +457,9 @@ impl Learner for LinUcbLearner {
     }
 
     fn observe(&mut self, ctx: &LearnContext, arm: &CandidateArm, reward: &Reward) {
-        let x = Self::context_vector(ctx, arm, self.cfg.reward.cost_scale);
+        let x = Self::context_vector(ctx, arm);
         let scalar = self.weights.scalar(&reward.cost);
-        let r = self.cfg.reward.composite(scalar, reward);
+        let r = composite_reward(scalar, reward);
         self.arms
             .entry(arm.key)
             .or_insert_with(LinArm::new)
@@ -532,7 +517,7 @@ pub struct TreeModeBandit {
 impl TreeModeBandit {
     /// A fresh tree-mode bandit sharing the placement bandit's optimism
     /// and discount parameters.
-    pub fn new(cfg: &BanditConfig) -> Self {
+    pub(crate) fn new(cfg: &BanditConfig) -> Self {
         TreeModeBandit {
             alpha: cfg.alpha,
             gamma: cfg.gamma,
@@ -636,7 +621,6 @@ mod tests {
 
     #[test]
     fn composite_reward_is_bounded_and_monotone() {
-        let w = RewardWeights::default();
         let cheap = Reward::from_cost(CostVector {
             energy_j: 0.01,
             ..Default::default()
@@ -645,20 +629,20 @@ mod tests {
             energy_j: 100.0,
             ..Default::default()
         });
-        let r_cheap = w.composite(0.1, &cheap);
-        let r_dear = w.composite(1000.0, &dear);
+        let r_cheap = composite_reward(0.1, &cheap);
+        let r_dear = composite_reward(1000.0, &dear);
         assert!(r_cheap > r_dear, "{r_cheap} vs {r_dear}");
-        assert!(r_dear >= -(w.cost + w.loss + w.deadline + w.dead_letter));
+        assert!(r_dear >= -(REWARD_COST + REWARD_LOSS + REWARD_DEADLINE + REWARD_DEAD_LETTER));
         let missed = Reward {
             deadline_missed: true,
             ..cheap
         };
-        assert!(w.composite(0.1, &missed) < r_cheap);
+        assert!(composite_reward(0.1, &missed) < r_cheap);
     }
 
     #[test]
     fn unseen_arms_are_each_tried_once() {
-        let mut bandit = LinUcbLearner::new(BanditConfig::default(), CostWeights::default(), 0);
+        let mut bandit = LinUcbLearner::new(CostWeights::default(), 0);
         let arms: Vec<CandidateArm> = (0..5).map(|k| arm(k, 1.0 + k as f64)).collect();
         let c = ctx(20);
         let mut seen = Vec::new();
@@ -673,14 +657,12 @@ mod tests {
 
     #[test]
     fn bandit_converges_to_the_cheap_arm_under_stationary_rewards() {
-        let mut bandit = LinUcbLearner::new(
+        let mut bandit = LinUcbLearner::with_config(
             BanditConfig {
                 alpha: 0.0,
                 gamma: 1.0,
-                ..BanditConfig::default()
             },
             CostWeights::default(),
-            0,
         );
         let arms: Vec<CandidateArm> = vec![arm(0, 8.0), arm(1, 0.5), arm(2, 8.0)];
         let c = ctx(20);
@@ -699,14 +681,12 @@ mod tests {
     fn discounted_bandit_tracks_a_reward_flip() {
         // Arm 0 is cheap for 60 rounds, then becomes terrible; arm 1 is
         // steady. The discounted bandit must switch to arm 1.
-        let mut bandit = LinUcbLearner::new(
+        let mut bandit = LinUcbLearner::with_config(
             BanditConfig {
                 alpha: 0.4,
                 gamma: 0.9,
-                ..BanditConfig::default()
             },
             CostWeights::default(),
-            0,
         );
         let arms: Vec<CandidateArm> = vec![arm(0, 0.5), arm(1, 2.0)];
         let c = ctx(20);
@@ -738,7 +718,7 @@ mod tests {
     #[test]
     fn bandit_selection_is_deterministic() {
         let run = || {
-            let mut bandit = LinUcbLearner::new(BanditConfig::default(), CostWeights::default(), 7);
+            let mut bandit = LinUcbLearner::new(CostWeights::default(), 7);
             let arms: Vec<CandidateArm> = (0..7).map(|k| arm(k, 1.0 + (k % 3) as f64)).collect();
             let c = ctx(20);
             (0..50)
@@ -793,7 +773,6 @@ mod tests {
         let mut tb = TreeModeBandit::new(&BanditConfig {
             alpha: 0.0,
             gamma: 1.0,
-            ..BanditConfig::default()
         });
         let h = NetHealth::default();
         // Persistent is cheap, everything else dear.

@@ -37,7 +37,7 @@ pub use decide::{DecisionConfig, DecisionConfigBuilder, DecisionMaker, Policy};
 pub use exec::{execute_once, ExecContext, ExecError, Outcome};
 pub use features::QueryFeatures;
 pub use learn::{
-    bandit_candidates, BanditConfig, CandidateArm, KnnLearner, LearnContext, Learner,
-    LinUcbLearner, NetHealth, Reward, RewardWeights, TreeModeBandit,
+    bandit_candidates, CandidateArm, KnnLearner, LearnContext, Learner, LinUcbLearner, NetHealth,
+    Reward, TreeModeBandit,
 };
 pub use model::{CostVector, CostWeights, SolutionModel};

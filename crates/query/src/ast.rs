@@ -30,19 +30,6 @@ pub enum CmpOp {
     Ge,
 }
 
-impl CmpOp {
-    /// Evaluate `lhs op rhs`.
-    pub fn eval(&self, lhs: f64, rhs: f64) -> bool {
-        match self {
-            CmpOp::Eq => lhs == rhs,
-            CmpOp::Lt => lhs < rhs,
-            CmpOp::Le => lhs <= rhs,
-            CmpOp::Gt => lhs > rhs,
-            CmpOp::Ge => lhs >= rhs,
-        }
-    }
-}
-
 /// A selection predicate.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Pred {
@@ -148,16 +135,6 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cmp_op_semantics() {
-        assert!(CmpOp::Eq.eval(2.0, 2.0));
-        assert!(CmpOp::Lt.eval(1.0, 2.0));
-        assert!(CmpOp::Le.eval(2.0, 2.0));
-        assert!(CmpOp::Gt.eval(3.0, 2.0));
-        assert!(CmpOp::Ge.eval(2.0, 2.0));
-        assert!(!CmpOp::Lt.eval(2.0, 2.0));
-    }
 
     #[test]
     fn query_accessors() {

@@ -110,11 +110,6 @@ impl Admission {
         }
     }
 
-    /// The assigned id, when the query entered the queue.
-    pub fn id(&self) -> Option<QueryId> {
-        self.handle().map(|h| h.id())
-    }
-
     /// True when the query entered the queue (admitted or deferred).
     pub fn is_accepted(&self) -> bool {
         self.handle().is_some()

@@ -122,11 +122,6 @@ impl PoissonArrivals {
         self.emitted
     }
 
-    /// The offered-load rate, arrivals per second.
-    pub fn rate_hz(&self) -> f64 {
-        self.rate_hz
-    }
-
     fn draw_from(&mut self, prev: SimTime) -> Option<SimTime> {
         // Exponential gap: -ln(1-u)/λ with u in [0,1), so the argument of
         // ln stays in (0,1] and the gap is finite and non-negative.
@@ -301,7 +296,7 @@ impl Ord for MetroEvent {
 ///   up — counted, never silent.
 ///
 /// The offered stream (without backoff retries) can be captured once and
-/// replayed through [`TraceArrivals`] via [`MetroWorkload::into_trace`].
+/// replayed through [`TraceArrivals`].
 #[derive(Debug)]
 pub struct MetroWorkload {
     cfg: MetroConfig,
@@ -401,11 +396,6 @@ impl MetroWorkload {
         self.emitted
     }
 
-    /// Sessions started so far.
-    pub fn sessions(&self) -> u64 {
-        self.sessions
-    }
-
     /// Backoff retries scheduled so far.
     pub fn retries(&self) -> u64 {
         self.retries
@@ -415,17 +405,6 @@ impl MetroWorkload {
     /// land past the horizon) and abandoned the query.
     pub fn gave_up(&self) -> u64 {
         self.gave_up
-    }
-
-    /// Drain the remaining offered stream into a [`TraceArrivals`] for
-    /// replay — the "record once, replay exactly" path the regression
-    /// experiments use.
-    pub fn into_trace(mut self) -> TraceArrivals {
-        let mut all = Vec::new();
-        while let Some(a) = self.next_arrival() {
-            all.push(a);
-        }
-        TraceArrivals::new(all)
     }
 
     fn exp_gap(rng: &mut StdRng, mean_s: f64) -> f64 {
@@ -607,11 +586,6 @@ impl TraceArrivals {
             text,
             opts,
         }))
-    }
-
-    /// Arrivals still unplayed.
-    pub fn remaining(&self) -> usize {
-        self.queue.len()
     }
 }
 
@@ -800,11 +774,11 @@ mod tests {
         assert_eq!(w.emitted(), n);
         // Pareto(1.5, 1) sessions average ~3 queries: strictly more
         // arrivals than sessions, by a clear margin.
-        assert!(w.sessions() > 0);
+        assert!(w.sessions > 0);
         assert!(
-            n as f64 > 1.5 * w.sessions() as f64,
+            n as f64 > 1.5 * w.sessions as f64,
             "sessions must fan out into multiple queries: {n} arrivals / {} sessions",
-            w.sessions()
+            w.sessions
         );
     }
 
@@ -821,17 +795,6 @@ mod tests {
             .iter()
             .filter(|x| x.text.contains("co2"))
             .all(|x| x.opts.priority == 2));
-    }
-
-    #[test]
-    fn metro_replays_through_trace_arrivals() {
-        let offered = drain_metro(51);
-        let mut trace = MetroWorkload::new(51, metro_cfg()).into_trace();
-        let mut replayed = Vec::new();
-        while let Some(a) = trace.next_arrival() {
-            replayed.push(a);
-        }
-        assert_eq!(offered, replayed);
     }
 
     #[test]
@@ -896,7 +859,6 @@ mod tests {
                 opts: QueryOpts::default(),
             },
         ]);
-        assert_eq!(t.remaining(), 2);
         assert_eq!(t.peek(), Some(SimTime::from_secs(5)));
         assert_eq!(t.next_arrival().unwrap().text, "early");
         assert_eq!(t.next_arrival().unwrap().text, "late");

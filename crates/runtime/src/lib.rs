@@ -386,14 +386,13 @@ mod tests {
         assert_eq!(rt.engine().executed, ["soon", "late", "none"]);
     }
 
-    #[test]
-    fn energy_fair_services_cheapest_first() {
+    /// The order an energy-fair runtime services three queries of
+    /// different cost in, one slot an epoch.
+    fn energy_fair_order(cfg: RuntimeConfigBuilder) -> Vec<String> {
         let mut rt = MultiQueryRuntime::new(
-            RuntimeConfig::builder()
-                .capacity(4)
+            cfg.capacity(4)
                 .policy(SchedPolicy::EnergyFair)
                 .slots_per_epoch(1)
-                .energy_budget_j(100.0)
                 .build(),
             Mock::new(100.0),
         );
@@ -401,7 +400,20 @@ mod tests {
         rt.submit("cost:1", QueryOpts::default());
         rt.submit("cost:3", QueryOpts::default());
         rt.run_until_idle(8);
-        assert_eq!(rt.engine().executed, ["cost:1", "cost:3", "cost:5"]);
+        rt.engine().executed.clone()
+    }
+
+    #[test]
+    fn energy_fair_services_cheapest_first() {
+        let budgeted = RuntimeConfig::builder().energy_budget_j(100.0);
+        assert_eq!(energy_fair_order(budgeted), ["cost:1", "cost:3", "cost:5"]);
+    }
+
+    #[test]
+    fn energy_fair_orders_by_estimate_without_a_gate() {
+        // No budget and no cap: the policy itself must ask for the estimates.
+        let ungated = RuntimeConfig::builder();
+        assert_eq!(energy_fair_order(ungated), ["cost:1", "cost:3", "cost:5"]);
     }
 
     #[test]

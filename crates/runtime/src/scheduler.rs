@@ -734,9 +734,12 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     }
 
     /// The engine's energy estimate for `text`, asked for only when a gate
-    /// is going to read it.
+    /// or the energy-fair ordering is going to read it.
     fn estimate_j(&mut self, text: &str, opts: &QueryOpts) -> f64 {
-        if opts.energy_cap_j.is_some() || self.cfg.energy_budget_j.is_some() {
+        if opts.energy_cap_j.is_some()
+            || self.cfg.energy_budget_j.is_some()
+            || self.cfg.policy == SchedPolicy::EnergyFair
+        {
             self.engine.estimate_energy_j(text).unwrap_or(0.0)
         } else {
             0.0

@@ -37,21 +37,6 @@ impl NodeArena {
         }
     }
 
-    /// Number of nodes in the arena.
-    pub fn len(&self) -> usize {
-        self.used_j.len()
-    }
-
-    /// True when the arena holds no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.used_j.is_empty()
-    }
-
-    /// Shared battery capacity, joules.
-    pub fn capacity(&self) -> f64 {
-        self.capacity_j
-    }
-
     /// Energy consumed by node `i`, joules (capped at capacity).
     pub fn used(&self, i: usize) -> f64 {
         self.used_j[i].min(self.capacity_j)

@@ -2,7 +2,6 @@
 
 use pg_net::geom::Point;
 use pg_net::topology::{NodeId, Topology};
-use pg_net::InvalidConfig;
 
 /// An axis-aligned box, the spatial footprint of a room/floor/zone.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,28 +13,6 @@ pub struct Region {
 }
 
 impl Region {
-    /// Construct a region from two corners.
-    ///
-    /// # Errors
-    /// Rejects inverted corners (any `min` coordinate exceeding the
-    /// matching `max`) — usually a sign of swapped arguments.
-    pub fn new(min: Point, max: Point) -> Result<Self, InvalidConfig> {
-        if !(min.x <= max.x && min.y <= max.y && min.z <= max.z) {
-            return Err(InvalidConfig::new(format!(
-                "inverted region corners: min {min:?} vs max {max:?}"
-            )));
-        }
-        Ok(Region { min, max })
-    }
-
-    /// The whole space (matches every sensor).
-    pub fn everywhere() -> Self {
-        Region {
-            min: Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY),
-            max: Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY),
-        }
-    }
-
     /// A 2-D room footprint spanning all heights. Corner order does not
     /// matter: the coordinates are normalized, so this never fails.
     pub fn room(x0: f64, y0: f64, x1: f64, y1: f64) -> Self {
@@ -57,11 +34,6 @@ impl Region {
         topo.nodes()
             .filter(|&n| self.contains(&topo.position(n)))
             .collect()
-    }
-
-    /// Geometric centre of the region (undefined for `everywhere()`).
-    pub fn center(&self) -> Point {
-        self.min.lerp(&self.max, 0.5)
     }
 
     /// Volume (or area when flat), for region-averaging resolution maths.
@@ -88,12 +60,6 @@ mod tests {
     }
 
     #[test]
-    fn everywhere_contains_everything() {
-        let r = Region::everywhere();
-        assert!(r.contains(&Point::new(-1e300, 1e300, 0.0)));
-    }
-
-    #[test]
     fn members_filters_topology() {
         let t = Topology::grid(4, 4, 10.0, 11.0); // nodes at 0,10,20,30
         let r = Region::room(-1.0, -1.0, 15.0, 15.0); // the 2x2 lower corner
@@ -103,16 +69,7 @@ mod tests {
     }
 
     #[test]
-    fn center_is_midpoint() {
-        let r = Region::new(Point::flat(0.0, 0.0), Point::new(10.0, 20.0, 4.0)).unwrap();
-        assert_eq!(r.center(), Point::new(5.0, 10.0, 2.0));
-    }
-
-    #[test]
-    fn inverted_corners_rejected() {
-        let err = Region::new(Point::flat(5.0, 0.0), Point::flat(0.0, 5.0)).unwrap_err();
-        assert!(err.to_string().contains("inverted region corners"));
-        // `room` normalizes instead of failing.
+    fn room_normalizes_corner_order() {
         assert_eq!(
             Region::room(10.0, 10.0, 0.0, 0.0),
             Region::room(0.0, 0.0, 10.0, 10.0)

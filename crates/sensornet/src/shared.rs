@@ -130,13 +130,6 @@ pub struct SharedReport {
     pub control_waves: u32,
 }
 
-impl SharedReport {
-    /// All bytes this epoch put on the air: data plane plus control plane.
-    pub fn wire_bytes(&self) -> u64 {
-        self.total_bytes + self.control_bytes
-    }
-}
-
 /// Size on the radio of one packet carrying `entries` strata.
 fn packet_bytes(entries: usize) -> u64 {
     entries as u64 * (STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES)

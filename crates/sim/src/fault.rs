@@ -117,11 +117,6 @@ impl FaultPlan {
         self.msg_loss > 0.0 || self.msg_corrupt > 0.0 || self.msg_delay_prob > 0.0
     }
 
-    /// Configured message-loss probability.
-    pub fn msg_loss(&self) -> f64 {
-        self.msg_loss
-    }
-
     /// Is sensor/agent node `node` crashed at instant `t`?
     pub fn is_node_down(&self, node: u64, t: SimTime) -> bool {
         self.node_down
@@ -152,13 +147,6 @@ impl FaultPlan {
     /// Is the shared link blacked out at instant `t`?
     pub fn is_link_blacked_out(&self, t: SimTime) -> bool {
         in_windows(&self.link_blackouts, t)
-    }
-
-    /// Is grid worker `idx` dead at instant `t`?
-    pub fn is_worker_down(&self, idx: usize, t: SimTime) -> bool {
-        self.worker_down
-            .get(&idx)
-            .is_some_and(|ws| in_windows(ws, t))
     }
 
     /// Earliest instant `>= t` at which grid worker `idx` is up again
@@ -213,21 +201,6 @@ impl FaultPlan {
         self.cell_down
             .get(&cell)
             .is_some_and(|ws| in_windows(ws, t))
-    }
-
-    /// Earliest instant `>= t` at which cell `cell` is up again (`t`
-    /// itself when it is currently up).
-    pub fn cell_up_at(&self, cell: u64, t: SimTime) -> SimTime {
-        let mut at = t;
-        if let Some(ws) = self.cell_down.get(&cell) {
-            // Windows are kept sorted; walk forward through overlaps.
-            for w in ws {
-                if w.contains(at) {
-                    at = w.end;
-                }
-            }
-        }
-        at
     }
 
     /// True when any cell-level fault (partition, one-way cut or cell
@@ -507,7 +480,6 @@ mod tests {
         assert!(!p.is_node_down(3, secs(10)));
         assert!(!p.is_base_down(secs(10)));
         assert!(!p.is_link_blacked_out(secs(10)));
-        assert!(!p.is_worker_down(0, secs(10)));
         assert_eq!(p.message_fate(0), MessageFate::Deliver);
         // No RNG draw on the empty plan: the stream is untouched.
         use rand::SeedableRng;
@@ -644,9 +616,8 @@ mod tests {
         assert!(!p.is_cell_down(1, secs(99)));
         assert!(p.is_cell_down(1, secs(100)));
         assert!(!p.is_cell_down(0, secs(150)));
-        assert_eq!(p.cell_up_at(1, secs(150)), secs(400));
-        assert_eq!(p.cell_up_at(1, secs(400)), secs(400));
-        assert_eq!(p.cell_up_at(0, secs(150)), secs(150));
+        assert!(p.is_cell_down(1, secs(399)));
+        assert!(!p.is_cell_down(1, secs(400)));
     }
 
     #[test]

@@ -90,29 +90,6 @@ impl Summary {
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
     }
-
-    /// Merge another summary into this one (parallel-reduction friendly).
-    pub fn merge(&mut self, other: &Summary) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * (self.n as f64 * other.n as f64) / n as f64;
-        *self = Summary {
-            n,
-            sum: self.sum + other.sum,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-            mean,
-            m2,
-        };
-    }
 }
 
 impl fmt::Display for Summary {
@@ -155,23 +132,9 @@ impl Samples {
         self.sorted = false;
     }
 
-    /// Number of observations.
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
     /// True when no observations have been recorded.
     pub fn is_empty(&self) -> bool {
         self.xs.is_empty()
-    }
-
-    /// Arithmetic mean (`0` when empty).
-    pub fn mean(&self) -> f64 {
-        if self.xs.is_empty() {
-            0.0
-        } else {
-            self.xs.iter().sum::<f64>() / self.xs.len() as f64
-        }
     }
 
     /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank with linear
@@ -196,11 +159,6 @@ impl Samples {
         let hi = pos.ceil() as usize;
         let frac = pos - lo as f64;
         Some(self.xs[lo] * (1.0 - frac) + self.xs[hi] * frac)
-    }
-
-    /// Median, i.e. `quantile(0.5)`.
-    pub fn median(&mut self) -> Option<f64> {
-        self.quantile(0.5)
     }
 
     /// Borrow the raw samples (unsorted order not guaranteed).
@@ -244,26 +202,6 @@ impl Metrics {
     pub fn summary(&self, name: &str) -> Summary {
         self.summaries.get(name).copied().unwrap_or_default()
     }
-
-    /// Iterate counters in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
-    }
-
-    /// Iterate summaries in name order.
-    pub fn summaries(&self) -> impl Iterator<Item = (&'static str, &Summary)> + '_ {
-        self.summaries.iter().map(|(&k, v)| (k, v))
-    }
-
-    /// Fold another run's metrics into this one.
-    pub fn merge(&mut self, other: &Metrics) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in &other.summaries {
-            self.summaries.entry(k).or_default().merge(v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -284,35 +222,6 @@ mod tests {
     }
 
     #[test]
-    fn summary_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Summary::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let (mut a, mut b) = (Summary::new(), Summary::new());
-        xs[..37].iter().for_each(|&x| a.record(x));
-        xs[37..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut s = Summary::new();
-        s.record(3.0);
-        let before = s;
-        s.merge(&Summary::new());
-        assert_eq!(s.count(), before.count());
-        assert_eq!(s.mean(), before.mean());
-
-        let mut e = Summary::new();
-        e.merge(&before);
-        assert_eq!(e.count(), 1);
-        assert_eq!(e.mean(), 3.0);
-    }
-
-    #[test]
     #[should_panic(expected = "NaN")]
     fn summary_rejects_nan() {
         Summary::new().record(f64::NAN);
@@ -326,13 +235,13 @@ mod tests {
         }
         assert_eq!(s.quantile(0.0), Some(1.0));
         assert_eq!(s.quantile(1.0), Some(4.0));
-        assert_eq!(s.median(), Some(2.5));
+        assert_eq!(s.quantile(0.5), Some(2.5));
         assert_eq!(s.quantile(1.0 / 3.0), Some(2.0));
     }
 
     #[test]
     fn quantile_of_empty_is_none() {
-        assert_eq!(Samples::new().median(), None);
+        assert_eq!(Samples::new().quantile(0.5), None);
     }
 
     #[test]
@@ -346,18 +255,5 @@ mod tests {
         assert_eq!(m.counter("never"), 0);
         assert_eq!(m.summary("latency").count(), 2);
         assert!((m.summary("latency").mean() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metrics_merge_accumulates() {
-        let mut a = Metrics::new();
-        a.count("tx", 1);
-        a.observe("e", 2.0);
-        let mut b = Metrics::new();
-        b.count("tx", 4);
-        b.observe("e", 6.0);
-        a.merge(&b);
-        assert_eq!(a.counter("tx"), 5);
-        assert!((a.summary("e").mean() - 4.0).abs() < 1e-12);
     }
 }

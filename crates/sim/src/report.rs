@@ -15,7 +15,7 @@
 //! (`pg-bench`'s `regress` binary) and the parallel-vs-serial determinism
 //! tests both rely on.
 
-use crate::metrics::{Metrics, Samples, Summary};
+use crate::metrics::{Samples, Summary};
 use std::collections::BTreeMap;
 
 pub mod json;
@@ -111,30 +111,6 @@ impl Report {
         Report {
             name: name.into(),
             ..Report::default()
-        }
-    }
-
-    /// Snapshot a whole [`Metrics`] registry: every counter and summary.
-    pub fn from_metrics(name: impl Into<String>, metrics: &Metrics) -> Self {
-        let mut report = Report::new(name);
-        report.absorb_metrics("", metrics);
-        report
-    }
-
-    /// Merge a [`Metrics`] registry under a key prefix (`""` for none).
-    pub fn absorb_metrics(&mut self, prefix: &str, metrics: &Metrics) {
-        let key = |name: &str| {
-            if prefix.is_empty() {
-                name.to_string()
-            } else {
-                format!("{prefix}.{name}")
-            }
-        };
-        for (name, value) in metrics.counters() {
-            self.counters.insert(key(name), value);
-        }
-        for (name, summary) in metrics.summaries() {
-            self.stats.insert(key(name), SummaryStats::from(summary));
         }
     }
 
@@ -350,12 +326,13 @@ mod tests {
     use super::*;
 
     fn sample_report() -> Report {
-        let mut m = Metrics::new();
-        m.count("tx_packets", 42);
-        m.count("rx_packets", 40);
-        m.observe("latency_s", 0.5);
-        m.observe("latency_s", 1.5);
-        let mut r = Report::from_metrics("exp_test", &m);
+        let mut r = Report::new("exp_test");
+        r.set_counter("tx_packets", 42);
+        r.set_counter("rx_packets", 40);
+        let mut latency = Summary::new();
+        latency.record(0.5);
+        latency.record(1.5);
+        r.record_summary("latency_s", &latency);
         r.set_meta("mode", "smoke");
         r.set_scalar("delivered_frac", 0.95);
         let mut samples = Samples::new();
@@ -367,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn from_metrics_snapshots_everything() {
+    fn report_holds_what_was_recorded() {
         let r = sample_report();
         assert_eq!(r.counters["tx_packets"], 42);
         assert_eq!(r.stats["latency_s"].n, 2);
@@ -464,14 +441,5 @@ mod tests {
         let r = sample_report();
         let text = r.to_json().unwrap().replace("pg-report/v1", "pg-report/v0");
         assert!(Report::from_json(&text).unwrap_err().contains("schema"));
-    }
-
-    #[test]
-    fn absorb_metrics_applies_prefix() {
-        let mut m = Metrics::new();
-        m.count("events", 7);
-        let mut r = Report::new("prefixed");
-        r.absorb_metrics("net", &m);
-        assert_eq!(r.counters["net.events"], 7);
     }
 }

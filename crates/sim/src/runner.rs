@@ -9,7 +9,7 @@
 //! thread too, and the grid's parallelism is a simulated quantity
 //! (`pg_grid::sched`).
 
-use crate::time::{Duration, SimTime};
+use crate::time::SimTime;
 use crate::Scheduler;
 
 /// A simulation model: owns the world state and handles events.
@@ -111,16 +111,12 @@ impl<M: Model> Simulation<M> {
             self.model.handle(now, ev, &mut self.sched);
         }
     }
-
-    /// Run for `span` more simulated time from the current clock.
-    pub fn run_for(&mut self, span: Duration) -> RunOutcome {
-        self.run_until(self.sched.now() + span)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::Duration;
 
     /// A birth-death toy model: each `Tick(n)` schedules `n` children one
     /// second later with `n - 1`, counting total ticks.
@@ -191,16 +187,5 @@ mod tests {
         let mut sim = cascade(None).with_event_budget(2);
         assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
         assert_eq!(sim.events_processed(), 2);
-    }
-
-    #[test]
-    fn run_for_is_relative() {
-        let mut sim = cascade(None);
-        sim.run_until(SimTime::from_secs(1));
-        assert_eq!(
-            sim.run_for(Duration::from_secs(1)),
-            RunOutcome::HorizonReached
-        );
-        assert_eq!(sim.model.ticks, 4 + 6); // t=2 layer has 3*2 ticks
     }
 }

@@ -76,11 +76,6 @@ impl SimTime {
         );
         Duration(self.0 - earlier.0)
     }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl Duration {
@@ -90,11 +85,6 @@ impl Duration {
     /// Span of `n` nanoseconds.
     pub const fn from_nanos(n: u64) -> Self {
         Duration(n)
-    }
-
-    /// Span of `us` microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        Duration(us * NANOS_PER_MICRO)
     }
 
     /// Span of `ms` milliseconds.

@@ -74,21 +74,6 @@ proptest! {
         prop_assert!((s.variance() - var).abs() / scale < 1e-6);
     }
 
-    /// Merging arbitrary splits of a sample set equals one-shot summary.
-    #[test]
-    fn summary_merge_associative(xs in prop::collection::vec(-1e3f64..1e3, 1..100), cut in 0usize..100) {
-        let cut = cut % xs.len();
-        let mut whole = Summary::new();
-        xs.iter().for_each(|&x| whole.record(x));
-        let (mut a, mut b) = (Summary::new(), Summary::new());
-        xs[..cut].iter().for_each(|&x| a.record(x));
-        xs[cut..].iter().for_each(|&x| b.record(x));
-        a.merge(&b);
-        prop_assert_eq!(a.count(), whole.count());
-        prop_assert!((a.sum() - whole.sum()).abs() < 1e-6);
-        prop_assert!((a.mean() - whole.mean()).abs() < 1e-9 * (1.0 + whole.mean().abs()));
-    }
-
     /// Quantiles are monotone in q and bounded by min/max.
     #[test]
     fn quantiles_monotone(xs in prop::collection::vec(-1e6f64..1e6, 1..100),

@@ -1,0 +1,125 @@
+#!/usr/bin/env bash
+# What the library crates ship that no system links. A library item earns
+# its place when a system binary — one of the 26 `pg-bench` bins (24
+# `exp_*`, `regress`, `microbench`) or `pgbench` — links it; this script
+# asks the linker instead of `git grep`. It debug-builds those binaries
+# (no inlining; rustc passes `--gc-sections`, so an executable keeps only
+# what it reaches), lists every `pg_*` function that is a text symbol of a
+# library rlib and of no system executable, and checks each against
+# `scripts/surface.allow`, one line per path prefix:
+#
+#     <prefix> paper [<example or test path>]
+#     <prefix> reference <test path>
+#     <prefix> frozen <benchmark path>
+#
+# paper: a system the paper describes, kept whole with its demo.
+# reference: the named test uses it to drive or check an item that is linked.
+# frozen: the named file under benchmark/ names it.
+# A path must exist and mention the prefix's last segment.
+#
+# Prints a Markdown table (item, why it stays, the test / example / bench
+# executables that still link it; CI appends it to the job summary) and
+# exits non-zero on an item no line explains or a line that matches nothing.
+# An `is_empty` needs no line while its `len` stays (linked, or explained):
+# clippy's `len_without_is_empty` ties the two.
+#
+# A lower bound: a generic or `#[inline]` function is compiled into the
+# crate that uses it, never into its own rlib, so an unused one is
+# invisible here. Symbols are compared with the hash suffix stripped;
+# closures, derives and operator impls (`core::{clone, cmp, default, fmt,
+# hash, ops}`) are not counted as items.
+#
+# Usage: scripts/surface.sh [allow-file]     (needs jq and nm)
+set -euo pipefail
+cd "$(dirname "$0")/.."
+allow="${1:-scripts/surface.allow}"
+target="${CARGO_TARGET_DIR:-target}"
+work="$(mktemp -d)"
+# The offline build rewrites pgbench's stale lock file, which is not ours
+# to change: put it back, whatever happens.
+cp benchmark/Cargo.lock "$work/Cargo.lock"
+trap 'cp "$work/Cargo.lock" benchmark/Cargo.lock; rm -r "$work"' EXIT
+
+# Runs cargo with the given arguments; prints kind, name, first file and
+# root source of every artifact it reports, its own chatter only on failure.
+artifacts() {
+    cargo "$@" --offline --message-format=json 2>"$work/err" |
+        jq -r 'select(.reason == "compiler-artifact")
+            | [.target.kind[0], .target.name, (.executable // .filenames[0]), .target.src_path] | @tsv' ||
+        { cat "$work/err" >&2; exit 1; }
+}
+# The function symbols of the given files, hash suffix stripped.
+symbols() {
+    nm -C --defined-only "$@" 2>/dev/null |
+        awk '$2 ~ /^[TtWw]$/ { sub(/^[0-9a-f]+ . /, ""); sub(/::h[0-9a-f]{16}$/, ""); print }' | sort -u
+}
+
+artifacts build --workspace --bins >"$work/workspace"
+artifacts build --manifest-path benchmark/Cargo.toml --target-dir "$target" >"$work/pgbench"
+# Everything else that links the libraries. The examples are built as
+# programs: under `cargo test` their `main` is dead code.
+artifacts test --workspace --lib --bins --tests --benches --no-run >"$work/evidence"
+artifacts build --workspace --examples >>"$work/evidence"
+
+awk -F'\t' '$1 == "lib" && $2 ~ /^pg_/ && $2 != "pg_bench" { print $3 }' "$work/workspace" >"$work/rlibs"
+awk -F'\t' '$1 == "bin" { print $3 }' "$work/workspace" "$work/pgbench" | sort -u >"$work/systems"
+symbols $(<"$work/rlibs") | grep -E '^<?pg_' | grep -v '{{closure}}' |
+    grep -vE '^<.* as core::(clone|cmp|default|fmt|hash|ops)::' >"$work/items"
+symbols $(<"$work/systems") >"$work/linked"
+comm -23 "$work/items" "$work/linked" >"$work/unlinked"
+
+# item <tab> root source of each other executable that links it.
+awk -F'\t' 'NR == FNR { system_exe[$0]; next }
+    $3 !~ /\.(rlib|rmeta|so)$/ && !($3 in system_exe) && !seen[$3]++ { print $3 "\t" $4 }' "$work/systems" "$work/evidence" |
+    while IFS=$'\t' read -r exe src; do
+        symbols "$exe" | comm -12 - "$work/unlinked" | sed "s|\$|\t${src#"$PWD"/}|"
+    done >"$work/linkers"
+
+awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" '
+    function complain(line, what) { printf "%s:%d: %s\n", allow, line, what > "/dev/stderr"; bad = 1 }
+    # The allow-list: prefix, reason, path.
+    FILENAME == allow {
+        sub(/#.*/, ""); n = split($0, f, " ")
+        if (n == 0) next
+        if (f[2] !~ /^(paper|reference|frozen)$/ || (f[2] != "paper" && n < 3) || n > 3) {
+            complain(FNR, "want `<prefix> paper [path]`, `<prefix> reference <test path>` or `<prefix> frozen <benchmark path>`")
+            next
+        }
+        if (f[2] == "frozen" && f[3] !~ /^benchmark\//) complain(FNR, "a frozen item names a file under benchmark/")
+        leaf = f[1]; sub(/.*::/, "", leaf)
+        if (n == 3 && system("grep -qw -- \047" leaf "\047 \047" f[3] "\047 2>/dev/null") != 0)
+            complain(FNR, f[3] " does not exist or never mentions `" leaf "`")
+        prefix[++lines] = f[1]; reason[lines] = f[2]; at[lines] = FNR
+        next
+    }
+    FILENAME == linkers { tests[$1] = tests[$1] (tests[$1] == "" ? "" : "<br>") $2; next }
+    FILENAME == all_items { is_item[$0]; items++; next }
+    # One unlinked item: a line whose prefix ends at a path boundary explains it.
+    {
+        item = $0; sub(/^</, "", item); why[$0] = ""
+        for (i = 1; i <= lines; i++) {
+            rest = substr(item, length(prefix[i]) + 1)
+            if (index(item, prefix[i]) == 1 && rest ~ /^($|[:< ])/) { if (why[$0] == "") why[$0] = reason[i]; used[i] = 1 }
+        }
+        unlinked[++total] = $0
+    }
+    END {
+        print "| library function no system binary links | why it stays | still linked by |"
+        print "|---|---|---|"
+        for (i = 1; i <= total; i++) {
+            item = unlinked[i]; len = item; sub(/::is_empty$/, "::len", len)
+            # clippy::len_without_is_empty: an `is_empty` stays while its `len` does.
+            if (why[item] == "" && len != item && len in is_item && (!(len in why) || why[len] != ""))
+                why[item] = "its `len` stays"
+            if (why[item] == "") { why[item] = "**unexplained**"; bad = 1 }
+            count[why[item]]++
+            print "| `" item "` | " why[item] " | " tests[item] " |"
+        }
+        printf "\n%d of %d library functions are linked by no system binary:", total, items
+        for (w in count) printf " %d %s,", count[w], w
+        print " nothing else."
+        for (i = 1; i <= lines; i++)
+            if (!used[i]) complain(at[i], "`" prefix[i] "` matches nothing unlinked: delete the line")
+        exit bad
+    }
+' "$allow" "$work/linkers" "$work/items" "$work/unlinked"

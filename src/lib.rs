@@ -41,19 +41,8 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
-// The streaming submission surface, re-exported at the top level so
-// downstream code can drive open-loop workloads without digging through
-// the crate tree.
-pub use pg_core::{SharedTreeSession, TreeMaintenance};
-// The adaptive-learning surface (§4's closed loop): the policy selector,
-// its builder-style configuration, and the learner abstraction behind it.
-pub use pg_partition::{
-    BanditConfig, DecisionConfig, DecisionConfigBuilder, DecisionMaker, Learner, NetHealth, Policy,
-    Reward, RewardWeights,
-};
-pub use pg_runtime::{
-    Arrival, ArrivalProcess, PoissonArrivals, QueryHandle, QueryStatus, TraceArrivals,
-};
+// The one name a root test spells without its module path.
+pub use pg_core::TreeMaintenance;
 
 pub use pg_agent as agent;
 pub use pg_compose as compose;
