@@ -44,7 +44,7 @@ pub mod negotiate;
 pub mod profile;
 pub mod system;
 
-pub use deputy::{DeliveryOutcome, Deputy, DirectDeputy, DisconnectionDeputy, TranscodingDeputy};
+pub use deputy::{DirectDeputy, TranscodingDeputy};
 pub use envelope::{AgentId, Envelope, Payload};
 pub use profile::{AgentAttribute, AgentProfile};
-pub use system::{Agent, AgentSystem, AsAny, BreakerConfig, ReliableConfig};
+pub use system::{Agent, AgentSystem, BreakerConfig, ReliableConfig};

@@ -44,4 +44,4 @@ pub mod proactive;
 
 pub use htn::MethodLibrary;
 pub use manager::{ExecutionReport, ManagerKind, ServiceWorld};
-pub use plan::{Plan, PlanStep, Role};
+pub use plan::{Plan, Role};

@@ -34,7 +34,6 @@ pub use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
 pub use pg_partition::learn::{Learner, NetHealth, Reward};
 pub use pg_sensornet::shared::{SharedTreeSession, TreeMaintenance};
 pub use runtime::{
-    CrossCellHandoff, DegradationReport, GridBuilder, PervasiveGrid, Provenance, QueryRecord,
-    QueryResponse,
+    CrossCellHandoff, DegradationReport, GridBuilder, PervasiveGrid, Provenance, QueryResponse,
 };
 pub use scenario::FireScenario;

@@ -154,19 +154,11 @@ impl PervasiveGrid {
                 agg: s.query.first_agg().unwrap_or(AggFn::Avg),
             })
             .collect();
-        // Joint selection: under the bandit policy the learner also picks
-        // the tree-maintenance mode for this chunk (placement × tree
-        // lifetime), conditioned on chunk size and live health. Other
-        // policies keep the configured mode.
-        if let Some(mode) = self.decision.select_tree_mode(chunk.len()) {
-            self.tree_session.set_maintenance(mode);
-        }
-        let tree_mode = self.tree_session.maintenance();
-        // The chunk rides the grid's tree session: in the default Free mode
-        // this is exactly `shared_tree_collection` (v1 semantics); under
-        // PerEpoch/Persistent/Incremental maintenance the session also
-        // charges the tree's construction and repair beacons, attributed
-        // evenly across the chunk below.
+        // The chunk rides the grid's tree session under the configured
+        // mode, whatever the policy: under Free this is exactly
+        // `shared_tree_collection` (v1 semantics); under Incremental the
+        // session also charges the tree's construction and repair beacons,
+        // attributed evenly across the chunk below.
         let report = self.tree_session.collect(
             &mut self.net,
             &shared_queries,
@@ -177,7 +169,6 @@ impl PervasiveGrid {
         let latency_s = report.latency.as_secs_f64();
         let control_bytes_share = report.control_bytes as f64 / chunk.len() as f64;
         let control_energy_share = report.control_energy_j / chunk.len() as f64;
-        let mut chunk_scalar_cost = 0.0;
         // Ground truth is a pure function of the resolved query, the field
         // and `now`, none of which moves inside a chunk: one per resolution.
         let mut truths: Vec<(&Rc<Resolved>, Option<f64>)> = Vec::new();
@@ -217,7 +208,6 @@ impl PervasiveGrid {
                     dead_letters: 0,
                 },
             );
-            chunk_scalar_cost += self.decision.config().weights().scalar(&cost);
             let known = truths.iter().find(|(r, _)| Rc::ptr_eq(r, &s.resolved));
             let truth = match known {
                 Some(&(_, truth)) => truth,
@@ -266,13 +256,6 @@ impl PervasiveGrid {
             };
             slots[s.idx] = Some(Ok((response, attribution)));
         }
-        // Close the joint loop: credit the tree mode that ran this chunk
-        // with its per-query attributed scalar cost (no-op off-bandit).
-        self.decision.observe_tree_mode(
-            tree_mode,
-            chunk.len(),
-            chunk_scalar_cost / chunk.len() as f64,
-        );
     }
 }
 

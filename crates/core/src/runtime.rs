@@ -218,10 +218,9 @@ impl GridBuilder {
 
     /// Set how shared aggregation trees live across scheduling epochs:
     /// [`TreeMaintenance::Free`] (default, v1 — trees materialize at no
-    /// modelled cost), `PerEpoch` (construction beacons charged every
-    /// epoch), `Persistent` (build once, rebuild whenever a node death
-    /// invalidates the tree), or `Incremental` (build once, repair only
-    /// around the dead node).
+    /// modelled cost) or [`TreeMaintenance::Incremental`] (build once,
+    /// repair only around a dead node). Every policy keeps this mode for
+    /// the grid's lifetime.
     pub fn tree_maintenance(mut self, mode: TreeMaintenance) -> Self {
         self.tree_maintenance = mode;
         self

@@ -1,15 +1,16 @@
 //! Streaming-runtime integration tests over a real `PervasiveGrid`: the
 //! batch-equivalence property (a t=0 arrival stream with preemption off is
 //! bit-identical to closed-loop `submit` + `run_until_idle`), open-loop
-//! Poisson load end to end, and tree-maintenance modes through the grid.
+//! Poisson load end to end, and the tree lifetime through the grid.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_core::{PervasiveGrid, TreeMaintenance};
+use pg_core::{PervasiveGrid, Policy, TreeMaintenance};
 use pg_runtime::{
     MultiQueryRuntime, PoissonArrivals, QueryOpts, RuntimeConfig, SchedPolicy, TraceArrivals,
 };
 use pg_sensornet::region::Region;
+use pg_sensornet::shared::TREE_BEACON_BYTES;
 use pg_sim::{Duration, SimTime};
 use proptest::prelude::*;
 
@@ -166,14 +167,16 @@ fn poisson_stream_drains_to_idle_on_a_real_grid() {
     );
 }
 
-/// Tree maintenance through the grid: `Free` is the default and
-/// bit-identical to an explicitly-Free build, while `Persistent` moves
-/// fewer total wire bytes than `PerEpoch` for the same workload because
-/// the tree is built once instead of every shared epoch.
+/// Tree lifetime is the grid's setting under every policy: `Free` is the
+/// default and bit-identical to an explicitly-Free build, an `Incremental`
+/// grid builds its tree once over three shared chunks and pays one flood of
+/// construction beacons, and `Policy::Bandit` — whose learner places
+/// queries, never trees — leaves both modes exactly as configured.
 #[test]
-fn persistent_tree_attributes_fewer_bytes_than_per_epoch() {
-    let run = |mode: Option<TreeMaintenance>| {
+fn the_configured_tree_lifetime_holds_under_every_policy() {
+    let run = |policy: Policy, mode: Option<TreeMaintenance>| {
         let mut b = PervasiveGrid::building(1, 6, 42)
+            .policy(policy)
             .region("west", Region::room(0.0, 0.0, 14.0, 30.0))
             .region("east", Region::room(10.0, 0.0, 30.0, 30.0));
         if let Some(m) = mode {
@@ -182,7 +185,7 @@ fn persistent_tree_attributes_fewer_bytes_than_per_epoch() {
         let cfg = RuntimeConfig::builder().slots_per_epoch(2).build();
         let mut rt = MultiQueryRuntime::new(cfg, b.build());
         // Six shareable aggregates, two slots per epoch: three shared
-        // chunks, so PerEpoch builds the tree three times.
+        // chunks.
         for _ in 0..3 {
             for text in [
                 "SELECT AVG(temp) FROM sensors",
@@ -192,31 +195,34 @@ fn persistent_tree_attributes_fewer_bytes_than_per_epoch() {
             }
         }
         rt.run_until_idle(16);
+        assert_eq!(rt.outcomes().len(), 6);
+        assert!(rt.outcomes().iter().all(|o| o.attribution.shared));
         let bytes: f64 = rt.outcomes().iter().map(|o| o.attribution.bytes).sum();
         let energy: f64 = rt.outcomes().iter().map(|o| o.attribution.energy_j).sum();
-        let rebuilds = rt.engine().tree_session.rebuilds;
-        (bytes, energy, rebuilds)
+        let session = &rt.engine().tree_session;
+        (bytes, energy, session.rebuilds, session.control_bytes_total)
     };
+    // Every one of the 35 sensors beacons once.
+    let one_flood = 35 * TREE_BEACON_BYTES;
 
-    let (default_b, default_e, default_r) = run(None);
-    let (free_b, free_e, free_r) = run(Some(TreeMaintenance::Free));
-    let (per_epoch_b, per_epoch_e, per_epoch_r) = run(Some(TreeMaintenance::PerEpoch));
-    let (persistent_b, persistent_e, persistent_r) = run(Some(TreeMaintenance::Persistent));
-
+    let (default_b, default_e, default_r, default_c) = run(Policy::Adaptive, None);
+    let (free_b, free_e, free_r, free_c) = run(Policy::Adaptive, Some(TreeMaintenance::Free));
     // Default == Free, bit-exact (the v1 path, no control-plane charge).
     assert_eq!(default_b.to_bits(), free_b.to_bits());
     assert_eq!(default_e.to_bits(), free_e.to_bits());
-    assert_eq!((default_r, free_r), (0, 0));
+    assert_eq!((default_r, default_c), (0, 0));
+    assert_eq!((free_r, free_c), (0, 0));
 
-    // Explicit maintenance pays a control-plane cost over Free...
-    assert!(per_epoch_b > free_b);
-    assert!(persistent_b > free_b);
-    // ...but a persistent tree amortizes it: one build vs three.
-    assert_eq!(per_epoch_r, 3);
-    assert_eq!(persistent_r, 1);
-    assert!(
-        persistent_b < per_epoch_b,
-        "persistent tree must move fewer bytes: {persistent_b} vs {per_epoch_b}"
-    );
-    assert!(persistent_e < per_epoch_e);
+    // One build serves all three chunks, and its beacons are billed.
+    let (incr_b, _, incr_r, incr_c) = run(Policy::Adaptive, Some(TreeMaintenance::Incremental));
+    assert_eq!((incr_r, incr_c), (1, one_flood));
+    assert!(incr_b > free_b, "{incr_b} vs {free_b}");
+
+    for (mode, want) in [
+        (TreeMaintenance::Free, (0, 0)),
+        (TreeMaintenance::Incremental, (1, one_flood)),
+    ] {
+        let (_, _, rebuilds, control) = run(Policy::Bandit, Some(mode));
+        assert_eq!((rebuilds, control), want, "Policy::Bandit under {mode:?}");
+    }
 }

@@ -56,6 +56,6 @@ pub mod ontology;
 pub mod registry;
 
 pub use description::{Constraint, Preference, ServiceDescription, ServiceRequest, Value};
-pub use matcher::{Match, MatchGrade};
+pub use matcher::MatchGrade;
 pub use ontology::{ClassId, Ontology};
 pub use registry::{Registry, ServiceId};

@@ -31,10 +31,7 @@ pub mod handoff;
 pub mod roaming;
 
 pub use cell::Cell;
-pub use federation::{quantile, Federation, FederationConfig, FederationStats};
-pub use gossip::{
-    gossip_round, gossip_round_ctx, CellId, GossipConfig, LoadDigest, MemberState, Membership,
-    RoundCtx,
-};
+pub use federation::{quantile, Federation, FederationConfig};
+pub use gossip::{gossip_round, CellId, GossipConfig, LoadDigest, Membership};
 pub use handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
-pub use roaming::{commute_traces, Move, NextCellPredictor, RoamingConfig, Trace};
+pub use roaming::{commute_traces, RoamingConfig, Trace};

@@ -45,6 +45,5 @@ pub mod pde;
 pub mod reduction;
 pub mod sched;
 
-pub use field3::Field3;
-pub use pde::{Problem, SolveStats, Solver};
+pub use pde::{Problem, Solver};
 pub use sched::{GridCluster, GridNode, Job};

@@ -24,8 +24,8 @@ use crate::estimate::estimate;
 use crate::exec::{execute_once, ExecContext};
 use crate::features::QueryFeatures;
 use crate::learn::{
-    bandit_candidates, BanditConfig, CandidateArm, KnnLearner, LearnContext, Learner,
-    LinUcbLearner, NetHealth, Reward, TreeModeBandit,
+    bandit_candidates, CandidateArm, KnnLearner, LearnContext, Learner, LinUcbLearner, NetHealth,
+    Reward,
 };
 use crate::model::{within_bounds, CostVector, CostWeights, SolutionModel};
 use pg_grid::sched::GridCluster;
@@ -33,7 +33,6 @@ use pg_query::ast::Query;
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
-use pg_sensornet::shared::TreeMaintenance;
 use pg_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -187,8 +186,6 @@ pub struct DecisionMaker {
     cfg: DecisionConfig,
     policy: Policy,
     learner: Box<dyn Learner>,
-    /// Joint tree-maintenance bandit, present under [`Policy::Bandit`].
-    tree_bandit: Option<TreeModeBandit>,
     rng: StdRng,
     calibration: CalibrationRing,
     health: NetHealth,
@@ -211,8 +208,6 @@ impl DecisionMaker {
             cfg,
             policy,
             learner,
-            tree_bandit: matches!(policy, Policy::Bandit)
-                .then(|| TreeModeBandit::new(&BanditConfig::default())),
             rng: StdRng::seed_from_u64(seed),
             calibration: CalibrationRing::new(CALIBRATION_CAP),
             health: NetHealth::default(),
@@ -420,31 +415,6 @@ impl DecisionMaker {
     /// streaming runs keep a bounded window).
     pub fn calibration_len(&self) -> usize {
         self.calibration.len()
-    }
-
-    /// Under [`Policy::Bandit`], pick the tree-maintenance mode for a
-    /// shared-collection chunk of `group` queries (the joint placement ×
-    /// tree-lifetime selection). `None` for every other policy — callers
-    /// keep their configured mode.
-    pub fn select_tree_mode(&mut self, group: usize) -> Option<TreeMaintenance> {
-        let health = self.health;
-        self.tree_bandit
-            .as_mut()
-            .map(|tb| tb.select(group, &health))
-    }
-
-    /// Feed back a shared chunk's per-query attributed scalar cost for the
-    /// tree mode that ran it (no-op unless [`Policy::Bandit`]).
-    pub fn observe_tree_mode(
-        &mut self,
-        mode: TreeMaintenance,
-        group: usize,
-        per_query_scalar_cost: f64,
-    ) {
-        let health = self.health;
-        if let Some(tb) = self.tree_bandit.as_mut() {
-            tb.observe(mode, group, &health, per_query_scalar_cost);
-        }
     }
 }
 
@@ -788,20 +758,12 @@ mod tests {
         assert!(dm.health.miss_ewma > 0.0);
         assert!(dm.health.dead_letter_ewma > 0.0);
     }
-
-    #[test]
-    fn tree_mode_selection_is_bandit_only() {
-        let mut knn = maker(Policy::Adaptive, 1);
-        assert_eq!(knn.select_tree_mode(8), None);
-        let mut bandit = maker(Policy::Bandit, 1);
-        let mode = bandit.select_tree_mode(8).unwrap();
-        bandit.observe_tree_mode(mode, 8, 0.5);
-    }
 }
 
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::learn::BanditConfig;
     use proptest::prelude::*;
 
     proptest! {

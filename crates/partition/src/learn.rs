@@ -25,7 +25,6 @@ use crate::features::QueryFeatures;
 use crate::knn::KnnRegressor;
 use crate::model::{CostVector, CostWeights, SolutionModel};
 use pg_query::classify::QueryKind;
-use pg_sensornet::shared::TreeMaintenance;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
@@ -314,29 +313,30 @@ fn decayed_alpha(alpha: f64, observations: usize) -> f64 {
 
 /// One arm's discounted ridge regression, maintained as `A⁻¹` directly
 /// via Sherman–Morrison rank-one updates (no matrix inversion on the hot
-/// path — `select` is O(arms · D²), `observe` is O(D²)).
+/// path — `select` is O(arms · D²), `observe` is O(D²) for D =
+/// [`BANDIT_DIM`]).
 #[derive(Debug, Clone)]
-struct LinArm<const D: usize> {
-    a_inv: [[f64; D]; D],
-    b: [f64; D],
+struct LinArm {
+    a_inv: [[f64; BANDIT_DIM]; BANDIT_DIM],
+    b: [f64; BANDIT_DIM],
     pulls: u64,
 }
 
-impl<const D: usize> LinArm<D> {
+impl LinArm {
     fn new() -> Self {
-        let mut a_inv = [[0.0; D]; D];
+        let mut a_inv = [[0.0; BANDIT_DIM]; BANDIT_DIM];
         for (i, row) in a_inv.iter_mut().enumerate() {
             row[i] = 1.0; // ridge prior A = I
         }
         LinArm {
             a_inv,
-            b: [0.0; D],
+            b: [0.0; BANDIT_DIM],
             pulls: 0,
         }
     }
 
     /// `θᵀx + alpha·sqrt(xᵀA⁻¹x)` — the UCB index.
-    fn ucb(&self, x: &[f64; D], alpha: f64) -> f64 {
+    fn ucb(&self, x: &[f64; BANDIT_DIM], alpha: f64) -> f64 {
         let mut mean = 0.0;
         let mut width2 = 0.0;
         for (i, row) in self.a_inv.iter().enumerate() {
@@ -351,7 +351,7 @@ impl<const D: usize> LinArm<D> {
 
     /// Discounted rank-one update: `A ← γA + xxᵀ`, `b ← γb + r·x`,
     /// maintaining `A⁻¹` by Sherman–Morrison on `(γA)⁻¹ = A⁻¹/γ`.
-    fn update(&mut self, x: &[f64; D], r: f64, gamma: f64) {
+    fn update(&mut self, x: &[f64; BANDIT_DIM], r: f64, gamma: f64) {
         let g = gamma.clamp(1e-3, 1.0);
         for row in self.a_inv.iter_mut() {
             for v in row.iter_mut() {
@@ -359,13 +359,13 @@ impl<const D: usize> LinArm<D> {
             }
         }
         // u = A⁻¹x; denom = 1 + xᵀA⁻¹x; A⁻¹ ← A⁻¹ − u uᵀ / denom.
-        let mut u = [0.0; D];
+        let mut u = [0.0; BANDIT_DIM];
         for (ui, row) in u.iter_mut().zip(self.a_inv.iter()) {
             *ui = row.iter().zip(x.iter()).map(|(a, xj)| a * xj).sum();
         }
         let denom = 1.0 + x.iter().zip(u.iter()).map(|(xi, ui)| xi * ui).sum::<f64>();
-        for i in 0..D {
-            for j in 0..D {
+        for i in 0..BANDIT_DIM {
+            for j in 0..BANDIT_DIM {
                 self.a_inv[i][j] -= u[i] * u[j] / denom;
             }
         }
@@ -388,7 +388,7 @@ impl<const D: usize> LinArm<D> {
 pub struct LinUcbLearner {
     cfg: BanditConfig,
     weights: CostWeights,
-    arms: BTreeMap<usize, LinArm<BANDIT_DIM>>,
+    arms: BTreeMap<usize, LinArm>,
     observations: usize,
 }
 
@@ -486,97 +486,6 @@ pub fn bandit_candidates(members: usize) -> Vec<SolutionModel> {
         heads: (heads * 2).max(2),
     });
     v
-}
-
-/// Context dimensionality of the tree-mode bandit.
-const TREE_DIM: usize = 4;
-
-/// The [`TreeMaintenance`] modes the tree bandit arbitrates between.
-pub const TREE_MODES: [TreeMaintenance; 4] = [
-    TreeMaintenance::Free,
-    TreeMaintenance::PerEpoch,
-    TreeMaintenance::Persistent,
-    TreeMaintenance::Incremental,
-];
-
-/// The joint half of the adaptive loop: a small LinUCB bandit over
-/// [`TreeMaintenance`] modes for shared-collection chunks, conditioned on
-/// chunk size and live health. Placement is selected per query by
-/// [`LinUcbLearner`]; the chunk's tree-lifetime mode is selected here, so
-/// `Policy::Bandit` decides *jointly* over placement and tree maintenance.
-#[derive(Debug)]
-pub struct TreeModeBandit {
-    alpha: f64,
-    gamma: f64,
-    arms: [LinArm<TREE_DIM>; 4],
-    seen: [bool; 4],
-    /// Chunks observed so far.
-    pub observations: usize,
-}
-
-impl TreeModeBandit {
-    /// A fresh tree-mode bandit sharing the placement bandit's optimism
-    /// and discount parameters.
-    pub(crate) fn new(cfg: &BanditConfig) -> Self {
-        TreeModeBandit {
-            alpha: cfg.alpha,
-            gamma: cfg.gamma,
-            arms: [LinArm::new(), LinArm::new(), LinArm::new(), LinArm::new()],
-            seen: [false; 4],
-            observations: 0,
-        }
-    }
-
-    fn context(group: usize, health: &NetHealth) -> [f64; TREE_DIM] {
-        [
-            1.0,
-            ((group as f64) + 1.0).ln() / 4.0,
-            health.loss_ewma,
-            health.overload_level,
-        ]
-    }
-
-    /// Pick the maintenance mode for a chunk of `group` queries.
-    pub fn select(&mut self, group: usize, health: &NetHealth) -> TreeMaintenance {
-        let alpha = decayed_alpha(self.alpha, self.observations);
-        let x = Self::context(group, health);
-        let mut best = 0usize;
-        let mut best_p = f64::NEG_INFINITY;
-        for (i, arm) in self.arms.iter().enumerate() {
-            let p = if self.seen[i] {
-                arm.ucb(&x, alpha)
-            } else {
-                let norm2: f64 = x.iter().map(|v| v * v).sum();
-                alpha * norm2.sqrt()
-            };
-            if p > best_p {
-                best_p = p;
-                best = i;
-            }
-        }
-        TREE_MODES[best]
-    }
-
-    /// Feed back a chunk's per-query attributed scalar cost (data +
-    /// control share) for the mode that ran it.
-    pub fn observe(
-        &mut self,
-        mode: TreeMaintenance,
-        group: usize,
-        health: &NetHealth,
-        per_query_scalar_cost: f64,
-    ) {
-        let idx = TREE_MODES
-            .iter()
-            .position(|m| *m == mode)
-            .unwrap_or_default();
-        let x = Self::context(group, health);
-        let s = per_query_scalar_cost.max(0.0);
-        let r = -(s / (s + 1.0));
-        self.arms[idx].update(&x, r, self.gamma);
-        self.seen[idx] = true;
-        self.observations += 1;
-    }
 }
 
 #[cfg(test)]
@@ -766,28 +675,5 @@ mod tests {
             } if reduction_cell_m > 0.0
         ));
         assert!(matches!(v[6], SolutionModel::InNetworkCluster { .. }));
-    }
-
-    #[test]
-    fn tree_mode_bandit_prefers_the_cheap_mode() {
-        let mut tb = TreeModeBandit::new(&BanditConfig {
-            alpha: 0.0,
-            gamma: 1.0,
-        });
-        let h = NetHealth::default();
-        // Persistent is cheap, everything else dear.
-        let cost_of = |m: TreeMaintenance| {
-            if m == TreeMaintenance::Persistent {
-                0.2
-            } else {
-                4.0
-            }
-        };
-        for _ in 0..40 {
-            let m = tb.select(8, &h);
-            tb.observe(m, 8, &h, cost_of(m));
-        }
-        assert_eq!(tb.select(8, &h), TreeMaintenance::Persistent);
-        assert_eq!(tb.observations, 40);
     }
 }

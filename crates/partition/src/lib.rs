@@ -33,11 +33,10 @@ pub mod knn;
 pub mod learn;
 pub mod model;
 
-pub use decide::{DecisionConfig, DecisionConfigBuilder, DecisionMaker, Policy};
+pub use decide::{DecisionConfig, DecisionMaker, Policy};
 pub use exec::{execute_once, ExecContext, ExecError, Outcome};
 pub use features::QueryFeatures;
 pub use learn::{
-    bandit_candidates, CandidateArm, KnnLearner, LearnContext, Learner, LinUcbLearner, NetHealth,
-    Reward, TreeModeBandit,
+    bandit_candidates, CandidateArm, LearnContext, Learner, LinUcbLearner, NetHealth, Reward,
 };
 pub use model::{CostVector, CostWeights, SolutionModel};

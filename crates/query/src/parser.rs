@@ -225,6 +225,11 @@ pub fn parse(input: &str) -> Result<Query, ParseError> {
             "min" | "minutes" => value * 60.0,
             other => return Err(p.err(format!("unknown epoch unit '{other}'"))),
         };
+        // An overflowing literal lexes as infinity; `Duration` holds u64
+        // nanoseconds (≈584 years).
+        if !secs.is_finite() || secs > Duration::from_nanos(u64::MAX).as_secs_f64() {
+            return Err(p.err(format!("epoch duration out of range, got {value} {unit}")));
+        }
         epoch = Some(Duration::from_secs_f64(secs));
     }
 
@@ -323,6 +328,9 @@ mod tests {
         assert!(parse("SELECT temp FROM sensors COST banana 3").is_err());
         assert!(parse("SELECT temp FROM sensors EPOCH DURATION -5").is_err());
         assert!(parse("SELECT temp FROM sensors EPOCH DURATION 5 fortnights").is_err());
+        assert!(parse("SELECT temp FROM sensors EPOCH DURATION 1e400").is_err());
+        assert!(parse("SELECT temp FROM sensors EPOCH DURATION 1e308 min").is_err());
+        assert!(parse("SELECT temp FROM sensors EPOCH DURATION 2e10").is_err());
         assert!(parse("SELECT temp FROM sensors garbage").is_err());
         assert!(parse("SELECT AVG() FROM sensors").is_err());
         assert!(parse("SELECT temp FROM sensors WHERE sensor_id = 2.5").is_err());

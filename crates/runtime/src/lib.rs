@@ -123,8 +123,7 @@ pub use handle::{QueryHandle, QueryStatus};
 pub use journal::{JournalRecord, QueryJournal};
 pub use overload::{OverloadConfig, OverloadPolicy, OverloadState};
 pub use scheduler::{
-    MigratedQuery, MultiQueryRuntime, QueryOutcome, QueuedQuery, RuntimeConfig,
-    RuntimeConfigBuilder, SchedPolicy, ShedRecord,
+    MigratedQuery, MultiQueryRuntime, QueryOutcome, QueuedQuery, RuntimeConfig, SchedPolicy,
 };
 
 #[cfg(test)]
@@ -132,6 +131,7 @@ pub use scheduler::{
 mod tests {
     use super::*;
     use pg_sim::{Duration, SimTime};
+    use scheduler::RuntimeConfigBuilder;
 
     /// Scripted engine: per-query cost comes from the text ("cost:<J>"),
     /// execution order is recorded, batches echo the text back.

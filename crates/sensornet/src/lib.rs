@@ -56,4 +56,4 @@ pub use collect::CollectionReport;
 pub use field::TemperatureField;
 pub use network::SensorNetwork;
 pub use region::Region;
-pub use shared::{SharedQuery, SharedReport, SharedTreeSession, TreeMaintenance};
+pub use shared::{SharedQuery, SharedTreeSession, TreeMaintenance};

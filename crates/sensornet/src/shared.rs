@@ -413,36 +413,17 @@ pub enum TreeMaintenance {
     /// cost. Every committed baseline pins this mode.
     #[default]
     Free,
-    /// Rebuild the tree every epoch, charging each operational sensor one
-    /// [`TREE_BEACON_BYTES`] construction beacon per epoch — what a
-    /// recurring query pays when it treats every epoch as standalone.
-    PerEpoch,
-    /// Build once and reuse the tree across epochs; rebuild (and pay the
-    /// beacons again) only when a sensor that was alive at build time has
-    /// since died. What a Continuous query should do.
-    Persistent,
-    /// Like [`Persistent`](Self::Persistent), but a battery death triggers
-    /// an *incremental repair* instead of a full rebuild: only the orphaned
-    /// region re-parents (see [`pg_net::repair`]), each changed node pays
-    /// one [`TREE_BEACON_BYTES`] beacon, and the control latency is the
-    /// repair's wavefront count instead of a whole-network flood. The tree
-    /// is the *canonical* shortest-path tree (lowest-id parent at each
-    /// depth), which repairs to exactly what a rebuild would produce.
-    /// Transient fault windows do not reshape the tree — they only degrade
-    /// delivery, as in every other mode.
+    /// Build the tree once, charging each battery-alive sensor one
+    /// [`TREE_BEACON_BYTES`] construction beacon, and keep it across
+    /// epochs. A battery death triggers an *incremental repair*, never a
+    /// rebuild: only the orphaned region re-parents (see
+    /// [`pg_net::repair`]), each changed node pays one beacon, and the
+    /// control latency is the repair's wavefront count instead of a
+    /// whole-network flood. The tree is the *canonical* shortest-path tree
+    /// (lowest-id parent at each depth), which repairs to exactly what a
+    /// rebuild would produce. Transient fault windows do not reshape the
+    /// tree — they only degrade delivery, as under `Free`.
     Incremental,
-}
-
-impl TreeMaintenance {
-    /// Canonical lower-case name (report keys, CLI).
-    pub fn name(&self) -> &'static str {
-        match self {
-            TreeMaintenance::Free => "free",
-            TreeMaintenance::PerEpoch => "per_epoch",
-            TreeMaintenance::Persistent => "persistent",
-            TreeMaintenance::Incremental => "incremental",
-        }
-    }
 }
 
 /// A multi-epoch shared-collection session that owns the collection tree's
@@ -453,26 +434,18 @@ impl TreeMaintenance {
 /// way per-query trees waste data-plane traffic. A session holds the tree
 /// across [`collect`](SharedTreeSession::collect) calls according to its
 /// [`TreeMaintenance`] mode, charges construction beacons when the tree is
-/// (re)built, and invalidates the cached tree when a node that carried it
-/// dies.
-///
-/// The topology itself is static, so a rebuilt tree has the same shape —
-/// what the modes change is *when the control-plane cost is paid*, which is
-/// exactly the persistent-vs-rebuild difference the T17 experiment
-/// measures. Dead nodes degrade delivery identically in every mode (their
-/// subtree contributions are dropped in-network).
+/// built and repair beacons when a node that carried it dies. Dead nodes
+/// degrade delivery identically in both modes (their subtree contributions
+/// are dropped in-network).
 #[derive(Debug)]
 pub struct SharedTreeSession {
     maintenance: TreeMaintenance,
-    /// Persistent mode: the network's base tree has been flooded (its
-    /// beacons paid) and is still in use.
-    flooded: bool,
     /// Incremental mode: the canonical tree this session repairs in place.
     canonical: Option<RoutingTree>,
-    /// Sensors that paid for the tree in use; any of them dying invalidates
-    /// a persistent tree or triggers an incremental repair.
+    /// Sensors that paid for the tree in use; any of them dying triggers an
+    /// incremental repair.
     alive_at_build: Vec<NodeId>,
-    /// Times the tree has been (re)built.
+    /// Times the tree has been built: at most once, since deaths repair it.
     pub rebuilds: u64,
     /// Times the tree has been incrementally repaired (Incremental mode).
     pub repairs: u64,
@@ -485,7 +458,6 @@ impl SharedTreeSession {
     pub fn new(maintenance: TreeMaintenance) -> Self {
         SharedTreeSession {
             maintenance,
-            flooded: false,
             canonical: None,
             alive_at_build: Vec::new(),
             rebuilds: 0,
@@ -494,68 +466,25 @@ impl SharedTreeSession {
         }
     }
 
-    /// The session's maintenance mode.
-    pub fn maintenance(&self) -> TreeMaintenance {
-        self.maintenance
-    }
-
-    /// Switch the maintenance mode mid-session (the adaptive learner tunes
-    /// it per chunk). Any cached tree is dropped so the next collection
-    /// rebuilds under the new mode's lifetime rules.
-    pub fn set_maintenance(&mut self, mode: TreeMaintenance) {
-        if self.maintenance != mode {
-            self.maintenance = mode;
-            self.flooded = false;
-            self.canonical = None;
-        }
-    }
-
-    /// Charge each of `payers` one construction beacon (full-range
-    /// broadcast) and record them as the set whose deaths matter. Returns
-    /// `(bytes, joules)` charged.
-    fn flood_beacons(&mut self, net: &mut SensorNetwork, payers: Vec<NodeId>) -> (u64, f64) {
-        let (bytes, energy_j) = charge_beacons(net, &payers);
-        self.alive_at_build = payers;
-        self.rebuilds += 1;
-        self.control_bytes_total += bytes;
-        (bytes, energy_j)
-    }
-
-    /// Flood the network's base tree: every operational sensor pays one
-    /// construction beacon (the mains-powered base is exempt).
-    fn flood_base_tree(&mut self, net: &mut SensorNetwork, t: SimTime) -> (u64, f64) {
-        let base = net.base();
-        let payers = net
-            .topology()
-            .nodes()
-            .filter(|&id| id != base && net.is_operational(id, t))
-            .collect();
-        self.flood_beacons(net, payers)
-    }
-
-    /// A persistent tree is stale once any sensor that carried it died.
-    fn tree_is_stale(&self, net: &SensorNetwork, t: SimTime) -> bool {
-        self.alive_at_build
-            .iter()
-            .any(|&id| !net.is_operational(id, t))
-    }
-
     /// Build the *canonical* tree over the battery-alive nodes and charge
-    /// every battery-alive sensor one construction beacon. Incremental
-    /// sessions repair this tree on later deaths instead of rebuilding;
-    /// `alive_at_build` tracks the battery-alive set (transient fault
-    /// windows never reshape an incremental tree).
+    /// every battery-alive sensor (the mains-powered base is exempt) one
+    /// construction beacon. Later deaths repair this tree instead of
+    /// rebuilding it; `alive_at_build` tracks the battery-alive set
+    /// (transient fault windows never reshape the tree).
     fn build_canonical_tree(&mut self, net: &mut SensorNetwork) -> TreeControl {
         let base = net.base();
         let tree = net
             .topology()
             .canonical_tree_filtered(base, |id| id == base || net.is_alive(id));
-        let payers = net
+        let payers: Vec<NodeId> = net
             .topology()
             .nodes()
             .filter(|&id| id != base && net.is_alive(id))
             .collect();
-        let (bytes, energy_j) = self.flood_beacons(net, payers);
+        let (bytes, energy_j) = charge_beacons(net, &payers);
+        self.alive_at_build = payers;
+        self.rebuilds += 1;
+        self.control_bytes_total += bytes;
         let waves = tree.height() + 1;
         self.canonical = Some(tree);
         TreeControl {
@@ -602,26 +531,9 @@ impl SharedTreeSession {
 
     /// The control plane of one epoch: bring the session's tree up to date
     /// under its lifetime policy, charging whatever beacons that takes.
-    fn maintain(&mut self, net: &mut SensorNetwork, t: SimTime) -> TreeControl {
+    fn maintain(&mut self, net: &mut SensorNetwork) -> TreeControl {
         match self.maintenance {
             TreeMaintenance::Free => TreeControl::default(),
-            TreeMaintenance::PerEpoch | TreeMaintenance::Persistent => {
-                // Both ride the network's base tree; they differ in when
-                // its construction flood is paid.
-                let persistent = self.maintenance == TreeMaintenance::Persistent;
-                if persistent && self.flooded && !self.tree_is_stale(net, t) {
-                    return TreeControl::default();
-                }
-                self.flooded = persistent;
-                let (bytes, energy_j) = self.flood_base_tree(net, t);
-                TreeControl {
-                    bytes,
-                    energy_j,
-                    waves: net.base_tree().height() + 1,
-                    rebuilt: true,
-                    repaired: false,
-                }
-            }
             TreeMaintenance::Incremental => self.update_canonical_tree(net),
         }
     }
@@ -639,8 +551,8 @@ impl SharedTreeSession {
         t: SimTime,
         rng: &mut R,
     ) -> SharedReport {
-        let control = self.maintain(net, t);
-        // Only Incremental sessions own a tree; every other mode rides the
+        let control = self.maintain(net);
+        // Only Incremental sessions own a tree; a Free session rides the
         // network's base tree.
         let mut report = match &self.canonical {
             Some(tree) => collect_over_tree(net, tree, queries, field, t, rng),
@@ -664,7 +576,7 @@ struct TreeControl {
     energy_j: f64,
     /// Hop-waves of control traffic.
     waves: u32,
-    /// The tree was (re)built by a full flood.
+    /// The tree was built by a full flood.
     rebuilt: bool,
     /// The tree was incrementally repaired.
     repaired: bool,
@@ -937,107 +849,29 @@ mod tests {
     }
 
     #[test]
-    fn persistent_tree_amortizes_control_bytes_across_epochs() {
-        const EPOCHS: usize = 6;
-        let all = all_members(&lossless_net(4));
-        let run = |mode: TreeMaintenance| {
-            let mut net = lossless_net(4);
-            let mut rng = StdRng::seed_from_u64(9);
-            let mut session = SharedTreeSession::new(mode);
-            let mut control = 0u64;
-            let mut data = 0u64;
-            for e in 0..EPOCHS {
-                let t = SimTime::from_secs(30 * e as u64);
-                let r = session.collect(&mut net, &[avg_query(all.clone())], &field(), t, &mut rng);
-                control += r.control_bytes;
-                data += r.total_bytes;
-            }
-            (control, data, session.rebuilds)
-        };
-        let (per_epoch_control, per_epoch_data, per_epoch_rebuilds) =
-            run(TreeMaintenance::PerEpoch);
-        let (persistent_control, persistent_data, persistent_rebuilds) =
-            run(TreeMaintenance::Persistent);
-        assert_eq!(per_epoch_rebuilds, EPOCHS as u64);
-        assert_eq!(persistent_rebuilds, 1, "no deaths: one build serves all");
-        assert_eq!(persistent_control * EPOCHS as u64, per_epoch_control);
-        // Static topology: the data plane is identical, only control differs.
-        assert_eq!(per_epoch_data, persistent_data);
-        assert!(persistent_control > 0);
-    }
-
-    #[test]
-    fn node_death_invalidates_a_persistent_tree() {
-        let all = all_members(&lossless_net(4));
-        let mut net = lossless_net(4);
-        let mut rng = StdRng::seed_from_u64(10);
-        let mut session = SharedTreeSession::new(TreeMaintenance::Persistent);
-        let first = session.collect(
-            &mut net,
-            &[avg_query(all.clone())],
-            &field(),
-            SimTime::ZERO,
-            &mut rng,
-        );
-        assert!(first.tree_rebuilt);
-        let steady = session.collect(
-            &mut net,
-            &[avg_query(all.clone())],
-            &field(),
-            SimTime::from_secs(30),
-            &mut rng,
-        );
-        assert!(!steady.tree_rebuilt, "healthy tree persists");
-        assert_eq!(steady.control_bytes, 0);
-        // Exhaust one on-tree sensor's battery: the cached tree is stale.
-        let victim = all[2];
-        net.drain(victim, 1e9);
-        assert!(!net.is_operational(victim, SimTime::from_secs(60)));
-        let after = session.collect(
-            &mut net,
-            &[avg_query(all.clone())],
-            &field(),
-            SimTime::from_secs(60),
-            &mut rng,
-        );
-        assert!(after.tree_rebuilt, "death must trigger a rebuild");
-        assert!(after.control_bytes > 0);
-        assert_eq!(session.rebuilds, 2);
-        // The dead node no longer beacons (or answers).
-        assert!(after.control_bytes < first.control_bytes);
-    }
-
-    #[test]
     fn incremental_repair_beats_full_rebuild_on_death() {
         let all = all_members(&lossless_net(5));
-        let run = |mode: TreeMaintenance| {
-            let mut net = lossless_net(5);
-            let mut rng = StdRng::seed_from_u64(11);
-            let mut session = SharedTreeSession::new(mode);
-            // Build epoch.
-            let first = session.collect(
-                &mut net,
-                &[avg_query(all.clone())],
-                &field(),
-                SimTime::ZERO,
-                &mut rng,
-            );
-            assert!(first.tree_rebuilt);
-            // Kill one non-cut sensor, then collect again.
-            let victim = *all.last().unwrap();
-            net.drain(victim, 1e9);
-            let after = session.collect(
-                &mut net,
-                &[avg_query(all.clone())],
-                &field(),
-                SimTime::from_secs(30),
-                &mut rng,
-            );
-            (first, after)
-        };
-        let (_, full) = run(TreeMaintenance::Persistent);
-        let (_, incr) = run(TreeMaintenance::Incremental);
-        assert!(full.tree_rebuilt, "persistent rebuilds on death");
+        let queries = [avg_query(all.clone())];
+        let mut net = lossless_net(5);
+        let mut rng = StdRng::seed_from_u64(11);
+        let mut kept = SharedTreeSession::new(TreeMaintenance::Incremental);
+        let first = kept.collect(&mut net, &queries, &field(), SimTime::ZERO, &mut rng);
+        assert!(first.tree_rebuilt);
+        // Kill one non-cut sensor. The kept session repairs around it; a
+        // fresh session on the same world pays a full rebuild.
+        net.drain(*all.last().unwrap(), 1e9);
+        let t = SimTime::from_secs(30);
+        let full = SharedTreeSession::new(TreeMaintenance::Incremental).collect(
+            &mut net.clone(),
+            &queries,
+            &field(),
+            t,
+            &mut rng.clone(),
+        );
+        let incr = kept.collect(&mut net, &queries, &field(), t, &mut rng);
+        assert!(full.tree_rebuilt, "a fresh session floods");
+        // The dead node no longer beacons.
+        assert!(full.control_bytes < first.control_bytes);
         assert!(!incr.tree_rebuilt, "incremental never rebuilds on death");
         assert!(incr.tree_repaired);
         assert!(

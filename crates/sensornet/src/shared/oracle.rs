@@ -288,12 +288,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    const MODES: [TreeMaintenance; 4] = [
-        TreeMaintenance::Free,
-        TreeMaintenance::PerEpoch,
-        TreeMaintenance::Persistent,
-        TreeMaintenance::Incremental,
-    ];
+    const MODES: [TreeMaintenance; 2] = [TreeMaintenance::Free, TreeMaintenance::Incremental];
     const AGGS: [AggFn; 6] = [
         AggFn::Count,
         AggFn::Sum,
@@ -464,7 +459,7 @@ mod tests {
 
                     let got = session_a.collect(&mut net_a, &qs, &field, t, &mut rng_a);
 
-                    let control = session_b.maintain(&mut net_b, t);
+                    let control = session_b.maintain(&mut net_b);
                     let tree = match &session_b.canonical {
                         Some(tree) => tree.clone(),
                         None => net_b.topology().spanning_tree(net_b.base()),
@@ -606,21 +601,17 @@ mod tests {
     #[test]
     fn a_switch_between_the_base_tree_and_the_canonical_tree_is_repriced() {
         let (mut net, qs, field) = quiet_world(7);
-        let mut sessions = [TreeMaintenance::Free; 2].map(SharedTreeSession::new);
+        // One Free and one Incremental session (each a lockstep pair) take
+        // turns on one network.
+        let mut pairs = MODES.map(|mode| [mode; 2].map(SharedTreeSession::new));
         let mut rng = StdRng::seed_from_u64(7);
         let base_tree = net.base_tree();
-        for (epoch, mode) in [
-            TreeMaintenance::Free,
-            TreeMaintenance::Incremental,
-            TreeMaintenance::Free,
-        ]
-        .into_iter()
-        .enumerate()
-        {
+        for (epoch, turn) in [0, 1, 0].into_iter().enumerate() {
+            let mode = MODES[turn];
             let what = format!("epoch {epoch} {mode:?}");
             let t = SimTime::from_secs(30 * epoch as u64);
-            sessions.iter_mut().for_each(|s| s.set_maintenance(mode));
-            warm_and_cold_epoch(&mut sessions, &mut net, &qs, &field, t, &mut rng, &what);
+            let sessions = &mut pairs[turn];
+            warm_and_cold_epoch(sessions, &mut net, &qs, &field, t, &mut rng, &what);
             let canonical = sessions[0].canonical.as_ref();
             assert_eq!(
                 canonical.is_some(),

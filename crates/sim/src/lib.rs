@@ -46,10 +46,10 @@ pub mod time;
 mod queue;
 mod runner;
 
-pub use queue::Scheduled;
 pub use runner::{Model, RunOutcome, Simulation};
 pub use time::{Duration, SimTime};
 
+use queue::Scheduled;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 

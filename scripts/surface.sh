@@ -29,6 +29,12 @@
 # closures, derives and operator impls (`core::{clone, cmp, default, fmt,
 # hash, ops}`) are not counted as items.
 #
+# Types, traits and constants leave no symbol, so the crate roots get a
+# second, textual pass: a name re-exported by a `pub use` in a
+# `crates/*/src/lib.rs` must be named (`grep -w`) by some tracked `.rs` file
+# outside that crate's `src/` — its own `src/bin` counts as outside — or be
+# explained by an allow line whose prefix is `<crate>::<name>`.
+#
 # Usage: scripts/surface.sh [allow-file]     (needs jq and nm)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -54,6 +60,28 @@ symbols() {
         awk '$2 ~ /^[TtWw]$/ { sub(/^[0-9a-f]+ . /, ""); sub(/::h[0-9a-f]{16}$/, ""); print }' | sort -u
 }
 
+# Re-exports no file outside their crate names: `<crate>::<name>`.
+for lib in crates/*/src/lib.rs; do
+    dir="${lib%/src/lib.rs}"
+    crate="$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1 | tr - _)"
+    mapfile -t outside < <(git ls-files -- '*.rs' ':!vendor' ":!$dir/src"; git ls-files -- "$dir/src/bin/*.rs")
+    # The leaf names of each `pub use` statement (a rename counts as its
+    # new name), `self` skipped.
+    awk '/^pub use / { s = 1 } s { buf = buf $0 " " }
+        s && /;/ {
+            gsub(/[A-Za-z_][A-Za-z0-9_]* as /, "", buf)
+            while (match(buf, /[A-Za-z_][A-Za-z0-9_]*[ \t]*[,};]/)) {
+                name = substr(buf, RSTART, RLENGTH); sub(/[ \t]*[,};]$/, "", name)
+                if (name != "self") print name
+                buf = substr(buf, RSTART + RLENGTH)
+            }
+            buf = ""; s = 0
+        }' "$lib" |
+        while read -r name; do
+            grep -qw -- "$name" "${outside[@]}" || echo "$crate::$name"
+        done
+done >"$work/reexports"
+
 artifacts build --workspace --bins >"$work/workspace"
 artifacts build --manifest-path benchmark/Cargo.toml --target-dir "$target" >"$work/pgbench"
 # Everything else that links the libraries. The examples are built as
@@ -75,7 +103,7 @@ awk -F'\t' 'NR == FNR { system_exe[$0]; next }
         symbols "$exe" | comm -12 - "$work/unlinked" | sed "s|\$|\t${src#"$PWD"/}|"
     done >"$work/linkers"
 
-awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" '
+awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" -v reexports="$work/reexports" '
     function complain(line, what) { printf "%s:%d: %s\n", allow, line, what > "/dev/stderr"; bad = 1 }
     # The allow-list: prefix, reason, path.
     FILENAME == allow {
@@ -94,15 +122,17 @@ awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/item
     }
     FILENAME == linkers { tests[$1] = tests[$1] (tests[$1] == "" ? "" : "<br>") $2; next }
     FILENAME == all_items { is_item[$0]; items++; next }
-    # One unlinked item: a line whose prefix ends at a path boundary explains it.
-    {
-        item = $0; sub(/^</, "", item); why[$0] = ""
+    # A line whose prefix ends at a path boundary explains an item.
+    function explain(item,    i, rest, r) {
+        sub(/^</, "", item); r = ""
         for (i = 1; i <= lines; i++) {
             rest = substr(item, length(prefix[i]) + 1)
-            if (index(item, prefix[i]) == 1 && rest ~ /^($|[:< ])/) { if (why[$0] == "") why[$0] = reason[i]; used[i] = 1 }
+            if (index(item, prefix[i]) == 1 && rest ~ /^($|[:< ])/) { if (r == "") r = reason[i]; used[i] = 1 }
         }
-        unlinked[++total] = $0
+        return r
     }
+    FILENAME == reexports { exported[++exports] = $0; why_export[$0] = explain($0); next }
+    { why[$0] = explain($0); unlinked[++total] = $0 }
     END {
         print "| library function no system binary links | why it stays | still linked by |"
         print "|---|---|---|"
@@ -118,8 +148,17 @@ awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/item
         printf "\n%d of %d library functions are linked by no system binary:", total, items
         for (w in count) printf " %d %s,", count[w], w
         print " nothing else."
+        if (exports) {
+            print "\n| crate-root re-export no file outside its crate names | why it stays |"
+            print "|---|---|"
+        }
+        for (i = 1; i <= exports; i++) {
+            item = exported[i]
+            if (why_export[item] == "") { why_export[item] = "**unexplained**"; bad = 1 }
+            print "| `" item "` | " why_export[item] " |"
+        }
         for (i = 1; i <= lines; i++)
             if (!used[i]) complain(at[i], "`" prefix[i] "` matches nothing unlinked: delete the line")
         exit bad
     }
-' "$allow" "$work/linkers" "$work/items" "$work/unlinked"
+' "$allow" "$work/linkers" "$work/items" "$work/reexports" "$work/unlinked"

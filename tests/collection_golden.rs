@@ -7,7 +7,9 @@
 //! The constants were captured on the commit *before* collection epochs
 //! went linear-time (base-rooted route tables cached per network); any
 //! change to a simulated byte, joule, rng draw or float merge order in
-//! that path moves a digest.
+//! that path moves a digest. The seed-2 row pinned `Persistent` until that
+//! mode was deleted; it now pins `Incremental`, with constants captured at
+//! 2340776, the commit before the deletion (debug = `--release`).
 //!
 //! `strategy_digests` pins the four single-query epoch bodies directly —
 //! direct, TAG tree, cluster (k = 1 and 5) and cluster summaries (k = 4) —
@@ -143,11 +145,11 @@ fn mixed_batch_digests_are_pinned_over_three_seeds() {
         ),
         (
             2,
-            TreeMaintenance::Persistent,
+            TreeMaintenance::Incremental,
             (
-                0x764c_4fe3_fafd_2939,
-                0x5054_7ceb_c2e9_0558,
-                0x380c_a079_6816_f108,
+                0xe2ae_b420_6687_b62b,
+                0xab51_063f_a4ad_0d4b,
+                0x0e82_5ddd_f238_ed57,
             ),
         ),
         (
