@@ -210,8 +210,6 @@ impl InitiatorAgent {
     }
 
     /// Force a decision with the bids collected so far (timeout path).
-    // Bid prices and promises are finite by construction, never NaN.
-    #[allow(clippy::expect_used)]
     pub fn decide(&mut self) -> Vec<Envelope> {
         let admissible: Vec<&(AgentId, Bid)> = self
             .bids
@@ -221,9 +219,10 @@ impl InitiatorAgent {
         let Some(&(winner, ref bid)) = admissible
             .iter()
             .min_by(|a, b| {
-                (a.1.price, a.1.promised_s)
-                    .partial_cmp(&(b.1.price, b.1.promised_s))
-                    .expect("bids are never NaN")
+                let (a, b) = (&a.1, &b.1);
+                a.price
+                    .total_cmp(&b.price)
+                    .then(a.promised_s.total_cmp(&b.promised_s))
             })
             .copied()
         else {

@@ -11,9 +11,10 @@ use pg_net::topology::NodeId;
 use pg_partition::exec::ExecContext;
 use pg_partition::features::QueryFeatures;
 use pg_sensornet::aggregate::{AggFn, ValueFilter};
-use pg_sensornet::epoch::Strategy;
+use pg_sensornet::cluster::cluster_collection;
+use pg_sensornet::collect::{direct_collection, tree_aggregation};
 use pg_sensornet::region::Region;
-use pg_sensornet::shared::{shared_tree_collection, SharedQuery};
+use pg_sensornet::shared::{SharedQuery, SharedTreeSession, TreeMaintenance};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -21,12 +22,8 @@ fn bench_epoch(c: &mut Criterion) {
     let mut g = c.benchmark_group("collection_epoch");
     g.sample_size(20);
     for &n in &[50usize, 200] {
-        for strategy in [
-            Strategy::Direct,
-            Strategy::Tree,
-            Strategy::Cluster { heads: 5 },
-        ] {
-            g.bench_with_input(BenchmarkId::new(strategy.name(), n), &n, |b, &n| {
+        for name in ["direct", "tree", "cluster(k=5)"] {
+            g.bench_with_input(BenchmarkId::new(name, n), &n, |b, &n| {
                 b.iter_batched(
                     || {
                         let w = standard_world(n, 3);
@@ -40,14 +37,13 @@ fn bench_epoch(c: &mut Criterion) {
                     },
                     |(mut w, members)| {
                         let mut rng = StdRng::seed_from_u64(9);
-                        strategy.run_epoch(
-                            &mut w.net,
-                            &members,
-                            &w.field,
-                            w.now,
-                            AggFn::Avg,
-                            &mut rng,
-                        )
+                        let (net, ms, f, t) = (&mut w.net, &members, &w.field, w.now);
+                        let (avg, all) = (AggFn::Avg, &ValueFilter::all());
+                        match name {
+                            "direct" => direct_collection(net, ms, f, t, avg, all, &mut rng).0,
+                            "tree" => tree_aggregation(net, ms, f, t, avg, all, &mut rng),
+                            _ => cluster_collection(net, ms, f, t, avg, 5, all, &mut rng),
+                        }
                     },
                     criterion::BatchSize::LargeInput,
                 );
@@ -114,12 +110,14 @@ fn bench_large_cells(c: &mut Criterion) {
                 || {
                     let mut net = pg.net.clone();
                     let mut rng = StdRng::seed_from_u64(8);
-                    shared_tree_collection(&mut net, &queries, &pg.field, pg.now, &mut rng);
+                    SharedTreeSession::new(TreeMaintenance::Free)
+                        .collect(&mut net, &queries, &pg.field, pg.now, &mut rng);
                     net
                 },
                 |mut net| {
                     let mut rng = StdRng::seed_from_u64(9);
-                    shared_tree_collection(&mut net, &queries, &pg.field, pg.now, &mut rng)
+                    SharedTreeSession::new(TreeMaintenance::Free)
+                        .collect(&mut net, &queries, &pg.field, pg.now, &mut rng)
                 },
                 criterion::BatchSize::LargeInput,
             );
@@ -134,14 +132,9 @@ fn bench_large_cells(c: &mut Criterion) {
             || scale.net.clone(),
             |mut net| {
                 let mut rng = StdRng::seed_from_u64(9);
-                Strategy::Tree.run_epoch(
-                    &mut net,
-                    &members,
-                    &scale.field,
-                    scale.now,
-                    AggFn::Avg,
-                    &mut rng,
-                )
+                let all = ValueFilter::all();
+                let (f, t) = (&scale.field, scale.now);
+                tree_aggregation(&mut net, &members, f, t, AggFn::Avg, &all, &mut rng)
             },
             criterion::BatchSize::LargeInput,
         );

@@ -57,13 +57,8 @@ fn bench_choose(c: &mut Criterion) {
         for i in 0..history {
             let mut f = features;
             f.members = 10 + (i % 90);
-            dm.record(
-                &w.net,
-                &w.grid,
-                f,
-                SolutionModel::candidates(f.members)[i % 4],
-                actual(i),
-            );
+            let model = SolutionModel::candidates(f.members)[i % 4];
+            dm.observe(&w.net, &w.grid, f, model, Reward::from_cost(actual(i)));
         }
         g.bench_with_input(
             BenchmarkId::new("choose_with_history", history),
@@ -85,7 +80,7 @@ fn bench_choose(c: &mut Criterion) {
     for i in 0..repeated {
         let f = point(i);
         let model = SolutionModel::candidates(f.members)[(i / 10) % 5];
-        dm.record(&w.net, &w.grid, f, model, actual(i));
+        dm.observe(&w.net, &w.grid, f, model, Reward::from_cost(actual(i)));
     }
     g.bench_with_input(
         BenchmarkId::new("choose_repeated", repeated),
@@ -100,8 +95,8 @@ fn bench_choose(c: &mut Criterion) {
         |b, _| {
             let mut i = 0usize;
             b.iter(|| {
-                let tree = SolutionModel::InNetworkTree;
-                dm.record(&w.net, &w.grid, point(i), tree, actual(i));
+                let (tree, reward) = (SolutionModel::InNetworkTree, Reward::from_cost(actual(i)));
+                dm.observe(&w.net, &w.grid, point(i), tree, reward);
                 i += 1;
             });
         },

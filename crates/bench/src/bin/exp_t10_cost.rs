@@ -13,6 +13,7 @@ use pg_bench::{key_part, standard_world, Cell, Experiment};
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
 use pg_partition::exec::execute_once;
 use pg_partition::features::QueryFeatures;
+use pg_partition::learn::Reward;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -42,7 +43,7 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
             if let Ok(m) = dm.choose(&w.net, &w.grid, &warm, &features) {
                 let mut rng = StdRng::seed_from_u64(seed * 100 + i);
                 if let Ok(out) = execute_once(&mut w.ctx(), &warm, m, &mut rng) {
-                    dm.record(&w.net, &w.grid, features, m, out.cost);
+                    dm.observe(&w.net, &w.grid, features, m, Reward::from_cost(out.cost));
                 }
             }
         }

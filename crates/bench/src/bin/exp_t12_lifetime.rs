@@ -11,10 +11,10 @@
 use pg_bench::{key_part, standard_world, sweep, Cell, Experiment};
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
-use pg_sensornet::aggregate::AggFn;
-use pg_sensornet::epoch::{run_continuous, Strategy};
+use pg_partition::exec::execute_once;
+use pg_partition::model::SolutionModel;
 use pg_sensornet::network::SensorNetwork;
-use pg_sim::Duration;
+use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -34,51 +34,56 @@ fn main() -> ExitCode {
          lifetime = epochs until first sensor death / until blackout"
     );
     exp.table(&format!("mean of {reps} seeds"));
+    let query = pg_query::parse("SELECT AVG(temp) FROM sensors").expect("parses");
     for &epoch_s in epochs {
-        for strategy in [
-            Strategy::Direct,
-            Strategy::Cluster { heads: 5 },
-            Strategy::Tree,
+        let epoch = Duration::from_secs(epoch_s);
+        for (strategy, model) in [
+            ("direct", SolutionModel::BaseStation),
+            ("cluster(k=5)", SolutionModel::InNetworkCluster { heads: 5 }),
+            ("tree", SolutionModel::InNetworkTree),
         ] {
             let [death, blackout, life_s, deliv] = sweep(reps, |seed| {
-                let w = standard_world(N, seed);
+                let mut w = standard_world(N, seed);
                 // Re-deploy with the small experiment battery.
-                let mut net = SensorNetwork::new(
+                w.net = SensorNetwork::new(
                     w.net.topology().clone(),
                     w.net.base(),
                     RadioModel::mote(),
                     LinkModel::new(250e3, Duration::from_millis(5), 0.02).unwrap(),
                     BATTERY_J,
                 );
-                net.noise_sd = 0.5;
-                let members: Vec<_> = net
-                    .topology()
-                    .nodes()
-                    .filter(|&x| x != net.base())
-                    .collect();
+                w.net.noise_sd = 0.5;
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x12);
-                let r = run_continuous(
-                    &mut net,
-                    &members,
-                    &w.field,
-                    AggFn::Avg,
-                    strategy,
-                    Duration::from_secs(epoch_s),
-                    MAX_EPOCHS,
-                    &mut rng,
-                );
+                // One answer per epoch until the first epoch nothing
+                // arrives, idle-listening through the rest of each epoch.
+                let (mut run, mut first_death, mut blackout, mut delivery) = (0, None, None, 0.0);
+                w.now = SimTime::ZERO;
+                for e in 0..MAX_EPOCHS {
+                    let out = execute_once(&mut w.ctx(), &query, model, &mut rng).expect("answers");
+                    run += 1;
+                    delivery += out.delivered_frac;
+                    if first_death.is_none() && w.net.alive_sensors() < w.net.len() - 1 {
+                        first_death = Some(e);
+                    }
+                    if out.value.is_none() {
+                        blackout = Some(e);
+                        break;
+                    }
+                    w.net.idle_listen(epoch.as_secs_f64());
+                    w.now += epoch;
+                }
                 [
-                    r.first_death_epoch.unwrap_or(r.epochs_run) as f64,
-                    r.blackout_epoch.unwrap_or(r.epochs_run) as f64,
-                    r.epochs_run as f64 * epoch_s as f64,
-                    r.mean_delivery,
+                    first_death.unwrap_or(run) as f64,
+                    blackout.unwrap_or(run) as f64,
+                    run as f64 * epoch_s as f64,
+                    delivery / run.max(1) as f64,
                 ]
             });
             exp.row(
-                &format!("epoch{epoch_s}.{}", key_part(&strategy.name())),
+                &format!("epoch{epoch_s}.{}", key_part(strategy)),
                 &[
                     Cell::int("epoch s", 8, epoch_s),
-                    Cell::text("strategy", 14, strategy.name()),
+                    Cell::text("strategy", 14, strategy),
                     Cell::eng("1st death", 10, death).key("first_death_epoch"),
                     Cell::eng("blackout", 10, blackout).key("blackout_epoch"),
                     Cell::eng("lifetime s", 11, life_s).key("lifetime_s"),

@@ -22,7 +22,7 @@
 use pg_bench::{floor, Cell, Experiment, RunStats};
 use pg_partition::decide::Policy;
 use pg_partition::model::SolutionModel;
-use pg_runtime::{MultiQueryRuntime, QueryOpts, RuntimeConfig, SchedPolicy};
+use pg_runtime::{MultiQueryRuntime, QueryOpts, RuntimeConfig, SchedPolicy, TraceArrivals};
 use pg_sim::fault::FaultPlan;
 use pg_sim::{Duration, SimTime};
 use std::process::ExitCode;
@@ -50,15 +50,15 @@ fn sched_cfg(policy: SchedPolicy) -> RuntimeConfig {
 }
 
 /// One seeded run: submit `load` queries up front (staggered deadlines),
-/// then run epochs until the queue drains. Returns the epochs that took
-/// and the run's books.
+/// then run epochs, with no further arrivals, until the queue drains.
+/// Returns the epochs that took and the run's books.
 fn run_cell(load: usize, policy: SchedPolicy, seed: u64) -> (u64, RunStats) {
     let mut rt = MultiQueryRuntime::new(sched_cfg(policy), floor(seed).build());
     for i in 0..load {
         let deadline = Duration::from_secs(45 + (i as u64 % 16) * 15);
         rt.submit(MIX[i % MIX.len()], QueryOpts::with_deadline(deadline));
     }
-    let epochs = rt.run_until_idle(64) as u64;
+    let epochs = rt.run_stream(&mut TraceArrivals::new([]), 64) as u64;
     (epochs, RunStats::of(&rt))
 }
 
@@ -170,7 +170,9 @@ fn main() -> ExitCode {
         for t in &texts {
             assert!(rt.submit(t, QueryOpts::default()).is_accepted());
         }
-        rt.run_epoch();
+        // One epoch serves all sixteen as one batch.
+        let epoch = rt.config().epoch;
+        rt.step(epoch, &mut TraceArrivals::new([]));
         let (mut cb, mut ce) = (0.0, 0.0);
         for o in rt.outcomes() {
             let r = o.response.as_ref().expect("concurrent aggregate answers");
@@ -233,7 +235,7 @@ fn main() -> ExitCode {
         for i in 0..16 {
             rt.submit(MIX[i % MIX.len()], QueryOpts::default());
         }
-        rt.run_until_idle(32);
+        rt.run_stream(&mut TraceArrivals::new([]), 32);
         for o in rt.outcomes() {
             match &o.response {
                 Ok(r) => {

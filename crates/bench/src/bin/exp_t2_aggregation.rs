@@ -9,9 +9,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_bench::{standard_world, sweep, Cell, Experiment};
-use pg_sensornet::aggregate::AggFn;
+use pg_partition::exec::execute_once;
+use pg_partition::model::SolutionModel;
 use pg_sensornet::cluster::default_head_count;
-use pg_sensornet::epoch::Strategy;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
@@ -23,28 +23,22 @@ fn main() -> ExitCode {
     exp.set_meta("reps", reps.to_string());
     println!("T2: aggregate-query energy vs network size (AVG over all sensors, one epoch)");
     exp.table(&format!("mean of {reps} seeds"));
+    let query = pg_query::parse("SELECT AVG(temp) FROM sensors").expect("parses");
     for &n in sizes {
-        // One epoch per (strategy, seed): `[energy J, bytes on air]`.
-        let run = |strategy: Strategy| {
+        // One epoch per (solution model, seed): `[energy J, bytes on air]`.
+        let run = |model: SolutionModel| {
             sweep(reps, |seed| {
                 let mut w = standard_world(n, seed);
-                let members: Vec<_> = w
-                    .net
-                    .topology()
-                    .nodes()
-                    .filter(|&x| x != w.net.base())
-                    .collect();
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xAA);
-                let r =
-                    strategy.run_epoch(&mut w.net, &members, &w.field, w.now, AggFn::Avg, &mut rng);
-                [r.energy_j, r.total_bytes as f64]
+                let out = execute_once(&mut w.ctx(), &query, model, &mut rng).expect("answers");
+                [out.cost.energy_j, out.cost.bytes]
             })
         };
-        let [direct, db] = run(Strategy::Direct);
-        let [cluster, _] = run(Strategy::Cluster {
+        let [direct, db] = run(SolutionModel::BaseStation);
+        let [cluster, _] = run(SolutionModel::InNetworkCluster {
             heads: default_head_count(n - 1),
         });
-        let [tree, tb] = run(Strategy::Tree);
+        let [tree, tb] = run(SolutionModel::InNetworkTree);
         exp.row(
             &format!("n{n}"),
             &[

@@ -31,6 +31,7 @@ use pg_net::topology::Topology;
 use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
 use pg_partition::exec::{execute_once, ExecContext};
 use pg_partition::features::QueryFeatures;
+use pg_partition::learn::Reward;
 use pg_partition::model::CostWeights;
 use pg_runtime::{MultiQueryRuntime, OverloadConfig, OverloadPolicy, RuntimeConfig, SchedPolicy};
 use pg_sensornet::field::TemperatureField;
@@ -405,7 +406,8 @@ pub fn run_mixed_stream(
         if let Some(oracle) = oracle_cost_pending.take() {
             regret_sum += weights.scalar(&out.cost) / oracle.max(1e-12);
         }
-        dm.record(&w.net, &w.grid, features, model, out.cost);
+        let reward = Reward::from_cost(out.cost);
+        dm.observe(&w.net, &w.grid, features, model, reward);
     }
     // 0/0 is NaN: nothing judged, nothing to report.
     let judged = f64::from(judged);

@@ -12,10 +12,10 @@
 //!
 //! Batch execution order: shared aggregate groups first (in batch order),
 //! then the remaining entries one by one in batch order. Results are
-//! returned in batch order regardless. Queries executed through a batch do
-//! not appear in [`PervasiveGrid::log`] — the scheduler's
+//! returned in batch order regardless. The scheduler's
 //! [`QueryOutcome`](pg_runtime::QueryOutcome) list is the audit trail for
-//! concurrent workloads.
+//! concurrent workloads; a plain `submit` returns its `Result` and keeps
+//! no copy.
 //!
 //! A query rides the shared tree when it parses, classifies as Aggregate
 //! (one-shot, no EPOCH), carries no COST bounds (bounds need the decision
@@ -155,8 +155,8 @@ impl PervasiveGrid {
             })
             .collect();
         // The chunk rides the grid's tree session under the configured
-        // mode, whatever the policy: under Free this is exactly
-        // `shared_tree_collection` (v1 semantics); under Incremental the
+        // mode, whatever the policy: under Free it rides the network's base
+        // tree at no modelled cost (v1 semantics); under Incremental the
         // session also charges the tree's construction and repair beacons,
         // attributed evenly across the chunk below.
         let report = self.tree_session.collect(

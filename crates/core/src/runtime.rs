@@ -129,17 +129,6 @@ pub struct QueryResponse {
     pub provenance: Provenance,
 }
 
-/// One entry of the runtime's query log (for experiments and audits).
-#[derive(Debug, Clone)]
-pub struct QueryRecord {
-    /// The raw query text.
-    pub text: String,
-    /// When it was submitted.
-    pub at: SimTime,
-    /// What happened.
-    pub response: Result<QueryResponse, PgError>,
-}
-
 /// Builder for a [`PervasiveGrid`].
 #[derive(Debug)]
 pub struct GridBuilder {
@@ -247,7 +236,6 @@ impl GridBuilder {
             regions: self.regions,
             decision: DecisionMaker::with_config(self.policy, self.seed, DecisionConfig::default()),
             now: SimTime::ZERO,
-            log: Vec::new(),
             proxy: None,
             faults: self.faults,
             deadline: self.deadline,
@@ -271,8 +259,6 @@ pub struct PervasiveGrid {
     pub decision: DecisionMaker,
     /// The runtime clock.
     pub now: SimTime,
-    /// Query audit log.
-    pub log: Vec<QueryRecord>,
     /// Optional Fjords-style sensor proxy: when enabled, Simple queries are
     /// served from the freshest cached reading (zero sensor energy) while
     /// the cache is within its TTL.
@@ -314,16 +300,10 @@ impl PervasiveGrid {
             deadline: None,
             brownout: false,
         };
-        let result = match self.execute_batch(&[only]).pop() {
+        match self.execute_batch(&[only]).pop() {
             Some(outcome) => outcome.map(|(response, _)| response),
             None => Err(PgError::Config("batch engine returned no outcome".into())),
-        };
-        self.log.push(QueryRecord {
-            text: text.to_string(),
-            at: self.now,
-            response: result.clone(),
-        });
-        result
+        }
     }
 
     /// The Figure-1 pipeline body. `sched_deadline_s` is the remaining
@@ -544,7 +524,6 @@ mod tests {
         assert_eq!(r.kind, QueryKind::Simple);
         assert!(r.value.is_some());
         assert!(r.cost.energy_j > 0.0);
-        assert_eq!(pg.log.len(), 1);
     }
 
     #[test]
@@ -559,10 +538,9 @@ mod tests {
     }
 
     #[test]
-    fn parse_errors_are_logged_and_returned() {
+    fn parse_errors_are_returned() {
         let mut pg = runtime();
         assert!(matches!(pg.submit("GIMME data"), Err(PgError::Parse(_))));
-        assert!(pg.log[0].response.is_err());
     }
 
     #[test]
@@ -678,6 +656,7 @@ mod tests {
             .build()
             .unwrap();
         let mut pg = PervasiveGrid::building(1, 5, 7).faults(plan).build();
+        let mut total_retries = 0;
         for q in [
             "SELECT AVG(temp) FROM sensors",
             "SELECT MAX(temp) FROM sensors",
@@ -686,14 +665,9 @@ mod tests {
             let r = pg.submit(q).unwrap_or_else(|e| panic!("{q} failed: {e}"));
             assert!(r.delivered_frac > 0.0, "{q}: nothing delivered");
             assert!(r.degradation.faults_active);
+            total_retries += r.degradation.retries;
         }
         // Heavy loss forces retransmissions somewhere across the batch.
-        let total_retries: u64 = pg
-            .log
-            .iter()
-            .filter_map(|rec| rec.response.as_ref().ok())
-            .map(|r| r.degradation.retries)
-            .sum();
         assert!(total_retries > 0, "35 % loss must cost retries");
     }
 

@@ -10,7 +10,7 @@ use pg_partition::decide::Policy;
 use pg_partition::model::SolutionModel;
 use pg_runtime::{
     Admission, BatchQuery, MultiQueryRuntime, QueryEngine, QueryOpts, RejectReason, RuntimeConfig,
-    SchedPolicy,
+    SchedPolicy, TraceArrivals,
 };
 use pg_sensornet::region::Region;
 use pg_sim::Duration;
@@ -21,6 +21,17 @@ fn grid(seed: u64) -> PervasiveGrid {
         .region("west", Region::room(0.0, 0.0, 14.0, 30.0))
         .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
         .build()
+}
+
+/// Serve what was submitted, with no further arrivals, until it drains.
+fn drain(rt: &mut MultiQueryRuntime<PervasiveGrid>, max_epochs: usize) -> usize {
+    rt.run_stream(&mut TraceArrivals::new([]), max_epochs)
+}
+
+/// One epoch-wide step with no arrivals: at most one service round.
+fn round(rt: &mut MultiQueryRuntime<PervasiveGrid>) -> usize {
+    let epoch = rt.config().epoch;
+    rt.step(epoch, &mut TraceArrivals::new([]))
 }
 
 /// A fixed workload with pairwise-distinct deadlines (all ≥ one epoch),
@@ -47,7 +58,7 @@ fn edf_fingerprint(order: &[usize]) -> Vec<(String, String)> {
         let adm = rt.submit(text, QueryOpts::with_deadline(Duration::from_secs(dl)));
         assert!(adm.is_accepted(), "workload fits the queue");
     }
-    rt.run_until_idle(64);
+    drain(&mut rt, 64);
     let mut per: Vec<(String, String)> = rt
         .outcomes()
         .iter()
@@ -105,7 +116,7 @@ fn edf_never_completes_a_later_deadline_first() {
             .submit(text, QueryOpts::with_deadline(Duration::from_secs(dl)))
             .is_accepted());
     }
-    rt.run_until_idle(16);
+    drain(&mut rt, 16);
     let deadlines: Vec<_> = rt.outcomes().iter().map(|o| o.deadline.unwrap()).collect();
     assert_eq!(rt.outcomes().len(), 3);
     assert!(
@@ -133,7 +144,7 @@ fn energy_gate_rejects_without_spending() {
         before,
         "admission control must not touch the radios"
     );
-    assert_eq!(rt.run_epoch(), 0, "nothing was queued");
+    assert_eq!(round(&mut rt), 0, "nothing was queued");
 }
 
 #[test]
@@ -171,7 +182,7 @@ fn overlapping_aggregates_share_the_tree_and_spend_fewer_bytes() {
     for t in &texts {
         assert!(rt.submit(t, QueryOpts::default()).is_accepted());
     }
-    assert_eq!(rt.run_epoch(), texts.len());
+    assert_eq!(round(&mut rt), texts.len());
     let outcomes = rt.outcomes();
     let mut shared_bytes = 0.0;
     for o in outcomes {
@@ -276,7 +287,7 @@ fn mixed_batches_fail_per_query_not_wholesale() {
     ] {
         assert!(rt.submit(text, QueryOpts::default()).is_accepted());
     }
-    rt.run_epoch();
+    round(&mut rt);
     let outcomes = rt.outcomes();
     assert_eq!(outcomes.len(), 4);
     assert!(outcomes[0].response.is_ok());
@@ -294,7 +305,7 @@ fn multiquery_runtime_reports_in_pg_report_v1_shape() {
     for (text, dl) in WORKLOAD {
         rt.submit(text, QueryOpts::with_deadline(Duration::from_secs(dl)));
     }
-    rt.run_until_idle(32);
+    drain(&mut rt, 32);
     let report = rt.report("t16_unit");
     let json = report.to_json().unwrap();
     for key in [

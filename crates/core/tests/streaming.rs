@@ -1,7 +1,8 @@
 //! Streaming-runtime integration tests over a real `PervasiveGrid`: the
 //! batch-equivalence property (a t=0 arrival stream with preemption off is
-//! bit-identical to closed-loop `submit` + `run_until_idle`), open-loop
-//! Poisson load end to end, and the tree lifetime through the grid.
+//! bit-identical to submitting the workload at t=0 and then running an
+//! empty stream), open-loop Poisson load end to end, and the tree lifetime
+//! through the grid.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -86,14 +87,19 @@ fn ordered_workload(order: &[usize]) -> Vec<(String, QueryOpts)> {
         .collect()
 }
 
-/// Closed-loop v1 path: submit everything, then run to idle.
+/// Serve what was submitted, with no further arrivals, until it drains.
+fn drain(rt: &mut MultiQueryRuntime<PervasiveGrid>, max_epochs: usize) -> usize {
+    rt.run_stream(&mut TraceArrivals::new([]), max_epochs)
+}
+
+/// Batch path: submit everything at t=0, then run an empty stream.
 fn batch_fingerprint(order: &[usize], policy: SchedPolicy, seed: u64) -> Vec<String> {
     let mut rt = MultiQueryRuntime::new(cfg(policy), grid(seed));
     for (text, opts) in ordered_workload(order) {
         let adm = rt.submit(&text, opts);
         assert!(adm.is_accepted(), "workload fits the queue");
     }
-    rt.run_until_idle(64);
+    drain(&mut rt, 64);
     fingerprint(&rt)
 }
 
@@ -110,11 +116,12 @@ fn stream_fingerprint(order: &[usize], policy: SchedPolicy, seed: u64) -> Vec<St
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Batch equivalence: with every arrival at t=0 and preemption off, the
-    /// streaming event loop feeds the engine the exact same advance/execute
-    /// sequence as the closed-loop batch API — outcomes are bit-identical
-    /// (values, costs, waits, completion order) for every submission order
-    /// and scheduling policy.
+    /// Batch equivalence: submitting a workload at t=0 and then calling
+    /// `run_stream` feeds the engine the exact same advance/execute
+    /// sequence as streaming that workload as a t=0 trace
+    /// (`TraceArrivals::batch_at_zero`), preemption off — outcomes are
+    /// bit-identical (values, costs, waits, completion order) for every
+    /// submission order and scheduling policy.
     #[test]
     fn t0_streaming_is_bit_identical_to_batch(
         keys in prop::collection::vec(0u8..=255, 6),
@@ -194,7 +201,7 @@ fn the_configured_tree_lifetime_holds_under_every_policy() {
                 assert!(rt.submit(text, QueryOpts::default()).is_accepted());
             }
         }
-        rt.run_until_idle(16);
+        drain(&mut rt, 16);
         assert_eq!(rt.outcomes().len(), 6);
         assert!(rt.outcomes().iter().all(|o| o.attribution.shared));
         let bytes: f64 = rt.outcomes().iter().map(|o| o.attribution.bytes).sum();

@@ -92,8 +92,6 @@ fn pref_raw(p: &Preference, svc: &ServiceDescription) -> Option<f64> {
 /// Match and rank `services` against `request`. Returns matches sorted by
 /// descending score (ties broken by ascending index, so the order is total
 /// and deterministic).
-// Scores are products of values in [0, 1], never NaN.
-#[allow(clippy::expect_used)]
 pub fn rank(
     onto: &Ontology,
     request: &ServiceRequest,
@@ -151,12 +149,7 @@ pub fn rank(
             pref_score,
         })
         .collect();
-    out.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are never NaN")
-            .then(a.index.cmp(&b.index))
-    });
+    out.sort_by(|a, b| b.score.total_cmp(&a.score).then(a.index.cmp(&b.index)));
     out
 }
 

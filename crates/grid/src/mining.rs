@@ -155,16 +155,10 @@ pub struct Spectrum {
 impl Spectrum {
     /// Keep only the `m` largest-magnitude coefficients ("choosing the
     /// dominant components"), zeroing the rest.
-    // Coefficients are sums of finite sensor readings, never NaN.
-    #[allow(clippy::expect_used)]
     pub fn dominant(&self, m: usize) -> Spectrum {
         let mut idx: Vec<usize> = (0..self.coefficients.len()).collect();
-        idx.sort_by(|&a, &b| {
-            self.coefficients[b]
-                .abs()
-                .partial_cmp(&self.coefficients[a].abs())
-                .expect("coefficients are never NaN")
-        });
+        let magnitude = |i: usize| self.coefficients[i].abs();
+        idx.sort_by(|&a, &b| magnitude(b).total_cmp(&magnitude(a)));
         let keep: std::collections::BTreeSet<usize> = idx.into_iter().take(m).collect();
         Spectrum {
             coefficients: self

@@ -338,26 +338,12 @@ impl DecisionMaker {
         }
     }
 
-    /// Feed back the measured cost of an execution ("comparing the
-    /// estimates … with the actual values" — §4). The legacy pure-cost
-    /// path: no degradation observed. See [`DecisionMaker::observe`] for
-    /// the full outcome signal.
-    pub fn record(
-        &mut self,
-        net: &SensorNetwork,
-        grid: &GridCluster,
-        features: QueryFeatures,
-        model: SolutionModel,
-        actual: CostVector,
-    ) {
-        self.observe(net, grid, features, model, Reward::from_cost(actual));
-    }
-
-    /// Feed back the full outcome of an execution: cost actuals *and*
-    /// observed degradation (loss fraction, deadline miss, retries, dead
-    /// letters). The k-NN learner consumes the cost exactly as `record`
-    /// always did; the bandit consumes the composite reward; the health
-    /// EWMAs absorb the degradation either way.
+    /// Feed back the outcome of an execution ("comparing the estimates …
+    /// with the actual values" — §4): cost actuals *and* observed
+    /// degradation (loss fraction, deadline miss, retries, dead letters;
+    /// [`Reward::from_cost`] when only the cost is known). The k-NN learner
+    /// consumes the cost; the bandit consumes the composite reward; the
+    /// health EWMAs absorb the degradation either way.
     pub fn observe(
         &mut self,
         net: &SensorNetwork,
@@ -556,20 +542,20 @@ mod tests {
             DecisionConfig::builder().epsilon(0.0).build(), // pure exploitation for determinism
         );
         // Teach it that BaseStation is catastrophically expensive here.
-        let awful = CostVector {
+        let awful = Reward::from_cost(CostVector {
             energy_j: 100.0,
             time_s: 1_000.0,
             bytes: 1e9,
             ops: 1e12,
-        };
-        let nice = CostVector {
+        });
+        let nice = Reward::from_cost(CostVector {
             energy_j: 1e-4,
             time_s: 0.1,
             bytes: 100.0,
             ops: 100.0,
-        };
-        dm.record(&net, &grid, f, SolutionModel::BaseStation, awful);
-        dm.record(&net, &grid, f, SolutionModel::InNetworkTree, nice);
+        });
+        dm.observe(&net, &grid, f, SolutionModel::BaseStation, awful);
+        dm.observe(&net, &grid, f, SolutionModel::InNetworkTree, nice);
         let choice = dm.choose(&net, &grid, &q, &f).unwrap();
         assert_eq!(choice, SolutionModel::InNetworkTree);
     }
@@ -592,18 +578,18 @@ mod tests {
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
         let mut dm = maker(Policy::Adaptive, 4);
-        let actual = CostVector {
+        let actual = Reward::from_cost(CostVector {
             energy_j: 0.02,
             time_s: 1.0,
             bytes: 5_000.0,
             ops: 3_000.0,
-        };
+        });
         // First recording: prediction comes from the coarse estimator.
-        dm.record(&net, &grid, f, SolutionModel::BaseStation, actual);
+        dm.observe(&net, &grid, f, SolutionModel::BaseStation, actual);
         let early = dm.calibration_error(1);
         // Subsequent recordings: k-NN replays the actual, error collapses.
         for _ in 0..5 {
-            dm.record(&net, &grid, f, SolutionModel::BaseStation, actual);
+            dm.observe(&net, &grid, f, SolutionModel::BaseStation, actual);
         }
         let late = dm.calibration_error(1);
         assert!(
@@ -693,7 +679,7 @@ mod tests {
                     bytes: 100.0,
                     ops: 100.0,
                 };
-                dm.record(&net, &grid, f, m, actual);
+                dm.observe(&net, &grid, f, m, Reward::from_cost(actual));
             }
             names
         };
@@ -718,7 +704,7 @@ mod tests {
         };
         for _ in 0..60 {
             let m = dm.choose(&net, &grid, &q, &f).unwrap();
-            dm.record(&net, &grid, f, m, cost_of(&m));
+            dm.observe(&net, &grid, f, m, Reward::from_cost(cost_of(&m)));
         }
         let mut tree_picks = 0;
         for _ in 0..10 {
@@ -726,7 +712,7 @@ mod tests {
             if m.family() == 0 {
                 tree_picks += 1;
             }
-            dm.record(&net, &grid, f, m, cost_of(&m));
+            dm.observe(&net, &grid, f, m, Reward::from_cost(cost_of(&m)));
         }
         assert!(tree_picks >= 8, "bandit must exploit: {tree_picks}/10");
     }
@@ -800,12 +786,12 @@ mod prop_tests {
             };
             for _ in 0..60 {
                 let m = dm.choose(&net, &grid, &q, &f).unwrap();
-                dm.record(&net, &grid, f, m, cost_of(&m));
+                dm.observe(&net, &grid, f, m, Reward::from_cost(cost_of(&m)));
             }
             for _ in 0..10 {
                 let m = dm.choose(&net, &grid, &q, &f).unwrap();
                 prop_assert_eq!(m.family(), best_family);
-                dm.record(&net, &grid, f, m, cost_of(&m));
+                dm.observe(&net, &grid, f, m, Reward::from_cost(cost_of(&m)));
             }
         }
     }

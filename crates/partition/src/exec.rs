@@ -15,10 +15,8 @@ use pg_net::topology::NodeId;
 use pg_query::ast::Query;
 use pg_query::classify::{classify, inner_kind, QueryKind};
 use pg_sensornet::aggregate::{AggFn, Partial, ValueFilter, ValueOp, READING_WIRE_BYTES};
-use pg_sensornet::cluster::{cluster_collection_filtered, cluster_summaries};
-use pg_sensornet::collect::{
-    direct_collection_filtered, direct_collection_raw, tree_aggregation_filtered, CollectionReport,
-};
+use pg_sensornet::cluster::{cluster_collection, cluster_summaries};
+use pg_sensornet::collect::{direct_collection, tree_aggregation, CollectionReport};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
@@ -201,8 +199,9 @@ fn exec_simple<R: Rng>(
     let members = members_of(ctx, query)?;
     // One reading to the base station; the transport is identical for
     // every placement — only GridOffload adds a pointless backhaul bounce.
+    let all = ValueFilter::all();
     let (report, raw) =
-        direct_collection_raw(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, rng);
+        direct_collection(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
     let mut cost = report_cost(&report);
     if matches!(
         model,
@@ -239,17 +238,17 @@ fn exec_aggregate<R: Rng>(
     let filter = value_filter(query);
     let report = match model {
         SolutionModel::InNetworkTree => {
-            tree_aggregation_filtered(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng)
+            tree_aggregation(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng)
         }
         // For decomposable aggregates the Hybrid's in-network half already
         // produces the answer: it IS cluster collection.
         SolutionModel::InNetworkCluster { heads } | SolutionModel::Hybrid { heads } => {
-            cluster_collection_filtered(
+            cluster_collection(
                 ctx.net, &members, ctx.field, ctx.now, agg, heads, &filter, rng,
             )
         }
         SolutionModel::BaseStation | SolutionModel::GridOffload { .. } => {
-            direct_collection_filtered(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng).0
+            direct_collection(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng).0
         }
     };
     let mut cost = report_cost(&report);
@@ -331,8 +330,9 @@ fn exec_complex<R: Rng>(
             cluster_summaries(ctx.net, &members, ctx.field, ctx.now, heads, rng);
         (report, summaries)
     } else {
+        let all = ValueFilter::all();
         let (report, raw) =
-            direct_collection_raw(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, rng);
+            direct_collection(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
         let readings = raw
             .iter()
             .map(|&(n, v)| (ctx.net.topology().position(n), v))

@@ -89,8 +89,8 @@ pub struct Reward {
 }
 
 impl Reward {
-    /// A pure-cost reward: no degradation observed (the legacy feedback
-    /// path, and the fault-free common case).
+    /// A pure-cost reward: no degradation observed (the fault-free common
+    /// case).
     pub fn from_cost(cost: CostVector) -> Reward {
         Reward {
             cost,
@@ -221,22 +221,11 @@ impl KnnLearner {
 }
 
 impl Learner for KnnLearner {
-    // Scalar scores are weighted sums of finite predictions (never NaN)
-    // and the arm set is checked non-empty before taking the min.
-    #[allow(clippy::expect_used)]
     fn select(&mut self, _ctx: &LearnContext, arms: &[CandidateArm]) -> Option<usize> {
-        if arms.is_empty() {
-            return None;
-        }
         let best = arms
             .iter()
             .enumerate()
-            .min_by(|a, b| {
-                a.1.score
-                    .partial_cmp(&b.1.score)
-                    .expect("scores are never NaN")
-            })
-            .expect("arm set is non-empty");
+            .min_by(|a, b| a.1.score.total_cmp(&b.1.score))?;
         // Safe ε-greedy: explore only among candidates predicted within 5×
         // of the best (a placement already predicted to be 100× dearer —
         // e.g. an in-network PDE solve — teaches nothing worth its price),

@@ -50,7 +50,7 @@
 //! ```
 //! use pg_runtime::{
 //!     Admission, Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine,
-//!     QueryOpts, RuntimeConfig, SchedPolicy,
+//!     QueryOpts, RuntimeConfig, SchedPolicy, TraceArrivals,
 //! };
 //! use pg_sim::{Duration, SimTime};
 //!
@@ -100,7 +100,8 @@
 //! );
 //! let handle = a.handle().expect("admitted");
 //! assert!(matches!(a, Admission::Admitted { .. }));
-//! rt.run_until_idle(16);
+//! // No further arrivals: serve the queue until it drains.
+//! rt.run_stream(&mut TraceArrivals::new([]), 16);
 //! assert!(rt.poll(handle).is_completed());
 //! assert_eq!(rt.outcomes()[0].response, Ok(29));
 //! ```
@@ -211,6 +212,17 @@ mod tests {
             .build()
     }
 
+    /// Serve the queue alone, with no arrivals, until it drains.
+    fn drain(rt: &mut MultiQueryRuntime<Mock>) -> usize {
+        rt.run_stream(&mut TraceArrivals::new([]), 8)
+    }
+
+    /// One epoch-wide step with no arrivals: at most one service round.
+    fn round(rt: &mut MultiQueryRuntime<Mock>) -> usize {
+        let epoch = rt.config().epoch;
+        rt.step(epoch, &mut TraceArrivals::new([]))
+    }
+
     #[test]
     fn builder_defaults_match_default() {
         let b = RuntimeConfig::builder().build();
@@ -229,9 +241,9 @@ mod tests {
         for q in ["a", "b", "c"] {
             assert!(rt.submit(q, QueryOpts::default()).is_accepted());
         }
-        assert_eq!(rt.run_epoch(), 2);
+        assert_eq!(round(&mut rt), 2);
         assert_eq!(rt.engine().now, SimTime::from_secs(30));
-        assert_eq!(rt.run_epoch(), 1);
+        assert_eq!(round(&mut rt), 1);
         assert_eq!(rt.engine().executed, ["a", "b", "c"]);
         // Third query waited one epoch; the first two none.
         assert_eq!(rt.outcomes()[0].queue_wait_s, 0.0);
@@ -256,7 +268,7 @@ mod tests {
         assert_eq!(fifth.handle(), None);
         assert_eq!(rt.rejected, 1);
         // Draining the queue frees capacity again.
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert!(rt.submit("e", QueryOpts::default()).is_accepted());
     }
 
@@ -305,7 +317,7 @@ mod tests {
         }
         // A cheaper query still fits.
         assert!(rt.submit("cost:1", QueryOpts::default()).is_accepted());
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.energy_spent_j(), 4.0);
         // Spent energy stays counted against the budget: only 1 J remains.
         assert!(!rt.submit("cost:2", QueryOpts::default()).is_accepted());
@@ -362,7 +374,7 @@ mod tests {
         rt.submit("low1", QueryOpts::default());
         rt.submit("low2", QueryOpts::default());
         rt.submit("high", QueryOpts::default().priority(5));
-        rt.run_until_idle(8);
+        drain(&mut rt);
         // FIFO would say low1, low2, high; priority 5 jumps the stratum.
         assert_eq!(rt.engine().executed, ["high", "low1", "low2"]);
     }
@@ -382,7 +394,7 @@ mod tests {
         rt.submit("none", QueryOpts::default()).is_accepted();
         rt.submit("soon", QueryOpts::with_deadline(Duration::from_secs(60)))
             .is_accepted();
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.engine().executed, ["soon", "late", "none"]);
     }
 
@@ -399,7 +411,7 @@ mod tests {
         rt.submit("cost:5", QueryOpts::default());
         rt.submit("cost:1", QueryOpts::default());
         rt.submit("cost:3", QueryOpts::default());
-        rt.run_until_idle(8);
+        drain(&mut rt);
         rt.engine().executed.clone()
     }
 
@@ -438,7 +450,7 @@ mod tests {
         let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
         rt.submit("a", QueryOpts::default());
         rt.submit("fail", QueryOpts::default());
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.outcomes()[0].response, Ok("a".to_string()));
         assert_eq!(rt.outcomes()[1].response, Err("boom".to_string()));
         assert_eq!(rt.outcomes()[1].attribution, Attribution::default());
@@ -455,7 +467,7 @@ mod tests {
         );
         rt.submit("a", QueryOpts::with_deadline(Duration::from_secs(45)));
         rt.submit("b", QueryOpts::with_deadline(Duration::from_secs(45)));
-        rt.run_until_idle(8);
+        drain(&mut rt);
         // "a" ran in the first epoch (wait 0 s); "b" waited 30 s and still
         // fit its 45 s budget... with 0.25 s execution both are in budget,
         // but a third query would wait 60 s and miss it.
@@ -471,7 +483,7 @@ mod tests {
         rt.submit("a", QueryOpts::with_deadline(Duration::from_secs(45)));
         rt.submit("b", QueryOpts::with_deadline(Duration::from_secs(45)));
         rt.submit("c", QueryOpts::with_deadline(Duration::from_secs(45)));
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert!(rt.outcomes()[2].deadline_exceeded());
     }
 
@@ -493,7 +505,7 @@ mod tests {
             }
             other => panic!("expected queued, got {other:?}"),
         }
-        rt.run_epoch();
+        round(&mut rt);
         match rt.poll(first) {
             QueryStatus::Completed(outcome) => {
                 assert_eq!(outcome.response, Ok("a".to_string()));
@@ -531,7 +543,7 @@ mod tests {
         assert!(rt.submit("cost:1", QueryOpts::default()).is_accepted());
         // Cancel is not retryable and never touches completed queries.
         assert!(!rt.cancel(b));
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert!(!rt.cancel(a));
         assert!(rt.poll(a).is_completed());
         assert!(!rt.engine().executed.contains(&"cost:3".to_string()));
@@ -559,7 +571,7 @@ mod tests {
         assert!(!rt.tighten_deadline(urgent, Duration::from_secs(900)));
         // The caller's situation changes: urgent must now beat slow badly.
         assert!(rt.tighten_deadline(urgent, Duration::from_secs(60)));
-        rt.run_epoch();
+        round(&mut rt);
         assert_eq!(rt.engine().executed, ["urgent"]);
         // Completed queries can no longer be tightened.
         assert!(!rt.tighten_deadline(urgent, Duration::from_secs(30)));
@@ -597,7 +609,7 @@ mod tests {
             }
             other => panic!("expected queued, got {other:?}"),
         }
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.engine().executed, ["a", "c"]);
         assert!(matches!(rt.poll(b), QueryStatus::Cancelled));
     }
@@ -621,7 +633,7 @@ mod tests {
                 // round its last chance, so preemption must lift it over b.
                 assert!(rt.tighten_deadline(c, Duration::from_secs(40)));
             }
-            rt.run_until_idle(8);
+            drain(&mut rt);
             rt
         };
         let plain = run(false);
@@ -652,7 +664,7 @@ mod tests {
         let c = rt.submit("c", QueryOpts::default()).handle().unwrap();
         assert!(rt.tighten_deadline(c, Duration::from_secs(40)));
         assert!(rt.cancel(c));
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.engine().executed, ["a", "b"]);
         assert_eq!(rt.preemptions, 0);
         assert!(matches!(rt.poll(c), QueryStatus::Cancelled));
@@ -694,11 +706,11 @@ mod tests {
         }
         // Draining below the low watermark reopens the door (hysteresis:
         // depth must reach shed_low, not merely dip under shed_high).
-        rt.run_epoch();
+        round(&mut rt);
         assert_eq!(rt.queue_depth(), 2);
         assert_eq!(rt.overload_state(), OverloadState::Normal);
         assert!(rt.submit("f", QueryOpts::default()).is_accepted());
-        rt.run_until_idle(8);
+        drain(&mut rt);
         // No deadlines anywhere: shedding never touched queued work.
         assert_eq!(rt.shed, 0);
         assert_eq!(rt.report("m").counters["shed"], 0);
@@ -723,7 +735,7 @@ mod tests {
             })
             .collect();
         assert_eq!(rt.overload_state(), OverloadState::Shed);
-        rt.run_until_idle(8);
+        drain(&mut rt);
         // One slot per 30 s round against 45 s deadlines: ranks 2 and 3
         // would start at 60 s and 90 s — guaranteed misses, shed at the
         // first round. Ranks 0 and 1 complete in time.
@@ -765,10 +777,10 @@ mod tests {
             rt.submit(q, QueryOpts::default());
         }
         assert_eq!(rt.overload_state(), OverloadState::Brownout);
-        rt.run_epoch();
+        round(&mut rt);
         // The round drained to depth 1 = brownout_low: fidelity recovers.
         assert_eq!(rt.overload_state(), OverloadState::Normal);
-        rt.run_until_idle(8);
+        drain(&mut rt);
         let browned: Vec<bool> = rt.outcomes().iter().map(|o| o.brownout).collect();
         assert_eq!(browned, [true, true, false]);
         assert_eq!(rt.browned_out, 2);
@@ -791,7 +803,7 @@ mod tests {
         for q in ["a", "b", "c"] {
             rt.submit(q, QueryOpts::default());
         }
-        rt.run_until_idle(8);
+        drain(&mut rt);
         assert_eq!(rt.browned_out, 0);
         assert!(rt.outcomes().iter().all(|o| !o.brownout));
     }
@@ -875,13 +887,13 @@ mod tests {
     }
 
     #[test]
-    fn streaming_batch_at_zero_matches_run_until_idle() {
+    fn submitting_at_zero_matches_a_t0_trace() {
         let queries = ["a", "b", "c", "d", "e"];
         let mut batch_rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
         for q in queries {
             batch_rt.submit(q, QueryOpts::with_deadline(Duration::from_secs(90)));
         }
-        batch_rt.run_until_idle(16);
+        drain(&mut batch_rt);
 
         let mut stream_rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
         let mut trace = TraceArrivals::batch_at_zero(queries.iter().map(|q| {
@@ -917,7 +929,7 @@ mod tests {
             rt.submit("a", QueryOpts::default());
             rt.submit("b", QueryOpts::default());
             rt.submit("c", QueryOpts::with_deadline(Duration::from_secs(40)));
-            rt.run_until_idle(8);
+            drain(&mut rt);
             rt
         };
         // FIFO without preemption: c waits behind a and b, starts at 60 s,
@@ -942,7 +954,7 @@ mod tests {
             rt.submit(q, QueryOpts::default());
         }
         rt.submit("e", QueryOpts::default()); // rejected: queue full
-        rt.run_until_idle(8);
+        drain(&mut rt);
         let r = rt.report("mock");
         assert_eq!(r.counters["admitted"], 4);
         assert_eq!(r.counters["rejected"], 1);

@@ -19,17 +19,15 @@
 //!   in an `id → fate` table (completed, cancelled, shed, lost, migrated),
 //!   so `poll` is a lookup and `next_id == waiting + fates` always holds.
 //!
-//! Two driving modes share one service path:
-//!
-//! * **batch (v1)** — the caller submits everything up front and calls
-//!   [`MultiQueryRuntime::run_until_idle`]; the clock advances one epoch per
-//!   busy round and stands still while idle.
-//! * **streaming (v2)** — the caller hands an [`ArrivalProcess`] to
-//!   [`MultiQueryRuntime::step`], which walks a `dt`-wide window of
-//!   simulated time, interleaving arrivals (admitted through the ordinary
-//!   `submit` path), service rounds, and clock advancement. With every
-//!   arrival at t=0 and preemption off, the streaming loop reproduces the
-//!   batch loop bit-identically — the equivalence property test pins this.
+//! One loop drives it: the caller hands an [`ArrivalProcess`] to
+//! [`MultiQueryRuntime::step`], which walks a `dt`-wide window of simulated
+//! time, interleaving arrivals (admitted through the ordinary `submit`
+//! path), service rounds, and clock advancement, or to
+//! [`MultiQueryRuntime::run_stream`], which steps one epoch at a time until
+//! the stream is exhausted and the queue drains. Queries `submit`ted
+//! directly wait in the same queue: submitting a workload at t=0 and then
+//! running an empty stream is the same run as streaming that workload as a
+//! t=0 trace — the equivalence property test pins this.
 
 use crate::admission::{Admission, QueryId, QueryOpts, RejectReason};
 use crate::arrivals::ArrivalProcess;
@@ -1120,30 +1118,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         completed
     }
 
-    /// Run one epoch: service up to `slots_per_epoch` queries (policy
-    /// order) as one engine batch, then advance the clock. Returns how many
-    /// queries completed. An empty queue is a no-op (time does not advance
-    /// while idle).
-    pub fn run_epoch(&mut self) -> usize {
-        if self.waiting.is_empty() {
-            return 0;
-        }
-        let completed = self.service_round();
-        self.engine.advance(self.cfg.epoch);
-        completed
-    }
-
-    /// Run epochs until the queue drains (bounded by `max_epochs`).
-    /// Returns the number of epochs executed.
-    pub fn run_until_idle(&mut self, max_epochs: usize) -> usize {
-        let mut epochs = 0;
-        while !self.waiting.is_empty() && epochs < max_epochs {
-            self.run_epoch();
-            epochs += 1;
-        }
-        epochs
-    }
-
     fn advance_engine_to(&mut self, t: SimTime) {
         let now = self.engine.now();
         if t > now {
@@ -1188,8 +1162,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                 (due < window_end).then_some(due)
             };
             // Arrivals win ties so a query landing exactly on a round
-            // boundary joins that round, matching the batch path where
-            // submits precede `run_epoch`.
+            // boundary joins that round, as a direct `submit` before the
+            // step would.
             let take_arrival = match (next_arrival, next_round) {
                 (None, None) => break,
                 (Some(_), None) => true,

@@ -24,7 +24,7 @@
 use pg_runtime::{
     Admission, Attribution, BatchQuery, EngineOutcome, JournalRecord, MultiQueryRuntime,
     OverloadConfig, OverloadPolicy, PoissonArrivals, QueryEngine, QueryHandle, QueryOpts,
-    QueryStatus, RuntimeConfig, SchedPolicy,
+    QueryStatus, RuntimeConfig, SchedPolicy, TraceArrivals,
 };
 use pg_sim::{Duration, SimTime};
 use proptest::prelude::*;
@@ -74,6 +74,17 @@ fn runtime(slots: usize) -> MultiQueryRuntime<Echo> {
     MultiQueryRuntime::new(cfg, Echo { now: SimTime::ZERO })
 }
 
+/// Serve the queue alone, with no arrivals, for at most `max` epochs.
+fn drain(rt: &mut MultiQueryRuntime<Echo>, max: usize) {
+    rt.run_stream(&mut TraceArrivals::new([]), max);
+}
+
+/// One epoch-wide step with no arrivals: at most one service round.
+fn round(rt: &mut MultiQueryRuntime<Echo>) {
+    let epoch = rt.config().epoch;
+    rt.step(epoch, &mut TraceArrivals::new([]));
+}
+
 fn submit_n(rt: &mut MultiQueryRuntime<Echo>, n: usize) -> Vec<QueryHandle> {
     (0..n)
         .map(|i| {
@@ -100,7 +111,7 @@ fn crash_without_journal_loses_waiting_queries_permanently() {
     // No journal: recovery recovers nothing.
     assert_eq!(rt.recover_from_journal(), 0);
     assert_eq!(rt.lost, 4);
-    rt.run_until_idle(8);
+    drain(&mut rt, 8);
     assert_eq!(rt.outcomes().len(), 0);
 }
 
@@ -111,7 +122,7 @@ fn journal_recovery_restores_open_queries_under_original_ids() {
     let handles = submit_n(&mut rt, 6);
     // One epoch services the first two; four are still waiting at the
     // crash.
-    rt.run_epoch();
+    round(&mut rt);
     assert_eq!(rt.outcomes().len(), 2);
     assert_eq!(rt.crash(), 4);
     assert_eq!(rt.lost, 4);
@@ -127,7 +138,7 @@ fn journal_recovery_restores_open_queries_under_original_ids() {
         assert!(rt.poll(*h).is_queued(), "{h} not re-queued");
     }
     // Completed outcomes are never resurrected or re-run.
-    rt.run_until_idle(8);
+    drain(&mut rt, 8);
     assert_eq!(rt.outcomes().len(), 6);
     let mut ids: Vec<u64> = rt.outcomes().iter().map(|o| o.id.0).collect();
     ids.sort_unstable();
@@ -148,12 +159,12 @@ fn double_crash_and_recover_stays_exactly_once() {
     let handles = submit_n(&mut rt, 3);
     rt.crash();
     rt.recover_from_journal();
-    rt.run_epoch(); // completes one
+    round(&mut rt); // completes one
     rt.crash();
     assert_eq!(rt.lost, 2);
     rt.recover_from_journal();
     assert_eq!(rt.recovered, 3 + 2); // 3 first round, 2 second
-    rt.run_until_idle(8);
+    drain(&mut rt, 8);
     assert_eq!(rt.outcomes().len(), 3);
     for h in &handles {
         assert!(rt.poll(*h).is_completed());
@@ -172,7 +183,7 @@ fn queue_wait_accrues_across_a_crash() {
     // The cell is down for 300 s before it restarts and recovers.
     rt.engine_mut().advance(Duration::from_secs(300));
     rt.recover_from_journal();
-    rt.run_until_idle(4);
+    drain(&mut rt, 4);
     let o = match rt.poll(h) {
         QueryStatus::Completed(o) => o,
         s => panic!("expected completion, got {s:?}"),
@@ -257,7 +268,7 @@ fn tightened_deadline_survives_a_crash() {
         QueryStatus::Queued { rank, .. } => assert_eq!(rank, 0, "the tightening was forgotten"),
         s => panic!("expected queued, got {s:?}"),
     }
-    rt.run_until_idle(8);
+    drain(&mut rt, 8);
     let first = &rt.outcomes()[0];
     assert_eq!(first.id, handles[2].id());
     assert_eq!(first.deadline, Some(SimTime::from_secs(60)));

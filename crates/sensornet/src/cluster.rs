@@ -44,23 +44,11 @@ pub fn elect_heads(net: &SensorNetwork, members: &[NodeId], k: usize) -> Vec<Nod
     live
 }
 
-/// One epoch of cluster-based collection with `k` heads.
-pub fn cluster_collection<R: Rng>(
-    net: &mut SensorNetwork,
-    members: &[NodeId],
-    field: &TemperatureField,
-    t: SimTime,
-    agg: AggFn,
-    k: usize,
-    rng: &mut R,
-) -> CollectionReport {
-    cluster_collection_filtered(net, members, field, t, agg, k, &ValueFilter::all(), rng)
-}
-
-/// [`cluster_collection`] with predicate push-down: members whose readings
-/// fail `filter` stay silent in the intra-cluster phase.
+/// One epoch of cluster-based collection with `k` heads, with predicate
+/// push-down: members whose readings fail `filter` stay silent in the
+/// intra-cluster phase.
 #[allow(clippy::too_many_arguments)]
-pub fn cluster_collection_filtered<R: Rng>(
+pub fn cluster_collection<R: Rng>(
     net: &mut SensorNetwork,
     members: &[NodeId],
     field: &TemperatureField,
@@ -233,6 +221,7 @@ mod tests {
             SimTime::ZERO,
             AggFn::Avg,
             3,
+            &ValueFilter::all(),
             &mut rng,
         );
         assert_eq!(r.delivered, 24);
@@ -276,9 +265,27 @@ mod tests {
         let f = TemperatureField::calm(20.0);
         let mut n1 = net();
         let ms = members(&n1);
-        let r1 = cluster_collection(&mut n1, &ms, &f, SimTime::ZERO, AggFn::Avg, 1, &mut rng);
+        let r1 = cluster_collection(
+            &mut n1,
+            &ms,
+            &f,
+            SimTime::ZERO,
+            AggFn::Avg,
+            1,
+            &ValueFilter::all(),
+            &mut rng,
+        );
         let mut n8 = net();
-        let r8 = cluster_collection(&mut n8, &ms, &f, SimTime::ZERO, AggFn::Avg, 8, &mut rng);
+        let r8 = cluster_collection(
+            &mut n8,
+            &ms,
+            &f,
+            SimTime::ZERO,
+            AggFn::Avg,
+            8,
+            &ValueFilter::all(),
+            &mut rng,
+        );
         assert!(r8.latency < r1.latency, "{} !< {}", r8.latency, r1.latency);
     }
 

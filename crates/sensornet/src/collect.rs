@@ -256,35 +256,13 @@ impl Meter {
 
 /// **Direct collection**: every member samples and unicasts its raw reading
 /// to the base station along the shortest path. No in-network computation.
+///
+/// TAG-style predicate push-down: a member whose reading fails `filter`
+/// never transmits (the `WHERE temp > 40` selection happens at the sensing
+/// site, saving the whole route's energy). Returns the report and the raw
+/// `(sensor, value)` pairs that reached the base station — what the
+/// Complex-query path ships onward to the base-station solver or the grid.
 pub fn direct_collection<R: Rng>(
-    net: &mut SensorNetwork,
-    members: &[NodeId],
-    field: &TemperatureField,
-    t: SimTime,
-    agg: AggFn,
-    rng: &mut R,
-) -> CollectionReport {
-    direct_collection_raw(net, members, field, t, agg, rng).0
-}
-
-/// [`direct_collection`], additionally returning the raw `(sensor, value)`
-/// pairs that reached the base station — what the Complex-query path ships
-/// onward to the base-station solver or the grid.
-pub fn direct_collection_raw<R: Rng>(
-    net: &mut SensorNetwork,
-    members: &[NodeId],
-    field: &TemperatureField,
-    t: SimTime,
-    agg: AggFn,
-    rng: &mut R,
-) -> (CollectionReport, Vec<(NodeId, f64)>) {
-    direct_collection_filtered(net, members, field, t, agg, &ValueFilter::all(), rng)
-}
-
-/// [`direct_collection_raw`] with TAG-style predicate push-down: a member
-/// whose reading fails `filter` never transmits (the `WHERE temp > 40`
-/// selection happens at the sensing site, saving the whole route's energy).
-pub fn direct_collection_filtered<R: Rng>(
     net: &mut SensorNetwork,
     members: &[NodeId],
     field: &TemperatureField,
@@ -340,21 +318,11 @@ pub fn direct_collection_filtered<R: Rng>(
 
 /// **Tree aggregation** (TAG): partial states merge up the BFS spanning
 /// tree; every involved node forwards one fixed-size partial per epoch.
+///
+/// With predicate push-down, readings failing `filter` never enter a
+/// partial state (the node still forwards its children's partials — the
+/// tree must stay connected).
 pub fn tree_aggregation<R: Rng>(
-    net: &mut SensorNetwork,
-    members: &[NodeId],
-    field: &TemperatureField,
-    t: SimTime,
-    agg: AggFn,
-    rng: &mut R,
-) -> CollectionReport {
-    tree_aggregation_filtered(net, members, field, t, agg, &ValueFilter::all(), rng)
-}
-
-/// [`tree_aggregation`] with predicate push-down: readings failing `filter`
-/// never enter a partial state (the node still forwards its children's
-/// partials — the tree must stay connected).
-pub fn tree_aggregation_filtered<R: Rng>(
     net: &mut SensorNetwork,
     members: &[NodeId],
     field: &TemperatureField,
@@ -462,8 +430,10 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Avg,
+            &ValueFilter::all(),
             &mut rng,
-        );
+        )
+        .0;
         assert_eq!(r.delivered, 15);
         assert_eq!(r.delivery_ratio(), 1.0);
         assert_eq!(r.value, Some(25.0));
@@ -484,14 +454,17 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Avg,
+            &ValueFilter::all(),
             &mut rng,
-        );
+        )
+        .0;
         let g = tree_aggregation(
             &mut net_b,
             &members,
             &field(),
             SimTime::ZERO,
             AggFn::Avg,
+            &ValueFilter::all(),
             &mut rng,
         );
         // Noise-free calm field: both must compute exactly 25.0 over all 15.
@@ -511,14 +484,17 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Avg,
+            &ValueFilter::all(),
             &mut rng,
-        );
+        )
+        .0;
         let g = tree_aggregation(
             &mut net_b,
             &members,
             &field(),
             SimTime::ZERO,
             AggFn::Avg,
+            &ValueFilter::all(),
             &mut rng,
         );
         assert!(
@@ -545,6 +521,7 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Count,
+            &ValueFilter::all(),
             &mut rng,
         );
         assert_eq!(r.value, Some(3.0));
@@ -570,8 +547,10 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Count,
+            &ValueFilter::all(),
             &mut rng,
-        );
+        )
+        .0;
         assert!(r.delivered <= 24);
         assert_eq!(r.value, Some(r.delivered as f64));
         // Retries must show up in total bytes.
@@ -591,6 +570,7 @@ mod tests {
             &field(),
             SimTime::ZERO,
             AggFn::Count,
+            &ValueFilter::all(),
             &mut rng,
         );
         assert_eq!(r.value, Some(7.0)); // 8 members - 1 dead
@@ -652,13 +632,13 @@ mod tests {
                 50.0,
             );
             let (ms, f, t) = (all_members(&net), field(), SimTime::ZERO);
-            let n = &mut net;
+            let (n, all) = (&mut net, &ValueFilter::all());
             let rng = &mut StdRng::seed_from_u64(7);
             let before = n.total_consumed();
             let r = match name {
-                "direct" => direct_collection(n, &ms, &f, t, AggFn::Sum, rng),
-                "tree" => tree_aggregation(n, &ms, &f, t, AggFn::Sum, rng),
-                "cluster" => cluster_collection(n, &ms, &f, t, AggFn::Sum, 2, rng),
+                "direct" => direct_collection(n, &ms, &f, t, AggFn::Sum, all, rng).0,
+                "tree" => tree_aggregation(n, &ms, &f, t, AggFn::Sum, all, rng),
+                "cluster" => cluster_collection(n, &ms, &f, t, AggFn::Sum, 2, all, rng),
                 _ => cluster_summaries(n, &ms, &f, t, 2, rng).0,
             };
             let drained = n.total_consumed() - before;

@@ -16,9 +16,8 @@
 //!
 //! [`field`] models the physical phenomenon (ambient temperature plus
 //! spreading fires), [`aggregate`] the decomposable aggregate functions with
-//! mergeable partial state, [`epoch`] the continuous-query execution loop
-//! with battery drain and network-lifetime accounting, and [`region`] the
-//! spatial predicates used by `WHERE` clauses ("room #210").
+//! mergeable partial state, and [`region`] the spatial predicates used by
+//! `WHERE` clauses ("room #210").
 //!
 //! All five epoch bodies (direct, tree, cluster, summaries, [`shared`]) bill
 //! through the crate-private meter in [`collect`]: the one place a sample,
@@ -43,7 +42,6 @@ pub mod aggregate;
 pub mod arena;
 pub mod cluster;
 pub mod collect;
-pub mod epoch;
 pub mod field;
 pub mod network;
 pub mod proxy;

@@ -11,8 +11,8 @@
 //! refreshes the cache. The hit rate is the energy-sharing factor across
 //! concurrent queries.
 
-use crate::aggregate::AggFn;
-use crate::collect::direct_collection_raw;
+use crate::aggregate::{AggFn, ValueFilter};
+use crate::collect::direct_collection;
 use crate::field::TemperatureField;
 use crate::network::SensorNetwork;
 use pg_net::topology::NodeId;
@@ -93,7 +93,15 @@ impl SensorProxy {
             }
         }
         self.misses += 1;
-        let (report, raw) = direct_collection_raw(net, &[sensor], field, now, AggFn::Avg, rng);
+        let (report, raw) = direct_collection(
+            net,
+            &[sensor],
+            field,
+            now,
+            AggFn::Avg,
+            &ValueFilter::all(),
+            rng,
+        );
         let &(_, value) = raw.first()?;
         self.cache.insert(sensor, Cached { value, at: now });
         Some(ProxyRead {

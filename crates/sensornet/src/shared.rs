@@ -135,28 +135,6 @@ fn packet_bytes(entries: usize) -> u64 {
     entries as u64 * (STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES)
 }
 
-/// Execute one shared collection epoch for `queries` over the BFS spanning
-/// tree rooted at the base station.
-///
-/// The tree is built implicitly and for free — the v1 semantics every
-/// baseline pins. Sessions that model tree lifetime (construction beacons,
-/// cross-epoch reuse, invalidation on node death) go through
-/// [`SharedTreeSession`] instead.
-///
-/// # Panics
-/// Panics when more than [`MAX_SHARED_QUERIES`] queries are passed; callers
-/// batch larger workloads into multiple epochs.
-pub fn shared_tree_collection<R: Rng>(
-    net: &mut SensorNetwork,
-    queries: &[SharedQuery],
-    field: &TemperatureField,
-    t: SimTime,
-    rng: &mut R,
-) -> SharedReport {
-    let tree = net.base_tree();
-    collect_over_tree(net, &tree, queries, field, t, rng)
-}
-
 /// Every query index set in `mask`, ascending.
 fn queries_in(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -538,11 +516,14 @@ impl SharedTreeSession {
         }
     }
 
-    /// Run one shared collection epoch under the session's tree-lifetime
-    /// policy. Control-plane charges (if the tree was built this epoch)
-    /// land in the report's `control_bytes`/`control_energy_j`/
-    /// `tree_rebuilt` fields; the data-plane fields match
-    /// [`shared_tree_collection`] exactly.
+    /// Run one shared collection epoch for `queries` under the session's
+    /// tree-lifetime policy. Control-plane charges (if the tree was built or
+    /// repaired this epoch) land in the report's `control_bytes`/
+    /// `control_energy_j`/`tree_rebuilt`/`tree_repaired` fields.
+    ///
+    /// # Panics
+    /// Panics when more than [`MAX_SHARED_QUERIES`] queries are passed;
+    /// callers batch larger workloads into multiple epochs.
     pub fn collect<R: Rng>(
         &mut self,
         net: &mut SensorNetwork,
@@ -553,10 +534,13 @@ impl SharedTreeSession {
     ) -> SharedReport {
         let control = self.maintain(net);
         // Only Incremental sessions own a tree; a Free session rides the
-        // network's base tree.
+        // network's BFS base tree, built implicitly and for free.
         let mut report = match &self.canonical {
             Some(tree) => collect_over_tree(net, tree, queries, field, t, rng),
-            None => shared_tree_collection(net, queries, field, t, rng),
+            None => {
+                let tree = net.base_tree();
+                collect_over_tree(net, &tree, queries, field, t, rng)
+            }
         };
         report.control_bytes = control.bytes;
         report.control_energy_j = control.energy_j;
@@ -606,7 +590,7 @@ mod oracle;
 mod tests {
     use super::*;
     use crate::aggregate::ValueOp;
-    use crate::collect::tree_aggregation_filtered;
+    use crate::collect::tree_aggregation;
     use pg_net::energy::RadioModel;
     use pg_net::link::LinkModel;
     use pg_net::topology::Topology;
@@ -637,6 +621,22 @@ mod tests {
             .collect()
     }
 
+    /// One shared epoch at t = 0 on the network's own base tree: what a
+    /// `Free` session runs.
+    fn free_epoch(
+        net: &mut SensorNetwork,
+        queries: &[SharedQuery],
+        rng: &mut StdRng,
+    ) -> SharedReport {
+        SharedTreeSession::new(TreeMaintenance::Free).collect(
+            net,
+            queries,
+            &field(),
+            SimTime::ZERO,
+            rng,
+        )
+    }
+
     fn avg_query(members: Vec<NodeId>) -> SharedQuery {
         SharedQuery {
             members,
@@ -650,7 +650,7 @@ mod tests {
         let members = all_members(&lossless_net(4));
         let mut net_a = lossless_net(4);
         let mut rng_a = StdRng::seed_from_u64(1);
-        let solo = tree_aggregation_filtered(
+        let solo = tree_aggregation(
             &mut net_a,
             &members,
             &field(),
@@ -661,16 +661,13 @@ mod tests {
         );
         let mut net_b = lossless_net(4);
         let mut rng_b = StdRng::seed_from_u64(1);
-        let shared = shared_tree_collection(
-            &mut net_b,
-            &[avg_query(members)],
-            &field(),
-            SimTime::ZERO,
-            &mut rng_b,
-        );
+        let shared = free_epoch(&mut net_b, &[avg_query(members)], &mut rng_b);
         assert_eq!(shared.per_query[0].value, solo.value);
         assert_eq!(shared.per_query[0].delivered, solo.delivered);
         assert_eq!(shared.strata, 1);
+        // A Free session's tree materializes at no modelled cost.
+        assert_eq!((shared.control_bytes, shared.control_waves), (0, 0));
+        assert!(!shared.tree_rebuilt && !shared.tree_repaired);
     }
 
     #[test]
@@ -683,7 +680,7 @@ mod tests {
         let mut net_a = lossless_net(5);
         let mut rng_a = StdRng::seed_from_u64(2);
         for _ in 0..K {
-            let r = tree_aggregation_filtered(
+            let r = tree_aggregation(
                 &mut net_a,
                 &members,
                 &field(),
@@ -699,8 +696,7 @@ mod tests {
         let queries: Vec<SharedQuery> = (0..K).map(|_| avg_query(members.clone())).collect();
         let mut net_b = lossless_net(5);
         let mut rng_b = StdRng::seed_from_u64(2);
-        let shared =
-            shared_tree_collection(&mut net_b, &queries, &field(), SimTime::ZERO, &mut rng_b);
+        let shared = free_epoch(&mut net_b, &queries, &mut rng_b);
 
         // Identical member sets collapse to a single stratum: the whole
         // workload rides one 48-byte entry per edge instead of K*40 bytes.
@@ -733,7 +729,7 @@ mod tests {
         ];
         let mut net = lossless_net(5);
         let mut rng = StdRng::seed_from_u64(3);
-        let shared = shared_tree_collection(&mut net, &qs, &field(), SimTime::ZERO, &mut rng);
+        let shared = free_epoch(&mut net, &qs, &mut rng);
         assert_eq!(shared.per_query[0].value, Some(25.0));
         assert_eq!(shared.per_query[1].value, Some(25.0));
         assert_eq!(shared.per_query[1].delivered, 12);
@@ -754,7 +750,7 @@ mod tests {
         ];
         let mut net = lossless_net(4);
         let mut rng = StdRng::seed_from_u64(4);
-        let shared = shared_tree_collection(&mut net, &qs, &field(), SimTime::ZERO, &mut rng);
+        let shared = free_epoch(&mut net, &qs, &mut rng);
         // A calm 25° field never exceeds 100°: query 0 counts zero readings
         // while query 1 still sees everything.
         assert_eq!(shared.per_query[0].value, Some(0.0));
@@ -773,7 +769,7 @@ mod tests {
         ];
         let mut net = lossless_net(5);
         let mut rng = StdRng::seed_from_u64(5);
-        let shared = shared_tree_collection(&mut net, &qs, &field(), SimTime::ZERO, &mut rng);
+        let shared = free_epoch(&mut net, &qs, &mut rng);
         let bytes: f64 = shared.per_query.iter().map(|p| p.bytes).sum();
         let energy: f64 = shared.per_query.iter().map(|p| p.energy_j).sum();
         assert!(
@@ -794,14 +790,12 @@ mod tests {
             let mut net = lossless_net(4);
             net.noise_sd = 0.5;
             let mut rng = StdRng::seed_from_u64(6);
-            let r = shared_tree_collection(
+            let r = free_epoch(
                 &mut net,
                 &[
                     avg_query(all.clone()),
                     avg_query(all.iter().copied().take(7).collect()),
                 ],
-                &field(),
-                SimTime::ZERO,
                 &mut rng,
             );
             (
@@ -812,40 +806,6 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn free_session_is_bit_identical_to_v1() {
-        let all = all_members(&lossless_net(4));
-        let run_v1 = || {
-            let mut net = lossless_net(4);
-            let mut rng = StdRng::seed_from_u64(8);
-            shared_tree_collection(
-                &mut net,
-                &[avg_query(all.clone())],
-                &field(),
-                SimTime::ZERO,
-                &mut rng,
-            )
-        };
-        let run_session = || {
-            let mut net = lossless_net(4);
-            let mut rng = StdRng::seed_from_u64(8);
-            let mut session = SharedTreeSession::new(TreeMaintenance::Free);
-            session.collect(
-                &mut net,
-                &[avg_query(all.clone())],
-                &field(),
-                SimTime::ZERO,
-                &mut rng,
-            )
-        };
-        let (a, b) = (run_v1(), run_session());
-        assert_eq!(a.per_query[0].value, b.per_query[0].value);
-        assert_eq!(a.total_bytes, b.total_bytes);
-        assert_eq!(a.energy_j.to_bits(), b.energy_j.to_bits());
-        assert_eq!(b.control_bytes, 0);
-        assert!(!b.tree_rebuilt);
     }
 
     #[test]
@@ -959,6 +919,6 @@ mod tests {
         let members = all_members(&net);
         let qs: Vec<SharedQuery> = (0..65).map(|_| avg_query(members.clone())).collect();
         let mut rng = StdRng::seed_from_u64(7);
-        let _ = shared_tree_collection(&mut net, &qs, &field(), SimTime::ZERO, &mut rng);
+        let _ = free_epoch(&mut net, &qs, &mut rng);
     }
 }

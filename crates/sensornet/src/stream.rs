@@ -298,15 +298,9 @@ impl Chain {
 /// Rate-based operator ordering: given per-operator selectivities for
 /// commuting filters, the cost-minimizing order is ascending selectivity
 /// (drop the most data first). Returns the ordering of indices.
-// Selectivities are probabilities in [0, 1], never NaN.
-#[allow(clippy::expect_used)]
 pub fn rate_optimal_filter_order(selectivities: &[f64]) -> Vec<usize> {
     let mut idx: Vec<usize> = (0..selectivities.len()).collect();
-    idx.sort_by(|&a, &b| {
-        selectivities[a]
-            .partial_cmp(&selectivities[b])
-            .expect("selectivities are never NaN")
-    });
+    idx.sort_by(|&a, &b| selectivities[a].total_cmp(&selectivities[b]));
     idx
 }
 

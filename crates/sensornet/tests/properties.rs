@@ -6,7 +6,7 @@ use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, Topology};
-use pg_sensornet::aggregate::{AggFn, Partial};
+use pg_sensornet::aggregate::{AggFn, Partial, ValueFilter};
 use pg_sensornet::collect::{direct_collection, tree_aggregation};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
@@ -77,10 +77,8 @@ proptest! {
         let mut n1 = make_net();
         let mut n2 = make_net();
         let members: Vec<NodeId> = n1.topology().nodes().filter(|&x| x != NodeId(0)).collect();
-        let d = direct_collection(&mut n1, &members, &field, SimTime::ZERO, AggFn::Avg,
-                                  &mut StdRng::seed_from_u64(seed));
-        let t = tree_aggregation(&mut n2, &members, &field, SimTime::ZERO, AggFn::Avg,
-                                  &mut StdRng::seed_from_u64(seed));
+        let d = direct_collection(&mut n1, &members, &field, SimTime::ZERO, AggFn::Avg, &ValueFilter::all(), &mut StdRng::seed_from_u64(seed)).0;
+        let t = tree_aggregation(&mut n2, &members, &field, SimTime::ZERO, AggFn::Avg, &ValueFilter::all(), &mut StdRng::seed_from_u64(seed));
         prop_assert_eq!(d.delivered, members.len());
         prop_assert_eq!(t.delivered, members.len());
         prop_assert!((d.value.unwrap() - t.value.unwrap()).abs() < 1e-9);
@@ -101,14 +99,7 @@ proptest! {
         net.noise_sd = 0.0;
         let members: Vec<NodeId> = net.topology().nodes().filter(|&x| x != NodeId(0)).collect();
         let before = net.total_consumed();
-        let r = direct_collection(
-            &mut net,
-            &members,
-            &TemperatureField::calm(20.0),
-            SimTime::ZERO,
-            AggFn::Count,
-            &mut StdRng::seed_from_u64(seed),
-        );
+        let r = direct_collection(&mut net, &members, &TemperatureField::calm(20.0), SimTime::ZERO, AggFn::Count, &ValueFilter::all(), &mut StdRng::seed_from_u64(seed)).0;
         prop_assert!(r.delivered <= r.participating);
         prop_assert!(r.delivery_ratio() >= 0.0 && r.delivery_ratio() <= 1.0);
         prop_assert!(r.energy_j >= 0.0);

@@ -2,7 +2,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pervasive_grid::core::PervasiveGrid;
+use pervasive_grid::core::{PervasiveGrid, PgError};
 use pervasive_grid::net::geom::Point;
 use pervasive_grid::partition::decide::Policy;
 use pervasive_grid::sensornet::region::Region;
@@ -99,8 +99,9 @@ fn calibration_error_improves_with_experience() {
 fn learner_history_grows_with_answered_queries_only() {
     let mut pg = PervasiveGrid::building(1, 5, 13).build();
     pg.submit("SELECT AVG(temp) FROM sensors").unwrap();
-    let _ = pg.submit("SELECT banana FROM"); // parse error
-    let _ = pg.submit("SELECT AVG(temp) FROM sensors COST energy 0.000000001"); // rejected
+    let parse = pg.submit("SELECT banana FROM");
+    let rejected = pg.submit("SELECT AVG(temp) FROM sensors COST energy 0.000000001");
+    assert!(matches!(parse, Err(PgError::Parse(_))), "{parse:?}");
+    assert_eq!(rejected, Err(PgError::CostBoundsUnsatisfiable));
     assert_eq!(pg.decision.history_len(), 1);
-    assert_eq!(pg.log.len(), 3);
 }

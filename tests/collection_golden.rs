@@ -32,10 +32,8 @@ use pervasive_grid::net::link::LinkModel;
 use pervasive_grid::net::topology::{NodeId, Topology};
 use pervasive_grid::runtime::{BatchQuery, QueryEngine};
 use pervasive_grid::sensornet::aggregate::{AggFn, ValueFilter, ValueOp};
-use pervasive_grid::sensornet::cluster::{
-    cluster_collection_filtered, cluster_summaries, elect_heads,
-};
-use pervasive_grid::sensornet::collect::{direct_collection_filtered, tree_aggregation_filtered};
+use pervasive_grid::sensornet::cluster::{cluster_collection, cluster_summaries, elect_heads};
+use pervasive_grid::sensornet::collect::{direct_collection, tree_aggregation};
 use pervasive_grid::sensornet::region::Region;
 use pervasive_grid::sensornet::{CollectionReport, SensorNetwork, TemperatureField};
 use pervasive_grid::sim::fault::FaultPlan;
@@ -111,7 +109,7 @@ fn digests(seed: u64, mode: TreeMaintenance) -> (u64, u64, u64) {
             fnv(&mut bytes, attribution.retries);
             fnv(&mut energy, attribution.energy_j.to_bits());
         }
-        let tag = tree_aggregation_filtered(
+        let tag = tree_aggregation(
             &mut pg.net,
             &tag_members,
             &pg.field,
@@ -242,17 +240,16 @@ fn strategy_digests_for(seed: u64) -> [u64; 5] {
             assert!(heads.contains(&NodeId(33)), "a crashed head is elected");
         }
         let (agg, rng) = (AggFn::Avg, &mut rngs);
-        let (r, raw) =
-            direct_collection_filtered(&mut net, &members, &field, t, agg, &filter, &mut rng[0]);
+        let (r, raw) = direct_collection(&mut net, &members, &field, t, agg, &filter, &mut rng[0]);
         fnv_report(&mut h[0], &r);
         for (id, reading) in raw {
             fnv(&mut h[0], u64::from(id.0));
             fnv(&mut h[0], reading.to_bits());
         }
-        let r = tree_aggregation_filtered(&mut net, &members, &field, t, agg, &filter, &mut rng[1]);
+        let r = tree_aggregation(&mut net, &members, &field, t, agg, &filter, &mut rng[1]);
         fnv_report(&mut h[1], &r);
         for (i, k) in [(2, 1), (3, 5)] {
-            let r = cluster_collection_filtered(
+            let r = cluster_collection(
                 &mut net,
                 &members,
                 &field,

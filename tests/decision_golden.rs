@@ -17,6 +17,7 @@ use pervasive_grid::partition::decide::{DecisionConfig, DecisionMaker, Policy};
 use pervasive_grid::partition::estimate::estimate;
 use pervasive_grid::partition::exec::ExecContext;
 use pervasive_grid::partition::features::QueryFeatures;
+use pervasive_grid::partition::learn::Reward;
 use pervasive_grid::partition::model::SolutionModel;
 use pervasive_grid::query::ast::Query;
 use pervasive_grid::sensornet::region::Region;
@@ -73,14 +74,14 @@ fn digest(seed: u64) -> u64 {
         // The measured cost: the analytic estimate off by a seeded factor,
         // so neighbours disagree and the weighted mean matters.
         let actual = estimate(&pg.net, &pg.grid, f, &model).scale(rng.gen_range(0.5..1.8));
-        dm.record(&pg.net, &pg.grid, *f, model, actual);
+        dm.observe(&pg.net, &pg.grid, *f, model, Reward::from_cost(actual));
         // Riders of a shared tree: a few more aggregate answers, each an
         // InNetworkTree actual under its own template's features.
         for _ in 0..rng.gen_range(0..5usize) {
             let (_, rf) = &shapes[rng.gen_range(0..2 * REGIONS.len())];
             let tree = SolutionModel::InNetworkTree;
             let share = estimate(&pg.net, &pg.grid, rf, &tree).scale(rng.gen_range(0.2..1.1));
-            dm.record(&pg.net, &pg.grid, *rf, tree, share);
+            dm.observe(&pg.net, &pg.grid, *rf, tree, Reward::from_cost(share));
         }
         fnv(&mut h, &dm.calibration_error(64).to_bits().to_le_bytes());
     }

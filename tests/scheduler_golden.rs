@@ -14,7 +14,13 @@
 //!
 //! The constants were captured on the commit *before* the scheduler's
 //! admission pipeline, per-id state sets and queue record were collapsed
-//! (debug and release agree). Two things are left out on purpose, because
+//! (debug and release agree). Twelve of them were re-captured when the
+//! final drain moved from the deleted `run_until_idle` to `run_stream`: the
+//! old drain served its first round at the clock even when the script's
+//! last `step` had anchored the next round up to an epoch later, and
+//! `run_stream` keeps that epoch grid. The parent's scheduler with the
+//! `run_stream` drain gives the same twelve, and the six scripts that end
+//! on the grid kept theirs. Two things are left out on purpose, because
 //! that change fixes them: the script never crashes a runtime that holds a
 //! tightened query (recovery used to forget the tightening), and the
 //! journal record a tightening now appends is skipped here —
@@ -381,7 +387,8 @@ fn digest(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool) -> u6
     // Recover what is still lost, then drain.
     for side in &mut sides {
         fnv_u64(&mut h, side.rt.recover_from_journal() as u64);
-        fnv_u64(&mut h, side.rt.run_until_idle(64) as u64);
+        let steps = side.rt.run_stream(&mut TraceArrivals::new([]), 64);
+        fnv_u64(&mut h, steps as u64);
         side.observe(&mut h);
         side.finish(&mut h);
     }
@@ -396,24 +403,24 @@ const OVERLOADS: [OverloadPolicy; 3] = [
 ];
 /// Policy-major, then overload policy, then preemption off / on.
 const PINNED: [u64; 18] = [
-    0x0d4c_3344_a6fe_083c,
-    0xab81_5eff_1072_3328,
+    0xb5a6_9d5b_6ee1_0569,
+    0xe18f_6923_8051_7be5,
     0x1135_df6d_5f52_ba6c,
     0xb2dc_ed13_acf3_d047,
-    0x1ec2_cb09_a45b_d088,
-    0x9292_60e4_2c94_f657,
-    0x4ffe_0a13_62b8_caa6,
-    0x2fc4_4f76_4dfd_e879,
-    0xf04d_5a59_5e33_269f,
-    0xcbd8_16ee_23e7_5599,
-    0x38d9_875c_1148_b80d,
-    0xc207_2cba_1536_f459,
+    0x9946_7115_f432_028a,
+    0x79c5_eee3_c5b0_4fea,
+    0x12fb_6a34_d8d7_52a4,
+    0x8dc3_fc29_f05a_9ea3,
+    0x095a_dbe5_9735_6a17,
+    0x5f21_ecc4_0956_df24,
+    0xfc25_dc49_23f3_bf82,
+    0x5a89_19b5_22d7_d018,
     0x85d2_f410_58c3_e8d3,
     0xac40_30b6_584c_4999,
     0xd008_3003_eca2_908e,
     0xa997_049c_5b4e_7c41,
-    0xab3d_bfae_8f0c_2afb,
-    0xc370_aa75_22ff_672a,
+    0xa17f_3708_d1ac_d5b2,
+    0x8197_c848_9779_fe17,
 ];
 
 #[test]
