@@ -3,9 +3,9 @@
 //!
 //! The paper's scenario is many handheld users querying one shared fabric
 //! at once (§2). This module makes that concrete: a
-//! [`MultiQueryRuntime<PervasiveGrid>`](GridRuntime) admits N queries
-//! against the batteries' headroom, batches each epoch's slots into one
-//! `execute_batch` call, and the engine here runs *overlapping aggregate
+//! [`MultiQueryRuntime<PervasiveGrid>`](GridRuntime) queues N queries,
+//! batches each epoch's slots into one `execute_batch` call, and the
+//! engine here runs *overlapping aggregate
 //! queries through one shared collection tree* — sampling each sensor once
 //! and piggybacking per-query partial state on shared packets — while
 //! everything else goes through the ordinary single-query pipeline.
@@ -271,16 +271,6 @@ impl QueryEngine for PervasiveGrid {
         PervasiveGrid::advance(self, dt);
     }
 
-    fn available_energy_j(&self) -> f64 {
-        let base = self.net.base();
-        self.net
-            .topology()
-            .nodes()
-            .filter(|&n| n != base)
-            .map(|n| self.net.remaining_energy(n))
-            .sum()
-    }
-
     /// Scheduler pressure flows straight into the decision maker's health
     /// context: the bandit's selections condition on queue depth and
     /// overload level the moment the scheduler observes them.
@@ -288,10 +278,10 @@ impl QueryEngine for PervasiveGrid {
         self.decision.note_pressure(queue_depth, overload_level);
     }
 
-    /// Deterministic first-order cost model for admission control: every
-    /// member ships one stratum entry one hop at nominal range, plus the
-    /// matching receive. No rng is touched, so admission decisions never
-    /// perturb the execution stream.
+    /// Deterministic first-order cost model, the energy-fair ordering key:
+    /// every member ships one stratum entry one hop at nominal range, plus
+    /// the matching receive. No rng is touched, so asking at admission
+    /// never perturbs the execution stream.
     fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
         let query = pg_query::parse(text).ok()?;
         let members = {

@@ -15,7 +15,6 @@ use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
-use pg_sensornet::proxy::SensorProxy;
 use pg_sensornet::region::Region;
 use pg_sensornet::shared::{SharedTreeSession, TreeMaintenance};
 use pg_sim::fault::FaultPlan;
@@ -236,7 +235,6 @@ impl GridBuilder {
             regions: self.regions,
             decision: DecisionMaker::with_config(self.policy, self.seed, DecisionConfig::default()),
             now: SimTime::ZERO,
-            proxy: None,
             faults: self.faults,
             deadline: self.deadline,
             tree_session: SharedTreeSession::new(self.tree_maintenance),
@@ -259,10 +257,6 @@ pub struct PervasiveGrid {
     pub decision: DecisionMaker,
     /// The runtime clock.
     pub now: SimTime,
-    /// Optional Fjords-style sensor proxy: when enabled, Simple queries are
-    /// served from the freshest cached reading (zero sensor energy) while
-    /// the cache is within its TTL.
-    pub proxy: Option<SensorProxy>,
     /// The installed fault plan (the empty plan when none was given).
     pub faults: FaultPlan,
     /// End-to-end deadline budget, if one was set.
@@ -279,11 +273,6 @@ impl PervasiveGrid {
     pub fn building(floors: usize, side: usize, seed: u64) -> GridBuilder {
         let topo = Topology::building(floors, side, side, 5.0, 4.0, 8.0);
         GridBuilder::new(topo).seed(seed)
-    }
-
-    /// Enable the sensor proxy with the given freshness TTL.
-    pub fn enable_proxy(&mut self, ttl: Duration) {
-        self.proxy = Some(SensorProxy::new(ttl));
     }
 
     /// Submit query text: the full Figure-1 pipeline.
@@ -317,45 +306,6 @@ impl PervasiveGrid {
     ) -> Result<QueryResponse, PgError> {
         // 1. Query Processor: the batch engine parsed; classify.
         let kind = classify(query);
-
-        // Fast path: Simple one-shot reads through the sensor proxy (the
-        // Fjords mediator) when one is enabled — concurrent queries share
-        // physical samples instead of each waking the radio. The proxy
-        // runs at the base station, so it cannot answer during an outage.
-        if kind == QueryKind::Simple && query.cost.is_empty() && !self.faults.is_base_down(self.now)
-        {
-            if let (Some(target), Some(proxy)) = (query.target_sensor(), self.proxy.as_mut()) {
-                let node = pg_net::topology::NodeId(target);
-                if (target as usize) < self.net.len() && node != self.net.base() {
-                    if let Some(read) = proxy.read(
-                        &mut self.net,
-                        &self.field,
-                        node,
-                        self.now,
-                        &mut self.exec_rng,
-                    ) {
-                        return Ok(QueryResponse {
-                            value: Some(read.value),
-                            kind,
-                            model: SolutionModel::BaseStation,
-                            cost: CostVector {
-                                energy_j: read.energy_j,
-                                time_s: read.latency.as_secs_f64(),
-                                bytes: if read.cache_hit { 0.0 } else { 12.0 },
-                                ops: if read.cache_hit { 1.0 } else { 50.0 },
-                            },
-                            delivered_frac: 1.0,
-                            accuracy_err: None,
-                            degradation: DegradationReport {
-                                faults_active: self.faults.is_active(),
-                                ..DegradationReport::default()
-                            },
-                            provenance: Provenance::default(),
-                        });
-                    }
-                }
-            }
-        }
 
         // Base-station outage: the centralized manager waits the outage
         // out and pays it in latency — the answer is delayed, not lost.
@@ -576,48 +526,6 @@ mod tests {
             .value
             .unwrap();
         assert!(hot > cold + 100.0, "fire must show: {cold} -> {hot}");
-    }
-
-    #[test]
-    fn proxy_serves_repeated_simple_reads_for_free() {
-        let mut pg = runtime();
-        pg.enable_proxy(Duration::from_secs(30));
-        let first = pg
-            .submit("SELECT temp FROM sensors WHERE sensor_id = 12")
-            .unwrap();
-        assert!(first.cost.energy_j > 0.0, "first read touches the sensor");
-        let after_first = pg.energy_consumed();
-        // Nine more reads inside the TTL: all cache hits, zero energy.
-        for _ in 0..9 {
-            let r = pg
-                .submit("SELECT temp FROM sensors WHERE sensor_id = 12")
-                .unwrap();
-            assert_eq!(r.cost.energy_j, 0.0);
-            assert_eq!(r.value, first.value);
-        }
-        assert_eq!(pg.energy_consumed(), after_first);
-        let proxy = pg.proxy.as_ref().unwrap();
-        assert_eq!(proxy.misses, 1);
-        assert_eq!(proxy.hits, 9);
-        // Past the TTL the sensor is touched again.
-        pg.advance(Duration::from_secs(60));
-        let fresh = pg
-            .submit("SELECT temp FROM sensors WHERE sensor_id = 12")
-            .unwrap();
-        assert!(fresh.cost.energy_j > 0.0);
-    }
-
-    #[test]
-    fn proxy_does_not_intercept_cost_bounded_or_aggregate_queries() {
-        let mut pg = runtime();
-        pg.enable_proxy(Duration::from_secs(30));
-        // Aggregates always run the full pipeline.
-        pg.submit("SELECT AVG(temp) FROM sensors").unwrap();
-        assert_eq!(pg.proxy.as_ref().unwrap().misses, 0);
-        // COST-bounded simple reads need the decision maker's accounting.
-        pg.submit("SELECT temp FROM sensors WHERE sensor_id = 12 COST energy 1.0")
-            .unwrap();
-        assert_eq!(pg.proxy.as_ref().unwrap().misses, 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Integration and property tests for the multi-query runtime over a real
 //! `PervasiveGrid`: scheduler determinism under submission interleaving,
-//! EDF ordering, the energy-admission gate, shared-tree byte savings, and
-//! single-query delegation equivalence.
+//! EDF ordering, energy-fair estimates that never touch the radios,
+//! shared-tree byte savings, and single-query delegation equivalence.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -9,8 +9,8 @@ use pg_core::{PervasiveGrid, PgError};
 use pg_partition::decide::Policy;
 use pg_partition::model::SolutionModel;
 use pg_runtime::{
-    Admission, BatchQuery, MultiQueryRuntime, QueryEngine, QueryOpts, RejectReason, RuntimeConfig,
-    SchedPolicy, TraceArrivals,
+    BatchQuery, MultiQueryRuntime, QueryEngine, QueryOpts, RuntimeConfig, SchedPolicy,
+    TraceArrivals,
 };
 use pg_sensornet::region::Region;
 use pg_sim::Duration;
@@ -126,25 +126,32 @@ fn edf_never_completes_a_later_deadline_first() {
 }
 
 #[test]
-fn energy_gate_rejects_without_spending() {
-    let cfg = RuntimeConfig::builder().energy_budget_j(1e-6).build();
+fn energy_fair_estimates_never_touch_the_batteries() {
+    let cfg = RuntimeConfig::builder()
+        .policy(SchedPolicy::EnergyFair)
+        .build();
     let mut rt = MultiQueryRuntime::new(cfg, grid(5));
+    rt.enable_journal();
     let before = rt.engine().energy_consumed();
-    let adm = rt.submit("SELECT AVG(temp) FROM sensors", QueryOpts::default());
-    match adm {
-        Admission::Rejected {
-            reason: RejectReason::EnergyBudget { estimate_j, .. },
-            ..
-        } => assert!(estimate_j > 1e-6),
-        other => panic!("expected an energy-budget rejection, got {other:?}"),
+    for text in [
+        "SELECT AVG(temp) FROM sensors",
+        "SELECT MAX(temp) FROM sensors WHERE region(west)",
+    ] {
+        assert!(rt.submit(text, QueryOpts::default()).is_accepted());
     }
-    assert_eq!(rt.rejected, 1);
+    // Admission asked the engine for both ordering keys...
+    let queued = rt.journal().unwrap().open_queries();
+    assert_eq!(queued.len(), 2);
+    assert!(queued.iter().all(|q| q.estimate_j > 0.0), "{queued:?}");
+    // ...without a radio waking up, and nothing ran before a round.
     assert_eq!(
         rt.engine().energy_consumed(),
         before,
-        "admission control must not touch the radios"
+        "estimating must not touch the radios"
     );
-    assert_eq!(round(&mut rt), 0, "nothing was queued");
+    assert!(rt.outcomes().is_empty());
+    assert_eq!(round(&mut rt), 2);
+    assert!(rt.engine().energy_consumed() > before);
 }
 
 #[test]

@@ -7,7 +7,6 @@
 //! selected population, and the topology shape.
 
 use crate::exec::{members_of, ExecContext};
-use crate::model::SolutionModel;
 use pg_net::topology::NodeId;
 use pg_query::ast::Query;
 use pg_query::classify::{classify, inner_kind, QueryKind};
@@ -103,16 +102,6 @@ pub(crate) fn vector_distance(a: &[f64; FEATURE_DIM], b: &[f64; FEATURE_DIM]) ->
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f64>()
         .sqrt()
-}
-
-/// A (features, model) pairing — the k-NN conditioning key uses the model
-/// family so histories of different placements never mix.
-#[derive(Debug, Clone, Copy)]
-pub struct Situation {
-    /// The query/network features.
-    pub features: QueryFeatures,
-    /// The placement executed.
-    pub model: SolutionModel,
 }
 
 #[cfg(test)]

@@ -3,10 +3,10 @@
 //! The paper's handhelds are resource-limited clients of a shared fabric
 //! (§2); a broker that silently queues forever hides exactly the resource
 //! exhaustion the system is supposed to manage. Every submission therefore
-//! returns an [`Admission`]: admitted for the next epoch, deferred behind a
-//! backlog, or rejected with a machine-readable [`RejectReason`] *plus the
-//! options that were refused*, so the caller can relax a constraint and
-//! resubmit without reconstructing its request.
+//! returns an [`Admission`]: admitted with a handle the caller can poll for
+//! its place in the queue, or rejected with a machine-readable
+//! [`RejectReason`] *plus the options that were refused*, so the caller can
+//! relax a constraint and resubmit without reconstructing its request.
 
 use crate::handle::QueryHandle;
 use std::fmt;
@@ -27,9 +27,7 @@ impl fmt::Display for QueryId {
 /// use pg_runtime::QueryOpts;
 /// use pg_sim::Duration;
 ///
-/// let opts = QueryOpts::with_deadline(Duration::from_secs(120))
-///     .priority(3)
-///     .energy_cap_j(0.5);
+/// let opts = QueryOpts::with_deadline(Duration::from_secs(120)).priority(3);
 /// assert_eq!(opts.priority, 3);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -42,10 +40,6 @@ pub struct QueryOpts {
     /// policy (the policy key only orders queries of equal priority). The
     /// default 0 leaves the policy ordering untouched.
     pub priority: u8,
-    /// Per-query energy cap, joules: the submission is rejected when the
-    /// engine's estimate exceeds it, independent of the workload-wide
-    /// budget gate. `None` disables the cap.
-    pub energy_cap_j: Option<f64>,
 }
 
 impl QueryOpts {
@@ -57,21 +51,9 @@ impl QueryOpts {
         }
     }
 
-    /// Chainable deadline setter.
-    pub fn deadline(mut self, deadline: pg_sim::Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
     /// Chainable priority setter (higher = serviced first).
     pub fn priority(mut self, priority: u8) -> Self {
         self.priority = priority;
-        self
-    }
-
-    /// Chainable per-query energy cap, joules.
-    pub fn energy_cap_j(mut self, joules: f64) -> Self {
-        self.energy_cap_j = Some(joules);
         self
     }
 }
@@ -79,24 +61,17 @@ impl QueryOpts {
 /// The verdict returned by `MultiQueryRuntime::submit`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Admission {
-    /// In the queue and scheduled within the next epoch's slots.
+    /// In the queue; `poll` reports its live rank and the queue depth.
     Admitted {
         /// Handle for polling, cancelling, or tightening the deadline.
         handle: QueryHandle,
-    },
-    /// Accepted, but behind more work than the next epoch can service.
-    Deferred {
-        /// Handle for polling, cancelling, or tightening the deadline.
-        handle: QueryHandle,
-        /// Queue depth at admission (this query included).
-        queue_depth: usize,
     },
     /// Not accepted; nothing was queued.
     Rejected {
         /// Why the runtime turned the query away.
         reason: RejectReason,
         /// The options that were refused, so the caller can relax the
-        /// offending constraint (deadline, energy cap) and resubmit.
+        /// offending constraint (the deadline) and resubmit.
         opts: QueryOpts,
     },
 }
@@ -105,12 +80,12 @@ impl Admission {
     /// The handle, when the query entered the queue.
     pub fn handle(&self) -> Option<QueryHandle> {
         match self {
-            Admission::Admitted { handle } | Admission::Deferred { handle, .. } => Some(*handle),
+            Admission::Admitted { handle } => Some(*handle),
             Admission::Rejected { .. } => None,
         }
     }
 
-    /// True when the query entered the queue (admitted or deferred).
+    /// True when the query entered the queue.
     pub fn is_accepted(&self) -> bool {
         self.handle().is_some()
     }
@@ -123,22 +98,6 @@ pub enum RejectReason {
     QueueFull {
         /// The configured queue capacity.
         capacity: usize,
-    },
-    /// The energy budget gate: the estimated cost exceeds what the budget
-    /// and the batteries can still afford after already-committed work.
-    EnergyBudget {
-        /// Estimated energy cost of the submitted query, joules.
-        estimate_j: f64,
-        /// Energy still uncommitted under the budget/battery gate, joules.
-        available_j: f64,
-    },
-    /// The query's own energy cap: the estimate exceeds the per-query
-    /// `QueryOpts::energy_cap_j` the caller asked for.
-    EnergyCap {
-        /// Estimated energy cost of the submitted query, joules.
-        estimate_j: f64,
-        /// The requested per-query cap, joules.
-        cap_j: f64,
     },
     /// The deadline is shorter than one scheduling epoch: no schedule can
     /// complete it in time, so admitting it would only burn energy.
@@ -171,17 +130,6 @@ impl fmt::Display for RejectReason {
             RejectReason::QueueFull { capacity } => {
                 write!(f, "admission queue full ({capacity} queries)")
             }
-            RejectReason::EnergyBudget {
-                estimate_j,
-                available_j,
-            } => write!(
-                f,
-                "energy budget exhausted (needs ~{estimate_j:.3} J, {available_j:.3} J available)"
-            ),
-            RejectReason::EnergyCap { estimate_j, cap_j } => write!(
-                f,
-                "per-query energy cap exceeded (needs ~{estimate_j:.3} J, cap {cap_j:.3} J)"
-            ),
             RejectReason::DeadlineUnmeetable {
                 deadline_s,
                 epoch_s,

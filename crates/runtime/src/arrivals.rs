@@ -38,7 +38,7 @@ pub struct Arrival {
     pub at: SimTime,
     /// The query text.
     pub text: String,
-    /// Submission options (deadline, priority, energy cap).
+    /// Submission options (deadline, priority).
     pub opts: QueryOpts,
 }
 

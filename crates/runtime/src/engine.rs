@@ -46,9 +46,8 @@ pub type EngineOutcome<R, E> = Result<(R, Attribution), E>;
 
 /// Anything that can execute queries against shared network resources.
 ///
-/// The scheduler owns an engine, admits queries against its energy
-/// headroom, hands it policy-ordered batches once per epoch, and advances
-/// its clock between epochs.
+/// The scheduler owns an engine, hands it policy-ordered batches once per
+/// epoch, and advances its clock between epochs.
 pub trait QueryEngine {
     /// The per-query answer type.
     type Response: Clone;
@@ -65,12 +64,17 @@ pub trait QueryEngine {
     /// at the same instant.
     fn advance(&mut self, dt: Duration);
 
-    /// Energy still available to spend, joules (battery headroom).
-    fn available_energy_j(&self) -> f64;
+    /// Energy still available to spend, joules. The runtime never reads
+    /// it; it stays only because the `pgbench` harness under `benchmark/`
+    /// implements it, and it goes when that harness stops doing so.
+    fn available_energy_j(&self) -> f64 {
+        f64::INFINITY
+    }
 
-    /// Deterministic pre-execution energy estimate for admission control.
-    /// `None` when the text cannot be costed (it will surface a real error
-    /// at execution instead of being rejected at the door).
+    /// Deterministic pre-execution energy estimate: the
+    /// [`SchedPolicy::EnergyFair`](crate::SchedPolicy) ordering key, asked
+    /// for at admission under that policy only. `None` when the text cannot
+    /// be costed (it orders as zero and surfaces a real error at execution).
     fn estimate_energy_j(&mut self, text: &str) -> Option<f64>;
 
     /// Scheduler pressure notification: waiting-queue depth and overload

@@ -6,11 +6,11 @@
 //! (in production, `pg-core`'s `PervasiveGrid`) and runs N in-flight
 //! queries against the one shared network with
 //!
-//! * **admission control** — a bounded queue, per-query deadlines,
-//!   priorities, and energy caps, and an energy-budget gate returning a
-//!   typed [`Admission`] verdict instead of queueing forever
-//!   ([`admission`]); accepted queries come back with a [`QueryHandle`]
-//!   the caller can poll, cancel, or tighten the deadline on;
+//! * **admission control** — a bounded queue, per-query deadlines and
+//!   priorities, and a typed [`Admission`] verdict instead of queueing
+//!   forever ([`admission`]); accepted queries come back with a
+//!   [`QueryHandle`] the caller can poll (for its rank and the queue
+//!   depth), cancel, or tighten the deadline on;
 //! * **open-loop streaming** — an [`ArrivalProcess`] (seeded Poisson
 //!   offered load, the metro-scale [`MetroWorkload`] population model, or
 //!   trace replay) feeds the event-driven [`MultiQueryRuntime::step`]
@@ -67,9 +67,6 @@
 //!     }
 //!     fn advance(&mut self, dt: Duration) {
 //!         self.now += dt;
-//!     }
-//!     fn available_energy_j(&self) -> f64 {
-//!         1e6
 //!     }
 //!     fn estimate_energy_j(&mut self, _text: &str) -> Option<f64> {
 //!         Some(1.0)
@@ -132,22 +129,19 @@ pub use scheduler::{
 mod tests {
     use super::*;
     use pg_sim::{Duration, SimTime};
-    use scheduler::RuntimeConfigBuilder;
 
     /// Scripted engine: per-query cost comes from the text ("cost:<J>"),
     /// execution order is recorded, batches echo the text back.
     struct Mock {
         now: SimTime,
-        battery_j: f64,
         executed: Vec<String>,
         batches: Vec<usize>,
     }
 
     impl Mock {
-        fn new(battery_j: f64) -> Self {
+        fn new() -> Self {
             Mock {
                 now: SimTime::ZERO,
-                battery_j,
                 executed: Vec::new(),
                 batches: Vec::new(),
             }
@@ -170,9 +164,6 @@ mod tests {
         fn advance(&mut self, dt: Duration) {
             self.now += dt;
         }
-        fn available_energy_j(&self) -> f64 {
-            self.battery_j
-        }
         fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
             Some(Self::cost_of(text))
         }
@@ -185,7 +176,6 @@ mod tests {
                 .iter()
                 .map(|q| {
                     let cost = Self::cost_of(q.text);
-                    self.battery_j -= cost;
                     self.executed.push(q.text.to_string());
                     if q.text == "fail" {
                         return Err("boom".to_string());
@@ -231,13 +221,12 @@ mod tests {
         assert_eq!(b.epoch, d.epoch);
         assert_eq!(b.slots_per_epoch, d.slots_per_epoch);
         assert_eq!(b.policy, d.policy);
-        assert_eq!(b.energy_budget_j, d.energy_budget_j);
         assert_eq!(b.preemption, d.preemption);
     }
 
     #[test]
     fn fifo_services_in_admission_order_across_epochs() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
         for q in ["a", "b", "c"] {
             assert!(rt.submit(q, QueryOpts::default()).is_accepted());
         }
@@ -253,7 +242,7 @@ mod tests {
 
     #[test]
     fn queue_overflow_rejects_with_capacity() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
         for q in ["a", "b", "c", "d"] {
             assert!(rt.submit(q, QueryOpts::default()).is_accepted());
         }
@@ -273,103 +262,23 @@ mod tests {
     }
 
     #[test]
-    fn beyond_next_epoch_slots_is_deferred() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+    fn beyond_next_epoch_slots_polls_behind_the_slots() {
+        // Two slots an epoch: the third query polls at rank 2, a round away.
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
+        rt.submit("a", QueryOpts::default());
+        rt.submit("b", QueryOpts::default());
+        let c = rt.submit("c", QueryOpts::default()).handle().unwrap();
         assert!(matches!(
-            rt.submit("a", QueryOpts::default()),
-            Admission::Admitted { .. }
+            rt.poll(c),
+            QueryStatus::Queued { rank: 2, depth: 3 }
         ));
-        assert!(matches!(
-            rt.submit("b", QueryOpts::default()),
-            Admission::Admitted { .. }
-        ));
-        let c = rt.submit("c", QueryOpts::default());
-        assert!(matches!(c, Admission::Deferred { queue_depth: 3, .. }));
-        assert_eq!(rt.deferred, 1);
-    }
-
-    #[test]
-    fn energy_budget_gate_rejects_and_releases() {
-        let mut rt = MultiQueryRuntime::new(
-            RuntimeConfig::builder()
-                .capacity(4)
-                .slots_per_epoch(2)
-                .energy_budget_j(5.0)
-                .build(),
-            Mock::new(100.0),
-        );
-        assert!(rt.submit("cost:3", QueryOpts::default()).is_accepted());
-        // 3 J committed of 5: another 3 J does not fit.
-        let over = rt.submit("cost:3", QueryOpts::default());
-        match over {
-            Admission::Rejected {
-                reason:
-                    RejectReason::EnergyBudget {
-                        estimate_j,
-                        available_j,
-                    },
-                ..
-            } => {
-                assert_eq!(estimate_j, 3.0);
-                assert_eq!(available_j, 2.0);
-            }
-            other => panic!("expected energy rejection, got {other:?}"),
-        }
-        // A cheaper query still fits.
-        assert!(rt.submit("cost:1", QueryOpts::default()).is_accepted());
-        drain(&mut rt);
-        assert_eq!(rt.energy_spent_j(), 4.0);
-        // Spent energy stays counted against the budget: only 1 J remains.
-        assert!(!rt.submit("cost:2", QueryOpts::default()).is_accepted());
-        assert!(rt.submit("cost:1", QueryOpts::default()).is_accepted());
-    }
-
-    #[test]
-    fn battery_headroom_caps_the_budget_gate() {
-        let mut rt = MultiQueryRuntime::new(
-            RuntimeConfig::builder()
-                .capacity(4)
-                .slots_per_epoch(2)
-                .energy_budget_j(1e9)
-                .build(),
-            Mock::new(2.0),
-        );
-        // The budget is huge but the batteries hold 2 J.
-        assert!(rt.submit("cost:1.5", QueryOpts::default()).is_accepted());
-        assert!(!rt.submit("cost:1.5", QueryOpts::default()).is_accepted());
-    }
-
-    #[test]
-    fn per_query_energy_cap_rejects_with_resubmittable_opts() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
-        let tight = QueryOpts::default().energy_cap_j(2.0);
-        let a = rt.submit("cost:3", tight);
-        let Admission::Rejected { reason, opts } = a else {
-            panic!("expected cap rejection, got {a:?}");
-        };
-        assert_eq!(
-            reason,
-            RejectReason::EnergyCap {
-                estimate_j: 3.0,
-                cap_j: 2.0
-            }
-        );
-        assert!(reason.to_string().contains("cap"));
-        // The rejected opts come back: relax the offending constraint and
-        // resubmit without reconstructing the request.
-        assert_eq!(opts, tight);
-        assert!(rt.submit("cost:3", opts.energy_cap_j(3.5)).is_accepted());
-        // Under the cap nothing is gated, even with no workload budget.
-        assert!(rt
-            .submit("cost:1", QueryOpts::default().energy_cap_j(2.0))
-            .is_accepted());
     }
 
     #[test]
     fn priority_outranks_the_policy_key() {
         let mut rt = MultiQueryRuntime::new(
             RuntimeConfig::builder().slots_per_epoch(1).build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("low1", QueryOpts::default());
         rt.submit("low2", QueryOpts::default());
@@ -387,7 +296,7 @@ mod tests {
                 .policy(SchedPolicy::Edf)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("late", QueryOpts::with_deadline(Duration::from_secs(600)))
             .is_accepted();
@@ -398,39 +307,27 @@ mod tests {
         assert_eq!(rt.engine().executed, ["soon", "late", "none"]);
     }
 
-    /// The order an energy-fair runtime services three queries of
-    /// different cost in, one slot an epoch.
-    fn energy_fair_order(cfg: RuntimeConfigBuilder) -> Vec<String> {
+    #[test]
+    fn energy_fair_services_cheapest_first() {
+        // The policy itself asks the engine for the estimates it orders by.
         let mut rt = MultiQueryRuntime::new(
-            cfg.capacity(4)
+            RuntimeConfig::builder()
+                .capacity(4)
                 .policy(SchedPolicy::EnergyFair)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("cost:5", QueryOpts::default());
         rt.submit("cost:1", QueryOpts::default());
         rt.submit("cost:3", QueryOpts::default());
         drain(&mut rt);
-        rt.engine().executed.clone()
-    }
-
-    #[test]
-    fn energy_fair_services_cheapest_first() {
-        let budgeted = RuntimeConfig::builder().energy_budget_j(100.0);
-        assert_eq!(energy_fair_order(budgeted), ["cost:1", "cost:3", "cost:5"]);
-    }
-
-    #[test]
-    fn energy_fair_orders_by_estimate_without_a_gate() {
-        // No budget and no cap: the policy itself must ask for the estimates.
-        let ungated = RuntimeConfig::builder();
-        assert_eq!(energy_fair_order(ungated), ["cost:1", "cost:3", "cost:5"]);
+        assert_eq!(rt.engine().executed, ["cost:1", "cost:3", "cost:5"]);
     }
 
     #[test]
     fn sub_epoch_deadline_is_rejected_as_unmeetable() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
         let a = rt.submit("a", QueryOpts::with_deadline(Duration::from_secs(5)));
         assert!(matches!(
             a,
@@ -447,7 +344,7 @@ mod tests {
 
     #[test]
     fn per_query_failures_do_not_poison_the_batch() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
         rt.submit("a", QueryOpts::default());
         rt.submit("fail", QueryOpts::default());
         drain(&mut rt);
@@ -463,7 +360,7 @@ mod tests {
                 .capacity(4)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("a", QueryOpts::with_deadline(Duration::from_secs(45)));
         rt.submit("b", QueryOpts::with_deadline(Duration::from_secs(45)));
@@ -478,7 +375,7 @@ mod tests {
                 .capacity(4)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("a", QueryOpts::with_deadline(Duration::from_secs(45)));
         rt.submit("b", QueryOpts::with_deadline(Duration::from_secs(45)));
@@ -494,7 +391,7 @@ mod tests {
                 .capacity(8)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let first = rt.submit("a", QueryOpts::default()).handle().unwrap();
         let second = rt.submit("b", QueryOpts::default()).handle().unwrap();
@@ -514,7 +411,7 @@ mod tests {
         }
         assert!(rt.poll(second).is_queued());
         // A handle this runtime never issued is unknown.
-        let mut other_rt = MultiQueryRuntime::new(cfg(), Mock::new(1.0));
+        let mut other_rt = MultiQueryRuntime::new(cfg(), Mock::new());
         for _ in 0..3 {
             other_rt.submit("x", QueryOpts::default());
         }
@@ -523,24 +420,19 @@ mod tests {
     }
 
     #[test]
-    fn cancel_removes_queued_work_and_releases_energy() {
+    fn cancel_removes_queued_work() {
         let mut rt = MultiQueryRuntime::new(
             RuntimeConfig::builder()
                 .capacity(8)
                 .slots_per_epoch(1)
-                .energy_budget_j(5.0)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let a = rt.submit("cost:2", QueryOpts::default()).handle().unwrap();
         let b = rt.submit("cost:3", QueryOpts::default()).handle().unwrap();
-        // Budget fully committed: a 1 J query bounces.
-        assert!(!rt.submit("cost:1", QueryOpts::default()).is_accepted());
         assert!(rt.cancel(b));
         assert_eq!(rt.cancelled, 1);
         assert!(matches!(rt.poll(b), QueryStatus::Cancelled));
-        // Cancelling released b's 3 J commitment.
-        assert!(rt.submit("cost:1", QueryOpts::default()).is_accepted());
         // Cancel is not retryable and never touches completed queries.
         assert!(!rt.cancel(b));
         drain(&mut rt);
@@ -557,7 +449,7 @@ mod tests {
                 .policy(SchedPolicy::Edf)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let slow = rt
             .submit("slow", QueryOpts::with_deadline(Duration::from_secs(600)))
@@ -585,15 +477,14 @@ mod tests {
                 .capacity(8)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let _a = rt.submit("a", QueryOpts::default()).handle().unwrap();
-        let b = rt.submit("b", QueryOpts::default());
+        let b = rt.submit("b", QueryOpts::default()).handle().unwrap();
         assert!(
-            matches!(b, Admission::Deferred { .. }),
+            matches!(rt.poll(b), QueryStatus::Queued { rank: 1, .. }),
             "b sits in the backlog"
         );
-        let b = b.handle().unwrap();
         let c = rt.submit("c", QueryOpts::default()).handle().unwrap();
         match rt.poll(c) {
             QueryStatus::Queued { rank, depth } => {
@@ -623,7 +514,7 @@ mod tests {
                     .slots_per_epoch(1)
                     .preemption(true)
                     .build(),
-                Mock::new(100.0),
+                Mock::new(),
             );
             rt.submit("a", QueryOpts::default());
             rt.submit("b", QueryOpts::default());
@@ -657,7 +548,7 @@ mod tests {
                 .slots_per_epoch(1)
                 .preemption(true)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         rt.submit("a", QueryOpts::default());
         rt.submit("b", QueryOpts::default());
@@ -678,7 +569,7 @@ mod tests {
                 .slots_per_epoch(2)
                 .overload(OverloadConfig::watermarks(OverloadPolicy::Shed, 0, 0, 2, 4))
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         for q in ["a", "b", "c", "d"] {
             assert!(rt.submit(q, QueryOpts::default()).is_accepted());
@@ -724,7 +615,7 @@ mod tests {
                 .slots_per_epoch(1)
                 .overload(OverloadConfig::watermarks(OverloadPolicy::Shed, 0, 0, 2, 4))
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let handles: Vec<_> = ["a", "b", "c", "d"]
             .iter()
@@ -771,7 +662,7 @@ mod tests {
                     16,
                 ))
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         for q in ["a", "b", "c"] {
             rt.submit(q, QueryOpts::default());
@@ -798,7 +689,7 @@ mod tests {
                     16,
                 ))
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         for q in ["a", "b", "c"] {
             rt.submit(q, QueryOpts::default());
@@ -828,7 +719,7 @@ mod tests {
                 .slots_per_epoch(1)
                 .overload(OverloadConfig::watermarks(OverloadPolicy::Shed, 0, 0, 2, 4))
                 .build(),
-            Mock::new(1e9),
+            Mock::new(),
         );
         rt.run_stream(&mut w, 100_000);
         assert!(rt.rejected > 0, "the stream must overload the runtime");
@@ -852,7 +743,7 @@ mod tests {
                 .capacity(8)
                 .slots_per_epoch(1)
                 .build(),
-            Mock::new(100.0),
+            Mock::new(),
         );
         let mut trace = TraceArrivals::new(vec![
             Arrival {
@@ -889,13 +780,13 @@ mod tests {
     #[test]
     fn submitting_at_zero_matches_a_t0_trace() {
         let queries = ["a", "b", "c", "d", "e"];
-        let mut batch_rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut batch_rt = MultiQueryRuntime::new(cfg(), Mock::new());
         for q in queries {
             batch_rt.submit(q, QueryOpts::with_deadline(Duration::from_secs(90)));
         }
         drain(&mut batch_rt);
 
-        let mut stream_rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut stream_rt = MultiQueryRuntime::new(cfg(), Mock::new());
         let mut trace = TraceArrivals::batch_at_zero(queries.iter().map(|q| {
             (
                 q.to_string(),
@@ -924,7 +815,7 @@ mod tests {
                     .slots_per_epoch(1)
                     .preemption(preemption)
                     .build(),
-                Mock::new(100.0),
+                Mock::new(),
             );
             rt.submit("a", QueryOpts::default());
             rt.submit("b", QueryOpts::default());
@@ -949,7 +840,7 @@ mod tests {
 
     #[test]
     fn report_snapshots_the_workload() {
-        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new(100.0));
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
         for q in ["a", "b", "c", "d"] {
             rt.submit(q, QueryOpts::default());
         }

@@ -1,6 +1,6 @@
 //! The multi-query epoch scheduler.
 //!
-//! Owns a [`QueryEngine`], a bounded admission queue, and an energy ledger.
+//! Owns a [`QueryEngine`] and a bounded admission queue.
 //! Time advances in shared epochs: each epoch the scheduler orders the
 //! queue under the configured [`SchedPolicy`], hands the engine up to
 //! `slots_per_epoch` queries as one batch (so overlapping queries can share
@@ -13,8 +13,8 @@
 //!   payload of the two journal records that say "entered the queue", and
 //!   what journal replay hands back, so recovery is a push;
 //! * **one door** — a fresh `submit` and a migrated re-admission are short
-//!   sequences of the same steps (queue gate → budget gate → mint id →
-//!   journal → enqueue and rank), each written once;
+//!   sequences of the same steps (queue gate → mint id → journal →
+//!   enqueue), each written once;
 //! * **one fate** — a query that leaves the queue gets exactly one entry
 //!   in an `id → fate` table (completed, cancelled, shed, lost, migrated),
 //!   so `poll` is a lookup and `next_id == waiting + fates` always holds.
@@ -93,10 +93,6 @@ pub struct RuntimeConfig {
     pub slots_per_epoch: usize,
     /// Queue ordering policy.
     pub policy: SchedPolicy,
-    /// Workload-wide energy budget, joules. `None` disables the admission
-    /// energy gate entirely (battery exhaustion then degrades delivery
-    /// in-network instead of rejecting at the door).
-    pub energy_budget_j: Option<f64>,
     /// Deadline preemption: when a waiting query's slack goes negative —
     /// the coming round is its last chance to meet its deadline — it jumps
     /// the policy order (critical queries first, earliest deadline first
@@ -115,7 +111,6 @@ impl Default for RuntimeConfig {
             epoch: Duration::from_secs(30),
             slots_per_epoch: 8,
             policy: SchedPolicy::Fifo,
-            energy_budget_j: None,
             preemption: false,
             overload: OverloadConfig::default(),
         }
@@ -162,12 +157,6 @@ impl RuntimeConfigBuilder {
         self
     }
 
-    /// Workload-wide energy budget, joules (enables the admission gate).
-    pub fn energy_budget_j(mut self, joules: f64) -> Self {
-        self.cfg.energy_budget_j = Some(joules);
-        self
-    }
-
     /// Enable or disable deadline preemption of deferred work.
     pub fn preemption(mut self, preemption: bool) -> Self {
         self.cfg.preemption = preemption;
@@ -201,7 +190,8 @@ pub struct QueuedQuery {
     pub submitted_at: SimTime,
     /// Absolute deadline, if one was requested.
     pub deadline_abs: Option<SimTime>,
-    /// Energy estimate reserved at admission, joules.
+    /// The engine's energy estimate, joules: the [`SchedPolicy::EnergyFair`]
+    /// ordering key, zero under the other policies.
     pub estimate_j: f64,
     /// Scheduling priority.
     pub priority: u8,
@@ -386,14 +376,10 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     /// Where the next service round lands on the epoch grid; `None` until
     /// the first round anchors the grid at the engine clock.
     next_round_at: Option<SimTime>,
-    /// Energy reserved by admitted-but-unfinished queries, joules.
-    committed_j: f64,
     /// Energy attributed to completed queries, joules.
     spent_j: f64,
-    /// Queries accepted (admitted or deferred).
+    /// Queries accepted into the queue.
     pub admitted: u64,
-    /// Queries accepted but deferred past the next epoch.
-    pub deferred: u64,
     /// Queries rejected at the door.
     pub rejected: u64,
     /// Queries cancelled by their callers while still queued.
@@ -448,10 +434,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             next_id: 0,
             completions: 0,
             next_round_at: None,
-            committed_j: 0.0,
             spent_j: 0.0,
             admitted: 0,
-            deferred: 0,
             rejected: 0,
             cancelled: 0,
             arrived: 0,
@@ -543,12 +527,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         &mut self.outcomes
     }
 
-    /// Tear down into the engine and the completed outcomes.
-    #[allow(clippy::type_complexity)]
-    pub fn into_parts(self) -> (E, Vec<QueryOutcome<E::Response, E::Error>>) {
-        (self.engine, self.outcomes)
-    }
-
     /// Submission verdicts recorded since the last call (empty unless
     /// [`record_admissions`] turned the log on): one entry per [`submit`],
     /// in call order — `Some(handle)` when accepted, `None` when rejected
@@ -595,11 +573,9 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     }
 
     /// The one way out of the books: `q` has left the queue for good (or,
-    /// for [`Fate::Lost`], until recovery revives it). Releases its energy
-    /// reservation, counts it, journals the closing record and files the
-    /// fate `poll` will report.
+    /// for [`Fate::Lost`], until recovery revives it). Counts it, journals
+    /// the closing record and files the fate `poll` will report.
     fn settle(&mut self, q: &QueuedQuery, fate: Fate) {
-        self.committed_j -= q.estimate_j;
         let id = q.id;
         let closing = match fate {
             Fate::Completed(_) => Some(JournalRecord::Completed { id }),
@@ -638,12 +614,11 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     }
 
     /// The process crashes: every waiting query is destroyed — counted
-    /// `lost`, polls report [`QueryStatus::Lost`] — committed energy is
-    /// released, and the epoch grid loses its anchor (a restart re-anchors
-    /// at the first post-recovery round). Completed outcomes, counters,
-    /// and the journal survive: they model state that was already
-    /// delivered or durably recorded before the crash. Returns how many
-    /// queries were destroyed.
+    /// `lost`, polls report [`QueryStatus::Lost`] — and the epoch grid
+    /// loses its anchor (a restart re-anchors at the first post-recovery
+    /// round). Completed outcomes, counters, and the journal survive: they
+    /// model state that was already delivered or durably recorded before
+    /// the crash. Returns how many queries were destroyed.
     ///
     /// With the journal enabled, [`recover_from_journal`] afterwards
     /// re-admits exactly the destroyed queries under their original ids;
@@ -685,7 +660,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             self.fates.remove(&q.id);
             self.lost -= 1;
             self.recovered += 1;
-            self.committed_j += q.estimate_j;
             self.waiting.push(q);
             n += 1;
         }
@@ -731,39 +705,17 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         Ok(())
     }
 
-    /// The engine's energy estimate for `text`, asked for only when a gate
-    /// or the energy-fair ordering is going to read it.
-    fn estimate_j(&mut self, text: &str, opts: &QueryOpts) -> f64 {
-        if opts.energy_cap_j.is_some()
-            || self.cfg.energy_budget_j.is_some()
-            || self.cfg.policy == SchedPolicy::EnergyFair
-        {
+    /// The engine's energy estimate for `text`, asked for only when the
+    /// energy-fair ordering is going to read it.
+    fn estimate_j(&mut self, text: &str) -> f64 {
+        if self.cfg.policy == SchedPolicy::EnergyFair {
             self.engine.estimate_energy_j(text).unwrap_or(0.0)
         } else {
             0.0
         }
     }
 
-    /// Door, step 2 — the workload budget gate: committed estimates must
-    /// fit the budget and the batteries' headroom. Passing reserves the
-    /// estimate.
-    fn budget_gate(&mut self, estimate_j: f64) -> Result<(), RejectReason> {
-        let Some(budget) = self.cfg.energy_budget_j else {
-            return Ok(());
-        };
-        let headroom = (budget - self.spent_j).min(self.engine.available_energy_j());
-        let available = headroom - self.committed_j;
-        if estimate_j > available {
-            return Err(RejectReason::EnergyBudget {
-                estimate_j,
-                available_j: available.max(0.0),
-            });
-        }
-        self.committed_j += estimate_j;
-        Ok(())
-    }
-
-    /// Door, step 3 — mint the next id; the query is accepted.
+    /// Door, step 2 — mint the next id; the query is accepted.
     fn mint_id(&mut self) -> QueryId {
         let id = QueryId(self.next_id);
         self.next_id += 1;
@@ -771,32 +723,20 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         id
     }
 
-    /// Door, steps 4 and 5 — journal the entry (`entered` is the record
-    /// variant that says how it came in), then queue it and rank it:
-    /// admitted when it lands within the next epoch's slots under the
-    /// current policy ordering, deferred behind the backlog otherwise.
+    /// Door, steps 3 and 4 — journal the entry (`entered` is the record
+    /// variant that says how it came in), then queue it.
     fn enqueue(&mut self, q: QueuedQuery, entered: fn(QueuedQuery) -> JournalRecord) -> Admission {
         if let Some(j) = self.journal.as_mut() {
             j.append(entered(q.clone()));
         }
         let handle = QueryHandle::new(q.id);
-        let rank = self.rank_of(&q);
         self.waiting.push(q);
         self.update_overload_state();
-        if rank < self.cfg.slots_per_epoch {
-            Admission::Admitted { handle }
-        } else {
-            self.deferred += 1;
-            Admission::Deferred {
-                handle,
-                queue_depth: self.waiting.len(),
-            }
-        }
+        Admission::Admitted { handle }
     }
 
     /// A fresh submission through the door. Beyond the shared steps it
-    /// answers to the caller's own constraints: the deadline and the
-    /// per-query energy cap.
+    /// answers to the caller's own deadline.
     fn admit_fresh(&mut self, text: &str, opts: QueryOpts) -> Result<Admission, RejectReason> {
         self.queue_gate()?;
         // A deadline shorter than one epoch can never be met: the earliest
@@ -807,11 +747,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                 epoch_s: self.cfg.epoch.as_secs_f64(),
             });
         }
-        let estimate_j = self.estimate_j(text, &opts);
-        if let Some(cap_j) = opts.energy_cap_j.filter(|&cap_j| estimate_j > cap_j) {
-            return Err(RejectReason::EnergyCap { estimate_j, cap_j });
-        }
-        self.budget_gate(estimate_j)?;
+        let estimate_j = self.estimate_j(text);
         let now = self.engine.now();
         let q = QueuedQuery {
             id: self.mint_id(),
@@ -845,22 +781,20 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         }
     }
 
-    /// Withdraw a still-queued query: it leaves the queue, its committed
-    /// energy estimate is released, and subsequent polls report
-    /// [`QueryStatus::Cancelled`]. Returns `false` when the query is no
-    /// longer cancellable (already serviced, already cancelled, or never
-    /// admitted here).
+    /// Withdraw a still-queued query: it leaves the queue and subsequent
+    /// polls report [`QueryStatus::Cancelled`]. Returns `false` when the
+    /// query is no longer cancellable (already serviced, already cancelled,
+    /// or never admitted here).
     pub fn cancel(&mut self, handle: QueryHandle) -> bool {
         self.withdraw(handle, Fate::Cancelled).is_some()
     }
 
     /// Lift a still-queued query out of this runtime for re-admission
-    /// elsewhere (roaming handoff). Like [`cancel`] it leaves the queue and
-    /// releases its energy commitment, but it is counted as `migrated_out`
-    /// rather than `cancelled` and the caller gets everything needed to
-    /// [`admit_migrated`] it at the destination. Returns `None` when the
-    /// query is no longer queued here (already serviced, cancelled, or
-    /// shed — too late to move).
+    /// elsewhere (roaming handoff). Like [`cancel`] it leaves the queue, but
+    /// it is counted as `migrated_out` rather than `cancelled` and the
+    /// caller gets everything needed to [`admit_migrated`] it at the
+    /// destination. Returns `None` when the query is no longer queued here
+    /// (already serviced, cancelled, or shed — too late to move).
     ///
     /// [`cancel`]: MultiQueryRuntime::cancel
     /// [`admit_migrated`]: MultiQueryRuntime::admit_migrated
@@ -877,9 +811,9 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// Re-admit a query lifted out of another runtime with [`extract`].
     ///
     /// The migrated query passes the same door as a fresh [`submit`] —
-    /// shed-state backpressure, the queue bound, and the budget gate all
-    /// apply, so an overloaded destination honors its own watermarks
-    /// instead of absorbing unconditionally. What differs is accounting:
+    /// shed-state backpressure and the queue bound both apply, so an
+    /// overloaded destination honors its own watermarks instead of
+    /// absorbing unconditionally. What differs is accounting:
     /// the original submission instant and absolute deadline are preserved
     /// (queue wait accrues across cells; the deadline never resets), and
     /// acceptance counts as `migrated_in`.
@@ -893,20 +827,15 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         let now = self.engine.now();
         let mut opts = QueryOpts::default().priority(m.priority);
         opts.deadline = m.deadline_abs.map(|d| time_left(d, now));
-        self.admit_moved(m, &opts)
+        self.admit_moved(m)
             .unwrap_or_else(|reason| self.reject(reason, opts))
     }
 
     /// A migrated query through the door: the shared steps and nothing
     /// else (its deadline was vetted where it was first submitted).
-    fn admit_moved(
-        &mut self,
-        m: MigratedQuery,
-        opts: &QueryOpts,
-    ) -> Result<Admission, RejectReason> {
+    fn admit_moved(&mut self, m: MigratedQuery) -> Result<Admission, RejectReason> {
         self.queue_gate()?;
-        let estimate_j = self.estimate_j(&m.text, opts);
-        self.budget_gate(estimate_j)?;
+        let estimate_j = self.estimate_j(&m.text);
         self.migrated_in += 1;
         let q = QueuedQuery {
             id: self.mint_id(),
@@ -996,8 +925,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         victims
     }
 
-    /// Drop every doomed queued query (see [`shed_victims`]), releasing
-    /// its energy commitment and recording a [`ShedRecord`].
+    /// Drop every doomed queued query (see [`shed_victims`]), recording a
+    /// [`ShedRecord`] for each.
     ///
     /// [`shed_victims`]: MultiQueryRuntime::shed_victims
     fn shed_doomed(&mut self, round_start: SimTime) {
@@ -1131,7 +1060,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// The window `[now, now + dt)` is walked event by event: each arrival
     /// due inside the window is delivered (the clock advances to its
     /// instant and it goes through the ordinary [`submit`] path — it can be
-    /// admitted, deferred, or rejected at the door), and each service round
+    /// admitted or rejected at the door), and each service round
     /// due inside the window runs at its slot on the epoch grid (anchored
     /// at the first round; idle time does not accumulate rounds — a round
     /// fires as soon as work is waiting). Arrivals win ties with a
@@ -1219,7 +1148,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     pub fn report(&self, name: impl Into<String>) -> Report {
         let mut r = Report::new(name);
         r.set_counter("admitted", self.admitted);
-        r.set_counter("deferred", self.deferred);
         r.set_counter("rejected", self.rejected);
         r.set_counter("cancelled", self.cancelled);
         r.set_counter("preemptions", self.preemptions);

@@ -43,9 +43,6 @@ impl QueryEngine for Echo {
     fn advance(&mut self, dt: Duration) {
         self.now += dt;
     }
-    fn available_energy_j(&self) -> f64 {
-        1e6
-    }
     fn estimate_energy_j(&mut self, _text: &str) -> Option<f64> {
         Some(1.0)
     }
@@ -296,7 +293,7 @@ fn fingerprint(
     rt: &MultiQueryRuntime<Echo>,
 ) -> (
     Vec<(u64, String, u64, u64, u64, u64, Option<SimTime>)>,
-    [u64; 9],
+    [u64; 8],
     u64,
 ) {
     let outcomes = rt
@@ -316,7 +313,6 @@ fn fingerprint(
         .collect();
     let counters = [
         rt.admitted,
-        rt.deferred,
         rt.rejected,
         rt.cancelled,
         rt.arrived,

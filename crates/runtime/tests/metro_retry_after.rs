@@ -38,9 +38,6 @@ impl QueryEngine for Echo {
     fn advance(&mut self, dt: Duration) {
         self.now += dt;
     }
-    fn available_energy_j(&self) -> f64 {
-        f64::INFINITY
-    }
     fn estimate_energy_j(&mut self, _text: &str) -> Option<f64> {
         Some(0.0)
     }

@@ -187,6 +187,7 @@ mod tests {
             )
             .unwrap();
         assert!(!later.cache_hit, "TTL expired: must re-sample");
+        assert!(later.energy_j > 0.0, "a re-sample touches the sensor");
         assert!(
             later.value > first.value + 10.0,
             "fire grew: {} -> {}",

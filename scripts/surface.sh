@@ -29,11 +29,19 @@
 # closures, derives and operator impls (`core::{clone, cmp, default, fmt,
 # hash, ops}`) are not counted as items.
 #
-# Types, traits and constants leave no symbol, so the crate roots get a
-# second, textual pass: a name re-exported by a `pub use` in a
-# `crates/*/src/lib.rs` must be named (`grep -w`) by some tracked `.rs` file
-# outside that crate's `src/` — its own `src/bin` counts as outside — or be
-# explained by an allow line whose prefix is `<crate>::<name>`.
+# Types, traits and constants leave no symbol, and a generic function none
+# in its rlib, so two textual passes follow, each a lower bound too:
+#
+# - a name re-exported by a `pub use` in a `crates/*/src/lib.rs` must be
+#   named (`grep -w`) by some tracked `.rs` file outside that crate's
+#   `src/` — its own `src/bin` counts as outside — or be explained by an
+#   allow line whose prefix is `<crate>::<name>`;
+# - a name declared by a `pub struct|enum|trait|type|const|static` or a
+#   `pub fn` (free or inherent) in a `crates/*/src` file must be named by
+#   some other line of a tracked `.rs` file outside `vendor/`, or be
+#   explained by an allow line whose prefix is its path,
+#   `<crate>::<module>::[<Type>::]<name>`. A name no other line names is
+#   used nowhere, so this pass has no false positives.
 #
 # Usage: scripts/surface.sh [allow-file]     (needs jq and nm)
 set -euo pipefail
@@ -64,6 +72,7 @@ symbols() {
 for lib in crates/*/src/lib.rs; do
     dir="${lib%/src/lib.rs}"
     crate="$(sed -n 's/^name = "\(.*\)"/\1/p' "$dir/Cargo.toml" | head -1 | tr - _)"
+    printf '%s\t%s\n' "$dir" "$crate" >>"$work/crates"
     mapfile -t outside < <(git ls-files -- '*.rs' ':!vendor' ":!$dir/src"; git ls-files -- "$dir/src/bin/*.rs")
     # The leaf names of each `pub use` statement (a rename counts as its
     # new name), `self` skipped.
@@ -81,6 +90,44 @@ for lib in crates/*/src/lib.rs; do
             grep -qw -- "$name" "${outside[@]}" || echo "$crate::$name"
         done
 done >"$work/reexports"
+
+# Declarations no other line names: their paths. Every tracked line counts
+# each identifier it names once; a declaration's own line is one of them.
+mapfile -t tracked < <(git ls-files -- '*.rs' ':!vendor')
+awk -v crates="$work/crates" '
+    BEGIN { while ((getline l < crates) > 0) { split(l, c, "\t"); crate[c[1]] = c[2] } }
+    FNR == 1 {
+        mod = ""; in_impl = 0
+        if (match(FILENAME, /^crates\/[^\/]+\/src\//)) {
+            mod = crate[substr(FILENAME, 1, RLENGTH - 5)] "::" substr(FILENAME, RLENGTH + 1)
+            sub(/\.rs$/, "", mod); gsub(/\//, "::", mod); sub(/::(lib|main|mod)$/, "", mod)
+        }
+    }
+    {
+        delete named; rest = $0
+        while (match(rest, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            w = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+            if (!(w in named)) { named[w]; lines[w]++ }
+        }
+    }
+    mod == "" { next }
+    # rustfmt closes an impl block at the indent it opened at.
+    in_impl && /^ *}/ { match($0, /^ */); if (RLENGTH <= impl_indent) in_impl = 0 }
+    /^ *(unsafe )?impl[ <]/ && !/}[ \t]*$/ {
+        t = $0; sub(/^ *(unsafe )?impl/, "", t)
+        while (gsub(/<[^<>]*>/, "", t)) {}
+        sub(/ where.*/, "", t); sub(/.* for /, "", t); sub(/^ */, "", t); sub(/[ {].*/, "", t); sub(/.*::/, "", t)
+        match($0, /^ */); impl_indent = RLENGTH; impl_type = t; in_impl = 1
+        next
+    }
+    match($0, /^ *pub (struct|enum|trait|type|static( mut)?|const|((const|async|unsafe) )*(extern "[^"]*" )?fn) [A-Za-z_][A-Za-z0-9_]*/) {
+        d = substr($0, 1, RLENGTH); name = d; sub(/.* /, "", name)
+        match(d, /^ */)
+        method = d ~ / fn / && in_impl && RLENGTH > impl_indent
+        path[++n] = mod "::" (method ? impl_type "::" : "") name; leaf[n] = name
+    }
+    END { for (i = 1; i <= n; i++) if (lines[leaf[i]] <= 1) print path[i] }
+' "${tracked[@]}" >"$work/decls"
 
 artifacts build --workspace --bins >"$work/workspace"
 artifacts build --manifest-path benchmark/Cargo.toml --target-dir "$target" >"$work/pgbench"
@@ -103,7 +150,7 @@ awk -F'\t' 'NR == FNR { system_exe[$0]; next }
         symbols "$exe" | comm -12 - "$work/unlinked" | sed "s|\$|\t${src#"$PWD"/}|"
     done >"$work/linkers"
 
-awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" -v reexports="$work/reexports" '
+awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" -v reexports="$work/reexports" -v decls="$work/decls" '
     function complain(line, what) { printf "%s:%d: %s\n", allow, line, what > "/dev/stderr"; bad = 1 }
     # The allow-list: prefix, reason, path.
     FILENAME == allow {
@@ -132,6 +179,7 @@ awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/item
         return r
     }
     FILENAME == reexports { exported[++exports] = $0; why_export[$0] = explain($0); next }
+    FILENAME == decls { declared[++decl_n] = $0; why_decl[$0] = explain($0); next }
     { why[$0] = explain($0); unlinked[++total] = $0 }
     END {
         print "| library function no system binary links | why it stays | still linked by |"
@@ -157,8 +205,17 @@ awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/item
             if (why_export[item] == "") { why_export[item] = "**unexplained**"; bad = 1 }
             print "| `" item "` | " why_export[item] " |"
         }
+        if (decl_n) {
+            print "\n| `pub` declaration no other line names | why it stays |"
+            print "|---|---|"
+        }
+        for (i = 1; i <= decl_n; i++) {
+            item = declared[i]
+            if (why_decl[item] == "") { why_decl[item] = "**unexplained**"; bad = 1 }
+            print "| `" item "` | " why_decl[item] " |"
+        }
         for (i = 1; i <= lines; i++)
             if (!used[i]) complain(at[i], "`" prefix[i] "` matches nothing unlinked: delete the line")
         exit bad
     }
-' "$allow" "$work/linkers" "$work/items" "$work/reexports" "$work/unlinked"
+' "$allow" "$work/linkers" "$work/items" "$work/reexports" "$work/decls" "$work/unlinked"

@@ -5,31 +5,28 @@
 //! echo engine — one digest per `SchedPolicy` × `OverloadPolicy` ×
 //! preemption on/off.
 //!
-//! A digest folds every verdict, the `poll` status of every handle after
-//! every operation, each batch the engine was handed (text, remaining
-//! deadline, brownout flag) and each pressure note, and at the end the
-//! outcomes, all public counters, the shed log, the report and the
-//! journal's record sequence (variant and id; payloads are folded the
-//! first time `open_queries` shows them).
+//! A digest folds every verdict (the id of the handle it issued, or its
+//! `RejectReason`), the `poll` status of every handle after every
+//! operation, each batch the engine was handed (text, remaining deadline,
+//! brownout flag) and each pressure note, and at the end the outcomes, all
+//! public counters, the shed log, the report and the journal's record
+//! sequence (variant and id; payloads are folded the first time
+//! `open_queries` shows them).
 //!
-//! The constants were captured on the commit *before* the scheduler's
-//! admission pipeline, per-id state sets and queue record were collapsed
-//! (debug and release agree). Twelve of them were re-captured when the
-//! final drain moved from the deleted `run_until_idle` to `run_stream`: the
-//! old drain served its first round at the clock even when the script's
-//! last `step` had anchored the next round up to an epoch later, and
-//! `run_stream` keeps that epoch grid. The parent's scheduler with the
-//! `run_stream` drain gives the same twelve, and the six scripts that end
-//! on the grid kept theirs. Two things are left out on purpose, because
-//! that change fixes them: the script never crashes a runtime that holds a
-//! tightened query (recovery used to forget the tightening), and the
-//! journal record a tightening now appends is skipped here —
+//! The constants were captured on the commit *before* the runtime's energy
+//! budget, per-query energy cap and deferred verdict were deleted, running
+//! this script, which sets no budget or cap and folds only what both
+//! commits expose: there, the report's `deferred` key was removed before
+//! folding and the `deferred` counter was skipped (debug and release
+//! agree). Two things are left out on purpose: the script never crashes a
+//! runtime that holds a tightened query, and the journal record a
+//! tightening appends is skipped here —
 //! `crates/runtime/tests/journal_recovery.rs` pins both.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pervasive_grid::runtime::{
-    Arrival, Attribution, BatchQuery, EngineOutcome, JournalRecord, MultiQueryRuntime,
+    Admission, Arrival, Attribution, BatchQuery, EngineOutcome, JournalRecord, MultiQueryRuntime,
     OverloadConfig, OverloadPolicy, QueryEngine, QueryHandle, QueryOpts, QueryStatus,
     RuntimeConfig, SchedPolicy, TraceArrivals,
 };
@@ -92,9 +89,6 @@ impl QueryEngine for Echo {
     fn advance(&mut self, dt: Duration) {
         self.now += dt;
     }
-    fn available_energy_j(&self) -> f64 {
-        self.battery_j
-    }
     fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
         (!text.starts_with("opaque")).then(|| cost_j(text))
     }
@@ -146,31 +140,33 @@ const TEXTS: [&str; 8] = [
 /// Relative deadlines, seconds; 0 = none, 20 is shorter than one epoch.
 const DEADLINES_S: [u64; 8] = [0, 0, 20, 45, 90, 90, 240, 600];
 const PRIORITIES: [u8; 6] = [0, 0, 0, 0, 1, 2];
-const CAPS_J: [f64; 5] = [0.0, 0.0, 0.0, 4.0, 9.0];
 
 fn draw_query(s: &mut Script) -> (&'static str, QueryOpts) {
     let mut opts = QueryOpts::default().priority(s.pick(&PRIORITIES));
     let d = s.pick(&DEADLINES_S);
     if d > 0 {
-        opts = opts.deadline(Duration::from_secs(d));
-    }
-    let cap = s.pick(&CAPS_J);
-    if cap > 0.0 {
-        opts = opts.energy_cap_j(cap);
+        opts.deadline = Some(Duration::from_secs(d));
     }
     (s.pick(&TEXTS), opts)
 }
 
+/// A verdict as the id of the handle it issued, or as why it was refused.
+fn fold_verdict(h: &mut u64, verdict: &Admission) {
+    match verdict {
+        Admission::Admitted { handle } => fnv_u64(h, handle.id().0),
+        Admission::Rejected { reason, .. } => fnv(h, format!("{reason:?}").as_bytes()),
+    }
+}
+
 type Rt = MultiQueryRuntime<Echo>;
 
-fn runtime(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool, budget_j: f64) -> Rt {
+fn runtime(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool) -> Rt {
     let cfg = RuntimeConfig::builder()
         .capacity(12)
         .epoch(Duration::from_secs(30))
         .slots_per_epoch(2)
         .policy(policy)
         .preemption(preemption)
-        .energy_budget_j(budget_j)
         .overload(OverloadConfig::watermarks(overload, 3, 5, 7, 9))
         .build();
     let engine = Echo {
@@ -268,7 +264,6 @@ impl Side {
         }
         for counter in [
             rt.admitted,
-            rt.deferred,
             rt.rejected,
             rt.cancelled,
             rt.arrived,
@@ -322,9 +317,8 @@ fn window(s: &mut Script, now: SimTime, dt: Duration) -> TraceArrivals {
 
 fn digest(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool) -> u64 {
     let mut s = Script(0x5eed ^ ((policy as u64) << 8) ^ ((overload as u64) << 4));
-    // Both budgets run out before the script does, the second one first.
-    let mut sides = [1_400.0, 900.0].map(|budget_j| Side {
-        rt: runtime(policy, overload, preemption, budget_j),
+    let mut sides = [(); 2].map(|()| Side {
+        rt: runtime(policy, overload, preemption),
         handles: Vec::new(),
         tightened: Vec::new(),
         payloads_seen: 0,
@@ -338,7 +332,7 @@ fn digest(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool) -> u6
             0..=3 => {
                 let (text, opts) = draw_query(&mut s);
                 let verdict = sides[k].rt.submit(text, opts);
-                fnv(&mut h, format!("{verdict:?}").as_bytes());
+                fold_verdict(&mut h, &verdict);
             }
             4..=8 => {
                 let Some(handle) = sides[k].target(&mut s) else {
@@ -351,7 +345,7 @@ fn digest(policy: SchedPolicy, overload: OverloadPolicy, preemption: bool) -> u6
                         Some(m) => {
                             fnv(&mut h, format!("{m:?}").as_bytes());
                             let verdict = sides[1 - k].rt.admit_migrated(m);
-                            fnv(&mut h, format!("{verdict:?}").as_bytes());
+                            fold_verdict(&mut h, &verdict);
                             sides[1 - k].handles.extend(verdict.handle());
                         }
                         None => fnv_u64(&mut h, 0),
@@ -403,24 +397,24 @@ const OVERLOADS: [OverloadPolicy; 3] = [
 ];
 /// Policy-major, then overload policy, then preemption off / on.
 const PINNED: [u64; 18] = [
-    0xb5a6_9d5b_6ee1_0569,
-    0xe18f_6923_8051_7be5,
-    0x1135_df6d_5f52_ba6c,
-    0xb2dc_ed13_acf3_d047,
-    0x9946_7115_f432_028a,
-    0x79c5_eee3_c5b0_4fea,
-    0x12fb_6a34_d8d7_52a4,
-    0x8dc3_fc29_f05a_9ea3,
-    0x095a_dbe5_9735_6a17,
-    0x5f21_ecc4_0956_df24,
-    0xfc25_dc49_23f3_bf82,
-    0x5a89_19b5_22d7_d018,
-    0x85d2_f410_58c3_e8d3,
-    0xac40_30b6_584c_4999,
-    0xd008_3003_eca2_908e,
-    0xa997_049c_5b4e_7c41,
-    0xa17f_3708_d1ac_d5b2,
-    0x8197_c848_9779_fe17,
+    0x8108_1c56_c95c_5f84,
+    0x2342_b739_b474_0ef4,
+    0xcaf8_9747_dc58_e975,
+    0x7203_8ea9_2eba_b2be,
+    0xbc69_b07b_77dc_4bc3,
+    0x466a_082f_0456_f3c1,
+    0xd26e_edd6_5e8b_3cb6,
+    0xca32_aa4f_f04d_2c6a,
+    0xa234_ea95_a16f_e266,
+    0x596b_a048_0113_964c,
+    0xcb08_ffd6_195f_a30e,
+    0x8ac5_34f3_930c_f8df,
+    0x120c_8318_b369_05c8,
+    0x0f87_e86b_9956_99d9,
+    0x42f2_e4b9_ece9_4cb3,
+    0xfe5e_c755_7a09_94dd,
+    0x4ccd_8950_8114_d956,
+    0x5f31_b7b1_5781_feea,
 ];
 
 #[test]
