@@ -282,7 +282,6 @@ struct World {
     deputies: BTreeMap<AgentId, Box<dyn Deputy>>,
     metrics: Metrics,
     flush_every: Duration,
-    idle_after: Option<SimTime>,
     injector: FaultInjector,
     reliable: Option<Reliable>,
     link_filter: Option<LinkFilter>,
@@ -324,10 +323,6 @@ impl Model for World {
                 }
             }
         }
-    }
-
-    fn finished(&self, now: SimTime) -> bool {
-        self.idle_after.is_some_and(|t| now >= t)
     }
 }
 
@@ -507,7 +502,6 @@ impl AgentSystem {
                 deputies: BTreeMap::new(),
                 metrics: Metrics::new(),
                 flush_every: Duration::from_secs(1),
-                idle_after: None,
                 injector: FaultInjector::new(FaultPlan::none()),
                 reliable: None,
                 link_filter: None,

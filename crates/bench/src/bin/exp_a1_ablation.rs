@@ -3,7 +3,7 @@
 //! exploration, on the T3 query stream.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_a1_ablation [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_a1_ablation
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -16,8 +16,8 @@ const N: usize = 100;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_a1_ablation");
-    let stream_len: usize = exp.scale(400, 100);
-    let seeds: u64 = exp.scale(3, 2);
+    let stream_len: usize = 400;
+    let seeds: u64 = 3;
     exp.set_meta("stream_len", stream_len.to_string());
     exp.set_meta("seeds", seeds.to_string());
     println!("A1: decision-maker ablation on a {stream_len}-query stream ({N} sensors)");

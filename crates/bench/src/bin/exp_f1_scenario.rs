@@ -2,7 +2,7 @@
 //! station → sensor network + grid, with the composition front half.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_f1_scenario [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_f1_scenario
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -13,7 +13,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_f1_scenario");
-    let (floors, side) = exp.scale((3usize, 8usize), (2, 6));
+    let (floors, side) = (3, 8);
     exp.set_meta("floors", floors.to_string());
     exp.set_meta("side", side.to_string());
     println!(

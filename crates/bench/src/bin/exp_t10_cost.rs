@@ -4,7 +4,7 @@
 //! energy, response time or accuracy of the result." — §4).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t10_cost [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t10_cost
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -76,7 +76,7 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t10_cost");
-    let reps: u64 = exp.scale(10, 3);
+    let reps: u64 = 10;
     exp.set_meta("reps", reps.to_string());
     println!("T10: COST-bounded aggregate query on a {N}-sensor network ({reps} seeds)");
     exp.table("acceptance and steering per bound");

@@ -4,7 +4,7 @@
 //! flooding / gossip / tree routing, across network sizes and loss rates.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t11_routing [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t11_routing
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -18,9 +18,9 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t11_routing");
-    let reps: u64 = exp.scale(20, 5);
-    let losses: &[f64] = exp.scale(&[0.0, 0.1, 0.3], &[0.0, 0.3]);
-    let sizes: &[usize] = exp.scale(&[50, 200], &[50]);
+    let reps: u64 = 20;
+    let losses: &[f64] = &[0.0, 0.1, 0.3];
+    let sizes: &[usize] = &[50, 200];
     exp.set_meta("reps", reps.to_string());
     println!(
         "T11: one dissemination from the base station ({}-byte packets)",

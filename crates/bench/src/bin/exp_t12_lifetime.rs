@@ -3,7 +3,7 @@
 //! Continuous/Windowed class; the lifetime framing is TAG's).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t12_lifetime [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t12_lifetime
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -26,8 +26,8 @@ const MAX_EPOCHS: usize = 5_000;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t12_lifetime");
-    let reps: u64 = exp.scale(5, 2);
-    let epochs: &[u64] = exp.scale(&[1, 5, 20, 60], &[5, 60]);
+    let reps: u64 = 5;
+    let epochs: &[u64] = &[1, 5, 20, 60];
     exp.set_meta("reps", reps.to_string());
     println!(
         "T12: continuous AVG query, {N} sensors, {BATTERY_J} J batteries; \

@@ -9,7 +9,7 @@
 //! exponential process: the experiment sweeps device speed and radio range.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t13_mobility [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t13_mobility
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -71,10 +71,10 @@ fn measure(w: &ServiceWorld, onto: &Ontology, runs: u64) -> Composed {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t13_mobility");
-    let runs: u64 = exp.scale(40, 10);
-    let speeds: &[f64] = exp.scale(&[0.5, 1.5, 5.0], &[1.5]);
-    let ranges: &[f64] = exp.scale(&[20.0, 40.0, 70.0], &[20.0, 70.0]);
-    let replica_sweep: &[usize] = exp.scale(&[1, 3, 6, 10], &[1, 3]);
+    let runs: u64 = 40;
+    let speeds: &[f64] = &[0.5, 1.5, 5.0];
+    let ranges: &[f64] = &[20.0, 40.0, 70.0];
+    let replica_sweep: &[usize] = &[1, 3, 6, 10];
     exp.set_meta("runs", runs.to_string());
     let onto = Ontology::pervasive_grid();
     println!(

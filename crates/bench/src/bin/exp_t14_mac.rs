@@ -5,7 +5,7 @@
 //! and belong in the report.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t14_mac [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t14_mac
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -73,7 +73,7 @@ fn main() -> ExitCode {
     // --- T14b: contention around one sink. ---
     println!("\nT14b: star of s senders, 4 packets each, to one sink");
     exp.table("channel efficiency = total airtime / completion time");
-    let sender_sweep: &[usize] = exp.scale(&[2, 4, 8, 16], &[2, 8]);
+    let sender_sweep: &[usize] = &[2, 4, 8, 16];
     for &senders in sender_sweep {
         let r = star(senders, mac, 2).run();
         let airtime = mac.frame_time(100).as_secs_f64() * (senders * 4) as f64;

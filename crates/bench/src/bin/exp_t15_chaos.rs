@@ -12,7 +12,7 @@
 //! bounded retries dead-letter instead of spinning.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t15_chaos [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t15_chaos [-- --chaos]
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -133,7 +133,7 @@ fn policy_key(policy: &Policy) -> String {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t15_chaos");
-    let reps: u64 = exp.scale3(12, 4, 32);
+    let reps: u64 = exp.scale(12, 32);
     exp.set_meta("reps", reps.to_string());
 
     // --- T15a: fault intensity × policy through the full runtime. ---
@@ -180,7 +180,7 @@ fn main() -> ExitCode {
     );
 
     // --- T15b: reliable agent messaging under rising loss. ---
-    let pings: u32 = exp.scale3(40, 15, 120);
+    let pings: u32 = exp.scale(40, 120);
     println!("\nT15b: ack/retry agent messaging, {pings} request/reply pairs per cell");
     exp.table("reliable delivery vs wire loss (5 retries, exp. backoff)");
     for loss in [0.0f64, 0.1, 0.3, 0.5, 1.0] {

@@ -14,7 +14,7 @@
 //! back `Ok` with its own degradation report, never an error.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t16_multiquery [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t16_multiquery
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -64,7 +64,7 @@ fn run_cell(load: usize, policy: SchedPolicy, seed: u64) -> (u64, RunStats) {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t16_multiquery");
-    let reps: u64 = exp.scale(8, 2);
+    let reps: u64 = 8;
     exp.set_meta("reps", reps.to_string());
 
     // --- T16a: offered load × scheduling policy. ---
@@ -135,7 +135,7 @@ fn main() -> ExitCode {
     // --- T16b: shared-tree reuse vs 16 serial submissions. ---
     println!("\nT16b: 16 overlapping-region aggregates, concurrent (one shared tree) vs serial (16 tree epochs)");
     exp.table("same queries, same seeds, placement pinned to the in-network tree");
-    let b_reps: u64 = exp.scale(8, 2);
+    let b_reps: u64 = 8;
     let build = |seed: u64| {
         floor(seed)
             .policy(Policy::Static(SolutionModel::InNetworkTree))
@@ -222,7 +222,7 @@ fn main() -> ExitCode {
     // --- T16c: concurrent workload under the unified fault plan. ---
     println!("\nT16c: 16 concurrent queries under chaos (30 % loss + base outage)");
     exp.table("degrade per query, never fail the batch");
-    let c_reps: u64 = exp.scale(8, 2);
+    let c_reps: u64 = 8;
     let (mut answered, mut errors, mut retries, mut degraded) = (0u64, 0u64, 0u64, 0u64);
     for seed in 0..c_reps {
         let plan = FaultPlan::builder(seed ^ 0x716C)

@@ -16,7 +16,7 @@
 //! rebuilding it every shared epoch.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t17_streaming [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t17_streaming
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -85,8 +85,8 @@ fn run_cell(
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t17_streaming");
-    let reps: u64 = exp.scale(6, 2);
-    let horizon = SimTime::from_secs(exp.scale(600, 300));
+    let reps: u64 = 6;
+    let horizon = SimTime::from_secs(600);
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("horizon_s", horizon.as_secs_f64().to_string());
 

@@ -1,10 +1,10 @@
 //! **T18** — scale: the 10k-node arena, incremental tree repair under
 //! churn, and the indexed discovery matcher.
 //!
-//! T18a builds the flat CSR node arena at 1k/10k (and 50k in full mode)
-//! nodes and records its deterministic shape counters — edges, degrees,
-//! canonical-tree height and coverage. The cell-binned adjacency build is
-//! O(n + m), which is what makes the 10k-node smoke run fit the CI budget.
+//! T18a builds the flat CSR node arena at 1k/10k/50k nodes and records
+//! its deterministic shape counters — edges, degrees, canonical-tree
+//! height and coverage. The cell-binned adjacency build is
+//! O(n + m), which is what makes the 50k-node run fit the CI budget.
 //! T18b is the tentpole sweep: node count × churn rate × seeds, running the
 //! same forced-death schedule through a full rebuild after every death
 //! epoch (a fresh `Incremental` session, which floods its build) and one
@@ -15,7 +15,7 @@
 //! linear scan while consulting only a fraction of the registry.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t18_scale [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t18_scale
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -157,8 +157,8 @@ fn run_arm(size: Size, full_rebuild: bool, schedule: &[Vec<NodeId>], seed: u64) 
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t18_scale");
-    let sizes: &[Size] = exp.scale(&[K1, K10, K50], &[K1, K10]);
-    let reps: u64 = exp.scale(5, 2);
+    let sizes: &[Size] = &[K1, K10, K50];
+    let reps: u64 = 5;
     let epochs = 8usize;
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("epochs", epochs.to_string());
@@ -278,7 +278,7 @@ fn main() -> ExitCode {
     );
 
     // --- T18c: indexed matcher vs linear scan at scale. ---
-    let n_services = exp.scale(20_000usize, 4_000);
+    let n_services: usize = 20_000;
     let onto = Ontology::pervasive_grid();
     let mut rng = StdRng::seed_from_u64(42);
     let mut reg = Registry::new();

@@ -2,7 +2,7 @@
 //! consumption, and response time for every query type × solution model.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t1_matrix [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t1_matrix
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -16,8 +16,8 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t1_matrix");
-    let reps: u64 = exp.scale(10, 3);
-    let n: usize = exp.scale(100, 64);
+    let reps: u64 = 10;
+    let n: usize = 100;
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("n", n.to_string());
     let queries = [

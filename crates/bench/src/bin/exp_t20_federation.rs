@@ -23,7 +23,7 @@
 //! revalidation).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t20_federation [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t20_federation [-- --chaos]
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -154,8 +154,8 @@ fn run_one(
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t20_federation");
-    let reps: u64 = exp.scale3(4, 2, 12);
-    let cell_counts: Vec<usize> = exp.scale3(vec![3, 6], vec![3], vec![3, 6, 9]);
+    let reps: u64 = exp.scale(4, 12);
+    let cell_counts: Vec<usize> = exp.scale(vec![3, 6], vec![3, 6, 9]);
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("horizon_s", HORIZON_S.to_string());
 

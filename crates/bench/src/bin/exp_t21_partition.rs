@@ -23,7 +23,7 @@
 //!   + lost`) holds per cell in both runs.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t21_partition [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t21_partition [-- --chaos]
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -222,13 +222,12 @@ fn assert_conservation(fed: &Federation, ctx: &str) {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t21_partition");
-    let reps: u64 = exp.scale3(4, 2, 10);
-    let horizon_s: u64 = exp.scale3(3_600, 3_600, 7_200);
+    let reps: u64 = exp.scale(4, 10);
+    let horizon_s: u64 = exp.scale(3_600, 7_200);
     // Cuts start at T/4; the longest ends at 3T/4, leaving a quarter of
     // the run for the views to reconverge after the heal.
-    let durations: Vec<u64> = exp.scale3(
+    let durations: Vec<u64> = exp.scale(
         vec![horizon_s / 6, horizon_s / 2],
-        vec![horizon_s / 4],
         vec![horizon_s / 6, horizon_s / 4, horizon_s / 2],
     );
     exp.set_meta("reps", reps.to_string());

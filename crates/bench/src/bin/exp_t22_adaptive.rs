@@ -26,7 +26,7 @@
 //! cost (faults) and phase-2 goodput (load).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t22_adaptive [-- --smoke | --chaos]
+//! cargo run --release -p pg-bench --bin exp_t22_adaptive [-- --chaos]
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -261,8 +261,8 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t22_adaptive");
-    let stream_len: usize = exp.scale3(400, 160, 600);
-    let seeds: u64 = exp.scale3(3, 2, 6);
+    let stream_len: usize = exp.scale(400, 600);
+    let seeds: u64 = exp.scale(3, 6);
     exp.set_meta("stream_len", stream_len.to_string());
     exp.set_meta("seeds", seeds.to_string());
     println!(

@@ -3,7 +3,7 @@
 //! as the network grows.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t2_aggregation [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t2_aggregation
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -18,8 +18,8 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t2_aggregation");
-    let reps: u64 = exp.scale(10, 3);
-    let sizes: &[usize] = exp.scale(&[25, 50, 100, 200, 400], &[25, 50, 100]);
+    let reps: u64 = 10;
+    let sizes: &[usize] = &[25, 50, 100, 200, 400];
     exp.set_meta("reps", reps.to_string());
     println!("T2: aggregate-query energy vs network size (AVG over all sensors, one epoch)");
     exp.table(&format!("mean of {reps} seeds"));

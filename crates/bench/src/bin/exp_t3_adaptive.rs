@@ -2,7 +2,7 @@
 //! over a mixed query stream (§4's machine-learning proposal).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t3_adaptive [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t3_adaptive
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -16,8 +16,8 @@ const N: usize = 100;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t3_adaptive");
-    let stream_len: usize = exp.scale(600, 150);
-    let judge_window: usize = exp.scale(100, 50);
+    let stream_len: usize = 600;
+    let judge_window: usize = 100;
     exp.set_meta("stream_len", stream_len.to_string());
     exp.set_meta("judge_window", judge_window.to_string());
     println!("T3: {stream_len}-query mixed stream on a {N}-sensor network");

@@ -3,7 +3,7 @@
 //! registry size, and federation traffic vs. a central registry.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t4_discovery [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t4_discovery
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -23,8 +23,8 @@ use std::time::Instant;
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t4_discovery");
     let onto = Ontology::pervasive_grid();
-    let printer_n: usize = exp.scale(500, 200);
-    let corpora: u64 = exp.scale(5, 2);
+    let printer_n: usize = 500;
+    let corpora: u64 = 5;
     exp.set_meta("printer_corpus", printer_n.to_string());
     exp.set_meta("corpora", corpora.to_string());
 
@@ -82,7 +82,7 @@ fn main() -> ExitCode {
     println!("\nT4b: semantic match latency vs registry size (wall clock, this machine)");
     exp.table("single query, ranked result");
     let solver = onto.class("SolverService").unwrap();
-    let registry_sizes: &[usize] = exp.scale(&[100, 1_000, 10_000, 50_000], &[100, 1_000]);
+    let registry_sizes: &[usize] = &[100, 1_000, 10_000, 50_000];
     for &n in registry_sizes {
         let mut rng = StdRng::seed_from_u64(99);
         let corpus = mixed_corpus(&onto, n, &mut rng);
@@ -108,7 +108,7 @@ fn main() -> ExitCode {
     }
 
     // --- Part 3: federation vs central registry. ---
-    let fed_n: usize = exp.scale(240, 120);
+    let fed_n: usize = 240;
     println!("\nT4c: federated brokers vs one central registry ({fed_n} services)");
     exp.table("query entering at broker 0");
     let mut rng = StdRng::seed_from_u64(5);

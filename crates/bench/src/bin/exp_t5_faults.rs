@@ -3,7 +3,7 @@
 //! without replicas (§3's fault-tolerance and graceful-degradation claims).
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t5_faults [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t5_faults
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -33,7 +33,7 @@ fn world(onto: &Ontology, replicas: usize, availability: f64, seed: u64) -> Serv
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t5_faults");
-    let runs: u64 = exp.scale(40, 10);
+    let runs: u64 = 40;
     exp.set_meta("runs", runs.to_string());
     let onto = Ontology::pervasive_grid();
     println!("T5: composition under churn ({runs} runs per cell, 5-step plan)");

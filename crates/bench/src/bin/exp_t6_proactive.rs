@@ -2,7 +2,7 @@
 //! request as request frequency varies; the crossover §3 predicts.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t6_proactive [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t6_proactive
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t6_proactive");
-    let reqs: u32 = exp.scale(500, 120);
+    let reqs: u32 = 500;
     exp.set_meta("requests", reqs.to_string());
     let costs = ComposeCosts::default();
     let ttl = Duration::from_secs(60);
@@ -23,10 +23,7 @@ fn main() -> ExitCode {
     // --- Measured: drive a PlanCache with request streams. ---
     println!("T6: proactive (plan cache, 60 s TTL) vs reactive composition setup latency");
     exp.table(&format!("{reqs} requests per row"));
-    let periods: &[f64] = exp.scale(
-        &[1.0, 5.0, 20.0, 60.0, 120.0, 600.0, 3_600.0],
-        &[1.0, 60.0, 600.0],
-    );
+    let periods: &[f64] = &[1.0, 5.0, 20.0, 60.0, 120.0, 600.0, 3_600.0];
     for &period_s in periods {
         let mut cache = PlanCache::new(MethodLibrary::pervasive_grid(), ttl);
         let mut total = Duration::ZERO;

@@ -3,7 +3,7 @@
 //! cost as the registry population grows.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t7_churn [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t7_churn
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t7_churn");
-    let runs: u64 = exp.scale(40, 10);
+    let runs: u64 = 40;
     exp.set_meta("runs", runs.to_string());
     let onto = Ontology::pervasive_grid();
     let plan = MethodLibrary::pervasive_grid()
@@ -62,7 +62,7 @@ fn main() -> ExitCode {
     // per-composition hit totals.
     println!("\nT7b: composition-time discovery cost vs registry size");
     exp.table("one 5-role composition, wall clock");
-    let registry_sizes: &[usize] = exp.scale(&[100, 1_000, 10_000], &[100, 1_000]);
+    let registry_sizes: &[usize] = &[100, 1_000, 10_000];
     for &n in registry_sizes {
         let mut rng = StdRng::seed_from_u64(11);
         let corpus = mixed_corpus(&onto, n, &mut rng);

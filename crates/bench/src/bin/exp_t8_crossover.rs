@@ -10,7 +10,7 @@
 //! with member count.
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t8_crossover [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t8_crossover
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -71,14 +71,14 @@ fn winner(times: &[f64; 3]) -> &'static str {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t8_crossover");
-    let n: usize = exp.scale(200, 100);
-    let reps: u64 = exp.scale(5, 2);
+    let n: usize = 200;
+    let reps: u64 = 5;
     exp.set_meta("n", n.to_string());
     exp.set_meta("reps", reps.to_string());
     println!("T8: response time per solution model as computation intensity grows");
     println!("({n} sensors; Complex query over growing regions of the arena)");
     exp.table(&format!("response time seconds (mean of {reps} seeds)"));
-    let fracs: &[f64] = exp.scale(&[0.1, 0.25, 0.5, 0.75, 1.0], &[0.25, 1.0]);
+    let fracs: &[f64] = &[0.1, 0.25, 0.5, 0.75, 1.0];
     for &frac in fracs {
         let (times, ops) = measure(
             n,

@@ -4,7 +4,7 @@
 //! send the average reading from a region").
 //!
 //! ```sh
-//! cargo run --release -p pg-bench --bin exp_t9_pde [-- --smoke]
+//! cargo run --release -p pg-bench --bin exp_t9_pde
 //! ```
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -37,7 +37,7 @@ fn main() -> ExitCode {
     // residuals, which are deterministic.
     println!("T9a: solver comparison on the reconstruction problem (tol 1e-6)");
     exp.table("wall clock on this machine, one thread");
-    let grids: &[usize] = exp.scale(&[24, 32, 48], &[16, 24]);
+    let grids: &[usize] = &[24, 32, 48];
     for &n in grids {
         let p = make_problem(n);
         for solver in [
@@ -64,15 +64,15 @@ fn main() -> ExitCode {
     }
 
     // --- T9b: accuracy vs region-averaging reduction. ---
-    let reps: u64 = exp.scale(5, 2);
-    let arena: usize = exp.scale(200, 100);
+    let reps: u64 = 5;
+    let arena: usize = 200;
     exp.set_meta("reps", reps.to_string());
     exp.set_meta("arena_n", arena.to_string());
     println!("T9b: accuracy vs data reduction for the grid-offloaded Complex query");
     exp.table(&format!(
         "{arena}-sensor arena, mean of {reps} seeds (backhaul B = bytes shipped to the grid)"
     ));
-    let cells: &[f64] = exp.scale(&[0.0, 10.0, 20.0, 40.0, 80.0], &[0.0, 40.0]);
+    let cells: &[f64] = &[0.0, 10.0, 20.0, 40.0, 80.0];
     for &cell in cells {
         let mut bytes = 0.0;
         let mut err = 0.0;

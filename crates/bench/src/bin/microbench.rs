@@ -8,8 +8,8 @@
 //! committed `baselines/BENCH_micro.json` with a **one-sided** relative
 //! tolerance: getting faster never fails, getting more than the tolerance
 //! slower does. Wall-clock numbers are noisy where simulation counters are
-//! not, so the default tolerance is 25% instead of the experiment gate's
-//! 1e-9.
+//! not, so the tolerance is 25% instead of the experiment gate's 1e-9
+//! (`pg_bench::regress::Tolerances::MICROBENCH`).
 //!
 //! A bench name appearing more than once folds to the **min**: scheduler
 //! noise on a shared runner is strictly additive, so the minimum of
@@ -39,11 +39,10 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: microbench [--input FILE]... [--baseline FILE] [--out DIR] \
-         [--tolerance REL] [--write-baseline]\n\
+         [--write-baseline]\n\
          \n  --input FILE      `bench:` lines to parse; repeatable (default: stdin)\
          \n  --baseline FILE   committed medians (default: baselines/BENCH_micro.json)\
          \n  --out DIR         where to write micro.json (default: results)\
-         \n  --tolerance REL   one-sided slowdown tolerance (default: 0.25)\
          \n  --write-baseline  write the parsed report over the baseline\
          \n                    instead of comparing"
     );
@@ -74,10 +73,7 @@ fn parse_bench_lines(text: &str) -> BTreeMap<String, f64> {
 fn main() -> ExitCode {
     let mut inputs: Vec<PathBuf> = Vec::new();
     let mut baseline_path = PathBuf::from("baselines/BENCH_micro.json");
-    let mut out_dir: PathBuf = std::env::var_os("PG_RESULTS_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(|| PathBuf::from("results"));
-    let mut tolerance = 0.25f64;
+    let mut out_dir = PathBuf::from("results");
     let mut write_baseline = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -87,12 +83,6 @@ fn main() -> ExitCode {
                 baseline_path = args.next().map(PathBuf::from).unwrap_or_else(|| usage())
             }
             "--out" => out_dir = args.next().map(PathBuf::from).unwrap_or_else(|| usage()),
-            "--tolerance" => {
-                let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    usage()
-                };
-                tolerance = v;
-            }
             "--write-baseline" => write_baseline = true,
             _ => usage(),
         }
@@ -170,16 +160,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let tol = Tolerances {
-        default_rel: tolerance,
-        one_sided: true,
-        // Sub-microsecond benches sit at the timer's resolution under the
-        // CI sample counts; flooring the denominator at 1 µs compares them
-        // absolutely (±250 ns of slack at the default tolerance) instead
-        // of flapping on scheduler jitter.
-        abs_floor: 1_000.0,
-        ..Tolerances::default()
-    };
+    let tol = Tolerances::MICROBENCH;
     let cmp = compare(&baseline, &fresh, &tol);
     for w in &cmp.warnings {
         eprintln!("warn micro: {w}");
@@ -188,7 +169,7 @@ fn main() -> ExitCode {
         println!(
             "ok   micro: {} bench(es) within the {:.0}% one-sided budget",
             cmp.matched,
-            tolerance * 100.0
+            tol.rel * 100.0
         );
         ExitCode::SUCCESS
     } else {

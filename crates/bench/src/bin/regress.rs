@@ -3,13 +3,13 @@
 //!
 //! ```sh
 //! cargo run --release -p pg-bench --bin regress            # results/ vs baselines/
-//! cargo run --release -p pg-bench --bin regress -- \
-//!     --baselines baselines --results results --tolerance 1e-9
+//! cargo run --release -p pg-bench --bin regress -- --results DIR
 //! ```
 //!
 //! For every `baselines/BENCH_<exp>.json` there must be a fresh
 //! `results/<exp>.json`; each pair is compared metric-by-metric with
-//! relative tolerances (see `pg_bench::regress`). Any drift, any metric
+//! relative tolerances of 1e-9, 1e-6 on percentile leaves (see
+//! `pg_bench::regress::Tolerances::EXPERIMENTS`). Any drift, any metric
 //! missing from a fresh report, or any baseline without a fresh report
 //! exits non-zero with a human-readable drift table. Metrics present only
 //! in the fresh report warn (the baseline is stale but nothing regressed).
@@ -23,15 +23,9 @@ use std::process::ExitCode;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: regress [--baselines DIR] [--results DIR] [--tolerance REL] \
-         [--percentile-tolerance REL]\n\
+        "usage: regress [--baselines DIR] [--results DIR]\n\
          \n  --baselines DIR   committed BENCH_*.json directory (default: baselines)\
-         \n  --results DIR     fresh report directory (default: results)\
-         \n  --tolerance REL   default relative tolerance (default: 1e-9)\
-         \n  --percentile-tolerance REL\
-         \n                    relative tolerance for .p50/.p90/.p95/.p99 leaves\
-         \n                    (default: 1e-6 — order statistics sit on sample\
-         \n                    boundaries, so they get their own knob)"
+         \n  --results DIR     fresh report directory (default: results)"
     );
     std::process::exit(2);
 }
@@ -39,29 +33,14 @@ fn usage() -> ! {
 fn main() -> ExitCode {
     let mut baselines = PathBuf::from("baselines");
     let mut results = PathBuf::from("results");
-    let mut tol = Tolerances::default();
-    let mut percentile_rel = 1e-6;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--baselines" => baselines = args.next().map(PathBuf::from).unwrap_or_else(|| usage()),
             "--results" => results = args.next().map(PathBuf::from).unwrap_or_else(|| usage()),
-            "--tolerance" => {
-                let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    usage()
-                };
-                tol.default_rel = v;
-            }
-            "--percentile-tolerance" => {
-                let Some(v) = args.next().and_then(|s| s.parse::<f64>().ok()) else {
-                    usage()
-                };
-                percentile_rel = v;
-            }
             _ => usage(),
         }
     }
-    let tol = tol.with_percentile_tolerance(percentile_rel);
 
     let mut baseline_files: Vec<PathBuf> = match std::fs::read_dir(&baselines) {
         Ok(entries) => entries
@@ -127,7 +106,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let cmp = compare(&baseline, &fresh, &tol);
+        let cmp = compare(&baseline, &fresh, &Tolerances::EXPERIMENTS);
         compared += cmp.matched;
         for w in &cmp.warnings {
             eprintln!("warn {exp}: {w}");
@@ -177,7 +156,7 @@ fn main() -> ExitCode {
             let exp = n.strip_suffix(".json").unwrap_or(n);
             eprintln!(
                 "FAIL {exp}: fresh report {} has no baseline {} — commit one \
-                 via scripts/run_experiments.sh --smoke --rebaseline",
+                 via scripts/run_experiments.sh --rebaseline",
                 results.join(n).display(),
                 baselines.join(format!("BENCH_{exp}.json")).display(),
             );

@@ -1,12 +1,12 @@
-//! Per-binary experiment plumbing: CLI flags, smoke scaling, and JSON
+//! Per-binary experiment plumbing: CLI flags, the chaos grid, and JSON
 //! report emission.
 //!
 //! Every `exp_*` binary wraps its run in an [`Experiment`]: the tables on
 //! stdout are what EXPERIMENTS.md is pasted from, and every number that
 //! lands in a table row is also recorded into a [`Report`] written to
 //! `results/<exp>.json`. The committed baselines under `baselines/` are
-//! diffed against those files by the `regress` binary, which is what turns
-//! the experiment suite into a CI regression gate.
+//! those same files, so the `regress` binary gates, at full precision, the
+//! very run whose tables EXPERIMENTS.md publishes.
 //!
 //! A table cell is written once: [`Experiment::table`] prints the title,
 //! and each [`Experiment::row`] takes the row's [`Cell`]s — label, width,
@@ -21,20 +21,13 @@
 //!
 //! Flags understood by every binary:
 //!
-//! - `--smoke` — run a reduced sweep (fewer seeds, smaller worlds) sized
-//!   for CI; the report's `meta.mode` records which mode produced it so
-//!   smoke reports are never diffed against full baselines.
 //! - `--chaos` — run an *extended* sweep (longer horizons, higher fault
-//!   rates, extra seeds) for the nightly chaos-soak job. Chaos reports
-//!   carry `meta.mode = "chaos"`, so the regress gate's mode check keeps
-//!   them from ever being diffed against smoke or full baselines — the
-//!   soak's value is the per-seed asserts inside the binaries, not a
-//!   numeric diff.
-//! - `--out DIR` — write the JSON report into `DIR` (default `results`,
-//!   or `$PG_RESULTS_DIR`).
-//!
-//! `PG_SMOKE=1` / `PG_CHAOS=1` in the environment are equivalent to the
-//! flags; chaos wins when both are set.
+//!   rates, extra seeds) for the nightly chaos-soak job, where a binary
+//!   has one (see [`Experiment::scale`]). Chaos reports carry
+//!   `meta.mode = "chaos"`, so the regress gate's mode check keeps them
+//!   from ever being diffed against the `"full"` baselines — the soak's
+//!   value is the per-seed asserts inside the binaries, not a numeric diff.
+//! - `--out DIR` — write the JSON report into `DIR` (default `results`).
 //!
 //! Wall-clock timings are deliberately **never** recorded into reports
 //! (they stay on stdout): reports only carry simulation-deterministic
@@ -50,7 +43,6 @@ use std::process::ExitCode;
 pub struct Experiment {
     report: Report,
     table: Table,
-    smoke: bool,
     chaos: bool,
     out_dir: PathBuf,
 }
@@ -61,16 +53,14 @@ impl Experiment {
     /// Exits the process with a usage message on unknown arguments — the
     /// `exp_*` binaries take no other flags.
     pub fn from_args(name: &str) -> Experiment {
-        let mut smoke = std::env::var("PG_SMOKE").is_ok_and(|v| v == "1");
-        let mut chaos = std::env::var("PG_CHAOS").is_ok_and(|v| v == "1");
-        let mut out_dir: Option<PathBuf> = std::env::var_os("PG_RESULTS_DIR").map(PathBuf::from);
+        let mut chaos = false;
+        let mut out_dir = PathBuf::from("results");
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
-                "--smoke" => smoke = true,
                 "--chaos" => chaos = true,
                 "--out" => match args.next() {
-                    Some(dir) => out_dir = Some(PathBuf::from(dir)),
+                    Some(dir) => out_dir = PathBuf::from(dir),
                     None => {
                         eprintln!("{name}: --out requires a directory argument");
                         std::process::exit(2);
@@ -78,52 +68,26 @@ impl Experiment {
                 },
                 other => {
                     eprintln!("{name}: unknown argument {other:?}");
-                    eprintln!("usage: {name} [--smoke] [--chaos] [--out DIR]");
+                    eprintln!("usage: {name} [--chaos] [--out DIR]");
                     std::process::exit(2);
                 }
             }
         }
-        if chaos {
-            smoke = false;
-        }
         let mut report = Report::new(name);
-        report.set_meta(
-            "mode",
-            if chaos {
-                "chaos"
-            } else if smoke {
-                "smoke"
-            } else {
-                "full"
-            },
-        );
+        report.set_meta("mode", if chaos { "chaos" } else { "full" });
         Experiment {
             report,
             table: Table::default(),
-            smoke,
             chaos,
-            out_dir: out_dir.unwrap_or_else(|| PathBuf::from("results")),
+            out_dir,
         }
     }
 
-    /// Pick the full-run or smoke-run value of a sweep parameter. Chaos
-    /// runs take the full value; use [`scale3`](Experiment::scale3) where
-    /// the soak should push further than full.
-    pub fn scale<T>(&self, full: T, smoke: T) -> T {
-        if self.smoke {
-            smoke
-        } else {
-            full
-        }
-    }
-
-    /// Pick the full-, smoke-, or chaos-run value of a sweep parameter
-    /// (longer horizons, higher fault rates, extra seeds in the soak).
-    pub fn scale3<T>(&self, full: T, smoke: T, chaos: T) -> T {
+    /// Pick the full-run or chaos-run value of a sweep parameter (longer
+    /// horizons, higher fault rates, extra seeds in the soak).
+    pub fn scale<T>(&self, full: T, chaos: T) -> T {
         if self.chaos {
             chaos
-        } else if self.smoke {
-            smoke
         } else {
             full
         }

@@ -4,73 +4,62 @@
 //! A committed baseline `baselines/BENCH_<exp>.json` is diffed against a
 //! fresh `results/<exp>.json` metric by metric (the flattened numeric
 //! leaves of the report). The simulation is deterministic — seeded RNG,
-//! sequential reductions — so the default tolerance is tiny and exists only
-//! to absorb libm differences across platforms; per-metric overrides widen
-//! it where an experiment is legitimately noisier.
+//! sequential reductions — so the tolerance is tiny and exists only to
+//! absorb libm differences across platforms. Each gate has one fixed set
+//! of tolerances: [`Tolerances::EXPERIMENTS`] for `regress`,
+//! [`Tolerances::MICROBENCH`] for `microbench`.
 
 use pg_sim::report::Report;
 
+/// The order-statistic leaves a percentile tolerance applies to.
+const PERCENTILE_LEAVES: [&str; 4] = [".p50", ".p90", ".p95", ".p99"];
+
 /// Relative tolerance configuration.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Tolerances {
-    /// Default relative tolerance for every metric.
-    pub default_rel: f64,
-    /// `(path prefix, rel)` overrides; the longest matching prefix wins.
-    pub overrides: Vec<(String, f64)>,
-    /// `(path suffix, rel)` overrides — e.g. `.p95` to widen every
-    /// percentile leaf across experiments. Checked before the prefix
-    /// overrides; the longest matching suffix wins.
-    pub suffix_overrides: Vec<(String, f64)>,
+    /// Relative tolerance for every metric but the percentile leaves.
+    pub rel: f64,
+    /// Relative tolerance for `.p50`/`.p90`/`.p95`/`.p99` leaves: order
+    /// statistics sit on sample boundaries, so they get their own (wider)
+    /// tolerance than means.
+    pub percentile_rel: f64,
     /// Values with magnitude below this floor are compared absolutely
     /// (relative error is meaningless near zero).
     pub abs_floor: f64,
     /// When set, only increases over the baseline count as drift — the
     /// gate for wall-clock metrics, where getting faster is never a
-    /// regression. Deterministic simulation metrics keep the default
-    /// two-sided comparison.
+    /// regression. Deterministic simulation metrics keep the two-sided
+    /// comparison.
     pub one_sided: bool,
 }
 
-impl Default for Tolerances {
-    fn default() -> Self {
-        Tolerances {
-            default_rel: 1e-9,
-            overrides: Vec::new(),
-            suffix_overrides: Vec::new(),
-            abs_floor: 1e-12,
-            one_sided: false,
-        }
-    }
-}
-
 impl Tolerances {
-    /// The relative tolerance applying to `path`: the longest matching
-    /// suffix override, else the longest matching prefix override, else
-    /// the default.
-    pub fn rel_for(&self, path: &str) -> f64 {
-        self.suffix_overrides
-            .iter()
-            .filter(|(suffix, _)| path.ends_with(suffix.as_str()))
-            .max_by_key(|(suffix, _)| suffix.len())
-            .map(|&(_, rel)| rel)
-            .or_else(|| {
-                self.overrides
-                    .iter()
-                    .filter(|(prefix, _)| path.starts_with(prefix.as_str()))
-                    .max_by_key(|(prefix, _)| prefix.len())
-                    .map(|&(_, rel)| rel)
-            })
-            .unwrap_or(self.default_rel)
-    }
+    /// The experiment gate: two-sided 1e-9, 1e-6 on percentile leaves.
+    pub const EXPERIMENTS: Tolerances = Tolerances {
+        rel: 1e-9,
+        percentile_rel: 1e-6,
+        abs_floor: 1e-12,
+        one_sided: false,
+    };
 
-    /// Install the standard percentile suffix overrides (`.p50`/`.p90`/
-    /// `.p95`/`.p99` at `rel`): order statistics sit on sample boundaries,
-    /// so they deserve their own (usually wider) tolerance than means.
-    pub fn with_percentile_tolerance(mut self, rel: f64) -> Self {
-        for q in ["p50", "p90", "p95", "p99"] {
-            self.suffix_overrides.push((format!(".{q}"), rel));
+    /// The microbench gate: one-sided 25 %. Sub-microsecond benches sit at
+    /// the timer's resolution under the CI sample counts; flooring the
+    /// denominator at 1 µs compares them absolutely (±250 ns of slack)
+    /// instead of flapping on scheduler jitter.
+    pub const MICROBENCH: Tolerances = Tolerances {
+        rel: 0.25,
+        percentile_rel: 0.25,
+        abs_floor: 1_000.0,
+        one_sided: true,
+    };
+
+    /// The relative tolerance applying to `path`.
+    fn rel_for(&self, path: &str) -> f64 {
+        if PERCENTILE_LEAVES.iter().any(|q| path.ends_with(q)) {
+            self.percentile_rel
+        } else {
+            self.rel
         }
-        self
     }
 }
 
@@ -120,7 +109,7 @@ impl Comparison {
 
 /// Diff `fresh` against `baseline` under `tol`.
 ///
-/// Fails on: mode mismatch (a smoke report diffed against a full baseline
+/// Fails on: mode mismatch (a chaos report diffed against a full baseline
 /// is a harness misconfiguration, not a regression), any baseline metric
 /// missing from the fresh report, and any metric outside tolerance. Metrics
 /// only present in the fresh report produce warnings — new instrumentation
@@ -246,8 +235,8 @@ mod tests {
 
     #[test]
     fn identical_reports_pass() {
-        let a = report("e", "smoke", &[("x", 1.5), ("y", 0.0)]);
-        let cmp = compare(&a, &a.clone(), &Tolerances::default());
+        let a = report("e", "full", &[("x", 1.5), ("y", 0.0)]);
+        let cmp = compare(&a, &a.clone(), &Tolerances::EXPERIMENTS);
         assert!(cmp.ok(), "{:?}", cmp.violations);
         assert_eq!(cmp.matched, 2);
         assert!(cmp.warnings.is_empty());
@@ -255,20 +244,20 @@ mod tests {
 
     #[test]
     fn within_tolerance_passes() {
-        let base = report("e", "smoke", &[("x", 100.0)]);
-        let fresh = report("e", "smoke", &[("x", 100.0 + 1e-8)]);
+        let base = report("e", "full", &[("x", 100.0)]);
+        let fresh = report("e", "full", &[("x", 100.0 + 1e-8)]);
         let tol = Tolerances {
-            default_rel: 1e-6,
-            ..Tolerances::default()
+            rel: 1e-6,
+            ..Tolerances::EXPERIMENTS
         };
         assert!(compare(&base, &fresh, &tol).ok());
     }
 
     #[test]
     fn drift_fails_with_table() {
-        let base = report("e", "smoke", &[("x", 100.0)]);
-        let fresh = report("e", "smoke", &[("x", 101.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::default());
+        let base = report("e", "full", &[("x", 100.0)]);
+        let fresh = report("e", "full", &[("x", 101.0)]);
+        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
         assert!(!cmp.ok());
         assert_eq!(cmp.drifts.len(), 1);
         let d = &cmp.drifts[0];
@@ -281,9 +270,9 @@ mod tests {
 
     #[test]
     fn missing_metric_fails() {
-        let base = report("e", "smoke", &[("x", 1.0), ("gone", 2.0)]);
-        let fresh = report("e", "smoke", &[("x", 1.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::default());
+        let base = report("e", "full", &[("x", 1.0), ("gone", 2.0)]);
+        let fresh = report("e", "full", &[("x", 1.0)]);
+        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
         assert!(!cmp.ok());
         assert!(
             cmp.violations
@@ -296,9 +285,9 @@ mod tests {
 
     #[test]
     fn extra_metric_warns_but_passes() {
-        let base = report("e", "smoke", &[("x", 1.0)]);
-        let fresh = report("e", "smoke", &[("x", 1.0), ("new", 9.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::default());
+        let base = report("e", "full", &[("x", 1.0)]);
+        let fresh = report("e", "full", &[("x", 1.0), ("new", 9.0)]);
+        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
         assert!(cmp.ok(), "{:?}", cmp.violations);
         assert!(
             cmp.warnings.iter().any(|w| w.contains("scalars.new")),
@@ -311,9 +300,9 @@ mod tests {
     fn missing_and_extra_leaf_paths_are_listed_explicitly() {
         // A renamed metric = one missing + one extra; both exact paths
         // must be carried structurally and rendered under headings.
-        let base = report("e", "smoke", &[("x", 1.0), ("old_name", 2.0)]);
-        let fresh = report("e", "smoke", &[("x", 1.0), ("new_name", 2.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::default());
+        let base = report("e", "full", &[("x", 1.0), ("old_name", 2.0)]);
+        let fresh = report("e", "full", &[("x", 1.0), ("new_name", 2.0)]);
+        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
         assert!(!cmp.ok());
         assert_eq!(cmp.missing, vec!["scalars.old_name".to_string()]);
         assert_eq!(cmp.extra, vec!["scalars.new_name".to_string()]);
@@ -327,15 +316,15 @@ mod tests {
             "extra block absent: {rendered}"
         );
         // A clean comparison renders nothing.
-        let clean = compare(&base, &base.clone(), &Tolerances::default());
+        let clean = compare(&base, &base.clone(), &Tolerances::EXPERIMENTS);
         assert_eq!(key_mismatch_report(&clean), "");
     }
 
     #[test]
     fn mode_mismatch_fails_fast() {
         let base = report("e", "full", &[("x", 1.0)]);
-        let fresh = report("e", "smoke", &[("x", 1.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::default());
+        let fresh = report("e", "chaos", &[("x", 1.0)]);
+        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
         assert!(!cmp.ok());
         assert!(cmp.violations[0].contains("mode mismatch"));
     }
@@ -343,17 +332,13 @@ mod tests {
     #[test]
     fn one_sided_passes_improvements_and_fails_regressions() {
         let base = report("e", "bench", &[("jacobi_ns", 1000.0)]);
-        let tol = Tolerances {
-            default_rel: 0.25,
-            one_sided: true,
-            ..Tolerances::default()
-        };
+        let tol = Tolerances::MICROBENCH;
         // 40% faster: fine under one-sided, would drift two-sided.
         let faster = report("e", "bench", &[("jacobi_ns", 600.0)]);
         assert!(compare(&base, &faster, &tol).ok());
         let two_sided = Tolerances {
-            default_rel: 0.25,
-            ..Tolerances::default()
+            one_sided: false,
+            ..Tolerances::MICROBENCH
         };
         assert!(!compare(&base, &faster, &two_sided).ok());
         // 20% slower: inside the 25% band.
@@ -364,62 +349,39 @@ mod tests {
         let cmp = compare(&base, &slower, &tol);
         assert!(!cmp.ok());
         assert_eq!(cmp.drifts[0].path, "scalars.jacobi_ns");
+        // A sub-microsecond bench is compared against the 1 µs floor: 3x
+        // slower at 100 ns is 200 ns of drift, inside the 250 ns slack.
+        let tiny = report("e", "bench", &[("pop_ns", 100.0)]);
+        let tiny_slower = report("e", "bench", &[("pop_ns", 300.0)]);
+        assert!(compare(&tiny, &tiny_slower, &tol).ok());
     }
 
     #[test]
     fn near_zero_values_compare_absolutely() {
         // 0 vs 1e-15: relative error undefined; abs_floor keeps it passing.
-        let base = report("e", "smoke", &[("z", 0.0)]);
-        let fresh = report("e", "smoke", &[("z", 1e-15)]);
+        let base = report("e", "full", &[("z", 0.0)]);
+        let fresh = report("e", "full", &[("z", 1e-15)]);
         let tol = Tolerances {
-            default_rel: 1e-2,
-            ..Tolerances::default()
+            rel: 1e-2,
+            ..Tolerances::EXPERIMENTS
         };
         assert!(compare(&base, &fresh, &tol).ok());
     }
 
     #[test]
-    fn longest_prefix_override_wins() {
-        let tol = Tolerances {
-            default_rel: 1e-9,
-            overrides: vec![("stats.".into(), 1e-6), ("stats.latency".into(), 1e-2)],
-            ..Tolerances::default()
-        };
-        assert_eq!(tol.rel_for("counters.tx"), 1e-9);
-        assert_eq!(tol.rel_for("stats.energy.mean"), 1e-6);
-        assert_eq!(tol.rel_for("stats.latency_s.mean"), 1e-2);
-    }
-
-    #[test]
-    fn suffix_overrides_beat_prefixes_and_longest_suffix_wins() {
-        let tol = Tolerances {
-            default_rel: 1e-9,
-            overrides: vec![("stats.".into(), 1e-6)],
-            suffix_overrides: vec![(".p95".into(), 1e-3), ("latency.p95".into(), 1e-2)],
-            ..Tolerances::default()
-        };
-        // Suffix match wins over the prefix override covering the same path.
-        assert_eq!(tol.rel_for("stats.response_s.p95"), 1e-3);
-        // The longest matching suffix wins among suffixes.
-        assert_eq!(tol.rel_for("stats.latency.p95"), 1e-2);
-        // Non-matching paths fall through to prefix, then default.
-        assert_eq!(tol.rel_for("stats.response_s.mean"), 1e-6);
-        assert_eq!(tol.rel_for("counters.tx"), 1e-9);
-    }
-
-    #[test]
     fn percentile_tolerance_covers_every_quantile_leaf() {
-        let tol = Tolerances::default().with_percentile_tolerance(1e-6);
+        let tol = Tolerances::EXPERIMENTS;
         for q in ["p50", "p90", "p95", "p99"] {
             assert_eq!(tol.rel_for(&format!("stats.response_s.{q}")), 1e-6);
         }
         assert_eq!(tol.rel_for("stats.response_s.mean"), 1e-9);
+        assert_eq!(tol.rel_for("stats.response_s.p95_ms"), 1e-9);
     }
 
     #[test]
     fn percentile_drift_beyond_tolerance_still_fails() {
         let mut base = Report::new("e");
-        base.set_meta("mode", "smoke");
+        base.set_meta("mode", "full");
         base.set_scalar("x", 1.0);
         base.stats.insert(
             "response_s".into(),
@@ -430,7 +392,10 @@ mod tests {
         );
         let mut fresh = base.clone();
         fresh.stats.get_mut("response_s").unwrap().p95 = Some(12.0);
-        let tol = Tolerances::default().with_percentile_tolerance(1e-2);
+        let tol = Tolerances {
+            percentile_rel: 1e-2,
+            ..Tolerances::EXPERIMENTS
+        };
         let cmp = compare(&base, &fresh, &tol);
         assert!(!cmp.ok());
         assert!(
@@ -440,11 +405,7 @@ mod tests {
         );
         // Within the widened tolerance the same leaf passes.
         fresh.stats.get_mut("response_s").unwrap().p95 = Some(10.05);
-        let cmp = compare(
-            &base,
-            &fresh,
-            &Tolerances::default().with_percentile_tolerance(1e-2),
-        );
+        let cmp = compare(&base, &fresh, &tol);
         assert!(cmp.ok(), "{:?}", cmp.violations);
     }
 
@@ -454,11 +415,11 @@ mod tests {
         s.record(1.0);
         s.record(3.0);
         let mut base = Report::new("e");
-        base.set_meta("mode", "smoke");
+        base.set_meta("mode", "full");
         base.record_summary("m", &s);
         let mut drifted = base.clone();
         drifted.stats.get_mut("m").unwrap().max = 4.0;
-        let cmp = compare(&base, &drifted, &Tolerances::default());
+        let cmp = compare(&base, &drifted, &Tolerances::EXPERIMENTS);
         assert!(!cmp.ok());
         assert_eq!(cmp.drifts.len(), 1);
         assert_eq!(cmp.drifts[0].path, "stats.m.max");

@@ -46,7 +46,7 @@ pub mod time;
 mod queue;
 mod runner;
 
-pub use runner::{Model, RunOutcome, Simulation};
+pub use runner::{Model, Simulation};
 pub use time::{Duration, SimTime};
 
 use queue::Scheduled;
@@ -63,7 +63,6 @@ pub struct Scheduler<E> {
     heap: BinaryHeap<Reverse<Scheduled<E>>>,
     now: SimTime,
     seq: u64,
-    scheduled_total: u64,
 }
 
 impl<E> Default for Scheduler<E> {
@@ -79,23 +78,12 @@ impl<E> Scheduler<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             seq: 0,
-            scheduled_total: 0,
         }
     }
 
     /// Current simulation time (the timestamp of the last popped event).
     pub fn now(&self) -> SimTime {
         self.now
-    }
-
-    /// Number of events currently pending.
-    pub fn pending(&self) -> usize {
-        self.heap.len()
-    }
-
-    /// Total number of events ever scheduled (diagnostic).
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
     }
 
     /// Schedule `event` at absolute time `at`.
@@ -112,7 +100,6 @@ impl<E> Scheduler<E> {
         );
         let seq = self.seq;
         self.seq += 1;
-        self.scheduled_total += 1;
         self.heap.push(Reverse(Scheduled { at, seq, event }));
     }
 
@@ -132,11 +119,6 @@ impl<E> Scheduler<E> {
     /// Timestamp of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
         self.heap.peek().map(|Reverse(s)| s.at)
-    }
-
-    /// Drop every pending event (the clock is left where it is).
-    pub fn clear(&mut self) {
-        self.heap.clear();
     }
 }
 
@@ -199,17 +181,5 @@ mod tests {
         s.schedule_at(SimTime::from_secs(7), ());
         assert_eq!(s.peek_time(), Some(SimTime::from_secs(7)));
         assert_eq!(s.now(), SimTime::ZERO);
-    }
-
-    #[test]
-    fn clear_empties_pending() {
-        let mut s = Scheduler::new();
-        for i in 0..10 {
-            s.schedule_at(SimTime::from_secs(i), i);
-        }
-        s.clear();
-        assert_eq!(s.pending(), 0);
-        assert!(s.pop().is_none());
-        assert_eq!(s.scheduled_total(), 10);
     }
 }

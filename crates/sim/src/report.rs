@@ -333,7 +333,7 @@ mod tests {
         latency.record(0.5);
         latency.record(1.5);
         r.record_summary("latency_s", &latency);
-        r.set_meta("mode", "smoke");
+        r.set_meta("mode", "full");
         r.set_scalar("delivered_frac", 0.95);
         let mut samples = Samples::new();
         for i in 0..100 {

@@ -12,6 +12,10 @@
 use crate::time::SimTime;
 use crate::Scheduler;
 
+/// A run loop that processes this many events in one [`Simulation::run`]
+/// or [`Simulation::run_until`] call has a model stuck in a zero-delay loop.
+const EVENT_BUDGET: u64 = 500_000_000;
+
 /// A simulation model: owns the world state and handles events.
 pub trait Model {
     /// The event alphabet of the model.
@@ -20,25 +24,6 @@ pub trait Model {
     /// Handle one event at time `now`. New events may be scheduled on
     /// `sched`; the clock has already advanced to `now`.
     fn handle(&mut self, now: SimTime, event: Self::Event, sched: &mut Scheduler<Self::Event>);
-
-    /// Return `true` to stop the run before the event queue drains
-    /// (checked after each event). Default: never stop early.
-    fn finished(&self, _now: SimTime) -> bool {
-        false
-    }
-}
-
-/// Why a [`Simulation::run`] returned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The pending-event set drained.
-    QueueDrained,
-    /// The model's [`Model::finished`] predicate fired.
-    ModelFinished,
-    /// The time horizon passed (events beyond it remain pending).
-    HorizonReached,
-    /// The event budget was exhausted (likely a runaway model).
-    EventBudgetExhausted,
 }
 
 /// A scheduler bound to a model, with a run loop.
@@ -48,8 +33,6 @@ pub struct Simulation<M: Model> {
     pub model: M,
     /// The pending-event set. Public so setups can seed initial events.
     pub sched: Scheduler<M::Event>,
-    events_processed: u64,
-    event_budget: u64,
 }
 
 impl<M: Model> Simulation<M> {
@@ -58,22 +41,7 @@ impl<M: Model> Simulation<M> {
         Simulation {
             model,
             sched: Scheduler::new(),
-            events_processed: 0,
-            // Generous default: experiments that legitimately need more can
-            // raise it; a model stuck in a zero-delay loop trips it fast.
-            event_budget: 500_000_000,
         }
-    }
-
-    /// Cap the total number of events processed across all `run*` calls.
-    pub fn with_event_budget(mut self, budget: u64) -> Self {
-        self.event_budget = budget;
-        self
-    }
-
-    /// Number of events processed so far.
-    pub fn events_processed(&self) -> u64 {
-        self.events_processed
     }
 
     /// Current simulation time.
@@ -81,33 +49,32 @@ impl<M: Model> Simulation<M> {
         self.sched.now()
     }
 
-    /// Run until the queue drains or the model reports finished.
-    pub fn run(&mut self) -> RunOutcome {
-        self.run_until(SimTime::MAX)
+    /// Run until the queue drains.
+    pub fn run(&mut self) {
+        self.run_until(SimTime::MAX);
     }
 
     /// Run for at most `horizon` of simulated time from `t = 0`.
     ///
     /// Events with timestamps beyond the horizon are left pending; the clock
     /// is *not* advanced past the last processed event.
-    // `peek_time` returned Some just above and nothing runs in between,
+    ///
+    /// # Panics
+    /// Panics, with the clock, when one call processes 500 M events: a
+    /// model that keeps scheduling at zero delay never drains.
+    // The loop condition just peeked an event and nothing runs in between,
     // so `pop` cannot come back empty.
     #[allow(clippy::expect_used)]
-    pub fn run_until(&mut self, horizon: SimTime) -> RunOutcome {
-        loop {
-            if self.model.finished(self.sched.now()) {
-                return RunOutcome::ModelFinished;
-            }
-            match self.sched.peek_time() {
-                None => return RunOutcome::QueueDrained,
-                Some(t) if t > horizon => return RunOutcome::HorizonReached,
-                Some(_) => {}
-            }
-            if self.events_processed >= self.event_budget {
-                return RunOutcome::EventBudgetExhausted;
-            }
+    pub fn run_until(&mut self, horizon: SimTime) {
+        let mut processed = 0u64;
+        while self.sched.peek_time().is_some_and(|t| t <= horizon) {
+            assert!(
+                processed < EVENT_BUDGET,
+                "event budget of {EVENT_BUDGET} exhausted at {:?}: a runaway model",
+                self.sched.now()
+            );
             let (now, ev) = self.sched.pop().expect("peeked event vanished");
-            self.events_processed += 1;
+            processed += 1;
             self.model.handle(now, ev, &mut self.sched);
         }
     }
@@ -122,7 +89,6 @@ mod tests {
     /// second later with `n - 1`, counting total ticks.
     struct Cascade {
         ticks: u64,
-        stop_after: Option<u64>,
     }
 
     enum Ev {
@@ -138,54 +104,34 @@ mod tests {
                 sched.schedule_in(Duration::from_secs(1), Ev::Tick(n - 1));
             }
         }
-        fn finished(&self, _now: SimTime) -> bool {
-            self.stop_after.is_some_and(|k| self.ticks >= k)
-        }
     }
 
-    fn cascade(stop_after: Option<u64>) -> Simulation<Cascade> {
-        let mut sim = Simulation::new(Cascade {
-            ticks: 0,
-            stop_after,
-        });
+    fn cascade() -> Simulation<Cascade> {
+        let mut sim = Simulation::new(Cascade { ticks: 0 });
         sim.sched.schedule_at(SimTime::ZERO, Ev::Tick(3));
         sim
     }
 
     #[test]
     fn drains_queue() {
-        let mut sim = cascade(None);
-        assert_eq!(sim.run(), RunOutcome::QueueDrained);
+        let mut sim = cascade();
+        sim.run();
         // 1 + 3 + 3*2 + 3*2*1 = 16 ticks.
         assert_eq!(sim.model.ticks, 16);
+        assert_eq!(sim.sched.peek_time(), None);
         assert_eq!(sim.now(), SimTime::from_secs(3));
     }
 
     #[test]
-    fn model_finished_stops_early() {
-        let mut sim = cascade(Some(5));
-        assert_eq!(sim.run(), RunOutcome::ModelFinished);
-        assert_eq!(sim.model.ticks, 5);
-    }
-
-    #[test]
     fn horizon_leaves_future_events_pending() {
-        let mut sim = cascade(None);
-        assert_eq!(
-            sim.run_until(SimTime::from_secs(1)),
-            RunOutcome::HorizonReached
-        );
+        let mut sim = cascade();
+        sim.run_until(SimTime::from_secs(1));
         assert_eq!(sim.model.ticks, 4); // root + 3 children at t=1
-        assert!(sim.sched.pending() > 0);
+        assert_eq!(sim.now(), SimTime::from_secs(1));
+        assert_eq!(sim.sched.peek_time(), Some(SimTime::from_secs(2)));
         // Resuming completes the run.
-        assert_eq!(sim.run(), RunOutcome::QueueDrained);
+        sim.run();
         assert_eq!(sim.model.ticks, 16);
-    }
-
-    #[test]
-    fn event_budget_trips() {
-        let mut sim = cascade(None).with_event_budget(2);
-        assert_eq!(sim.run(), RunOutcome::EventBudgetExhausted);
-        assert_eq!(sim.events_processed(), 2);
+        assert_eq!(sim.sched.peek_time(), None);
     }
 }

@@ -1,11 +1,10 @@
 #!/usr/bin/env bash
 # Regenerate every EXPERIMENTS.md table/figure into results/: each binary
 # writes a stdout table (captured to <out>/<exp>.txt) and a machine-readable
-# report <out>/<exp>.json.
+# report <out>/<exp>.json. The committed results/*.txt and
+# baselines/BENCH_*.json are both outputs of this one default run.
 #
-# Usage: scripts/run_experiments.sh [--smoke|--chaos] [--rebaseline] [output-dir]
-#   --smoke       run the reduced parameter grids (what CI runs; required
-#                 before --rebaseline, since committed baselines are smoke)
+# Usage: scripts/run_experiments.sh [--chaos] [--rebaseline] [output-dir]
 #   --chaos       run the extended nightly soak grids (longer horizons,
 #                 higher fault rates, extra seeds; reports are never diffed)
 #   --rebaseline  after a clean run, copy each fresh <out>/<exp>.json over
@@ -17,11 +16,10 @@ rebaseline=0
 out="results"
 for arg in "$@"; do
     case "$arg" in
-    --smoke) mode=(--smoke) ;;
     --chaos) mode=(--chaos) ;;
     --rebaseline) rebaseline=1 ;;
     -h | --help)
-        sed -n '2,12p' "$0"
+        sed -n '2,11p' "$0"
         exit 0
         ;;
     -*)
@@ -31,10 +29,6 @@ for arg in "$@"; do
     *) out="$arg" ;;
     esac
 done
-if [[ $rebaseline -eq 1 && ${mode[0]-} != "--smoke" ]]; then
-    echo "--rebaseline requires --smoke: committed baselines are smoke-mode" >&2
-    exit 2
-fi
 
 mkdir -p "$out"
 # Discover the experiment binaries from the source tree: a new exp_*.rs is
@@ -74,7 +68,7 @@ for exp in $exps; do
     [[ -f "baselines/BENCH_$exp.json" ]] || missing="$missing $exp"
 done
 if [[ -n "$missing" ]]; then
-    echo "missing baselines (run --smoke --rebaseline to create):$missing"
+    echo "missing baselines (run --rebaseline to create):$missing"
 fi
 
 cargo build --release -p pg-bench
