@@ -47,4 +47,4 @@ pub mod system;
 pub use deputy::{DirectDeputy, TranscodingDeputy};
 pub use envelope::{AgentId, Envelope, Payload};
 pub use profile::{AgentAttribute, AgentProfile};
-pub use system::{Agent, AgentSystem, BreakerConfig, ReliableConfig};
+pub use system::{Agent, AgentSystem, ReliableConfig};

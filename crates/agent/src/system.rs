@@ -36,65 +36,40 @@ const BACKOFF: f64 = 2.0;
 const JITTER_FRAC: f64 = 0.1;
 /// Receiver-side processing delay before the ack is considered sent.
 const ACK_DELAY: Duration = Duration::from_millis(10);
+/// How long to wait for an ack before the first retransmission.
+const ACK_TIMEOUT: Duration = Duration::from_secs(5);
+/// Retransmissions after the initial send before dead-lettering.
+const MAX_RETRIES: u32 = 5;
+/// How long an open breaker short-circuits before probing again. A
+/// half-open probe still burns a full retry budget, so a cooldown shorter
+/// than the typical gap between sends would turn every suppressed send
+/// into a probe and cap nothing.
+const BREAKER_OPEN_FOR: Duration = Duration::from_secs(600);
 
 /// Tuning for per-envelope ack/retry semantics.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ReliableConfig {
-    /// How long to wait for an ack before the first retransmission.
-    pub ack_timeout: Duration,
-    /// Retransmissions after the initial send before dead-lettering.
-    pub max_retries: u32,
-    /// Per-peer circuit breaker over dead-letter outcomes. `None` (the
+    /// Per-peer circuit breaker over dead-letter outcomes. Off (the
     /// default) keeps the classic behavior: every send to a dead peer
     /// burns its full retry budget.
-    pub breaker: Option<BreakerConfig>,
-}
-
-impl Default for ReliableConfig {
-    fn default() -> Self {
-        ReliableConfig {
-            ack_timeout: Duration::from_secs(5),
-            max_retries: 5,
-            breaker: None,
-        }
-    }
-}
-
-/// Circuit-breaker tuning for per-peer reliable delivery.
-///
-/// The breaker sits between `dispatch` and the wire, one instance per
-/// destination. **Closed** passes everything through; each dead-lettered
-/// envelope toward the peer counts a consecutive failure, and reaching
-/// [`failure_threshold`](BreakerConfig::failure_threshold) trips the
-/// breaker **open**: sends short-circuit immediately (counted
-/// `breaker.short_circuit`), spending zero wire attempts on a peer that
-/// is demonstrably unreachable. After
-/// [`open_for`](BreakerConfig::open_for) the first send transitions to
-/// **half-open** and goes through as a probe; its ack closes the breaker
-/// (normal service resumes), its dead-letter re-opens for another
-/// cooldown. Any ack from the peer resets the failure count.
-#[derive(Debug, Clone, Copy)]
-pub struct BreakerConfig {
-    /// Consecutive dead letters toward one peer that trip the breaker.
-    pub failure_threshold: u32,
-    /// How long an open breaker short-circuits before probing again.
-    pub open_for: Duration,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 3,
-            open_for: Duration::from_secs(60),
-        }
-    }
+    ///
+    /// The breaker sits between `dispatch` and the wire, one instance per
+    /// destination. **Closed** passes everything through; the first
+    /// envelope toward the peer that dead-letters trips it **open**: sends
+    /// short-circuit immediately (counted `breaker.short_circuit`),
+    /// spending zero wire attempts on a peer that is demonstrably
+    /// unreachable. After a 600 s cooldown the first send transitions to
+    /// **half-open** and goes through as a probe; its ack closes the
+    /// breaker (normal service resumes), its dead-letter re-opens for
+    /// another cooldown.
+    pub breaker: bool,
 }
 
 /// One peer's breaker position.
 #[derive(Debug, Clone, Copy)]
 enum BreakerState {
-    /// Traffic flows; counts consecutive dead letters.
-    Closed { failures: u32 },
+    /// Traffic flows.
+    Closed,
     /// Short-circuiting until the cooldown elapses.
     Open { until: SimTime },
     /// One probe is in flight; everything else short-circuits.
@@ -146,13 +121,13 @@ impl Reliable {
 
     /// May this send toward `to` touch the wire at `now`?
     fn breaker_gate(&mut self, to: AgentId, now: SimTime) -> BreakerGate {
-        if self.cfg.breaker.is_none() {
+        if !self.cfg.breaker {
             return BreakerGate::Admit;
         }
         match self.breakers.get_mut(&to) {
             None => BreakerGate::Admit,
             Some(st) => match *st {
-                BreakerState::Closed { .. } => BreakerGate::Admit,
+                BreakerState::Closed => BreakerGate::Admit,
                 BreakerState::Open { until } if now >= until => {
                     *st = BreakerState::HalfOpen;
                     BreakerGate::Probe
@@ -165,29 +140,16 @@ impl Reliable {
     /// An envelope toward `to` dead-lettered; returns true when the
     /// breaker (re)opened.
     fn breaker_trip(&mut self, to: AgentId, now: SimTime) -> bool {
-        let Some(bc) = self.cfg.breaker else {
+        if !self.cfg.breaker {
             return false;
-        };
-        let st = self
-            .breakers
-            .entry(to)
-            .or_insert(BreakerState::Closed { failures: 0 });
+        }
+        let st = self.breakers.entry(to).or_insert(BreakerState::Closed);
         match st {
-            BreakerState::Closed { failures } => {
-                *failures += 1;
-                if *failures >= bc.failure_threshold {
-                    *st = BreakerState::Open {
-                        until: now + bc.open_for,
-                    };
-                    true
-                } else {
-                    false
-                }
-            }
-            // The half-open probe itself died: back to cooldown.
-            BreakerState::HalfOpen => {
+            // A closed breaker trips on its first dead letter; a dead
+            // half-open probe sends it back to cooldown.
+            BreakerState::Closed | BreakerState::HalfOpen => {
                 *st = BreakerState::Open {
-                    until: now + bc.open_for,
+                    until: now + BREAKER_OPEN_FOR,
                 };
                 true
             }
@@ -200,8 +162,8 @@ impl Reliable {
     fn breaker_reset(&mut self, to: AgentId) -> bool {
         match self.breakers.get_mut(&to) {
             Some(st) => {
-                let was_tripped = !matches!(st, BreakerState::Closed { .. });
-                *st = BreakerState::Closed { failures: 0 };
+                let was_tripped = !matches!(st, BreakerState::Closed);
+                *st = BreakerState::Closed;
                 was_tripped
             }
             None => false,
@@ -211,7 +173,7 @@ impl Reliable {
     /// Backoff delay before retry number `attempt` (0 = first ack wait),
     /// with deterministic multiplicative jitter from the hash stream.
     fn retry_delay(&mut self, attempt: u32) -> Duration {
-        let base = self.cfg.ack_timeout.as_secs_f64() * BACKOFF.powi(attempt as i32);
+        let base = ACK_TIMEOUT.as_secs_f64() * BACKOFF.powi(attempt as i32);
         // 53 explicitly-placed mantissa bits -> uniform in [0, 1).
         let u = (mix(self.jitter_seed, self.jitter_counter) >> 11) as f64 / (1u64 << 53) as f64;
         self.jitter_counter = self.jitter_counter.wrapping_add(1);
@@ -371,7 +333,7 @@ impl World {
         let Some(p) = r.pending.get_mut(&seq) else {
             return; // acked in the meantime
         };
-        if p.attempt >= r.cfg.max_retries {
+        if p.attempt >= MAX_RETRIES {
             let to = p.env.to;
             r.pending.remove(&seq);
             let opened = r.breaker_trip(to, now);
@@ -746,18 +708,15 @@ mod tests {
     #[test]
     fn total_loss_dead_letters_after_bounded_retries() {
         let mut sys = AgentSystem::new();
-        let cfg = ReliableConfig {
-            max_retries: 3,
-            ..ReliableConfig::default()
-        };
-        sys.enable_reliability(cfg, 7);
+        sys.enable_reliability(ReliableConfig::default(), 7);
         sys.set_fault_plan(FaultPlan::builder(7).message_loss(1.0).build().unwrap());
         let pinger = sys.register(Box::new(Pinger::new()), direct());
         let ponger = sys.register(Box::new(Ponger::new()), direct());
         sys.send(Envelope::text(pinger, ponger, "acl/ping", "ping"));
         sys.run_to_quiescence();
         let m = sys.metrics();
-        assert_eq!(m.counter("reliable.retries"), 3);
+        assert_eq!(m.counter("reliable.retries"), 5);
+        assert_eq!(m.counter("route.sent"), 6, "the send plus five retries");
         assert_eq!(m.counter("reliable.dead_letter"), 1);
         assert_eq!(m.counter("route.delivered"), 0);
     }
@@ -795,15 +754,10 @@ mod tests {
     #[test]
     fn breaker_caps_wasted_attempts_toward_a_dead_peer() {
         // 20 sends into total loss. Without the breaker every one burns
-        // its full retry budget; with it, only the first few do.
-        let run = |breaker: Option<BreakerConfig>| {
+        // its full retry budget; with it, only the first does.
+        let run = |breaker: bool| {
             let mut sys = AgentSystem::new();
-            let cfg = ReliableConfig {
-                max_retries: 3,
-                breaker,
-                ..ReliableConfig::default()
-            };
-            sys.enable_reliability(cfg, 11);
+            sys.enable_reliability(ReliableConfig { breaker }, 11);
             sys.set_fault_plan(FaultPlan::builder(11).message_loss(1.0).build().unwrap());
             let pinger = sys.register(Box::new(Pinger::new()), direct());
             let ponger = sys.register(Box::new(Ponger::new()), direct());
@@ -822,20 +776,13 @@ mod tests {
                 sys.metrics().counter("breaker.opened"),
             )
         };
-        let bc = BreakerConfig {
-            failure_threshold: 2,
-            open_for: Duration::from_secs(3_600),
-        };
-        let (sent_off, dead_off, sc_off, opened_off) = run(None);
-        let (sent_on, dead_on, sc_on, opened_on) = run(Some(bc));
+        let (sent_off, dead_off, sc_off, opened_off) = run(false);
+        let (sent_on, dead_on, sc_on, opened_on) = run(true);
         assert_eq!(sc_off, 0);
         assert_eq!(opened_off, 0);
         assert_eq!(dead_off, 20, "every send dead-letters without a breaker");
         assert_eq!(opened_on, 1, "breaker trips exactly once");
-        assert_eq!(
-            dead_on, 2,
-            "only the threshold-tripping sends burn retry budgets"
-        );
+        assert_eq!(dead_on, 1, "only the tripping send burns a retry budget");
         assert_eq!(sc_on + dead_on, 20, "every send accounted for");
         assert!(
             sent_on * 4 < sent_off,
@@ -845,30 +792,27 @@ mod tests {
 
     #[test]
     fn breaker_half_open_probe_recloses_after_heal() {
-        // The link to the ponger is physically cut for the first 100 s,
+        // The link to the ponger is physically cut for the first 400 s,
         // then heals. The breaker opens during the cut, short-circuits the
         // traffic offered meanwhile, probes after its cooldown, and closes
         // — after which delivery resumes end-to-end.
         let mut sys = AgentSystem::new();
-        let cfg = ReliableConfig {
-            max_retries: 1,
-            ack_timeout: Duration::from_secs(2),
-            breaker: Some(BreakerConfig {
-                failure_threshold: 2,
-                open_for: Duration::from_secs(30),
-            }),
-        };
-        sys.enable_reliability(cfg, 13);
+        sys.enable_reliability(ReliableConfig { breaker: true }, 13);
         let pinger = sys.register(Box::new(Pinger::new()), direct());
         let ponger = sys.register(Box::new(Ponger::new()), direct());
-        let cut_until = SimTime::from_secs(100);
+        // Five retries backing off from 5 s give up after 315–347 s, so
+        // the cut outlasts every attempt of a send made at t = 0.
+        let cut_until = SimTime::from_secs(400);
         sys.set_link_filter(move |_, to, now| !(to == ponger && now < cut_until));
-        // Phase 1: the cut is active. Two sends dead-letter and trip the
-        // breaker; two more are short-circuited without touching the wire.
+        // Phase 1: the cut is active. Two sends go on the wire together
+        // and both dead-letter; the first trips the breaker, the second
+        // finds it already open. Two more are short-circuited without
+        // touching the wire.
         for _ in 0..2 {
             sys.send(Envelope::text(pinger, ponger, "acl/ping", "ping"));
         }
         sys.run_to_quiescence();
+        assert!(sys.now() < cut_until, "the retries outlived the cut");
         assert_eq!(sys.metrics().counter("reliable.dead_letter"), 2);
         assert_eq!(sys.metrics().counter("breaker.opened"), 1);
         for _ in 0..2 {
@@ -877,10 +821,10 @@ mod tests {
         sys.run_to_quiescence();
         assert_eq!(sys.metrics().counter("breaker.short_circuit"), 2);
         assert!(sys.metrics().counter("fault.link_cut") > 0);
-        // Phase 2: past the heal and past the cooldown, the next send is
-        // the half-open probe; its ack closes the breaker and everything
-        // after it flows normally.
-        sys.advance_to(SimTime::from_secs(150));
+        // Phase 2: past the heal and past the 600 s cooldown, the next
+        // send is the half-open probe; its ack closes the breaker and
+        // everything after it flows normally.
+        sys.advance_to(SimTime::from_secs(1_000));
         for _ in 0..3 {
             sys.send(Envelope::text(pinger, ponger, "acl/ping", "ping"));
         }

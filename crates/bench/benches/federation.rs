@@ -95,7 +95,7 @@ fn bench_gossip_round(c: &mut Criterion) {
         let (mut members, mut handoffs, up) = converged(n);
         let cfg = GossipConfig::default();
         // Continue sim time from the warm-up rounds: a time jump here would
-        // exceed `evict_after` and silently bench a mass-evicted table.
+        // exceed `EVICT_AFTER` and silently bench a mass-evicted table.
         let mut round = WARM_ROUNDS;
         g.bench_with_input(BenchmarkId::new("gossip_round", n), &n, |b, _| {
             b.iter(|| {

@@ -35,11 +35,8 @@ fn world(
     seed: u64,
 ) -> ServiceWorld {
     let cfg = MobilityConfig {
-        width: 100.0,
-        height: 100.0,
         speed_min: speed * 0.5,
         speed_max: speed * 1.5,
-        pause: 5.0,
     };
     let client = Point::flat(50.0, 50.0);
     let mut rng = StdRng::seed_from_u64(seed);

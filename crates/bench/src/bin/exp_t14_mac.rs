@@ -13,7 +13,7 @@
 use pg_bench::{key_part, Cell, Experiment};
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
-use pg_net::packetsim::{MacParams, PacketSim};
+use pg_net::packetsim::{frame_time, PacketSim};
 use pg_net::topology::{NodeId, Topology};
 use pg_sim::fault::FaultPlan;
 use pg_sim::SimTime;
@@ -27,14 +27,14 @@ fn line(n: usize) -> Topology {
 /// `senders` nodes on a 10 m circle around sink 0, all in mutual range
 /// (everyone hears everyone, no hidden terminals), each with four
 /// 100-byte packets for the sink queued within the first microseconds.
-fn star(senders: usize, mac: MacParams, seed: u64) -> PacketSim {
+fn star(senders: usize, seed: u64) -> PacketSim {
     let mut pts = vec![Point::flat(0.0, 0.0)];
     for i in 0..senders {
         let a = i as f64 * std::f64::consts::TAU / senders as f64;
         pts.push(Point::flat(10.0 * a.cos(), 10.0 * a.sin()));
     }
     let topo = Topology::from_positions(pts, 25.0);
-    let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, seed);
+    let mut sim = PacketSim::new(topo, RadioModel::mote(), seed);
     let mut id = 0;
     for s in 1..=senders as u32 {
         for k in 0..4u64 {
@@ -47,18 +47,17 @@ fn star(senders: usize, mac: MacParams, seed: u64) -> PacketSim {
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t14_mac");
-    let mac = MacParams::default();
 
     // --- T14a: light-load agreement with the analytic model. ---
     println!("T14a: packet level vs analytic at light load (single flow, idle channel)");
     exp.table("one 100-byte packet over h hops");
     for hops in [1usize, 3, 6] {
         let topo = line(hops + 1);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, 1);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 1);
         let route: Vec<NodeId> = (0..=hops as u32).map(NodeId).collect();
         sim.inject(1, 100, route, SimTime::ZERO);
         let r = sim.run();
-        let analytic_ms = mac.frame_time(100).as_secs_f64() * hops as f64 * 1e3;
+        let analytic_ms = frame_time(100).as_secs_f64() * hops as f64 * 1e3;
         let measured_ms = r.delivered[0].at.as_secs_f64() * 1e3;
         exp.row(
             &format!("light.h{hops}"),
@@ -75,8 +74,8 @@ fn main() -> ExitCode {
     exp.table("channel efficiency = total airtime / completion time");
     let sender_sweep: &[usize] = &[2, 4, 8, 16];
     for &senders in sender_sweep {
-        let r = star(senders, mac, 2).run();
-        let airtime = mac.frame_time(100).as_secs_f64() * (senders * 4) as f64;
+        let r = star(senders, 2).run();
+        let airtime = frame_time(100).as_secs_f64() * (senders * 4) as f64;
         exp.row(
             &format!("star.s{senders}"),
             &[
@@ -109,7 +108,7 @@ fn main() -> ExitCode {
         ("mutual range", tri, NodeId(1), NodeId(2), NodeId(0)),
         ("hidden terminals", hidden, NodeId(0), NodeId(2), NodeId(1)),
     ] {
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac, 3);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 3);
         for k in 0..4u64 {
             sim.inject(k, 150, vec![a, sink], SimTime::from_micros(k));
             sim.inject(100 + k, 150, vec![b, sink], SimTime::from_micros(k));
@@ -146,7 +145,7 @@ fn main() -> ExitCode {
                 .expect("valid blackout plan"),
         ),
     ] {
-        let mut sim = star(8, mac, 4);
+        let mut sim = star(8, 4);
         let faulted = name != "none";
         sim.set_fault_plan(plan);
         let r = sim.run();

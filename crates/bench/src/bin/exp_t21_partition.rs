@@ -28,7 +28,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_agent::{BreakerConfig, ReliableConfig};
+use pg_agent::ReliableConfig;
 use pg_bench::{cell_runtime, Cell, Experiment};
 use pg_federation::{commute_traces, CellId, Federation, FederationConfig, RoamingConfig, Trace};
 use pg_runtime::QueryOpts;
@@ -82,17 +82,7 @@ fn run_partition(horizon_s: u64, start_s: u64, dur_s: u64, seed: u64, breaker: b
     let fcfg = FederationConfig {
         seed,
         cell_faults: plan,
-        reliable: ReliableConfig {
-            // Trip on the first dead letter and cool down for 10 min:
-            // half-open probes still burn a full retry budget, so a
-            // cooldown shorter than the typical inter-send gap would turn
-            // every suppressed send into a probe and cap nothing.
-            breaker: breaker.then(|| BreakerConfig {
-                failure_threshold: 1,
-                open_for: Duration::from_secs(600),
-            }),
-            ..ReliableConfig::default()
-        },
+        reliable: ReliableConfig { breaker },
         ..FederationConfig::default()
     };
     let mut fed = Federation::new(fcfg, runtimes, traces);

@@ -9,7 +9,9 @@
 
 use pg_bench::{Cell, Experiment};
 use pg_compose::htn::MethodLibrary;
-use pg_compose::proactive::{mean_setup_latency, CacheResult, ComposeCosts, PlanCache};
+use pg_compose::proactive::{
+    mean_setup_latency, CacheResult, PlanCache, REACTIVE_SETUP, REFRESH_COST,
+};
 use pg_sim::{Duration, SimTime};
 use std::process::ExitCode;
 
@@ -17,7 +19,6 @@ fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t6_proactive");
     let reqs: u32 = 500;
     exp.set_meta("requests", reqs.to_string());
-    let costs = ComposeCosts::default();
     let ttl = Duration::from_secs(60);
 
     // --- Measured: drive a PlanCache with request streams. ---
@@ -31,7 +32,7 @@ fn main() -> ExitCode {
         for i in 0..reqs {
             let now = SimTime::from_secs_f64(period_s * i as f64);
             let (_, res, lat) = cache
-                .request("temperature-distribution", now, &costs)
+                .request("temperature-distribution", now)
                 .expect("library task");
             if res == CacheResult::Hit {
                 hits += 1;
@@ -40,13 +41,11 @@ fn main() -> ExitCode {
             // The proactive maintainer refreshes expired entries in the
             // background; charge its amortized cost per request.
             if period_s > ttl.as_secs_f64() {
-                total += costs
-                    .refresh_cost
-                    .mul_f64(period_s / ttl.as_secs_f64() - 1.0);
+                total += REFRESH_COST.mul_f64(period_s / ttl.as_secs_f64() - 1.0);
             }
         }
         let pro_ms = total.as_secs_f64() * 1e3 / reqs as f64;
-        let re_ms = (costs.plan_time + costs.discovery_sweep).as_secs_f64() * 1e3;
+        let re_ms = REACTIVE_SETUP.as_secs_f64() * 1e3;
         let winner = if pro_ms < re_ms {
             "proactive"
         } else {
@@ -68,8 +67,8 @@ fn main() -> ExitCode {
     println!("\nT6b: analytic crossover (same cost model)");
     exp.table("mean setup latency per request");
     for period_s in [1.0f64, 10.0, 60.0, 300.0, 1_800.0] {
-        let p = mean_setup_latency(&costs, Duration::from_secs_f64(period_s), ttl, true);
-        let r = mean_setup_latency(&costs, Duration::from_secs_f64(period_s), ttl, false);
+        let p = mean_setup_latency(Duration::from_secs_f64(period_s), ttl, true);
+        let r = mean_setup_latency(Duration::from_secs_f64(period_s), ttl, false);
         exp.row(
             &format!("analytic.period{period_s}"),
             &[

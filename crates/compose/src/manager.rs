@@ -51,14 +51,6 @@ pub struct ServiceWorld {
     pub registry: Registry,
     /// Availability schedule per service (absent = always up).
     pub churn: BTreeMap<ServiceId, ChurnSchedule>,
-    /// Wall time one step's service invocation takes.
-    pub step_time: Duration,
-    /// Latency of one discovery round trip against the registry.
-    pub discovery_time: Duration,
-    /// Round trip to the central manager (paid per step and per rebind by
-    /// the centralized architecture — the center is across the wireless/
-    /// wired boundary, hence dearer than vicinity discovery).
-    pub central_rtt: Duration,
     /// Availability of the central manager itself (its single point of
     /// failure). Ignored by the distributed architecture.
     pub center_churn: ChurnSchedule,
@@ -71,15 +63,11 @@ impl Default for ServiceWorld {
 }
 
 impl ServiceWorld {
-    /// A world with typical wireless-era latencies: 2 s service steps,
-    /// 50 ms discovery, 80 ms central round trip.
+    /// An empty world with an always-up central manager.
     pub fn new() -> Self {
         ServiceWorld {
             registry: Registry::new(),
             churn: BTreeMap::new(),
-            step_time: Duration::from_secs(2),
-            discovery_time: Duration::from_millis(50),
-            central_rtt: Duration::from_millis(80),
             center_churn: ChurnSchedule::always_up(),
         }
     }
@@ -138,6 +126,15 @@ pub struct ExecutionReport {
 
 /// Maximum binding attempts per step (initial + rebinds).
 const MAX_BINDS_PER_STEP: u32 = 4;
+/// Wall time one step's service invocation takes (typical of the
+/// wireless era, as are the two latencies below).
+const STEP_TIME: Duration = Duration::from_secs(2);
+/// Latency of one discovery round trip against the registry.
+const DISCOVERY_TIME: Duration = Duration::from_millis(50);
+/// Round trip to the central manager (paid per step and per rebind by
+/// the centralized architecture — the center is across the wireless/
+/// wired boundary, hence dearer than vicinity discovery).
+const CENTRAL_RTT: Duration = Duration::from_millis(80);
 
 /// Execute `plan` starting at `start`, under the given architecture.
 pub fn execute(
@@ -164,7 +161,7 @@ pub fn execute(
             messages += 1;
         }
         // One discovery pass for the whole plan, paid up-front.
-        clock += world.discovery_time;
+        clock += DISCOVERY_TIME;
     }
 
     for (i, step) in plan.steps.iter().enumerate() {
@@ -192,7 +189,7 @@ pub fn execute(
                 // single-point-of-failure cost §3 warns about). A center
                 // that never returns fails the step outright.
                 match world.center_churn.next_up_at(t) {
-                    Some(up) => t = up + world.central_rtt,
+                    Some(up) => t = up + CENTRAL_RTT,
                     None => {
                         outcomes[i] = StepOutcome::Failed;
                         continue;
@@ -203,7 +200,7 @@ pub fn execute(
             }
             ManagerKind::DistributedReactive => {
                 // Fresh local discovery at step start.
-                t += world.discovery_time;
+                t += DISCOVERY_TIME;
                 messages += 1;
                 let req = role_request(onto, step);
                 world.candidates(onto, &req)
@@ -222,14 +219,14 @@ pub fn execute(
                 // round trip through the (possibly down) center.
                 match kind {
                     ManagerKind::Centralized => match world.center_churn.next_up_at(t) {
-                        Some(up) => t = up + world.central_rtt,
+                        Some(up) => t = up + CENTRAL_RTT,
                         None => break,
                     },
-                    ManagerKind::DistributedReactive => t += world.discovery_time,
+                    ManagerKind::DistributedReactive => t += DISCOVERY_TIME,
                 }
             }
-            if world.up_throughout(cand, t, world.step_time) {
-                t += world.step_time;
+            if world.up_throughout(cand, t, STEP_TIME) {
+                t += STEP_TIME;
                 outcomes[i] = StepOutcome::Completed(cand);
                 finish[i] = t;
                 if t > latest {
@@ -239,7 +236,7 @@ pub fn execute(
                 break;
             }
             // Invocation attempt against a down service costs a timeout.
-            t += world.step_time;
+            t += STEP_TIME;
             messages += 1;
         }
         if !done {
@@ -345,7 +342,7 @@ mod tests {
         let w = healthy_world(&o);
         let p = plan(); // critical path 3 of 5 steps
         let r = execute(&w, &o, &p, ManagerKind::DistributedReactive, SimTime::ZERO);
-        let serial = w.step_time.mul(p.len() as u64);
+        let serial = STEP_TIME.mul(p.len() as u64);
         assert!(
             r.latency < serial,
             "parallel branches should beat serial: {} vs {serial}",
@@ -466,7 +463,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert!(c.success && d.success);
-        // central_rtt (80 ms) > discovery_time (50 ms) per step on the
+        // CENTRAL_RTT (80 ms) > DISCOVERY_TIME (50 ms) per step on the
         // critical path, so the centralized run is slower even when
         // nothing fails.
         assert!(c.latency > d.latency, "{} !> {}", c.latency, d.latency);

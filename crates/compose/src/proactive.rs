@@ -18,29 +18,14 @@ use crate::plan::Plan;
 use pg_sim::{Duration, SimTime};
 use std::collections::BTreeMap;
 
-/// Cost model for the planning pipeline stages.
-#[derive(Debug, Clone, Copy)]
-pub struct ComposeCosts {
-    /// Time to decompose a task into a plan.
-    pub plan_time: Duration,
-    /// Time for the initial discovery sweep over the plan's roles.
-    pub discovery_sweep: Duration,
-    /// Time to validate a cached binding (cheaper than a fresh sweep).
-    pub revalidate_time: Duration,
-    /// Periodic cost of keeping one cached entry fresh, per refresh.
-    pub refresh_cost: Duration,
-}
-
-impl Default for ComposeCosts {
-    fn default() -> Self {
-        ComposeCosts {
-            plan_time: Duration::from_millis(120),
-            discovery_sweep: Duration::from_millis(250),
-            revalidate_time: Duration::from_millis(30),
-            refresh_cost: Duration::from_millis(250),
-        }
-    }
-}
+/// Setup latency of the reactive path: decomposing the task into a plan
+/// (120 ms) plus the initial discovery sweep over its roles (250 ms).
+pub const REACTIVE_SETUP: Duration = Duration::from_millis(120 + 250);
+/// Setup latency of a cache hit: validating the cached binding, cheaper
+/// than a fresh sweep.
+const REVALIDATE_TIME: Duration = Duration::from_millis(30);
+/// Periodic cost of keeping one cached entry fresh, per refresh.
+pub const REFRESH_COST: Duration = Duration::from_millis(250);
 
 /// How a request was served.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,53 +81,47 @@ impl PlanCache {
 
     /// Serve a composition request at time `now`: returns the plan, how it
     /// was served, and the setup latency incurred before execution can
-    /// begin (planning + discovery on a miss; revalidation on a hit).
+    /// begin ([`REACTIVE_SETUP`] on a miss; revalidation on a hit). An
+    /// entry is fresh up to and including its TTL; a zero-TTL cache never
+    /// hits.
     pub fn request(
         &mut self,
         task: &str,
         now: SimTime,
-        costs: &ComposeCosts,
     ) -> Result<(Plan, CacheResult, Duration), DecomposeError> {
         if let Some((plan, stamp)) = self.entries.get(task) {
-            if now.since(*stamp) <= self.ttl {
+            if self.ttl > Duration::ZERO && now.since(*stamp) <= self.ttl {
                 self.hits += 1;
-                return Ok((plan.clone(), CacheResult::Hit, costs.revalidate_time));
+                return Ok((plan.clone(), CacheResult::Hit, REVALIDATE_TIME));
             }
         }
         self.misses += 1;
         let plan = self.lib.decompose(task)?;
         self.entries.insert(task.to_string(), (plan.clone(), now));
-        Ok((
-            plan,
-            CacheResult::Miss,
-            costs.plan_time + costs.discovery_sweep,
-        ))
+        Ok((plan, CacheResult::Miss, REACTIVE_SETUP))
     }
 }
 
 /// Analytic crossover model for T6: mean setup latency per request under
 /// each policy, given a request period and cache TTL.
 ///
-/// * Reactive: every request pays `plan_time + discovery_sweep`.
-/// * Proactive: requests pay `revalidate_time`, plus the amortized refresh
-///   the cache performs every TTL (`refresh_cost × period / ttl`).
-pub fn mean_setup_latency(
-    costs: &ComposeCosts,
-    request_period: Duration,
-    ttl: Duration,
-    proactive: bool,
-) -> Duration {
+/// * Reactive: every request pays [`REACTIVE_SETUP`].
+/// * Proactive: requests pay the 30 ms revalidation, plus the amortized
+///   refresh the cache performs every TTL (`REFRESH_COST × period / ttl`).
+pub fn mean_setup_latency(request_period: Duration, ttl: Duration, proactive: bool) -> Duration {
     if !proactive {
-        return costs.plan_time + costs.discovery_sweep;
+        return REACTIVE_SETUP;
     }
     let refresh_share =
-        costs.refresh_cost.as_secs_f64() * request_period.as_secs_f64() / ttl.as_secs_f64();
-    costs.revalidate_time + Duration::from_secs_f64(refresh_share)
+        REFRESH_COST.as_secs_f64() * request_period.as_secs_f64() / ttl.as_secs_f64();
+    REVALIDATE_TIME + Duration::from_secs_f64(refresh_share)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TASK: &str = "temperature-distribution";
 
     fn cache(ttl_s: u64) -> PlanCache {
         PlanCache::new(MethodLibrary::pervasive_grid(), Duration::from_secs(ttl_s))
@@ -151,17 +130,12 @@ mod tests {
     #[test]
     fn first_request_misses_then_hits() {
         let mut c = cache(60);
-        let costs = ComposeCosts::default();
-        let (_, r1, l1) = c
-            .request("temperature-distribution", SimTime::ZERO, &costs)
-            .unwrap();
+        let (_, r1, l1) = c.request(TASK, SimTime::ZERO).unwrap();
         assert_eq!(r1, CacheResult::Miss);
-        assert_eq!(l1, costs.plan_time + costs.discovery_sweep);
-        let (_, r2, l2) = c
-            .request("temperature-distribution", SimTime::from_secs(5), &costs)
-            .unwrap();
+        assert_eq!(l1, REACTIVE_SETUP);
+        let (_, r2, l2) = c.request(TASK, SimTime::from_secs(5)).unwrap();
         assert_eq!(r2, CacheResult::Hit);
-        assert_eq!(l2, costs.revalidate_time);
+        assert_eq!(l2, REVALIDATE_TIME);
         assert!(l2 < l1);
         assert_eq!((c.hits, c.misses), (1, 1));
     }
@@ -169,31 +143,46 @@ mod tests {
     #[test]
     fn entries_expire_after_ttl() {
         let mut c = cache(10);
-        let costs = ComposeCosts::default();
-        c.request("stream-ensemble-analysis", SimTime::ZERO, &costs)
+        c.request("stream-ensemble-analysis", SimTime::ZERO)
             .unwrap();
+        // Fresh up to and including the TTL…
         let (_, r, _) = c
-            .request("stream-ensemble-analysis", SimTime::from_secs(11), &costs)
+            .request("stream-ensemble-analysis", SimTime::from_secs(10))
+            .unwrap();
+        assert_eq!(r, CacheResult::Hit);
+        // …and stale past it.
+        let (_, r, _) = c
+            .request("stream-ensemble-analysis", SimTime::from_secs(11))
             .unwrap();
         assert_eq!(r, CacheResult::Miss);
         assert_eq!(c.misses, 2);
     }
 
+    /// Regression: an entry used to be fresh while its age was `<= ttl`,
+    /// so a zero-TTL cache — the federation's purely reactive cells —
+    /// served a second request at the same instant as a hit.
+    #[test]
+    fn a_zero_ttl_never_hits() {
+        let mut c = cache(0);
+        c.request(TASK, SimTime::ZERO).unwrap();
+        let (_, r, l) = c.request(TASK, SimTime::ZERO).unwrap();
+        assert_eq!((r, l), (CacheResult::Miss, REACTIVE_SETUP));
+        c.warm(TASK, SimTime::from_secs(5)).unwrap();
+        let (_, r, _) = c.request(TASK, SimTime::from_secs(5)).unwrap();
+        assert_eq!(r, CacheResult::Miss);
+        assert_eq!((c.hits, c.misses), (0, 3));
+    }
+
     #[test]
     fn prewarmed_entry_serves_first_request_as_hit() {
         let mut c = cache(60);
-        let costs = ComposeCosts::default();
-        c.warm("temperature-distribution", SimTime::ZERO).unwrap();
-        let (_, r, l) = c
-            .request("temperature-distribution", SimTime::from_secs(5), &costs)
-            .unwrap();
+        c.warm(TASK, SimTime::ZERO).unwrap();
+        let (_, r, l) = c.request(TASK, SimTime::from_secs(5)).unwrap();
         assert_eq!(r, CacheResult::Hit);
-        assert_eq!(l, costs.revalidate_time);
+        assert_eq!(l, REVALIDATE_TIME);
         assert_eq!((c.hits, c.misses, c.prewarms), (1, 0, 1));
         // Past the TTL the warmth has faded: full reactive path again.
-        let (_, r2, _) = c
-            .request("temperature-distribution", SimTime::from_secs(120), &costs)
-            .unwrap();
+        let (_, r2, _) = c.request(TASK, SimTime::from_secs(120)).unwrap();
         assert_eq!(r2, CacheResult::Miss);
     }
 
@@ -207,32 +196,29 @@ mod tests {
     #[test]
     fn unknown_tasks_propagate_errors() {
         let mut c = cache(60);
-        assert!(c
-            .request("bogus", SimTime::ZERO, &ComposeCosts::default())
-            .is_err());
+        assert!(c.request("bogus", SimTime::ZERO).is_err());
         assert_eq!((c.hits, c.prewarms), (0, 0));
     }
 
     #[test]
     fn crossover_favors_proactive_at_high_frequency() {
-        let costs = ComposeCosts::default();
         let ttl = Duration::from_secs(30);
         // 1 request/second: proactive wins big.
-        let fast_pro = mean_setup_latency(&costs, Duration::from_secs(1), ttl, true);
-        let fast_re = mean_setup_latency(&costs, Duration::from_secs(1), ttl, false);
+        let fast_pro = mean_setup_latency(Duration::from_secs(1), ttl, true);
+        let fast_re = mean_setup_latency(Duration::from_secs(1), ttl, false);
         assert!(fast_pro < fast_re);
         // 1 request/hour: refresh overhead swamps; reactive wins.
-        let slow_pro = mean_setup_latency(&costs, Duration::from_secs(3_600), ttl, true);
-        let slow_re = mean_setup_latency(&costs, Duration::from_secs(3_600), ttl, false);
+        let slow_pro = mean_setup_latency(Duration::from_secs(3_600), ttl, true);
+        let slow_re = mean_setup_latency(Duration::from_secs(3_600), ttl, false);
         assert!(slow_pro > slow_re, "{slow_pro} !> {slow_re}");
     }
 
     #[test]
     fn reactive_latency_is_frequency_independent() {
-        let costs = ComposeCosts::default();
         let ttl = Duration::from_secs(30);
-        let a = mean_setup_latency(&costs, Duration::from_secs(1), ttl, false);
-        let b = mean_setup_latency(&costs, Duration::from_secs(1_000), ttl, false);
+        let a = mean_setup_latency(Duration::from_secs(1), ttl, false);
+        let b = mean_setup_latency(Duration::from_secs(1_000), ttl, false);
         assert_eq!(a, b);
+        assert_eq!(a, REACTIVE_SETUP);
     }
 }

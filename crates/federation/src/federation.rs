@@ -42,7 +42,7 @@ use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Members
 use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use crate::roaming::{NextCellPredictor, Trace};
 use pg_agent::{Agent, AgentProfile, AgentSystem, DirectDeputy, Envelope, ReliableConfig};
-use pg_compose::proactive::{CacheResult, ComposeCosts};
+use pg_compose::proactive::{CacheResult, REACTIVE_SETUP};
 use pg_compose::MethodLibrary;
 use pg_core::{CrossCellHandoff, PervasiveGrid, Provenance};
 use pg_net::link::LinkModel;
@@ -60,8 +60,9 @@ const PAYLOAD_BYTES: usize = 2048;
 const PLAN_TTL: Duration = Duration::from_secs(600);
 
 /// Federation-layer tuning. Not options: the lockstep window is the
-/// cells' own scheduling epoch, gossip runs under [`GossipConfig::default`]
-/// and re-planning is priced by [`ComposeCosts::default`].
+/// cells' own scheduling epoch, gossip rounds every 30 s
+/// ([`GossipConfig::default`]) and re-planning is priced by
+/// `pg_compose::proactive`'s constants.
 #[derive(Debug, Clone)]
 pub struct FederationConfig {
     /// Master seed (gossip peer selection, bus retry jitter).
@@ -75,8 +76,8 @@ pub struct FederationConfig {
     /// shedding cells into neighbors (each honoring its own watermarks).
     /// Off = isolated cells, the baseline the experiment compares against.
     pub redirect: bool,
-    /// Reliable-bus tuning (ack timeout, retries, backoff, and the
-    /// optional per-peer circuit breaker over dead-letter outcomes).
+    /// Reliable-bus tuning: the optional per-peer circuit breaker over
+    /// dead-letter outcomes.
     pub reliable: ReliableConfig,
     /// Cell-level fault plan: partition windows and one-way cuts sever
     /// inter-cell links (gossip and bus alike, cells addressed by
@@ -288,7 +289,7 @@ impl Federation {
             // Project the cell-level plan onto the bus wire: a frame
             // between two cells is eaten while their link is severed or
             // either endpoint's process is down. Reliable retries (and the
-            // per-peer breaker, when configured) do the rest.
+            // per-peer breaker, when on) do the rest.
             let plan = cfg.cell_faults.clone();
             let agent_cell: BTreeMap<pg_agent::AgentId, u64> = cells
                 .iter()
@@ -753,7 +754,6 @@ impl Federation {
                 &up,
                 &RoundCtx {
                     now,
-                    cfg: &gossip,
                     seed: self.cfg.seed,
                     round_idx: self.round_idx,
                     faults: Some(&self.cfg.cell_faults),
@@ -882,14 +882,10 @@ impl Federation {
             return;
         };
         let task = self.task_of(user);
-        let costs = ComposeCosts::default();
-        let (warm, setup_s) = match self.cells[dest].cache.request(&task, end, &costs) {
+        let (warm, setup_s) = match self.cells[dest].cache.request(&task, end) {
             Ok((_, CacheResult::Hit, d)) => (true, d.as_secs_f64()),
             Ok((_, CacheResult::Miss, d)) => (false, d.as_secs_f64()),
-            Err(_) => (
-                false,
-                (costs.plan_time + costs.discovery_sweep).as_secs_f64(),
-            ),
+            Err(_) => (false, REACTIVE_SETUP.as_secs_f64()),
         };
         self.handoffs[dest].advance(id, HandoffPhase::InProgress, end, None, warm);
         let latency = transport_s + setup_s;
@@ -1081,10 +1077,7 @@ mod tests {
                 .cell_partition(&[0, 1], SimTime::from_secs(600), SimTime::from_secs(2_400))
                 .build()
                 .unwrap(),
-            reliable: ReliableConfig {
-                breaker: Some(pg_agent::BreakerConfig::default()),
-                ..ReliableConfig::default()
-            },
+            reliable: ReliableConfig { breaker: true },
             ..FederationConfig::default()
         };
         let mut fed = small_federation(7, 4, cfg);
@@ -1310,6 +1303,56 @@ mod tests {
         assert_eq!((s.migrations_opened, s.migrations_completed), (1, 1));
         assert_eq!(forwarded_home(&fed), 0);
         assert!(fed.cells.iter().all(|c| c.tags.is_empty()));
+    }
+
+    /// Regression: a cold federation's plan caches keep plans for zero
+    /// seconds, and two migrations landing in one cell at the same window
+    /// end used to meet one cached plan — the second was served warm.
+    #[test]
+    fn a_cold_federation_never_records_a_warm_handoff() {
+        // Users 0 and `k` share a task and start in cell 0. Stationary user
+        // 300 (300 % 3 = 0) anchors cell 0's rounds at t=5, 35, … and
+        // queues six rivals ahead of their queries, so both queries are
+        // deep in the queue when the two users walk into cell 1 within
+        // the window [30, 60).
+        let k = MethodLibrary::pervasive_grid().tasks().count() as u64;
+        let traces = [(0, 31), (k, 32)]
+            .map(|(user, at_s)| Trace {
+                user,
+                start: CellId(0),
+                moves: vec![crate::roaming::Move {
+                    at: SimTime::from_secs(at_s),
+                    to: CellId(1),
+                }],
+            })
+            .to_vec();
+        let runtimes = (1..=3).map(cell_runtime).collect();
+        let cfg = FederationConfig {
+            proactive: false,
+            ..FederationConfig::default()
+        };
+        let mut fed = Federation::new(cfg, runtimes, traces);
+        let mut offers = vec![(5, 300, 600)];
+        offers.extend([(20, 300, 600); 6]);
+        offers.extend([(21, 0, 2_400), (21, k, 2_400)]);
+        for (at_s, user, deadline_s) in offers {
+            fed.offer(
+                SimTime::from_secs(at_s),
+                user,
+                "SELECT AVG(temp) FROM sensors",
+                QueryOpts::with_deadline(Duration::from_secs(deadline_s)),
+            );
+        }
+        fed.run(SimTime::from_secs(600));
+        let s = &fed.stats;
+        assert_eq!(s.migrations_completed, 2, "{s:?}");
+        assert!(s.warm_handoff_latencies_s.is_empty(), "{s:?}");
+        assert_eq!(s.cold_handoff_latencies_s.len(), 2);
+        let warm_records = (fed.handoff_ledgers().iter())
+            .flat_map(HandoffStore::snapshot)
+            .filter(|r| r.warm)
+            .count();
+        assert_eq!(warm_records, 0);
     }
 
     #[test]

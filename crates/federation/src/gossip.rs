@@ -8,10 +8,10 @@
 //! (SNIPPETS #2's introducer idiom: a new cell bootstraps knowing only the
 //! introducer and learns the rest by anti-entropy). Liveness is a local
 //! judgment from staleness — a peer whose heartbeat has not advanced for
-//! `suspect_after` is *Suspect*, for `evict_after` *Dead* — so a crashed
-//! base station is discovered without any central orchestrator, and a cell
-//! that recovers (volunteer churn) is rehabilitated the moment its
-//! heartbeat advances again.
+//! 120 s is *Suspect*, for 300 s *Dead* — so a crashed base station is
+//! discovered without any central orchestrator, and a cell that recovers
+//! (volunteer churn) is rehabilitated the moment its heartbeat advances
+//! again.
 //!
 //! Digests piggyback a [`LoadDigest`] per cell — queue depth, overload
 //! state, shed rate, base-station health — which is what peer load
@@ -87,9 +87,9 @@ impl LoadDigest {
 pub enum MemberState {
     /// Heartbeat advancing recently.
     Alive,
-    /// Heartbeat stale past `suspect_after`; still counted live.
+    /// Heartbeat stale past 120 s; still counted live.
     Suspect,
-    /// Heartbeat stale past `evict_after`; evicted from the live set.
+    /// Heartbeat stale past [`EVICT_AFTER`]; evicted from the live set.
     Dead,
 }
 
@@ -127,26 +127,24 @@ pub struct MemberInfo {
     pub state: MemberState,
 }
 
+/// Peers contacted per round per cell.
+const FANOUT: usize = 2;
+/// Staleness after which a peer becomes Suspect.
+const SUSPECT_AFTER: Duration = Duration::from_secs(120);
+/// Staleness after which a peer is evicted (Dead).
+pub const EVICT_AFTER: Duration = Duration::from_secs(300);
+
 /// Gossip-layer tuning.
 #[derive(Debug, Clone, Copy)]
 pub struct GossipConfig {
-    /// Peers contacted per round per cell.
-    pub fanout: usize,
     /// Gossip period (one round every this often).
     pub round: Duration,
-    /// Staleness after which a peer becomes Suspect.
-    pub suspect_after: Duration,
-    /// Staleness after which a peer is evicted (Dead).
-    pub evict_after: Duration,
 }
 
 impl Default for GossipConfig {
     fn default() -> Self {
         GossipConfig {
-            fanout: 2,
             round: Duration::from_secs(30),
-            suspect_after: Duration::from_secs(120),
-            evict_after: Duration::from_secs(300),
         }
     }
 }
@@ -297,17 +295,17 @@ impl Membership {
     }
 
     /// Re-classify every peer by heartbeat staleness at `now`.
-    pub fn classify(&mut self, now: SimTime, cfg: &GossipConfig) {
+    pub fn classify(&mut self, now: SimTime) {
         let mut dead = 0;
         for (&cell, info) in self.table.iter_mut() {
             if cell == self.me {
                 continue;
             }
             let stale = now.since(info.last_heard);
-            info.state = if stale >= cfg.evict_after {
+            info.state = if stale >= EVICT_AFTER {
                 dead += 1;
                 MemberState::Dead
-            } else if stale >= cfg.suspect_after {
+            } else if stale >= SUSPECT_AFTER {
                 MemberState::Suspect
             } else {
                 MemberState::Alive
@@ -367,8 +365,6 @@ impl Membership {
 pub struct RoundCtx<'a> {
     /// The instant the round runs at.
     pub now: SimTime,
-    /// Gossip tuning.
-    pub cfg: &'a GossipConfig,
     /// Seed for the deterministic peer selection.
     pub seed: u64,
     /// Monotone round counter (selection salt and dead-probe rotor).
@@ -381,7 +377,7 @@ pub struct RoundCtx<'a> {
 /// Run one synchronous gossip round at `now` over the whole federation.
 ///
 /// Each cell with `up[i] == true` (index = `CellId.0`) beats beforehand
-/// (caller's job), then contacts up to `fanout` distinct seeded-random
+/// (caller's job), then contacts up to two distinct seeded-random
 /// targets from its candidate pool. A contact with an up target is a
 /// push-pull exchange: both membership digests merge both ways, and the
 /// paired [`HandoffStore`]s merge both ways too (the D-GRID replication
@@ -392,13 +388,14 @@ pub struct RoundCtx<'a> {
 /// table.
 ///
 /// Peer selection derives from `(seed, round_idx, cell)` alone, so rounds
-/// replay bit-identically regardless of caller structure.
+/// replay bit-identically regardless of caller structure. `_cfg` holds the
+/// period the caller runs rounds at; one round reads nothing from it.
 pub fn gossip_round(
     members: &mut [Membership],
     handoffs: &mut [HandoffStore],
     up: &[bool],
     now: SimTime,
-    cfg: &GossipConfig,
+    _cfg: &GossipConfig,
     seed: u64,
     round_idx: u64,
 ) {
@@ -408,7 +405,6 @@ pub fn gossip_round(
         up,
         &RoundCtx {
             now,
-            cfg,
             seed,
             round_idx,
             faults: None,
@@ -434,7 +430,7 @@ pub fn gossip_round_ctx(
     ctx: &RoundCtx<'_>,
 ) {
     debug_assert_eq!(members.len(), up.len());
-    let (now, cfg) = (ctx.now, ctx.cfg);
+    let now = ctx.now;
     let link_up = |from: usize, to: usize| {
         ctx.faults
             .is_none_or(|f| f.cell_link_up(from as u64, to as u64, now))
@@ -445,7 +441,7 @@ pub fn gossip_round_ctx(
         }
         let mut candidates = members[i].gossip_candidates();
         let mut rng = StdRng::seed_from_u64(mix(mix(ctx.seed, ctx.round_idx), i as u64));
-        let picks = cfg.fanout.min(candidates.len());
+        let picks = FANOUT.min(candidates.len());
         let mut targets = Vec::with_capacity(picks + 1);
         for k in 0..picks {
             let j = rng.gen_range(k..candidates.len());
@@ -493,7 +489,7 @@ pub fn gossip_round_ctx(
     }
     for (i, m) in members.iter_mut().enumerate() {
         if up[i] {
-            m.classify(now, cfg);
+            m.classify(now);
         }
     }
 }
@@ -553,7 +549,7 @@ mod tests {
         };
         run(&mut members, &mut handoffs, &up.clone(), 10); // full view
         up[3] = false;
-        run(&mut members, &mut handoffs, &up.clone(), 15); // > evict_after
+        run(&mut members, &mut handoffs, &up.clone(), 15); // > EVICT_AFTER
         for (i, m) in members.iter().enumerate() {
             if i == 3 {
                 continue;
@@ -588,9 +584,8 @@ mod tests {
     fn dead_peer_ignores_same_incarnation_rumor() {
         let now = SimTime::from_secs(1000);
         let mut q = Membership::new(CellId(0), &[CellId(1), CellId(2)], SimTime::ZERO);
-        // Q evicted peer 2 (staleness past evict_after).
-        let cfg = GossipConfig::default();
-        q.classify(now, &cfg);
+        // Q evicted peer 2 (staleness past EVICT_AFTER).
+        q.classify(now);
         assert_eq!(
             q.members()
                 .find(|(c, _)| *c == CellId(2))
@@ -622,7 +617,7 @@ mod tests {
         assert_eq!(q.resurrections_of(CellId(2)), 1);
         // …and a higher incarnation (crash-recovery refutation) revives
         // via rumor.
-        q.classify(SimTime::from_secs(2000), &cfg);
+        q.classify(SimTime::from_secs(2000));
         assert_eq!(info(&q).0, MemberState::Dead);
         q.absorb(CellId(1), CellId(2), rumor(61, 1), SimTime::from_secs(2000));
         assert_eq!(info(&q).0, MemberState::Alive);
@@ -647,7 +642,6 @@ mod tests {
         }
         let plan = b.build().expect("valid plan");
         let (mut members, mut handoffs, up) = bootstrap(n);
-        let cfg = GossipConfig::default();
         for round in 0..60u64 {
             let now = SimTime::from_secs(30 * (round + 1));
             for m in members.iter_mut() {
@@ -659,7 +653,6 @@ mod tests {
                 &up,
                 &RoundCtx {
                     now,
-                    cfg: &cfg,
                     seed: 7,
                     round_idx: round,
                     faults: Some(&plan),
@@ -715,7 +708,6 @@ mod tests {
             .build()
             .expect("valid plan");
         let (mut members, mut handoffs, up) = bootstrap(n);
-        let cfg = GossipConfig::default();
         let run =
             |members: &mut Vec<Membership>, handoffs: &mut Vec<HandoffStore>, lo: u64, hi: u64| {
                 for round in lo..hi {
@@ -729,7 +721,6 @@ mod tests {
                         &up,
                         &RoundCtx {
                             now,
-                            cfg: &cfg,
                             seed: 13,
                             round_idx: round,
                             faults: Some(&plan),
@@ -797,7 +788,6 @@ mod tests {
         );
         handoffs[a].open(pending(from_a, a, b));
         handoffs[b].open(pending(from_b, b, a));
-        let cfg = GossipConfig::default();
         for round in 0..10u64 {
             let now = SimTime::from_secs(30 * (round + 1));
             for m in members.iter_mut() {
@@ -809,7 +799,6 @@ mod tests {
                 &up,
                 &RoundCtx {
                     now,
-                    cfg: &cfg,
                     seed: 7,
                     round_idx: round,
                     faults: Some(&plan),

@@ -10,7 +10,7 @@
 //! predicted destination before the user arrives.
 
 use crate::gossip::CellId;
-use pg_net::mobility::{MobilityConfig, Waypoint};
+use pg_net::mobility::{MobilityConfig, Waypoint, ARENA_SIDE};
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
@@ -75,7 +75,7 @@ pub fn commute_traces(seed: u64, cfg: &RoamingConfig) -> Vec<Trace> {
     assert!(cfg.cells > 0, "a federation needs at least one cell");
     let streams = RngStreams::new(seed);
     let arena = MobilityConfig::pedestrian();
-    let strip = arena.width / cfg.cells as f64;
+    let strip = ARENA_SIDE / cfg.cells as f64;
     (0..cfg.users as u64)
         .map(|u| {
             let mut rng = streams.fork_indexed("roam", u);

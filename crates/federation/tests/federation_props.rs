@@ -14,6 +14,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_core::PervasiveGrid;
+use pg_federation::gossip::EVICT_AFTER;
 use pg_federation::handoff::HandoffStore;
 use pg_federation::{
     gossip_round, CellId, Federation, FederationConfig, GossipConfig, LoadDigest, Membership, Trace,
@@ -155,7 +156,7 @@ proptest! {
         let round_s = cfg.round.as_secs_f64() as u64;
         // Rounds until a silent peer must be evicted, plus slack for the
         // view to have converged beforehand.
-        let evict_rounds = (cfg.evict_after.as_secs_f64() / round_s as f64).ceil() as u64 + 5;
+        let evict_rounds = (EVICT_AFTER.as_secs_f64() / round_s as f64).ceil() as u64 + 5;
 
         let mut members: Vec<Membership> = (0..n)
             .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))

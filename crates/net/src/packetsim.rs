@@ -52,38 +52,18 @@ pub struct Delivery {
     pub at: SimTime,
 }
 
-/// MAC parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct MacParams {
-    /// Channel bit rate, bits/second.
-    pub bitrate_bps: f64,
-    /// Fixed per-frame overhead (preamble + header), bytes.
-    pub overhead_bytes: u64,
-    /// Base backoff window; attempt `k` draws from `[0, base × 2^k)`.
-    pub backoff_base: Duration,
-    /// Give up after this many attempts per hop.
-    pub max_attempts: u32,
-    /// Residual per-frame loss probability (fading etc.), `[0, 1)`.
-    pub loss_prob: f64,
-}
+/// Channel bit rate, bits/second.
+const BITRATE_BPS: f64 = 250e3;
+/// Fixed per-frame overhead (preamble + header), bytes.
+const OVERHEAD_BYTES: u64 = 8;
+/// Base backoff window; attempt `k` draws from `[0, base × 2^k)`.
+const BACKOFF_BASE: Duration = Duration::from_millis(2);
+/// Give up after this many attempts per hop.
+const MAX_ATTEMPTS: u32 = 8;
 
-impl Default for MacParams {
-    fn default() -> Self {
-        MacParams {
-            bitrate_bps: 250e3,
-            overhead_bytes: 8,
-            backoff_base: Duration::from_millis(2),
-            max_attempts: 8,
-            loss_prob: 0.0,
-        }
-    }
-}
-
-impl MacParams {
-    /// Airtime of one frame carrying `bytes` of payload.
-    pub fn frame_time(&self, bytes: u64) -> Duration {
-        Duration::from_secs_f64((bytes + self.overhead_bytes) as f64 * 8.0 / self.bitrate_bps)
-    }
+/// Airtime of one frame carrying `bytes` of payload.
+pub fn frame_time(bytes: u64) -> Duration {
+    Duration::from_secs_f64((bytes + OVERHEAD_BYTES) as f64 * 8.0 / BITRATE_BPS)
 }
 
 #[derive(Debug)]
@@ -107,7 +87,6 @@ struct ActiveTx {
 struct World {
     topo: Topology,
     radio: RadioModel,
-    mac: MacParams,
     faults: FaultPlan,
     rng: StdRng,
     active: Vec<ActiveTx>,
@@ -128,7 +107,7 @@ impl World {
     }
 
     fn backoff(&mut self, attempts: u32) -> Duration {
-        let window = self.mac.backoff_base.mul(1u64 << attempts.min(6));
+        let window = BACKOFF_BASE.mul(1u64 << attempts.min(6));
         Duration::from_nanos(self.rng.gen_range(0..window.as_nanos().max(1)))
     }
 }
@@ -141,7 +120,7 @@ impl Model for World {
             Ev::TrySend(mut packet) => {
                 let from = packet.route[packet.hop_index];
                 let to = packet.route[packet.hop_index + 1];
-                if packet.attempts >= self.mac.max_attempts {
+                if packet.attempts >= MAX_ATTEMPTS {
                     self.metrics.count("mac.dropped", 1);
                     self.dropped.push(packet.id);
                     return;
@@ -158,9 +137,9 @@ impl Model for World {
                     return;
                 }
                 // Start transmitting.
-                let airtime = self.mac.frame_time(packet.bytes);
+                let airtime = frame_time(packet.bytes);
                 let end = now + airtime;
-                let bits = (packet.bytes + self.mac.overhead_bytes) * 8;
+                let bits = (packet.bytes + OVERHEAD_BYTES) * 8;
                 let d = self.topo.distance(from, to);
                 self.metrics.count("mac.attempts", 1);
                 self.metrics
@@ -179,10 +158,6 @@ impl Model for World {
                     if hears(&self.topo, to, tx.from) {
                         corrupted = true;
                     }
-                }
-                // Residual loss.
-                if self.mac.loss_prob > 0.0 && self.rng.gen::<f64>() < self.mac.loss_prob {
-                    corrupted = true;
                 }
                 // Injected faults: a link blackout window or a crashed
                 // endpoint kills the frame (the sender still burned the
@@ -210,10 +185,7 @@ impl Model for World {
                 // Reception energy at the receiver (it listened either way).
                 let (bits, corrupted) = {
                     let tx = &self.active[idx];
-                    (
-                        (tx.packet.bytes + self.mac.overhead_bytes) * 8,
-                        tx.corrupted,
-                    )
+                    ((tx.packet.bytes + OVERHEAD_BYTES) * 8, tx.corrupted)
                 };
                 self.metrics
                     .observe("mac.rx_energy_j", self.radio.rx_energy(bits));
@@ -272,13 +244,12 @@ pub struct PacketSim {
 }
 
 impl PacketSim {
-    /// Build over `topo` with the given radio/MAC parameters and RNG seed.
-    pub fn new(topo: Topology, radio: RadioModel, mac: MacParams, seed: u64) -> Self {
+    /// Build over `topo` with the given radio and RNG seed.
+    pub fn new(topo: Topology, radio: RadioModel, seed: u64) -> Self {
         PacketSim {
             sim: Simulation::new(World {
                 topo,
                 radio,
-                mac,
                 faults: FaultPlan::none(),
                 rng: StdRng::seed_from_u64(seed),
                 active: Vec::new(),
@@ -346,14 +317,10 @@ mod tests {
         Topology::from_positions(pts, 15.0)
     }
 
-    fn mac() -> MacParams {
-        MacParams::default()
-    }
-
     #[test]
     fn single_hop_idle_channel_matches_airtime() {
         let topo = line(2);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac(), 1);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 1);
         sim.inject(7, 100, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
         let r = sim.run();
         assert_eq!(r.delivered.len(), 1);
@@ -362,13 +329,13 @@ mod tests {
         // time.
         assert_eq!(r.metrics.counter("mac.attempts"), 1);
         assert_eq!(r.metrics.counter("mac.deferrals"), 0);
-        assert_eq!(r.delivered[0].at, SimTime::ZERO + mac().frame_time(100));
+        assert_eq!(r.delivered[0].at, SimTime::ZERO + frame_time(100));
     }
 
     #[test]
     fn multi_hop_sums_airtimes_when_uncontended() {
         let topo = line(4);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac(), 2);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 2);
         sim.inject(
             1,
             50,
@@ -379,10 +346,7 @@ mod tests {
         assert_eq!(r.delivered.len(), 1);
         // NB: hop k+1's carrier sense hears hop k's sender? Node 1 starts
         // right when node 0 finished — channel idle — so total = 3 frames.
-        assert_eq!(
-            r.delivered[0].at,
-            SimTime::ZERO + mac().frame_time(50).mul(3)
-        );
+        assert_eq!(r.delivered[0].at, SimTime::ZERO + frame_time(50).mul(3));
         assert_eq!(r.metrics.counter("mac.attempts"), 3);
     }
 
@@ -396,7 +360,7 @@ mod tests {
             Point::flat(5.0, 8.0),  // sender B, in range of A
         ];
         let topo = Topology::from_positions(pts, 15.0);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac(), 3);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 3);
         sim.inject(1, 200, vec![NodeId(1), NodeId(0)], SimTime::ZERO);
         sim.inject(2, 200, vec![NodeId(2), NodeId(0)], SimTime::ZERO);
         let r = sim.run();
@@ -404,14 +368,14 @@ mod tests {
         assert_eq!(r.metrics.counter("mac.collisions"), 0);
         assert!(r.metrics.counter("mac.deferrals") >= 1, "B must defer to A");
         // Completion takes at least two frame times (serialized).
-        assert!(r.finished_at >= SimTime::ZERO + mac().frame_time(200).mul(2));
+        assert!(r.finished_at >= SimTime::ZERO + frame_time(200).mul(2));
     }
 
     #[test]
     fn hidden_terminals_collide_and_recover() {
         // A - R - B line: A and B cannot hear each other but both reach R.
         let topo = line(3); // 0 - 1 - 2, range 15 < 20
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac(), 4);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 4);
         sim.inject(1, 200, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
         sim.inject(2, 200, vec![NodeId(2), NodeId(1)], SimTime::ZERO);
         let r = sim.run();
@@ -422,23 +386,22 @@ mod tests {
             "simultaneous hidden-terminal start must corrupt both: {}",
             r.metrics.counter("mac.collisions")
         );
-        assert!(r.finished_at > SimTime::ZERO + mac().frame_time(200).mul(2));
+        assert!(r.finished_at > SimTime::ZERO + frame_time(200).mul(2));
     }
 
     #[test]
     fn retry_budget_exhaustion_drops() {
-        // Force certain loss: every frame is corrupted by residual loss.
+        // Force certain loss: the fault plan kills every frame, so the hop
+        // spends its whole budget of eight attempts and gives up.
         let topo = line(2);
-        let lossy = MacParams {
-            loss_prob: 0.999999,
-            max_attempts: 3,
-            ..mac()
-        };
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), lossy, 5);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 5);
+        sim.set_fault_plan(FaultPlan::builder(5).message_loss(1.0).build().unwrap());
         sim.inject(9, 50, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
         let r = sim.run();
         assert!(r.delivered.is_empty());
         assert_eq!(r.dropped, vec![9]);
+        assert_eq!(r.metrics.counter("mac.attempts"), 8);
+        assert_eq!(r.metrics.counter("mac.fault_killed"), 8);
     }
 
     #[test]
@@ -453,7 +416,7 @@ mod tests {
         }
         let topo = Topology::from_positions(pts, 25.0);
         let run = |packets_per_sender: u64| {
-            let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), mac(), 6);
+            let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), 6);
             let mut id = 0;
             for s in 1..=8u32 {
                 for k in 0..packets_per_sender {
@@ -480,7 +443,7 @@ mod tests {
         assert_eq!(d2, 32);
         // Channel-capacity bound: the run can never finish faster than the
         // total airtime of all frames over the single shared channel.
-        let airtime = mac().frame_time(100).as_secs_f64();
+        let airtime = frame_time(100).as_secs_f64();
         assert!(t1.as_secs_f64() >= 16.0 * airtime);
         assert!(t2.as_secs_f64() >= 32.0 * airtime);
         assert!(t2 > t1);
@@ -495,7 +458,7 @@ mod tests {
     fn deterministic_per_seed() {
         let topo = line(3);
         let run = |seed| {
-            let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), mac(), seed);
+            let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), seed);
             sim.inject(1, 80, vec![NodeId(0), NodeId(1), NodeId(2)], SimTime::ZERO);
             sim.inject(2, 80, vec![NodeId(2), NodeId(1), NodeId(0)], SimTime::ZERO);
             let r = sim.run();
@@ -513,7 +476,7 @@ mod tests {
             .link_blackout(SimTime::ZERO, SimTime::from_millis(20))
             .build()
             .unwrap();
-        let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), mac(), 11);
+        let mut sim = PacketSim::new(topo.clone(), RadioModel::mote(), 11);
         sim.set_fault_plan(plan);
         sim.inject(1, 50, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
         let r = sim.run();
@@ -521,7 +484,7 @@ mod tests {
         assert!(r.metrics.counter("mac.fault_killed") >= 1);
         assert!(r.delivered[0].at >= SimTime::from_millis(20));
         // Same run without the plan delivers in one frame time.
-        let mut clean = PacketSim::new(topo, RadioModel::mote(), mac(), 11);
+        let mut clean = PacketSim::new(topo, RadioModel::mote(), 11);
         clean.inject(1, 50, vec![NodeId(0), NodeId(1)], SimTime::ZERO);
         let rc = clean.run();
         assert_eq!(rc.metrics.counter("mac.fault_killed"), 0);
@@ -532,7 +495,7 @@ mod tests {
     #[should_panic(expected = "not an edge")]
     fn bogus_routes_rejected() {
         let topo = line(3);
-        let mut sim = PacketSim::new(topo, RadioModel::mote(), mac(), 1);
+        let mut sim = PacketSim::new(topo, RadioModel::mote(), 1);
         sim.inject(1, 10, vec![NodeId(0), NodeId(2)], SimTime::ZERO);
     }
 }
