@@ -9,14 +9,15 @@
 //! For every `baselines/BENCH_<exp>.json` there must be a fresh
 //! `results/<exp>.json`; each pair is compared metric-by-metric with
 //! relative tolerances of 1e-9, 1e-6 on percentile leaves (see
-//! `pg_bench::regress::Tolerances::EXPERIMENTS`). Any drift, any metric
-//! missing from a fresh report, or any baseline without a fresh report
-//! exits non-zero with a human-readable drift table. Metrics present only
-//! in the fresh report warn (the baseline is stale but nothing regressed).
+//! `pg_bench::regress`). Any drift, any metric missing from a fresh
+//! report, any baseline without a fresh report, or any fresh report
+//! without a baseline exits 1 with a human-readable drift table; a bad
+//! flag exits 2. Metrics present only in the fresh report warn (the
+//! baseline is stale but nothing regressed).
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::regress::{compare, drift_table, key_mismatch_report, Tolerances};
+use pg_bench::regress::{compare, drift_table, key_mismatch_report};
 use pg_sim::report::Report;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -46,9 +47,6 @@ fn main() -> ExitCode {
         Ok(entries) => entries
             .filter_map(|e| e.ok().map(|e| e.path()))
             .filter(|p| {
-                // Experiment baselines only: BENCH_micro.json (criterion
-                // wall-clock medians) is gated by the `microbench` binary
-                // with a one-sided tolerance instead.
                 p.file_name()
                     .and_then(|n| n.to_str())
                     .is_some_and(|n| n.starts_with("BENCH_exp_") && n.ends_with(".json"))
@@ -106,7 +104,7 @@ fn main() -> ExitCode {
                 continue;
             }
         };
-        let cmp = compare(&baseline, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&baseline, &fresh);
         compared += cmp.matched;
         for w in &cmp.warnings {
             eprintln!("warn {exp}: {w}");

@@ -5,61 +5,31 @@
 //! fresh `results/<exp>.json` metric by metric (the flattened numeric
 //! leaves of the report). The simulation is deterministic — seeded RNG,
 //! sequential reductions — so the tolerance is tiny and exists only to
-//! absorb libm differences across platforms. Each gate has one fixed set
-//! of tolerances: [`Tolerances::EXPERIMENTS`] for `regress`,
-//! [`Tolerances::MICROBENCH`] for `microbench`.
+//! absorb libm differences across platforms.
 
 use pg_sim::report::Report;
 
-/// The order-statistic leaves a percentile tolerance applies to.
+/// Relative tolerance for every metric but the percentile leaves.
+const REL: f64 = 1e-9;
+
+/// Relative tolerance for `.p50`/`.p90`/`.p95`/`.p99` leaves: order
+/// statistics sit on sample boundaries, so they get a wider tolerance than
+/// means.
+const PERCENTILE_REL: f64 = 1e-6;
+
+/// The order-statistic leaves [`PERCENTILE_REL`] applies to.
 const PERCENTILE_LEAVES: [&str; 4] = [".p50", ".p90", ".p95", ".p99"];
 
-/// Relative tolerance configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct Tolerances {
-    /// Relative tolerance for every metric but the percentile leaves.
-    pub rel: f64,
-    /// Relative tolerance for `.p50`/`.p90`/`.p95`/`.p99` leaves: order
-    /// statistics sit on sample boundaries, so they get their own (wider)
-    /// tolerance than means.
-    pub percentile_rel: f64,
-    /// Values with magnitude below this floor are compared absolutely
-    /// (relative error is meaningless near zero).
-    pub abs_floor: f64,
-    /// When set, only increases over the baseline count as drift — the
-    /// gate for wall-clock metrics, where getting faster is never a
-    /// regression. Deterministic simulation metrics keep the two-sided
-    /// comparison.
-    pub one_sided: bool,
-}
+/// Values with magnitude below this floor are compared absolutely
+/// (relative error is meaningless near zero).
+const ABS_FLOOR: f64 = 1e-12;
 
-impl Tolerances {
-    /// The experiment gate: two-sided 1e-9, 1e-6 on percentile leaves.
-    pub const EXPERIMENTS: Tolerances = Tolerances {
-        rel: 1e-9,
-        percentile_rel: 1e-6,
-        abs_floor: 1e-12,
-        one_sided: false,
-    };
-
-    /// The microbench gate: one-sided 25 %. Sub-microsecond benches sit at
-    /// the timer's resolution under the CI sample counts; flooring the
-    /// denominator at 1 µs compares them absolutely (±250 ns of slack)
-    /// instead of flapping on scheduler jitter.
-    pub const MICROBENCH: Tolerances = Tolerances {
-        rel: 0.25,
-        percentile_rel: 0.25,
-        abs_floor: 1_000.0,
-        one_sided: true,
-    };
-
-    /// The relative tolerance applying to `path`.
-    fn rel_for(&self, path: &str) -> f64 {
-        if PERCENTILE_LEAVES.iter().any(|q| path.ends_with(q)) {
-            self.percentile_rel
-        } else {
-            self.rel
-        }
+/// The relative tolerance applying to `path`.
+fn rel_for(path: &str) -> f64 {
+    if PERCENTILE_LEAVES.iter().any(|q| path.ends_with(q)) {
+        PERCENTILE_REL
+    } else {
+        REL
     }
 }
 
@@ -107,14 +77,14 @@ impl Comparison {
     }
 }
 
-/// Diff `fresh` against `baseline` under `tol`.
+/// Diff `fresh` against `baseline`.
 ///
 /// Fails on: mode mismatch (a chaos report diffed against a full baseline
 /// is a harness misconfiguration, not a regression), any baseline metric
 /// missing from the fresh report, and any metric outside tolerance. Metrics
 /// only present in the fresh report produce warnings — new instrumentation
 /// should not fail the gate, but the baseline wants refreshing.
-pub fn compare(baseline: &Report, fresh: &Report, tol: &Tolerances) -> Comparison {
+pub fn compare(baseline: &Report, fresh: &Report) -> Comparison {
     let mut cmp = Comparison::default();
     let base_mode = baseline.meta.get("mode");
     let fresh_mode = fresh.meta.get("mode");
@@ -135,14 +105,8 @@ pub fn compare(baseline: &Report, fresh: &Report, tol: &Tolerances) -> Compariso
             cmp.missing.push(path);
             continue;
         };
-        let rel = tol.rel_for(&path);
-        let denom = base_value.abs().max(tol.abs_floor);
-        let err = if tol.one_sided {
-            (fresh_value - base_value).max(0.0)
-        } else {
-            (fresh_value - base_value).abs()
-        };
-        let rel_err = err / denom;
+        let rel = rel_for(&path);
+        let rel_err = (fresh_value - base_value).abs() / base_value.abs().max(ABS_FLOOR);
         if rel_err > rel {
             cmp.violations.push(format!(
                 "drift: {path}: baseline {base_value} -> fresh {fresh_value} \
@@ -236,7 +200,7 @@ mod tests {
     #[test]
     fn identical_reports_pass() {
         let a = report("e", "full", &[("x", 1.5), ("y", 0.0)]);
-        let cmp = compare(&a, &a.clone(), &Tolerances::EXPERIMENTS);
+        let cmp = compare(&a, &a.clone());
         assert!(cmp.ok(), "{:?}", cmp.violations);
         assert_eq!(cmp.matched, 2);
         assert!(cmp.warnings.is_empty());
@@ -245,19 +209,17 @@ mod tests {
     #[test]
     fn within_tolerance_passes() {
         let base = report("e", "full", &[("x", 100.0)]);
-        let fresh = report("e", "full", &[("x", 100.0 + 1e-8)]);
-        let tol = Tolerances {
-            rel: 1e-6,
-            ..Tolerances::EXPERIMENTS
-        };
-        assert!(compare(&base, &fresh, &tol).ok());
+        let fresh = report("e", "full", &[("x", 100.0 + 5e-8)]);
+        assert!(compare(&base, &fresh).ok());
+        let fresh = report("e", "full", &[("x", 100.0 + 5e-7)]);
+        assert!(!compare(&base, &fresh).ok());
     }
 
     #[test]
     fn drift_fails_with_table() {
         let base = report("e", "full", &[("x", 100.0)]);
         let fresh = report("e", "full", &[("x", 101.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &fresh);
         assert!(!cmp.ok());
         assert_eq!(cmp.drifts.len(), 1);
         let d = &cmp.drifts[0];
@@ -272,7 +234,7 @@ mod tests {
     fn missing_metric_fails() {
         let base = report("e", "full", &[("x", 1.0), ("gone", 2.0)]);
         let fresh = report("e", "full", &[("x", 1.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &fresh);
         assert!(!cmp.ok());
         assert!(
             cmp.violations
@@ -287,7 +249,7 @@ mod tests {
     fn extra_metric_warns_but_passes() {
         let base = report("e", "full", &[("x", 1.0)]);
         let fresh = report("e", "full", &[("x", 1.0), ("new", 9.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &fresh);
         assert!(cmp.ok(), "{:?}", cmp.violations);
         assert!(
             cmp.warnings.iter().any(|w| w.contains("scalars.new")),
@@ -302,7 +264,7 @@ mod tests {
         // must be carried structurally and rendered under headings.
         let base = report("e", "full", &[("x", 1.0), ("old_name", 2.0)]);
         let fresh = report("e", "full", &[("x", 1.0), ("new_name", 2.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &fresh);
         assert!(!cmp.ok());
         assert_eq!(cmp.missing, vec!["scalars.old_name".to_string()]);
         assert_eq!(cmp.extra, vec!["scalars.new_name".to_string()]);
@@ -316,7 +278,7 @@ mod tests {
             "extra block absent: {rendered}"
         );
         // A clean comparison renders nothing.
-        let clean = compare(&base, &base.clone(), &Tolerances::EXPERIMENTS);
+        let clean = compare(&base, &base.clone());
         assert_eq!(key_mismatch_report(&clean), "");
     }
 
@@ -324,89 +286,64 @@ mod tests {
     fn mode_mismatch_fails_fast() {
         let base = report("e", "full", &[("x", 1.0)]);
         let fresh = report("e", "chaos", &[("x", 1.0)]);
-        let cmp = compare(&base, &fresh, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &fresh);
         assert!(!cmp.ok());
         assert!(cmp.violations[0].contains("mode mismatch"));
     }
 
     #[test]
-    fn one_sided_passes_improvements_and_fails_regressions() {
-        let base = report("e", "bench", &[("jacobi_ns", 1000.0)]);
-        let tol = Tolerances::MICROBENCH;
-        // 40% faster: fine under one-sided, would drift two-sided.
-        let faster = report("e", "bench", &[("jacobi_ns", 600.0)]);
-        assert!(compare(&base, &faster, &tol).ok());
-        let two_sided = Tolerances {
-            one_sided: false,
-            ..Tolerances::MICROBENCH
-        };
-        assert!(!compare(&base, &faster, &two_sided).ok());
-        // 20% slower: inside the 25% band.
-        let slower_ok = report("e", "bench", &[("jacobi_ns", 1200.0)]);
-        assert!(compare(&base, &slower_ok, &tol).ok());
-        // 2x slower: drift.
-        let slower = report("e", "bench", &[("jacobi_ns", 2000.0)]);
-        let cmp = compare(&base, &slower, &tol);
-        assert!(!cmp.ok());
-        assert_eq!(cmp.drifts[0].path, "scalars.jacobi_ns");
-        // A sub-microsecond bench is compared against the 1 µs floor: 3x
-        // slower at 100 ns is 200 ns of drift, inside the 250 ns slack.
-        let tiny = report("e", "bench", &[("pop_ns", 100.0)]);
-        let tiny_slower = report("e", "bench", &[("pop_ns", 300.0)]);
-        assert!(compare(&tiny, &tiny_slower, &tol).ok());
-    }
-
-    #[test]
     fn near_zero_values_compare_absolutely() {
-        // 0 vs 1e-15: relative error undefined; abs_floor keeps it passing.
+        // 0 vs 5e-22: relative error undefined; the floor keeps it passing.
         let base = report("e", "full", &[("z", 0.0)]);
-        let fresh = report("e", "full", &[("z", 1e-15)]);
-        let tol = Tolerances {
-            rel: 1e-2,
-            ..Tolerances::EXPERIMENTS
-        };
-        assert!(compare(&base, &fresh, &tol).ok());
+        assert!(compare(&base, &report("e", "full", &[("z", 5e-22)])).ok());
+        // Below the floor a 5e-22 nudge passes although it is 5e-9 of the
+        // value, and a 1e-15 one fails although the value is that small.
+        let base = report("e", "full", &[("z", 1e-13)]);
+        assert!(compare(&base, &report("e", "full", &[("z", 1e-13 + 5e-22)])).ok());
+        assert!(!compare(&base, &report("e", "full", &[("z", 1e-13 + 1e-15)])).ok());
     }
 
     #[test]
     fn percentile_tolerance_covers_every_quantile_leaf() {
-        let tol = Tolerances::EXPERIMENTS;
         for q in ["p50", "p90", "p95", "p99"] {
-            assert_eq!(tol.rel_for(&format!("stats.response_s.{q}")), 1e-6);
+            assert_eq!(rel_for(&format!("stats.response_s.{q}")), 1e-6);
         }
-        assert_eq!(tol.rel_for("stats.response_s.mean"), 1e-9);
-        assert_eq!(tol.rel_for("stats.response_s.p95_ms"), 1e-9);
+        assert_eq!(rel_for("stats.response_s.mean"), 1e-9);
+        assert_eq!(rel_for("stats.response_s.p95_ms"), 1e-9);
     }
 
     #[test]
-    fn percentile_drift_beyond_tolerance_still_fails() {
+    fn percentile_leaves_get_the_wider_tolerance() {
         let mut base = Report::new("e");
         base.set_meta("mode", "full");
-        base.set_scalar("x", 1.0);
         base.stats.insert(
             "response_s".into(),
             pg_sim::report::SummaryStats {
+                mean: 10.0,
                 p95: Some(10.0),
                 ..pg_sim::report::SummaryStats::default()
             },
         );
+        // 5e-7 of the value passes on a percentile leaf…
+        let mut fresh = base.clone();
+        fresh.stats.get_mut("response_s").unwrap().p95 = Some(10.0 + 5e-6);
+        let cmp = compare(&base, &fresh);
+        assert!(cmp.ok(), "{:?}", cmp.violations);
+        // …but not on a mean…
+        fresh.stats.get_mut("response_s").unwrap().mean = 10.0 + 5e-6;
+        let cmp = compare(&base, &fresh);
+        assert_eq!(cmp.drifts.len(), 1);
+        assert_eq!(cmp.drifts[0].path, "stats.response_s.mean");
+        // …and drift beyond 1e-6 still fails on the percentile leaf.
         let mut fresh = base.clone();
         fresh.stats.get_mut("response_s").unwrap().p95 = Some(12.0);
-        let tol = Tolerances {
-            percentile_rel: 1e-2,
-            ..Tolerances::EXPERIMENTS
-        };
-        let cmp = compare(&base, &fresh, &tol);
+        let cmp = compare(&base, &fresh);
         assert!(!cmp.ok());
         assert!(
             cmp.drifts.iter().any(|d| d.path == "stats.response_s.p95"),
             "{:?}",
             cmp.violations
         );
-        // Within the widened tolerance the same leaf passes.
-        fresh.stats.get_mut("response_s").unwrap().p95 = Some(10.05);
-        let cmp = compare(&base, &fresh, &tol);
-        assert!(cmp.ok(), "{:?}", cmp.violations);
     }
 
     #[test]
@@ -419,7 +356,7 @@ mod tests {
         base.record_summary("m", &s);
         let mut drifted = base.clone();
         drifted.stats.get_mut("m").unwrap().max = 4.0;
-        let cmp = compare(&base, &drifted, &Tolerances::EXPERIMENTS);
+        let cmp = compare(&base, &drifted);
         assert!(!cmp.ok());
         assert_eq!(cmp.drifts.len(), 1);
         assert_eq!(cmp.drifts[0].path, "stats.m.max");

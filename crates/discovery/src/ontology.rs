@@ -258,7 +258,8 @@ mod tests {
 
         // The candidate set is exactly the classes class_score accepts.
         let candidates = o.match_candidates(sensor);
-        for c in (0..o.len() as u32).map(ClassId) {
+        for i in 0..o.len() as u32 {
+            let c = ClassId(i);
             let matchable = o.subsumes(sensor, c) || o.subsumes(c, sensor);
             assert_eq!(candidates.contains(&c), matchable, "class {c:?}");
         }

@@ -33,5 +33,5 @@ pub mod roaming;
 pub use cell::Cell;
 pub use federation::{quantile, Federation, FederationConfig};
 pub use gossip::{gossip_round, CellId, GossipConfig, LoadDigest, Membership};
-pub use handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
+pub use handoff::{HandoffRecord, HandoffStore};
 pub use roaming::{commute_traces, RoamingConfig, Trace};

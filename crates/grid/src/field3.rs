@@ -50,15 +50,6 @@ impl Field3 {
         x + self.nx * (y + self.ny * z)
     }
 
-    /// Coordinates of flat index `i`.
-    #[inline]
-    pub fn coords(&self, i: usize) -> (usize, usize, usize) {
-        let x = i % self.nx;
-        let y = (i / self.nx) % self.ny;
-        let z = i / (self.nx * self.ny);
-        (x, y, z)
-    }
-
     /// Read cell `(x, y, z)`.
     #[inline]
     pub fn get(&self, x: usize, y: usize, z: usize) -> f64 {
@@ -70,12 +61,6 @@ impl Field3 {
     pub fn set(&mut self, x: usize, y: usize, z: usize, v: f64) {
         let i = self.idx(x, y, z);
         self.data[i] = v;
-    }
-
-    /// Is `(x, y, z)` on the outer boundary of the box?
-    #[inline]
-    pub fn on_boundary(&self, x: usize, y: usize, z: usize) -> bool {
-        x == 0 || y == 0 || z == 0 || x == self.nx - 1 || y == self.ny - 1 || z == self.nz - 1
     }
 
     /// Borrow the raw data.
@@ -107,12 +92,18 @@ mod tests {
     use super::*;
 
     #[test]
-    fn index_roundtrip() {
+    fn index_is_x_fastest() {
         let f = Field3::new(4, 5, 6, 0.0);
-        for i in 0..f.len() {
-            let (x, y, z) = f.coords(i);
-            assert_eq!(f.idx(x, y, z), i);
+        let mut i = 0;
+        for z in 0..6 {
+            for y in 0..5 {
+                for x in 0..4 {
+                    assert_eq!(f.idx(x, y, z), i);
+                    i += 1;
+                }
+            }
         }
+        assert_eq!(i, f.len());
     }
 
     #[test]
@@ -121,15 +112,6 @@ mod tests {
         f.set(1, 2, 0, 7.5);
         assert_eq!(f.get(1, 2, 0), 7.5);
         assert_eq!(f.get(0, 0, 0), 1.0);
-    }
-
-    #[test]
-    fn boundary_detection() {
-        let f = Field3::new(4, 4, 4, 0.0);
-        assert!(f.on_boundary(0, 2, 2));
-        assert!(f.on_boundary(3, 2, 2));
-        assert!(f.on_boundary(2, 2, 3));
-        assert!(!f.on_boundary(1, 2, 2));
     }
 
     #[test]

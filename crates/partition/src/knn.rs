@@ -100,12 +100,6 @@ impl KnnRegressor {
         self.recorded[model.family()]
     }
 
-    /// Cases actually held: at most `k` per distinct point.
-    #[cfg(test)]
-    fn retained(&self) -> usize {
-        self.points.iter().flatten().map(|p| p.cases.len()).sum()
-    }
-
     /// Deposit a case.
     pub fn record(&mut self, features: QueryFeatures, model: SolutionModel, actual: CostVector) {
         let family = model.family();
@@ -330,7 +324,9 @@ mod tests {
         }
         assert_eq!(knn.len(), 10_000);
         assert_eq!(knn.family_count(&SolutionModel::InNetworkTree), 10_000);
-        assert_eq!(knn.retained(), 7 * 5);
+        // Cases actually held: at most `k` per distinct point.
+        let retained: usize = knn.points.iter().flatten().map(|p| p.cases.len()).sum();
+        assert_eq!(retained, 7 * 5);
     }
 
     mod against_oracle {

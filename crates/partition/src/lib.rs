@@ -36,7 +36,5 @@ pub mod model;
 pub use decide::{DecisionConfig, DecisionMaker, Policy};
 pub use exec::{execute_once, ExecContext, ExecError, Outcome};
 pub use features::QueryFeatures;
-pub use learn::{
-    bandit_candidates, CandidateArm, LearnContext, Learner, LinUcbLearner, NetHealth, Reward,
-};
+pub use learn::{bandit_candidates, Learner, NetHealth, Reward};
 pub use model::{CostVector, CostWeights, SolutionModel};

@@ -80,8 +80,8 @@ pub trait QueryEngine {
     /// Scheduler pressure notification: waiting-queue depth and overload
     /// level (0 normal, 0.5 brownout, 1 shed), published once per service
     /// round. Engines with an adaptive decision maker feed this into its
-    /// selection context; the default is a no-op.
-    fn note_pressure(&mut self, _queue_depth: usize, _overload_level: f64) {}
+    /// selection context; others ignore it.
+    fn note_pressure(&mut self, queue_depth: usize, overload_level: f64);
 
     /// Execute one epoch's batch, in the given (policy) order, returning
     /// one outcome per entry *in the same order*. Engines are free to run

@@ -112,8 +112,8 @@ impl QueryJournal {
     /// cancelled, shed, or migrated out — each as the record it entered
     /// the queue as, with its deadline as last tightened — in id order, so
     /// the recovery insertion order is deterministic whatever the crash
-    /// interleaving was. This is the journal-replay hot path pinned by the
-    /// `journal` microbench.
+    /// interleaving was. This is the journal-replay hot path pgbench times
+    /// as `runtime.journal.replay_busy_s`.
     pub fn open_queries(&self) -> Vec<QueuedQuery> {
         let mut open: BTreeMap<QueryId, QueuedQuery> = BTreeMap::new();
         for rec in &self.records {

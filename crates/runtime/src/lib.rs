@@ -40,10 +40,11 @@
 //! batch, so there is exactly one execution path.
 //!
 //! Inside, the books are kept by three single things: one record (a
-//! [`QueuedQuery`] is the queue element, the journal payload and what
-//! replay returns), one door (fresh and migrated admission run the same
-//! gate / mint / journal / enqueue steps) and one fate (every id that left
-//! the queue has exactly one entry in a fate table `poll` looks up).
+//! [`scheduler::QueuedQuery`] is the queue element, the journal payload
+//! and what replay returns), one door (fresh and migrated admission run
+//! the same gate / mint / journal / enqueue steps) and one fate (every id
+//! that left the queue has exactly one entry in a fate table `poll` looks
+//! up).
 //!
 //! # Example
 //!
@@ -71,6 +72,7 @@
 //!     fn estimate_energy_j(&mut self, _text: &str) -> Option<f64> {
 //!         Some(1.0)
 //!     }
+//!     fn note_pressure(&mut self, _queue_depth: usize, _overload_level: f64) {}
 //!     fn execute_batch(
 //!         &mut self,
 //!         batch: &[BatchQuery<'_>],
@@ -120,9 +122,7 @@ pub use engine::{Attribution, BatchQuery, EngineOutcome, QueryEngine};
 pub use handle::{QueryHandle, QueryStatus};
 pub use journal::{JournalRecord, QueryJournal};
 pub use overload::{OverloadConfig, OverloadPolicy, OverloadState};
-pub use scheduler::{
-    MigratedQuery, MultiQueryRuntime, QueryOutcome, QueuedQuery, RuntimeConfig, SchedPolicy,
-};
+pub use scheduler::{MigratedQuery, MultiQueryRuntime, QueryOutcome, RuntimeConfig, SchedPolicy};
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -167,6 +167,7 @@ mod tests {
         fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
             Some(Self::cost_of(text))
         }
+        fn note_pressure(&mut self, _queue_depth: usize, _overload_level: f64) {}
         fn execute_batch(
             &mut self,
             batch: &[BatchQuery<'_>],

@@ -689,9 +689,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// watermark, with a drain-estimate retry hint, instead of slamming
     /// shut at capacity.
     fn queue_gate(&self) -> Result<(), RejectReason> {
-        if self.cfg.overload.policy != OverloadPolicy::None
-            && self.overload_state == OverloadState::Shed
-        {
+        if self.overload_state == OverloadState::Shed {
             return Err(RejectReason::Overloaded {
                 retry_after: self.retry_after_estimate(),
                 queue_depth: self.waiting.len(),
@@ -891,9 +889,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// queue as it would look *after* earlier victims are gone.
     ///
     /// Pure (no mutation): this is the shedding decision hot path, run at
-    /// every round start under overload and pinned by the `overload`
-    /// microbench.
-    pub fn shed_victims(&self) -> Vec<QueryId> {
+    /// every round start under overload.
+    fn shed_victims(&self) -> Vec<QueryId> {
         let round_start = self.engine.now();
         let mut order: Vec<&QueuedQuery> = self.waiting.iter().collect();
         order.sort_by(|a, b| {
@@ -972,9 +969,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             OverloadState::Shed => 1.0,
         };
         self.engine.note_pressure(self.waiting.len(), level);
-        if self.cfg.overload.policy != OverloadPolicy::None
-            && self.overload_state == OverloadState::Shed
-        {
+        if self.overload_state == OverloadState::Shed {
             self.shed_doomed(epoch_start);
         }
         let brownout = self.cfg.overload.policy == OverloadPolicy::BrownoutShed

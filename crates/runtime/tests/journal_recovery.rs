@@ -46,6 +46,7 @@ impl QueryEngine for Echo {
     fn estimate_energy_j(&mut self, _text: &str) -> Option<f64> {
         Some(1.0)
     }
+    fn note_pressure(&mut self, _queue_depth: usize, _overload_level: f64) {}
     fn execute_batch(&mut self, batch: &[BatchQuery<'_>]) -> Vec<EngineOutcome<usize, String>> {
         batch
             .iter()

@@ -2,14 +2,14 @@
 # Rust lines per crate, so the size trend is visible from one PR to the next:
 # a Markdown table (CI appends it to the job summary) of physical `.rs` lines
 # under each crates/*, each vendor/*, src, tests and examples, in two
-# columns with a total each. "evidence" is what only checks or times the
-# code — a crate's tests/ and benches/ directories, the root tests/, and
-# inside a crate's src/ every `oracle.rs` plus the tail of any file from
-# its first column-0 `#[cfg(test)]` that opens an inline `mod … {` (a
-# `#[cfg(test)] mod oracle;` has no brace and does not count; no file in
-# the tree has shipped code after that line) — and "source" is everything
-# else, so a PR that shrinks the code while adding tests, in their own
-# files or in the file they test, shows as exactly that.
+# columns with a total each. "evidence" is what only checks the code — a
+# crate's tests/ directory, the root tests/, and inside a crate's src/
+# every `oracle.rs` plus the tail of any file from its first column-0
+# `#[cfg(test)]` that opens an inline `mod … {` (a `#[cfg(test)] mod
+# oracle;` has no brace and does not count; no file in the tree has shipped
+# code after that line) — and "source" is everything else, so a PR that
+# shrinks the code while adding tests, in their own files or in the file
+# they test, shows as exactly that.
 # Build outputs are not counted.
 #
 # Usage: scripts/loc.sh
@@ -58,7 +58,7 @@ for dir in crates/* vendor/* src tests examples; do
     else
         src="$dir/src"
         [[ "$dir" == src ]] && src=src
-        evidence=$(($(count "$dir/tests" "$dir/benches") + $(inline_evidence "$src")))
+        evidence=$(($(count "$dir/tests") + $(inline_evidence "$src")))
         source=$(($(count "$dir") - evidence))
     fi
     source_total=$((source_total + source))

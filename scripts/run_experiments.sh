@@ -35,7 +35,7 @@ mkdir -p "$out"
 # picked up automatically and cannot be silently skipped here. Anything in
 # src/bin that is neither an exp_* binary nor a known tool is an error —
 # a typo like ex_t19_foo.rs would otherwise never run anywhere.
-tools="regress microbench"
+tools="regress"
 exps=""
 unknown=""
 for src in crates/bench/src/bin/*.rs; do

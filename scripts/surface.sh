@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # What the library crates ship that no system links. A library item earns
-# its place when a system binary — one of the 26 `pg-bench` bins (24
-# `exp_*`, `regress`, `microbench`) or `pgbench` — links it; this script
-# asks the linker instead of `git grep`. It debug-builds those binaries
-# (no inlining; rustc passes `--gc-sections`, so an executable keeps only
-# what it reaches), lists every `pg_*` function that is a text symbol of a
-# library rlib and of no system executable, and checks each against
-# `scripts/surface.allow`, one line per path prefix:
+# its place when a system binary — one of the 25 `pg-bench` bins (24
+# `exp_*` and `regress`) or `pgbench` — links it; this script asks the
+# linker instead of `git grep`. It debug-builds those binaries (no
+# inlining; rustc passes `--gc-sections`, so an executable keeps only what
+# it reaches), lists every `pg_*` function that is a text symbol of a
+# library rlib, or that a test or example executable defines under a
+# library crate's path, and of no system executable, and checks each
+# against `scripts/surface.allow`, one line per path prefix:
 #
 #     <prefix> paper [<example or test path>]
 #     <prefix> reference <test path>
@@ -23,11 +24,15 @@
 # An `is_empty` needs no line while its `len` stays (linked, or explained):
 # clippy's `len_without_is_empty` ties the two.
 #
-# A lower bound: a generic or `#[inline]` function is compiled into the
-# crate that uses it, never into its own rlib, so an unused one is
-# invisible here. Symbols are compared with the hash suffix stripped;
-# closures, derives and operator impls (`core::{clone, cmp, default, fmt,
-# hash, ops}`) are not counted as items.
+# A generic or `#[inline]` function is compiled into the crate that uses
+# it, never into its own rlib; a debug executable still names each copy by
+# its generic path (`pg_runtime::scheduler::MultiQueryRuntime<E>::report`),
+# which is how the test and example executables add them. One that no
+# executable instantiates stays invisible: a lower bound. Symbols are
+# compared with the hash suffix stripped; closures, derives and operator
+# impls (`core::{clone, cmp, default, fmt, hash, ops}`), the test-only
+# `tests` / `prop_tests` / `oracle` modules and a unit-test harness's
+# `main` are not counted as items.
 #
 # Types, traits and constants leave no symbol, and a generic function none
 # in its rlib, so two textual passes follow, each a lower bound too:
@@ -133,22 +138,24 @@ artifacts build --workspace --bins >"$work/workspace"
 artifacts build --manifest-path benchmark/Cargo.toml --target-dir "$target" >"$work/pgbench"
 # Everything else that links the libraries. The examples are built as
 # programs: under `cargo test` their `main` is dead code.
-artifacts test --workspace --lib --bins --tests --benches --no-run >"$work/evidence"
+artifacts test --workspace --lib --bins --tests --no-run >"$work/evidence"
 artifacts build --workspace --examples >>"$work/evidence"
 
 awk -F'\t' '$1 == "lib" && $2 ~ /^pg_/ && $2 != "pg_bench" { print $3 }' "$work/workspace" >"$work/rlibs"
 awk -F'\t' '$1 == "bin" { print $3 }' "$work/workspace" "$work/pgbench" | sort -u >"$work/systems"
-symbols $(<"$work/rlibs") | grep -E '^<?pg_' | grep -v '{{closure}}' |
-    grep -vE '^<.* as core::(clone|cmp|default|fmt|hash|ops)::' >"$work/items"
+# The test and example executables, each with its root source.
+awk -F'\t' 'NR == FNR { system_exe[$0]; next }
+    $3 !~ /\.(rlib|rmeta|so)$/ && !($3 in system_exe) && !seen[$3]++ { print $3 "\t" $4 }' "$work/systems" "$work/evidence" >"$work/others"
+{ symbols $(<"$work/rlibs"); symbols $(cut -f1 "$work/others"); } | grep -E '^<?pg_' | grep -vE '^<?pg_bench::' |
+    grep -v '{{closure}}' | grep -vE '::(tests|prop_tests|oracle)::|^pg_[a-z_]+::main$' |
+    grep -vE '^<.* as core::(clone|cmp|default|fmt|hash|ops)::' | sort -u >"$work/items"
 symbols $(<"$work/systems") >"$work/linked"
 comm -23 "$work/items" "$work/linked" >"$work/unlinked"
 
 # item <tab> root source of each other executable that links it.
-awk -F'\t' 'NR == FNR { system_exe[$0]; next }
-    $3 !~ /\.(rlib|rmeta|so)$/ && !($3 in system_exe) && !seen[$3]++ { print $3 "\t" $4 }' "$work/systems" "$work/evidence" |
-    while IFS=$'\t' read -r exe src; do
-        symbols "$exe" | comm -12 - "$work/unlinked" | sed "s|\$|\t${src#"$PWD"/}|"
-    done >"$work/linkers"
+while IFS=$'\t' read -r exe src; do
+    symbols "$exe" | comm -12 - "$work/unlinked" | sed "s|\$|\t${src#"$PWD"/}|"
+done <"$work/others" >"$work/linkers"
 
 awk -F'\t' -v allow="$allow" -v linkers="$work/linkers" -v all_items="$work/items" -v reexports="$work/reexports" -v decls="$work/decls" '
     function complain(line, what) { printf "%s:%d: %s\n", allow, line, what > "/dev/stderr"; bad = 1 }
