@@ -69,12 +69,19 @@ impl PlanCache {
     /// next). The decomposition work happens off the request path, so it
     /// counts as neither a hit nor a miss; the next [`request`] within the
     /// TTL is a [`CacheResult::Hit`] paying only revalidation. Re-warming
-    /// an existing entry refreshes its stamp.
+    /// an existing entry refreshes its stamp and nothing else: `decompose`
+    /// is a pure function of the library, which never changes, so the
+    /// cached plan is the one it would return again.
     ///
     /// [`request`]: PlanCache::request
     pub fn warm(&mut self, task: &str, now: SimTime) -> Result<(), DecomposeError> {
-        let plan = self.lib.decompose(task)?;
-        self.entries.insert(task.to_string(), (plan, now));
+        match self.entries.get_mut(task) {
+            Some((_, stamp)) => *stamp = now,
+            None => {
+                let plan = self.lib.decompose(task)?;
+                self.entries.insert(task.to_string(), (plan, now));
+            }
+        }
         self.prewarms += 1;
         Ok(())
     }
@@ -184,6 +191,21 @@ mod tests {
         // Past the TTL the warmth has faded: full reactive path again.
         let (_, r2, _) = c.request(TASK, SimTime::from_secs(120)).unwrap();
         assert_eq!(r2, CacheResult::Miss);
+    }
+
+    /// Re-warming re-stamps the cached entry instead of decomposing again;
+    /// what a request then serves is still exactly `decompose`'s plan.
+    #[test]
+    fn rewarming_restamps_and_serves_the_decomposed_plan() {
+        let mut c = cache(60);
+        c.warm(TASK, SimTime::ZERO).unwrap();
+        c.warm(TASK, SimTime::from_secs(50)).unwrap();
+        // Fresh from the second stamp, stale from the first.
+        let (plan, r, _) = c.request(TASK, SimTime::from_secs(100)).unwrap();
+        assert_eq!(r, CacheResult::Hit);
+        let want = MethodLibrary::pervasive_grid().decompose(TASK).unwrap();
+        assert_eq!(format!("{plan:?}"), format!("{want:?}"));
+        assert_eq!((c.hits, c.misses, c.prewarms), (1, 0, 2));
     }
 
     #[test]

@@ -36,6 +36,9 @@
 //! stamp, forward owed). Every handoff record is opened in `open_handoff`
 //! and ends in exactly one [`FederationStats`] counter: a migration is
 //! completed, rejected or lost; a forward is completed, lost or abandoned.
+//! Its replicated record ends terminal to match — `Completed` once the
+//! envelope landed, `Abandoned` when it was lost or the forward abandoned
+//! — which is what lets the ledgers retire it.
 
 use crate::cell::{Cell, QueryTag};
 use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Membership, RoundCtx};
@@ -125,7 +128,7 @@ pub struct FederationStats {
     pub forwards_lost: u64,
     /// Forwards that will never carry an answer: the query was shed or
     /// lost in a crash nothing recovers, migrated away on a later move, or
-    /// was given a newer forward. The ledger record stays `Pending`.
+    /// was given a newer forward. The ledger record ends `Abandoned`.
     pub forwards_abandoned: u64,
     /// Fresh arrivals redirected away from a dead or shedding home cell.
     pub absorbed: u64,
@@ -676,8 +679,9 @@ impl Federation {
                         // The query's business at this cell is over; a
                         // forward it was promised on an earlier move
                         // will carry nothing.
-                        if let Some(tag) = self.cells[idx].tags.remove(&handle.id()) {
-                            self.stats.forwards_abandoned += u64::from(tag.forward.is_some());
+                        let tag = self.cells[idx].tags.remove(&handle.id());
+                        if let Some(forward) = tag.and_then(|t| t.forward) {
+                            self.abandon_forward(idx, forward, at);
                         }
                         let id = self.open_handoff(HandoffKind::Migrate, user, idx, d, at);
                         self.ship(id, idx, d, Cargo::Query { query, user });
@@ -688,9 +692,9 @@ impl Federation {
                     // or destination dead): forward the answer when it
                     // lands. A forward from an earlier move is superseded.
                     let id = self.open_handoff(HandoffKind::ForwardHome, user, idx, to, at);
-                    if let Some(tag) = self.cells[idx].tags.get_mut(&handle.id()) {
-                        let superseded = tag.forward.replace(id);
-                        self.stats.forwards_abandoned += u64::from(superseded.is_some());
+                    let tag = self.cells[idx].tags.get_mut(&handle.id());
+                    if let Some(superseded) = tag.and_then(|t| t.forward.replace(id)) {
+                        self.abandon_forward(idx, superseded, at);
                     }
                     keep.push((idx, handle));
                 }
@@ -828,7 +832,7 @@ impl Federation {
 
     /// Run the bus to quiescence and apply every delivery. Envelopes still
     /// unaccounted for afterwards exhausted their retries (dead-lettered):
-    /// a migrating query lost in transit stays Pending in the ledger.
+    /// the sender's ledger marks their records `Abandoned`.
     fn pump_bus(&mut self, end: SimTime) {
         self.bus.run_to_quiescence();
         for i in 0..self.cells.len() {
@@ -853,11 +857,12 @@ impl Federation {
                 }
             }
         }
-        for lost in std::mem::take(&mut self.in_transit).into_values() {
+        for (id, lost) in std::mem::take(&mut self.in_transit) {
             match lost.cargo {
                 Cargo::Query { .. } => self.stats.migrations_lost += 1,
                 Cargo::Answer => self.stats.forwards_lost += 1,
             }
+            self.handoffs[lost.from].advance(id, HandoffPhase::Abandoned, end, None, false);
         }
     }
 
@@ -930,14 +935,22 @@ impl Federation {
         for roamer in &mut self.roamers {
             roamer.open.retain(|&(c, _)| journal && crashed[c]);
         }
-        for (i, cell) in self.cells.iter_mut().enumerate() {
-            if journal && crashed[i] {
+        for i in 0..self.cells.len() {
+            if journal && self.crashed[i] {
                 continue;
             }
-            let dead = std::mem::take(&mut cell.tags);
-            let owed = dead.values().filter(|t| t.forward.is_some()).count();
-            self.stats.forwards_abandoned += owed as u64;
+            for tag in std::mem::take(&mut self.cells[i].tags).into_values() {
+                if let Some(forward) = tag.forward {
+                    self.abandon_forward(i, forward, self.now);
+                }
+            }
         }
+    }
+
+    /// Forward `id`, opened by cell `at`, will never carry an answer.
+    fn abandon_forward(&mut self, at: usize, id: HandoffId, now: SimTime) {
+        self.stats.forwards_abandoned += 1;
+        self.handoffs[at].advance(id, HandoffPhase::Abandoned, now, None, false);
     }
 }
 
@@ -1211,6 +1224,25 @@ mod tests {
             assert!(fed.roamers.iter().all(|r| r.open.is_empty()));
             assert!(fed.in_transit.is_empty());
             abandoned += s.forwards_abandoned;
+
+            // The ledgers end in the same counters: every record terminal,
+            // and after a few more rounds of gossip every one retired at
+            // every cell, each counted once.
+            let completed = s.migrations_completed + s.migrations_rejected + s.forwards_completed;
+            let given_up = s.migrations_lost + s.forwards_lost + s.forwards_abandoned;
+            let opened = (s.migrations_opened + s.forwards_opened) as usize;
+            for _ in 0..20 {
+                fed.step_window(SimTime::from_secs(t));
+            }
+            for ledger in fed.handoff_ledgers() {
+                assert_eq!(ledger.len(), opened, "seed {seed}");
+                let want = [0, 0, given_up as usize, completed as usize];
+                assert_eq!(ledger.phase_counts(), want, "seed {seed}");
+                assert!(
+                    ledger.snapshot().is_empty(),
+                    "seed {seed}: records never retired"
+                );
+            }
         }
         assert!(abandoned > 0, "no forward was ever abandoned — vacuous");
     }
@@ -1343,16 +1375,23 @@ mod tests {
                 QueryOpts::with_deadline(Duration::from_secs(deadline_s)),
             );
         }
-        fed.run(SimTime::from_secs(600));
+        // Read the ledgers the window both land, before gossip retires
+        // the records.
+        let horizon = SimTime::from_secs(600);
+        while fed.stats.migrations_completed < 2 {
+            assert!(!fed.step_window(horizon), "drained before both landed");
+        }
+        let landed: Vec<HandoffRecord> = (fed.handoff_ledgers().iter())
+            .flat_map(HandoffStore::snapshot)
+            .filter(|r| r.kind == HandoffKind::Migrate && r.phase == HandoffPhase::Completed)
+            .collect();
+        assert_eq!(landed.len(), 2, "{landed:?}");
+        assert!(landed.iter().all(|r| !r.warm), "{landed:?}");
+        fed.run(horizon);
         let s = &fed.stats;
         assert_eq!(s.migrations_completed, 2, "{s:?}");
         assert!(s.warm_handoff_latencies_s.is_empty(), "{s:?}");
         assert_eq!(s.cold_handoff_latencies_s.len(), 2);
-        let warm_records = (fed.handoff_ledgers().iter())
-            .flat_map(HandoffStore::snapshot)
-            .filter(|r| r.warm)
-            .count();
-        assert_eq!(warm_records, 0);
     }
 
     #[test]

@@ -11,26 +11,30 @@
 //! 120 s is *Suspect*, for 300 s *Dead* — so a crashed base station is
 //! discovered without any central orchestrator, and a cell that recovers
 //! (volunteer churn) is rehabilitated the moment its heartbeat advances
-//! again.
+//! again. Cells are numbered densely from 0, so a table is one row per
+//! cell in a `Vec` indexed by `CellId.0`: a merge reads the peer's rows in
+//! cell order and writes each into the same slot, with no lookup.
 //!
 //! Digests piggyback a [`LoadDigest`] per cell — queue depth, overload
 //! state, shed rate, base-station health — which is what peer load
 //! absorption steers by, and [`gossip_round`] also merges the replicated
 //! [`HandoffStore`]s D-GRID-style so every cell converges on the same
-//! pending/in-progress/completed handoff view. Both exchanges are by
+//! pending/in-progress/terminal handoff view. Both exchanges are by
 //! reference: a contact borrows the two cells' tables and the two cells'
 //! ledgers out of their slices and merges one into the other in place
-//! ([`Membership::merge_from`], [`HandoffStore::merge_from`]) — nothing is
-//! copied to be sent.
+//! ([`Membership::merge_from`], `HandoffStore::merge_from`) — nothing is
+//! copied to be sent. A ledger contact is told which two cells meet and
+//! how many the federation has, which is all a ledger needs to retire the
+//! records every cell holds settled (see [`crate::handoff`]), so each
+//! contact walks only what is still open somewhere.
 
-use crate::handoff::HandoffStore;
+use crate::handoff::{HandoffStore, Quorum};
 use pg_runtime::OverloadState;
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::mix;
 use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// Identity of one base-station cell in the federation.
@@ -154,8 +158,12 @@ impl Default for GossipConfig {
 pub struct Membership {
     /// The owning cell.
     pub me: CellId,
-    table: BTreeMap<CellId, MemberInfo>,
-    resurrections: BTreeMap<CellId, u64>,
+    /// One row per cell, indexed by `CellId.0`; `None` for a cell not yet
+    /// heard of.
+    rows: Vec<Option<MemberInfo>>,
+    /// Dead -> Alive transitions per cell, indexed like `rows` (shorter
+    /// while the last cells never came back).
+    resurrections: Vec<u64>,
     /// Count of peers currently in [`MemberState::Dead`]. Only
     /// [`classify`](Membership::classify) kills and only
     /// [`absorb`](Membership::absorb) resurrects, so those two points keep
@@ -168,7 +176,6 @@ impl Membership {
     /// Bootstrap: a fresh cell knows itself and its introducers only; the
     /// rest of the federation is learned by anti-entropy.
     pub fn new(me: CellId, introducers: &[CellId], now: SimTime) -> Self {
-        let mut table = BTreeMap::new();
         let fresh = |hb| MemberInfo {
             entry: MemberEntry {
                 heartbeat: hb,
@@ -178,23 +185,34 @@ impl Membership {
             last_heard: now,
             state: MemberState::Alive,
         };
-        table.insert(me, fresh(1));
+        let mut m = Membership {
+            me,
+            rows: Vec::new(),
+            resurrections: Vec::new(),
+            dead_count: 0,
+        };
+        *m.row_mut(me) = Some(fresh(1));
         for &i in introducers {
             if i != me {
-                table.insert(i, fresh(0));
+                *m.row_mut(i) = Some(fresh(0));
             }
         }
-        Membership {
-            me,
-            table,
-            resurrections: BTreeMap::new(),
-            dead_count: 0,
+        m
+    }
+
+    /// `cell`'s row, the table grown to hold it.
+    fn row_mut(&mut self, cell: CellId) -> &mut Option<MemberInfo> {
+        let c = cell.0 as usize;
+        if c >= self.rows.len() {
+            self.rows.resize(c + 1, None);
         }
+        &mut self.rows[c]
     }
 
     /// The owner is up at `now`: advance its heartbeat and publish `load`.
     pub fn beat(&mut self, now: SimTime, load: LoadDigest) {
-        let info = self.table.entry(self.me).or_insert(MemberInfo {
+        let me = self.me;
+        let info = self.row_mut(me).get_or_insert(MemberInfo {
             entry: MemberEntry {
                 heartbeat: 0,
                 incarnation: 0,
@@ -215,7 +233,8 @@ impl Membership {
     /// (besides first-hand contact) that resurrects it at peers that
     /// already evicted it.
     pub fn bump_incarnation(&mut self) {
-        if let Some(info) = self.table.get_mut(&self.me) {
+        let me = self.me;
+        if let Some(info) = self.row_mut(me) {
             info.entry.incarnation += 1;
         }
     }
@@ -224,7 +243,7 @@ impl Membership {
     /// A stable protocol resurrects an evicted peer at most once per
     /// genuine recovery; flapping shows up as a higher count.
     pub fn resurrections_of(&self, cell: CellId) -> u64 {
-        self.resurrections.get(&cell).copied().unwrap_or(0)
+        (self.resurrections.get(cell.0 as usize).copied()).unwrap_or(0)
     }
 
     /// Merge everything `other` would gossip, straight from its table:
@@ -232,7 +251,7 @@ impl Membership {
     /// a local staleness judgment rather than a rumor). Two of these run
     /// per gossip contact, every round, for every cell.
     pub fn merge_from(&mut self, other: &Membership, now: SimTime) {
-        for (&cell, info) in &other.table {
+        for (cell, info) in other.members() {
             if info.state == MemberState::Dead {
                 continue;
             }
@@ -257,50 +276,50 @@ impl Membership {
         if cell == self.me {
             return;
         }
-        match self.table.get_mut(&cell) {
-            Some(info) => {
-                let newer = entry.key() > info.entry.key();
-                let was_dead = info.state == MemberState::Dead;
-                // First-hand: the evicted peer itself sent this digest
-                // — proof of life even when its entry is no newer than
-                // the rumors we already absorbed while holding it Dead.
-                let resurrect = if was_dead {
-                    cell == from || entry.incarnation > info.entry.incarnation
-                } else {
-                    newer
-                };
-                if newer {
-                    info.entry = entry;
-                }
-                if resurrect {
-                    info.last_heard = now;
-                    info.state = MemberState::Alive;
-                    if was_dead {
-                        *self.resurrections.entry(cell).or_default() += 1;
-                        self.dead_count -= 1;
-                    }
-                }
+        let row = self.row_mut(cell);
+        let Some(info) = row.as_mut() else {
+            *row = Some(MemberInfo {
+                entry,
+                last_heard: now,
+                state: MemberState::Alive,
+            });
+            return;
+        };
+        let newer = entry.key() > info.entry.key();
+        let was_dead = info.state == MemberState::Dead;
+        // First-hand: the evicted peer itself sent this digest — proof of
+        // life even when its entry is no newer than the rumors we already
+        // absorbed while holding it Dead.
+        let resurrect = if was_dead {
+            cell == from || entry.incarnation > info.entry.incarnation
+        } else {
+            newer
+        };
+        if newer {
+            info.entry = entry;
+        }
+        if resurrect {
+            info.last_heard = now;
+            info.state = MemberState::Alive;
+        }
+        if resurrect && was_dead {
+            let c = cell.0 as usize;
+            if c >= self.resurrections.len() {
+                self.resurrections.resize(c + 1, 0);
             }
-            None => {
-                self.table.insert(
-                    cell,
-                    MemberInfo {
-                        entry,
-                        last_heard: now,
-                        state: MemberState::Alive,
-                    },
-                );
-            }
+            self.resurrections[c] += 1;
+            self.dead_count -= 1;
         }
     }
 
     /// Re-classify every peer by heartbeat staleness at `now`.
     pub fn classify(&mut self, now: SimTime) {
         let mut dead = 0;
-        for (&cell, info) in self.table.iter_mut() {
-            if cell == self.me {
+        let me = self.me.0 as usize;
+        for (c, row) in self.rows.iter_mut().enumerate() {
+            let Some(info) = row.as_mut().filter(|_| c != me) else {
                 continue;
-            }
+            };
             let stale = now.since(info.last_heard);
             info.state = if stale >= EVICT_AFTER {
                 dead += 1;
@@ -316,32 +335,30 @@ impl Membership {
 
     /// Cells this table counts as live (self plus every non-Dead peer).
     pub fn live_set(&self) -> Vec<CellId> {
-        self.table
-            .iter()
+        (self.members())
             .filter(|(_, i)| i.state != MemberState::Dead)
-            .map(|(&c, _)| c)
+            .map(|(c, _)| c)
             .collect()
     }
 
     /// The last gossiped load digest for `cell`, if known and not evicted.
     pub fn load_of(&self, cell: CellId) -> Option<&LoadDigest> {
-        self.table
-            .get(&cell)
+        (self.rows.get(cell.0 as usize)?.as_ref())
             .filter(|i| i.state != MemberState::Dead)
             .map(|i| &i.entry.load)
     }
 
-    /// Full table view (tests, experiments).
+    /// Every known cell with its row, in cell order (the full table view).
     pub fn members(&self) -> impl Iterator<Item = (CellId, &MemberInfo)> {
-        self.table.iter().map(|(&c, i)| (c, i))
+        (self.rows.iter().enumerate())
+            .filter_map(|(c, row)| Some((CellId(c as u32), row.as_ref()?)))
     }
 
     /// Known (non-evicted) peers other than self — gossip target pool.
     fn gossip_candidates(&self) -> Vec<CellId> {
-        self.table
-            .iter()
-            .filter(|(&c, i)| c != self.me && i.state != MemberState::Dead)
-            .map(|(&c, _)| c)
+        (self.members())
+            .filter(|&(c, i)| c != self.me && i.state != MemberState::Dead)
+            .map(|(c, _)| c)
             .collect()
     }
 
@@ -352,10 +369,9 @@ impl Membership {
         if self.dead_count == 0 {
             return Vec::new();
         }
-        self.table
-            .iter()
-            .filter(|(&c, i)| c != self.me && i.state == MemberState::Dead)
-            .map(|(&c, _)| c)
+        (self.members())
+            .filter(|&(c, i)| c != self.me && i.state == MemberState::Dead)
+            .map(|(c, _)| c)
             .collect()
     }
 }
@@ -423,6 +439,12 @@ pub fn gossip_round(
 /// per round (round-robin over its dead pool, no RNG draw, so fault-free
 /// runs are untouched): a healed partition is re-discovered first-hand
 /// instead of staying split forever once both sides evicted each other.
+///
+/// The federation is `members.len()` cells, and that is the quorum a
+/// handoff ledger retires against: a record leaves the live ledgers once
+/// every one of those cells is known to hold it terminal and to know the
+/// others do (see [`crate::handoff`]). A crashed or partitioned cell holds
+/// retirement back until it is heard from again.
 pub fn gossip_round_ctx(
     members: &mut [Membership],
     handoffs: &mut [HandoffStore],
@@ -430,6 +452,7 @@ pub fn gossip_round_ctx(
     ctx: &RoundCtx<'_>,
 ) {
     debug_assert_eq!(members.len(), up.len());
+    let n = members.len();
     let now = ctx.now;
     let link_up = |from: usize, to: usize| {
         ctx.faults
@@ -476,13 +499,14 @@ pub fn gossip_round_ctx(
             if pull_ok {
                 mi.merge_from(mt, now);
             }
-            // A cell without a ledger has nothing to exchange.
+            // A cell without a ledger has nothing to exchange, and the
+            // records it never holds are never settled everywhere.
             if let Ok([hi, ht]) = handoffs.get_disjoint_mut([i, t]) {
                 if push_ok {
-                    ht.merge_from(hi);
+                    ht.merge_from(hi, Quorum::new(t, i, n));
                 }
                 if pull_ok {
-                    hi.merge_from(ht);
+                    hi.merge_from(ht, Quorum::new(i, t, n));
                 }
             }
         }

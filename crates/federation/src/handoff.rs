@@ -2,23 +2,45 @@
 //!
 //! Every cross-cell handoff — a migrating in-flight query or a result
 //! forwarded home — is tracked by a [`HandoffRecord`] that moves through
-//! `Pending → InProgress → Completed`. Records live in per-cell
+//! `Pending → InProgress` and ends in one of two terminal phases:
+//! `Completed`, or `Abandoned` when its envelope dead-lettered or the
+//! forward will never carry an answer. Records live in per-cell
 //! [`HandoffStore`]s replicated by the gossip layer (SNIPPETS #1: queue /
 //! in-progress / completed state replicated between peers with no central
 //! orchestrator), merging by phase dominance: a record can only move
 //! forward, so whichever replica has seen more of the handoff wins and
 //! every cell converges on the same view.
 //!
-//! A ledger is a `Vec` of records **sorted by [`HandoffId`]**. Gossip is
-//! the ledger's hot path — every contact, every round, visits every record
-//! of both replicas to apply a handful of changes — so the exchange is
-//! store-to-store ([`HandoffStore::merge_from`]): one lockstep walk down
-//! the two sorted vectors, absorbing in place where the ids match and
-//! cloning only the records the receiver has never seen. No snapshot is
-//! copied and no record is looked up. Point operations (`open`, `advance`,
-//! `get`, single-record `merge`) are binary searches. The `BTreeMap`
-//! ledger this replaced is the `#[cfg(test)]` oracle the lockstep merge is
-//! checked against.
+//! A ledger walks only what is still open somewhere. Each live record
+//! carries two sets of replicas, one bit per cell index: `held`, the
+//! replicas seen holding it terminal, and `settled`, the replicas seen
+//! holding it with `held` full — each of those knows that every replica
+//! holds it terminal. A gossip contact joins both sets by union
+//! (`HandoffStore::merge_from`, told its own index, the peer's and the
+//! federation's size). Once `settled` is full the record leaves the live
+//! vector for a checkpoint of per-phase counts and a sum of record hashes;
+//! [`len`](HandoffStore::len), [`phase_counts`](HandoffStore::phase_counts)
+//! and [`ledger_hash`](HandoffStore::ledger_hash) count checkpoint and
+//! live records alike, so retiring a record changes none of them.
+//!
+//! Retirement needs no retired-id table because of two rules. When a store
+//! has retired a record, every live copy of it carries that store's own
+//! bit in `held`, since `settled` was full. So a record a store does not
+//! hold whose `held` names the store is one it retired, and it is dropped,
+//! never re-adopted. And a peer that lacks a record it is known to have
+//! held terminal retired it, so the receiver retires it too. One level is
+//! not enough: retiring on a full `held` leaves peers whose copies lack
+//! the retiree's bit, and the retiree would adopt their copy a second
+//! time.
+//!
+//! Live records are a `Vec` **sorted by [`HandoffId`]**. A gossip contact
+//! is store-to-store: one lockstep walk down the two sorted vectors,
+//! absorbing in place where the ids match and cloning only the records the
+//! receiver has never seen. No snapshot is copied and no record is looked
+//! up. Point operations (`open`, `advance`, `get`, single-record `merge`)
+//! are binary searches. The `BTreeMap` ledger this replaced, which never
+//! retires anything, is the `#[cfg(test)]` oracle the stores are checked
+//! against.
 
 use crate::gossip::CellId;
 use pg_sim::SimTime;
@@ -58,8 +80,19 @@ pub enum HandoffPhase {
     Pending,
     /// The destination has the envelope and is re-planning / admitting.
     InProgress,
-    /// Done: re-admitted at the destination, or the result delivered.
+    /// Terminal, nothing delivered: the envelope dead-lettered on the bus,
+    /// or the forward will never carry an answer (its query was shed, lost
+    /// in a crash, migrated away, or given a newer forward).
+    Abandoned,
+    /// Terminal: re-admitted at the destination, or the result delivered.
     Completed,
+}
+
+impl HandoffPhase {
+    /// No replica moves the record on its own from here.
+    fn is_terminal(self) -> bool {
+        self >= HandoffPhase::Abandoned
+    }
 }
 
 /// One replicated handoff record.
@@ -122,38 +155,136 @@ impl HandoffRecord {
         changed
     }
 
-    /// Fold this record into a running FNV-1a hash — the ledger
-    /// fingerprint two replicas compare to assert convergence.
-    fn hash_into(&self, h: &mut u64) {
-        let mut mixin = |v: u64| {
-            *h ^= v;
-            *h = h.wrapping_mul(0x100_0000_01b3);
-        };
-        mixin(self.id.0);
-        mixin(self.user);
-        mixin(self.from.0 as u64);
-        mixin(self.to.0 as u64);
-        mixin(match self.kind {
-            HandoffKind::Migrate => 1,
-            HandoffKind::ForwardHome => 2,
-        });
-        mixin(match self.phase {
+    /// FNV-1a over every field: this record's term in the ledger hash.
+    fn hash(&self) -> u64 {
+        let phase = match self.phase {
             HandoffPhase::Pending => 1,
             HandoffPhase::InProgress => 2,
             HandoffPhase::Completed => 3,
-        });
-        mixin(self.opened_at.as_nanos());
-        mixin(self.completed_at.map_or(u64::MAX, |t| t.as_nanos()));
-        mixin(self.latency_s.map_or(u64::MAX, f64::to_bits));
-        mixin(self.warm as u64);
+            HandoffPhase::Abandoned => 4,
+        };
+        let kind = match self.kind {
+            HandoffKind::Migrate => 1,
+            HandoffKind::ForwardHome => 2,
+        };
+        [
+            self.id.0,
+            self.user,
+            u64::from(self.from.0),
+            u64::from(self.to.0),
+            kind,
+            phase,
+            self.opened_at.as_nanos(),
+            self.completed_at.map_or(u64::MAX, |t| t.as_nanos()),
+            self.latency_s.map_or(u64::MAX, f64::to_bits),
+            u64::from(self.warm),
+        ]
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, v| {
+            (h ^ v).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+}
+
+/// One gossip contact as retirement sees it: the receiving replica's bit,
+/// the sending peer's, and the set of every replica.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Quorum {
+    me: u64,
+    peer: u64,
+    all: u64,
+}
+
+impl Quorum {
+    /// A contact that sets no bit and can never be full: a plain merge.
+    pub(crate) const NONE: Quorum = Quorum {
+        me: 0,
+        peer: 0,
+        all: u64::MAX,
+    };
+
+    /// Replica `me` merging from replica `peer`, of `replicas` in all. A
+    /// federation of more cells than a `u64` has bits retires nothing.
+    pub(crate) fn new(me: usize, peer: usize, replicas: usize) -> Quorum {
+        if !(1..=64).contains(&replicas) {
+            return Quorum::NONE;
+        }
+        debug_assert!(me < replicas && peer < replicas && me != peer);
+        Quorum {
+            me: 1 << me,
+            peer: 1 << peer,
+            all: u64::MAX >> (64 - replicas),
+        }
+    }
+}
+
+/// A record still open somewhere, with the replicas known to hold it
+/// terminal.
+#[derive(Debug, Clone)]
+struct Live {
+    record: HandoffRecord,
+    /// Replicas seen holding the record terminal.
+    held: u64,
+    /// Replicas seen holding it with `held` full.
+    settled: u64,
+}
+
+impl Live {
+    fn new(record: HandoffRecord) -> Live {
+        Live {
+            record,
+            held: 0,
+            settled: 0,
+        }
+    }
+
+    /// Join the peer's copy's sets into these (its record already
+    /// absorbed), counting the peer in where its copy shows it. True once
+    /// the record is settled everywhere.
+    fn join(&mut self, theirs: &Live, q: Quorum) -> bool {
+        let mut held = theirs.held;
+        if theirs.record.phase.is_terminal() {
+            held |= q.peer;
+        }
+        if held == q.all {
+            self.settled |= q.peer;
+        }
+        self.held |= held;
+        self.settled |= theirs.settled;
+        self.count_me(q)
+    }
+
+    /// The peer holds no copy. True when this one should retire: settled
+    /// everywhere, or the peer — known to have held it terminal — retired
+    /// it, which it does only once the record is settled everywhere.
+    fn alone(&mut self, q: Quorum) -> bool {
+        if self.held & q.peer != 0 {
+            self.settled = q.all;
+        }
+        self.count_me(q)
+    }
+
+    /// Count this replica in; true once the record is settled everywhere.
+    fn count_me(&mut self, q: Quorum) -> bool {
+        if self.record.phase.is_terminal() {
+            self.held |= q.me;
+        }
+        if self.held == q.all {
+            self.settled |= q.me;
+        }
+        self.settled == q.all
     }
 }
 
 /// One cell's replica of the federation-wide handoff ledger.
 #[derive(Debug, Clone, Default)]
 pub struct HandoffStore {
-    /// Strictly ascending by `id`.
-    records: Vec<HandoffRecord>,
+    /// Strictly ascending by id.
+    live: Vec<Live>,
+    /// Records retired, by phase (`HandoffPhase as usize`).
+    retired: [usize; 4],
+    /// Wrapping sum of the retired records' hashes.
+    retired_hash: u64,
 }
 
 impl HandoffStore {
@@ -162,32 +293,35 @@ impl HandoffStore {
         HandoffStore::default()
     }
 
-    /// Where `id` is (`Ok`) or would be inserted (`Err`).
+    /// Where `id` is (`Ok`) or would be inserted (`Err`) among the live
+    /// records.
     fn position(&self, id: HandoffId) -> Result<usize, usize> {
-        self.records.binary_search_by_key(&id, |r| r.id)
+        self.live.binary_search_by_key(&id, |l| l.record.id)
     }
 
     /// Absorb `record` into the replica's copy of it, or adopt it if the
-    /// id is new. Returns true when the ledger changed.
+    /// id is not live here. Returns true when the ledger changed.
     fn upsert(&mut self, record: &HandoffRecord) -> bool {
         match self.position(record.id) {
-            Ok(i) => self.records[i].absorb(record),
+            Ok(i) => self.live[i].record.absorb(record),
             Err(i) => {
-                self.records.insert(i, record.clone());
+                self.live.insert(i, Live::new(record.clone()));
                 true
             }
         }
     }
 
     /// Open a record. Callers mint fresh ids; replaying a copy of a record
-    /// the ledger already holds merges like any other replica's copy, so
-    /// an older `Pending` can never un-complete it.
+    /// the ledger still holds merges like any other replica's copy, so an
+    /// older `Pending` can never un-complete it.
     pub fn open(&mut self, record: HandoffRecord) {
         self.upsert(&record);
     }
 
-    /// Advance `id` to `phase` if that moves it forward; stamps completion
-    /// time and measured latency when `phase` is Completed.
+    /// Advance `id` to `phase` if that moves it forward from a phase that
+    /// is not terminal; stamps completion time and measured latency when
+    /// `phase` is Completed. A terminal record is final at its replica,
+    /// which is what lets retirement checkpoint its value.
     pub fn advance(
         &mut self,
         id: HandoffId,
@@ -197,8 +331,8 @@ impl HandoffStore {
         warm: bool,
     ) {
         if let Ok(i) = self.position(id) {
-            let r = &mut self.records[i];
-            if phase > r.phase {
+            let r = &mut self.live[i].record;
+            if phase > r.phase && !r.phase.is_terminal() {
                 r.phase = phase;
                 r.warm = warm;
                 if phase == HandoffPhase::Completed {
@@ -209,14 +343,14 @@ impl HandoffStore {
         }
     }
 
-    /// Look up one record.
+    /// Look up one live record.
     pub fn get(&self, id: HandoffId) -> Option<&HandoffRecord> {
-        self.position(id).ok().map(|i| &self.records[i])
+        self.position(id).ok().map(|i| &self.live[i].record)
     }
 
-    /// A copy of every record, in id order.
+    /// A copy of every live record, in id order.
     pub fn snapshot(&self) -> Vec<HandoffRecord> {
-        self.records.clone()
+        self.live.iter().map(|l| l.record.clone()).collect()
     }
 
     /// Merge records in any order (an envelope's one record, a peer's
@@ -235,89 +369,107 @@ impl HandoffStore {
 
     /// Merge a peer's whole ledger, replica to replica — what
     /// `merge(&other.snapshot())` would do, same delta, without the copy
-    /// or the lookups. One lockstep pass down both sorted vectors absorbs
-    /// the records both sides hold; only if the peer holds ids this
-    /// replica lacks does a second pass clone those in, merging backwards
-    /// into the grown vector so nothing is shifted twice or rebuilt.
-    pub fn merge_from(&mut self, other: &HandoffStore) -> usize {
+    /// or the lookups — and retire what `q` shows settled everywhere. One
+    /// lockstep pass down both sorted vectors absorbs the records both
+    /// sides hold and joins their replica sets; only if the peer holds ids
+    /// this replica lacks (and never retired) does a second pass clone
+    /// those in, merging backwards into the grown vector so nothing is
+    /// shifted twice or rebuilt. Retired records leave in one last pass.
+    pub(crate) fn merge_from(&mut self, other: &HandoffStore, q: Quorum) -> usize {
         let mut delta = 0;
         let mut missing = 0;
         let mut first_missing = None;
+        let mut settled = false;
         let mut i = 0;
-        for r in &other.records {
-            while self.records.get(i).is_some_and(|mine| mine.id < r.id) {
+        for theirs in &other.live {
+            let id = theirs.record.id;
+            while let Some(mine) = self.live.get_mut(i).filter(|l| l.record.id < id) {
+                settled |= mine.alone(q);
                 i += 1;
             }
-            match self.records.get_mut(i) {
-                Some(mine) if mine.id == r.id => {
-                    delta += usize::from(mine.absorb(r));
+            match self.live.get_mut(i) {
+                Some(mine) if mine.record.id == id => {
+                    delta += usize::from(mine.record.absorb(&theirs.record));
+                    settled |= mine.join(theirs, q);
                     i += 1;
                 }
+                // It names this replica as a holder: retired here.
+                _ if theirs.held & q.me != 0 => {}
                 _ => {
                     missing += 1;
-                    first_missing.get_or_insert(r);
+                    first_missing.get_or_insert(theirs);
                 }
             }
         }
-        let Some(filler) = first_missing else {
-            return delta;
-        };
-        // Backward merge: `read` is the end of this replica's records not
-        // yet placed, `write` the end of the free space above them. Every
-        // slot from the final `write` up is written exactly once, so the
-        // filler the vector grew by never survives.
-        let mut read = self.records.len();
-        let mut write = read + missing;
-        self.records.resize(write, filler.clone());
-        for r in other.records.iter().rev() {
-            while read > 0 && self.records[read - 1].id > r.id {
-                read -= 1;
+        for mine in &mut self.live[i..] {
+            settled |= mine.alone(q);
+        }
+        if let Some(filler) = first_missing {
+            // Backward merge: `read` is the end of this replica's records
+            // not yet placed, `write` the end of the free space above them.
+            // Every slot from the final `write` up is written exactly once,
+            // so the filler the vector grew by never survives.
+            let mut read = self.live.len();
+            let mut write = read + missing;
+            self.live.resize(write, filler.clone());
+            for theirs in other.live.iter().rev() {
+                let id = theirs.record.id;
+                while read > 0 && self.live[read - 1].record.id > id {
+                    read -= 1;
+                    write -= 1;
+                    self.live.swap(read, write);
+                }
+                if read > 0 && self.live[read - 1].record.id == id || theirs.held & q.me != 0 {
+                    continue;
+                }
                 write -= 1;
-                self.records.swap(read, write);
+                let mut adopted = Live::new(theirs.record.clone());
+                adopted.join(theirs, q);
+                self.live[write] = adopted;
+                if write == read {
+                    break;
+                }
             }
-            if read > 0 && self.records[read - 1].id == r.id {
-                continue;
-            }
-            write -= 1;
-            self.records[write] = r.clone();
-            if write == read {
-                break;
-            }
+            delta += missing;
         }
-        delta + missing
+        if settled {
+            let (retired, hash) = (&mut self.retired, &mut self.retired_hash);
+            self.live.retain(|l| {
+                if l.settled != q.all {
+                    return true;
+                }
+                retired[l.record.phase as usize] += 1;
+                *hash = hash.wrapping_add(l.record.hash());
+                false
+            });
+        }
+        delta
     }
 
-    /// Order-independent fingerprint of the whole ledger: two replicas
-    /// that gossiped to convergence hash identically, however their
-    /// updates interleaved across a partition.
+    /// Order-independent fingerprint of every record this replica knows,
+    /// retired or live: a wrapping sum of per-record hashes, so two
+    /// replicas that gossiped to convergence hash identically however
+    /// their updates interleaved, and retiring a record never moves it.
     pub fn ledger_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for r in &self.records {
-            r.hash_into(&mut h);
-        }
-        h
+        (self.live.iter()).fold(self.retired_hash, |h, l| h.wrapping_add(l.record.hash()))
     }
 
-    /// Total records known.
+    /// Total records known, retired or live.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.retired.iter().sum::<usize>() + self.live.len()
     }
 
     /// Is the ledger empty?
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.len() == 0
     }
 
-    /// How many records sit in each phase: `(pending, in_progress,
-    /// completed)`.
-    pub fn phase_counts(&self) -> (usize, usize, usize) {
-        let mut c = (0, 0, 0);
-        for r in &self.records {
-            match r.phase {
-                HandoffPhase::Pending => c.0 += 1,
-                HandoffPhase::InProgress => c.1 += 1,
-                HandoffPhase::Completed => c.2 += 1,
-            }
+    /// How many records, retired or live, sit in each phase: `[pending,
+    /// in_progress, abandoned, completed]`.
+    pub fn phase_counts(&self) -> [usize; 4] {
+        let mut c = self.retired;
+        for l in &self.live {
+            c[l.record.phase as usize] += 1;
         }
         c
     }
@@ -448,7 +600,29 @@ mod tests {
             s.get(HandoffId(7)).map(|r| r.phase),
             Some(HandoffPhase::Completed)
         );
-        assert_eq!(s.phase_counts(), (0, 0, 1));
+        assert_eq!(s.phase_counts(), [0, 0, 0, 1]);
+
+        // An abandoned record is final here: completing it is a no-op.
+        s.open(rec(8, HandoffPhase::Pending));
+        s.advance(
+            HandoffId(8),
+            HandoffPhase::Abandoned,
+            SimTime::from_secs(4),
+            None,
+            false,
+        );
+        s.advance(
+            HandoffId(8),
+            HandoffPhase::Completed,
+            SimTime::from_secs(5),
+            Some(1.0),
+            false,
+        );
+        assert_eq!(
+            s.get(HandoffId(8)).map(|r| (r.phase, r.completed_at)),
+            Some((HandoffPhase::Abandoned, None))
+        );
+        assert_eq!(s.phase_counts(), [0, 0, 1, 1]);
     }
 
     /// Regression: `open` used to overwrite whatever the ledger held, so
@@ -475,6 +649,62 @@ mod tests {
         assert_eq!(t.snapshot(), done);
     }
 
+    /// Three replicas, one record: it retires at each replica only once
+    /// every replica has seen every other hold it terminal, and a copy a
+    /// lagging peer pushes afterwards is dropped, not adopted again.
+    #[test]
+    fn a_settled_record_retires_and_is_never_adopted_again() {
+        let n = 3;
+        let mut s: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
+        let mut done = rec(5, HandoffPhase::Completed);
+        done.completed_at = Some(SimTime::from_secs(3));
+        s[0].open(done);
+        s[1].open(rec(6, HandoffPhase::Pending));
+        let hash = |s: &[HandoffStore]| {
+            let mut a = HandoffStore::new();
+            for x in s {
+                a.merge(&x.snapshot());
+            }
+            a.ledger_hash()
+        };
+        let want = hash(&s);
+        let contact = |s: &mut [HandoffStore], to: usize, from: usize| {
+            let Ok([a, b]) = s.get_disjoint_mut([to, from]) else {
+                unreachable!()
+            };
+            a.merge_from(b, Quorum::new(to, from, n));
+        };
+        // 0 -> 1 -> 2 spreads it. 2 sees every replica hold it terminal,
+        // 2 -> 1 tells 1 so, but neither knows the others know: both keep
+        // it live.
+        for (to, from) in [(1, 0), (2, 1), (1, 2)] {
+            contact(&mut s, to, from);
+        }
+        assert!(s.iter().all(|x| x.get(HandoffId(5)).is_some()));
+        // 1 -> 0: 0 learns that 1 and 2 both saw it held everywhere, and
+        // it has now seen that too. It retires the record.
+        contact(&mut s, 0, 1);
+        assert!(s[0].get(HandoffId(5)).is_none(), "0 never retired it");
+        assert_eq!(s[0].phase_counts(), [1, 0, 0, 1]);
+        // 0 -> 1 carries only #6, but 1's copy of #5 lists 0 as a holder
+        // and 0 no longer holds it: 0 retired it, so 1 may too.
+        contact(&mut s, 1, 0);
+        assert!(s[1].get(HandoffId(5)).is_none());
+        // 2 still holds it live and pushes it back to 0 and 1: dropped.
+        assert!(s[2].get(HandoffId(5)).is_some());
+        contact(&mut s, 0, 2);
+        contact(&mut s, 1, 2);
+        for x in &s {
+            assert_eq!(x.len(), 2, "a retired id was counted twice");
+            assert_eq!(x.phase_counts(), [1, 0, 0, 1]);
+            assert_eq!(x.ledger_hash(), want, "retiring moved the hash");
+        }
+        assert!(s[0].get(HandoffId(5)).is_none() && s[1].get(HandoffId(5)).is_none());
+        contact(&mut s, 2, 0);
+        assert!(s[2].get(HandoffId(5)).is_none());
+        assert!(s.iter().all(|x| x.snapshot().len() == 1));
+    }
+
     mod against_oracle {
         use super::super::oracle;
         use super::*;
@@ -488,8 +718,38 @@ mod tests {
         type Drawn = (u64, u8, u64, u64, bool);
 
         fn drawn() -> impl Strategy<Value = Vec<Drawn>> {
-            let one = (0u64..24, 0u8..3, 0u64..4, 0u64..4, any::<bool>());
+            let one = (0u64..24, 0u8..4, 0u64..4, 0u64..4, any::<bool>());
             prop::collection::vec(one, 0..20)
+        }
+
+        fn record(
+            id: HandoffId,
+            phase: u8,
+            completed: u64,
+            latency: u64,
+            warm: bool,
+        ) -> HandoffRecord {
+            HandoffRecord {
+                id,
+                user: id.0,
+                from: CellId(id.0 as u32 % 5),
+                to: CellId(id.0 as u32 % 3),
+                kind: if id.0.is_multiple_of(2) {
+                    HandoffKind::Migrate
+                } else {
+                    HandoffKind::ForwardHome
+                },
+                phase: [
+                    HandoffPhase::Pending,
+                    HandoffPhase::InProgress,
+                    HandoffPhase::Abandoned,
+                    HandoffPhase::Completed,
+                ][phase as usize],
+                opened_at: SimTime::from_secs(id.0),
+                completed_at: (completed > 0).then(|| SimTime::from_secs(completed)),
+                latency_s: (completed > 0 && latency > 0).then_some(latency as f64 * 0.5),
+                warm,
+            }
         }
 
         /// The same ledger in both representations; a repeated id keeps
@@ -503,26 +763,7 @@ mod tests {
                 if new.get(id).is_some() {
                     continue;
                 }
-                let r = HandoffRecord {
-                    id,
-                    user: id.0,
-                    from: CellId(id.0 as u32 % 5),
-                    to: CellId(id.0 as u32 % 3),
-                    kind: if id.0.is_multiple_of(2) {
-                        HandoffKind::Migrate
-                    } else {
-                        HandoffKind::ForwardHome
-                    },
-                    phase: [
-                        HandoffPhase::Pending,
-                        HandoffPhase::InProgress,
-                        HandoffPhase::Completed,
-                    ][phase as usize],
-                    opened_at: SimTime::from_secs(id.0),
-                    completed_at: (completed > 0).then(|| SimTime::from_secs(completed)),
-                    latency_s: (completed > 0 && latency > 0).then_some(latency as f64 * 0.5),
-                    warm,
-                };
+                let r = record(id, phase, completed, latency, warm);
                 new.open(r.clone());
                 old.open(r);
                 assert_sorted(&new);
@@ -532,10 +773,67 @@ mod tests {
 
         fn assert_sorted(s: &HandoffStore) {
             assert!(
-                s.records.windows(2).all(|w| w[0].id < w[1].id),
+                s.live.windows(2).all(|w| w[0].record.id < w[1].record.id),
                 "ledger out of id order: {:?}",
-                s.records.iter().map(|r| r.id).collect::<Vec<_>>()
+                s.live.iter().map(|l| l.record.id).collect::<Vec<_>>()
             );
+        }
+
+        /// One step of a gossip schedule over `n` replicas: open a fresh
+        /// record at a replica, advance one it holds, or merge one replica
+        /// into another.
+        #[derive(Debug, Clone)]
+        enum Op {
+            Open {
+                at: usize,
+                phase: u8,
+            },
+            Advance {
+                at: usize,
+                pick: usize,
+                phase: u8,
+                completed: u64,
+                warm: bool,
+            },
+            Contact {
+                to: usize,
+                from: usize,
+            },
+        }
+
+        fn ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
+            let op = prop_oneof![
+                (0..n, 0u8..4).prop_map(|(at, phase)| Op::Open { at, phase }),
+                (0..n, 0usize..64, 1u8..4, 1u64..4, any::<bool>()).prop_map(
+                    |(at, pick, phase, completed, warm)| Op::Advance {
+                        at,
+                        pick,
+                        phase,
+                        completed,
+                        warm
+                    }
+                ),
+                (0..n, 0..n).prop_map(|(to, from)| Op::Contact { to, from }),
+                (0..n, 0..n).prop_map(|(to, from)| Op::Contact { to, from }),
+            ];
+            prop::collection::vec(op, 0..120)
+        }
+
+        /// What a checkpointed replica must agree on with the oracle
+        /// replica that went through the same merges but retires nothing.
+        fn agree(new: &HandoffStore, old: &oracle::HandoffStore) {
+            assert_eq!(new.ledger_hash(), old.ledger_hash());
+            assert_eq!(new.len(), old.len());
+            assert_eq!(new.phase_counts(), old.phase_counts());
+            let all = old.snapshot();
+            for r in new.snapshot() {
+                assert!(
+                    all.contains(&r),
+                    "live record {:?} differs from the oracle's",
+                    r.id
+                );
+            }
+            assert_sorted(new);
         }
 
         proptest! {
@@ -557,10 +855,11 @@ mod tests {
                 let (sa, oa, sb, ob) = [(1, 0, 1, 0), (2, 0, 2, 1), (1, 0, 1, 100), (1, 100, 1, 0)][layout];
                 let (a, a_old) = build(&a, sa, oa);
                 let (b, b_old) = build(&b, sb, ob);
+                let plain = Quorum::NONE;
 
                 let mut x = a.clone();
                 let mut x_old = a_old.clone();
-                let delta = x.merge_from(&b);
+                let delta = x.merge_from(&b, plain);
                 prop_assert_eq!(delta, x_old.merge(&b_old.snapshot()));
                 prop_assert_eq!(x.snapshot(), x_old.snapshot());
                 prop_assert_eq!(x.ledger_hash(), x_old.ledger_hash());
@@ -575,21 +874,92 @@ mod tests {
                 assert_sorted(&via_slice);
 
                 // Idempotent.
-                prop_assert_eq!(x.merge_from(&b), 0);
+                prop_assert_eq!(x.merge_from(&b, plain), 0);
                 prop_assert_eq!(x.snapshot(), x_old.snapshot());
 
                 // Push-then-pull and pull-then-push leave both replicas
                 // with the same ledger.
                 let mut y = b.clone();
-                y.merge_from(&x);
+                y.merge_from(&x, plain);
                 let mut y2 = b.clone();
-                y2.merge_from(&a);
+                y2.merge_from(&a, plain);
                 let mut x2 = a.clone();
-                x2.merge_from(&y2);
+                x2.merge_from(&y2, plain);
                 prop_assert_eq!(y.snapshot(), x.snapshot());
                 prop_assert_eq!(y2.snapshot(), x.snapshot());
                 prop_assert_eq!(x2.snapshot(), x.snapshot());
                 assert_sorted(&y);
+            }
+
+            /// Checkpointed replicas against oracle replicas driven
+            /// through the same random schedule of opens, advances and
+            /// contacts: after every step each agrees with its oracle on
+            /// hash, count and phases, and every live record is the
+            /// oracle's. Then everything open is abandoned and full
+            /// rounds run: every live ledger empties, and every replica
+            /// counts each record opened exactly once.
+            #[test]
+            fn checkpointed_replicas_match_the_oracle(n in 2usize..6, steps in ops(5)) {
+                let mut new: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
+                let mut old: Vec<oracle::HandoffStore> = (0..n).map(|_| Default::default()).collect();
+                let mut opened = 0u64;
+                let contact = |new: &mut [HandoffStore], old: &mut [oracle::HandoffStore], to: usize, from: usize| {
+                    if to == from {
+                        return;
+                    }
+                    let Ok([a, b]) = new.get_disjoint_mut([to, from]) else { unreachable!() };
+                    a.merge_from(b, Quorum::new(to, from, n));
+                    let theirs = old[from].snapshot();
+                    old[to].merge(&theirs);
+                };
+                for op in steps {
+                    match op {
+                        Op::Open { at, phase } => {
+                            let r = record(HandoffId(opened), phase, 0, 0, false);
+                            opened += 1;
+                            new[at % n].open(r.clone());
+                            old[at % n].open(r);
+                        }
+                        Op::Advance { at, pick, phase, completed, warm } => {
+                            // Only a record open at this replica moves here.
+                            let at = at % n;
+                            let open: Vec<HandoffRecord> = (new[at].snapshot().into_iter())
+                                .filter(|r| !r.phase.is_terminal())
+                                .collect();
+                            if let Some(r) = open.get(pick % open.len().max(1)) {
+                                let next = record(r.id, phase, completed, completed, warm);
+                                new[at].merge(std::slice::from_ref(&next));
+                                old[at].merge(&[next]);
+                            }
+                        }
+                        Op::Contact { to, from } => contact(&mut new, &mut old, to % n, from % n),
+                    }
+                    for (a, b) in new.iter().zip(&old) {
+                        agree(a, b);
+                        prop_assert!(a.len() as u64 <= opened, "a retired id was adopted again");
+                    }
+                }
+                // Close what is still open, then gossip every pair.
+                for at in 0..n {
+                    for r in new[at].snapshot().into_iter().filter(|r| !r.phase.is_terminal()) {
+                        let next = record(r.id, 2, 0, 0, false);
+                        new[at].merge(std::slice::from_ref(&next));
+                        old[at].merge(&[next]);
+                    }
+                }
+                for _ in 0..6 {
+                    for to in 0..n {
+                        for from in 0..n {
+                            contact(&mut new, &mut old, to, from);
+                        }
+                    }
+                }
+                for (a, b) in new.iter().zip(&old) {
+                    agree(a, b);
+                    prop_assert_eq!(a.len() as u64, opened);
+                    prop_assert!(a.live.is_empty(), "{} records never retired", a.live.len());
+                    prop_assert_eq!(a.ledger_hash(), new[0].ledger_hash());
+                }
             }
         }
     }

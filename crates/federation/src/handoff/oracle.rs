@@ -1,8 +1,10 @@
-//! The pre-vector ledger, kept verbatim as the test oracle: records in a
+//! The pre-vector ledger, kept as the test oracle: records in a
 //! `BTreeMap`, a peer's ledger merged from a cloned snapshot with one
-//! lookup per record. [`super::HandoffStore::merge_from`] must leave the
-//! same records and report the same delta
-//! (`tests::lockstep_merge_matches_the_snapshot_merge`).
+//! lookup per record, nothing ever retired.
+//! [`super::HandoffStore::merge_from`] must leave the same records and
+//! report the same delta (`tests::lockstep_merge_matches_the_snapshot_merge`),
+//! and a checkpointed store must count and hash what this one holds
+//! (`tests::checkpointed_replicas_match_the_oracle`).
 
 use super::{HandoffId, HandoffRecord};
 use std::collections::BTreeMap;
@@ -44,12 +46,22 @@ impl HandoffStore {
         delta
     }
 
-    /// Fingerprint of the whole ledger.
+    /// Fingerprint of the whole ledger: the wrapping sum of record hashes.
     pub fn ledger_hash(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        (self.records.values()).fold(0, |h, r| h.wrapping_add(r.hash()))
+    }
+
+    /// Records held.
+    pub fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Records per phase, as [`super::HandoffStore::phase_counts`].
+    pub fn phase_counts(&self) -> [usize; 4] {
+        let mut c = [0; 4];
         for r in self.records.values() {
-            r.hash_into(&mut h);
+            c[r.phase as usize] += 1;
         }
-        h
+        c
     }
 }

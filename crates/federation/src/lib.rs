@@ -11,7 +11,9 @@
 //!   eviction (introducer bootstrap, volunteer churn tolerated), load
 //!   digests piggybacked on every exchange;
 //! * [`handoff`] — replicated handoff records, D-GRID style:
-//!   pending / in-progress / completed, merged phase-dominantly;
+//!   pending / in-progress / abandoned / completed, merged
+//!   phase-dominantly, and retired into a checkpoint once every cell is
+//!   known to hold them terminal;
 //! * [`roaming`] — mobility traces over cells plus a next-cell Markov
 //!   predictor that pre-warms plan caches at the predicted destination;
 //! * [`cell`] — one base-station cell: runtime, plan cache, membership

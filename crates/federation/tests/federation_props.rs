@@ -10,12 +10,17 @@
 //!    ground truth — suspicion and eviction are purely local staleness
 //!    judgments, yet the federation converges without any orchestrator;
 //!    and recovered cells (volunteer churn) are rehabilitated everywhere.
+//! 3. **Ledger retirement under faults**: through random partitions,
+//!    one-way cuts and crashes, no replica ever adopts a record it retired
+//!    or counts one twice; after the last heal the replicas reconverge on
+//!    one hash, count and phase split, and once nothing is open every live
+//!    ledger is empty.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_core::PervasiveGrid;
-use pg_federation::gossip::EVICT_AFTER;
-use pg_federation::handoff::HandoffStore;
+use pg_federation::gossip::{gossip_round_ctx, RoundCtx, EVICT_AFTER};
+use pg_federation::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use pg_federation::{
     gossip_round, CellId, Federation, FederationConfig, GossipConfig, LoadDigest, Membership, Trace,
 };
@@ -23,12 +28,19 @@ use pg_runtime::{
     MultiQueryRuntime, OverloadConfig, OverloadPolicy, QueryOpts, RuntimeConfig, SchedPolicy,
     TraceArrivals,
 };
+use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use proptest::prelude::*;
 use rand::Rng;
+use std::collections::BTreeSet;
 
 const EPOCH_S: u64 = 30;
+/// Gossip rounds a drawn fault window may cover; all have closed by then.
+const FAULT_ROUNDS: u64 = 40;
+/// Fault-free rounds after that: views knit back together by dead-probing,
+/// then every record settles everywhere.
+const TAIL_ROUNDS: u64 = 80;
 
 fn cell_runtime(seed: u64) -> MultiQueryRuntime<PervasiveGrid> {
     let pg = PervasiveGrid::building(1, 4, seed).build();
@@ -223,6 +235,117 @@ proptest! {
             let mut live = m.live_set();
             live.sort();
             prop_assert_eq!(&live, &everyone, "{} not fully rehabilitated", m.me);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Satellite: handoff ledgers under random gossip schedules. Faults are
+    /// drawn as `(kind, cells, start round, length)`: a partition of cells
+    /// `0..=a` from the rest, a one-way cut `a -> c`, or cell `a` crashed.
+    /// Handoff events are drawn as `(round, cell, action)`: open a record
+    /// there, or move one the cell holds open to in-progress, abandoned or
+    /// completed.
+    #[test]
+    fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes(
+        seed in any::<u64>(),
+        n in 3usize..10,
+        faults in prop::collection::vec((0u8..3, any::<u64>(), 0..FAULT_ROUNDS, 1u64..20), 0..5),
+        events in prop::collection::vec((0..FAULT_ROUNDS, any::<u64>(), 0u8..4), 0..60),
+    ) {
+        let at = |round: u64| SimTime::from_secs(GossipConfig::default().round.as_secs_f64() as u64 * (round + 1));
+        let cells = n as u64;
+        let mut plan = FaultPlan::builder(seed);
+        for &(kind, pick, start, len) in &faults {
+            let (a, c, end) = (pick % cells, pick / cells % cells, (start + len).min(FAULT_ROUNDS));
+            plan = match kind {
+                0 => plan.cell_partition(&(0..=a).collect::<Vec<_>>(), at(start), at(end)),
+                1 if a != c => plan.one_way_link_cut(a, c, at(start), at(end)),
+                _ => plan.cell_crash(a, at(start), at(end)),
+            };
+        }
+        let plan = plan.build().expect("valid plan");
+
+        let mut members: Vec<Membership> = (0..n)
+            .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))
+            .collect();
+        let mut handoffs: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
+        let mut opened: Vec<HandoffId> = Vec::new();
+        // Per replica: the ids it held live after the last round, and the
+        // ids it has since let go of — retired, never to come back.
+        let mut live: Vec<Vec<HandoffId>> = vec![Vec::new(); n];
+        let mut retired: Vec<BTreeSet<HandoffId>> = vec![BTreeSet::new(); n];
+        for round in 0..FAULT_ROUNDS + TAIL_ROUNDS {
+            let now = at(round);
+            let up: Vec<bool> = (0..cells).map(|i| !plan.is_cell_down(i, now)).collect();
+            for &(_, pick, action) in events.iter().filter(|e| e.0 == round) {
+                let cell = (pick % cells) as usize;
+                if !up[cell] {
+                    continue;
+                }
+                let open: Vec<HandoffId> = (handoffs[cell].snapshot().into_iter())
+                    .filter(|r| r.phase < HandoffPhase::Abandoned)
+                    .map(|r| r.id)
+                    .collect();
+                if action == 0 || open.is_empty() {
+                    let id = HandoffId::mint(CellId(cell as u32), opened.len() as u64);
+                    handoffs[cell].open(HandoffRecord {
+                        id,
+                        user: pick,
+                        from: CellId(cell as u32),
+                        to: CellId(((cell + 1) % n) as u32),
+                        kind: HandoffKind::Migrate,
+                        phase: HandoffPhase::Pending,
+                        opened_at: now,
+                        completed_at: None,
+                        latency_s: None,
+                        warm: false,
+                    });
+                    opened.push(id);
+                } else {
+                    let id = open[(pick / cells) as usize % open.len()];
+                    let phase = [HandoffPhase::InProgress, HandoffPhase::Abandoned, HandoffPhase::Completed]
+                        [action as usize - 1];
+                    handoffs[cell].advance(id, phase, now, Some(0.5), pick & 1 == 1);
+                }
+            }
+            if round == FAULT_ROUNDS {
+                // Every fault has healed; nothing stays open. Each origin
+                // gives up what it still holds open.
+                for &id in &opened {
+                    let origin = (id.0 >> 32) as usize;
+                    handoffs[origin].advance(id, HandoffPhase::Abandoned, now, None, false);
+                }
+            }
+            for (i, m) in members.iter_mut().enumerate() {
+                if up[i] {
+                    m.beat(now, LoadDigest::default());
+                }
+            }
+            let ctx = RoundCtx { now, seed, round_idx: round, faults: Some(&plan) };
+            gossip_round_ctx(&mut members, &mut handoffs, &up, &ctx);
+            for (i, h) in handoffs.iter().enumerate() {
+                prop_assert!(h.len() <= opened.len(), "cell {} counts a record twice", i);
+                let now_live: Vec<HandoffId> = h.snapshot().iter().map(|r| r.id).collect();
+                retired[i].extend(live[i].iter().filter(|id| !now_live.contains(id)));
+                prop_assert!(
+                    now_live.iter().all(|id| !retired[i].contains(id)),
+                    "cell {} adopted a record it retired", i
+                );
+                live[i] = now_live;
+            }
+        }
+        // Conservation, reconvergence, and nothing left live.
+        let first = &handoffs[0];
+        let [pending, in_progress, _, _] = first.phase_counts();
+        prop_assert_eq!((pending, in_progress), (0, 0));
+        for (i, h) in handoffs.iter().enumerate() {
+            prop_assert_eq!(h.len(), opened.len(), "cell {}", i);
+            prop_assert_eq!(h.ledger_hash(), first.ledger_hash(), "cell {}", i);
+            prop_assert_eq!(h.phase_counts(), first.phase_counts(), "cell {}", i);
+            prop_assert!(h.snapshot().is_empty(), "cell {} never retired {:?}", i, h.snapshot());
         }
     }
 }

@@ -12,7 +12,9 @@ use std::fmt;
 /// A streaming summary: count / sum / min / max / mean / variance (Welford).
 ///
 /// `O(1)` per observation, no retained samples — use [`Samples`] when
-/// percentiles are needed.
+/// percentiles are needed. A NaN is not an observation: it is dropped, so
+/// one upstream NaN cannot poison every derived statistic, and `count`
+/// shows it was never recorded.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Summary {
     n: u64,
@@ -36,13 +38,11 @@ impl Summary {
         }
     }
 
-    /// Record one observation.
-    ///
-    /// # Panics
-    /// Panics on NaN — a NaN observation always indicates an upstream bug
-    /// and would silently poison every derived statistic.
+    /// Record one observation; a NaN is dropped.
     pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
+        if x.is_nan() {
+            return;
+        }
         self.n += 1;
         self.sum += x;
         self.min = self.min.min(x);
@@ -122,12 +122,12 @@ impl Samples {
         }
     }
 
-    /// Record one observation.
-    ///
-    /// # Panics
-    /// Panics on NaN (same rationale as [`Summary::record`]).
+    /// Record one observation; a NaN is dropped, as by
+    /// [`Summary::record`].
     pub fn record(&mut self, x: f64) {
-        assert!(!x.is_nan(), "NaN observation");
+        if x.is_nan() {
+            return;
+        }
         self.xs.push(x);
         self.sorted = false;
     }
@@ -137,21 +137,15 @@ impl Samples {
         self.xs.is_empty()
     }
 
-    /// The `q`-quantile (0 ≤ q ≤ 1) by nearest-rank with linear
-    /// interpolation. Returns `None` when empty.
-    ///
-    /// # Panics
-    /// Panics when `q` is outside `[0, 1]`.
-    // `record` rejects non-finite samples, so NaN cannot reach the sort.
-    #[allow(clippy::expect_used)]
+    /// The `q`-quantile by nearest-rank with linear interpolation, `q`
+    /// clamped to `[0, 1]`. Returns `None` when empty or when `q` is NaN.
     pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.xs.is_empty() {
+        if self.xs.is_empty() || q.is_nan() {
             return None;
         }
+        let q = q.clamp(0.0, 1.0);
         if !self.sorted {
-            self.xs
-                .sort_by(|a, b| a.partial_cmp(b).expect("NaN in samples"));
+            self.xs.sort_by(f64::total_cmp);
             self.sorted = true;
         }
         let pos = q * (self.xs.len() - 1) as f64;
@@ -222,9 +216,54 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "NaN")]
-    fn summary_rejects_nan() {
-        Summary::new().record(f64::NAN);
+    fn summary_drops_nan() {
+        let mut s = Summary::new();
+        s.record(1.0);
+        s.record(f64::NAN);
+        s.record(3.0);
+        assert_eq!(s.count(), 2);
+        assert_eq!((s.sum(), s.mean(), s.min(), s.max()), (4.0, 2.0, 1.0, 3.0));
+    }
+
+    #[test]
+    fn samples_drop_nan() {
+        let mut s = Samples::new();
+        s.record(f64::NAN);
+        assert!(s.is_empty());
+        s.record(2.0);
+        s.record(f64::NAN);
+        assert_eq!(s.raw(), &[2.0]);
+        assert_eq!(s.quantile(0.5), Some(2.0));
+    }
+
+    #[test]
+    fn quantile_clamps_q() {
+        let mut s = Samples::new();
+        for x in [1.0, 2.0, 3.0] {
+            s.record(x);
+        }
+        assert_eq!(s.quantile(-0.5), Some(1.0));
+        assert_eq!(s.quantile(7.0), Some(3.0));
+        assert_eq!(s.quantile(f64::INFINITY), Some(3.0));
+        assert_eq!(s.quantile(f64::NAN), None);
+    }
+
+    /// The sort is total (`f64::total_cmp`): signed zeros and extremes
+    /// order without a comparator that can fail.
+    #[test]
+    fn quantile_sorts_with_a_total_order() {
+        let mut s = Samples::new();
+        for x in [f64::MAX, 0.0, -0.0, f64::MIN, 5.0] {
+            s.record(x);
+        }
+        assert_eq!(s.quantile(0.0), Some(f64::MIN));
+        assert_eq!(s.quantile(0.75), Some(5.0));
+        assert_eq!(s.quantile(1.0), Some(f64::MAX));
+        let sorted: Vec<u64> = s.raw().iter().map(|x| x.to_bits()).collect();
+        let want: Vec<u64> = [f64::MIN, -0.0, 0.0, 5.0, f64::MAX]
+            .map(f64::to_bits)
+            .to_vec();
+        assert_eq!(sorted, want);
     }
 
     #[test]

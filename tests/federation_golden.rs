@@ -1,19 +1,25 @@
-//! Tier-1 guard on handoff-ledger replication: a bit-exact digest of what
-//! a small `federation_faults`-shaped run leaves behind — ten journaling
-//! cells, forty roaming users, a bipartition window and then a
+//! Tier-1 guard on handoff-ledger replication: two bit-exact digests of
+//! what a small `federation_faults`-shaped run leaves behind — ten
+//! journaling cells, forty roaming users, a bipartition window and then a
 //! crash-stopped cell.
 //!
-//! The workload is offered and run in six 300 s segments and the digest
-//! is folded after each: every cell's `ledger_hash()`, `len()` and
-//! `phase_counts()`, the migration / forward / absorption counters and
-//! `goodput()`. A drained federation has converged replicas, which would
-//! hide which contact carried what; mid-run — the newest records part-way
-//! round, the two sides of the partition apart — it shows.
+//! The workload is offered and run in six 300 s segments and both digests
+//! are folded after each. A drained federation has converged replicas,
+//! which would hide which contact carried what; mid-run — the newest
+//! records part-way round, the two sides of the partition apart — it
+//! shows.
 //!
-//! The constants were captured on the commit *before* the ledger became a
-//! sorted vector exchanged store-to-store (debug and release agree), and
-//! mutation-checked there: dropping the pull leg of the handoff exchange
-//! moves both digests.
+//! - The **behaviour** digest folds the migration / forward / absorption
+//!   counters and `goodput()`: what the federation did with its queries.
+//!   Its constants were captured on the commit before handoff records
+//!   gained terminal phases and retirement, and hold unchanged: no query
+//!   moved.
+//! - The **ledger** digest folds every cell's `ledger_hash()`, `len()` and
+//!   `phase_counts()`. Its constants were re-captured, on purpose, when
+//!   abandoned and dead-lettered handoffs got the `Abandoned` phase and
+//!   `ledger_hash` became a sum of record hashes over checkpoint and live
+//!   records (debug and release agree). Mutation-checked then: dropping
+//!   the pull leg of the handoff exchange moves it.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -33,6 +39,8 @@ const HORIZON_S: u64 = 1_800;
 const SEGMENT_S: u64 = 300;
 /// Half the aggregate capacity of ten cells serving 2 slots per 30 s.
 const RATE_HZ: f64 = 0.5 * (2.0 / 30.0) * CELLS as f64;
+
+const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn fnv_u64(h: &mut u64, x: u64) {
     for b in x.to_le_bytes() {
@@ -59,9 +67,9 @@ fn cell_runtime(seed: u64, i: usize) -> MultiQueryRuntime<PervasiveGrid> {
     MultiQueryRuntime::new(cfg, pg)
 }
 
-/// Run the scenario, returning the federation and the digest folded at
-/// each checkpoint.
-fn run(seed: u64) -> (Federation, u64) {
+/// Run the scenario, returning the federation and the `(behaviour,
+/// ledger)` digests folded at each checkpoint.
+fn run(seed: u64) -> (Federation, u64, u64) {
     let t = HORIZON_S;
     let left: Vec<u64> = (0..CELLS as u64 / 2).collect();
     let plan = FaultPlan::builder(seed ^ 0x7A21)
@@ -88,7 +96,7 @@ fn run(seed: u64) -> (Federation, u64) {
     let runtimes = (0..CELLS).map(|i| cell_runtime(seed, i)).collect();
     let mut fed = Federation::new(cfg, runtimes, traces);
     let mut rng = RngStreams::new(seed).fork("federation-golden-arrivals");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let (mut behaviour, mut ledger) = (FNV_BASIS, FNV_BASIS);
     let mut at = -rng.gen::<f64>().max(1e-12).ln() / RATE_HZ;
     for checkpoint in (SEGMENT_S..=t).step_by(SEGMENT_S as usize) {
         while at < checkpoint as f64 {
@@ -101,20 +109,13 @@ fn run(seed: u64) -> (Federation, u64) {
             at += -rng.gen::<f64>().max(1e-12).ln() / RATE_HZ;
         }
         fed.run(SimTime::from_secs(checkpoint));
-        fold(&fed, &mut h);
+        fold_behaviour(&fed, &mut behaviour);
+        fold_ledgers(&fed, &mut ledger);
     }
-    (fed, h)
+    (fed, behaviour, ledger)
 }
 
-fn fold(fed: &Federation, h: &mut u64) {
-    for ledger in fed.handoff_ledgers() {
-        fnv_u64(h, ledger.ledger_hash());
-        fnv_u64(h, ledger.len() as u64);
-        let (pending, in_progress, completed) = ledger.phase_counts();
-        for x in [pending, in_progress, completed] {
-            fnv_u64(h, x as u64);
-        }
-    }
+fn fold_behaviour(fed: &Federation, h: &mut u64) {
     let s = &fed.stats;
     let (total, met) = fed.goodput();
     for x in [
@@ -129,24 +130,53 @@ fn fold(fed: &Federation, h: &mut u64) {
     }
 }
 
+fn fold_ledgers(fed: &Federation, h: &mut u64) {
+    for ledger in fed.handoff_ledgers() {
+        fnv_u64(h, ledger.ledger_hash());
+        fnv_u64(h, ledger.len() as u64);
+        for x in ledger.phase_counts() {
+            fnv_u64(h, x as u64);
+        }
+    }
+}
+
+/// `(seed, behaviour, ledger)`.
+const DIGESTS: [(u64, u64, u64); 2] = [
+    (1, 0x7ebc_e66b_648e_48c7, 0x6b9f_1156_f2e2_40ae),
+    (2, 0x47aa_9d37_c943_d301, 0x1651_1b62_8c67_b9b3),
+];
+
 #[test]
-fn handoff_ledgers_and_stats_match_the_pre_refactor_digests() {
-    for (seed, want) in [
-        (1u64, 0x9955_0294_5d46_eb3c_u64),
-        (2, 0xec93_fbf4_045e_66d6),
-    ] {
-        let (fed, got) = run(seed);
+fn stats_and_goodput_match_the_pre_retirement_digests() {
+    for (seed, want, _) in DIGESTS {
+        let (fed, got, _) = run(seed);
         // The scenario has to exercise what it pins: both handoff kinds.
         let s = &fed.stats;
         assert!(s.migrations_completed > 0 && s.forwards_completed > 0);
         assert_eq!(
             got, want,
-            "seed {seed}: digest {got:#018x} (migrations {} forwards {} lost {} absorbed {} goodput {:?})",
+            "seed {seed}: behaviour digest {got:#018x} (migrations {} forwards {} lost {} absorbed {} goodput {:?})",
             s.migrations_completed,
             s.forwards_completed,
             s.migrations_lost,
             s.absorbed,
             fed.goodput(),
+        );
+    }
+}
+
+#[test]
+fn handoff_ledgers_match_the_checkpointed_digests() {
+    for (seed, _, want) in DIGESTS {
+        let (fed, _, got) = run(seed);
+        let counts: Vec<_> = fed
+            .handoff_ledgers()
+            .iter()
+            .map(|l| l.phase_counts())
+            .collect();
+        assert_eq!(
+            got, want,
+            "seed {seed}: ledger digest {got:#018x} (phase counts {counts:?})"
         );
     }
 }
