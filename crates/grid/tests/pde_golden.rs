@@ -58,9 +58,9 @@ const GOLDEN: [(usize, Solver, u32, u64, u64); 8] = [
     (
         12,
         Solver::ConjugateGradient,
-        55,
-        0x3e5b_3a12_0000_0000,
-        0x3352_13eb_0f0b_c5ff,
+        47,
+        0x3ea5_c07d_9000_0000,
+        0x2cb9_6b6f_9107_95ad,
     ),
     (
         24,
@@ -86,9 +86,9 @@ const GOLDEN: [(usize, Solver, u32, u64, u64); 8] = [
     (
         24,
         Solver::ConjugateGradient,
-        101,
-        0x3e69_3513_8000_0000,
-        0x8fc2_8e81_1e28_618f,
+        89,
+        0x3eac_29b6_5000_0000,
+        0xa290_0d20_e899_587e,
     ),
 ];
 
@@ -211,18 +211,18 @@ fn cg_cases() -> Vec<(&'static str, Problem, f64, u32)> {
 }
 
 /// `(iterations, residual bits, field digest, stats.ops)` per `cg_cases`
-/// row, captured at d42d7c0 (before the CG kernel walked interior lines),
-/// identical in debug and release.
+/// row, captured when CG began at the wall value and stopped on the
+/// max-norm, identical in debug and release.
 const GOLDEN_CG: [(u32, u64, u64, u64); 9] = [
-    (35, 0x3ed0_1103_4000_0000, 0x4c79_c604_f3f1_1862, 833_910),
-    (38, 0x3ecd_fddf_8000_0000, 0x8b06_7e92_f195_a7be, 902_044),
-    (9, 0x3d20_0000_0000_0000, 0x7a8f_e183_2026_2fa7, 2772),
+    (24, 0x3f0a_0e30_e800_0000, 0xd1d2_36f4_e4ee_e360, 571_824),
+    (24, 0x3f0a_5816_b400_0000, 0x34db_60e2_2f69_335d, 569_712),
+    (9, 0x3d20_0000_0000_0000, 0x730b_d327_38c5_11a7, 2772),
     (0, 0x0000_0000_0000_0000, 0x9863_0f30_3e60_ac5f, 0),
-    (23, 0x3e50_5dd1_0000_0000, 0xdae6_fdd2_ce82_66cd, 106_260),
-    (35, 0x3e52_40c0_0000_0000, 0xbdf7_833a_2a06_33af, 170_940),
-    (29, 0x3e60_b5b5_4000_0000, 0xfa82_7487_d3b8_8bdf, 135_894),
-    (0, 0x4090_2dda_98e2_ab04, 0xf90e_0d16_f18e_f76f, 0),
-    (1, 0x4087_3a7c_60de_8e20, 0x17c7_0f49_b95b_68c9, 23_738),
+    (0, 0x0000_0000_0000_0000, 0xfc02_e939_5a6e_84a5, 0),
+    (30, 0x3ea7_195c_e800_0000, 0x717f_6998_7b72_b42e, 146_520),
+    (26, 0x3ea2_3228_c200_0000, 0x0888_abe5_c22c_b269, 121_836),
+    (0, 0x404f_2d16_84fe_25c0, 0xa0c0_6880_d1e9_2a37, 0),
+    (1, 0x4034_c8b9_adfe_c400, 0xa655_78a6_ee17_6229, 23_738),
 ];
 
 #[test]
@@ -236,5 +236,32 @@ fn cg_is_pinned_on_the_fire_box_and_the_edge_shapes() {
             stats.ops,
         );
         assert_eq!(got, want, "{name}: got {got:#x?}");
+    }
+}
+
+/// CG's stopping contract on the golden cubes and the fire box: it returns
+/// at the first iterate whose max-norm residual is within `tol`, so the
+/// same solve one iteration short has not converged.
+#[test]
+fn cg_stops_at_the_first_iterate_within_tol() {
+    let cubes = [12, 24].map(|n| (format!("{n}^3 cube"), problem(n), 1e-6));
+    let fire = cg_cases()
+        .into_iter()
+        .take(2)
+        .map(|(name, p, tol, _)| (name.to_string(), p, tol));
+    for (name, p, tol) in cubes.into_iter().chain(fire) {
+        let (_, done) = p.solve(Solver::ConjugateGradient, tol, 20_000);
+        assert!(
+            done.converged && done.residual <= tol,
+            "{name}: residual {:e} after {} iterations, tol {tol:e}",
+            done.residual,
+            done.iterations
+        );
+        let (_, short) = p.solve(Solver::ConjugateGradient, tol, done.iterations - 1);
+        assert!(
+            !short.converged,
+            "{name}: already within tol {tol:e} after {} of {} iterations",
+            short.iterations, done.iterations
+        );
     }
 }

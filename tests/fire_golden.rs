@@ -4,10 +4,9 @@
 //! value, cost, accuracy, delivery, degradation report and chosen placement,
 //! plus the composition's rebinds.
 //!
-//! The constants were captured at d42d7c0, the commit *before* the Complex
-//! query's solve was hoisted out of the placement `match` and its accuracy
-//! probe took one frozen view of the fire per query; `accuracy_err` is the
-//! one output of that loop no other digest covers.
+//! The constants were captured when the Complex query's CG solve began at
+//! the wall value and stopped on the max-norm residual; `accuracy_err` is
+//! the one output of that loop no other digest covers.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -63,7 +62,7 @@ fn fire_responses_are_pinned_over_two_seeds() {
     let got: Vec<(u64, u64)> = [1u64, 2].iter().map(|&s| (s, digest(s))).collect();
     assert_eq!(
         got,
-        vec![(1, 0x6ab9_d289_12eb_5942), (2, 0x9f27_ae06_714e_4232)],
+        vec![(1, 0x7bf9_329c_c308_aba6), (2, 0x20f7_c049_c701_3b40)],
         "got {got:#x?}"
     );
 }
