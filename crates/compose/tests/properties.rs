@@ -9,86 +9,97 @@ use pg_discovery::description::ServiceDescription;
 use pg_discovery::ontology::Ontology;
 use pg_net::churn::{ChurnProcess, ChurnSchedule};
 use pg_sim::SimTime;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// One service of each class the temperature-distribution plan binds.
+const SERVICE_CLASSES: [&str; 5] = [
+    "TemperatureSensor",
+    "MapService",
+    "WeatherService",
+    "PdeSolverService",
+    "DisplayService",
+];
+
 /// Random method library over a fixed class set; decomposition must always
 /// yield a structurally valid plan (back-edges only) or a clean error.
-fn arb_library() -> impl Strategy<Value = MethodLibrary> {
+fn library(g: &mut Gen) -> MethodLibrary {
     let classes = ["TemperatureSensor", "MapService", "PdeSolverService"];
-    prop::collection::vec(
-        prop::collection::vec((0usize..3, any::<bool>()), 1..5),
-        1..4,
-    )
-    .prop_map(move |methods| {
-        let mut lib = MethodLibrary::new();
-        for (mi, nodes) in methods.iter().enumerate() {
-            let task = if mi == 0 {
-                "root".to_string()
-            } else {
-                format!("t{mi}")
-            };
-            let nodes: Vec<TaskNode> = nodes
-                .iter()
-                .enumerate()
-                .map(|(ni, &(ci, compound))| {
-                    // Only reference later tasks to keep libraries acyclic.
-                    if compound && mi + 1 < methods.len() {
-                        TaskNode::Compound(format!("t{}", mi + 1))
+    let methods = g.vec(1..4, |g| g.vec(1..5, |g| (g.range(0usize..3), g.bool())));
+    let mut lib = MethodLibrary::new();
+    for (mi, nodes) in methods.iter().enumerate() {
+        let task = if mi == 0 {
+            "root".to_string()
+        } else {
+            format!("t{mi}")
+        };
+        let nodes: Vec<TaskNode> = nodes
+            .iter()
+            .enumerate()
+            .map(|(ni, &(ci, compound))| {
+                // Only reference later tasks to keep libraries acyclic.
+                if compound && mi + 1 < methods.len() {
+                    TaskNode::Compound(format!("t{}", mi + 1))
+                } else {
+                    let role = if ni % 2 == 0 {
+                        Role::required(format!("r{mi}-{ni}"), classes[ci])
                     } else {
-                        let role = if ni % 2 == 0 {
-                            Role::required(format!("r{mi}-{ni}"), classes[ci])
-                        } else {
-                            Role::optional(format!("r{mi}-{ni}"), classes[ci])
-                        };
-                        TaskNode::Primitive(role)
-                    }
-                })
-                .collect();
-            lib.add_method(task, Method::sequence(nodes));
-        }
-        lib
-    })
+                        Role::optional(format!("r{mi}-{ni}"), classes[ci])
+                    };
+                    TaskNode::Primitive(role)
+                }
+            })
+            .collect();
+        lib.add_method(task, Method::sequence(nodes));
+    }
+    lib
 }
 
-proptest! {
-    /// Decomposition always yields a valid DAG: every dependency points to
-    /// an earlier step (acyclicity by construction) — `Plan::new` would
-    /// panic otherwise, so reaching the assertions proves it.
-    #[test]
-    fn decomposition_yields_valid_dags(lib in arb_library()) {
+/// Decomposition always yields a valid DAG: every dependency points to
+/// an earlier step (acyclicity by construction) — `Plan::new` would
+/// panic otherwise, so reaching the assertions proves it.
+#[test]
+fn decomposition_yields_valid_dags() {
+    check("decomposition_yields_valid_dags", 64, |g| {
+        let lib = library(g);
         if let Ok(plan) = lib.decompose("root") {
             for (i, s) in plan.steps.iter().enumerate() {
                 for &d in &s.deps {
-                    prop_assert!(d < i);
+                    assert!(d < i);
                 }
             }
-            prop_assert!(plan.critical_path_len() <= plan.len());
+            assert!(plan.critical_path_len() <= plan.len());
             let req = plan.required().len();
             let opt = plan.optional().len();
-            prop_assert_eq!(req + opt, plan.len());
+            assert_eq!(req + opt, plan.len());
         }
-    }
+    });
+}
 
-    /// Execution invariants hold under arbitrary churn: utility in [0,1],
-    /// success iff all required steps completed, skipped steps only behind
-    /// failed/skipped required dependencies.
-    #[test]
-    fn execution_invariants(avail in 0.05f64..1.0, replicas in 1usize..4, seed in any::<u64>()) {
+/// Execution invariants hold under arbitrary churn: utility in [0,1],
+/// success iff all required steps completed, skipped steps only behind
+/// failed/skipped required dependencies.
+#[test]
+fn execution_invariants() {
+    check("execution_invariants", 64, |g| {
+        let avail = g.range(0.05f64..1.0);
+        let replicas = g.range(1usize..4);
+        let seed = g.u64();
         let onto = Ontology::pervasive_grid();
         let mut w = ServiceWorld::new();
         let mut rng = StdRng::seed_from_u64(seed);
         let horizon = SimTime::from_secs(100_000);
-        for class in ["TemperatureSensor", "MapService", "WeatherService",
-                      "PdeSolverService", "DisplayService"] {
+        for class in SERVICE_CLASSES {
             for i in 0..replicas {
                 let sched = if avail >= 0.999 {
                     ChurnSchedule::always_up()
                 } else {
                     let up = (60.0 * avail).max(0.5);
                     let down = (60.0 * (1.0 - avail)).max(0.5);
-                    ChurnProcess::new(up, down).unwrap().schedule(horizon, &mut rng)
+                    ChurnProcess::new(up, down)
+                        .unwrap()
+                        .schedule(horizon, &mut rng)
                 };
                 w.add_service(
                     ServiceDescription::new(format!("{class}-{i}"), onto.class(class).unwrap()),
@@ -99,13 +110,19 @@ proptest! {
         let plan = MethodLibrary::pervasive_grid()
             .decompose("temperature-distribution")
             .unwrap();
-        let r = execute(&w, &onto, &plan, ManagerKind::DistributedReactive,
-                        SimTime::from_secs(seed % 50_000));
-        prop_assert!((0.0..=1.0).contains(&r.utility));
-        let all_required_done = plan.required().iter().all(|&i| {
-            matches!(r.outcomes[i], StepOutcome::Completed(_))
-        });
-        prop_assert_eq!(r.success, all_required_done);
+        let r = execute(
+            &w,
+            &onto,
+            &plan,
+            ManagerKind::DistributedReactive,
+            SimTime::from_secs(seed % 50_000),
+        );
+        assert!((0.0..=1.0).contains(&r.utility));
+        let all_required_done = plan
+            .required()
+            .iter()
+            .all(|&i| matches!(r.outcomes[i], StepOutcome::Completed(_)));
+        assert_eq!(r.success, all_required_done);
         // A skipped step must have some failed/skipped *required* dep.
         for (i, o) in r.outcomes.iter().enumerate() {
             if *o == StepOutcome::Skipped {
@@ -113,26 +130,43 @@ proptest! {
                     !plan.steps[d].role.optional
                         && !matches!(r.outcomes[d], StepOutcome::Completed(_))
                 });
-                prop_assert!(has_bad_dep, "step {i} skipped without a failed required dep");
+                assert!(
+                    has_bad_dep,
+                    "step {i} skipped without a failed required dep"
+                );
             }
         }
         // Utility formula cross-check.
         let req = plan.required();
         let opt = plan.optional();
-        let req_done = req.iter().filter(|&&i| matches!(r.outcomes[i], StepOutcome::Completed(_))).count();
-        let opt_done = opt.iter().filter(|&&i| matches!(r.outcomes[i], StepOutcome::Completed(_))).count();
+        let req_done = req
+            .iter()
+            .filter(|&&i| matches!(r.outcomes[i], StepOutcome::Completed(_)))
+            .count();
+        let opt_done = opt
+            .iter()
+            .filter(|&&i| matches!(r.outcomes[i], StepOutcome::Completed(_)))
+            .count();
         let expect = 0.7 * req_done as f64 / req.len() as f64
-            + 0.3 * if opt.is_empty() { 1.0 } else { opt_done as f64 / opt.len() as f64 };
-        prop_assert!((r.utility - expect).abs() < 1e-9);
-    }
+            + 0.3
+                * if opt.is_empty() {
+                    1.0
+                } else {
+                    opt_done as f64 / opt.len() as f64
+                };
+        assert!((r.utility - expect).abs() < 1e-9);
+    });
+}
 
-    /// Full availability always yields full success under both managers.
-    #[test]
-    fn healthy_worlds_always_succeed(seed in any::<u64>(), replicas in 1usize..3) {
+/// Full availability always yields full success under both managers.
+#[test]
+fn healthy_worlds_always_succeed() {
+    check("healthy_worlds_always_succeed", 64, |g| {
+        let seed = g.u64();
+        let replicas = g.range(1usize..3);
         let onto = Ontology::pervasive_grid();
         let mut w = ServiceWorld::new();
-        for class in ["TemperatureSensor", "MapService", "WeatherService",
-                      "PdeSolverService", "DisplayService"] {
+        for class in SERVICE_CLASSES {
             for i in 0..replicas {
                 w.add_service(
                     ServiceDescription::new(format!("{class}-{i}"), onto.class(class).unwrap()),
@@ -145,9 +179,9 @@ proptest! {
             .unwrap();
         for kind in [ManagerKind::Centralized, ManagerKind::DistributedReactive] {
             let r = execute(&w, &onto, &plan, kind, SimTime::from_secs(seed % 10_000));
-            prop_assert!(r.success);
-            prop_assert_eq!(r.utility, 1.0);
-            prop_assert_eq!(r.rebinds, 0);
+            assert!(r.success);
+            assert_eq!(r.utility, 1.0);
+            assert_eq!(r.rebinds, 0);
         }
-    }
+    });
 }

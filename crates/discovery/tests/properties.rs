@@ -6,56 +6,69 @@ use pg_discovery::corpus::mixed_corpus;
 use pg_discovery::description::{Constraint, Preference, ServiceRequest};
 use pg_discovery::matcher;
 use pg_discovery::ontology::{ClassId, Ontology};
-use proptest::prelude::*;
+use propcheck::{check, Gen};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Build a random ontology: each class i > 0 gets 1-2 parents among 0..i.
-fn arb_ontology() -> impl Strategy<Value = Ontology> {
-    prop::collection::vec(prop::collection::vec(0usize..20, 1..3), 1..20).prop_map(|parents| {
-        let mut o = Ontology::new();
-        o.add_class("c0", &[]);
-        for (i, ps) in parents.iter().enumerate() {
-            let id = i + 1;
-            let ps: Vec<ClassId> = ps
-                .iter()
-                .map(|&p| ClassId((p % id) as u32))
-                .collect::<std::collections::BTreeSet<_>>()
-                .into_iter()
-                .collect();
-            o.add_class(&format!("c{id}"), &ps);
-        }
-        o
-    })
+fn ontology(g: &mut Gen) -> Ontology {
+    let parents = g.vec(1..20, |g| g.vec(1..3, |g| g.range(0usize..20)));
+    let mut o = Ontology::new();
+    o.add_class("c0", &[]);
+    for (i, ps) in parents.iter().enumerate() {
+        let id = i + 1;
+        let ps: Vec<ClassId> = ps
+            .iter()
+            .map(|&p| ClassId((p % id) as u32))
+            .collect::<std::collections::BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        o.add_class(&format!("c{id}"), &ps);
+    }
+    o
 }
 
-proptest! {
-    /// Subsumption is reflexive and transitive on arbitrary DAGs.
-    #[test]
-    fn subsumption_is_a_preorder(o in arb_ontology(), a in 0u32..20, b in 0u32..20, c in 0u32..20) {
+/// Subsumption is reflexive and transitive on arbitrary DAGs.
+#[test]
+fn subsumption_is_a_preorder() {
+    check("subsumption_is_a_preorder", 64, |g| {
+        let o = ontology(g);
+        let a = g.range(0u32..20);
+        let b = g.range(0u32..20);
+        let c = g.range(0u32..20);
         let n = o.len() as u32;
         let (a, b, c) = (ClassId(a % n), ClassId(b % n), ClassId(c % n));
-        prop_assert!(o.subsumes(a, a));
+        assert!(o.subsumes(a, a));
         if o.subsumes(a, b) && o.subsumes(b, c) {
-            prop_assert!(o.subsumes(a, c), "transitivity violated");
+            assert!(o.subsumes(a, c), "transitivity violated");
         }
-    }
+    });
+}
 
-    /// up_distance obeys the triangle inequality through intermediates.
-    #[test]
-    fn distance_triangle(o in arb_ontology(), a in 0u32..20, b in 0u32..20, c in 0u32..20) {
+/// up_distance obeys the triangle inequality through intermediates.
+#[test]
+fn distance_triangle() {
+    check("distance_triangle", 64, |g| {
+        let o = ontology(g);
+        let a = g.range(0u32..20);
+        let b = g.range(0u32..20);
+        let c = g.range(0u32..20);
         let n = o.len() as u32;
         let (a, b, c) = (ClassId(a % n), ClassId(b % n), ClassId(c % n));
         if let (Some(ab), Some(bc)) = (o.up_distance(a, b), o.up_distance(b, c)) {
             let ac = o.up_distance(a, c).expect("path exists via b");
-            prop_assert!(ac <= ab + bc);
+            assert!(ac <= ab + bc);
         }
-    }
+    });
+}
 
-    /// Matcher scores are always in (0, 1] and sorted descending; every
-    /// returned index is in range and unique.
-    #[test]
-    fn rank_output_well_formed(n in 1usize..120, seed in any::<u64>()) {
+/// Matcher scores are always in (0, 1] and sorted descending; every
+/// returned index is in range and unique.
+#[test]
+fn rank_output_well_formed() {
+    check("rank_output_well_formed", 64, |g| {
+        let n = g.range(1usize..120);
+        let seed = g.u64();
         let onto = Ontology::pervasive_grid();
         let mut rng = StdRng::seed_from_u64(seed);
         let corpus = mixed_corpus(&onto, n, &mut rng);
@@ -65,36 +78,49 @@ proptest! {
         let mut seen = std::collections::BTreeSet::new();
         let mut last = f64::INFINITY;
         for m in &ms {
-            prop_assert!(m.score > 0.0 && m.score <= 1.0);
-            prop_assert!(m.index < corpus.len());
-            prop_assert!(seen.insert(m.index), "duplicate index");
-            prop_assert!(m.score <= last + 1e-12);
+            assert!(m.score > 0.0 && m.score <= 1.0);
+            assert!(m.index < corpus.len());
+            assert!(seen.insert(m.index), "duplicate index");
+            assert!(m.score <= last + 1e-12);
             last = m.score;
         }
-    }
+    });
+}
 
-    /// Adding a constraint never grows the survivor set, and the survivors
-    /// of the stricter request are a subset of the looser one's.
-    #[test]
-    fn constraints_are_monotone_filters(n in 1usize..120, cap in 0.0f64..10.0, seed in any::<u64>()) {
+/// Adding a constraint never grows the survivor set, and the survivors
+/// of the stricter request are a subset of the looser one's.
+#[test]
+fn constraints_are_monotone_filters() {
+    check("constraints_are_monotone_filters", 64, |g| {
+        let n = g.range(1usize..120);
+        let cap = g.range(0.0f64..10.0);
+        let seed = g.u64();
         let onto = Ontology::pervasive_grid();
         let mut rng = StdRng::seed_from_u64(seed);
         let corpus = mixed_corpus(&onto, n, &mut rng);
         let class = onto.class("Service").unwrap();
         let loose = ServiceRequest::for_class(class);
-        let strict = ServiceRequest::for_class(class)
-            .with_constraint(Constraint::Le("cost".into(), cap));
-        let loose_idx: std::collections::BTreeSet<usize> =
-            matcher::rank(&onto, &loose, &corpus).into_iter().map(|m| m.index).collect();
-        let strict_idx: std::collections::BTreeSet<usize> =
-            matcher::rank(&onto, &strict, &corpus).into_iter().map(|m| m.index).collect();
-        prop_assert!(strict_idx.is_subset(&loose_idx));
-    }
+        let strict =
+            ServiceRequest::for_class(class).with_constraint(Constraint::Le("cost".into(), cap));
+        let loose_idx: std::collections::BTreeSet<usize> = matcher::rank(&onto, &loose, &corpus)
+            .into_iter()
+            .map(|m| m.index)
+            .collect();
+        let strict_idx: std::collections::BTreeSet<usize> = matcher::rank(&onto, &strict, &corpus)
+            .into_iter()
+            .map(|m| m.index)
+            .collect();
+        assert!(strict_idx.is_subset(&loose_idx));
+    });
+}
 
-    /// Requesting a subclass never returns *more* exact/subsumed hits than
-    /// requesting its ancestor.
-    #[test]
-    fn specialization_narrows(n in 1usize..120, seed in any::<u64>()) {
+/// Requesting a subclass never returns *more* exact/subsumed hits than
+/// requesting its ancestor.
+#[test]
+fn specialization_narrows() {
+    check("specialization_narrows", 64, |g| {
+        let n = g.range(1usize..120);
+        let seed = g.u64();
         let onto = Ontology::pervasive_grid();
         let mut rng = StdRng::seed_from_u64(seed);
         let corpus = mixed_corpus(&onto, n, &mut rng);
@@ -106,6 +132,6 @@ proptest! {
                 .filter(|m| m.grade != matcher::MatchGrade::PlugIn)
                 .count()
         };
-        prop_assert!(count_strong(narrow) <= count_strong(broad));
-    }
+        assert!(count_strong(narrow) <= count_strong(broad));
+    });
 }

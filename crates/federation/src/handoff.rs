@@ -708,7 +708,7 @@ mod tests {
     mod against_oracle {
         use super::super::oracle;
         use super::*;
-        use proptest::prelude::*;
+        use propcheck::{check, Gen};
 
         /// One drawn record: `(id, phase, completed_at, latency, warm)`,
         /// the two options as `0 = None`, else `Some(n)` — and no latency
@@ -717,9 +717,16 @@ mod tests {
         /// it does for two replicas of one record.
         type Drawn = (u64, u8, u64, u64, bool);
 
-        fn drawn() -> impl Strategy<Value = Vec<Drawn>> {
-            let one = (0u64..24, 0u8..4, 0u64..4, 0u64..4, any::<bool>());
-            prop::collection::vec(one, 0..20)
+        fn drawn(g: &mut Gen) -> Vec<Drawn> {
+            g.vec(0..20, |g| {
+                (
+                    g.range(0u64..24),
+                    g.range(0u8..4),
+                    g.range(0u64..4),
+                    g.range(0u64..4),
+                    g.bool(),
+                )
+            })
         }
 
         fn record(
@@ -801,22 +808,25 @@ mod tests {
             },
         }
 
-        fn ops(n: usize) -> impl Strategy<Value = Vec<Op>> {
-            let op = prop_oneof![
-                (0..n, 0u8..4).prop_map(|(at, phase)| Op::Open { at, phase }),
-                (0..n, 0usize..64, 1u8..4, 1u64..4, any::<bool>()).prop_map(
-                    |(at, pick, phase, completed, warm)| Op::Advance {
-                        at,
-                        pick,
-                        phase,
-                        completed,
-                        warm
-                    }
-                ),
-                (0..n, 0..n).prop_map(|(to, from)| Op::Contact { to, from }),
-                (0..n, 0..n).prop_map(|(to, from)| Op::Contact { to, from }),
-            ];
-            prop::collection::vec(op, 0..120)
+        /// Up to 120 steps, half of them contacts.
+        fn ops(g: &mut Gen, n: usize) -> Vec<Op> {
+            g.vec(0..120, |g| match g.range(0..4) {
+                0 => Op::Open {
+                    at: g.range(0..n),
+                    phase: g.range(0u8..4),
+                },
+                1 => Op::Advance {
+                    at: g.range(0..n),
+                    pick: g.range(0usize..64),
+                    phase: g.range(1u8..4),
+                    completed: g.range(1u64..4),
+                    warm: g.bool(),
+                },
+                _ => Op::Contact {
+                    to: g.range(0..n),
+                    from: g.range(0..n),
+                },
+            })
         }
 
         /// What a checkpointed replica must agree on with the oracle
@@ -836,23 +846,21 @@ mod tests {
             assert_sorted(new);
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(512))]
-
-            /// Store-to-store `merge_from` against the map ledger merging
-            /// a cloned snapshot: same delta, same records, same hash —
-            /// for overlapping, interleaved and disjoint id sets, every
-            /// phase, equal-phase records that diverged, and either side
-            /// empty. Then the algebra gossip relies on: idempotent, and
-            /// a two-way exchange ends the same whichever leg runs first.
-            #[test]
-            fn lockstep_merge_matches_the_snapshot_merge(
-                a in drawn(),
-                b in drawn(),
-                layout in 0usize..4,
-            ) {
+        /// Store-to-store `merge_from` against the map ledger merging
+        /// a cloned snapshot: same delta, same records, same hash —
+        /// for overlapping, interleaved and disjoint id sets, every
+        /// phase, equal-phase records that diverged, and either side
+        /// empty. Then the algebra gossip relies on: idempotent, and
+        /// a two-way exchange ends the same whichever leg runs first.
+        #[test]
+        fn lockstep_merge_matches_the_snapshot_merge() {
+            check("lockstep_merge_matches_the_snapshot_merge", 512, |g| {
+                let a = drawn(g);
+                let b = drawn(g);
+                let layout = g.range(0usize..4);
                 // Same ids / interleaved / b above a / b below a.
-                let (sa, oa, sb, ob) = [(1, 0, 1, 0), (2, 0, 2, 1), (1, 0, 1, 100), (1, 100, 1, 0)][layout];
+                let (sa, oa, sb, ob) =
+                    [(1, 0, 1, 0), (2, 0, 2, 1), (1, 0, 1, 100), (1, 100, 1, 0)][layout];
                 let (a, a_old) = build(&a, sa, oa);
                 let (b, b_old) = build(&b, sb, ob);
                 let plain = Quorum::NONE;
@@ -860,22 +868,22 @@ mod tests {
                 let mut x = a.clone();
                 let mut x_old = a_old.clone();
                 let delta = x.merge_from(&b, plain);
-                prop_assert_eq!(delta, x_old.merge(&b_old.snapshot()));
-                prop_assert_eq!(x.snapshot(), x_old.snapshot());
-                prop_assert_eq!(x.ledger_hash(), x_old.ledger_hash());
+                assert_eq!(delta, x_old.merge(&b_old.snapshot()));
+                assert_eq!(x.snapshot(), x_old.snapshot());
+                assert_eq!(x.ledger_hash(), x_old.ledger_hash());
                 assert_sorted(&x);
 
                 // The slice form agrees, whatever order the slice is in.
                 let mut reversed = b.snapshot();
                 reversed.reverse();
                 let mut via_slice = a.clone();
-                prop_assert_eq!(via_slice.merge(&reversed), delta);
-                prop_assert_eq!(via_slice.snapshot(), x.snapshot());
+                assert_eq!(via_slice.merge(&reversed), delta);
+                assert_eq!(via_slice.snapshot(), x.snapshot());
                 assert_sorted(&via_slice);
 
                 // Idempotent.
-                prop_assert_eq!(x.merge_from(&b, plain), 0);
-                prop_assert_eq!(x.snapshot(), x_old.snapshot());
+                assert_eq!(x.merge_from(&b, plain), 0);
+                assert_eq!(x.snapshot(), x_old.snapshot());
 
                 // Push-then-pull and pull-then-push leave both replicas
                 // with the same ledger.
@@ -885,29 +893,39 @@ mod tests {
                 y2.merge_from(&a, plain);
                 let mut x2 = a.clone();
                 x2.merge_from(&y2, plain);
-                prop_assert_eq!(y.snapshot(), x.snapshot());
-                prop_assert_eq!(y2.snapshot(), x.snapshot());
-                prop_assert_eq!(x2.snapshot(), x.snapshot());
+                assert_eq!(y.snapshot(), x.snapshot());
+                assert_eq!(y2.snapshot(), x.snapshot());
+                assert_eq!(x2.snapshot(), x.snapshot());
                 assert_sorted(&y);
-            }
+            });
+        }
 
-            /// Checkpointed replicas against oracle replicas driven
-            /// through the same random schedule of opens, advances and
-            /// contacts: after every step each agrees with its oracle on
-            /// hash, count and phases, and every live record is the
-            /// oracle's. Then everything open is abandoned and full
-            /// rounds run: every live ledger empties, and every replica
-            /// counts each record opened exactly once.
-            #[test]
-            fn checkpointed_replicas_match_the_oracle(n in 2usize..6, steps in ops(5)) {
+        /// Checkpointed replicas against oracle replicas driven
+        /// through the same random schedule of opens, advances and
+        /// contacts: after every step each agrees with its oracle on
+        /// hash, count and phases, and every live record is the
+        /// oracle's. Then everything open is abandoned and full
+        /// rounds run: every live ledger empties, and every replica
+        /// counts each record opened exactly once.
+        #[test]
+        fn checkpointed_replicas_match_the_oracle() {
+            check("checkpointed_replicas_match_the_oracle", 512, |g| {
+                let n = g.range(2usize..6);
+                let steps = ops(g, 5);
                 let mut new: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
-                let mut old: Vec<oracle::HandoffStore> = (0..n).map(|_| Default::default()).collect();
+                let mut old: Vec<oracle::HandoffStore> =
+                    (0..n).map(|_| Default::default()).collect();
                 let mut opened = 0u64;
-                let contact = |new: &mut [HandoffStore], old: &mut [oracle::HandoffStore], to: usize, from: usize| {
+                let contact = |new: &mut [HandoffStore],
+                               old: &mut [oracle::HandoffStore],
+                               to: usize,
+                               from: usize| {
                     if to == from {
                         return;
                     }
-                    let Ok([a, b]) = new.get_disjoint_mut([to, from]) else { unreachable!() };
+                    let Ok([a, b]) = new.get_disjoint_mut([to, from]) else {
+                        unreachable!()
+                    };
                     a.merge_from(b, Quorum::new(to, from, n));
                     let theirs = old[from].snapshot();
                     old[to].merge(&theirs);
@@ -920,7 +938,13 @@ mod tests {
                             new[at % n].open(r.clone());
                             old[at % n].open(r);
                         }
-                        Op::Advance { at, pick, phase, completed, warm } => {
+                        Op::Advance {
+                            at,
+                            pick,
+                            phase,
+                            completed,
+                            warm,
+                        } => {
                             // Only a record open at this replica moves here.
                             let at = at % n;
                             let open: Vec<HandoffRecord> = (new[at].snapshot().into_iter())
@@ -936,12 +960,16 @@ mod tests {
                     }
                     for (a, b) in new.iter().zip(&old) {
                         agree(a, b);
-                        prop_assert!(a.len() as u64 <= opened, "a retired id was adopted again");
+                        assert!(a.len() as u64 <= opened, "a retired id was adopted again");
                     }
                 }
                 // Close what is still open, then gossip every pair.
                 for at in 0..n {
-                    for r in new[at].snapshot().into_iter().filter(|r| !r.phase.is_terminal()) {
+                    for r in new[at]
+                        .snapshot()
+                        .into_iter()
+                        .filter(|r| !r.phase.is_terminal())
+                    {
                         let next = record(r.id, 2, 0, 0, false);
                         new[at].merge(std::slice::from_ref(&next));
                         old[at].merge(&[next]);
@@ -956,11 +984,11 @@ mod tests {
                 }
                 for (a, b) in new.iter().zip(&old) {
                     agree(a, b);
-                    prop_assert_eq!(a.len() as u64, opened);
-                    prop_assert!(a.live.is_empty(), "{} records never retired", a.live.len());
-                    prop_assert_eq!(a.ledger_hash(), new[0].ledger_hash());
+                    assert_eq!(a.len() as u64, opened);
+                    assert!(a.live.is_empty(), "{} records never retired", a.live.len());
+                    assert_eq!(a.ledger_hash(), new[0].ledger_hash());
                 }
-            }
+            });
         }
     }
 }

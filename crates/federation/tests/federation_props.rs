@@ -31,7 +31,7 @@ use pg_runtime::{
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
-use proptest::prelude::*;
+use propcheck::check;
 use rand::Rng;
 use std::collections::BTreeSet;
 
@@ -87,83 +87,96 @@ fn arrivals(seed: u64, rate_hz: f64, horizon_s: u64) -> Vec<(SimTime, u64, Strin
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+/// Satellite: the federation is a zero-cost wrapper when nobody
+/// roams. (Absorption is disabled: it is a deliberate behavioral
+/// *feature* that rescues shed load, not wrapper overhead.)
+#[test]
+fn stationary_two_cell_federation_matches_standalone() {
+    check(
+        "stationary_two_cell_federation_matches_standalone",
+        12,
+        |g| {
+            let seed = g.range(0u64..1_000);
+            let rate_centi_hz = g.range(2u32..12);
+            let rate_hz = f64::from(rate_centi_hz) / 100.0;
+            let horizon_s = 3_600;
+            let offered = arrivals(seed, rate_hz, horizon_s);
 
-    /// Satellite: the federation is a zero-cost wrapper when nobody
-    /// roams. (Absorption is disabled: it is a deliberate behavioral
-    /// *feature* that rescues shed load, not wrapper overhead.)
-    #[test]
-    fn stationary_two_cell_federation_matches_standalone(
-        seed in 0u64..1_000,
-        rate_centi_hz in 2u32..12,
-    ) {
-        let rate_hz = f64::from(rate_centi_hz) / 100.0;
-        let horizon_s = 3_600;
-        let offered = arrivals(seed, rate_hz, horizon_s);
+            // Standalone single cell over the identical arrival trace.
+            let mut alone = cell_runtime(seed);
+            let mut trace =
+                TraceArrivals::new(
+                    offered
+                        .iter()
+                        .map(|(at, _, text, opts)| pg_runtime::Arrival {
+                            at: *at,
+                            text: text.clone(),
+                            opts: *opts,
+                        }),
+                );
+            alone.run_stream(&mut trace, 100_000);
 
-        // Standalone single cell over the identical arrival trace.
-        let mut alone = cell_runtime(seed);
-        let mut trace = TraceArrivals::new(offered.iter().map(|(at, _, text, opts)| {
-            pg_runtime::Arrival { at: *at, text: text.clone(), opts: *opts }
-        }));
-        alone.run_stream(&mut trace, 100_000);
+            // Two-cell federation, every user pinned to cell 0 by a moveless
+            // trace.
+            let runtimes = vec![cell_runtime(seed), cell_runtime(seed + 1)];
+            let traces = (0..6u64)
+                .map(|u| Trace {
+                    user: u,
+                    start: CellId(0),
+                    moves: vec![],
+                })
+                .collect();
+            let fcfg = FederationConfig {
+                redirect: false,
+                ..FederationConfig::default()
+            };
+            let mut fed = Federation::new(fcfg, runtimes, traces);
+            for (at, user, text, opts) in &offered {
+                fed.offer(*at, *user, text.clone(), *opts);
+            }
+            fed.run(SimTime::from_secs(horizon_s));
 
-        // Two-cell federation, every user pinned to cell 0 by a moveless
-        // trace.
-        let runtimes = vec![cell_runtime(seed), cell_runtime(seed + 1)];
-        let traces = (0..6u64)
-            .map(|u| Trace { user: u, start: CellId(0), moves: vec![] })
-            .collect();
-        let fcfg = FederationConfig {
-            redirect: false,
-            ..FederationConfig::default()
-        };
-        let mut fed = Federation::new(fcfg, runtimes, traces);
-        for (at, user, text, opts) in &offered {
-            fed.offer(*at, *user, text.clone(), *opts);
-        }
-        fed.run(SimTime::from_secs(horizon_s));
+            // No cross-cell machinery may have engaged…
+            assert_eq!(fed.stats.migrations_opened, 0);
+            assert_eq!(fed.stats.forwards_opened, 0);
+            assert_eq!(fed.stats.absorbed, 0);
+            assert!(fed.cells()[1].rt.outcomes().is_empty());
 
-        // No cross-cell machinery may have engaged…
-        prop_assert_eq!(fed.stats.migrations_opened, 0);
-        prop_assert_eq!(fed.stats.forwards_opened, 0);
-        prop_assert_eq!(fed.stats.absorbed, 0);
-        prop_assert!(fed.cells()[1].rt.outcomes().is_empty());
+            // …and cell 0 made bit-identical scheduling decisions.
+            let a = alone.outcomes();
+            let b = fed.cells()[0].rt.outcomes();
+            assert_eq!(a.len(), b.len(), "outcome counts diverge");
+            for (x, y) in a.iter().zip(b) {
+                assert_eq!(x.id, y.id);
+                assert_eq!(&x.text, &y.text);
+                assert_eq!(x.submitted_at, y.submitted_at);
+                assert_eq!(x.started_at, y.started_at);
+                assert_eq!(x.completion_index, y.completion_index);
+                assert_eq!(x.queue_wait_s.to_bits(), y.queue_wait_s.to_bits());
+                assert_eq!(x.deadline, y.deadline);
+                assert_eq!(x.brownout, y.brownout);
+                assert_eq!(&x.response, &y.response);
+                assert_eq!(x.attribution, y.attribution);
+            }
+            assert_eq!(alone.rejected, fed.cells()[0].rt.rejected);
+            assert_eq!(alone.shed, fed.cells()[0].rt.shed);
+            assert_eq!(
+                alone.energy_spent_j().to_bits(),
+                fed.cells()[0].rt.energy_spent_j().to_bits()
+            );
+        },
+    );
+}
 
-        // …and cell 0 made bit-identical scheduling decisions.
-        let a = alone.outcomes();
-        let b = fed.cells()[0].rt.outcomes();
-        prop_assert_eq!(a.len(), b.len(), "outcome counts diverge");
-        for (x, y) in a.iter().zip(b) {
-            prop_assert_eq!(x.id, y.id);
-            prop_assert_eq!(&x.text, &y.text);
-            prop_assert_eq!(x.submitted_at, y.submitted_at);
-            prop_assert_eq!(x.started_at, y.started_at);
-            prop_assert_eq!(x.completion_index, y.completion_index);
-            prop_assert_eq!(x.queue_wait_s.to_bits(), y.queue_wait_s.to_bits());
-            prop_assert_eq!(x.deadline, y.deadline);
-            prop_assert_eq!(x.brownout, y.brownout);
-            prop_assert_eq!(&x.response, &y.response);
-            prop_assert_eq!(x.attribution, y.attribution);
-        }
-        prop_assert_eq!(alone.rejected, fed.cells()[0].rt.rejected);
-        prop_assert_eq!(alone.shed, fed.cells()[0].rt.shed);
-        prop_assert_eq!(
-            alone.energy_spent_j().to_bits(),
-            fed.cells()[0].rt.energy_spent_j().to_bits()
-        );
-    }
-
-    /// Satellite: gossip convergence under crashes. After K rounds with
-    /// ≤ f crashed cells, every live cell agrees on exactly the live set;
-    /// revived cells are rehabilitated.
-    #[test]
-    fn gossip_live_sets_agree_under_crashes(
-        seed in any::<u64>(),
-        n in 3usize..12,
-        crash_mask in any::<u64>(),
-    ) {
+/// Satellite: gossip convergence under crashes. After K rounds with
+/// ≤ f crashed cells, every live cell agrees on exactly the live set;
+/// revived cells are rehabilitated.
+#[test]
+fn gossip_live_sets_agree_under_crashes() {
+    check("gossip_live_sets_agree_under_crashes", 12, |g| {
+        let seed = g.u64();
+        let n = g.range(3usize..12);
+        let crash_mask = g.u64();
         let cfg = GossipConfig::default();
         let round_s = cfg.round.as_secs_f64() as u64;
         // Rounds until a silent peer must be evicted, plus slack for the
@@ -221,9 +234,10 @@ proptest! {
             }
             let mut live = m.live_set();
             live.sort();
-            prop_assert_eq!(
+            assert_eq!(
                 &live, &truth,
-                "cell {} disagrees on the live set after {} rounds", i, evict_rounds
+                "cell {} disagrees on the live set after {} rounds",
+                i, evict_rounds
             );
         }
 
@@ -234,118 +248,148 @@ proptest! {
         for m in &members {
             let mut live = m.live_set();
             live.sort();
-            prop_assert_eq!(&live, &everyone, "{} not fully rehabilitated", m.me);
+            assert_eq!(&live, &everyone, "{} not fully rehabilitated", m.me);
         }
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Satellite: handoff ledgers under random gossip schedules. Faults are
-    /// drawn as `(kind, cells, start round, length)`: a partition of cells
-    /// `0..=a` from the rest, a one-way cut `a -> c`, or cell `a` crashed.
-    /// Handoff events are drawn as `(round, cell, action)`: open a record
-    /// there, or move one the cell holds open to in-progress, abandoned or
-    /// completed.
-    #[test]
-    fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes(
-        seed in any::<u64>(),
-        n in 3usize..10,
-        faults in prop::collection::vec((0u8..3, any::<u64>(), 0..FAULT_ROUNDS, 1u64..20), 0..5),
-        events in prop::collection::vec((0..FAULT_ROUNDS, any::<u64>(), 0u8..4), 0..60),
-    ) {
-        let at = |round: u64| SimTime::from_secs(GossipConfig::default().round.as_secs_f64() as u64 * (round + 1));
-        let cells = n as u64;
-        let mut plan = FaultPlan::builder(seed);
-        for &(kind, pick, start, len) in &faults {
-            let (a, c, end) = (pick % cells, pick / cells % cells, (start + len).min(FAULT_ROUNDS));
-            plan = match kind {
-                0 => plan.cell_partition(&(0..=a).collect::<Vec<_>>(), at(start), at(end)),
-                1 if a != c => plan.one_way_link_cut(a, c, at(start), at(end)),
-                _ => plan.cell_crash(a, at(start), at(end)),
+/// Satellite: handoff ledgers under random gossip schedules. Faults are
+/// drawn as `(kind, cells, start round, length)`: a partition of cells
+/// `0..=a` from the rest, a one-way cut `a -> c`, or cell `a` crashed.
+/// Handoff events are drawn as `(round, cell, action)`: open a record
+/// there, or move one the cell holds open to in-progress, abandoned or
+/// completed.
+#[test]
+fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
+    check(
+        "ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes",
+        48,
+        |g| {
+            let seed = g.u64();
+            let n = g.range(3usize..10);
+            let faults = g.vec(0..5, |g| {
+                (
+                    g.range(0u8..3),
+                    g.u64(),
+                    g.range(0..FAULT_ROUNDS),
+                    g.range(1u64..20),
+                )
+            });
+            let events = g.vec(0..60, |g| {
+                (g.range(0..FAULT_ROUNDS), g.u64(), g.range(0u8..4))
+            });
+            let at = |round: u64| {
+                SimTime::from_secs(GossipConfig::default().round.as_secs_f64() as u64 * (round + 1))
             };
-        }
-        let plan = plan.build().expect("valid plan");
-
-        let mut members: Vec<Membership> = (0..n)
-            .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))
-            .collect();
-        let mut handoffs: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
-        let mut opened: Vec<HandoffId> = Vec::new();
-        // Per replica: the ids it held live after the last round, and the
-        // ids it has since let go of — retired, never to come back.
-        let mut live: Vec<Vec<HandoffId>> = vec![Vec::new(); n];
-        let mut retired: Vec<BTreeSet<HandoffId>> = vec![BTreeSet::new(); n];
-        for round in 0..FAULT_ROUNDS + TAIL_ROUNDS {
-            let now = at(round);
-            let up: Vec<bool> = (0..cells).map(|i| !plan.is_cell_down(i, now)).collect();
-            for &(_, pick, action) in events.iter().filter(|e| e.0 == round) {
-                let cell = (pick % cells) as usize;
-                if !up[cell] {
-                    continue;
-                }
-                let open: Vec<HandoffId> = (handoffs[cell].snapshot().into_iter())
-                    .filter(|r| r.phase < HandoffPhase::Abandoned)
-                    .map(|r| r.id)
-                    .collect();
-                if action == 0 || open.is_empty() {
-                    let id = HandoffId::mint(CellId(cell as u32), opened.len() as u64);
-                    handoffs[cell].open(HandoffRecord {
-                        id,
-                        user: pick,
-                        from: CellId(cell as u32),
-                        to: CellId(((cell + 1) % n) as u32),
-                        kind: HandoffKind::Migrate,
-                        phase: HandoffPhase::Pending,
-                        opened_at: now,
-                        completed_at: None,
-                        latency_s: None,
-                        warm: false,
-                    });
-                    opened.push(id);
-                } else {
-                    let id = open[(pick / cells) as usize % open.len()];
-                    let phase = [HandoffPhase::InProgress, HandoffPhase::Abandoned, HandoffPhase::Completed]
-                        [action as usize - 1];
-                    handoffs[cell].advance(id, phase, now, Some(0.5), pick & 1 == 1);
-                }
-            }
-            if round == FAULT_ROUNDS {
-                // Every fault has healed; nothing stays open. Each origin
-                // gives up what it still holds open.
-                for &id in &opened {
-                    let origin = (id.0 >> 32) as usize;
-                    handoffs[origin].advance(id, HandoffPhase::Abandoned, now, None, false);
-                }
-            }
-            for (i, m) in members.iter_mut().enumerate() {
-                if up[i] {
-                    m.beat(now, LoadDigest::default());
-                }
-            }
-            let ctx = RoundCtx { now, seed, round_idx: round, faults: Some(&plan) };
-            gossip_round_ctx(&mut members, &mut handoffs, &up, &ctx);
-            for (i, h) in handoffs.iter().enumerate() {
-                prop_assert!(h.len() <= opened.len(), "cell {} counts a record twice", i);
-                let now_live: Vec<HandoffId> = h.snapshot().iter().map(|r| r.id).collect();
-                retired[i].extend(live[i].iter().filter(|id| !now_live.contains(id)));
-                prop_assert!(
-                    now_live.iter().all(|id| !retired[i].contains(id)),
-                    "cell {} adopted a record it retired", i
+            let cells = n as u64;
+            let mut plan = FaultPlan::builder(seed);
+            for &(kind, pick, start, len) in &faults {
+                let (a, c, end) = (
+                    pick % cells,
+                    pick / cells % cells,
+                    (start + len).min(FAULT_ROUNDS),
                 );
-                live[i] = now_live;
+                plan = match kind {
+                    0 => plan.cell_partition(&(0..=a).collect::<Vec<_>>(), at(start), at(end)),
+                    1 if a != c => plan.one_way_link_cut(a, c, at(start), at(end)),
+                    _ => plan.cell_crash(a, at(start), at(end)),
+                };
             }
-        }
-        // Conservation, reconvergence, and nothing left live.
-        let first = &handoffs[0];
-        let [pending, in_progress, _, _] = first.phase_counts();
-        prop_assert_eq!((pending, in_progress), (0, 0));
-        for (i, h) in handoffs.iter().enumerate() {
-            prop_assert_eq!(h.len(), opened.len(), "cell {}", i);
-            prop_assert_eq!(h.ledger_hash(), first.ledger_hash(), "cell {}", i);
-            prop_assert_eq!(h.phase_counts(), first.phase_counts(), "cell {}", i);
-            prop_assert!(h.snapshot().is_empty(), "cell {} never retired {:?}", i, h.snapshot());
-        }
-    }
+            let plan = plan.build().expect("valid plan");
+
+            let mut members: Vec<Membership> = (0..n)
+                .map(|i| Membership::new(CellId(i as u32), &[CellId(0)], SimTime::ZERO))
+                .collect();
+            let mut handoffs: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
+            let mut opened: Vec<HandoffId> = Vec::new();
+            // Per replica: the ids it held live after the last round, and the
+            // ids it has since let go of — retired, never to come back.
+            let mut live: Vec<Vec<HandoffId>> = vec![Vec::new(); n];
+            let mut retired: Vec<BTreeSet<HandoffId>> = vec![BTreeSet::new(); n];
+            for round in 0..FAULT_ROUNDS + TAIL_ROUNDS {
+                let now = at(round);
+                let up: Vec<bool> = (0..cells).map(|i| !plan.is_cell_down(i, now)).collect();
+                for &(_, pick, action) in events.iter().filter(|e| e.0 == round) {
+                    let cell = (pick % cells) as usize;
+                    if !up[cell] {
+                        continue;
+                    }
+                    let open: Vec<HandoffId> = (handoffs[cell].snapshot().into_iter())
+                        .filter(|r| r.phase < HandoffPhase::Abandoned)
+                        .map(|r| r.id)
+                        .collect();
+                    if action == 0 || open.is_empty() {
+                        let id = HandoffId::mint(CellId(cell as u32), opened.len() as u64);
+                        handoffs[cell].open(HandoffRecord {
+                            id,
+                            user: pick,
+                            from: CellId(cell as u32),
+                            to: CellId(((cell + 1) % n) as u32),
+                            kind: HandoffKind::Migrate,
+                            phase: HandoffPhase::Pending,
+                            opened_at: now,
+                            completed_at: None,
+                            latency_s: None,
+                            warm: false,
+                        });
+                        opened.push(id);
+                    } else {
+                        let id = open[(pick / cells) as usize % open.len()];
+                        let phase = [
+                            HandoffPhase::InProgress,
+                            HandoffPhase::Abandoned,
+                            HandoffPhase::Completed,
+                        ][action as usize - 1];
+                        handoffs[cell].advance(id, phase, now, Some(0.5), pick & 1 == 1);
+                    }
+                }
+                if round == FAULT_ROUNDS {
+                    // Every fault has healed; nothing stays open. Each origin
+                    // gives up what it still holds open.
+                    for &id in &opened {
+                        let origin = (id.0 >> 32) as usize;
+                        handoffs[origin].advance(id, HandoffPhase::Abandoned, now, None, false);
+                    }
+                }
+                for (i, m) in members.iter_mut().enumerate() {
+                    if up[i] {
+                        m.beat(now, LoadDigest::default());
+                    }
+                }
+                let ctx = RoundCtx {
+                    now,
+                    seed,
+                    round_idx: round,
+                    faults: Some(&plan),
+                };
+                gossip_round_ctx(&mut members, &mut handoffs, &up, &ctx);
+                for (i, h) in handoffs.iter().enumerate() {
+                    assert!(h.len() <= opened.len(), "cell {} counts a record twice", i);
+                    let now_live: Vec<HandoffId> = h.snapshot().iter().map(|r| r.id).collect();
+                    retired[i].extend(live[i].iter().filter(|id| !now_live.contains(id)));
+                    assert!(
+                        now_live.iter().all(|id| !retired[i].contains(id)),
+                        "cell {} adopted a record it retired",
+                        i
+                    );
+                    live[i] = now_live;
+                }
+            }
+            // Conservation, reconvergence, and nothing left live.
+            let first = &handoffs[0];
+            let [pending, in_progress, _, _] = first.phase_counts();
+            assert_eq!((pending, in_progress), (0, 0));
+            for (i, h) in handoffs.iter().enumerate() {
+                assert_eq!(h.len(), opened.len(), "cell {}", i);
+                assert_eq!(h.ledger_hash(), first.ledger_hash(), "cell {}", i);
+                assert_eq!(h.phase_counts(), first.phase_counts(), "cell {}", i);
+                assert!(
+                    h.snapshot().is_empty(),
+                    "cell {} never retired {:?}",
+                    i,
+                    h.snapshot()
+                );
+            }
+        },
+    );
 }

@@ -7,7 +7,7 @@
 
 use pg_net::repair::repair_after_deaths;
 use pg_net::topology::{NodeId, Topology};
-use proptest::prelude::*;
+use propcheck::check;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -53,16 +53,13 @@ fn assert_trees_equal(got: &pg_net::topology::RoutingTree, want: &pg_net::topolo
     assert_eq!(got.height(), deepest, "height mismatch");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// One batch of deaths: repair == rebuild, and its stats add up.
-    #[test]
-    fn single_batch_matches_rebuild(
-        seed in 0u64..1_000_000,
-        n in 2usize..300,
-        kill_frac in 0.0f64..0.3,
-    ) {
+/// One batch of deaths: repair == rebuild, and its stats add up.
+#[test]
+fn single_batch_matches_rebuild() {
+    check("single_batch_matches_rebuild", 64, |g| {
+        let seed = g.range(0u64..1_000_000);
+        let n = g.range(2usize..300);
+        let kill_frac = g.range(0.0f64..0.3);
         let topo = topo_from_seed(seed, n);
         let root = NodeId(0);
         let mut tree = topo.canonical_tree(root);
@@ -77,18 +74,19 @@ proptest! {
         let want = topo.canonical_tree_filtered(root, |v| alive[v.idx()]);
         assert_trees_equal(&tree, &want);
         // Only victims attached to the tree count as detached deaths.
-        prop_assert!(stats.dead <= victims.len());
-        prop_assert!(stats.touched() <= n);
-    }
+        assert!(stats.dead <= victims.len());
+        assert!(stats.touched() <= n);
+    });
+}
 
-    /// Sequential churn: several successive death batches, each repaired
-    /// incrementally, never diverge from the from-scratch canonical tree.
-    #[test]
-    fn sequential_churn_matches_rebuild(
-        seed in 0u64..1_000_000,
-        n in 10usize..200,
-        rounds in 1usize..6,
-    ) {
+/// Sequential churn: several successive death batches, each repaired
+/// incrementally, never diverge from the from-scratch canonical tree.
+#[test]
+fn sequential_churn_matches_rebuild() {
+    check("sequential_churn_matches_rebuild", 64, |g| {
+        let seed = g.range(0u64..1_000_000);
+        let n = g.range(10usize..200);
+        let rounds = g.range(1usize..6);
         let topo = topo_from_seed(seed, n);
         let root = NodeId(0);
         let mut tree = topo.canonical_tree(root);
@@ -107,15 +105,16 @@ proptest! {
             let want = topo.canonical_tree_filtered(root, |v| alive[v.idx()]);
             assert_trees_equal(&tree, &want);
         }
-    }
+    });
+}
 
-    /// Repair latency never exceeds the full-rebuild flood: the wavefront
-    /// touches at most the depth range it recomputes.
-    #[test]
-    fn waves_bounded_by_rebuild(
-        seed in 0u64..1_000_000,
-        n in 10usize..200,
-    ) {
+/// Repair latency never exceeds the full-rebuild flood: the wavefront
+/// touches at most the depth range it recomputes.
+#[test]
+fn waves_bounded_by_rebuild() {
+    check("waves_bounded_by_rebuild", 64, |g| {
+        let seed = g.range(0u64..1_000_000);
+        let n = g.range(10usize..200);
         let topo = topo_from_seed(seed, n);
         let root = NodeId(0);
         let mut tree = topo.canonical_tree(root);
@@ -131,16 +130,16 @@ proptest! {
         // height], so they cannot exceed the post-repair flood depth + 1,
         // and re-anchoring adds at most one more exchange.
         let rebuild_waves = tree.height().max(pre_height) + 1;
-        prop_assert!(
+        assert!(
             stats.waves <= rebuild_waves + 1,
             "waves {} vs rebuild {}",
             stats.waves,
             rebuild_waves,
         );
-    }
+    });
 }
 
-/// Deterministic heavyweight case (outside proptest so it always runs at
+/// Deterministic heavyweight case (not a property, so it always runs at
 /// full size): a 1k-node field, repeated churn, exact convergence.
 #[test]
 fn thousand_node_churn_converges() {

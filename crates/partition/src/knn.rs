@@ -331,7 +331,7 @@ mod tests {
 
     mod against_oracle {
         use super::*;
-        use proptest::prelude::*;
+        use propcheck::check;
 
         const MODELS: [SolutionModel; 5] = [
             SolutionModel::InNetworkTree,
@@ -363,21 +363,22 @@ mod tests {
                 .collect()
         }
 
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// The indexed memory answers every probe of an interleaved
-            /// record/predict stream with the oracle's bits, and counts
-            /// what the oracle stores.
-            #[test]
-            fn indexed_memory_matches_the_linear_scan(
-                points in 1usize..=12,
-                k_idx in 0usize..4,
-                steps in proptest::collection::vec(
-                    (0usize..12, 0usize..5, 0u32..1_000, 0u8..3),
-                    1..160,
-                ),
-            ) {
+        /// The indexed memory answers every probe of an interleaved
+        /// record/predict stream with the oracle's bits, and counts
+        /// what the oracle stores.
+        #[test]
+        fn indexed_memory_matches_the_linear_scan() {
+            check("indexed_memory_matches_the_linear_scan", 64, |g| {
+                let points = g.range(1usize..=12);
+                let k_idx = g.range(0usize..4);
+                let steps = g.vec(1..160, |g| {
+                    (
+                        g.range(0usize..12),
+                        g.range(0usize..5),
+                        g.range(0u32..1_000),
+                        g.range(0u8..3),
+                    )
+                });
                 let k = [1, 2, 5, 8][k_idx];
                 let pool = pool(points);
                 let mut new = KnnRegressor::with_k(k);
@@ -387,22 +388,22 @@ mod tests {
                     if op == 0 {
                         let got = new.predict_detailed(&f, &model);
                         let want = old.predict_detailed(&f, &model);
-                        prop_assert_eq!(got.is_some(), want.is_some());
-                        if let (Some((g, gn)), Some((w, wn))) = (got, want) {
-                            prop_assert_eq!(bits(&g), bits(&w));
-                            prop_assert_eq!(gn.to_bits(), wn.to_bits());
+                        assert_eq!(got.is_some(), want.is_some());
+                        if let (Some((got, gn)), Some((want, wn))) = (got, want) {
+                            assert_eq!(bits(&got), bits(&want));
+                            assert_eq!(gn.to_bits(), wn.to_bits());
                         }
                     } else {
                         let actual = cost(0.01 * (f64::from(c) + 1.0));
                         new.record(f, model, actual);
                         old.record(f, model, actual);
                     }
-                    prop_assert_eq!(new.len(), old.len());
+                    assert_eq!(new.len(), old.len());
                     for model in &MODELS {
-                        prop_assert_eq!(new.family_count(model), old.family_count(model));
+                        assert_eq!(new.family_count(model), old.family_count(model));
                     }
                 }
-            }
+            });
         }
 
         /// The equidistant pair the pool is built around really ties, and

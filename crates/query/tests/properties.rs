@@ -8,7 +8,8 @@ use pg_query::classify::{classify, inner_kind, QueryKind};
 use pg_query::lexer::lex;
 use pg_query::parse;
 use pg_sensornet::aggregate::AggFn;
-use proptest::prelude::*;
+use propcheck::{check, Gen};
+use std::ops::RangeInclusive;
 
 /// Generate structurally valid query text along with the facts we expect
 /// the parser to recover.
@@ -23,125 +24,181 @@ struct GenQuery {
     energy: Option<f64>,
 }
 
-fn arb_query() -> impl Strategy<Value = GenQuery> {
-    let select = prop_oneof![
-        Just((None, false, "temp".to_string())),
-        prop_oneof![
-            Just(AggFn::Avg),
-            Just(AggFn::Max),
-            Just(AggFn::Min),
-            Just(AggFn::Sum),
-            Just(AggFn::Count),
-            Just(AggFn::StdDev)
-        ]
-        .prop_map(|a| (Some(a), false, format!("{}(temp)", a.name()))),
-        Just((None, true, "temperature_distribution()".to_string())),
-    ];
-    let wher = prop_oneof![
-        Just((None, None, String::new())),
-        (1u32..500).prop_map(|id| (Some(id), None, format!(" WHERE sensor_id = {id}"))),
-        "[a-z][a-z0-9]{0,8}".prop_map(|r| {
-            let clause = format!(" WHERE region({r})");
-            (None, Some(r), clause)
-        }),
-    ];
-    let epoch = prop_oneof![
-        Just((None, String::new())),
-        (1u32..1_000).prop_map(|s| (Some(s), format!(" EPOCH DURATION {s} s"))),
-    ];
-    let cost = prop_oneof![
-        Just((None, String::new())),
-        (0.001f64..100.0).prop_map(|e| (Some(e), format!(" COST energy {e}"))),
-    ];
-    (select, wher, cost, epoch).prop_map(|(sel, wh, co, ep)| GenQuery {
-        text: format!("SELECT {} FROM sensors{}{}{}", sel.2, wh.2, co.1, ep.1),
-        agg: sel.0,
-        complex: sel.1,
-        sensor_id: wh.0,
-        region: wh.1,
-        epoch_s: ep.0,
-        energy: co.0,
-    })
+/// A length from `len`, then that many characters of `set`.
+fn chars(g: &mut Gen, len: RangeInclusive<usize>, set: &[u8]) -> String {
+    g.vec(len, |g| char::from(set[g.range(0..set.len())]))
+        .into_iter()
+        .collect()
 }
 
-proptest! {
-    /// Generated well-formed queries always parse, and the parser recovers
-    /// exactly the facts that were generated.
-    #[test]
-    fn parser_recovers_generated_facts(g in arb_query()) {
-        let q = parse(&g.text).unwrap_or_else(|e| panic!("{}: {e}", g.text));
-        prop_assert_eq!(q.first_agg(), g.agg);
-        prop_assert_eq!(q.has_complex_fn(), g.complex);
-        prop_assert_eq!(q.target_sensor(), g.sensor_id);
-        prop_assert_eq!(q.region(), g.region.as_deref());
-        prop_assert_eq!(
-            q.epoch.map(|e| e.as_secs_f64().round() as u32),
-            g.epoch_s
-        );
-        match (q.energy_bound(), g.energy) {
-            (Some(a), Some(b)) => prop_assert!((a - b).abs() < 1e-9 * (1.0 + b.abs())),
-            (None, None) => {}
-            other => prop_assert!(false, "energy bound mismatch: {other:?}"),
-        }
-    }
+/// A region name, `[a-z][a-z0-9]{0,8}`.
+fn region_name(g: &mut Gen) -> String {
+    const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+    let mut name = chars(g, 1..=1, LOWER);
+    name += &chars(g, 0..=8, b"abcdefghijklmnopqrstuvwxyz0123456789");
+    name
+}
 
-    /// Classification is a total function of the recovered structure.
-    #[test]
-    fn classification_matches_structure(g in arb_query()) {
-        let q = parse(&g.text).unwrap();
-        let k = classify(&q);
-        if g.epoch_s.is_some() {
-            prop_assert_eq!(k, QueryKind::Continuous);
-            let inner = inner_kind(&q);
-            prop_assert_ne!(inner, QueryKind::Continuous);
-        } else if g.complex {
-            prop_assert_eq!(k, QueryKind::Complex);
-        } else if g.agg.is_some() {
-            prop_assert_eq!(k, QueryKind::Aggregate);
+/// Up to 200 printable characters: mostly ASCII, one in ten from a few
+/// multibyte ones, to exercise lexers without drowning them in unicode.
+fn printable(g: &mut Gen) -> String {
+    const EXOTIC: [char; 6] = ['é', 'λ', '中', '∀', '†', '✓'];
+    g.vec(0..=200, |g| {
+        if g.range(0..10) == 0 {
+            EXOTIC[g.range(0..6usize)]
         } else {
-            prop_assert_eq!(k, QueryKind::Simple);
+            char::from(g.range(0x20u8..=0x7e))
         }
-    }
+    })
+    .into_iter()
+    .collect()
+}
 
-    /// The lexer never panics on arbitrary input — it returns Ok or a
-    /// positioned error.
-    #[test]
-    fn lexer_is_total(s in "\\PC{0,200}") {
+fn query(g: &mut Gen) -> GenQuery {
+    let (agg, complex, select) = match g.range(0..3) {
+        0 => (None, false, "temp".to_string()),
+        1 => {
+            let a = [
+                AggFn::Avg,
+                AggFn::Max,
+                AggFn::Min,
+                AggFn::Sum,
+                AggFn::Count,
+                AggFn::StdDev,
+            ][g.range(0..6usize)];
+            (Some(a), false, format!("{}(temp)", a.name()))
+        }
+        _ => (None, true, "temperature_distribution()".to_string()),
+    };
+    let (sensor_id, region, wher) = match g.range(0..3) {
+        0 => (None, None, String::new()),
+        1 => {
+            let id = g.range(1u32..500);
+            (Some(id), None, format!(" WHERE sensor_id = {id}"))
+        }
+        _ => {
+            let r = region_name(g);
+            let clause = format!(" WHERE region({r})");
+            (None, Some(r), clause)
+        }
+    };
+    let (energy, cost) = match g.range(0..2) {
+        0 => (None, String::new()),
+        _ => {
+            let e = g.range(0.001..100.0);
+            (Some(e), format!(" COST energy {e}"))
+        }
+    };
+    let (epoch_s, epoch) = match g.range(0..2) {
+        0 => (None, String::new()),
+        _ => {
+            let s = g.range(1u32..1_000);
+            (Some(s), format!(" EPOCH DURATION {s} s"))
+        }
+    };
+    GenQuery {
+        text: format!("SELECT {select} FROM sensors{wher}{cost}{epoch}"),
+        agg,
+        complex,
+        sensor_id,
+        region,
+        epoch_s,
+        energy,
+    }
+}
+
+/// Generated well-formed queries always parse, and the parser recovers
+/// exactly the facts that were generated.
+#[test]
+fn parser_recovers_generated_facts() {
+    check("parser_recovers_generated_facts", 64, |g| {
+        let want = query(g);
+        let q = parse(&want.text).unwrap_or_else(|e| panic!("{}: {e}", want.text));
+        assert_eq!(q.first_agg(), want.agg);
+        assert_eq!(q.has_complex_fn(), want.complex);
+        assert_eq!(q.target_sensor(), want.sensor_id);
+        assert_eq!(q.region(), want.region.as_deref());
+        assert_eq!(
+            q.epoch.map(|e| e.as_secs_f64().round() as u32),
+            want.epoch_s
+        );
+        match (q.energy_bound(), want.energy) {
+            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-9 * (1.0 + b.abs())),
+            (None, None) => {}
+            other => panic!("energy bound mismatch: {other:?}"),
+        }
+    });
+}
+
+/// Classification is a total function of the recovered structure.
+#[test]
+fn classification_matches_structure() {
+    check("classification_matches_structure", 64, |g| {
+        let want = query(g);
+        let q = parse(&want.text).unwrap();
+        let k = classify(&q);
+        if want.epoch_s.is_some() {
+            assert_eq!(k, QueryKind::Continuous);
+            let inner = inner_kind(&q);
+            assert_ne!(inner, QueryKind::Continuous);
+        } else if want.complex {
+            assert_eq!(k, QueryKind::Complex);
+        } else if want.agg.is_some() {
+            assert_eq!(k, QueryKind::Aggregate);
+        } else {
+            assert_eq!(k, QueryKind::Simple);
+        }
+    });
+}
+
+/// The lexer never panics on arbitrary input — it returns Ok or a
+/// positioned error.
+#[test]
+fn lexer_is_total() {
+    check("lexer_is_total", 64, |g| {
+        let s = printable(g);
         match lex(&s) {
             Ok(_) => {}
-            Err(e) => prop_assert!(e.pos <= s.len()),
+            Err(e) => assert!(e.pos <= s.len()),
         }
-    }
+    });
+}
 
-    /// The parser never panics on arbitrary input.
-    #[test]
-    fn parser_is_total(s in "\\PC{0,200}") {
-        let _ = parse(&s);
-    }
+/// The parser never panics on arbitrary input.
+#[test]
+fn parser_is_total() {
+    check("parser_is_total", 64, |g| {
+        let _ = parse(&printable(g));
+    });
+}
 
-    /// Parsing is deterministic: the same text yields the same AST.
-    #[test]
-    fn parsing_is_deterministic(g in arb_query()) {
-        let a = parse(&g.text).unwrap();
-        let b = parse(&g.text).unwrap();
-        prop_assert_eq!(a, b);
-    }
+/// Parsing is deterministic: the same text yields the same AST.
+#[test]
+fn parsing_is_deterministic() {
+    check("parsing_is_deterministic", 64, |g| {
+        let want = query(g);
+        let a = parse(&want.text).unwrap();
+        let b = parse(&want.text).unwrap();
+        assert_eq!(a, b);
+    });
+}
 
-    /// AST accessors agree with the raw clause vectors.
-    #[test]
-    fn accessors_consistent(g in arb_query()) {
-        let q = parse(&g.text).unwrap();
-        prop_assert_eq!(
+/// AST accessors agree with the raw clause vectors.
+#[test]
+fn accessors_consistent() {
+    check("accessors_consistent", 64, |g| {
+        let q = parse(&query(g).text).unwrap();
+        assert_eq!(
             q.has_aggregate(),
             q.select.iter().any(|s| matches!(s, SelectItem::Agg(_, _)))
         );
-        prop_assert_eq!(
+        assert_eq!(
             q.target_sensor().is_some(),
             q.wher.iter().any(|p| matches!(p, Pred::SensorId(_)))
         );
-        prop_assert_eq!(
+        assert_eq!(
             q.energy_bound().is_some(),
             q.cost.iter().any(|c| matches!(c, CostBound::EnergyJ(_)))
         );
-    }
+    });
 }

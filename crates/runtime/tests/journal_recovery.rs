@@ -27,7 +27,7 @@ use pg_runtime::{
     QueryStatus, RuntimeConfig, SchedPolicy, TraceArrivals,
 };
 use pg_sim::{Duration, SimTime};
-use proptest::prelude::*;
+use propcheck::check;
 
 /// A deterministic toy engine: answers with the text length, 1 J / 0.5 s.
 struct Echo {
@@ -460,32 +460,29 @@ fn drive(
     rt
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Acceptance: with no faults injected, a run with the journal enabled
-    /// is bit-identical to the same run with it disabled — journaling
-    /// observes, never perturbs. With crashes and recoveries drawn in, the
-    /// journaled run must still balance its books after every step (which
-    /// `drive` asserts).
-    #[test]
-    fn journaling_is_bit_transparent_without_faults(
-        seed in any::<u64>(),
-        rate_scaled in 5u32..60,
-        ops in prop::collection::vec((0u8..8, any::<u16>()), 0..48),
-        faults in any::<bool>(),
-    ) {
+/// Acceptance: with no faults injected, a run with the journal enabled
+/// is bit-identical to the same run with it disabled — journaling
+/// observes, never perturbs. With crashes and recoveries drawn in, the
+/// journaled run must still balance its books after every step (which
+/// `drive` asserts).
+#[test]
+fn journaling_is_bit_transparent_without_faults() {
+    check("journaling_is_bit_transparent_without_faults", 16, |g| {
+        let seed = g.u64();
+        let rate_scaled = g.range(5u32..60);
+        let ops = g.vec(0..48, |g| (g.range(0u8..8), g.u64() as u16));
+        let faults = g.bool();
         let rate_hz = f64::from(rate_scaled) / 100.0;
         let with = drive(true, faults, seed, rate_hz, &ops);
         if !faults {
             let without = drive(false, false, seed, rate_hz, &ops);
-            prop_assert_eq!(fingerprint(&with), fingerprint(&without));
+            assert_eq!(fingerprint(&with), fingerprint(&without));
         }
         // The journal really was on and balanced.
         let j = with.journal().expect("journal on");
-        prop_assert!(j.len() as u64 >= with.admitted);
-        prop_assert_eq!(j.open_queries().len(), with.queue_depth());
-    }
+        assert!(j.len() as u64 >= with.admitted);
+        assert_eq!(j.open_queries().len(), with.queue_depth());
+    });
 }
 
 /// One cancelled-mid-flight sanity check against the `Admission` API

@@ -3,7 +3,8 @@
 # a Markdown table (CI appends it to the job summary) of physical `.rs` lines
 # under each crates/*, each vendor/*, src, tests and examples, in two
 # columns with a total each. "evidence" is what only checks the code — a
-# crate's tests/ directory, the root tests/, and inside a crate's src/
+# crate's tests/ directory, the root tests/, the whole of crates/propcheck
+# (the dev-only property checker), and inside a crate's src/
 # every `oracle.rs` plus the tail of any file from its first column-0
 # `#[cfg(test)]` that opens an inline `mod … {` (a `#[cfg(test)] mod
 # oracle;` has no brace and does not count; no file in the tree has shipped
@@ -52,7 +53,7 @@ source_total=0
 evidence_total=0
 for dir in crates/* vendor/* src tests examples; do
     [[ -d "$dir" ]] || continue
-    if [[ "$dir" == tests ]]; then
+    if [[ "$dir" == tests || "$dir" == crates/propcheck ]]; then
         evidence=$(count "$dir")
         source=0
     else
