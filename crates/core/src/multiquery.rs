@@ -35,6 +35,7 @@ use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
 use pg_runtime::{Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
 use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
+use pg_sensornet::region::Region;
 use pg_sensornet::shared::{SharedQuery, MAX_SHARED_QUERIES, STRATUM_KEY_WIRE_BYTES};
 use pg_sim::{Duration, SimTime};
 use std::collections::HashMap;
@@ -46,9 +47,51 @@ use std::rc::Rc;
 /// one-entry batch directly).
 pub type GridRuntime = MultiQueryRuntime<PervasiveGrid>;
 
-/// What one batch works out once per distinct `(text, brownout)`: pure
-/// functions of the text, the named regions and the immutable topology, so
-/// every entry of the batch that repeats the pair shares one copy.
+/// Texts a [`ResolutionMemo`] holds at most. The memo starts over rather
+/// than pass it, so a stream of unique texts cannot grow it.
+const MEMO_CAP: usize = 256;
+
+/// What the shared-tree path works out once per distinct `(text,
+/// brownout)` for the grid's lifetime. A resolution depends only on the
+/// text, the box its region names and the immutable topology (through
+/// base-tree hop counts), so every batch entry that repeats the pair shares
+/// one copy. `regions` is a public field: each entry keeps the box it was
+/// resolved against, and is worked out again when the name maps elsewhere.
+#[derive(Debug, Default)]
+pub(crate) struct ResolutionMemo {
+    /// Per text, one slot per brownout setting, indexed by `brownout`.
+    by_text: HashMap<String, [Option<Memo>; 2]>,
+}
+
+/// One memoised resolution.
+#[derive(Debug)]
+struct Memo {
+    /// The box the text's region named (`None`: it names no known region).
+    region: Option<Region>,
+    /// `None` when the text cannot ride a shared tree.
+    resolved: Option<Rc<Resolved>>,
+}
+
+impl ResolutionMemo {
+    /// The kept resolution of `text`, unless its region now names another
+    /// box. Looked up by `&str`: a hit builds no key.
+    fn get(&self, text: &str, brownout: bool, region: Option<Region>) -> Option<&Memo> {
+        let slots = self.by_text.get(text)?;
+        slots[usize::from(brownout)]
+            .as_ref()
+            .filter(|m| m.region == region)
+    }
+
+    fn insert(&mut self, text: &str, brownout: bool, memo: Memo) {
+        if self.by_text.len() >= MEMO_CAP && !self.by_text.contains_key(text) {
+            self.by_text.clear();
+        }
+        self.by_text.entry(text.to_owned()).or_default()[usize::from(brownout)] = Some(memo);
+    }
+}
+
+/// Members and features of one shareable text.
+#[derive(Debug)]
 struct Resolved {
     /// The sensors the shared epoch asks — under brownout, already the
     /// coarser stratum (every other member).
@@ -113,21 +156,31 @@ impl PervasiveGrid {
             return Vec::new();
         }
         let mut out = Vec::new();
-        // A metro batch repeats a handful of texts hundreds of times: each
-        // distinct `(text, brownout)` is resolved once, accepted or not.
-        let mut memo: HashMap<(&str, bool), Option<Rc<Resolved>>> = HashMap::new();
+        // A metro stream repeats a handful of texts for the grid's whole
+        // life: each distinct `(text, brownout)` is resolved once, accepted
+        // or not, until its region is re-pointed.
         for (idx, (bq, query)) in batch.iter().zip(parsed).enumerate() {
             let Ok(query) = query else {
                 continue;
             };
-            let resolved = memo
-                .entry((bq.text, bq.brownout))
-                .or_insert_with(|| self.resolve_shareable(query, bq.brownout));
+            let region = query.region().and_then(|r| self.regions.get(r)).copied();
+            let resolved = match self.resolutions.get(bq.text, bq.brownout, region) {
+                Some(memo) => memo.resolved.clone(),
+                None => {
+                    let resolved = self.resolve_shareable(query, bq.brownout);
+                    let memo = Memo {
+                        region,
+                        resolved: resolved.clone(),
+                    };
+                    self.resolutions.insert(bq.text, bq.brownout, memo);
+                    resolved
+                }
+            };
             if let Some(resolved) = resolved {
                 out.push(Shareable {
                     idx,
                     query,
-                    resolved: Rc::clone(resolved),
+                    resolved,
                     brownout: bq.brownout,
                 });
             }
@@ -349,5 +402,67 @@ impl QueryEngine for PervasiveGrid {
             .into_iter()
             .map(|s| s.unwrap_or_else(|| Err(PgError::Config("batch slot not executed".into()))))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pg_net::link::LinkModel;
+
+    /// One floor of 6 × 6 sensors at 5 m pitch over lossless links, so a
+    /// COUNT answers exactly the sensors its query asked.
+    fn lossless_grid() -> PervasiveGrid {
+        PervasiveGrid::building(1, 6, 3)
+            .link(LinkModel::new(250e3, Duration::from_millis(5), 0.0).unwrap())
+            .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
+            .build()
+    }
+
+    /// Each entry's value; every entry must have ridden the shared tree.
+    fn shared_values(pg: &mut PervasiveGrid, texts: &[&str]) -> Vec<Option<f64>> {
+        let batch: Vec<BatchQuery<'_>> = texts
+            .iter()
+            .map(|&text| BatchQuery {
+                text,
+                deadline: None,
+                brownout: false,
+            })
+            .collect();
+        pg.execute_batch(&batch)
+            .into_iter()
+            .map(|outcome| {
+                let (response, attribution) = outcome.unwrap();
+                assert!(attribution.shared);
+                response.value
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_repointed_region_is_resolved_again() {
+        let mut pg = lossless_grid();
+        let batch = ["SELECT COUNT(temp) FROM sensors WHERE region(east)"; 3];
+        // Columns x = 10, 15, 20, 25 of six sensors each.
+        assert_eq!(shared_values(&mut pg, &batch), [Some(24.0); 3]);
+        pg.regions
+            .insert("east".into(), Region::room(20.0, 0.0, 30.0, 30.0));
+        assert_eq!(shared_values(&mut pg, &batch), [Some(12.0); 3]);
+    }
+
+    #[test]
+    fn the_memo_stays_within_its_cap() {
+        let mut pg = lossless_grid();
+        let texts: Vec<String> = (0..MEMO_CAP + 44)
+            .map(|i| format!("SELECT AVG(temp) FROM sensors WHERE temp > {i}"))
+            .collect();
+        let mut most = 0;
+        for pair in texts.chunks(2) {
+            let pair: Vec<&str> = pair.iter().map(String::as_str).collect();
+            assert_eq!(shared_values(&mut pg, &pair).len(), 2);
+            most = most.max(pg.resolutions.by_text.len());
+            assert!(pg.resolutions.by_text.len() <= MEMO_CAP);
+        }
+        assert_eq!(most, MEMO_CAP, "the memo filled before it started over");
     }
 }

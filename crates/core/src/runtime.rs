@@ -1,6 +1,7 @@
 //! The Pervasive Grid runtime: query text in, answer + learning out.
 
 use crate::error::PgError;
+use crate::multiquery::ResolutionMemo;
 use pg_grid::sched::GridCluster;
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
@@ -238,6 +239,7 @@ impl GridBuilder {
             faults: self.faults,
             deadline: self.deadline,
             tree_session: SharedTreeSession::new(self.tree_maintenance),
+            resolutions: ResolutionMemo::default(),
         }
     }
 }
@@ -265,6 +267,9 @@ pub struct PervasiveGrid {
     /// mode by default; see [`GridBuilder::tree_maintenance`]).
     pub tree_session: SharedTreeSession,
     pub(crate) exec_rng: StdRng,
+    /// What each batch text resolved to on the shared-tree path, kept for
+    /// the grid's lifetime.
+    pub(crate) resolutions: ResolutionMemo,
 }
 
 impl PervasiveGrid {

@@ -161,6 +161,60 @@ fn stratum_mut(strata: &mut Vec<(u64, Partial)>, mask: u64) -> &mut Partial {
     &mut strata[at].1
 }
 
+/// The twin classes of one epoch's queries. Two queries with equal
+/// `members` and `filter` are twins: they sample, filter, ship and merge
+/// the same readings, so they sit in exactly the same stratum masks and
+/// every addend one's books receive, the other's receive too, in the same
+/// order. The epoch keeps books for the first query of each class only and
+/// copies them to the twins at the end; `agg` may differ, since one partial
+/// state finalises to any aggregate.
+struct Classes {
+    /// The first query of each class: the only queries the epoch books.
+    firsts: u64,
+    /// At a class's first query, the bits of the whole class.
+    bits: [u64; MAX_SHARED_QUERIES],
+    /// One entry per distinct member list: its first query and the bits of
+    /// every query that selects it.
+    lists: Vec<(usize, u64)>,
+}
+
+impl Classes {
+    /// Queries are compared by content — callers build each member list
+    /// afresh — lengths first, then slices, then filters within a list.
+    fn of(queries: &[SharedQuery]) -> Classes {
+        let mut classes = Classes {
+            firsts: 0,
+            bits: [0; MAX_SHARED_QUERIES],
+            lists: Vec::new(),
+        };
+        for (qi, q) in queries.iter().enumerate() {
+            let bit = 1u64 << qi;
+            let list = classes.lists.iter_mut().find(|(first, _)| {
+                let m = &queries[*first].members;
+                m.len() == q.members.len() && *m == q.members
+            });
+            let twin = match list {
+                Some((_, list_bits)) => {
+                    let twin = queries_in(*list_bits & classes.firsts)
+                        .find(|&first| queries[first].filter == q.filter);
+                    *list_bits |= bit;
+                    twin
+                }
+                None => {
+                    classes.lists.push((qi, bit));
+                    None
+                }
+            };
+            let first = twin.unwrap_or_else(|| {
+                classes.firsts |= bit;
+                qi
+            });
+            classes.bits[first] |= bit;
+        }
+        classes
+    }
+}
+
 /// The amplifier price of the tree edge `child -> parent`, J/bit, out of the
 /// kept table. An entry priced for another parent (a repaired edge, a
 /// session that switched trees) is worked out again — the only
@@ -181,9 +235,13 @@ fn kept_edge_price(
 
 /// The shared collection epoch proper, over a caller-provided tree.
 ///
-/// Host cost is O(nodes + Σ members + packet entries): involvement marking
-/// stops at the first already-marked ancestor, the bottom-up order is the
-/// one the tree carries, and attribution walks set mask bits. What is paid
+/// Host cost is O(nodes + Σ distinct member lists + packet entries):
+/// involvement marking stops at the first already-marked ancestor, the
+/// bottom-up order is the one the tree carries, and attribution walks the
+/// set mask bits of each twin class's first query (see [`Classes`]). Shares
+/// still divide by the popcount of the full query mask, and strata stay
+/// keyed by query masks, so twins' books come out bit-identical to what
+/// booking every query would give. What is paid
 /// per reading is the sample and its noise draw; per hop, the drains and
 /// the loss draws. The rest is kept from the last epoch in the network's
 /// `Scratch` (taken here, put back at the end): the per-node tables and
@@ -217,31 +275,38 @@ fn collect_over_tree<R: Rng>(
         ..
     } = &mut scratch;
 
-    // Membership bitmask per node, and tree involvement: a node is on the
-    // tree iff it lies on some member->root path of some query.
-    for (qi, q) in queries.iter().enumerate() {
-        for &m in &q.members {
-            if m == base {
-                continue;
-            }
-            member_mask[m.idx()] |= 1u64 << qi;
-            tree.mark_path_to_root(m, involved);
-        }
-    }
-
+    let classes = Classes::of(queries);
     let mut per_query: Vec<SharedPerQuery> = queries
         .iter()
-        .map(|q| SharedPerQuery {
+        .map(|_| SharedPerQuery {
             value: None,
             partial: Partial::empty(),
             energy_j: 0.0,
             bytes: 0.0,
             ops: 0.0,
             retries: 0,
-            participating: q.members.iter().filter(|&&m| m != base).count(),
+            participating: 0,
             delivered: 0,
         })
         .collect();
+
+    // Membership bitmask per node, and tree involvement: a node is on the
+    // tree iff it lies on some member->root path of some query. Each
+    // distinct member list is walked once, for every query that selects it.
+    for &(first, bits) in &classes.lists {
+        let mut participating = 0;
+        for &m in &queries[first].members {
+            if m == base {
+                continue;
+            }
+            participating += 1;
+            member_mask[m.idx()] |= bits;
+            tree.mark_path_to_root(m, involved);
+        }
+        for qi in queries_in(bits) {
+            per_query[qi].participating = participating;
+        }
+    }
 
     // Per-node `strata`: one mergeable partial per effective bitmask, sorted
     // by mask. Only involved nodes ever hold any.
@@ -258,10 +323,10 @@ fn collect_over_tree<R: Rng>(
         // One physical sample serves every selecting query: split its cost.
         let share = SAMPLE_OPS as f64 / mm.count_ones() as f64;
         let mut effective = 0u64;
-        for qi in queries_in(mm) {
+        for qi in queries_in(mm & classes.firsts) {
             per_query[qi].ops += share;
             if queries[qi].filter.matches(reading) {
-                effective |= 1 << qi;
+                effective |= classes.bits[qi];
             }
         }
         if effective != 0 {
@@ -309,7 +374,7 @@ fn collect_over_tree<R: Rng>(
         for &(mask, _) in &entries {
             let share = ((STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES) * attempts as u64) as f64
                 / mask.count_ones() as f64;
-            for qi in queries_in(mask) {
+            for qi in queries_in(mask & classes.firsts) {
                 per_query[qi].bytes += share;
                 per_query[qi].retries += extra_attempts;
             }
@@ -320,7 +385,7 @@ fn collect_over_tree<R: Rng>(
                 stratum_mut(parent_strata, mask).merge(p);
                 meter.cpu_ops += MERGE_OPS;
                 let share = MERGE_OPS as f64 / mask.count_ones() as f64;
-                for qi in queries_in(mask) {
+                for qi in queries_in(mask & classes.firsts) {
                     per_query[qi].ops += share;
                 }
             }
@@ -333,8 +398,17 @@ fn collect_over_tree<R: Rng>(
     // Finalize: query q's answer merges every stratum whose mask covers q,
     // in ascending mask order.
     for &(mask, ref p) in &strata[base.idx()] {
-        for qi in queries_in(mask) {
+        for qi in queries_in(mask & classes.firsts) {
             per_query[qi].partial.merge(p);
+        }
+    }
+    // Twins take their class's books; each finalises its own aggregate.
+    for first in queries_in(classes.firsts) {
+        let f = &per_query[first];
+        let books = (f.ops, f.bytes, f.retries, f.partial);
+        for twin in queries_in(classes.bits[first] & !(1 << first)) {
+            let pq = &mut per_query[twin];
+            (pq.ops, pq.bytes, pq.retries, pq.partial) = books;
         }
     }
     for (pq, q) in per_query.iter_mut().zip(queries) {

@@ -326,38 +326,64 @@ mod tests {
         )
     }
 
-    /// 1–64 queries over overlapping discs of the field; the base, repeated
-    /// members and unreachable members all occur.
-    fn queries(net: &SensorNetwork, rng: &mut StdRng) -> Vec<SharedQuery> {
+    /// One query over a disc of the field; the base, repeated members and
+    /// unreachable members all occur.
+    fn disc(net: &SensorNetwork, rng: &mut StdRng) -> SharedQuery {
         let topo = net.topology();
-        let nq = match rng.gen_range(0..4u32) {
+        let center = topo.position(NodeId(rng.gen_range(0..topo.len() as u32)));
+        let radius = rng.gen_range(10.0..60.0);
+        let mut members: Vec<NodeId> = topo
+            .nodes()
+            .filter(|&id| topo.position(id).distance(&center) <= radius)
+            .collect();
+        if rng.gen_bool(0.2) {
+            members.push(members[0]);
+        }
+        let filter = match rng.gen_range(0..3) {
+            0 => ValueFilter::all(),
+            1 => ValueFilter::all().and(ValueOp::Gt, rng.gen_range(15.0..60.0)),
+            _ => ValueFilter::all().and(ValueOp::Lt, rng.gen_range(20.0..120.0)),
+        };
+        SharedQuery {
+            members,
+            filter,
+            agg: AGGS[rng.gen_range(0..AGGS.len())],
+        }
+    }
+
+    /// `q`'s twin: its members and filter, another aggregate.
+    fn twin_of(q: &SharedQuery, rng: &mut StdRng) -> SharedQuery {
+        let at = AGGS.iter().position(|&a| a == q.agg).unwrap_or(0);
+        SharedQuery {
+            agg: AGGS[(at + rng.gen_range(1..AGGS.len())) % AGGS.len()],
+            ..q.clone()
+        }
+    }
+
+    /// 1–64 queries over overlapping discs; about a third of them twin an
+    /// earlier query, and one case in five is 64 twins of one disc.
+    fn queries(net: &SensorNetwork, rng: &mut StdRng) -> Vec<SharedQuery> {
+        let nq = match rng.gen_range(0..5u32) {
             0 => 1,
             1 => MAX_SHARED_QUERIES,
+            2 => {
+                let q = disc(net, rng);
+                let mut qs = vec![q.clone()];
+                qs.extend((1..MAX_SHARED_QUERIES).map(|_| twin_of(&q, rng)));
+                return qs;
+            }
             _ => rng.gen_range(1..=MAX_SHARED_QUERIES),
         };
-        (0..nq)
-            .map(|_| {
-                let center = topo.position(NodeId(rng.gen_range(0..topo.len() as u32)));
-                let radius = rng.gen_range(10.0..60.0);
-                let mut members: Vec<NodeId> = topo
-                    .nodes()
-                    .filter(|&id| topo.position(id).distance(&center) <= radius)
-                    .collect();
-                if rng.gen_bool(0.2) {
-                    members.push(members[0]);
-                }
-                let filter = match rng.gen_range(0..3) {
-                    0 => ValueFilter::all(),
-                    1 => ValueFilter::all().and(ValueOp::Gt, rng.gen_range(15.0..60.0)),
-                    _ => ValueFilter::all().and(ValueOp::Lt, rng.gen_range(20.0..120.0)),
-                };
-                SharedQuery {
-                    members,
-                    filter,
-                    agg: AGGS[rng.gen_range(0..AGGS.len())],
-                }
-            })
-            .collect()
+        let mut qs: Vec<SharedQuery> = Vec::with_capacity(nq);
+        for _ in 0..nq {
+            let q = if !qs.is_empty() && rng.gen_bool(1.0 / 3.0) {
+                twin_of(&qs[rng.gen_range(0..qs.len())], rng)
+            } else {
+                disc(net, rng)
+            };
+            qs.push(q);
+        }
+        qs
     }
 
     fn assert_partials_equal(a: &Partial, b: &Partial, what: &str) {
