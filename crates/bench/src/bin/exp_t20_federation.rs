@@ -296,16 +296,18 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "shape to check: under kill1 the federated column strictly beats \
-         isolated on every seed — the dead cell's users are rerouted into \
-         live neighbors picked from gossiped load digests, each neighbor \
-         still honoring its own shed watermarks (absorb > 0). Warm handoff \
-         p99 sits ~340 ms under cold on every seed: the next-cell predictor \
-         pre-warms the destination's plan cache so a migration pays a 30 ms \
-         revalidation instead of the full 370 ms plan + discovery path. \
-         Faster mobility raises migrations and forwards roughly in \
-         proportion to move frequency; lost handoffs stay 0 with a clean \
-         bus (dead-letters only appear under bus fault plans)."
+        "shape to check: under kill1 the federation answers more queries \
+         than isolated cells and meets no fewer deadlines on every seed, and \
+         strictly more deadlines summed over each point's seeds — the dead \
+         cell's users are rerouted into live neighbors picked from gossiped \
+         load digests, each neighbor still honoring its own shed watermarks \
+         (absorb > 0). Warm handoff p99 sits ~340 ms under cold on every \
+         seed: the next-cell predictor pre-warms the destination's plan \
+         cache so a migration pays a 30 ms revalidation instead of the full \
+         370 ms plan + discovery path. Faster mobility raises migrations and \
+         forwards roughly in proportion to move frequency; lost handoffs \
+         stay 0 with a clean bus (dead-letters only appear under bus fault \
+         plans)."
     );
 
     exp.finish()

@@ -19,7 +19,7 @@
 //!   in-network tree (~0.07 s) still fits. The bandit's composite reward
 //!   penalizes the misses and moves; cost-only learners do not.
 //!
-//! Per seed the binary *asserts* (the regress gate checks the numbers,
+//! Per seed the binary *asserts* (the experiment gate checks the numbers,
 //! chaos nights check the asserts at higher scale): windowed regret vs the
 //! clairvoyant oracle shrinks within each phase, and after the shift the
 //! bandit strictly beats both k-NN and static-best-at-start — on phase-2

@@ -5,8 +5,8 @@
 //! stdout are what EXPERIMENTS.md is pasted from, and every number that
 //! lands in a table row is also recorded into a [`Report`] written to
 //! `results/<exp>.json`. The committed baselines under `baselines/` are
-//! those same files, so the `regress` binary gates, at full precision, the
-//! very run whose tables EXPERIMENTS.md publishes.
+//! those same files, so `scripts/check_experiments.sh` gates, byte for
+//! byte, the very run whose tables EXPERIMENTS.md publishes.
 //!
 //! A table cell is written once: [`Experiment::table`] prints the title,
 //! and each [`Experiment::row`] takes the row's [`Cell`]s — label, width,
@@ -24,15 +24,14 @@
 //! - `--chaos` — run an *extended* sweep (longer horizons, higher fault
 //!   rates, extra seeds) for the nightly chaos-soak job, where a binary
 //!   has one (see [`Experiment::scale`]). Chaos reports carry
-//!   `meta.mode = "chaos"`, so the regress gate's mode check keeps them
-//!   from ever being diffed against the `"full"` baselines — the soak's
+//!   `meta.mode = "chaos"` and are never compared with the `"full"`
+//!   baselines (the experiment gate never passes `--chaos`) — the soak's
 //!   value is the per-seed asserts inside the binaries, not a numeric diff.
 //! - `--out DIR` — write the JSON report into `DIR` (default `results`).
 //!
 //! Wall-clock timings are deliberately **never** recorded into reports
 //! (they stay on stdout): reports only carry simulation-deterministic
-//! quantities, which is what lets the regression gate run with near-zero
-//! tolerances.
+//! quantities, which is what lets the experiment gate demand equal bytes.
 
 use crate::table::{Cell, Table};
 use pg_sim::report::Report;

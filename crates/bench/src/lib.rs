@@ -4,14 +4,14 @@
 //! EXPERIMENTS.md. This library holds the worlds, query streams and cell
 //! runtimes they share, the seed [`sweep`] and the [`table`] every number
 //! is printed and recorded through, so each binary is just its sweep —
-//! plus the [`experiment`] report plumbing (every binary also writes a
-//! machine-readable `results/<exp>.json`) and the [`regress`] comparator
-//! that diffs those reports against committed baselines in CI.
+//! plus the [`experiment`] report plumbing: every binary also writes a
+//! machine-readable `results/<exp>.json`, which CI's
+//! `scripts/check_experiments.sh` compares, byte for byte, with the
+//! committed baseline.
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod experiment;
-pub mod regress;
 pub mod table;
 
 pub use experiment::{key_part, Experiment};

@@ -430,5 +430,34 @@ mod tests {
             assert_eq!(bits(&got), bits(&want));
             assert!((got.energy_j - 2.0).abs() < 1e-12, "mean of ages 0, 1, 2");
         }
+
+        /// A case recorded with a NaN feature sorts last in both memories
+        /// instead of panicking the oracle's sort.
+        #[test]
+        fn a_nan_case_is_the_farthest_in_both_memories() {
+            let model = SolutionModel::BaseStation;
+            let mut new = KnnRegressor::with_k(2);
+            let mut old = oracle::KnnRegressor::with_k(2);
+            let mut nan = feats(10, QueryKind::Aggregate);
+            nan.mean_hops = f64::NAN;
+            for (i, f) in [
+                nan,
+                feats(10, QueryKind::Aggregate),
+                feats(20, QueryKind::Aggregate),
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                new.record(f, model, cost(1.0 + i as f64));
+                old.record(f, model, cost(1.0 + i as f64));
+            }
+            let probe = feats(12, QueryKind::Aggregate);
+            let (got, _) = new.predict_detailed(&probe, &model).unwrap();
+            let (want, _) = old.predict_detailed(&probe, &model).unwrap();
+            assert_eq!(bits(&got), bits(&want));
+            // A NaN probe is NaN from every case, and still answered.
+            assert!(new.predict_detailed(&nan, &model).is_some());
+            assert!(old.predict_detailed(&nan, &model).is_some());
+        }
     }
 }

@@ -1,5 +1,6 @@
-//! The pre-index case memory, kept verbatim as the test oracle: every case
-//! stored, every prediction a scan + stable sort over all of them. The
+//! The pre-index case memory, kept as the test oracle: every case stored,
+//! every prediction a scan + stable sort over all of them, by the order
+//! production uses (`super::nearer`: a NaN distance is the farthest). The
 //! indexed [`super::KnnRegressor`] must reproduce its predictions bit for
 //! bit (`tests::indexed_memory_matches_the_linear_scan`).
 
@@ -54,8 +55,6 @@ impl KnnRegressor {
 
     /// Inverse-distance-weighted mean of the k nearest same-family cases
     /// and the distance of the nearest; `None` without family history.
-    // Feature distances are sums of squares of finite values, never NaN.
-    #[allow(clippy::expect_used)]
     pub fn predict_detailed(
         &self,
         features: &QueryFeatures,
@@ -70,7 +69,8 @@ impl KnnRegressor {
         if near.is_empty() {
             return None;
         }
-        near.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("distances are never NaN"));
+        // Stable, so equally far cases stay oldest first.
+        near.sort_by(|a, b| a.0.abs().total_cmp(&b.0.abs()));
         near.truncate(self.k.max(1));
         let nearest = near[0].0;
         let mut acc = CostVector::default();

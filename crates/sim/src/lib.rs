@@ -14,7 +14,7 @@
 //! 3. **Cheap measurement.** [`metrics`] provides counters, gauges and
 //!    streaming summaries that experiments read out at the end of a run, and
 //!    [`report`] snapshots them into machine-readable JSON reports that the
-//!    benchmark regression gate diffs against committed baselines.
+//!    experiment gate compares, byte for byte, with committed baselines.
 //!
 //! # Quick example
 //!

@@ -11,9 +11,9 @@
 //!
 //! Reports are deterministic: all maps are `BTreeMap`s, the field order is
 //! fixed, and float formatting uses Rust's shortest round-trip notation —
-//! two identical runs emit byte-identical JSON, which the regression gate
-//! (`pg-bench`'s `regress` binary) and the parallel-vs-serial determinism
-//! tests both rely on.
+//! two identical runs emit byte-identical JSON, which the experiment gate
+//! (`scripts/check_experiments.sh`, a `cmp` against committed baselines)
+//! and the parallel-vs-serial determinism tests both rely on.
 
 use crate::metrics::{Samples, Summary};
 use std::collections::BTreeMap;
@@ -89,8 +89,7 @@ impl From<&mut Samples> for SummaryStats {
 /// A machine-readable snapshot of one experiment (or one run).
 ///
 /// Keys are free-form dotted paths by convention
-/// (`"aggregate.in_network_tree.energy_j"`); the regression comparator
-/// treats every `(section, key, field)` leaf as an independent metric.
+/// (`"aggregate.in_network_tree.energy_j"`).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Report {
     /// Report name (by convention the experiment binary name).
@@ -139,46 +138,12 @@ impl Report {
         self.stats.insert(key.into(), SummaryStats::from(samples));
     }
 
-    /// Flatten every numeric leaf into `(path, value)` pairs, ordered.
-    ///
-    /// Counters become `counters.<key>`, scalars `scalars.<key>`, and each
-    /// populated field of a summary `stats.<key>.<field>`. This is the view
-    /// the regression comparator diffs.
-    pub fn flatten(&self) -> Vec<(String, f64)> {
-        let mut out = Vec::new();
-        for (k, &v) in &self.counters {
-            out.push((format!("counters.{k}"), v as f64));
-        }
-        for (k, &v) in &self.scalars {
-            out.push((format!("scalars.{k}"), v));
-        }
-        for (k, s) in &self.stats {
-            out.push((format!("stats.{k}.n"), s.n as f64));
-            out.push((format!("stats.{k}.mean"), s.mean));
-            out.push((format!("stats.{k}.sd"), s.sd));
-            out.push((format!("stats.{k}.min"), s.min));
-            out.push((format!("stats.{k}.max"), s.max));
-            out.push((format!("stats.{k}.sum"), s.sum));
-            for (name, q) in [
-                ("p50", s.p50),
-                ("p90", s.p90),
-                ("p95", s.p95),
-                ("p99", s.p99),
-            ] {
-                if let Some(q) = q {
-                    out.push((format!("stats.{k}.{name}"), q));
-                }
-            }
-        }
-        out
-    }
-
     /// Serialize to deterministic JSON.
     ///
     /// # Errors
     /// Fails when any scalar or statistic is non-finite (NaN / ±inf): such
     /// values always indicate an upstream bug, and silently emitting `null`
-    /// would defeat the regression gate.
+    /// would defeat the experiment gate.
     pub fn to_json(&self) -> Result<String, json::JsonError> {
         let mut w = json::Writer::new();
         w.begin_object();
@@ -242,83 +207,6 @@ impl Report {
         w.end_object();
         Ok(w.finish())
     }
-
-    /// Parse a report back from JSON (inverse of [`Report::to_json`]).
-    ///
-    /// # Errors
-    /// Fails on malformed JSON, a wrong/missing schema tag, or wrongly
-    /// typed fields.
-    pub fn from_json(text: &str) -> Result<Report, String> {
-        use json::Value;
-        let value = json::parse(text).map_err(|e| e.to_string())?;
-        let Value::Object(map) = value else {
-            return Err("report root is not an object".into());
-        };
-        match map.get("schema") {
-            Some(Value::String(s)) if s == SCHEMA => {}
-            Some(Value::String(s)) => return Err(format!("unknown schema {s:?}")),
-            _ => return Err("missing schema tag".into()),
-        }
-        let name = match map.get("name") {
-            Some(Value::String(s)) => s.clone(),
-            _ => return Err("missing report name".into()),
-        };
-        let mut report = Report::new(name);
-        if let Some(Value::Object(meta)) = map.get("meta") {
-            for (k, v) in meta {
-                let Value::String(s) = v else {
-                    return Err(format!("meta.{k} is not a string"));
-                };
-                report.meta.insert(k.clone(), s.clone());
-            }
-        }
-        if let Some(Value::Object(counters)) = map.get("counters") {
-            for (k, v) in counters {
-                let Value::Number(x) = v else {
-                    return Err(format!("counters.{k} is not a number"));
-                };
-                report.counters.insert(k.clone(), *x as u64);
-            }
-        }
-        if let Some(Value::Object(scalars)) = map.get("scalars") {
-            for (k, v) in scalars {
-                let Value::Number(x) = v else {
-                    return Err(format!("scalars.{k} is not a number"));
-                };
-                report.scalars.insert(k.clone(), *x);
-            }
-        }
-        if let Some(Value::Object(stats)) = map.get("stats") {
-            for (k, v) in stats {
-                let Value::Object(fields) = v else {
-                    return Err(format!("stats.{k} is not an object"));
-                };
-                let num = |field: &str| -> Result<Option<f64>, String> {
-                    match fields.get(field) {
-                        None => Ok(None),
-                        Some(Value::Number(x)) => Ok(Some(*x)),
-                        Some(_) => Err(format!("stats.{k}.{field} is not a number")),
-                    }
-                };
-                let required =
-                    |field: &str| num(field)?.ok_or(format!("stats.{k}.{field} missing"));
-                let stats_entry = SummaryStats {
-                    n: required("n")? as u64,
-                    mean: required("mean")?,
-                    sd: required("sd")?,
-                    min: required("min")?,
-                    max: required("max")?,
-                    sum: required("sum")?,
-                    p50: num("p50")?,
-                    p90: num("p90")?,
-                    p95: num("p95")?,
-                    p99: num("p99")?,
-                };
-                report.stats.insert(k.clone(), stats_entry);
-            }
-        }
-        Ok(report)
-    }
 }
 
 #[cfg(test)]
@@ -352,31 +240,6 @@ mod tests {
         assert_eq!(r.stats["per_query_energy"].p50, Some(49.5));
         let p95 = r.stats["per_query_energy"].p95.unwrap();
         assert!((p95 - 94.05).abs() < 1e-9, "p95 of 0..100: {p95}");
-    }
-
-    #[test]
-    fn reports_without_p95_still_parse() {
-        // Baselines committed before the p95 field existed must keep
-        // loading: the field is optional end to end.
-        let text = sample_report().to_json().unwrap();
-        let stripped = {
-            let mut r = Report::from_json(&text).unwrap();
-            for s in r.stats.values_mut() {
-                s.p95 = None;
-            }
-            r.to_json().unwrap()
-        };
-        let back = Report::from_json(&stripped).unwrap();
-        assert_eq!(back.stats["per_query_energy"].p95, None);
-        assert!(back.stats["per_query_energy"].p50.is_some());
-    }
-
-    #[test]
-    fn json_roundtrip_is_lossless() {
-        let r = sample_report();
-        let text = r.to_json().unwrap();
-        let back = Report::from_json(&text).unwrap();
-        assert_eq!(r, back);
     }
 
     #[test]
@@ -418,28 +281,5 @@ mod tests {
         let mut r = Report::new("empty");
         r.record_summary("nothing", &s);
         assert!(r.to_json().is_ok());
-    }
-
-    #[test]
-    fn flatten_orders_and_prefixes() {
-        let r = sample_report();
-        let flat = r.flatten();
-        let paths: Vec<&str> = flat.iter().map(|(p, _)| p.as_str()).collect();
-        assert!(paths.contains(&"counters.tx_packets"));
-        assert!(paths.contains(&"scalars.delivered_frac"));
-        assert!(paths.contains(&"stats.latency_s.mean"));
-        assert!(paths.contains(&"stats.per_query_energy.p99"));
-        // Sections come out in a fixed order: counters, scalars, stats.
-        let section = |p: &str| p.split('.').next().unwrap().to_string();
-        let mut sections: Vec<String> = paths.iter().map(|p| section(p)).collect();
-        sections.dedup();
-        assert_eq!(sections, ["counters", "scalars", "stats"]);
-    }
-
-    #[test]
-    fn schema_mismatch_is_rejected() {
-        let r = sample_report();
-        let text = r.to_json().unwrap().replace("pg-report/v1", "pg-report/v0");
-        assert!(Report::from_json(&text).unwrap_err().contains("schema"));
     }
 }

@@ -1,15 +1,24 @@
 #!/usr/bin/env bash
 # Gate both outputs of one run of the experiment suite: run it once into a
 # directory, then
-#   - `regress --results DIR` diffs each <exp>.json against the committed
-#     baselines/BENCH_<exp>.json (every keyed table cell, full precision);
-#   - `cmp` checks each <exp>.txt against the results/<exp>.txt committed at
-#     HEAD — the tables EXPERIMENTS.md is pasted from. The committed side is
-#     read from HEAD, so running into results/ itself is fine.
+#   - `cmp` each committed baselines/BENCH_<exp>.json with the fresh
+#     <exp>.json, byte for byte: the simulation is deterministic and the
+#     report writer canonical, so any difference is a behaviour change. On
+#     a mismatch the leaves that moved are printed, one path and value per
+#     line. A baseline without a fresh report fails, and so does a fresh
+#     exp_*.json without a baseline;
+#   - `cmp` each <exp>.txt with the results/<exp>.txt committed at HEAD —
+#     the tables EXPERIMENTS.md is pasted from. The committed side is read
+#     from HEAD, so running into results/ itself is fine.
 #
-# Usage: scripts/check_experiments.sh [output-dir]   (default: a temp dir)
+# Usage: scripts/check_experiments.sh [output-dir]   (default: a temp dir;
+# needs jq)
 set -euo pipefail
 
+command -v jq >/dev/null || {
+    echo "check_experiments.sh: jq not found; it prints the report leaves that moved" >&2
+    exit 1
+}
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 out="$tmp"
@@ -28,8 +37,36 @@ scripts/run_experiments.sh "$out" >"$tmp/run.log" 2>&1 || {
     exit 1
 }
 
+# Every scalar leaf of a report as `<dotted path> <value>`, one per line.
+leaves() {
+    jq -r 'paths(scalars) as $p | "\($p | map(tostring) | join(".")) \(getpath($p))"' "$1"
+}
+
 status=0
-./target/release/regress --results "$out" || status=1
+for base in baselines/BENCH_exp_*.json; do
+    exp=$(basename "$base" .json)
+    exp=${exp#BENCH_}
+    fresh="$out/$exp.json"
+    if [[ ! -f "$fresh" ]]; then
+        echo "FAIL  $exp: no fresh report $fresh"
+        status=1
+    elif cmp -s "$base" "$fresh"; then
+        echo "same  $exp"
+    else
+        echo "FAIL  $exp: report differs from $base (< baseline, > fresh)"
+        moved=$(diff <(leaves "$base") <(leaves "$fresh") | grep '^[<>]' || true)
+        echo "${moved:-  no leaf moved; only the bytes between them differ}"
+        status=1
+    fi
+done
+for fresh in "$out"/exp_*.json; do
+    [[ -e "$fresh" ]] || continue
+    exp=$(basename "$fresh" .json)
+    if [[ ! -f "baselines/BENCH_$exp.json" ]]; then
+        echo "FAIL  $exp: no baseline baselines/BENCH_$exp.json (scripts/run_experiments.sh --rebaseline writes one)"
+        status=1
+    fi
+done
 
 for fresh in "$out"/exp_*.txt; do
     exp=$(basename "$fresh" .txt)

@@ -32,27 +32,22 @@ done
 
 mkdir -p "$out"
 # Discover the experiment binaries from the source tree: a new exp_*.rs is
-# picked up automatically and cannot be silently skipped here. Anything in
-# src/bin that is neither an exp_* binary nor a known tool is an error —
-# a typo like ex_t19_foo.rs would otherwise never run anywhere.
-tools="regress"
+# picked up automatically and cannot be silently skipped here. Anything
+# else in src/bin is an error — a typo like ex_t19_foo.rs would otherwise
+# never run anywhere.
 exps=""
 unknown=""
 for src in crates/bench/src/bin/*.rs; do
     name=$(basename "$src" .rs)
     case "$name" in
     exp_*) exps="$exps $name" ;;
-    *)
-        if [[ " $tools " != *" $name "* ]]; then
-            unknown="$unknown $name"
-        fi
-        ;;
+    *) unknown="$unknown $name" ;;
     esac
 done
 exps=$(echo "$exps" | tr ' ' '\n' | sed '/^$/d' | sort)
 if [[ -n "$unknown" ]]; then
-    echo "unknown binaries in crates/bench/src/bin (not exp_* and not a known tool):$unknown" >&2
-    echo "rename to exp_<name>.rs or add to the tool allowlist in $0" >&2
+    echo "binaries in crates/bench/src/bin not named exp_*:$unknown" >&2
+    echo "rename each to exp_<name>.rs" >&2
     exit 1
 fi
 if [[ -z "$exps" ]]; then
@@ -60,9 +55,8 @@ if [[ -z "$exps" ]]; then
     exit 1
 fi
 echo "discovered experiments:" $exps
-# Surface experiments that have no committed baseline yet: regress only
-# compares keys present on both sides, so a brand-new exp_* would
-# otherwise sail through CI ungated until someone notices.
+# Name experiments that have no committed baseline yet, before the run:
+# scripts/check_experiments.sh fails each of them afterwards.
 missing=""
 for exp in $exps; do
     [[ -f "baselines/BENCH_$exp.json" ]] || missing="$missing $exp"

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # What the library crates ship that no system links. A library item earns
-# its place when a system binary — one of the 25 `pg-bench` bins (24
-# `exp_*` and `regress`) or `pgbench` — links it; this script asks the
+# its place when a system binary — one of the 24 `exp_*` bins of
+# `pg-bench` or `pgbench` — links it; this script asks the
 # linker instead of `git grep`. It debug-builds those binaries (no
 # inlining; rustc passes `--gc-sections`, so an executable keeps only what
 # it reaches), lists every `pg_*` function that is a text symbol of a
