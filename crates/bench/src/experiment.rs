@@ -1,12 +1,12 @@
 //! Per-binary experiment plumbing: CLI flags, the chaos grid, and JSON
 //! report emission.
 //!
-//! Every `exp_*` binary wraps its run in an [`Experiment`]: the tables on
-//! stdout are what EXPERIMENTS.md is pasted from, and every number that
-//! lands in a table row is also recorded into a [`Report`] written to
+//! Every `exp_*` binary wraps its run in an [`Experiment`]: its stdout is
+//! the binary's EXPERIMENTS.md block, and every number that lands in a
+//! table row is also recorded into a [`Report`] written to
 //! `results/<exp>.json`. The committed baselines under `baselines/` are
 //! those same files, so `scripts/check_experiments.sh` gates, byte for
-//! byte, the very run whose tables EXPERIMENTS.md publishes.
+//! byte, both outputs of the very run EXPERIMENTS.md publishes.
 //!
 //! A table cell is written once: [`Experiment::table`] prints the title,
 //! and each [`Experiment::row`] takes the row's [`Cell`]s — label, width,

@@ -1,6 +1,6 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
-//! Every `exp_*` binary in `src/bin/` regenerates one table or figure of
+//! Every `exp_*` binary in `src/bin/` prints one stdout block of
 //! EXPERIMENTS.md. This library holds the worlds, query streams and cell
 //! runtimes they share, the seed [`sweep`] and the [`table`] every number
 //! is printed and recorded through, so each binary is just its sweep —

@@ -164,14 +164,11 @@ impl Table {
         match &self.columns {
             Some(first) => assert_eq!(*first, columns, "a row must repeat its table's columns"),
             None => {
-                // A title line came first; then a rule, the labels (each
-                // with a trailing two-space gutter), a rule.
+                // A title line came first; then a rule, the labels spaced
+                // like the cells, a rule.
                 let rule = "-".repeat(columns.iter().map(|(_, w)| w + 2).sum());
-                let labels: String = columns
-                    .iter()
-                    .map(|(label, w)| format!("{label:>w$}  "))
-                    .collect();
-                out = format!("{rule}\n{labels}\n{rule}\n");
+                let labels: Vec<_> = columns.iter().map(|(l, w)| format!("{l:>w$}")).collect();
+                out = format!("{rule}\n{}\n{rule}\n", labels.join("  "));
                 self.columns = Some(columns);
             }
         }
@@ -232,7 +229,7 @@ mod tests {
         let mut t = Table::default();
         let mut r = Report::new("t");
         let rule = "-".repeat(8 + 7 + 10 + 9 + 10);
-        // The header keeps its trailing two-space gutter; rows have none.
+        // No line ends in whitespace: the header is spaced like the rows.
         assert_eq!(
             t.row(
                 &mut r,
@@ -240,7 +237,7 @@ mod tests {
                 &cells("tree", 7u64, 12345.0, summary(&[2.0, 4.0]))
             ),
             format!(
-                "{rule}\n  mode   sent     bytes    ratio   wall ms  \n{rule}\n  \
+                "{rule}\n  mode   sent     bytes    ratio   wall ms\n{rule}\n  \
                  tree      7    1.23e4     3.00       0.2\n"
             )
         );

@@ -1,6 +1,7 @@
 //! The command-line contract every `exp_*` binary shares, driven through
-//! F1 (the fastest one): one grid per run, selected by flags alone, and a
-//! byte-deterministic report, equal to the committed baseline.
+//! F1 (the fastest one): one grid per run, selected by flags alone, a
+//! byte-deterministic report, equal to the committed baseline, and a
+//! stdout equal to its EXPERIMENTS.md block.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -31,10 +32,27 @@ fn report_bytes(out: &Path) -> Vec<u8> {
     std::fs::read(out.join(format!("{EXP}.json"))).unwrap()
 }
 
+/// The body of EXPERIMENTS.md's ```` ```text exp_f1_scenario ```` block.
+fn documented_stdout() -> String {
+    let doc = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../EXPERIMENTS.md");
+    let doc = std::fs::read_to_string(doc).unwrap();
+    let fence = format!("```text {EXP}");
+    let mut lines = doc.lines();
+    assert!(
+        lines.any(|l| l == fence),
+        "EXPERIMENTS.md has no {fence} block"
+    );
+    lines
+        .take_while(|l| *l != "```")
+        .map(|l| format!("{l}\n"))
+        .collect()
+}
+
 #[test]
 fn reports_are_full_size_byte_identical_and_ignore_the_environment() {
     let (a, b, smoke_env) = (out_dir("a"), out_dir("b"), out_dir("smoke_env"));
-    assert!(run(&[], &[], &a).status.success());
+    let output = run(&[], &[], &a);
+    assert!(output.status.success());
     assert!(run(&[], &[], &b).status.success());
     assert!(run(&[], &[("PG_SMOKE", "1")], &smoke_env).status.success());
     let first = report_bytes(&a);
@@ -49,6 +67,11 @@ fn reports_are_full_size_byte_identical_and_ignore_the_environment() {
     assert!(
         first == std::fs::read(committed).unwrap(),
         "the report differs from baselines/BENCH_{EXP}.json"
+    );
+    assert_eq!(
+        String::from_utf8(output.stdout).unwrap(),
+        documented_stdout(),
+        "stdout differs from the {EXP} block of EXPERIMENTS.md"
     );
 }
 

@@ -7,9 +7,9 @@
 #     a mismatch the leaves that moved are printed, one path and value per
 #     line. A baseline without a fresh report fails, and so does a fresh
 #     exp_*.json without a baseline;
-#   - `cmp` each <exp>.txt with the results/<exp>.txt committed at HEAD —
-#     the tables EXPERIMENTS.md is pasted from. The committed side is read
-#     from HEAD, so running into results/ itself is fine.
+#   - `cmp` each <exp>.txt with its block in the working-tree EXPERIMENTS.md,
+#     the fenced block opened by the line ```text <exp>. A missing block
+#     fails, and so does a block naming no crates/bench/src/bin/exp_*.rs.
 #
 # Usage: scripts/check_experiments.sh [output-dir]   (default: a temp dir;
 # needs jq)
@@ -68,19 +68,26 @@ for fresh in "$out"/exp_*.json; do
     fi
 done
 
+# The stdout block of one experiment in EXPERIMENTS.md.
+block() { awk -v h='```text '"$1" 'on && $0 == "```" {exit} on; $0 == h {on = 1}' EXPERIMENTS.md; }
 for fresh in "$out"/exp_*.txt; do
     exp=$(basename "$fresh" .txt)
-    if [[ " $wall_clock " == *" $exp "* ]]; then
-        echo "skip  $exp (wall-clock column)"
-    elif ! git cat-file -e "HEAD:results/$exp.txt" 2>/dev/null; then
-        echo "NEW   $exp: no committed results/$exp.txt (run scripts/run_experiments.sh and commit it)"
+    if ! grep -qxF '```text '"$exp" EXPERIMENTS.md; then
+        echo "FAIL  $exp: no \`\`\`text $exp block in EXPERIMENTS.md"
         status=1
-    elif git show "HEAD:results/$exp.txt" | cmp -s - "$fresh"; then
+    elif [[ " $wall_clock " == *" $exp "* ]]; then
+        echo "skip  $exp (wall-clock column)"
+    elif block "$exp" | cmp -s - "$fresh"; then
         echo "ok    $exp"
     else
-        echo "DIFF  $exp: stdout differs from the committed results/$exp.txt"
-        diff <(git show "HEAD:results/$exp.txt") "$fresh" | head -20 || true
+        echo "DIFF  $exp: stdout differs from its EXPERIMENTS.md block (< block, > fresh)"
+        diff <(block "$exp") "$fresh" | head -20 || true
         status=1
     fi
+done
+for exp in $(sed -n 's/^```text //p' EXPERIMENTS.md); do
+    [[ -f "crates/bench/src/bin/$exp.rs" ]] && continue
+    echo "FAIL  $exp: EXPERIMENTS.md has a block for an experiment that does not exist"
+    status=1
 done
 exit $status

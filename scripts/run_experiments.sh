@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
-# Regenerate every EXPERIMENTS.md table/figure into results/: each binary
-# writes a stdout table (captured to <out>/<exp>.txt) and a machine-readable
-# report <out>/<exp>.json. The committed results/*.txt and
+# Run every experiment into results/ (or output-dir): each binary's stdout
+# is captured to <out>/<exp>.txt and its machine-readable report written to
+# <out>/<exp>.json. The ```text <exp> blocks of EXPERIMENTS.md and
 # baselines/BENCH_*.json are both outputs of this one default run.
 #
 # Usage: scripts/run_experiments.sh [--chaos] [--rebaseline] [output-dir]
 #   --chaos       run the extended nightly soak grids (longer horizons,
 #                 higher fault rates, extra seeds; reports are never diffed)
 #   --rebaseline  after a clean run, copy each fresh <out>/<exp>.json over
-#                 baselines/BENCH_<exp>.json
+#                 baselines/BENCH_<exp>.json and each <out>/<exp>.txt into
+#                 its EXPERIMENTS.md block (write a new one's fence by hand)
 set -euo pipefail
 
 mode=()
@@ -19,7 +20,7 @@ for arg in "$@"; do
     --chaos) mode=(--chaos) ;;
     --rebaseline) rebaseline=1 ;;
     -h | --help)
-        sed -n '2,11p' "$0"
+        sed -n '2,12p' "$0"
         exit 0
         ;;
     -*)
@@ -80,4 +81,11 @@ if [[ $rebaseline -eq 1 ]]; then
         cp "$out/$exp.json" "baselines/BENCH_$exp.json"
         echo "rebaselined baselines/BENCH_$exp.json"
     done
+    # Each block's body becomes its fresh stdout; one without any is kept.
+    awk -v dir="$out" '
+        skip && $0 == "```" { skip = 0 }
+        !skip { print }
+        /^```text exp_/ { f = dir "/" $2 ".txt"; while ((getline l < f) > 0) { print l; skip = 1 } close(f) }
+    ' EXPERIMENTS.md >"$out/EXPERIMENTS.md" && mv "$out/EXPERIMENTS.md" EXPERIMENTS.md
+    echo "rebaselined the stdout blocks of EXPERIMENTS.md"
 fi
