@@ -30,7 +30,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_bench::{cell_runtime, Cell, Experiment, Value};
-use pg_federation::{commute_traces, quantile, Federation, FederationConfig, RoamingConfig};
+use pg_federation::{commute_traces, Federation, FederationConfig, RoamingConfig};
 use pg_runtime::QueryOpts;
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
@@ -78,6 +78,17 @@ const MOBILITIES: [Mobility; 2] = [
         dwell_max: 300,
     },
 ];
+
+/// The `q`-quantile of a latency sample set (nearest-rank), if non-empty.
+fn quantile(samples: &[f64], q: f64) -> Option<f64> {
+    if samples.is_empty() {
+        return None;
+    }
+    let mut s = samples.to_vec();
+    s.sort_by(f64::total_cmp);
+    let idx = ((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).ceil() as usize;
+    Some(s[idx.min(s.len() - 1)])
+}
 
 /// One federation run. `seed` derives everything: grids, mobility traces,
 /// arrivals, gossip peer selection, bus jitter.

@@ -22,10 +22,9 @@
 //! Flags understood by every binary:
 //!
 //! - `--chaos` — run an *extended* sweep (longer horizons, higher fault
-//!   rates, extra seeds) for the nightly chaos-soak job, where a binary
-//!   has one (see [`Experiment::scale`]). Chaos reports carry
-//!   `meta.mode = "chaos"` and are never compared with the `"full"`
-//!   baselines (the experiment gate never passes `--chaos`) — the soak's
+//!   rates, extra seeds), where a binary has one (see
+//!   [`Experiment::scale`]). Chaos reports carry `meta.mode = "chaos"` and
+//!   are never compared with the `"full"` baselines — the chaos run's
 //!   value is the per-seed asserts inside the binaries, not a numeric diff.
 //! - `--out DIR` — write the JSON report into `DIR` (default `results`).
 //!

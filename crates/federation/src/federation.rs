@@ -157,17 +157,6 @@ pub struct FederationStats {
     pub journal_recovered: u64,
 }
 
-/// The `q`-quantile of a latency sample set (nearest-rank), if non-empty.
-pub fn quantile(samples: &[f64], q: f64) -> Option<f64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut s = samples.to_vec();
-    s.sort_by(f64::total_cmp);
-    let idx = ((s.len() - 1) as f64 * q.clamp(0.0, 1.0)).ceil() as usize;
-    Some(s[idx.min(s.len() - 1)])
-}
-
 /// A cell's endpoint on the inter-cell bus: queues deliveries (with their
 /// arrival instants) for the driver to apply at the window boundary. The
 /// reliable layer acks and dedups by sequence number underneath, so each

@@ -33,7 +33,7 @@ pub mod handoff;
 pub mod roaming;
 
 pub use cell::Cell;
-pub use federation::{quantile, Federation, FederationConfig};
+pub use federation::{Federation, FederationConfig};
 pub use gossip::{gossip_round, CellId, GossipConfig, LoadDigest, Membership};
 pub use handoff::{HandoffRecord, HandoffStore};
 pub use roaming::{commute_traces, RoamingConfig, Trace};

@@ -365,26 +365,32 @@ impl Topology {
                 }
             }
         }
-        let mut parent: Vec<Option<NodeId>> = vec![None; self.len()];
+        let parent = self.canonical_parents(&depth);
         let mut children = vec![Vec::new(); self.len()];
-        for i in 0..self.len() {
-            let v = NodeId(i as u32);
-            let Some(d) = depth[i] else { continue };
-            if d == 0 {
-                continue;
-            }
-            // Neighbour lists are ascending, so the first hit is lowest-id.
-            let p = self
-                .neighbors(v)
-                .iter()
-                .copied()
-                .find(|u| depth[u.idx()] == Some(d - 1));
-            parent[i] = p;
+        for (i, p) in parent.iter().enumerate() {
             if let Some(p) = p {
-                children[p.idx()].push(v);
+                children[p.idx()].push(NodeId(i as u32));
             }
         }
         RoutingTree::assemble(root, parent, children, depth)
+    }
+
+    /// Each node's canonical parent under the BFS `depth` of some root:
+    /// its lowest-id neighbour one hop closer (`None` for the root and
+    /// nodes without a depth). Following it from `s` walks the
+    /// lexicographically smallest shortest path to the root, which is
+    /// the path a BFS from `s` over ascending neighbour lists returns.
+    pub fn canonical_parents(&self, depth: &[Option<u32>]) -> Vec<Option<NodeId>> {
+        self.nodes()
+            .map(|v| {
+                let d = depth[v.idx()].filter(|&d| d > 0)?;
+                // Neighbour lists are ascending, so the first hit is lowest-id.
+                self.neighbors(v)
+                    .iter()
+                    .copied()
+                    .find(|u| depth[u.idx()] == Some(d - 1))
+            })
+            .collect()
     }
 }
 

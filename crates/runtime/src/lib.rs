@@ -472,6 +472,34 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_past_the_end_of_time_saturates() {
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
+        round(&mut rt);
+        assert!(rt.engine().now > SimTime::ZERO);
+        let never = Duration::from_nanos(u64::MAX);
+        let far = rt
+            .submit("far", QueryOpts::with_deadline(never))
+            .handle()
+            .unwrap();
+        let near = rt
+            .submit("near", QueryOpts::with_deadline(Duration::from_secs(600)))
+            .handle()
+            .unwrap();
+        // Both land on `SimTime::MAX`, which tightens nothing.
+        assert!(!rt.tighten_deadline(far, never));
+        assert!(!rt.tighten_deadline(near, never));
+        drain(&mut rt);
+        match rt.poll(far) {
+            QueryStatus::Completed(outcome) => {
+                assert_eq!(outcome.response, Ok("far".to_string()));
+                assert_eq!(outcome.deadline, Some(SimTime::MAX));
+                assert!(!outcome.deadline_exceeded());
+            }
+            other => panic!("expected completed, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn cancel_on_the_deferred_backlog_promotes_later_work() {
         let mut rt = MultiQueryRuntime::new(
             RuntimeConfig::builder()

@@ -35,12 +35,19 @@ pub fn elect_heads(net: &SensorNetwork, members: &[NodeId], k: usize) -> Vec<Nod
         .copied()
         .filter(|&m| m != net.base() && net.is_alive(m))
         .collect();
-    live.sort_by(|&a, &b| {
+    let order = |&a: &NodeId, &b: &NodeId| {
         net.remaining_energy(b)
             .total_cmp(&net.remaining_energy(a))
             .then(a.cmp(&b))
-    });
-    live.truncate(k.max(1));
+    };
+    // Ids make the order total, so the k selected, then sorted, are the
+    // first k of the whole sorted list.
+    let k = k.max(1);
+    if live.len() > k {
+        live.select_nth_unstable_by(k - 1, order);
+        live.truncate(k);
+    }
+    live.sort_unstable_by(order);
     live
 }
 
@@ -240,6 +247,48 @@ mod tests {
         assert!(!heads.contains(&NodeId(1)));
         // Full-energy ties break by id: with n1 drained, n2 leads.
         assert_eq!(heads[0], NodeId(2));
+    }
+
+    /// Election as it was before it became a selection: stably sort every
+    /// live member, then keep the first `k` (at least one).
+    fn sort_then_truncate(net: &SensorNetwork, members: &[NodeId], k: usize) -> Vec<NodeId> {
+        let mut live: Vec<NodeId> = members
+            .iter()
+            .copied()
+            .filter(|&m| m != net.base() && net.is_alive(m))
+            .collect();
+        live.sort_by(|&a, &b| {
+            net.remaining_energy(b)
+                .total_cmp(&net.remaining_energy(a))
+                .then(a.cmp(&b))
+        });
+        live.truncate(k.max(1));
+        live
+    }
+
+    #[test]
+    fn selected_heads_are_the_sorted_prefix() {
+        propcheck::check("selected_heads_are_the_sorted_prefix", 128, |g| {
+            let mut n = net();
+            // Four drain levels force equal-energy ties; the fifth kills.
+            for id in 1..n.len() as u32 {
+                let level = g.range(0..5u32);
+                n.drain(
+                    NodeId(id),
+                    [0.0, 1.5, 1.5 + 1e-9, 20.0, 1e9][level as usize],
+                );
+            }
+            // Members in drawn order, the base and repeats allowed.
+            let ms = g.vec(0..40, |g| NodeId(g.range(0..n.len() as u32)));
+            let live = sort_then_truncate(&n, &ms, usize::MAX).len();
+            for k in [0, 1, live.saturating_sub(1), live, live + 5] {
+                assert_eq!(
+                    elect_heads(&n, &ms, k),
+                    sort_then_truncate(&n, &ms, k),
+                    "k = {k}"
+                );
+            }
+        });
     }
 
     #[test]

@@ -287,19 +287,29 @@ pub fn direct_collection<R: Rng>(
         if !filter.matches(reading) {
             continue; // predicate evaluated at the source: nothing transmits
         }
-        let Some(path) = net.route_to_base(m) else {
-            continue;
-        };
+        if net.next_hop(m).is_none() {
+            continue; // unreachable (m is not the base)
+        }
+        // Hop along the next-hop table: the shortest path a BFS from `m`
+        // would return, with no path built.
         let mut path_time = Duration::ZERO;
-        let arrived = path.windows(2).all(|w| {
-            // A dead (or crashed) forwarder silently breaks the route.
-            if !meter.is_up(net, w[0]) {
-                return false;
+        let mut u = m;
+        let arrived = loop {
+            let Some(v) = net.next_hop(u) else {
+                break true; // at the base
+            };
+            // A dead (or crashed) sender silently breaks the route; the
+            // member itself counts, as its sample's drain can kill it.
+            if !meter.is_up(net, u) {
+                break false;
             }
-            let (ok, attempts) = meter.hop(net, w[0], w[1], READING_WIRE_BYTES, rng);
+            let (ok, attempts) = meter.hop(net, u, v, READING_WIRE_BYTES, rng);
             path_time += slot.mul(attempts as u64);
-            ok
-        });
+            if !ok {
+                break false;
+            }
+            u = v;
+        };
         if arrived {
             merged.add(reading);
             raw.push((m, reading));

@@ -16,9 +16,10 @@ pub(crate) const SAMPLE_OPS: u64 = 50;
 
 /// What a network keeps between collection epochs so that a steady-state
 /// epoch allocates nothing per node: working memory whose capacity is
-/// reused, and two tables that fill on first use — the amplifier price of
-/// each tree edge and each sensor's route to the base. None of it is state:
-/// a clone starts empty and computes the same bits.
+/// reused, and a table that fills on first use — the amplifier price of
+/// each tree edge. None of it is state: a clone starts empty and computes
+/// the same bits. Routes to the base need no table here: the network
+/// builds its next-hop table with the base tree.
 #[derive(Debug, Default)]
 pub(crate) struct Scratch {
     /// Query-membership bitmask per node (shared epoch).
@@ -33,8 +34,6 @@ pub(crate) struct Scratch {
     /// parent is not the one in hand (a repaired edge, another tree) is
     /// recomputed, so nothing has to tell this table that a tree changed.
     pub(crate) edge_price: Vec<(Option<NodeId>, f64)>,
-    /// Per node, its shortest path to the base once somebody asked.
-    routes: Vec<Option<Option<Arc<[NodeId]>>>>,
 }
 
 impl Scratch {
@@ -72,6 +71,10 @@ pub struct SensorNetwork {
     /// hop table from the base. Shared so collection can read the tree
     /// while it drains batteries through `&mut self`.
     base_tree: Arc<RoutingTree>,
+    /// Per node, its canonical parent toward the base
+    /// ([`Topology::canonical_parents`]): following it walks the path a
+    /// BFS from the node returns.
+    next_hop: Arc<[Option<NodeId>]>,
     radio: RadioModel,
     link: LinkModel,
     batteries: NodeArena,
@@ -93,10 +96,12 @@ impl SensorNetwork {
     ) -> Self {
         let batteries = NodeArena::new(topo.len(), battery_j);
         let base_tree = Arc::new(topo.spanning_tree(base));
+        let next_hop = topo.canonical_parents(&base_tree.depth).into();
         SensorNetwork {
             topo,
             base,
             base_tree,
+            next_hop,
             radio,
             link,
             batteries,
@@ -142,17 +147,11 @@ impl SensorNetwork {
         &self.base_tree.depth
     }
 
-    /// The shortest path from `node` to the base station (both included),
-    /// `None` when the base is unreachable. Looked up once per node: the
-    /// topology never changes, so the first answer is kept.
-    pub fn route_to_base(&mut self, node: NodeId) -> Option<Arc<[NodeId]>> {
-        let routes = &mut self.scratch.routes;
-        if routes.is_empty() {
-            routes.resize(self.topo.len(), None);
-        }
-        routes[node.idx()]
-            .get_or_insert_with(|| self.topo.shortest_path(node, self.base).map(Arc::from))
-            .clone()
+    /// The next node on `node`'s shortest path to the base station: its
+    /// lowest-id neighbour one hop closer. `None` for the base itself and
+    /// for nodes the base cannot reach.
+    pub(crate) fn next_hop(&self, node: NodeId) -> Option<NodeId> {
+        self.next_hop[node.idx()]
     }
 
     /// The radio energy model shared by all sensors.
@@ -258,8 +257,10 @@ impl SensorNetwork {
 mod tests {
     use super::*;
     use pg_net::geom::Point;
+    use propcheck::check;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::cell::Cell;
 
     fn net() -> SensorNetwork {
         let topo = Topology::grid(3, 3, 10.0, 11.0);
@@ -284,16 +285,46 @@ mod tests {
         assert_eq!(n.hops_from_base(), &n.topology().hops_from(n.base())[..]);
     }
 
-    #[test]
-    fn routes_to_base_are_the_topologys_and_a_clone_starts_without_them() {
-        let mut n = net();
-        for id in n.topology().nodes() {
-            let fresh = n.topology().shortest_path(id, n.base());
-            assert_eq!(n.route_to_base(id).as_deref(), fresh.as_deref());
-            assert_eq!(n.route_to_base(id).as_deref(), fresh.as_deref(), "kept");
+    /// `node`'s route to the base along the next-hop table, both ends
+    /// included; `None` when the base cannot reach it.
+    fn walk(n: &SensorNetwork, node: NodeId) -> Option<Vec<NodeId>> {
+        if node != n.base() {
+            n.next_hop(node)?; // unreachable
         }
-        assert_eq!(n.scratch.routes.len(), n.len());
-        assert!(n.clone().scratch.routes.is_empty());
+        let mut path = vec![node];
+        while let Some(next) = n.next_hop(path[path.len() - 1]) {
+            path.push(next);
+        }
+        Some(path)
+    }
+
+    /// Walking the next-hop table is the topology's BFS shortest path, on
+    /// random geometric placements sparse enough to leave nodes cut off.
+    #[test]
+    fn next_hops_walk_the_topologys_shortest_paths() {
+        let unreachable = Cell::new(0);
+        check("next_hops_walk_the_topologys_shortest_paths", 96, |g| {
+            let len = g.range(2usize..=200);
+            let side = g.range(10.0..200.0);
+            let positions = g.vec(len..=len, |g| {
+                Point::flat(g.range(0.0..side), g.range(0.0..side))
+            });
+            let base = NodeId(g.range(0..len as u32));
+            let topo = Topology::from_positions(positions, g.range(5.0..40.0));
+            let n = SensorNetwork::new(
+                topo,
+                base,
+                RadioModel::mote(),
+                LinkModel::sensor_radio(),
+                2.0,
+            );
+            for id in n.topology().nodes() {
+                let bfs = n.topology().shortest_path(id, base);
+                unreachable.set(unreachable.get() + usize::from(bfs.is_none()));
+                assert_eq!(walk(&n, id), bfs, "{id} to base {base}");
+            }
+        });
+        assert!(unreachable.get() > 0, "no case left a node cut off");
     }
 
     #[test]

@@ -76,6 +76,13 @@ impl SimTime {
         );
         Duration(self.0 - earlier.0)
     }
+
+    /// `self + d`, clamped to [`SimTime::MAX`] instead of panicking: for
+    /// instants a caller may ask for but the run never reaches, such as a
+    /// deadline centuries away.
+    pub const fn saturating_add(self, d: Duration) -> SimTime {
+        SimTime(self.0.saturating_add(d.0))
+    }
 }
 
 impl Duration {
@@ -240,6 +247,12 @@ mod tests {
         assert_eq!(
             Duration::from_secs(3) - Duration::from_secs(1),
             Duration::from_secs(2)
+        );
+        let far = Duration::from_nanos(u64::MAX);
+        assert_eq!(SimTime::from_secs(1).saturating_add(far), SimTime::MAX);
+        assert_eq!(
+            t.saturating_add(Duration::from_millis(500)),
+            SimTime::from_secs(11)
         );
     }
 

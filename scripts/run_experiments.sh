@@ -5,8 +5,8 @@
 # baselines/BENCH_*.json are both outputs of this one default run.
 #
 # Usage: scripts/run_experiments.sh [--chaos] [--rebaseline] [output-dir]
-#   --chaos       run the extended nightly soak grids (longer horizons,
-#                 higher fault rates, extra seeds; reports are never diffed)
+#   --chaos       run the extended chaos grids (longer horizons, higher
+#                 fault rates, extra seeds; reports are never diffed)
 #   --rebaseline  after a clean run, copy each fresh <out>/<exp>.json over
 #                 baselines/BENCH_<exp>.json and each <out>/<exp>.txt into
 #                 its EXPERIMENTS.md block (write a new one's fence by hand)
