@@ -94,7 +94,7 @@ fn main() -> ExitCode {
         println!();
     }
     println!(
-        "shape to check: longer epochs extend wall-clock lifetime roughly \
+        "shape to check: longer epochs extend simulated network lifetime roughly \
          linearly (idle power dominates at long epochs, so strategies \
          converge); at short epochs radio traffic dominates and tree/cluster \
          outlive direct by a clear margin."

@@ -1,18 +1,14 @@
 //! **T18** — scale: the 10k-node arena, incremental tree repair under
 //! churn, and the indexed discovery matcher.
 //!
-//! T18a builds the flat CSR node arena at 1k/10k/50k nodes and records
-//! its deterministic shape counters — edges, degrees, canonical-tree
-//! height and coverage. The cell-binned adjacency build is
-//! O(n + m), which is what makes the 50k-node run fit the CI budget.
-//! T18b is the tentpole sweep: node count × churn rate × seeds, running the
-//! same forced-death schedule through a full rebuild after every death
-//! epoch (a fresh `Incremental` session, which floods its build) and one
-//! kept `Incremental` session (localized repair). Per seed and per churn
-//! level it asserts the incremental arm strictly beats the full rebuild on
-//! repair wire bytes AND on repair latency (control waves). T18c registers a mixed service corpus at scale
-//! and checks the class-indexed matcher returns bit-identical hits to the
-//! linear scan while consulting only a fraction of the registry.
+//! T18a builds the flat CSR node arena (cell-binned, O(n + m)) at
+//! 1k/10k/50k nodes and records its shape counters. T18b runs one
+//! forced-death schedule per node count × churn rate × seed through a full
+//! rebuild after every death epoch (a fresh `Incremental` session) and one
+//! kept `Incremental` session (localized repair), asserting per seed that
+//! repair beats the rebuild on wire bytes AND control waves. T18c checks
+//! that the class-indexed matcher returns the linear scan's hits bit for
+//! bit while consulting under a quarter of the registry.
 //!
 //! ```sh
 //! cargo run --release -p pg-bench --bin exp_t18_scale
@@ -34,7 +30,6 @@ use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::process::ExitCode;
-use std::time::Instant;
 
 /// One sweep size: a building of `floors × cols × rows` sensors.
 #[derive(Clone, Copy)]
@@ -168,11 +163,9 @@ fn main() -> ExitCode {
         "T18a: CSR node arena build (building topology, 10 m pitch, 11 m range), \
          cell-binned O(n+m) adjacency"
     );
-    exp.table("build wall-time on stdout only; reports carry shape counters");
+    exp.table("shape counters of each arena");
     for &size in sizes {
-        let start = Instant::now();
         let topo = size.topology();
-        let build_ms = start.elapsed().as_secs_f64() * 1e3;
         let tree = topo.canonical_tree(NodeId(0));
         let max_deg = (0..topo.len() as u32)
             .map(|i| topo.degree(NodeId(i)))
@@ -189,7 +182,6 @@ fn main() -> ExitCode {
                 Cell::int("maxdeg", 6, max_deg).key("max_degree"),
                 Cell::int("height", 6, tree.height()).key("tree_height"),
                 Cell::int("covered", 7, tree.covered()).key("tree_covered"),
-                Cell::fixed("build ms", 8, 1, build_ms),
             ],
         );
     }
@@ -308,12 +300,8 @@ fn main() -> ExitCode {
         let class = onto.class(class_name).unwrap();
         let req =
             ServiceRequest::for_class(class).with_preference(Preference::Minimize("cost".into()));
-        let start = Instant::now();
         let hits_idx = reg.query_at(&onto, &req, now);
-        let idx_ms = start.elapsed().as_secs_f64() * 1e3;
-        let start = Instant::now();
         let hits_lin = reg.query_linear_at(&onto, &req, now);
-        let lin_ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(hits_idx.len(), hits_lin.len(), "{class_name}: hit count");
         for (a, b) in hits_idx.iter().zip(&hits_lin) {
             assert_eq!(a.id, b.id, "{class_name}: hit order");
@@ -325,7 +313,13 @@ fn main() -> ExitCode {
             );
         }
         let cand = reg.candidates(&onto, class).len();
-        assert!(cand <= reg.len());
+        // The root class consults the whole registry, any other under 1/4.
+        let consulted = if class_name == "Service" {
+            cand == reg.len()
+        } else {
+            4 * cand < reg.len()
+        };
+        assert!(consulted, "{class_name}: {cand} candidates");
         let key = format!("matcher.{}", key_part(class_name));
         exp.set_scalar(
             format!("{key}.candidate_fraction"),
@@ -338,17 +332,15 @@ fn main() -> ExitCode {
                 Cell::int("cand", 7, cand).key("candidates"),
                 Cell::int("of", 7, reg.len()),
                 Cell::int("hits", 6, hits_idx.len()).key("hits"),
-                Cell::fixed("idx ms", 7, 2, idx_ms),
-                Cell::fixed("lin ms", 7, 2, lin_ms),
             ],
         );
     }
     exp.set_counter("matcher.registry_size", reg.len() as u64);
     println!(
         "shape to check: specific classes consult only their ancestor/descendant \
-         buckets (a few percent of the registry) yet return exactly the hits the \
-         full scan finds; the root-class row is the control — its candidate set \
-         is the whole registry by construction."
+         buckets (asserted under a quarter of the registry) yet return exactly \
+         the hits the full scan finds; the root-class row is the control — its \
+         candidate set is the whole registry by construction."
     );
 
     exp.finish()

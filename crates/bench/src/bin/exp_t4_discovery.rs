@@ -1,5 +1,5 @@
 //! **T4** — semantic vs. syntactic discovery: expressiveness
-//! (precision/recall on the paper's printer queries), match latency vs.
+//! (precision/recall on the paper's printer queries), match cost vs.
 //! registry size, and federation traffic vs. a central registry.
 //!
 //! ```sh
@@ -18,7 +18,6 @@ use pg_discovery::ontology::Ontology;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t4_discovery");
@@ -48,6 +47,10 @@ fn main() -> ExitCode {
             precision_recall(&jini, &corpus.relevant).0,
         ]
     });
+    assert!(
+        sem_p.min() == 1.0 && sem_p.mean() > jini_p.mean(),
+        "semantic precision must be 1.0 and above Jini's"
+    );
     let precision = |v: pg_bench::Value| Cell::fixed("precision", 10, 2, v);
     for (system, precision, recall, ranked) in [
         (
@@ -76,32 +79,27 @@ fn main() -> ExitCode {
     }
     println!("(SDP cannot express the query at all: UUID equality only)");
 
-    // --- Part 2: match latency vs registry size. ---
-    // Wall-clock latency stays on stdout only; the report records the
-    // (deterministic) hit counts per registry size.
-    println!("\nT4b: semantic match latency vs registry size (wall clock, this machine)");
-    exp.table("single query, ranked result");
+    // --- Part 2: match cost vs registry size (each service scored once). ---
+    println!("\nT4b: semantic match cost vs registry size");
+    exp.table("single query, ranked result; every service scored once");
     let solver = onto.class("SolverService").unwrap();
     let registry_sizes: &[usize] = &[100, 1_000, 10_000, 50_000];
+    let mut last_hits = 0;
     for &n in registry_sizes {
         let mut rng = StdRng::seed_from_u64(99);
         let corpus = mixed_corpus(&onto, n, &mut rng);
         let req =
             ServiceRequest::for_class(solver).with_preference(Preference::Minimize("cost".into()));
-        // Warm + time.
-        let _ = matcher::rank(&onto, &req, &corpus);
-        let t0 = Instant::now();
-        const ROUNDS: u32 = 10;
-        let mut hits = 0;
-        for _ in 0..ROUNDS {
-            hits = matcher::rank(&onto, &req, &corpus).len();
-        }
-        let us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
+        let hits = matcher::rank(&onto, &req, &corpus).len();
+        assert!(
+            (last_hits..=n).contains(&hits),
+            "n {n}: {hits} hits must be at least the smaller registry's {last_hits} and at most n"
+        );
+        last_hits = hits;
         exp.row(
             &format!("latency_sweep.n{n}"),
             &[
                 Cell::int("services", 9, n),
-                Cell::eng("latency us", 11, us),
                 Cell::int("hits", 7, hits).key("hits"),
             ],
         );
@@ -119,7 +117,7 @@ fn main() -> ExitCode {
     for d in &corpus {
         central.register(d.clone());
     }
-    let hits = central.query(&onto, &req).len();
+    let central_hits = central.query(&onto, &req).len();
     let mut row = |prefix: &str, deployment: &str, overlay: [pg_bench::Value; 4], hits: usize| {
         let [hops, brokers, msgs, latency_ms] = overlay;
         exp.row(
@@ -136,7 +134,7 @@ fn main() -> ExitCode {
     };
     // One registry, no overlay: only its hit count is a measurement.
     let no_overlay = ["-", "1", "0", "0"].map(Into::into);
-    row("federation.central", "central", no_overlay, hits);
+    row("federation.central", "central", no_overlay, central_hits);
     // Federated ring of 8.
     let mut fed = BrokerFederation::new(8);
     for i in 0..8 {
@@ -145,8 +143,11 @@ fn main() -> ExitCode {
     for (i, d) in corpus.iter().enumerate() {
         fed.register_at(i % 8, d.clone());
     }
+    let mut last_hits = 0;
     for hops in [1u32, 2, 4] {
         let (hits, stats) = fed.query(&onto, 0, &req, hops);
+        assert!(hits.len() > last_hits, "hop budget {hops} must add hits");
+        last_hits = hits.len();
         let overlay = [
             hops.into(),
             stats.brokers_visited.into(),
@@ -156,10 +157,15 @@ fn main() -> ExitCode {
         let prefix = format!("federation.hops{hops}");
         row(&prefix, "federated (ring)", overlay, hits.len());
     }
+    assert_eq!(
+        last_hits, central_hits,
+        "the largest hop budget must reach the central registry's hits"
+    );
     println!(
         "\nshape to check: semantic precision 1.0 vs Jini ~(base rate); match \
-         latency linear in registry size; federation coverage grows with hop \
-         budget at the price of overlay messages and latency."
+         cost linear in registry size; federation coverage grows with hop \
+         budget, up to the central registry's, at the price of overlay \
+         messages and latency."
     );
     exp.finish()
 }

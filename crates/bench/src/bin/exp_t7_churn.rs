@@ -20,7 +20,6 @@ use pg_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t7_churn");
@@ -57,12 +56,11 @@ fn main() -> ExitCode {
          even at the same long-run availability)"
     );
 
-    // --- T7b: discovery scalability with registry size. ---
-    // Wall clock stays on stdout; the report records the (deterministic)
-    // per-composition hit totals.
+    // --- T7b: discovery scalability: the services the matcher consults. ---
     println!("\nT7b: composition-time discovery cost vs registry size");
-    exp.table("one 5-role composition, wall clock");
+    exp.table("one 5-role composition; candidates = services the matcher consults");
     let registry_sizes: &[usize] = &[100, 1_000, 10_000];
+    let mut per_service = Vec::new();
     for &n in registry_sizes {
         let mut rng = StdRng::seed_from_u64(11);
         let corpus = mixed_corpus(&onto, n, &mut rng);
@@ -70,31 +68,32 @@ fn main() -> ExitCode {
         for d in corpus {
             reg.register(d);
         }
-        // Count the hits of the five role queries once (deterministic).
         let mut role_hits = 0u64;
+        let mut candidates = 0usize;
         for step in &plan.steps {
             let class = onto.class(&step.role.class).unwrap();
             let req = ServiceRequest::for_class(class);
             role_hits += reg.query(&onto, &req).len() as u64;
+            candidates += reg.candidates(&onto, class).len();
         }
         exp.set_counter(format!("registry.n{n}.role_hits"), role_hits);
-        // Time the five role queries of the plan.
-        let t0 = Instant::now();
-        const ROUNDS: u32 = 20;
-        for _ in 0..ROUNDS {
-            for step in &plan.steps {
-                let class = onto.class(&step.role.class).unwrap();
-                let req = ServiceRequest::for_class(class);
-                let _ = reg.query(&onto, &req);
-            }
-        }
-        let us = t0.elapsed().as_secs_f64() * 1e6 / ROUNDS as f64;
+        per_service.push(candidates as f64 / n as f64);
         exp.row(
-            "",
+            &format!("registry.n{n}"),
             &[
                 Cell::int("services", 9, n),
-                Cell::eng("discovery us", 13, us),
+                Cell::int("candidates", 11, candidates).key("candidates"),
             ],
+        );
+    }
+    // Linear in n: candidates per service within a quarter of their mean
+    // (with tenfold steps, they also grow).
+    let mean = per_service.iter().sum::<f64>() / per_service.len() as f64;
+    for (&n, &rate) in registry_sizes.iter().zip(&per_service) {
+        let band = 0.75 * mean..=1.25 * mean;
+        assert!(
+            band.contains(&rate),
+            "n {n}: {rate} per service, not in {band:?}"
         );
     }
     println!(

@@ -13,12 +13,12 @@ use pg_bench::{key_part, standard_world, Cell, Experiment, Value};
 use pg_grid::pde::{Problem, Solver};
 use pg_grid::reduction;
 use pg_net::geom::Point;
+use pg_net::topology::NodeId;
 use pg_partition::exec::execute_once;
 use pg_partition::model::SolutionModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::process::ExitCode;
-use std::time::Instant;
 
 fn make_problem(n: usize) -> Problem {
     let mut p = Problem::new(n, n, n, Point::flat(0.0, 0.0), 1.0, 20.0);
@@ -32,34 +32,47 @@ fn make_problem(n: usize) -> Problem {
 fn main() -> ExitCode {
     let mut exp = Experiment::from_args("exp_t9_pde");
 
-    // --- T9a: solver comparison. ---
-    // Wall clock stays on stdout; the report records iteration counts and
-    // residuals, which are deterministic.
+    // --- T9a: solver comparison by §4's "amount of computation". ---
+    let tol = 1e-6;
     println!("T9a: solver comparison on the reconstruction problem (tol 1e-6)");
-    exp.table("wall clock on this machine, one thread");
+    exp.table("ops = estimated floating-point operations");
     let grids: &[usize] = &[24, 32, 48];
     for &n in grids {
         let p = make_problem(n);
-        for solver in [
+        let [jacobi, rbgs, sor, cg] = [
             Solver::Jacobi,
             Solver::RedBlackGaussSeidel,
             Solver::Sor { omega_x100: 185 },
             Solver::ConjugateGradient,
-        ] {
-            let t0 = Instant::now();
-            let (_, stats) = p.solve(solver, 1e-6, 20_000);
-            let ms = t0.elapsed().as_secs_f64() * 1e3;
+        ]
+        .map(|solver| {
+            let (_, stats) = p.solve(solver, tol, 20_000);
             exp.row(
                 &format!("solver.n{n}.{}", key_part(solver.name())),
                 &[
                     Cell::text("grid", 8, format!("{n}^3")),
                     Cell::text("solver", 8, solver.name()),
                     Cell::int("iters", 7, stats.iterations).key("iterations"),
-                    Cell::eng("time ms", 9, ms),
+                    Cell::int("ops", 11, stats.ops).key("ops"),
                     Cell::eng("residual", 10, stats.residual).key("residual"),
                 ],
             );
-        }
+            assert!(stats.residual <= tol, "{n}^3: residual above tol");
+            stats
+        });
+        assert_eq!(
+            2 * rbgs.iterations,
+            jacobi.iterations,
+            "{n}^3: red-black Gauss-Seidel must halve Jacobi's sweeps"
+        );
+        assert!(
+            8 * cg.iterations <= jacobi.iterations,
+            "{n}^3: CG must take 8x fewer iterations than Jacobi"
+        );
+        assert!(
+            [jacobi, rbgs, cg].iter().all(|s| sor.ops < s.ops),
+            "{n}^3: SOR must do the fewest operations"
+        );
         println!();
     }
 
@@ -94,15 +107,9 @@ fn main() -> ExitCode {
             err += out.accuracy_err.unwrap_or(f64::NAN) / reps as f64;
             // Post-reduction constraint count and backhaul payload,
             // computed analytically over the deployment positions.
-            let readings: Vec<(Point, f64)> = (0..arena - 1)
-                .map(|i| {
-                    (
-                        w.net
-                            .topology()
-                            .position(pg_net::topology::NodeId(i as u32)),
-                        0.0,
-                    )
-                })
+            let topo = w.net.topology();
+            let readings: Vec<(Point, f64)> = (0..arena as u32 - 1)
+                .map(|i| (topo.position(NodeId(i)), 0.0))
                 .collect();
             let reduced = reduction::reduce_readings(&readings, cell).len();
             count_readings += reduced as f64 / reps as f64;
@@ -127,7 +134,8 @@ fn main() -> ExitCode {
     }
     println!(
         "\nshape to check: CG converges in far fewer iterations than Jacobi \
-         (RBGS in between); coarser reduction cells cut bytes while relative RMSE \
+         (RBGS in between, at exactly half Jacobi's sweeps) and SOR does the \
+         fewest operations; coarser reduction cells cut bytes while relative RMSE \
          climbs — the paper's accuracy knob."
     );
     exp.finish()

@@ -28,9 +28,9 @@
 //!   value is the per-seed asserts inside the binaries, not a numeric diff.
 //! - `--out DIR` — write the JSON report into `DIR` (default `results`).
 //!
-//! Wall-clock timings are deliberately **never** recorded into reports
-//! (they stay on stdout): reports only carry simulation-deterministic
-//! quantities, which is what lets the experiment gate demand equal bytes.
+//! No binary reads the host clock (`crates/bench/clippy.toml` denies it):
+//! tables and reports carry only simulation-deterministic quantities, which
+//! is what lets the experiment gate demand equal bytes of both.
 
 use crate::table::{Cell, Table};
 use pg_sim::report::Report;

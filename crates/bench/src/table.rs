@@ -122,7 +122,7 @@ impl Cell {
     }
 
     /// Record the value under `<row prefix>.<key>`. A cell without a key
-    /// is printed only (sweep axes, wall-clock timings).
+    /// is printed only (sweep axes, a value the report holds elsewhere).
     pub fn key(mut self, key: &'static str) -> Cell {
         self.key = Some(key);
         self
@@ -203,7 +203,7 @@ mod tests {
             Cell::int("sent", 5, sent).key("sent"),
             Cell::eng("bytes", 8, bytes).key("bytes"),
             Cell::fixed("ratio", 7, 2, ratio).key("ratio"),
-            Cell::fixed("wall ms", 8, 1, 0.25),
+            Cell::fixed("share", 8, 1, 0.25),
         ]
     }
 
@@ -237,7 +237,7 @@ mod tests {
                 &cells("tree", 7u64, 12345.0, summary(&[2.0, 4.0]))
             ),
             format!(
-                "{rule}\n  mode   sent     bytes    ratio   wall ms\n{rule}\n  \
+                "{rule}\n  mode   sent     bytes    ratio     share\n{rule}\n  \
                  tree      7    1.23e4     3.00       0.2\n"
             )
         );
@@ -272,7 +272,7 @@ mod tests {
         assert_eq!(ratio, Some((3, 3.0)));
         let model = r.meta.get("star.s8.model").map(String::as_str);
         assert_eq!(model, Some("tree"));
-        // The unkeyed label and wall-clock cells record nothing.
+        // The unkeyed label and share cells record nothing.
         let sizes = (
             r.counters.len(),
             r.scalars.len(),

@@ -11,8 +11,8 @@
 //! features + live network health + scheduler pressure), each solution
 //! model is an arm, and the composite [`Reward`] blends the scalar cost
 //! actual with observed degradation — loss fraction, deadline misses,
-//! retries, dead letters — so the learner steers by what the runtime
-//! *experienced*, not just what the radio billed.
+//! dead letters — so the learner steers by what the runtime *experienced*,
+//! not just what the radio billed.
 //!
 //! The LinUCB estimator is per-arm ridge regression maintained via
 //! Sherman–Morrison rank-one updates, with a per-observation discount
@@ -38,10 +38,6 @@ pub struct NetHealth {
     pub loss_ewma: f64,
     /// EWMA of deadline misses (0/1 per query).
     pub miss_ewma: f64,
-    /// EWMA of link-layer retransmissions per query.
-    pub retry_ewma: f64,
-    /// EWMA of agent-bus dead letters attributed per query.
-    pub dead_letter_ewma: f64,
     /// Waiting-queue depth last published by the scheduler.
     pub queue_depth: usize,
     /// Overload level last published by the scheduler: 0 normal,
@@ -58,8 +54,6 @@ impl NetHealth {
         let ewma = |prev: f64, x: f64| (1.0 - HEALTH_ALPHA) * prev + HEALTH_ALPHA * x;
         self.loss_ewma = ewma(self.loss_ewma, reward.loss_frac.clamp(0.0, 1.0));
         self.miss_ewma = ewma(self.miss_ewma, f64::from(reward.deadline_missed));
-        self.retry_ewma = ewma(self.retry_ewma, reward.retries as f64);
-        self.dead_letter_ewma = ewma(self.dead_letter_ewma, reward.dead_letters as f64);
     }
 
     /// Record the scheduler's queue pressure (depth + overload level).
@@ -82,7 +76,8 @@ pub struct Reward {
     pub loss_frac: f64,
     /// The response missed its effective deadline budget.
     pub deadline_missed: bool,
-    /// Link-layer retransmissions spent on this answer.
+    /// Link-layer retransmissions spent on this answer (carried with the
+    /// outcome; neither learner reads it).
     pub retries: u64,
     /// Agent-bus dead letters attributed to this query's window.
     pub dead_letters: u64,
@@ -382,9 +377,8 @@ pub struct LinUcbLearner {
 }
 
 impl LinUcbLearner {
-    /// A fresh bandit. `_seed` is accepted for interface symmetry with the
-    /// other learners; selection is deterministic and draws no randomness.
-    pub fn new(weights: CostWeights, _seed: u64) -> Self {
+    /// A fresh bandit. Selection is deterministic and draws no randomness.
+    pub fn new(weights: CostWeights) -> Self {
         Self::with_config(BanditConfig::default(), weights)
     }
 
@@ -540,7 +534,7 @@ mod tests {
 
     #[test]
     fn unseen_arms_are_each_tried_once() {
-        let mut bandit = LinUcbLearner::new(CostWeights::default(), 0);
+        let mut bandit = LinUcbLearner::new(CostWeights::default());
         let arms: Vec<CandidateArm> = (0..5).map(|k| arm(k, 1.0 + k as f64)).collect();
         let c = ctx(20);
         let mut seen = Vec::new();
@@ -616,7 +610,7 @@ mod tests {
     #[test]
     fn bandit_selection_is_deterministic() {
         let run = || {
-            let mut bandit = LinUcbLearner::new(CostWeights::default(), 7);
+            let mut bandit = LinUcbLearner::new(CostWeights::default());
             let arms: Vec<CandidateArm> = (0..7).map(|k| arm(k, 1.0 + (k % 3) as f64)).collect();
             let c = ctx(20);
             (0..50)
@@ -645,7 +639,6 @@ mod tests {
         }
         assert!(h.loss_ewma > 0.95);
         assert!(h.miss_ewma > 0.95);
-        assert!(h.retry_ewma > 4.5);
         let clean = Reward::from_cost(CostVector::default());
         for _ in 0..30 {
             h.absorb(&clean);

@@ -28,10 +28,6 @@ if [[ $# -gt 0 ]]; then
 fi
 cd "$(dirname "$0")/.."
 
-# Skipped by name: these four print a wall-clock column, which differs from
-# run to run; their deterministic columns are gated through the reports.
-wall_clock="exp_t4_discovery exp_t7_churn exp_t9_pde exp_t18_scale"
-
 scripts/run_experiments.sh "$out" >"$tmp/run.log" 2>&1 || {
     cat "$tmp/run.log"
     exit 1
@@ -75,8 +71,6 @@ for fresh in "$out"/exp_*.txt; do
     if ! grep -qxF '```text '"$exp" EXPERIMENTS.md; then
         echo "FAIL  $exp: no \`\`\`text $exp block in EXPERIMENTS.md"
         status=1
-    elif [[ " $wall_clock " == *" $exp "* ]]; then
-        echo "skip  $exp (wall-clock column)"
     elif block "$exp" | cmp -s - "$fresh"; then
         echo "ok    $exp"
     else
