@@ -23,11 +23,11 @@ fn main() -> ExitCode {
     println!("A1: decision-maker ablation on a {stream_len}-query stream ({N} sensors)");
     exp.table(&format!("mean total scalar cost over {seeds} seeds"));
     let mean = |blend, safe, eps| {
-        let config = DecisionConfig::builder()
-            .blend(blend)
-            .safe_explore(safe)
-            .epsilon(eps)
-            .build();
+        let config = DecisionConfig {
+            epsilon: eps,
+            blend,
+            safe_explore: safe,
+        };
         (0..seeds)
             .map(|s| run_mixed_stream(Policy::Adaptive, config, N, 11 + s, stream_len, 0).0)
             .sum::<f64>()

@@ -31,7 +31,10 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
         let mut dm = DecisionMaker::with_config(
             Policy::Adaptive,
             seed,
-            DecisionConfig::builder().epsilon(0.0).build(),
+            DecisionConfig {
+                epsilon: 0.0,
+                ..DecisionConfig::default()
+            },
         );
         let text = format!("SELECT AVG(temp) FROM sensors{clause}");
         let query = pg_query::parse(&text).expect("valid query");

@@ -142,7 +142,7 @@ fn oracle_objective(
 ) -> Option<f64> {
     match scenario {
         Scenario::Faults => oracle_choice(
-            &w.net, &w.grid, &w.field, &w.regions, w.now, query, weights, exec_seed,
+            &w.net, &w.grid, &w.field, &w.regions, w.now, query, exec_seed,
         )
         .map(|(_, cost)| weights.scalar(&cost)),
         Scenario::Load => SolutionModel::candidates(members)

@@ -391,7 +391,7 @@ pub fn run_mixed_stream(
         // the tail of the stream.
         if i >= len - judge_window {
             if let Some((best, best_cost)) = oracle_choice(
-                &w.net, &w.grid, &w.field, &w.regions, w.now, &query, &weights, i as u64,
+                &w.net, &w.grid, &w.field, &w.regions, w.now, &query, i as u64,
             ) {
                 judged += 1;
                 agree += u32::from(best.family() == model.family());

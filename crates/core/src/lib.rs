@@ -31,7 +31,7 @@ pub mod scenario;
 pub use error::PgError;
 pub use multiquery::GridRuntime;
 pub use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-pub use pg_partition::learn::{Learner, NetHealth, Reward};
+pub use pg_partition::learn::Reward;
 pub use pg_sensornet::shared::{SharedTreeSession, TreeMaintenance};
 pub use runtime::{
     CrossCellHandoff, DegradationReport, GridBuilder, PervasiveGrid, Provenance, QueryResponse,

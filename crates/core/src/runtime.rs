@@ -498,6 +498,16 @@ mod tests {
         assert!(matches!(pg.submit("GIMME data"), Err(PgError::Parse(_))));
     }
 
+    /// The epoch is representable; the offset of the fifth epoch is not,
+    /// and saturates instead of overflowing.
+    #[test]
+    fn an_epoch_past_the_end_of_time_is_answered() {
+        let mut pg = runtime();
+        assert!(pg
+            .submit("SELECT AVG(temp) FROM sensors EPOCH DURATION 5000000000 s")
+            .is_ok());
+    }
+
     #[test]
     fn impossible_cost_bounds_reject() {
         let mut pg = runtime();

@@ -17,16 +17,14 @@
 //! Static policies and a clairvoyant [`oracle_choice`] bound both from
 //! below and above.
 //!
-//! Construction goes through [`DecisionMaker::with_config`] and
-//! [`DecisionConfig::builder`] (mirroring `RuntimeConfig::builder()`).
+//! Every policy scores the same way: its candidate list, each candidate's
+//! predicted cost, the COST filter. Only the pick differs — arm 0, a
+//! uniform draw, or the policy's learner.
 
 use crate::estimate::estimate;
 use crate::exec::{execute_once, ExecContext};
 use crate::features::QueryFeatures;
-use crate::learn::{
-    bandit_candidates, CandidateArm, KnnLearner, LearnContext, Learner, LinUcbLearner, NetHealth,
-    Reward,
-};
+use crate::learn::{bandit_candidates, CandidateArm, KnnLearner, LinUcbLearner, NetHealth, Reward};
 use crate::model::{within_bounds, CostVector, CostWeights, SolutionModel};
 use pg_grid::sched::GridCluster;
 use pg_query::ast::Query;
@@ -52,6 +50,17 @@ pub enum Policy {
     Bandit,
 }
 
+impl Policy {
+    /// The placements this policy chooses among.
+    fn candidates(self, members: usize) -> Vec<SolutionModel> {
+        match self {
+            Policy::Static(m) => vec![m],
+            Policy::Bandit => bandit_candidates(members),
+            Policy::Random | Policy::Adaptive => SolutionModel::candidates(members),
+        }
+    }
+}
+
 /// Neighbourhood size of the adaptive policy's k-NN case memory.
 const KNN_K: usize = 5;
 
@@ -63,20 +72,22 @@ const CALIBRATION_CAP: usize = 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NoFeasibleModel;
 
-/// Immutable configuration of a [`DecisionMaker`], built via
-/// [`DecisionConfig::builder`].
+/// The k-NN policy's ablation switches (A1 turns them off).
 #[derive(Debug, Clone, Copy)]
 pub struct DecisionConfig {
-    weights: CostWeights,
-    epsilon: f64,
-    blend: bool,
-    safe_explore: bool,
+    /// ε-greedy exploration rate.
+    pub epsilon: f64,
+    /// Blend k-NN predictions with the analytic estimate by neighbour
+    /// distance (off: pure k-NN once any history exists).
+    pub blend: bool,
+    /// Restrict exploration to candidates predicted within 5× of the best
+    /// (off: uniform ε-greedy).
+    pub safe_explore: bool,
 }
 
 impl Default for DecisionConfig {
     fn default() -> Self {
         DecisionConfig {
-            weights: CostWeights::default(),
             epsilon: 0.1,
             blend: true,
             safe_explore: true,
@@ -85,51 +96,9 @@ impl Default for DecisionConfig {
 }
 
 impl DecisionConfig {
-    /// Start a chainable builder from the defaults.
-    pub fn builder() -> DecisionConfigBuilder {
-        DecisionConfigBuilder {
-            cfg: DecisionConfig::default(),
-        }
-    }
-
-    /// Scalarization weights in force.
+    /// Scalarization weights in force: always [`CostWeights::default`].
     pub fn weights(&self) -> CostWeights {
-        self.weights
-    }
-}
-
-/// Chainable constructor for [`DecisionConfig`], mirroring
-/// `RuntimeConfig::builder()`.
-#[derive(Debug, Clone)]
-pub struct DecisionConfigBuilder {
-    cfg: DecisionConfig,
-}
-
-impl DecisionConfigBuilder {
-    /// ε-greedy exploration rate for the adaptive (k-NN) policy.
-    pub fn epsilon(mut self, epsilon: f64) -> Self {
-        self.cfg.epsilon = epsilon;
-        self
-    }
-
-    /// Blend k-NN predictions with the analytic estimate by neighbour
-    /// distance (ablation A1 switches this off: pure k-NN once any history
-    /// exists).
-    pub fn blend(mut self, blend: bool) -> Self {
-        self.cfg.blend = blend;
-        self
-    }
-
-    /// Restrict exploration to candidates predicted within 5× of the best
-    /// (ablation A1 switches this off: uniform ε-greedy).
-    pub fn safe_explore(mut self, safe: bool) -> Self {
-        self.cfg.safe_explore = safe;
-        self
-    }
-
-    /// Finish the configuration.
-    pub fn build(self) -> DecisionConfig {
-        self.cfg
+        CostWeights::default()
     }
 }
 
@@ -175,17 +144,21 @@ impl CalibrationRing {
     }
 }
 
+/// The learner a policy keeps: the bandit for [`Policy::Bandit`], the
+/// k-NN case memory for every other policy.
+#[derive(Debug)]
+enum Learner {
+    Knn(KnnLearner),
+    Bandit(LinUcbLearner),
+}
+
 /// The adaptive decision maker: policy + learner + health telemetry.
-///
-/// The scalarization weights and the k-NN policy's ablation switches
-/// (`epsilon`, `blend`, `safe_explore`) are configured through
-/// [`DecisionConfig::builder`]; the learning state lives behind the
-/// [`Learner`] trait.
 #[derive(Debug)]
 pub struct DecisionMaker {
     cfg: DecisionConfig,
     policy: Policy,
-    learner: Box<dyn Learner>,
+    learner: Learner,
+    /// Draws the random policy's picks and the k-NN policy's exploration.
     rng: StdRng,
     calibration: CalibrationRing,
     health: NetHealth,
@@ -194,14 +167,13 @@ pub struct DecisionMaker {
 impl DecisionMaker {
     /// A decision maker with the given policy, RNG seed and configuration.
     pub fn with_config(policy: Policy, seed: u64, cfg: DecisionConfig) -> Self {
-        let learner: Box<dyn Learner> = match policy {
-            Policy::Bandit => Box::new(LinUcbLearner::new(cfg.weights)),
-            _ => Box::new(KnnLearner::new(
+        let learner = match policy {
+            Policy::Bandit => Learner::Bandit(LinUcbLearner::new()),
+            _ => Learner::Knn(KnnLearner::new(
                 KNN_K,
                 cfg.epsilon,
                 cfg.blend,
                 cfg.safe_explore,
-                seed,
             )),
         };
         DecisionMaker {
@@ -226,7 +198,10 @@ impl DecisionMaker {
 
     /// Number of outcomes the learner has absorbed.
     pub fn history_len(&self) -> usize {
-        self.learner.observations()
+        match &self.learner {
+            Learner::Knn(knn) => knn.observations(),
+            Learner::Bandit(bandit) => bandit.observations(),
+        }
     }
 
     /// Publish the scheduler's queue pressure: waiting-queue depth and
@@ -247,42 +222,10 @@ impl DecisionMaker {
         model: &SolutionModel,
     ) -> CostVector {
         let analytic = estimate(net, grid, features, model);
-        self.learner.predict_cost(features, model, analytic)
-    }
-
-    fn learn_context(&self, features: &QueryFeatures, query: Option<&Query>) -> LearnContext {
-        LearnContext {
-            features: *features,
-            health: self.health,
-            energy_bound: query.and_then(Query::energy_bound),
-            time_bound: query.and_then(Query::time_bound),
+        match &self.learner {
+            Learner::Knn(knn) => knn.predict_cost(features, model, analytic),
+            Learner::Bandit(_) => analytic,
         }
-    }
-
-    /// Build the scored arm list for the learner policies: every candidate
-    /// with its analytic prior, learner prediction, and scalar score.
-    fn score_arms(
-        &self,
-        net: &SensorNetwork,
-        grid: &GridCluster,
-        features: &QueryFeatures,
-        candidates: &[SolutionModel],
-    ) -> Vec<CandidateArm> {
-        candidates
-            .iter()
-            .enumerate()
-            .map(|(key, m)| {
-                let analytic = estimate(net, grid, features, m);
-                let predicted = self.learner.predict_cost(features, m, analytic);
-                CandidateArm {
-                    key,
-                    model: *m,
-                    analytic,
-                    predicted,
-                    score: self.cfg.weights.scalar(&predicted),
-                }
-            })
-            .collect()
     }
 
     /// Choose a placement for `query`. Returns `Err(NoFeasibleModel)` when
@@ -295,47 +238,33 @@ impl DecisionMaker {
         query: &Query,
         features: &QueryFeatures,
     ) -> Result<SolutionModel, NoFeasibleModel> {
-        match self.policy {
-            Policy::Static(m) => {
-                let predicted = self.predict(net, grid, features, &m);
-                if within_bounds(query, &predicted, None) {
-                    Ok(m)
-                } else {
-                    Err(NoFeasibleModel)
+        let weights = self.cfg.weights();
+        let feasible: Vec<CandidateArm> = self
+            .policy
+            .candidates(features.members)
+            .into_iter()
+            .enumerate()
+            .map(|(key, model)| {
+                let predicted = self.predict(net, grid, features, &model);
+                CandidateArm {
+                    key,
+                    model,
+                    predicted,
+                    score: weights.scalar(&predicted),
                 }
-            }
-            Policy::Random => {
-                let candidates = SolutionModel::candidates(features.members);
-                let feasible: Vec<SolutionModel> = candidates
-                    .into_iter()
-                    .filter(|m| within_bounds(query, &self.predict(net, grid, features, m), None))
-                    .collect();
-                if feasible.is_empty() {
-                    return Err(NoFeasibleModel);
-                }
-                Ok(feasible[self.rng.gen_range(0..feasible.len())])
-            }
-            Policy::Adaptive | Policy::Bandit => {
-                let candidates = if self.policy == Policy::Bandit {
-                    bandit_candidates(features.members)
-                } else {
-                    SolutionModel::candidates(features.members)
-                };
-                let arms = self.score_arms(net, grid, features, &candidates);
-                let feasible: Vec<CandidateArm> = arms
-                    .into_iter()
-                    .filter(|a| within_bounds(query, &a.predicted, None))
-                    .collect();
-                if feasible.is_empty() {
-                    return Err(NoFeasibleModel);
-                }
-                let ctx = self.learn_context(features, Some(query));
-                match self.learner.select(&ctx, &feasible) {
-                    Some(i) => Ok(feasible[i].model),
-                    None => Err(NoFeasibleModel),
-                }
-            }
+            })
+            .filter(|a| within_bounds(query, &a.predicted, None))
+            .collect();
+        if feasible.is_empty() {
+            return Err(NoFeasibleModel);
         }
+        let i = match (self.policy, &self.learner) {
+            (Policy::Static(_), _) => 0,
+            (Policy::Random, _) => self.rng.gen_range(0..feasible.len()),
+            (_, Learner::Knn(knn)) => knn.select(&feasible, &mut self.rng),
+            (_, Learner::Bandit(bandit)) => bandit.select(features, &self.health, &feasible),
+        };
+        Ok(feasible[i].model)
     }
 
     /// Feed back the outcome of an execution ("comparing the estimates …
@@ -352,35 +281,32 @@ impl DecisionMaker {
         model: SolutionModel,
         reward: Reward,
     ) {
-        let analytic = estimate(net, grid, &features, &model);
-        let predicted = self.learner.predict_cost(&features, &model, analytic);
-        self.calibration.push((
-            self.cfg.weights.scalar(&predicted),
-            self.cfg.weights.scalar(&reward.cost),
-        ));
-        let ctx = self.learn_context(&features, None);
-        // Recover the arm key within the policy's candidate space so the
-        // bandit updates the right per-arm model. A model outside the
-        // space (e.g. a forced fallback placement) maps onto its family
-        // representative.
-        let candidates = if self.policy == Policy::Bandit {
-            bandit_candidates(features.members)
-        } else {
-            SolutionModel::candidates(features.members)
-        };
-        let key = candidates
-            .iter()
-            .position(|m| *m == model)
-            .or_else(|| candidates.iter().position(|m| m.family() == model.family()))
-            .unwrap_or(0);
-        let arm = CandidateArm {
-            key,
-            model,
-            analytic,
-            predicted,
-            score: self.cfg.weights.scalar(&predicted),
-        };
-        self.learner.observe(&ctx, &arm, &reward);
+        let weights = self.cfg.weights();
+        let predicted = self.predict(net, grid, &features, &model);
+        let score = weights.scalar(&predicted);
+        self.calibration.push((score, weights.scalar(&reward.cost)));
+        match &mut self.learner {
+            Learner::Knn(knn) => knn.record(features, model, reward.cost),
+            Learner::Bandit(bandit) => {
+                // Recover the arm key within the bandit's candidate space so
+                // it updates the right per-arm model. A model outside the
+                // space (e.g. a forced fallback placement) maps onto its
+                // family representative.
+                let candidates = bandit_candidates(features.members);
+                let key = candidates
+                    .iter()
+                    .position(|m| *m == model)
+                    .or_else(|| candidates.iter().position(|m| m.family() == model.family()))
+                    .unwrap_or(0);
+                let arm = CandidateArm {
+                    key,
+                    model,
+                    predicted,
+                    score,
+                };
+                bandit.observe(&features, &self.health, &arm, &reward);
+            }
+        }
         self.health.absorb(&reward);
     }
 
@@ -406,7 +332,6 @@ impl DecisionMaker {
 
 /// Clairvoyant baseline: execute every candidate on a clone of the world
 /// and return the truly cheapest placement with its measured cost.
-#[allow(clippy::too_many_arguments)]
 pub fn oracle_choice(
     net: &SensorNetwork,
     grid: &GridCluster,
@@ -414,9 +339,9 @@ pub fn oracle_choice(
     regions: &BTreeMap<String, Region>,
     now: SimTime,
     query: &Query,
-    weights: &CostWeights,
     seed: u64,
 ) -> Option<(SolutionModel, CostVector)> {
+    let weights = CostWeights::default();
     let members = crate::exec::members_of(
         &ExecContext {
             net: &mut net.clone(),
@@ -493,15 +418,6 @@ mod tests {
         DecisionMaker::with_config(policy, seed, DecisionConfig::default())
     }
 
-    #[test]
-    fn the_builder_builds_the_default_config() {
-        // Field for field: `f64`'s `Debug` form round-trips exactly.
-        assert_eq!(
-            format!("{:?}", DecisionConfig::builder().build()),
-            format!("{:?}", DecisionConfig::default())
-        );
-    }
-
     fn features(
         net: &mut SensorNetwork,
         grid: &GridCluster,
@@ -539,7 +455,11 @@ mod tests {
         let mut dm = DecisionMaker::with_config(
             Policy::Adaptive,
             2,
-            DecisionConfig::builder().epsilon(0.0).build(), // pure exploitation for determinism
+            // Pure exploitation for determinism.
+            DecisionConfig {
+                epsilon: 0.0,
+                ..DecisionConfig::default()
+            },
         );
         // Teach it that BaseStation is catastrophically expensive here.
         let awful = Reward::from_cost(CostVector {
@@ -566,10 +486,15 @@ mod tests {
         // 1 nanojoule energy budget: nothing can run.
         let q = parse("SELECT AVG(temp) FROM sensors COST energy 0.000000001").unwrap();
         let f = features(&mut net, &grid, &field, &regions, &q);
-        let mut dm = maker(Policy::Adaptive, 3);
-        assert_eq!(dm.choose(&net, &grid, &q, &f), Err(NoFeasibleModel));
-        let mut bandit = maker(Policy::Bandit, 3);
-        assert_eq!(bandit.choose(&net, &grid, &q, &f), Err(NoFeasibleModel));
+        for policy in [
+            Policy::Static(SolutionModel::BaseStation),
+            Policy::Random,
+            Policy::Adaptive,
+            Policy::Bandit,
+        ] {
+            let mut dm = maker(policy, 3);
+            assert_eq!(dm.choose(&net, &grid, &q, &f), Err(NoFeasibleModel));
+        }
     }
 
     #[test]
@@ -622,7 +547,6 @@ mod tests {
             &regions,
             SimTime::from_secs(600),
             &q,
-            &CostWeights::default(),
             7,
         )
         .unwrap();
@@ -805,13 +729,10 @@ mod prop_tests {
             };
             let mut dm =
                 DecisionMaker::with_config(Policy::Bandit, seed, DecisionConfig::default());
-            dm.learner = Box::new(LinUcbLearner::with_config(
-                BanditConfig {
-                    alpha: 0.0,
-                    gamma: 1.0,
-                },
-                CostWeights::default(),
-            ));
+            dm.learner = Learner::Bandit(LinUcbLearner::with_config(BanditConfig {
+                alpha: 0.0,
+                gamma: 1.0,
+            }));
             let cost_of = |m: &SolutionModel| {
                 let s = if m.family() == best_family { 0.05 } else { 4.0 };
                 CostVector {

@@ -20,7 +20,7 @@ use pg_sensornet::collect::{direct_collection, tree_aggregation, CollectionRepor
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
-use pg_sim::SimTime;
+use pg_sim::{Duration, SimTime};
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -486,7 +486,11 @@ fn exec_continuous<R: Rng>(
     let mut retries = 0u64;
     let start = ctx.now;
     for e in 0..EPOCHS {
-        ctx.now = start + epoch.mul(e as u64);
+        // A representable epoch can still put a later one past the end of
+        // time: saturate rather than overflow.
+        ctx.now = start.saturating_add(Duration::from_nanos(
+            epoch.as_nanos().saturating_mul(e as u64),
+        ));
         let out = execute_once(ctx, &inner, model, rng)?;
         total = total.add(&out.cost);
         last = out.value;
@@ -560,7 +564,6 @@ mod tests {
     use pg_net::link::LinkModel;
     use pg_net::topology::Topology;
     use pg_query::parse;
-    use pg_sim::Duration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -63,18 +63,7 @@ pub struct KnnRegressor {
     recorded: [usize; FAMILIES],
 }
 
-impl Default for KnnRegressor {
-    fn default() -> Self {
-        KnnRegressor::new()
-    }
-}
-
 impl KnnRegressor {
-    /// Empty memory with `k = 5`.
-    pub fn new() -> Self {
-        KnnRegressor::with_k(5)
-    }
-
     /// Empty memory with neighbourhood size `k`, clamped to `1..=MAX_K`.
     pub fn with_k(k: usize) -> Self {
         KnnRegressor {
@@ -124,17 +113,12 @@ impl KnnRegressor {
     }
 
     /// Predict the cost of running `model` on a query with `features`:
-    /// inverse-distance-weighted mean of the k nearest same-family cases.
-    /// `None` when no history exists for the family.
-    pub fn predict(&self, features: &QueryFeatures, model: &SolutionModel) -> Option<CostVector> {
-        self.predict_detailed(features, model).map(|(c, _)| c)
-    }
-
-    /// [`KnnRegressor::predict`], additionally returning the distance of
-    /// the nearest case — the caller's confidence signal (a prediction
-    /// extrapolated from a far-away case should defer to the analytic
-    /// estimator).
-    pub fn predict_detailed(
+    /// inverse-distance-weighted mean of the k nearest same-family cases,
+    /// with the distance of the nearest case — the caller's confidence
+    /// signal (a prediction extrapolated from a far-away case should defer
+    /// to the analytic estimator). `None` when no history exists for the
+    /// family.
+    pub fn predict(
         &self,
         features: &QueryFeatures,
         model: &SolutionModel,
@@ -201,7 +185,7 @@ mod tests {
 
     #[test]
     fn empty_memory_predicts_nothing() {
-        let knn = KnnRegressor::new();
+        let knn = KnnRegressor::with_k(5);
         assert_eq!(
             knn.predict(
                 &feats(10, QueryKind::Aggregate),
@@ -213,16 +197,16 @@ mod tests {
 
     #[test]
     fn exact_replay_returns_recorded_cost() {
-        let mut knn = KnnRegressor::new();
+        let mut knn = KnnRegressor::with_k(5);
         let f = feats(10, QueryKind::Aggregate);
         knn.record(f, SolutionModel::BaseStation, cost(1.0));
-        let p = knn.predict(&f, &SolutionModel::BaseStation).unwrap();
+        let (p, _) = knn.predict(&f, &SolutionModel::BaseStation).unwrap();
         assert!((p.energy_j - 1.0).abs() < 1e-6);
     }
 
     #[test]
     fn families_do_not_cross_contaminate() {
-        let mut knn = KnnRegressor::new();
+        let mut knn = KnnRegressor::with_k(5);
         let f = feats(10, QueryKind::Aggregate);
         knn.record(f, SolutionModel::BaseStation, cost(1.0));
         assert_eq!(knn.predict(&f, &SolutionModel::InNetworkTree), None);
@@ -244,7 +228,7 @@ mod tests {
             SolutionModel::BaseStation,
             cost(100.0),
         );
-        let p = knn
+        let (p, _) = knn
             .predict(
                 &feats(11, QueryKind::Aggregate),
                 &SolutionModel::BaseStation,
@@ -263,7 +247,7 @@ mod tests {
             SolutionModel::BaseStation,
             cost(50.0),
         );
-        let p = knn.predict(&f, &SolutionModel::BaseStation).unwrap();
+        let (p, _) = knn.predict(&f, &SolutionModel::BaseStation).unwrap();
         assert!((p.energy_j - 1.0).abs() < 1e-3, "k=1 uses only the nearest");
     }
 
@@ -282,12 +266,12 @@ mod tests {
                 );
             }
         };
-        let mut clean = KnnRegressor::new();
+        let mut clean = KnnRegressor::with_k(5);
         finite(&mut clean);
         // The poisoned memory sees the non-finite cases first, so age
         // cannot be what keeps them out. A NaN distance comes with either
         // sign bit, and `total_cmp` alone would put the negative one first.
-        let mut poisoned = KnnRegressor::new();
+        let mut poisoned = KnnRegressor::with_k(5);
         for hops in [f64::NAN, -f64::NAN, f64::INFINITY] {
             let mut f = feats(10, QueryKind::Aggregate);
             f.mean_hops = hops;
@@ -295,11 +279,9 @@ mod tests {
         }
         finite(&mut poisoned);
         let probe = feats(11, QueryKind::Aggregate);
-        let (want, want_nearest) = clean
-            .predict_detailed(&probe, &SolutionModel::BaseStation)
-            .unwrap();
+        let (want, want_nearest) = clean.predict(&probe, &SolutionModel::BaseStation).unwrap();
         let (got, got_nearest) = poisoned
-            .predict_detailed(&probe, &SolutionModel::BaseStation)
+            .predict(&probe, &SolutionModel::BaseStation)
             .unwrap();
         assert_eq!(bits(&got), bits(&want));
         assert_eq!(got_nearest.to_bits(), want_nearest.to_bits());
@@ -307,14 +289,14 @@ mod tests {
         let mut lost = probe;
         lost.mean_hops = f64::INFINITY;
         let (_, nearest) = poisoned
-            .predict_detailed(&lost, &SolutionModel::BaseStation)
+            .predict(&lost, &SolutionModel::BaseStation)
             .unwrap();
         assert!(!nearest.is_finite());
     }
 
     #[test]
     fn memory_is_bounded_by_points_not_by_answers() {
-        let mut knn = KnnRegressor::new();
+        let mut knn = KnnRegressor::with_k(5);
         for i in 0..10_000usize {
             knn.record(
                 feats(10 + i % 7, QueryKind::Aggregate),
@@ -386,8 +368,8 @@ mod tests {
                 for (p, m, c, op) in steps {
                     let (f, model) = (pool[p % points], MODELS[m]);
                     if op == 0 {
-                        let got = new.predict_detailed(&f, &model);
-                        let want = old.predict_detailed(&f, &model);
+                        let got = new.predict(&f, &model);
+                        let want = old.predict(&f, &model);
                         assert_eq!(got.is_some(), want.is_some());
                         if let (Some((got, gn)), Some((want, wn))) = (got, want) {
                             assert_eq!(bits(&got), bits(&want));
@@ -425,8 +407,8 @@ mod tests {
                 new.record(f, model, cost(1.0 + age as f64));
                 old.record(f, model, cost(1.0 + age as f64));
             }
-            let (got, _) = new.predict_detailed(&pool[2], &model).unwrap();
-            let (want, _) = old.predict_detailed(&pool[2], &model).unwrap();
+            let (got, _) = new.predict(&pool[2], &model).unwrap();
+            let (want, _) = old.predict(&pool[2], &model).unwrap();
             assert_eq!(bits(&got), bits(&want));
             assert!((got.energy_j - 2.0).abs() < 1e-12, "mean of ages 0, 1, 2");
         }
@@ -452,12 +434,12 @@ mod tests {
                 old.record(f, model, cost(1.0 + i as f64));
             }
             let probe = feats(12, QueryKind::Aggregate);
-            let (got, _) = new.predict_detailed(&probe, &model).unwrap();
-            let (want, _) = old.predict_detailed(&probe, &model).unwrap();
+            let (got, _) = new.predict(&probe, &model).unwrap();
+            let (want, _) = old.predict(&probe, &model).unwrap();
             assert_eq!(bits(&got), bits(&want));
             // A NaN probe is NaN from every case, and still answered.
-            assert!(new.predict_detailed(&nan, &model).is_some());
-            assert!(old.predict_detailed(&nan, &model).is_some());
+            assert!(new.predict(&nan, &model).is_some());
+            assert!(old.predict(&nan, &model).is_some());
         }
     }
 }

@@ -55,7 +55,7 @@ impl KnnRegressor {
 
     /// Inverse-distance-weighted mean of the k nearest same-family cases
     /// and the distance of the nearest; `None` without family history.
-    pub fn predict_detailed(
+    pub fn predict(
         &self,
         features: &QueryFeatures,
         model: &SolutionModel,

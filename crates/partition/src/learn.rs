@@ -1,8 +1,7 @@
-//! Online learning behind the decision maker: the [`Learner`] trait and
-//! its two implementations — the k-NN case memory ([`KnnLearner`], the
-//! Pythia-style regressor the repo started with) and a contextual LinUCB
-//! bandit ([`LinUcbLearner`]) that closes §4's adaptive loop on the *full*
-//! outcome signal, not cost actuals alone.
+//! Online learning behind the decision maker: its two learners — the k-NN
+//! case memory (`KnnLearner`, the Pythia-style regressor the repo started
+//! with) and a contextual LinUCB bandit (`LinUcbLearner`) that closes §4's
+//! adaptive loop on the *full* outcome signal, not cost actuals alone.
 //!
 //! §4: "standard machine learning techniques would be used on the data to
 //! select the right approach", made adaptive "by comparing the estimates
@@ -26,14 +25,14 @@ use crate::knn::KnnRegressor;
 use crate::model::{CostVector, CostWeights, SolutionModel};
 use pg_query::classify::QueryKind;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// Live network-health telemetry: EWMA of per-query degradation signals
 /// plus the scheduler's queue pressure, maintained by the decision maker
 /// and fed to the bandit as context.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct NetHealth {
+pub(crate) struct NetHealth {
     /// EWMA of the per-query loss fraction (`1 - delivered_frac`).
     pub loss_ewma: f64,
     /// EWMA of deadline misses (0/1 per query).
@@ -65,9 +64,8 @@ impl NetHealth {
 
 /// The full outcome signal of one executed query, as seen by the learner.
 ///
-/// [`KnnLearner`] consumes only `cost` (exactly the pre-existing k-NN
-/// feedback path); [`LinUcbLearner`] collapses everything into one
-/// composite scalar.
+/// The k-NN learner consumes only `cost`; the bandit collapses everything
+/// into one composite scalar.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Reward {
     /// Measured execution cost (excludes queue wait and outage wait).
@@ -130,103 +128,58 @@ fn composite_reward(scalar_cost: f64, r: &Reward) -> f64 {
         + REWARD_DEAD_LETTER * (r.dead_letters.min(4) as f64 / 4.0))
 }
 
-/// The context of one selection: what the learner may condition on.
+/// One scored candidate placement as presented to a learner.
 #[derive(Debug, Clone, Copy)]
-pub struct LearnContext {
-    /// Query/network features.
-    pub features: QueryFeatures,
-    /// Live health telemetry.
-    pub health: NetHealth,
-    /// The query's COST energy bound, if any.
-    pub energy_bound: Option<f64>,
-    /// The query's COST time bound, if any.
-    pub time_bound: Option<f64>,
-}
-
-/// One candidate placement as presented to the learner: the arm, its
-/// analytic prior, and the learner's own prediction (filled by the
-/// decision maker via [`Learner::predict_cost`]) with its scalar score.
-#[derive(Debug, Clone, Copy)]
-pub struct CandidateArm {
+pub(crate) struct CandidateArm {
     /// Stable arm index within the full (unfiltered) candidate set — the
     /// bandit's per-arm model key, invariant under feasibility filtering.
     pub key: usize,
     /// The placement.
     pub model: SolutionModel,
-    /// Analytic cost estimate (the prior the paper's estimator provides).
-    pub analytic: CostVector,
     /// The learner's cost prediction for this arm.
     pub predicted: CostVector,
     /// Scalarized `predicted` under the weights in force.
     pub score: f64,
 }
 
-/// An online placement learner: `select` an arm for a context, `observe`
-/// the outcome of an executed arm. Implemented by the k-NN case memory
-/// (the pre-existing `Policy::Adaptive` path, bit-identical through this
-/// trait) and the LinUCB contextual bandit (`Policy::Bandit`).
-pub trait Learner: std::fmt::Debug {
-    /// Pick an arm: the returned value indexes into `arms` (which the
-    /// decision maker has already filtered to COST-feasible candidates).
-    /// `None` only when `arms` is empty.
-    fn select(&mut self, ctx: &LearnContext, arms: &[CandidateArm]) -> Option<usize>;
-
-    /// Feed back the measured outcome of executing `arm` under `ctx`.
-    fn observe(&mut self, ctx: &LearnContext, arm: &CandidateArm, reward: &Reward);
-
-    /// Predicted cost of running `model` given the analytic prior. The
-    /// default trusts the prior; the k-NN learner blends in its history.
-    fn predict_cost(
-        &self,
-        _features: &QueryFeatures,
-        _model: &SolutionModel,
-        analytic: CostVector,
-    ) -> CostVector {
-        analytic
-    }
-
-    /// Number of outcomes absorbed so far.
-    fn observations(&self) -> usize;
-}
-
-/// The k-NN case-memory learner: the original `Policy::Adaptive` logic
-/// (distance-blended prediction, decayed safe ε-greedy exploration) moved
-/// behind the [`Learner`] trait, bit-identical to the pre-trait code — the
-/// RNG draw order and every floating-point expression are unchanged.
+/// The k-NN case-memory learner (`Policy::Adaptive`, and the memory the
+/// static and random policies keep): distance-blended prediction, decayed
+/// safe ε-greedy exploration.
 #[derive(Debug)]
-pub struct KnnLearner {
+pub(crate) struct KnnLearner {
     knn: KnnRegressor,
     epsilon: f64,
     blend: bool,
     safe_explore: bool,
-    rng: StdRng,
 }
 
 impl KnnLearner {
     /// A learner over an empty case memory.
-    pub fn new(k: usize, epsilon: f64, blend: bool, safe_explore: bool, seed: u64) -> Self {
+    pub fn new(k: usize, epsilon: f64, blend: bool, safe_explore: bool) -> Self {
         KnnLearner {
             knn: KnnRegressor::with_k(k),
             epsilon,
             blend,
             safe_explore,
-            rng: StdRng::seed_from_u64(seed),
         }
     }
-}
 
-impl Learner for KnnLearner {
-    fn select(&mut self, _ctx: &LearnContext, arms: &[CandidateArm]) -> Option<usize> {
-        let best = arms
+    /// Pick an index into `arms`, which is non-empty: the cheapest score,
+    /// or with decayed probability ε a draw from `rng`.
+    pub fn select(&self, arms: &[CandidateArm], rng: &mut StdRng) -> usize {
+        let Some(best) = arms
             .iter()
             .enumerate()
-            .min_by(|a, b| a.1.score.total_cmp(&b.1.score))?;
+            .min_by(|a, b| a.1.score.total_cmp(&b.1.score))
+        else {
+            return 0;
+        };
         // Safe ε-greedy: explore only among candidates predicted within 5×
         // of the best (a placement already predicted to be 100× dearer —
         // e.g. an in-network PDE solve — teaches nothing worth its price),
         // and decay exploration as history accumulates.
-        let eps = self.epsilon / (1.0 + self.knn.len() as f64 / 25.0);
-        if self.rng.gen::<f64>() < eps {
+        let eps = self.epsilon / (1.0 + self.observations() as f64 / 25.0);
+        if rng.gen::<f64>() < eps {
             let near: Vec<usize> = if self.safe_explore {
                 arms.iter()
                     .enumerate()
@@ -236,22 +189,25 @@ impl Learner for KnnLearner {
             } else {
                 (0..arms.len()).collect()
             };
-            return Some(near[self.rng.gen_range(0..near.len())]);
+            return near[rng.gen_range(0..near.len())];
         }
-        Some(best.0)
+        best.0
     }
 
-    fn observe(&mut self, ctx: &LearnContext, arm: &CandidateArm, reward: &Reward) {
-        self.knn.record(ctx.features, arm.model, reward.cost);
+    /// Deposit the measured cost of running `model`.
+    pub fn record(&mut self, features: QueryFeatures, model: SolutionModel, cost: CostVector) {
+        self.knn.record(features, model, cost);
     }
 
-    fn predict_cost(
+    /// Predicted cost of running `model`: the analytic prior while the
+    /// family has no history, else history blended with it by distance.
+    pub fn predict_cost(
         &self,
         features: &QueryFeatures,
         model: &SolutionModel,
         analytic: CostVector,
     ) -> CostVector {
-        match self.knn.predict_detailed(features, model) {
+        match self.knn.predict(features, model) {
             None => analytic,
             Some((learned, _)) if !self.blend => learned,
             Some((learned, nearest)) => {
@@ -261,13 +217,14 @@ impl Learner for KnnLearner {
         }
     }
 
-    fn observations(&self) -> usize {
+    /// Number of outcomes absorbed so far.
+    pub fn observations(&self) -> usize {
         self.knn.len()
     }
 }
 
 /// LinUCB hyper-parameters: one value each in the system, varied only by
-/// this module's tests.
+/// tests.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct BanditConfig {
     /// UCB exploration width (0 disables optimism beyond the one free
@@ -288,7 +245,7 @@ impl Default for BanditConfig {
 }
 
 /// Context dimensionality of the placement bandit.
-pub const BANDIT_DIM: usize = 10;
+const BANDIT_DIM: usize = 10;
 
 /// Evidence-decayed exploration width: `alpha / (1 + n/64)`.
 fn decayed_alpha(alpha: f64, observations: usize) -> f64 {
@@ -369,49 +326,56 @@ impl LinArm {
 /// once before optimism takes over; ties break toward the lowest arm
 /// index, keeping selection fully deterministic.
 #[derive(Debug)]
-pub struct LinUcbLearner {
+pub(crate) struct LinUcbLearner {
     cfg: BanditConfig,
-    weights: CostWeights,
     arms: BTreeMap<usize, LinArm>,
     observations: usize,
 }
 
 impl LinUcbLearner {
     /// A fresh bandit. Selection is deterministic and draws no randomness.
-    pub fn new(weights: CostWeights) -> Self {
-        Self::with_config(BanditConfig::default(), weights)
+    pub fn new() -> Self {
+        Self::with_config(BanditConfig::default())
     }
 
     /// A fresh bandit under other hyper-parameters than the system's.
-    pub(crate) fn with_config(cfg: BanditConfig, weights: CostWeights) -> Self {
+    pub fn with_config(cfg: BanditConfig) -> Self {
         LinUcbLearner {
             cfg,
-            weights,
             arms: BTreeMap::new(),
             observations: 0,
         }
     }
 
-    /// The context vector for one (context, arm) pair.
-    fn context_vector(ctx: &LearnContext, arm: &CandidateArm) -> [f64; BANDIT_DIM] {
-        let one_hot = |k| if ctx.features.kind == k { 1.0 } else { 0.0 };
+    /// The context vector for one (query, health, arm) triple.
+    fn context_vector(
+        features: &QueryFeatures,
+        health: &NetHealth,
+        arm: &CandidateArm,
+    ) -> [f64; BANDIT_DIM] {
+        let one_hot = |k| if features.kind == k { 1.0 } else { 0.0 };
         [
             1.0,
             squash(arm.score),
             one_hot(QueryKind::Simple),
             one_hot(QueryKind::Aggregate),
             one_hot(QueryKind::Complex),
-            ((ctx.features.members as f64) + 1.0).ln() / 5.0,
-            ctx.health.loss_ewma,
-            ctx.health.miss_ewma,
-            ctx.health.overload_level,
-            ((ctx.health.queue_depth as f64) + 1.0).ln() / 5.0,
+            ((features.members as f64) + 1.0).ln() / 5.0,
+            health.loss_ewma,
+            health.miss_ewma,
+            health.overload_level,
+            ((health.queue_depth as f64) + 1.0).ln() / 5.0,
         ]
     }
-}
 
-impl Learner for LinUcbLearner {
-    fn select(&mut self, ctx: &LearnContext, arms: &[CandidateArm]) -> Option<usize> {
+    /// Pick the index into `arms`, which is non-empty, with the highest
+    /// UCB index; ties go to the lowest index.
+    pub fn select(
+        &self,
+        features: &QueryFeatures,
+        health: &NetHealth,
+        arms: &[CandidateArm],
+    ) -> usize {
         // The discount (`A ← γA + xxᵀ`) regrows uncertainty in *every*
         // direction each update, so a fixed alpha keeps re-exploring arms
         // whose ruin is already established in rarely-seen directions.
@@ -420,10 +384,10 @@ impl Learner for LinUcbLearner {
         // tank its discounted estimate), not by optimism, so a shrinking
         // alpha still tracks nonstationarity while letting windowed regret
         // actually converge.
-        let alpha = decayed_alpha(self.cfg.alpha, self.observations);
+        let alpha = decayed_alpha(self.cfg.alpha, self.observations());
         let mut best: Option<(usize, f64)> = None;
         for (i, arm) in arms.iter().enumerate() {
-            let x = Self::context_vector(ctx, arm);
+            let x = Self::context_vector(features, health, arm);
             let p = match self.arms.get(&arm.key) {
                 Some(state) => state.ucb(&x, alpha),
                 // Unseen arm: θ = 0, A = I.
@@ -436,12 +400,19 @@ impl Learner for LinUcbLearner {
                 best = Some((i, p));
             }
         }
-        best.map(|(i, _)| i)
+        best.map_or(0, |(i, _)| i)
     }
 
-    fn observe(&mut self, ctx: &LearnContext, arm: &CandidateArm, reward: &Reward) {
-        let x = Self::context_vector(ctx, arm);
-        let scalar = self.weights.scalar(&reward.cost);
+    /// Feed back the measured outcome of executing `arm`.
+    pub fn observe(
+        &mut self,
+        features: &QueryFeatures,
+        health: &NetHealth,
+        arm: &CandidateArm,
+        reward: &Reward,
+    ) {
+        let x = Self::context_vector(features, health, arm);
+        let scalar = CostWeights::default().scalar(&reward.cost);
         let r = composite_reward(scalar, reward);
         self.arms
             .entry(arm.key)
@@ -450,7 +421,8 @@ impl Learner for LinUcbLearner {
         self.observations += 1;
     }
 
-    fn observations(&self) -> usize {
+    /// Number of outcomes absorbed so far.
+    pub fn observations(&self) -> usize {
         self.observations
     }
 }
@@ -486,15 +458,6 @@ mod tests {
         }
     }
 
-    fn ctx(members: usize) -> LearnContext {
-        LearnContext {
-            features: feats(members, QueryKind::Aggregate),
-            health: NetHealth::default(),
-            energy_bound: None,
-            time_bound: None,
-        }
-    }
-
     fn arm(key: usize, scalar: f64) -> CandidateArm {
         let c = CostVector {
             energy_j: scalar * 0.1,
@@ -505,7 +468,6 @@ mod tests {
         CandidateArm {
             key,
             model: SolutionModel::candidates(20)[key % 5],
-            analytic: c,
             predicted: c,
             score: scalar,
         }
@@ -534,14 +496,14 @@ mod tests {
 
     #[test]
     fn unseen_arms_are_each_tried_once() {
-        let mut bandit = LinUcbLearner::new(CostWeights::default());
+        let mut bandit = LinUcbLearner::new();
         let arms: Vec<CandidateArm> = (0..5).map(|k| arm(k, 1.0 + k as f64)).collect();
-        let c = ctx(20);
+        let (f, h) = (feats(20, QueryKind::Aggregate), NetHealth::default());
         let mut seen = Vec::new();
         for _ in 0..5 {
-            let i = bandit.select(&c, &arms).unwrap();
+            let i = bandit.select(&f, &h, &arms);
             seen.push(arms[i].key);
-            bandit.observe(&c, &arms[i], &Reward::from_cost(arms[i].analytic));
+            bandit.observe(&f, &h, &arms[i], &Reward::from_cost(arms[i].predicted));
         }
         seen.sort_unstable();
         assert_eq!(seen, vec![0, 1, 2, 3, 4], "every arm explored once");
@@ -549,23 +511,20 @@ mod tests {
 
     #[test]
     fn bandit_converges_to_the_cheap_arm_under_stationary_rewards() {
-        let mut bandit = LinUcbLearner::with_config(
-            BanditConfig {
-                alpha: 0.0,
-                gamma: 1.0,
-            },
-            CostWeights::default(),
-        );
+        let mut bandit = LinUcbLearner::with_config(BanditConfig {
+            alpha: 0.0,
+            gamma: 1.0,
+        });
         let arms: Vec<CandidateArm> = vec![arm(0, 8.0), arm(1, 0.5), arm(2, 8.0)];
-        let c = ctx(20);
+        let (f, h) = (feats(20, QueryKind::Aggregate), NetHealth::default());
         for _ in 0..40 {
-            let i = bandit.select(&c, &arms).unwrap();
-            bandit.observe(&c, &arms[i], &Reward::from_cost(arms[i].analytic));
+            let i = bandit.select(&f, &h, &arms);
+            bandit.observe(&f, &h, &arms[i], &Reward::from_cost(arms[i].predicted));
         }
         for _ in 0..10 {
-            let i = bandit.select(&c, &arms).unwrap();
+            let i = bandit.select(&f, &h, &arms);
             assert_eq!(arms[i].key, 1, "exploitation must lock onto the cheap arm");
-            bandit.observe(&c, &arms[i], &Reward::from_cost(arms[i].analytic));
+            bandit.observe(&f, &h, &arms[i], &Reward::from_cost(arms[i].predicted));
         }
     }
 
@@ -573,15 +532,12 @@ mod tests {
     fn discounted_bandit_tracks_a_reward_flip() {
         // Arm 0 is cheap for 60 rounds, then becomes terrible; arm 1 is
         // steady. The discounted bandit must switch to arm 1.
-        let mut bandit = LinUcbLearner::with_config(
-            BanditConfig {
-                alpha: 0.4,
-                gamma: 0.9,
-            },
-            CostWeights::default(),
-        );
+        let mut bandit = LinUcbLearner::with_config(BanditConfig {
+            alpha: 0.4,
+            gamma: 0.9,
+        });
         let arms: Vec<CandidateArm> = vec![arm(0, 0.5), arm(1, 2.0)];
-        let c = ctx(20);
+        let (f, h) = (feats(20, QueryKind::Aggregate), NetHealth::default());
         let cost_of = |k: usize, t: usize| -> CostVector {
             let scalar = match (k, t < 60) {
                 (0, true) => 0.5,
@@ -595,11 +551,16 @@ mod tests {
         };
         let mut late_picks = [0u32; 2];
         for t in 0..160 {
-            let i = bandit.select(&c, &arms).unwrap();
+            let i = bandit.select(&f, &h, &arms);
             if t >= 120 {
                 late_picks[arms[i].key] += 1;
             }
-            bandit.observe(&c, &arms[i], &Reward::from_cost(cost_of(arms[i].key, t)));
+            bandit.observe(
+                &f,
+                &h,
+                &arms[i],
+                &Reward::from_cost(cost_of(arms[i].key, t)),
+            );
         }
         assert!(
             late_picks[1] > late_picks[0],
@@ -610,13 +571,13 @@ mod tests {
     #[test]
     fn bandit_selection_is_deterministic() {
         let run = || {
-            let mut bandit = LinUcbLearner::new(CostWeights::default());
+            let mut bandit = LinUcbLearner::new();
             let arms: Vec<CandidateArm> = (0..7).map(|k| arm(k, 1.0 + (k % 3) as f64)).collect();
-            let c = ctx(20);
+            let (f, h) = (feats(20, QueryKind::Aggregate), NetHealth::default());
             (0..50)
                 .map(|_| {
-                    let i = bandit.select(&c, &arms).unwrap();
-                    bandit.observe(&c, &arms[i], &Reward::from_cost(arms[i].analytic));
+                    let i = bandit.select(&f, &h, &arms);
+                    bandit.observe(&f, &h, &arms[i], &Reward::from_cost(arms[i].predicted));
                     i
                 })
                 .collect::<Vec<_>>()

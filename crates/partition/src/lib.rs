@@ -17,7 +17,8 @@
 //! computation, data transfer, energy, and response time, and made
 //! *adaptive* "by comparing the estimates … with the actual values …
 //! during the execution of the query" using "standard machine learning
-//! techniques" (a k-NN cost regressor here, after Pythia \[14\]).
+//! techniques": a k-NN cost regressor after Pythia \[14\], or a contextual
+//! LinUCB bandit that also learns from observed degradation ([`learn`]).
 //!
 //! The three components the paper names map to: Query Processor =
 //! `pg-query`, Decision Maker = [`decide`], Simulator = [`exec`] over
@@ -36,5 +37,5 @@ pub mod model;
 pub use decide::{DecisionConfig, DecisionMaker, Policy};
 pub use exec::{execute_once, ExecContext, ExecError, Outcome};
 pub use features::QueryFeatures;
-pub use learn::{bandit_candidates, Learner, NetHealth, Reward};
+pub use learn::{bandit_candidates, Reward};
 pub use model::{CostVector, CostWeights, SolutionModel};

@@ -69,7 +69,7 @@ fn knn_prediction_within_envelope() {
     check("knn_prediction_within_envelope", 64, |g| {
         let costs = g.vec(1..20, |g| g.range(0.001f64..10.0));
         let members = g.range(1usize..200);
-        let mut knn = KnnRegressor::new();
+        let mut knn = KnnRegressor::with_k(5);
         let mut lo = f64::INFINITY;
         let mut hi = f64::NEG_INFINITY;
         for (i, &e) in costs.iter().enumerate() {
@@ -86,7 +86,7 @@ fn knn_prediction_within_envelope() {
                 },
             );
         }
-        let p = knn
+        let (p, _) = knn
             .predict(
                 &features(QueryKind::Aggregate, members, 3.0, 100),
                 &SolutionModel::BaseStation,
