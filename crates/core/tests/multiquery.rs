@@ -62,7 +62,8 @@ fn edf_fingerprint(order: &[usize]) -> Vec<(String, String)> {
     let mut per: Vec<(String, String)> = rt
         .outcomes()
         .iter()
-        .map(|o| {
+        .enumerate()
+        .map(|(i, o)| {
             let body = match &o.response {
                 Ok(r) => format!(
                     "ok v={:?} e={} b={} t={} shared={} wait={}",
@@ -75,7 +76,7 @@ fn edf_fingerprint(order: &[usize]) -> Vec<(String, String)> {
                 ),
                 Err(e) => format!("err {e}"),
             };
-            (o.text.clone(), format!("#{} {}", o.completion_index, body))
+            (o.text.clone(), format!("#{i} {body}"))
         })
         .collect();
     per.sort();

@@ -51,7 +51,8 @@ fn cfg(policy: SchedPolicy) -> RuntimeConfig {
 fn fingerprint(rt: &MultiQueryRuntime<PervasiveGrid>) -> Vec<String> {
     rt.outcomes()
         .iter()
-        .map(|o| {
+        .enumerate()
+        .map(|(i, o)| {
             let body = match &o.response {
                 Ok(r) => format!(
                     "ok v={:?} e={} b={} t={} shared={}",
@@ -63,13 +64,7 @@ fn fingerprint(rt: &MultiQueryRuntime<PervasiveGrid>) -> Vec<String> {
                 ),
                 Err(e) => format!("err {e}"),
             };
-            format!(
-                "{} #{} wait={} {}",
-                o.text,
-                o.completion_index,
-                o.queue_wait_s.to_bits(),
-                body
-            )
+            format!("{} #{i} wait={} {body}", o.text, o.queue_wait_s.to_bits())
         })
         .collect()
 }

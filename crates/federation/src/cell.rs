@@ -6,7 +6,10 @@
 //! [`PlanCache`] (warmed by the next-cell predictor when roaming users are
 //! predicted to arrive), an inter-cell agent address on the federation
 //! bus, and the per-window bookkeeping the driver needs to correlate
-//! streamed admissions with the roaming users that offered them.
+//! streamed admissions with the roaming users that offered them: the
+//! runtime tells the window the handle of each arrival it admits
+//! ([`ArrivalProcess::on_admitted`]), and the window pairs it with the
+//! arrival's offerer and provenance tag.
 
 use crate::gossip::{CellId, LoadDigest};
 use crate::handoff::HandoffId;
@@ -15,7 +18,7 @@ use pg_compose::proactive::PlanCache;
 use pg_compose::MethodLibrary;
 use pg_core::{PervasiveGrid, Provenance};
 use pg_runtime::arrivals::{Arrival, ArrivalProcess};
-use pg_runtime::{MultiQueryRuntime, QueryId};
+use pg_runtime::{MultiQueryRuntime, QueryHandle, QueryId};
 use pg_sim::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
 
@@ -42,13 +45,16 @@ pub(crate) struct QueryTag {
 /// provenance), then drives the cell's runtime with
 /// [`MultiQueryRuntime::step`] — which pulls them back out through the
 /// [`ArrivalProcess`] trait exactly as a standalone cell would pull from
-/// its own workload. Arrivals the runtime bounces with `Overloaded`
-/// backpressure land in `bounced` for the federation to redirect (peer
-/// load absorption) or drop.
+/// its own workload. The runtime hands back the verdict on the arrival it
+/// just consumed: an admitted one lands in `admitted` with its handle, one
+/// bounced with `Overloaded` backpressure in `bounced` for the federation
+/// to redirect (peer load absorption) or drop.
 #[derive(Debug, Default)]
 pub struct WindowArrivals {
     due: VecDeque<(Arrival, u64, Option<Provenance>)>,
-    delivered: Vec<(u64, Option<Provenance>)>,
+    /// Offerer and provenance tag of the arrival last handed out.
+    last: (u64, Option<Provenance>),
+    admitted: Vec<(QueryHandle, u64, Option<Provenance>)>,
     bounced: Vec<(Arrival, u64)>,
 }
 
@@ -63,11 +69,10 @@ impl WindowArrivals {
         self.due.push_back((arrival, user, tag));
     }
 
-    /// Users (and provenance tags) of arrivals delivered into the runtime
-    /// this window, in submission order — zipped against the runtime's
-    /// admission log to learn the handle each one got.
-    pub(crate) fn take_delivered(&mut self) -> Vec<(u64, Option<Provenance>)> {
-        std::mem::take(&mut self.delivered)
+    /// Arrivals the runtime admitted this window, in submission order:
+    /// the handle each got, its offerer and its provenance tag.
+    pub(crate) fn take_admitted(&mut self) -> Vec<(QueryHandle, u64, Option<Provenance>)> {
+        std::mem::take(&mut self.admitted)
     }
 
     /// Arrivals the runtime refused with `Overloaded` backpressure.
@@ -88,15 +93,19 @@ impl ArrivalProcess for WindowArrivals {
 
     fn next_arrival(&mut self) -> Option<Arrival> {
         let (a, user, tag) = self.due.pop_front()?;
-        self.delivered.push((user, tag));
+        self.last = (user, tag);
         Some(a)
     }
 
+    // The runtime answers for the most recently consumed arrival, so the
+    // last one handed out names its offerer.
     fn on_overload(&mut self, arrival: Arrival, _retry_after: Duration, _now: SimTime) {
-        // The runtime hands back the most recently consumed arrival, so
-        // the last one delivered names its offerer.
-        let user = self.delivered.last().map_or(0, |d| d.0);
-        self.bounced.push((arrival, user));
+        self.bounced.push((arrival, self.last.0));
+    }
+
+    fn on_admitted(&mut self, handle: QueryHandle) {
+        let (user, tag) = self.last;
+        self.admitted.push((handle, user, tag));
     }
 }
 
@@ -178,33 +187,38 @@ impl Cell {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pg_runtime::QueryOpts;
+    use pg_runtime::{OverloadConfig, OverloadPolicy, QueryOpts, RuntimeConfig};
 
     #[test]
     fn window_arrivals_track_users_and_bounces() {
+        // One waiting query puts the cell in shed mode, so of two arrivals
+        // at the same instant the first is admitted and the second bounced.
+        let cfg = RuntimeConfig::builder()
+            .epoch(Duration::from_secs(30))
+            .overload(OverloadConfig::watermarks(OverloadPolicy::Shed, 0, 0, 0, 1))
+            .build();
+        let mut rt = MultiQueryRuntime::new(cfg, PervasiveGrid::building(1, 4, 1).build());
         let mut w = WindowArrivals::default();
-        let arr = |t: f64| Arrival {
-            at: SimTime::from_secs_f64(t),
-            text: "temperature".into(),
+        let arr = || Arrival {
+            at: SimTime::from_secs(1),
+            text: "SELECT AVG(temp) FROM sensors".into(),
             opts: QueryOpts::default(),
         };
-        w.push(arr(1.0), 7, None);
-        w.push(arr(2.0), 8, Some(Provenance::default()));
-        assert_eq!(w.peek(), Some(SimTime::from_secs_f64(1.0)));
-        let a = w.next_arrival().unwrap();
-        assert_eq!(a.at, SimTime::from_secs_f64(1.0));
-        // The runtime bounces the arrival it just consumed: attributed to
-        // user 7.
-        w.on_overload(a, Duration::from_secs(5), SimTime::from_secs_f64(1.0));
-        let _ = w.next_arrival().unwrap();
-        assert!(w.is_exhausted());
-        let delivered = w.take_delivered();
-        assert_eq!(delivered.len(), 2);
-        assert_eq!(delivered[0].0, 7);
-        assert_eq!(delivered[1].0, 8);
-        assert!(delivered[1].1.is_some());
+        let tag = Provenance {
+            origin_cell: Some(2),
+            ..Provenance::default()
+        };
+        w.push(arr(), 7, Some(tag));
+        w.push(arr(), 8, None);
+        rt.step(Duration::from_secs(30), &mut w);
+        assert_eq!(w.pending(), 0);
+        let admitted = w.take_admitted();
+        assert_eq!(admitted.len(), 1);
+        let (handle, user, provenance) = admitted[0];
+        assert_eq!((user, provenance), (7, Some(tag)));
+        assert_eq!(rt.outcomes()[0].id, handle.id());
         let bounced = w.take_bounced();
         assert_eq!(bounced.len(), 1);
-        assert_eq!(bounced[0].1, 7);
+        assert_eq!(bounced[0].1, 8);
     }
 }

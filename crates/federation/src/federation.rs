@@ -50,8 +50,9 @@ use pg_compose::MethodLibrary;
 use pg_core::{CrossCellHandoff, PervasiveGrid, Provenance};
 use pg_net::link::LinkModel;
 use pg_runtime::arrivals::Arrival;
-use pg_runtime::scheduler::MigratedQuery;
-use pg_runtime::{MultiQueryRuntime, OverloadState, QueryHandle, QueryOpts, QueryStatus};
+use pg_runtime::{
+    MultiQueryRuntime, OverloadState, QueryHandle, QueryOpts, QueryStatus, QueuedQuery,
+};
 use pg_sim::fault::FaultPlan;
 use pg_sim::rng::mix;
 use pg_sim::{Duration, SimTime};
@@ -200,7 +201,7 @@ struct InTransit {
 /// What a handoff envelope carries.
 enum Cargo {
     /// A query extracted at the origin, migrating with its user.
-    Query { query: MigratedQuery, user: u64 },
+    Query { query: QueuedQuery, user: u64 },
     /// The answer of a query that finished where its user left it.
     Answer,
 }
@@ -262,7 +263,6 @@ impl Federation {
         };
         let mut cells = Vec::with_capacity(runtimes.len());
         for (i, mut rt) in runtimes.into_iter().enumerate() {
-            rt.record_admissions(true);
             if cfg.journal {
                 rt.enable_journal();
             }
@@ -761,17 +761,8 @@ impl Federation {
     /// with their users, re-route bounced admissions, stamp provenance on
     /// fresh outcomes, and trigger result forwards.
     fn harvest(&mut self, i: usize, end: SimTime, draining: bool) {
-        let delivered = self.cells[i].window.take_delivered();
-        let log = self.cells[i].rt.take_admission_log();
-        debug_assert_eq!(
-            delivered.len(),
-            log.len(),
-            "admission log out of sync with routed arrivals"
-        );
-        for ((user, provenance), handle) in delivered.into_iter().zip(log) {
-            if let Some(h) = handle {
-                self.track(i, h, user, provenance);
-            }
+        for (handle, user, provenance) in self.cells[i].window.take_admitted() {
+            self.track(i, handle, user, provenance);
         }
 
         for (mut arrival, user) in self.cells[i].window.take_bounced() {

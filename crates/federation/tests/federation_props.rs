@@ -151,7 +151,6 @@ fn stationary_two_cell_federation_matches_standalone() {
                 assert_eq!(&x.text, &y.text);
                 assert_eq!(x.submitted_at, y.submitted_at);
                 assert_eq!(x.started_at, y.started_at);
-                assert_eq!(x.completion_index, y.completion_index);
                 assert_eq!(x.queue_wait_s.to_bits(), y.queue_wait_s.to_bits());
                 assert_eq!(x.deadline, y.deadline);
                 assert_eq!(x.brownout, y.brownout);

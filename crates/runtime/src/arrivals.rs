@@ -24,12 +24,12 @@
 //!   workloads.
 
 use crate::admission::QueryOpts;
+use crate::handle::QueryHandle;
 use pg_sim::rng::{mix, RngStreams};
-use pg_sim::{Duration, SimTime};
+use pg_sim::{Duration, Scheduler, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 
 /// One query arriving at the base station.
 #[derive(Debug, Clone, PartialEq)]
@@ -69,6 +69,13 @@ pub trait ArrivalProcess {
     /// open-loop source that never retries.
     fn on_overload(&mut self, arrival: Arrival, retry_after: Duration, now: SimTime) {
         let _ = (arrival, retry_after, now);
+    }
+
+    /// The runtime admitted the *most recently consumed* arrival under
+    /// `handle` — how a layer feeding the runtime learns the handle of a
+    /// streamed query, e.g. to migrate it later. The default ignores it.
+    fn on_admitted(&mut self, handle: QueryHandle) {
+        let _ = handle;
     }
 }
 
@@ -240,36 +247,6 @@ impl MetroConfig {
     }
 }
 
-/// One future query event in the metro heap, min-ordered by
-/// `(at, seq)` — `seq` is an insertion counter, so ties replay in
-/// generation order and the order is total without comparing payloads.
-#[derive(Debug)]
-struct MetroEvent {
-    at: SimTime,
-    seq: u64,
-    attempt: u32,
-    text: String,
-    opts: QueryOpts,
-}
-
-impl PartialEq for MetroEvent {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-impl Eq for MetroEvent {}
-impl PartialOrd for MetroEvent {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for MetroEvent {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest first.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
-}
-
 /// Metro-scale offered load: a population of simulated users issuing
 /// query *sessions* against the grid.
 ///
@@ -315,9 +292,10 @@ pub struct MetroWorkload {
     total_weight: f64,
     /// Next un-thinned candidate session start.
     next_candidate: Option<SimTime>,
-    /// Generated-but-unconsumed query events (sessions + retries).
-    heap: BinaryHeap<MetroEvent>,
-    seq: u64,
+    /// Generated-but-unconsumed query events (sessions + retries): the
+    /// attempt count, text and options of each, in `(time, insertion)`
+    /// order.
+    events: Scheduler<(u32, String, QueryOpts)>,
     /// Flash intervals generated so far reach up to this instant.
     flash_frontier: SimTime,
     /// Active/pending flash intervals (start, end), time-ordered.
@@ -377,8 +355,7 @@ impl MetroWorkload {
             envelope_hz,
             total_weight,
             next_candidate: None,
-            heap: BinaryHeap::new(),
-            seq: 0,
+            events: Scheduler::new(),
             flash_frontier: SimTime::ZERO,
             flash_windows: VecDeque::new(),
             last_attempt: 0,
@@ -465,7 +442,7 @@ impl MetroWorkload {
         &self.cfg.classes[self.cfg.classes.len() - 1]
     }
 
-    /// Materialize one session starting at `start` into heap events.
+    /// Materialize one session starting at `start` into pending events.
     fn start_session(&mut self, start: SimTime) {
         self.sessions += 1;
         let user = self.shape_rng.gen_range(0..self.cfg.users);
@@ -485,27 +462,18 @@ impl MetroWorkload {
             }
             let class = self.class_of(user);
             let (text, opts) = class.mix[(i as usize) % class.mix.len()].clone();
-            self.heap.push(MetroEvent {
-                at,
-                seq: self.seq,
-                attempt: 0,
-                text,
-                opts,
-            });
-            self.seq += 1;
+            self.events.schedule_at(at, (0, text, opts));
         }
     }
 
     /// Generate sessions until the earliest pending event (if any) is
     /// guaranteed to precede every not-yet-generated one. A session's
-    /// queries never precede its start, so the heap top is final once the
-    /// next candidate start lies at or beyond it.
+    /// queries never precede its start, so the earliest event is final once
+    /// the next candidate start lies at or beyond it.
     fn pump(&mut self) {
         while let Some(cand) = self.next_candidate {
-            if let Some(top) = self.heap.peek() {
-                if top.at <= cand {
-                    break;
-                }
+            if self.events.peek_time().is_some_and(|top| top <= cand) {
+                break;
             }
             self.next_candidate = self.draw_candidate(cand);
             let accept_p = self.diurnal(cand) * self.burst_mult_at(cand) / self.cfg.flash_rate_mult;
@@ -520,19 +488,15 @@ impl MetroWorkload {
 impl ArrivalProcess for MetroWorkload {
     fn peek(&mut self) -> Option<SimTime> {
         self.pump();
-        self.heap.peek().map(|e| e.at)
+        self.events.peek_time()
     }
 
     fn next_arrival(&mut self) -> Option<Arrival> {
         self.pump();
-        let ev = self.heap.pop()?;
-        self.last_attempt = ev.attempt;
+        let (at, (attempt, text, opts)) = self.events.pop()?;
+        self.last_attempt = attempt;
         self.emitted += 1;
-        Some(Arrival {
-            at: ev.at,
-            text: ev.text,
-            opts: ev.opts,
-        })
+        Some(Arrival { at, text, opts })
     }
 
     /// Exponential backoff: re-enqueue at `now + retry_after × 2^attempt`
@@ -545,21 +509,17 @@ impl ArrivalProcess for MetroWorkload {
             return;
         }
         let jitter: f64 = 1.0 + 0.25 * self.backoff_rng.gen::<f64>();
-        let delay_s = retry_after.as_secs_f64().max(1e-3) * f64::from(1u32 << attempt) * jitter;
-        let at = now + Duration::from_secs_f64(delay_s);
+        // Powers of two multiply exactly, and a delay past the end of time
+        // saturates: that retry lands beyond the horizon and gives up.
+        let delay_s = retry_after.as_secs_f64().max(1e-3) * 2f64.powi(attempt as i32) * jitter;
+        let at = now.saturating_add(Duration::from_secs_f64(delay_s));
         if at >= self.cfg.horizon {
             self.gave_up += 1;
             return;
         }
         self.retries += 1;
-        self.heap.push(MetroEvent {
-            at,
-            seq: self.seq,
-            attempt: attempt + 1,
-            text: arrival.text,
-            opts: arrival.opts,
-        });
-        self.seq += 1;
+        self.events
+            .schedule_at(at, (attempt + 1, arrival.text, arrival.opts));
     }
 }
 

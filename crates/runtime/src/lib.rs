@@ -40,8 +40,8 @@
 //! batch, so there is exactly one execution path.
 //!
 //! Inside, the books are kept by three single things: one record (a
-//! [`scheduler::QueuedQuery`] is the queue element, the journal payload
-//! and what replay returns), one door (fresh and migrated admission run
+//! [`QueuedQuery`] is the queue element, the journal payload, what replay
+//! returns, what a migration carries and what the shed log keeps), one door (fresh and migrated admission run
 //! the same gate / mint / journal / enqueue steps) and one fate (every id
 //! that left the queue has exactly one entry in a fate table `poll` looks
 //! up).
@@ -122,7 +122,7 @@ pub use engine::{Attribution, BatchQuery, EngineOutcome, QueryEngine};
 pub use handle::{QueryHandle, QueryStatus};
 pub use journal::{JournalRecord, QueryJournal};
 pub use overload::{OverloadConfig, OverloadPolicy, OverloadState};
-pub use scheduler::{MigratedQuery, MultiQueryRuntime, QueryOutcome, RuntimeConfig, SchedPolicy};
+pub use scheduler::{MultiQueryRuntime, QueryOutcome, QueuedQuery, RuntimeConfig, SchedPolicy};
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
@@ -238,7 +238,6 @@ mod tests {
         // Third query waited one epoch; the first two none.
         assert_eq!(rt.outcomes()[0].queue_wait_s, 0.0);
         assert_eq!(rt.outcomes()[2].queue_wait_s, 30.0);
-        assert_eq!(rt.outcomes()[2].completion_index, 2);
     }
 
     #[test]
@@ -663,9 +662,9 @@ mod tests {
         assert_eq!(rt.shed, 2);
         let records = rt.shed_records();
         assert_eq!(records.len(), 2);
-        assert_eq!(records[0].text, "c");
-        assert_eq!(records[1].text, "d");
-        assert_eq!(records[0].shed_at, SimTime::ZERO);
+        assert_eq!(records[0].1.text, "c");
+        assert_eq!(records[1].1.text, "d");
+        assert_eq!(records[0].0, SimTime::ZERO);
         assert!(matches!(rt.poll(handles[2]), QueryStatus::Shed));
         assert!(matches!(rt.poll(handles[3]), QueryStatus::Shed));
         assert!(rt.poll(handles[0]).is_completed());

@@ -11,7 +11,10 @@
 //!
 //! * **one record** — a [`QueuedQuery`] is the waiting-queue element, the
 //!   payload of the two journal records that say "entered the queue", and
-//!   what journal replay hands back, so recovery is a push;
+//!   what journal replay hands back, so recovery is a push; it is also
+//!   what leaves: [`MultiQueryRuntime::extract`] hands it to another
+//!   runtime's `admit_migrated`, and the shed log keeps it with the round
+//!   it was shed at;
 //! * **one door** — a fresh `submit` and a migrated re-admission are short
 //!   sequences of the same steps (queue gate → mint id → journal →
 //!   enqueue), each written once;
@@ -177,11 +180,13 @@ impl RuntimeConfigBuilder {
 
 /// A query waiting in the admission queue — the one record of it: the
 /// queue element, the payload of [`JournalRecord::Admitted`] and
-/// [`JournalRecord::MigratedIn`], and what
-/// [`QueryJournal::open_queries`] replays.
+/// [`JournalRecord::MigratedIn`], what [`QueryJournal::open_queries`]
+/// replays, what [`MultiQueryRuntime::extract`] lifts out for another
+/// runtime, and what the shed log keeps.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueuedQuery {
-    /// The id minted at admission (preserved across a crash).
+    /// The id minted at admission (preserved across a crash; a migration's
+    /// destination mints its own).
     pub id: QueryId,
     /// Raw query text.
     pub text: String,
@@ -205,7 +210,7 @@ enum Fate {
     Completed(usize),
     /// Withdrawn by its caller.
     Cancelled,
-    /// Dropped by overload shedding (it has a [`ShedRecord`]).
+    /// Dropped by overload shedding (it is in the shed log).
     Shed,
     /// Destroyed by a crash and not (yet) recovered.
     Lost,
@@ -287,8 +292,6 @@ pub struct QueryOutcome<R, E> {
     pub submitted_at: SimTime,
     /// Epoch start when it was serviced.
     pub started_at: SimTime,
-    /// Global completion sequence number (0 = first completed).
-    pub completion_index: u64,
     /// Seconds spent queued before the servicing epoch began.
     pub queue_wait_s: f64,
     /// Absolute deadline, when one was requested.
@@ -325,43 +328,6 @@ impl<R, E> QueryOutcome<R, E> {
     }
 }
 
-/// A queued query lifted out of one runtime for re-admission in another —
-/// the handle-migration unit the federation layer moves between cells when
-/// a roaming user leaves mid-query. Carries everything the destination
-/// needs to preserve end-to-end accounting: the original submission
-/// instant (queue wait keeps accruing across the move) and the *absolute*
-/// deadline (a handoff never resets the clock the user is watching).
-#[derive(Debug, Clone)]
-pub struct MigratedQuery {
-    /// The raw query text.
-    pub text: String,
-    /// When the query first entered a queue, anywhere.
-    pub submitted_at: SimTime,
-    /// Absolute deadline, when one was requested at submission.
-    pub deadline_abs: Option<SimTime>,
-    /// Scheduling priority.
-    pub priority: u8,
-}
-
-/// The audit record of one shed query: who was dropped, when, and with
-/// what deadline — overload control never makes work disappear silently.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShedRecord {
-    /// The id assigned at admission.
-    pub id: QueryId,
-    /// The raw query text.
-    pub text: String,
-    /// When the query entered the queue.
-    pub submitted_at: SimTime,
-    /// The round start at which it was shed.
-    pub shed_at: SimTime,
-    /// Its absolute deadline (shedding targets guaranteed misses, so in
-    /// practice this is always in the unreachable past at `shed_at`).
-    pub deadline: Option<SimTime>,
-    /// Its scheduling priority.
-    pub priority: u8,
-}
-
 /// The multi-query runtime: N in-flight queries over one shared engine.
 #[derive(Debug)]
 pub struct MultiQueryRuntime<E: QueryEngine> {
@@ -372,7 +338,6 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     fates: HashMap<QueryId, Fate>,
     outcomes: Vec<QueryOutcome<E::Response, E::Error>>,
     next_id: u64,
-    completions: u64,
     /// Where the next service round lands on the epoch grid; `None` until
     /// the first round anchors the grid at the engine clock.
     next_round_at: Option<SimTime>,
@@ -389,8 +354,8 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     /// Critical queries that jumped the policy order into a round they
     /// would not otherwise have made (only grows with preemption enabled).
     pub preemptions: u64,
-    /// Queued queries dropped by overload shedding (each has a
-    /// [`ShedRecord`]; only grows with an overload policy installed).
+    /// Queued queries dropped by overload shedding (each is in the shed
+    /// log; only grows with an overload policy installed).
     pub shed: u64,
     /// Queries serviced in brownout rounds (degraded fidelity).
     pub browned_out: u64,
@@ -412,14 +377,8 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     overload_state: OverloadState,
     /// Write-ahead journal of admission-state transitions, when enabled.
     journal: Option<QueryJournal>,
-    /// Audit log of shed queries, in shed order.
-    shed_records: Vec<ShedRecord>,
-    /// Feed `admission_log` (see [`MultiQueryRuntime::record_admissions`]).
-    log_admissions: bool,
-    /// Submission verdicts since the last drain: `Some(handle)` for
-    /// accepted, `None` for rejected — one entry per `submit`, in call
-    /// order.
-    admission_log: Vec<Option<QueryHandle>>,
+    /// The shed log (see [`MultiQueryRuntime::shed_records`]).
+    shed_records: Vec<(SimTime, QueuedQuery)>,
 }
 
 impl<E: QueryEngine> MultiQueryRuntime<E> {
@@ -432,7 +391,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             fates: HashMap::new(),
             outcomes: Vec::new(),
             next_id: 0,
-            completions: 0,
             next_round_at: None,
             spent_j: 0.0,
             admitted: 0,
@@ -449,8 +407,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             overload_state: OverloadState::Normal,
             journal: None,
             shed_records: Vec::new(),
-            log_admissions: false,
-            admission_log: Vec::new(),
         }
     }
 
@@ -479,8 +435,10 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         self.overload_state
     }
 
-    /// Audit log of shed queries, in shed order.
-    pub fn shed_records(&self) -> &[ShedRecord] {
+    /// The shed log, in shed order: each shed query with the round start
+    /// it was shed at (a guaranteed miss: its deadline falls before any
+    /// round it could still get) — overload never loses work silently.
+    pub fn shed_records(&self) -> &[(SimTime, QueuedQuery)] {
         &self.shed_records
     }
 
@@ -525,32 +483,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// without reopening the service path.
     pub fn outcomes_mut(&mut self) -> &mut [QueryOutcome<E::Response, E::Error>] {
         &mut self.outcomes
-    }
-
-    /// Submission verdicts recorded since the last call (empty unless
-    /// [`record_admissions`] turned the log on): one entry per [`submit`],
-    /// in call order — `Some(handle)` when accepted, `None` when rejected
-    /// at the door. [`admit_migrated`] is not logged; its caller already
-    /// holds the verdict.
-    ///
-    /// [`record_admissions`]: MultiQueryRuntime::record_admissions
-    /// [`submit`]: MultiQueryRuntime::submit
-    /// [`admit_migrated`]: MultiQueryRuntime::admit_migrated
-    pub fn take_admission_log(&mut self) -> Vec<Option<QueryHandle>> {
-        std::mem::take(&mut self.admission_log)
-    }
-
-    /// Record the verdict of every [`submit`] into an admission log the
-    /// caller drains with [`take_admission_log`] — how a layer driving the
-    /// runtime through [`step`] (which submits internally) learns the
-    /// handles of streamed arrivals, e.g. to migrate them later. Off until
-    /// asked for: nothing is recorded and nothing changes.
-    ///
-    /// [`submit`]: MultiQueryRuntime::submit
-    /// [`take_admission_log`]: MultiQueryRuntime::take_admission_log
-    /// [`step`]: MultiQueryRuntime::step
-    pub fn record_admissions(&mut self, on: bool) {
-        self.log_admissions = on;
     }
 
     /// Turn on the write-ahead query journal. From here on every
@@ -669,13 +601,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
 
     /// Submit query text for execution in a future epoch.
     pub fn submit(&mut self, text: &str, opts: QueryOpts) -> Admission {
-        let verdict = self
-            .admit_fresh(text, opts)
-            .unwrap_or_else(|reason| self.reject(reason, opts));
-        if self.log_admissions {
-            self.admission_log.push(verdict.handle());
-        }
-        verdict
+        self.admit_fresh(text, opts)
+            .unwrap_or_else(|reason| self.reject(reason, opts))
     }
 
     /// Turned away at the door: nothing was queued.
@@ -789,21 +716,18 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
 
     /// Lift a still-queued query out of this runtime for re-admission
     /// elsewhere (roaming handoff). Like [`cancel`] it leaves the queue, but
-    /// it is counted as `migrated_out` rather than `cancelled` and the
-    /// caller gets everything needed to [`admit_migrated`] it at the
-    /// destination. Returns `None` when the query is no longer queued here
-    /// (already serviced, cancelled, or shed — too late to move).
+    /// it is counted as `migrated_out` rather than `cancelled`, and the
+    /// caller gets the queued record itself to [`admit_migrated`] at the
+    /// destination: the original submission instant (queue wait keeps
+    /// accruing across the move) and the *absolute* deadline (a handoff
+    /// never resets the clock the user is watching). Returns `None` when
+    /// the query is no longer queued here (already serviced, cancelled, or
+    /// shed — too late to move).
     ///
     /// [`cancel`]: MultiQueryRuntime::cancel
     /// [`admit_migrated`]: MultiQueryRuntime::admit_migrated
-    pub fn extract(&mut self, handle: QueryHandle) -> Option<MigratedQuery> {
-        let q = self.withdraw(handle, Fate::Migrated)?;
-        Some(MigratedQuery {
-            text: q.text,
-            submitted_at: q.submitted_at,
-            deadline_abs: q.deadline_abs,
-            priority: q.priority,
-        })
+    pub fn extract(&mut self, handle: QueryHandle) -> Option<QueuedQuery> {
+        self.withdraw(handle, Fate::Migrated)
     }
 
     /// Re-admit a query lifted out of another runtime with [`extract`].
@@ -813,12 +737,13 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// overloaded destination honors its own watermarks instead of
     /// absorbing unconditionally. What differs is accounting:
     /// the original submission instant and absolute deadline are preserved
-    /// (queue wait accrues across cells; the deadline never resets), and
-    /// acceptance counts as `migrated_in`.
+    /// (queue wait accrues across cells; the deadline never resets), the
+    /// id and energy estimate are this runtime's own, and acceptance counts
+    /// as `migrated_in`.
     ///
     /// [`extract`]: MultiQueryRuntime::extract
     /// [`submit`]: MultiQueryRuntime::submit
-    pub fn admit_migrated(&mut self, m: MigratedQuery) -> Admission {
+    pub fn admit_migrated(&mut self, m: QueuedQuery) -> Admission {
         // Reconstruct caller-side options for rejection reporting: the
         // deadline is re-expressed relative to now (zero when already past
         // — the destination may still answer it late).
@@ -831,17 +756,14 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
 
     /// A migrated query through the door: the shared steps and nothing
     /// else (its deadline was vetted where it was first submitted).
-    fn admit_moved(&mut self, m: MigratedQuery) -> Result<Admission, RejectReason> {
+    fn admit_moved(&mut self, q: QueuedQuery) -> Result<Admission, RejectReason> {
         self.queue_gate()?;
-        let estimate_j = self.estimate_j(&m.text);
+        let estimate_j = self.estimate_j(&q.text);
         self.migrated_in += 1;
         let q = QueuedQuery {
             id: self.mint_id(),
-            text: m.text,
-            submitted_at: m.submitted_at,
-            deadline_abs: m.deadline_abs,
             estimate_j,
-            priority: m.priority,
+            ..q
         };
         Ok(self.enqueue(q, JournalRecord::MigratedIn))
     }
@@ -922,8 +844,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         victims
     }
 
-    /// Drop every doomed queued query (see [`shed_victims`]), recording a
-    /// [`ShedRecord`] for each.
+    /// Drop every doomed queued query (see [`shed_victims`]) into the shed
+    /// log.
     ///
     /// [`shed_victims`]: MultiQueryRuntime::shed_victims
     fn shed_doomed(&mut self, round_start: SimTime) {
@@ -936,14 +858,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             if victims.contains(&self.waiting[i].id) {
                 let p = self.waiting.remove(i);
                 self.settle(&p, Fate::Shed);
-                self.shed_records.push(ShedRecord {
-                    id: p.id,
-                    text: p.text,
-                    submitted_at: p.submitted_at,
-                    shed_at: round_start,
-                    deadline: p.deadline_abs,
-                    priority: p.priority,
-                });
+                self.shed_records.push((round_start, p));
             } else {
                 i += 1;
             }
@@ -1027,14 +942,12 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                 text: p.text,
                 submitted_at: p.submitted_at,
                 started_at: epoch_start,
-                completion_index: self.completions,
                 queue_wait_s,
                 deadline: p.deadline_abs,
                 brownout,
                 response,
                 attribution,
             });
-            self.completions += 1;
             completed += 1;
         }
         self.update_overload_state();
@@ -1055,7 +968,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// The window `[now, now + dt)` is walked event by event: each arrival
     /// due inside the window is delivered (the clock advances to its
     /// instant and it goes through the ordinary [`submit`] path — it can be
-    /// admitted or rejected at the door), and each service round
+    /// admitted, and the arrival process is told its handle, or rejected
+    /// at the door), and each service round
     /// due inside the window runs at its slot on the epoch grid (anchored
     /// at the first round; idle time does not accumulate rounds — a round
     /// fires as soon as work is waiting). Arrivals win ties with a
@@ -1100,17 +1014,20 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                 };
                 self.advance_engine_to(arrival.at);
                 self.arrived += 1;
-                let verdict = self.submit(&arrival.text, arrival.opts);
-                // Backpressure closes the loop: an Overloaded rejection
-                // goes back to the arrival process, which may model a
-                // retrying client (exponential backoff) or drop it.
-                if let Admission::Rejected {
-                    reason: RejectReason::Overloaded { retry_after, .. },
-                    ..
-                } = verdict
-                {
-                    let now = self.engine.now();
-                    arrivals.on_overload(arrival, retry_after, now);
+                // The arrival process hears its arrival's verdict: the
+                // handle of an admitted one, and — backpressure closing the
+                // loop — an Overloaded rejection, which it may retry
+                // (exponential backoff) or drop.
+                match self.submit(&arrival.text, arrival.opts) {
+                    Admission::Admitted { handle } => arrivals.on_admitted(handle),
+                    Admission::Rejected {
+                        reason: RejectReason::Overloaded { retry_after, .. },
+                        ..
+                    } => {
+                        let now = self.engine.now();
+                        arrivals.on_overload(arrival, retry_after, now);
+                    }
+                    Admission::Rejected { .. } => {}
                 }
             } else if let Some(round) = next_round {
                 self.advance_engine_to(round);
@@ -1148,7 +1065,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         r.set_counter("preemptions", self.preemptions);
         r.set_counter("shed", self.shed);
         r.set_counter("browned_out", self.browned_out);
-        r.set_counter("completed", self.completions);
+        r.set_counter("completed", self.outcomes.len() as u64);
         let errors = self.outcomes.iter().filter(|o| o.response.is_err()).count() as u64;
         r.set_counter("errors", errors);
         let shared = self

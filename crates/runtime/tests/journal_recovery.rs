@@ -22,9 +22,9 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_runtime::{
-    Admission, Attribution, BatchQuery, EngineOutcome, JournalRecord, MultiQueryRuntime,
-    OverloadConfig, OverloadPolicy, PoissonArrivals, QueryEngine, QueryHandle, QueryOpts,
-    QueryStatus, RuntimeConfig, SchedPolicy, TraceArrivals,
+    Admission, Arrival, ArrivalProcess, Attribution, BatchQuery, EngineOutcome, JournalRecord,
+    MultiQueryRuntime, OverloadConfig, OverloadPolicy, PoissonArrivals, QueryEngine, QueryHandle,
+    QueryOpts, QueryStatus, RuntimeConfig, SchedPolicy, TraceArrivals,
 };
 use pg_sim::{Duration, SimTime};
 use propcheck::check;
@@ -196,13 +196,21 @@ fn queue_wait_accrues_across_a_crash() {
 #[test]
 fn cancel_and_tighten_refuse_mid_migration_and_work_at_destination() {
     let mut origin = runtime(1);
-    let mut dest = runtime(2);
+    // An energy-fair destination asks its engine for the estimate the EDF
+    // origin never needed.
+    let energy_fair = RuntimeConfig {
+        policy: SchedPolicy::EnergyFair,
+        ..*runtime(2).config()
+    };
+    let mut dest = MultiQueryRuntime::new(energy_fair, Echo { now: SimTime::ZERO });
     origin.enable_journal();
+    dest.enable_journal();
     let handles = submit_n(&mut origin, 3);
     let moving = handles[2];
 
     // Lift the query out: it is now mid-migration, owned by neither queue.
     let m = origin.extract(moving).expect("still queued");
+    assert_eq!((m.id, m.estimate_j), (moving.id(), 0.0));
     assert!(matches!(origin.poll(moving), QueryStatus::Migrated));
     // The origin handle no longer controls it.
     assert!(!origin.cancel(moving));
@@ -217,8 +225,24 @@ fn cancel_and_tighten_refuse_mid_migration_and_work_at_destination() {
 
     // Landing at the destination mints a new handle; the *destination*
     // controls it from here.
-    let dh = dest.admit_migrated(m).handle().expect("re-admitted");
+    let dh = dest
+        .admit_migrated(m.clone())
+        .handle()
+        .expect("re-admitted");
     assert!(dest.poll(dh).is_queued());
+    // The destination journals the record it was handed under its own id
+    // and estimate; the rest is the origin's, deadline clock included.
+    match &dest.journal().expect("journal on").records()[0] {
+        JournalRecord::MigratedIn(q) => {
+            assert_eq!((q.id, q.estimate_j), (dh.id(), 1.0));
+            assert_ne!(q.id, m.id);
+            assert_eq!(q.text, m.text);
+            assert_eq!(q.submitted_at, m.submitted_at);
+            assert_eq!(q.deadline_abs, m.deadline_abs);
+            assert_eq!(q.priority, m.priority);
+        }
+        r => panic!("expected the migrant's entry, got {r:?}"),
+    }
     assert!(dest.tighten_deadline(dh, Duration::from_secs(60)));
     // Tightening only tightens: a looser deadline is refused.
     assert!(!dest.tighten_deadline(dh, Duration::from_secs(3600)));
@@ -300,13 +324,14 @@ fn fingerprint(
     let outcomes = rt
         .outcomes()
         .iter()
-        .map(|o| {
+        .enumerate()
+        .map(|(i, o)| {
             (
                 o.id.0,
                 o.text.clone(),
                 o.submitted_at.as_nanos(),
                 o.started_at.as_nanos(),
-                o.completion_index,
+                i as u64,
                 o.queue_wait_s.to_bits(),
                 o.deadline,
             )
@@ -366,6 +391,21 @@ fn assert_books_balance(rt: &MultiQueryRuntime<Echo>, handles: &[QueryHandle]) {
     }
 }
 
+/// A stream that keeps the handle of every arrival the runtime admits.
+struct Handed(PoissonArrivals, Vec<QueryHandle>);
+
+impl ArrivalProcess for Handed {
+    fn peek(&mut self) -> Option<SimTime> {
+        self.0.peek()
+    }
+    fn next_arrival(&mut self) -> Option<Arrival> {
+        self.0.next_arrival()
+    }
+    fn on_admitted(&mut self, handle: QueryHandle) {
+        self.1.push(handle);
+    }
+}
+
 /// Drive a runtime through `ops` — `(kind, argument)` pairs — over a
 /// Poisson stream, then let the stream run out; the books are checked
 /// after every step. Kinds: 0 submit, 1 cancel, 2 migrate out, 3 migrate
@@ -393,11 +433,10 @@ fn drive(
         .build();
     let mut rt = MultiQueryRuntime::new(cfg, Echo { now: SimTime::ZERO });
     let mut neighbour = runtime(1);
-    rt.record_admissions(true);
     if journal {
         rt.enable_journal();
     }
-    let mut arrivals = PoissonArrivals::new(
+    let poisson = PoissonArrivals::new(
         seed,
         rate_hz,
         SimTime::from_secs(3_600),
@@ -412,16 +451,18 @@ fn drive(
             ),
         ],
     );
+    let mut arrivals = Handed(poisson, Vec::new());
     let mut handles: Vec<QueryHandle> = Vec::new();
     for &(kind, arg) in ops {
         let target = (!handles.is_empty()).then(|| handles[usize::from(arg) % handles.len()]);
         let deadline = Duration::from_secs(60 + u64::from(arg % 500));
         match (kind, target) {
             (0, _) => {
-                rt.submit(
+                let verdict = rt.submit(
                     "SELECT MIN(temp) FROM sensors",
                     QueryOpts::with_deadline(deadline),
                 );
+                handles.extend(verdict.handle());
             }
             (1, Some(h)) => {
                 rt.cancel(h);
@@ -450,12 +491,12 @@ fn drive(
                 rt.step(Duration::from_secs(30), &mut arrivals);
             }
         }
-        handles.extend(rt.take_admission_log().into_iter().flatten());
+        handles.append(&mut arrivals.1);
         assert_books_balance(&rt, &handles);
     }
     rt.recover_from_journal();
     rt.run_stream(&mut arrivals, 10_000);
-    handles.extend(rt.take_admission_log().into_iter().flatten());
+    handles.append(&mut arrivals.1);
     assert_books_balance(&rt, &handles);
     rt
 }

@@ -198,3 +198,25 @@ fn metro_client_never_resubmits_before_retry_after() {
         );
     }
 }
+
+/// A client bounced again and again backs off past 2³² × `retry_after`
+/// and past the end of simulated time without a panic: a retry that would
+/// land beyond the horizon is given up.
+#[test]
+fn backoff_past_the_end_of_time_gives_up() {
+    let cfg = MetroConfig {
+        users: 1,
+        sessions_per_user_day: 20.0,
+        day: Duration::from_secs(1_000_000_000),
+        horizon: SimTime::from_secs(18_000_000_000),
+        retry_max: 64,
+        ..MetroConfig::default()
+    };
+    let mut w = MetroWorkload::new(1, cfg);
+    while let Some(a) = w.next_arrival() {
+        let at = a.at;
+        w.on_overload(a, Duration::from_millis(1), at);
+    }
+    assert!(w.retries() > 0);
+    assert!(w.gave_up() > 0);
+}
