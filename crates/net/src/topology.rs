@@ -35,7 +35,8 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// An immutable node placement with range-derived adjacency.
+/// An immutable node placement with range-derived adjacency, built once
+/// by [`Topology::from_positions`].
 ///
 /// Adjacency is stored in CSR (compressed sparse row) form — one flat
 /// `targets` array plus per-node offsets — instead of a `Vec<Vec<NodeId>>`.
@@ -56,72 +57,70 @@ pub struct Topology {
 impl Topology {
     /// Build a topology from explicit positions and a communication range.
     ///
-    /// Candidate pairs come from a uniform spatial grid with cell edge equal
-    /// to the communication range, so only the 27 surrounding cells are
-    /// scanned per node: O(n + m) for bounded-density placements instead of
-    /// the all-pairs O(n²). In the multi-floor building scenario the z axis
-    /// of the grid shards the field by floor, so a floor's neighbour queries
-    /// never touch bins of non-adjacent floors. Neighbour lists are sorted
-    /// ascending by id — the same order the all-pairs build produced — so
+    /// Two nodes are adjacent when their squared distance is at most
+    /// `range²`, both in f64. Candidate pairs come from a dense grid of
+    /// cells at least `range` wide, so every in-range pair lies in the same
+    /// or adjacent cells and a node scans at most 9 contiguous x-runs of ids
+    /// rather than all n: O(n + m) for bounded-density placements. Each
+    /// pair is tested once, from its lower id, and every neighbour list
+    /// fills ascending by id, the order the all-pairs build produced, so
     /// every tree shape and baseline derived from adjacency is unchanged.
+    /// A node with a NaN or infinite coordinate is within range of no other
+    /// node (at any range whose square is finite), and is binned like the
+    /// rest.
     ///
     /// # Panics
-    /// Panics on an empty placement or non-positive range.
+    /// Panics on an empty placement or a range that is not positive and
+    /// finite.
     pub fn from_positions(positions: Vec<Point>, range: f64) -> Self {
         assert!(!positions.is_empty(), "topology needs at least one node");
         assert!(range > 0.0, "communication range must be positive");
         assert!(range.is_finite(), "communication range must be finite");
         let n = positions.len();
         let range_sq = range * range;
+        let grid = CellGrid::new(&positions, range);
 
-        // Bin nodes into range-sized cells keyed by integer cell coords.
-        let mut min = positions[0];
-        for p in &positions[1..] {
-            min.x = min.x.min(p.x);
-            min.y = min.y.min(p.y);
-            min.z = min.z.min(p.z);
-        }
-        let cell_of = |p: &Point| -> (i64, i64, i64) {
-            (
-                ((p.x - min.x) / range).floor() as i64,
-                ((p.y - min.y) / range).floor() as i64,
-                ((p.z - min.z) / range).floor() as i64,
-            )
-        };
-        let mut bins: std::collections::HashMap<(i64, i64, i64), Vec<u32>> =
-            std::collections::HashMap::new();
+        // Each node's higher-id neighbours, node after node; the offsets
+        // count every node's degree, shifted one slot up for the prefix sum.
+        let mut higher: Vec<u32> = Vec::new();
+        let mut higher_end = Vec::with_capacity(n);
+        let mut adj_offsets = vec![0usize; n + 1];
         for (i, p) in positions.iter().enumerate() {
-            bins.entry(cell_of(p)).or_default().push(i as u32);
-        }
-
-        // Gather each node's in-range neighbours from its 27 surrounding
-        // cells; sort ascending so the lists match the historical all-pairs
-        // build exactly.
-        let mut adj_offsets = Vec::with_capacity(n + 1);
-        let mut adj_targets = Vec::new();
-        let mut scratch: Vec<u32> = Vec::new();
-        adj_offsets.push(0usize);
-        for (i, p) in positions.iter().enumerate() {
-            scratch.clear();
-            let (cx, cy, cz) = cell_of(p);
-            for dx in -1..=1 {
-                for dy in -1..=1 {
-                    for dz in -1..=1 {
-                        let Some(bin) = bins.get(&(cx + dx, cy + dy, cz + dz)) else {
-                            continue;
-                        };
-                        for &j in bin {
-                            if j as usize != i && p.distance_sq(&positions[j as usize]) <= range_sq
-                            {
-                                scratch.push(j);
-                            }
-                        }
+            let before = higher.len();
+            for run in grid.around(p) {
+                for &j in run {
+                    if j as usize > i && p.distance_sq(&positions[j as usize]) <= range_sq {
+                        higher.push(j);
+                        adj_offsets[j as usize + 1] += 1;
                     }
                 }
             }
-            scratch.sort_unstable();
-            adj_targets.extend(scratch.iter().map(|&j| NodeId(j)));
-            adj_offsets.push(adj_targets.len());
+            adj_offsets[i + 1] += higher.len() - before;
+            higher_end.push(higher.len());
+        }
+        for i in 0..n {
+            adj_offsets[i + 1] += adj_offsets[i];
+        }
+
+        // Fill the lists in one pass over v ascending. On its turn v joins
+        // the list of each higher neighbour, so every list starts with its
+        // lower neighbours in ascending order. v's own lower neighbours are
+        // then all in, and v joins each of their lists in turn, so their
+        // higher neighbours follow, ascending too.
+        let mut adj_targets = vec![NodeId(0); 2 * higher.len()];
+        let mut next = adj_offsets[..n].to_vec();
+        let mut from = 0;
+        for (v, &to) in higher_end.iter().enumerate() {
+            for &j in &higher[from..to] {
+                adj_targets[next[j as usize]] = NodeId(v as u32);
+                next[j as usize] += 1;
+            }
+            from = to;
+            for k in adj_offsets[v]..next[v] {
+                let u = adj_targets[k].idx();
+                adj_targets[next[u]] = NodeId(v as u32);
+                next[u] += 1;
+            }
         }
         Topology {
             positions,
@@ -394,6 +393,116 @@ impl Topology {
     }
 }
 
+/// Nodes binned by counting sort into one dense grid of cubic cells, x
+/// varying fastest, so the 3 × 3 × 3 cells around a node are at most 9
+/// contiguous x-runs of ids.
+///
+/// A cell is at least as wide as an in-range pair can be apart (`range`,
+/// unless range² under- or overflows), so such a pair lies in the same or
+/// adjacent cells. Where such a grid would hold more than 2n cells, the
+/// edge doubles until it does not. A coordinate outside the grid, which
+/// only a non-finite one can be, clamps into an edge cell. Doubling and
+/// clamping only ever merge cells, so no in-range pair is split.
+struct CellGrid {
+    /// The grid's corner: the least finite coordinate on each axis.
+    lo: [f64; 3],
+    edge: f64,
+    /// Cells along x, y and z.
+    dims: [usize; 3],
+    /// Cell `c` holds `ids[start[c]..start[c + 1]]`, ascending.
+    start: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl CellGrid {
+    fn new(positions: &[Point], range: f64) -> Self {
+        let n = positions.len();
+        // An axis without a finite coordinate keeps lo = +inf, hi = -inf:
+        // its spread is -inf and every coordinate maps to cell 0.
+        let mut lo = [f64::INFINITY; 3];
+        let mut hi = [f64::NEG_INFINITY; 3];
+        for p in positions {
+            for (a, v) in [p.x, p.y, p.z].into_iter().enumerate() {
+                if v.is_finite() {
+                    lo[a] = lo[a].min(v);
+                    hi[a] = hi[a].max(v);
+                }
+            }
+        }
+        // How far apart an in-range pair can be: `range`, or further where
+        // range² underflows (a pair is in range when its squared distance
+        // underflows as far) or overflows (every pair without a NaN is: one
+        // cell). Then a hair more, so rounding in the cell arithmetic cannot
+        // put an in-range pair two cells apart.
+        let reach = (range * range + f64::from_bits(1)).sqrt().max(range);
+        let mut edge = reach * (1.0 + 1e-6);
+        let dims = loop {
+            // `as usize` saturates: +inf (an overflowed spread) is
+            // usize::MAX, and -inf or NaN (edge = inf) is 0.
+            let dims = [0, 1, 2].map(|a| (((hi[a] - lo[a]) / edge) as usize).saturating_add(1));
+            let cells = dims.iter().try_fold(1usize, |c, &d| c.checked_mul(d));
+            if cells.is_some_and(|c| c <= 2 * n) {
+                break dims;
+            }
+            edge *= 2.0;
+        };
+        let mut grid = CellGrid {
+            lo,
+            edge,
+            dims,
+            start: vec![0; dims[0] * dims[1] * dims[2] + 1],
+            ids: vec![0; n],
+        };
+        // Counting sort: count, take inclusive prefix sums (each cell's
+        // end), then place ids from the highest down, so each cell's run
+        // is ascending and `start` is left holding each cell's beginning.
+        let [nx, ny, _] = dims;
+        let cell: Vec<usize> = positions
+            .iter()
+            .map(|p| {
+                let [x, y, z] = grid.coords(p);
+                (z * ny + y) * nx + x
+            })
+            .collect();
+        for &c in &cell {
+            grid.start[c] += 1;
+        }
+        let mut total = 0;
+        for s in &mut grid.start {
+            total += *s;
+            *s = total;
+        }
+        for (i, &c) in cell.iter().enumerate().rev() {
+            grid.start[c] -= 1;
+            grid.ids[grid.start[c] as usize] = i as u32;
+        }
+        grid
+    }
+
+    /// The cell coordinates of `p`; NaN and -inf map to 0, +inf to the
+    /// last cell.
+    fn coords(&self, p: &Point) -> [usize; 3] {
+        let axis =
+            |a: usize, v: f64| (((v - self.lo[a]) / self.edge) as usize).min(self.dims[a] - 1);
+        [axis(0, p.x), axis(1, p.y), axis(2, p.z)]
+    }
+
+    /// The ids in the cells adjacent to `p`'s cell and in that cell: one
+    /// x-run per (y, z) row, at most 9.
+    fn around(&self, p: &Point) -> impl Iterator<Item = &[u32]> + '_ {
+        let [x, y, z] = self.coords(p);
+        let [nx, ny, nz] = self.dims;
+        let near = |c: usize, dim: usize| c.saturating_sub(1)..=(c + 1).min(dim - 1);
+        let (x0, x1) = (x.saturating_sub(1), (x + 1).min(nx - 1));
+        near(z, nz).flat_map(move |z| {
+            near(y, ny).map(move |y| {
+                let row = (z * ny + y) * nx;
+                &self.ids[self.start[row + x0] as usize..self.start[row + x1 + 1] as usize]
+            })
+        })
+    }
+}
+
 /// A rooted spanning tree over a [`Topology`] (aggregation/collection tree).
 ///
 /// Built by [`Topology::spanning_tree`] / [`Topology::canonical_tree`] and
@@ -505,6 +614,7 @@ impl RoutingTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use propcheck::{check, Gen};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -637,31 +747,176 @@ mod tests {
         Topology::from_positions(vec![], 10.0);
     }
 
+    /// The definition the grid must reproduce: every other node whose
+    /// squared distance is at most `range²`, in f64, ascending by id.
+    fn all_pairs(pts: &[Point], range: f64) -> Vec<Vec<NodeId>> {
+        let range_sq = range * range;
+        (0..pts.len())
+            .map(|i| {
+                (0..pts.len())
+                    .filter(|&j| j != i && pts[i].distance_sq(&pts[j]) <= range_sq)
+                    .map(|j| NodeId(j as u32))
+                    .collect()
+            })
+            .collect()
+    }
+
+    fn assert_matches_all_pairs(pts: Vec<Point>, range: f64) {
+        let want = all_pairs(&pts, range);
+        let t = Topology::from_positions(pts, range);
+        for (i, want) in want.iter().enumerate() {
+            let id = NodeId(i as u32);
+            assert_eq!(t.neighbors(id), &want[..], "node {i} at range {range}");
+            assert_eq!(t.degree(id), want.len(), "node {i}");
+        }
+        let ends: usize = want.iter().map(Vec::len).sum();
+        assert_eq!(t.edge_count() * 2, ends);
+    }
+
+    /// A placement of one of five shapes at some pitch, and a range from
+    /// well below to well above the pitch; one case in four puts a NaN or
+    /// an infinity into one coordinate.
+    fn placement(g: &mut Gen) -> (Vec<Point>, f64) {
+        let pitch = g.range(0.5..20.0);
+        let range = pitch * g.range(0.2..3.5);
+        let mut pts = match g.range(0..5u32) {
+            // A uniform box, flat or deep.
+            0 => {
+                let w = pitch * g.range(1.0..30.0);
+                let h = pitch * g.range(1.0..30.0);
+                let d = if g.bool() {
+                    0.0
+                } else {
+                    pitch * g.range(1.0..8.0)
+                };
+                g.vec(1..200, |g| {
+                    Point::new(g.range(0.0..w), g.range(0.0..h), g.range(0.0..=d))
+                })
+            }
+            // A few sites, each repeated.
+            1 => {
+                let sites = g.vec(1..8, |g| {
+                    let mut at = |span: f64| pitch * g.range(0.0..span);
+                    Point::new(at(5.0), at(5.0), at(2.0))
+                });
+                g.vec(1..80, |g| sites[g.range(0..sites.len())])
+            }
+            // Collinear rows at the pitch, some rows far apart.
+            2 => {
+                let gap = pitch * g.range(0.5..4.0);
+                let (rows, cols) = (g.range(1..5usize), g.range(1..50usize));
+                (0..rows)
+                    .flat_map(|r| {
+                        (0..cols).map(move |c| Point::flat(c as f64 * pitch, r as f64 * gap))
+                    })
+                    .collect()
+            }
+            // A building: floors of pitch-spaced sensors.
+            3 => {
+                let floor_height = pitch * g.range(0.3..2.5);
+                let (floors, cols, rows) =
+                    (g.range(1..5usize), g.range(1..9usize), g.range(1..9usize));
+                (0..floors)
+                    .flat_map(|f| {
+                        (0..rows).flat_map(move |r| {
+                            (0..cols).map(move |c| {
+                                let (x, y) = (c as f64 * pitch, r as f64 * pitch);
+                                Point::new(x, y, f as f64 * floor_height)
+                            })
+                        })
+                    })
+                    .collect()
+            }
+            // Clusters up to a million ranges apart: a range-wide grid
+            // would need far more than 2n cells, so it coarsens.
+            _ => {
+                let centres = g.vec(1..6, |g| {
+                    let far = range * 1e6;
+                    Point::new(
+                        g.range(0.0..far),
+                        g.range(0.0..far),
+                        g.range(0.0..far / 1e3),
+                    )
+                });
+                g.vec(1..100, |g| {
+                    let c = centres[g.range(0..centres.len())];
+                    let near = 2.0 * range;
+                    Point::new(
+                        c.x + g.range(0.0..near),
+                        c.y + g.range(0.0..near),
+                        c.z + g.range(0.0..near),
+                    )
+                })
+            }
+        };
+        if g.range(0..4u32) == 0 {
+            let i = g.range(0..pts.len());
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][g.range(0..3usize)];
+            match g.range(0..3u32) {
+                0 => pts[i].x = bad,
+                1 => pts[i].y = bad,
+                _ => pts[i].z = bad,
+            }
+        }
+        (pts, range)
+    }
+
+    /// Neighbour sets, their ascending order, `degree` and `edge_count`
+    /// equal the all-pairs definition. Skipping the z ± 1 layers of the
+    /// scan fails it (the deep boxes and the buildings).
     #[test]
     fn cell_binned_adjacency_matches_all_pairs() {
-        // The CSR build must reproduce the historical O(n²) build exactly:
-        // same neighbour sets, ascending order.
-        let mut rng = StdRng::seed_from_u64(42);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| {
-                Point::new(
-                    rng.gen::<f64>() * 120.0,
-                    rng.gen::<f64>() * 80.0,
-                    rng.gen::<f64>() * 12.0,
-                )
-            })
-            .collect();
-        let range = 14.0;
-        let t = Topology::from_positions(pts.clone(), range);
-        let range_sq = range * range;
-        for i in 0..pts.len() {
-            let mut want: Vec<NodeId> = (0..pts.len())
-                .filter(|&j| j != i && pts[i].distance_sq(&pts[j]) <= range_sq)
-                .map(|j| NodeId(j as u32))
-                .collect();
-            want.sort_unstable();
-            assert_eq!(t.neighbors(NodeId(i as u32)), &want[..], "node {i}");
-            assert_eq!(t.degree(NodeId(i as u32)), want.len());
+        check("cell_binned_adjacency_matches_all_pairs", 256, |g| {
+            let (pts, range) = placement(g);
+            assert_matches_all_pairs(pts, range);
+        });
+    }
+
+    #[test]
+    fn a_coordinate_at_infinity_has_no_neighbours() {
+        // An infinity has no finite cell: it clamps into an edge cell,
+        // whose neighbouring cells are formed like any other's.
+        let pts = vec![
+            Point::flat(0.0, 0.0),
+            Point::flat(10.0, 0.0),
+            Point::new(f64::INFINITY, 0.0, 0.0),
+            Point::new(5.0, f64::NEG_INFINITY, 0.0),
+        ];
+        let t = Topology::from_positions(pts, 15.0);
+        assert_eq!(t.neighbors(NodeId(0)), &[NodeId(1)]);
+        assert_eq!(t.neighbors(NodeId(1)), &[NodeId(0)]);
+        assert_eq!(t.degree(NodeId(2)), 0);
+        assert_eq!(t.degree(NodeId(3)), 0);
+    }
+
+    #[test]
+    fn a_nan_coordinate_has_no_neighbours() {
+        let pts = vec![
+            Point::new(f64::NAN, 0.0, 0.0),
+            Point::flat(0.0, 0.0),
+            Point::flat(10.0, 0.0),
+            Point::new(0.0, 0.0, f64::NAN),
+        ];
+        let t = Topology::from_positions(pts, 15.0);
+        assert_eq!(t.degree(NodeId(0)), 0);
+        assert_eq!(t.neighbors(NodeId(1)), &[NodeId(2)]);
+        assert_eq!(t.degree(NodeId(3)), 0);
+    }
+
+    #[test]
+    fn a_spread_far_wider_than_the_range_builds() {
+        // End to end, 1e19 and 1e600 ranges: more range-wide cells than
+        // i64::MAX. At a 1e-200 m range, range² underflows to 0, so a pair
+        // is in range when its squared distance underflows too: 1e-163 m
+        // apart, some 1e37 ranges, counts.
+        for (range, far) in [(1.0, 1e19), (1e-300, 1e300), (1e-200, 1e-163)] {
+            let pts = vec![
+                Point::flat(0.0, 0.0),
+                Point::flat(0.5 * range, 0.0),
+                Point::flat(far, 0.0),
+                Point::flat(3.0 * far, 0.0),
+            ];
+            assert_matches_all_pairs(pts, range);
         }
     }
 
