@@ -12,10 +12,13 @@
 //!
 //! Batch execution order: shared aggregate groups first (in batch order),
 //! then the remaining entries one by one in batch order. Results are
-//! returned in batch order regardless. The scheduler's
-//! [`QueryOutcome`](pg_runtime::QueryOutcome) list is the audit trail for
-//! concurrent workloads; a plain `submit` returns its `Result` and keeps
-//! no copy.
+//! returned in batch order regardless. A shared entry's attributed share
+//! leaves through the same answer step as a solo execution
+//! (`PervasiveGrid::answer`, in `runtime.rs`): one deadline budget, one
+//! learner observation, one response and attribution shape for both. The
+//! scheduler's [`QueryOutcome`](pg_runtime::QueryOutcome) list is the audit
+//! trail for concurrent workloads; a plain `submit` returns its `Result`
+//! and keeps no copy.
 //!
 //! A query rides the shared tree when it parses, classifies as Aggregate
 //! (one-shot, no EPOCH), carries no COST bounds (bounds need the decision
@@ -25,15 +28,16 @@
 //! shared collection itself and sums to the measured totals.
 
 use crate::error::PgError;
-use crate::runtime::{DegradationReport, PervasiveGrid, Provenance, QueryResponse};
+use crate::runtime::{PervasiveGrid, Placement, QueryResponse};
 use pg_net::topology::NodeId;
-use pg_partition::exec::{members_of, rel_err, truth_aggregate, value_filter, ExecContext};
+use pg_partition::exec::{
+    members_of, rel_err, truth_aggregate, value_filter, ExecContext, Outcome,
+};
 use pg_partition::features::QueryFeatures;
-use pg_partition::learn::Reward;
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
-use pg_runtime::{Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
+use pg_runtime::{BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
 use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
 use pg_sensornet::region::Region;
 use pg_sensornet::shared::{SharedQuery, MAX_SHARED_QUERIES, STRATUM_KEY_WIRE_BYTES};
@@ -230,84 +234,40 @@ impl PervasiveGrid {
             .iter()
             .zip(report.per_query.iter().zip(&shared_queries))
         {
-            let cost = CostVector {
-                energy_j: pq.energy_j + control_energy_share,
-                time_s: latency_s,
-                bytes: pq.bytes + control_bytes_share,
-                ops: pq.ops,
-            };
-            // Shareable queries carry no COST time bound, so the budget is
-            // the builder deadline or the scheduler's remaining budget.
-            let deadline_s = [
-                self.deadline.map(|d| d.as_secs_f64()),
-                batch[s.idx].deadline.map(|d| d.as_secs_f64()),
-            ]
-            .into_iter()
-            .flatten()
-            .reduce(f64::min);
-            // Adaptive feedback: the learner sees each query's attributed
-            // share as an InNetworkTree actual, plus the degradation it
-            // came with (delivery loss, deadline fate, retries).
-            self.decision.observe(
-                &self.net,
-                &self.grid,
-                s.resolved.features,
-                SolutionModel::InNetworkTree,
-                Reward {
-                    cost,
-                    loss_frac: (1.0 - pq.delivery_ratio()).clamp(0.0, 1.0),
-                    deadline_missed: deadline_s.is_some_and(|d| latency_s > d),
-                    retries: pq.retries,
-                    dead_letters: 0,
-                },
-            );
             let known = truths.iter().find(|(r, _)| Rc::ptr_eq(r, &s.resolved));
             let truth = match known {
                 Some(&(_, truth)) => truth,
                 None => {
-                    let ctx = ExecContext {
-                        net: &mut self.net,
-                        grid: &self.grid,
-                        field: &self.field,
-                        regions: &self.regions,
-                        now: self.now,
-                    };
-                    let truth = truth_aggregate(&ctx, &s.resolved.members, sq.agg, &sq.filter);
+                    let (members, field) = (&s.resolved.members, &self.field);
+                    let truth =
+                        truth_aggregate(&self.net, field, self.now, members, sq.agg, &sq.filter);
                     truths.push((&s.resolved, truth));
                     truth
                 }
             };
-            let accuracy_err = match (pq.value, truth) {
-                (Some(v), Some(t)) => Some(rel_err(v, t)),
-                _ => None,
-            };
-            let degradation = DegradationReport {
-                faults_active: self.faults.is_active(),
-                retries: pq.retries,
-                base_outage_wait_s: 0.0,
-                deadline_s,
-                deadline_exceeded: deadline_s.is_some_and(|d| latency_s > d),
-                fallback_model: false,
-                brownout: s.brownout,
-            };
-            let response = QueryResponse {
+            // The learner sees each query's attributed share as an
+            // InNetworkTree actual, plus the degradation it came with.
+            let outcome = Outcome {
                 value: pq.value,
-                kind: QueryKind::Aggregate,
-                model: SolutionModel::InNetworkTree,
-                cost,
+                cost: CostVector {
+                    energy_j: pq.energy_j + control_energy_share,
+                    time_s: latency_s,
+                    bytes: pq.bytes + control_bytes_share,
+                    ops: pq.ops,
+                },
                 delivered_frac: pq.delivery_ratio(),
-                accuracy_err,
-                degradation,
-                provenance: Provenance::default(),
-            };
-            let attribution = Attribution {
-                energy_j: pq.energy_j + control_energy_share,
-                bytes: pq.bytes + control_bytes_share,
-                time_s: latency_s,
+                accuracy_err: pq.value.zip(truth).map(|(v, t)| rel_err(v, t)),
                 retries: pq.retries,
-                shared: true,
             };
-            slots[s.idx] = Some(Ok((response, attribution)));
+            let placement = Placement {
+                features: s.resolved.features,
+                model: SolutionModel::InNetworkTree,
+                kind: QueryKind::Aggregate,
+                fallback_model: false,
+            };
+            let deadline_s = self.deadline_budget(s.query, batch[s.idx].deadline);
+            let answered = self.answer(placement, outcome, 0.0, deadline_s, s.brownout, true);
+            slots[s.idx] = Some(Ok(answered));
         }
     }
 }
@@ -378,24 +338,10 @@ impl QueryEngine for PervasiveGrid {
             if slots[i].is_some() {
                 continue;
             }
-            let res = match query {
-                Ok(q) => self.submit_inner(q, bq.deadline.map(|d| d.as_secs_f64())),
+            slots[i] = Some(match query {
+                Ok(q) => self.submit_inner(q, bq),
                 Err(e) => Err(e.clone()),
-            };
-            slots[i] = Some(res.map(|mut r| {
-                // Single-path entries can't ride a coarser stratum, but a
-                // browned-out round is still annotated so the client (and
-                // the report's browned_out counter) see consistent books.
-                r.degradation.brownout |= bq.brownout;
-                let attribution = Attribution {
-                    energy_j: r.cost.energy_j,
-                    bytes: r.cost.bytes,
-                    time_s: r.cost.time_s,
-                    retries: r.degradation.retries,
-                    shared: false,
-                };
-                (r, attribution)
-            }));
+            });
         }
 
         slots
@@ -437,6 +383,45 @@ mod tests {
                 response.value
             })
             .collect()
+    }
+
+    /// Solo and shared entries leave the one answer step alike: each
+    /// attribution is its response's cost and retries, and each budget is
+    /// the tightest of the builder deadline and the query's own bound.
+    #[test]
+    fn each_attribution_is_its_responses_cost_and_retries() {
+        let mut pg = PervasiveGrid::building(1, 6, 3)
+            .region("east", Region::room(10.0, 0.0, 30.0, 30.0))
+            .deadline(Duration::from_secs(60))
+            .build();
+        let batch = [
+            "SELECT AVG(temp) FROM sensors WHERE region(east)",
+            "SELECT MAX(temp) FROM sensors",
+            "SELECT AVG(temp) FROM sensors COST time 30",
+        ]
+        .map(|text| BatchQuery {
+            text,
+            deadline: None,
+            brownout: false,
+        });
+        let answers: Vec<_> = pg
+            .execute_batch(&batch)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
+        let shared: Vec<bool> = answers.iter().map(|(_, a)| a.shared).collect();
+        assert_eq!(shared, [true, true, false]);
+        let budgets: Vec<_> = answers
+            .iter()
+            .map(|(r, _)| r.degradation.deadline_s)
+            .collect();
+        assert_eq!(budgets, [Some(60.0), Some(60.0), Some(30.0)]);
+        for (r, a) in &answers {
+            assert_eq!(a.energy_j, r.cost.energy_j);
+            assert_eq!(a.bytes, r.cost.bytes);
+            assert_eq!(a.time_s, r.cost.time_s);
+            assert_eq!(a.retries, r.degradation.retries);
+        }
     }
 
     #[test]

@@ -8,12 +8,13 @@ use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, Topology};
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::exec::{execute_once, ExecContext, ExecError, Outcome};
 use pg_partition::features::QueryFeatures;
 use pg_partition::learn::Reward;
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
+use pg_runtime::{Attribution, BatchQuery};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
@@ -22,6 +23,7 @@ use pg_sim::fault::FaultPlan;
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
+use rand::Rng;
 use std::collections::BTreeMap;
 
 /// How far a response deviated from the fault-free ideal.
@@ -300,15 +302,15 @@ impl PervasiveGrid {
         }
     }
 
-    /// The Figure-1 pipeline body. `sched_deadline_s` is the remaining
-    /// deadline budget handed down by the multi-query scheduler, `None` on
-    /// the plain single-query path (keeping that path bit-identical to the
-    /// pre-scheduler pipeline).
+    /// The Figure-1 pipeline body for one batch entry outside a shared
+    /// epoch. `bq.deadline` is the remaining budget handed down by the
+    /// multi-query scheduler, `None` on the plain single-query path
+    /// (keeping that path bit-identical to the pre-scheduler pipeline).
     pub(crate) fn submit_inner(
         &mut self,
         query: &Query,
-        sched_deadline_s: Option<f64>,
-    ) -> Result<QueryResponse, PgError> {
+        bq: &BatchQuery<'_>,
+    ) -> Result<(QueryResponse, Attribution), PgError> {
         // 1. Query Processor: the batch engine parsed; classify.
         let kind = classify(query);
 
@@ -317,17 +319,7 @@ impl PervasiveGrid {
         let exec_at = self.faults.base_up_at(self.now);
         let wait_s = exec_at.since(self.now).as_secs_f64();
 
-        // The effective deadline budget: the builder-level deadline, the
-        // query's own COST time bound, or the scheduler's remaining budget,
-        // whichever is tightest.
-        let deadline_s = [
-            self.deadline.map(|d| d.as_secs_f64()),
-            query.time_bound(),
-            sched_deadline_s,
-        ]
-        .into_iter()
-        .flatten()
-        .reduce(f64::min);
+        let deadline_s = self.deadline_budget(query, bq.deadline);
         // Propagate the *remaining* budget into planning: seconds already
         // burned waiting out the outage are gone. When there is no builder
         // or scheduler deadline and no wait, the query's own bounds already
@@ -335,7 +327,7 @@ impl PervasiveGrid {
         // fault-free pipeline).
         let mut planned = query.clone();
         if let Some(d) = deadline_s {
-            if self.deadline.is_some() || sched_deadline_s.is_some() || wait_s > 0.0 {
+            if self.deadline.is_some() || bq.deadline.is_some() || wait_s > 0.0 {
                 use pg_query::ast::CostBound;
                 planned.cost.retain(|c| !matches!(c, CostBound::TimeS(_)));
                 planned.cost.push(CostBound::TimeS((d - wait_s).max(0.0)));
@@ -351,8 +343,7 @@ impl PervasiveGrid {
                 regions: &self.regions,
                 now: exec_at,
             };
-            QueryFeatures::extract(&ctx, &planned)
-                .ok_or(PgError::Exec(pg_partition::exec::ExecError::NoMembers))?
+            QueryFeatures::extract(&ctx, &planned).ok_or(PgError::Exec(ExecError::NoMembers))?
         };
 
         // 3. Decision Maker: pick the placement within COST bounds. When
@@ -393,10 +384,50 @@ impl PervasiveGrid {
                 regions: &self.regions,
                 now: exec_at,
             };
-            execute_once(&mut ctx, query, model, &mut self.exec_rng)?
+            execute_query(&mut ctx, query, model, &mut self.exec_rng)?
         };
 
-        // 5. Adaptive feedback: incorporate actuals into the learner. The
+        // 5. Adaptive feedback and the answer.
+        let placement = Placement {
+            features,
+            model,
+            kind,
+            fallback_model,
+        };
+        Ok(self.answer(placement, outcome, wait_s, deadline_s, bq.brownout, false))
+    }
+
+    /// The effective deadline budget, seconds: the builder-level deadline,
+    /// the query's own COST time bound, or the scheduler's remaining budget
+    /// `sched`, whichever is tightest.
+    pub(crate) fn deadline_budget(&self, query: &Query, sched: Option<Duration>) -> Option<f64> {
+        [
+            self.deadline.map(|d| d.as_secs_f64()),
+            query.time_bound(),
+            sched.map(|d| d.as_secs_f64()),
+        ]
+        .into_iter()
+        .flatten()
+        .reduce(f64::min)
+    }
+
+    /// The one answer step, for solo and shared entries alike: feed the
+    /// outcome back to the learner, then build the response and its
+    /// attribution. `wait_s` is the base-outage wait before the execution,
+    /// `deadline_s` the [`deadline_budget`](Self::deadline_budget).
+    /// `brownout` annotates the response whether or not the entry rode a
+    /// coarser stratum, so the client and the report's browned-out counter
+    /// see consistent books.
+    pub(crate) fn answer(
+        &mut self,
+        placement: Placement,
+        outcome: Outcome,
+        wait_s: f64,
+        deadline_s: Option<f64>,
+        brownout: bool,
+        shared: bool,
+    ) -> (QueryResponse, Attribution) {
+        // Adaptive feedback: incorporate actuals into the learner. The
         // outage wait is not a property of the placement, so the learner
         // sees the execution cost alone — but the full outcome signal
         // (loss, deadline fate including the wait, retries) rides along
@@ -404,8 +435,8 @@ impl PervasiveGrid {
         self.decision.observe(
             &self.net,
             &self.grid,
-            features,
-            model,
+            placement.features,
+            placement.model,
             Reward {
                 cost: outcome.cost,
                 loss_frac: (1.0 - outcome.delivered_frac).clamp(0.0, 1.0),
@@ -423,19 +454,27 @@ impl PervasiveGrid {
             base_outage_wait_s: wait_s,
             deadline_s,
             deadline_exceeded: deadline_s.is_some_and(|d| cost.time_s > d),
-            fallback_model,
-            brownout: false,
+            fallback_model: placement.fallback_model,
+            brownout,
         };
-        Ok(QueryResponse {
+        let attribution = Attribution {
+            energy_j: cost.energy_j,
+            bytes: cost.bytes,
+            time_s: cost.time_s,
+            retries: outcome.retries,
+            shared,
+        };
+        let response = QueryResponse {
             value: outcome.value,
-            kind,
-            model,
+            kind: placement.kind,
+            model: placement.model,
             cost,
             delivered_frac: outcome.delivered_frac,
             accuracy_err: outcome.accuracy_err,
             degradation,
             provenance: Provenance::default(),
-        })
+        };
+        (response, attribution)
     }
 
     /// Advance the runtime clock (e.g. between fire-scenario phases).
@@ -458,6 +497,70 @@ impl PervasiveGrid {
     pub fn ignite(&mut self, center: Point, peak: f64) {
         self.field = TemperatureField::building_fire(center, self.now, peak);
     }
+}
+
+/// How an execution was placed: what the answer step needs besides the
+/// outcome and the clock.
+pub(crate) struct Placement {
+    /// The learner features the placement was chosen on.
+    pub(crate) features: QueryFeatures,
+    /// The solution model that ran.
+    pub(crate) model: SolutionModel,
+    /// The query class the response reports.
+    pub(crate) kind: QueryKind,
+    /// No model fit the effective bounds and this one is the degraded
+    /// fallback.
+    pub(crate) fallback_model: bool,
+}
+
+/// Execute `query` under `model` from `ctx.now`, as the pipeline does.
+///
+/// A one-shot query runs once. A continuous query runs five epochs, each
+/// its `EPOCH DURATION` after the last, idle-listening through the rest of
+/// each epoch, and reports per-epoch means — the decision maker optimizes
+/// steady-state drain: the mean cost and delivery, the last epoch's value
+/// and accuracy, and the total retries across epochs. The clock is back at
+/// `ctx.now` afterwards.
+pub fn execute_query<R: Rng>(
+    ctx: &mut ExecContext<'_>,
+    query: &Query,
+    model: SolutionModel,
+    rng: &mut R,
+) -> Result<Outcome, ExecError> {
+    const EPOCHS: u64 = 5;
+    let Some(epoch) = query.epoch else {
+        return execute_once(ctx, query, model, rng);
+    };
+    let mut total = CostVector::default();
+    let mut last = None;
+    let mut delivered = 0.0;
+    let mut acc = None;
+    let mut retries = 0u64;
+    let start = ctx.now;
+    for e in 0..EPOCHS {
+        // A representable epoch can still put a later one past the end of
+        // time: saturate rather than overflow.
+        ctx.now = start.saturating_add(Duration::from_nanos(epoch.as_nanos().saturating_mul(e)));
+        let out = execute_once(ctx, query, model, rng)?;
+        total = total.add(&out.cost);
+        last = out.value;
+        delivered += out.delivered_frac;
+        acc = out.accuracy_err;
+        retries += out.retries;
+        // Idle listening between results. The bill charges every sensor,
+        // dead ones included, though only the living drain: pinned bits.
+        let secs = epoch.as_secs_f64();
+        ctx.net.idle_listen(secs);
+        total.energy_j += ctx.net.radio().idle_energy(secs) * (ctx.net.len() - 1) as f64;
+    }
+    ctx.now = start;
+    Ok(Outcome {
+        value: last,
+        cost: total.scale(1.0 / EPOCHS as f64),
+        delivered_frac: delivered / EPOCHS as f64,
+        accuracy_err: acc,
+        retries,
+    })
 }
 
 #[cfg(test)]
@@ -506,6 +609,31 @@ mod tests {
         assert!(pg
             .submit("SELECT AVG(temp) FROM sensors EPOCH DURATION 5000000000 s")
             .is_ok());
+    }
+
+    /// A continuous answer is per epoch: the one-shot cost plus an idle
+    /// share.
+    #[test]
+    fn continuous_reports_per_epoch_cost() {
+        use rand::SeedableRng;
+        let run = |text: &str| {
+            let mut pg = runtime();
+            let mut ctx = ExecContext {
+                net: &mut pg.net,
+                grid: &pg.grid,
+                field: &pg.field,
+                regions: &pg.regions,
+                now: pg.now,
+            };
+            let q = pg_query::parse(text).unwrap();
+            let mut rng = StdRng::seed_from_u64(6);
+            execute_query(&mut ctx, &q, SolutionModel::InNetworkTree, &mut rng).unwrap()
+        };
+        let once = run("SELECT AVG(temp) FROM sensors WHERE region(corner)");
+        let cont = run("SELECT AVG(temp) FROM sensors WHERE region(corner) EPOCH DURATION 10");
+        assert!(cont.cost.energy_j > once.cost.energy_j);
+        assert!(cont.cost.energy_j < 10.0 * once.cost.energy_j + 1.0);
+        assert!(cont.value.is_some());
     }
 
     #[test]

@@ -66,16 +66,22 @@ impl Topology {
     /// fills ascending by id, the order the all-pairs build produced, so
     /// every tree shape and baseline derived from adjacency is unchanged.
     /// A node with a NaN or infinite coordinate is within range of no other
-    /// node (at any range whose square is finite), and is binned like the
-    /// rest.
+    /// node, and is binned like the rest.
     ///
     /// # Panics
-    /// Panics on an empty placement or a range that is not positive and
-    /// finite.
+    /// Panics on an empty placement, a range that is not positive and
+    /// finite, or one whose square is not a normal f64 (below about
+    /// 1.5e-154 m range² underflows, so pairs far out of range would count
+    /// as adjacent; above about 1.3e154 m it overflows, and an infinite
+    /// coordinate would be in range of every node).
     pub fn from_positions(positions: Vec<Point>, range: f64) -> Self {
         assert!(!positions.is_empty(), "topology needs at least one node");
         assert!(range > 0.0, "communication range must be positive");
         assert!(range.is_finite(), "communication range must be finite");
+        assert!(
+            (range * range).is_normal(),
+            "communication range squared must be a normal f64"
+        );
         let n = positions.len();
         let range_sq = range * range;
         let grid = CellGrid::new(&positions, range);
@@ -397,9 +403,9 @@ impl Topology {
 /// varying fastest, so the 3 × 3 × 3 cells around a node are at most 9
 /// contiguous x-runs of ids.
 ///
-/// A cell is at least as wide as an in-range pair can be apart (`range`,
-/// unless range² under- or overflows), so such a pair lies in the same or
-/// adjacent cells. Where such a grid would hold more than 2n cells, the
+/// A cell is at least as wide as an in-range pair can be apart (`range`:
+/// `from_positions` takes only ranges whose square is a normal f64), so
+/// such a pair lies in the same or adjacent cells. Where such a grid would hold more than 2n cells, the
 /// edge doubles until it does not. A coordinate outside the grid, which
 /// only a non-finite one can be, clamps into an edge cell. Doubling and
 /// clamping only ever merge cells, so no in-range pair is split.
@@ -429,13 +435,9 @@ impl CellGrid {
                 }
             }
         }
-        // How far apart an in-range pair can be: `range`, or further where
-        // range² underflows (a pair is in range when its squared distance
-        // underflows as far) or overflows (every pair without a NaN is: one
-        // cell). Then a hair more, so rounding in the cell arithmetic cannot
-        // put an in-range pair two cells apart.
-        let reach = (range * range + f64::from_bits(1)).sqrt().max(range);
-        let mut edge = reach * (1.0 + 1e-6);
+        // A hair more than `range`, so rounding in the cell arithmetic
+        // cannot put an in-range pair two cells apart.
+        let mut edge = range * (1.0 + 1e-6);
         let dims = loop {
             // `as usize` saturates: +inf (an overflowed spread) is
             // usize::MAX, and -inf or NaN (edge = inf) is 0.
@@ -905,19 +907,32 @@ mod tests {
 
     #[test]
     fn a_spread_far_wider_than_the_range_builds() {
-        // End to end, 1e19 and 1e600 ranges: more range-wide cells than
-        // i64::MAX. At a 1e-200 m range, range² underflows to 0, so a pair
-        // is in range when its squared distance underflows too: 1e-163 m
-        // apart, some 1e37 ranges, counts.
-        for (range, far) in [(1.0, 1e19), (1e-300, 1e300), (1e-200, 1e-163)] {
-            let pts = vec![
-                Point::flat(0.0, 0.0),
-                Point::flat(0.5 * range, 0.0),
-                Point::flat(far, 0.0),
-                Point::flat(3.0 * far, 0.0),
-            ];
-            assert_matches_all_pairs(pts, range);
-        }
+        // End to end, 1e19 ranges: more range-wide cells than i64::MAX.
+        let pts = vec![
+            Point::flat(0.0, 0.0),
+            Point::flat(0.5, 0.0),
+            Point::flat(1e19, 0.0),
+            Point::flat(3e19, 0.0),
+        ];
+        assert_matches_all_pairs(pts, 1.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "squared must be a normal f64")]
+    fn a_range_whose_square_underflows_is_rejected() {
+        Topology::from_positions(
+            vec![Point::flat(0.0, 0.0), Point::flat(1e-163, 0.0)],
+            1e-200,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "squared must be a normal f64")]
+    fn a_range_whose_square_overflows_is_rejected() {
+        Topology::from_positions(
+            vec![Point::flat(0.0, 0.0), Point::flat(f64::INFINITY, 0.0)],
+            1e160,
+        );
     }
 
     #[test]

@@ -13,14 +13,14 @@ use pg_grid::sched::{GridCluster, Job};
 use pg_net::geom::Point;
 use pg_net::topology::NodeId;
 use pg_query::ast::Query;
-use pg_query::classify::{classify, inner_kind, QueryKind};
+use pg_query::classify::{inner_kind, QueryKind};
 use pg_sensornet::aggregate::{AggFn, Partial, ValueFilter, ValueOp, READING_WIRE_BYTES};
 use pg_sensornet::cluster::{cluster_collection, cluster_summaries};
 use pg_sensornet::collect::{direct_collection, tree_aggregation, CollectionReport};
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
-use pg_sim::{Duration, SimTime};
+use pg_sim::SimTime;
 use rand::Rng;
 use std::collections::BTreeMap;
 
@@ -84,8 +84,7 @@ pub struct Outcome {
     pub delivered_frac: f64,
     /// Relative error vs. ground truth, when measurable.
     pub accuracy_err: Option<f64>,
-    /// Link-layer retransmissions the collection spent getting here
-    /// (continuous queries report the total across epochs).
+    /// Link-layer retransmissions the collection spent getting here.
     pub retries: u64,
 }
 
@@ -115,28 +114,30 @@ pub fn members_of(ctx: &ExecContext<'_>, query: &Query) -> Result<Vec<NodeId>, E
     Ok(members)
 }
 
-/// Execute `query` once under `model`.
+/// Execute `query` once under `model`, at `ctx.now`.
+///
+/// This is exactly one execution of the query's body: an EPOCH clause is
+/// not read here. Running a continuous query epoch after epoch is the
+/// pipeline's job (`pg_core::runtime::execute_query`).
 pub fn execute_once<R: Rng>(
     ctx: &mut ExecContext<'_>,
     query: &Query,
     model: SolutionModel,
     rng: &mut R,
 ) -> Result<Outcome, ExecError> {
-    let kind = classify(query);
-    match kind {
-        QueryKind::Simple => exec_simple(ctx, query, model, rng),
+    match inner_kind(query) {
         QueryKind::Aggregate => exec_aggregate(ctx, query, model, rng),
         QueryKind::Complex => exec_complex(ctx, query, model, rng),
-        QueryKind::Continuous => exec_continuous(ctx, query, model, rng),
+        // The rest is Simple: `inner_kind` names only one-shot classes.
+        _ => exec_simple(ctx, query, model, rng),
     }
 }
 
-/// Build the source-side value filter from the query's WHERE comparisons
-/// on the reading attribute (`temp`/`value`). Other attribute names are
-/// metadata predicates the membership resolution already handled.
 /// The source-side value predicate a query pushes down to the sensing
-/// site (TAG-style): WHERE comparisons on the reading itself. Public so
-/// the multi-query batch path can reuse the exact single-query semantics.
+/// site (TAG-style): its WHERE comparisons on the reading attribute
+/// (`temp`/`value`). Other attribute names are metadata predicates the
+/// membership resolution already handled. Public so the multi-query batch
+/// path can reuse the exact single-query semantics.
 pub fn value_filter(query: &Query) -> ValueFilter {
     use pg_query::ast::{CmpOp, Pred};
     let mut f = ValueFilter::all();
@@ -166,17 +167,19 @@ fn report_cost(r: &CollectionReport) -> CostVector {
     }
 }
 
-/// Ground-truth aggregate over the members, noise-free, honouring the same
-/// source-side value filter the execution applied.
+/// Ground-truth aggregate over the members at `now`, noise-free,
+/// honouring the same source-side value filter the execution applied.
 pub fn truth_aggregate(
-    ctx: &ExecContext<'_>,
+    net: &SensorNetwork,
+    field: &TemperatureField,
+    now: SimTime,
     members: &[NodeId],
     agg: AggFn,
     filter: &ValueFilter,
 ) -> Option<f64> {
     let mut p = Partial::empty();
     for &m in members {
-        let v = ctx.net.ground_truth(m, ctx.field, ctx.now);
+        let v = net.ground_truth(m, field, now);
         if filter.matches(v) {
             p.add(v);
         }
@@ -270,16 +273,12 @@ fn exec_aggregate<R: Rng>(
         cost.bytes += (ship + RESULT_BYTES) as f64;
         cost.ops += job.ops as f64;
     }
-    let truth = truth_aggregate(ctx, &members, agg, &filter);
-    let accuracy_err = match (report.value, truth) {
-        (Some(v), Some(t)) => Some(rel_err(v, t)),
-        _ => None,
-    };
+    let truth = truth_aggregate(ctx.net, ctx.field, ctx.now, &members, agg, &filter);
     Ok(Outcome {
         value: report.value,
         cost,
         delivered_frac: report.delivery_ratio(),
-        accuracy_err,
+        accuracy_err: report.value.zip(truth).map(|(v, t)| rel_err(v, t)),
         retries: report.retries,
     })
 }
@@ -326,9 +325,7 @@ fn exec_complex<R: Rng>(
     // placement instead reduces in-network — cluster heads ship one
     // (centroid, mean) summary each — §4's "combination of the approaches".
     let (report, readings): (_, Vec<Reading>) = if let SolutionModel::Hybrid { heads } = model {
-        let (report, summaries) =
-            cluster_summaries(ctx.net, &members, ctx.field, ctx.now, heads, rng);
-        (report, summaries)
+        cluster_summaries(ctx.net, &members, ctx.field, ctx.now, heads, rng)
     } else {
         let all = ValueFilter::all();
         let (report, raw) =
@@ -345,9 +342,10 @@ fn exec_complex<R: Rng>(
     // delivered readings rather than building ambient: a room interior to a
     // burning building has hot "walls", and the mean reading is the best
     // boundary guess the compute site actually possesses.
-    let (ext_x, ext_y, ext_z) = region_extent(&region, ctx.net);
+    let region = clamp_region(&region, ctx.net);
+    let (ext_x, ext_y, ext_z) = region.extent();
     let (nx, ny, nz, spacing) = problem_dims((ext_x, ext_y, ext_z));
-    let mut origin = region_origin(&region, ctx.net);
+    let mut origin = region.min;
     if ext_z < spacing {
         // Flat deployment: lift sensors onto the middle z-plane so their
         // constraints land in the interior, not on the fixed shell.
@@ -462,57 +460,6 @@ fn exec_complex<R: Rng>(
     })
 }
 
-// Only called from `execute_once` behind a `query.epoch.is_some()` check.
-#[allow(clippy::expect_used)]
-fn exec_continuous<R: Rng>(
-    ctx: &mut ExecContext<'_>,
-    query: &Query,
-    model: SolutionModel,
-    rng: &mut R,
-) -> Result<Outcome, ExecError> {
-    let epoch = query.epoch.expect("continuous queries carry an epoch");
-    // Execute a handful of epochs and report per-epoch mean cost — the
-    // decision maker optimizes steady-state drain for continuous queries.
-    const EPOCHS: usize = 5;
-    let mut inner = query.clone();
-    inner.epoch = None;
-    debug_assert_ne!(classify(&inner), QueryKind::Continuous);
-    debug_assert_eq!(classify(&inner), inner_kind(query));
-
-    let mut total = CostVector::default();
-    let mut last = None;
-    let mut delivered = 0.0;
-    let mut acc = None;
-    let mut retries = 0u64;
-    let start = ctx.now;
-    for e in 0..EPOCHS {
-        // A representable epoch can still put a later one past the end of
-        // time: saturate rather than overflow.
-        ctx.now = start.saturating_add(Duration::from_nanos(
-            epoch.as_nanos().saturating_mul(e as u64),
-        ));
-        let out = execute_once(ctx, &inner, model, rng)?;
-        total = total.add(&out.cost);
-        last = out.value;
-        delivered += out.delivered_frac;
-        acc = out.accuracy_err;
-        retries += out.retries;
-        // Idle listening between results. The bill charges every sensor,
-        // dead ones included, though only the living drain: pinned bits.
-        let secs = epoch.as_secs_f64();
-        ctx.net.idle_listen(secs);
-        total.energy_j += ctx.net.radio().idle_energy(secs) * (ctx.net.len() - 1) as f64;
-    }
-    ctx.now = start;
-    Ok(Outcome {
-        value: last,
-        cost: total.scale(1.0 / EPOCHS as f64),
-        delivered_frac: delivered / EPOCHS as f64,
-        accuracy_err: acc,
-        retries,
-    })
-}
-
 /// Bounding box of the whole deployment.
 fn deployment_hull(net: &SensorNetwork) -> Region {
     let mut min = Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -527,15 +474,6 @@ fn deployment_hull(net: &SensorNetwork) -> Region {
         max.z = max.z.max(p.z);
     }
     Region { min, max }
-}
-
-fn region_extent(region: &Region, net: &SensorNetwork) -> (f64, f64, f64) {
-    let r = clamp_region(region, net);
-    r.extent()
-}
-
-fn region_origin(region: &Region, net: &SensorNetwork) -> Point {
-    clamp_region(region, net).min
 }
 
 /// Clamp an (possibly half-infinite) region to the deployment hull.
@@ -564,6 +502,7 @@ mod tests {
     use pg_net::link::LinkModel;
     use pg_net::topology::Topology;
     use pg_query::parse;
+    use pg_sim::Duration;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -813,27 +752,21 @@ mod tests {
         assert!((cluster.cost.energy_j - hybrid.cost.energy_j).abs() < 1e-12);
     }
 
+    /// An EPOCH clause is the pipeline's to repeat: below it, a
+    /// continuous query is one execution of its body.
     #[test]
-    fn continuous_reports_per_epoch_cost() {
-        let (mut net, grid, field, regions) = world();
-        let q_once = parse("SELECT AVG(temp) FROM sensors WHERE region(room210)").unwrap();
-        let q_cont =
-            parse("SELECT AVG(temp) FROM sensors WHERE region(room210) EPOCH DURATION 10").unwrap();
-        let mut rng = StdRng::seed_from_u64(6);
-        let once = {
+    fn an_epoch_clause_runs_one_execution() {
+        let run = |text: &str| {
+            let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
-            execute_once(&mut c, &q_once, SolutionModel::InNetworkTree, &mut rng).unwrap()
+            let q = parse(text).unwrap();
+            let mut rng = StdRng::seed_from_u64(6);
+            execute_once(&mut c, &q, SolutionModel::InNetworkTree, &mut rng).unwrap()
         };
-        let (mut net2, grid2, field2, regions2) = world();
-        let mut rng2 = StdRng::seed_from_u64(6);
-        let cont = {
-            let mut c = ctx(&mut net2, &grid2, &field2, &regions2);
-            execute_once(&mut c, &q_cont, SolutionModel::InNetworkTree, &mut rng2).unwrap()
-        };
-        // Per-epoch cost ≈ one-shot cost + idle share.
-        assert!(cont.cost.energy_j > once.cost.energy_j);
-        assert!(cont.cost.energy_j < 10.0 * once.cost.energy_j + 1.0);
-        assert!(cont.value.is_some());
+        assert_eq!(
+            run("SELECT AVG(temp) FROM sensors WHERE region(room210) EPOCH DURATION 10"),
+            run("SELECT AVG(temp) FROM sensors WHERE region(room210)")
+        );
     }
 
     #[test]
