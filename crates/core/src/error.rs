@@ -14,9 +14,6 @@ pub enum PgError {
     /// No solution model satisfies the query's COST bounds — the runtime
     /// rejects rather than blowing the budget (experiment T10).
     CostBoundsUnsatisfiable,
-    /// The runtime broke one of its own invariants (a batch slot the
-    /// engine never filled); the message says which.
-    Config(String),
 }
 
 impl fmt::Display for PgError {
@@ -27,7 +24,6 @@ impl fmt::Display for PgError {
             PgError::CostBoundsUnsatisfiable => {
                 write!(f, "no solution model satisfies the COST bounds")
             }
-            PgError::Config(msg) => write!(f, "invalid configuration: {msg}"),
         }
     }
 }

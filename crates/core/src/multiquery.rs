@@ -10,6 +10,12 @@
 //! and piggybacking per-query partial state on shared packets — while
 //! everything else goes through the ordinary single-query pipeline.
 //!
+//! Every entry, solo or shared, and every admission-time energy estimate
+//! takes its member set and learner features from one resolution step
+//! (`PervasiveGrid::resolve`), worked out once per distinct text for the
+//! grid's lifetime; an entry that cannot be resolved fails with the reason
+//! it names (an unknown region or sensor, an empty selection).
+//!
 //! Batch execution order: shared aggregate groups first (in batch order),
 //! then the remaining entries one by one in batch order. Results are
 //! returned in batch order regardless. A shared entry's attributed share
@@ -22,87 +28,57 @@
 //!
 //! A query rides the shared tree when it parses, classifies as Aggregate
 //! (one-shot, no EPOCH), carries no COST bounds (bounds need the decision
-//! maker's per-model accounting), resolves at least one member, and the
-//! base station is up — and at least one other query in the batch
-//! qualifies too. Per-query energy/bytes/ops attribution comes from the
-//! shared collection itself and sums to the measured totals.
+//! maker's per-model accounting), resolves, and the base station is up —
+//! and at least one other query in the batch qualifies too. Per-query
+//! energy/bytes/ops attribution comes from the shared collection itself
+//! and sums to the measured totals.
 
 use crate::error::PgError;
 use crate::runtime::{PervasiveGrid, Placement, QueryResponse};
 use pg_net::topology::NodeId;
-use pg_partition::exec::{
-    members_of, rel_err, truth_aggregate, value_filter, ExecContext, Outcome,
-};
+use pg_partition::exec::{members_of, rel_err, truth_aggregate, value_filter, ExecError, Outcome};
 use pg_partition::features::QueryFeatures;
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
-use pg_runtime::{BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
+use pg_runtime::{Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
 use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
 use pg_sensornet::region::Region;
 use pg_sensornet::shared::{SharedQuery, MAX_SHARED_QUERIES, STRATUM_KEY_WIRE_BYTES};
 use pg_sim::{Duration, SimTime};
-use std::collections::HashMap;
 use std::rc::Rc;
 
 /// The concrete multi-query runtime: a scheduler that owns a grid (reach
 /// it through `engine()` / `engine_mut()`; a single query needs no
-/// scheduler at all — [`PervasiveGrid::submit`] hands this engine a
-/// one-entry batch directly).
+/// scheduler at all — [`PervasiveGrid::submit`] runs its query straight
+/// through the pipeline).
 pub type GridRuntime = MultiQueryRuntime<PervasiveGrid>;
 
-/// Texts a [`ResolutionMemo`] holds at most. The memo starts over rather
+/// Texts the resolution memo holds at most. The memo starts over rather
 /// than pass it, so a stream of unique texts cannot grow it.
 const MEMO_CAP: usize = 256;
 
-/// What the shared-tree path works out once per distinct `(text,
-/// brownout)` for the grid's lifetime. A resolution depends only on the
+/// One memoised resolution of a text. A resolution depends only on the
 /// text, the box its region names and the immutable topology (through
-/// base-tree hop counts), so every batch entry that repeats the pair shares
-/// one copy. `regions` is a public field: each entry keeps the box it was
-/// resolved against, and is worked out again when the name maps elsewhere.
-#[derive(Debug, Default)]
-pub(crate) struct ResolutionMemo {
-    /// Per text, one slot per brownout setting, indexed by `brownout`.
-    by_text: HashMap<String, [Option<Memo>; 2]>,
-}
-
-/// One memoised resolution.
+/// base-tree hop counts); `regions` is a public field, so each entry keeps
+/// the box it was resolved against and is worked out again when the name
+/// maps elsewhere (or, having named no known region, now does).
 #[derive(Debug)]
-struct Memo {
+pub(crate) struct Memo {
     /// The box the text's region named (`None`: it names no known region).
     region: Option<Region>,
-    /// `None` when the text cannot ride a shared tree.
-    resolved: Option<Rc<Resolved>>,
+    resolved: Result<Rc<Resolved>, ExecError>,
 }
 
-impl ResolutionMemo {
-    /// The kept resolution of `text`, unless its region now names another
-    /// box. Looked up by `&str`: a hit builds no key.
-    fn get(&self, text: &str, brownout: bool, region: Option<Region>) -> Option<&Memo> {
-        let slots = self.by_text.get(text)?;
-        slots[usize::from(brownout)]
-            .as_ref()
-            .filter(|m| m.region == region)
-    }
-
-    fn insert(&mut self, text: &str, brownout: bool, memo: Memo) {
-        if self.by_text.len() >= MEMO_CAP && !self.by_text.contains_key(text) {
-            self.by_text.clear();
-        }
-        self.by_text.entry(text.to_owned()).or_default()[usize::from(brownout)] = Some(memo);
-    }
-}
-
-/// Members and features of one shareable text.
+/// Members and features of one text.
 #[derive(Debug)]
-struct Resolved {
-    /// The sensors the shared epoch asks — under brownout, already the
-    /// coarser stratum (every other member).
+pub(crate) struct Resolved {
+    /// The full selection. A browned-out shared entry asks a coarser
+    /// stratum of it (see [`stratum`]).
     members: Vec<NodeId>,
-    /// Learner features of the full selection — from the un-thinned member
-    /// list, so brownout never shifts the learner's inputs.
-    features: QueryFeatures,
+    /// Learner features of the full selection, so brownout never shifts
+    /// the learner's inputs.
+    pub(crate) features: QueryFeatures,
 }
 
 /// One batch entry that qualified for the shared aggregation tree.
@@ -110,82 +86,77 @@ struct Shareable<'q> {
     idx: usize,
     query: &'q Query,
     resolved: Rc<Resolved>,
-    /// The scheduler asked for brownout fidelity; the response will be
-    /// annotated via `DegradationReport::brownout`.
-    brownout: bool,
+}
+
+/// The sensors a shared entry asks. Brownout answers from a coarser
+/// stratum — roughly every other member — while the overload lasts. The
+/// cut is keyed on node id parity, not list position, so overlapping
+/// queries keep overlapping members and their stratum entries still merge
+/// on shared packets. A non-empty member set always keeps at least one
+/// node: degraded, never empty.
+fn stratum(members: &[NodeId], brownout: bool) -> Vec<NodeId> {
+    let even = |n: &NodeId| n.0.is_multiple_of(2);
+    // Thinning runs per entry per batch, and nine in ten shared entries of
+    // an overloaded metro stream are browned out: compacting the copy in
+    // place costs well under what a filtered collect does.
+    let mut asked = members.to_vec();
+    if brownout && members.iter().any(even) {
+        asked.retain(even);
+    }
+    asked
 }
 
 impl PervasiveGrid {
-    /// Members and features of `query` if it can ride the shared tree:
-    /// a one-shot aggregate with no COST bounds (bounds need the decision
-    /// maker's per-model accounting) that selects at least one sensor.
-    fn resolve_shareable(&mut self, query: &Query, brownout: bool) -> Option<Rc<Resolved>> {
-        if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
-            return None;
+    /// The one resolution step: the members and learner features of
+    /// `query`, parsed from `text`. A metro stream repeats a handful of
+    /// texts for the grid's whole life, so each distinct text is resolved
+    /// once, failure included, until its region is re-pointed.
+    pub(crate) fn resolve(&mut self, text: &str, query: &Query) -> Result<Rc<Resolved>, ExecError> {
+        let region = query.region().and_then(|r| self.regions.get(r)).copied();
+        if let Some(memo) = self.resolutions.get(text).filter(|m| m.region == region) {
+            return memo.resolved.clone();
         }
-        let ctx = ExecContext {
-            net: &mut self.net,
-            grid: &self.grid,
-            field: &self.field,
-            regions: &self.regions,
-            now: self.now,
+        let resolved = members_of(&self.ctx(self.now).0, query).map(|members| {
+            let features = QueryFeatures::of_members(&self.net, query, &members);
+            Rc::new(Resolved { members, features })
+        });
+        if self.resolutions.len() >= MEMO_CAP && !self.resolutions.contains_key(text) {
+            self.resolutions.clear();
+        }
+        let memo = Memo {
+            region,
+            resolved: resolved.clone(),
         };
-        let mut members = members_of(&ctx, query).ok()?;
-        // Features depend only on the query and the immutable topology,
-        // so taking them here equals taking them right before the
-        // collection, as the single-query pipeline does.
-        let features = QueryFeatures::of_members(&self.net, query, &members);
-        // Brownout: answer from a coarser stratum — roughly every
-        // other member — while the overload lasts. The cut is keyed on
-        // node id parity, not list position, so overlapping queries
-        // keep overlapping members and their stratum entries still
-        // merge on shared packets. A non-empty member set always keeps
-        // at least one node: degraded, never empty.
-        if brownout && members.iter().any(|n| n.0 % 2 == 0) {
-            members.retain(|n| n.0 % 2 == 0);
-        }
-        Some(Rc::new(Resolved { members, features }))
+        self.resolutions.insert(text.to_owned(), memo);
+        resolved
     }
 
     /// Batch entries that can ride one shared collection epoch (`parsed`
-    /// is the batch, parsed, in batch order). Empty unless at least two
-    /// qualify — a lone aggregate gains nothing from the stratum machinery
-    /// and stays on the single-query path.
+    /// is the batch, parsed, in batch order): one-shot aggregates with no
+    /// COST bounds that resolve. Empty unless at least two qualify — a lone
+    /// aggregate gains nothing from the stratum machinery and stays on the
+    /// single-query path.
     fn shareable_entries<'q>(
         &mut self,
         batch: &[BatchQuery<'_>],
         parsed: &'q [Result<Query, PgError>],
     ) -> Vec<Shareable<'q>> {
-        if batch.len() < 2 || self.faults.is_base_down(self.now) {
+        if batch.len() < 2 || self.net.fault_plan().is_base_down(self.now) {
             return Vec::new();
         }
         let mut out = Vec::new();
-        // A metro stream repeats a handful of texts for the grid's whole
-        // life: each distinct `(text, brownout)` is resolved once, accepted
-        // or not, until its region is re-pointed.
         for (idx, (bq, query)) in batch.iter().zip(parsed).enumerate() {
             let Ok(query) = query else {
                 continue;
             };
-            let region = query.region().and_then(|r| self.regions.get(r)).copied();
-            let resolved = match self.resolutions.get(bq.text, bq.brownout, region) {
-                Some(memo) => memo.resolved.clone(),
-                None => {
-                    let resolved = self.resolve_shareable(query, bq.brownout);
-                    let memo = Memo {
-                        region,
-                        resolved: resolved.clone(),
-                    };
-                    self.resolutions.insert(bq.text, bq.brownout, memo);
-                    resolved
-                }
-            };
-            if let Some(resolved) = resolved {
+            if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
+                continue;
+            }
+            if let Ok(resolved) = self.resolve(bq.text, query) {
                 out.push(Shareable {
                     idx,
                     query,
                     resolved,
-                    brownout: bq.brownout,
                 });
             }
         }
@@ -195,18 +166,17 @@ impl PervasiveGrid {
         out
     }
 
-    /// Run one shared collection epoch for `chunk` (≤ 64 queries) and fill
-    /// the corresponding `slots`.
+    /// Run one shared collection epoch for `chunk` (≤ 64 queries): each
+    /// entry's batch index and answer, in chunk order.
     fn execute_shared_chunk(
         &mut self,
         chunk: &[Shareable<'_>],
         batch: &[BatchQuery<'_>],
-        slots: &mut [Option<EngineOutcome<QueryResponse, PgError>>],
-    ) {
+    ) -> Vec<(usize, (QueryResponse, Attribution))> {
         let shared_queries: Vec<SharedQuery> = chunk
             .iter()
             .map(|s| SharedQuery {
-                members: s.resolved.members.clone(),
+                members: stratum(&s.resolved.members, batch[s.idx].brownout),
                 filter: value_filter(s.query),
                 agg: s.query.first_agg().unwrap_or(AggFn::Avg),
             })
@@ -226,22 +196,32 @@ impl PervasiveGrid {
         let latency_s = report.latency.as_secs_f64();
         let control_bytes_share = report.control_bytes as f64 / chunk.len() as f64;
         let control_energy_share = report.control_energy_j / chunk.len() as f64;
-        // Ground truth is a pure function of the resolved query, the field
-        // and `now`, none of which moves inside a chunk: one per resolution.
-        let mut truths: Vec<(&Rc<Resolved>, Option<f64>)> = Vec::new();
+        // Ground truth is a pure function of the asked members, the query,
+        // the field and `now`, none of which moves inside a chunk: one per
+        // resolution and brownout setting.
+        let mut truths: Vec<(&Rc<Resolved>, bool, Option<f64>)> = Vec::new();
 
+        let mut answers = Vec::with_capacity(chunk.len());
         for (s, (pq, sq)) in chunk
             .iter()
             .zip(report.per_query.iter().zip(&shared_queries))
         {
-            let known = truths.iter().find(|(r, _)| Rc::ptr_eq(r, &s.resolved));
+            let bq = &batch[s.idx];
+            let known = truths
+                .iter()
+                .find(|(r, b, _)| Rc::ptr_eq(r, &s.resolved) && *b == bq.brownout);
             let truth = match known {
-                Some(&(_, truth)) => truth,
+                Some(&(_, _, truth)) => truth,
                 None => {
-                    let (members, field) = (&s.resolved.members, &self.field);
-                    let truth =
-                        truth_aggregate(&self.net, field, self.now, members, sq.agg, &sq.filter);
-                    truths.push((&s.resolved, truth));
+                    let truth = truth_aggregate(
+                        &self.net,
+                        &self.field,
+                        self.now,
+                        &sq.members,
+                        sq.agg,
+                        &sq.filter,
+                    );
+                    truths.push((&s.resolved, bq.brownout, truth));
                     truth
                 }
             };
@@ -265,10 +245,11 @@ impl PervasiveGrid {
                 kind: QueryKind::Aggregate,
                 fallback_model: false,
             };
-            let deadline_s = self.deadline_budget(s.query, batch[s.idx].deadline);
-            let answered = self.answer(placement, outcome, 0.0, deadline_s, s.brownout, true);
-            slots[s.idx] = Some(Ok(answered));
+            let deadline_s = self.deadline_budget(s.query, bq.deadline);
+            let answered = self.answer(placement, outcome, 0.0, deadline_s, bq.brownout, true);
+            answers.push((s.idx, answered));
         }
+        answers
     }
 }
 
@@ -297,28 +278,18 @@ impl QueryEngine for PervasiveGrid {
     /// never perturbs the execution stream.
     fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
         let query = pg_query::parse(text).ok()?;
-        let members = {
-            let ctx = ExecContext {
-                net: &mut self.net,
-                grid: &self.grid,
-                field: &self.field,
-                regions: &self.regions,
-                now: self.now,
-            };
-            members_of(&ctx, &query).ok()?
-        };
+        let members = self.resolve(text, &query).ok()?.features.members;
         let bits = 8 * (STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES);
         let range = self.net.topology().range();
         let radio = self.net.radio();
         let per_member = radio.tx_energy(bits, range) + radio.rx_energy(bits);
-        Some(per_member * members.len() as f64)
+        Some(per_member * members as f64)
     }
 
     fn execute_batch(
         &mut self,
         batch: &[BatchQuery<'_>],
     ) -> Vec<EngineOutcome<QueryResponse, PgError>> {
-        let mut slots: Vec<Option<EngineOutcome<QueryResponse, PgError>>> = vec![None; batch.len()];
         // Parse each entry once; both paths below read the parsed form.
         let parsed: Vec<Result<Query, PgError>> = batch
             .iter()
@@ -326,27 +297,26 @@ impl QueryEngine for PervasiveGrid {
             .collect();
 
         // Overlapping aggregates ride shared collection epochs, at most 64
-        // queries (the stratum-mask width) per epoch.
+        // queries (the stratum-mask width) per epoch. Their answers come
+        // out in batch order.
         let shareable = self.shareable_entries(batch, &parsed);
-        for chunk in shareable.chunks(MAX_SHARED_QUERIES) {
-            self.execute_shared_chunk(chunk, batch, &mut slots);
-        }
+        let mut shared = shareable
+            .chunks(MAX_SHARED_QUERIES)
+            .flat_map(|chunk| self.execute_shared_chunk(chunk, batch))
+            .collect::<Vec<_>>()
+            .into_iter()
+            .peekable();
 
         // Everything else — simple reads, COST-bounded queries, parse
         // errors — goes through the ordinary pipeline, in batch order.
-        for (i, (bq, query)) in batch.iter().zip(&parsed).enumerate() {
-            if slots[i].is_some() {
-                continue;
-            }
-            slots[i] = Some(match query {
-                Ok(q) => self.submit_inner(q, bq),
-                Err(e) => Err(e.clone()),
-            });
-        }
-
-        slots
-            .into_iter()
-            .map(|s| s.unwrap_or_else(|| Err(PgError::Config("batch slot not executed".into()))))
+        batch
+            .iter()
+            .zip(parsed)
+            .enumerate()
+            .map(|(i, (bq, query))| match shared.next_if(|(j, _)| *j == i) {
+                Some((_, answered)) => Ok(answered),
+                None => self.submit_inner(&query?, bq),
+            })
             .collect()
     }
 }
@@ -424,6 +394,45 @@ mod tests {
         }
     }
 
+    /// A bad entry keeps its error kind while the two good aggregates
+    /// beside it still share.
+    #[test]
+    fn a_bad_entry_keeps_its_error_kind_in_a_shared_batch() {
+        let mut pg = lossless_grid();
+        let batch = [
+            "SELECT AVG(temp) FROM sensors WHERE region(east)",
+            "SELECT AVG(temp) FROM sensors WHERE region(nowhere)",
+            "SELECT MAX(temp) FROM sensors",
+        ]
+        .map(|text| BatchQuery {
+            text,
+            deadline: None,
+            brownout: false,
+        });
+        let out = pg.execute_batch(&batch);
+        assert!(out[0].as_ref().unwrap().1.shared);
+        assert_eq!(
+            out[1],
+            Err(PgError::Exec(ExecError::UnknownRegion("nowhere".into())))
+        );
+        assert!(out[2].as_ref().unwrap().1.shared);
+    }
+
+    /// A text that failed to resolve is worked out again once the region
+    /// it names is registered.
+    #[test]
+    fn a_region_registered_after_a_failed_resolution_is_resolved_again() {
+        let mut pg = lossless_grid();
+        let text = "SELECT COUNT(temp) FROM sensors WHERE region(west)";
+        let unknown = Err(PgError::Exec(ExecError::UnknownRegion("west".into())));
+        assert_eq!(pg.submit(text).map(|r| r.value), unknown);
+        pg.regions
+            .insert("west".into(), Region::room(0.0, 0.0, 7.0, 30.0));
+        // Columns x = 0 (the base's, less the base) and x = 5.
+        assert_eq!(pg.submit(text).unwrap().value, Some(11.0));
+        assert_eq!(shared_values(&mut pg, &[text; 2]), [Some(11.0); 2]);
+    }
+
     #[test]
     fn a_repointed_region_is_resolved_again() {
         let mut pg = lossless_grid();
@@ -445,8 +454,8 @@ mod tests {
         for pair in texts.chunks(2) {
             let pair: Vec<&str> = pair.iter().map(String::as_str).collect();
             assert_eq!(shared_values(&mut pg, &pair).len(), 2);
-            most = most.max(pg.resolutions.by_text.len());
-            assert!(pg.resolutions.by_text.len() <= MEMO_CAP);
+            most = most.max(pg.resolutions.len());
+            assert!(pg.resolutions.len() <= MEMO_CAP);
         }
         assert_eq!(most, MEMO_CAP, "the memo filled before it started over");
     }

@@ -1,7 +1,7 @@
 //! The Pervasive Grid runtime: query text in, answer + learning out.
 
 use crate::error::PgError;
-use crate::multiquery::ResolutionMemo;
+use crate::multiquery::Memo;
 use pg_grid::sched::GridCluster;
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
@@ -24,7 +24,7 @@ use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::Rng;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// How far a response deviated from the fault-free ideal.
 ///
@@ -229,7 +229,7 @@ impl GridBuilder {
         );
         net.set_fault_plan(self.faults.clone());
         let mut grid = GridCluster::campus();
-        grid.set_fault_plan(self.faults.clone());
+        grid.set_fault_plan(self.faults);
         PervasiveGrid {
             exec_rng: streams.fork("exec"),
             net,
@@ -238,10 +238,9 @@ impl GridBuilder {
             regions: self.regions,
             decision: DecisionMaker::with_config(self.policy, self.seed, DecisionConfig::default()),
             now: SimTime::ZERO,
-            faults: self.faults,
             deadline: self.deadline,
             tree_session: SharedTreeSession::new(self.tree_maintenance),
-            resolutions: ResolutionMemo::default(),
+            resolutions: HashMap::new(),
         }
     }
 }
@@ -261,17 +260,15 @@ pub struct PervasiveGrid {
     pub decision: DecisionMaker,
     /// The runtime clock.
     pub now: SimTime,
-    /// The installed fault plan (the empty plan when none was given).
-    pub faults: FaultPlan,
     /// End-to-end deadline budget, if one was set.
     pub deadline: Option<Duration>,
     /// Shared aggregation-tree lifetime across scheduling epochs (v1 Free
     /// mode by default; see [`GridBuilder::tree_maintenance`]).
     pub tree_session: SharedTreeSession,
     pub(crate) exec_rng: StdRng,
-    /// What each batch text resolved to on the shared-tree path, kept for
-    /// the grid's lifetime.
-    pub(crate) resolutions: ResolutionMemo,
+    /// What each batch text resolved to, kept for the grid's lifetime
+    /// (see `resolve`).
+    pub(crate) resolutions: HashMap<String, Memo>,
 }
 
 impl PervasiveGrid {
@@ -285,21 +282,34 @@ impl PervasiveGrid {
     /// Submit query text: the full Figure-1 pipeline.
     ///
     /// What a scheduler round does for a queue of one, without the
-    /// scheduler: note the pressure of one waiting query, then hand the
-    /// batch engine a one-entry batch — so the single-query and concurrent
-    /// paths are one code path. No admission gates, no clock movement.
+    /// scheduler: note the pressure of one waiting query, then run it as a
+    /// one-entry batch would (a lone entry never shares) — so the
+    /// single-query and concurrent paths are one code path. No admission
+    /// gates, no clock movement.
     pub fn submit(&mut self, text: &str) -> Result<QueryResponse, PgError> {
-        use pg_runtime::{BatchQuery, QueryEngine};
+        use pg_runtime::QueryEngine;
         self.note_pressure(1, 0.0);
+        let query = pg_query::parse(text)?;
         let only = BatchQuery {
             text,
             deadline: None,
             brownout: false,
         };
-        match self.execute_batch(&[only]).pop() {
-            Some(outcome) => outcome.map(|(response, _)| response),
-            None => Err(PgError::Config("batch engine returned no outcome".into())),
-        }
+        self.submit_inner(&query, &only)
+            .map(|(response, _)| response)
+    }
+
+    /// The execution context over this grid's substrates at `now`, and the
+    /// execution rng beside it (one borrow of the grid hands out both).
+    pub(crate) fn ctx(&mut self, now: SimTime) -> (ExecContext<'_>, &mut StdRng) {
+        let ctx = ExecContext {
+            net: &mut self.net,
+            grid: &self.grid,
+            field: &self.field,
+            regions: &self.regions,
+            now,
+        };
+        (ctx, &mut self.exec_rng)
     }
 
     /// The Figure-1 pipeline body for one batch entry outside a shared
@@ -316,7 +326,7 @@ impl PervasiveGrid {
 
         // Base-station outage: the centralized manager waits the outage
         // out and pays it in latency — the answer is delayed, not lost.
-        let exec_at = self.faults.base_up_at(self.now);
+        let exec_at = self.net.fault_plan().base_up_at(self.now);
         let wait_s = exec_at.since(self.now).as_secs_f64();
 
         let deadline_s = self.deadline_budget(query, bq.deadline);
@@ -334,17 +344,8 @@ impl PervasiveGrid {
             }
         }
 
-        // 2. Feature extraction against the live network.
-        let features = {
-            let ctx = ExecContext {
-                net: &mut self.net,
-                grid: &self.grid,
-                field: &self.field,
-                regions: &self.regions,
-                now: exec_at,
-            };
-            QueryFeatures::extract(&ctx, &planned).ok_or(PgError::Exec(ExecError::NoMembers))?
-        };
+        // 2. Features of the resolved member set.
+        let features = self.resolve(bq.text, query)?.features;
 
         // 3. Decision Maker: pick the placement within COST bounds. When
         // the budget (or the fault plan) leaves no feasible model, degrade
@@ -369,7 +370,7 @@ impl PervasiveGrid {
                 };
                 match user_plan {
                     Some(m) => m,
-                    None if self.faults.is_active() => SolutionModel::BaseStation,
+                    None if self.net.fault_plan().is_active() => SolutionModel::BaseStation,
                     None => return Err(PgError::CostBoundsUnsatisfiable),
                 }
             }
@@ -377,14 +378,8 @@ impl PervasiveGrid {
 
         // 4. Simulator: execute on the substrates.
         let outcome = {
-            let mut ctx = ExecContext {
-                net: &mut self.net,
-                grid: &self.grid,
-                field: &self.field,
-                regions: &self.regions,
-                now: exec_at,
-            };
-            execute_query(&mut ctx, query, model, &mut self.exec_rng)?
+            let (mut ctx, rng) = self.ctx(exec_at);
+            execute_query(&mut ctx, query, model, rng)?
         };
 
         // 5. Adaptive feedback and the answer.
@@ -449,7 +444,7 @@ impl PervasiveGrid {
         let mut cost = outcome.cost;
         cost.time_s += wait_s;
         let degradation = DegradationReport {
-            faults_active: self.faults.is_active(),
+            faults_active: self.net.fault_plan().is_active(),
             retries: outcome.retries,
             base_outage_wait_s: wait_s,
             deadline_s,
@@ -601,6 +596,21 @@ mod tests {
         assert!(matches!(pg.submit("GIMME data"), Err(PgError::Parse(_))));
     }
 
+    /// A selection that cannot be resolved fails with the reason it names,
+    /// not as an empty selection.
+    #[test]
+    fn unresolvable_queries_keep_their_error_kind() {
+        let mut pg = runtime();
+        assert_eq!(
+            pg.submit("SELECT AVG(temp) FROM sensors WHERE region(nowhere)"),
+            Err(PgError::Exec(ExecError::UnknownRegion("nowhere".into())))
+        );
+        assert_eq!(
+            pg.submit("SELECT temp FROM sensors WHERE sensor_id = 9999"),
+            Err(PgError::Exec(ExecError::UnknownSensor(9999)))
+        );
+    }
+
     /// The epoch is representable; the offset of the fifth epoch is not,
     /// and saturates instead of overflowing.
     #[test]
@@ -618,13 +628,7 @@ mod tests {
         use rand::SeedableRng;
         let run = |text: &str| {
             let mut pg = runtime();
-            let mut ctx = ExecContext {
-                net: &mut pg.net,
-                grid: &pg.grid,
-                field: &pg.field,
-                regions: &pg.regions,
-                now: pg.now,
-            };
+            let (mut ctx, _) = pg.ctx(pg.now);
             let q = pg_query::parse(text).unwrap();
             let mut rng = StdRng::seed_from_u64(6);
             execute_query(&mut ctx, &q, SolutionModel::InNetworkTree, &mut rng).unwrap()

@@ -159,7 +159,7 @@ impl Cell {
 
     /// Is this cell's base station down at `t` (per its own fault plan)?
     pub fn is_down(&self, t: SimTime) -> bool {
-        self.rt.engine().faults.is_base_down(t)
+        self.rt.engine().net.fault_plan().is_base_down(t)
     }
 
     /// The load summary this cell would gossip at `now`: live queue depth

@@ -70,9 +70,6 @@ pub enum Admission {
     Rejected {
         /// Why the runtime turned the query away.
         reason: RejectReason,
-        /// The options that were refused, so the caller can relax the
-        /// offending constraint (the deadline) and resubmit.
-        opts: QueryOpts,
     },
 }
 

@@ -251,7 +251,6 @@ mod tests {
             fifth,
             Admission::Rejected {
                 reason: RejectReason::QueueFull { capacity: 4 },
-                opts: QueryOpts::default(),
             }
         );
         assert_eq!(fifth.handle(), None);
@@ -333,11 +332,10 @@ mod tests {
             a,
             Admission::Rejected {
                 reason: RejectReason::DeadlineUnmeetable { .. },
-                ..
             }
         ));
         // Reasons render for humans too.
-        if let Admission::Rejected { reason, .. } = a {
+        if let Admission::Rejected { reason } = a {
             assert!(reason.to_string().contains("epoch"));
         }
     }
@@ -610,7 +608,6 @@ mod tests {
                     retry_after,
                     queue_depth,
                 },
-            ..
         } = fifth
         else {
             panic!("expected overload rejection, got {fifth:?}");
@@ -620,7 +617,7 @@ mod tests {
         assert_eq!(retry_after, Duration::from_secs(30));
         assert_eq!(queue_depth, 4);
         assert!(!fifth.is_accepted());
-        if let Admission::Rejected { reason, .. } = fifth {
+        if let Admission::Rejected { reason } = fifth {
             assert!(reason.to_string().contains("retry after"));
         }
         // Draining below the low watermark reopens the door (hysteresis:

@@ -602,13 +602,13 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// Submit query text for execution in a future epoch.
     pub fn submit(&mut self, text: &str, opts: QueryOpts) -> Admission {
         self.admit_fresh(text, opts)
-            .unwrap_or_else(|reason| self.reject(reason, opts))
+            .unwrap_or_else(|reason| self.reject(reason))
     }
 
     /// Turned away at the door: nothing was queued.
-    fn reject(&mut self, reason: RejectReason, opts: QueryOpts) -> Admission {
+    fn reject(&mut self, reason: RejectReason) -> Admission {
         self.rejected += 1;
-        Admission::Rejected { reason, opts }
+        Admission::Rejected { reason }
     }
 
     /// Door, step 1 — the queue gate. Overload backpressure comes before
@@ -744,14 +744,8 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// [`extract`]: MultiQueryRuntime::extract
     /// [`submit`]: MultiQueryRuntime::submit
     pub fn admit_migrated(&mut self, m: QueuedQuery) -> Admission {
-        // Reconstruct caller-side options for rejection reporting: the
-        // deadline is re-expressed relative to now (zero when already past
-        // — the destination may still answer it late).
-        let now = self.engine.now();
-        let mut opts = QueryOpts::default().priority(m.priority);
-        opts.deadline = m.deadline_abs.map(|d| time_left(d, now));
         self.admit_moved(m)
-            .unwrap_or_else(|reason| self.reject(reason, opts))
+            .unwrap_or_else(|reason| self.reject(reason))
     }
 
     /// A migrated query through the door: the shared steps and nothing
@@ -1022,7 +1016,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                     Admission::Admitted { handle } => arrivals.on_admitted(handle),
                     Admission::Rejected {
                         reason: RejectReason::Overloaded { retry_after, .. },
-                        ..
                     } => {
                         let now = self.engine.now();
                         arrivals.on_overload(arrival, retry_after, now);
