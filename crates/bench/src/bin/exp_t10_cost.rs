@@ -11,8 +11,7 @@
 
 use pg_bench::{key_part, standard_world, Cell, Experiment};
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::execute_once;
-use pg_partition::features::QueryFeatures;
+use pg_partition::exec::{execute_once, resolve};
 use pg_partition::learn::Reward;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -38,26 +37,27 @@ fn run_bound(clause: &str, reps: u64) -> (f64, String, f64, f64) {
         );
         let text = format!("SELECT AVG(temp) FROM sensors{clause}");
         let query = pg_query::parse(&text).expect("valid query");
-        let features = QueryFeatures::extract(&w.ctx(), &query).expect("members");
+        let resolved = resolve(&w.net, &w.regions, &query).expect("selects every sensor");
+        let features = resolved.features;
         // Warm the learner with three unbounded runs so its predictions are
-        // grounded in actuals before the bounded decision.
+        // grounded in actuals before the bounded decision. The learner sees
+        // the bounded query's features throughout.
         let warm = pg_query::parse("SELECT AVG(temp) FROM sensors").unwrap();
+        let warm_resolved = resolve(&w.net, &w.regions, &warm).expect("selects every sensor");
         for i in 0..3u64 {
             if let Ok(m) = dm.choose(&w.net, &w.grid, &warm, &features) {
                 let mut rng = StdRng::seed_from_u64(seed * 100 + i);
-                if let Ok(out) = execute_once(&mut w.ctx(), &warm, m, &mut rng) {
-                    dm.observe(&w.net, &w.grid, features, m, Reward::from_cost(out.cost));
-                }
+                let out = execute_once(&mut w.ctx(), &warm, &warm_resolved, m, &mut rng);
+                dm.observe(&w.net, &w.grid, features, m, Reward::from_cost(out.cost));
             }
         }
         if let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) {
             accepted += 1;
             models.push(model.name());
             let mut rng = StdRng::seed_from_u64(seed);
-            if let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) {
-                energy += out.cost.energy_j;
-                time += out.cost.time_s;
-            }
+            let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
+            energy += out.cost.energy_j;
+            time += out.cost.time_s;
         }
     }
     let modal = if models.is_empty() {

@@ -11,7 +11,7 @@
 use pg_bench::{key_part, standard_world, sweep, Cell, Experiment};
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
-use pg_partition::exec::execute_once;
+use pg_partition::exec::{execute_once, resolve};
 use pg_partition::model::SolutionModel;
 use pg_sensornet::network::SensorNetwork;
 use pg_sim::{Duration, SimTime};
@@ -53,13 +53,14 @@ fn main() -> ExitCode {
                     BATTERY_J,
                 );
                 w.net.noise_sd = 0.5;
+                let resolved = resolve(&w.net, &w.regions, &query).expect("selects every sensor");
                 let mut rng = StdRng::seed_from_u64(seed ^ 0x12);
                 // One answer per epoch until the first epoch nothing
                 // arrives, idle-listening through the rest of each epoch.
                 let (mut run, mut first_death, mut blackout, mut delivery) = (0, None, None, 0.0);
                 w.now = SimTime::ZERO;
                 for e in 0..MAX_EPOCHS {
-                    let out = execute_once(&mut w.ctx(), &query, model, &mut rng).expect("answers");
+                    let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
                     run += 1;
                     delivery += out.delivered_frac;
                     if first_death.is_none() && w.net.alive_sensors() < w.net.len() - 1 {

@@ -13,6 +13,7 @@
 
 use pg_bench::{key_part, standard_world, sweep, Cell, Experiment};
 use pg_core::runtime::execute_query;
+use pg_partition::exec::resolve;
 use pg_partition::model::SolutionModel;
 use pg_sim::metrics::Summary;
 use rand::rngs::StdRng;
@@ -63,9 +64,10 @@ fn main() -> ExitCode {
             let mut seeds = Vec::new();
             let [e, t, b, o, d] = sweep(reps, |seed| {
                 let mut w = standard_world(n, seed);
+                let resolved = resolve(&w.net, &w.regions, &query)
+                    .expect("standard world selects every archetype");
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xBEEF);
-                let out = execute_query(&mut w.ctx(), &query, model, &mut rng)
-                    .expect("standard world answers all archetypes");
+                let out = execute_query(&mut w.ctx(), &query, &resolved, model, &mut rng);
                 let c = out.cost;
                 let row = [c.energy_j, c.time_s, c.bytes, c.ops, out.delivered_frac];
                 seeds.push(row);

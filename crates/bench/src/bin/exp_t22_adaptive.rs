@@ -33,8 +33,7 @@
 
 use pg_bench::{fmt, standard_world_with_loss, stream, Cell, Experiment, World};
 use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
-use pg_partition::features::QueryFeatures;
+use pg_partition::exec::{execute_once, resolve, ExecContext, Resolved};
 use pg_partition::learn::Reward;
 use pg_partition::model::{CostWeights, SolutionModel};
 use pg_sim::fault::FaultPlan;
@@ -137,7 +136,7 @@ fn oracle_objective(
     query: &pg_query::ast::Query,
     weights: &CostWeights,
     wait_s: f64,
-    members: usize,
+    resolved: &Resolved,
     exec_seed: u64,
 ) -> Option<f64> {
     match scenario {
@@ -145,9 +144,9 @@ fn oracle_objective(
             &w.net, &w.grid, &w.field, &w.regions, w.now, query, exec_seed,
         )
         .map(|(_, cost)| weights.scalar(&cost)),
-        Scenario::Load => SolutionModel::candidates(members)
+        Scenario::Load => SolutionModel::candidates(resolved.members.len())
             .into_iter()
-            .filter_map(|m| {
+            .map(|m| {
                 let mut trial = w.net.clone();
                 let mut ctx = ExecContext {
                     net: &mut trial,
@@ -157,9 +156,9 @@ fn oracle_objective(
                     now: w.now,
                 };
                 let mut rng = StdRng::seed_from_u64(exec_seed);
-                let out = execute_once(&mut ctx, query, m, &mut rng).ok()?;
+                let out = execute_once(&mut ctx, query, resolved, m, &mut rng);
                 let miss = wait_s + out.cost.time_s > LOAD_DEADLINE_S;
-                Some(weights.scalar(&out.cost) + if miss { MISS_PENALTY } else { 0.0 })
+                weights.scalar(&out.cost) + if miss { MISS_PENALTY } else { 0.0 }
             })
             .reduce(f64::min),
     }
@@ -192,31 +191,19 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
             dm.note_pressure((64.0 * load_frac) as usize, load_frac);
         }
         let query = pg_query::parse(text).expect("valid query");
-        let Some(features) = QueryFeatures::extract(&w.ctx(), &query) else {
-            continue;
-        };
-        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
+        let resolved = resolve(&w.net, &w.regions, &query).expect("every mix text selects sensors");
+        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &resolved.features) else {
             continue;
         };
         // Regret is asserted for the bandit only, so only its run pays the
         // clairvoyant's per-decision counterfactual executions.
         let oracle_obj = if policy == Policy::Bandit {
-            oracle_objective(
-                scenario,
-                &w,
-                &query,
-                &weights,
-                wait_s,
-                features.members,
-                i as u64,
-            )
+            oracle_objective(scenario, &w, &query, &weights, wait_s, &resolved, i as u64)
         } else {
             None
         };
         let mut rng = StdRng::seed_from_u64(i as u64);
-        let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) else {
-            continue;
-        };
+        let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
         let scalar = weights.scalar(&out.cost);
         let missed = scenario == Scenario::Load && wait_s + out.cost.time_s > LOAD_DEADLINE_S;
         let phase = usize::from(i >= shift);
@@ -234,7 +221,7 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
         dm.observe(
             &w.net,
             &w.grid,
-            features,
+            resolved.features,
             model,
             Reward {
                 cost: out.cost,

@@ -9,7 +9,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_bench::{standard_world, sweep, Cell, Experiment};
-use pg_partition::exec::execute_once;
+use pg_partition::exec::{execute_once, resolve};
 use pg_partition::model::SolutionModel;
 use pg_sensornet::cluster::default_head_count;
 use rand::rngs::StdRng;
@@ -29,8 +29,9 @@ fn main() -> ExitCode {
         let run = |model: SolutionModel| {
             sweep(reps, |seed| {
                 let mut w = standard_world(n, seed);
+                let resolved = resolve(&w.net, &w.regions, &query).expect("selects every sensor");
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xAA);
-                let out = execute_once(&mut w.ctx(), &query, model, &mut rng).expect("answers");
+                let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
                 [out.cost.energy_j, out.cost.bytes]
             })
         };

@@ -16,7 +16,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_bench::{standard_world, Cell, Experiment};
-use pg_partition::exec::execute_once;
+use pg_partition::exec::{execute_once, resolve};
 use pg_partition::model::SolutionModel;
 use pg_sensornet::region::Region;
 use rand::rngs::StdRng;
@@ -48,12 +48,12 @@ fn measure(n: usize, reps: u64, frac: f64, text: &str) -> ([f64; 3], f64) {
                 "sweep".to_string(),
                 Region::room(0.0, 0.0, side * frac, side * frac),
             );
+            let resolved = resolve(&w.net, &w.regions, &query).expect("every region holds sensors");
             let mut rng = StdRng::seed_from_u64(seed);
-            if let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) {
-                times[i] += out.cost.time_s / reps as f64;
-                if i == 2 {
-                    ops += out.cost.ops / reps as f64;
-                }
+            let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
+            times[i] += out.cost.time_s / reps as f64;
+            if i == 2 {
+                ops += out.cost.ops / reps as f64;
             }
         }
     }

@@ -14,7 +14,7 @@ use pg_grid::pde::{Problem, Solver};
 use pg_grid::reduction;
 use pg_net::geom::Point;
 use pg_net::topology::NodeId;
-use pg_partition::exec::execute_once;
+use pg_partition::exec::{execute_once, resolve};
 use pg_partition::model::SolutionModel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -94,16 +94,17 @@ fn main() -> ExitCode {
             let mut w = standard_world(arena, seed);
             let query = pg_query::parse("SELECT temperature_distribution() FROM sensors")
                 .expect("valid query");
+            let resolved = resolve(&w.net, &w.regions, &query).expect("selects every sensor");
             let mut rng = StdRng::seed_from_u64(seed);
             let out = execute_once(
                 &mut w.ctx(),
                 &query,
+                &resolved,
                 SolutionModel::GridOffload {
                     reduction_cell_m: cell,
                 },
                 &mut rng,
-            )
-            .expect("standard world");
+            );
             err += out.accuracy_err.unwrap_or(f64::NAN) / reps as f64;
             // Post-reduction constraint count and backhaul payload,
             // computed analytically over the deployment positions.

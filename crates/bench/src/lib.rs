@@ -29,8 +29,7 @@ use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::topology::Topology;
 use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext};
-use pg_partition::features::QueryFeatures;
+use pg_partition::exec::{execute_once, resolve, ExecContext};
 use pg_partition::learn::Reward;
 use pg_partition::model::CostWeights;
 use pg_runtime::{MultiQueryRuntime, OverloadConfig, OverloadPolicy, RuntimeConfig, SchedPolicy};
@@ -381,10 +380,10 @@ pub fn run_mixed_stream(
         let query = pg_query::parse(text).expect("valid query");
         // A randomly drawn sensor id can land on the base station —
         // such queries are invalid and skipped under every policy.
-        let Some(features) = QueryFeatures::extract(&w.ctx(), &query) else {
+        let Ok(resolved) = resolve(&w.net, &w.regions, &query) else {
             continue;
         };
-        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &features) else {
+        let Ok(model) = dm.choose(&w.net, &w.grid, &query, &resolved.features) else {
             continue;
         };
         // Judge the decision against the clairvoyant oracle (on a clone) for
@@ -399,15 +398,13 @@ pub fn run_mixed_stream(
             }
         }
         let mut rng = StdRng::seed_from_u64(i as u64);
-        let Ok(out) = execute_once(&mut w.ctx(), &query, model, &mut rng) else {
-            continue;
-        };
+        let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
         total += weights.scalar(&out.cost);
         if let Some(oracle) = oracle_cost_pending.take() {
             regret_sum += weights.scalar(&out.cost) / oracle.max(1e-12);
         }
         let reward = Reward::from_cost(out.cost);
-        dm.observe(&w.net, &w.grid, features, model, reward);
+        dm.observe(&w.net, &w.grid, resolved.features, model, reward);
     }
     // 0/0 is NaN: nothing judged, nothing to report.
     let judged = f64::from(judged);

@@ -36,8 +36,9 @@
 use crate::error::PgError;
 use crate::runtime::{PervasiveGrid, Placement, QueryResponse};
 use pg_net::topology::NodeId;
-use pg_partition::exec::{members_of, rel_err, truth_aggregate, value_filter, ExecError, Outcome};
-use pg_partition::features::QueryFeatures;
+use pg_partition::exec::{
+    self, rel_err, truth_aggregate, value_filter, ExecError, Outcome, Resolved,
+};
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
@@ -70,17 +71,6 @@ pub(crate) struct Memo {
     resolved: Result<Rc<Resolved>, ExecError>,
 }
 
-/// Members and features of one text.
-#[derive(Debug)]
-pub(crate) struct Resolved {
-    /// The full selection. A browned-out shared entry asks a coarser
-    /// stratum of it (see [`stratum`]).
-    members: Vec<NodeId>,
-    /// Learner features of the full selection, so brownout never shifts
-    /// the learner's inputs.
-    pub(crate) features: QueryFeatures,
-}
-
 /// One batch entry that qualified for the shared aggregation tree.
 struct Shareable<'q> {
     idx: usize,
@@ -107,19 +97,19 @@ fn stratum(members: &[NodeId], brownout: bool) -> Vec<NodeId> {
 }
 
 impl PervasiveGrid {
-    /// The one resolution step: the members and learner features of
-    /// `query`, parsed from `text`. A metro stream repeats a handful of
-    /// texts for the grid's whole life, so each distinct text is resolved
-    /// once, failure included, until its region is re-pointed.
+    /// The one resolution step: [`exec::resolve`] of `query`, parsed from
+    /// `text`. A metro stream repeats a handful of texts for the grid's
+    /// whole life, so each distinct text is resolved once, failure
+    /// included, until its region is re-pointed. A browned-out shared
+    /// entry asks a coarser stratum of the members (see [`stratum`]) but
+    /// keeps the full selection's features, so brownout never shifts the
+    /// learner's inputs.
     pub(crate) fn resolve(&mut self, text: &str, query: &Query) -> Result<Rc<Resolved>, ExecError> {
         let region = query.region().and_then(|r| self.regions.get(r)).copied();
         if let Some(memo) = self.resolutions.get(text).filter(|m| m.region == region) {
             return memo.resolved.clone();
         }
-        let resolved = members_of(&self.ctx(self.now).0, query).map(|members| {
-            let features = QueryFeatures::of_members(&self.net, query, &members);
-            Rc::new(Resolved { members, features })
-        });
+        let resolved = exec::resolve(&self.net, &self.regions, query).map(Rc::new);
         if self.resolutions.len() >= MEMO_CAP && !self.resolutions.contains_key(text) {
             self.resolutions.clear();
         }
@@ -415,6 +405,32 @@ mod tests {
             out[1],
             Err(PgError::Exec(ExecError::UnknownRegion("nowhere".into())))
         );
+        assert!(out[2].as_ref().unwrap().1.shared);
+    }
+
+    /// A region holding no sensor but the base station selects no
+    /// members, alone and beside two aggregates that still share.
+    #[test]
+    fn a_region_of_only_the_base_selects_no_members() {
+        let mut pg = lossless_grid();
+        pg.regions
+            .insert("base".into(), Region::room(-1.0, -1.0, 1.0, 1.0));
+        let text = "SELECT AVG(temp) FROM sensors WHERE region(base)";
+        let none = Err(PgError::Exec(ExecError::NoMembers));
+        assert_eq!(pg.submit(text).map(|r| r.value), none);
+        let batch = [
+            "SELECT AVG(temp) FROM sensors WHERE region(east)",
+            text,
+            "SELECT MAX(temp) FROM sensors",
+        ]
+        .map(|text| BatchQuery {
+            text,
+            deadline: None,
+            brownout: false,
+        });
+        let out = pg.execute_batch(&batch);
+        assert!(out[0].as_ref().unwrap().1.shared);
+        assert_eq!(out[1], Err(PgError::Exec(ExecError::NoMembers)));
         assert!(out[2].as_ref().unwrap().1.shared);
     }
 

@@ -8,7 +8,7 @@ use pg_net::geom::Point;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, Topology};
 use pg_partition::decide::{DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, ExecContext, ExecError, Outcome};
+use pg_partition::exec::{execute_once, ExecContext, Outcome, Resolved};
 use pg_partition::features::QueryFeatures;
 use pg_partition::learn::Reward;
 use pg_partition::model::{CostVector, SolutionModel};
@@ -299,19 +299,6 @@ impl PervasiveGrid {
             .map(|(response, _)| response)
     }
 
-    /// The execution context over this grid's substrates at `now`, and the
-    /// execution rng beside it (one borrow of the grid hands out both).
-    pub(crate) fn ctx(&mut self, now: SimTime) -> (ExecContext<'_>, &mut StdRng) {
-        let ctx = ExecContext {
-            net: &mut self.net,
-            grid: &self.grid,
-            field: &self.field,
-            regions: &self.regions,
-            now,
-        };
-        (ctx, &mut self.exec_rng)
-    }
-
     /// The Figure-1 pipeline body for one batch entry outside a shared
     /// epoch. `bq.deadline` is the remaining budget handed down by the
     /// multi-query scheduler, `None` on the plain single-query path
@@ -344,8 +331,8 @@ impl PervasiveGrid {
             }
         }
 
-        // 2. Features of the resolved member set.
-        let features = self.resolve(bq.text, query)?.features;
+        // 2. The resolved member set and its features.
+        let resolved = self.resolve(bq.text, query)?;
 
         // 3. Decision Maker: pick the placement within COST bounds. When
         // the budget (or the fault plan) leaves no feasible model, degrade
@@ -356,14 +343,14 @@ impl PervasiveGrid {
         let mut fallback_model = false;
         let model = match self
             .decision
-            .choose(&self.net, &self.grid, &planned, &features)
+            .choose(&self.net, &self.grid, &planned, &resolved.features)
         {
             Ok(m) => m,
             Err(_) => {
                 fallback_model = true;
                 let user_plan = if planned.cost != query.cost {
                     self.decision
-                        .choose(&self.net, &self.grid, query, &features)
+                        .choose(&self.net, &self.grid, query, &resolved.features)
                         .ok()
                 } else {
                     None
@@ -377,14 +364,18 @@ impl PervasiveGrid {
         };
 
         // 4. Simulator: execute on the substrates.
-        let outcome = {
-            let (mut ctx, rng) = self.ctx(exec_at);
-            execute_query(&mut ctx, query, model, rng)?
+        let mut ctx = ExecContext {
+            net: &mut self.net,
+            grid: &self.grid,
+            field: &self.field,
+            regions: &self.regions,
+            now: exec_at,
         };
+        let outcome = execute_query(&mut ctx, query, &resolved, model, &mut self.exec_rng);
 
         // 5. Adaptive feedback and the answer.
         let placement = Placement {
-            features,
+            features: resolved.features,
             model,
             kind,
             fallback_model,
@@ -508,7 +499,8 @@ pub(crate) struct Placement {
     pub(crate) fallback_model: bool,
 }
 
-/// Execute `query` under `model` from `ctx.now`, as the pipeline does.
+/// Execute `query`, resolved to `resolved`, under `model` from `ctx.now`,
+/// as the pipeline does.
 ///
 /// A one-shot query runs once. A continuous query runs five epochs, each
 /// its `EPOCH DURATION` after the last, idle-listening through the rest of
@@ -519,12 +511,13 @@ pub(crate) struct Placement {
 pub fn execute_query<R: Rng>(
     ctx: &mut ExecContext<'_>,
     query: &Query,
+    resolved: &Resolved,
     model: SolutionModel,
     rng: &mut R,
-) -> Result<Outcome, ExecError> {
+) -> Outcome {
     const EPOCHS: u64 = 5;
     let Some(epoch) = query.epoch else {
-        return execute_once(ctx, query, model, rng);
+        return execute_once(ctx, query, resolved, model, rng);
     };
     let mut total = CostVector::default();
     let mut last = None;
@@ -536,7 +529,7 @@ pub fn execute_query<R: Rng>(
         // A representable epoch can still put a later one past the end of
         // time: saturate rather than overflow.
         ctx.now = start.saturating_add(Duration::from_nanos(epoch.as_nanos().saturating_mul(e)));
-        let out = execute_once(ctx, query, model, rng)?;
+        let out = execute_once(ctx, query, resolved, model, rng);
         total = total.add(&out.cost);
         last = out.value;
         delivered += out.delivered_frac;
@@ -549,18 +542,19 @@ pub fn execute_query<R: Rng>(
         total.energy_j += ctx.net.radio().idle_energy(secs) * (ctx.net.len() - 1) as f64;
     }
     ctx.now = start;
-    Ok(Outcome {
+    Outcome {
         value: last,
         cost: total.scale(1.0 / EPOCHS as f64),
         delivered_frac: delivered / EPOCHS as f64,
         accuracy_err: acc,
         retries,
-    })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pg_partition::exec::ExecError;
 
     fn runtime() -> PervasiveGrid {
         PervasiveGrid::building(1, 5, 7)
@@ -628,10 +622,23 @@ mod tests {
         use rand::SeedableRng;
         let run = |text: &str| {
             let mut pg = runtime();
-            let (mut ctx, _) = pg.ctx(pg.now);
             let q = pg_query::parse(text).unwrap();
+            let resolved = pg_partition::exec::resolve(&pg.net, &pg.regions, &q).unwrap();
+            let mut ctx = ExecContext {
+                net: &mut pg.net,
+                grid: &pg.grid,
+                field: &pg.field,
+                regions: &pg.regions,
+                now: pg.now,
+            };
             let mut rng = StdRng::seed_from_u64(6);
-            execute_query(&mut ctx, &q, SolutionModel::InNetworkTree, &mut rng).unwrap()
+            execute_query(
+                &mut ctx,
+                &q,
+                &resolved,
+                SolutionModel::InNetworkTree,
+                &mut rng,
+            )
         };
         let once = run("SELECT AVG(temp) FROM sensors WHERE region(corner)");
         let cont = run("SELECT AVG(temp) FROM sensors WHERE region(corner) EPOCH DURATION 10");

@@ -22,7 +22,7 @@
 //! uniform draw, or the policy's learner.
 
 use crate::estimate::estimate;
-use crate::exec::{execute_once, ExecContext};
+use crate::exec::{execute_once, resolve, ExecContext};
 use crate::features::QueryFeatures;
 use crate::learn::{bandit_candidates, CandidateArm, KnnLearner, LinUcbLearner, NetHealth, Reward};
 use crate::model::{within_bounds, CostVector, CostWeights, SolutionModel};
@@ -342,19 +342,9 @@ pub fn oracle_choice(
     seed: u64,
 ) -> Option<(SolutionModel, CostVector)> {
     let weights = CostWeights::default();
-    let members = crate::exec::members_of(
-        &ExecContext {
-            net: &mut net.clone(),
-            grid,
-            field,
-            regions,
-            now,
-        },
-        query,
-    )
-    .ok()?;
+    let resolved = resolve(net, regions, query).ok()?;
     let mut best: Option<(SolutionModel, CostVector, f64)> = None;
-    for model in SolutionModel::candidates(members.len()) {
+    for model in SolutionModel::candidates(resolved.members.len()) {
         let mut trial = net.clone();
         let mut ctx = ExecContext {
             net: &mut trial,
@@ -364,9 +354,7 @@ pub fn oracle_choice(
             now,
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let Ok(out) = execute_once(&mut ctx, query, model, &mut rng) else {
-            continue;
-        };
+        let out = execute_once(&mut ctx, query, &resolved, model, &mut rng);
         if !within_bounds(query, &out.cost, out.accuracy_err) {
             continue;
         }
@@ -419,27 +407,18 @@ mod tests {
     }
 
     fn features(
-        net: &mut SensorNetwork,
-        grid: &GridCluster,
-        field: &TemperatureField,
+        net: &SensorNetwork,
         regions: &BTreeMap<String, Region>,
         q: &Query,
     ) -> QueryFeatures {
-        let ctx = ExecContext {
-            net,
-            grid,
-            field,
-            regions,
-            now: SimTime::from_secs(600),
-        };
-        QueryFeatures::extract(&ctx, q).unwrap()
+        resolve(net, regions, q).unwrap().features
     }
 
     #[test]
     fn static_policy_returns_its_model() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let mut dm = maker(Policy::Static(SolutionModel::BaseStation), 1);
         assert_eq!(
             dm.choose(&net, &grid, &q, &f),
@@ -449,9 +428,9 @@ mod tests {
 
     #[test]
     fn adaptive_learns_to_avoid_a_bad_model() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let mut dm = DecisionMaker::with_config(
             Policy::Adaptive,
             2,
@@ -482,10 +461,10 @@ mod tests {
 
     #[test]
     fn cost_bounds_reject_when_nothing_fits() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         // 1 nanojoule energy budget: nothing can run.
         let q = parse("SELECT AVG(temp) FROM sensors COST energy 0.000000001").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         for policy in [
             Policy::Static(SolutionModel::BaseStation),
             Policy::Random,
@@ -499,9 +478,9 @@ mod tests {
 
     #[test]
     fn calibration_error_shrinks_with_history() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let mut dm = maker(Policy::Adaptive, 4);
         let actual = Reward::from_cost(CostVector {
             energy_j: 0.02,
@@ -552,6 +531,7 @@ mod tests {
         .unwrap();
         // Verify optimality by re-running every candidate.
         let w = CostWeights::default();
+        let resolved = resolve(&net, &regions, &q).unwrap();
         for cand in SolutionModel::candidates(20) {
             let mut trial = net.clone();
             let mut ctx = ExecContext {
@@ -562,7 +542,7 @@ mod tests {
                 now: SimTime::from_secs(600),
             };
             let mut rng = StdRng::seed_from_u64(7);
-            let out = execute_once(&mut ctx, &q, cand, &mut rng).unwrap();
+            let out = execute_once(&mut ctx, &q, &resolved, cand, &mut rng);
             assert!(
                 w.scalar(&cost) <= w.scalar(&out.cost) + 1e-12,
                 "oracle ({}) beaten by {}",
@@ -574,9 +554,9 @@ mod tests {
 
     #[test]
     fn random_policy_is_seeded_deterministic() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let run = |seed| {
             let mut dm = maker(Policy::Random, seed);
             (0..10)
@@ -588,9 +568,9 @@ mod tests {
 
     #[test]
     fn bandit_choices_are_seeded_deterministic() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let run = |seed| {
             let mut dm = maker(Policy::Bandit, seed);
             let mut names = Vec::new();
@@ -612,9 +592,9 @@ mod tests {
 
     #[test]
     fn bandit_exploits_the_consistently_cheap_arm() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let mut dm = maker(Policy::Bandit, 6);
         // Tree is cheap, everything else dear.
         let cost_of = |m: &SolutionModel| {
@@ -647,9 +627,9 @@ mod tests {
     /// which is not the same as an exploratory pick.
     #[test]
     fn bandit_predict_is_the_analytic_estimate() {
-        let (mut net, grid, field, regions) = world();
+        let (net, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let f = features(&mut net, &grid, &field, &regions, &q);
+        let f = features(&net, &regions, &q);
         let mut dm = maker(Policy::Bandit, 8);
         let cost = CostVector {
             energy_j: 0.01,
@@ -675,10 +655,9 @@ mod tests {
 
     #[test]
     fn health_tracks_degradation_and_pressure() {
-        let (net, grid, field, regions) = world();
+        let (n, grid, _, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
-        let mut n = net;
-        let f = features(&mut n, &grid, &field, &regions, &q);
+        let f = features(&n, &regions, &q);
         let mut dm = maker(Policy::Bandit, 9);
         dm.note_pressure(32, 1.0);
         assert_eq!(dm.health.queue_depth, 32);
@@ -715,18 +694,9 @@ mod prop_tests {
         check("bandit_converges_to_static_best_per_seed", 16, |g| {
             let seed = g.range(0u64..1_000);
             let best_family = g.range(0usize..5);
-            let (mut net, grid, field, regions) = super::tests::world();
+            let (net, grid, _, regions) = super::tests::world();
             let q = pg_query::parse("SELECT AVG(temp) FROM sensors").unwrap();
-            let f = {
-                let ctx = ExecContext {
-                    net: &mut net,
-                    grid: &grid,
-                    field: &field,
-                    regions: &regions,
-                    now: SimTime::from_secs(600),
-                };
-                QueryFeatures::extract(&ctx, &q).unwrap()
-            };
+            let f = resolve(&net, &regions, &q).unwrap().features;
             let mut dm =
                 DecisionMaker::with_config(Policy::Bandit, seed, DecisionConfig::default());
             dm.learner = Learner::Bandit(LinUcbLearner::with_config(BanditConfig {

@@ -5,7 +5,13 @@
 //! returns the measured [`CostVector`] (computation, data transfer, energy,
 //! response time) plus result accuracy, which the decision maker compares
 //! against its estimates.
+//!
+//! [`execute_once`] takes the [`Resolved`] selection that [`resolve`]
+//! worked out before the run, and cannot fail. [`members_of`] and
+//! [`QueryFeatures::extract`] wrap the same selection only for pgbench's
+//! replay probes (ROADMAP item 12).
 
+use crate::features::QueryFeatures;
 use crate::model::{CostVector, SolutionModel};
 use pg_grid::pde::{Problem, Solver};
 use pg_grid::reduction::{self, Reading};
@@ -43,20 +49,20 @@ pub struct ExecContext<'a> {
     pub grid: &'a GridCluster,
     /// Ground-truth physical field.
     pub field: &'a TemperatureField,
-    /// Named regions resolvable from `WHERE region(name)`.
+    /// Named regions; only [`members_of`] reads them.
     pub regions: &'a BTreeMap<String, Region>,
     /// Simulated submission instant.
     pub now: SimTime,
 }
 
-/// Why an execution could not proceed.
+/// Why a query could not be resolved.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExecError {
     /// `WHERE region(name)` names an unregistered region.
     UnknownRegion(String),
     /// `WHERE sensor_id = n` is out of range or is the base station.
     UnknownSensor(u32),
-    /// The WHERE clause selects no live sensors.
+    /// The WHERE clause selects no sensor other than the base station.
     NoMembers,
 }
 
@@ -88,33 +94,69 @@ pub struct Outcome {
     pub retries: u64,
 }
 
-/// Resolve the member set of a query.
+/// A query's selection, resolved once before it runs.
+#[derive(Debug, PartialEq)]
+pub struct Resolved {
+    /// The selected sensors, base station excluded; never empty.
+    pub members: Vec<NodeId>,
+    /// Learner features of the full selection.
+    pub features: QueryFeatures,
+    /// The box a Complex query reconstructs over: its named region clamped
+    /// to the deployment hull, or the hull itself.
+    pub bounds: Region,
+}
+
+/// Resolve `query` against a network and its named regions. Reads only the
+/// text, the region's box and the immutable topology.
+pub fn resolve(
+    net: &SensorNetwork,
+    regions: &BTreeMap<String, Region>,
+    query: &Query,
+) -> Result<Resolved, ExecError> {
+    let (members, region) = select(net, regions, query)?;
+    let hull = deployment_hull(net);
+    Ok(Resolved {
+        features: QueryFeatures::of_members(net, query, &members),
+        bounds: clamp_region(&region.unwrap_or(hull), &hull),
+        members,
+    })
+}
+
+/// The member set of a query (a wrapper over [`resolve`]'s selection).
 pub fn members_of(ctx: &ExecContext<'_>, query: &Query) -> Result<Vec<NodeId>, ExecError> {
-    let base = ctx.net.base();
-    if let Some(id) = query.target_sensor() {
-        let node = NodeId(id);
-        if id as usize >= ctx.net.len() || node == base {
-            return Err(ExecError::UnknownSensor(id));
-        }
-        return Ok(vec![node]);
+    select(ctx.net, ctx.regions, query).map(|(members, _)| members)
+}
+
+/// The one selection: a named sensor, else the named region's sensors,
+/// else every sensor, never the base station; and the named region's box.
+fn select(
+    net: &SensorNetwork,
+    regions: &BTreeMap<String, Region>,
+    query: &Query,
+) -> Result<(Vec<NodeId>, Option<Region>), ExecError> {
+    let base = net.base();
+    let target = query.target_sensor();
+    if let Some(id) = target.filter(|&id| id as usize >= net.len() || NodeId(id) == base) {
+        return Err(ExecError::UnknownSensor(id));
     }
-    let mut members: Vec<NodeId> = if let Some(rname) = query.region() {
-        let region = ctx
-            .regions
-            .get(rname)
-            .ok_or_else(|| ExecError::UnknownRegion(rname.to_string()))?;
-        region.members(ctx.net.topology())
-    } else {
-        ctx.net.topology().nodes().collect()
+    let region = query.region().map(|r| regions.get(r).ok_or(r)).transpose();
+    let region = region
+        .map_err(|r| ExecError::UnknownRegion(r.into()))?
+        .copied();
+    let mut members: Vec<NodeId> = match (target, &region) {
+        (Some(id), _) => vec![NodeId(id)],
+        (None, Some(r)) => r.members(net.topology()),
+        (None, None) => net.topology().nodes().collect(),
     };
     members.retain(|&m| m != base);
     if members.is_empty() {
         return Err(ExecError::NoMembers);
     }
-    Ok(members)
+    Ok((members, region))
 }
 
-/// Execute `query` once under `model`, at `ctx.now`.
+/// Execute `query` once under `model`, at `ctx.now`, over the selection
+/// that [`resolve`] worked out before the call.
 ///
 /// This is exactly one execution of the query's body: an EPOCH clause is
 /// not read here. Running a continuous query epoch after epoch is the
@@ -122,14 +164,15 @@ pub fn members_of(ctx: &ExecContext<'_>, query: &Query) -> Result<Vec<NodeId>, E
 pub fn execute_once<R: Rng>(
     ctx: &mut ExecContext<'_>,
     query: &Query,
+    resolved: &Resolved,
     model: SolutionModel,
     rng: &mut R,
-) -> Result<Outcome, ExecError> {
+) -> Outcome {
     match inner_kind(query) {
-        QueryKind::Aggregate => exec_aggregate(ctx, query, model, rng),
-        QueryKind::Complex => exec_complex(ctx, query, model, rng),
+        QueryKind::Aggregate => exec_aggregate(ctx, query, &resolved.members, model, rng),
+        QueryKind::Complex => exec_complex(ctx, resolved, model, rng),
         // The rest is Simple: `inner_kind` names only one-shot classes.
-        _ => exec_simple(ctx, query, model, rng),
+        _ => exec_simple(ctx, &resolved.members, model, rng),
     }
 }
 
@@ -195,16 +238,15 @@ pub fn rel_err(measured: f64, truth: f64) -> f64 {
 
 fn exec_simple<R: Rng>(
     ctx: &mut ExecContext<'_>,
-    query: &Query,
+    members: &[NodeId],
     model: SolutionModel,
     rng: &mut R,
-) -> Result<Outcome, ExecError> {
-    let members = members_of(ctx, query)?;
+) -> Outcome {
     // One reading to the base station; the transport is identical for
     // every placement — only GridOffload adds a pointless backhaul bounce.
     let all = ValueFilter::all();
     let (report, raw) =
-        direct_collection(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
+        direct_collection(ctx.net, members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
     let mut cost = report_cost(&report);
     if matches!(
         model,
@@ -219,39 +261,39 @@ fn exec_simple<R: Rng>(
     let value = raw.first().map(|&(_, v)| v);
     let accuracy_err =
         value.map(|v| rel_err(v, ctx.net.ground_truth(members[0], ctx.field, ctx.now)));
-    Ok(Outcome {
+    Outcome {
         value,
         cost,
         delivered_frac: report.delivery_ratio(),
         accuracy_err,
         retries: report.retries,
-    })
+    }
 }
 
 fn exec_aggregate<R: Rng>(
     ctx: &mut ExecContext<'_>,
     query: &Query,
+    members: &[NodeId],
     model: SolutionModel,
     rng: &mut R,
-) -> Result<Outcome, ExecError> {
-    let members = members_of(ctx, query)?;
+) -> Outcome {
     let agg = query.first_agg().unwrap_or(AggFn::Avg);
     // WHERE comparisons on the reading push down to the sensing site
     // (TAG-style): failing readings never transmit.
     let filter = value_filter(query);
     let report = match model {
         SolutionModel::InNetworkTree => {
-            tree_aggregation(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng)
+            tree_aggregation(ctx.net, members, ctx.field, ctx.now, agg, &filter, rng)
         }
         // For decomposable aggregates the Hybrid's in-network half already
         // produces the answer: it IS cluster collection.
         SolutionModel::InNetworkCluster { heads } | SolutionModel::Hybrid { heads } => {
             cluster_collection(
-                ctx.net, &members, ctx.field, ctx.now, agg, heads, &filter, rng,
+                ctx.net, members, ctx.field, ctx.now, agg, heads, &filter, rng,
             )
         }
         SolutionModel::BaseStation | SolutionModel::GridOffload { .. } => {
-            direct_collection(ctx.net, &members, ctx.field, ctx.now, agg, &filter, rng).0
+            direct_collection(ctx.net, members, ctx.field, ctx.now, agg, &filter, rng).0
         }
     };
     let mut cost = report_cost(&report);
@@ -273,14 +315,14 @@ fn exec_aggregate<R: Rng>(
         cost.bytes += (ship + RESULT_BYTES) as f64;
         cost.ops += job.ops as f64;
     }
-    let truth = truth_aggregate(ctx.net, ctx.field, ctx.now, &members, agg, &filter);
-    Ok(Outcome {
+    let truth = truth_aggregate(ctx.net, ctx.field, ctx.now, members, agg, &filter);
+    Outcome {
         value: report.value,
         cost,
         delivered_frac: report.delivery_ratio(),
         accuracy_err: report.value.zip(truth).map(|(v, t)| rel_err(v, t)),
         retries: report.retries,
-    })
+    }
 }
 
 /// Grid resolution for the reconstruction problem: 1-metre cells up to 40
@@ -304,32 +346,22 @@ fn problem_dims(extent: (f64, f64, f64)) -> (usize, usize, usize, f64) {
 
 fn exec_complex<R: Rng>(
     ctx: &mut ExecContext<'_>,
-    query: &Query,
+    resolved: &Resolved,
     model: SolutionModel,
     rng: &mut R,
-) -> Result<Outcome, ExecError> {
-    let members = members_of(ctx, query)?;
-    // The reconstruction region: the named region, else the hull of the
-    // whole deployment.
-    let region = if let Some(rname) = query.region() {
-        *ctx.regions
-            .get(rname)
-            .ok_or_else(|| ExecError::UnknownRegion(rname.to_string()))?
-    } else {
-        deployment_hull(ctx.net)
-    };
-
+) -> Outcome {
+    let members = &resolved.members;
     // Collection phase. The solver needs (position, value) pairs, so
     // aggregation trees (which lose identity) cannot carry the data:
     // most placements start with a direct raw collection. The Hybrid
     // placement instead reduces in-network — cluster heads ship one
     // (centroid, mean) summary each — §4's "combination of the approaches".
     let (report, readings): (_, Vec<Reading>) = if let SolutionModel::Hybrid { heads } = model {
-        cluster_summaries(ctx.net, &members, ctx.field, ctx.now, heads, rng)
+        cluster_summaries(ctx.net, members, ctx.field, ctx.now, heads, rng)
     } else {
         let all = ValueFilter::all();
         let (report, raw) =
-            direct_collection(ctx.net, &members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
+            direct_collection(ctx.net, members, ctx.field, ctx.now, AggFn::Avg, &all, rng);
         let readings = raw
             .iter()
             .map(|&(n, v)| (ctx.net.topology().position(n), v))
@@ -342,10 +374,9 @@ fn exec_complex<R: Rng>(
     // delivered readings rather than building ambient: a room interior to a
     // burning building has hot "walls", and the mean reading is the best
     // boundary guess the compute site actually possesses.
-    let region = clamp_region(&region, ctx.net);
-    let (ext_x, ext_y, ext_z) = region.extent();
+    let (ext_x, ext_y, ext_z) = resolved.bounds.extent();
     let (nx, ny, nz, spacing) = problem_dims((ext_x, ext_y, ext_z));
-    let mut origin = region.min;
+    let mut origin = resolved.bounds.min;
     if ext_z < spacing {
         // Flat deployment: lift sensors onto the middle z-plane so their
         // constraints land in the interior, not on the fixed shell.
@@ -410,7 +441,7 @@ fn exec_complex<R: Rng>(
             let compute_energy = radio.cpu_energy((stats.ops / members.len().max(1) as u64).max(1));
             // Drain the network proportionally (spread over members).
             let per_member = (exchange_energy + compute_energy) / members.len() as f64;
-            for &m in &members {
+            for &m in members {
                 ctx.net.drain(m, per_member);
             }
             cost.energy_j += exchange_energy + compute_energy;
@@ -451,48 +482,43 @@ fn exec_complex<R: Rng>(
         .copied()
         .fold(f64::NEG_INFINITY, f64::max);
 
-    Ok(Outcome {
+    Outcome {
         value: Some(peak),
         cost,
         delivered_frac: report.delivery_ratio(),
         accuracy_err: Some(rmse / range),
         retries: report.retries,
-    })
+    }
 }
 
 /// Bounding box of the whole deployment.
 fn deployment_hull(net: &SensorNetwork) -> Region {
-    let mut min = Point::new(f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut max = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for n in net.topology().nodes() {
-        let p = net.topology().position(n);
-        min.x = min.x.min(p.x);
-        min.y = min.y.min(p.y);
-        min.z = min.z.min(p.z);
-        max.x = max.x.max(p.x);
-        max.y = max.y.max(p.y);
-        max.z = max.z.max(p.z);
-    }
-    Region { min, max }
+    let (inf, topo) = (f64::INFINITY, net.topology());
+    let empty = Region {
+        min: Point::new(inf, inf, inf),
+        max: Point::new(-inf, -inf, -inf),
+    };
+    topo.nodes()
+        .map(|n| topo.position(n))
+        .fold(empty, |h, p| Region {
+            min: zip(h.min, p, f64::min),
+            max: zip(h.max, p, f64::max),
+        })
 }
 
-/// Clamp an (possibly half-infinite) region to the deployment hull.
-fn clamp_region(region: &Region, net: &SensorNetwork) -> Region {
-    let hull = deployment_hull(net);
-    // Built as a literal: a region disjoint from the hull clamps to an
-    // inverted (empty) box, which `contains` correctly rejects everywhere.
+/// Clamp an (possibly half-infinite) region to the deployment hull. A
+/// region disjoint from the hull clamps to an inverted (empty) box, which
+/// `contains` correctly rejects everywhere.
+fn clamp_region(region: &Region, hull: &Region) -> Region {
     Region {
-        min: Point::new(
-            region.min.x.max(hull.min.x),
-            region.min.y.max(hull.min.y),
-            region.min.z.max(hull.min.z),
-        ),
-        max: Point::new(
-            region.max.x.min(hull.max.x),
-            region.max.y.min(hull.max.y),
-            region.max.z.min(hull.max.z),
-        ),
+        min: zip(region.min, hull.min, f64::max),
+        max: zip(region.max, hull.max, f64::min),
     }
+}
+
+/// `f` of two points, axis by axis.
+fn zip(a: Point, b: Point, f: fn(f64, f64) -> f64) -> Point {
+    Point::new(f(a.x, b.x), f(a.y, b.y), f(a.z, b.z))
 }
 
 #[cfg(test)]
@@ -528,6 +554,12 @@ mod tests {
         (net, grid, field, regions)
     }
 
+    /// Resolve `q` against `c`'s network and regions, then run it once.
+    fn once(c: &mut ExecContext<'_>, q: &Query, model: SolutionModel, rng: &mut StdRng) -> Outcome {
+        let resolved = resolve(c.net, c.regions, q).unwrap();
+        execute_once(c, q, &resolved, model, rng)
+    }
+
     fn ctx<'a>(
         net: &'a mut SensorNetwork,
         grid: &'a GridCluster,
@@ -549,7 +581,7 @@ mod tests {
         let mut c = ctx(&mut net, &grid, &field, &regions);
         let q = parse("SELECT temp FROM sensors WHERE sensor_id = 14").unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let out = execute_once(&mut c, &q, SolutionModel::BaseStation, &mut rng).unwrap();
+        let out = once(&mut c, &q, SolutionModel::BaseStation, &mut rng);
         let expect = c
             .net
             .ground_truth(NodeId(14), &field, SimTime::from_secs(600));
@@ -565,13 +597,13 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let base = {
             let mut c = ctx(&mut net, &grid, &field, &regions);
-            execute_once(&mut c, &q, SolutionModel::BaseStation, &mut rng).unwrap()
+            once(&mut c, &q, SolutionModel::BaseStation, &mut rng)
         };
         let (mut net2, grid2, field2, regions2) = world();
         let mut rng2 = StdRng::seed_from_u64(1);
         let offl = {
             let mut c = ctx(&mut net2, &grid2, &field2, &regions2);
-            execute_once(
+            once(
                 &mut c,
                 &q,
                 SolutionModel::GridOffload {
@@ -579,7 +611,6 @@ mod tests {
                 },
                 &mut rng2,
             )
-            .unwrap()
         };
         assert!(offl.cost.time_s > base.cost.time_s);
         assert_eq!(offl.value, base.value);
@@ -600,7 +631,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(9);
-            outcomes.push(execute_once(&mut c, &q, model, &mut rng).unwrap());
+            outcomes.push(once(&mut c, &q, model, &mut rng));
         }
         let v0 = outcomes[0].value.unwrap();
         for o in &outcomes {
@@ -620,7 +651,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(9);
-            execute_once(&mut c, &q, model, &mut rng).unwrap()
+            once(&mut c, &q, model, &mut rng)
         };
         let tree = run(SolutionModel::InNetworkTree);
         let direct = run(SolutionModel::BaseStation);
@@ -640,15 +671,14 @@ mod tests {
         let q =
             parse("SELECT temperature_distribution() FROM sensors WHERE region(room210)").unwrap();
         let mut rng = StdRng::seed_from_u64(3);
-        let out = execute_once(
+        let out = once(
             &mut c,
             &q,
             SolutionModel::GridOffload {
                 reduction_cell_m: 0.0,
             },
             &mut rng,
-        )
-        .unwrap();
+        );
         let peak = out.value.unwrap();
         assert!(peak > 100.0, "reconstruction must see the fire: {peak}");
         let err = out.accuracy_err.unwrap();
@@ -664,7 +694,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(4);
-            execute_once(&mut c, &q, model, &mut rng).unwrap()
+            once(&mut c, &q, model, &mut rng)
         };
         let grid_out = run(SolutionModel::GridOffload {
             reduction_cell_m: 0.0,
@@ -686,7 +716,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(5);
-            execute_once(
+            once(
                 &mut c,
                 &q,
                 SolutionModel::GridOffload {
@@ -694,7 +724,6 @@ mod tests {
                 },
                 &mut rng,
             )
-            .unwrap()
         };
         let full = run(0.0);
         let reduced = run(25.0);
@@ -714,7 +743,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(8);
-            execute_once(&mut c, &q, model, &mut rng).unwrap()
+            once(&mut c, &q, model, &mut rng)
         };
         let grid_out = run(SolutionModel::GridOffload {
             reduction_cell_m: 0.0,
@@ -744,7 +773,7 @@ mod tests {
             let (mut net, grid, field, regions) = world();
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(9);
-            execute_once(&mut c, &q, model, &mut rng).unwrap()
+            once(&mut c, &q, model, &mut rng)
         };
         let cluster = run(SolutionModel::InNetworkCluster { heads: 3 });
         let hybrid = run(SolutionModel::Hybrid { heads: 3 });
@@ -761,7 +790,7 @@ mod tests {
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let q = parse(text).unwrap();
             let mut rng = StdRng::seed_from_u64(6);
-            execute_once(&mut c, &q, SolutionModel::InNetworkTree, &mut rng).unwrap()
+            once(&mut c, &q, SolutionModel::InNetworkTree, &mut rng)
         };
         assert_eq!(
             run("SELECT AVG(temp) FROM sensors WHERE region(room210) EPOCH DURATION 10"),
@@ -781,7 +810,7 @@ mod tests {
             net.noise_sd = 0.0;
             let mut c = ctx(&mut net, &grid, &field, &regions);
             let mut rng = StdRng::seed_from_u64(11);
-            execute_once(&mut c, q, model, &mut rng).unwrap()
+            once(&mut c, q, model, &mut rng)
         };
         for model in [SolutionModel::BaseStation, SolutionModel::InNetworkTree] {
             let filtered = run(&hot, model);
@@ -804,18 +833,67 @@ mod tests {
 
     #[test]
     fn errors_for_bad_targets() {
-        let (mut net, grid, field, regions) = world();
-        let mut c = ctx(&mut net, &grid, &field, &regions);
-        let mut rng = StdRng::seed_from_u64(7);
-        let q = parse("SELECT temp FROM sensors WHERE sensor_id = 999").unwrap();
+        let (net, _, _, regions) = world();
+        let err = |text: &str| resolve(&net, &regions, &parse(text).unwrap()).unwrap_err();
         assert_eq!(
-            execute_once(&mut c, &q, SolutionModel::BaseStation, &mut rng),
-            Err(ExecError::UnknownSensor(999))
+            err("SELECT temp FROM sensors WHERE sensor_id = 999"),
+            ExecError::UnknownSensor(999)
         );
-        let q = parse("SELECT temp FROM sensors WHERE region(nowhere)").unwrap();
-        assert!(matches!(
-            execute_once(&mut c, &q, SolutionModel::BaseStation, &mut rng),
-            Err(ExecError::UnknownRegion(_))
-        ));
+        // The base station is not a sensor a query can read.
+        assert_eq!(
+            err("SELECT temp FROM sensors WHERE sensor_id = 0"),
+            ExecError::UnknownSensor(0)
+        );
+        assert_eq!(
+            err("SELECT temp FROM sensors WHERE region(nowhere)"),
+            ExecError::UnknownRegion("nowhere".into())
+        );
+    }
+
+    /// A region holding only the base station, and one disjoint from the
+    /// deployment, select no members.
+    #[test]
+    fn a_region_without_sensors_selects_no_members() {
+        let (net, _, _, mut regions) = world();
+        regions.insert("base".into(), Region::room(-1.0, -1.0, 1.0, 1.0));
+        regions.insert("away".into(), Region::room(100.0, 100.0, 200.0, 200.0));
+        for name in ["base", "away"] {
+            let q = parse(&format!(
+                "SELECT AVG(temp) FROM sensors WHERE region({name})"
+            ))
+            .unwrap();
+            assert_eq!(
+                resolve(&net, &regions, &q),
+                Err(ExecError::NoMembers),
+                "{name}"
+            );
+        }
+    }
+
+    /// The reconstruction box is the deployment hull when no region is
+    /// named, a named region clamped to the hull otherwise.
+    #[test]
+    fn bounds_are_the_region_clamped_to_the_hull() {
+        let (net, _, _, mut regions) = world();
+        regions.insert("site".into(), Region::room(-100.0, -100.0, 100.0, 100.0));
+        let bounds = |text: &str| {
+            resolve(&net, &regions, &parse(text).unwrap())
+                .unwrap()
+                .bounds
+        };
+        let boxed = |x: f64| Region {
+            min: Point::new(0.0, 0.0, 0.0),
+            max: Point::new(x, x, 0.0),
+        };
+        let complex = "SELECT temperature_distribution() FROM sensors";
+        assert_eq!(bounds(complex), boxed(50.0));
+        assert_eq!(
+            bounds(&format!("{complex} WHERE region(site)")),
+            boxed(50.0)
+        );
+        assert_eq!(
+            bounds(&format!("{complex} WHERE region(room210)")),
+            boxed(30.0)
+        );
     }
 }

@@ -5,6 +5,8 @@
 //! different network topology … Different sensors may generate data with
 //! different rates." The feature vector captures the query class, the
 //! selected population, and the topology shape.
+//! [`crate::exec::resolve`] computes them; [`QueryFeatures::extract`]
+//! stays only for pgbench's replay probes (ROADMAP item 12).
 
 use crate::exec::{members_of, ExecContext};
 use pg_net::topology::NodeId;
@@ -33,10 +35,12 @@ pub struct QueryFeatures {
 }
 
 impl QueryFeatures {
-    /// Extract features for `query` against the context's network.
+    /// Extract features for `query` against the context's network (what
+    /// [`crate::exec::resolve`] computes, `None` where it fails).
     pub fn extract(ctx: &ExecContext<'_>, query: &Query) -> Option<QueryFeatures> {
-        let members = members_of(ctx, query).ok()?;
-        Some(QueryFeatures::of_members(ctx.net, query, &members))
+        members_of(ctx, query)
+            .ok()
+            .map(|m| Self::of_members(ctx.net, query, &m))
     }
 
     /// Features for `query` whose member set the caller already resolved

@@ -1,6 +1,6 @@
 //! Network lifetime under a continuous aggregate, driven through the one
 //! collection dispatch the decision maker uses: `execute_once` with a
-//! [`SolutionModel`]. Each epoch is one execution, then the death and
+//! [`SolutionModel`], over a selection resolved once. Each epoch is one execution, then the death and
 //! blackout checks, then the rest of the epoch idle-listening — until
 //! nothing arrives or the epoch budget runs out.
 
@@ -10,7 +10,7 @@ use pg_grid::sched::GridCluster;
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, Topology};
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::exec::{execute_once, resolve, ExecContext};
 use pg_partition::model::SolutionModel;
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
@@ -57,6 +57,7 @@ fn lifetime(
         TemperatureField::calm(22.0),
         BTreeMap::new(),
     );
+    let resolved = resolve(net, &regions, &query).unwrap();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut life = Lifetime {
         epochs_run: 0,
@@ -75,7 +76,7 @@ fn lifetime(
             regions: &regions,
             now,
         };
-        let out = execute_once(&mut ctx, &query, model, &mut rng).unwrap();
+        let out = execute_once(&mut ctx, &query, &resolved, model, &mut rng);
         life.epochs_run += 1;
         life.total_energy_j += out.cost.energy_j;
         life.mean_delivery += out.delivered_frac;

@@ -8,7 +8,7 @@ use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, Topology};
 use pg_partition::estimate::estimate;
-use pg_partition::exec::{execute_once, ExecContext};
+use pg_partition::exec::{execute_once, resolve, ExecContext};
 use pg_partition::features::QueryFeatures;
 use pg_partition::knn::KnnRegressor;
 use pg_partition::model::{within_bounds, CostVector, SolutionModel};
@@ -154,6 +154,7 @@ fn executor_conservation() {
         let field = TemperatureField::calm(20.0);
         let regions = BTreeMap::new();
         let query = pg_query::parse("SELECT AVG(temp) FROM sensors").unwrap();
+        let resolved = resolve(&net, &regions, &query).unwrap();
         for model in SolutionModel::candidates(side * side - 1) {
             let before = net.total_consumed();
             let mut ctx = ExecContext {
@@ -164,7 +165,7 @@ fn executor_conservation() {
                 now: SimTime::ZERO,
             };
             let mut rng = StdRng::seed_from_u64(seed);
-            let out = execute_once(&mut ctx, &query, model, &mut rng).expect("valid query");
+            let out = execute_once(&mut ctx, &query, &resolved, model, &mut rng);
             assert!((out.cost.energy_j - (net.total_consumed() - before)).abs() < 1e-9);
             assert!((0.0..=1.0).contains(&out.delivered_frac));
             if out.delivered_frac > 0.0 {

@@ -15,7 +15,7 @@
 use pervasive_grid::core::PervasiveGrid;
 use pervasive_grid::partition::decide::{DecisionConfig, DecisionMaker, Policy};
 use pervasive_grid::partition::estimate::estimate;
-use pervasive_grid::partition::exec::ExecContext;
+use pervasive_grid::partition::exec::{members_of, resolve, ExecContext};
 use pervasive_grid::partition::features::QueryFeatures;
 use pervasive_grid::partition::learn::Reward;
 use pervasive_grid::partition::model::SolutionModel;
@@ -40,26 +40,31 @@ fn fnv(h: &mut u64, bytes: &[u8]) {
     }
 }
 
-/// Digest of the chosen model names and per-step calibration error.
-fn digest(seed: u64) -> u64 {
-    let mut pg = PervasiveGrid::building(2, 12, seed)
+/// The two-floor building the stream runs on.
+fn building(seed: u64) -> PervasiveGrid {
+    PervasiveGrid::building(2, 12, seed)
         .region("west", Region::room(0.0, 0.0, 30.0, 55.0))
         .region("east", Region::room(25.0, 0.0, 55.0, 55.0))
         .region("core", Region::room(15.0, 15.0, 40.0, 40.0))
-        .build();
-    let shapes: Vec<(Query, QueryFeatures)> = TEMPLATES
+        .build()
+}
+
+/// Every template over every region, templates outermost.
+fn queries() -> Vec<Query> {
+    TEMPLATES
         .iter()
         .flat_map(|t| REGIONS.iter().map(move |r| t.replace("{r}", r)))
-        .map(|text| {
-            let q = pervasive_grid::query::parse(&text).unwrap();
-            let ctx = ExecContext {
-                net: &mut pg.net,
-                grid: &pg.grid,
-                field: &pg.field,
-                regions: &pg.regions,
-                now: pg.now,
-            };
-            let f = QueryFeatures::extract(&ctx, &q).unwrap();
+        .map(|text| pervasive_grid::query::parse(&text).unwrap())
+        .collect()
+}
+
+/// Digest of the chosen model names and per-step calibration error.
+fn digest(seed: u64) -> u64 {
+    let pg = building(seed);
+    let shapes: Vec<(Query, QueryFeatures)> = queries()
+        .into_iter()
+        .map(|q| {
+            let f = resolve(&pg.net, &pg.regions, &q).unwrap().features;
             (q, f)
         })
         .collect();
@@ -101,4 +106,23 @@ fn adaptive_decisions_are_pinned_over_three_seeds() {
         ],
         "got {got:#x?}"
     );
+}
+
+/// The members and features pgbench's replay probes take from the two
+/// wrappers are the ones resolution computes.
+#[test]
+fn the_probe_wrappers_agree_with_resolve() {
+    let mut pg = building(1);
+    for q in queries() {
+        let resolved = resolve(&pg.net, &pg.regions, &q).unwrap();
+        let ctx = ExecContext {
+            net: &mut pg.net,
+            grid: &pg.grid,
+            field: &pg.field,
+            regions: &pg.regions,
+            now: pg.now,
+        };
+        assert_eq!(members_of(&ctx, &q).as_ref(), Ok(&resolved.members));
+        assert_eq!(QueryFeatures::extract(&ctx, &q), Some(resolved.features));
+    }
 }
