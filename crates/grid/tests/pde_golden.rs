@@ -114,6 +114,86 @@ fn solver_outputs_are_pinned_to_the_bit() {
     }
 }
 
+/// `(solver, max_iters, iterations, residual bits, field digest, ops)` on
+/// the 12³ cube, stopped by the sweep cap long before convergence: at 0
+/// sweeps (the wall-filled first iterate) and at 13, which is no multiple of
+/// either check interval, so the only residual check that can stop the
+/// solve is the one at the cap.
+const GOLDEN_CAPPED: [(Solver, u32, u32, u64, u64, u64); 6] = [
+    (
+        Solver::Jacobi,
+        0,
+        0,
+        0x406c_c000_0000_0000,
+        0xc905_8364_75a6_a324,
+        0,
+    ),
+    (
+        Solver::Jacobi,
+        13,
+        13,
+        0x401e_fa57_ebeb_2340,
+        0x9314_7f58_dcec_02af,
+        103_688,
+    ),
+    (
+        Solver::RedBlackGaussSeidel,
+        0,
+        0,
+        0x406c_c000_0000_0000,
+        0xc905_8364_75a6_a324,
+        0,
+    ),
+    (
+        Solver::RedBlackGaussSeidel,
+        13,
+        13,
+        0x4009_7976_0927_d100,
+        0x0b9d_a33a_ce75_673b,
+        103_688,
+    ),
+    (
+        Solver::Sor { omega_x100: 185 },
+        0,
+        0,
+        0x406c_c000_0000_0000,
+        0xc905_8364_75a6_a324,
+        0,
+    ),
+    (
+        Solver::Sor { omega_x100: 185 },
+        13,
+        13,
+        0x4026_1f41_687f_27b0,
+        0x52a0_ea11_e8b2_7b93,
+        129_610,
+    ),
+];
+
+#[test]
+fn capped_relaxations_are_pinned_to_the_bit() {
+    for (solver, max_iters, iterations, residual_bits, field_digest, ops) in GOLDEN_CAPPED {
+        let (field, stats) = problem(12).solve(solver, 1e-6, max_iters);
+        assert!(!stats.converged, "{} capped at {max_iters}", solver.name());
+        let got = (
+            stats.iterations,
+            stats.residual.to_bits(),
+            digest(field.raw()),
+            stats.ops,
+        );
+        assert_eq!(
+            got,
+            (iterations, residual_bits, field_digest, ops),
+            "{} capped at {max_iters}: got ({}, {:#018x}, {:#018x}, {})",
+            solver.name(),
+            got.0,
+            got.1,
+            got.2,
+            got.3
+        );
+    }
+}
+
 /// A fire-like plume the fire-box rows sample their readings from.
 fn plume(p: &Point) -> f64 {
     let d2 = p.distance_sq(&Point::new(27.5, 27.5, 0.0));
