@@ -31,9 +31,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{fmt, standard_world_with_loss, stream, Cell, Experiment, World};
+use pg_bench::{fmt, standard_world_with_loss, stream, Cell, Experiment};
 use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
-use pg_partition::exec::{execute_once, resolve, ExecContext, Resolved};
+use pg_partition::exec::{execute_once, resolve, Outcome};
 use pg_partition::learn::Reward;
 use pg_partition::model::{CostWeights, SolutionModel};
 use pg_sim::fault::FaultPlan;
@@ -127,43 +127,6 @@ struct RunOut {
     regret_w: [f64; 4],
 }
 
-/// Clairvoyant objective at one decision point: every standard candidate
-/// executed on a clone of the world, judged by the scenario's objective.
-#[allow(clippy::too_many_arguments)]
-fn oracle_objective(
-    scenario: Scenario,
-    w: &World,
-    query: &pg_query::ast::Query,
-    weights: &CostWeights,
-    wait_s: f64,
-    resolved: &Resolved,
-    exec_seed: u64,
-) -> Option<f64> {
-    match scenario {
-        Scenario::Faults => oracle_choice(
-            &w.net, &w.grid, &w.field, &w.regions, w.now, query, exec_seed,
-        )
-        .map(|(_, cost)| weights.scalar(&cost)),
-        Scenario::Load => SolutionModel::candidates(resolved.members.len())
-            .into_iter()
-            .map(|m| {
-                let mut trial = w.net.clone();
-                let mut ctx = ExecContext {
-                    net: &mut trial,
-                    grid: &w.grid,
-                    field: &w.field,
-                    regions: &w.regions,
-                    now: w.now,
-                };
-                let mut rng = StdRng::seed_from_u64(exec_seed);
-                let out = execute_once(&mut ctx, query, resolved, m, &mut rng);
-                let miss = wait_s + out.cost.time_s > LOAD_DEADLINE_S;
-                weights.scalar(&out.cost) + if miss { MISS_PENALTY } else { 0.0 }
-            })
-            .reduce(f64::min),
-    }
-}
-
 fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
     let weights = CostWeights::default();
     let shift = len / 2;
@@ -195,17 +158,30 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
         let Ok(model) = dm.choose(&w.net, &w.grid, &query, &resolved.features) else {
             continue;
         };
+        // The scenario's objective: the scalar cost, plus the miss penalty
+        // when the load scenario's wait and run overshoot the deadline.
+        let over_deadline = |out: &Outcome| {
+            scenario == Scenario::Load && wait_s + out.cost.time_s > LOAD_DEADLINE_S
+        };
+        let objective = |out: &Outcome| {
+            weights.scalar(&out.cost)
+                + if over_deadline(out) {
+                    MISS_PENALTY
+                } else {
+                    0.0
+                }
+        };
         // Regret is asserted for the bandit only, so only its run pays the
         // clairvoyant's per-decision counterfactual executions.
         let oracle_obj = if policy == Policy::Bandit {
-            oracle_objective(scenario, &w, &query, &weights, wait_s, &resolved, i as u64)
+            oracle_choice(&w.ctx(), &query, &resolved, i as u64, objective).map(|(_, obj)| obj)
         } else {
             None
         };
         let mut rng = StdRng::seed_from_u64(i as u64);
         let out = execute_once(&mut w.ctx(), &query, &resolved, model, &mut rng);
         let scalar = weights.scalar(&out.cost);
-        let missed = scenario == Scenario::Load && wait_s + out.cost.time_s > LOAD_DEADLINE_S;
+        let missed = over_deadline(&out);
         let phase = usize::from(i >= shift);
         phase_cost[phase] += scalar;
         count[phase] += 1;
@@ -213,9 +189,8 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
             met[phase] += 1;
         }
         if let Some(oracle) = oracle_obj {
-            let obj = scalar + if missed { MISS_PENALTY } else { 0.0 };
             let window = (i * 4 / len).min(3);
-            regret_sum[window] += obj - oracle;
+            regret_sum[window] += objective(&out) - oracle;
             regret_n[window] += 1;
         }
         dm.observe(

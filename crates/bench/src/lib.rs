@@ -389,12 +389,14 @@ pub fn run_mixed_stream(
         // Judge the decision against the clairvoyant oracle (on a clone) for
         // the tail of the stream.
         if i >= len - judge_window {
-            if let Some((best, best_cost)) = oracle_choice(
-                &w.net, &w.grid, &w.field, &w.regions, w.now, &query, i as u64,
-            ) {
+            if let Some((best, best_cost)) =
+                oracle_choice(&w.ctx(), &query, &resolved, i as u64, |out| {
+                    weights.scalar(&out.cost)
+                })
+            {
                 judged += 1;
                 agree += u32::from(best.family() == model.family());
-                oracle_cost_pending = Some(weights.scalar(&best_cost));
+                oracle_cost_pending = Some(best_cost);
             }
         }
         let mut rng = StdRng::seed_from_u64(i as u64);

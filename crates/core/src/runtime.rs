@@ -527,8 +527,8 @@ pub fn execute_query<R: Rng>(
     let start = ctx.now;
     for e in 0..EPOCHS {
         // A representable epoch can still put a later one past the end of
-        // time: saturate rather than overflow.
-        ctx.now = start.saturating_add(Duration::from_nanos(epoch.as_nanos().saturating_mul(e)));
+        // time: the product and the sum saturate rather than overflow.
+        ctx.now = start + Duration::from_nanos(epoch.as_nanos().saturating_mul(e));
         let out = execute_once(ctx, query, resolved, model, rng);
         total = total.add(&out.cost);
         last = out.value;

@@ -29,7 +29,11 @@
 //! All four start from the field filled with the wall value and stop at the
 //! first residual check whose max-norm over free cells is within `tol`:
 //! Jacobi checks every 16 sweeps, the colored sweeps every 8, CG every
-//! iteration (a scan of `r` that runs only once `‖r‖₂ ≤ tol·√N`).
+//! iteration (a scan of `r` that runs only once `‖r‖₂ ≤ tol·√N`). The
+//! three relaxations differ only in their sweep: one relaxation loop runs
+//! each solver's sweep and checks the residual after every 16th or 8th
+//! sweep and after the last, and one step turns every solve's end, CG's
+//! included, into its [`SolveStats`].
 //!
 //! Every solver reports iterations, final residual, and an operation count
 //! that `pg-partition` feeds into its grid-compute-time estimates. That
@@ -202,15 +206,69 @@ impl Problem {
     /// the reconstructed field and convergence stats.
     pub fn solve(&self, solver: Solver, tol: f64, max_iters: u32) -> (Field3, SolveStats) {
         match solver {
-            Solver::Jacobi => self.solve_jacobi(tol, max_iters),
-            Solver::RedBlackGaussSeidel => self.solve_colored(tol, max_iters, 1.0),
+            Solver::Jacobi => {
+                let mut next = self.field.clone();
+                self.relax(solver, tol, max_iters, 16, |cur| {
+                    self.jacobi_sweep(cur.raw(), next.raw_mut());
+                    std::mem::swap(cur, &mut next);
+                })
+            }
+            Solver::RedBlackGaussSeidel => {
+                self.relax(solver, tol, max_iters, 8, |x| self.colored_sweep(x, 1.0))
+            }
             Solver::Sor { omega_x100 } => {
                 let omega = f64::from(omega_x100) / 100.0;
                 assert!(omega > 0.0 && omega < 2.0, "SOR requires 0 < omega < 2");
-                self.solve_colored(tol, max_iters, omega)
+                self.relax(solver, tol, max_iters, 8, |x| self.colored_sweep(x, omega))
             }
             Solver::ConjugateGradient => self.solve_cg(tol, max_iters),
         }
+    }
+
+    /// The relaxation loop Jacobi, RBGS and SOR share: from the wall-filled
+    /// field, `sweep` the iterate up to `max_iters` times, checking the
+    /// residual after every `check_every`-th sweep and after the last, and
+    /// stop at the first check within `tol`.
+    fn relax(
+        &self,
+        solver: Solver,
+        tol: f64,
+        max_iters: u32,
+        check_every: u32,
+        mut sweep: impl FnMut(&mut Field3),
+    ) -> (Field3, SolveStats) {
+        let mut x = self.field.clone();
+        let mut iters = 0;
+        loop {
+            let at_cap = iters == max_iters;
+            if at_cap || (iters > 0 && iters % check_every == 0) {
+                let r = self.residual(&x);
+                if at_cap || r <= tol {
+                    return self.finish(solver, x, iters, r, tol);
+                }
+            }
+            sweep(&mut x);
+            iters += 1;
+        }
+    }
+
+    /// The result of a solve that stopped after `iterations` with
+    /// `residual`: the one place every solver's [`SolveStats`] is built.
+    fn finish(
+        &self,
+        solver: Solver,
+        x: Field3,
+        iterations: u32,
+        residual: f64,
+        tol: f64,
+    ) -> (Field3, SolveStats) {
+        let stats = SolveStats {
+            iterations,
+            residual,
+            converged: residual <= tol,
+            ops: self.estimate_ops(solver, iterations),
+        };
+        (x, stats)
     }
 
     /// Run `body(z, slab)` over every interior z-slab of `buf`, in z order —
@@ -279,94 +337,17 @@ impl Problem {
         });
     }
 
-    fn solve_jacobi(&self, tol: f64, max_iters: u32) -> (Field3, SolveStats) {
-        let mut cur = self.field.clone();
-        let mut next = self.field.clone();
-        let mut iters = 0;
-        while iters < max_iters {
-            self.jacobi_sweep(cur.raw(), next.raw_mut());
-            std::mem::swap(&mut cur, &mut next);
-            iters += 1;
-            if iters % 16 == 0 || iters == max_iters {
-                let r = self.residual(&cur);
-                if r <= tol {
-                    return (
-                        cur,
-                        SolveStats {
-                            iterations: iters,
-                            residual: r,
-                            converged: true,
-                            ops: self.estimate_ops(Solver::Jacobi, iters),
-                        },
-                    );
-                }
-            }
-        }
-        let r = self.residual(&cur);
-        (
-            cur,
-            SolveStats {
-                iterations: iters,
-                residual: r,
-                converged: r <= tol,
-                ops: self.estimate_ops(Solver::Jacobi, iters),
-            },
-        )
-    }
-
-    /// Colored (red/black) relaxation: plain Gauss–Seidel at `omega = 1`,
-    /// SOR otherwise.
-    fn solve_colored(&self, tol: f64, max_iters: u32, omega: f64) -> (Field3, SolveStats) {
-        let tag = if omega == 1.0 {
-            Solver::RedBlackGaussSeidel
-        } else {
-            Solver::Sor {
-                omega_x100: (omega * 100.0).round() as u32,
-            }
-        };
+    /// One red/black sweep in place: every free cell of one colour, then
+    /// of the other, relaxed by `omega` (plain Gauss–Seidel at 1).
+    fn colored_sweep(&self, x: &mut Field3, omega: f64) {
         let (nx, ny, nz) = self.field.shape();
-        let mut x = self.field.clone();
-        let mut iters = 0;
-
-        while iters < max_iters {
-            for color in 0..2usize {
-                for z in 1..nz - 1 {
-                    for y in 1..ny - 1 {
-                        self.colored_line(
-                            x.raw_mut(),
-                            nx * (y + ny * z),
-                            (y + z + color) % 2,
-                            omega,
-                        );
-                    }
-                }
-            }
-            iters += 1;
-            if iters % 8 == 0 || iters == max_iters {
-                let r = self.residual(&x);
-                if r <= tol {
-                    return (
-                        x,
-                        SolveStats {
-                            iterations: iters,
-                            residual: r,
-                            converged: true,
-                            ops: self.estimate_ops(tag, iters),
-                        },
-                    );
+        for color in 0..2usize {
+            for z in 1..nz - 1 {
+                for y in 1..ny - 1 {
+                    self.colored_line(x.raw_mut(), nx * (y + ny * z), (y + z + color) % 2, omega);
                 }
             }
         }
-        let r = self.residual(&x);
-        (
-            x,
-            SolveStats {
-                iterations: iters,
-                residual: r,
-                converged: r <= tol,
-                ops: self.estimate_ops(tag, iters),
-            },
-        )
     }
 
     /// Relax every other free cell of the x-line starting at flat index
@@ -504,15 +485,7 @@ impl Problem {
             }
         }
         let res = self.residual(&out);
-        (
-            out,
-            SolveStats {
-                iterations: iters,
-                residual: res,
-                converged: res <= tol,
-                ops: self.estimate_ops(Solver::ConjugateGradient, iters),
-            },
-        )
+        self.finish(Solver::ConjugateGradient, out, iters, res, tol)
     }
 }
 

@@ -22,19 +22,16 @@
 //! uniform draw, or the policy's learner.
 
 use crate::estimate::estimate;
-use crate::exec::{execute_once, resolve, ExecContext};
+use crate::exec::{execute_once, ExecContext, Outcome, Resolved};
 use crate::features::QueryFeatures;
 use crate::learn::{bandit_candidates, CandidateArm, KnnLearner, LinUcbLearner, NetHealth, Reward};
 use crate::model::{within_bounds, CostVector, CostWeights, SolutionModel};
 use pg_grid::sched::GridCluster;
 use pg_query::ast::Query;
-use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
-use pg_sensornet::region::Region;
-use pg_sim::SimTime;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// Strategy-selection policies for experiment T3.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,7 +61,7 @@ impl Policy {
 /// Neighbourhood size of the adaptive policy's k-NN case memory.
 const KNN_K: usize = 5;
 
-/// Capacity of the `(predicted, actual)` calibration ring: long streaming
+/// Capacity of the `(predicted, actual)` calibration window: long streaming
 /// runs keep a bounded window instead of growing per query.
 const CALIBRATION_CAP: usize = 1024;
 
@@ -102,48 +99,6 @@ impl DecisionConfig {
     }
 }
 
-/// Fixed-capacity ring of `(predicted, actual)` scalar-cost pairs.
-#[derive(Debug, Clone)]
-struct CalibrationRing {
-    buf: Vec<(f64, f64)>,
-    head: usize,
-    cap: usize,
-}
-
-impl CalibrationRing {
-    fn new(cap: usize) -> Self {
-        CalibrationRing {
-            buf: Vec::new(),
-            head: 0,
-            cap: cap.max(1),
-        }
-    }
-
-    fn push(&mut self, v: (f64, f64)) {
-        if self.buf.len() < self.cap {
-            self.buf.push(v);
-        } else {
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Entries most-recent-first.
-    fn iter_recent(&self) -> impl Iterator<Item = &(f64, f64)> {
-        let n = self.buf.len();
-        (0..n).map(move |i| {
-            // head is the *oldest* entry once the ring is full; newest is
-            // head-1. While filling, newest is the last element.
-            let idx = (self.head + n - 1 - i) % n.max(1);
-            &self.buf[idx]
-        })
-    }
-}
-
 /// The learner a policy keeps: the bandit for [`Policy::Bandit`], the
 /// k-NN case memory for every other policy.
 #[derive(Debug)]
@@ -160,7 +115,9 @@ pub struct DecisionMaker {
     learner: Learner,
     /// Draws the random policy's picks and the k-NN policy's exploration.
     rng: StdRng,
-    calibration: CalibrationRing,
+    /// `(predicted, actual)` scalar costs, oldest first, at most
+    /// [`CALIBRATION_CAP`] of them.
+    calibration: VecDeque<(f64, f64)>,
     health: NetHealth,
 }
 
@@ -181,7 +138,7 @@ impl DecisionMaker {
             policy,
             learner,
             rng: StdRng::seed_from_u64(seed),
-            calibration: CalibrationRing::new(CALIBRATION_CAP),
+            calibration: VecDeque::new(),
             health: NetHealth::default(),
         }
     }
@@ -284,7 +241,11 @@ impl DecisionMaker {
         let weights = self.cfg.weights();
         let predicted = self.predict(net, grid, &features, &model);
         let score = weights.scalar(&predicted);
-        self.calibration.push((score, weights.scalar(&reward.cost)));
+        if self.calibration.len() == CALIBRATION_CAP {
+            self.calibration.pop_front();
+        }
+        self.calibration
+            .push_back((score, weights.scalar(&reward.cost)));
         match &mut self.learner {
             Learner::Knn(knn) => knn.record(features, model, reward.cost),
             Learner::Bandit(bandit) => {
@@ -313,7 +274,7 @@ impl DecisionMaker {
     /// Mean relative calibration error over the last `window` recordings —
     /// drops as the learner absorbs actuals.
     pub fn calibration_error(&self, window: usize) -> f64 {
-        let tail: Vec<&(f64, f64)> = self.calibration.iter_recent().take(window.max(1)).collect();
+        let tail: Vec<&(f64, f64)> = self.calibration.iter().rev().take(window.max(1)).collect();
         if tail.is_empty() {
             return 0.0;
         }
@@ -330,51 +291,52 @@ impl DecisionMaker {
     }
 }
 
-/// Clairvoyant baseline: execute every candidate on a clone of the world
-/// and return the truly cheapest placement with its measured cost.
+/// Clairvoyant baseline: execute every candidate placement of the resolved
+/// `query` on its own clone of `ctx`'s network, each from an RNG seeded with
+/// `seed`, and return the one whose outcome scores lowest under `objective`
+/// (the first of equals) with that score. Outcomes that break the query's
+/// COST bounds are left out; `None` when none is left.
 pub fn oracle_choice(
-    net: &SensorNetwork,
-    grid: &GridCluster,
-    field: &TemperatureField,
-    regions: &BTreeMap<String, Region>,
-    now: SimTime,
+    ctx: &ExecContext,
     query: &Query,
+    resolved: &Resolved,
     seed: u64,
-) -> Option<(SolutionModel, CostVector)> {
-    let weights = CostWeights::default();
-    let resolved = resolve(net, regions, query).ok()?;
-    let mut best: Option<(SolutionModel, CostVector, f64)> = None;
+    objective: impl Fn(&Outcome) -> f64,
+) -> Option<(SolutionModel, f64)> {
+    let mut best: Option<(SolutionModel, f64)> = None;
     for model in SolutionModel::candidates(resolved.members.len()) {
-        let mut trial = net.clone();
-        let mut ctx = ExecContext {
+        let mut trial = SensorNetwork::clone(ctx.net);
+        let mut trial_ctx = ExecContext {
             net: &mut trial,
-            grid,
-            field,
-            regions,
-            now,
+            ..*ctx
         };
         let mut rng = StdRng::seed_from_u64(seed);
-        let out = execute_once(&mut ctx, query, &resolved, model, &mut rng);
+        let out = execute_once(&mut trial_ctx, query, resolved, model, &mut rng);
         if !within_bounds(query, &out.cost, out.accuracy_err) {
             continue;
         }
-        let s = weights.scalar(&out.cost);
-        if best.as_ref().is_none_or(|(_, _, bs)| s < *bs) {
-            best = Some((model, out.cost, s));
+        let score = objective(&out);
+        if best.is_none_or(|(_, b)| score < b) {
+            best = Some((model, score));
         }
     }
-    best.map(|(m, c, _)| (m, c))
+    best
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::resolve;
     use pg_net::energy::RadioModel;
     use pg_net::geom::Point;
     use pg_net::link::LinkModel;
     use pg_net::topology::{NodeId, Topology};
     use pg_query::parse;
+    use pg_sensornet::field::TemperatureField;
+    use pg_sensornet::region::Region;
     use pg_sim::Duration;
+    use pg_sim::SimTime;
+    use std::collections::BTreeMap;
 
     pub(super) fn world() -> (
         SensorNetwork,
@@ -504,52 +466,78 @@ mod tests {
     }
 
     #[test]
-    fn calibration_ring_is_bounded() {
-        let mut ring = CalibrationRing::new(8);
-        for i in 0..50 {
-            ring.push((f64::from(i), 0.0));
+    fn calibration_window_is_bounded() {
+        let (net, grid, _, regions) = world();
+        let q = parse("SELECT AVG(temp) FROM sensors").unwrap();
+        let f = features(&net, &regions, &q);
+        let mut dm = maker(Policy::Adaptive, 5);
+        let cost = |i: u32| CostVector {
+            energy_j: 0.01,
+            time_s: f64::from(i + 1),
+            bytes: 1e3,
+            ops: 1e3,
+        };
+        for i in 0..1_100 {
+            dm.observe(
+                &net,
+                &grid,
+                f,
+                SolutionModel::BaseStation,
+                Reward::from_cost(cost(i)),
+            );
         }
-        assert_eq!(ring.len(), 8);
-        // Most recent first, the oldest of the window last.
-        let kept: Vec<f64> = ring.iter_recent().map(|&(p, _)| p).collect();
-        assert_eq!(kept, [49.0, 48.0, 47.0, 46.0, 45.0, 44.0, 43.0, 42.0]);
+        assert_eq!(dm.calibration_len(), 1_024);
+        // The window of one is the newest pair: the last actual recorded.
+        let (predicted, actual) = dm.calibration[CALIBRATION_CAP - 1];
+        let w = CostWeights::default();
+        assert_eq!(actual, w.scalar(&cost(1_099)));
+        // The 76 oldest pairs were dropped.
+        assert_eq!(dm.calibration[0].1, w.scalar(&cost(76)));
+        let want = (predicted - actual).abs() / actual.abs().max(1e-9);
+        assert_eq!(dm.calibration_error(1).to_bits(), want.to_bits());
     }
 
     #[test]
     fn oracle_picks_the_truly_cheapest() {
-        let (net, grid, field, regions) = world();
+        let (mut net, grid, field, regions) = world();
         let q = parse("SELECT AVG(temp) FROM sensors WHERE region(room210)").unwrap();
-        let (model, cost) = oracle_choice(
-            &net,
-            &grid,
-            &field,
-            &regions,
-            SimTime::from_secs(600),
-            &q,
-            7,
-        )
-        .unwrap();
-        // Verify optimality by re-running every candidate.
-        let w = CostWeights::default();
         let resolved = resolve(&net, &regions, &q).unwrap();
+        let now = SimTime::from_secs(600);
+        let w = CostWeights::default();
+        let mut ctx = ExecContext {
+            net: &mut net,
+            grid: &grid,
+            field: &field,
+            regions: &regions,
+            now,
+        };
+        let (model, best) =
+            oracle_choice(&ctx, &q, &resolved, 7, |out| w.scalar(&out.cost)).unwrap();
+        // Verify optimality by re-running every candidate on the network
+        // itself: the oracle's trials left it as they found it.
         for cand in SolutionModel::candidates(20) {
-            let mut trial = net.clone();
-            let mut ctx = ExecContext {
-                net: &mut trial,
-                grid: &grid,
-                field: &field,
-                regions: &regions,
-                now: SimTime::from_secs(600),
-            };
+            let mut trial = ctx.net.clone();
             let mut rng = StdRng::seed_from_u64(7);
-            let out = execute_once(&mut ctx, &q, &resolved, cand, &mut rng);
+            let out = execute_once(
+                &mut ExecContext {
+                    net: &mut trial,
+                    ..ctx
+                },
+                &q,
+                &resolved,
+                cand,
+                &mut rng,
+            );
             assert!(
-                w.scalar(&cost) <= w.scalar(&out.cost) + 1e-12,
+                best <= w.scalar(&out.cost) + 1e-12,
                 "oracle ({}) beaten by {}",
                 model.name(),
                 cand.name()
             );
         }
+        let mut rng = StdRng::seed_from_u64(7);
+        let out = execute_once(&mut ctx, &q, &resolved, model, &mut rng);
+        assert_eq!(w.scalar(&out.cost).to_bits(), best.to_bits());
     }
 
     #[test]
@@ -683,6 +671,7 @@ mod tests {
 #[cfg(test)]
 mod prop_tests {
     use super::*;
+    use crate::exec::resolve;
     use crate::learn::BanditConfig;
     use propcheck::check;
 

@@ -308,10 +308,7 @@ fn exec_aggregate<R: Rng>(
             input_bytes: ship,
             output_bytes: RESULT_BYTES,
         };
-        cost.time_s += ctx
-            .grid
-            .single_job_time_at(&job, ctx.now)
-            .map_or(0.0, |d| d.as_secs_f64());
+        cost.time_s += ctx.grid.single_job_time_at(&job, ctx.now).as_secs_f64();
         cost.bytes += (ship + RESULT_BYTES) as f64;
         cost.ops += job.ops as f64;
     }
@@ -412,10 +409,7 @@ fn exec_complex<R: Rng>(
                 input_bytes: ship,
                 output_bytes: RESULT_BYTES,
             };
-            cost.time_s += ctx
-                .grid
-                .single_job_time_at(&job, ctx.now)
-                .map_or(0.0, |d| d.as_secs_f64());
+            cost.time_s += ctx.grid.single_job_time_at(&job, ctx.now).as_secs_f64();
             ship
         }
         SolutionModel::BaseStation => {

@@ -512,7 +512,7 @@ impl ArrivalProcess for MetroWorkload {
         // Powers of two multiply exactly, and a delay past the end of time
         // saturates: that retry lands beyond the horizon and gives up.
         let delay_s = retry_after.as_secs_f64().max(1e-3) * 2f64.powi(attempt as i32) * jitter;
-        let at = now.saturating_add(Duration::from_secs_f64(delay_s));
+        let at = now + Duration::from_secs_f64(delay_s);
         if at >= self.cfg.horizon {
             self.gave_up += 1;
             return;

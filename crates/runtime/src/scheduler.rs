@@ -678,7 +678,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             id: self.mint_id(),
             text: text.to_string(),
             submitted_at: now,
-            deadline_abs: opts.deadline.map(|d| now.saturating_add(d)),
+            deadline_abs: opts.deadline.map(|d| now + d),
             estimate_j,
             priority: opts.priority,
         };
@@ -770,7 +770,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// coming round; it is journaled, so it survives a crash.
     pub fn tighten_deadline(&mut self, handle: QueryHandle, deadline: Duration) -> bool {
         let id = handle.id();
-        let deadline_abs = self.engine.now().saturating_add(deadline);
+        let deadline_abs = self.engine.now() + deadline;
         let Some(q) = self.waiting.iter_mut().find(|q| q.id == id) else {
             return false;
         };

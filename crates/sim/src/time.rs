@@ -76,13 +76,6 @@ impl SimTime {
         );
         Duration(self.0 - earlier.0)
     }
-
-    /// `self + d`, clamped to [`SimTime::MAX`] instead of panicking: for
-    /// instants a caller may ask for but the run never reaches, such as a
-    /// deadline centuries away.
-    pub const fn saturating_add(self, d: Duration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
-    }
 }
 
 impl Duration {
@@ -140,11 +133,11 @@ impl Duration {
 
 impl Add<Duration> for SimTime {
     type Output = SimTime;
-    // Overflow means ~584 years of simulated nanoseconds: a broken model,
-    // not a recoverable condition.
-    #[allow(clippy::expect_used)]
+    /// `self + rhs`, clamped to [`SimTime::MAX`]: an instant ~584 years
+    /// out, such as a deadline centuries away, is one the run never
+    /// reaches, not an error.
     fn add(self, rhs: Duration) -> SimTime {
-        SimTime(self.0.checked_add(rhs.0).expect("simulation time overflow"))
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -163,7 +156,8 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for Duration {
     type Output = Duration;
-    // See `SimTime + Duration`: overflow is a broken model, fail fast.
+    // Overflow means ~584 years of simulated nanoseconds: a broken model,
+    // not a recoverable condition.
     #[allow(clippy::expect_used)]
     fn add(self, rhs: Duration) -> Duration {
         Duration(self.0.checked_add(rhs.0).expect("duration overflow"))
@@ -249,11 +243,11 @@ mod tests {
             Duration::from_secs(2)
         );
         let far = Duration::from_nanos(u64::MAX);
-        assert_eq!(SimTime::from_secs(1).saturating_add(far), SimTime::MAX);
-        assert_eq!(
-            t.saturating_add(Duration::from_millis(500)),
-            SimTime::from_secs(11)
-        );
+        assert_eq!(SimTime::from_secs(1) + far, SimTime::MAX);
+        assert_eq!(SimTime::MAX + Duration::from_nanos(1), SimTime::MAX);
+        let mut end = SimTime::MAX;
+        end += Duration::from_nanos(1);
+        assert_eq!(end, SimTime::MAX);
     }
 
     #[test]
