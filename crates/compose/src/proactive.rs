@@ -7,16 +7,22 @@
 //! approach is to re-actively integrate and execute services to derive the
 //! result of a query."
 //!
-//! A [`PlanCache`] holds decomposed plans (and their candidate bindings)
-//! with a TTL. A cache hit skips planning and the initial discovery sweep;
-//! a miss — or an expired entry — pays the full reactive path and refills
-//! the cache. Experiment T6 sweeps request frequency to find the crossover
-//! where proactive maintenance beats reactive recomputation.
+//! A [`PlanCache`] stamps plans with a TTL. A cache hit skips planning and
+//! the initial discovery sweep; a miss — or an expired entry — pays the
+//! full reactive path and re-stamps the entry. Experiment T6 sweeps
+//! request frequency to find the crossover where proactive maintenance
+//! beats reactive recomputation.
+//!
+//! The plans themselves are generic information in exactly §3's sense: a
+//! [`PlanBook`] decomposes every task of a method library once, and the
+//! caches that share it (one per federation cell) hold only their own
+//! freshness stamps and hand out the book's plan (`Rc<Plan>`) on every hit
+//! and miss alike.
 
 use crate::htn::{DecomposeError, MethodLibrary};
 use crate::plan::Plan;
 use pg_sim::{Duration, SimTime};
-use std::collections::BTreeMap;
+use std::rc::Rc;
 
 /// Setup latency of the reactive path: decomposing the task into a plan
 /// (120 ms) plus the initial discovery sweep over its roles (250 ms).
@@ -36,12 +42,57 @@ pub enum CacheResult {
     Miss,
 }
 
-/// A TTL plan cache.
+/// Every task of a method library, decomposed once: the immutable book
+/// any number of [`PlanCache`]s draw their plans from. `decompose` is a
+/// pure function of the library, so the book's plan for a task is the one
+/// a fresh decomposition would return, and its error the same error.
+#[derive(Debug)]
+pub struct PlanBook {
+    /// One entry per library task, sorted by task name (the library's
+    /// order).
+    plans: Vec<(String, Result<Rc<Plan>, DecomposeError>)>,
+}
+
+impl PlanBook {
+    /// Decompose each of `lib`'s tasks.
+    pub fn new(lib: &MethodLibrary) -> Self {
+        PlanBook {
+            plans: lib
+                .tasks()
+                .map(|t| (t.to_string(), lib.decompose(t).map(Rc::new)))
+                .collect(),
+        }
+    }
+
+    /// The library's tasks in name order, dealt round-robin: task `i`
+    /// modulo their number.
+    ///
+    /// # Panics
+    /// Panics on a book over an empty library.
+    pub fn task(&self, i: usize) -> &str {
+        &self.plans[i % self.plans.len()].0
+    }
+
+    /// `task`'s position in the book and its plan, or the error a fresh
+    /// decomposition gives (`UnknownTask` for a task the library lacks).
+    fn plan(&self, task: &str) -> Result<(usize, &Rc<Plan>), DecomposeError> {
+        let i = self
+            .plans
+            .binary_search_by(|(t, _)| t.as_str().cmp(task))
+            .map_err(|_| DecomposeError::UnknownTask(task.to_string()))?;
+        let plan = self.plans[i].1.as_ref().map_err(DecomposeError::clone)?;
+        Ok((i, plan))
+    }
+}
+
+/// A TTL plan cache over a shared [`PlanBook`].
 #[derive(Debug)]
 pub struct PlanCache {
-    lib: MethodLibrary,
+    book: Rc<PlanBook>,
     ttl: Duration,
-    entries: BTreeMap<String, (Plan, SimTime)>,
+    /// When each of the book's tasks was last planned or warmed here, by
+    /// its position in the book; `None` until the first.
+    stamps: Vec<Option<SimTime>>,
     /// Hits served so far.
     pub hits: u64,
     /// Misses served so far.
@@ -51,12 +102,19 @@ pub struct PlanCache {
 }
 
 impl PlanCache {
-    /// A cache over `lib` whose entries stay fresh for `ttl`.
+    /// A cache over a book of `lib`'s own whose entries stay fresh for
+    /// `ttl`.
     pub fn new(lib: MethodLibrary, ttl: Duration) -> Self {
+        PlanCache::shared(Rc::new(PlanBook::new(&lib)), ttl)
+    }
+
+    /// A cache over `book`, shared with other caches, whose entries stay
+    /// fresh for `ttl`.
+    pub fn shared(book: Rc<PlanBook>, ttl: Duration) -> Self {
         PlanCache {
-            lib,
+            stamps: vec![None; book.plans.len()],
+            book,
             ttl,
-            entries: BTreeMap::new(),
             hits: 0,
             misses: 0,
             prewarms: 0,
@@ -66,46 +124,45 @@ impl PlanCache {
     /// Pre-warm the cache for `task` at time `now`, ahead of any demand —
     /// the proactive half of §3 driven from outside (e.g. a mobility
     /// predictor warming the cell a roaming user is expected to enter
-    /// next). The decomposition work happens off the request path, so it
-    /// counts as neither a hit nor a miss; the next [`request`] within the
-    /// TTL is a [`CacheResult::Hit`] paying only revalidation. Re-warming
-    /// an existing entry refreshes its stamp and nothing else: `decompose`
-    /// is a pure function of the library, which never changes, so the
-    /// cached plan is the one it would return again.
+    /// next). The work happens off the request path, so it counts as
+    /// neither a hit nor a miss; the next [`request`] within the TTL is a
+    /// [`CacheResult::Hit`] paying only revalidation. Warming only stamps
+    /// the entry: its plan is the book's.
     ///
     /// [`request`]: PlanCache::request
     pub fn warm(&mut self, task: &str, now: SimTime) -> Result<(), DecomposeError> {
-        match self.entries.get_mut(task) {
-            Some((_, stamp)) => *stamp = now,
-            None => {
-                let plan = self.lib.decompose(task)?;
-                self.entries.insert(task.to_string(), (plan, now));
-            }
-        }
+        let (i, _) = self.book.plan(task)?;
+        self.stamps[i] = Some(now);
         self.prewarms += 1;
         Ok(())
     }
 
-    /// Serve a composition request at time `now`: returns the plan, how it
-    /// was served, and the setup latency incurred before execution can
-    /// begin ([`REACTIVE_SETUP`] on a miss; revalidation on a hit). An
+    /// Serve a composition request at time `now`: returns the book's plan,
+    /// how it was served, and the setup latency incurred before execution
+    /// can begin ([`REACTIVE_SETUP`] on a miss; revalidation on a hit). An
     /// entry is fresh up to and including its TTL; a zero-TTL cache never
-    /// hits.
+    /// hits. A task the book cannot plan counts as a miss and returns its
+    /// error.
     pub fn request(
         &mut self,
         task: &str,
         now: SimTime,
-    ) -> Result<(Plan, CacheResult, Duration), DecomposeError> {
-        if let Some((plan, stamp)) = self.entries.get(task) {
-            if self.ttl > Duration::ZERO && now.since(*stamp) <= self.ttl {
-                self.hits += 1;
-                return Ok((plan.clone(), CacheResult::Hit, REVALIDATE_TIME));
+    ) -> Result<(Rc<Plan>, CacheResult, Duration), DecomposeError> {
+        let (i, plan) = match self.book.plan(task) {
+            Ok(found) => found,
+            Err(e) => {
+                self.misses += 1;
+                return Err(e);
             }
+        };
+        let stamp = &mut self.stamps[i];
+        if stamp.is_some_and(|at| self.ttl > Duration::ZERO && now.since(at) <= self.ttl) {
+            self.hits += 1;
+            return Ok((Rc::clone(plan), CacheResult::Hit, REVALIDATE_TIME));
         }
         self.misses += 1;
-        let plan = self.lib.decompose(task)?;
-        self.entries.insert(task.to_string(), (plan.clone(), now));
-        Ok((plan, CacheResult::Miss, REACTIVE_SETUP))
+        *stamp = Some(now);
+        Ok((Rc::clone(plan), CacheResult::Miss, REACTIVE_SETUP))
     }
 }
 
@@ -220,6 +277,56 @@ mod tests {
         let mut c = cache(60);
         assert!(c.request("bogus", SimTime::ZERO).is_err());
         assert_eq!((c.hits, c.prewarms), (0, 0));
+    }
+
+    /// Two caches sharing one book serve, for every library task, on a
+    /// miss and on a warm hit alike, exactly what a fresh `decompose`
+    /// returns; an unknown task is still `UnknownTask` on either path.
+    #[test]
+    fn a_shared_book_serves_what_decompose_returns() {
+        let lib = MethodLibrary::pervasive_grid();
+        let book = Rc::new(PlanBook::new(&lib));
+        let mut cold = PlanCache::shared(Rc::clone(&book), Duration::from_secs(60));
+        let mut warm = PlanCache::shared(book, Duration::from_secs(60));
+        for task in lib.tasks() {
+            let want = format!("{:?}", lib.decompose(task).unwrap());
+            let (plan, r, _) = cold.request(task, SimTime::ZERO).unwrap();
+            assert_eq!((format!("{plan:?}"), r), (want.clone(), CacheResult::Miss));
+            warm.warm(task, SimTime::ZERO).unwrap();
+            let (plan, r, _) = warm.request(task, SimTime::from_secs(1)).unwrap();
+            assert_eq!((format!("{plan:?}"), r), (want, CacheResult::Hit));
+        }
+        let unknown = DecomposeError::UnknownTask("bogus".into());
+        assert_eq!(cold.request("bogus", SimTime::ZERO).unwrap_err(), unknown);
+        assert_eq!(warm.warm("bogus", SimTime::ZERO).unwrap_err(), unknown);
+    }
+
+    /// A scripted warm / hit / expiry / miss sequence, with unknown tasks
+    /// interleaved, leaves the counts a per-cache decomposition left.
+    #[test]
+    fn scripted_requests_keep_their_counts() {
+        let mut c = cache(10);
+        let other = "toxin-correlation";
+        c.warm(TASK, SimTime::ZERO).unwrap();
+        c.warm(other, SimTime::from_secs(2)).unwrap();
+        let served = [
+            (TASK, 5, CacheResult::Hit),
+            (other, 12, CacheResult::Hit),
+            (TASK, 11, CacheResult::Miss),
+            (TASK, 21, CacheResult::Hit),
+            (other, 13, CacheResult::Miss),
+            ("stream-ensemble-analysis", 13, CacheResult::Miss),
+        ];
+        for (task, at, want) in served {
+            let (_, r, _) = c.request(task, SimTime::from_secs(at)).unwrap();
+            assert_eq!(r, want, "{task} at {at} s");
+        }
+        assert!(c.request("bogus", SimTime::from_secs(14)).is_err());
+        assert!(c.warm("bogus", SimTime::from_secs(14)).is_err());
+        c.warm(TASK, SimTime::from_secs(30)).unwrap();
+        let (_, r, _) = c.request(TASK, SimTime::from_secs(40)).unwrap();
+        assert_eq!(r, CacheResult::Hit);
+        assert_eq!((c.hits, c.misses, c.prewarms), (4, 4, 3));
     }
 
     #[test]

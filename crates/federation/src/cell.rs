@@ -14,13 +14,13 @@
 use crate::gossip::{CellId, LoadDigest};
 use crate::handoff::HandoffId;
 use pg_agent::AgentId;
-use pg_compose::proactive::PlanCache;
-use pg_compose::MethodLibrary;
+use pg_compose::proactive::{PlanBook, PlanCache};
 use pg_core::{PervasiveGrid, Provenance};
 use pg_runtime::arrivals::{Arrival, ArrivalProcess};
 use pg_runtime::{MultiQueryRuntime, QueryHandle, QueryId};
 use pg_sim::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// What the driver remembers about one admitted query until its outcome
 /// is harvested. Kept for a traced user's query (the user may roam away
@@ -117,7 +117,8 @@ pub struct Cell {
     pub id: CellId,
     /// The cell's own streaming runtime over its own grid.
     pub rt: MultiQueryRuntime<PervasiveGrid>,
-    /// Proactive plan cache, pre-warmed by the next-cell predictor.
+    /// Proactive plan cache over the federation's shared plan book,
+    /// pre-warmed by the next-cell predictor.
     pub cache: PlanCache,
     /// This cell's endpoint on the inter-cell agent bus.
     pub agent: AgentId,
@@ -135,19 +136,20 @@ pub struct Cell {
 
 impl Cell {
     /// Wrap a ready runtime as federation cell `id`, reachable at `agent`
-    /// on the bus. The plan cache covers the standard pervasive-grid task
-    /// library with the given TTL (`Duration::ZERO` = purely reactive:
-    /// every migration pays the full re-planning path).
+    /// on the bus. The plan cache draws on the federation's one `book`
+    /// with the given TTL (`Duration::ZERO` = purely reactive: every
+    /// migration pays the full re-planning path).
     pub fn new(
         id: CellId,
         rt: MultiQueryRuntime<PervasiveGrid>,
         agent: AgentId,
+        book: Rc<PlanBook>,
         cache_ttl: Duration,
     ) -> Self {
         Cell {
             id,
             rt,
-            cache: PlanCache::new(MethodLibrary::pervasive_grid(), cache_ttl),
+            cache: PlanCache::shared(book, cache_ttl),
             agent,
             window: WindowArrivals::default(),
             outcomes_seen: 0,

@@ -45,7 +45,7 @@ use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Members
 use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use crate::roaming::{NextCellPredictor, Trace};
 use pg_agent::{Agent, AgentProfile, AgentSystem, DirectDeputy, Envelope, ReliableConfig};
-use pg_compose::proactive::{CacheResult, REACTIVE_SETUP};
+use pg_compose::proactive::{CacheResult, PlanBook, REACTIVE_SETUP};
 use pg_compose::MethodLibrary;
 use pg_core::{CrossCellHandoff, PervasiveGrid, Provenance};
 use pg_net::link::LinkModel;
@@ -57,6 +57,7 @@ use pg_sim::fault::FaultPlan;
 use pg_sim::rng::mix;
 use pg_sim::{Duration, SimTime};
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 /// Wire size of a migrating query's partial results, or of an answer.
 const PAYLOAD_BYTES: usize = 2048;
@@ -229,7 +230,10 @@ pub struct Federation {
     offered: VecDeque<(u64, Arrival)>,
     in_transit: BTreeMap<HandoffId, InTransit>,
     predictor: NextCellPredictor,
-    tasks: Vec<String>,
+    /// The standard task library, decomposed once for every cell's cache.
+    /// User `u`'s queries plan against its task `u` (for destination
+    /// re-planning and predictive pre-warming).
+    book: Rc<PlanBook>,
     /// Which cells are currently crash-stopped (cell fault plan).
     crashed: Vec<bool>,
     now: SimTime,
@@ -261,6 +265,7 @@ impl Federation {
         } else {
             Duration::ZERO
         };
+        let book = Rc::new(PlanBook::new(&MethodLibrary::pervasive_grid()));
         let mut cells = Vec::with_capacity(runtimes.len());
         for (i, mut rt) in runtimes.into_iter().enumerate() {
             if cfg.journal {
@@ -274,7 +279,13 @@ impl Federation {
                 Box::new(endpoint),
                 Box::new(DirectDeputy::new(LinkModel::wired_backhaul())),
             );
-            cells.push(Cell::new(CellId(i as u32), rt, agent, plan_ttl));
+            cells.push(Cell::new(
+                CellId(i as u32),
+                rt,
+                agent,
+                Rc::clone(&book),
+                plan_ttl,
+            ));
         }
         let n = cells.len();
         if cfg.cell_faults.has_cell_faults() {
@@ -304,10 +315,6 @@ impl Federation {
             .map(|i| Membership::new(CellId(i as u32), &introducer, SimTime::ZERO))
             .collect();
         let handoffs = vec![HandoffStore::new(); n];
-        let tasks: Vec<String> = MethodLibrary::pervasive_grid()
-            .tasks()
-            .map(str::to_string)
-            .collect();
         // One trace per user, in user order; of two for the same user the
         // later one stands.
         let by_user: BTreeMap<u64, Trace> = traces.into_iter().map(|t| (t.user, t)).collect();
@@ -335,7 +342,7 @@ impl Federation {
             offered: VecDeque::new(),
             in_transit: BTreeMap::new(),
             predictor,
-            tasks,
+            book,
             crashed: vec![false; n],
             now: SimTime::ZERO,
             round_idx: 0,
@@ -477,12 +484,6 @@ impl Federation {
         }
     }
 
-    /// The task a user's queries plan against (for destination
-    /// re-planning and predictive pre-warming).
-    fn task_of(&self, user: u64) -> String {
-        self.tasks[user as usize % self.tasks.len()].clone()
-    }
-
     /// Index of `user`'s record in `roamers`, if they have a trace.
     fn roamer_of(&self, user: u64) -> Option<usize> {
         self.roamers
@@ -500,8 +501,8 @@ impl Federation {
         if t >= self.cells.len() || next == at_cell {
             return;
         }
-        let task = self.task_of(user);
-        if self.cells[t].cache.warm(&task, now).is_ok() {
+        let task = self.book.task(user as usize);
+        if self.cells[t].cache.warm(task, now).is_ok() {
             self.stats.prewarms += 1;
         }
     }
@@ -866,8 +867,8 @@ impl Federation {
             self.stats.forward_latencies_s.push(transport_s);
             return;
         };
-        let task = self.task_of(user);
-        let (warm, setup_s) = match self.cells[dest].cache.request(&task, end) {
+        let task = self.book.task(user as usize);
+        let (warm, setup_s) = match self.cells[dest].cache.request(task, end) {
             Ok((_, CacheResult::Hit, d)) => (true, d.as_secs_f64()),
             Ok((_, CacheResult::Miss, d)) => (false, d.as_secs_f64()),
             Err(_) => (false, REACTIVE_SETUP.as_secs_f64()),

@@ -14,7 +14,9 @@ use pg_net::mobility::{MobilityConfig, Waypoint, ARENA_SIDE};
 use pg_sim::rng::RngStreams;
 use pg_sim::{Duration, SimTime};
 use rand::Rng;
-use std::collections::BTreeMap;
+
+#[cfg(test)]
+mod oracle;
 
 /// One cell-to-cell move in a user's itinerary.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -110,14 +112,21 @@ pub fn commute_traces(seed: u64, cfg: &RoamingConfig) -> Vec<Trace> {
 /// A first-order Markov next-cell predictor over mobility traces.
 ///
 /// Transition counts are kept per `(user, cell)` with a federation-wide
-/// per-cell fallback; prediction is the argmax (smallest cell id breaking
-/// ties, so prediction is deterministic). Train it offline on historical
-/// traces with [`train`](NextCellPredictor::train), then keep it honest
-/// online with [`observe`](NextCellPredictor::observe) as moves happen.
+/// per-cell fallback, each in one flat table sorted by key: `(user, from,
+/// to)` and `(from, to)`. Every row a prediction reads is one contiguous
+/// run of its table, sorted by destination. Train it offline on historical
+/// traces with [`train`](NextCellPredictor::train) (one sort and one
+/// run-length count per table), then keep it honest online with
+/// [`observe`](NextCellPredictor::observe) (a binary-search upsert) as
+/// moves happen. [`predict`](NextCellPredictor::predict) is the row's
+/// argmax: the highest count, then the lowest cell id, so prediction is
+/// deterministic.
 #[derive(Debug, Clone, Default)]
 pub struct NextCellPredictor {
-    per_user: BTreeMap<(u64, CellId), BTreeMap<CellId, u64>>,
-    global: BTreeMap<CellId, BTreeMap<CellId, u64>>,
+    /// `((user, from, to), count)`, sorted by key.
+    per_user: Vec<((u64, CellId, CellId), u64)>,
+    /// `((from, to), count)`, sorted by key.
+    global: Vec<((CellId, CellId), u64)>,
     /// Transitions observed (training plus online).
     pub observations: u64,
 }
@@ -130,41 +139,81 @@ impl NextCellPredictor {
 
     /// Record one observed transition.
     pub fn observe(&mut self, user: u64, from: CellId, to: CellId) {
-        *self
-            .per_user
-            .entry((user, from))
-            .or_default()
-            .entry(to)
-            .or_insert(0) += 1;
-        *self.global.entry(from).or_default().entry(to).or_insert(0) += 1;
+        bump(&mut self.per_user, (user, from, to));
+        bump(&mut self.global, (from, to));
         self.observations += 1;
     }
 
-    /// Offline training pass over historical traces.
+    /// Offline training pass over historical traces: one observation per
+    /// hop.
     pub fn train(&mut self, traces: &[Trace]) {
-        for t in traces {
-            let mut from = t.start;
-            for m in &t.moves {
-                self.observe(t.user, from, m.to);
-                from = m.to;
-            }
-        }
+        let hops: Vec<(u64, CellId, CellId)> = traces
+            .iter()
+            .flat_map(|t| {
+                let froms = std::iter::once(t.start).chain(t.moves.iter().map(|m| m.to));
+                froms.zip(&t.moves).map(|(from, m)| (t.user, from, m.to))
+            })
+            .collect();
+        absorb(&mut self.per_user, hops.iter().copied());
+        absorb(
+            &mut self.global,
+            hops.iter().map(|&(_, from, to)| (from, to)),
+        );
+        self.observations += hops.len() as u64;
     }
 
     /// Where is `user`, currently in `cell`, most likely headed next?
     /// Falls back to the federation-wide transition table for users (or
     /// cells) never seen before; `None` only when `cell` itself is new.
     pub fn predict(&self, user: u64, cell: CellId) -> Option<CellId> {
-        let argmax = |m: &BTreeMap<CellId, u64>| {
-            m.iter()
-                .max_by(|(ca, na), (cb, nb)| na.cmp(nb).then(cb.cmp(ca)))
-                .map(|(&c, _)| c)
-        };
-        self.per_user
-            .get(&(user, cell))
-            .and_then(argmax)
-            .or_else(|| self.global.get(&cell).and_then(argmax))
+        argmax(
+            &self.per_user,
+            |&(u, from, to)| ((u, from), to),
+            (user, cell),
+        )
+        .or_else(|| argmax(&self.global, |&(from, to)| (from, to), cell))
     }
+}
+
+/// Count one more `key` in a sorted table.
+fn bump<K: Ord>(table: &mut Vec<(K, u64)>, key: K) {
+    match table.binary_search_by(|(k, _)| k.cmp(&key)) {
+        Ok(i) => table[i].1 += 1,
+        Err(i) => table.insert(i, (key, 1)),
+    }
+}
+
+/// Count every key of `keys` (one per observation) into a sorted table:
+/// one sort, then one run-length count.
+fn absorb<K: Ord + Copy>(table: &mut Vec<(K, u64)>, keys: impl Iterator<Item = K>) {
+    table.extend(keys.map(|k| (k, 1)));
+    table.sort_unstable_by_key(|&(k, _)| k);
+    table.dedup_by(|next, kept| {
+        let same = next.0 == kept.0;
+        if same {
+            kept.1 += next.1;
+        }
+        same
+    });
+}
+
+/// The destination of the row `row` in a sorted table whose keys `split`
+/// into `(row, destination)`: the highest count, then the lowest cell id.
+/// `None` when the row is empty.
+fn argmax<K, R: Ord>(
+    table: &[(K, u64)],
+    split: impl Fn(&K) -> (R, CellId),
+    row: R,
+) -> Option<CellId> {
+    let start = table.partition_point(|(k, _)| split(k).0 < row);
+    table[start..]
+        .iter()
+        .map_while(|(k, n)| {
+            let (r, to) = split(k);
+            (r == row).then_some((to, *n))
+        })
+        .max_by(|(ca, na), (cb, nb)| na.cmp(nb).then(cb.cmp(ca)))
+        .map(|(to, _)| to)
 }
 
 #[cfg(test)]
@@ -240,6 +289,70 @@ mod tests {
                 assert_eq!(p.predict(t.user, from), Some(m.to));
                 from = m.to;
             }
+        }
+    }
+
+    mod against_oracle {
+        use super::super::oracle;
+        use super::*;
+        use propcheck::{check, Gen};
+
+        const USERS: u64 = 4;
+        const CELLS: u32 = 5;
+
+        /// Up to six traces over users `0..USERS` and cells `0..CELLS`,
+        /// hops to any cell (so rows hold several destinations and their
+        /// counts tie often).
+        fn traces(g: &mut Gen) -> Vec<Trace> {
+            g.vec(0..6, |g| Trace {
+                user: g.range(0..USERS),
+                start: CellId(g.range(0..CELLS)),
+                moves: g.vec(0..8, |g| Move {
+                    at: SimTime::ZERO,
+                    to: CellId(g.range(0..CELLS)),
+                }),
+            })
+        }
+
+        /// Every prediction agrees, for each trained user, a user seen only
+        /// online (`USERS`), one never seen, each cell and one never seen.
+        fn agree(flat: &NextCellPredictor, nested: &oracle::NextCellPredictor) {
+            assert_eq!(flat.observations, nested.observations);
+            for user in (0..=USERS).chain([99]) {
+                for cell in (0..=CELLS).map(CellId) {
+                    assert_eq!(
+                        flat.predict(user, cell),
+                        nested.predict(user, cell),
+                        "user {user}, {cell:?}"
+                    );
+                }
+            }
+        }
+
+        /// A training pass, drawn online observations, then a second
+        /// training pass into the filled tables: after each step the flat
+        /// tables predict what the nested maps do.
+        #[test]
+        fn flat_tables_predict_what_the_nested_maps_do() {
+            check("flat_tables_predict_what_the_nested_maps_do", 512, |g| {
+                let mut flat = NextCellPredictor::new();
+                let mut nested = oracle::NextCellPredictor::default();
+                let history = traces(g);
+                flat.train(&history);
+                nested.train(&history);
+                agree(&flat, &nested);
+                for _ in 0..g.range(0usize..24) {
+                    let user = g.range(0..=USERS);
+                    let (from, to) = (CellId(g.range(0..CELLS)), CellId(g.range(0..CELLS)));
+                    flat.observe(user, from, to);
+                    nested.observe(user, from, to);
+                    agree(&flat, &nested);
+                }
+                let more = traces(g);
+                flat.train(&more);
+                nested.train(&more);
+                agree(&flat, &nested);
+            });
         }
     }
 

@@ -156,11 +156,10 @@ impl Sub<SimTime> for SimTime {
 
 impl Add for Duration {
     type Output = Duration;
-    // Overflow means ~584 years of simulated nanoseconds: a broken model,
-    // not a recoverable condition.
-    #[allow(clippy::expect_used)]
+    /// `self + rhs`, clamped to `u64::MAX` nanoseconds (~584 years), as
+    /// `SimTime + Duration` is; `+=` and `Sum` inherit the clamp.
     fn add(self, rhs: Duration) -> Duration {
-        Duration(self.0.checked_add(rhs.0).expect("duration overflow"))
+        Duration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -248,6 +247,11 @@ mod tests {
         let mut end = SimTime::MAX;
         end += Duration::from_nanos(1);
         assert_eq!(end, SimTime::MAX);
+        assert_eq!(far + Duration::from_nanos(1), far);
+        let mut long = far;
+        long += Duration::from_secs(1);
+        assert_eq!(long, far);
+        assert_eq!([far, far].into_iter().sum::<Duration>(), far);
     }
 
     #[test]
