@@ -11,10 +11,11 @@
 //! everything else goes through the ordinary single-query pipeline.
 //!
 //! Every entry, solo or shared, and every admission-time energy estimate
-//! takes its member set and learner features from one resolution step
-//! (`PervasiveGrid::resolve`), worked out once per distinct text for the
-//! grid's lifetime; an entry that cannot be resolved fails with the reason
-//! it names (an unknown region or sensor, an empty selection).
+//! takes its query, member set and learner features from one step
+//! (`PervasiveGrid::resolve`), which parses and resolves each distinct
+//! text once for the grid's lifetime; an entry that cannot be parsed or
+//! resolved fails with the reason it names (a parse error, an unknown
+//! region or sensor, an empty selection).
 //!
 //! Batch execution order: shared aggregate groups first (in batch order),
 //! then the remaining entries one by one in batch order. Results are
@@ -26,12 +27,12 @@
 //! trail for concurrent workloads; a plain `submit` returns its `Result`
 //! and keeps no copy.
 //!
-//! A query rides the shared tree when it parses, classifies as Aggregate
-//! (one-shot, no EPOCH), carries no COST bounds (bounds need the decision
-//! maker's per-model accounting), resolves, and the base station is up —
-//! and at least one other query in the batch qualifies too. Per-query
-//! energy/bytes/ops attribution comes from the shared collection itself
-//! and sums to the measured totals.
+//! A query rides the shared tree when its text parses and resolves (one
+//! memo lookup), it classifies as Aggregate (one-shot, no EPOCH), carries
+//! no COST bounds (bounds need the decision maker's per-model accounting),
+//! and the base station is up — and at least one other query in the batch
+//! qualifies too. Per-query energy/bytes/ops attribution comes from the
+//! shared collection itself and sums to the measured totals.
 
 use crate::error::PgError;
 use crate::runtime::{PervasiveGrid, Placement, QueryResponse};
@@ -42,6 +43,7 @@ use pg_partition::exec::{
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
+use pg_query::ParseError;
 use pg_runtime::{Attribution, BatchQuery, EngineOutcome, MultiQueryRuntime, QueryEngine};
 use pg_sensornet::aggregate::{AggFn, PARTIAL_WIRE_BYTES};
 use pg_sensornet::region::Region;
@@ -59,22 +61,36 @@ pub type GridRuntime = MultiQueryRuntime<PervasiveGrid>;
 /// than pass it, so a stream of unique texts cannot grow it.
 const MEMO_CAP: usize = 256;
 
-/// One memoised resolution of a text. A resolution depends only on the
-/// text, the box its region names and the immutable topology (through
+/// What a text becomes: its query and what the query resolved to.
+pub(crate) type Work = (Rc<Query>, Rc<Resolved>);
+
+/// One memoised text: its parse error, or its query resolved.
+pub(crate) type Memo = Result<Resolution, ParseError>;
+
+/// A parsed text's query and its resolution. A resolution depends only on
+/// the query, the box its region names and the immutable topology (through
 /// base-tree hop counts); `regions` is a public field, so each entry keeps
-/// the box it was resolved against and is worked out again when the name
-/// maps elsewhere (or, having named no known region, now does).
+/// the box it was resolved against and is worked out again from the held
+/// query when the name maps elsewhere (or, having named no known region,
+/// now does).
 #[derive(Debug)]
-pub(crate) struct Memo {
-    /// The box the text's region named (`None`: it names no known region).
+pub(crate) struct Resolution {
+    query: Rc<Query>,
+    /// The box the query's region named (`None`: it names no known region).
     region: Option<Region>,
     resolved: Result<Rc<Resolved>, ExecError>,
 }
 
+/// The work a memo entry holds, or the error its text earns.
+fn work(memo: &Memo) -> Result<Work, PgError> {
+    let memo = memo.as_ref().map_err(|e| PgError::from(e.clone()))?;
+    Ok((memo.query.clone(), memo.resolved.clone()?))
+}
+
 /// One batch entry that qualified for the shared aggregation tree.
-struct Shareable<'q> {
+struct Shareable {
     idx: usize,
-    query: &'q Query,
+    query: Rc<Query>,
     resolved: Rc<Resolved>,
 }
 
@@ -97,59 +113,54 @@ fn stratum(members: &[NodeId], brownout: bool) -> Vec<NodeId> {
 }
 
 impl PervasiveGrid {
-    /// The one resolution step: [`exec::resolve`] of `query`, parsed from
-    /// `text`. A metro stream repeats a handful of texts for the grid's
-    /// whole life, so each distinct text is resolved once, failure
-    /// included, until its region is re-pointed. A browned-out shared
-    /// entry asks a coarser stratum of the members (see [`stratum`]) but
-    /// keeps the full selection's features, so brownout never shifts the
-    /// learner's inputs.
-    pub(crate) fn resolve(&mut self, text: &str, query: &Query) -> Result<Rc<Resolved>, ExecError> {
-        let region = query.region().and_then(|r| self.regions.get(r)).copied();
-        if let Some(memo) = self.resolutions.get(text).filter(|m| m.region == region) {
-            return memo.resolved.clone();
-        }
-        let resolved = exec::resolve(&self.net, &self.regions, query).map(Rc::new);
+    /// The one step from text to work: [`pg_query::parse`] of `text`,
+    /// then [`exec::resolve`] of the query, parse errors first. A metro
+    /// stream repeats a handful of texts for the grid's whole life, so each
+    /// distinct text is parsed once and resolved once, failure included,
+    /// until its region is re-pointed. A browned-out shared entry asks a
+    /// coarser stratum of the members (see [`stratum`]) but keeps the full
+    /// selection's features, so brownout never shifts the learner's inputs.
+    pub(crate) fn resolve(&mut self, text: &str) -> Result<Work, PgError> {
+        let named = |q: &Query| q.region().and_then(|r| self.regions.get(r)).copied();
+        let parsed = match self.resolutions.get(text) {
+            Some(Ok(memo)) if memo.region != named(&memo.query) => Ok(memo.query.clone()),
+            Some(memo) => return work(memo),
+            None => pg_query::parse(text).map(Rc::new),
+        };
+        let memo = parsed.map(|query| Resolution {
+            region: named(&query),
+            resolved: exec::resolve(&self.net, &self.regions, &query).map(Rc::new),
+            query,
+        });
         if self.resolutions.len() >= MEMO_CAP && !self.resolutions.contains_key(text) {
             self.resolutions.clear();
         }
-        let memo = Memo {
-            region,
-            resolved: resolved.clone(),
-        };
+        let out = work(&memo);
         self.resolutions.insert(text.to_owned(), memo);
-        resolved
+        out
     }
 
-    /// Batch entries that can ride one shared collection epoch (`parsed`
-    /// is the batch, parsed, in batch order): one-shot aggregates with no
-    /// COST bounds that resolve. Empty unless at least two qualify — a lone
-    /// aggregate gains nothing from the stratum machinery and stays on the
-    /// single-query path.
-    fn shareable_entries<'q>(
-        &mut self,
-        batch: &[BatchQuery<'_>],
-        parsed: &'q [Result<Query, PgError>],
-    ) -> Vec<Shareable<'q>> {
+    /// Batch entries that can ride one shared collection epoch: one-shot
+    /// aggregates with no COST bounds that resolve. Empty unless at least
+    /// two qualify — a lone aggregate gains nothing from the stratum
+    /// machinery and stays on the single-query path.
+    fn shareable_entries(&mut self, batch: &[BatchQuery<'_>]) -> Vec<Shareable> {
         if batch.len() < 2 || self.net.fault_plan().is_base_down(self.now) {
             return Vec::new();
         }
-        let mut out = Vec::new();
-        for (idx, (bq, query)) in batch.iter().zip(parsed).enumerate() {
-            let Ok(query) = query else {
-                continue;
-            };
-            if classify(query) != QueryKind::Aggregate || !query.cost.is_empty() {
-                continue;
-            }
-            if let Ok(resolved) = self.resolve(bq.text, query) {
-                out.push(Shareable {
+        let mut out: Vec<Shareable> = batch
+            .iter()
+            .enumerate()
+            .filter_map(|(idx, bq)| {
+                let (query, resolved) = self.resolve(bq.text).ok()?;
+                let shares = classify(&query) == QueryKind::Aggregate && query.cost.is_empty();
+                shares.then_some(Shareable {
                     idx,
                     query,
                     resolved,
-                });
-            }
-        }
+                })
+            })
+            .collect();
         if out.len() < 2 {
             out.clear();
         }
@@ -160,14 +171,14 @@ impl PervasiveGrid {
     /// entry's batch index and answer, in chunk order.
     fn execute_shared_chunk(
         &mut self,
-        chunk: &[Shareable<'_>],
+        chunk: &[Shareable],
         batch: &[BatchQuery<'_>],
     ) -> Vec<(usize, (QueryResponse, Attribution))> {
         let shared_queries: Vec<SharedQuery> = chunk
             .iter()
             .map(|s| SharedQuery {
                 members: stratum(&s.resolved.members, batch[s.idx].brownout),
-                filter: value_filter(s.query),
+                filter: value_filter(&s.query),
                 agg: s.query.first_agg().unwrap_or(AggFn::Avg),
             })
             .collect();
@@ -235,7 +246,7 @@ impl PervasiveGrid {
                 kind: QueryKind::Aggregate,
                 fallback_model: false,
             };
-            let deadline_s = self.deadline_budget(s.query, bq.deadline);
+            let deadline_s = self.deadline_budget(&s.query, bq.deadline);
             let answered = self.answer(placement, outcome, 0.0, deadline_s, bq.brownout, true);
             answers.push((s.idx, answered));
         }
@@ -267,29 +278,22 @@ impl QueryEngine for PervasiveGrid {
     /// the matching receive. No rng is touched, so asking at admission
     /// never perturbs the execution stream.
     fn estimate_energy_j(&mut self, text: &str) -> Option<f64> {
-        let query = pg_query::parse(text).ok()?;
-        let members = self.resolve(text, &query).ok()?.features.members;
+        let (_, resolved) = self.resolve(text).ok()?;
         let bits = 8 * (STRATUM_KEY_WIRE_BYTES + PARTIAL_WIRE_BYTES);
         let range = self.net.topology().range();
         let radio = self.net.radio();
         let per_member = radio.tx_energy(bits, range) + radio.rx_energy(bits);
-        Some(per_member * members as f64)
+        Some(per_member * resolved.features.members as f64)
     }
 
     fn execute_batch(
         &mut self,
         batch: &[BatchQuery<'_>],
     ) -> Vec<EngineOutcome<QueryResponse, PgError>> {
-        // Parse each entry once; both paths below read the parsed form.
-        let parsed: Vec<Result<Query, PgError>> = batch
-            .iter()
-            .map(|bq| pg_query::parse(bq.text).map_err(PgError::from))
-            .collect();
-
         // Overlapping aggregates ride shared collection epochs, at most 64
         // queries (the stratum-mask width) per epoch. Their answers come
         // out in batch order.
-        let shareable = self.shareable_entries(batch, &parsed);
+        let shareable = self.shareable_entries(batch);
         let mut shared = shareable
             .chunks(MAX_SHARED_QUERIES)
             .flat_map(|chunk| self.execute_shared_chunk(chunk, batch))
@@ -301,11 +305,12 @@ impl QueryEngine for PervasiveGrid {
         // errors — goes through the ordinary pipeline, in batch order.
         batch
             .iter()
-            .zip(parsed)
             .enumerate()
-            .map(|(i, (bq, query))| match shared.next_if(|(j, _)| *j == i) {
+            .map(|(i, bq)| match shared.next_if(|(j, _)| *j == i) {
                 Some((_, answered)) => Ok(answered),
-                None => self.submit_inner(&query?, bq),
+                None => self
+                    .resolve(bq.text)
+                    .and_then(|work| self.submit_inner(work, bq.deadline, bq.brownout)),
             })
             .collect()
     }
@@ -385,14 +390,18 @@ mod tests {
     }
 
     /// A bad entry keeps its error kind while the two good aggregates
-    /// beside it still share.
+    /// beside it still share. A malformed text keeps its parse error each
+    /// time it is asked, from the batch, `submit` and the energy estimate.
     #[test]
     fn a_bad_entry_keeps_its_error_kind_in_a_shared_batch() {
         let mut pg = lossless_grid();
+        let malformed = "SELECT AVG(temp) FROM sensors WHERE";
         let batch = [
             "SELECT AVG(temp) FROM sensors WHERE region(east)",
             "SELECT AVG(temp) FROM sensors WHERE region(nowhere)",
+            malformed,
             "SELECT MAX(temp) FROM sensors",
+            malformed,
         ]
         .map(|text| BatchQuery {
             text,
@@ -405,7 +414,12 @@ mod tests {
             out[1],
             Err(PgError::Exec(ExecError::UnknownRegion("nowhere".into())))
         );
-        assert!(out[2].as_ref().unwrap().1.shared);
+        assert!(out[3].as_ref().unwrap().1.shared);
+        let unparsed = PgError::Parse(pg_query::parse(malformed).unwrap_err());
+        assert_eq!(out[2].as_ref().unwrap_err(), &unparsed);
+        assert_eq!(out[4].as_ref().unwrap_err(), &unparsed);
+        assert_eq!(pg.submit(malformed).unwrap_err(), unparsed);
+        assert_eq!(pg.estimate_energy_j(malformed), None);
     }
 
     /// A region holding no sensor but the base station selects no
@@ -458,6 +472,54 @@ mod tests {
         pg.regions
             .insert("east".into(), Region::room(20.0, 0.0, 30.0, 30.0));
         assert_eq!(shared_values(&mut pg, &batch), [Some(12.0); 3]);
+    }
+
+    /// Two same-seed grids answer the same drawn batches alike when one
+    /// clears its memo before every batch, across a re-pointed region; the
+    /// warm memo never holds more texts than it has seen.
+    #[test]
+    fn a_warm_memo_answers_what_a_cold_one_does() {
+        const POOL: [&str; 10] = [
+            "SELECT temp FROM sensors WHERE sensor_id = 14",
+            "SELECT AVG(temp) FROM sensors WHERE region(east)",
+            "SELECT COUNT(temp) FROM sensors WHERE region(east)",
+            "SELECT MAX(temp) FROM sensors",
+            "SELECT temperature_distribution() FROM sensors WHERE region(east)",
+            "SELECT AVG(temp) FROM sensors WHERE region(east) EPOCH DURATION 10 s",
+            "SELECT AVG(temp) FROM sensors COST time 30",
+            "SELECT AVG(temp) FROM sensors WHERE",
+            "SELECT AVG(temp) FROM sensors WHERE region(nowhere)",
+            "SELECT MIN(temp) FROM sensors WHERE region(base)",
+        ];
+        let grid = || {
+            let mut pg = lossless_grid();
+            pg.regions
+                .insert("base".into(), Region::room(-1.0, -1.0, 1.0, 1.0));
+            pg
+        };
+        propcheck::check("a_warm_memo_answers_what_a_cold_one_does", 128, |g| {
+            let batches = g.vec(2..7, |g| {
+                g.vec(1..6, |g| BatchQuery {
+                    text: POOL[g.range(0..POOL.len())],
+                    deadline: g.bool().then(|| Duration::from_secs(g.range(1..60u64))),
+                    brownout: g.bool(),
+                })
+            });
+            let (mut warm, mut cold) = (grid(), grid());
+            let mut seen = std::collections::HashSet::new();
+            for (i, batch) in batches.iter().enumerate() {
+                if i == batches.len() / 2 {
+                    for pg in [&mut warm, &mut cold] {
+                        pg.regions
+                            .insert("east".into(), Region::room(20.0, 0.0, 30.0, 30.0));
+                    }
+                }
+                cold.resolutions.clear();
+                assert_eq!(warm.execute_batch(batch), cold.execute_batch(batch));
+                seen.extend(batch.iter().map(|bq| bq.text));
+                assert!(warm.resolutions.len() <= seen.len());
+            }
+        });
     }
 
     #[test]

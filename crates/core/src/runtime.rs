@@ -1,7 +1,7 @@
 //! The Pervasive Grid runtime: query text in, answer + learning out.
 
 use crate::error::PgError;
-use crate::multiquery::Memo;
+use crate::multiquery::{Memo, Work};
 use pg_grid::sched::GridCluster;
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
@@ -14,7 +14,7 @@ use pg_partition::learn::Reward;
 use pg_partition::model::{CostVector, SolutionModel};
 use pg_query::ast::Query;
 use pg_query::classify::{classify, QueryKind};
-use pg_runtime::{Attribution, BatchQuery};
+use pg_runtime::Attribution;
 use pg_sensornet::field::TemperatureField;
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
@@ -266,7 +266,7 @@ pub struct PervasiveGrid {
     /// mode by default; see [`GridBuilder::tree_maintenance`]).
     pub tree_session: SharedTreeSession,
     pub(crate) exec_rng: StdRng,
-    /// What each batch text resolved to, kept for the grid's lifetime
+    /// What each text parsed and resolved to, kept for the grid's lifetime
     /// (see `resolve`).
     pub(crate) resolutions: HashMap<String, Memo>,
 }
@@ -289,52 +289,45 @@ impl PervasiveGrid {
     pub fn submit(&mut self, text: &str) -> Result<QueryResponse, PgError> {
         use pg_runtime::QueryEngine;
         self.note_pressure(1, 0.0);
-        let query = pg_query::parse(text)?;
-        let only = BatchQuery {
-            text,
-            deadline: None,
-            brownout: false,
-        };
-        self.submit_inner(&query, &only)
+        let work = self.resolve(text)?;
+        self.submit_inner(work, None, false)
             .map(|(response, _)| response)
     }
 
-    /// The Figure-1 pipeline body for one batch entry outside a shared
-    /// epoch. `bq.deadline` is the remaining budget handed down by the
+    /// The Figure-1 pipeline body for one resolved entry outside a shared
+    /// epoch. `sched` is the remaining budget handed down by the
     /// multi-query scheduler, `None` on the plain single-query path
     /// (keeping that path bit-identical to the pre-scheduler pipeline).
     pub(crate) fn submit_inner(
         &mut self,
-        query: &Query,
-        bq: &BatchQuery<'_>,
+        (query, resolved): Work,
+        sched: Option<Duration>,
+        brownout: bool,
     ) -> Result<(QueryResponse, Attribution), PgError> {
-        // 1. Query Processor: the batch engine parsed; classify.
-        let kind = classify(query);
+        // 1. Query Processor: the memo parsed; classify.
+        let kind = classify(&query);
 
         // Base-station outage: the centralized manager waits the outage
         // out and pays it in latency — the answer is delayed, not lost.
         let exec_at = self.net.fault_plan().base_up_at(self.now);
         let wait_s = exec_at.since(self.now).as_secs_f64();
 
-        let deadline_s = self.deadline_budget(query, bq.deadline);
+        let deadline_s = self.deadline_budget(&query, sched);
         // Propagate the *remaining* budget into planning: seconds already
         // burned waiting out the outage are gone. When there is no builder
         // or scheduler deadline and no wait, the query's own bounds already
         // say it all — leave them untouched (bit-identical to the
         // fault-free pipeline).
-        let mut planned = query.clone();
+        let mut planned = Query::clone(&query);
         if let Some(d) = deadline_s {
-            if self.deadline.is_some() || bq.deadline.is_some() || wait_s > 0.0 {
+            if self.deadline.is_some() || sched.is_some() || wait_s > 0.0 {
                 use pg_query::ast::CostBound;
                 planned.cost.retain(|c| !matches!(c, CostBound::TimeS(_)));
                 planned.cost.push(CostBound::TimeS((d - wait_s).max(0.0)));
             }
         }
 
-        // 2. The resolved member set and its features.
-        let resolved = self.resolve(bq.text, query)?;
-
-        // 3. Decision Maker: pick the placement within COST bounds. When
+        // 2. Decision Maker: pick the placement within COST bounds. When
         // the budget (or the fault plan) leaves no feasible model, degrade
         // instead of rejecting: re-plan against the user's own bounds, and
         // past that fall back to the base-station placement. A plain
@@ -350,7 +343,7 @@ impl PervasiveGrid {
                 fallback_model = true;
                 let user_plan = if planned.cost != query.cost {
                     self.decision
-                        .choose(&self.net, &self.grid, query, &resolved.features)
+                        .choose(&self.net, &self.grid, &query, &resolved.features)
                         .ok()
                 } else {
                     None
@@ -363,7 +356,7 @@ impl PervasiveGrid {
             }
         };
 
-        // 4. Simulator: execute on the substrates.
+        // 3. Simulator: execute on the substrates.
         let mut ctx = ExecContext {
             net: &mut self.net,
             grid: &self.grid,
@@ -371,16 +364,16 @@ impl PervasiveGrid {
             regions: &self.regions,
             now: exec_at,
         };
-        let outcome = execute_query(&mut ctx, query, &resolved, model, &mut self.exec_rng);
+        let outcome = execute_query(&mut ctx, &query, &resolved, model, &mut self.exec_rng);
 
-        // 5. Adaptive feedback and the answer.
+        // 4. Adaptive feedback and the answer.
         let placement = Placement {
             features: resolved.features,
             model,
             kind,
             fallback_model,
         };
-        Ok(self.answer(placement, outcome, wait_s, deadline_s, bq.brownout, false))
+        Ok(self.answer(placement, outcome, wait_s, deadline_s, brownout, false))
     }
 
     /// The effective deadline budget, seconds: the builder-level deadline,

@@ -144,6 +144,10 @@ impl P {
                     "sensor id must be a non-negative integer, got {value}"
                 )));
             }
+            // `as` saturates: an id past u32 would name sensor u32::MAX.
+            if value > f64::from(u32::MAX) {
+                return Err(self.err(format!("sensor id out of range, got {value:?}")));
+            }
             return Ok(Pred::SensorId(value as u32));
         }
         Ok(Pred::Cmp(name, op, value))
@@ -158,6 +162,10 @@ impl P {
         let value = self.number()?;
         if value < 0.0 {
             return Err(self.err(format!("cost bound must be non-negative, got {value}")));
+        }
+        // An overflowing literal lexes as infinity, which bounds nothing.
+        if !value.is_finite() {
+            return Err(self.err(format!("cost bound out of range, got {value}")));
         }
         match kind.to_ascii_lowercase().as_str() {
             "energy" => Ok(CostBound::EnergyJ(value)),
@@ -335,6 +343,21 @@ mod tests {
         assert!(parse("SELECT AVG() FROM sensors").is_err());
         assert!(parse("SELECT temp FROM sensors WHERE sensor_id = 2.5").is_err());
         assert!(parse("SELECT temp FROM sensors COST energy -1").is_err());
+        // Out-of-range literals name what they are, not a clamped value.
+        for (clause, literal) in [
+            ("WHERE sensor_id = 4294967296", "4294967296"),
+            ("WHERE sensor_id = 1e300", "1e300"),
+            ("COST time 1e400", "inf"),
+            ("COST energy 1e400", "inf"),
+        ] {
+            let e = parse(&format!("SELECT temp FROM sensors {clause}")).unwrap_err();
+            assert!(
+                e.msg.contains("out of range") && e.msg.contains(literal),
+                "{e}"
+            );
+        }
+        let q = parse("SELECT temp FROM sensors WHERE sensor_id = 4294967295").unwrap();
+        assert_eq!(q.target_sensor(), Some(u32::MAX));
     }
 
     #[test]
