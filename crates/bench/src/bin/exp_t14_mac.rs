@@ -166,10 +166,8 @@ fn main() -> ExitCode {
     // Acceptance: the plan must actually kill frames inside the MAC — the
     // proof that fault injection reaches the packet level, not just the
     // expectation-based link model above it.
-    assert!(
-        faulted_kills > 0,
-        "faulted cells must kill frames at the MAC (got {faulted_kills})"
-    );
+    exp.claims("faulted")
+        .above("fault_killed", faulted_kills, 0u64);
 
     println!(
         "\nshape to check: light-load packet level matches the analytic hop \

@@ -5,13 +5,13 @@
 //! T17a sweeps offered load λ (Poisson arrivals) × scheduling mode (FIFO
 //! and EDF, each with and without deadline preemption) and measures the
 //! open-loop deadline hit-rate, response-time percentiles (p50/p99),
-//! energy, bytes, and rejection rate. The tentpole assertion runs per
+//! energy, bytes, and rejection rate. The tentpole claim holds per
 //! seed: at the overload rate, EDF with preemption must beat FIFO's
 //! deadline hit-rate strictly — slack-negative queries jump the policy
 //! order into the next service round instead of aging out in the queue.
 //! T17b streams shareable aggregates through three tree lifetimes — free,
 //! one kept `Incremental` tree, and a fresh `Incremental` session every
-//! step (a rebuild for every shared chunk) — and asserts, per seed, that
+//! step (a rebuild for every shared chunk) — and claims, per seed, that
 //! the kept tree moves fewer wire bytes (data + control beacons) than
 //! rebuilding it every shared epoch.
 //!
@@ -62,12 +62,14 @@ fn mix() -> Vec<(String, QueryOpts)> {
     ]
 }
 
-/// One seeded open-loop run, drained to idle after the stream dries up.
+/// One seeded open-loop run, drained to idle after the stream dries up;
+/// it claims the runtime saw every arrival the stream emitted.
 fn run_cell(
-    (_, policy, preemption): (&str, SchedPolicy, bool),
-    rate_hz: f64,
+    (mode, policy, preemption): (&str, SchedPolicy, bool),
+    (rate_name, rate_hz): (&str, f64),
     horizon: SimTime,
     seed: u64,
+    exp: &mut Experiment,
 ) -> RunStats {
     let cfg = RuntimeConfig::builder()
         .capacity(32)
@@ -79,7 +81,8 @@ fn run_cell(
     let mut rt = MultiQueryRuntime::new(cfg, floor(seed).build());
     let mut arrivals = PoissonArrivals::new(seed, rate_hz, horizon, mix());
     rt.run_stream(&mut arrivals, 100_000);
-    assert_eq!(rt.arrived, arrivals.emitted(), "stream fully delivered");
+    let mut claims = exp.claims(&format!("{rate_name}.{mode}")).seed(seed);
+    claims.equal("arrived_vs_emitted", rt.arrived, arrivals.emitted());
     RunStats::of(&rt)
 }
 
@@ -101,27 +104,23 @@ fn main() -> ExitCode {
     // Below capacity (queue stays shallow) and sustained overload (the
     // queue backlogs; only the service order decides who makes it).
     let rates = [("low", 0.04f64), ("high", 0.2f64)];
-    for (rate_name, rate_hz) in rates {
-        // All four modes per seed so the tentpole assertion can compare
+    for rate @ (rate_name, rate_hz) in rates {
+        // All four modes per seed so the tentpole claim can compare
         // within one seed.
         let mut totals: [RunStats; 4] = Default::default();
         for seed in 0..reps {
-            let cells = MODES.map(|m| run_cell(m, rate_hz, horizon, seed));
+            let cells = MODES.map(|m| run_cell(m, rate, horizon, seed, &mut exp));
             let (fifo, edf_pre) = (&cells[0], &cells[3]);
             // Same arrivals, same admission stream: the modes differ
             // only in who gets serviced when the queue backs up.
-            assert_eq!(fifo.arrived, edf_pre.arrived);
-            assert_eq!(fifo.rejected, edf_pre.rejected);
+            let key = format!("{rate_name}.edf_pre_vs_fifo");
+            let mut claims = exp.claims(&key).seed(seed);
+            claims.equal("arrived", edf_pre.arrived, fifo.arrived);
+            claims.equal("rejected", edf_pre.rejected, fifo.rejected);
             if rate_name == "high" {
-                // The tentpole acceptance assertion, per seed: under
-                // overload, EDF with preemption must strictly beat
-                // FIFO on deadline adherence.
-                assert!(
-                    edf_pre.hit_rate() > fifo.hit_rate(),
-                    "seed {seed}: edf_pre hit {:.3} must beat fifo {:.3}",
-                    edf_pre.hit_rate(),
-                    fifo.hit_rate()
-                );
+                // The tentpole claim, per seed: under overload, EDF with
+                // preemption strictly beats FIFO on deadline adherence.
+                claims.above("hit_rate", edf_pre.hit_rate(), fifo.hit_rate());
             }
             for (total, c) in totals.iter_mut().zip(&cells) {
                 total.absorb(c);
@@ -218,19 +217,12 @@ fn main() -> ExitCode {
             }
         });
         let (per_epoch, persistent) = (out[1], out[2]);
-        // The second acceptance assertion, per seed: keeping the tree
-        // alive across epochs must move fewer wire bytes than
-        // rebuilding it for every shared chunk.
-        assert!(
-            persistent.bytes < per_epoch.bytes,
-            "seed {seed}: persistent {} wire bytes must beat per_epoch {}",
-            persistent.bytes,
-            per_epoch.bytes
-        );
-        assert!(
-            persistent.rebuilds < per_epoch.rebuilds,
-            "persistent must rebuild less often"
-        );
+        // The second claim, per seed: keeping the tree alive across epochs
+        // moves fewer wire bytes, and rebuilds less often, than rebuilding
+        // it for every shared chunk.
+        let mut claims = exp.claims("tree.persistent_vs_per_epoch").seed(seed);
+        claims.below("wire_bytes", persistent.bytes, per_epoch.bytes);
+        claims.below("rebuilds", persistent.rebuilds, per_epoch.rebuilds);
         for (total, s) in totals.iter_mut().zip(out) {
             total.bytes += s.bytes;
             total.energy_j += s.energy_j;

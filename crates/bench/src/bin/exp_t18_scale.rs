@@ -5,7 +5,7 @@
 //! 1k/10k/50k nodes and records its shape counters. T18b runs one
 //! forced-death schedule per node count × churn rate × seed through a full
 //! rebuild after every death epoch (a fresh `Incremental` session) and one
-//! kept `Incremental` session (localized repair), asserting per seed that
+//! kept `Incremental` session (localized repair), claiming per seed that
 //! repair beats the rebuild on wire bytes AND control waves. T18c checks
 //! that the class-indexed matcher returns the linear scan's hits bit for
 //! bit while consulting under a quarter of the registry.
@@ -16,7 +16,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use pg_bench::{key_part, Cell, Experiment};
+use pg_bench::{key_part, Cell, Claims, Experiment};
 use pg_discovery::corpus::mixed_corpus;
 use pg_discovery::{Ontology, Preference, Registry, ServiceRequest};
 use pg_net::energy::RadioModel;
@@ -113,8 +113,15 @@ struct ArmCost {
 
 /// One arm over the churn run: `full_rebuild` starts a fresh session (a
 /// whole-network flood) after every death epoch; otherwise one session
-/// repairs its tree in place.
-fn run_arm(size: Size, full_rebuild: bool, schedule: &[Vec<NodeId>], seed: u64) -> ArmCost {
+/// repairs its tree in place. It claims that the first epoch builds the
+/// tree and that every forced drain kills its victim.
+fn run_arm(
+    size: Size,
+    full_rebuild: bool,
+    schedule: &[Vec<NodeId>],
+    seed: u64,
+    mut claims: Claims,
+) -> ArmCost {
     let mut net = network(size);
     let field = TemperatureField::calm(25.0);
     let members: Vec<NodeId> = (1..size.nodes() as u32).map(NodeId).collect();
@@ -129,13 +136,14 @@ fn run_arm(size: Size, full_rebuild: bool, schedule: &[Vec<NodeId>], seed: u64) 
     // Epoch 0: initial build, excluded from the churn cost.
     let t0 = SimTime::from_secs(0);
     let first = session.collect(&mut net, &queries, &field, t0, &mut rng);
-    assert!(first.tree_rebuilt, "first epoch must build the tree");
+    claims.equal("first_epoch_built", u64::from(first.tree_rebuilt), 1u64);
 
     let mut cost = ArmCost::default();
+    let mut survivors = 0u64;
     for (e, victims) in schedule.iter().enumerate() {
         for &v in victims {
             net.drain(v, f64::INFINITY);
-            assert!(!net.is_alive(v), "forced drain must kill {v:?}");
+            survivors += u64::from(net.is_alive(v));
         }
         if full_rebuild {
             session = SharedTreeSession::new(TreeMaintenance::Incremental);
@@ -147,6 +155,7 @@ fn run_arm(size: Size, full_rebuild: bool, schedule: &[Vec<NodeId>], seed: u64) 
         cost.rebuilds += u64::from(report.tree_rebuilt);
         cost.repairs += u64::from(report.tree_repaired);
     }
+    claims.equal("drain_survivors", survivors, 0u64);
     cost
 }
 
@@ -171,10 +180,12 @@ fn main() -> ExitCode {
             .map(|i| topo.degree(NodeId(i)))
             .max()
             .unwrap_or(0);
-        let net = network(size);
-        assert_eq!(net.alive_sensors(), size.nodes() - 1);
+        let key = format!("arena.{}", size.label);
+        let alive = network(size).alive_sensors();
+        exp.claims(&key)
+            .equal("alive_sensors", alive, size.nodes() - 1);
         exp.row(
-            &format!("arena.{}", size.label),
+            &key,
             &[
                 Cell::text("size", 5, size.label),
                 Cell::int("nodes", 7, topo.len()).key("nodes"),
@@ -196,36 +207,34 @@ fn main() -> ExitCode {
     for &size in sizes {
         for (rate_label, rate) in churn_rates {
             let per_epoch = ((size.nodes() as f64 * rate).round() as usize).max(1);
-            // Both arms per seed so the tentpole assertion compares within
+            let key = format!(
+                "churn.{}.{}",
+                size.label,
+                rate_label.trim_end_matches('%').replace('.', "_")
+            );
+            // Both arms per seed so the tentpole claim compares within
             // one seed.
             // (report name, full rebuild after every death epoch).
             let modes = [("persistent", true), ("incremental", false)];
             let mut totals: [ArmCost; 2] = Default::default();
             for seed in 0..reps {
                 let schedule = kill_schedule(size.nodes(), epochs, per_epoch, seed);
-                let arms = modes.map(|(_, full)| run_arm(size, full, &schedule, seed));
+                let arms = modes.map(|(mode, full)| {
+                    let claims = exp.claims(&format!("{key}.{mode}")).seed(seed);
+                    run_arm(size, full, &schedule, seed, claims)
+                });
                 let [full, incr] = &arms;
-                // The tentpole acceptance assertions, per seed and per
-                // churn level: localized repair must strictly beat the
-                // full rebuild on wire bytes AND on repair latency.
-                assert!(
-                    incr.repair_bytes < full.repair_bytes,
-                    "{} churn {rate_label} seed {seed}: incremental {} repair bytes \
-                     must beat full rebuild {}",
-                    size.label,
-                    incr.repair_bytes,
-                    full.repair_bytes
-                );
-                assert!(
-                    incr.repair_waves < full.repair_waves,
-                    "{} churn {rate_label} seed {seed}: incremental {} repair waves \
-                     must beat full rebuild {}",
-                    size.label,
-                    incr.repair_waves,
-                    full.repair_waves
-                );
-                assert_eq!(incr.rebuilds, 0, "incremental must never re-flood");
-                assert_eq!(incr.repairs, epochs as u64, "every churn epoch repairs");
+                // The tentpole claims, per seed and per churn level:
+                // localized repair strictly beats the full rebuild on wire
+                // bytes AND on repair latency, never re-floods, and repairs
+                // every churn epoch.
+                let vs = format!("{key}.incremental_vs_persistent");
+                let mut claims = exp.claims(&vs).seed(seed);
+                claims.below("repair_bytes", incr.repair_bytes, full.repair_bytes);
+                claims.below("repair_waves", incr.repair_waves, full.repair_waves);
+                let mut claims = exp.claims(&format!("{key}.incremental")).seed(seed);
+                claims.equal("rebuilds", incr.rebuilds, 0u64);
+                claims.equal("repairs", incr.repairs, epochs);
                 for (total, arm) in totals.iter_mut().zip(&arms) {
                     total.repair_bytes += arm.repair_bytes;
                     total.repair_waves += arm.repair_waves;
@@ -234,11 +243,6 @@ fn main() -> ExitCode {
                 }
             }
             let n = reps as f64;
-            let key = format!(
-                "churn.{}.{}",
-                size.label,
-                rate_label.trim_end_matches('%').replace('.', "_")
-            );
             for ((mode, _), arm) in modes.into_iter().zip(&totals) {
                 exp.row(
                     &format!("{key}.{mode}"),
@@ -302,25 +306,21 @@ fn main() -> ExitCode {
             ServiceRequest::for_class(class).with_preference(Preference::Minimize("cost".into()));
         let hits_idx = reg.query_at(&onto, &req, now);
         let hits_lin = reg.query_linear_at(&onto, &req, now);
-        assert_eq!(hits_idx.len(), hits_lin.len(), "{class_name}: hit count");
-        for (a, b) in hits_idx.iter().zip(&hits_lin) {
-            assert_eq!(a.id, b.id, "{class_name}: hit order");
-            assert_eq!(
-                a.m.score.to_bits(),
-                b.m.score.to_bits(),
-                "{class_name}: score of {:?}",
-                a.id
-            );
-        }
         let cand = reg.candidates(&onto, class).len();
-        // The root class consults the whole registry, any other under 1/4.
-        let consulted = if class_name == "Service" {
-            cand == reg.len()
-        } else {
-            4 * cand < reg.len()
-        };
-        assert!(consulted, "{class_name}: {cand} candidates");
+        // Bit for bit the linear scan's hits; the root class consults the
+        // whole registry, any other under a quarter of it.
         let key = format!("matcher.{}", key_part(class_name));
+        let mismatches = (hits_idx.iter().zip(&hits_lin))
+            .filter(|(a, b)| a.id != b.id || a.m.score.to_bits() != b.m.score.to_bits())
+            .count();
+        let mut claims = exp.claims(&key);
+        claims.equal("index_vs_linear_hits", hits_idx.len(), hits_lin.len());
+        claims.equal("index_vs_linear_mismatches", mismatches, 0usize);
+        if class_name == "Service" {
+            claims.equal("candidates_vs_registry", cand, reg.len());
+        } else {
+            claims.below("candidates_x4_vs_registry", 4 * cand, reg.len());
+        }
         exp.set_scalar(
             format!("{key}.candidate_fraction"),
             cand as f64 / reg.len() as f64,

@@ -8,7 +8,7 @@
 //!
 //! * **partition** — six cells split {0,1,2} | {3,4,5} for a window
 //!   mid-run, swept over cut duration × breaker on/off. Per-seed
-//!   asserts: every cell's membership view reconverges to all-alive
+//!   claims: every cell's membership view reconverges to all-alive
 //!   after the heal; no peer is resurrected more than once (evict →
 //!   resurrect is allowed exactly once per genuine cut — more is
 //!   flapping) and same-side peers are never evicted at all; handoff
@@ -16,7 +16,7 @@
 //!   all, the wasted wire attempts (retries + dead letters) stay
 //!   strictly below the breaker-less run.
 //! * **crash** — cell 1 of three crash-stops mid-run (volatile queue
-//!   destroyed), journal on/off. Per-seed asserts: the journal recovers
+//!   destroyed), journal on/off. Per-seed claims: the journal recovers
 //!   exactly what the crash destroyed, goodput with recovery strictly
 //!   beats the recovery-free restart, and the exactly-once conservation
 //!   identity (`admitted = completed + cancelled + shed + migrated_out
@@ -29,7 +29,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_agent::ReliableConfig;
-use pg_bench::{cell_runtime, Cell, Experiment};
+use pg_bench::{cell_runtime, Cell, Claims, Experiment};
 use pg_federation::{commute_traces, CellId, Federation, FederationConfig, RoamingConfig, Trace};
 use pg_runtime::QueryOpts;
 use pg_sim::fault::FaultPlan;
@@ -194,19 +194,14 @@ fn run_crash(horizon_s: u64, seed: u64, journal: bool) -> Federation {
     fed
 }
 
-/// The exactly-once conservation identity, asserted per cell at drain.
-fn assert_conservation(fed: &Federation, ctx: &str) {
+/// The exactly-once conservation identity, claimed per cell at drain:
+/// `admitted = completed + cancelled + shed + migrated_out + lost`.
+fn claim_conservation(mut claims: Claims, fed: &Federation) {
     for c in fed.cells() {
-        assert_eq!(
-            c.rt.admitted,
-            c.rt.outcomes().len() as u64
-                + c.rt.cancelled
-                + c.rt.shed
-                + c.rt.migrated_out
-                + c.rt.lost,
-            "{ctx}: conservation identity broken at cell {}",
-            c.id
-        );
+        let rt = &c.rt;
+        let settled =
+            rt.outcomes().len() as u64 + rt.cancelled + rt.shed + rt.migrated_out + rt.lost;
+        claims.equal("conserved", rt.admitted, settled);
     }
 }
 
@@ -246,47 +241,41 @@ fn main() -> ExitCode {
             resurrections: u64,
         }
         let start = horizon_s / 4;
+        let key = format!("part{dur}");
         let mut sum = Point::default();
         for rep in 0..reps {
             let seed = rep * 100 + dur;
             let on = run_partition(horizon_s, start, dur, seed, true);
             let off = run_partition(horizon_s, start, dur, seed, false);
 
-            for fed in [&on, &off] {
+            for (arm, fed) in [("breaker", &on), ("none", &off)] {
                 // Every view reconverges to all-alive after the heal,
                 // and nobody flapped: a cross-cut peer is resurrected
                 // at most once, a same-side peer was never evicted.
+                let mut claims = exp.claims(&format!("{key}.{arm}")).seed(seed);
+                let half = PART_CELLS as u32 / 2;
                 for m in fed.members() {
-                    let live = m.live_set();
-                    assert_eq!(
-                        live.len(),
-                        PART_CELLS,
-                        "seed {seed} cut {dur}: cell {} did not reconverge: {live:?}",
-                        m.me
-                    );
-                    let half = PART_CELLS as u32 / 2;
+                    claims.equal("live_cells", m.live_set().len(), PART_CELLS);
                     for j in 0..PART_CELLS as u32 {
                         let r = m.resurrections_of(CellId(j));
-                        let same_side = (m.me.0 < half) == (j < half);
-                        let cap = if same_side { 0 } else { 1 };
-                        assert!(
-                            r <= cap,
-                            "seed {seed} cut {dur}: cell {} resurrected {:?} {r} times \
-                             (flapping; same_side={same_side})",
-                            m.me,
-                            CellId(j)
-                        );
+                        // The breaker run's total is the flap budget.
+                        sum.resurrections += if arm == "breaker" { r } else { 0 };
+                        if (m.me.0 < half) == (j < half) {
+                            claims.at_most("same_side_resurrections", r, 0u64);
+                        } else {
+                            claims.at_most("cross_cut_resurrections", r, 1u64);
+                        }
                     }
                 }
                 // Handoff accounting stays closed across the cut.
                 let s = &fed.stats;
-                assert_eq!(
-                    s.migrations_completed + s.migrations_rejected + s.migrations_lost,
-                    s.migrations_opened,
-                    "seed {seed} cut {dur}: migrations unaccounted for"
-                );
+                let settled = s.migrations_completed + s.migrations_rejected + s.migrations_lost;
+                claims.equal("migrations_settled", settled, s.migrations_opened);
+                if arm == "none" {
+                    let short_circuits = fed.bus_metrics().counter("breaker.short_circuit");
+                    claims.equal("short_circuits", short_circuits, 0u64);
+                }
             }
-            sum.resurrections += fed_resurrections(&on);
 
             // The breaker caps wasted delivery attempts: whenever it
             // short-circuited at all, the unacked wire attempts must
@@ -295,20 +284,12 @@ fn main() -> ExitCode {
             let wasted_off = wasted_attempts(&off);
             sum.short_circuits += on.bus_metrics().counter("breaker.short_circuit");
             sum.opened += on.bus_metrics().counter("breaker.opened");
-            assert_eq!(
-                off.bus_metrics().counter("breaker.short_circuit"),
-                0,
-                "seed {seed} cut {dur}: breaker-off run short-circuited"
-            );
             // Per seed the breaker may only tie (a boundary pair that
             // carries exactly one message trips without saving
-            // anything); strictly-below is asserted on the sweep-point
+            // anything); strictly-below is claimed on the sweep-point
             // aggregate where suppressed sends dominate.
-            assert!(
-                wasted_on <= wasted_off,
-                "seed {seed} cut {dur}: breaker wasted {wasted_on} attempts, \
-                 above breaker-less {wasted_off}"
-            );
+            let mut claims = exp.claims(&format!("{key}.breaker")).seed(seed);
+            claims.at_most("wasted_vs_none", wasted_on, wasted_off);
 
             sum.met_on += on.goodput().1;
             sum.met_off += off.goodput().1;
@@ -318,20 +299,12 @@ fn main() -> ExitCode {
         // Across the sweep point the breaker must actually have engaged
         // and saved wire attempts — a cut this long with roaming users
         // always pushes handoffs into the dead window.
-        assert!(
-            sum.short_circuits > 0,
-            "cut {dur}: the breaker never short-circuited over {reps} seeds"
-        );
-        assert!(
-            sum.wasted_on < sum.wasted_off,
-            "cut {dur}: breaker did not reduce wasted attempts ({} vs {})",
-            sum.wasted_on,
-            sum.wasted_off
-        );
+        let mut claims = exp.claims(&format!("{key}.breaker"));
+        claims.above("short_circuits_total", sum.short_circuits, 0u64);
+        claims.below("wasted_total_vs_none", sum.wasted_on, sum.wasted_off);
 
         // The table shows met-deadline counts; the report gates them as
         // per-hour rates.
-        let key = format!("part{dur}");
         exp.set_scalar(format!("{key}.breaker.goodput_per_h"), per_h(sum.met_on));
         exp.set_scalar(format!("{key}.none.goodput_per_h"), per_h(sum.met_off));
         exp.row(
@@ -374,30 +347,21 @@ fn main() -> ExitCode {
         let seed = rep * 100 + 21;
         let with = run_crash(horizon_s, seed, true);
         let without = run_crash(horizon_s, seed, false);
-        assert!(
-            with.stats.crashes >= 1,
-            "seed {seed}: the crash window never applied"
-        );
-        assert!(
-            without.stats.crash_lost > 0,
-            "seed {seed}: the crash destroyed nothing — the scenario is vacuous"
-        );
-        // Exactly-once: the journal re-admits precisely what the crash
-        // destroyed, never more, and the recovery-free run recovers 0.
-        assert_eq!(
-            with.stats.journal_recovered, with.stats.crash_lost,
-            "seed {seed}: journal recovery incomplete"
-        );
-        assert_eq!(without.stats.journal_recovered, 0);
+        // The crash applied and destroyed queries. Exactly-once: the
+        // journal re-admits precisely what the crash destroyed, never
+        // more, and the recovery-free run recovers 0.
+        let (w, wo) = (&with.stats, &without.stats);
         let (total_j, _) = with.goodput();
         let (total_n, _) = without.goodput();
-        assert!(
-            total_j > total_n,
-            "seed {seed}: journal-recovered goodput {total_j} not strictly \
-             above recovery-free restart {total_n}"
-        );
-        assert_conservation(&with, &format!("seed {seed} journal"));
-        assert_conservation(&without, &format!("seed {seed} no-journal"));
+        let mut claims = exp.claims("crash.journal").seed(seed);
+        claims.at_least("crashes", w.crashes, 1u64);
+        claims.equal("recovered_vs_crash_lost", w.journal_recovered, w.crash_lost);
+        claims.above("goodput_vs_none", total_j, total_n);
+        claim_conservation(claims, &with);
+        let mut claims = exp.claims("crash.none").seed(seed);
+        claims.above("crash_lost", wo.crash_lost, 0u64);
+        claims.equal("recovered", wo.journal_recovered, 0u64);
+        claim_conservation(claims, &without);
         exp.row(
             "",
             &[
@@ -433,17 +397,4 @@ fn main() -> ExitCode {
     );
 
     exp.finish()
-}
-
-/// Total resurrections observed across every view — the flap budget the
-/// per-seed asserts bound pairwise.
-fn fed_resurrections(fed: &Federation) -> u64 {
-    fed.members()
-        .iter()
-        .map(|m| {
-            (0..PART_CELLS as u32)
-                .map(|j| m.resurrections_of(CellId(j)))
-                .sum::<u64>()
-        })
-        .sum()
 }

@@ -19,8 +19,8 @@
 //!   in-network tree (~0.07 s) still fits. The bandit's composite reward
 //!   penalizes the misses and moves; cost-only learners do not.
 //!
-//! Per seed the binary *asserts* (the experiment gate checks the numbers,
-//! chaos nights check the asserts at higher scale): windowed regret vs the
+//! Per seed the binary *claims* (the experiment gate checks the numbers,
+//! chaos nights check the claims at higher scale): windowed regret vs the
 //! clairvoyant oracle shrinks within each phase, and after the shift the
 //! bandit strictly beats both k-NN and static-best-at-start — on phase-2
 //! cost (faults) and phase-2 goodput (load).
@@ -171,7 +171,7 @@ fn run(scenario: Scenario, policy: Policy, seed: u64, len: usize) -> RunOut {
                     0.0
                 }
         };
-        // Regret is asserted for the bandit only, so only its run pays the
+        // Regret is claimed for the bandit only, so only its run pays the
         // clairvoyant's per-decision counterfactual executions.
         let oracle_obj = if policy == Policy::Bandit {
             oracle_choice(&w.ctx(), &query, &resolved, i as u64, objective).map(|(_, obj)| obj)
@@ -265,48 +265,20 @@ fn main() -> ExitCode {
             // The per-seed contract (chaos nights run it at 6 seeds and a
             // 600-query stream): regret shrinks within each phase, and the
             // bandit strictly wins phase 2.
-            assert!(
-                bandit.regret_w[1] < bandit.regret_w[0],
-                "[{sk} seed {seed}] phase-1 windowed regret must shrink: \
-                 {:.4} -> {:.4}",
-                bandit.regret_w[0],
-                bandit.regret_w[1]
-            );
-            assert!(
-                bandit.regret_w[3] < bandit.regret_w[2],
-                "[{sk} seed {seed}] phase-2 windowed regret must shrink: \
-                 {:.4} -> {:.4}",
-                bandit.regret_w[2],
-                bandit.regret_w[3]
-            );
-            match scenario {
-                Scenario::Faults => {
-                    assert!(
-                        bandit.phase_cost[1] < knn.phase_cost[1],
-                        "[{sk} seed {seed}] bandit p2 cost {} must beat k-NN {}",
-                        fmt(bandit.phase_cost[1]),
-                        fmt(knn.phase_cost[1])
-                    );
-                    assert!(
-                        bandit.phase_cost[1] < best_at_start.phase_cost[1],
-                        "[{sk} seed {seed}] bandit p2 cost {} must beat static-best {}",
-                        fmt(bandit.phase_cost[1]),
-                        fmt(best_at_start.phase_cost[1])
-                    );
-                }
-                Scenario::Load => {
-                    assert!(
-                        bandit.goodput[1] > knn.goodput[1],
-                        "[{sk} seed {seed}] bandit p2 goodput {:.3} must beat k-NN {:.3}",
-                        bandit.goodput[1],
-                        knn.goodput[1]
-                    );
-                    assert!(
-                        bandit.goodput[1] > best_at_start.goodput[1],
-                        "[{sk} seed {seed}] bandit p2 goodput {:.3} must beat static-best {:.3}",
-                        bandit.goodput[1],
-                        best_at_start.goodput[1]
-                    );
+            let mut claims = exp.claims(&format!("{sk}.bandit")).seed(seed);
+            let r = bandit.regret_w;
+            claims.below("regret_w1_vs_w0", r[1], r[0]);
+            claims.below("regret_w3_vs_w2", r[3], r[2]);
+            for (rival, other) in [("knn", &knn), ("static_best", best_at_start)] {
+                match scenario {
+                    Scenario::Faults => {
+                        let name = format!("phase2_cost_vs_{rival}");
+                        claims.below(&name, bandit.phase_cost[1], other.phase_cost[1]);
+                    }
+                    Scenario::Load => {
+                        let name = format!("goodput2_vs_{rival}");
+                        claims.above(&name, bandit.goodput[1], other.goodput[1]);
+                    }
                 }
             }
 

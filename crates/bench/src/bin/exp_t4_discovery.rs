@@ -47,10 +47,9 @@ fn main() -> ExitCode {
             precision_recall(&jini, &corpus.relevant).0,
         ]
     });
-    assert!(
-        sem_p.min() == 1.0 && sem_p.mean() > jini_p.mean(),
-        "semantic precision must be 1.0 and above Jini's"
-    );
+    let mut claims = exp.claims("printer");
+    claims.equal("semantic_precision_min", sem_p.min(), 1.0);
+    claims.above("semantic_vs_jini_precision", sem_p.mean(), jini_p.mean());
     let precision = |v: pg_bench::Value| Cell::fixed("precision", 10, 2, v);
     for (system, precision, recall, ranked) in [
         (
@@ -91,13 +90,14 @@ fn main() -> ExitCode {
         let req =
             ServiceRequest::for_class(solver).with_preference(Preference::Minimize("cost".into()));
         let hits = matcher::rank(&onto, &req, &corpus).len();
-        assert!(
-            (last_hits..=n).contains(&hits),
-            "n {n}: {hits} hits must be at least the smaller registry's {last_hits} and at most n"
-        );
+        // At least the smaller registry's hits, at most one per service.
+        let key = format!("latency_sweep.n{n}");
+        let mut claims = exp.claims(&key);
+        claims.at_least("hits_vs_smaller", hits, last_hits);
+        claims.at_most("hits_vs_services", hits, n);
         last_hits = hits;
         exp.row(
-            &format!("latency_sweep.n{n}"),
+            &key,
             &[
                 Cell::int("services", 9, n),
                 Cell::int("hits", 7, hits).key("hits"),
@@ -118,23 +118,23 @@ fn main() -> ExitCode {
         central.register(d.clone());
     }
     let central_hits = central.query(&onto, &req).len();
-    let mut row = |prefix: &str, deployment: &str, overlay: [pg_bench::Value; 4], hits: usize| {
+    let cells = |deployment: &'static str, overlay: [pg_bench::Value; 4], hits: usize| {
         let [hops, brokers, msgs, latency_ms] = overlay;
-        exp.row(
-            prefix,
-            &[
-                Cell::text("deployment", 16, deployment),
-                Cell::int("hops", 5, hops),
-                Cell::int("brokers", 8, brokers).key("brokers_visited"),
-                Cell::int("msgs", 6, msgs).key("messages"),
-                Cell::eng("latency ms", 11, latency_ms).key("latency_ms"),
-                Cell::int("hits", 5, hits).key("hits"),
-            ],
-        );
+        [
+            Cell::text("deployment", 16, deployment),
+            Cell::int("hops", 5, hops),
+            Cell::int("brokers", 8, brokers).key("brokers_visited"),
+            Cell::int("msgs", 6, msgs).key("messages"),
+            Cell::eng("latency ms", 11, latency_ms).key("latency_ms"),
+            Cell::int("hits", 5, hits).key("hits"),
+        ]
     };
     // One registry, no overlay: only its hit count is a measurement.
     let no_overlay = ["-", "1", "0", "0"].map(Into::into);
-    row("federation.central", "central", no_overlay, central_hits);
+    exp.row(
+        "federation.central",
+        &cells("central", no_overlay, central_hits),
+    );
     // Federated ring of 8.
     let mut fed = BrokerFederation::new(8);
     for i in 0..8 {
@@ -146,7 +146,9 @@ fn main() -> ExitCode {
     let mut last_hits = 0;
     for hops in [1u32, 2, 4] {
         let (hits, stats) = fed.query(&onto, 0, &req, hops);
-        assert!(hits.len() > last_hits, "hop budget {hops} must add hits");
+        let key = format!("federation.hops{hops}");
+        let mut claims = exp.claims(&key);
+        claims.above("hits_vs_fewer_hops", hits.len(), last_hits);
         last_hits = hits.len();
         let overlay = [
             hops.into(),
@@ -154,13 +156,11 @@ fn main() -> ExitCode {
             stats.messages.into(),
             (stats.latency.as_secs_f64() * 1e3).into(),
         ];
-        let prefix = format!("federation.hops{hops}");
-        row(&prefix, "federated (ring)", overlay, hits.len());
+        exp.row(&key, &cells("federated (ring)", overlay, hits.len()));
     }
-    assert_eq!(
-        last_hits, central_hits,
-        "the largest hop budget must reach the central registry's hits"
-    );
+    // The largest hop budget reaches the central registry's hits.
+    let mut claims = exp.claims("federation.hops4");
+    claims.equal("hits_vs_central", last_hits, central_hits);
     println!(
         "\nshape to check: semantic precision 1.0 vs Jini ~(base rate); match \
          cost linear in registry size; federation coverage grows with hop \

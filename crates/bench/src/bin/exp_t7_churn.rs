@@ -90,11 +90,9 @@ fn main() -> ExitCode {
     // (with tenfold steps, they also grow).
     let mean = per_service.iter().sum::<f64>() / per_service.len() as f64;
     for (&n, &rate) in registry_sizes.iter().zip(&per_service) {
-        let band = 0.75 * mean..=1.25 * mean;
-        assert!(
-            band.contains(&rate),
-            "n {n}: {rate} per service, not in {band:?}"
-        );
+        let mut claims = exp.claims(&format!("registry.n{n}"));
+        claims.at_least("per_service_vs_low", rate, 0.75 * mean);
+        claims.at_most("per_service_vs_high", rate, 1.25 * mean);
     }
     println!(
         "\nshape to check: availability degrades with churn *speed* at fixed \

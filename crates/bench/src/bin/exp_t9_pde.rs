@@ -47,8 +47,11 @@ fn main() -> ExitCode {
         ]
         .map(|solver| {
             let (_, stats) = p.solve(solver, tol, 20_000);
+            let key = format!("solver.n{n}.{}", key_part(solver.name()));
+            exp.claims(&key)
+                .at_most("residual_vs_tol", stats.residual, tol);
             exp.row(
-                &format!("solver.n{n}.{}", key_part(solver.name())),
+                &key,
                 &[
                     Cell::text("grid", 8, format!("{n}^3")),
                     Cell::text("solver", 8, solver.name()),
@@ -57,22 +60,16 @@ fn main() -> ExitCode {
                     Cell::eng("residual", 10, stats.residual).key("residual"),
                 ],
             );
-            assert!(stats.residual <= tol, "{n}^3: residual above tol");
             stats
         });
-        assert_eq!(
-            2 * rbgs.iterations,
-            jacobi.iterations,
-            "{n}^3: red-black Gauss-Seidel must halve Jacobi's sweeps"
-        );
-        assert!(
-            8 * cg.iterations <= jacobi.iterations,
-            "{n}^3: CG must take 8x fewer iterations than Jacobi"
-        );
-        assert!(
-            [jacobi, rbgs, cg].iter().all(|s| sor.ops < s.ops),
-            "{n}^3: SOR must do the fewest operations"
-        );
+        // Red-black Gauss-Seidel halves Jacobi's sweeps, CG takes 8x fewer,
+        // and SOR does the fewest operations.
+        let (j, r, c) = (jacobi.iterations, rbgs.iterations, cg.iterations);
+        let mut claims = exp.claims(&format!("solver.n{n}"));
+        claims.equal("rbgs_x2_vs_jacobi_iterations", 2 * r, j);
+        claims.at_most("cg_x8_vs_jacobi_iterations", 8 * c, j);
+        let fewest_other_ops = [jacobi, rbgs, cg].iter().map(|s| s.ops).min().unwrap();
+        claims.below("sor_vs_fewest_other_ops", sor.ops, fewest_other_ops);
         println!();
     }
 

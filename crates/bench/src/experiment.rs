@@ -25,15 +25,22 @@
 //!   rates, extra seeds), where a binary has one (see
 //!   [`Experiment::scale`]). Chaos reports carry `meta.mode = "chaos"` and
 //!   are never compared with the `"full"` baselines — the chaos run's
-//!   value is the per-seed asserts inside the binaries, not a numeric diff.
+//!   value is its [`Claims`], not a numeric diff.
 //! - `--out DIR` — write the JSON report into `DIR` (default `results`).
+//!
+//! What a binary claims about its numbers goes through
+//! [`Experiment::claims`] into `claims.*` report leaves; a failed claim is
+//! named on stderr after the report is written, and the binary exits 1.
 //!
 //! No binary reads the host clock (`crates/bench/clippy.toml` denies it):
 //! tables and reports carry only simulation-deterministic quantities, which
 //! is what lets the experiment gate demand equal bytes of both.
 
+use crate::claims::Ledger;
 use crate::table::{Cell, Table};
+use crate::Claims;
 use pg_sim::report::Report;
+use std::io::Write;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -41,6 +48,7 @@ use std::process::ExitCode;
 pub struct Experiment {
     report: Report,
     table: Table,
+    claims: Ledger,
     chaos: bool,
     out_dir: PathBuf,
 }
@@ -71,11 +79,16 @@ impl Experiment {
                 }
             }
         }
+        Experiment::new(name, chaos, out_dir)
+    }
+
+    fn new(name: &str, chaos: bool, out_dir: PathBuf) -> Experiment {
         let mut report = Report::new(name);
         report.set_meta("mode", if chaos { "chaos" } else { "full" });
         Experiment {
             report,
             table: Table::default(),
+            claims: Ledger::default(),
             chaos,
             out_dir,
         }
@@ -127,35 +140,43 @@ impl Experiment {
         &mut self.report
     }
 
-    /// Write `results/<name>.json` and finish the run.
+    /// A handle that states claims named `<key>.<name>`, or `<name>` under
+    /// an empty key (see [`Claims`]).
+    pub fn claims(&mut self, key: &str) -> Claims<'_> {
+        Claims::new(&mut self.claims, key)
+    }
+
+    /// Record the claims, write `results/<name>.json` and finish the run.
     ///
-    /// Returns a failing [`ExitCode`] (with a message on stderr) when the
-    /// report cannot be serialized or written, so a broken report fails CI
-    /// instead of silently producing a table with no JSON behind it.
+    /// Returns a failing [`ExitCode`] when the report cannot be serialized
+    /// or written, so a broken report fails CI instead of silently producing
+    /// a table with no JSON behind it, and when a claim failed: each failed
+    /// claim is named on stderr after the report is written.
     #[must_use]
     pub fn finish(self) -> ExitCode {
-        let path = self.out_dir.join(format!("{}.json", self.report.name));
-        let text = match self.report.to_json() {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("{}: report serialization failed: {e}", self.report.name);
-                return ExitCode::FAILURE;
-            }
+        self.finish_to(&mut std::io::stderr())
+    }
+
+    /// [`finish`](Experiment::finish), with its messages written to `err`.
+    fn finish_to(mut self, err: &mut impl Write) -> ExitCode {
+        self.claims.record(&mut self.report);
+        let name = &self.report.name;
+        let path = self.out_dir.join(format!("{name}.json"));
+        let written = match self.report.to_json() {
+            Ok(text) => (std::fs::create_dir_all(&self.out_dir))
+                .and_then(|()| std::fs::write(&path, text + "\n"))
+                .map_err(|e| format!("cannot write {}: {e}", path.display())),
+            Err(e) => Err(format!("report serialization failed: {e}")),
         };
-        if let Err(e) = std::fs::create_dir_all(&self.out_dir) {
-            eprintln!(
-                "{}: cannot create {}: {e}",
-                self.report.name,
-                self.out_dir.display()
-            );
-            return ExitCode::FAILURE;
+        let _ = match &written {
+            Ok(()) => writeln!(err, "report: {}", path.display()),
+            Err(e) => writeln!(err, "{name}: {e}"),
+        };
+        let failures = self.claims.failures();
+        for line in &failures {
+            let _ = writeln!(err, "{name}: {line}");
         }
-        if let Err(e) = std::fs::write(&path, text + "\n") {
-            eprintln!("{}: cannot write {}: {e}", self.report.name, path.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("report: {}", path.display());
-        ExitCode::SUCCESS
+        ExitCode::from(u8::from(written.is_err() || !failures.is_empty()))
     }
 }
 
@@ -194,5 +215,52 @@ mod tests {
         assert_eq!(key_part("Gossip { p: 0.7 }"), "gossip_p_0.7");
         assert_eq!(key_part("plain"), "plain");
         assert_eq!(key_part("  spaced  out  "), "spaced_out");
+    }
+
+    #[test]
+    fn failed_claims_all_reach_stderr_after_the_report_is_written() {
+        let dir = std::env::temp_dir().join(format!("pg_bench_claims_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut exp = Experiment::new("exp_claims", false, dir.clone());
+        exp.claims("").above("first", 1u64, 2u64);
+        exp.claims("").at_least("kept", 2u64, 2u64);
+        exp.claims("").seed(7).below("second", 0.5, 0.25);
+        let mut err = Vec::new();
+        assert_eq!(exp.finish_to(&mut err), ExitCode::FAILURE);
+        let report = std::fs::read_to_string(dir.join("exp_claims.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        let err = String::from_utf8(err).unwrap();
+        assert!(err.starts_with("report: "), "the report comes first: {err}");
+        let lines: Vec<_> = err.lines().skip(1).collect();
+        assert_eq!(
+            lines,
+            [
+                "exp_claims: claim first failed: 1 > 2 does not hold",
+                "exp_claims: claim second failed: 0.5 < 0.25 does not hold (seed 7)",
+            ]
+        );
+        for leaf in [
+            "\"claims.first.held\":0",
+            "\"claims.kept.held\":1",
+            "\"claims.second.worst_seed\":7",
+            "\"claims.second.bound\":0.25",
+        ] {
+            assert!(report.contains(leaf), "{leaf} not in {report}");
+        }
+    }
+
+    #[test]
+    fn a_run_whose_claims_all_hold_succeeds() {
+        let dir = std::env::temp_dir().join(format!("pg_bench_held_{}", std::process::id()));
+        let mut exp = Experiment::new("exp_held", false, dir.clone());
+        exp.claims("x").equal("same", 3u64, 3u64);
+        let mut err = Vec::new();
+        assert_eq!(exp.finish_to(&mut err), ExitCode::SUCCESS);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(
+            err.iter().filter(|&&b| b == b'\n').count(),
+            1,
+            "only the report line"
+        );
     }
 }

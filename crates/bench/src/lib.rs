@@ -11,9 +11,11 @@
 
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::expect_used))]
 
+pub mod claims;
 pub mod experiment;
 pub mod table;
 
+pub use claims::Claims;
 pub use experiment::{key_part, Experiment};
 pub use table::{fmt, Cell, Value};
 
@@ -27,7 +29,7 @@ use pg_net::churn::ChurnSchedule;
 use pg_net::energy::RadioModel;
 use pg_net::geom::Point;
 use pg_net::link::LinkModel;
-use pg_net::topology::Topology;
+use pg_net::topology::{NodeId, Topology};
 use pg_partition::decide::{oracle_choice, DecisionConfig, DecisionMaker, Policy};
 use pg_partition::exec::{execute_once, resolve, ExecContext};
 use pg_partition::learn::Reward;
@@ -69,6 +71,12 @@ impl World {
             regions: &self.regions,
             now: self.now,
         }
+    }
+
+    /// The sensor T1's Simple archetype reads: 17, or the next id where the
+    /// deployment put its base station at node 17 (seed 4004 does).
+    pub fn simple_sensor(&self) -> u32 {
+        17 + u32::from(self.net.base() == NodeId(17))
     }
 }
 
@@ -436,6 +444,21 @@ mod tests {
         assert!(a.net.topology().is_connected());
         assert_eq!(a.net.topology().edge_count(), b.net.topology().edge_count());
         assert_eq!(a.net.len(), 100);
+    }
+
+    #[test]
+    fn the_simple_archetype_reads_17_unless_it_is_the_base_station() {
+        for seed in 0..10 {
+            assert_eq!(standard_world(100, seed).simple_sensor(), 17, "seed {seed}");
+        }
+        let w = standard_world(100, 4004);
+        assert_eq!(w.net.base(), NodeId(17));
+        let text = format!(
+            "SELECT temp FROM sensors WHERE sensor_id = {}",
+            w.simple_sensor()
+        );
+        let query = pg_query::parse(&text).unwrap();
+        assert!(resolve(&w.net, &w.regions, &query).is_ok());
     }
 
     #[test]

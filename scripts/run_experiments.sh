@@ -4,12 +4,16 @@
 # <out>/<exp>.json. The ```text <exp> blocks of EXPERIMENTS.md and
 # baselines/BENCH_*.json are both outputs of this one default run.
 #
+# Every binary runs even when one fails; the script then names each failed
+# binary on stderr and exits 1.
+#
 # Usage: scripts/run_experiments.sh [--chaos] [--rebaseline] [output-dir]
 #   --chaos       run the extended chaos grids (longer horizons, higher
 #                 fault rates, extra seeds; reports are never diffed)
 #   --rebaseline  after a clean run, copy each fresh <out>/<exp>.json over
 #                 baselines/BENCH_<exp>.json and each <out>/<exp>.txt into
-#                 its EXPERIMENTS.md block (write a new one's fence by hand)
+#                 its EXPERIMENTS.md block (write a new one's fence by hand);
+#                 refused when any binary failed
 set -euo pipefail
 
 mode=()
@@ -20,7 +24,7 @@ for arg in "$@"; do
     --chaos) mode=(--chaos) ;;
     --rebaseline) rebaseline=1 ;;
     -h | --help)
-        sed -n '2,12p' "$0"
+        sed -n '2,16p' "$0"
         exit 0
         ;;
     -*)
@@ -67,12 +71,19 @@ if [[ -n "$missing" ]]; then
 fi
 
 cargo build --release -p pg-bench
+# A binary that fails (exit 1 after writing its report: a claim failed)
+# does not stop the suite: every binary runs, and each failed one is named.
+failed=""
 for exp in $exps; do
     echo "== $exp =="
-    # set -o pipefail makes a non-zero binary exit abort the whole run here.
-    ./target/release/"$exp" "${mode[@]}" --out "$out" | tee "$out/$exp.txt"
+    ./target/release/"$exp" "${mode[@]}" --out "$out" | tee "$out/$exp.txt" || failed="$failed $exp"
 done
 echo "all experiment outputs written to $out/"
+if [[ -n "$failed" ]]; then
+    echo "failed experiments:$failed" >&2
+    [[ $rebaseline -eq 0 ]] || echo "not rebaselining after a failed experiment" >&2
+    exit 1
+fi
 
 if [[ $rebaseline -eq 1 ]]; then
     # Only what this run produced: $out may hold a stale report from a
