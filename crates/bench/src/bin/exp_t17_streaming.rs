@@ -9,6 +9,8 @@
 //! seed: at the overload rate, EDF with preemption must beat FIFO's
 //! deadline hit-rate strictly — slack-negative queries jump the policy
 //! order into the next service round instead of aging out in the queue.
+//! Plain EDF already beats FIFO there, so two more per-seed claims pin the
+//! queue jump itself: `edf_pre` beats `edf` and `fifo_pre` beats `fifo`.
 //! T17b streams shareable aggregates through three tree lifetimes — free,
 //! one kept `Incremental` tree, and a fresh `Incremental` session every
 //! step (a rebuild for every shared chunk) — and claims, per seed, that
@@ -121,6 +123,13 @@ fn main() -> ExitCode {
                 // The tentpole claim, per seed: under overload, EDF with
                 // preemption strictly beats FIFO on deadline adherence.
                 claims.above("hit_rate", edf_pre.hit_rate(), fifo.hit_rate());
+                // Preemption itself, per seed and per policy: the same
+                // policy with the queue jump beats it without.
+                for (with, without) in [(3, 2), (1, 0)] {
+                    let key = format!("high.{}_vs_{}", MODES[with].0, MODES[without].0);
+                    let (pre, plain) = (cells[with].hit_rate(), cells[without].hit_rate());
+                    exp.claims(&key).seed(seed).above("hit_rate", pre, plain);
+                }
             }
             for (total, c) in totals.iter_mut().zip(&cells) {
                 total.absorb(c);
