@@ -128,10 +128,6 @@ pub struct Cell {
     pub(crate) outcomes_seen: usize,
     /// One tag per admitted query the driver still has business with.
     pub(crate) tags: BTreeMap<QueryId, QueryTag>,
-    /// Shed count at the last load digest (for the shed-rate window).
-    last_shed: usize,
-    /// When the last load digest was taken.
-    last_digest_at: SimTime,
 }
 
 impl Cell {
@@ -154,8 +150,6 @@ impl Cell {
             window: WindowArrivals::default(),
             outcomes_seen: 0,
             tags: BTreeMap::new(),
-            last_shed: 0,
-            last_digest_at: SimTime::ZERO,
         }
     }
 
@@ -164,23 +158,12 @@ impl Cell {
         self.rt.engine().net.fault_plan().is_base_down(t)
     }
 
-    /// The load summary this cell would gossip at `now`: live queue depth
-    /// and overload state, plus the shed rate over the window since the
-    /// last digest.
-    pub fn load_digest(&mut self, now: SimTime) -> LoadDigest {
-        let shed_total = self.rt.shed_records().len();
-        let window_h = now.since(self.last_digest_at).as_secs_f64() / 3_600.0;
-        let shed_rate_per_h = if window_h > 0.0 {
-            (shed_total - self.last_shed) as f64 / window_h
-        } else {
-            0.0
-        };
-        self.last_shed = shed_total;
-        self.last_digest_at = now;
+    /// The load summary this cell would gossip at `now`: live queue depth,
+    /// overload state and base-station health.
+    pub fn load_digest(&self, now: SimTime) -> LoadDigest {
         LoadDigest {
             queue_depth: self.rt.queue_depth() as u32,
             overload: self.rt.overload_state(),
-            shed_rate_per_h,
             base_down: self.is_down(now),
         }
     }

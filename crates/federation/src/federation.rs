@@ -41,7 +41,7 @@
 //! — which is what lets the ledgers retire it.
 
 use crate::cell::{Cell, QueryTag};
-use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Membership, RoundCtx};
+use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Membership};
 use crate::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use crate::roaming::{NextCellPredictor, Trace};
 use pg_agent::{Agent, AgentProfile, AgentSystem, DirectDeputy, Envelope, ReliableConfig};
@@ -148,8 +148,6 @@ pub struct FederationStats {
     pub warm_handoff_latencies_s: Vec<f64>,
     /// Same, when the destination had to re-plan cold.
     pub cold_handoff_latencies_s: Vec<f64>,
-    /// Forward-home delivery latencies (transport only), seconds.
-    pub forward_latencies_s: Vec<f64>,
     /// Cell-process crash-stops applied from the cell fault plan.
     pub crashes: u64,
     /// Queries destroyed in those crashes (before any journal replay).
@@ -573,9 +571,6 @@ impl Federation {
             kind,
             phase: HandoffPhase::Pending,
             opened_at: at,
-            completed_at: None,
-            latency_s: None,
-            warm: false,
         });
         match kind {
             HandoffKind::Migrate => self.stats.migrations_opened += 1,
@@ -671,7 +666,7 @@ impl Federation {
                         // will carry nothing.
                         let tag = self.cells[idx].tags.remove(&handle.id());
                         if let Some(forward) = tag.and_then(|t| t.forward) {
-                            self.abandon_forward(idx, forward, at);
+                            self.abandon_forward(idx, forward);
                         }
                         let id = self.open_handoff(HandoffKind::Migrate, user, idx, d, at);
                         self.ship(id, idx, d, Cargo::Query { query, user });
@@ -684,7 +679,7 @@ impl Federation {
                     let id = self.open_handoff(HandoffKind::ForwardHome, user, idx, to, at);
                     let tag = self.cells[idx].tags.get_mut(&handle.id());
                     if let Some(superseded) = tag.and_then(|t| t.forward.replace(id)) {
-                        self.abandon_forward(idx, superseded, at);
+                        self.abandon_forward(idx, superseded);
                     }
                     keep.push((idx, handle));
                 }
@@ -736,22 +731,19 @@ impl Federation {
             let up: Vec<bool> = (0..self.cells.len())
                 .map(|i| !self.cell_down(i, now))
                 .collect();
-            for (i, c) in self.cells.iter_mut().enumerate() {
+            for (i, c) in self.cells.iter().enumerate() {
                 if up[i] {
-                    let digest = c.load_digest(now);
-                    self.members[i].beat(now, digest);
+                    self.members[i].beat(now, c.load_digest(now));
                 }
             }
             gossip_round_ctx(
                 &mut self.members,
                 &mut self.handoffs,
                 &up,
-                &RoundCtx {
-                    now,
-                    seed: self.cfg.seed,
-                    round_idx: self.round_idx,
-                    faults: Some(&self.cfg.cell_faults),
-                },
+                now,
+                self.cfg.seed,
+                self.round_idx,
+                Some(&self.cfg.cell_faults),
             );
             self.round_idx += 1;
             self.next_gossip += gossip.round;
@@ -798,12 +790,11 @@ impl Federation {
             let Some(handoff) = tag.forward else {
                 continue;
             };
-            self.handoffs[i].advance(handoff, HandoffPhase::InProgress, end, None, false);
+            self.handoffs[i].advance(handoff, HandoffPhase::InProgress);
             if user_at == i {
                 // The user is back here before the answer: delivery is local.
-                self.handoffs[i].advance(handoff, HandoffPhase::Completed, end, Some(0.0), false);
+                self.handoffs[i].advance(handoff, HandoffPhase::Completed);
                 self.stats.forwards_completed += 1;
-                self.stats.forward_latencies_s.push(0.0);
             } else {
                 self.ship(handoff, i, user_at, Cargo::Answer);
             }
@@ -843,7 +834,7 @@ impl Federation {
                 Cargo::Query { .. } => self.stats.migrations_lost += 1,
                 Cargo::Answer => self.stats.forwards_lost += 1,
             }
-            self.handoffs[lost.from].advance(id, HandoffPhase::Abandoned, end, None, false);
+            self.handoffs[lost.from].advance(id, HandoffPhase::Abandoned);
         }
     }
 
@@ -862,9 +853,8 @@ impl Federation {
             self.handoffs[dest].merge(&[rec]);
         }
         let Cargo::Query { query, user } = cargo else {
-            self.handoffs[dest].advance(id, HandoffPhase::Completed, end, Some(transport_s), false);
+            self.handoffs[dest].advance(id, HandoffPhase::Completed);
             self.stats.forwards_completed += 1;
-            self.stats.forward_latencies_s.push(transport_s);
             return;
         };
         let task = self.book.task(user as usize);
@@ -873,10 +863,10 @@ impl Federation {
             Ok((_, CacheResult::Miss, d)) => (false, d.as_secs_f64()),
             Err(_) => (false, REACTIVE_SETUP.as_secs_f64()),
         };
-        self.handoffs[dest].advance(id, HandoffPhase::InProgress, end, None, warm);
+        self.handoffs[dest].advance(id, HandoffPhase::InProgress);
         let latency = transport_s + setup_s;
         let verdict = self.cells[dest].rt.admit_migrated(query);
-        self.handoffs[dest].advance(id, HandoffPhase::Completed, end, Some(latency), warm);
+        self.handoffs[dest].advance(id, HandoffPhase::Completed);
         match verdict.handle() {
             Some(h) => {
                 let stamp = cross_cell(from, dest, CrossCellHandoff::Migrated);
@@ -922,16 +912,16 @@ impl Federation {
             }
             for tag in std::mem::take(&mut self.cells[i].tags).into_values() {
                 if let Some(forward) = tag.forward {
-                    self.abandon_forward(i, forward, self.now);
+                    self.abandon_forward(i, forward);
                 }
             }
         }
     }
 
     /// Forward `id`, opened by cell `at`, will never carry an answer.
-    fn abandon_forward(&mut self, at: usize, id: HandoffId, now: SimTime) {
+    fn abandon_forward(&mut self, at: usize, id: HandoffId) {
         self.stats.forwards_abandoned += 1;
-        self.handoffs[at].advance(id, HandoffPhase::Abandoned, now, None, false);
+        self.handoffs[at].advance(id, HandoffPhase::Abandoned);
     }
 }
 
@@ -1367,7 +1357,6 @@ mod tests {
             .filter(|r| r.kind == HandoffKind::Migrate && r.phase == HandoffPhase::Completed)
             .collect();
         assert_eq!(landed.len(), 2, "{landed:?}");
-        assert!(landed.iter().all(|r| !r.warm), "{landed:?}");
         fed.run(horizon);
         let s = &fed.stats;
         assert_eq!(s.migrations_completed, 2, "{s:?}");

@@ -16,9 +16,9 @@
 //! cell order and writes each into the same slot, with no lookup.
 //!
 //! Digests piggyback a [`LoadDigest`] per cell — queue depth, overload
-//! state, shed rate, base-station health — which is what peer load
-//! absorption steers by, and [`gossip_round`] also merges the replicated
-//! [`HandoffStore`]s D-GRID-style so every cell converges on the same
+//! state, base-station health — which is what peer load absorption steers
+//! by, and [`gossip_round`] also merges the replicated [`HandoffStore`]s
+//! D-GRID-style so every cell converges on the same
 //! pending/in-progress/terminal handoff view. Both exchanges are by
 //! reference: a contact borrows the two cells' tables and the two cells'
 //! ledgers out of their slices and merges one into the other in place
@@ -55,27 +55,14 @@ impl fmt::Display for CellId {
 
 /// The per-cell load summary piggybacked on every gossip digest — what
 /// neighbors steer redirected admissions by.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LoadDigest {
     /// Queries waiting in the cell's admission queue.
     pub queue_depth: u32,
     /// The cell's overload hysteresis state at digest time.
     pub overload: OverloadState,
-    /// Queries shed per hour over the last digest window.
-    pub shed_rate_per_h: f64,
     /// The cell's base station was down at digest time.
     pub base_down: bool,
-}
-
-impl Default for LoadDigest {
-    fn default() -> Self {
-        LoadDigest {
-            queue_depth: 0,
-            overload: OverloadState::Normal,
-            shed_rate_per_h: 0.0,
-            base_down: false,
-        }
-    }
 }
 
 impl LoadDigest {
@@ -376,20 +363,6 @@ impl Membership {
     }
 }
 
-/// Everything a gossip round needs besides the tables themselves. Bundled
-/// so fault-aware callers have one place to hand over the script.
-pub struct RoundCtx<'a> {
-    /// The instant the round runs at.
-    pub now: SimTime,
-    /// Seed for the deterministic peer selection.
-    pub seed: u64,
-    /// Monotone round counter (selection salt and dead-probe rotor).
-    pub round_idx: u64,
-    /// Optional fault script: inter-cell contacts honor its partition and
-    /// one-way-cut windows. `None` behaves exactly like a fault-free plan.
-    pub faults: Option<&'a FaultPlan>,
-}
-
 /// Run one synchronous gossip round at `now` over the whole federation.
 ///
 /// Each cell with `up[i] == true` (index = `CellId.0`) beats beforehand
@@ -415,20 +388,11 @@ pub fn gossip_round(
     seed: u64,
     round_idx: u64,
 ) {
-    gossip_round_ctx(
-        members,
-        handoffs,
-        up,
-        &RoundCtx {
-            now,
-            seed,
-            round_idx,
-            faults: None,
-        },
-    );
+    gossip_round_ctx(members, handoffs, up, now, seed, round_idx, None);
 }
 
-/// [`gossip_round`] with a [`RoundCtx`], the fault-aware form.
+/// [`gossip_round`] under an optional fault script, the fault-aware form
+/// (`None` behaves exactly like a fault-free plan).
 ///
 /// On top of the base round: the push leg `i -> t` and the pull reply
 /// `t -> i` are gated *independently* on [`FaultPlan::cell_link_up`], so a
@@ -449,21 +413,21 @@ pub fn gossip_round_ctx(
     members: &mut [Membership],
     handoffs: &mut [HandoffStore],
     up: &[bool],
-    ctx: &RoundCtx<'_>,
+    now: SimTime,
+    seed: u64,
+    round_idx: u64,
+    faults: Option<&FaultPlan>,
 ) {
     debug_assert_eq!(members.len(), up.len());
     let n = members.len();
-    let now = ctx.now;
-    let link_up = |from: usize, to: usize| {
-        ctx.faults
-            .is_none_or(|f| f.cell_link_up(from as u64, to as u64, now))
-    };
+    let link_up =
+        |from: usize, to: usize| faults.is_none_or(|f| f.cell_link_up(from as u64, to as u64, now));
     for i in 0..members.len() {
         if !up[i] {
             continue;
         }
         let mut candidates = members[i].gossip_candidates();
-        let mut rng = StdRng::seed_from_u64(mix(mix(ctx.seed, ctx.round_idx), i as u64));
+        let mut rng = StdRng::seed_from_u64(mix(mix(seed, round_idx), i as u64));
         let picks = FANOUT.min(candidates.len());
         let mut targets = Vec::with_capacity(picks + 1);
         for k in 0..picks {
@@ -473,7 +437,7 @@ pub fn gossip_round_ctx(
         }
         let dead = members[i].dead_peers();
         if !dead.is_empty() {
-            let probe = dead[(ctx.round_idx as usize) % dead.len()];
+            let probe = dead[(round_idx as usize) % dead.len()];
             if !targets.contains(&probe) {
                 targets.push(probe);
             }
@@ -671,17 +635,7 @@ mod tests {
             for m in members.iter_mut() {
                 m.beat(now, LoadDigest::default());
             }
-            gossip_round_ctx(
-                &mut members,
-                &mut handoffs,
-                &up,
-                &RoundCtx {
-                    now,
-                    seed: 7,
-                    round_idx: round,
-                    faults: Some(&plan),
-                },
-            );
+            gossip_round_ctx(&mut members, &mut handoffs, &up, now, 7, round, Some(&plan));
             if now >= cut_start && now < cut_end {
                 // During the cut nobody ever resurrects the deaf peer:
                 // its state decays monotonically, no flapping.
@@ -739,17 +693,7 @@ mod tests {
                     for m in members.iter_mut() {
                         m.beat(now, LoadDigest::default());
                     }
-                    gossip_round_ctx(
-                        members,
-                        handoffs,
-                        &up,
-                        &RoundCtx {
-                            now,
-                            seed: 13,
-                            round_idx: round,
-                            faults: Some(&plan),
-                        },
-                    );
+                    gossip_round_ctx(members, handoffs, &up, now, 13, round, Some(&plan));
                 }
             };
         // Converge, then sit out the whole partition.
@@ -787,9 +731,6 @@ mod tests {
             kind: HandoffKind::Migrate,
             phase: HandoffPhase::Pending,
             opened_at: SimTime::ZERO,
-            completed_at: None,
-            latency_s: None,
-            warm: false,
         }
     }
 
@@ -817,17 +758,7 @@ mod tests {
             for m in members.iter_mut() {
                 m.beat(now, LoadDigest::default());
             }
-            gossip_round_ctx(
-                &mut members,
-                &mut handoffs,
-                &up,
-                &RoundCtx {
-                    now,
-                    seed: 7,
-                    round_idx: round,
-                    faults: Some(&plan),
-                },
-            );
+            gossip_round_ctx(&mut members, &mut handoffs, &up, now, 7, round, Some(&plan));
             assert!(
                 handoffs[a].get(from_b).is_some(),
                 "b -> a is open, yet b's record had not reached a at {now:?}"
@@ -879,7 +810,6 @@ mod tests {
                     } else {
                         OverloadState::Normal
                     },
-                    shed_rate_per_h: 0.0,
                     base_down: false,
                 };
                 m.beat(now, load);

@@ -7,9 +7,12 @@
 //! forward will never carry an answer. Records live in per-cell
 //! [`HandoffStore`]s replicated by the gossip layer (SNIPPETS #1: queue /
 //! in-progress / completed state replicated between peers with no central
-//! orchestrator), merging by phase dominance: a record can only move
-//! forward, so whichever replica has seen more of the handoff wins and
-//! every cell converges on the same view.
+//! orchestrator). A record is a phase lattice: everything in it but the
+//! phase is fixed when it is opened, the phase only moves forward, and a
+//! merge keeps the later phase, so whichever replica has seen more of the
+//! handoff wins and every cell converges on the same view. What a handoff
+//! cost (its latency, whether it landed warm) is measured once, where it
+//! lands, in the driver's `FederationStats`, not replicated here.
 //!
 //! A ledger walks only what is still open somewhere. Each live record
 //! carries two sets of replicas, one bit per cell index: `held`, the
@@ -112,45 +115,15 @@ pub struct HandoffRecord {
     pub phase: HandoffPhase,
     /// When the origin opened the record.
     pub opened_at: SimTime,
-    /// When it completed, once it has.
-    pub completed_at: Option<SimTime>,
-    /// Measured end-to-end handoff latency, seconds (transport plus, for
-    /// migrations, destination re-planning), once completed.
-    pub latency_s: Option<f64>,
-    /// The destination plan cache was warm when the handoff landed
-    /// (pre-warmed by the next-cell predictor or still fresh).
-    pub warm: bool,
 }
 
 impl HandoffRecord {
-    /// Anti-entropy merge: phase dominance first, then — when both
-    /// replicas sit at the *same* phase but diverged on the two sides of a
-    /// partition — a deterministic field-wise join so every merge order
-    /// converges on one value: earliest completion wins (ties broken by
-    /// smaller latency), and `warm` joins by OR (either side saw a warm
-    /// landing). Returns true when anything changed.
+    /// Anti-entropy merge of another replica's copy: keep the later phase.
+    /// Returns true when that moved this copy.
     fn absorb(&mut self, other: &HandoffRecord) -> bool {
-        if other.phase > self.phase {
+        let changed = other.phase > self.phase;
+        if changed {
             self.phase = other.phase;
-            self.completed_at = other.completed_at;
-            self.latency_s = other.latency_s;
-            self.warm = other.warm;
-            return true;
-        }
-        if other.phase < self.phase {
-            return false;
-        }
-        let mut changed = false;
-        let other_key = (other.completed_at, other.latency_s.map(f64::to_bits));
-        let my_key = (self.completed_at, self.latency_s.map(f64::to_bits));
-        if other.completed_at.is_some() && (self.completed_at.is_none() || other_key < my_key) {
-            self.completed_at = other.completed_at;
-            self.latency_s = other.latency_s;
-            changed = true;
-        }
-        if other.warm && !self.warm {
-            self.warm = true;
-            changed = true;
         }
         changed
     }
@@ -175,9 +148,6 @@ impl HandoffRecord {
             kind,
             phase,
             self.opened_at.as_nanos(),
-            self.completed_at.map_or(u64::MAX, |t| t.as_nanos()),
-            self.latency_s.map_or(u64::MAX, f64::to_bits),
-            u64::from(self.warm),
         ]
         .into_iter()
         .fold(0xcbf2_9ce4_8422_2325, |h, v| {
@@ -319,26 +289,13 @@ impl HandoffStore {
     }
 
     /// Advance `id` to `phase` if that moves it forward from a phase that
-    /// is not terminal; stamps completion time and measured latency when
-    /// `phase` is Completed. A terminal record is final at its replica,
-    /// which is what lets retirement checkpoint its value.
-    pub fn advance(
-        &mut self,
-        id: HandoffId,
-        phase: HandoffPhase,
-        now: SimTime,
-        latency_s: Option<f64>,
-        warm: bool,
-    ) {
+    /// is not terminal. A terminal record is final at its replica, which
+    /// is what lets retirement checkpoint its value.
+    pub fn advance(&mut self, id: HandoffId, phase: HandoffPhase) {
         if let Ok(i) = self.position(id) {
             let r = &mut self.live[i].record;
             if phase > r.phase && !r.phase.is_terminal() {
                 r.phase = phase;
-                r.warm = warm;
-                if phase == HandoffPhase::Completed {
-                    r.completed_at = Some(now);
-                    r.latency_s = latency_s;
-                }
             }
         }
     }
@@ -354,11 +311,10 @@ impl HandoffStore {
     }
 
     /// Merge records in any order (an envelope's one record, a peer's
-    /// snapshot): unknown records are adopted, known ones absorbed (phase
-    /// dominance, then the field-wise join for equal phases). Idempotent
-    /// and commutative, so gossip order never matters. Returns how many
-    /// records were adopted or changed — the anti-entropy delta, zero once
-    /// two replicas have converged.
+    /// snapshot): unknown records are adopted, known ones absorbed (the
+    /// later phase wins). Idempotent and commutative, so gossip order never
+    /// matters. Returns how many records were adopted or changed — the
+    /// anti-entropy delta, zero once two replicas have converged.
     pub fn merge(&mut self, snapshot: &[HandoffRecord]) -> usize {
         let mut delta = 0;
         for r in snapshot {
@@ -488,9 +444,6 @@ mod tests {
             kind: HandoffKind::Migrate,
             phase,
             opened_at: SimTime::ZERO,
-            completed_at: None,
-            latency_s: None,
-            warm: false,
         }
     }
 
@@ -523,79 +476,17 @@ mod tests {
     }
 
     #[test]
-    fn split_brain_equal_phase_divergence_converges_both_ways() {
-        // Both sides of a partition completed the same record with
-        // different observations; after anti-entropy the replicas agree
-        // bit-for-bit whichever direction merged first.
-        let mut left = rec(9, HandoffPhase::Completed);
-        left.completed_at = Some(SimTime::from_secs(10));
-        left.latency_s = Some(2.0);
-        left.warm = false;
-        let mut right = rec(9, HandoffPhase::Completed);
-        right.completed_at = Some(SimTime::from_secs(8));
-        right.latency_s = Some(3.5);
-        right.warm = true;
-
-        let mut a = HandoffStore::new();
-        let mut b = HandoffStore::new();
-        a.open(left.clone());
-        b.open(right.clone());
-        let d1 = a.merge(&b.snapshot());
-        let d2 = b.merge(&a.snapshot());
-        assert!(d1 > 0, "divergent replicas must report a merge delta");
-        assert_eq!(a.ledger_hash(), b.ledger_hash(), "replicas diverge");
-        // Earliest completion won; warm joined by OR.
-        let r = a.get(HandoffId(9)).expect("present");
-        assert_eq!(r.completed_at, Some(SimTime::from_secs(8)));
-        assert_eq!(r.latency_s, Some(3.5));
-        assert!(r.warm);
-        // Converged replicas exchange zero delta from then on.
-        assert_eq!(a.merge(&b.snapshot()), 0);
-        assert_eq!(b.merge(&a.snapshot()), 0);
-        let _ = d2;
-
-        // The reverse merge order lands on the same value.
-        let mut c = HandoffStore::new();
-        let mut d = HandoffStore::new();
-        c.open(right);
-        d.open(left);
-        c.merge(&d.snapshot());
-        d.merge(&c.snapshot());
-        assert_eq!(c.ledger_hash(), a.ledger_hash());
-        assert_eq!(d.ledger_hash(), a.ledger_hash());
-    }
-
-    #[test]
-    fn advance_is_monotone_and_stamps_completion() {
+    fn advance_is_monotone_and_final_once_terminal() {
         let mut s = HandoffStore::new();
         s.open(rec(7, HandoffPhase::Pending));
-        s.advance(
-            HandoffId(7),
-            HandoffPhase::InProgress,
-            SimTime::from_secs(1),
-            None,
-            false,
+        s.advance(HandoffId(7), HandoffPhase::InProgress);
+        s.advance(HandoffId(7), HandoffPhase::Completed);
+        assert_eq!(
+            s.get(HandoffId(7)).map(|r| r.phase),
+            Some(HandoffPhase::Completed)
         );
-        s.advance(
-            HandoffId(7),
-            HandoffPhase::Completed,
-            SimTime::from_secs(2),
-            Some(0.25),
-            true,
-        );
-        let r = s.get(HandoffId(7)).expect("present");
-        assert_eq!(r.phase, HandoffPhase::Completed);
-        assert_eq!(r.completed_at, Some(SimTime::from_secs(2)));
-        assert_eq!(r.latency_s, Some(0.25));
-        assert!(r.warm);
         // A late Pending replay changes nothing.
-        s.advance(
-            HandoffId(7),
-            HandoffPhase::Pending,
-            SimTime::from_secs(3),
-            None,
-            false,
-        );
+        s.advance(HandoffId(7), HandoffPhase::Pending);
         assert_eq!(
             s.get(HandoffId(7)).map(|r| r.phase),
             Some(HandoffPhase::Completed)
@@ -604,23 +495,11 @@ mod tests {
 
         // An abandoned record is final here: completing it is a no-op.
         s.open(rec(8, HandoffPhase::Pending));
-        s.advance(
-            HandoffId(8),
-            HandoffPhase::Abandoned,
-            SimTime::from_secs(4),
-            None,
-            false,
-        );
-        s.advance(
-            HandoffId(8),
-            HandoffPhase::Completed,
-            SimTime::from_secs(5),
-            Some(1.0),
-            false,
-        );
+        s.advance(HandoffId(8), HandoffPhase::Abandoned);
+        s.advance(HandoffId(8), HandoffPhase::Completed);
         assert_eq!(
-            s.get(HandoffId(8)).map(|r| (r.phase, r.completed_at)),
-            Some((HandoffPhase::Abandoned, None))
+            s.get(HandoffId(8)).map(|r| r.phase),
+            Some(HandoffPhase::Abandoned)
         );
         assert_eq!(s.phase_counts(), [0, 0, 1, 1]);
     }
@@ -632,13 +511,7 @@ mod tests {
     fn reopening_a_known_id_never_regresses_it() {
         let mut s = HandoffStore::new();
         s.open(rec(7, HandoffPhase::Pending));
-        s.advance(
-            HandoffId(7),
-            HandoffPhase::Completed,
-            SimTime::from_secs(2),
-            Some(0.25),
-            true,
-        );
+        s.advance(HandoffId(7), HandoffPhase::Completed);
         let done = s.snapshot();
         s.open(rec(7, HandoffPhase::Pending));
         assert_eq!(s.snapshot(), done);
@@ -656,9 +529,7 @@ mod tests {
     fn a_settled_record_retires_and_is_never_adopted_again() {
         let n = 3;
         let mut s: Vec<HandoffStore> = (0..n).map(|_| HandoffStore::new()).collect();
-        let mut done = rec(5, HandoffPhase::Completed);
-        done.completed_at = Some(SimTime::from_secs(3));
-        s[0].open(done);
+        s[0].open(rec(5, HandoffPhase::Completed));
         s[1].open(rec(6, HandoffPhase::Pending));
         let hash = |s: &[HandoffStore]| {
             let mut a = HandoffStore::new();
@@ -710,32 +581,15 @@ mod tests {
         use super::*;
         use propcheck::{check, Gen};
 
-        /// One drawn record: `(id, phase, completed_at, latency, warm)`,
-        /// the two options as `0 = None`, else `Some(n)` — and no latency
-        /// without a completion time, since one stamp sets both.
-        /// Everything that identifies the handoff follows from the id, as
-        /// it does for two replicas of one record.
-        type Drawn = (u64, u8, u64, u64, bool);
+        /// One drawn record: `(id, phase)`. Everything else in it follows
+        /// from the id, as it does for two replicas of one record.
+        type Drawn = (u64, u8);
 
         fn drawn(g: &mut Gen) -> Vec<Drawn> {
-            g.vec(0..20, |g| {
-                (
-                    g.range(0u64..24),
-                    g.range(0u8..4),
-                    g.range(0u64..4),
-                    g.range(0u64..4),
-                    g.bool(),
-                )
-            })
+            g.vec(0..20, |g| (g.range(0u64..24), g.range(0u8..4)))
         }
 
-        fn record(
-            id: HandoffId,
-            phase: u8,
-            completed: u64,
-            latency: u64,
-            warm: bool,
-        ) -> HandoffRecord {
+        fn record(id: HandoffId, phase: u8) -> HandoffRecord {
             HandoffRecord {
                 id,
                 user: id.0,
@@ -753,9 +607,6 @@ mod tests {
                     HandoffPhase::Completed,
                 ][phase as usize],
                 opened_at: SimTime::from_secs(id.0),
-                completed_at: (completed > 0).then(|| SimTime::from_secs(completed)),
-                latency_s: (completed > 0 && latency > 0).then_some(latency as f64 * 0.5),
-                warm,
             }
         }
 
@@ -765,12 +616,12 @@ mod tests {
         fn build(recs: &[Drawn], stride: u64, offset: u64) -> (HandoffStore, oracle::HandoffStore) {
             let mut new = HandoffStore::new();
             let mut old = oracle::HandoffStore::default();
-            for &(id, phase, completed, latency, warm) in recs {
+            for &(id, phase) in recs {
                 let id = HandoffId(id * stride + offset);
                 if new.get(id).is_some() {
                     continue;
                 }
-                let r = record(id, phase, completed, latency, warm);
+                let r = record(id, phase);
                 new.open(r.clone());
                 old.open(r);
                 assert_sorted(&new);
@@ -791,21 +642,9 @@ mod tests {
         /// into another.
         #[derive(Debug, Clone)]
         enum Op {
-            Open {
-                at: usize,
-                phase: u8,
-            },
-            Advance {
-                at: usize,
-                pick: usize,
-                phase: u8,
-                completed: u64,
-                warm: bool,
-            },
-            Contact {
-                to: usize,
-                from: usize,
-            },
+            Open { at: usize, phase: u8 },
+            Advance { at: usize, pick: usize, phase: u8 },
+            Contact { to: usize, from: usize },
         }
 
         /// Up to 120 steps, half of them contacts.
@@ -819,8 +658,6 @@ mod tests {
                     at: g.range(0..n),
                     pick: g.range(0usize..64),
                     phase: g.range(1u8..4),
-                    completed: g.range(1u64..4),
-                    warm: g.bool(),
                 },
                 _ => Op::Contact {
                     to: g.range(0..n),
@@ -849,9 +686,9 @@ mod tests {
         /// Store-to-store `merge_from` against the map ledger merging
         /// a cloned snapshot: same delta, same records, same hash —
         /// for overlapping, interleaved and disjoint id sets, every
-        /// phase, equal-phase records that diverged, and either side
-        /// empty. Then the algebra gossip relies on: idempotent, and
-        /// a two-way exchange ends the same whichever leg runs first.
+        /// phase, and either side empty. Then the algebra gossip relies
+        /// on: idempotent, and a two-way exchange ends the same whichever
+        /// leg runs first.
         #[test]
         fn lockstep_merge_matches_the_snapshot_merge() {
             check("lockstep_merge_matches_the_snapshot_merge", 512, |g| {
@@ -933,25 +770,19 @@ mod tests {
                 for op in steps {
                     match op {
                         Op::Open { at, phase } => {
-                            let r = record(HandoffId(opened), phase, 0, 0, false);
+                            let r = record(HandoffId(opened), phase);
                             opened += 1;
                             new[at % n].open(r.clone());
                             old[at % n].open(r);
                         }
-                        Op::Advance {
-                            at,
-                            pick,
-                            phase,
-                            completed,
-                            warm,
-                        } => {
+                        Op::Advance { at, pick, phase } => {
                             // Only a record open at this replica moves here.
                             let at = at % n;
                             let open: Vec<HandoffRecord> = (new[at].snapshot().into_iter())
                                 .filter(|r| !r.phase.is_terminal())
                                 .collect();
                             if let Some(r) = open.get(pick % open.len().max(1)) {
-                                let next = record(r.id, phase, completed, completed, warm);
+                                let next = record(r.id, phase);
                                 new[at].merge(std::slice::from_ref(&next));
                                 old[at].merge(&[next]);
                             }
@@ -970,7 +801,7 @@ mod tests {
                         .into_iter()
                         .filter(|r| !r.phase.is_terminal())
                     {
-                        let next = record(r.id, 2, 0, 0, false);
+                        let next = record(r.id, 2);
                         new[at].merge(std::slice::from_ref(&next));
                         old[at].merge(&[next]);
                     }

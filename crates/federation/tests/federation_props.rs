@@ -19,7 +19,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use pg_core::PervasiveGrid;
-use pg_federation::gossip::{gossip_round_ctx, RoundCtx, EVICT_AFTER};
+use pg_federation::gossip::{gossip_round_ctx, EVICT_AFTER};
 use pg_federation::handoff::{HandoffId, HandoffKind, HandoffPhase, HandoffRecord, HandoffStore};
 use pg_federation::{
     gossip_round, CellId, Federation, FederationConfig, GossipConfig, LoadDigest, Membership, Trace,
@@ -327,9 +327,6 @@ fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
                             kind: HandoffKind::Migrate,
                             phase: HandoffPhase::Pending,
                             opened_at: now,
-                            completed_at: None,
-                            latency_s: None,
-                            warm: false,
                         });
                         opened.push(id);
                     } else {
@@ -339,7 +336,7 @@ fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
                             HandoffPhase::Abandoned,
                             HandoffPhase::Completed,
                         ][action as usize - 1];
-                        handoffs[cell].advance(id, phase, now, Some(0.5), pick & 1 == 1);
+                        handoffs[cell].advance(id, phase);
                     }
                 }
                 if round == FAULT_ROUNDS {
@@ -347,7 +344,7 @@ fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
                     // gives up what it still holds open.
                     for &id in &opened {
                         let origin = (id.0 >> 32) as usize;
-                        handoffs[origin].advance(id, HandoffPhase::Abandoned, now, None, false);
+                        handoffs[origin].advance(id, HandoffPhase::Abandoned);
                     }
                 }
                 for (i, m) in members.iter_mut().enumerate() {
@@ -355,13 +352,8 @@ fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
                         m.beat(now, LoadDigest::default());
                     }
                 }
-                let ctx = RoundCtx {
-                    now,
-                    seed,
-                    round_idx: round,
-                    faults: Some(&plan),
-                };
-                gossip_round_ctx(&mut members, &mut handoffs, &up, &ctx);
+                let faults = Some(&plan);
+                gossip_round_ctx(&mut members, &mut handoffs, &up, now, seed, round, faults);
                 for (i, h) in handoffs.iter().enumerate() {
                     assert!(h.len() <= opened.len(), "cell {} counts a record twice", i);
                     let now_live: Vec<HandoffId> = h.snapshot().iter().map(|r| r.id).collect();
