@@ -341,25 +341,24 @@ impl Membership {
             .filter_map(|(c, row)| Some((CellId(c as u32), row.as_ref()?)))
     }
 
-    /// Known (non-evicted) peers other than self — gossip target pool.
-    fn gossip_candidates(&self) -> Vec<CellId> {
+    /// Peers other than self, in cell order: the evicted ones when `dead`,
+    /// else the rest — the gossip target pool.
+    fn peers(&self, dead: bool) -> impl Iterator<Item = CellId> + '_ {
         (self.members())
-            .filter(|&(c, i)| c != self.me && i.state != MemberState::Dead)
+            .filter(move |&(c, i)| c != self.me && (i.state == MemberState::Dead) == dead)
             .map(|(c, _)| c)
-            .collect()
     }
 
-    /// Evicted peers — the dead-probe pool that re-discovers a healed
-    /// partition (an evicted peer never re-enters the candidate pool on
-    /// its own, so somebody has to keep knocking).
-    fn dead_peers(&self) -> Vec<CellId> {
-        if self.dead_count == 0 {
-            return Vec::new();
+    /// The evicted peer probed in round `round_idx`, round-robin over the
+    /// dead pool: the probe re-discovers a healed partition (an evicted
+    /// peer never re-enters the candidate pool on its own, so somebody has
+    /// to keep knocking).
+    fn dead_probe(&self, round_idx: u64) -> Option<CellId> {
+        let dead = self.dead_count as usize;
+        if dead == 0 {
+            return None;
         }
-        (self.members())
-            .filter(|&(c, i)| c != self.me && i.state == MemberState::Dead)
-            .map(|(c, _)| c)
-            .collect()
+        self.peers(true).nth(round_idx as usize % dead)
     }
 }
 
@@ -422,27 +421,28 @@ pub fn gossip_round_ctx(
     let n = members.len();
     let link_up =
         |from: usize, to: usize| faults.is_none_or(|f| f.cell_link_up(from as u64, to as u64, now));
+    // One buffer serves every cell: its gossip target pool (the peers it
+    // has not evicted), then, shuffled in part, its targets.
+    let mut targets = Vec::new();
     for i in 0..members.len() {
         if !up[i] {
             continue;
         }
-        let mut candidates = members[i].gossip_candidates();
+        targets.clear();
+        targets.extend(members[i].peers(false));
         let mut rng = StdRng::seed_from_u64(mix(mix(seed, round_idx), i as u64));
-        let picks = FANOUT.min(candidates.len());
-        let mut targets = Vec::with_capacity(picks + 1);
+        let picks = FANOUT.min(targets.len());
         for k in 0..picks {
-            let j = rng.gen_range(k..candidates.len());
-            candidates.swap(k, j);
-            targets.push(candidates[k]);
+            let j = rng.gen_range(k..targets.len());
+            targets.swap(k, j);
         }
-        let dead = members[i].dead_peers();
-        if !dead.is_empty() {
-            let probe = dead[(round_idx as usize) % dead.len()];
+        targets.truncate(picks);
+        if let Some(probe) = members[i].dead_probe(round_idx) {
             if !targets.contains(&probe) {
                 targets.push(probe);
             }
         }
-        for target in targets {
+        for &target in &targets {
             let t = target.0 as usize;
             if t >= up.len() || !up[t] {
                 continue; // contact lost: the silence that reveals a crash

@@ -10,6 +10,14 @@
 //! worked out before the run, and cannot fail. [`members_of`] and
 //! [`QueryFeatures::extract`] wrap the same selection only for pgbench's
 //! replay probes (ROADMAP item 12).
+//!
+//! An aggregate's accuracy is judged against ground truth: the noise-free
+//! aggregate over the asked stratum, on the field as it stands at the
+//! answer's instant. That value reads only the stratum's positions, the
+//! aggregate, the value filter and the frozen field, so the selection
+//! memoises it per stratum ([`Resolved::truth`]) and scans its members
+//! again only when one of those differs. A calm field never moves, so a
+//! steady stream pays one scan per text and stratum, not one per answer.
 
 use crate::features::QueryFeatures;
 use crate::model::{CostVector, SolutionModel};
@@ -23,11 +31,12 @@ use pg_query::classify::{inner_kind, QueryKind};
 use pg_sensornet::aggregate::{AggFn, Partial, ValueFilter, ValueOp, READING_WIRE_BYTES};
 use pg_sensornet::cluster::{cluster_collection, cluster_summaries};
 use pg_sensornet::collect::{direct_collection, tree_aggregation, CollectionReport};
-use pg_sensornet::field::TemperatureField;
+use pg_sensornet::field::{FrozenField, TemperatureField};
 use pg_sensornet::network::SensorNetwork;
 use pg_sensornet::region::Region;
 use pg_sim::SimTime;
 use rand::Rng;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// Sustained FLOP rate of the base station / PDA. A 2003-era handheld
@@ -95,7 +104,7 @@ pub struct Outcome {
 }
 
 /// A query's selection, resolved once before it runs.
-#[derive(Debug, PartialEq)]
+#[derive(Debug)]
 pub struct Resolved {
     /// The selected sensors, base station excluded; never empty.
     pub members: Vec<NodeId>,
@@ -104,6 +113,92 @@ pub struct Resolved {
     /// The box a Complex query reconstructs over: its named region clamped
     /// to the deployment hull, or the hull itself.
     pub bounds: Region,
+    /// The last ground truth worked out over each stratum, the full
+    /// selection's first (see [`truth`](Self::truth)).
+    truths: [RefCell<Option<Truth>>; 2],
+}
+
+/// One memoised ground truth and everything it read besides the stratum's
+/// members: the aggregate, the value filter and the field.
+#[derive(Debug)]
+struct Truth {
+    agg: AggFn,
+    filter: ValueFilter,
+    field: FrozenField,
+    value: Option<f64>,
+}
+
+/// Brownout keeps the members with an even node id.
+fn even(n: &NodeId) -> bool {
+    n.0.is_multiple_of(2)
+}
+
+impl Resolved {
+    /// Does `brownout` thin the selection? Only when some member is even,
+    /// so a thinned stratum is never empty.
+    fn thinned(&self, brownout: bool) -> bool {
+        brownout && self.members.iter().any(even)
+    }
+
+    /// The sensors an execution asks. Brownout answers from a coarser
+    /// stratum — roughly every other member — while the overload lasts. The
+    /// cut is keyed on node id parity, not list position, so overlapping
+    /// queries keep overlapping members and their stratum entries still
+    /// merge on shared packets. A non-empty member set always keeps at
+    /// least one node: degraded, never empty.
+    pub fn stratum(&self, brownout: bool) -> Vec<NodeId> {
+        // Nine in ten shared entries of an overloaded metro stream are
+        // browned out: compacting the copy in place costs well under what a
+        // filtered collect does.
+        let mut asked = self.members.clone();
+        if self.thinned(brownout) {
+            asked.retain(even);
+        }
+        asked
+    }
+
+    /// Ground truth of `agg` over the [`stratum`](Self::stratum) that
+    /// `brownout` asks, noise-free, honouring the source-side value filter
+    /// the execution applied, on `field` as it stands at the answer's
+    /// instant.
+    ///
+    /// Besides those it reads only the members' positions in the immutable
+    /// topology of `net`, the network this selection was resolved against.
+    /// So each stratum keeps the last truth worked out over it and answers
+    /// again from it while the aggregate, the filter and the field compare
+    /// equal — exactly the value a fresh scan gives, and a calm field never
+    /// moves. The memo lives as long as the resolution does.
+    pub fn truth(
+        &self,
+        net: &SensorNetwork,
+        field: &FrozenField,
+        brownout: bool,
+        agg: AggFn,
+        filter: &ValueFilter,
+    ) -> Option<f64> {
+        let mut slot = self.truths[usize::from(brownout)].borrow_mut();
+        if let Some(t) = slot.as_ref() {
+            if t.agg == agg && t.filter == *filter && t.field == *field {
+                return t.value;
+            }
+        }
+        let thinned = self.thinned(brownout);
+        let mut p = Partial::empty();
+        for m in self.members.iter().filter(|&m| !thinned || even(m)) {
+            let v = net.ground_truth(*m, field);
+            if filter.matches(v) {
+                p.add(v);
+            }
+        }
+        let value = p.finalize(agg);
+        *slot = Some(Truth {
+            agg,
+            filter: filter.clone(),
+            field: field.clone(),
+            value,
+        });
+        value
+    }
 }
 
 /// Resolve `query` against a network and its named regions. Reads only the
@@ -119,6 +214,7 @@ pub fn resolve(
         features: QueryFeatures::of_members(net, query, &members),
         bounds: clamp_region(&region.unwrap_or(hull), &hull),
         members,
+        truths: Default::default(),
     })
 }
 
@@ -169,7 +265,7 @@ pub fn execute_once<R: Rng>(
     rng: &mut R,
 ) -> Outcome {
     match inner_kind(query) {
-        QueryKind::Aggregate => exec_aggregate(ctx, query, &resolved.members, model, rng),
+        QueryKind::Aggregate => exec_aggregate(ctx, query, resolved, model, rng),
         QueryKind::Complex => exec_complex(ctx, resolved, model, rng),
         // The rest is Simple: `inner_kind` names only one-shot classes.
         _ => exec_simple(ctx, &resolved.members, model, rng),
@@ -210,26 +306,6 @@ fn report_cost(r: &CollectionReport) -> CostVector {
     }
 }
 
-/// Ground-truth aggregate over the members at `now`, noise-free,
-/// honouring the same source-side value filter the execution applied.
-pub fn truth_aggregate(
-    net: &SensorNetwork,
-    field: &TemperatureField,
-    now: SimTime,
-    members: &[NodeId],
-    agg: AggFn,
-    filter: &ValueFilter,
-) -> Option<f64> {
-    let mut p = Partial::empty();
-    for &m in members {
-        let v = net.ground_truth(m, field, now);
-        if filter.matches(v) {
-            p.add(v);
-        }
-    }
-    p.finalize(agg)
-}
-
 /// Relative error of a measured value against ground truth, with a unit
 /// floor on the denominator so near-zero truths don't explode the metric.
 pub fn rel_err(measured: f64, truth: f64) -> f64 {
@@ -260,7 +336,7 @@ fn exec_simple<R: Rng>(
     }
     let value = raw.first().map(|&(_, v)| v);
     let accuracy_err =
-        value.map(|v| rel_err(v, ctx.net.ground_truth(members[0], ctx.field, ctx.now)));
+        value.map(|v| rel_err(v, ctx.net.ground_truth(members[0], &ctx.field.at(ctx.now))));
     Outcome {
         value,
         cost,
@@ -273,10 +349,11 @@ fn exec_simple<R: Rng>(
 fn exec_aggregate<R: Rng>(
     ctx: &mut ExecContext<'_>,
     query: &Query,
-    members: &[NodeId],
+    resolved: &Resolved,
     model: SolutionModel,
     rng: &mut R,
 ) -> Outcome {
+    let members = &resolved.members;
     let agg = query.first_agg().unwrap_or(AggFn::Avg);
     // WHERE comparisons on the reading push down to the sensing site
     // (TAG-style): failing readings never transmit.
@@ -312,7 +389,7 @@ fn exec_aggregate<R: Rng>(
         cost.bytes += (ship + RESULT_BYTES) as f64;
         cost.ops += job.ops as f64;
     }
-    let truth = truth_aggregate(ctx.net, ctx.field, ctx.now, members, agg, &filter);
+    let truth = resolved.truth(ctx.net, &ctx.field.at(ctx.now), false, agg, &filter);
     Outcome {
         value: report.value,
         cost,
@@ -578,7 +655,7 @@ mod tests {
         let out = once(&mut c, &q, SolutionModel::BaseStation, &mut rng);
         let expect = c
             .net
-            .ground_truth(NodeId(14), &field, SimTime::from_secs(600));
+            .ground_truth(NodeId(14), &field.at(SimTime::from_secs(600)));
         assert_eq!(out.value, Some(expect));
         assert_eq!(out.delivered_frac, 1.0);
         assert!(out.cost.energy_j > 0.0 && out.cost.time_s > 0.0);
@@ -857,8 +934,8 @@ mod tests {
             ))
             .unwrap();
             assert_eq!(
-                resolve(&net, &regions, &q),
-                Err(ExecError::NoMembers),
+                resolve(&net, &regions, &q).err(),
+                Some(ExecError::NoMembers),
                 "{name}"
             );
         }

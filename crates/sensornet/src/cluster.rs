@@ -109,7 +109,7 @@ fn cluster_epoch<R: Rng>(
 ) -> (CollectionReport, Vec<(Point, f64)>) {
     let base = net.base();
     let consumed_before = net.total_consumed();
-    let mut meter = Meter::open(net, t);
+    let mut meter = Meter::open(net, field, t);
 
     let heads = elect_heads(net, members, k);
     // Per cluster: the partial over delivered readings and the sum of their
@@ -124,7 +124,7 @@ fn cluster_epoch<R: Rng>(
             continue;
         }
         participating += 1;
-        let reading = meter.sample(net, m, field, t, rng);
+        let reading = meter.sample(net, m, rng);
         if !filter.matches(reading) {
             continue; // predicate evaluated at the source
         }

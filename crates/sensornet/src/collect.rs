@@ -18,7 +18,7 @@
 //! the serialization backlog at the sink.
 
 use crate::aggregate::{AggFn, Partial, ValueFilter, PARTIAL_WIRE_BYTES, READING_WIRE_BYTES};
-use crate::field::TemperatureField;
+use crate::field::{FrozenField, TemperatureField};
 use crate::network::{SensorNetwork, SAMPLE_OPS};
 use pg_net::topology::NodeId;
 use pg_sim::{Duration, SimTime};
@@ -78,12 +78,13 @@ impl CollectionReport {
 /// and reads its totals back.
 ///
 /// An epoch happens at one instant, so the meter asks the fault plan what
-/// holds at that instant once, when it opens, and every sample and hop reads
-/// the answer. Batteries are not in that answer: a drain can kill a node in
-/// the middle of an epoch, so [`is_up`](Self::is_up) and
-/// [`hop`](Self::hop) read them live.
-#[derive(Default)]
+/// holds at that instant once, and freezes the field at it once, when it
+/// opens; every sample and hop reads the answer. Batteries are not in that
+/// answer: a drain can kill a node in the middle of an epoch, so
+/// [`is_up`](Self::is_up) and [`hop`](Self::hop) read them live.
 pub(crate) struct Meter {
+    /// The field every sample of the epoch reads.
+    field: FrozenField,
     /// Every battery as the epoch found it.
     start_remaining: Vec<f64>,
     /// The shared channel is jammed for the whole epoch.
@@ -103,10 +104,12 @@ pub(crate) struct Meter {
 }
 
 impl Meter {
-    /// Open the bill of an epoch at instant `t`.
-    pub(crate) fn open(net: &SensorNetwork, t: SimTime) -> Self {
+    /// Open the bill of an epoch at instant `t`, sampling `field` as it
+    /// stands then.
+    pub(crate) fn open(net: &SensorNetwork, field: &TemperatureField, t: SimTime) -> Self {
         let plan = net.fault_plan();
         Meter {
+            field: field.at(t),
             start_remaining: net
                 .topology()
                 .nodes()
@@ -118,7 +121,10 @@ impl Meter {
                 .crashing_nodes()
                 .filter(|&id| plan.is_node_down(id, t))
                 .collect(),
-            ..Meter::default()
+            total_bytes: 0,
+            bytes_to_base: 0,
+            retries: 0,
+            cpu_ops: 0,
         }
     }
 
@@ -142,12 +148,10 @@ impl Meter {
         &mut self,
         net: &mut SensorNetwork,
         node: NodeId,
-        field: &TemperatureField,
-        t: SimTime,
         rng: &mut R,
     ) -> f64 {
         self.cpu_ops += SAMPLE_OPS;
-        net.sample(node, field, t, rng)
+        net.sample(node, &self.field, rng)
     }
 
     /// One hop over an edge nobody keeps a price for — member to head, head
@@ -271,7 +275,7 @@ pub fn direct_collection<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> (CollectionReport, Vec<(NodeId, f64)>) {
-    let mut meter = Meter::open(net, t);
+    let mut meter = Meter::open(net, field, t);
     let base = net.base();
     let slot = net.link().tx_time(READING_WIRE_BYTES);
 
@@ -283,7 +287,7 @@ pub fn direct_collection<R: Rng>(
         if m == base || !meter.is_up(net, m) {
             continue;
         }
-        let reading = meter.sample(net, m, field, t, rng);
+        let reading = meter.sample(net, m, rng);
         if !filter.matches(reading) {
             continue; // predicate evaluated at the source: nothing transmits
         }
@@ -341,7 +345,7 @@ pub fn tree_aggregation<R: Rng>(
     filter: &ValueFilter,
     rng: &mut R,
 ) -> CollectionReport {
-    let mut meter = Meter::open(net, t);
+    let mut meter = Meter::open(net, field, t);
     let base = net.base();
     let tree = net.base_tree();
     let n = net.len();
@@ -365,7 +369,7 @@ pub fn tree_aggregation<R: Rng>(
     // Members sample into their own partial.
     for id in net.topology().nodes() {
         if is_member[id.idx()] && meter.is_up(net, id) {
-            let reading = meter.sample(net, id, field, t, rng);
+            let reading = meter.sample(net, id, rng);
             if filter.matches(reading) {
                 partials[id.idx()].add(reading);
             }
@@ -606,10 +610,11 @@ mod tests {
         let mut net = lossless_net(3);
         net.set_fault_plan(plan.clone());
         net.drain(NodeId(2), 1e9);
+        let calm = TemperatureField::calm(21.0);
         for edge in windows.iter().flat_map(|&(s, e)| [s, e]) {
             for ns in [edge * 1_000_000_000 - 1, edge * 1_000_000_000] {
                 let t = SimTime::from_nanos(ns);
-                let meter = Meter::open(&net, t);
+                let meter = Meter::open(&net, &calm, t);
                 for id in net.topology().nodes() {
                     assert_eq!(
                         meter.is_up(&net, id),
@@ -621,7 +626,7 @@ mod tests {
             }
         }
         // The windows were really crossed.
-        let mid = Meter::open(&net, SimTime::from_secs(60));
+        let mid = Meter::open(&net, &calm, SimTime::from_secs(60));
         assert!(mid.link_blacked_out && !mid.is_up(&net, NodeId(0)));
         assert!(!mid.is_up(&net, NodeId(4)) && !mid.is_up(&net, NodeId(7)));
         assert!(!mid.is_up(&net, NodeId(2)) && mid.is_up(&net, NodeId(5)));

@@ -2,7 +2,7 @@
 
 use crate::aggregate::Partial;
 use crate::arena::NodeArena;
-use crate::field::TemperatureField;
+use crate::field::FrozenField;
 use pg_net::energy::RadioModel;
 use pg_net::link::LinkModel;
 use pg_net::topology::{NodeId, RoutingTree, Topology};
@@ -231,31 +231,27 @@ impl SensorNetwork {
         }
     }
 
-    /// Sample the field at `node`'s position; the node pays the CPU energy
-    /// of the ADC read and calibration math (50 ops).
-    pub fn sample<R: Rng>(
-        &mut self,
-        node: NodeId,
-        field: &TemperatureField,
-        t: SimTime,
-        rng: &mut R,
-    ) -> f64 {
+    /// Sample the field, as it stands at the epoch's instant, at `node`'s
+    /// position; the node pays the CPU energy of the ADC read and
+    /// calibration math (50 ops).
+    pub fn sample<R: Rng>(&mut self, node: NodeId, field: &FrozenField, rng: &mut R) -> f64 {
         let e = self.radio.cpu_energy(SAMPLE_OPS);
         self.drain(node, e);
         let pos = self.topo.position(node);
-        field.sample(&pos, t, self.noise_sd, rng)
+        field.sample(&pos, self.noise_sd, rng)
     }
 
     /// Exact (noise-free) field value at a node — ground truth for accuracy
     /// metrics; costs nothing.
-    pub fn ground_truth(&self, node: NodeId, field: &TemperatureField, t: SimTime) -> f64 {
-        field.temperature(&self.topo.position(node), t)
+    pub fn ground_truth(&self, node: NodeId, field: &FrozenField) -> f64 {
+        field.temperature(&self.topo.position(node))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::field::TemperatureField;
     use pg_net::geom::Point;
     use propcheck::check;
     use rand::rngs::StdRng;
@@ -358,15 +354,13 @@ mod tests {
     fn sampling_costs_energy_and_returns_field_value() {
         let mut n = net();
         n.noise_sd = 0.0;
-        let field = TemperatureField::building_fire(Point::flat(10.0, 10.0), SimTime::ZERO, 300.0);
+        let field = TemperatureField::building_fire(Point::flat(10.0, 10.0), SimTime::ZERO, 300.0)
+            .at(SimTime::from_secs(600));
         let before = n.remaining_energy(NodeId(4));
         let mut rng = StdRng::seed_from_u64(3);
-        let v = n.sample(NodeId(4), &field, SimTime::from_secs(600), &mut rng);
+        let v = n.sample(NodeId(4), &field, &mut rng);
         assert!(n.remaining_energy(NodeId(4)) < before);
-        assert_eq!(
-            v,
-            n.ground_truth(NodeId(4), &field, SimTime::from_secs(600))
-        );
+        assert_eq!(v, n.ground_truth(NodeId(4), &field));
         assert!(v > 100.0, "node 4 sits on the fire: {v}");
     }
 }

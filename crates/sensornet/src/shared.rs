@@ -261,7 +261,7 @@ fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let mut meter = Meter::open(net, t);
+    let mut meter = Meter::open(net, field, t);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
@@ -309,7 +309,10 @@ fn collect_over_tree<R: Rng>(
     }
 
     // Per-node `strata`: one mergeable partial per effective bitmask, sorted
-    // by mask. Only involved nodes ever hold any.
+    // by mask. Only involved nodes ever hold any. `seen_masks` holds the
+    // distinct effective masks, ascending: an epoch sees a handful, so a
+    // binary search per sample beats collecting one mask per node and
+    // sorting them.
     let mut seen_masks: Vec<u64> = Vec::new();
 
     // Sampling phase: every node any query selects samples exactly once.
@@ -319,7 +322,7 @@ fn collect_over_tree<R: Rng>(
         if mm == 0 || !meter.is_up(net, id) {
             continue;
         }
-        let reading = meter.sample(net, id, field, t, rng);
+        let reading = meter.sample(net, id, rng);
         // One physical sample serves every selecting query: split its cost.
         let share = SAMPLE_OPS as f64 / mm.count_ones() as f64;
         let mut effective = 0u64;
@@ -331,11 +334,11 @@ fn collect_over_tree<R: Rng>(
         }
         if effective != 0 {
             stratum_mut(&mut strata[id.idx()], effective).add(reading);
-            seen_masks.push(effective);
+            if let Err(at) = seen_masks.binary_search(&effective) {
+                seen_masks.insert(at, effective);
+            }
         }
     }
-    seen_masks.sort_unstable();
-    seen_masks.dedup();
 
     // Bottom-up phase: each involved non-root node forwards its strata
     // (own reading plus already-merged children) to its parent in one

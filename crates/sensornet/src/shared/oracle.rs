@@ -86,7 +86,7 @@ pub(super) fn collect_over_tree<R: Rng>(
         "shared epoch limited to {MAX_SHARED_QUERIES} queries, got {}",
         queries.len()
     );
-    let meter = Meter::open(net, t);
+    let meter = Meter::open(net, field, t);
     let base = net.base();
     let n = net.len();
     let nq = queries.len();
@@ -132,12 +132,13 @@ pub(super) fn collect_over_tree<R: Rng>(
 
     // Sampling phase: every node any query selects samples exactly once.
     // The effective mask keeps only queries whose filter the reading passes.
+    let field = field.at(t);
     for id in net.topology().nodes() {
         let mm = member_mask[id.idx()];
         if mm == 0 || !net.is_operational(id, t) {
             continue;
         }
-        let reading = net.sample(id, field, t, rng);
+        let reading = net.sample(id, &field, rng);
         cpu_ops += 50;
         // One physical sample serves every selecting query: split its cost.
         let share = 50.0 / mm.count_ones() as f64;
