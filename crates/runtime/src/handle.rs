@@ -53,7 +53,7 @@ pub enum QueryStatus<'a, R, E> {
     /// Dropped by overload shedding: the runtime judged the query could
     /// no longer meet its deadline behind the backlog and freed its slot
     /// for queries that still can. Recorded, never silent — the shed
-    /// counter and shed log account for every one.
+    /// counter and this status account for every one.
     Shed,
     /// Destroyed by a process crash while queued and not (yet) recovered
     /// from the write-ahead journal. With journaling enabled a restart

@@ -13,8 +13,7 @@
 //!   payload of the two journal records that say "entered the queue", and
 //!   what journal replay hands back, so recovery is a push; it is also
 //!   what leaves: [`MultiQueryRuntime::extract`] hands it to another
-//!   runtime's `admit_migrated`, and the shed log keeps it with the round
-//!   it was shed at;
+//!   runtime's `admit_migrated`;
 //! * **one door** — a fresh `submit` and a migrated re-admission are short
 //!   sequences of the same steps (queue gate → mint id → journal →
 //!   enqueue), each written once;
@@ -181,8 +180,8 @@ impl RuntimeConfigBuilder {
 /// A query waiting in the admission queue — the one record of it: the
 /// queue element, the payload of [`JournalRecord::Admitted`] and
 /// [`JournalRecord::MigratedIn`], what [`QueryJournal::open_queries`]
-/// replays, what [`MultiQueryRuntime::extract`] lifts out for another
-/// runtime, and what the shed log keeps.
+/// replays, and what [`MultiQueryRuntime::extract`] lifts out for another
+/// runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueuedQuery {
     /// The id minted at admission (preserved across a crash; a migration's
@@ -210,7 +209,7 @@ enum Fate {
     Completed(usize),
     /// Withdrawn by its caller.
     Cancelled,
-    /// Dropped by overload shedding (it is in the shed log).
+    /// Dropped by overload shedding (counted in `shed`).
     Shed,
     /// Destroyed by a crash and not (yet) recovered.
     Lost,
@@ -377,8 +376,6 @@ pub struct MultiQueryRuntime<E: QueryEngine> {
     overload_state: OverloadState,
     /// Write-ahead journal of admission-state transitions, when enabled.
     journal: Option<QueryJournal>,
-    /// The shed log (see [`MultiQueryRuntime::shed_records`]).
-    shed_records: Vec<(SimTime, QueuedQuery)>,
 }
 
 impl<E: QueryEngine> MultiQueryRuntime<E> {
@@ -406,7 +403,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
             recovered: 0,
             overload_state: OverloadState::Normal,
             journal: None,
-            shed_records: Vec::new(),
         }
     }
 
@@ -433,13 +429,6 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// The current overload mode (normal, brownout, or shed).
     pub fn overload_state(&self) -> OverloadState {
         self.overload_state
-    }
-
-    /// The shed log, in shed order: each shed query with the round start
-    /// it was shed at (a guaranteed miss: its deadline falls before any
-    /// round it could still get) — overload never loses work silently.
-    pub fn shed_records(&self) -> &[(SimTime, QueuedQuery)] {
-        &self.shed_records
     }
 
     /// Re-evaluate the hysteresis state machine against the current queue
@@ -838,24 +827,20 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         victims
     }
 
-    /// Drop every doomed queued query (see [`shed_victims`]) into the shed
-    /// log.
+    /// Drop and settle every doomed queued query (see [`shed_victims`]).
     ///
     /// [`shed_victims`]: MultiQueryRuntime::shed_victims
-    fn shed_doomed(&mut self, round_start: SimTime) {
+    fn shed_doomed(&mut self) {
         let victims: HashSet<QueryId> = self.shed_victims().into_iter().collect();
         if victims.is_empty() {
             return;
         }
-        let mut i = 0;
-        while i < self.waiting.len() {
-            if victims.contains(&self.waiting[i].id) {
-                let p = self.waiting.remove(i);
-                self.settle(&p, Fate::Shed);
-                self.shed_records.push((round_start, p));
-            } else {
-                i += 1;
-            }
+        let doomed: Vec<QueuedQuery> = self
+            .waiting
+            .extract_if(.., |q| victims.contains(&q.id))
+            .collect();
+        for q in &doomed {
+            self.settle(q, Fate::Shed);
         }
         self.update_overload_state();
     }
@@ -879,7 +864,7 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
         };
         self.engine.note_pressure(self.waiting.len(), level);
         if self.overload_state == OverloadState::Shed {
-            self.shed_doomed(epoch_start);
+            self.shed_doomed();
         }
         let brownout = self.cfg.overload.policy == OverloadPolicy::BrownoutShed
             && self.overload_state != OverloadState::Normal;

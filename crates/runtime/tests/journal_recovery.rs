@@ -215,13 +215,12 @@ fn cancel_and_tighten_refuse_mid_migration_and_work_at_destination() {
     // The origin handle no longer controls it.
     assert!(!origin.cancel(moving));
     assert!(!origin.tighten_deadline(moving, Duration::from_secs(10)));
-    // The journal agrees: the record is closed at the origin.
-    assert!(origin
-        .journal()
-        .expect("journal on")
-        .records()
-        .iter()
-        .any(|r| matches!(r, JournalRecord::MigratedOut { id } if *id == moving.id())));
+    // The journal agrees: three entries and one close appended, and the
+    // migrant is no longer open at the origin.
+    let journal = origin.journal().expect("journal on");
+    assert_eq!(journal.len(), 4);
+    let open: Vec<_> = journal.open_queries().iter().map(|q| q.id).collect();
+    assert_eq!(open, [handles[0].id(), handles[1].id()]);
 
     // Landing at the destination mints a new handle; the *destination*
     // controls it from here.
@@ -230,19 +229,24 @@ fn cancel_and_tighten_refuse_mid_migration_and_work_at_destination() {
         .handle()
         .expect("re-admitted");
     assert!(dest.poll(dh).is_queued());
-    // The destination journals the record it was handed under its own id
-    // and estimate; the rest is the origin's, deadline clock included.
-    match &dest.journal().expect("journal on").records()[0] {
-        JournalRecord::MigratedIn(q) => {
-            assert_eq!((q.id, q.estimate_j), (dh.id(), 1.0));
-            assert_ne!(q.id, m.id);
-            assert_eq!(q.text, m.text);
-            assert_eq!(q.submitted_at, m.submitted_at);
-            assert_eq!(q.deadline_abs, m.deadline_abs);
-            assert_eq!(q.priority, m.priority);
-        }
-        r => panic!("expected the migrant's entry, got {r:?}"),
-    }
+    // The destination journals the record it was handed, as a migrant,
+    // under its own id and estimate; the rest is the origin's, deadline
+    // clock included.
+    let journal = dest.journal().expect("journal on");
+    assert_eq!(journal.len(), 1);
+    assert!(matches!(
+        journal.records().next(),
+        Some(JournalRecord::MigratedIn(_))
+    ));
+    let [q] = &journal.open_queries()[..] else {
+        panic!("expected the migrant's entry alone");
+    };
+    assert_eq!((q.id, q.estimate_j), (dh.id(), 1.0));
+    assert_ne!(q.id, m.id);
+    assert_eq!(q.text, m.text);
+    assert_eq!(q.submitted_at, m.submitted_at);
+    assert_eq!(q.deadline_abs, m.deadline_abs);
+    assert_eq!(q.priority, m.priority);
     assert!(dest.tighten_deadline(dh, Duration::from_secs(60)));
     // Tightening only tightens: a looser deadline is refused.
     assert!(!dest.tighten_deadline(dh, Duration::from_secs(3600)));
@@ -283,6 +287,22 @@ fn tightened_deadline_survives_a_crash() {
     // Three queries, 600 s each; the last is then tightened to 60 s.
     let handles = submit_n(&mut rt, 3);
     assert!(rt.tighten_deadline(handles[2], Duration::from_secs(60)));
+    // One record says so, and the open entry carries the new deadline.
+    let journal = rt.journal().expect("journal on");
+    assert_eq!(journal.len(), 4);
+    let deadlines: Vec<_> = journal
+        .open_queries()
+        .iter()
+        .map(|q| (q.id, q.deadline_abs))
+        .collect();
+    assert_eq!(
+        deadlines,
+        [
+            (handles[0].id(), Some(SimTime::from_secs(600))),
+            (handles[1].id(), Some(SimTime::from_secs(600))),
+            (handles[2].id(), Some(SimTime::from_secs(60))),
+        ]
+    );
     rt.crash();
     assert_eq!(rt.recover_from_journal(), 3);
     // It comes back leading the EDF order, not behind the 600 s pair.
@@ -295,21 +315,11 @@ fn tightened_deadline_survives_a_crash() {
     assert_eq!(first.id, handles[2].id());
     assert_eq!(first.deadline, Some(SimTime::from_secs(60)));
     assert_eq!(rt.outcomes()[1].deadline, Some(SimTime::from_secs(600)));
-    // One record says so, between the admissions and the completions.
-    let tightenings: Vec<&JournalRecord> = rt
-        .journal()
-        .expect("journal on")
-        .records()
-        .iter()
-        .filter(|r| matches!(r, JournalRecord::Tightened { .. }))
-        .collect();
-    assert_eq!(
-        tightenings,
-        [&JournalRecord::Tightened {
-            id: handles[2].id(),
-            deadline_abs: SimTime::from_secs(60),
-        }]
-    );
+    // The crash and the recovery append nothing; the three completions
+    // close every entry.
+    let journal = rt.journal().expect("journal on");
+    assert_eq!(journal.len(), 7);
+    assert!(journal.open_queries().is_empty());
 }
 
 /// Fingerprint everything observable about a finished runtime.

@@ -9,18 +9,19 @@
 //! `RejectReason`), the `poll` status of every handle after every
 //! operation, each batch the engine was handed (text, remaining deadline,
 //! brownout flag) and each pressure note, and at the end the outcomes, all
-//! public counters, the shed log, the report and the journal's record
-//! sequence (variant and id; payloads are folded the first time
-//! `open_queries` shows them).
+//! public counters, the report, the count of journal records appended and
+//! the journal's kept entries (variant and id; payloads are folded the
+//! first time `open_queries` shows them). Shed queries are seen through
+//! the `shed` counter and each handle's `poll`.
 //!
-//! Outcomes, migrants and shed-log entries are folded field by field, not
-//! by their `Debug` text, so a change to the shape of a record that keeps
-//! its values leaves the digests where they are; the constants were
-//! re-captured when that fold was introduced (debug and release agree).
-//! Two things are left out on purpose: the script never crashes a
-//! runtime that holds a tightened query, and the journal record a
-//! tightening appends is skipped here —
-//! `crates/runtime/tests/journal_recovery.rs` pins both.
+//! Outcomes and migrants are folded field by field, not by their `Debug`
+//! text, so a change to the shape of a record that keeps its values leaves
+//! the digests where they are (debug and release agree). The constants
+//! were re-captured when the journal came to keep only the open entries
+//! and the shed log was deleted. One thing is left out on purpose: the
+//! script never crashes a runtime that holds a tightened query —
+//! `crates/runtime/tests/journal_recovery.rs` pins that a tightening
+//! survives a crash.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -308,28 +309,17 @@ impl Side {
             fnv_u64(h, counter);
         }
         fnv_u64(h, rt.energy_spent_j().to_bits());
-        for (shed_at, q) in rt.shed_records() {
-            fnv_u64(h, q.id.0);
-            fnv(h, q.text.as_bytes());
-            fnv_u64(h, q.submitted_at.as_nanos());
-            fnv_u64(h, shed_at.as_nanos());
-            fnv_u64(h, q.deadline_abs.map_or(u64::MAX, SimTime::as_nanos));
-            fnv_u64(h, u64::from(q.priority));
-        }
         fnv(h, rt.report("golden").to_json().unwrap().as_bytes());
-        for r in rt.journal().expect("journal on").records() {
-            let tag = match r {
-                JournalRecord::Admitted { .. } => 1,
-                JournalRecord::MigratedIn { .. } => 2,
-                JournalRecord::Completed { .. } => 3,
-                JournalRecord::Cancelled { .. } => 4,
-                JournalRecord::Shed { .. } => 5,
-                JournalRecord::MigratedOut { .. } => 6,
-                // The tightening record: pinned by journal_recovery.rs.
-                _ => continue,
+        let journal = rt.journal().expect("journal on");
+        fnv_u64(h, journal.len() as u64);
+        for r in journal.records() {
+            let (tag, q) = match r {
+                JournalRecord::Admitted(q) => (1, q),
+                JournalRecord::MigratedIn(q) => (2, q),
+                r => panic!("a closed or tightening record was kept: {r:?}"),
             };
             fnv_u64(h, tag);
-            fnv_u64(h, r.id().0);
+            fnv_u64(h, q.id.0);
         }
         fnv_u64(h, rt.engine().seen);
         fnv_u64(h, rt.engine().battery_j.to_bits());
@@ -441,24 +431,24 @@ const OVERLOADS: [OverloadPolicy; 3] = [
 ];
 /// Policy-major, then overload policy, then preemption off / on.
 const PINNED: [u64; 18] = [
-    0xc8ce_7410_d8c3_cff3,
-    0xd53a_9c24_d55d_1985,
-    0x3678_8273_b2da_4cf4,
-    0x913b_67e0_36be_c5dc,
-    0x6d36_53dc_639e_f764,
-    0x7556_1c09_6769_9826,
-    0x0937_1f39_6f20_b100,
-    0x4ad0_651d_7812_f0b6,
-    0xbe4b_dc73_549e_5d68,
-    0x2c49_a0f4_5662_7d3b,
-    0x4d3f_8ca1_e211_3c26,
-    0xcb68_3522_4687_e028,
-    0x691c_2378_167b_2364,
-    0x7dab_4429_bf1b_9ad7,
-    0xcbe6_5af6_79d3_6bf0,
-    0xe0a4_118c_bbf1_edce,
-    0xa494_e6e4_8f61_a8bc,
-    0x25e1_5bde_454c_1200,
+    0x1119_9b23_dff7_a235,
+    0xc7e0_c7b1_2a86_2f71,
+    0x87dc_c581_f550_5de8,
+    0xec29_4c46_51d9_10c6,
+    0xea59_6200_7a5d_6f45,
+    0xa56a_8867_a5f4_4c0e,
+    0xdb84_e8ae_32b6_6c86,
+    0x01b3_8bf0_41b0_a9cf,
+    0xec0e_7e25_cd46_fd8c,
+    0xae9f_0dc2_9dc9_9d63,
+    0x02ef_823d_cdb0_eafd,
+    0x9eee_b984_5148_559c,
+    0x25fe_f095_7018_423e,
+    0xf360_eee4_f981_6bd6,
+    0xaf6c_3065_f9e7_2340,
+    0x7055_dcdc_0192_c7a7,
+    0x15cd_9d33_25e0_71a1,
+    0x152e_bfe6_09f5_d171,
 ];
 
 #[test]
