@@ -80,7 +80,9 @@ impl WindowArrivals {
         std::mem::take(&mut self.bounced)
     }
 
-    /// Anything still queued (should be empty after a full window step).
+    /// Arrivals not yet handed to the runtime. A window step consumes all
+    /// it was given; a bounce redirected here after the step waits for the
+    /// next window.
     pub(crate) fn pending(&self) -> usize {
         self.due.len()
     }
@@ -151,6 +153,14 @@ impl Cell {
             outcomes_seen: 0,
             tags: BTreeMap::new(),
         }
+    }
+
+    /// Arrivals routed here that the runtime has not yet seen: between
+    /// windows, the bounces a peer redirected here at the last window end,
+    /// stamped with that instant. They enter at the start of the next
+    /// window.
+    pub fn pending_arrivals(&self) -> usize {
+        self.window.pending()
     }
 
     /// Is this cell's base station down at `t` (per its own fault plan)?

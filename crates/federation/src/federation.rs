@@ -39,6 +39,15 @@
 //! Its replicated record ends terminal to match — `Completed` once the
 //! envelope landed, `Abandoned` when it was lost or the forward abandoned
 //! — which is what lets the ledgers retire it.
+//!
+//! The clock has one contract: nothing is moved in time. A segment run
+//! with [`advance_to`](Federation::advance_to) stops at the first window
+//! end at or past its horizon, with queries still queued and handoffs
+//! still owed; [`run`](Federation::run) is `advance_to` followed by the
+//! drain. [`offer`](Federation::offer) refuses an arrival stamped before
+//! [`now`](Federation::now), so a caller that runs in segments offers each
+//! segment's arrivals after the previous one stopped, and every arrival
+//! reaches its cell in the window that holds its own instant.
 
 use crate::cell::{Cell, QueryTag};
 use crate::gossip::{gossip_round_ctx, CellId, GossipConfig, MemberState, Membership};
@@ -216,7 +225,9 @@ fn cross_cell(origin: usize, served: usize, handoff: CrossCellHandoff) -> Proven
 
 /// N federated base-station cells plus the state that stitches them
 /// together. Construct with [`Federation::new`], offer a workload with
-/// [`offer`](Federation::offer), then [`run`](Federation::run).
+/// [`offer`](Federation::offer), then [`run`](Federation::run) — or run it
+/// in segments: [`advance_to`](Federation::advance_to) each segment's end,
+/// offer the next segment's arrivals, and `run` the last.
 pub struct Federation {
     cfg: FederationConfig,
     cells: Vec<Cell>,
@@ -250,12 +261,26 @@ impl Federation {
     /// anti-entropy. When `cfg.proactive` is set the next-cell predictor
     /// is trained on the given traces (the users' historical commutes)
     /// and each user's first predicted hop is pre-warmed immediately.
+    ///
+    /// # Panics
+    /// Panics when `runtimes` is empty, or when a trace starts in or moves
+    /// to a cell at or past `runtimes.len()` — configuration errors, not
+    /// runtime conditions.
     pub fn new(
         cfg: FederationConfig,
         runtimes: Vec<MultiQueryRuntime<PervasiveGrid>>,
         traces: Vec<Trace>,
     ) -> Self {
         assert!(!runtimes.is_empty(), "a federation needs at least one cell");
+        let n = runtimes.len();
+        for trace in &traces {
+            let mut cells = std::iter::once(trace.start).chain(trace.moves.iter().map(|m| m.to));
+            assert!(
+                cells.all(|c| (c.0 as usize) < n),
+                "user {}'s trace names a cell past this federation's {n}",
+                trace.user
+            );
+        }
         let mut bus = AgentSystem::new();
         bus.enable_reliability(cfg.reliable, mix(cfg.seed, 0xfed));
         let plan_ttl = if cfg.proactive {
@@ -285,7 +310,6 @@ impl Federation {
                 plan_ttl,
             ));
         }
-        let n = cells.len();
         if cfg.cell_faults.has_cell_faults() {
             // Project the cell-level plan onto the bus wire: a frame
             // between two cells is eaten while their link is severed or
@@ -357,20 +381,47 @@ impl Federation {
         fed
     }
 
-    /// Offer one query arriving at `at` from roaming `user`. Call any
-    /// number of times before [`run`](Federation::run); arrivals are
-    /// sorted by time (stable on ties) when the run starts.
-    pub fn offer(&mut self, at: SimTime, user: u64, text: impl Into<String>, opts: QueryOpts) {
+    /// Offer one query arriving at `at` from roaming `user`. Offers are
+    /// sorted by time (stable on ties) when the next
+    /// [`advance_to`](Federation::advance_to) or [`run`](Federation::run)
+    /// starts. An arrival is never moved in time: one stamped before
+    /// [`now`](Federation::now) is refused and never reaches a cell, and
+    /// `false` says so.
+    pub fn offer(
+        &mut self,
+        at: SimTime,
+        user: u64,
+        text: impl Into<String>,
+        opts: QueryOpts,
+    ) -> bool {
+        if at < self.now {
+            return false;
+        }
         let text = text.into();
         self.offered.push_back((user, Arrival { at, text, opts }));
+        true
     }
 
-    /// Drive the federation to `horizon`, then keep stepping until every
-    /// queue, window, and in-flight handoff has drained.
-    pub fn run(&mut self, horizon: SimTime) {
+    /// Step whole lockstep windows until the clock reaches `horizon`, then
+    /// stop without draining: queries may still be queued, and bounces
+    /// redirected at the last window end still wait in their new cell's
+    /// window. The clock stops at the first window end at or past
+    /// `horizon`; a horizon already behind it steps nothing.
+    pub fn advance_to(&mut self, horizon: SimTime) {
         self.offered.make_contiguous().sort_by_key(|(_, a)| a.at);
+        while self.now < horizon {
+            self.step_window(false);
+        }
+    }
+
+    /// [`advance_to`](Federation::advance_to) `horizon`, then keep stepping
+    /// until every queue, window, and in-flight handoff has drained. While
+    /// draining, a bounced admission is dropped rather than redirected.
+    pub fn run(&mut self, horizon: SimTime) {
+        self.advance_to(horizon);
         let mut windows = 0u64;
-        while !self.step_window(horizon) {
+        while !self.is_drained() {
+            self.step_window(true);
             windows += 1;
             assert!(windows < 4_000_000, "federation failed to drain");
         }
@@ -378,8 +429,8 @@ impl Federation {
     }
 
     /// Advance every cell by one lockstep window — the cells' scheduling
-    /// epoch. True once the horizon is behind and everything has drained.
-    fn step_window(&mut self, horizon: SimTime) -> bool {
+    /// epoch. While `draining`, bounced admissions are dropped.
+    fn step_window(&mut self, draining: bool) {
         let dt = self.cells[0].rt.config().epoch;
         debug_assert!(
             self.cells.iter().all(|c| c.rt.config().epoch == dt),
@@ -403,11 +454,10 @@ impl Federation {
             debug_assert_eq!(c.window.pending(), 0, "a window step left arrivals queued");
         }
         for i in 0..self.cells.len() {
-            self.harvest(i, end, start >= horizon);
+            self.harvest(i, end, draining);
         }
         self.pump_bus(end);
         self.now = end;
-        self.now >= horizon && self.is_drained()
     }
 
     /// The federation clock (end of the last completed window).
@@ -495,10 +545,10 @@ impl Federation {
         let Some(next) = self.predictor.predict(user, at_cell) else {
             return;
         };
-        let t = next.0 as usize;
-        if t >= self.cells.len() || next == at_cell {
+        if next == at_cell {
             return;
         }
+        let t = next.0 as usize;
         let task = self.book.task(user as usize);
         if self.cells[t].cache.warm(task, now).is_ok() {
             self.stats.prewarms += 1;
@@ -525,7 +575,6 @@ impl Federation {
             .filter(|(c, info)| {
                 let j = c.0 as usize;
                 j != home
-                    && j < n
                     && info.state != MemberState::Dead
                     && info.entry.load.can_absorb()
                     && !self.cell_down(j, at)
@@ -893,7 +942,7 @@ impl Federation {
             && self
                 .cells
                 .iter()
-                .all(|c| c.rt.queue_depth() == 0 && c.window.pending() == 0)
+                .all(|c| c.rt.queue_depth() == 0 && c.pending_arrivals() == 0)
     }
 
     /// The run has drained: with every queue empty, a query still on the
@@ -1203,7 +1252,7 @@ mod tests {
             let given_up = s.migrations_lost + s.forwards_lost + s.forwards_abandoned;
             let opened = (s.migrations_opened + s.forwards_opened) as usize;
             for _ in 0..20 {
-                fed.step_window(SimTime::from_secs(t));
+                fed.step_window(true);
             }
             for ledger in fed.handoff_ledgers() {
                 assert_eq!(ledger.len(), opened, "seed {seed}");
@@ -1350,7 +1399,8 @@ mod tests {
         // the records.
         let horizon = SimTime::from_secs(600);
         while fed.stats.migrations_completed < 2 {
-            assert!(!fed.step_window(horizon), "drained before both landed");
+            fed.step_window(false);
+            assert!(!fed.is_drained(), "drained before both landed");
         }
         let landed: Vec<HandoffRecord> = (fed.handoff_ledgers().iter())
             .flat_map(HandoffStore::snapshot)
@@ -1437,8 +1487,10 @@ mod tests {
                 QueryOpts::with_deadline(Duration::from_secs(120)),
             );
         }
+        let horizon = SimTime::from_secs(6_000);
         let mut peak = 0;
-        while !fed.step_window(SimTime::from_secs(6_000)) {
+        while fed.now() < horizon || !fed.is_drained() {
+            fed.step_window(fed.now() >= horizon);
             let open = fed.roamers[0].open.len();
             assert_eq!(open, fed.cells[0].rt.queue_depth(), "at {}", fed.now());
             assert_eq!(open, fed.cells[0].tags.len(), "at {}", fed.now());
@@ -1447,6 +1499,22 @@ mod tests {
         assert!(peak > 0, "nothing was ever in flight — vacuous");
         assert!(peak <= fed.cells[0].rt.config().capacity);
         assert_eq!(fed.goodput().0, 300);
+    }
+
+    #[test]
+    #[should_panic(expected = "user 3's trace names a cell past this federation's 2")]
+    fn a_trace_into_a_missing_cell_is_refused_at_construction() {
+        let moves = vec![crate::roaming::Move {
+            at: SimTime::from_secs(60),
+            to: CellId(2),
+        }];
+        let trace = Trace {
+            user: 3,
+            start: CellId(1),
+            moves,
+        };
+        let runtimes = vec![cell_runtime(1), cell_runtime(2)];
+        Federation::new(FederationConfig::default(), runtimes, vec![trace]);
     }
 
     #[test]

@@ -73,8 +73,23 @@ pub struct RoamingConfig {
 /// into `cells` equal strips along x), and the itinerary is the fixed ring
 /// `home, home+1, …` with per-hop dwell drawn uniformly from
 /// `[dwell_min, dwell_max]`. Deterministic per `(seed, u)`.
+///
+/// # Panics
+/// Panics when `cells` is 0, when `dwell_min` exceeds `dwell_max`, or when
+/// `dwell_max` is zero (a user who never dwells would never leave the
+/// first instant) — configuration errors, not runtime conditions.
 pub fn commute_traces(seed: u64, cfg: &RoamingConfig) -> Vec<Trace> {
     assert!(cfg.cells > 0, "a federation needs at least one cell");
+    assert!(
+        cfg.dwell_min <= cfg.dwell_max,
+        "dwell range is reversed: {} > {}",
+        cfg.dwell_min,
+        cfg.dwell_max
+    );
+    assert!(
+        cfg.dwell_max > Duration::ZERO,
+        "dwell must be positive: the range ends at 0"
+    );
     let streams = RngStreams::new(seed);
     let arena = MobilityConfig::pedestrian();
     let strip = ARENA_SIDE / cfg.cells as f64;
@@ -251,6 +266,28 @@ mod tests {
             a.iter().zip(&c).any(|(x, y)| x.moves != y.moves),
             "different seeds should differ"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "dwell must be positive: the range ends at 0")]
+    fn a_zero_dwell_is_refused_before_it_hangs() {
+        let cfg = RoamingConfig {
+            dwell_min: Duration::ZERO,
+            dwell_max: Duration::ZERO,
+            ..cfg()
+        };
+        commute_traces(9, &cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "dwell range is reversed: 400.000000s > 200.000000s")]
+    fn a_reversed_dwell_range_is_refused_by_name() {
+        let cfg = RoamingConfig {
+            dwell_min: Duration::from_secs(400),
+            dwell_max: Duration::from_secs(200),
+            ..cfg()
+        };
+        commute_traces(9, &cfg);
     }
 
     #[test]

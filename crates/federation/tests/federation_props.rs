@@ -15,6 +15,9 @@
 //!    or counts one twice; after the last heal the replicas reconverge on
 //!    one hash, count and phase split, and once nothing is open every live
 //!    ledger is empty.
+//! 4. **No arrival moves in time**: over segments that stop at their
+//!    horizon, an offer stamped before the clock is refused and never
+//!    reaches a cell, and the last segment's `run` drains.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -383,4 +386,58 @@ fn ledgers_reconverge_and_retire_under_partitions_cuts_and_crashes() {
             }
         },
     );
+}
+
+/// An offer before `now()` never reaches a cell. One to four
+/// segment ends are drawn on the window grid; before each segment, offers
+/// are drawn from t = 0 to two windows past its end, so from the second
+/// segment on some lie behind the clock. Every segment but the last ends
+/// with `advance_to`, the last with `run`. Nobody roams and nothing fails,
+/// and the shedding watermark sits above every offer drawn, so no arrival
+/// bounces: the cells see exactly the accepted offers that are due.
+#[test]
+fn an_offer_behind_the_clock_never_reaches_a_cell() {
+    check("an_offer_behind_the_clock_never_reaches_a_cell", 24, |g| {
+        let seed = g.range(0u64..1_000);
+        let windows = g.vec(1..5, |g| g.range(1u64..11));
+        let runtimes = vec![cell_runtime(seed), cell_runtime(seed + 1)];
+        let mut fed = Federation::new(FederationConfig::default(), runtimes, vec![]);
+        let mut accepted = Vec::new();
+        let mut end_s = 0;
+        for (k, w) in windows.iter().enumerate() {
+            end_s += w * EPOCH_S;
+            for _ in 0..g.range(0usize..6) {
+                let at =
+                    SimTime::from_secs_f64(g.range(0..(end_s + 2 * EPOCH_S) * 1_000) as f64 / 1e3);
+                let ok = fed.offer(
+                    at,
+                    g.range(0..6u64),
+                    "SELECT AVG(temp) FROM sensors",
+                    QueryOpts::with_deadline(Duration::from_secs(120)),
+                );
+                assert_eq!(ok, at >= fed.now(), "offer at {at}, clock at {}", fed.now());
+                if ok {
+                    accepted.push(at);
+                }
+            }
+            let horizon = SimTime::from_secs(end_s);
+            if k + 1 < windows.len() {
+                fed.advance_to(horizon);
+                assert_eq!(fed.now(), horizon, "a segment overran its horizon");
+            } else {
+                fed.run(horizon);
+            }
+            let arrived: u64 = fed.cells().iter().map(|c| c.rt.arrived).sum();
+            let due = accepted.iter().filter(|&&at| at < fed.now()).count() as u64;
+            assert_eq!(arrived, due, "at {}", fed.now());
+        }
+        // The drain left nothing queued, nothing pending and nothing
+        // offered: every accepted offer reached a cell.
+        for c in fed.cells() {
+            assert_eq!((c.rt.queue_depth(), c.pending_arrivals()), (0, 0));
+        }
+        let arrived: u64 = fed.cells().iter().map(|c| c.rt.arrived).sum();
+        assert_eq!(arrived, accepted.len() as u64);
+        assert_eq!(fed.stats.bounced_redirected + fed.stats.bounced_dropped, 0);
+    });
 }

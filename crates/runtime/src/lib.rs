@@ -797,6 +797,23 @@ mod tests {
         assert_eq!(rt.engine().now, SimTime::from_secs(120));
     }
 
+    /// A trace entry the clock has already passed is the feed's error: a
+    /// debug build stops there instead of submitting it at the clock.
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "arrival at 10.000000s is behind the clock at 30.000000s")]
+    fn a_step_never_moves_an_arrival_the_clock_has_passed() {
+        let mut rt = MultiQueryRuntime::new(cfg(), Mock::new());
+        round(&mut rt);
+        let mut trace = TraceArrivals::new(vec![Arrival {
+            at: SimTime::from_secs(10),
+            text: "late".into(),
+            opts: QueryOpts::default(),
+        }]);
+        let epoch = rt.config().epoch;
+        rt.step(epoch, &mut trace);
+    }
+
     #[test]
     fn submitting_at_zero_matches_a_t0_trace() {
         let queries = ["a", "b", "c", "d", "e"];

@@ -956,6 +956,9 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
     /// makes that round. The clock always ends at `now + dt`, busy or idle:
     /// offered load never slows down because the grid is busy.
     ///
+    /// An arrival is never moved in time: one stamped before the clock is
+    /// the arrival process's error, and a debug build panics on it.
+    ///
     /// Returns the number of queries completed during the window.
     ///
     /// [`submit`]: MultiQueryRuntime::submit
@@ -991,6 +994,12 @@ impl<E: QueryEngine> MultiQueryRuntime<E> {
                 let Some(arrival) = arrivals.next_arrival() else {
                     break;
                 };
+                debug_assert!(
+                    arrival.at >= self.engine.now(),
+                    "arrival at {} is behind the clock at {}: an arrival is never moved in time",
+                    arrival.at,
+                    self.engine.now()
+                );
                 self.advance_engine_to(arrival.at);
                 self.arrived += 1;
                 // The arrival process hears its arrival's verdict: the
